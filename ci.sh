@@ -3,13 +3,14 @@
 # parallel jobs and developers can iterate on one stage locally:
 #
 #   lint    gofmt gate, go vet, staticcheck + govulncheck (version-pinned)
-#   test    build, full suite, race detector over the scheduler and the
-#           simulation/RDMA/txn/shard hot paths, coverage floors,
-#           baseline-staleness and protocol-conformance suites
+#   test    build, full suite (root module and the bench/ module), race
+#           detector over the scheduler and the simulation/RDMA/txn/shard
+#           hot paths, coverage floors, baseline-staleness and
+#           protocol-conformance suites
 #   fuzz    short fuzz runs over the WQE decoder, device reset and fault
 #           plan validation
-#   bench   determinism goldens across a seed matrix (serial vs overlapped
-#           vs fast-path-off, full sweep plus a shards-only leg), the
+#   bench   determinism goldens across a seed matrix (serial vs
+#           overlapped, full sweep plus a shards-only leg), the
 #           hypothesis-catalog reproducibility matrix, and the bench/hypo
 #           regression gates against the committed baselines
 #
@@ -148,9 +149,18 @@ covercheck() {
     fi
 }
 
+# bench/ is its own Go module (BENCHMARK.json's benchmark), so the root
+# ./... patterns do not reach it.
+bench_module() {
+    cd bench
+    go vet ./...
+    go test ./...
+}
+
 stage_test() {
     step "go build" go build ./...
     step "go test" go test ./...
+    step "bench module vet+test" bench_module
     # The determinism goldens shrink their matrix under race (see
     # race_on_test.go) but the detector is still ~10× on one core; give
     # the step explicit headroom over the 10m default. txn and shard join
@@ -163,11 +173,13 @@ stage_test() {
     step "coverage internal/hypotheses >=85" covercheck ./internal/hypotheses 85
     step "coverage internal/shard >=85" covercheck ./internal/shard 85
     step "coverage internal/txn >=85" covercheck ./internal/txn 85
-    # BENCH_baseline.json must decode against the current -json schema and
-    # cover the current experiment registry (also part of `go test ./...`
-    # above; run it by name so a staleness failure is unmistakable in CI
-    # logs). Same bar for the hypothesis catalog and the committed
-    # hypotheses/<id>/FINDINGS.md artifacts.
+    # Both committed baselines must decode against the -json schema
+    # (internal/report) and cover the current experiment registry (also
+    # part of `go test ./...` above; run it by name so a staleness failure
+    # is unmistakable in CI logs). Same bar for the hypothesis catalog and
+    # the committed hypotheses/<id>/FINDINGS.md artifacts.
+    step "baseline schema" go test ./internal/report \
+        -run TestCommittedBaselinesMatchSchema -count=1
     step "baseline staleness" go test ./cmd/hyperloop-bench \
         -run TestBaselineMatchesSchema -count=1
     step "hypo baseline staleness" go test ./cmd/hypothesis-run \
@@ -204,9 +216,8 @@ build_tools() {
 
 # Determinism golden for one experiment selection at one seed: the bench
 # output is virtual-time numbers, so it must be byte-identical serial
-# (-procs 1) vs fully overlapped (-procs 0) vs the fiber fast path forced
-# off (-fastpath off) once the wall-time-only lines ("regenerated in")
-# are stripped.
+# (-procs 1) vs fully overlapped (-procs 0) once the wall-time-only lines
+# ("regenerated in") are stripped.
 determinism() {
     exp=$1 seed=$2
     "$tmp/bench" -exp "$exp" -scale quick -seed "$seed" -procs 1 |
@@ -214,9 +225,6 @@ determinism() {
     "$tmp/bench" -exp "$exp" -scale quick -seed "$seed" -procs 0 |
         grep -v 'regenerated in' >"$tmp/overlap.norm"
     diff -u "$tmp/serial.norm" "$tmp/overlap.norm"
-    "$tmp/bench" -exp "$exp" -scale quick -seed "$seed" -procs 0 -fastpath off |
-        grep -v 'regenerated in' >"$tmp/fastoff.norm"
-    diff -u "$tmp/serial.norm" "$tmp/fastoff.norm"
 }
 
 # Hypothesis catalog at one seed: every claim must hold (exit 0), and a

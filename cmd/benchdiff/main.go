@@ -23,12 +23,11 @@
 // to 0 or less to disable the gate (e.g. when comparing reports from
 // different machines).
 //
-// Advisory fields — per-experiment wall-clock timings, the fast/slow
-// dispatch split, and the pools' fresh/reused splits — depend on host
-// speed, goroutine scheduling, or the -fastpath setting. benchdiff prints
-// their deltas for the log and never fails on them. -csv additionally
-// writes the current report's per-experiment wall/event figures as CSV
-// for CI artifact upload.
+// Advisory fields — per-experiment wall-clock timings and the pools'
+// fresh/reused splits — depend on host speed and goroutine scheduling.
+// benchdiff prints their deltas for the log and never fails on them. -csv
+// additionally writes the current report's per-experiment wall/event
+// figures as CSV for CI artifact upload.
 //
 // -only <experiment> restricts the strict comparison to one experiment id
 // — for iterating on a single experiment locally without re-running the
@@ -39,65 +38,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
+
+	"hyperloop/internal/report"
 )
-
-// expStats mirrors the per-experiment object in hyperloop-bench -json.
-// Kept in sync by cmd/hyperloop-bench's TestBaselineMatchesSchema plus
-// the strict decode below.
-type expStats struct {
-	ID     string `json:"id"`
-	Report string `json:"report"`
-
-	WallMS       float64 `json:"wall_ms"`
-	SimEvents    int64   `json:"sim_events"`
-	CQEs         int64   `json:"cqes"`
-	Messages     int64   `json:"messages"`
-	WireBytes    int64   `json:"wire_bytes"`
-	EventsPerSec float64 `json:"events_per_sec"`
-
-	FastDispatches int64 `json:"fast_dispatches"`
-	SlowDispatches int64 `json:"slow_dispatches"`
-
-	DeviceGets        int64 `json:"device_gets"`
-	DevicePuts        int64 `json:"device_puts"`
-	DeviceFresh       int64 `json:"device_fresh"`
-	DeviceReused      int64 `json:"device_reused"`
-	DeviceBytesZeroed int64 `json:"device_bytes_zeroed"`
-	DeviceBytesDemand int64 `json:"device_bytes_demand"`
-	KernelGets        int64 `json:"kernel_gets"`
-	KernelFresh       int64 `json:"kernel_fresh"`
-	KernelReused      int64 `json:"kernel_reused"`
-	FabricBuilds      int64 `json:"fabric_builds"`
-	FabricReused      int64 `json:"fabric_reused"`
-}
-
-type benchReport struct {
-	Seed        uint64     `json:"seed"`
-	Scale       string     `json:"scale"`
-	Procs       int        `json:"procs"`
-	GoMaxProcs  int        `json:"gomaxprocs"`
-	Experiments []expStats `json:"experiments"`
-	TotalWallMS float64    `json:"total_wall_ms"`
-}
-
-func load(path string) (*benchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	var r benchReport
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
 
 // firstLineDiff locates the first differing line of two texts.
 func firstLineDiff(a, b string) (int, string, string) {
@@ -121,7 +68,7 @@ func firstLineDiff(a, b string) (int, string, string) {
 // events over total wall time. The per-experiment events_per_sec figures
 // are too noisy to gate on individually (short experiments finish in a few
 // ms); the aggregate amortizes scheduling jitter over the full run.
-func aggregateEPS(r *benchReport) float64 {
+func aggregateEPS(r *report.BenchReport) float64 {
 	if r.TotalWallMS <= 0 {
 		return 0
 	}
@@ -133,23 +80,22 @@ func aggregateEPS(r *benchReport) float64 {
 }
 
 // writeCSV dumps the current report's per-experiment wall/event figures.
-func writeCSV(path string, r *benchReport) error {
+func writeCSV(path string, r *report.BenchReport) error {
 	var sb strings.Builder
-	sb.WriteString("id,wall_ms,sim_events,events_per_sec,fast_dispatches,slow_dispatches\n")
+	sb.WriteString("id,wall_ms,sim_events,events_per_sec\n")
 	for _, e := range r.Experiments {
-		fmt.Fprintf(&sb, "%s,%.3f,%d,%.0f,%d,%d\n",
-			e.ID, e.WallMS, e.SimEvents, e.EventsPerSec, e.FastDispatches, e.SlowDispatches)
+		fmt.Fprintf(&sb, "%s,%.3f,%d,%.0f\n", e.ID, e.WallMS, e.SimEvents, e.EventsPerSec)
 	}
-	fmt.Fprintf(&sb, "total,%.3f,,%.0f,,\n", r.TotalWallMS, aggregateEPS(r))
+	fmt.Fprintf(&sb, "total,%.3f,,%.0f\n", r.TotalWallMS, aggregateEPS(r))
 	return os.WriteFile(path, []byte(sb.String()), 0o644)
 }
 
 // filterOnly narrows a report to the named experiment id.
-func filterOnly(r *benchReport, id, path string) (*benchReport, error) {
+func filterOnly(r *report.BenchReport, id, path string) (*report.BenchReport, error) {
 	for _, e := range r.Experiments {
 		if e.ID == id {
 			out := *r
-			out.Experiments = []expStats{e}
+			out.Experiments = []report.ExpStats{e}
 			return &out, nil
 		}
 	}
@@ -167,11 +113,11 @@ func run(args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("usage: benchdiff [-eps-tolerance frac] [-csv out.csv] [-only exp] <baseline.json> <current.json>")
 	}
-	base, err := load(fs.Arg(0))
+	base, err := report.Load(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	cur, err := load(fs.Arg(1))
+	cur, err := report.Load(fs.Arg(1))
 	if err != nil {
 		return err
 	}
@@ -256,9 +202,8 @@ func run(args []string) error {
 			if b.ID != c.ID {
 				continue
 			}
-			fmt.Printf("advisory: %-15s wall %8.1fms -> %8.1fms  fast/slow %d/%d -> %d/%d  reuse dev %d/%d -> %d/%d  kern %d/%d -> %d/%d  fab %d/%d -> %d/%d\n",
+			fmt.Printf("advisory: %-15s wall %8.1fms -> %8.1fms  reuse dev %d/%d -> %d/%d  kern %d/%d -> %d/%d  fab %d/%d -> %d/%d\n",
 				b.ID, b.WallMS, c.WallMS,
-				b.FastDispatches, b.SlowDispatches, c.FastDispatches, c.SlowDispatches,
 				b.DeviceReused, b.DeviceGets, c.DeviceReused, c.DeviceGets,
 				b.KernelReused, b.KernelGets, c.KernelReused, c.KernelGets,
 				b.FabricReused, b.FabricBuilds, c.FabricReused, c.FabricBuilds)

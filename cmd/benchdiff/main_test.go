@@ -1,29 +1,26 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hyperloop/internal/report"
 )
 
-func writeReport(t *testing.T, dir, name string, r benchReport) string {
+func writeReport(t *testing.T, dir, name string, r report.BenchReport) string {
 	t.Helper()
-	data, err := json.MarshalIndent(&r, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := r.Write(path); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func sample() benchReport {
-	return benchReport{
+func sample() report.BenchReport {
+	return report.BenchReport{
 		Seed: 1, Scale: "quick", Procs: 1, GoMaxProcs: 1, TotalWallMS: 100,
-		Experiments: []expStats{{
+		Experiments: []report.ExpStats{{
 			ID: "fig8a", Report: "== fig8a ==\np50 1.2us\n",
 			WallMS: 40, SimEvents: 1000, CQEs: 50, Messages: 60, WireBytes: 4096,
 			EventsPerSec: 25000, DeviceGets: 4, DevicePuts: 4, DeviceReused: 2,
@@ -104,7 +101,7 @@ func TestSeedMismatchFails(t *testing.T) {
 }
 
 // multiSample is a two-experiment baseline for the -only filter tests.
-func multiSample() benchReport {
+func multiSample() report.BenchReport {
 	r := sample()
 	second := r.Experiments[0]
 	second.ID = "shards"
@@ -164,8 +161,7 @@ func TestUsage(t *testing.T) {
 }
 
 // TestCommittedBaselineAgainstItself runs the real gate input through the
-// tool: the committed baseline must diff cleanly against itself, proving
-// the schema here matches cmd/hyperloop-bench's.
+// tool: the committed baseline must diff cleanly against itself.
 func TestCommittedBaselineAgainstItself(t *testing.T) {
 	base := filepath.Join("..", "..", "BENCH_baseline.json")
 	if _, err := os.Stat(base); err != nil {

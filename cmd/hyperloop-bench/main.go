@@ -18,17 +18,18 @@ import (
 	"time"
 
 	"hyperloop/internal/experiments"
-	"hyperloop/internal/sim"
+	"hyperloop/internal/report"
 )
 
 // loadCostHints reads a previous -json report and returns each
-// experiment's wall_ms as a scheduling cost hint.
+// experiment's wall_ms as a scheduling cost hint. The decode is lenient: a
+// report from another schema version still carries usable wall times.
 func loadCostHints(path string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rep benchReport
+	var rep report.BenchReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, err
 	}
@@ -46,56 +47,6 @@ func main() {
 	}
 }
 
-// expStats is one experiment's entry in the -json report, filled from the
-// experiment's own StatSink — counters its trials attributed locally, so
-// they read the same whether experiments ran serially or overlapped.
-//
-// Report and the sink's deterministic counters (sim_events, cqes,
-// messages, wire_bytes, device_gets/puts, device_bytes_demand,
-// kernel_gets, fabric_builds) are byte-identical at any -procs setting;
-// the CI regression gate (cmd/benchdiff) diffs them exactly. Wall-clock
-// rates and the pools' fresh/reused splits depend on host scheduling and
-// are advisory.
-type expStats struct {
-	ID     string `json:"id"`
-	Report string `json:"report"`
-
-	WallMS       float64 `json:"wall_ms"`
-	SimEvents    int64   `json:"sim_events"`
-	CQEs         int64   `json:"cqes"`
-	Messages     int64   `json:"messages"`
-	WireBytes    int64   `json:"wire_bytes"`
-	EventsPerSec float64 `json:"events_per_sec"`
-
-	// Fiber control-transfer split: inline fast-path starts vs classic
-	// goroutine rendezvous. Advisory in diffs — -fastpath=off moves the
-	// whole split to slow.
-	FastDispatches int64 `json:"fast_dispatches"`
-	SlowDispatches int64 `json:"slow_dispatches"`
-
-	DeviceGets        int64 `json:"device_gets"`
-	DevicePuts        int64 `json:"device_puts"`
-	DeviceFresh       int64 `json:"device_fresh"`
-	DeviceReused      int64 `json:"device_reused"`
-	DeviceBytesZeroed int64 `json:"device_bytes_zeroed"`
-	DeviceBytesDemand int64 `json:"device_bytes_demand"`
-	KernelGets        int64 `json:"kernel_gets"`
-	KernelFresh       int64 `json:"kernel_fresh"`
-	KernelReused      int64 `json:"kernel_reused"`
-	FabricBuilds      int64 `json:"fabric_builds"`
-	FabricReused      int64 `json:"fabric_reused"`
-}
-
-// benchReport is the -json output: enough to compare perf across commits.
-type benchReport struct {
-	Seed        uint64     `json:"seed"`
-	Scale       string     `json:"scale"`
-	Procs       int        `json:"procs"`
-	GoMaxProcs  int        `json:"gomaxprocs"`
-	Experiments []expStats `json:"experiments"`
-	TotalWallMS float64    `json:"total_wall_ms"`
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("hyperloop-bench", flag.ContinueOnError)
 	var (
@@ -106,11 +57,13 @@ func run(args []string) error {
 		procs = fs.Int("procs", 0, "concurrent trials across all experiments (0 = GOMAXPROCS); results are identical at any setting")
 		jsonP = fs.String("json", "", "write machine-readable perf stats to this file ('-' = stdout)")
 		prof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
-		fast  = fs.String("fastpath", "on", "direct-dispatch fiber fast path: on | off (results are identical either way)")
 		costs = fs.String("costs", "BENCH_baseline.json", "JSON report whose wall_ms seeds the critical-path-first schedule ('' = none; a missing file is ignored)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (flags must precede it; experiments are chosen with -exp)", fs.Arg(0))
 	}
 	if *list {
 		for _, id := range experiments.PaperOrder() {
@@ -130,14 +83,6 @@ func run(args []string) error {
 	if *procs < 0 {
 		return fmt.Errorf("-procs must be >= 0, got %d", *procs)
 	}
-	switch *fast {
-	case "on":
-		sim.SetFastPath(true)
-	case "off":
-		sim.SetFastPath(false)
-	default:
-		return fmt.Errorf("-fastpath must be on or off, got %q", *fast)
-	}
 	prev := experiments.SetParallelism(*procs)
 	defer experiments.SetParallelism(prev)
 	if *costs != "" {
@@ -152,7 +97,7 @@ func run(args []string) error {
 	if *exp == "all" {
 		ids = experiments.PaperOrder()
 	}
-	bench := benchReport{
+	bench := report.BenchReport{
 		Seed: *seed, Scale: *scale,
 		Procs: experiments.Parallelism(), GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
@@ -175,7 +120,7 @@ func run(args []string) error {
 	bench.TotalWallMS = float64(time.Since(total).Microseconds()) / 1000
 	for _, r := range results {
 		s := r.Stats
-		bench.Experiments = append(bench.Experiments, expStats{
+		bench.Experiments = append(bench.Experiments, report.ExpStats{
 			ID:           r.ID,
 			Report:       r.Report.String(),
 			WallMS:       float64(r.Wall.Microseconds()) / 1000,
@@ -184,9 +129,6 @@ func run(args []string) error {
 			Messages:     s.Messages,
 			WireBytes:    s.WireBytes,
 			EventsPerSec: float64(s.SimEvents) / r.Wall.Seconds(),
-
-			FastDispatches: s.FastDispatches,
-			SlowDispatches: s.SlowDispatches,
 
 			DeviceGets:        s.DeviceGets,
 			DevicePuts:        s.DevicePuts,
@@ -205,19 +147,12 @@ func run(args []string) error {
 	}
 
 	if *jsonP != "" {
-		out, err := json.MarshalIndent(&bench, "", "  ")
-		if err != nil {
+		if err := bench.Write(*jsonP); err != nil {
 			return err
 		}
-		out = append(out, '\n')
-		if *jsonP == "-" {
-			_, err = os.Stdout.Write(out)
-			return err
+		if *jsonP != "-" {
+			fmt.Printf("(perf stats written to %s)\n", *jsonP)
 		}
-		if err := os.WriteFile(*jsonP, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("(perf stats written to %s)\n", *jsonP)
 	}
 	return nil
 }

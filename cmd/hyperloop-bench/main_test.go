@@ -1,15 +1,13 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 
 	"hyperloop/internal/experiments"
+	"hyperloop/internal/report"
 )
 
 func TestListFlag(t *testing.T) {
@@ -42,18 +40,32 @@ func TestNegativeProcs(t *testing.T) {
 	}
 }
 
+// TestStrayArguments: Go's flag package stops at the first non-flag, so
+// anything after it — including flags — would be silently ignored. A flag
+// the binary does not (or no longer does) define must likewise fail loudly.
+func TestStrayArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"fig8a", "-seed", "2"},
+		{"-exp", "table3", "full"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "unexpected argument") {
+			t.Errorf("run(%q) = %v, want an unexpected-argument error", args, err)
+		}
+	}
+	err := run([]string{"-exp", "table3", "-no-such-flag", "off"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("undefined flag: got %v, want \"flag provided but not defined\"", err)
+	}
+}
+
 func TestJSONOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := run([]string{"-exp", "abl-flush", "-procs", "2", "-json", path}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	data, err := os.ReadFile(path)
+	rep, err := report.Load(path)
 	if err != nil {
-		t.Fatalf("read json: %v", err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+		t.Fatalf("load json: %v", err)
 	}
 	if rep.Procs != 2 {
 		t.Fatalf("procs = %d, want 2", rep.Procs)
@@ -73,62 +85,15 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-// jsonKeys returns the sorted key set of a JSON object.
-func jsonKeys(t *testing.T, raw []byte) []string {
-	t.Helper()
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("not a JSON object: %v", err)
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // TestBaselineMatchesSchema fails when the committed BENCH_baseline.json has
-// gone stale relative to the -json schema: fields the schema dropped, fields
-// it gained that the file lacks, or an experiment set that no longer matches
-// the registry. Refresh with:
+// gone stale: it no longer decodes strictly against internal/report, or its
+// experiment set no longer matches the registry. Refresh with:
 //
 //	go run ./cmd/hyperloop-bench -exp all -scale quick -seed 1 -procs 1 -json BENCH_baseline.json
 func TestBaselineMatchesSchema(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	rep, err := report.Load(filepath.Join("..", "..", "BENCH_baseline.json"))
 	if err != nil {
-		t.Fatalf("read committed baseline: %v", err)
-	}
-	// Fields in the file that the schema dropped fail strict decoding.
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var rep benchReport
-	if err := dec.Decode(&rep); err != nil {
-		t.Fatalf("BENCH_baseline.json no longer decodes against benchReport — regenerate it: %v", err)
-	}
-	if len(rep.Experiments) == 0 {
-		t.Fatal("baseline has no experiments")
-	}
-	// Fields the schema gained show up as a key-set mismatch against a
-	// re-marshal of the decoded report.
-	remarshal, err := json.Marshal(&rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := jsonKeys(t, data), jsonKeys(t, remarshal); !reflect.DeepEqual(got, want) {
-		t.Fatalf("baseline top-level fields %v, schema has %v — regenerate it", got, want)
-	}
-	var fileExps, schemaExps struct {
-		Experiments []json.RawMessage `json:"experiments"`
-	}
-	if err := json.Unmarshal(data, &fileExps); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(remarshal, &schemaExps); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := jsonKeys(t, fileExps.Experiments[0]), jsonKeys(t, schemaExps.Experiments[0]); !reflect.DeepEqual(got, want) {
-		t.Fatalf("baseline experiment fields %v, schema has %v — regenerate it", got, want)
+		t.Fatalf("committed baseline does not decode — regenerate it: %v", err)
 	}
 	// The experiment list must match the registry's paper order exactly.
 	var ids []string

@@ -10,13 +10,13 @@
 //
 // A refuted claim (any failed check) exits 1 after rendering every
 // requested scenario, so CI sees the full evidence, not just the first
-// failure. The -json report reuses the hyperloop-bench schema — strict
-// virtual-time counters per scenario — so cmd/benchdiff gates the catalog
-// against the committed HYPO_baseline.json exactly like the bench gate.
+// failure. The -json report is the hyperloop-bench schema
+// (internal/report) — strict virtual-time counters per scenario — so
+// cmd/benchdiff gates the catalog against the committed HYPO_baseline.json
+// exactly like the bench gate.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,49 +25,8 @@ import (
 	"time"
 
 	"hyperloop/internal/hypotheses"
+	"hyperloop/internal/report"
 )
-
-// expStats mirrors the per-experiment object of hyperloop-bench -json, so
-// cmd/benchdiff (which decodes with DisallowUnknownFields) accepts the
-// catalog report unchanged. Fields the catalog does not track — the pool
-// and dispatch splits — stay zero on both sides of a diff and never trip
-// the gate; drops and dups are strict anyway because they render into the
-// report text. Kept in sync by TestBaselineMatchesSchema.
-type expStats struct {
-	ID     string `json:"id"`
-	Report string `json:"report"`
-
-	WallMS       float64 `json:"wall_ms"`
-	SimEvents    int64   `json:"sim_events"`
-	CQEs         int64   `json:"cqes"`
-	Messages     int64   `json:"messages"`
-	WireBytes    int64   `json:"wire_bytes"`
-	EventsPerSec float64 `json:"events_per_sec"`
-
-	FastDispatches int64 `json:"fast_dispatches"`
-	SlowDispatches int64 `json:"slow_dispatches"`
-
-	DeviceGets        int64 `json:"device_gets"`
-	DevicePuts        int64 `json:"device_puts"`
-	DeviceFresh       int64 `json:"device_fresh"`
-	DeviceReused      int64 `json:"device_reused"`
-	DeviceBytesZeroed int64 `json:"device_bytes_zeroed"`
-	DeviceBytesDemand int64 `json:"device_bytes_demand"`
-	KernelGets        int64 `json:"kernel_gets"`
-	KernelFresh       int64 `json:"kernel_fresh"`
-	KernelReused      int64 `json:"kernel_reused"`
-	FabricBuilds      int64 `json:"fabric_builds"`
-	FabricReused      int64 `json:"fabric_reused"`
-}
-
-type benchReport struct {
-	Seed        uint64     `json:"seed"`
-	Scale       string     `json:"scale"`
-	Procs       int        `json:"procs"`
-	GoMaxProcs  int        `json:"gomaxprocs"`
-	Experiments []expStats `json:"experiments"`
-	TotalWallMS float64    `json:"total_wall_ms"`
-}
 
 // errRefuted distinguishes a refuted claim (evidence rendered, exit 1)
 // from infrastructure failures.
@@ -86,6 +45,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (flags must precede it; scenarios are chosen with -run)", fs.Arg(0))
+	}
 	if *list {
 		for _, sid := range hypotheses.CatalogOrder() {
 			fmt.Printf("  %-20s %s\n", sid, hypotheses.Describe(sid))
@@ -101,7 +63,7 @@ func run(args []string) error {
 		ids = hypotheses.CatalogOrder()
 	}
 
-	rep := benchReport{
+	rep := report.BenchReport{
 		Seed: *seed, Scale: sc.String(),
 		Procs: 1, GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
@@ -129,7 +91,7 @@ func run(args []string) error {
 			}
 		}
 		c := r.Counters
-		rep.Experiments = append(rep.Experiments, expStats{
+		rep.Experiments = append(rep.Experiments, report.ExpStats{
 			ID:           sid,
 			Report:       text,
 			WallMS:       float64(wall.Microseconds()) / 1000,
@@ -143,19 +105,10 @@ func run(args []string) error {
 	rep.TotalWallMS = float64(time.Since(total).Microseconds()) / 1000
 
 	if *jsonP != "" {
-		out, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
+		if err := rep.Write(*jsonP); err != nil {
 			return err
 		}
-		out = append(out, '\n')
-		if *jsonP == "-" {
-			if _, err := os.Stdout.Write(out); err != nil {
-				return err
-			}
-		} else {
-			if err := os.WriteFile(*jsonP, out, 0o644); err != nil {
-				return err
-			}
+		if *jsonP != "-" {
 			fmt.Printf("(counters written to %s)\n", *jsonP)
 		}
 	}

@@ -1,16 +1,14 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"hyperloop/internal/hypotheses"
+	"hyperloop/internal/report"
 )
 
 func TestListFlag(t *testing.T) {
@@ -31,6 +29,19 @@ func TestUnknownScenario(t *testing.T) {
 	}
 }
 
+// TestStrayArguments: Go's flag package stops at the first non-flag, so
+// anything after it — including flags — would be silently ignored.
+func TestStrayArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"multi-failure", "-seed", "2"},
+		{"-run", "multi-failure", "full"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "unexpected argument") {
+			t.Errorf("run(%q) = %v, want an unexpected-argument error", args, err)
+		}
+	}
+}
+
 func TestRunSingleScenarioJSONAndFindings(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hypo.json")
@@ -38,13 +49,9 @@ func TestRunSingleScenarioJSONAndFindings(t *testing.T) {
 	if err := run([]string{"-run", "multi-failure", "-seed", "7", "-json", path, "-findings", fdir}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	data, err := os.ReadFile(path)
+	rep, err := report.Load(path)
 	if err != nil {
-		t.Fatalf("read json: %v", err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+		t.Fatalf("load json: %v", err)
 	}
 	if rep.Seed != 7 || len(rep.Experiments) != 1 || rep.Experiments[0].ID != "multi-failure" {
 		t.Fatalf("report = %+v, want one multi-failure entry at seed 7", rep)
@@ -69,13 +76,9 @@ func TestRunSingleScenarioJSONAndFindings(t *testing.T) {
 // byte-identical strict fields — the property the HYPO baseline gate pins.
 func TestCountersDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	strip := func(path string) benchReport {
-		data, err := os.ReadFile(path)
+	strip := func(path string) *report.BenchReport {
+		r, err := report.Load(path)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var r benchReport
-		if err := json.Unmarshal(data, &r); err != nil {
 			t.Fatal(err)
 		}
 		for i := range r.Experiments {
@@ -98,58 +101,15 @@ func TestCountersDeterministic(t *testing.T) {
 	}
 }
 
-// jsonKeys returns the sorted key set of a JSON object.
-func jsonKeys(t *testing.T, raw []byte) []string {
-	t.Helper()
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("not a JSON object: %v", err)
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // TestBaselineMatchesSchema fails when the committed HYPO_baseline.json has
-// gone stale relative to the -json schema or the scenario catalog.
-// Refresh with:
+// gone stale: it no longer decodes strictly against internal/report, or its
+// scenario set no longer matches the catalog. Refresh with:
 //
 //	go run ./cmd/hypothesis-run -run all -scale quick -seed 1 -json HYPO_baseline.json
 func TestBaselineMatchesSchema(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "HYPO_baseline.json"))
+	rep, err := report.Load(filepath.Join("..", "..", "HYPO_baseline.json"))
 	if err != nil {
-		t.Fatalf("read committed baseline: %v", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var rep benchReport
-	if err := dec.Decode(&rep); err != nil {
-		t.Fatalf("HYPO_baseline.json no longer decodes against benchReport — regenerate it: %v", err)
-	}
-	if len(rep.Experiments) == 0 {
-		t.Fatal("baseline has no scenarios")
-	}
-	remarshal, err := json.Marshal(&rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := jsonKeys(t, data), jsonKeys(t, remarshal); !reflect.DeepEqual(got, want) {
-		t.Fatalf("baseline top-level fields %v, schema has %v — regenerate it", got, want)
-	}
-	var fileExps, schemaExps struct {
-		Experiments []json.RawMessage `json:"experiments"`
-	}
-	if err := json.Unmarshal(data, &fileExps); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(remarshal, &schemaExps); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := jsonKeys(t, fileExps.Experiments[0]), jsonKeys(t, schemaExps.Experiments[0]); !reflect.DeepEqual(got, want) {
-		t.Fatalf("baseline scenario fields %v, schema has %v — regenerate it", got, want)
+		t.Fatalf("committed baseline does not decode — regenerate it: %v", err)
 	}
 	// The scenario list must match the catalog order exactly.
 	var ids []string

@@ -141,8 +141,6 @@ func (a *trialArena) endTrial(rc *runCtx) {
 	a.trial = StatSink{}
 	for i, k := range a.trialKernels {
 		t.SimEvents += k.Executed()
-		t.FastDispatches += k.FastDispatches()
-		t.SlowDispatches += k.SlowDispatches()
 		if !poolingOff.Load() {
 			a.kernelPuts++
 			if k.LiveFibers() == 0 {

@@ -24,14 +24,6 @@ type StatSink struct {
 	Messages  int64
 	WireBytes int64
 
-	// FastDispatches/SlowDispatches split fiber control transfers between
-	// the inline direct-dispatch fast path and the classic goroutine
-	// rendezvous. Deterministic for a fixed fast-path setting, but the
-	// split moves wholesale when -fastpath=off forces every dispatch slow,
-	// so regression gates treat them as advisory.
-	FastDispatches int64
-	SlowDispatches int64
-
 	// Arena counters for the run's trials. Gets/Puts/BytesDemand count
 	// what trials asked for (deterministic); Fresh/Reused/BytesZeroed
 	// count how the pools happened to serve it (advisory).
@@ -53,8 +45,6 @@ type StatSink struct {
 // add folds one trial's counters into the sink.
 func (s *StatSink) add(t StatSink) {
 	s.SimEvents += t.SimEvents
-	s.FastDispatches += t.FastDispatches
-	s.SlowDispatches += t.SlowDispatches
 	s.CQEs += t.CQEs
 	s.Messages += t.Messages
 	s.WireBytes += t.WireBytes

@@ -104,18 +104,19 @@ func TestDrainHandlerReentrantPushFoldsIntoFollowUpBatch(t *testing.T) {
 	}
 }
 
-func TestSetHandlerRetainsEntriesForPoll(t *testing.T) {
+func TestPollReturnsRetainedEntriesInOrder(t *testing.T) {
 	_, cq := newTestCQ(t)
-	seen := 0
-	cq.SetHandler(func(CQE) { seen++ })
 	cq.push(CQE{WRID: 7})
 	cq.push(CQE{WRID: 8})
-	if seen != 2 {
-		t.Fatalf("handler ran %d times, want 2", seen)
+	if cq.Depth() != 2 {
+		t.Fatalf("Depth = %d, want 2 (no drain handler: entries are retained)", cq.Depth())
 	}
 	got := cq.Poll(10)
 	if len(got) != 2 || got[0].WRID != 7 || got[1].WRID != 8 {
-		t.Fatalf("Poll = %v, want WRIDs [7 8] (legacy handlers observe, not consume)", got)
+		t.Fatalf("Poll = %v, want WRIDs [7 8]", got)
+	}
+	if cq.Depth() != 0 || cq.Poll(10) != nil {
+		t.Fatal("Poll did not consume the entries")
 	}
 }
 
@@ -171,7 +172,7 @@ func TestSubscribeThresholdOrderAmongSurvivors(t *testing.T) {
 }
 
 // BenchmarkCQDrain measures the per-completion cost of the batched drain
-// path against the legacy per-CQE handler path.
+// path.
 func BenchmarkCQDrain(b *testing.B) {
 	_, cq := newTestCQ(b)
 	n := 0
@@ -186,16 +187,12 @@ func BenchmarkCQDrain(b *testing.B) {
 	}
 }
 
-func BenchmarkCQPerEntryHandler(b *testing.B) {
+func BenchmarkCQPoll(b *testing.B) {
 	_, cq := newTestCQ(b)
-	n := 0
-	cq.SetHandler(func(CQE) { n++ })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cq.push(CQE{WRID: uint64(i)})
-		// Legacy handlers retain entries; drain them as a poller would so
-		// the queue doesn't grow with b.N.
 		if cq.Depth() >= 64 {
 			cq.Poll(64)
 		}

@@ -22,7 +22,7 @@ func TestDestroyedQPRejectsPostsAndDropsInbound(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p.qa.sendCQ.SetHandler(func(e CQE) { sendSt = e.Status })
+	p.qa.sendCQ.SetDrainHandler(func(es []CQE) { sendSt = es[len(es)-1].Status })
 	// Let the requester put the message on the wire, then destroy the
 	// target while the delivery is still in flight.
 	if err := p.k.RunUntil(sim.Time(200 * sim.Nanosecond)); err != nil {
@@ -87,9 +87,11 @@ func TestDestroyedQPIgnoresParkedWAITWakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var nops int
-	succ.SendCQ().SetHandler(func(e CQE) {
-		if e.Op == OpNop && e.Status == StatusSuccess {
-			nops++
+	succ.SendCQ().SetDrainHandler(func(es []CQE) {
+		for _, e := range es {
+			if e.Op == OpNop && e.Status == StatusSuccess {
+				nops++
+			}
 		}
 	})
 	if _, err := succ.PostSend(WQE{Opcode: OpWait, Imm: 1, Aux1: cq.CQN(), Aux2: 1}); err != nil {
@@ -128,7 +130,7 @@ func TestDestroyedCQDropsCompletionsAndRetiresCQN(t *testing.T) {
 	// A WAIT naming the retired CQN completes with a local error rather
 	// than parking forever.
 	var st Status
-	p.qa.sendCQ.SetHandler(func(e CQE) { st = e.Status })
+	p.qa.sendCQ.SetDrainHandler(func(es []CQE) { st = es[len(es)-1].Status })
 	nq, err := p.na.CreateQP(QPConfig{
 		SendRingOff: bufB, SendSlots: 4,
 		SendCQ: p.qa.sendCQ, RecvCQ: p.na.CreateCQ(),

@@ -78,32 +78,31 @@ func (s Status) String() string {
 	}
 }
 
-// CQ is a completion queue. Completions accumulate for polling; an optional
-// handler is invoked on each completion (modelling an interrupt/event
+// CQ is a completion queue. Completions accumulate for polling unless a
+// drain handler consumes them in batches (modelling an interrupt/event
 // channel); WAIT WQEs subscribe to the cumulative completion count with a
 // wake threshold, so a WAIT armed for N completions wakes once when the
 // N-th arrives instead of re-checking on every push.
 //
-// Re-entrancy rules for handlers (per-CQE and batch alike): a handler runs
-// synchronously inside the push — that is, inside the simulation event
-// that produced the completion — so it sees the CQ with the new entry
-// already accounted (Total includes it). A handler may post work requests,
-// ring doorbells, schedule events, and push onto *other* CQs, but every
-// path that would complete back onto the same CQ goes through a scheduled
-// event, never synchronously; a batch handler that does trigger a
-// same-instant push sees it folded into a follow-up batch of the same
-// drain loop, not a nested handler call.
+// Re-entrancy rules for the drain handler: it runs synchronously inside
+// the push — that is, inside the simulation event that produced the
+// completion — so it sees the CQ with the new entry already accounted
+// (Total includes it). A handler may post work requests, ring doorbells,
+// schedule events, and push onto *other* CQs, but every path that would
+// complete back onto the same CQ goes through a scheduled event, never
+// synchronously; a handler that does trigger a same-instant push sees it
+// folded into a follow-up batch of the same drain loop, not a nested
+// handler call.
 type CQ struct {
 	nic *NIC
 	cqn uint32
 
-	entries ring.Ring[CQE] // unpolled completions (Poll/SetHandler modes)
+	entries ring.Ring[CQE] // unpolled completions (Poll mode)
 
 	total        int64 // cumulative completions ever pushed
 	okTotal      int64 // cumulative successful completions (WAIT fuel)
 	waitConsumed int64 // successful completions consumed by WAIT WQEs
 
-	handler      func(CQE)
 	drainHandler func([]CQE)
 	batch        []CQE // completions awaiting the drain handler
 	spare        []CQE // second buffer; batch/spare alternate, zero-alloc
@@ -127,13 +126,6 @@ type cqWaiter struct {
 
 // CQN returns the completion queue number.
 func (c *CQ) CQN() uint32 { return c.cqn }
-
-// SetHandler installs an event handler invoked once per completion, in
-// completion order. Entries are still retained for Poll — a per-CQE
-// handler observes completions but does not consume them. This is the
-// legacy interrupt path; datapath CQs use SetDrainHandler, which also
-// keeps the queue from growing without bound.
-func (c *CQ) SetHandler(h func(CQE)) { c.handler = h }
 
 // SetDrainHandler installs a batched handler: each wake receives every
 // completion that is ready — the batch — and consumes them, so the CQ
@@ -192,8 +184,7 @@ func (c *CQ) push(e CQE) {
 		c.okTotal++
 	}
 	c.nic.fabric.cqes++
-	switch {
-	case c.drainHandler != nil:
+	if c.drainHandler != nil {
 		// Migrate anything queued before the drain handler was installed
 		// so the first wake drains the full backlog.
 		for c.entries.Len() > 0 {
@@ -210,10 +201,7 @@ func (c *CQ) push(e CQE) {
 			}
 			c.draining = false
 		}
-	case c.handler != nil:
-		c.entries.PushBack(e)
-		c.handler(e)
-	default:
+	} else {
 		c.entries.PushBack(e)
 	}
 	c.wakeWaiters()
@@ -286,7 +274,7 @@ func (c *CQ) AwaitTotal(f *sim.Fiber, n int64, deadline sim.Time) error {
 func (c *CQ) scrub() {
 	c.entries.Reset()
 	c.total, c.okTotal, c.waitConsumed = 0, 0, 0
-	c.handler, c.drainHandler = nil, nil
+	c.drainHandler = nil
 	c.batch = c.batch[:0]
 	c.spare = c.spare[:0]
 	c.draining = false

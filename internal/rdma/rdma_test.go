@@ -481,11 +481,13 @@ func TestRingWrapsAcrossManyOps(t *testing.T) {
 				t.Errorf("write %d: %v", i, err)
 			}
 			sig := sim.NewSignal()
-			p.qa.SendCQ().SetHandler(func(e CQE) {
-				if e.Status != StatusSuccess {
-					t.Errorf("op failed: %+v", e)
+			p.qa.SendCQ().SetDrainHandler(func(es []CQE) {
+				for _, e := range es {
+					if e.Status != StatusSuccess {
+						t.Errorf("op failed: %+v", e)
+					}
+					done++
 				}
-				done++
 				sig.Fire(nil)
 			})
 			if _, err := p.qa.PostSend(WQE{
@@ -528,7 +530,7 @@ func TestFIFOOrderingWriteThenSend(t *testing.T) {
 		qa.Connect(qb)
 
 		var sawDataAtRecv bool
-		qb.RecvCQ().SetHandler(func(e CQE) {
+		qb.RecvCQ().SetDrainHandler(func([]CQE) {
 			b, _ := nb.Memory().Slice(bufB, 4)
 			sawDataAtRecv = string(b) == "DATA"
 		})
@@ -651,7 +653,7 @@ func TestLatencyScalesWithMessageSize(t *testing.T) {
 		p := newTestPair(t)
 		_ = p.na.Memory().Write(bufA, make([]byte, size))
 		var done sim.Time
-		p.qa.SendCQ().SetHandler(func(e CQE) { done = e.At })
+		p.qa.SendCQ().SetDrainHandler(func(es []CQE) { done = es[len(es)-1].At })
 		if _, err := p.qa.PostSend(WQE{
 			Opcode: OpWrite, Flags: FlagSignaled, Local: bufA, Len: uint64(size), Remote: bufB, Aux1: p.mrb.RKey,
 		}); err != nil {

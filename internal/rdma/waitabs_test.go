@@ -123,12 +123,12 @@ func TestRandomProgramsNeverCorrupt(t *testing.T) {
 	}
 }
 
-// TestCQHandlerAndWaitCoexist checks interrupt handlers and WAIT
+// TestCQHandlerAndWaitCoexist checks a drain handler and WAIT
 // subscriptions on the same CQ both fire.
 func TestCQHandlerAndWaitCoexist(t *testing.T) {
 	p := newTestPair(t)
 	var handlerFired int
-	p.qa.SendCQ().SetHandler(func(CQE) { handlerFired++ })
+	p.qa.SendCQ().SetDrainHandler(func(es []CQE) { handlerFired += len(es) })
 	waiter, err := p.na.CreateQP(QPConfig{SendRingOff: 2048, SendSlots: 4, SendCQ: p.na.CreateCQ(), RecvCQ: p.na.CreateCQ()})
 	if err != nil {
 		t.Fatal(err)

@@ -51,21 +51,9 @@
 // un-exited fiber goroutine did before pooling; LiveFibers exists to
 // assert scenarios wind down cleanly.
 //
-// Direct-dispatch fast path. The rendezvous above is only needed once a
-// fiber can block. Most datapath bodies never do, so when the fast path is
-// enabled (default; see SetFastPath, or -fastpath/SIM_FASTPATH at the CLI)
-// a fiber starting at run depth 1 executes its body inline on the kernel
-// goroutine, with no runner and no channel operation at all
-// (Kernel.FastDispatches counts these; SlowDispatches counts rendezvous
-// transfers). If the inline body blocks, it demotes: the goroutine running
-// it parks as the fiber's runner and the kernel role migrates — one channel
-// send — to a pooled worker goroutine that continues the event loop, so
-// the one-runner invariant is preserved verbatim. The goroutine that
-// called Run never executes bodies inline (the first fast start migrates
-// the role away), since a demotion would park the Run caller inside an
-// arbitrary fiber. The fast path changes which goroutine runs a body, not
-// what the event heap schedules, so traces are byte-identical with it on
-// or off (TestFastPathTraceIdentical).
+// The kernel goroutine. The goroutine that calls Run is the kernel for the
+// whole run: the event loop executes on it, every fiber body executes on a
+// runner it dispatched, and Run returns on it.
 //
 // Panic safety. A panic in a fiber body is caught in the runner, which
 // records the value and stack, wakes the kernel, and lets the goroutine

@@ -17,13 +17,10 @@ import (
 // transaction, a YCSB worker — reads top-to-bottom instead of as a chain of
 // completion callbacks.
 //
-// A fiber's body starts in one of two modes. On the direct-dispatch fast
-// path (the default; see fastpath.go) the body runs inline on the kernel
-// goroutine and only acquires a goroutine of its own — by demotion — if it
-// blocks. With the fast path off, or at nested run depth, the body runs on
-// a pooled runner goroutine behind a channel rendezvous, as before. Either
-// way a *Fiber handle is only valid until the body it was passed to
-// returns; retaining it past exit observes an unrelated, recycled fiber.
+// A fiber's body runs on a pooled runner goroutine behind a channel
+// rendezvous with the kernel goroutine. A *Fiber handle is only valid until
+// the body it was passed to returns; retaining it past exit observes an
+// unrelated, recycled fiber.
 type Fiber struct {
 	k      *Kernel
 	name   string
@@ -34,11 +31,6 @@ type Fiber struct {
 	pan    any    // recovered panic value
 	stack  []byte // runner stack captured at the panic site
 
-	hasRunner  bool     // a run() goroutine owns ctl's far end
-	fastActive bool     // body currently executing inline on the kernel goroutine
-	demoted    bool     // inline body blocked; host goroutine became the runner
-	host       *kworker // the worker goroutine hosting a demoted fiber
-
 	// Cached method-value closures: allocated once per fiber, reused for
 	// every spawn and every park/unpark, so the hot path is allocation-free.
 	dispatchFn func()
@@ -48,20 +40,12 @@ type Fiber struct {
 // Spawn starts fn as a fiber at the current instant. fn runs until it
 // blocks (Sleep/Await) or returns; control then returns to the kernel.
 //
-// On the fast path the body executes inline on the kernel goroutine: a
-// body that never blocks costs no goroutine and no channel operation, and
-// one that blocks demotes transparently to a runner. With the fast path
-// off the fiber gets a pooled runner goroutine up front (FiberStarts
-// counts the creations). If fn panics, the panic is re-raised in kernel
-// context — inside the Run that dispatched the fiber — with the fiber's
-// stack trace attached.
+// The fiber gets a pooled runner goroutine up front (FiberStarts counts the
+// creations). If fn panics, the panic is re-raised in kernel context —
+// inside the Run that dispatched the fiber — with the fiber's stack trace
+// attached.
 func (k *Kernel) Spawn(name string, fn func(f *Fiber)) {
-	var f *Fiber
-	if fastOff.Load() || k.depth > 1 {
-		f = k.getFiber()
-	} else {
-		f = k.getFiberStruct()
-	}
+	f := k.getFiber()
 	f.name = name
 	f.fn = fn
 	k.AfterFunc(0, f.startFn, nil)
@@ -76,29 +60,14 @@ func (k *Kernel) getFiber() *Fiber {
 		f.exited = false
 		return f
 	}
-	f := &Fiber{k: k, ctl: make(chan struct{}), hasRunner: true}
-	f.dispatchFn = f.dispatch
-	f.startFn = func() { k.startFiber(f) }
-	k.fiberStarts++
-	go f.run()
-	return f
-}
-
-// getFiberStruct takes a runner-less fiber for inline dispatch from the
-// struct pool or allocates one. No goroutine is started; the fiber gains a
-// runner only if its start is gated to the classic path (startFiber) or it
-// demotes (pause).
-func (k *Kernel) getFiberStruct() *Fiber {
-	if n := len(k.fiberStructs); n > 0 {
-		f := k.fiberStructs[n-1]
-		k.fiberStructs[n-1] = nil
-		k.fiberStructs = k.fiberStructs[:n-1]
-		f.exited = false
-		return f
-	}
 	f := &Fiber{k: k, ctl: make(chan struct{})}
 	f.dispatchFn = f.dispatch
-	f.startFn = func() { k.startFiber(f) }
+	f.startFn = func() {
+		k.fibers++
+		f.dispatch()
+	}
+	k.fiberStarts++
+	go f.run()
 	return f
 }
 
@@ -107,13 +76,6 @@ func (k *Kernel) getFiberStruct() *Fiber {
 // after exit still see the name.
 func (k *Kernel) releaseFiber(f *Fiber) {
 	k.fiberFree = append(k.fiberFree, f)
-}
-
-// releaseFiberStruct pools an exited runner-less fiber. Unlike the runner
-// pool, the struct pool survives top-level Run exit — there is no
-// goroutine to leak.
-func (k *Kernel) releaseFiberStruct(f *Fiber) {
-	k.fiberStructs = append(k.fiberStructs, f)
 }
 
 // drainFiberPool retires every pooled runner goroutine. Called when a
@@ -160,24 +122,12 @@ func (f *Fiber) run() {
 
 // dispatch transfers control into the fiber and blocks until it yields or
 // exits. It must be called from kernel (event) context. The send unparks
-// the runner; the receive parks the kernel — one rendezvous each way. When
-// a demoted fiber exits, its hosting worker goroutine is returned to the
-// kernel's worker pool here, on the kernel side of the rendezvous.
+// the runner; the receive parks the kernel — one rendezvous each way.
 func (f *Fiber) dispatch() {
-	f.k.slowDispatches++
 	f.ctl <- struct{}{}
 	<-f.ctl
-	if f.exited {
-		if f.demoted {
-			f.k.poolWorker(f.host)
-			f.host = nil
-			f.demoted = false
-			if !f.dead {
-				f.k.releaseFiberStruct(f)
-			}
-		} else if !f.dead {
-			f.k.releaseFiber(f)
-		}
+	if f.exited && !f.dead {
+		f.k.releaseFiber(f)
 	}
 	if f.dead {
 		panic(fmt.Sprintf("sim: fiber %q panicked: %v\n%s", f.name, f.pan, f.stack))
@@ -185,21 +135,8 @@ func (f *Fiber) dispatch() {
 }
 
 // pause transfers control back to the kernel and blocks until resumed. It
-// must be called from fiber context. The first pause of an inline body
-// demotes the fiber: the kernel role migrates to a worker goroutine and
-// this goroutine — the former kernel — parks as the fiber's runner.
+// must be called from fiber context.
 func (f *Fiber) pause() {
-	if f.fastActive {
-		k := f.k
-		f.fastActive = false
-		f.demoted = true
-		f.host = k.curWorker
-		lc := k.curLoop
-		k.migrate(nil)
-		lc.lost = true // own loop's ctx; the new role holder has its own
-		<-f.ctl        // park as a classic runner until dispatched
-		return
-	}
 	f.ctl <- struct{}{}
 	<-f.ctl
 }

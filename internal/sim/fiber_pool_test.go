@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -21,6 +22,22 @@ func numGoroutinesSettled() int {
 		prev = n
 	}
 	return prev
+}
+
+// calledFrom reports whether a function whose name ends in name is on the
+// calling goroutine's stack.
+func calledFrom(name string) bool {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(1, pc)])
+	for {
+		fr, more := frames.Next()
+		if strings.HasSuffix(fr.Function, name) {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 // TestFiberPoolReusesRunners: sequential fibers inside one Run share a
@@ -59,7 +76,8 @@ func TestFiberPoolReusesRunners(t *testing.T) {
 
 // TestFiberPoolNoGoroutineLeak: thousands of spawn/exits across several
 // reused kernels leave no runner goroutines behind once each top-level Run
-// has returned.
+// has returned — including a Run cut short by StopRun while fibers are
+// parked, once a second Run has let them finish.
 func TestFiberPoolNoGoroutineLeak(t *testing.T) {
 	base := numGoroutinesSettled()
 	for trial := 0; trial < 20; trial++ {
@@ -86,8 +104,129 @@ func TestFiberPoolNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("trial %d: LiveFibers = %d", trial, k.LiveFibers())
 		}
 	}
+
+	// StopRun with parked fibers: the event loop runs on the goroutine that
+	// called Run (an event callback finds this test on its stack), Run
+	// returns ErrStopped there, the parked fibers keep their runners, and a
+	// second Run resumes them.
+	k := NewKernel(99)
+	const parked = 10
+	release := NewSignal()
+	resumed := 0
+	for i := 0; i < parked; i++ {
+		k.Spawn("parked", func(f *Fiber) {
+			_ = f.Await(release)
+			resumed++
+		})
+	}
+	onCaller := false
+	k.After(Microsecond, func() {
+		onCaller = calledFrom("TestFiberPoolNoGoroutineLeak")
+		k.StopRun()
+	})
+	k.After(2*Microsecond, func() { release.Fire(nil) })
+	if err := k.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped Run returned %v, want ErrStopped", err)
+	}
+	if !onCaller {
+		t.Fatal("event loop ran on a goroutine other than Run's caller")
+	}
+	if k.LiveFibers() != parked || resumed != 0 {
+		t.Fatalf("after StopRun: LiveFibers = %d, resumed = %d; want %d parked", k.LiveFibers(), resumed, parked)
+	}
+	if got := numGoroutinesSettled(); got < base+parked {
+		t.Fatalf("after StopRun: %d goroutines, want ≥ %d (parked fibers keep their runners)", got, base+parked)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.LiveFibers() != 0 || resumed != parked {
+		t.Fatalf("second Run: LiveFibers = %d, resumed = %d of %d", k.LiveFibers(), resumed, parked)
+	}
+
 	if got := numGoroutinesSettled(); got > base+2 {
 		t.Fatalf("goroutines grew from %d to %d — leaked runners", base, got)
+	}
+}
+
+// traceRun executes a mixed fiber workload — run-to-completion fibers,
+// sleepers, signal waiters, a mutex convoy, and nested spawns — and returns
+// the virtual-time trace it produced.
+func traceRun(t *testing.T, seed uint64) []string {
+	t.Helper()
+	k := NewKernel(seed)
+	var trace []string
+	log := func(f string, a ...any) {
+		trace = append(trace, fmt.Sprintf("%d: ", k.Now())+fmt.Sprintf(f, a...))
+	}
+	var mu Mutex
+	done := NewSignal()
+	waiting := 0
+	for i := 0; i < 40; i++ {
+		i := i
+		switch i % 4 {
+		case 0: // run-to-completion: never blocks
+			k.Spawn(fmt.Sprintf("inline-%d", i), func(f *Fiber) {
+				log("inline-%d ran", i)
+			})
+		case 1: // sleeper: blocks once
+			k.Spawn(fmt.Sprintf("sleeper-%d", i), func(f *Fiber) {
+				log("sleeper-%d start", i)
+				f.Sleep(Duration(10 + i))
+				log("sleeper-%d woke", i)
+			})
+		case 2: // convoy: contends a shared mutex, FIFO handoff
+			k.Spawn(fmt.Sprintf("lock-%d", i), func(f *Fiber) {
+				mu.Lock(f)
+				log("lock-%d acquired", i)
+				f.Sleep(3)
+				mu.Unlock()
+			})
+		case 3: // waiter: parks on a shared signal; the last one fires it
+			k.Spawn(fmt.Sprintf("wait-%d", i), func(f *Fiber) {
+				waiting++
+				if waiting == 10 {
+					// Nested spawn from fiber context: starts at this instant.
+					f.Kernel().Spawn("firer", func(g *Fiber) {
+						g.Sleep(100)
+						log("firer fires")
+						done.Fire(nil)
+					})
+				}
+				if err := f.Await(done); err != nil {
+					t.Errorf("wait-%d: %v", i, err)
+				}
+				log("wait-%d released", i)
+			})
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lf := k.LiveFibers(); lf != 0 {
+		t.Fatalf("%d fibers still live after Run", lf)
+	}
+	return trace
+}
+
+// TestFiberTraceDeterministic: the same workload at the same seed produces
+// a byte-identical virtual-time trace on every run. Which runner goroutine
+// executes a body, and whether it is fresh or pooled, never shows.
+func TestFiberTraceDeterministic(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		a := traceRun(t, seed)
+		b := traceRun(t, seed)
+		if len(a) == 0 {
+			t.Fatal("empty trace")
+		}
+		if len(a) != len(b) {
+			t.Fatalf("seed %d: trace lengths %d and %d", seed, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("seed %d: traces diverge at %d:\n  first:  %s\n  second: %s", seed, i, a[i], b[i])
+			}
+		}
 	}
 }
 

@@ -148,18 +148,6 @@ type Kernel struct {
 	fiberFree   []*Fiber // parked runner goroutines, reused across Spawns
 	fiberStarts int64    // runner goroutines ever created (pool misses)
 
-	// Direct-dispatch fast path state; see fastpath.go.
-	fiberStructs []*Fiber   // runner-less fibers for inline dispatch
-	workerFree   []*kworker // parked kernel-worker goroutines
-	curWorker    *kworker   // worker currently holding the kernel role (nil: origin)
-	curLoop      *loopCtx   // innermost live event loop's context
-	handoff      *Fiber     // fiber the next woken worker dispatches inline
-	runDone      chan runResult
-	migrated     bool // kernel role has left the origin Run goroutine
-
-	fastDispatches int64 // fiber bodies started inline on the kernel goroutine
-	slowDispatches int64 // rendezvous control transfers into a fiber runner
-
 	executed int64
 	flushed  int64 // portion of executed already added to totalEvents
 }
@@ -365,22 +353,6 @@ func (k *Kernel) AtFunc(at Time, fn func(), t *Timer) {
 // StopRun makes Run return after the current event completes.
 func (k *Kernel) StopRun() { k.stopped = true }
 
-// loopCtx is one live event loop's goroutine-local state. lost is set when
-// the kernel role migrates off the goroutine running the loop (see
-// fastpath.go); the loop then returns immediately — the run continues on
-// the worker that took the role — without touching shared kernel state
-// again. Only the goroutine that owns the loop ever writes its ctx.
-type loopCtx struct {
-	lost bool
-}
-
-// runResult carries a finished run's outcome from the worker goroutine that
-// completed it back to the origin Run caller.
-type runResult struct {
-	err error
-	pan any
-}
-
 // Run executes events in order until the queue drains, the optional limit is
 // reached, or StopRun is called. It returns ErrStopped in the latter case.
 //
@@ -389,66 +361,21 @@ type runResult struct {
 // RunUntil propagates out to the outer Run instead of being swallowed by the
 // nested call's own reset.
 //
-// A top-level Run does not necessarily finish on the calling goroutine:
-// when a fiber started inline demotes (see fastpath.go), the kernel role
-// migrates to a pooled worker goroutine and the caller waits for the
-// worker to deliver the result. Callers observe identical semantics either
-// way — same error, same panics, same virtual-time behaviour.
+// The goroutine that calls Run is the kernel for the whole run: the event
+// loop executes on it and Run returns on it. Fiber bodies run on pooled
+// runner goroutines that it hands control to and takes control back from.
 func (k *Kernel) Run() error {
 	if k.depth == 0 {
 		k.stopped = false
-		k.migrated = false
-		k.curWorker = nil
-		return k.runTop()
 	}
-	// Nested re-entry (RunUntil from an event callback) always completes on
-	// the current kernel goroutine: inline dispatch is gated to depth 1, so
-	// a nested loop can never lose the kernel role.
 	k.depth++
 	defer k.exitRun()
-	var lc loopCtx
-	return k.loop(&lc)
-}
-
-// runTop drives a depth-1 run from the origin goroutine, handing off to a
-// worker-completed result if the kernel role migrates away.
-func (k *Kernel) runTop() error {
-	k.depth++
-	var lc loopCtx
-	err := func() (err error) {
-		defer func() {
-			if !lc.lost {
-				k.exitRun()
-			}
-		}()
-		return k.loop(&lc)
-	}()
-	if !lc.lost {
-		return err
-	}
-	// The role migrated: a worker goroutine is (or will be) finishing the
-	// run. Its finishRun does the exit bookkeeping and reports here.
-	res := <-k.runDone
-	if res.pan != nil {
-		panic(res.pan)
-	}
-	return res.err
-}
-
-// loop is the event loop body shared by all kernel goroutines. It returns
-// when the queue drains, the limit is hit, StopRun fires, or — lc.lost —
-// the kernel role migrated off this goroutine mid-event.
-func (k *Kernel) loop(lc *loopCtx) error {
-	prev := k.curLoop
-	k.curLoop = lc
 	for {
 		nh := len(k.events)
 		if k.nowq.Len() == 0 && nh == 0 {
-			k.curLoop = prev
 			return nil
 		}
 		if k.stopped {
-			k.curLoop = prev
 			return ErrStopped
 		}
 		useRing := k.nowq.Len() > 0
@@ -466,7 +393,6 @@ func (k *Kernel) loop(lc *loopCtx) error {
 			at := unpackAt(k.events[0].hi)
 			if k.limit > 0 && at > k.limit {
 				k.now = k.limit
-				k.curLoop = prev
 				return nil
 			}
 			k.now = at
@@ -476,13 +402,6 @@ func (k *Kernel) loop(lc *loopCtx) error {
 		}
 		k.executed++
 		fn()
-		if lc.lost {
-			// The kernel role left this goroutine during fn (a fiber
-			// demoted, or the first inline start migrated off the origin).
-			// The new kernel goroutine continues the run; do not restore
-			// curLoop — the new role holder owns it now.
-			return nil
-		}
 	}
 }
 
@@ -493,10 +412,8 @@ func (k *Kernel) exitRun() {
 	}
 	// Retire pooled fiber runners at top-level exit: reuse amortizes the
 	// goroutine starts *within* a run (where the thousands of Spawns are),
-	// while a kernel dropped after Run leaks nothing. Parked kernel workers
-	// retire for the same reason.
+	// while a kernel dropped after Run leaks nothing.
 	k.drainFiberPool()
-	k.drainWorkerPool()
 	if k.executed != k.flushed {
 		totalEvents.Add(k.executed - k.flushed)
 		k.flushed = k.executed
@@ -518,12 +435,11 @@ func (k *Kernel) RunUntil(t Time) error {
 
 // Reset returns the kernel to the state NewKernel(seed) would produce
 // while keeping its allocated capacity: the event free list, the event
-// heap's backing array, the same-instant ring, and pooled fiber structs
-// survive, so a pooled kernel's next trial allocates (and starts
-// goroutines) far less than a fresh one. Still-queued events are cancelled
-// into the free list and the RNG is re-seeded, so simulation behaviour
-// after Reset is byte-identical to a fresh kernel's — event ordering
-// depends only on (time, seq), and both restart from zero.
+// heap's backing array and the same-instant ring survive, so a pooled
+// kernel's next trial allocates far less than a fresh one. Still-queued
+// events are cancelled into the free list and the RNG is re-seeded, so
+// simulation behaviour after Reset is byte-identical to a fresh kernel's —
+// event ordering depends only on (time, seq), and both restart from zero.
 //
 // Reset only applies between top-level runs: it reports false and leaves
 // the kernel untouched if called while running or with live fibers.
@@ -544,9 +460,7 @@ func (k *Kernel) Reset(seed uint64) bool {
 	}
 	k.now, k.seq = 0, 0
 	k.stopped, k.limit = false, 0
-	k.migrated, k.curWorker, k.handoff = false, nil, nil
 	k.executed, k.flushed, k.fiberStarts = 0, 0, 0
-	k.fastDispatches, k.slowDispatches = 0, 0
 	k.rng = NewRNG(seed)
 	return true
 }
@@ -569,17 +483,5 @@ func (k *Kernel) LiveFibers() int { return k.fibers }
 // FiberStarts reports how many runner goroutines this kernel has ever
 // created. With the fiber pool, spawning N fibers sequentially costs one
 // goroutine start, not N; the delta across a workload measures pool misses
-// (it grows only with peak fiber concurrency per top-level Run). Fibers
-// dispatched inline (see fastpath.go) never create runners and so never
-// count here.
+// (it grows only with peak fiber concurrency per top-level Run).
 func (k *Kernel) FiberStarts() int64 { return k.fiberStarts }
-
-// FastDispatches reports how many fiber bodies were started inline on the
-// kernel goroutine (the direct-dispatch fast path). Deterministic for a
-// fixed fast-path setting.
-func (k *Kernel) FastDispatches() int64 { return k.fastDispatches }
-
-// SlowDispatches reports how many rendezvous control transfers into a
-// fiber runner the kernel performed: classic starts, every resume of a
-// blocked fiber, and resumes of demoted fast-path fibers.
-func (k *Kernel) SlowDispatches() int64 { return k.slowDispatches }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -347,5 +349,144 @@ func TestMutexUncontendedIsImmediate(t *testing.T) {
 	}
 	if at != 0 {
 		t.Fatalf("uncontended lock took until %v", at)
+	}
+}
+
+// refLess is the pre-packing two-field comparator: the ground truth the
+// packed 128-bit key must reproduce bit-for-bit.
+func refLess(aAt Time, aSeq uint64, bAt Time, bSeq uint64) bool {
+	if aAt != bAt {
+		return aAt < bAt
+	}
+	return aSeq < bSeq
+}
+
+// TestPackedKeyMatchesReference drives keyLess across a corpus of Time
+// values straddling the int64 boundaries (where the sign-flip trick must
+// hold) and seq values up to uint64 wraparound, comparing every ordered
+// pair against the old two-field comparator.
+func TestPackedKeyMatchesReference(t *testing.T) {
+	times := []Time{
+		math.MinInt64, math.MinInt64 + 1, -1e18, -4097, -1, 0, 1, 4096,
+		1e18, math.MaxInt64 - 1, math.MaxInt64,
+	}
+	seqs := []uint64{0, 1, 2, 1 << 32, math.MaxUint64 - 1, math.MaxUint64}
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	var corpus []key
+	for _, at := range times {
+		for _, s := range seqs {
+			corpus = append(corpus, key{at, s})
+		}
+	}
+	rng := NewRNG(7)
+	for i := 0; i < 500; i++ {
+		corpus = append(corpus, key{Time(rng.Uint64()), rng.Uint64()})
+	}
+	for _, a := range corpus {
+		for _, b := range corpus {
+			got := keyLess(packHi(a.at), a.seq, packHi(b.at), b.seq)
+			want := refLess(a.at, a.seq, b.at, b.seq)
+			if got != want {
+				t.Fatalf("keyLess((%d,%d),(%d,%d)) = %v, reference says %v",
+					a.at, a.seq, b.at, b.seq, got, want)
+			}
+		}
+	}
+}
+
+// TestPackedHeapPopOrder pushes events with adversarial (at, seq) keys —
+// including times near the int64 extremes — straight into the kernel heap
+// and verifies pops come out in exactly the order the old two-field
+// compare would have produced.
+func TestPackedHeapPopOrder(t *testing.T) {
+	k := NewKernel(1)
+	rng := NewRNG(42)
+	times := []Time{
+		math.MinInt64, math.MinInt64 + 1, -1, 0, 1,
+		math.MaxInt64 - 1, math.MaxInt64,
+	}
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	var want []key
+	push := func(at Time) {
+		ev := k.alloc(func() {})
+		want = append(want, key{at, ev.seq})
+		k.heapPush(at, ev)
+	}
+	for i := 0; i < 2000; i++ {
+		push(Time(rng.Uint64()))
+	}
+	for _, at := range times {
+		push(at)
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		return refLess(want[i].at, want[i].seq, want[j].at, want[j].seq)
+	})
+	for i, w := range want {
+		if len(k.events) == 0 {
+			t.Fatalf("heap empty after %d pops, want %d", i, len(want))
+		}
+		at := unpackAt(k.events[0].hi)
+		ev := k.heapRemove(0)
+		if at != w.at || ev.seq != w.seq {
+			t.Fatalf("pop %d: got (%d,%d), want (%d,%d)", i, at, ev.seq, w.at, w.seq)
+		}
+		k.release(ev)
+	}
+	if len(k.events) != 0 {
+		t.Fatalf("heap still has %d entries", len(k.events))
+	}
+}
+
+// TestTimerStopConcurrentWithFire pins the generation-check semantics the
+// Timer.Stop doc promises: a Stop racing its own firing in virtual time —
+// from the callback itself, or from a same-instant event after the struct
+// was recycled — reports false and never cancels an innocent event.
+func TestTimerStopConcurrentWithFire(t *testing.T) {
+	k := NewKernel(1)
+	var t1, t2 Timer
+	var fromOwnCallback, stale bool
+	innocentFired := false
+	k.AfterFunc(10, func() {
+		// Stop from the timer's own callback: the event has fired, and the
+		// kernel bumped its generation (release) before calling us. Use a
+		// copy so t1 keeps its — now stale — event pointer for the second
+		// half of the test.
+		h := t1
+		fromOwnCallback = h.Stop()
+		// Recycle the just-freed event struct for an innocent timer at the
+		// same instant (the free list is LIFO, so t2 reuses t1's struct).
+		k.AfterFunc(0, func() { innocentFired = true }, &t2)
+		if t2.ev != t1.ev {
+			t.Error("free list did not recycle the fired event struct; stale-handle case not exercised")
+		}
+		// The stale handle must not be able to cancel the recycled struct.
+		stale = t1.Stop()
+	}, &t1)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fromOwnCallback {
+		t.Error("Stop from the timer's own callback returned true; want false (already fired)")
+	}
+	if stale {
+		t.Error("Stop through a stale-generation handle returned true; want false")
+	}
+	if !innocentFired {
+		t.Error("stale Stop cancelled the innocent recycled event")
+	}
+	// And the plain not-yet-fired case still reports true.
+	var t3 Timer
+	k.AfterFunc(5, func() { t.Error("cancelled event ran") }, &t3)
+	if !t3.Stop() {
+		t.Error("Stop before firing returned false; want true")
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
