@@ -168,6 +168,10 @@ stage_test() {
     step "go test -race (hot paths)" go test -race -timeout 20m \
         ./internal/experiments ./internal/sim ./internal/rdma ./internal/cpusim \
         ./internal/txn ./internal/shard
+    # One iteration of each layer micro-benchmark, so they keep compiling
+    # and running; their numbers are read by hand (DESIGN.md, nvm).
+    step "layer benchmarks run" go test -run '^$' -bench . -benchtime 1x \
+        ./internal/nvm ./internal/txn
     step "coverage internal/nvm >=90" covercheck ./internal/nvm 90
     step "coverage internal/ring >=90" covercheck ./internal/ring 90
     step "coverage internal/hypotheses >=85" covercheck ./internal/hypotheses 85
@@ -194,14 +198,17 @@ stage_test() {
 # ---------- fuzz ----------
 
 # Short fuzz runs: arbitrary 64-byte WQE slots through a live send ring,
-# arbitrary workloads through Device.Reset-equals-fresh, and arbitrary
-# fault schedules through FaultPlan.Validate (accepted plans must then
-# survive installation on a live fabric).
+# arbitrary workloads through Device.Reset-equals-fresh, arbitrary
+# insert/remove sequences through RangeSet against a boolean model, and
+# arbitrary fault schedules through FaultPlan.Validate (accepted plans
+# must then survive installation on a live fabric).
 stage_fuzz() {
     step "fuzz WQE decode" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzWQEDecode -fuzztime=10s
     step "fuzz device reset" go test ./internal/nvm -run='^$' \
         -fuzz=FuzzDeviceReset -fuzztime=10s
+    step "fuzz range set" go test ./internal/nvm -run='^$' \
+        -fuzz=FuzzRangeSetModel -fuzztime=10s
     step "fuzz fault plan" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzFaultPlanValidate -fuzztime=10s
 }

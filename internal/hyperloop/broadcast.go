@@ -55,6 +55,9 @@ type BroadcastGroup struct {
 	acks map[uint64]*bcastAckState
 
 	ackBuf []byte // ack decode scratch, reused across ACKs
+	// bmeta is issue's per-member metadata build scratch; every byte is
+	// rewritten for each member and copied into client memory.
+	bmeta [fanBackupMetaLen]byte
 }
 
 // bcastMember holds one replica's NIC resources (the fan-out backup
@@ -389,7 +392,7 @@ func (g *BroadcastGroup) issue(kind opKind, p opParams) (*protocol.Pending, erro
 
 	// Stage every member's metadata before tracking, so a build error
 	// leaves no partial op behind.
-	bmeta := make([]byte, fanBackupMetaLen)
+	bmeta := g.bmeta[:]
 	for j, m := range g.members {
 		resultAddr := g.memberAckAddr(m, seq) + headerSize
 		if err := encodeLocalBlock(bmeta, seq, kind, p, m.mirror.RKey, resultAddr, j); err != nil {

@@ -45,7 +45,8 @@ type FanoutGroup struct {
 
 	trk *protocol.Tracker // window/seq/timeout/retry bookkeeping
 
-	ackBuf []byte // onAck decode scratch, reused across ACKs
+	ackBuf  []byte // onAck decode scratch, reused across ACKs
+	metaBuf []byte // issue's metadata build scratch; copied into client memory per op
 }
 
 // fanPrimary holds the coordinator's NIC resources.
@@ -139,6 +140,7 @@ func SetupFanout(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Co
 	for i := 1; i < len(members); i++ {
 		g.backups = append(g.backups, &fanBackup{index: i})
 	}
+	g.metaBuf = make([]byte, g.metaLen())
 	if err := g.setupClient(); err != nil {
 		return nil, err
 	}

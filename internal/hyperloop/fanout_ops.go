@@ -255,7 +255,8 @@ func (g *FanoutGroup) issue(kind opKind, p opParams) (*protocol.Pending, error) 
 	seq := g.trk.NextSeq()
 	b := g.numBackups()
 
-	msg := make([]byte, g.metaLen())
+	msg := g.metaBuf
+	clear(msg)
 	pos := 0
 	// Primary's local block; its CAS result lands at result slot index 0.
 	if err := encodeLocalBlock(msg[pos:], seq, kind, p,

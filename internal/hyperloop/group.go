@@ -112,7 +112,8 @@ type Group struct {
 	reads    map[uint64]*sim.Signal // WRID → signal for one-sided reads
 	nextWRID uint64
 
-	ackBuf []byte // onAck decode scratch, reused across ACKs
+	ackBuf  []byte // onAck decode scratch, reused across ACKs
+	metaBuf []byte // issue's metadata build scratch; copied into client memory per op
 }
 
 // Setup builds a group over the given NICs. Every device must be large
@@ -147,6 +148,7 @@ func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC, cfg Config)
 			cfg.OpTimeout, cfg.MaxRetries, cfg.RetryBackoff, ErrTimeout, ErrClosed),
 		reads: make(map[uint64]*sim.Signal),
 	}
+	g.metaBuf = make([]byte, g.lay.metaLen(1))
 	if err := g.setupClient(); err != nil {
 		return nil, err
 	}

@@ -119,7 +119,8 @@ func (g *Group) issue(kind opKind, p opParams) (*protocol.Pending, error) {
 	seq := g.trk.NextSeq()
 
 	// Build the full metadata message for hop 1.
-	msg := make([]byte, g.lay.metaLen(1))
+	msg := g.metaBuf
+	clear(msg)
 	for i := 1; i <= g.lay.groupSize; i++ {
 		if err := g.buildBlock(msg[(i-1)*descBlockSize:], i, seq, kind, p); err != nil {
 			return nil, err

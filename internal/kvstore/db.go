@@ -191,10 +191,12 @@ func (db *DB) Scan(start []byte, max int) []Pair {
 	return out
 }
 
-// encodeCheckpoint serializes the live state.
+// encodeCheckpoint serializes the live state: the pairs are appended behind
+// space reserved for the header, which is filled in last, so the image is
+// built once.
 func (db *DB) encodeCheckpoint() []byte {
 	pairs := db.mem.all()
-	body := make([]byte, 0, db.mem.bytes+len(pairs)*8)
+	out := make([]byte, ckptHeaderSize, ckptHeaderSize+db.mem.bytes+len(pairs)*8)
 	count := 0
 	for _, p := range pairs {
 		if p.value == nil {
@@ -203,17 +205,16 @@ func (db *DB) encodeCheckpoint() []byte {
 		var hdr [6]byte
 		binary.LittleEndian.PutUint16(hdr[0:], uint16(len(p.key)))
 		binary.LittleEndian.PutUint32(hdr[2:], uint32(len(p.value)))
-		body = append(body, hdr[:]...)
-		body = append(body, p.key...)
-		body = append(body, p.value...)
+		out = append(out, hdr[:]...)
+		out = append(out, p.key...)
+		out = append(out, p.value...)
 		count++
 	}
-	out := make([]byte, ckptHeaderSize+len(body))
+	body := out[ckptHeaderSize:]
 	binary.LittleEndian.PutUint32(out[0:], ckptMagic)
 	binary.LittleEndian.PutUint32(out[4:], uint32(count))
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(body))
-	copy(out[ckptHeaderSize:], body)
 	return out
 }
 

@@ -187,7 +187,8 @@ type Group struct {
 	groupSize int
 	trk       *protocol.Tracker // window/seq/timeout/retry bookkeeping
 
-	ackBuf []byte // onAck decode scratch, reused across ACKs
+	ackBuf  []byte // onAck decode scratch, reused across ACKs
+	metaBuf []byte // issue's message build scratch; copied into client memory per op
 }
 
 func (g *Group) msgLen() int { return headerSize + 8*g.groupSize }
@@ -223,6 +224,7 @@ func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC,
 		trk: protocol.NewTracker(fab.Kernel(), cfg.Depth,
 			cfg.OpTimeout, cfg.MaxRetries, cfg.RetryBackoff, ErrTimeout, ErrClosed),
 	}
+	g.metaBuf = make([]byte, g.msgLen())
 	if err := g.setupClient(); err != nil {
 		return nil, err
 	}

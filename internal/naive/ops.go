@@ -27,7 +27,8 @@ func (g *Group) issue(kind opKind, h opHeader) (*protocol.Pending, error) {
 	h.seq = seq
 	h.kind = kind
 
-	msg := make([]byte, g.msgLen())
+	msg := g.metaBuf
+	clear(msg)
 	h.encode(msg)
 	metaAddr := g.metaOff + (seq%uint64(g.cfg.Depth))*uint64(g.msgLen())
 	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {

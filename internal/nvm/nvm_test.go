@@ -240,59 +240,185 @@ func TestRangeSetEmptyOps(t *testing.T) {
 	}
 }
 
-// TestRangeSetModelProperty checks the RangeSet against a naive boolean
-// array model under random insert/remove sequences.
-func TestRangeSetModelProperty(t *testing.T) {
-	type op struct {
-		Insert bool
-		Lo, Hi uint8
+// rsOp is one step of a RangeSet workload over the byte domain [0, 256).
+type rsOp struct {
+	Insert bool
+	Lo, Hi uint8
+}
+
+// span returns o's interval with its ends in order.
+func (o rsOp) span() (lo, hi int) {
+	lo, hi = int(o.Lo), int(o.Hi)
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	f := func(ops []op) bool {
+	return lo, hi
+}
+
+// applyRSOp runs o against the set and the boolean reference model.
+func applyRSOp(s *RangeSet, model []bool, o rsOp) {
+	lo, hi := o.span()
+	if o.Insert {
+		s.Insert(lo, hi)
+	} else {
+		s.Remove(lo, hi)
+	}
+	for i := lo; i < hi; i++ {
+		model[i] = o.Insert
+	}
+}
+
+// matchesModel reports whether s covers exactly the true bytes of model
+// with sorted, non-empty, non-adjacent (hence maximal) ranges.
+func matchesModel(s *RangeSet, model []bool) bool {
+	total := 0
+	for _, b := range model {
+		if b {
+			total++
+		}
+	}
+	if s.Total() != total {
+		return false
+	}
+	prev := -1
+	for _, r := range s.Ranges() {
+		if r.Lo <= prev || r.Hi <= r.Lo {
+			return false
+		}
+		prev = r.Hi
+		for i := r.Lo; i < r.Hi; i++ {
+			if !model[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// rsScripts drive each in-place path of Insert and Remove by name; the
+// random and fuzzed workloads reach them only by chance.
+var rsScripts = map[string][]rsOp{
+	"contained insert": {
+		{true, 10, 20}, {true, 12, 18}, {true, 10, 20}, {true, 10, 11}, {true, 19, 20},
+	},
+	"single-range merge": {
+		{true, 10, 20}, {true, 15, 25}, {true, 5, 12}, {true, 25, 30}, {true, 0, 5}, {true, 0, 40},
+	},
+	"multi-range merge": {
+		{true, 10, 20}, {true, 30, 40}, {true, 50, 60}, {true, 70, 80}, {true, 90, 100},
+		{true, 35, 55}, {true, 20, 30}, {true, 60, 90},
+	},
+	"insert at both ends": {
+		{true, 100, 110}, {true, 0, 5}, {true, 250, 255}, {true, 120, 130}, {true, 50, 60},
+		{true, 7, 9}, {true, 240, 248},
+	},
+	"remove that splits": {
+		{true, 0, 100}, {false, 40, 60}, {false, 10, 20}, {false, 70, 80},
+	},
+	"remove across ranges": {
+		{true, 0, 10}, {true, 20, 30}, {true, 40, 50}, {true, 60, 70}, {true, 80, 90},
+		{false, 25, 65}, {false, 0, 10}, {false, 85, 200}, {false, 12, 18}, {false, 5, 255},
+	},
+}
+
+// TestRangeSetModelProperty checks the RangeSet against a naive boolean
+// array model after every step of scripted and random insert/remove
+// sequences.
+func TestRangeSetModelProperty(t *testing.T) {
+	f := func(ops []rsOp) bool {
 		var s RangeSet
 		model := make([]bool, 256)
 		for _, o := range ops {
-			lo, hi := int(o.Lo), int(o.Hi)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if o.Insert {
-				s.Insert(lo, hi)
-				for i := lo; i < hi; i++ {
-					model[i] = true
-				}
-			} else {
-				s.Remove(lo, hi)
-				for i := lo; i < hi; i++ {
-					model[i] = false
-				}
-			}
-		}
-		total := 0
-		for _, b := range model {
-			if b {
-				total++
-			}
-		}
-		if s.Total() != total {
-			return false
-		}
-		// Every reported range must be covered in the model, maximal and sorted.
-		prev := -1
-		for _, r := range s.Ranges() {
-			if r.Lo <= prev || r.Hi <= r.Lo {
+			applyRSOp(&s, model, o)
+			if !matchesModel(&s, model) {
 				return false
-			}
-			prev = r.Hi
-			for i := r.Lo; i < r.Hi; i++ {
-				if !model[i] {
-					return false
-				}
 			}
 		}
 		return true
 	}
+	for name, ops := range rsScripts {
+		if !f(ops) {
+			t.Errorf("%s: set diverged from model", name)
+		}
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzRangeSetModel decodes insert/remove ops from the input, three bytes
+// each, and compares the set with the boolean model after every op.
+func FuzzRangeSetModel(f *testing.F) {
+	for _, ops := range rsScripts {
+		var raw []byte
+		for _, o := range ops {
+			kind := byte(0)
+			if o.Insert {
+				kind = 1
+			}
+			raw = append(raw, kind, o.Lo, o.Hi)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var s RangeSet
+		model := make([]bool, 256)
+		for i := 0; i+2 < len(raw); i += 3 {
+			o := rsOp{Insert: raw[i]&1 == 1, Lo: raw[i+1], Hi: raw[i+2]}
+			applyRSOp(&s, model, o)
+			if !matchesModel(&s, model) {
+				t.Fatalf("op %d %+v: ranges %v diverge from model", i/3, o, s.Ranges())
+			}
+			lo, hi := o.span()
+			if s.Contains(lo, hi) != o.Insert && lo < hi {
+				t.Fatalf("op %d %+v: Contains = %v", i/3, o, !o.Insert)
+			}
+		}
+	})
+}
+
+// scatteredDevice returns a device holding benchSlots disjoint written and
+// dirty 1 KiB ranges 2 KiB apart — the document store's slot pattern — and
+// the payload that wrote them.
+func scatteredDevice(tb testing.TB) (*Device, []byte) {
+	tb.Helper()
+	d := NewDevice("scatter", benchSlots*benchStride)
+	data := make([]byte, benchValue)
+	for i := 0; i < benchSlots; i++ {
+		if err := d.Write(i*benchStride, data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := len(d.dirty.rs); got != benchSlots {
+		tb.Fatalf("%d dirty ranges resident, want %d", got, benchSlots)
+	}
+	return d, data
+}
+
+// TestWriteFlushSteadyStateAllocs pins the cost contract of the write
+// path: once a device's ranges are resident, neither re-writing one nor a
+// write+flush cycle over it allocates, however many ranges the device holds.
+func TestWriteFlushSteadyStateAllocs(t *testing.T) {
+	d, data := scatteredDevice(t)
+	const off = 1000 * benchStride
+	if n := testing.AllocsPerRun(100, func() {
+		_ = d.Write(off, data)
+	}); n != 0 {
+		t.Errorf("Write into a resident range: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = d.Write(off, data)
+		if f, _ := d.Flush(off, len(data)); f != len(data) {
+			t.Fatalf("flushed %d bytes, want %d", f, len(data))
+		}
+	}); n != 0 {
+		t.Errorf("Write+Flush cycle: %v allocs/op, want 0", n)
+	}
+	if got, want := d.DirtyBytes(), (benchSlots-1)*benchValue; got != want {
+		t.Errorf("DirtyBytes = %d, want %d", got, want)
+	}
+	if got, want := d.WrittenBytes(), benchSlots*benchValue; got != want {
+		t.Errorf("WrittenBytes = %d, want %d", got, want)
 	}
 }
 

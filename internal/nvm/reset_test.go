@@ -153,35 +153,18 @@ func TestResetClearsFlushedAndCrashed(t *testing.T) {
 }
 
 // TestRangeSetIntersectContainsProperty extends the bitmap-model property
-// to the read-side operations Reset and Flush depend on.
+// to the read-side operations Reset and Flush depend on, over the scripted
+// workloads (queried around every endpoint they use) and random ones.
 func TestRangeSetIntersectContainsProperty(t *testing.T) {
-	type op struct {
-		Insert bool
-		Lo, Hi uint8
-	}
 	type query struct{ Lo, Hi uint8 }
-	f := func(ops []op, qs []query) bool {
+	f := func(ops []rsOp, qs []query) bool {
 		var s RangeSet
 		model := make([]bool, 256)
 		for _, o := range ops {
-			lo, hi := int(o.Lo), int(o.Hi)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if o.Insert {
-				s.Insert(lo, hi)
-			} else {
-				s.Remove(lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				model[i] = o.Insert
-			}
+			applyRSOp(&s, model, o)
 		}
 		for _, q := range qs {
-			lo, hi := int(q.Lo), int(q.Hi)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
+			lo, hi := rsOp{Lo: q.Lo, Hi: q.Hi}.span()
 			covered, all := 0, true
 			for i := lo; i < hi; i++ {
 				if model[i] {
@@ -212,6 +195,23 @@ func TestRangeSetIntersectContainsProperty(t *testing.T) {
 			}
 		}
 		return true
+	}
+	for name, ops := range rsScripts {
+		var pts []uint8
+		for _, o := range ops {
+			for _, p := range []uint8{o.Lo, o.Hi} {
+				pts = append(pts, p-1, p, p+1)
+			}
+		}
+		var qs []query
+		for _, a := range pts {
+			for _, b := range pts {
+				qs = append(qs, query{a, b})
+			}
+		}
+		if !f(ops, qs) {
+			t.Errorf("%s: Intersect/Contains diverged from model", name)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

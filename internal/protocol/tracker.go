@@ -202,8 +202,10 @@ func ApplyLocal(mem *nvm.Device, kind OpKind, p Op) error {
 			}
 		}
 	case KindMemcpy:
-		data := make([]byte, p.Size)
-		if err := mem.Read(p.Src, data); err != nil {
+		// Device.Write copies with memmove semantics, so the source view
+		// may overlap the destination.
+		data, err := mem.Slice(p.Src, p.Size)
+		if err != nil {
 			return err
 		}
 		if err := mem.Write(p.Dst, data); err != nil {

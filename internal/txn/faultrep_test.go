@@ -15,6 +15,8 @@ import (
 type memRep struct {
 	buf  []byte
 	fail func(op string) error
+
+	readBytes int // bytes requested through ReadLocal
 }
 
 var errInjected = errors.New("injected replicator fault")
@@ -48,6 +50,7 @@ func (m *memRep) ReadLocal(off, n int) ([]byte, error) {
 	if off < 0 || off+n > len(m.buf) {
 		return nil, fmt.Errorf("readlocal out of range [%d,%d)", off, off+n)
 	}
+	m.readBytes += n
 	out := make([]byte, n)
 	copy(out, m.buf[off:])
 	return out, nil

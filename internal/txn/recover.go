@@ -53,7 +53,7 @@ func (s *Store) scanLog() (recs []logRecord, validEnd int, torn bool, err error)
 			}
 			continue
 		}
-		img, err := s.r.ReadLocal(s.logOff+p, s.cfg.LogSize-p)
+		img, err := s.recordImage(p)
 		if err != nil {
 			return nil, 0, false, err
 		}

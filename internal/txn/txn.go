@@ -229,6 +229,20 @@ func (s *Store) Append(f *sim.Fiber, entries []wal.Entry) (uint64, error) {
 	return rec.Seq, nil
 }
 
+// recordImage returns the log bytes wal.Decode needs for the record at ring
+// position p: the record alone when its framing says where it ends, the
+// rest of the ring otherwise. Reading a record therefore costs its own
+// size, however large the log is.
+func (s *Store) recordImage(p int) ([]byte, error) {
+	n, err := wal.Extent(s.cfg.LogSize-p, func(pos, n int) ([]byte, error) {
+		return s.r.ReadLocal(s.logOff+p+pos, n)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.r.ReadLocal(s.logOff+p, n)
+}
+
 // ExecuteAndAdvance processes the record at the log head: one gMEMCPY +
 // gFLUSH per entry moves the data from the log region into the database
 // region on every member without replica CPU involvement, then the head
@@ -263,7 +277,7 @@ func (s *Store) ExecuteAndAdvance(f *sim.Fiber) (uint64, error) {
 		}
 		break
 	}
-	img, err := s.r.ReadLocal(s.logOff+head, s.cfg.LogSize-head)
+	img, err := s.recordImage(head)
 	if err != nil {
 		return 0, err
 	}

@@ -134,6 +134,43 @@ func Decode(buf []byte) (DecodedRecord, error) {
 	return d, nil
 }
 
+// Extent returns how many bytes of a log image Decode needs to parse the
+// record at its start. The image is limit bytes long and is reached only
+// through fetch, which returns bytes [pos, pos+n) of it, so a caller whose
+// image is expensive to copy (the rest of a log ring) pays for the record's
+// header and entry headers, not for the image. When the framing does not
+// lead to a record end inside the image, Extent returns limit: Decode then
+// sees the whole image and reports the damage as it always has. The only
+// errors are fetch's.
+func Extent(limit int, fetch func(pos, n int) ([]byte, error)) (int, error) {
+	if limit < recHeaderSize+recTrailerSize {
+		return limit, nil
+	}
+	hdr, err := fetch(0, recHeaderSize)
+	if err != nil {
+		return 0, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[12:]))
+	if binary.LittleEndian.Uint32(hdr[0:]) != magicRecord || n > 1<<20 {
+		return limit, nil
+	}
+	p := recHeaderSize
+	for i := 0; i < n; i++ {
+		if p+entryHeader > limit {
+			return limit, nil
+		}
+		eh, err := fetch(p, entryHeader)
+		if err != nil {
+			return 0, err
+		}
+		p += entryHeader + int(binary.LittleEndian.Uint32(eh[8:]))
+	}
+	if p+recTrailerSize > limit {
+		return limit, nil
+	}
+	return p + recTrailerSize, nil
+}
+
 // EncodePad writes a pad marker filling length bytes (the unusable tail of
 // the region before a wrap). length must be at least padHeaderSize.
 func EncodePad(buf []byte, length int) error {

@@ -202,3 +202,63 @@ func TestCorruptionDetectionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExtentAgreesWithDecode is Extent's contract: Decode gives the same
+// verdict on the image cut at Extent as on the whole image — for intact
+// records followed by other log bytes, for every single-bit flip of one,
+// and for images too short to hold a record — and an intact record is sized
+// from its headers alone.
+func TestExtentAgreesWithDecode(t *testing.T) {
+	r := Record{Seq: 9, Entries: []Entry{
+		{Off: 8, Data: []byte("first")}, {Off: 64, Data: nil}, {Off: 128, Data: bytes.Repeat([]byte{7}, 300)},
+	}}
+	size := r.EncodedSize()
+	good := bytes.Repeat([]byte{0xEE}, size+200) // a record, then whatever the ring holds next
+	if _, err := r.Encode(good); err != nil {
+		t.Fatal(err)
+	}
+	agree := func(img []byte) (fetched int, ok bool) {
+		n, err := Extent(len(img), func(pos, n int) ([]byte, error) {
+			fetched += n
+			return img[pos : pos+n], nil
+		})
+		if err != nil || n > len(img) {
+			return fetched, false
+		}
+		whole, werr := Decode(img)
+		cut, cerr := Decode(img[:n])
+		if (werr == nil) != (cerr == nil) || errors.Is(werr, ErrTooSmall) != errors.Is(cerr, ErrTooSmall) {
+			return fetched, false
+		}
+		return fetched, werr != nil || (cut.Size == whole.Size && cut.Seq == whole.Seq && n == whole.Size)
+	}
+	fetched, ok := agree(good)
+	if want := recHeaderSize + len(r.Entries)*entryHeader; !ok || fetched != want {
+		t.Fatalf("intact record: agree=%v, %d header bytes fetched, want %d", ok, fetched, want)
+	}
+	for bit := 0; bit < size*8; bit++ {
+		bad := append([]byte(nil), good...)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if _, ok := agree(bad); !ok {
+			t.Fatalf("bit %d flipped: Decode disagrees between the cut and the whole image", bit)
+		}
+	}
+	for _, n := range []int{0, 8, recHeaderSize + recTrailerSize - 1, recHeaderSize + recTrailerSize, size - 1} {
+		if _, ok := agree(good[:n]); !ok {
+			t.Fatalf("image of %d bytes: Decode disagrees between the cut and the whole image", n)
+		}
+	}
+	boom := errors.New("boom")
+	for failAt := 0; failAt < 2; failAt++ {
+		calls := 0
+		_, err := Extent(len(good), func(pos, n int) ([]byte, error) {
+			if calls++; calls > failAt {
+				return nil, boom
+			}
+			return good[pos : pos+n], nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("fetch %d failing: err = %v", failAt, err)
+		}
+	}
+}
