@@ -4,8 +4,8 @@
 #
 #   lint    gofmt gate, go vet, staticcheck + govulncheck (version-pinned)
 #   test    build, full suite (root module and the bench/ module), race
-#           detector over the scheduler and the simulation/RDMA/txn/shard
-#           hot paths, coverage floors, baseline-staleness and
+#           detector over the scheduler and the simulation/RDMA/protocol/
+#           txn/shard hot paths, coverage floors, baseline-staleness and
 #           protocol-conformance suites
 #   fuzz    short fuzz runs over the WQE decoder, device reset and fault
 #           plan validation
@@ -138,7 +138,8 @@ stage_lint() {
 # Coverage floors. nvm's dirty-range reset and ring's log are what device
 # pooling leans on for correctness; the hypothesis catalog is the
 # claim-validation surface; the shard router is the cross-shard atomicity
-# surface (2PC lock ordering, abort rollback, recovery).
+# surface (2PC lock ordering, abort rollback, recovery); protocol.Group is
+# the one issue path of every replication protocol.
 covercheck() {
     pkg=$1 floor=$2
     go test -coverprofile "$tmp/cover.out" "$pkg"
@@ -165,9 +166,12 @@ stage_test() {
     # race_on_test.go) but the detector is still ~10× on one core; give
     # the step explicit headroom over the 10m default. txn and shard join
     # the race leg: 2PC and the router are lock-ordering-sensitive.
+    # protocol, hyperloop and naive join it because every trial of the
+    # overlapped worker pool runs through protocol.Group and a datapath.
     step "go test -race (hot paths)" go test -race -timeout 20m \
         ./internal/experiments ./internal/sim ./internal/rdma ./internal/cpusim \
-        ./internal/txn ./internal/shard
+        ./internal/txn ./internal/shard \
+        ./internal/protocol ./internal/hyperloop ./internal/naive
     # One iteration of each layer micro-benchmark, so they keep compiling
     # and running; their numbers are read by hand (DESIGN.md, nvm).
     step "layer benchmarks run" go test -run '^$' -bench . -benchtime 1x \
@@ -177,6 +181,7 @@ stage_test() {
     step "coverage internal/hypotheses >=85" covercheck ./internal/hypotheses 85
     step "coverage internal/shard >=85" covercheck ./internal/shard 85
     step "coverage internal/txn >=85" covercheck ./internal/txn 85
+    step "coverage internal/protocol >=85" covercheck ./internal/protocol 85
     # Both committed baselines must decode against the -json schema
     # (internal/report) and cover the current experiment registry (also
     # part of `go test ./...` above; run it by name so a staleness failure

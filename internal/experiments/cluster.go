@@ -44,12 +44,13 @@ func (b Backend) String() string {
 	}
 }
 
-// groupAPI is the union surface of hyperloop.Group and naive.Group that
-// experiments drive. It extends txn.Replicator with async writes.
+// groupAPI is the part of protocol.Protocol that experiments drive:
+// txn.Replicator plus async writes, the in-flight count and teardown.
 type groupAPI interface {
 	txn.Replicator
 	WriteAsync(off, size int, durable bool) (*sim.Signal, error)
 	InFlight() int
+	Close()
 }
 
 var (
@@ -114,7 +115,7 @@ type cluster struct {
 	group   groupAPI
 	members []*rdma.NIC
 
-	// replicaProcsCPU returns total replica-handler CPU (naive only).
+	// replicaCPU returns total replica-handler CPU (zero unless naive).
 	replicaCPU func() sim.Duration
 }
 
@@ -124,11 +125,12 @@ func devSize(mirror int) int {
 	return mirror + extra
 }
 
-// newCluster builds the deployment.
-func newCluster(cfg clusterCfg) (*cluster, error) {
-	if cfg.depth == 0 {
-		cfg.depth = 32
-	}
+// newMachines builds everything below the replication group: kernel,
+// fabric (with the fault plan, if any), the client NIC, and per storage
+// server a NIC and a CPU scheduler carrying the configured tenant load.
+// The AddNIC/cpusim.New call order fixes RNG draws and event sequence
+// numbers, so every cluster constructor goes through this one loop.
+func newMachines(cfg clusterCfg) (*cluster, error) {
 	k := cfg.ar.kernel(cfg.seed)
 	fab := cfg.ar.fabric(k, rdma.DefaultConfig())
 	if cfg.faults != nil {
@@ -140,15 +142,13 @@ func newCluster(cfg clusterCfg) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &cluster{k: k, fab: fab, client: client}
-	var reps []*rdma.NIC
+	c := &cluster{k: k, fab: fab, client: client, replicaCPU: func() sim.Duration { return 0 }}
 	for i := 0; i < cfg.replicas; i++ {
 		host := fmt.Sprintf("server-%d", i)
 		nic, err := fab.AddNIC(host, cfg.ar.device(host, devSize(cfg.mirror)))
 		if err != nil {
 			return nil, err
 		}
-		reps = append(reps, nic)
 		c.members = append(c.members, nic)
 		sched, err := cpusim.New(k, cpusim.DefaultConfig(cfg.cores))
 		if err != nil {
@@ -163,7 +163,18 @@ func newCluster(cfg clusterCfg) (*cluster, error) {
 		}
 		c.scheds = append(c.scheds, sched)
 	}
+	return c, nil
+}
 
+// newCluster builds the deployment.
+func newCluster(cfg clusterCfg) (*cluster, error) {
+	if cfg.depth == 0 {
+		cfg.depth = 32
+	}
+	c, err := newMachines(cfg)
+	if err != nil {
+		return nil, err
+	}
 	switch cfg.backend {
 	case BackendHyperLoop:
 		gcfg := hyperloop.DefaultConfig(cfg.mirror)
@@ -171,12 +182,11 @@ func newCluster(cfg clusterCfg) (*cluster, error) {
 		gcfg.OpTimeout = cfg.opTimeout
 		gcfg.MaxRetries = cfg.maxRetries
 		gcfg.RetryBackoff = cfg.retryBackoff
-		g, err := hyperloop.Setup(fab, client, reps, gcfg)
+		g, err := hyperloop.Setup(c.fab, c.client, c.members, gcfg)
 		if err != nil {
 			return nil, err
 		}
 		c.group = g
-		c.replicaCPU = func() sim.Duration { return 0 }
 	default:
 		gcfg := naive.DefaultConfig(cfg.mirror)
 		gcfg.Depth = cfg.depth
@@ -203,7 +213,7 @@ func newCluster(cfg clusterCfg) (*cluster, error) {
 		default:
 			gcfg.Mode = naive.ModeEvent
 		}
-		g, err := naive.Setup(fab, client, reps, c.scheds, gcfg)
+		g, err := naive.Setup(c.fab, c.client, c.members, c.scheds, gcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -221,40 +231,12 @@ func (c *cluster) nics() []*rdma.NIC { return c.members }
 // instead of a Backend constant. The clusterCfg policy knobs (depth,
 // timeout/retry, faults) apply; backend-specific fields are ignored.
 func newProtocolCluster(cfg clusterCfg, name string) (*cluster, error) {
-	k := cfg.ar.kernel(cfg.seed)
-	fab := cfg.ar.fabric(k, rdma.DefaultConfig())
-	if cfg.faults != nil {
-		if err := fab.InstallFaultPlan(cfg.faults); err != nil {
-			return nil, err
-		}
-	}
-	client, err := fab.AddNIC("client", cfg.ar.device("client", devSize(cfg.mirror)))
+	c, err := newMachines(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &cluster{k: k, fab: fab, client: client}
-	for i := 0; i < cfg.replicas; i++ {
-		host := fmt.Sprintf("server-%d", i)
-		nic, err := fab.AddNIC(host, cfg.ar.device(host, devSize(cfg.mirror)))
-		if err != nil {
-			return nil, err
-		}
-		c.members = append(c.members, nic)
-		sched, err := cpusim.New(k, cpusim.DefaultConfig(cfg.cores))
-		if err != nil {
-			return nil, err
-		}
-		sched.AddHogs(cfg.hogs)
-		if cfg.noise > 0 {
-			sched.AddNoise(cfg.noise, cfg.noiseBurst, cfg.noiseIdle)
-		}
-		if cfg.storms {
-			sched.AddStorms(2*cfg.cores, 200*sim.Millisecond, 4*sim.Millisecond)
-		}
-		c.scheds = append(c.scheds, sched)
-	}
 	g, err := protocol.Build(name, protocol.Env{
-		Fabric: fab, Client: client, Replicas: c.members, Scheds: c.scheds,
+		Fabric: c.fab, Client: c.client, Replicas: c.members, Scheds: c.scheds,
 	}, protocol.Params{
 		MirrorSize:   cfg.mirror,
 		Depth:        cfg.depth,
@@ -266,7 +248,6 @@ func newProtocolCluster(cfg clusterCfg, name string) (*cluster, error) {
 		return nil, err
 	}
 	c.group = g
-	c.replicaCPU = func() sim.Duration { return 0 }
 	if ng, ok := g.(*naive.Group); ok {
 		c.replicaCPU = ng.ReplicaHandlerCPU
 	}
@@ -281,36 +262,17 @@ func newFanoutCluster(cfg clusterCfg) (*cluster, error) {
 	if cfg.depth == 0 {
 		cfg.depth = 32
 	}
-	k := cfg.ar.kernel(cfg.seed)
-	fab := cfg.ar.fabric(k, rdma.DefaultConfig())
-	client, err := fab.AddNIC("client", cfg.ar.device("client", devSize(cfg.mirror)))
+	c, err := newMachines(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &cluster{k: k, fab: fab, client: client}
-	var reps []*rdma.NIC
-	for i := 0; i < cfg.replicas; i++ {
-		host := fmt.Sprintf("server-%d", i)
-		nic, err := fab.AddNIC(host, cfg.ar.device(host, devSize(cfg.mirror)))
-		if err != nil {
-			return nil, err
-		}
-		reps = append(reps, nic)
-		sched, err := cpusim.New(k, cpusim.DefaultConfig(cfg.cores))
-		if err != nil {
-			return nil, err
-		}
-		c.scheds = append(c.scheds, sched)
-	}
 	gcfg := hyperloop.DefaultConfig(cfg.mirror)
 	gcfg.Depth = cfg.depth
-	g, err := hyperloop.SetupFanout(fab, client, reps, gcfg)
+	g, err := hyperloop.SetupFanout(c.fab, c.client, c.members, gcfg)
 	if err != nil {
 		return nil, err
 	}
 	c.group = g
-	c.members = reps
-	c.replicaCPU = func() sim.Duration { return 0 }
 	return c, nil
 }
 

@@ -110,7 +110,7 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 		// Tear the old datapath down before re-Setup: both groups allocate
 		// control rings at the same device offsets, so the abandoned QPs
 		// must be destroyed or they race the new group for its completions.
-		c.group.(*hyperloop.Group).Close()
+		c.group.Close()
 		members := append([]*rdma.NIC(nil), c.nics()...)
 		members[failedIdx] = spare
 		gcfg := hyperloop.DefaultConfig(failoverMirror)

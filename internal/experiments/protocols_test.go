@@ -239,6 +239,64 @@ func TestProtocolClose(t *testing.T) {
 	}
 }
 
+// TestProtocolRejectsBadRanges feeds every primitive of every protocol
+// arguments outside the mirror — negative offsets and sizes included — and
+// requires the canonical ErrBadArgument before anything is consumed: no
+// window slot, no counter, and the group still works afterwards.
+func TestProtocolRejectsBadRanges(t *testing.T) {
+	const mirror = 64 << 10 // confCluster's
+	for _, name := range protocol.Names() {
+		t.Run(name, func(t *testing.T) {
+			c := confCluster(t, 1, name, clusterCfg{})
+			g := c.group.(protocol.Protocol)
+			exec := make([]bool, g.GroupSize())
+			async := func(_ *sim.Signal, err error) error { return err }
+			bad := []struct {
+				what string
+				call func(f *sim.Fiber) error
+			}{
+				{"WriteAsync negative size", func(*sim.Fiber) error { return async(g.WriteAsync(16, -8, false)) }},
+				{"WriteAsync negative offset", func(*sim.Fiber) error { return async(g.WriteAsync(-8, 8, false)) }},
+				{"WriteAsync past the end", func(*sim.Fiber) error { return async(g.WriteAsync(mirror-4, 8, true)) }},
+				{"Write negative size", func(f *sim.Fiber) error { return g.Write(f, 16, -8, true) }},
+				{"MemcpyAsync negative source", func(*sim.Fiber) error { return async(g.MemcpyAsync(-8, 0, 8, false)) }},
+				{"MemcpyAsync negative destination", func(*sim.Fiber) error { return async(g.MemcpyAsync(0, -8, 8, false)) }},
+				{"MemcpyAsync negative size", func(*sim.Fiber) error { return async(g.MemcpyAsync(64, 0, -8, true)) }},
+				{"Memcpy destination past the end", func(f *sim.Fiber) error { return g.Memcpy(f, 0, mirror-4, 8, false) }},
+				{"FlushAsync negative size", func(*sim.Fiber) error { return async(g.FlushAsync(64, -1)) }},
+				{"Flush past the end", func(f *sim.Fiber) error { return g.Flush(f, mirror, 8) }},
+				{"CAS negative offset", func(f *sim.Fiber) error { _, err := g.CAS(f, -8, 0, 1, exec); return err }},
+				{"CAS past the end", func(f *sim.Fiber) error { _, err := g.CAS(f, mirror-4, 0, 1, exec); return err }},
+				{"CAS short execute map", func(f *sim.Fiber) error { _, err := g.CAS(f, 0, 0, 1, exec[:1]); return err }},
+				{"WriteLocal negative offset", func(*sim.Fiber) error { return g.WriteLocal(-1, make([]byte, 8)) }},
+				{"ReadLocal past the end", func(*sim.Fiber) error { _, err := g.ReadLocal(mirror-4, 8); return err }},
+				{"ReadLocal negative length", func(*sim.Fiber) error { _, err := g.ReadLocal(0, -1); return err }},
+			}
+			drive(t, c, func(f *sim.Fiber) error {
+				for _, b := range bad {
+					if err := b.call(f); !errors.Is(err, protocol.ErrBadArgument) {
+						t.Errorf("%s: got %v, want ErrBadArgument", b.what, err)
+					}
+					if fl := g.InFlight(); fl != 0 {
+						t.Errorf("%s: %d ops in flight afterwards — leaked window slot", b.what, fl)
+					}
+				}
+				if issued, completed := g.Stats(); issued != 0 || completed != 0 {
+					t.Errorf("rejected ops moved the counters: issued=%d completed=%d", issued, completed)
+				}
+				if err := g.WriteLocal(0, []byte("still ok")); err != nil {
+					return err
+				}
+				if err := g.Write(f, 0, 8, true); err != nil {
+					return fmt.Errorf("valid durable write after the rejected ones: %w", err)
+				}
+				return nil
+			})
+			g.Close()
+		})
+	}
+}
+
 // TestProtocolDeterminism runs the fault script twice per seed and
 // requires identical virtual-time fingerprints: executed events, fabric
 // messages/bytes/CQEs, and the op outcome tally.

@@ -37,7 +37,12 @@ import (
 // different members. The conformance suite drives it single-writer, the
 // regime the paper's replicated-transaction use cases (one primary per
 // log) put it in.
+//
+// The embedded protocol.Group is its protocol.Protocol surface (registered
+// as "bcast" and "bcast-maj"); this type is that group's strategy.
 type BroadcastGroup struct {
+	*protocol.Group
+
 	fab *rdma.Fabric
 	k   *sim.Kernel
 	cfg Config
@@ -51,11 +56,10 @@ type BroadcastGroup struct {
 
 	members []*bcastMember
 
-	trk  *protocol.Tracker
 	acks map[uint64]*bcastAckState
 
 	ackBuf []byte // ack decode scratch, reused across ACKs
-	// bmeta is issue's per-member metadata build scratch; every byte is
+	// bmeta is Transmit's per-member metadata build scratch; every byte is
 	// rewritten for each member and copied into client memory.
 	bmeta [fanBackupMetaLen]byte
 }
@@ -100,33 +104,20 @@ type bcastAckState struct {
 // The same Config as the chain group applies; AckQuorum selects the
 // completion quorum (0 = all members).
 func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Config) (*BroadcastGroup, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("%w: need at least one member", ErrBadArgument)
-	}
-	if cfg.MirrorSize <= 0 {
-		return nil, fmt.Errorf("%w: mirror size must be positive", ErrBadArgument)
+	if err := cfg.normalize(len(members)); err != nil {
+		return nil, err
 	}
 	if cfg.AckQuorum < 0 || cfg.AckQuorum > len(members) {
 		return nil, fmt.Errorf("%w: ack quorum %d outside [0,%d]", ErrBadArgument, cfg.AckQuorum, len(members))
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 32
-	}
-	for cfg.Depth&(cfg.Depth-1) != 0 {
-		cfg.Depth++
-	}
-	if cfg.ReArmDelay <= 0 {
-		cfg.ReArmDelay = 5 * sim.Microsecond
 	}
 	g := &BroadcastGroup{
 		fab:    fab,
 		k:      fab.Kernel(),
 		cfg:    cfg,
 		client: client,
-		trk: protocol.NewTracker(fab.Kernel(), cfg.Depth,
-			cfg.OpTimeout, cfg.MaxRetries, cfg.RetryBackoff, ErrTimeout, ErrClosed),
-		acks: make(map[uint64]*bcastAckState),
+		acks:   make(map[uint64]*bcastAckState),
 	}
+	g.Group = newSurface(client, len(members), cfg, g)
 	if err := g.setupBcastClient(len(members)); err != nil {
 		return nil, err
 	}
@@ -357,7 +348,7 @@ func (g *BroadcastGroup) installBcastReArm() {
 			for range batch {
 				seq := m.completed
 				m.completed++
-				reArmAfter(g.k, g.trk, m.nic, g.cfg.ReArmDelay, func() {
+				reArmAfter(g.k, g.Group, m.nic, g.cfg.ReArmDelay, func() {
 					_ = g.armMember(m, seq+uint64(g.cfg.Depth))
 				})
 			}
@@ -365,52 +356,29 @@ func (g *BroadcastGroup) installBcastReArm() {
 	}
 }
 
-// issue builds and transmits one broadcast operation: per live member, an
-// optional data WRITE plus the member's metadata message. Members whose
-// NIC is down are skipped — modeling the lease-based membership view a
-// quorum protocol runs under — so a crashed minority neither consumes
-// ring slots nor retransmission timeouts on the fan QPs.
-func (g *BroadcastGroup) issue(kind opKind, p opParams) (*protocol.Pending, error) {
-	if g.trk.Closed() {
-		return nil, ErrClosed
-	}
-	if !g.trk.HasWindow() {
-		return nil, ErrTooManyInFlight
-	}
-	if p.Off < 0 || p.Off+p.Size > g.cfg.MirrorSize {
-		return nil, fmt.Errorf("%w: range [%d,+%d) outside mirror", ErrBadArgument, p.Off, p.Size)
-	}
-	if kind == kindMemcpy && (p.Src < 0 || p.Src+p.Size > g.cfg.MirrorSize ||
-		p.Dst < 0 || p.Dst+p.Size > g.cfg.MirrorSize) {
-		return nil, fmt.Errorf("%w: memcpy range outside mirror", ErrBadArgument)
-	}
-	if kind == kindCAS && len(p.Exec) != g.GroupSize() {
-		return nil, fmt.Errorf("%w: execute map must have %d entries", ErrBadArgument, g.GroupSize())
-	}
-	seq := g.trk.NextSeq()
+// Transmit is the broadcast's half of an issue (protocol.Strategy): per
+// live member, an optional data WRITE plus the member's metadata message.
+// Members whose NIC is down are skipped — modeling the lease-based
+// membership view a quorum protocol runs under — so a crashed minority
+// neither consumes ring slots nor retransmission timeouts on the fan QPs.
+func (g *BroadcastGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 	n := len(g.members)
 
-	// Stage every member's metadata before tracking, so a build error
-	// leaves no partial op behind.
+	// Stage every member's metadata before posting to any, so a build
+	// error leaves no partial op behind.
 	bmeta := g.bmeta[:]
 	for j, m := range g.members {
 		resultAddr := g.memberAckAddr(m, seq) + headerSize
 		if err := encodeLocalBlock(bmeta, seq, kind, p, m.mirror.RKey, resultAddr, j); err != nil {
-			return nil, err
+			return err
 		}
 		hdr := bmeta[2*rdma.DescLen:]
 		binary.LittleEndian.PutUint64(hdr, seq)
 		binary.LittleEndian.PutUint32(hdr[8:], uint32(kind))
 		binary.LittleEndian.PutUint32(hdr[12:], 0)
 		if err := g.client.Memory().Write(int(g.bmetaAddr(j, seq)), bmeta); err != nil {
-			return nil, err
+			return err
 		}
-	}
-
-	op := g.trk.Track(seq, kind)
-
-	if err := protocol.ApplyLocal(g.client.Memory(), kind, p); err != nil {
-		return nil, err
 	}
 
 	need := g.cfg.AckQuorum
@@ -442,11 +410,9 @@ func (g *BroadcastGroup) issue(kind opKind, p opParams) (*protocol.Pending, erro
 	}
 	if st.posted == 0 {
 		delete(g.acks, seq)
-		g.trk.Abort(seq)
-		return nil, fmt.Errorf("%w: no reachable members", ErrBadArgument)
+		return fmt.Errorf("%w: no reachable members", ErrBadArgument)
 	}
-	g.trk.MarkIssued()
-	return op, nil
+	return nil
 }
 
 // onMemberAck resolves one member's ack for one operation.
@@ -474,19 +440,9 @@ func (g *BroadcastGroup) onMemberAck(j int, e rdma.CQE) {
 		delete(g.acks, seq)
 	}
 	if st.got == st.need {
-		op := g.trk.Complete(seq)
-		if op == nil {
-			return // a timeout already resolved the op; late quorum
-		}
-		if op.Kind == kindCAS {
-			op.Results = append([]uint64(nil), st.results...)
-		}
-		op.Sig.Fire(nil)
+		g.Complete(seq, st.results)
 	}
 }
-
-// GroupSize returns the number of replicated members.
-func (g *BroadcastGroup) GroupSize() int { return len(g.members) }
 
 // ReplicaNIC returns member i's NIC.
 func (g *BroadcastGroup) ReplicaNIC(i int) *rdma.NIC { return g.members[i].nic }
@@ -494,23 +450,10 @@ func (g *BroadcastGroup) ReplicaNIC(i int) *rdma.NIC { return g.members[i].nic }
 // ClientNIC returns the client's NIC.
 func (g *BroadcastGroup) ClientNIC() *rdma.NIC { return g.client }
 
-// Stats reports operations issued and completed.
-func (g *BroadcastGroup) Stats() (issued, completed int64) { return g.trk.Stats() }
-
-// InFlight returns operations awaiting their ack quorum.
-func (g *BroadcastGroup) InFlight() int { return g.trk.InFlight() }
-
-// Retried reports timed-out operations re-issued by the blocking paths.
-func (g *BroadcastGroup) Retried() int64 { return g.trk.Retried() }
-
-// Close tears the broadcast group down. In-flight operations fail with
-// ErrClosed, further issues are rejected, and every QP the group created
-// is destroyed so the NICs can host a new group.
-func (g *BroadcastGroup) Close() {
-	if g.trk.Closed() {
-		return
-	}
-	g.trk.Close()
+// Teardown is the broadcast's half of Close (protocol.Strategy): the ack
+// accumulators are dropped and every QP the group created is destroyed so
+// the NICs can host a new group.
+func (g *BroadcastGroup) Teardown() {
 	g.acks = make(map[uint64]*bcastAckState)
 	for _, qp := range g.qpFan {
 		qp.Destroy()
@@ -523,88 +466,4 @@ func (g *BroadcastGroup) Close() {
 		m.qpLoop.Destroy()
 		m.qpAck.Destroy()
 	}
-}
-
-// WriteLocal stores data into the client's mirror.
-func (g *BroadcastGroup) WriteLocal(off int, data []byte) error {
-	if off < 0 || off+len(data) > g.cfg.MirrorSize {
-		return fmt.Errorf("%w: local write outside mirror", ErrBadArgument)
-	}
-	return g.client.Memory().Write(off, data)
-}
-
-// ReadLocal returns a copy of the client's mirror range.
-func (g *BroadcastGroup) ReadLocal(off, n int) ([]byte, error) {
-	if off < 0 || off+n > g.cfg.MirrorSize {
-		return nil, fmt.Errorf("%w: local read outside mirror", ErrBadArgument)
-	}
-	buf := make([]byte, n)
-	err := g.client.Memory().Read(off, buf)
-	return buf, err
-}
-
-// WriteAsync replicates [off, off+size) to all members in parallel
-// (gWRITE broadcast), optionally durable; the signal fires on the ack
-// quorum.
-func (g *BroadcastGroup) WriteAsync(off, size int, durable bool) (*sim.Signal, error) {
-	op, err := g.issue(kindWrite, opParams{Off: off, Size: size, Durable: durable})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// Write is the blocking form of WriteAsync. With MaxRetries > 0 a
-// timed-out write is re-issued under a fresh sequence number.
-func (g *BroadcastGroup) Write(f *sim.Fiber, off, size int, durable bool) error {
-	return g.trk.Retry(f, func() (*sim.Signal, error) {
-		return g.WriteAsync(off, size, durable)
-	})
-}
-
-// MemcpyAsync copies src→dst locally on every member (gMEMCPY).
-func (g *BroadcastGroup) MemcpyAsync(src, dst, size int, durable bool) (*sim.Signal, error) {
-	op, err := g.issue(kindMemcpy, opParams{Src: src, Dst: dst, Size: size, Durable: durable})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// Memcpy is the blocking form of MemcpyAsync, with Write's retry policy
-// (gMEMCPY is idempotent).
-func (g *BroadcastGroup) Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error {
-	return g.trk.Retry(f, func() (*sim.Signal, error) {
-		return g.MemcpyAsync(src, dst, size, durable)
-	})
-}
-
-// CAS performs a group compare-and-swap (gCAS). exec has one entry per
-// member; results are the original values observed. gCAS always waits
-// for all members and is never retried.
-func (g *BroadcastGroup) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error) {
-	op, err := g.issue(kindCAS, opParams{Off: off, Size: 8, Old: old, New: new, Exec: exec})
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Await(op.Sig); err != nil {
-		return nil, err
-	}
-	return op.Results, nil
-}
-
-// FlushAsync makes [off, off+size) durable on every member (gFLUSH).
-func (g *BroadcastGroup) FlushAsync(off, size int) (*sim.Signal, error) {
-	op, err := g.issue(kindFlush, opParams{Off: off, Size: size})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// Flush is the blocking form of FlushAsync, with Write's retry policy.
-func (g *BroadcastGroup) Flush(f *sim.Fiber, off, size int) error {
-	return g.trk.Retry(f, func() (*sim.Signal, error) {
-		return g.FlushAsync(off, size)
-	})
 }

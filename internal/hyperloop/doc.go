@@ -29,8 +29,9 @@
 //
 // # Topologies
 //
-// The package provides three NIC-offloaded replication topologies, all
-// implementing protocol.Protocol and registered with the protocol
+// The package provides three NIC-offloaded replication topologies. Each
+// is a protocol.Strategy (Transmit, Teardown) embedding the
+// protocol.Group that drives it, and is registered with the protocol
 // registry at init:
 //
 //   - Group ("chain"): the §4 chain above — total order, minimal

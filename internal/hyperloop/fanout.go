@@ -27,8 +27,11 @@ import (
 // Chain vs fan-out is the load-balance trade-off the paper discusses: the
 // chain keeps at most one active write QP per hop, while fan-out
 // concentrates G-1 of them (and all the data transmission) on the primary.
-// It implements protocol.Protocol (registered as "fanout").
+// The embedded protocol.Group is its protocol.Protocol surface (registered
+// as "fanout"); this type is that group's strategy.
 type FanoutGroup struct {
+	*protocol.Group
+
 	fab *rdma.Fabric
 	k   *sim.Kernel
 	cfg Config
@@ -43,10 +46,9 @@ type FanoutGroup struct {
 	primary *fanPrimary
 	backups []*fanBackup
 
-	trk *protocol.Tracker // window/seq/timeout/retry bookkeeping
-
-	ackBuf  []byte // onAck decode scratch, reused across ACKs
-	metaBuf []byte // issue's metadata build scratch; copied into client memory per op
+	ackBuf  []byte   // onAck decode scratch, reused across ACKs
+	ackRes  []uint64 // onAck result-map scratch; protocol.Group copies it
+	metaBuf []byte   // Transmit's metadata build scratch; copied into client memory per op
 }
 
 // fanPrimary holds the coordinator's NIC resources.
@@ -114,29 +116,17 @@ func (g *FanoutGroup) resultSlotLen() int {
 // SetupFanout builds a fan-out group: members[0] is the primary, the rest
 // are backups. The same Config as the chain group applies.
 func SetupFanout(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Config) (*FanoutGroup, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("%w: need at least a primary", ErrBadArgument)
-	}
-	if cfg.MirrorSize <= 0 {
-		return nil, fmt.Errorf("%w: mirror size must be positive", ErrBadArgument)
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 32
-	}
-	for cfg.Depth&(cfg.Depth-1) != 0 {
-		cfg.Depth++
-	}
-	if cfg.ReArmDelay <= 0 {
-		cfg.ReArmDelay = 5 * sim.Microsecond
+	if err := cfg.normalize(len(members)); err != nil {
+		return nil, err
 	}
 	g := &FanoutGroup{
 		fab:    fab,
 		k:      fab.Kernel(),
 		cfg:    cfg,
 		client: client,
-		trk: protocol.NewTracker(fab.Kernel(), cfg.Depth,
-			cfg.OpTimeout, cfg.MaxRetries, cfg.RetryBackoff, ErrTimeout, ErrClosed),
+		ackRes: make([]uint64, len(members)),
 	}
+	g.Group = newSurface(client, len(members), cfg, g)
 	for i := 1; i < len(members); i++ {
 		g.backups = append(g.backups, &fanBackup{index: i})
 	}
@@ -232,11 +222,11 @@ func (g *FanoutGroup) setupPrimary(nic *rdma.NIC) error {
 		return err
 	}
 	p.stagingSlot = fanBackupMetaLen
-	staging, err := alloc.Alloc("staging", g.cfg.Depth*maxInt(b, 1)*p.stagingSlot)
+	staging, err := alloc.Alloc("staging", g.cfg.Depth*max(b, 1)*p.stagingSlot)
 	if err != nil {
 		return err
 	}
-	clientRing, err := alloc.Alloc("client-ring", (maxInt(b, 1)+1)*g.cfg.Depth*rdma.WQESize)
+	clientRing, err := alloc.Alloc("client-ring", (max(b, 1)+1)*g.cfg.Depth*rdma.WQESize)
 	if err != nil {
 		return err
 	}
@@ -377,11 +367,4 @@ func (g *FanoutGroup) setupBackup(b *fanBackup, nic *rdma.NIC) error {
 	b.qpLoop.RecvCQ().Discard()
 	b.qpAck.RecvCQ().Discard()
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,14 +1,6 @@
 package hyperloop
 
-import (
-	"fmt"
-
-	"hyperloop/internal/rdma"
-	"hyperloop/internal/sim"
-)
-
-// GroupSize returns the member count (primary + backups).
-func (g *FanoutGroup) GroupSize() int { return 1 + g.numBackups() }
+import "hyperloop/internal/rdma"
 
 // PrimaryNIC returns the coordinating member's NIC.
 func (g *FanoutGroup) PrimaryNIC() *rdma.NIC { return g.primary.nic }
@@ -24,23 +16,9 @@ func (g *FanoutGroup) ReplicaNIC(i int) *rdma.NIC {
 // ClientNIC returns the client's NIC.
 func (g *FanoutGroup) ClientNIC() *rdma.NIC { return g.client }
 
-// Stats reports operations issued and completed.
-func (g *FanoutGroup) Stats() (issued, completed int64) { return g.trk.Stats() }
-
-// InFlight returns operations awaiting their group ACK.
-func (g *FanoutGroup) InFlight() int { return g.trk.InFlight() }
-
-// Retried reports timed-out operations re-issued by the blocking paths.
-func (g *FanoutGroup) Retried() int64 { return g.trk.Retried() }
-
-// Close tears the fan-out group down. In-flight operations fail with
-// ErrClosed, further issues are rejected, and every QP the group created
-// is destroyed so the NICs can host a new group.
-func (g *FanoutGroup) Close() {
-	if g.trk.Closed() {
-		return
-	}
-	g.trk.Close()
+// Teardown is the fan-out's half of Close (protocol.Strategy): every QP
+// the group created is destroyed so the NICs can host a new group.
+func (g *FanoutGroup) Teardown() {
 	g.qpHead.Destroy()
 	p := g.primary
 	p.qpClient.Destroy()
@@ -56,87 +34,4 @@ func (g *FanoutGroup) Close() {
 		b.qpLoop.Destroy()
 		b.qpAck.Destroy()
 	}
-}
-
-// WriteLocal stores data into the client's mirror.
-func (g *FanoutGroup) WriteLocal(off int, data []byte) error {
-	if off < 0 || off+len(data) > g.cfg.MirrorSize {
-		return fmt.Errorf("%w: local write outside mirror", ErrBadArgument)
-	}
-	return g.client.Memory().Write(off, data)
-}
-
-// ReadLocal returns a copy of the client's mirror range.
-func (g *FanoutGroup) ReadLocal(off, n int) ([]byte, error) {
-	if off < 0 || off+n > g.cfg.MirrorSize {
-		return nil, fmt.Errorf("%w: local read outside mirror", ErrBadArgument)
-	}
-	buf := make([]byte, n)
-	err := g.client.Memory().Read(off, buf)
-	return buf, err
-}
-
-// WriteAsync replicates [off, off+size) to all members in parallel
-// (gWRITE fan-out), optionally durable.
-func (g *FanoutGroup) WriteAsync(off, size int, durable bool) (*sim.Signal, error) {
-	op, err := g.issue(kindWrite, opParams{Off: off, Size: size, Durable: durable})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// Write is the blocking form of WriteAsync. With MaxRetries > 0 a
-// timed-out write is re-issued under a fresh sequence number.
-func (g *FanoutGroup) Write(f *sim.Fiber, off, size int, durable bool) error {
-	return g.trk.Retry(f, func() (*sim.Signal, error) {
-		return g.WriteAsync(off, size, durable)
-	})
-}
-
-// MemcpyAsync copies src→dst locally on every member (gMEMCPY).
-func (g *FanoutGroup) MemcpyAsync(src, dst, size int, durable bool) (*sim.Signal, error) {
-	op, err := g.issue(kindMemcpy, opParams{Src: src, Dst: dst, Size: size, Durable: durable})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// Memcpy is the blocking form of MemcpyAsync, with Write's retry policy
-// (gMEMCPY is idempotent).
-func (g *FanoutGroup) Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error {
-	return g.trk.Retry(f, func() (*sim.Signal, error) {
-		return g.MemcpyAsync(src, dst, size, durable)
-	})
-}
-
-// CAS performs a group compare-and-swap (gCAS). exec has one entry per
-// member (index 0 = primary); results are the original values observed.
-// gCAS is never retried.
-func (g *FanoutGroup) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error) {
-	op, err := g.issue(kindCAS, opParams{Off: off, Size: 8, Old: old, New: new, Exec: exec})
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Await(op.Sig); err != nil {
-		return nil, err
-	}
-	return op.Results, nil
-}
-
-// FlushAsync makes [off, off+size) durable on every member (gFLUSH).
-func (g *FanoutGroup) FlushAsync(off, size int) (*sim.Signal, error) {
-	op, err := g.issue(kindFlush, opParams{Off: off, Size: size})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// Flush is the blocking form of FlushAsync, with Write's retry policy.
-func (g *FanoutGroup) Flush(f *sim.Fiber, off, size int) error {
-	return g.trk.Retry(f, func() (*sim.Signal, error) {
-		return g.FlushAsync(off, size)
-	})
 }

@@ -2,9 +2,7 @@ package hyperloop
 
 import (
 	"encoding/binary"
-	"fmt"
 
-	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 )
 
@@ -13,7 +11,7 @@ func (g *FanoutGroup) resultSlotAddr(seq uint64) uint64 {
 }
 
 func (g *FanoutGroup) stagingAddr(j int, seq uint64) uint64 {
-	b := maxInt(g.numBackups(), 1)
+	b := max(g.numBackups(), 1)
 	slot := (seq % uint64(g.cfg.Depth)) * uint64(b)
 	return g.primary.stagingOff + (slot+uint64(j))*uint64(g.primary.stagingSlot)
 }
@@ -172,7 +170,7 @@ func (g *FanoutGroup) installFanReArm() {
 		for range batch {
 			seq := p.completed
 			p.completed++
-			reArmAfter(g.k, g.trk, p.nic, g.cfg.ReArmDelay, func() {
+			reArmAfter(g.k, g.Group, p.nic, g.cfg.ReArmDelay, func() {
 				_ = g.armPrimary(seq + uint64(g.cfg.Depth))
 			})
 		}
@@ -183,7 +181,7 @@ func (g *FanoutGroup) installFanReArm() {
 			for range batch {
 				seq := b.completed
 				b.completed++
-				reArmAfter(g.k, g.trk, b.nic, g.cfg.ReArmDelay, func() {
+				reArmAfter(g.k, g.Group, b.nic, g.cfg.ReArmDelay, func() {
 					_ = g.armBackup(b, seq+uint64(g.cfg.Depth))
 				})
 			}
@@ -234,25 +232,11 @@ func encodeLocalBlock(buf []byte, seq uint64, kind opKind, p opParams,
 	return l2.EncodeDesc(buf[rdma.DescLen:])
 }
 
-// issue builds and transmits one fan-out operation.
-func (g *FanoutGroup) issue(kind opKind, p opParams) (*protocol.Pending, error) {
-	if g.trk.Closed() {
-		return nil, ErrClosed
-	}
-	if !g.trk.HasWindow() {
-		return nil, ErrTooManyInFlight
-	}
-	if p.Off < 0 || p.Off+p.Size > g.cfg.MirrorSize {
-		return nil, fmt.Errorf("%w: range [%d,+%d) outside mirror", ErrBadArgument, p.Off, p.Size)
-	}
-	if kind == kindMemcpy && (p.Src < 0 || p.Src+p.Size > g.cfg.MirrorSize ||
-		p.Dst < 0 || p.Dst+p.Size > g.cfg.MirrorSize) {
-		return nil, fmt.Errorf("%w: memcpy range outside mirror", ErrBadArgument)
-	}
-	if kind == kindCAS && len(p.Exec) != g.GroupSize() {
-		return nil, fmt.Errorf("%w: execute map must have %d entries", ErrBadArgument, g.GroupSize())
-	}
-	seq := g.trk.NextSeq()
+// Transmit is the fan-out's half of an issue (protocol.Strategy): it
+// stages the primary's metadata message — the primary's local block, the
+// per-backup forward chains and the per-backup messages they forward —
+// and posts it to the primary.
+func (g *FanoutGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 	b := g.numBackups()
 
 	msg := g.metaBuf
@@ -261,7 +245,7 @@ func (g *FanoutGroup) issue(kind opKind, p opParams) (*protocol.Pending, error) 
 	// Primary's local block; its CAS result lands at result slot index 0.
 	if err := encodeLocalBlock(msg[pos:], seq, kind, p,
 		g.primary.mirror.RKey, g.resultSlotAddr(seq), 0); err != nil {
-		return nil, err
+		return err
 	}
 	pos += 2 * rdma.DescLen
 	// Forward chains: data WRITE + peeled metadata SEND per backup.
@@ -279,10 +263,10 @@ func (g *FanoutGroup) issue(kind opKind, p opParams) (*protocol.Pending, error) 
 			Local: g.stagingAddr(j, seq), Len: uint64(fanBackupMetaLen),
 		}
 		if err := f1.EncodeDesc(msg[pos:]); err != nil {
-			return nil, err
+			return err
 		}
 		if err := f2.EncodeDesc(msg[pos+rdma.DescLen:]); err != nil {
-			return nil, err
+			return err
 		}
 		pos += 2 * rdma.DescLen
 	}
@@ -292,7 +276,7 @@ func (g *FanoutGroup) issue(kind opKind, p opParams) (*protocol.Pending, error) 
 		bk := g.backups[j]
 		resultAddr := g.backupAckAddr(bk, seq) + headerSize
 		if err := encodeLocalBlock(msg[pos:], seq, kind, p, bk.mirror.RKey, resultAddr, j+1); err != nil {
-			return nil, err
+			return err
 		}
 		hdr := msg[pos+2*rdma.DescLen:]
 		binary.LittleEndian.PutUint64(hdr, seq)
@@ -304,35 +288,11 @@ func (g *FanoutGroup) issue(kind opKind, p opParams) (*protocol.Pending, error) 
 
 	metaAddr := g.metaOff + (seq%uint64(g.cfg.Depth))*uint64(g.metaLen())
 	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
-		return nil, err
+		return err
 	}
-
-	op := g.trk.Track(seq, kind)
-
-	if err := protocol.ApplyLocal(g.client.Memory(), kind, p); err != nil {
-		return nil, err
-	}
-
-	if kind == kindWrite {
-		if _, err := g.qpHead.PostSend(rdma.WQE{
-			Opcode: rdma.OpWrite, WRID: seq,
-			Local: uint64(p.Off), Len: uint64(p.Size),
-			Remote: uint64(p.Off), Aux1: g.primary.mirror.RKey,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := g.qpHead.PostSend(rdma.WQE{
-		Opcode: rdma.OpSend, WRID: seq,
-		Local: metaAddr, Len: uint64(g.metaLen()),
-	}); err != nil {
-		return nil, err
-	}
-	g.trk.MarkIssued()
-	return op, nil
+	return postToHead(g.qpHead, seq, kind, p, g.primary.mirror.RKey, metaAddr, g.metaLen())
 }
 
-// onAck resolves a completed fan-out operation.
 // onAcks handles a drained batch of group-ACK completions.
 func (g *FanoutGroup) onAcks(batch []rdma.CQE) {
 	for _, e := range batch {
@@ -340,6 +300,7 @@ func (g *FanoutGroup) onAcks(batch []rdma.CQE) {
 	}
 }
 
+// onAck resolves a completed fan-out operation.
 func (g *FanoutGroup) onAck(e rdma.CQE) {
 	g.qpAck.PostRecv(rdma.RecvWQE{})
 	slotAddr := int(g.clientAckAddr(uint64(e.Imm)))
@@ -350,17 +311,8 @@ func (g *FanoutGroup) onAck(e rdma.CQE) {
 	if err := g.client.Memory().Read(slotAddr, buf); err != nil {
 		return
 	}
-	n := 1 + g.numBackups()
-	seq := binary.LittleEndian.Uint64(buf[n*resultEntry:])
-	op := g.trk.Complete(seq)
-	if op == nil {
-		return
+	for j := range g.ackRes {
+		g.ackRes[j] = binary.LittleEndian.Uint64(buf[j*resultEntry:])
 	}
-	if op.Kind == kindCAS {
-		op.Results = make([]uint64, n)
-		for j := 0; j < n; j++ {
-			op.Results[j] = binary.LittleEndian.Uint64(buf[j*resultEntry:])
-		}
-	}
-	op.Sig.Fire(nil)
+	g.Complete(binary.LittleEndian.Uint64(buf[len(g.ackRes)*resultEntry:]), g.ackRes)
 }

@@ -92,9 +92,13 @@ type replica struct {
 }
 
 // Group is a HyperLoop replication group: one client (transaction
-// coordinator) chained through one or more replicas. It implements
-// protocol.Protocol (registered as "chain").
+// coordinator) chained through one or more replicas. The embedded
+// protocol.Group is its protocol.Protocol surface (registered as "chain");
+// this type is that group's strategy and adds ReadHead and the NIC
+// accessors.
 type Group struct {
+	*protocol.Group
+
 	fab *rdma.Fabric
 	k   *sim.Kernel
 	cfg Config
@@ -108,23 +112,28 @@ type Group struct {
 	metaOff  uint64 // client-side metadata build buffers
 	replicas []*replica
 
-	trk      *protocol.Tracker      // window/seq/timeout/retry bookkeeping
 	reads    map[uint64]*sim.Signal // WRID → signal for one-sided reads
 	nextWRID uint64
 
-	ackBuf  []byte // onAck decode scratch, reused across ACKs
-	metaBuf []byte // issue's metadata build scratch; copied into client memory per op
+	ackBuf  []byte   // onAck decode scratch, reused across ACKs
+	ackRes  []uint64 // onAck result-map scratch; protocol.Group copies it
+	metaBuf []byte   // Transmit's metadata build scratch; copied into client memory per op
 }
 
-// Setup builds a group over the given NICs. Every device must be large
-// enough for the mirror plus control structures; the mirror occupies
-// [0, MirrorSize) on every member so group offsets are uniform.
-func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC, cfg Config) (*Group, error) {
-	if len(replicas) == 0 {
-		return nil, fmt.Errorf("%w: need at least one replica", ErrBadArgument)
+// groupErrors hands this package's sentinels to protocol.Group.
+var groupErrors = protocol.Errors{
+	TooManyInFlight: ErrTooManyInFlight, Timeout: ErrTimeout,
+	BadArgument: ErrBadArgument, Closed: ErrClosed,
+}
+
+// normalize validates the policy half of a Setup call and fills the
+// defaults every topology shares.
+func (cfg *Config) normalize(members int) error {
+	if members == 0 {
+		return fmt.Errorf("%w: need at least one member", ErrBadArgument)
 	}
 	if cfg.MirrorSize <= 0 {
-		return nil, fmt.Errorf("%w: mirror size must be positive", ErrBadArgument)
+		return fmt.Errorf("%w: mirror size must be positive", ErrBadArgument)
 	}
 	if cfg.Depth <= 0 {
 		cfg.Depth = 32
@@ -138,16 +147,37 @@ func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC, cfg Config)
 	if cfg.ReArmDelay <= 0 {
 		cfg.ReArmDelay = 5 * sim.Microsecond
 	}
+	return nil
+}
+
+// newSurface builds the protocol.Group a topology embeds: s is the
+// topology itself, members its group size.
+func newSurface(client *rdma.NIC, members int, cfg Config, s protocol.Strategy) *protocol.Group {
+	return protocol.NewGroup(protocol.GroupConfig{
+		Kernel: client.Fabric().Kernel(), Mirror: client.Memory(),
+		GroupSize: members, MirrorSize: cfg.MirrorSize, Depth: cfg.Depth,
+		OpTimeout: cfg.OpTimeout, MaxRetries: cfg.MaxRetries, RetryBackoff: cfg.RetryBackoff,
+		Errors: groupErrors,
+	}, s)
+}
+
+// Setup builds a group over the given NICs. Every device must be large
+// enough for the mirror plus control structures; the mirror occupies
+// [0, MirrorSize) on every member so group offsets are uniform.
+func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC, cfg Config) (*Group, error) {
+	if err := cfg.normalize(len(replicas)); err != nil {
+		return nil, err
+	}
 	g := &Group{
 		fab:    fab,
 		k:      fab.Kernel(),
 		cfg:    cfg,
 		lay:    layout{groupSize: len(replicas), depth: cfg.Depth},
 		client: client,
-		trk: protocol.NewTracker(fab.Kernel(), cfg.Depth,
-			cfg.OpTimeout, cfg.MaxRetries, cfg.RetryBackoff, ErrTimeout, ErrClosed),
-		reads: make(map[uint64]*sim.Signal),
+		reads:  make(map[uint64]*sim.Signal),
+		ackRes: make([]uint64, len(replicas)),
 	}
+	g.Group = newSurface(client, len(replicas), cfg, g)
 	g.metaBuf = make([]byte, g.lay.metaLen(1))
 	if err := g.setupClient(); err != nil {
 		return nil, err
@@ -318,19 +348,16 @@ func (g *Group) connect() {
 	g.replicas[len(g.replicas)-1].qpNext.Connect(g.qpAck)
 }
 
-// Close tears the group's datapath down: every in-flight operation fails
-// with ErrClosed, re-arm timers become no-ops, and every QP and CQ the
-// group created is destroyed at the rdma layer. Closing the old group is
-// mandatory before re-establishing one over surviving members (failover):
-// both groups allocate their control rings at identical device offsets,
-// so an abandoned group's still-parked QPs would wake on the successor's
+// Teardown is the chain's half of Close (protocol.Strategy): pending
+// one-sided reads fail with ErrClosed and every QP and CQ the group
+// created is destroyed at the rdma layer; re-arm timers become no-ops
+// because the group is closed. Closing the old group is mandatory before
+// re-establishing one over surviving members (failover): both groups
+// allocate their control rings at identical device offsets, so an
+// abandoned group's still-parked QPs would wake on the successor's
 // traffic, re-read the rewritten ring slots, and steal the successor's
 // WAIT completions — its chains then stall forever on disowned WQEs.
-func (g *Group) Close() {
-	if g.trk.Closed() {
-		return
-	}
-	g.trk.Close()
+func (g *Group) Teardown() {
 	for wrid, sig := range g.reads {
 		delete(g.reads, wrid)
 		sig.Fire(ErrClosed)
@@ -346,9 +373,6 @@ func (g *Group) Close() {
 	}
 }
 
-// GroupSize returns the number of replicas.
-func (g *Group) GroupSize() int { return len(g.replicas) }
-
 // ReplicaNIC returns the i-th (0-based) replica's NIC, e.g. for fault
 // injection or direct memory inspection in tests.
 func (g *Group) ReplicaNIC(i int) *rdma.NIC { return g.replicas[i].nic }
@@ -356,18 +380,6 @@ func (g *Group) ReplicaNIC(i int) *rdma.NIC { return g.replicas[i].nic }
 // ClientNIC returns the client's NIC.
 func (g *Group) ClientNIC() *rdma.NIC { return g.client }
 
-// Stats reports operations issued and completed.
-func (g *Group) Stats() (issued, completed int64) { return g.trk.Stats() }
-
-// Retried reports how many timed-out operations were re-issued by the
-// blocking paths.
-func (g *Group) Retried() int64 { return g.trk.Retried() }
-
-// InFlight returns the number of operations awaiting their group ACK.
-func (g *Group) InFlight() int { return g.trk.InFlight() }
-
-// onAck handles the tail's WRITE_WITH_IMM: it carries the op's result
-// block into the client's ACK buffer and its imm names the sequence.
 // onAcks handles a drained batch of group-ACK completions.
 func (g *Group) onAcks(batch []rdma.CQE) {
 	for _, e := range batch {
@@ -375,6 +387,8 @@ func (g *Group) onAcks(batch []rdma.CQE) {
 	}
 }
 
+// onAck handles the tail's WRITE_WITH_IMM: it carries the op's result
+// block into the client's ACK buffer and its imm names the sequence.
 func (g *Group) onAck(e rdma.CQE) {
 	g.qpAck.PostRecv(rdma.RecvWQE{}) // keep the ACK window replenished
 	slot := uint64(e.Imm) % uint64(g.cfg.Depth)
@@ -386,18 +400,10 @@ func (g *Group) onAck(e rdma.CQE) {
 	if err := g.client.Memory().Read(slotAddr, buf); err != nil {
 		return
 	}
-	seq := binary.LittleEndian.Uint64(buf[g.lay.resultsLen():])
-	op := g.trk.Complete(seq)
-	if op == nil {
-		return // late ACK after timeout
+	for j := range g.ackRes {
+		g.ackRes[j] = binary.LittleEndian.Uint64(buf[j*resultEntry:])
 	}
-	if op.Kind == kindCAS {
-		op.Results = make([]uint64, g.lay.groupSize)
-		for j := 0; j < g.lay.groupSize; j++ {
-			op.Results[j] = binary.LittleEndian.Uint64(buf[j*resultEntry:])
-		}
-	}
-	op.Sig.Fire(nil)
+	g.Complete(binary.LittleEndian.Uint64(buf[g.lay.resultsLen():]), g.ackRes)
 }
 
 // onClientSendCQEs resolves one-sided READs issued by the client.

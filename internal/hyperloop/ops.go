@@ -97,33 +97,14 @@ func (g *Group) buildBlock(buf []byte, i int, seq uint64, kind opKind, p opParam
 	return nil
 }
 
-// issue builds and transmits one group operation, returning its pending
-// handle. The caller awaits op.Sig.
-func (g *Group) issue(kind opKind, p opParams) (*protocol.Pending, error) {
-	if g.trk.Closed() {
-		return nil, ErrClosed
-	}
-	if !g.trk.HasWindow() {
-		return nil, ErrTooManyInFlight
-	}
-	if p.Off < 0 || p.Off+p.Size > g.cfg.MirrorSize {
-		return nil, fmt.Errorf("%w: range [%d,+%d) outside mirror", ErrBadArgument, p.Off, p.Size)
-	}
-	if kind == kindMemcpy && (p.Src < 0 || p.Src+p.Size > g.cfg.MirrorSize ||
-		p.Dst < 0 || p.Dst+p.Size > g.cfg.MirrorSize) {
-		return nil, fmt.Errorf("%w: memcpy range outside mirror", ErrBadArgument)
-	}
-	if kind == kindCAS && len(p.Exec) != g.lay.groupSize {
-		return nil, fmt.Errorf("%w: execute map must have %d entries", ErrBadArgument, g.lay.groupSize)
-	}
-	seq := g.trk.NextSeq()
-
-	// Build the full metadata message for hop 1.
+// Transmit is the chain's half of an issue (protocol.Strategy): it stages
+// the full metadata message for hop 1 and posts it to the head replica.
+func (g *Group) Transmit(seq uint64, kind opKind, p opParams) error {
 	msg := g.metaBuf
 	clear(msg)
 	for i := 1; i <= g.lay.groupSize; i++ {
 		if err := g.buildBlock(msg[(i-1)*descBlockSize:], i, seq, kind, p); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	hdr := msg[g.lay.groupSize*descBlockSize+g.lay.resultsLen():]
@@ -132,133 +113,30 @@ func (g *Group) issue(kind opKind, p opParams) (*protocol.Pending, error) {
 
 	metaAddr := g.metaOff + (seq%uint64(g.cfg.Depth))*uint64(g.lay.metaLen(1))
 	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
-		return nil, err
+		return err
 	}
+	return postToHead(g.qpHead, seq, kind, p, g.replicas[0].mirror.RKey, metaAddr, g.lay.metaLen(1))
+}
 
-	op := g.trk.Track(seq, kind)
-
-	// The client mirrors the operation on its own copy (§4.1: the client
-	// performs the memory operation in its own region and the replica NICs
-	// perform the same operation in theirs).
-	if err := protocol.ApplyLocal(g.client.Memory(), kind, p); err != nil {
-		return nil, err
-	}
-
-	// Transmit: data WRITE first (gWRITE only), then the metadata SEND.
-	// Reliable-connection FIFO guarantees the data lands before the
-	// receive completion that triggers the chain.
+// postToHead transmits one staged operation to the first member of a
+// chain or fan-out group: the data WRITE (gWRITE only), then the metadata
+// SEND. Reliable-connection FIFO guarantees the data lands before the
+// receive completion that triggers the member's chain.
+func postToHead(qp *rdma.QP, seq uint64, kind opKind, p opParams, mirrorRKey uint32, metaAddr uint64, metaLen int) error {
 	if kind == kindWrite {
-		if _, err := g.qpHead.PostSend(rdma.WQE{
+		if _, err := qp.PostSend(rdma.WQE{
 			Opcode: rdma.OpWrite, WRID: seq,
 			Local: uint64(p.Off), Len: uint64(p.Size),
-			Remote: uint64(p.Off), Aux1: g.replicas[0].mirror.RKey,
+			Remote: uint64(p.Off), Aux1: mirrorRKey,
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if _, err := g.qpHead.PostSend(rdma.WQE{
+	_, err := qp.PostSend(rdma.WQE{
 		Opcode: rdma.OpSend, WRID: seq,
-		Local: metaAddr, Len: uint64(g.lay.metaLen(1)),
-	}); err != nil {
-		return nil, err
-	}
-	g.trk.MarkIssued()
-	return op, nil
-}
-
-// WriteLocal stores data into the client's mirror; the usual pattern is
-// WriteLocal followed by Write to replicate the range.
-func (g *Group) WriteLocal(off int, data []byte) error {
-	if off < 0 || off+len(data) > g.cfg.MirrorSize {
-		return fmt.Errorf("%w: local write outside mirror", ErrBadArgument)
-	}
-	return g.client.Memory().Write(off, data)
-}
-
-// ReadLocal returns a copy of the client's mirror range.
-func (g *Group) ReadLocal(off, n int) ([]byte, error) {
-	if off < 0 || off+n > g.cfg.MirrorSize {
-		return nil, fmt.Errorf("%w: local read outside mirror", ErrBadArgument)
-	}
-	buf := make([]byte, n)
-	err := g.client.Memory().Read(off, buf)
-	return buf, err
-}
-
-// WriteAsync replicates [off, off+size) of the mirror to all replicas
-// (gWRITE), optionally flushing each replica's NVM (interleaved gFLUSH).
-// The returned signal fires when the tail's group ACK arrives.
-func (g *Group) WriteAsync(off, size int, durable bool) (*sim.Signal, error) {
-	op, err := g.issue(kindWrite, opParams{Off: off, Size: size, Durable: durable})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// retry runs an idempotent async issue function through the shared
-// tracker: await, re-issue on ErrTimeout up to MaxRetries extra attempts
-// with linear backoff. Only blocking forms of idempotent primitives use it.
-func (g *Group) retry(f *sim.Fiber, issue func() (*sim.Signal, error)) error {
-	return g.trk.Retry(f, issue)
-}
-
-// Write is the blocking form of WriteAsync. With MaxRetries > 0 a timed-out
-// write is re-issued (fresh sequence number) after linear backoff.
-func (g *Group) Write(f *sim.Fiber, off, size int, durable bool) error {
-	return g.retry(f, func() (*sim.Signal, error) {
-		return g.WriteAsync(off, size, durable)
+		Local: metaAddr, Len: uint64(metaLen),
 	})
-}
-
-// MemcpyAsync copies [src, src+size) to [dst, dst+size) locally on every
-// group member (gMEMCPY) — the NIC-offloaded log-execution step.
-func (g *Group) MemcpyAsync(src, dst, size int, durable bool) (*sim.Signal, error) {
-	op, err := g.issue(kindMemcpy, opParams{Src: src, Dst: dst, Size: size, Durable: durable})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// Memcpy is the blocking form of MemcpyAsync, with the same retry policy
-// as Write (gMEMCPY is idempotent).
-func (g *Group) Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error {
-	return g.retry(f, func() (*sim.Signal, error) {
-		return g.MemcpyAsync(src, dst, size, durable)
-	})
-}
-
-// CAS performs a group compare-and-swap (gCAS) of the 8-byte word at off
-// on every replica whose execute-map entry is true, returning the original
-// value observed at each replica. Entries for skipped replicas are the NOP
-// placeholder zero.
-func (g *Group) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error) {
-	op, err := g.issue(kindCAS, opParams{Off: off, Size: 8, Old: old, New: new, Exec: exec})
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Await(op.Sig); err != nil {
-		return nil, err
-	}
-	return op.Results, nil
-}
-
-// FlushAsync makes [off, off+size) durable on every member (gFLUSH).
-func (g *Group) FlushAsync(off, size int) (*sim.Signal, error) {
-	op, err := g.issue(kindFlush, opParams{Off: off, Size: size})
-	if err != nil {
-		return nil, err
-	}
-	return op.Sig, nil
-}
-
-// Flush is the blocking form of FlushAsync, with the same retry policy as
-// Write (gFLUSH is idempotent).
-func (g *Group) Flush(f *sim.Fiber, off, size int) error {
-	return g.retry(f, func() (*sim.Signal, error) {
-		return g.FlushAsync(off, size)
-	})
+	return err
 }
 
 // ReadHead performs a one-sided RDMA READ of the head replica's mirror
@@ -266,10 +144,10 @@ func (g *Group) Flush(f *sim.Fiber, off, size int) error {
 // the lock-free read path (§5, "lock-free one-sided reads from exactly one
 // replica").
 func (g *Group) ReadHead(f *sim.Fiber, remoteOff, localOff, size int) error {
-	if localOff < 0 || localOff+size > g.cfg.MirrorSize {
+	if localOff < 0 || size < 0 || localOff > g.cfg.MirrorSize-size {
 		return fmt.Errorf("%w: read buffer outside mirror", ErrBadArgument)
 	}
-	if g.trk.Closed() {
+	if g.Closed() {
 		return ErrClosed
 	}
 	g.nextWRID++

@@ -12,10 +12,10 @@ import (
 // the link returns. Dropping the re-arm would permanently shrink the
 // pre-posted window — enough crash/restart cycles and the group wedges
 // with every receive slot gone.
-func reArmAfter(k *sim.Kernel, trk *protocol.Tracker, nic *rdma.NIC, d sim.Duration, arm func()) {
+func reArmAfter(k *sim.Kernel, grp *protocol.Group, nic *rdma.NIC, d sim.Duration, arm func()) {
 	var fn func()
 	fn = func() {
-		if trk.Closed() {
+		if grp.Closed() {
 			return
 		}
 		if nic.Down() {

@@ -74,7 +74,7 @@ func (g *Group) installReArm(r *replica) {
 		for range batch {
 			seq := r.completed
 			r.completed++
-			reArmAfter(g.k, g.trk, r.nic, g.cfg.ReArmDelay, func() {
+			reArmAfter(g.k, g.Group, r.nic, g.cfg.ReArmDelay, func() {
 				_ = g.arm(r, seq+uint64(g.cfg.Depth))
 			})
 		}

@@ -13,7 +13,8 @@
 //   - ModePinned: the handler busy-polls on a dedicated core (best case;
 //     economically non-viable at scale, per §2.2).
 //
-// Group implements protocol.Protocol; ModeEvent is registered with the
-// protocol registry as "naive" at init. The other modes are selected
+// Group embeds the protocol.Group that drives it (so it is a
+// protocol.Protocol); ModeEvent is registered with the protocol registry
+// as "naive" at init. The other modes are selected
 // explicitly through Config by the experiments that compare them.
 package naive

@@ -169,9 +169,13 @@ type replica struct {
 	copyBuf []byte // memcpy bounce buffer
 }
 
-// Group is the Naive-RDMA replication chain. It implements
-// protocol.Protocol (registered as "naive", in ModeEvent).
+// Group is the Naive-RDMA replication chain. The embedded protocol.Group
+// is its protocol.Protocol surface (registered as "naive", in ModeEvent);
+// this type is that group's strategy and adds ReplicaHandlerCPU and the
+// NIC accessors.
 type Group struct {
+	*protocol.Group
+
 	fab *rdma.Fabric
 	k   *sim.Kernel
 	cfg Config
@@ -184,14 +188,12 @@ type Group struct {
 	metaOff  uint64
 	replicas []*replica
 
-	groupSize int
-	trk       *protocol.Tracker // window/seq/timeout/retry bookkeeping
-
-	ackBuf  []byte // onAck decode scratch, reused across ACKs
-	metaBuf []byte // issue's message build scratch; copied into client memory per op
+	ackBuf  []byte   // onAck decode scratch, reused across ACKs
+	ackRes  []uint64 // onAck result-map scratch; protocol.Group copies it
+	metaBuf []byte   // Transmit's message build scratch; copied into client memory per op
 }
 
-func (g *Group) msgLen() int { return headerSize + 8*g.groupSize }
+func (g *Group) msgLen() int { return headerSize + 8*g.GroupSize() }
 
 // Setup builds a naive chain. scheds[i] is the CPU scheduler of the
 // machine hosting replicas[i]; the replica's handler becomes one more
@@ -216,14 +218,21 @@ func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC,
 		cfg.Mode = ModeEvent
 	}
 	g := &Group{
-		fab:       fab,
-		k:         fab.Kernel(),
-		cfg:       cfg,
-		client:    client,
-		groupSize: len(replicas),
-		trk: protocol.NewTracker(fab.Kernel(), cfg.Depth,
-			cfg.OpTimeout, cfg.MaxRetries, cfg.RetryBackoff, ErrTimeout, ErrClosed),
+		fab:    fab,
+		k:      fab.Kernel(),
+		cfg:    cfg,
+		client: client,
+		ackRes: make([]uint64, len(replicas)),
 	}
+	g.Group = protocol.NewGroup(protocol.GroupConfig{
+		Kernel: fab.Kernel(), Mirror: client.Memory(),
+		GroupSize: len(replicas), MirrorSize: cfg.MirrorSize, Depth: cfg.Depth,
+		OpTimeout: cfg.OpTimeout, MaxRetries: cfg.MaxRetries, RetryBackoff: cfg.RetryBackoff,
+		Errors: protocol.Errors{
+			TooManyInFlight: ErrTooManyInFlight, Timeout: ErrTimeout,
+			BadArgument: ErrBadArgument, Closed: ErrClosed,
+		},
+	}, g)
 	g.metaBuf = make([]byte, g.msgLen())
 	if err := g.setupClient(); err != nil {
 		return nil, err
@@ -520,29 +529,16 @@ func (g *Group) onAck(e rdma.CQE) {
 	if err := g.client.Memory().Read(slotAddr, buf); err != nil {
 		return
 	}
-	h := decodeHeader(buf)
-	op := g.trk.Complete(h.seq)
-	if op == nil {
-		return
+	for j := range g.ackRes {
+		g.ackRes[j] = binary.LittleEndian.Uint64(buf[headerSize+j*8:])
 	}
-	if op.Kind == kindCAS {
-		op.Results = make([]uint64, len(g.replicas))
-		for j := range g.replicas {
-			op.Results[j] = binary.LittleEndian.Uint64(buf[headerSize+j*8:])
-		}
-	}
-	op.Sig.Fire(nil)
+	g.Complete(decodeHeader(buf).seq, g.ackRes)
 }
 
-// Close tears the chain down: in-flight operations fail with ErrClosed,
-// further issues are rejected, and the group's QPs are destroyed. The
-// replica handler processes stay registered with their schedulers but
-// receive no further work.
-func (g *Group) Close() {
-	if g.trk.Closed() {
-		return
-	}
-	g.trk.Close()
+// Teardown is the baseline's half of Close (protocol.Strategy): the
+// group's QPs are destroyed. The replica handler processes stay registered
+// with their schedulers but receive no further work.
+func (g *Group) Teardown() {
 	g.qpHead.Destroy()
 	g.qpAck.Destroy()
 	for _, r := range g.replicas {

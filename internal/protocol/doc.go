@@ -7,8 +7,9 @@
 // same group primitives: gWRITE, gCAS, gMEMCPY and gFLUSH, each in async
 // (Signal-returning) and blocking (Fiber-taking) form, plus local mirror
 // access, lifecycle (Close) and accounting (Stats, InFlight, Retried).
-// What differs per protocol is the dataflow between doorbell and
-// completion:
+// That surface, Protocol, is implemented once, by Group. What differs per
+// protocol is the dataflow between doorbell and completion, which is what
+// a Strategy supplies:
 //
 //   - chain ("chain", internal/hyperloop.Group): the paper's §4 topology.
 //     The op hops replica to replica through pre-posted WAIT-gated WQE
@@ -34,11 +35,14 @@
 // internal/naive (the root hyperloop package and internal/experiments
 // both do).
 //
-// The package also hosts the client-side bookkeeping every protocol
-// shares and that used to be duplicated per datapath: the Tracker
-// (sequence numbers, in-flight window, per-op timeout timers, retry
-// accounting, fail-all-on-Close) and ApplyLocal (mirroring an op on the
-// client's own copy, §4.1). Canonical sentinel errors live here too;
-// per-package errors wrap them via WrapErr so errors.Is matches across
-// protocols while each package keeps its historical error strings.
+// Group owns everything the primitives have in common: client mirror
+// access, argument validation, sequence numbers, the in-flight window,
+// per-op timeout timers, the retry loop, ApplyLocal (mirroring an op on
+// the client's own copy, §4.1), the counters and fail-all-then-tear-down
+// Close. It drives a Strategy of two methods — Transmit one (seq, kind,
+// Op), Teardown the QPs — and the strategy reports each group ACK through
+// Group.Complete. The concrete types embed *Group, so no protocol package
+// defines a Protocol method of its own. Canonical sentinel errors live
+// here too; per-package errors wrap them via WrapErr so errors.Is matches
+// across protocols while each package keeps its historical error strings.
 package protocol

@@ -1,0 +1,368 @@
+package protocol
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
+	"hyperloop/internal/nvm"
+	"hyperloop/internal/sim"
+)
+
+// OpKind distinguishes the four group primitives on the wire. The values
+// are the shared op encoding: every protocol's metadata header carries
+// them as a little-endian uint32.
+type OpKind uint32
+
+// The group primitives.
+const (
+	KindWrite OpKind = iota + 1
+	KindCAS
+	KindMemcpy
+	KindFlush
+)
+
+// Op carries one operation's arguments through validation, the
+// client-side local apply and the strategy's metadata building. gWRITE,
+// gFLUSH and gCAS use Off/Size (Size is 8 for gCAS); gMEMCPY uses
+// Src/Dst/Size.
+type Op struct {
+	Off, Size int
+	Src, Dst  int
+	Old, New  uint64
+	Exec      []bool
+	Durable   bool
+}
+
+// Strategy is the datapath half of a replication protocol: what differs
+// between chain, fan-out, broadcast and naive once the QPs exist. Group
+// calls it; nothing else should.
+type Strategy interface {
+	// Transmit builds op's metadata under seq and posts it. Group has
+	// already validated the arguments, armed the timeout and applied the
+	// op to the client's mirror; an error makes Group abort seq. When the
+	// group's ack for seq arrives the strategy calls Group.Complete.
+	Transmit(seq uint64, kind OpKind, op Op) error
+	// Teardown destroys every QP and CQ the strategy created. Group.Close
+	// calls it exactly once, after failing the in-flight operations.
+	Teardown()
+}
+
+// Errors are the owning package's sentinels (each wrapping the canonical
+// one via WrapErr), so a Group reports failures under the error strings
+// its protocol has always used.
+type Errors struct {
+	TooManyInFlight, Timeout, BadArgument, Closed error
+}
+
+// GroupConfig is everything a Group needs besides its strategy.
+type GroupConfig struct {
+	Kernel *sim.Kernel
+	Mirror *nvm.Device // the client's device; the mirror is [0, MirrorSize)
+	// GroupSize is the number of replicated members, which is also the
+	// length of a gCAS execute map.
+	GroupSize  int
+	MirrorSize int
+	// Depth is the number of pre-posted operation slots per member; the
+	// in-flight window is Depth-2.
+	Depth        int
+	OpTimeout    sim.Duration
+	MaxRetries   int
+	RetryBackoff sim.Duration
+	Errors       Errors
+}
+
+// pending is a client-issued operation awaiting its group ACK.
+type pending struct {
+	kind    OpKind
+	sig     *sim.Signal
+	results []uint64
+	timer   *sim.Timer
+}
+
+// Group is the one implementation of Protocol. It owns everything the
+// four primitives have in common — client mirror access, argument
+// validation, sequence numbers, the in-flight window, per-op timeout
+// timers, the retry loop, the local apply, the counters and Close — and
+// drives a Strategy for the rest. It schedules kernel events only when a
+// timeout is configured.
+type Group struct {
+	cfg      GroupConfig
+	strategy Strategy
+
+	nextSeq  uint64
+	inflight map[uint64]*pending
+
+	issued    int64
+	completed int64
+	retries   int64
+	closed    bool
+}
+
+// NewGroup builds a group over an already set-up strategy. Concrete
+// protocol types embed the result, which is how they satisfy Protocol.
+func NewGroup(cfg GroupConfig, s Strategy) *Group {
+	return &Group{cfg: cfg, strategy: s, inflight: make(map[uint64]*pending)}
+}
+
+// inMirror reports whether [off, off+size) lies inside the mirror; it
+// cannot overflow, and rejects negative offsets and sizes.
+func (g *Group) inMirror(off, size int) bool {
+	return off >= 0 && size >= 0 && off <= g.cfg.MirrorSize-size
+}
+
+// check validates an operation's arguments before a sequence number is
+// consumed.
+func (g *Group) check(kind OpKind, op Op) error {
+	switch {
+	case kind == KindMemcpy:
+		if !g.inMirror(op.Src, op.Size) || !g.inMirror(op.Dst, op.Size) {
+			return fmt.Errorf("%w: memcpy %d→%d (+%d) outside mirror", g.cfg.Errors.BadArgument, op.Src, op.Dst, op.Size)
+		}
+	case !g.inMirror(op.Off, op.Size):
+		return fmt.Errorf("%w: range [%d,+%d) outside mirror", g.cfg.Errors.BadArgument, op.Off, op.Size)
+	case kind == KindCAS && len(op.Exec) != g.cfg.GroupSize:
+		return fmt.Errorf("%w: execute map must have %d entries", g.cfg.Errors.BadArgument, g.cfg.GroupSize)
+	}
+	return nil
+}
+
+// issue is the single path every group operation takes to the wire:
+// closed → window → arguments → sequence number → timeout timer → local
+// apply → transmit. The timer is a kernel event, so it is armed before
+// the strategy rings any doorbell; that order is part of the
+// deterministic event stream.
+func (g *Group) issue(kind OpKind, op Op) (*pending, error) {
+	if g.closed {
+		return nil, g.cfg.Errors.Closed
+	}
+	// Two window slots stay reserved so the pre-armed chains for sequence
+	// seq+Depth are always re-armed before seq wraps onto their ring slots.
+	if len(g.inflight) >= g.cfg.Depth-2 {
+		return nil, g.cfg.Errors.TooManyInFlight
+	}
+	if err := g.check(kind, op); err != nil {
+		return nil, err
+	}
+	seq := g.nextSeq
+	g.nextSeq++
+	p := &pending{kind: kind, sig: sim.NewSignal()}
+	g.inflight[seq] = p
+	if g.cfg.OpTimeout > 0 {
+		p.timer = g.cfg.Kernel.After(g.cfg.OpTimeout, func() {
+			if _, ok := g.inflight[seq]; ok {
+				delete(g.inflight, seq)
+				p.sig.Fire(g.cfg.Errors.Timeout)
+			}
+		})
+	}
+	err := ApplyLocal(g.cfg.Mirror, kind, op)
+	if err == nil {
+		err = g.strategy.Transmit(seq, kind, op)
+	}
+	if err != nil {
+		g.resolve(seq) // free the window slot; nothing was counted
+		return nil, err
+	}
+	g.issued++
+	return p, nil
+}
+
+// resolve removes seq from the window and stops its timer, returning the
+// pending op, or nil when a timeout or Close already resolved it.
+func (g *Group) resolve(seq uint64) *pending {
+	p, ok := g.inflight[seq]
+	if !ok {
+		return nil
+	}
+	delete(g.inflight, seq)
+	if p.timer != nil {
+		p.timer.Stop()
+	}
+	return p
+}
+
+// Complete is the strategy's ack report: the group ACK (or ack quorum)
+// for seq arrived, with one original value per member for a gCAS. results
+// is copied, so the caller may reuse it; it is ignored for other kinds. A
+// late ack — after a timeout or Close resolved the op — is dropped.
+func (g *Group) Complete(seq uint64, results []uint64) {
+	p := g.resolve(seq)
+	if p == nil {
+		return
+	}
+	g.completed++
+	if p.kind == KindCAS {
+		p.results = append([]uint64(nil), results...)
+	}
+	p.sig.Fire(nil)
+}
+
+// await issues an idempotent operation and waits for it, re-issuing under
+// a fresh sequence number on timeout up to MaxRetries extra attempts with
+// linear backoff.
+func (g *Group) await(f *sim.Fiber, kind OpKind, op Op) error {
+	for attempt := 0; ; attempt++ {
+		p, err := g.issue(kind, op)
+		if err == nil {
+			err = f.Await(p.sig)
+		}
+		if err == nil || !errors.Is(err, g.cfg.Errors.Timeout) || attempt >= g.cfg.MaxRetries {
+			return err
+		}
+		g.retries++
+		if g.cfg.RetryBackoff > 0 {
+			f.Sleep(g.cfg.RetryBackoff * sim.Duration(attempt+1))
+		}
+	}
+}
+
+func (g *Group) async(kind OpKind, op Op) (*sim.Signal, error) {
+	p, err := g.issue(kind, op)
+	if err != nil {
+		return nil, err
+	}
+	return p.sig, nil
+}
+
+// WriteLocal stores data into the client's mirror; the usual pattern is
+// WriteLocal followed by Write to replicate the range.
+func (g *Group) WriteLocal(off int, data []byte) error {
+	if !g.inMirror(off, len(data)) {
+		return fmt.Errorf("%w: local write outside mirror", g.cfg.Errors.BadArgument)
+	}
+	return g.cfg.Mirror.Write(off, data)
+}
+
+// ReadLocal returns a copy of the client's mirror range.
+func (g *Group) ReadLocal(off, n int) ([]byte, error) {
+	if !g.inMirror(off, n) {
+		return nil, fmt.Errorf("%w: local read outside mirror", g.cfg.Errors.BadArgument)
+	}
+	buf := make([]byte, n)
+	err := g.cfg.Mirror.Read(off, buf)
+	return buf, err
+}
+
+// WriteAsync replicates [off, off+size) of the mirror to every member
+// (gWRITE), optionally durable on each. The signal fires on the group ACK.
+func (g *Group) WriteAsync(off, size int, durable bool) (*sim.Signal, error) {
+	return g.async(KindWrite, Op{Off: off, Size: size, Durable: durable})
+}
+
+// Write is the blocking form of WriteAsync. With MaxRetries > 0 a
+// timed-out write is re-issued under a fresh sequence number.
+func (g *Group) Write(f *sim.Fiber, off, size int, durable bool) error {
+	return g.await(f, KindWrite, Op{Off: off, Size: size, Durable: durable})
+}
+
+// MemcpyAsync copies [src, src+size) to [dst, dst+size) locally on every
+// member (gMEMCPY) — the log-execution step.
+func (g *Group) MemcpyAsync(src, dst, size int, durable bool) (*sim.Signal, error) {
+	return g.async(KindMemcpy, Op{Src: src, Dst: dst, Size: size, Durable: durable})
+}
+
+// Memcpy is the blocking form of MemcpyAsync, with Write's retry policy
+// (gMEMCPY is idempotent).
+func (g *Group) Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error {
+	return g.await(f, KindMemcpy, Op{Src: src, Dst: dst, Size: size, Durable: durable})
+}
+
+// CAS performs a group compare-and-swap (gCAS) of the 8-byte word at off
+// on every member whose execute-map entry is true, returning the original
+// value observed at each; entries for skipped members are zero. gCAS is
+// never retried.
+func (g *Group) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error) {
+	p, err := g.issue(KindCAS, Op{Off: off, Size: 8, Old: old, New: new, Exec: exec})
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Await(p.sig); err != nil {
+		return nil, err
+	}
+	return p.results, nil
+}
+
+// FlushAsync makes [off, off+size) durable on every member (gFLUSH).
+func (g *Group) FlushAsync(off, size int) (*sim.Signal, error) {
+	return g.async(KindFlush, Op{Off: off, Size: size})
+}
+
+// Flush is the blocking form of FlushAsync, with Write's retry policy
+// (gFLUSH is idempotent).
+func (g *Group) Flush(f *sim.Fiber, off, size int) error {
+	return g.await(f, KindFlush, Op{Off: off, Size: size})
+}
+
+// GroupSize returns the number of replicated members.
+func (g *Group) GroupSize() int { return g.cfg.GroupSize }
+
+// InFlight returns operations awaiting their group ACK.
+func (g *Group) InFlight() int { return len(g.inflight) }
+
+// Stats reports operations issued and completed.
+func (g *Group) Stats() (issued, completed int64) { return g.issued, g.completed }
+
+// Retried reports timed-out operations re-issued by the blocking paths.
+func (g *Group) Retried() int64 { return g.retries }
+
+// Closed reports whether Close ran. Strategies check it in control-path
+// callbacks (chain re-arm) that can fire after teardown.
+func (g *Group) Closed() bool { return g.closed }
+
+// Close fails every in-flight operation with the closed sentinel, rejects
+// further issues and has the strategy destroy its QPs and CQs. Safe to
+// call twice.
+func (g *Group) Close() {
+	if g.closed {
+		return
+	}
+	g.closed = true
+	for seq := range g.inflight {
+		g.resolve(seq).sig.Fire(g.cfg.Errors.Closed)
+	}
+	g.strategy.Teardown()
+}
+
+// ApplyLocal mirrors an operation on the client's own copy, exactly as
+// §4.1 prescribes: the client performs the memory operation in its own
+// region while the replica NICs (or CPUs) perform the same operation in
+// theirs. Durability of the client's copy is the client CPU's job.
+func ApplyLocal(mem *nvm.Device, kind OpKind, p Op) error {
+	switch kind {
+	case KindWrite, KindFlush:
+		if p.Durable || kind == KindFlush {
+			if _, err := mem.Flush(p.Off, p.Size); err != nil {
+				return err
+			}
+		}
+	case KindMemcpy:
+		// Device.Write copies with memmove semantics, so the source view
+		// may overlap the destination.
+		data, err := mem.Slice(p.Src, p.Size)
+		if err != nil {
+			return err
+		}
+		if err := mem.Write(p.Dst, data); err != nil {
+			return err
+		}
+		if p.Durable {
+			if _, err := mem.Flush(p.Dst, p.Size); err != nil {
+				return err
+			}
+		}
+	case KindCAS:
+		cur, err := mem.Slice(p.Off, 8)
+		if err != nil {
+			return err
+		}
+		if binary.LittleEndian.Uint64(cur) == p.Old {
+			var nb [8]byte
+			binary.LittleEndian.PutUint64(nb[:], p.New)
+			if err := mem.Write(p.Off, nb[:]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}

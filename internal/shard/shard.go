@@ -118,8 +118,7 @@ func (c Config) MirrorSize() int {
 }
 
 // Backend is the replication group one shard runs on: the txn.Replicator
-// surface plus teardown. *hyperloop.Group and every internal/protocol
-// strategy satisfy it.
+// surface plus teardown. Every protocol.Protocol satisfies it.
 type Backend interface {
 	txn.Replicator
 	Close()

@@ -27,7 +27,7 @@ import (
 
 // Commit-record framing inside a slot.
 const (
-	clMagic   = 0x484C4350  // "HLCP": HyperLoop commit point
+	clMagic   = 0x484C4350    // "HLCP": HyperLoop commit point
 	clHeader  = 4 + 8 + 8 + 4 // magic, txnID, lock token, shard count
 	clTrailer = 4             // crc32 over header + shard IDs
 )

@@ -19,8 +19,9 @@ import (
 	"hyperloop/internal/wal"
 )
 
-// Replicator is the group-primitive surface the transaction layer needs.
-// Both hyperloop.Group and naive.Group satisfy it.
+// Replicator is the group-primitive surface the transaction layer needs:
+// the blocking half of protocol.Protocol, which protocol.Group — and so
+// every registered replication protocol — provides.
 type Replicator interface {
 	GroupSize() int
 	WriteLocal(off int, data []byte) error
