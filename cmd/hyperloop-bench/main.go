@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,25 +19,6 @@ import (
 	"hyperloop/internal/experiments"
 	"hyperloop/internal/report"
 )
-
-// loadCostHints reads a previous -json report and returns each
-// experiment's wall_ms as a scheduling cost hint. The decode is lenient: a
-// report from another schema version still carries usable wall times.
-func loadCostHints(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep report.BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, err
-	}
-	hints := make(map[string]float64, len(rep.Experiments))
-	for _, e := range rep.Experiments {
-		hints[e.ID] = e.WallMS
-	}
-	return hints, nil
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -57,7 +37,6 @@ func run(args []string) error {
 		procs = fs.Int("procs", 0, "concurrent trials across all experiments (0 = GOMAXPROCS); results are identical at any setting")
 		jsonP = fs.String("json", "", "write machine-readable perf stats to this file ('-' = stdout)")
 		prof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
-		costs = fs.String("costs", "BENCH_baseline.json", "JSON report whose wall_ms seeds the critical-path-first schedule ('' = none; a missing file is ignored)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,13 +64,6 @@ func run(args []string) error {
 	}
 	prev := experiments.SetParallelism(*procs)
 	defer experiments.SetParallelism(prev)
-	if *costs != "" {
-		if hints, err := loadCostHints(*costs); err == nil {
-			defer experiments.SetCostHints(experiments.SetCostHints(hints))
-		} else if !os.IsNotExist(err) {
-			return fmt.Errorf("-costs %s: %w", *costs, err)
-		}
-	}
 
 	ids := []string{*exp}
 	if *exp == "all" {

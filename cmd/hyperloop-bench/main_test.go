@@ -52,9 +52,13 @@ func TestStrayArguments(t *testing.T) {
 			t.Errorf("run(%q) = %v, want an unexpected-argument error", args, err)
 		}
 	}
-	err := run([]string{"-exp", "table3", "-no-such-flag", "off"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("undefined flag: got %v, want \"flag provided but not defined\"", err)
+	for _, args := range [][]string{
+		{"-exp", "table3", "-no-such-flag", "off"},
+		{"-exp", "table3", "-costs", "x"}, // removed with the cost-hint scheduler
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%q) = %v, want \"flag provided but not defined\"", args, err)
+		}
 	}
 }
 

@@ -142,11 +142,20 @@ func run(args []string, out io.Writer) error {
 		valSize  = fs.Int("value", 1024, "value size in bytes")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		replicas = fs.Int("replicas", 3, "replica chain length")
-		load     = fs.Bool("load", true, "apply multi-tenant CPU load on replicas")
+		load     = fs.Bool("load", true, "apply multi-tenant CPU load on replicas (ignored when -shards > 1)")
 		shards   = fs.Int("shards", 1, "partition the keyspace across N independent replication groups (>1 routes ops through the shard router; -db is ignored)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (flags must precede it; a boolean flag takes its value as -load=false)", fs.Arg(0))
+	}
+	if *shards < 1 {
+		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
+	}
+	if *replicas < 1 {
+		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
 	}
 
 	w, err := ycsb.ByName(*workload)

@@ -16,6 +16,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad db", []string{"-db", "graph"}, `unknown -db "graph"`},
 		{"bad backend", []string{"-backend", "tcp"}, `unknown backend "tcp"`},
 		{"bad workload", []string{"-workload", "Z"}, "unknown workload"},
+		// Go's flag package stops at the first non-flag, so "-load false"
+		// would silently drop -backend and everything after it.
+		{"stray bool value", []string{"-load", "false", "-backend", "naive-event"}, `unexpected argument "false"`},
+		{"stray word", []string{"kv", "-workload", "B"}, `unexpected argument "kv"`},
+		{"zero shards", []string{"-shards", "0"}, "-shards must be >= 1"},
+		{"negative shards", []string{"-shards", "-4"}, "-shards must be >= 1"},
+		{"zero replicas", []string{"-replicas", "0"}, "-replicas must be >= 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

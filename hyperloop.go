@@ -181,15 +181,19 @@ func (c *Cluster) NewNaiveGroup(mirrorSize int, mode NaiveMode) (*NaiveGroup, er
 // Run spawns fn as a fiber, drives the simulation until fn returns (or the
 // horizon passes), and returns fn's error. It is the main entry point for
 // programs using the library.
-func (c *Cluster) Run(fn func(f *Fiber) error) error {
+func (c *Cluster) Run(fn func(f *Fiber) error) error { return runMain(c.kernel, fn) }
+
+// runMain spawns fn as the "main" fiber on k and drives the simulation
+// until fn returns or the one-hour virtual horizon passes.
+func runMain(k *sim.Kernel, fn func(f *Fiber) error) error {
 	var fnErr error
 	done := false
-	c.kernel.Spawn("main", func(f *sim.Fiber) {
+	k.Spawn("main", func(f *sim.Fiber) {
 		fnErr = fn(f)
 		done = true
-		c.kernel.StopRun()
+		k.StopRun()
 	})
-	err := c.kernel.RunUntil(c.kernel.Now().Add(3600 * sim.Second))
+	err := k.RunUntil(k.Now().Add(3600 * sim.Second))
 	if errors.Is(err, sim.ErrStopped) {
 		err = nil
 	}

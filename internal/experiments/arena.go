@@ -2,25 +2,11 @@ package experiments
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"hyperloop/internal/nvm"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
-
-// poolingOff disables trial-state reuse; the golden determinism test flips
-// it to prove pooled and fresh lifecycles produce byte-identical reports.
-var poolingOff atomic.Bool
-
-// SetDevicePooling enables or disables reuse of devices, kernels, and
-// whole fabrics (with their NIC structs and payload pools) across trials,
-// returning the previous setting. Pooling is wall-clock/GC-pressure only:
-// virtual-time results are byte-identical either way (asserted by
-// TestPooledVsFreshIdentical).
-func SetDevicePooling(on bool) bool {
-	return !poolingOff.Swap(!on)
-}
 
 // trialArena owns the reusable simulation state of one trial: pooled NVM
 // devices (reset to their written ranges only, not reallocated), pooled
@@ -39,11 +25,6 @@ type trialArena struct {
 	kernels []*sim.Kernel
 	fabrics []*rdma.Fabric
 
-	kernelGets, kernelPuts    int64
-	kernelFresh, kernelReused int64
-	kernelDropped             int64 // released with live fibers; not pooled
-	fabricFresh, fabricReused int64
-
 	trialDevs    []*nvm.Device
 	trialKernels []*sim.Kernel
 	trialFabrics []*rdma.Fabric
@@ -57,31 +38,24 @@ type trialArena struct {
 
 // kernel returns a kernel seeded like sim.NewKernel(seed), pooled when
 // possible. Safe on a nil arena (always fresh) so helpers outside the
-// worker pool keep working; a nil arena's kernels go unattributed.
+// worker pool keep working; a nil arena's kernels go unattributed. The
+// nil arena is also the fresh reference TestPooledVsFreshIdentical
+// compares the pooled lifecycle against.
 func (a *trialArena) kernel(seed uint64) *sim.Kernel {
 	if a == nil {
 		return sim.NewKernel(seed)
 	}
 	a.trial.KernelGets++
-	if poolingOff.Load() {
-		a.trial.KernelFresh++
-		k := sim.NewKernel(seed)
-		a.trialKernels = append(a.trialKernels, k)
-		return k
-	}
-	a.kernelGets++
 	for n := len(a.kernels); n > 0; n = len(a.kernels) {
 		k := a.kernels[n-1]
 		a.kernels[n-1] = nil
 		a.kernels = a.kernels[:n-1]
 		if k.Reset(seed) {
-			a.kernelReused++
 			a.trial.KernelReused++
 			a.trialKernels = append(a.trialKernels, k)
 			return k
 		}
 	}
-	a.kernelFresh++
 	a.trial.KernelFresh++
 	k := sim.NewKernel(seed)
 	a.trialKernels = append(a.trialKernels, k)
@@ -90,7 +64,7 @@ func (a *trialArena) kernel(seed uint64) *sim.Kernel {
 
 // device returns a zeroed device, pooled by size when possible.
 func (a *trialArena) device(name string, size int) *nvm.Device {
-	if a == nil || poolingOff.Load() {
+	if a == nil {
 		return nvm.NewDevice(name, size)
 	}
 	d := a.devices.Get(name, size)
@@ -105,22 +79,15 @@ func (a *trialArena) fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric {
 		return rdma.NewFabric(k, cfg)
 	}
 	a.trial.FabricBuilds++
-	if poolingOff.Load() {
-		fab := rdma.NewFabric(k, cfg)
-		a.trialFabrics = append(a.trialFabrics, fab)
-		return fab
-	}
 	var fab *rdma.Fabric
 	if n := len(a.fabrics); n > 0 {
 		fab = a.fabrics[n-1]
 		a.fabrics[n-1] = nil
 		a.fabrics = a.fabrics[:n-1]
 		fab.Reset(k, cfg)
-		a.fabricReused++
 		a.trial.FabricReused++
 	} else {
 		fab = rdma.NewFabric(k, cfg)
-		a.fabricFresh++
 	}
 	a.trialFabrics = append(a.trialFabrics, fab)
 	return fab
@@ -141,13 +108,8 @@ func (a *trialArena) endTrial(rc *runCtx) {
 	a.trial = StatSink{}
 	for i, k := range a.trialKernels {
 		t.SimEvents += k.Executed()
-		if !poolingOff.Load() {
-			a.kernelPuts++
-			if k.LiveFibers() == 0 {
-				a.kernels = append(a.kernels, k)
-			} else {
-				a.kernelDropped++
-			}
+		if k.LiveFibers() == 0 { // a kernel with live fibers cannot Reset; drop it
+			a.kernels = append(a.kernels, k)
 		}
 		a.trialKernels[i] = nil
 	}
@@ -157,9 +119,7 @@ func (a *trialArena) endTrial(rc *runCtx) {
 		t.Messages += msgs
 		t.WireBytes += bytes
 		t.CQEs += f.CQEs()
-		if !poolingOff.Load() {
-			a.fabrics = append(a.fabrics, f)
-		}
+		a.fabrics = append(a.fabrics, f)
 		a.trialFabrics[i] = nil
 	}
 	a.trialFabrics = a.trialFabrics[:0]
@@ -223,60 +183,4 @@ func withArena(rc *runCtx, fn func(ar *trialArena) error) error {
 	ar := acquireArena()
 	defer releaseArena(ar, rc)
 	return fn(ar)
-}
-
-// ArenaStats aggregates trial-arena counters across all workers; the
-// deltas make the pooling win observable (device_bytes_zeroed vs
-// device_bytes_demand). Per-experiment attribution does not use these
-// process-wide sums — each run's StatSink carries its own counters.
-type ArenaStats struct {
-	DeviceGets   int64 // devices acquired by trials
-	DevicePuts   int64 // devices released back (Gets-Puts = leaked)
-	DeviceFresh  int64 // acquisitions served by a new allocation
-	DeviceReused int64 // acquisitions served from a pool
-	DeviceIdle   int64 // devices sitting in pools right now
-
-	// DeviceBytesZeroed is the zeroing actually performed (full images on
-	// fresh allocation, written ranges only on reuse); DeviceBytesDemand
-	// is what allocating fresh per trial would have zeroed.
-	DeviceBytesZeroed int64
-	DeviceBytesDemand int64
-
-	KernelGets   int64
-	KernelPuts   int64
-	KernelFresh  int64
-	KernelReused int64
-	KernelIdle   int64
-
-	FabricFresh  int64
-	FabricReused int64
-	FabricIdle   int64
-}
-
-// Stats sums arena counters across all workers. Call it only while no
-// experiment is running (the counters are unsynchronized within a
-// worker); tests sample it between runs.
-func Stats() ArenaStats {
-	arenas.mu.Lock()
-	defer arenas.mu.Unlock()
-	var s ArenaStats
-	for _, a := range arenas.all {
-		ds := a.devices.Stats()
-		s.DeviceGets += ds.Gets
-		s.DevicePuts += ds.Puts
-		s.DeviceFresh += ds.Fresh
-		s.DeviceReused += ds.Reused
-		s.DeviceIdle += int64(a.devices.Idle())
-		s.DeviceBytesZeroed += ds.BytesZeroed
-		s.DeviceBytesDemand += ds.BytesDemand
-		s.KernelGets += a.kernelGets
-		s.KernelPuts += a.kernelPuts
-		s.KernelFresh += a.kernelFresh
-		s.KernelReused += a.kernelReused
-		s.KernelIdle += int64(len(a.kernels))
-		s.FabricFresh += a.fabricFresh
-		s.FabricReused += a.fabricReused
-		s.FabricIdle += int64(len(a.fabrics))
-	}
-	return s
 }

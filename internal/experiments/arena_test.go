@@ -3,79 +3,75 @@ package experiments
 import (
 	"testing"
 
+	"hyperloop/internal/metrics"
 	"hyperloop/internal/nvm"
 )
 
-// TestPooledVsFreshIdentical is the tentpole's golden test: trial-state
-// pooling (devices, kernels, fabric buffer pools) must never move a
-// virtual-time number. fig8a runs with pooling on and off, serially and
-// on a parallel worker pool, and every report must be byte-identical.
+// TestPooledVsFreshIdentical is the arena's golden test: the pooled trial
+// lifecycle (devices, kernels, whole fabrics) must never move a
+// virtual-time number. fig8a's trial function runs on the nil arena —
+// everything allocated fresh, the reference — on a cold arena, and on an
+// arena warmed by every earlier trial of every backend, and the latency
+// summaries must be equal.
 func TestPooledVsFreshIdentical(t *testing.T) {
-	const seed = 42
-	prevProcs := Parallelism()
-	defer SetParallelism(prevProcs)
-	defer SetDevicePooling(SetDevicePooling(true))
-
-	for _, procs := range []int{1, 8} {
-		SetParallelism(procs)
-
-		SetDevicePooling(true)
-		pooled, err := Run("fig8a", seed, Quick)
-		if err != nil {
-			t.Fatalf("procs=%d pooled: %v", procs, err)
+	const seed, ops = 42, 300
+	backends := []Backend{BackendHyperLoop, BackendNaiveEvent, BackendNaivePolling, BackendNaivePinned}
+	warm := &trialArena{}
+	var warmRun runCtx
+	for _, b := range backends {
+		for _, size := range []int{128, 1024, 8192} {
+			trial := func(ar *trialArena, rc *runCtx) metrics.Summary {
+				h, err := latencyTrial(ar, seed, b, 3, ops, size, writeIssue)
+				if err != nil {
+					t.Fatalf("%v size %d: %v", b, size, err)
+				}
+				ar.endTrial(rc)
+				return h.Summarize()
+			}
+			fresh := trial(nil, nil)
+			if fresh.Count != ops {
+				t.Fatalf("%v size %d: %d samples, want %d", b, size, fresh.Count, ops)
+			}
+			if cold := trial(&trialArena{}, nil); cold != fresh {
+				t.Errorf("%v size %d: cold arena differs from fresh:\ncold:  %v\nfresh: %v", b, size, cold, fresh)
+			}
+			if w := trial(warm, &warmRun); w != fresh {
+				t.Errorf("%v size %d: warm arena differs from fresh:\nwarm:  %v\nfresh: %v", b, size, w, fresh)
+			}
 		}
-		// Run pooled again so the second pass actually reuses state the
-		// first pass pooled — the path a fresh-pool run can't exercise.
-		pooledWarm, err := Run("fig8a", seed, Quick)
-		if err != nil {
-			t.Fatalf("procs=%d pooled warm: %v", procs, err)
-		}
-
-		SetDevicePooling(false)
-		fresh, err := Run("fig8a", seed, Quick)
-		if err != nil {
-			t.Fatalf("procs=%d fresh: %v", procs, err)
-		}
-
-		if p, f := pooled.String(), fresh.String(); p != f {
-			t.Errorf("procs=%d: pooled report differs from fresh:\n--- pooled ---\n%s\n--- fresh ---\n%s", procs, p, f)
-		}
-		if w, f := pooledWarm.String(), fresh.String(); w != f {
-			t.Errorf("procs=%d: warm pooled report differs from fresh:\n--- pooled(warm) ---\n%s\n--- fresh ---\n%s", procs, w, f)
-		}
+	}
+	// The warm arena must really have served from its pools, or the test
+	// compared fresh with fresh.
+	if s := warmRun.stats(); s.KernelReused == 0 || s.DeviceReused == 0 || s.FabricReused == 0 {
+		t.Fatalf("warm arena reused nothing: %+v", s)
 	}
 }
 
-// TestArenaStatsShowReuse pins the acceptance criterion for the PR: with
-// pooling on, a fig8a run reuses most devices and performs less than half
-// the setup zeroing that per-trial fresh allocation would (the dirty-range
+// TestStatSinkShowsReuse pins what pooling buys: once the pools are warm,
+// a fig8a run reuses devices and kernels and performs less than half the
+// setup zeroing that per-trial fresh allocation would (the dirty-range
 // reset only pays for bytes a trial actually wrote).
-func TestArenaStatsShowReuse(t *testing.T) {
+func TestStatSinkShowsReuse(t *testing.T) {
 	prevProcs := SetParallelism(1)
 	defer SetParallelism(prevProcs)
-	defer SetDevicePooling(SetDevicePooling(true))
-	SetDevicePooling(true)
 
-	before := Stats()
-	if _, err := Run("fig8a", 1, Quick); err != nil {
+	if _, err := Run("fig8a", 1, Quick); err != nil { // warm-up
 		t.Fatal(err)
 	}
-	after := Stats()
-
-	reused := after.DeviceReused - before.DeviceReused
-	gets := after.DeviceGets - before.DeviceGets
-	zeroed := after.DeviceBytesZeroed - before.DeviceBytesZeroed
-	demand := after.DeviceBytesDemand - before.DeviceBytesDemand
-	if gets == 0 {
+	_, s, err := RunStats("fig8a", 1, Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.DeviceGets == 0 {
 		t.Fatal("no device acquisitions recorded")
 	}
-	if reused == 0 {
-		t.Fatalf("no devices reused across %d acquisitions", gets)
+	if s.DeviceReused == 0 {
+		t.Fatalf("no devices reused across %d acquisitions", s.DeviceGets)
 	}
-	if zeroed >= demand/2 {
-		t.Fatalf("device zeroing = %d of %d demanded bytes; want < 50%%", zeroed, demand)
+	if s.DeviceBytesZeroed >= s.DeviceBytesDemand/2 {
+		t.Fatalf("device zeroing = %d of %d demanded bytes; want < 50%%", s.DeviceBytesZeroed, s.DeviceBytesDemand)
 	}
-	if kr := after.KernelReused - before.KernelReused; kr == 0 {
+	if s.KernelReused == 0 {
 		t.Fatal("no kernels reused")
 	}
 }
@@ -91,8 +87,6 @@ func TestArenaNoLeaks(t *testing.T) {
 	}
 	prevProcs := SetParallelism(1)
 	defer SetParallelism(prevProcs)
-	defer SetDevicePooling(SetDevicePooling(true))
-	SetDevicePooling(true)
 
 	runAll := func() {
 		for _, name := range Names() {

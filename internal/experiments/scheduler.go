@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -19,8 +18,7 @@ type Result struct {
 	Wall   time.Duration
 }
 
-// RunAll executes the named experiments under the two-level, work-stealing
-// scheduler.
+// RunAll executes the named experiments under the two-level scheduler.
 //
 // Level one dispatches experiments; level two is the per-experiment trial
 // worker pool (forEach). Both levels share one trial budget: Parallelism()
@@ -28,24 +26,15 @@ type Result struct {
 // experiments are open at once. With a budget of one the dispatcher
 // degrades to the classic serial schedule — experiments strictly one after
 // another, in ids order — which is also the mode the committed baseline is
-// generated in.
-//
-// The overlapped schedule is critical-path-first. When cost hints are
-// installed (SetCostHints, fed from a previous run's wall_ms), experiments
-// launch in LPT order — longest estimated wall first — so the heavy
-// hitters never end up as lone stragglers; and every slot freed by a
-// finishing trial is stolen by the waiting trial of the costliest open
-// experiment (prioSem), keeping the budget concentrated on the makespan's
-// critical path. Without hints all costs are zero and the schedule reduces
-// to ids-order launch with FIFO slot grants.
+// generated in. Otherwise every experiment launches at once, in ids order,
+// and a slot freed by a finishing trial goes to whichever trial is waiting.
 //
 // Overlap is safe precisely because stat attribution is local: every
 // trial's kernel and fabric counters land in the owning experiment's
 // StatSink at endTrial, so each Result reads byte-identical to a serial
-// run (TestOverlappedVsSerialIdentical) — with or without cost hints.
-// Only wall time changes: trials from later experiments fill the slots
-// that an almost-finished experiment's stragglers would otherwise leave
-// idle.
+// run (TestOverlappedVsSerialIdentical). Only wall time changes: trials
+// from later experiments fill the slots that an almost-finished
+// experiment's stragglers would otherwise leave idle.
 //
 // On failure RunAll returns the error of the earliest experiment in ids
 // order, mirroring forEach's lowest-index rule, so error reporting is
@@ -72,16 +61,14 @@ func RunAll(ids []string, seed uint64, scale Scale) ([]Result, error) {
 		return results, nil
 	}
 
-	hints := snapshotCostHints()
-	order := lptOrder(ids, hints)
-	sem := newPrioSem(budget)
+	sem := make(chan struct{}, budget)
 	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
 	wg.Add(len(ids))
-	for _, i := range order {
+	for i := range ids {
 		go func(i int) {
 			defer wg.Done()
-			rc := &runCtx{sem: sem, prio: hints[ids[i]]}
+			rc := &runCtx{sem: sem}
 			start := time.Now()
 			rep, err := runWith(rc, ids[i], seed, scale)
 			errs[i] = err
@@ -95,19 +82,4 @@ func RunAll(ids []string, seed uint64, scale Scale) ([]Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// lptOrder returns the indices of ids sorted by descending cost hint
-// (longest processing time first), stable so unhinted runs keep ids order.
-func lptOrder(ids []string, hints map[string]float64) []int {
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	if len(hints) > 0 {
-		sort.SliceStable(order, func(a, b int) bool {
-			return hints[ids[order[a]]] > hints[ids[order[b]]]
-		})
-	}
-	return order
 }

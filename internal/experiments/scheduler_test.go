@@ -73,6 +73,38 @@ func TestOverlappedVsSerialIdentical(t *testing.T) {
 	}
 }
 
+// TestRunAllSharesOneBudget pins the property the shared semaphore exists
+// for: however many experiments are open, in-flight trials — and so the
+// arenas ever checked out at once — never exceed the budget. Starting from
+// an empty arena pool, three overlapped multi-trial experiments at budget
+// 2 may create at most 2 arenas, and results come back in ids order.
+func TestRunAllSharesOneBudget(t *testing.T) {
+	prev := SetParallelism(2)
+	defer SetParallelism(prev)
+	arenas.mu.Lock()
+	arenas.free, arenas.all = nil, nil
+	arenas.mu.Unlock()
+
+	ids := []string{"fig8b", "table2", "abl-depth"}
+	res, err := RunAll(ids, 1, Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.ID != ids[i] {
+			t.Errorf("result %d is %s, want %s (ids order)", i, r.ID, ids[i])
+		}
+	}
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	if n := len(arenas.all); n < 1 || n > 2 {
+		t.Fatalf("%d arenas created under a budget of 2", n)
+	}
+	if len(arenas.free) != len(arenas.all) {
+		t.Fatalf("%d of %d arenas still checked out after RunAll", len(arenas.all)-len(arenas.free), len(arenas.all))
+	}
+}
+
 // TestRunAllUnknownID checks that a typo fails fast, before any
 // experiment starts.
 func TestRunAllUnknownID(t *testing.T) {

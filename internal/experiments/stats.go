@@ -10,12 +10,12 @@ import "sync"
 // never scramble each other's numbers — each sink reads the same as it
 // would had its experiment run alone (TestStatAttributionOverlapped).
 //
-// Deterministic fields — identical at any parallelism, any overlap, and
-// with pooling on or off: SimEvents, CQEs, Messages, WireBytes, and the
-// demand-side arena counters (DeviceGets, DevicePuts, DeviceBytesDemand,
-// KernelGets, FabricBuilds). Supply-side splits (Fresh vs Reused,
-// BytesZeroed) depend on which worker's pools happened to be warm, so
-// they are advisory; only the totals they split are pinned.
+// Deterministic fields — identical at any parallelism and any overlap:
+// SimEvents, CQEs, Messages, WireBytes, and the demand-side arena counters
+// (DeviceGets, DevicePuts, DeviceBytesDemand, KernelGets, FabricBuilds).
+// Supply-side splits (Fresh vs Reused, BytesZeroed) depend on which
+// worker's pools happened to be warm, so they are advisory; only the
+// totals they split are pinned.
 type StatSink struct {
 	// SimEvents counts simulation events executed by the run's trial
 	// kernels; CQEs, Messages and WireBytes are the trial fabrics' totals.
@@ -73,12 +73,9 @@ type runCtx struct {
 	// sem is the cross-experiment trial budget: a worker holds one slot
 	// for the duration of each trial, so the total number of in-flight
 	// trials across every overlapped experiment never exceeds the -procs
-	// setting. Slots are granted critical-path-first: a freed slot goes to
-	// the waiting trial of the costliest experiment (prio, from the
-	// installed cost hints). nil means the run is not sharing a budget and
-	// forEach's own worker bound (Parallelism) is the only limit.
-	sem  *prioSem
-	prio float64
+	// setting. nil means the run is not sharing a budget and forEach's own
+	// worker bound (Parallelism) is the only limit.
+	sem chan struct{}
 }
 
 // addTrial folds one finished trial's counters into the run's sink.
@@ -102,18 +99,16 @@ func (rc *runCtx) stats() StatSink {
 	return rc.sink
 }
 
-// acquire takes one trial slot from the shared budget (no-op without one),
-// waiting at the run's cost priority.
+// acquire takes one trial slot from the shared budget (no-op without one).
 func (rc *runCtx) acquire() {
 	if rc != nil && rc.sem != nil {
-		rc.sem.acquire(rc.prio)
+		rc.sem <- struct{}{}
 	}
 }
 
-// release returns a trial slot to the shared budget; the slot is stolen
-// immediately by the highest-priority waiting trial, if any.
+// release returns a trial slot to the shared budget.
 func (rc *runCtx) release() {
 	if rc != nil && rc.sem != nil {
-		rc.sem.release()
+		<-rc.sem
 	}
 }

@@ -12,16 +12,11 @@ import (
 
 // BroadcastGroup is an ABD/Hermes-style NIC-offloaded broadcast: the
 // client NIC fans the value and a per-member metadata message directly to
-// every replica, each replica's NIC executes the operation through the
-// same pre-posted WAIT-gated loopback chain a fan-out backup uses, and a
-// hardware ack chain SENDs the result straight back to the client. The
-// client completes the operation once a quorum of member acks has
-// arrived (all members by default; Config.AckQuorum lowers it).
-//
-// Per member and operation the replica NIC runs, without CPU:
-//
-//	loopback QP:  [WAIT(recvCQ,1) → L1 → L2]      local ops
-//	ack QP:       [WAIT(loopCQ,2) → SEND hdr+res]  ack to client
+// every replica, each replica's NIC executes the operation as a
+// leafMember — the datapath a fan-out backup runs — and its hardware ack
+// chain SENDs the result straight back to the client. The client
+// completes the operation once a quorum of member acks has arrived (all
+// members by default; Config.AckQuorum lowers it).
 //
 // Compared to the chain this trades message cost (2G messages per
 // replicated write instead of hop-to-hop forwarding) and total order for
@@ -54,7 +49,7 @@ type BroadcastGroup struct {
 	ackOff  uint64 // client ack slots: per member, per depth slot
 	metaOff uint64 // per-member per-op metadata staging
 
-	members []*bcastMember
+	members []*leafMember
 
 	acks map[uint64]*bcastAckState
 
@@ -62,26 +57,6 @@ type BroadcastGroup struct {
 	// bmeta is Transmit's per-member metadata build scratch; every byte is
 	// rewritten for each member and copied into client memory.
 	bmeta [fanBackupMetaLen]byte
-}
-
-// bcastMember holds one replica's NIC resources (the fan-out backup
-// datapath, with the ack SEND aimed at the client instead of a primary).
-type bcastMember struct {
-	index  int
-	nic    *rdma.NIC
-	mirror *rdma.MemoryRegion
-
-	qpPrev *rdma.QP // from client
-	qpLoop *rdma.QP
-	qpAck  *rdma.QP // to client
-
-	recvCQ *rdma.CQ
-	loopCQ *rdma.CQ
-
-	ackOff  uint64 // per-op ack slots: [16 hdr][8 result]
-	ackSlot int
-
-	completed uint64
 }
 
 // bcastAckState accumulates member acks for one in-flight operation.
@@ -122,7 +97,7 @@ func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg
 		return nil, err
 	}
 	for i, nic := range members {
-		m, err := g.setupMember(i, nic)
+		m, err := setupLeafMember(nic, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("member %d: %w", i, err)
 		}
@@ -134,13 +109,15 @@ func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg
 	}
 	for seq := uint64(0); seq < uint64(cfg.Depth); seq++ {
 		for j, m := range g.members {
-			if err := g.armMember(m, seq); err != nil {
+			if err := m.arm(seq); err != nil {
 				return nil, fmt.Errorf("arm member %d seq %d: %w", j, seq, err)
 			}
 			g.postAckRecv(j, seq)
 		}
 	}
-	g.installBcastReArm()
+	for _, m := range g.members {
+		m.installReArm(g.k, g.Group)
+	}
 	for j := range g.members {
 		j := j
 		g.qpAckIn[j].RecvCQ().SetDrainHandler(func(batch []rdma.CQE) {
@@ -208,76 +185,6 @@ func (g *BroadcastGroup) setupBcastClient(n int) error {
 	return nil
 }
 
-// setupMember mirrors setupBackup: the member-side datapath is the same.
-func (g *BroadcastGroup) setupMember(index int, nic *rdma.NIC) (*bcastMember, error) {
-	m := &bcastMember{index: index, nic: nic}
-	alloc := nvm.NewAllocator(nic.Memory())
-	mirror, err := alloc.Alloc("mirror", g.cfg.MirrorSize)
-	if err != nil {
-		return nil, err
-	}
-	if mirror.Off != 0 {
-		return nil, fmt.Errorf("hyperloop: member mirror not at offset 0")
-	}
-	m.ackSlot = fanAckLen
-	ackBuf, err := alloc.Alloc("ack", g.cfg.Depth*m.ackSlot)
-	if err != nil {
-		return nil, err
-	}
-	prevRing, err := alloc.Alloc("prev-ring", rdma.WQESize)
-	if err != nil {
-		return nil, err
-	}
-	loopRing, err := alloc.Alloc("loop-ring", 3*g.cfg.Depth*rdma.WQESize)
-	if err != nil {
-		return nil, err
-	}
-	ackRing, err := alloc.Alloc("ack-ring", 2*g.cfg.Depth*rdma.WQESize)
-	if err != nil {
-		return nil, err
-	}
-	m.ackOff = uint64(ackBuf.Off)
-	m.mirror, err = nic.RegisterMR(0, uint64(g.cfg.MirrorSize),
-		rdma.AccessRemoteRead|rdma.AccessRemoteWrite|rdma.AccessRemoteAtomic)
-	if err != nil {
-		return nil, err
-	}
-	m.recvCQ = nic.CreateCQ()
-	m.loopCQ = nic.CreateCQ()
-	m.qpPrev, err = nic.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(prevRing.Off), SendSlots: 1,
-		SendCQ: nic.CreateCQ(), RecvCQ: m.recvCQ,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.qpLoop, err = nic.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(loopRing.Off), SendSlots: loopRing.Len / rdma.WQESize,
-		SendCQ: m.loopCQ, RecvCQ: nic.CreateCQ(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.qpLoop.Connect(m.qpLoop)
-	m.qpAck, err = nic.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(ackRing.Off), SendSlots: ackRing.Len / rdma.WQESize,
-		SendCQ: nic.CreateCQ(), RecvCQ: nic.CreateCQ(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.recvCQ.Discard()
-	m.loopCQ.Discard()
-	m.qpPrev.SendCQ().Discard()
-	m.qpLoop.RecvCQ().Discard()
-	m.qpAck.RecvCQ().Discard()
-	return m, nil
-}
-
-func (g *BroadcastGroup) memberAckAddr(m *bcastMember, seq uint64) uint64 {
-	return m.ackOff + (seq%uint64(g.cfg.Depth))*uint64(m.ackSlot)
-}
-
 // clientAckAddr is member j's ack landing slot for op seq.
 func (g *BroadcastGroup) clientAckAddr(j int, seq uint64) uint64 {
 	return g.ackOff + (uint64(j)*uint64(g.cfg.Depth)+seq%uint64(g.cfg.Depth))*uint64(fanAckLen)
@@ -286,46 +193,6 @@ func (g *BroadcastGroup) clientAckAddr(j int, seq uint64) uint64 {
 func (g *BroadcastGroup) bmetaAddr(j int, seq uint64) uint64 {
 	n := uint64(len(g.members))
 	return g.metaOff + ((seq%uint64(g.cfg.Depth))*n+uint64(j))*uint64(fanBackupMetaLen)
-}
-
-// armMember pre-posts one member's chains and receive for op seq —
-// identical to a fan-out backup's arming.
-func (g *BroadcastGroup) armMember(m *bcastMember, seq uint64) error {
-	loopRing, loopSlots := m.qpLoop.RingOff(), m.qpLoop.RingSlots()
-	ackAddr := g.memberAckAddr(m, seq)
-	if _, err := m.qpLoop.PostSend(rdma.WQE{
-		Opcode: rdma.OpWait, Imm: 1, Aux1: m.recvCQ.CQN(), Aux2: 2, WRID: seq,
-	}); err != nil {
-		return err
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := m.qpLoop.PostSendDeferred(rdma.WQE{
-			Opcode: rdma.OpNop, Flags: rdma.FlagSignaled, WRID: seq,
-		}); err != nil {
-			return err
-		}
-	}
-	// Ack chain: both local ops done → SEND [hdr][result] to the client.
-	if _, err := m.qpAck.PostSend(rdma.WQE{
-		Opcode: rdma.OpWait, Imm: 2, Aux1: m.loopCQ.CQN(), WRID: seq,
-	}); err != nil {
-		return err
-	}
-	if _, err := m.qpAck.PostSend(rdma.WQE{
-		Opcode: rdma.OpSend, Flags: rdma.FlagSignaled, WRID: seq,
-		Local: ackAddr, Len: uint64(fanAckLen),
-	}); err != nil {
-		return err
-	}
-	m.qpPrev.PostRecv(rdma.RecvWQE{
-		WRID: seq,
-		SGEs: []rdma.SGE{
-			{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotA(seq)), Len: rdma.DescLen},
-			{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotB(seq)), Len: rdma.DescLen},
-			{Addr: ackAddr, Len: headerSize},
-		},
-	})
-	return nil
 }
 
 // postAckRecv posts the client-side receive for member j's op-seq ack.
@@ -337,23 +204,6 @@ func (g *BroadcastGroup) postAckRecv(j int, seq uint64) {
 			{Addr: g.clientAckAddr(j, seq) + headerSize, Len: resultEntry},
 		},
 	})
-}
-
-// installBcastReArm wires the off-critical-path member chain
-// replenishment, driven by each member's ack-send completions.
-func (g *BroadcastGroup) installBcastReArm() {
-	for _, m := range g.members {
-		m := m
-		m.qpAck.SendCQ().SetDrainHandler(func(batch []rdma.CQE) {
-			for range batch {
-				seq := m.completed
-				m.completed++
-				reArmAfter(g.k, g.Group, m.nic, g.cfg.ReArmDelay, func() {
-					_ = g.armMember(m, seq+uint64(g.cfg.Depth))
-				})
-			}
-		})
-	}
 }
 
 // Transmit is the broadcast's half of an issue (protocol.Strategy): per
@@ -368,7 +218,7 @@ func (g *BroadcastGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 	// error leaves no partial op behind.
 	bmeta := g.bmeta[:]
 	for j, m := range g.members {
-		resultAddr := g.memberAckAddr(m, seq) + headerSize
+		resultAddr := m.ackAddr(seq) + headerSize
 		if err := encodeLocalBlock(bmeta, seq, kind, p, m.mirror.RKey, resultAddr, j); err != nil {
 			return err
 		}
@@ -462,8 +312,6 @@ func (g *BroadcastGroup) Teardown() {
 		qp.Destroy()
 	}
 	for _, m := range g.members {
-		m.qpPrev.Destroy()
-		m.qpLoop.Destroy()
-		m.qpAck.Destroy()
+		m.destroy()
 	}
 }

@@ -44,7 +44,7 @@ type FanoutGroup struct {
 	metaOff uint64
 
 	primary *fanPrimary
-	backups []*fanBackup
+	backups []*leafMember
 
 	ackBuf  []byte   // onAck decode scratch, reused across ACKs
 	ackRes  []uint64 // onAck result-map scratch; protocol.Group copies it
@@ -73,34 +73,12 @@ type fanPrimary struct {
 	completed uint64
 }
 
-// fanBackup holds one backup's NIC resources.
-type fanBackup struct {
-	index  int // 1-based backup number
-	nic    *rdma.NIC
-	mirror *rdma.MemoryRegion
-
-	qpPrev *rdma.QP // from primary
-	qpLoop *rdma.QP
-	qpAck  *rdma.QP // to primary
-
-	recvCQ *rdma.CQ
-	loopCQ *rdma.CQ
-
-	ackOff  uint64 // per-op ack slots: [16 hdr][8 result]
-	ackSlot int
-
-	completed uint64
-}
-
 // Fan-out metadata layout (client → primary):
 //
 //	[P.L1][P.L2]  [F1_1][F2_1]…[F1_B][F2_B]  [bmeta_1]…[bmeta_B]  [hdr]
 //
-// where bmeta_j = [B.L1][B.L2][hdr] is forwarded verbatim to backup j.
-const (
-	fanBackupMetaLen = 2*rdma.DescLen + headerSize
-	fanAckLen        = headerSize + resultEntry // backup → primary ack
-)
+// where bmeta_j = [B.L1][B.L2][hdr] (fanBackupMetaLen bytes) is forwarded
+// verbatim to backup j.
 
 func (g *FanoutGroup) numBackups() int { return len(g.backups) }
 
@@ -127,9 +105,7 @@ func SetupFanout(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Co
 		ackRes: make([]uint64, len(members)),
 	}
 	g.Group = newSurface(client, len(members), cfg, g)
-	for i := 1; i < len(members); i++ {
-		g.backups = append(g.backups, &fanBackup{index: i})
-	}
+	g.backups = make([]*leafMember, len(members)-1) // metaLen needs the count
 	g.metaBuf = make([]byte, g.metaLen())
 	if err := g.setupClient(); err != nil {
 		return nil, err
@@ -137,10 +113,12 @@ func SetupFanout(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Co
 	if err := g.setupPrimary(members[0]); err != nil {
 		return nil, fmt.Errorf("primary: %w", err)
 	}
-	for j, b := range g.backups {
-		if err := g.setupBackup(b, members[j+1]); err != nil {
+	for j := range g.backups {
+		b, err := setupLeafMember(members[j+1], cfg)
+		if err != nil {
 			return nil, fmt.Errorf("backup %d: %w", j+1, err)
 		}
+		g.backups[j] = b
 	}
 	// Wire: client ↔ primary; primary fwd_j ↔ backup j prev; backup ack ↔
 	// primary ackIn_j.
@@ -157,9 +135,9 @@ func SetupFanout(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Co
 		if err := g.armPrimary(seq); err != nil {
 			return nil, fmt.Errorf("arm primary seq %d: %w", seq, err)
 		}
-		for _, b := range g.backups {
-			if err := g.armBackup(b, seq); err != nil {
-				return nil, fmt.Errorf("arm backup %d seq %d: %w", b.index, seq, err)
+		for j, b := range g.backups {
+			if err := b.arm(seq); err != nil {
+				return nil, fmt.Errorf("arm backup %d seq %d: %w", j+1, seq, err)
 			}
 		}
 		g.qpAck.PostRecv(rdma.RecvWQE{})
@@ -299,72 +277,5 @@ func (g *FanoutGroup) setupPrimary(nic *rdma.NIC) error {
 	p.loopCQ.Discard()
 	p.qpLoop.RecvCQ().Discard()
 	g.primary = p
-	return nil
-}
-
-func (g *FanoutGroup) setupBackup(b *fanBackup, nic *rdma.NIC) error {
-	b.nic = nic
-	alloc := nvm.NewAllocator(nic.Memory())
-	mirror, err := alloc.Alloc("mirror", g.cfg.MirrorSize)
-	if err != nil {
-		return err
-	}
-	if mirror.Off != 0 {
-		return fmt.Errorf("hyperloop: backup mirror not at offset 0")
-	}
-	b.ackSlot = fanAckLen
-	ackBuf, err := alloc.Alloc("ack", g.cfg.Depth*b.ackSlot)
-	if err != nil {
-		return err
-	}
-	prevRing, err := alloc.Alloc("prev-ring", rdma.WQESize)
-	if err != nil {
-		return err
-	}
-	loopRing, err := alloc.Alloc("loop-ring", 3*g.cfg.Depth*rdma.WQESize)
-	if err != nil {
-		return err
-	}
-	ackRing, err := alloc.Alloc("ack-ring", 2*g.cfg.Depth*rdma.WQESize)
-	if err != nil {
-		return err
-	}
-	b.ackOff = uint64(ackBuf.Off)
-	b.mirror, err = nic.RegisterMR(0, uint64(g.cfg.MirrorSize),
-		rdma.AccessRemoteRead|rdma.AccessRemoteWrite|rdma.AccessRemoteAtomic)
-	if err != nil {
-		return err
-	}
-	b.recvCQ = nic.CreateCQ()
-	b.loopCQ = nic.CreateCQ()
-	b.qpPrev, err = nic.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(prevRing.Off), SendSlots: 1,
-		SendCQ: nic.CreateCQ(), RecvCQ: b.recvCQ,
-	})
-	if err != nil {
-		return err
-	}
-	b.qpLoop, err = nic.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(loopRing.Off), SendSlots: loopRing.Len / rdma.WQESize,
-		SendCQ: b.loopCQ, RecvCQ: nic.CreateCQ(),
-	})
-	if err != nil {
-		return err
-	}
-	b.qpLoop.Connect(b.qpLoop)
-	b.qpAck, err = nic.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(ackRing.Off), SendSlots: ackRing.Len / rdma.WQESize,
-		SendCQ: nic.CreateCQ(), RecvCQ: nic.CreateCQ(),
-	})
-	if err != nil {
-		return err
-	}
-	// WAIT targets and never-read CQs, as on the primary. qpAck's send CQ
-	// gets its re-arm drain handler in installFanReArm.
-	b.recvCQ.Discard()
-	b.loopCQ.Discard()
-	b.qpPrev.SendCQ().Discard()
-	b.qpLoop.RecvCQ().Discard()
-	b.qpAck.RecvCQ().Discard()
 	return nil
 }

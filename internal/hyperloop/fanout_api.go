@@ -30,8 +30,6 @@ func (g *FanoutGroup) Teardown() {
 		qp.Destroy()
 	}
 	for _, b := range g.backups {
-		b.qpPrev.Destroy()
-		b.qpLoop.Destroy()
-		b.qpAck.Destroy()
+		b.destroy()
 	}
 }

@@ -16,10 +16,6 @@ func (g *FanoutGroup) stagingAddr(j int, seq uint64) uint64 {
 	return g.primary.stagingOff + (slot+uint64(j))*uint64(g.primary.stagingSlot)
 }
 
-func (g *FanoutGroup) backupAckAddr(b *fanBackup, seq uint64) uint64 {
-	return b.ackOff + (seq%uint64(g.cfg.Depth))*uint64(b.ackSlot)
-}
-
 func (g *FanoutGroup) clientAckAddr(seq uint64) uint64 {
 	return g.ackOff + (seq%uint64(g.cfg.Depth))*uint64(g.resultSlotLen())
 }
@@ -124,45 +120,6 @@ func (g *FanoutGroup) armPrimary(seq uint64) error {
 	return err
 }
 
-// armBackup pre-posts one backup's chains and receive for op seq.
-func (g *FanoutGroup) armBackup(b *fanBackup, seq uint64) error {
-	loopRing, loopSlots := b.qpLoop.RingOff(), b.qpLoop.RingSlots()
-	ackAddr := g.backupAckAddr(b, seq)
-	if _, err := b.qpLoop.PostSend(rdma.WQE{
-		Opcode: rdma.OpWait, Imm: 1, Aux1: b.recvCQ.CQN(), Aux2: 2, WRID: seq,
-	}); err != nil {
-		return err
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := b.qpLoop.PostSendDeferred(rdma.WQE{
-			Opcode: rdma.OpNop, Flags: rdma.FlagSignaled, WRID: seq,
-		}); err != nil {
-			return err
-		}
-	}
-	// Ack chain: both local ops done → SEND [hdr][result] to the primary.
-	if _, err := b.qpAck.PostSend(rdma.WQE{
-		Opcode: rdma.OpWait, Imm: 2, Aux1: b.loopCQ.CQN(), WRID: seq,
-	}); err != nil {
-		return err
-	}
-	if _, err := b.qpAck.PostSend(rdma.WQE{
-		Opcode: rdma.OpSend, Flags: rdma.FlagSignaled, WRID: seq,
-		Local: ackAddr, Len: uint64(fanAckLen),
-	}); err != nil {
-		return err
-	}
-	b.qpPrev.PostRecv(rdma.RecvWQE{
-		WRID: seq,
-		SGEs: []rdma.SGE{
-			{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotA(seq)), Len: rdma.DescLen},
-			{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotB(seq)), Len: rdma.DescLen},
-			{Addr: ackAddr, Len: headerSize},
-		},
-	})
-	return nil
-}
-
 // installFanReArm wires the off-critical-path chain replenishment.
 func (g *FanoutGroup) installFanReArm() {
 	p := g.primary
@@ -176,16 +133,7 @@ func (g *FanoutGroup) installFanReArm() {
 		}
 	})
 	for _, b := range g.backups {
-		b := b
-		b.qpAck.SendCQ().SetDrainHandler(func(batch []rdma.CQE) {
-			for range batch {
-				seq := b.completed
-				b.completed++
-				reArmAfter(g.k, g.Group, b.nic, g.cfg.ReArmDelay, func() {
-					_ = g.armBackup(b, seq+uint64(g.cfg.Depth))
-				})
-			}
-		})
+		b.installReArm(g.k, g.Group)
 	}
 }
 
@@ -274,7 +222,7 @@ func (g *FanoutGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 	// lands in its ack slot's result field.
 	for j := 0; j < b; j++ {
 		bk := g.backups[j]
-		resultAddr := g.backupAckAddr(bk, seq) + headerSize
+		resultAddr := bk.ackAddr(seq) + headerSize
 		if err := encodeLocalBlock(msg[pos:], seq, kind, p, bk.mirror.RKey, resultAddr, j+1); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package hypotheses
 
 import (
+	"errors"
 	"fmt"
 
 	"hyperloop/internal/cpusim"
@@ -124,12 +125,15 @@ func newDeployment(cfg deployCfg) (*deployment, error) {
 }
 
 // counters snapshots the deployment's deterministic totals.
-func (d *deployment) counters() Counters {
-	msgs, bytes := d.fab.Stats()
-	fs := d.fab.FaultStats()
+func (d *deployment) counters() Counters { return countersOf(d.k, d.fab) }
+
+// countersOf snapshots the deterministic totals of one kernel and fabric.
+func countersOf(k *sim.Kernel, fab *rdma.Fabric) Counters {
+	msgs, bytes := fab.Stats()
+	fs := fab.FaultStats()
 	return Counters{
-		SimEvents: d.k.Executed(),
-		CQEs:      d.fab.CQEs(),
+		SimEvents: k.Executed(),
+		CQEs:      fab.CQEs(),
 		Messages:  msgs,
 		WireBytes: bytes,
 		Drops:     fs.Drops,
@@ -137,28 +141,24 @@ func (d *deployment) counters() Counters {
 	}
 }
 
-// runToStop runs the kernel until a driver calls StopRun or the horizon
-// elapses; background tenant load never drains on its own.
-func (d *deployment) runToStop(horizon sim.Duration) error {
-	err := d.k.RunUntil(d.k.Now().Add(horizon))
-	if err == sim.ErrStopped {
-		return nil
-	}
-	return err
+// drive runs fn as the deployment's single driver fiber.
+func (d *deployment) drive(horizon sim.Duration, fn func(f *sim.Fiber) error) error {
+	return drive(d.k, horizon, "hypothesis-driver", fn)
 }
 
-// drive spawns a single driver fiber, runs the kernel until the driver
-// finishes (it stops the run) or the horizon elapses, and propagates the
-// driver's error.
-func (d *deployment) drive(horizon sim.Duration, fn func(f *sim.Fiber) error) error {
+// drive spawns a single driver fiber called name, runs the kernel until
+// the driver finishes (it stops the run; background tenant load never
+// drains on its own) or the horizon elapses, and propagates the driver's
+// error.
+func drive(k *sim.Kernel, horizon sim.Duration, name string, fn func(f *sim.Fiber) error) error {
 	var runErr error
 	done := false
-	d.k.Spawn("hypothesis-driver", func(f *sim.Fiber) {
-		defer d.k.StopRun()
+	k.Spawn(name, func(f *sim.Fiber) {
+		defer k.StopRun()
 		runErr = fn(f)
 		done = true
 	})
-	if err := d.runToStop(horizon); err != nil {
+	if err := k.RunUntil(k.Now().Add(horizon)); err != nil && !errors.Is(err, sim.ErrStopped) {
 		return err
 	}
 	if runErr != nil {

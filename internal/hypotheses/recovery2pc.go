@@ -109,41 +109,6 @@ func newRecoveryRig(seed uint64, faults *rdma.FaultPlan) (*recoveryRig, error) {
 	return rig, nil
 }
 
-// drive mirrors deployment.drive for the recovery rig.
-func (r *recoveryRig) drive(fn func(f *sim.Fiber) error) error {
-	var runErr error
-	done := false
-	r.k.Spawn("2pc-recovery-driver", func(f *sim.Fiber) {
-		defer r.k.StopRun()
-		runErr = fn(f)
-		done = true
-	})
-	err := r.k.RunUntil(r.k.Now().Add(60 * sim.Second))
-	if err != nil && err != sim.ErrStopped {
-		return err
-	}
-	if runErr != nil {
-		return runErr
-	}
-	if !done {
-		return fmt.Errorf("driver hung")
-	}
-	return nil
-}
-
-func (r *recoveryRig) counters() Counters {
-	msgs, bytes := r.fab.Stats()
-	fs := r.fab.FaultStats()
-	return Counters{
-		SimEvents: r.k.Executed(),
-		CQEs:      r.fab.CQEs(),
-		Messages:  msgs,
-		WireBytes: bytes,
-		Drops:     fs.Drops,
-		Dups:      fs.Dups,
-	}
-}
-
 func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 	res := &Result{}
 	table := metrics.NewTable("coordinator crash-point sweep, recovery by the commit-record rule",
@@ -181,7 +146,7 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 				for i := range writes {
 					writes[i] = shard.Write{Key: uint64(i), Data: []byte(fmt.Sprintf("p%d", i))}
 				}
-				err = rig.drive(func(f *sim.Fiber) error {
+				err = drive(rig.k, 60*sim.Second, "2pc-recovery-driver", func(f *sim.Fiber) error {
 					step := 0
 					rig.router.SetTxnStepHook(func(s txn.Step, participant int) error {
 						step++
@@ -261,7 +226,7 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s span %d kill %d: %w", leg.name, span, kill, err)
 				}
-				res.Counters = res.Counters.add(rig.counters())
+				res.Counters = res.Counters.add(countersOf(rig.k, rig.fab))
 			}
 			table.AddRow(leg.name, span, totalSteps, rolledBack, rolledForward, lockLeaks, retryCommits)
 

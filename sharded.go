@@ -241,29 +241,7 @@ func (c *ShardedCluster) Schedulers() []*cpusim.Scheduler {
 
 // Run spawns fn as a fiber and drives the simulation until fn returns,
 // mirroring Cluster.Run.
-func (c *ShardedCluster) Run(fn func(f *Fiber) error) error {
-	var fnErr error
-	done := false
-	c.kernel.Spawn("main", func(f *sim.Fiber) {
-		fnErr = fn(f)
-		done = true
-		c.kernel.StopRun()
-	})
-	err := c.kernel.RunUntil(c.kernel.Now().Add(3600 * sim.Second))
-	if err == sim.ErrStopped {
-		err = nil
-	}
-	if err != nil {
-		return err
-	}
-	if fnErr != nil {
-		return fnErr
-	}
-	if !done {
-		return fmt.Errorf("hyperloop: run did not complete within the simulation horizon")
-	}
-	return nil
-}
+func (c *ShardedCluster) Run(fn func(f *Fiber) error) error { return runMain(c.kernel, fn) }
 
 // Close tears down every shard's replication group, plus the
 // coordinator commit-log group when one was provisioned.
