@@ -329,7 +329,7 @@ func shardsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		ID: "shards", Title: "Sharded scale-out: placement, tenant skew, cross-shard 2PC",
 		Tables: []*metrics.Table{iso, tp},
 		Notes: []string{
-			fmt.Sprintf("cross-shard commits: %d of %d spanned >1 group; every prepare locked, appended and executed on its own chain",
+			fmt.Sprintf("cross-shard commits: %d of %d spanned >1 group; locks are taken one chain at a time in shard order, then every participant appends, and later executes and unlocks, on its own chain at the same time",
 				txnRun.stats.CrossShard, txnRun.stats.Commits),
 			"chain replicas are NIC-offloaded, so placement barely moves tenant latency; naive handlers queue on the rack's cores and round-robin spreads the hot tenant's interference to everyone",
 			"tenants never share a group: all interference is infrastructure (CPU scheduling), the isolation SuperNIC argues NIC offload buys",

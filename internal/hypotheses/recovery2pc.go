@@ -22,7 +22,8 @@ func init() {
 			"post-recovery visibility is all-or-nothing on every shard and every "+
 			"replica, no group lock leaks, the commit log drains, and the client's "+
 			"retry commits exactly once — even under duplicated and delayed wire "+
-			"traffic.",
+			"traffic, and when the participants of a parallel phase finish "+
+			"their steps at different instants.",
 		"kill the coordinator after every 2PC step across spans 1/2/4, recover, audit visibility/locks/log",
 		run2PCRecovery)
 }
@@ -123,6 +124,20 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 				{DupProb: 0.05, ExtraDelay: 2 * sim.Microsecond},
 			}}
 		}},
+		// The participants of a parallel phase run on chains of unequal
+		// speed — shard 0 slowest — so they finish their steps at different
+		// instants and in the reverse of participant order: the kill-th
+		// firing catches the others mid-step, not at a common boundary.
+		{"staggered", func() *rdma.FaultPlan {
+			plan := &rdma.FaultPlan{}
+			for i := 0; i < r2Shards-1; i++ {
+				plan.Links = append(plan.Links, rdma.LinkFault{
+					From:       fmt.Sprintf("cli-sh%d", i),
+					ExtraDelay: sim.Duration(r2Shards-1-i) * 1500 * sim.Nanosecond,
+				})
+			}
+			return plan
+		}},
 	}
 	// Full scale stresses each recovered deployment with extra
 	// post-recovery transactions; quick proves the decision rule.
@@ -130,8 +145,8 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 
 	for _, leg := range legs {
 		for _, span := range []int{1, 2, 4} {
-			// Coordinator steps: (lock, append) per shard, log-commit,
-			// (execute, unlock) per shard, log-truncate.
+			// Coordinator steps: a lock per shard, an append per shard,
+			// log-commit, (execute, unlock) per shard, log-truncate.
 			totalSteps := 4*span + 2
 			commitPoint := 2*span + 1
 			rolledBack, rolledForward, lockLeaks, retryCommits := 0, 0, 0, 0
@@ -252,8 +267,9 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"the commit record (txnID, lock token, participant shards) is durably appended to the coordinator's own 2-replica group after every participant prepared and before any executes",
 		"recovery decision rule: token-locked shard named by a record → roll forward (execute + unlock); token-locked shard with no record → roll back (presumed abort); never both for one transaction",
-		"kill points 1..2S are pre-commit-point (lock/append per shard), 2S+1 logs the record, 2S+2..4S+1 execute/unlock, 4S+2 truncates",
-		"the dup+delay leg draws from the fault plan's forked RNG stream, so both legs are seed-deterministic and the clean leg's event stream matches a fault-free run byte for byte",
+		"kill points 1..S take the locks in shard order, S+1..2S are the appends, 2S+1 logs the record, 2S+2..4S+1 the execute→unlock chains, 4S+2 truncates; appends and chains run on all shards at once, so within those ranges the kill-th firing is the kill-th step to complete in virtual time and the other shards finish the step they have on the wire",
+		"the staggered leg delays each shard's client link by a different amount (shard 0 by 4.5 µs, shard 3 not at all), so steps complete at different instants and in reverse shard order",
+		"the dup+delay leg draws from the fault plan's forked RNG stream, so every leg is seed-deterministic and the clean leg's event stream matches a fault-free run byte for byte",
 		fmt.Sprintf("each recovered deployment then serves %d follow-up transaction(s); commit/abort/in-doubt accounting must show exactly the commits", sc.pick(1, 8)))
 	return res, nil
 }

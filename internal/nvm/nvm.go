@@ -58,7 +58,7 @@ func (e *BoundsError) Error() string {
 }
 
 func (d *Device) check(off, n int) error {
-	if off < 0 || n < 0 || off+n > len(d.current) {
+	if off < 0 || n < 0 || off > len(d.current)-n { // off+n may overflow
 		return &BoundsError{Device: d.name, Off: off, Len: n, Size: len(d.current)}
 	}
 	return nil

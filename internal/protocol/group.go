@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hyperloop/internal/nvm"
 	"hyperloop/internal/sim"
@@ -310,15 +311,21 @@ func (g *Group) Retried() int64 { return g.retries }
 // callbacks (chain re-arm) that can fire after teardown.
 func (g *Group) Closed() bool { return g.closed }
 
-// Close fails every in-flight operation with the closed sentinel, rejects
-// further issues and has the strategy destroy its QPs and CQs. Safe to
-// call twice.
+// Close fails every in-flight operation with the closed sentinel — in
+// issue order, so the order the waiting fibers resume in is a function of
+// the seed and not of map iteration — rejects further issues and has the
+// strategy destroy its QPs and CQs. Safe to call twice.
 func (g *Group) Close() {
 	if g.closed {
 		return
 	}
 	g.closed = true
+	seqs := make([]uint64, 0, len(g.inflight))
 	for seq := range g.inflight {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
 		g.resolve(seq).sig.Fire(g.cfg.Errors.Closed)
 	}
 	g.strategy.Teardown()

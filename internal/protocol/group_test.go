@@ -287,6 +287,36 @@ func TestCloseFailsInFlightOnceAndRejects(t *testing.T) {
 	}
 }
 
+// TestCloseFailsInFlightInSeqOrder parks one fiber on each of six in-flight
+// ops and closes the group: the fibers must resume in the order the ops
+// were issued, every time (run it with -count=20 — a map-ordered Close
+// passes a single run one time in 720).
+func TestCloseFailsInFlightInSeqOrder(t *testing.T) {
+	const ops = testDepth - 2
+	k, g, _ := newFake(t, 0, 0, 0)
+	var resumed []int
+	for i := 0; i < ops; i++ {
+		k.Spawn("waiter", func(f *sim.Fiber) {
+			if err := g.Write(f, 0, 8, false); err != testErrs.Closed {
+				t.Errorf("waiter %d: %v, want the closed sentinel", i, err)
+			}
+			resumed = append(resumed, i)
+		})
+	}
+	k.After(sim.Microsecond, g.Close)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != ops {
+		t.Fatalf("%d of %d waiters resumed", len(resumed), ops)
+	}
+	for i, w := range resumed {
+		if w != i {
+			t.Fatalf("waiters resumed in order %v, want issue order", resumed)
+		}
+	}
+}
+
 func TestIsOpErrorAndRegistry(t *testing.T) {
 	for _, err := range []error{testErrs.Timeout, testErrs.TooManyInFlight, testErrs.BadArgument, testErrs.Closed} {
 		if !IsOpError(err) {

@@ -8,14 +8,17 @@ import (
 
 	"hyperloop/internal/hyperloop"
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol/protocoltest"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
 )
 
 // newLoggedRig builds a rig whose router has a coordinator commit log on
-// its own 2-replica group, mirroring NewShardedCluster's wiring.
-func newLoggedRig(t *testing.T, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {
+// its own 2-replica group, mirroring NewShardedCluster's wiring. Every
+// shard's group sits behind a pass-through StopGroup (rig.stops) so a test
+// can freeze or slow one participant.
+func newLoggedRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {
 	t.Helper()
 	k := sim.NewKernel(7)
 	fab := rdma.NewFabric(k, rdma.DefaultConfig())
@@ -57,6 +60,7 @@ func newLoggedRig(t *testing.T, cfg Config, faults *rdma.FaultPlan, opTimeout si
 	cfg.CoordLog = st
 
 	mirror := cfg.MirrorSize()
+	rg := &rig{k: k, fab: fab}
 	r, err := New(cfg, func(id int) (Backend, error) {
 		client, err := fab.AddNIC(fmt.Sprintf("cli-%d", id), nvm.NewDevice(fmt.Sprintf("cli-%d", id), testDev))
 		if err != nil {
@@ -73,13 +77,80 @@ func newLoggedRig(t *testing.T, cfg Config, faults *rdma.FaultPlan, opTimeout si
 		}
 		sgcfg := hyperloop.DefaultConfig(mirror)
 		sgcfg.OpTimeout = opTimeout
-		return hyperloop.Setup(fab, client, reps, sgcfg)
+		g, err := hyperloop.Setup(fab, client, reps, sgcfg)
+		if err != nil {
+			return nil, err
+		}
+		stop := protocoltest.NewStopGroup(g)
+		rg.stops = append(rg.stops, stop)
+		return stop, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	return &rig{k: k, fab: fab, router: r}
+	rg.router = r
+	return rg
+}
+
+// spanWrites is the sweep transaction: key i lives on shard i (sweepConfig).
+func spanWrites(span int) []Write {
+	writes := make([]Write, span)
+	for i := range writes {
+		writes[i] = Write{Key: uint64(i), Data: []byte(fmt.Sprintf("v%d", i))}
+	}
+	return writes
+}
+
+// recoverAndAudit plays the restarted coordinator after spanWrites(span)
+// crashed: Router.Recover must resolve in the direction wantCommitted
+// says, leave every shard's durable data all-or-nothing, leak no lock,
+// drain every log and the commit log, and find nothing on a second pass.
+func recoverAndAudit(t *testing.T, f *sim.Fiber, r *rig, span int, wantCommitted bool) {
+	t.Helper()
+	r.router.SetTxnStepHook(nil)
+	rs, err := r.router.Recover(f)
+	if err != nil {
+		t.Errorf("recover: %v", err)
+		return
+	}
+	if wantCommitted && rs.Back != 0 {
+		t.Errorf("recover rolled %d shards back past the commit point (stats %+v)", rs.Back, rs)
+	}
+	if !wantCommitted && rs.Forward != 0 {
+		t.Errorf("recover rolled %d shards forward before the commit point (stats %+v)", rs.Forward, rs)
+	}
+
+	// All-or-nothing at the durable level: every shard shows
+	// its write, or none does.
+	for i := 0; i < span; i++ {
+		want := make([]byte, 2)
+		if wantCommitted {
+			want = []byte(fmt.Sprintf("v%d", i))
+		}
+		got, err := r.router.Shard(i).Store.ReadData(0, len(want))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("shard %d data = %q (%v), want %q", i, got, err, want)
+		}
+	}
+	// No leaked locks, no pending log records, no live
+	// commit records.
+	for i := 0; i < r.router.Shards(); i++ {
+		st := r.router.Shard(i).Store
+		if locked, err := st.Locked(); err != nil || locked {
+			t.Errorf("shard %d: lock leaked (locked=%v, err=%v)", i, locked, err)
+		}
+		if used, err := st.LogUsed(); err != nil || used != 0 {
+			t.Errorf("shard %d: log used = %d (%v)", i, used, err)
+		}
+	}
+	if recs, err := r.router.CommitLog().Records(); err != nil || len(recs) != 0 {
+		t.Errorf("commit log not drained: %v (%v)", recs, err)
+	}
+	// Idempotent.
+	if rs, err := r.router.Recover(f); err != nil || rs != (RecoverStats{}) {
+		t.Errorf("second recover = %+v, %v", rs, err)
+	}
 }
 
 // sweepConfig maps key i → shard i so a span-S transaction touches
@@ -107,10 +178,7 @@ func TestCrashPointSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("span%d/kill%d", span, kill), func(t *testing.T) {
 				r := newLoggedRig(t, sweepConfig(4), nil, 0)
 				r.run(t, func(f *sim.Fiber) {
-					writes := make([]Write, span)
-					for i := range writes {
-						writes[i] = Write{Key: uint64(i), Data: []byte(fmt.Sprintf("v%d", i))}
-					}
+					writes := spanWrites(span)
 					step := 0
 					r.router.SetTxnStepHook(func(s txn.Step, participant int) error {
 						step++
@@ -134,49 +202,8 @@ func TestCrashPointSweep(t *testing.T) {
 					}
 
 					// The "restarted" coordinator recovers.
-					r.router.SetTxnStepHook(nil)
-					rs, err := r.router.Recover(f)
-					if err != nil {
-						t.Fatalf("recover: %v", err)
-					}
 					wantCommitted := kill >= commitPoint
-					if wantCommitted && rs.Back != 0 {
-						t.Errorf("recover rolled %d shards back past the commit point (stats %+v)", rs.Back, rs)
-					}
-					if !wantCommitted && rs.Forward != 0 {
-						t.Errorf("recover rolled %d shards forward before the commit point (stats %+v)", rs.Forward, rs)
-					}
-
-					// All-or-nothing at the durable level: every shard shows
-					// its write, or none does.
-					for i := 0; i < span; i++ {
-						want := make([]byte, 2)
-						if wantCommitted {
-							want = []byte(fmt.Sprintf("v%d", i))
-						}
-						got, err := r.router.Shard(i).Store.ReadData(0, len(want))
-						if err != nil || !bytes.Equal(got, want) {
-							t.Errorf("shard %d data = %q (%v), want %q", i, got, err, want)
-						}
-					}
-					// No leaked locks, no pending log records, no live
-					// commit records.
-					for i := 0; i < r.router.Shards(); i++ {
-						st := r.router.Shard(i).Store
-						if locked, err := st.Locked(); err != nil || locked {
-							t.Errorf("shard %d: lock leaked (locked=%v, err=%v)", i, locked, err)
-						}
-						if used, err := st.LogUsed(); err != nil || used != 0 {
-							t.Errorf("shard %d: log used = %d (%v)", i, used, err)
-						}
-					}
-					if recs, err := r.router.CommitLog().Records(); err != nil || len(recs) != 0 {
-						t.Errorf("commit log not drained: %v (%v)", recs, err)
-					}
-					// Idempotent.
-					if rs, err := r.router.Recover(f); err != nil || rs != (RecoverStats{}) {
-						t.Errorf("second recover = %+v, %v", rs, err)
-					}
+					recoverAndAudit(t, f, r, span, wantCommitted)
 
 					// The client retries the whole transaction; it must
 					// commit and be the only counted outcome.

@@ -14,7 +14,7 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
@@ -262,10 +262,14 @@ func (r *Router) CommitLog() *txn.CommitLog { return r.clog }
 
 // SetTxnStepHook installs a coordinator step hook on every transaction
 // Txn drives — the deterministic fault-injection surface crash-point
-// sweeps use. A hook returning txn.ErrCoordinatorCrash makes Txn return
-// it verbatim with no cleanup and no stats accounting, leaving shards
-// exactly as a mid-protocol coordinator crash would; Recover resolves
-// them. Pass nil to remove the hook.
+// sweeps use. The participant index it receives counts the transaction's
+// shards in ascending shard-ID order; txn.Step gives the firing order
+// (locks one by one, then appends and execute→unlock chains on all
+// shards at once). A hook returning txn.ErrCoordinatorCrash makes Txn
+// return it verbatim with no cleanup and no stats accounting once every
+// shard has finished the step it had on the wire, leaving shards exactly
+// as a mid-protocol coordinator crash would; Recover resolves them. Pass
+// nil to remove the hook.
 func (r *Router) SetTxnStepHook(fn func(s txn.Step, participant int) error) { r.hook = fn }
 
 // mix64 is the splitmix64 finalizer — a full-avalanche 64-bit mix, so
@@ -334,16 +338,22 @@ func (r *Router) Get(key uint64) ([]byte, error) {
 // Txn atomically applies writes, which may span shards. Writes are grouped
 // per shard and the participant list is sorted by shard ID — the global
 // lock order that keeps concurrent routers deadlock-free — then driven
-// through txn's two-phase commit. On abort (some shard's prepare failed,
-// or the commit record could not be written) the error wraps
-// txn.ErrAborted, no write took effect, and slots freshly allocated for
-// this transaction are released; on txn.ErrInDoubt the transaction may
-// yet commit, so allocations are kept and Recover resolves the outcome.
+// through txn's two-phase commit, which after taking the locks runs the
+// shards' appends, and later their execute→unlock chains, concurrently.
+// On abort (some shard's prepare failed, or the commit record could not be
+// written) the error wraps txn.ErrAborted, no write took effect, and slots
+// freshly allocated for this transaction are released; on txn.ErrInDoubt
+// the transaction may yet commit, so allocations are kept and Recover
+// resolves the outcome.
 func (r *Router) Txn(f *sim.Fiber, writes []Write) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	byShard := make(map[int][]wal.Entry)
+	// Participants are kept sorted by shard ID as they are found: a linear
+	// scan of at most Shards entries, which for the usual handful of keys
+	// beats a map plus a sort and allocates only the two slices.
+	ids := make([]int, 0, 4)
+	parts := make([]txn.Participant, 0, 4)
 	type allocation struct {
 		sh  *Shard
 		key uint64
@@ -368,16 +378,15 @@ func (r *Router) Txn(f *sim.Fiber, writes []Write) error {
 		if isNew {
 			fresh = append(fresh, allocation{sh, w.Key})
 		}
-		byShard[sh.ID] = append(byShard[sh.ID], wal.Entry{Off: sl.idx * r.cfg.SlotSize, Data: w.Data})
-	}
-	ids := make([]int, 0, len(byShard))
-	for id := range byShard {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	parts := make([]txn.Participant, len(ids))
-	for i, id := range ids {
-		parts[i] = txn.Participant{Store: r.shards[id].Store, Entries: byShard[id]}
+		i := 0
+		for i < len(ids) && ids[i] < sh.ID {
+			i++
+		}
+		if i == len(ids) || ids[i] != sh.ID {
+			ids = slices.Insert(ids, i, sh.ID)
+			parts = slices.Insert(parts, i, txn.Participant{Store: sh.Store})
+		}
+		parts[i].Entries = append(parts[i].Entries, wal.Entry{Off: sl.idx * r.cfg.SlotSize, Data: w.Data})
 	}
 	tx, err := txn.BeginDistLogged(parts, r.clog, ids)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"hyperloop/internal/hyperloop"
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol/protocoltest"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
@@ -26,9 +27,10 @@ type rig struct {
 	k      *sim.Kernel
 	fab    *rdma.Fabric
 	router *Router
+	stops  []*protocoltest.StopGroup // per shard; newLoggedRig only
 }
 
-func newRig(t *testing.T, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {
+func newRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {
 	t.Helper()
 	k := sim.NewKernel(7)
 	fab := rdma.NewFabric(k, rdma.DefaultConfig())
@@ -66,7 +68,7 @@ func newRig(t *testing.T, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Dura
 	return &rig{k: k, fab: fab, router: r}
 }
 
-func (r *rig) run(t *testing.T, fn func(f *sim.Fiber)) {
+func (r *rig) run(t testing.TB, fn func(f *sim.Fiber)) {
 	t.Helper()
 	r.k.Spawn("shard-test", fn)
 	if err := r.k.RunUntil(r.k.Now().Add(30 * sim.Second)); err != nil {

@@ -13,26 +13,23 @@ import (
 // that succeeded (§4.2's selective-execution undo), then retried after a
 // backoff.
 func (s *Store) WrLock(f *sim.Fiber) error {
-	g := s.r.GroupSize()
-	all := make([]bool, g)
-	for i := range all {
-		all[i] = true
-	}
 	for attempt := 0; attempt < s.cfg.LockRetries; attempt++ {
-		res, err := s.r.CAS(f, ctrlWrLock, 0, s.cfg.LockToken, all)
+		res, err := s.r.CAS(f, ctrlWrLock, 0, s.cfg.LockToken, s.allExec)
 		if err != nil {
 			return err
 		}
-		succ := make([]bool, g)
 		nSucc := 0
-		for i, orig := range res {
+		for _, orig := range res {
 			if orig == 0 {
-				succ[i] = true
 				nSucc++
 			}
 		}
-		if nSucc == g {
+		if nSucc == len(res) {
 			return nil
+		}
+		succ := make([]bool, len(res))
+		for i, orig := range res {
+			succ[i] = orig == 0
 		}
 		// Partial (or failed) acquisition: undo on the replicas that
 		// granted it, then back off and retry.
@@ -46,12 +43,7 @@ func (s *Store) WrLock(f *sim.Fiber) error {
 
 // WrUnlock releases the group write lock on every replica.
 func (s *Store) WrUnlock(f *sim.Fiber) error {
-	g := s.r.GroupSize()
-	all := make([]bool, g)
-	for i := range all {
-		all[i] = true
-	}
-	res, err := s.r.CAS(f, ctrlWrLock, s.cfg.LockToken, 0, all)
+	res, err := s.r.CAS(f, ctrlWrLock, s.cfg.LockToken, 0, s.allExec)
 	if err != nil {
 		return err
 	}

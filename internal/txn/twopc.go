@@ -14,14 +14,25 @@ import (
 // single group ACK. Instead the coordinator runs classic presumed-abort
 // 2PC built from the primitives §5 already provides:
 //
-//	prepare  = per store: group write lock (gCAS), append the write-set
+//	prepare  = group write lock (gCAS) on one store at a time, in the given
+//	           order; then, on every store at once, append the write-set
 //	           record to the store's replicated WAL (gWRITE + gFLUSH).
 //	           A prepared record is durable on every member but not yet
 //	           applied to the database region.
-//	commit   = per store: ExecuteAll (gMEMCPY + gFLUSH per entry, head
-//	           advance) and release the lock.
+//	commit   = on every store at once: ExecuteAll (gMEMCPY + gFLUSH per
+//	           entry, head advance), then release the lock — one chain per
+//	           store, no barrier between a store's execute and its unlock.
 //	abort    = per store: roll the durable tail pointer back over the
 //	           prepared record and release the lock.
+//
+// The participants are independent groups that share nothing once the
+// locks are held, so the coordinator runs each parallel phase with one
+// fiber per participant (fanOut) and a transaction costs
+//
+//	S·lock + append + commit record + (execute + unlock) + truncate
+//
+// sequential group round trips for span S, not 6·S + 2. Only lock
+// acquisition is serial.
 //
 // The commit point is a durable record on the coordinator's own
 // replicated store (see CommitLog): a logged transaction appends
@@ -37,7 +48,8 @@ import (
 // Deadlock avoidance is by lock ordering: callers must list participants
 // in a globally consistent order (internal/shard sorts by shard ID), so
 // two racing coordinators contend on the first common store instead of
-// deadlocking on each other's suffixes.
+// deadlocking on each other's suffixes — and the loser aborts before it
+// has appended anything.
 
 // ErrAborted wraps every error returned from a failed Prepare: the
 // transaction took effect nowhere (prepared participants were rolled back
@@ -51,16 +63,29 @@ var ErrAborted = errors.New("txn: distributed transaction aborted")
 var ErrInDoubt = errors.New("txn: distributed commit incomplete")
 
 // ErrCoordinatorCrash is the sentinel a step hook returns to simulate the
-// coordinator vanishing mid-protocol: DistTxn returns it immediately with
-// NO cleanup, leaving every participant exactly as a real crash would —
-// locks held, records appended, nothing rolled back. Crash-point sweep
-// harnesses and the 2pc-recovery hypothesis scenario drive it.
+// coordinator vanishing mid-protocol: DistTxn returns it with NO cleanup,
+// leaving every participant exactly as a real crash would — locks held,
+// records appended, nothing rolled back (see Step for what concurrent
+// participants do). Crash-point sweep harnesses and the 2pc-recovery
+// hypothesis scenario drive it.
 var ErrCoordinatorCrash = errors.New("txn: coordinator crashed (injected)")
 
 // Step identifies one coordinator-side action inside Prepare/Commit. A
-// step hook (SetStepHook) fires after each step completes, so returning
-// ErrCoordinatorCrash from it kills the coordinator at that exact point
-// in the protocol.
+// step hook (SetStepHook) fires after each step completes, 4·S + 2 times
+// for a logged span-S transaction, and StepLogCommit is always the
+// (2·S + 1)-th firing: every lock and every append fires before it, every
+// execute and unlock after. Locks fire in participant order. Appends, and
+// the execute→unlock chains, run on all participants at once, so within
+// such a phase the firings come in virtual-time order (kernel event order
+// at equal instants — participant order when the chains are equally
+// loaded) and an unlock may fire before another participant's execute.
+//
+// Returning an error — ErrCoordinatorCrash — from the hook kills the
+// coordinator at that point: no participant starts another step and no
+// further hook fires. A step another participant already has on the wire
+// finishes, because posted WQEs outlive their coordinator; Prepare/Commit
+// return the hook's error only after every participant fiber has exited,
+// so recovery never races a half-dead transaction.
 type Step int
 
 // Coordinator steps, in protocol order for one participant. StepLogCommit
@@ -113,28 +138,48 @@ const (
 )
 
 // DistTxn is one distributed transaction. The zero value is invalid; use
-// BeginDist or BeginDistLogged. A DistTxn is driven by a single fiber and
-// is not reusable: after Commit or Abort returns it is spent.
+// BeginDist or BeginDistLogged. A DistTxn is driven by a single fiber
+// (which runs the other participants of a parallel phase on child fibers
+// of its own) and is not reusable: after Commit or Abort returns it is
+// spent.
 type DistTxn struct {
 	parts []Participant
 	state []txnState
-	tails []int // pre-prepare tail snapshot, valid once state ≥ stLocked
+	tails []int // tail snapshot taken under the lock, before the append
 
 	clog   *CommitLog // nil for unlogged (presumed-abort-only) transactions
 	ids    []int      // participant shard IDs named in the commit record
 	txnID  uint64     // assigned by the commit log at the commit point
 	logged bool       // commit record durably appended
 	hook   func(Step, int) error
+	halt   error // first hook error of this call: every participant stops
+
+	// fanOut state, allocated once per transaction and shared by its phases.
+	errs     []error                     // each participant's result of the running phase
+	body     func(*sim.Fiber, int) error // the running phase
+	children []func(*sim.Fiber)          // fiber bodies of participants 1..n-1 (runChild)
+	running  int                         // children that have not returned yet
+	join     sim.Signal                  // fired, from kernel context, by the last child
+	joinFn   func()                      // fires join
 }
 
 // BeginDist starts a distributed transaction over the given participants,
 // in the given (deadlock-consistent) order.
 func BeginDist(parts []Participant) *DistTxn {
-	return &DistTxn{
+	t := &DistTxn{
 		parts: parts,
 		state: make([]txnState, len(parts)),
 		tails: make([]int, len(parts)),
+		errs:  make([]error, len(parts)),
 	}
+	if len(parts) > 1 {
+		t.children = make([]func(*sim.Fiber), len(parts)-1)
+		for i := range t.children {
+			t.children[i] = func(cf *sim.Fiber) { t.runChild(cf, i+1) }
+		}
+		t.joinFn = func() { t.join.Fire(nil) }
+	}
+	return t
 }
 
 // BeginDistLogged starts a distributed transaction whose commit point is
@@ -159,47 +204,119 @@ func BeginDistLogged(parts []Participant, cl *CommitLog, shardIDs []int) (*DistT
 // record has been appended (unlogged transactions never get one).
 func (t *DistTxn) TxnID() uint64 { return t.txnID }
 
-// SetStepHook installs a hook fired after every coordinator step (see
-// Step). A non-nil hook error is returned from Prepare/Commit verbatim
-// with no cleanup — the contract crash-injection harnesses rely on.
+// SetStepHook installs a hook fired after every coordinator step, on the
+// fiber of the participant that completed it (see Step for the order). A
+// non-nil hook error stops the transaction where it stands and is
+// returned from Prepare/Commit verbatim with no cleanup — the contract
+// crash-injection harnesses rely on.
 func (t *DistTxn) SetStepHook(fn func(s Step, participant int) error) { t.hook = fn }
 
-// step fires the hook after a completed coordinator action.
+// step fires the hook after a completed coordinator action and returns the
+// error that halted the transaction, if any. Once halted no hook fires.
 func (t *DistTxn) step(s Step, participant int) error {
-	if t.hook == nil {
-		return nil
+	if t.halt == nil && t.hook != nil {
+		t.halt = t.hook(s, participant)
 	}
-	return t.hook(s, participant)
+	return t.halt
 }
 
-// Prepare runs phase one: in participant order, take the store's group
-// write lock, snapshot its tail, and durably append the write-set record.
-// On any failure the prepared prefix is rolled back and unlocked
-// (best-effort — a participant whose group is down keeps its lock until
-// RecoverAbort) and the cause is returned wrapped in ErrAborted.
-func (t *DistTxn) Prepare(f *sim.Fiber) error {
+// fanOut runs one phase on every participant at the same virtual instant:
+// participant 0 on the coordinator's fiber f, every other one on a pooled
+// child fiber, so the Store methods, the group's timeout-and-retry loop
+// and any Replicator decorator run exactly as in a sequential walk — only
+// their start times move. It returns once every participant has returned
+// and every child fiber has exited, with the participants' errors joined
+// in participant order. A single participant spawns nothing.
+func (t *DistTxn) fanOut(f *sim.Fiber, body func(*sim.Fiber, int) error) error {
+	t.body, t.running, t.join = body, len(t.children), sim.Signal{}
+	for _, child := range t.children {
+		f.Kernel().Spawn("2pc-participant", child)
+	}
+	t.errs[0] = body(f, 0)
+	if len(t.children) > 0 {
+		_ = f.Await(&t.join) // fired with nil; the results are in t.errs
+	}
+	return errors.Join(t.errs...)
+}
+
+// runChild is a child fiber's body: the running phase on participant i.
+// The last child to finish wakes the coordinator through a kernel event
+// rather than from its own stack, so it has exited by the time fanOut
+// returns.
+func (t *DistTxn) runChild(cf *sim.Fiber, i int) {
+	t.errs[i] = t.body(cf, i)
+	if t.running--; t.running == 0 {
+		cf.Kernel().AfterFunc(0, t.joinFn, nil)
+	}
+}
+
+// validate rejects a participant list Prepare cannot lock: empty, a nil
+// store, or one store listed twice (its second lock would contend with
+// the transaction's own, and two phase fibers would share one log).
+func (t *DistTxn) validate() error {
+	if len(t.parts) == 0 {
+		return fmt.Errorf("%w: no participants", ErrBadArgument)
+	}
 	for i := range t.parts {
-		p := &t.parts[i]
-		if err := p.Store.WrLock(f); err != nil {
+		if t.parts[i].Store == nil {
+			return fmt.Errorf("%w: participant %d has no store", ErrBadArgument, i)
+		}
+		for j := 0; j < i; j++ {
+			if t.parts[j].Store == t.parts[i].Store {
+				return fmt.Errorf("%w: participants %d and %d share a store", ErrBadArgument, j, i)
+			}
+		}
+	}
+	return nil
+}
+
+// Prepare runs phase one: take every store's group write lock, one at a
+// time in participant order; then, on all participants at once, snapshot
+// the tail and durably append the write-set record. On any failure every
+// participant is rolled back and unlocked (best-effort — a participant
+// whose group is down keeps its lock until RecoverAbort) and the causes
+// are returned wrapped in ErrAborted. A malformed participant list is
+// rejected the same way before anything is locked.
+func (t *DistTxn) Prepare(f *sim.Fiber) error {
+	t.halt = nil
+	if err := t.validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrAborted, err)
+	}
+	for i := range t.parts {
+		if err := t.parts[i].Store.WrLock(f); err != nil {
 			return t.failPrepare(f, fmt.Errorf("participant %d lock: %w", i, err))
 		}
 		t.state[i] = stLocked
 		if err := t.step(StepLock, i); err != nil {
 			return err
 		}
-		tail, err := p.Store.Tail()
-		if err != nil {
-			return t.failPrepare(f, fmt.Errorf("participant %d tail: %w", i, err))
-		}
-		t.tails[i] = tail
-		if _, err := p.Store.Append(f, p.Entries); err != nil {
-			return t.failPrepare(f, fmt.Errorf("participant %d append: %w", i, err))
-		}
-		t.state[i] = stPrepared
-		if err := t.step(StepAppend, i); err != nil {
-			return err
-		}
 	}
+	err := t.fanOut(f, t.appendOne)
+	if t.halt != nil {
+		return t.halt
+	}
+	if err != nil {
+		return t.failPrepare(f, err)
+	}
+	return nil
+}
+
+// appendOne is the append phase on participant i.
+func (t *DistTxn) appendOne(f *sim.Fiber, i int) error {
+	if t.halt != nil {
+		return nil
+	}
+	p := &t.parts[i]
+	tail, err := p.Store.Tail()
+	if err != nil {
+		return fmt.Errorf("participant %d tail: %w", i, err)
+	}
+	t.tails[i] = tail
+	if _, err := p.Store.Append(f, p.Entries); err != nil {
+		return fmt.Errorf("participant %d append: %w", i, err)
+	}
+	t.state[i] = stPrepared
+	_ = t.step(StepAppend, i) // a halt is reported by Prepare
 	return nil
 }
 
@@ -215,15 +332,21 @@ func (t *DistTxn) failPrepare(f *sim.Fiber, cause error) error {
 // Commit runs phase two. For a logged transaction the commit record is
 // first made durable on the coordinator's log — the commit point: before
 // it, a crash aborts the transaction everywhere; at or after it, recovery
-// rolls every participant forward. Then, in participant order, the
-// prepared record is applied (ExecuteAll) and the lock released; finally
-// the commit record is truncated. All participants must be prepared.
-// On failure past the commit point Commit returns ErrInDoubt and may be
-// called again — finished participants are skipped, so a retry resumes
-// where the fault hit (and re-truncates the record). A commit-record
-// append failure returns ErrAborted instead: nothing has executed yet,
-// so the prepared participants are rolled back as a failed Prepare would.
+// rolls every participant forward. Then, on all participants at once, the
+// prepared record is applied (ExecuteAll) and the lock released; once the
+// last lock is released the commit record is truncated. All participants
+// must be prepared. On failure past the commit point every participant is
+// still driven as far as its group allows, and Commit returns ErrInDoubt
+// naming the ones that did not finish; it may be called again — finished
+// participants are skipped, so a retry resumes where the fault hit (and
+// re-truncates the record). A commit-record append failure returns
+// ErrAborted instead: nothing has executed yet, so the prepared
+// participants are rolled back as a failed Prepare would.
 func (t *DistTxn) Commit(f *sim.Fiber) error {
+	t.halt = nil
+	if len(t.parts) == 0 {
+		return fmt.Errorf("%w: no participants", ErrBadArgument)
+	}
 	for i := range t.parts {
 		if t.state[i] != stPrepared && t.state[i] != stDone {
 			return fmt.Errorf("%w: participant %d not prepared", ErrBadArgument, i)
@@ -243,23 +366,12 @@ func (t *DistTxn) Commit(f *sim.Fiber) error {
 			return err
 		}
 	}
-	for i := range t.parts {
-		if t.state[i] == stDone {
-			continue
-		}
-		if _, err := t.parts[i].Store.ExecuteAll(f); err != nil {
-			return fmt.Errorf("%w: participant %d execute: %w", ErrInDoubt, i, err)
-		}
-		if err := t.step(StepExecute, i); err != nil {
-			return err
-		}
-		if err := t.parts[i].Store.WrUnlock(f); err != nil {
-			return fmt.Errorf("%w: participant %d unlock: %w", ErrInDoubt, i, err)
-		}
-		t.state[i] = stDone
-		if err := t.step(StepUnlock, i); err != nil {
-			return err
-		}
+	err := t.fanOut(f, t.commitOne)
+	if t.halt != nil {
+		return t.halt
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInDoubt, err)
 	}
 	if t.clog != nil && t.logged {
 		if err := t.clog.Truncate(f, t.txnID); err != nil {
@@ -273,6 +385,26 @@ func (t *DistTxn) Commit(f *sim.Fiber) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// commitOne is the execute→unlock chain on participant i.
+func (t *DistTxn) commitOne(f *sim.Fiber, i int) error {
+	if t.state[i] == stDone || t.halt != nil {
+		return nil
+	}
+	st := t.parts[i].Store
+	if _, err := st.ExecuteAll(f); err != nil {
+		return fmt.Errorf("participant %d execute: %w", i, err)
+	}
+	if t.step(StepExecute, i) != nil {
+		return nil // a halt is reported by Commit
+	}
+	if err := st.WrUnlock(f); err != nil {
+		return fmt.Errorf("participant %d unlock: %w", i, err)
+	}
+	t.state[i] = stDone
+	_ = t.step(StepUnlock, i)
 	return nil
 }
 

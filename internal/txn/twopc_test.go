@@ -8,25 +8,35 @@ import (
 
 	"hyperloop/internal/hyperloop"
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol/protocoltest"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/wal"
 )
 
-// twoPCRig is a pair of independently replicated stores on one kernel —
+// twoPCRig is a set of independently replicated stores on one kernel —
 // the smallest cross-shard deployment. Each store has its own client NIC
-// and replica chain, like two shards of internal/shard's router.
+// and replica chain, like the shards of internal/shard's router, and sits
+// behind a pass-through StopGroup so a test can freeze or slow one
+// participant.
 type twoPCRig struct {
 	k      *sim.Kernel
 	fab    *rdma.Fabric
 	stores []*Store
 	groups []*hyperloop.Group
+	stops  []*protocoltest.StopGroup
 }
 
 // newTwoPCRig builds nStores 2-replica chains. faults (optional) is
 // installed on the fabric before any NIC exists; opTimeout arms each
 // group's client-side timeout so faulted chains fail instead of hanging.
 func newTwoPCRig(t *testing.T, nStores int, faults *rdma.FaultPlan, opTimeout sim.Duration) *twoPCRig {
+	t.Helper()
+	return newTwoPCRigN(t, nStores, 2, faults, opTimeout)
+}
+
+// newTwoPCRigN is newTwoPCRig with a chosen chain length.
+func newTwoPCRigN(t *testing.T, nStores, replicas int, faults *rdma.FaultPlan, opTimeout sim.Duration) *twoPCRig {
 	t.Helper()
 	k := sim.NewKernel(11)
 	fab := rdma.NewFabric(k, rdma.DefaultConfig())
@@ -43,7 +53,7 @@ func newTwoPCRig(t *testing.T, nStores int, faults *rdma.FaultPlan, opTimeout si
 			t.Fatal(err)
 		}
 		var reps []*rdma.NIC
-		for i := 0; i < 2; i++ {
+		for i := 0; i < replicas; i++ {
 			host := fmt.Sprintf("s%d-r%d", s, i)
 			nic, err := fab.AddNIC(host, nvm.NewDevice(host, testDev))
 			if err != nil {
@@ -57,12 +67,14 @@ func newTwoPCRig(t *testing.T, nStores int, faults *rdma.FaultPlan, opTimeout si
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := New(g, Config{LogSize: testLog, DataSize: testData, LockToken: 42})
+		stop := protocoltest.NewStopGroup(g)
+		st, err := New(stop, Config{LogSize: testLog, DataSize: testData, LockToken: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rig.stores = append(rig.stores, st)
 		rig.groups = append(rig.groups, g)
+		rig.stops = append(rig.stops, stop)
 	}
 	return rig
 }
@@ -336,16 +348,18 @@ func TestTwoPCLoggedCommit(t *testing.T) {
 }
 
 // TestTwoPCCrashMidCommitRollsForward is the partial-commit bug in
-// miniature: the coordinator crashes after executing+unlocking participant
-// 0 but before touching participant 1. The commit record is durable, so
-// recovery must roll participant 1 *forward* — RecoverAbort here would
-// erase half the transaction.
+// miniature: the coordinator dies once participant 0 has executed and
+// unlocked, while participant 1 — frozen after its third group op (lock,
+// record, tail) — still holds its prepared record. The commit record is
+// durable, so recovery must roll participant 1 *forward* — RecoverAbort
+// here would erase half the transaction.
 func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	rig.run(t, func(f *sim.Fiber) {
 		tx, err := BeginDistLogged(parts(rig.stores[:2], "crash"), cl, []int{0, 1})
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		tx.SetStepHook(func(s Step, participant int) error {
 			if s == StepUnlock && participant == 0 {
@@ -353,12 +367,16 @@ func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 			}
 			return nil
 		})
+		rig.stops[1].Budget = 3
 		if err := tx.Prepare(f); err != nil {
-			t.Fatalf("prepare: %v", err)
+			t.Errorf("prepare: %v", err)
+			return
 		}
 		if err := tx.Commit(f); !errors.Is(err, ErrCoordinatorCrash) {
-			t.Fatalf("commit = %v, want injected crash", err)
+			t.Errorf("commit = %v, want injected crash", err)
+			return
 		}
+		rig.stops[1].Budget = -1
 		// Participant 0 committed and unlocked; participant 1 orphaned.
 		if locked, _ := rig.stores[0].Locked(); locked {
 			t.Error("participant 0 still locked")
@@ -368,7 +386,8 @@ func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 		}
 		recs, err := cl.Records()
 		if err != nil || len(recs) != 1 {
-			t.Fatalf("records = %v (%v), want the commit record", recs, err)
+			t.Errorf("records = %v (%v), want the commit record", recs, err)
+			return
 		}
 		// Recovery: both stores are named by the record; 0 is already done.
 		if n, ok, err := RecoverCommit(f, rig.stores[0], 42); n != 0 || ok || err != nil {
@@ -376,7 +395,8 @@ func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 		}
 		n, ok, err := RecoverCommit(f, rig.stores[1], 42)
 		if err != nil || !ok || n != 1 {
-			t.Fatalf("recover participant 1 = (%d, %v, %v), want 1 record applied", n, ok, err)
+			t.Errorf("recover participant 1 = (%d, %v, %v), want 1 record applied", n, ok, err)
+			return
 		}
 		for i, st := range rig.stores[:2] {
 			want := []byte(fmt.Sprintf("crash-%d", i))
@@ -573,57 +593,9 @@ func TestTwoPCCrashSweep(t *testing.T) {
 				t.Fatalf("kill %d: err = %v, want injected crash", kill, err)
 			}
 
-			// Recover exactly as Router.Recover does.
-			recs, err := cl.Records()
-			if err != nil {
-				t.Fatal(err)
-			}
-			committed := map[int]bool{}
-			for _, rec := range recs {
-				if rec.Token != 42 {
-					continue
-				}
-				for _, sid := range rec.Shards {
-					committed[sid] = true
-				}
-			}
-			if wantRec := kill >= commitPoint && kill < totalSteps; (len(recs) > 0) != wantRec {
-				t.Errorf("kill %d: %d live records, want record=%v", kill, len(recs), wantRec)
-			}
-			for i := 0; i < span; i++ {
-				if committed[i] {
-					if _, _, err := RecoverCommit(f, rig.stores[i], 42); err != nil {
-						t.Fatalf("kill %d: recover commit %d: %v", kill, i, err)
-					}
-				} else if _, err := RecoverAbort(f, rig.stores[i], 42); err != nil {
-					t.Fatalf("kill %d: recover abort %d: %v", kill, i, err)
-				}
-			}
-			for _, rec := range recs {
-				if err := cl.Truncate(f, rec.TxnID); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			// All-or-nothing: every participant shows the write, or none.
+			wantRec := kill >= commitPoint && kill < totalSteps
 			wantCommitted := kill >= commitPoint
-			for i := 0; i < span; i++ {
-				want := make([]byte, 7)
-				if wantCommitted {
-					want = []byte(fmt.Sprintf("sweep-%d", i))
-				}
-				got, err := rig.stores[i].ReadData(64*i, len(want))
-				if err != nil || !bytes.Equal(got, want) {
-					t.Errorf("kill %d: store %d data = %q (%v), want %q", kill, i, got, err, want)
-				}
-				if used, err := rig.stores[i].LogUsed(); err != nil || used != 0 {
-					t.Errorf("kill %d: store %d log used = %d (%v)", kill, i, used, err)
-				}
-			}
-			mustUnlocked(t, rig.stores[:span])
-			if recs, err := cl.Records(); err != nil || len(recs) != 0 {
-				t.Errorf("kill %d: commit log not drained: %v (%v)", kill, recs, err)
-			}
+			recoverAndAudit(t, f, rig, cl, span, fmt.Sprintf("kill %d", kill), "sweep", wantRec, wantCommitted)
 		})
 	}
 }

@@ -12,6 +12,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -63,7 +64,9 @@ type Config struct {
 	LockBackoff sim.Duration
 }
 
-// Store manages a replicated write-ahead log plus database region.
+// Store manages a replicated write-ahead log plus database region. One
+// fiber drives a Store at a time, so its scratch buffers are reused from
+// call to call; Replicator.WriteLocal copies what it is handed.
 type Store struct {
 	r   Replicator
 	cfg Config
@@ -71,6 +74,10 @@ type Store struct {
 	logOff  int
 	dataOff int
 	nextSeq uint64
+
+	allExec []bool  // the gCAS execute map naming every member
+	ptrBuf  [8]byte // writePtr's encoded pointer
+	encBuf  []byte  // Append's encoded record (and wrap pad)
 }
 
 // New carves the control block, log and data regions out of the mirror.
@@ -89,12 +96,17 @@ func New(r Replicator, cfg Config) (*Store, error) {
 	if cfg.LockBackoff <= 0 {
 		cfg.LockBackoff = 10 * sim.Microsecond
 	}
+	allExec := make([]bool, r.GroupSize())
+	for i := range allExec {
+		allExec[i] = true
+	}
 	return &Store{
 		r:       r,
 		cfg:     cfg,
 		logOff:  ctrlSize,
 		dataOff: ctrlSize + cfg.LogSize,
 		nextSeq: 1,
+		allExec: allExec,
 	}, nil
 }
 
@@ -124,16 +136,10 @@ func leUint64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-func lePut(v uint64) []byte {
-	return []byte{
-		byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24),
-		byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56),
-	}
-}
-
 // writePtr durably replicates a control pointer.
 func (s *Store) writePtr(f *sim.Fiber, off int, v int) error {
-	if err := s.r.WriteLocal(off, lePut(uint64(v))); err != nil {
+	binary.LittleEndian.PutUint64(s.ptrBuf[:], uint64(v))
+	if err := s.r.WriteLocal(off, s.ptrBuf[:]); err != nil {
 		return err
 	}
 	return s.r.Write(f, off, 8, true)
@@ -196,7 +202,8 @@ func (s *Store) Append(f *sim.Fiber, entries []wal.Entry) (uint64, error) {
 	if needsWrap {
 		padLen := s.cfg.LogSize - tail
 		if padLen >= wal.PadHeaderSize {
-			pad := make([]byte, padLen)
+			pad := s.scratch(padLen)
+			clear(pad)
 			if err := wal.EncodePad(pad, padLen); err != nil {
 				return 0, err
 			}
@@ -209,7 +216,7 @@ func (s *Store) Append(f *sim.Fiber, entries []wal.Entry) (uint64, error) {
 		}
 		tail = 0
 	}
-	buf := make([]byte, size)
+	buf := s.scratch(size)
 	if _, err := rec.Encode(buf); err != nil {
 		return 0, err
 	}
@@ -228,6 +235,14 @@ func (s *Store) Append(f *sim.Fiber, entries []wal.Entry) (uint64, error) {
 	}
 	s.nextSeq++
 	return rec.Seq, nil
+}
+
+// scratch returns Append's reusable buffer at length n, contents stale.
+func (s *Store) scratch(n int) []byte {
+	if cap(s.encBuf) < n {
+		s.encBuf = make([]byte, n)
+	}
+	return s.encBuf[:n]
 }
 
 // recordImage returns the log bytes wal.Decode needs for the record at ring

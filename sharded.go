@@ -32,7 +32,12 @@ type (
 	// stores.
 	ShardRoutingConfig = shard.Config
 	// TxnStep identifies one coordinator-side 2PC action; step hooks
-	// (ShardRouter.SetTxnStepHook) receive it for crash injection.
+	// (ShardRouter.SetTxnStepHook) receive it for crash injection. A
+	// span-S transaction fires 4·S + 2 of them: S locks in shard order,
+	// S appends, the commit record, S executes and S unlocks, the
+	// truncate. Appends, and the execute→unlock chains, run on all shards
+	// at once, so within those groups the firings come in virtual-time
+	// order, not shard order; see txn.Step.
 	TxnStep = txn.Step
 )
 

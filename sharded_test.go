@@ -2,7 +2,12 @@ package hyperloop
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
+
+	"hyperloop/internal/protocol"
+	"hyperloop/internal/protocol/protocoltest"
 )
 
 func TestShardedClusterDefaults(t *testing.T) {
@@ -156,5 +161,112 @@ func TestShardedClusterCommitLog(t *testing.T) {
 	st := r.Stats()
 	if st.Commits != 1 || st.Aborts != 0 || st.InDoubt != 0 {
 		t.Fatalf("stats = %+v, want exactly one commit", st)
+	}
+}
+
+// stopChain is the chain protocol behind a protocoltest.StopGroup, so a
+// facade test can freeze individual shards' groups. NewShardedCluster
+// builds groups by registry name — the coordinator-log group first, then
+// shard 0, 1, … — and the builder appends each wrapper to stopChainGroups.
+const stopChain = "test-stop-chain"
+
+var stopChainGroups []*protocoltest.StopGroup
+
+func init() {
+	protocol.Register(stopChain, "chain behind a test StopGroup",
+		func(env protocol.Env, p protocol.Params) (protocol.Protocol, error) {
+			g, err := protocol.Build("chain", env, p)
+			if err != nil {
+				return nil, err
+			}
+			stop := protocoltest.NewStopGroup(g)
+			stopChainGroups = append(stopChainGroups, stop)
+			return stop, nil
+		})
+}
+
+// TestShardedClusterCrashSubsets drives one representative subset per
+// parallel 2PC step through the facade: in a span-4 transaction shards 0
+// and 2 complete the step, shards 1 and 3 are frozen inside it (record
+// written but tail not; memcpy applied but head not advanced; head advanced
+// but still locked), the coordinator dies, and Recover must finish or undo
+// the transaction everywhere.
+func TestShardedClusterCrashSubsets(t *testing.T) {
+	const shards = 4
+	cases := []struct {
+		step      TxnStep
+		frozenOps int // group ops a frozen shard completes: lock, record, tail, memcpy, head
+		committed bool
+	}{
+		{TxnStepAppend, 2, false},
+		{TxnStepExecute, 4, true},
+		{TxnStepUnlock, 5, true},
+	}
+	for _, tc := range cases {
+		stopChainGroups = nil
+		c, err := NewShardedCluster(ShardedClusterConfig{
+			Seed: 5, Shards: shards, ReplicasPerShard: 2, Servers: 2,
+			Protocol: stopChain, CommitLog: true,
+			Routing: ShardRoutingConfig{Policy: ShardRange, Keys: shards},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := stopChainGroups[1:] // [0] is the coordinator log's
+		r := c.Router()
+		writes := make([]ShardWrite, shards)
+		for i := range writes {
+			writes[i] = ShardWrite{Key: uint64(i), Data: []byte{'w', byte('0' + i)}}
+		}
+		err = c.Run(func(f *Fiber) error {
+			groups[1].Budget, groups[3].Budget = tc.frozenOps, tc.frozenOps
+			r.SetTxnStepHook(func(s TxnStep, participant int) error {
+				if s == tc.step {
+					return ErrTxnCoordinatorCrash
+				}
+				return nil
+			})
+			if err := r.Txn(f, writes); !errors.Is(err, ErrTxnCoordinatorCrash) {
+				return fmt.Errorf("txn = %v, want the injected crash", err)
+			}
+			r.SetTxnStepHook(nil)
+			groups[1].Budget, groups[3].Budget = -1, -1
+			rs, err := r.Recover(f)
+			if err != nil {
+				return err
+			}
+			if tc.committed && (rs.Back != 0 || rs.Forward == 0) || !tc.committed && (rs.Forward != 0 || rs.Back != shards) {
+				t.Errorf("%v: recover stats = %+v, committed = %v", tc.step, rs, tc.committed)
+			}
+			for i := 0; i < shards; i++ {
+				st := r.Shard(i).Store
+				want := make([]byte, 2)
+				if tc.committed {
+					want = writes[i].Data
+				}
+				if got, err := st.ReadData(0, 2); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%v: shard %d data = %q (%v), want %q", tc.step, i, got, err, want)
+				}
+				if locked, err := st.Locked(); err != nil || locked {
+					t.Errorf("%v: shard %d lock leaked (%v)", tc.step, i, err)
+				}
+				if used, err := st.LogUsed(); err != nil || used != 0 {
+					t.Errorf("%v: shard %d log used = %d (%v)", tc.step, i, used, err)
+				}
+			}
+			if rs, err := r.Recover(f); err != nil || rs != (ShardRecoverStats{}) {
+				t.Errorf("%v: second recover = %+v, %v", tc.step, rs, err)
+			}
+			return r.Txn(f, writes) // the client's retry commits
+		})
+		if err != nil {
+			t.Errorf("%v: %v", tc.step, err)
+		}
+		for i := range writes {
+			if got, _ := r.Get(uint64(i)); !bytes.Equal(got, writes[i].Data) {
+				t.Errorf("%v: get(%d) after retry = %q", tc.step, i, got)
+			}
+		}
+		c.Close()
 	}
 }
