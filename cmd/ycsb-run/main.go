@@ -19,6 +19,7 @@ import (
 	"hyperloop/internal/kvstore"
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/txn"
 	"hyperloop/internal/ycsb"
 )
 
@@ -271,15 +272,7 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func makeGroup(c *root.Cluster, backend string, mirror int) (interface {
-	GroupSize() int
-	WriteLocal(off int, data []byte) error
-	ReadLocal(off, n int) ([]byte, error)
-	Write(f *sim.Fiber, off, size int, durable bool) error
-	Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error
-	CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error)
-	Flush(f *sim.Fiber, off, size int) error
-}, error) {
+func makeGroup(c *root.Cluster, backend string, mirror int) (txn.Replicator, error) {
 	switch backend {
 	case "hyperloop":
 		return c.NewGroup(mirror)

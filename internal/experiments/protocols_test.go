@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hyperloop/internal/protocol"
@@ -499,5 +500,156 @@ func TestProtocolCASNeverRetriedUnderTimeout(t *testing.T) {
 			}
 			g.Close()
 		})
+	}
+}
+
+// TestProtocolPerMemberPrefix checks the property the transaction layer's
+// pipelined steps rest on: every member applies AND flushes group ops in
+// the order they were posted, and a loss wedges a member's stream rather
+// than letting later ops overtake. The script keeps the window full of
+// tagged pairs — a payload op into region i (a gWRITE, or a gMEMCPY from a
+// pre-replicated source), then a gWRITE of marker i — while one member's
+// NIC crashes at a seeded instant; afterwards every member loses power.
+// On each durable image, marker i present must imply markers 1..i and
+// regions 1..i present and intact: the image is a prefix of what was
+// posted, whatever the protocol's topology or ack rule.
+func TestProtocolPerMemberPrefix(t *testing.T) {
+	const (
+		pairs     = 48 // 96 ops against a window of 30
+		regionLen = 256
+		srcBase   = 16 << 10 // gMEMCPY sources, replicated before the crash
+		markBase  = 32 << 10 // marker i is the 8 bytes at markBase + 8·i
+		cases     = 6        // seeded (victim, instant) draws per protocol and payload op
+	)
+	region := func(i int) []byte {
+		b := make([]byte, regionLen)
+		for j := range b {
+			b[j] = byte(i*31+j) | 1
+		}
+		return b
+	}
+	marker := func(i int) []byte { return []byte(fmt.Sprintf("mark%04d", i)) }
+
+	// script posts the pairs; crash, when non-nil, is armed as the first op
+	// goes out. It returns how long the posting phase took.
+	script := func(t *testing.T, c *cluster, memcpy bool, crash func()) (took sim.Duration) {
+		g := c.group.(protocol.Protocol)
+		drive(t, c, func(f *sim.Fiber) error {
+			if memcpy {
+				for i := 1; i <= pairs; i++ {
+					if err := g.WriteLocal(srcBase+i*regionLen, region(i)); err != nil {
+						return err
+					}
+				}
+				if err := g.Write(f, srcBase, (pairs+1)*regionLen, true); err != nil {
+					return fmt.Errorf("source write: %w", err)
+				}
+			}
+			var sigs []*sim.Signal
+			oldest := 0
+			// post issues one op, waiting for the oldest outstanding one
+			// whenever the window is full. Ops that fail to post or time out
+			// after the crash are part of the scenario.
+			post := func(issue func() (*sim.Signal, error)) error {
+				for {
+					sig, err := issue()
+					switch {
+					case err == nil:
+						sigs = append(sigs, sig)
+						return nil
+					case errors.Is(err, protocol.ErrTooManyInFlight) && oldest < len(sigs):
+						_ = f.Await(sigs[oldest])
+						oldest++
+					case protocol.IsOpError(err):
+						return nil
+					default:
+						return err
+					}
+				}
+			}
+			start := f.Now()
+			if crash != nil {
+				crash()
+			}
+			for i := 1; i <= pairs; i++ {
+				off := i * regionLen
+				var first func() (*sim.Signal, error)
+				if memcpy {
+					first = func() (*sim.Signal, error) { return g.MemcpyAsync(srcBase+off, off, regionLen, true) }
+				} else {
+					if err := g.WriteLocal(off, region(i)); err != nil {
+						return err
+					}
+					first = func() (*sim.Signal, error) { return g.WriteAsync(off, regionLen, true) }
+				}
+				if err := post(first); err != nil {
+					return fmt.Errorf("payload op %d: %w", i, err)
+				}
+				if err := g.WriteLocal(markBase+8*i, marker(i)); err != nil {
+					return err
+				}
+				if err := post(func() (*sim.Signal, error) { return g.WriteAsync(markBase+8*i, 8, true) }); err != nil {
+					return fmt.Errorf("marker %d: %w", i, err)
+				}
+			}
+			for _, sig := range sigs[oldest:] {
+				_ = f.Await(sig)
+			}
+			took = f.Now().Sub(start)
+			return nil
+		})
+		return took
+	}
+
+	for _, name := range protocol.Names() {
+		for _, memcpy := range []bool{false, true} {
+			op := map[bool]string{false: "gWRITE", true: "gMEMCPY"}[memcpy]
+			t.Run(name+"/"+op, func(t *testing.T) {
+				ccfg := clusterCfg{opTimeout: 200 * sim.Microsecond}
+				healthy := script(t, confCluster(t, 1, name, ccfg), memcpy, nil)
+				rng := rand.New(rand.NewSource(20261002))
+				partial := 0
+				for n := 0; n < cases; n++ {
+					victim := rng.Intn(3)
+					at := sim.Duration(rng.Int63n(int64(healthy)))
+					c := confCluster(t, uint64(n+1), name, ccfg)
+					script(t, c, memcpy, func() {
+						c.k.AfterFunc(at, func() { c.members[victim].SetDown(true) }, nil)
+					})
+					g := c.group.(protocol.Protocol)
+					if fl := g.InFlight(); fl != 0 {
+						t.Fatalf("%d ops unresolved after the script", fl)
+					}
+					g.Close()
+					for m, nic := range c.members {
+						nic.Memory().Crash()
+						img := make([]byte, 64<<10)
+						if err := nic.Memory().Read(0, img); err != nil {
+							t.Fatal(err)
+						}
+						last := 0
+						for i := 1; i <= pairs; i++ {
+							if bytes.Equal(img[markBase+8*i:markBase+8*i+8], marker(i)) {
+								last = i
+							}
+						}
+						for i := 1; i <= last; i++ {
+							if !bytes.Equal(img[markBase+8*i:markBase+8*i+8], marker(i)) {
+								t.Errorf("member %d down at +%v: member %d holds marker %d but not marker %d", victim, at, m, last, i)
+							}
+							if !bytes.Equal(img[i*regionLen:(i+1)*regionLen], region(i)) {
+								t.Errorf("member %d down at +%v: member %d holds marker %d but region %d is not intact", victim, at, m, last, i)
+							}
+						}
+						if last > 0 && last < pairs {
+							partial++
+						}
+					}
+				}
+				if partial == 0 {
+					t.Errorf("no member was ever caught mid-stream in %d cases; the crash instants miss the run", cases)
+				}
+			})
+		}
 	}
 }

@@ -73,10 +73,11 @@ type GroupConfig struct {
 	Errors       Errors
 }
 
-// pending is a client-issued operation awaiting its group ACK.
+// pending is a client-issued operation awaiting its group ACK. The signal
+// is part of it, so an op is one allocation (of 80 bytes). results is
+// non-nil for a gCAS only, sized at issue for one value per member.
 type pending struct {
-	kind    OpKind
-	sig     *sim.Signal
+	sig     sim.Signal
 	results []uint64
 	timer   *sim.Timer
 }
@@ -147,7 +148,10 @@ func (g *Group) issue(kind OpKind, op Op) (*pending, error) {
 	}
 	seq := g.nextSeq
 	g.nextSeq++
-	p := &pending{kind: kind, sig: sim.NewSignal()}
+	p := &pending{}
+	if kind == KindCAS {
+		p.results = make([]uint64, 0, g.cfg.GroupSize)
+	}
 	g.inflight[seq] = p
 	if g.cfg.OpTimeout > 0 {
 		p.timer = g.cfg.Kernel.After(g.cfg.OpTimeout, func() {
@@ -193,8 +197,8 @@ func (g *Group) Complete(seq uint64, results []uint64) {
 		return
 	}
 	g.completed++
-	if p.kind == KindCAS {
-		p.results = append([]uint64(nil), results...)
+	if p.results != nil {
+		p.results = append(p.results, results...)
 	}
 	p.sig.Fire(nil)
 }
@@ -206,7 +210,7 @@ func (g *Group) await(f *sim.Fiber, kind OpKind, op Op) error {
 	for attempt := 0; ; attempt++ {
 		p, err := g.issue(kind, op)
 		if err == nil {
-			err = f.Await(p.sig)
+			err = f.Await(&p.sig)
 		}
 		if err == nil || !errors.Is(err, g.cfg.Errors.Timeout) || attempt >= g.cfg.MaxRetries {
 			return err
@@ -223,7 +227,7 @@ func (g *Group) async(kind OpKind, op Op) (*sim.Signal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.sig, nil
+	return &p.sig, nil
 }
 
 // WriteLocal stores data into the client's mirror; the usual pattern is
@@ -278,7 +282,7 @@ func (g *Group) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Await(p.sig); err != nil {
+	if err := f.Await(&p.sig); err != nil {
 		return nil, err
 	}
 	return p.results, nil

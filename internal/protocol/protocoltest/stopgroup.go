@@ -17,9 +17,11 @@ var ErrStopped = errors.New("protocoltest: client stopped")
 // Budget group operations (gWRITE, gMEMCPY, gCAS, gFLUSH) have been let
 // through, every further mutation — the local staging write included —
 // fails with ErrStopped, which leaves the client mirror and the replicas
-// exactly as a coordinator that died between two operations would. Delay,
-// when set, is slept before each group operation, so participants finish
-// their steps at different instants. Reads always pass through.
+// exactly as a coordinator that died between two operations would. The
+// posting forms of gWRITE and gMEMCPY draw on the same budget as the
+// blocking ones. Delay, when set, is slept before each blocking group
+// operation — a store step ends in one — so participants finish their steps
+// at different instants. Reads always pass through.
 type StopGroup struct {
 	protocol.Protocol
 	// Budget is the number of group operations still let through; negative
@@ -35,13 +37,21 @@ func NewStopGroup(g protocol.Protocol) *StopGroup {
 	return &StopGroup{Protocol: g, Budget: -1}
 }
 
-// begin gates one group operation.
-func (g *StopGroup) begin(f *sim.Fiber) error {
+// admit charges one group operation to the budget.
+func (g *StopGroup) admit() error {
 	if g.Budget == 0 {
 		return ErrStopped
 	}
 	if g.Budget > 0 {
 		g.Budget--
+	}
+	return nil
+}
+
+// begin gates one blocking group operation.
+func (g *StopGroup) begin(f *sim.Fiber) error {
+	if err := g.admit(); err != nil {
+		return err
 	}
 	if g.Delay > 0 {
 		f.Sleep(g.Delay)
@@ -63,6 +73,22 @@ func (g *StopGroup) Write(f *sim.Fiber, off, size int, durable bool) error {
 		return err
 	}
 	return g.Protocol.Write(f, off, size, durable)
+}
+
+// WriteAsync is a gated gWRITE post; there is no fiber to delay.
+func (g *StopGroup) WriteAsync(off, size int, durable bool) (*sim.Signal, error) {
+	if err := g.admit(); err != nil {
+		return nil, err
+	}
+	return g.Protocol.WriteAsync(off, size, durable)
+}
+
+// MemcpyAsync is a gated gMEMCPY post.
+func (g *StopGroup) MemcpyAsync(src, dst, size int, durable bool) (*sim.Signal, error) {
+	if err := g.admit(); err != nil {
+		return nil, err
+	}
+	return g.Protocol.MemcpyAsync(src, dst, size, durable)
 }
 
 // Memcpy is a gated gMEMCPY.

@@ -131,9 +131,20 @@ func (b *fakeBackend) ReadLocal(off, n int) ([]byte, error) {
 	return out, nil
 }
 func (b *fakeBackend) Write(f *sim.Fiber, off, size int, durable bool) error { return nil }
+func (b *fakeBackend) WriteAsync(off, size int, durable bool) (*sim.Signal, error) {
+	return firedSignal(), nil
+}
 func (b *fakeBackend) Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error {
 	copy(b.mem[dst:dst+size], b.mem[src:src+size])
 	return nil
+}
+func (b *fakeBackend) MemcpyAsync(src, dst, size int, durable bool) (*sim.Signal, error) {
+	return firedSignal(), b.Memcpy(nil, src, dst, size, durable)
+}
+func firedSignal() *sim.Signal {
+	s := sim.NewSignal()
+	s.Fire(nil)
+	return s
 }
 func (b *fakeBackend) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error) {
 	return nil, errors.New("unsupported")

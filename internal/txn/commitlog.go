@@ -120,7 +120,8 @@ func (l *CommitLog) Append(f *sim.Fiber, token uint64, shards []int) (uint64, er
 		return 0, ErrCommitLogFull
 	}
 	id := l.nextID
-	buf := make([]byte, l.slotSize)
+	buf := l.s.scratch(l.slotSize) // WriteData copies it into the mirror
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf[0:], clMagic)
 	binary.LittleEndian.PutUint64(buf[4:], id)
 	binary.LittleEndian.PutUint64(buf[12:], token)
@@ -150,7 +151,8 @@ func (l *CommitLog) Truncate(f *sim.Fiber, txnID uint64) error {
 	}
 	// One 8-byte durable write over the magic (and half the txnID)
 	// invalidates the slot on every member.
-	if err := l.s.WriteData(f, slot*l.slotSize, make([]byte, 8)); err != nil {
+	l.s.ptrBuf = [8]byte{}
+	if err := l.s.WriteData(f, slot*l.slotSize, l.s.ptrBuf[:]); err != nil {
 		return err
 	}
 	l.used[slot] = false

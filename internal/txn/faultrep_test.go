@@ -68,6 +68,22 @@ func (m *memRep) Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error {
 	return nil
 }
 
+// The posting forms count as the same ops as the blocking ones and
+// complete inline too: the signal they return has already fired.
+func (m *memRep) WriteAsync(off, size int, durable bool) (*sim.Signal, error) {
+	return firedSignal(), m.Write(nil, off, size, durable)
+}
+
+func (m *memRep) MemcpyAsync(src, dst, size int, durable bool) (*sim.Signal, error) {
+	return firedSignal(), m.Memcpy(nil, src, dst, size, durable)
+}
+
+func firedSignal() *sim.Signal {
+	s := sim.NewSignal()
+	s.Fire(nil)
+	return s
+}
+
 func (m *memRep) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error) {
 	if err := m.check("cas"); err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 // ReadData returns a copy of [off, off+n) of the data region from the
 // client's mirror.
 func (s *Store) ReadData(off, n int) ([]byte, error) {
-	if off < 0 || off+n > s.cfg.DataSize {
+	if !s.inData(off, n) {
 		return nil, fmt.Errorf("%w: data read out of range", ErrBadArgument)
 	}
 	return s.r.ReadLocal(s.dataOff+off, n)

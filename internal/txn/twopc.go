@@ -23,7 +23,7 @@ import (
 //	           entry, head advance), then release the lock — one chain per
 //	           store, no barrier between a store's execute and its unlock.
 //	abort    = per store: roll the durable tail pointer back over the
-//	           prepared record and release the lock.
+//	           prepared (or half-appended) record and release the lock.
 //
 // The participants are independent groups that share nothing once the
 // locks are held, so the coordinator runs each parallel phase with one
@@ -131,10 +131,11 @@ type Participant struct {
 type txnState int
 
 const (
-	stIdle     txnState = iota
-	stLocked            // write lock held, nothing appended
-	stPrepared          // locked + record durably appended
-	stDone              // committed or rolled back, lock released
+	stIdle      txnState = iota
+	stLocked             // write lock held, nothing appended
+	stAppending          // locked + append attempted: members may hold the record and a moved tail
+	stPrepared           // locked + record durably appended
+	stDone               // committed or rolled back, lock released
 )
 
 // DistTxn is one distributed transaction. The zero value is invalid; use
@@ -312,6 +313,7 @@ func (t *DistTxn) appendOne(f *sim.Fiber, i int) error {
 		return fmt.Errorf("participant %d tail: %w", i, err)
 	}
 	t.tails[i] = tail
+	t.state[i] = stAppending
 	if _, err := p.Store.Append(f, p.Entries); err != nil {
 		return fmt.Errorf("participant %d append: %w", i, err)
 	}
@@ -417,13 +419,18 @@ func (t *DistTxn) Abort(f *sim.Fiber) error {
 }
 
 // rollback undoes lock/append on every participant not already done,
-// continuing past per-participant failures.
+// continuing past per-participant failures. A participant whose append was
+// only attempted is rewound like a prepared one: a failed Append restores
+// the client's tail, but whether every member took the old tail back is
+// known only from a rewind that is acknowledged — and until it is, the
+// lock stays, or the next transaction on the store could commit this
+// one's record.
 func (t *DistTxn) rollback(f *sim.Fiber) error {
 	var errs []error
 	for i := range t.parts {
 		p := &t.parts[i]
 		switch t.state[i] {
-		case stPrepared:
+		case stAppending, stPrepared:
 			if err := p.Store.writePtr(f, ctrlTailPtr, t.tails[i]); err != nil {
 				errs = append(errs, fmt.Errorf("participant %d tail rollback: %w", i, err))
 				continue // keep the lock: the store is in doubt until recovery
