@@ -157,9 +157,14 @@ covercheck() {
 #   "bench_test.go:80: shard-2pc: app.self_virt_us_per_op = -30.323764999999998, the stores model no CPU cost".
 # bench/tap.go computes an op's self time as op − Σ group calls; since the
 # phase-parallel 2PC the group calls of one Router.Txn overlap, the sum
-# exceeds the op and the value goes negative (-18.06 since 2026-10-02: a
-# store step is one blocking call now, so fewer calls overlap). Every
-# other TestSmoke assertion holds and `bash bench/run.sh` is unaffected. bench/ is frozen
+# exceeds the op and the value goes negative (-18.06 once a store step was
+# one blocking call, so fewer calls overlapped; -16.71 since 2026-10-02,
+# PR 19: the lock round's calls overlap too, the separate unlock call and
+# the blocking truncate are gone). Every other TestSmoke assertion holds —
+#   $ (cd bench && go test -run '^TestSmoke$' ./...)
+#   --- FAIL: TestSmoke
+#       bench_test.go:80: shard-2pc: app.self_virt_us_per_op = -16.705965000000003, the stores model no CPU cost
+# is the whole output — and `bash bench/run.sh` is unaffected. bench/ is frozen
 # for PRs that claim a gain; ROADMAP.md (tracing item, 4) has the
 # [benchmark] follow-up: self time from the covered interval, then drop
 # this -skip.

@@ -52,15 +52,16 @@ func run() error {
 			defer finish()
 			for i := 0; i < 3; i++ {
 				start := f.Now()
-				err := st.WithWrLock(f, func() error {
-					if _, err := st.Append(f, []wal.Entry{
+				err := st.WrLock(f)
+				if err == nil {
+					_, err = st.Append(f, []wal.Entry{
 						{Off: off, Data: []byte(fmt.Sprintf("%s-txn-%d", name, i))},
-					}); err != nil {
-						return err
-					}
-					_, err := st.ExecuteAll(f)
-					return err
-				})
+					})
+				}
+				if err == nil {
+					// The release rides behind the execute: one step.
+					_, err = st.ExecuteAllAndUnlock(f)
+				}
 				if err != nil {
 					log.Printf("%s txn %d: %v", name, i, err)
 					return

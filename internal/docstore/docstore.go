@@ -196,15 +196,20 @@ func decodeSlot(img []byte) (payload []byte, hash uint32, ok bool) {
 }
 
 // commit appends the journal record and executes it under the group write
-// lock — the §5.2 transaction flow (wrLock … ExecuteAndAdvance … wrUnlock).
+// lock — the §5.2 transaction flow (wrLock … ExecuteAndAdvance … wrUnlock),
+// the release riding behind the execute as one step.
 func (s *Store) commit(f *sim.Fiber, entries []wal.Entry) error {
 	if _, err := s.st.Append(f, entries); err != nil {
 		return err
 	}
-	return s.st.WithWrLock(f, func() error {
-		_, err := s.st.ExecuteAll(f)
+	if err := s.st.WrLock(f); err != nil {
 		return err
-	})
+	}
+	if _, err := s.st.ExecuteAllAndUnlock(f); err != nil {
+		_ = s.st.WrUnlock(f) // best effort; the execute's error is the one reported
+		return err
+	}
+	return nil
 }
 
 func (s *Store) indexInsert(coll, id string, slot int) {

@@ -616,13 +616,14 @@ func ablationConsistencyTable(rc *runCtx, seed uint64, ops int) (*metrics.Table,
 			op   func(f *sim.Fiber, i int) error
 		}{
 			{"ACID txn (log+lock+execute+flush)", func(f *sim.Fiber, i int) error {
-				return st.WithWrLock(f, func() error {
-					if _, err := st.Append(f, entry(i)); err != nil {
-						return err
-					}
-					_, err := st.ExecuteAll(f)
+				if err := st.WrLock(f); err != nil {
 					return err
-				})
+				}
+				if _, err := st.Append(f, entry(i)); err != nil {
+					return err
+				}
+				_, err := st.ExecuteAllAndUnlock(f)
+				return err
 			}},
 			{"eventual reads (append only, execute off-path)", func(f *sim.Fiber, i int) error {
 				if _, err := st.Append(f, entry(i)); err != nil {

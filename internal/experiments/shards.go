@@ -208,8 +208,9 @@ type txnRes struct {
 
 // shardTxnTrial measures cross-shard two-phase commit cost on an
 // offloaded rack: closed-loop transactions spanning 1, 2 and 4 groups
-// (prepare = lock + replicated WAL append per group; commit = execute +
-// unlock per group), shard sets rotating so every group participates.
+// (prepare = lock, then replicated WAL append, per group; commit = execute
+// with the unlock behind it, per group), shard sets rotating so every group
+// participates.
 func shardTxnTrial(ar *trialArena, seed uint64, nShards, txns int) (txnRes, error) {
 	r, err := buildRack(ar, seed, nShards, "chain", shard.RoundRobin)
 	if err != nil {
@@ -329,7 +330,7 @@ func shardsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		ID: "shards", Title: "Sharded scale-out: placement, tenant skew, cross-shard 2PC",
 		Tables: []*metrics.Table{iso, tp},
 		Notes: []string{
-			fmt.Sprintf("cross-shard commits: %d of %d spanned >1 group; locks are taken one chain at a time in shard order, then every participant appends, and later executes and unlocks, on its own chain at the same time",
+			fmt.Sprintf("cross-shard commits: %d of %d spanned >1 group; every participant takes its lock (no-wait), then appends, then executes with the unlock riding behind, each round on all chains at the same time",
 				txnRun.stats.CrossShard, txnRun.stats.Commits),
 			"chain replicas are NIC-offloaded, so placement barely moves tenant latency; naive handlers queue on the rack's cores and round-robin spreads the hot tenant's interference to everyone",
 			"tenants never share a group: all interference is infrastructure (CPU scheduling), the isolation SuperNIC argues NIC offload buys",

@@ -146,8 +146,8 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 	for _, leg := range legs {
 		for _, span := range []int{1, 2, 4} {
 			// Coordinator steps: a lock per shard, an append per shard,
-			// log-commit, (execute, unlock) per shard, log-truncate.
-			totalSteps := 4*span + 2
+			// log-commit, an execute (and unlock) per shard, log-truncate.
+			totalSteps := 3*span + 2
 			commitPoint := 2*span + 1
 			rolledBack, rolledForward, lockLeaks, retryCommits := 0, 0, 0, 0
 			mixedVisibility := 0 // kill points whose outcome was not all-or-nothing
@@ -267,7 +267,7 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"the commit record (txnID, lock token, participant shards) is durably appended to the coordinator's own 2-replica group after every participant prepared and before any executes",
 		"recovery decision rule: token-locked shard named by a record → roll forward (execute + unlock); token-locked shard with no record → roll back (presumed abort); never both for one transaction",
-		"kill points 1..S take the locks in shard order, S+1..2S are the appends, 2S+1 logs the record, 2S+2..4S+1 the execute→unlock chains, 4S+2 truncates; appends and chains run on all shards at once, so within those ranges the kill-th firing is the kill-th step to complete in virtual time and the other shards finish the step they have on the wire",
+		"kill points 1..S are the locks, S+1..2S the appends, 2S+1 logs the record, 2S+2..3S+1 the executes (each releasing its shard's lock behind it), 3S+2 posts the truncate; every per-shard range runs on all shards at once, so within it the kill-th firing is the kill-th step to complete in virtual time and the other shards finish the step they have on the wire",
 		"the staggered leg delays each shard's client link by a different amount (shard 0 by 4.5 µs, shard 3 not at all), so steps complete at different instants and in reverse shard order",
 		"the dup+delay leg draws from the fault plan's forked RNG stream, so every leg is seed-deterministic and the clean leg's event stream matches a fault-free run byte for byte",
 		fmt.Sprintf("each recovered deployment then serves %d follow-up transaction(s); commit/abort/in-doubt accounting must show exactly the commits", sc.pick(1, 8)))

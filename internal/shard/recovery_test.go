@@ -17,7 +17,8 @@ import (
 // newLoggedRig builds a rig whose router has a coordinator commit log on
 // its own 2-replica group, mirroring NewShardedCluster's wiring. Every
 // shard's group sits behind a pass-through StopGroup (rig.stops) so a test
-// can freeze or slow one participant.
+// can freeze or slow one participant, and so does the commit log's
+// (rig.coordStop).
 func newLoggedRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {
 	t.Helper()
 	k := sim.NewKernel(7)
@@ -53,14 +54,15 @@ func newLoggedRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout si
 		t.Fatal(err)
 	}
 	t.Cleanup(g.Close)
-	st, err := txn.New(g, txn.Config{LogSize: clLog, DataSize: clData, LockToken: cfg.LockToken})
+	coordStop := protocoltest.NewStopGroup(g)
+	st, err := txn.New(coordStop, txn.Config{LogSize: clLog, DataSize: clData, LockToken: cfg.LockToken})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CoordLog = st
 
 	mirror := cfg.MirrorSize()
-	rg := &rig{k: k, fab: fab}
+	rg := &rig{k: k, fab: fab, coordGroup: g, coordStop: coordStop, coordLog: st}
 	r, err := New(cfg, func(id int) (Backend, error) {
 		client, err := fab.AddNIC(fmt.Sprintf("cli-%d", id), nvm.NewDevice(fmt.Sprintf("cli-%d", id), testDev))
 		if err != nil {
@@ -170,8 +172,8 @@ func sweepConfig(shards int) Config {
 func TestCrashPointSweep(t *testing.T) {
 	for _, span := range []int{1, 2, 4} {
 		// Steps per transaction: (lock, append) per shard, log-commit,
-		// (execute, unlock) per shard, log-truncate.
-		totalSteps := 4*span + 2
+		// execute (and unlock) per shard, log-truncate.
+		totalSteps := 3*span + 2
 		commitPoint := 2*span + 1 // the step at which the record is durable
 		for kill := 1; kill <= totalSteps; kill++ {
 			kill := kill
@@ -227,8 +229,8 @@ func TestCrashPointSweep(t *testing.T) {
 }
 
 // TestInDoubtRecoveredThenRetriedCountedOnce produces an in-doubt outcome
-// (an injected group failure after participant 1 executed but before it
-// unlocked — past the commit point), then recovers and retries: the
+// (an injected failure once participant 1 has executed and unlocked — past
+// the commit point, before the truncate), then recovers and retries: the
 // transaction must be counted exactly once as InDoubt and exactly once as
 // a commit on retry, never as an abort.
 func TestInDoubtRecoveredThenRetriedCountedOnce(t *testing.T) {
@@ -284,6 +286,51 @@ func TestInDoubtRecoveredThenRetriedCountedOnce(t *testing.T) {
 		st = r.router.Stats()
 		if st.InDoubt != 1 || st.Commits != 1 || st.Aborts != 0 {
 			t.Errorf("final stats = %+v, want {InDoubt:1 Commits:1 Aborts:0}", st)
+		}
+	})
+}
+
+// TestRecoverSettlesBeforeItScans: a committed transaction leaves its
+// commit record's truncate posted, or — when the commit log's group was
+// unreachable — owed. Recover must see both through before it reads the
+// log: the record of a finished transaction is no work for recovery, and
+// afterwards nothing is in flight and no member holds the record.
+func TestRecoverSettlesBeforeItScans(t *testing.T) {
+	r := newLoggedRig(t, sweepConfig(2), nil, 0)
+	slot := make([]byte, 8)
+	memberSlot := func() []byte {
+		if err := r.coordGroup.ReplicaNIC(1).Memory().ReadDurable(r.coordLog.DataOff(), slot); err != nil {
+			t.Error(err)
+		}
+		return slot
+	}
+	r.run(t, func(f *sim.Fiber) {
+		for _, leg := range []struct {
+			name   string
+			budget int // group ops the commit log's group admits during the transaction
+		}{
+			{"truncate in flight", -1},
+			{"truncate owed", 1}, // the commit record, then nothing
+		} {
+			r.coordStop.Budget = leg.budget
+			if err := r.router.Txn(f, spanWrites(2)); err != nil {
+				t.Errorf("%s: txn: %v", leg.name, err)
+				return
+			}
+			r.coordStop.Budget = -1
+			if bytes.Equal(memberSlot(), make([]byte, 8)) {
+				t.Errorf("%s: the record is already gone from the commit log's tail member: nothing left to settle", leg.name)
+			}
+			rs, err := r.router.Recover(f)
+			if err != nil || rs != (RecoverStats{}) {
+				t.Errorf("%s: recover = %+v, %v, want nothing to resolve", leg.name, rs, err)
+			}
+			if n := r.coordGroup.InFlight(); n != 0 {
+				t.Errorf("%s: %d ops in flight on the commit log's group after Recover", leg.name, n)
+			}
+			if !bytes.Equal(memberSlot(), make([]byte, 8)) {
+				t.Errorf("%s: the commit log's tail member still holds the record after Recover", leg.name)
+			}
 		}
 	})
 }

@@ -7,8 +7,8 @@
 // Consistency contract: operations within one shard are strictly
 // serializable (they ride the shard's single replication group, §4 of the
 // paper). Cross-shard transactions are atomic and serializable via 2PC
-// with lock ordering by shard ID ("strong partition serializable":
-// serializable globally, strictly so per partition).
+// with no-wait group locks ("strong partition serializable": serializable
+// globally, strictly so per partition).
 package shard
 
 import (
@@ -264,8 +264,8 @@ func (r *Router) CommitLog() *txn.CommitLog { return r.clog }
 // Txn drives — the deterministic fault-injection surface crash-point
 // sweeps use. The participant index it receives counts the transaction's
 // shards in ascending shard-ID order; txn.Step gives the firing order
-// (locks one by one, then appends and execute→unlock chains on all
-// shards at once). A hook returning txn.ErrCoordinatorCrash makes Txn
+// (locks, then appends, then execute-and-unlock steps, each on all shards
+// at once). A hook returning txn.ErrCoordinatorCrash makes Txn
 // return it verbatim with no cleanup and no stats accounting once every
 // shard has finished the step it had on the wire, leaving shards exactly
 // as a mid-protocol coordinator crash would; Recover resolves them. Pass
@@ -336,10 +336,11 @@ func (r *Router) Get(key uint64) ([]byte, error) {
 }
 
 // Txn atomically applies writes, which may span shards. Writes are grouped
-// per shard and the participant list is sorted by shard ID — the global
-// lock order that keeps concurrent routers deadlock-free — then driven
-// through txn's two-phase commit, which after taking the locks runs the
-// shards' appends, and later their execute→unlock chains, concurrently.
+// per shard and the participant list is sorted by shard ID — which defines
+// participant indexes, hook order and the commit record; deadlock freedom
+// does not need it, txn's locking is no-wait — then driven through txn's
+// two-phase commit, which runs the shards' lock attempts, their appends and
+// later their execute-and-unlock steps concurrently.
 // On abort (some shard's prepare failed, or the commit record could not be
 // written) the error wraps txn.ErrAborted, no write took effect, and slots
 // freshly allocated for this transaction are released; on txn.ErrInDoubt
@@ -419,8 +420,8 @@ func (r *Router) Txn(f *sim.Fiber, writes []Write) error {
 		}
 		return err
 	}
-	// The commit drained each participant's log (ExecuteAll), so the
-	// post-commit value lengths are visible to Get.
+	// The commit drained each participant's log (ExecuteAllAndUnlock), so
+	// the post-commit value lengths are visible to Get.
 	for _, w := range writes {
 		r.shards[r.ShardOf(w.Key)].dir[w.Key].n = len(w.Data)
 	}
@@ -452,7 +453,9 @@ type RecoverStats struct {
 // named by no record roll back with txn.RecoverAbort (presumed abort,
 // sound because the record is written before any participant executes).
 // Once every shard is resolved the records are truncated; if any shard
-// failed to recover, its records are kept for the next pass.
+// failed to recover, its records are kept for the next pass. Before the
+// scan Recover waits for the truncates finished transactions left posted
+// (CommitLog.Settle), so none of their records is taken for a live one.
 //
 // Recover repairs durable state, not the client-side key directory: keys
 // whose transaction was rolled forward stay invisible to Get on this
@@ -464,6 +467,9 @@ func (r *Router) Recover(f *sim.Fiber) (RecoverStats, error) {
 	committed := make(map[int]bool)
 	var recs []txn.CommitRecord
 	if r.clog != nil {
+		if err := r.clog.Settle(f); err != nil {
+			errs = append(errs, fmt.Errorf("coordinator log: %w", err))
+		}
 		var err error
 		recs, err = r.clog.Records()
 		if err != nil {

@@ -28,6 +28,12 @@ type rig struct {
 	fab    *rdma.Fabric
 	router *Router
 	stops  []*protocoltest.StopGroup // per shard; newLoggedRig only
+
+	// The coordinator commit log's group, its gate and its store;
+	// newLoggedRig only.
+	coordGroup *hyperloop.Group
+	coordStop  *protocoltest.StopGroup
+	coordLog   *txn.Store
 }
 
 func newRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {

@@ -239,15 +239,19 @@ func TestRecoverIOFaults(t *testing.T) {
 		if _, err := st.PendingSeqs(); !errors.Is(err, errInjected) {
 			t.Errorf("pending seqs record read: %v", err)
 		}
-		// Unlock failure after a successful roll-forward: the record is
-		// applied but the lock stays held for the next pass.
+		// The release fails behind the roll-forward: the step failed, so the
+		// record stays at the client's head and the lock stays held for the
+		// next pass.
 		m.fail = failOn("cas", 1)
-		if n, _, err := RecoverCommit(f, st, 42); !errors.Is(err, errInjected) || n != 1 {
+		if n, _, err := RecoverCommit(f, st, 42); !errors.Is(err, errInjected) || n != 0 {
 			t.Errorf("recover commit unlock = (%d, %v)", n, err)
 		}
-		// The retry finds nothing left to execute and releases the lock.
+		if locked, err := st.Locked(); err != nil || !locked {
+			t.Errorf("failed release left the client's lock word free (locked=%v, err=%v)", locked, err)
+		}
+		// The retry executes the record again and releases the lock.
 		m.fail = nil
-		if n, ok, err := RecoverCommit(f, st, 42); err != nil || !ok || n != 0 {
+		if n, ok, err := RecoverCommit(f, st, 42); err != nil || !ok || n != 1 {
 			t.Errorf("recover commit retry = (%d, %v, %v)", n, ok, err)
 		}
 		if locked, err := st.Locked(); err != nil || locked {

@@ -7,53 +7,114 @@ import (
 	"hyperloop/internal/sim"
 )
 
-// WrLock acquires the exclusive group write lock via gCAS. If only some
-// replicas grant the lock (another writer raced us), the acquisition is
-// undone with a second gCAS whose execute map names exactly the replicas
-// that succeeded (§4.2's selective-execution undo), then retried after a
-// backoff.
+// The group write lock is one word in the control block, 0 when free and
+// the holder's token otherwise. Acquisition (tryLock) and release
+// (finishUnlock) are each implemented once: WrLock and 2PC's lock round
+// share the first; WrUnlock, ExecuteAllAndUnlock and recovery — which
+// passes a crashed coordinator's token — the second.
+
+// tryLock is one attempt at the exclusive group write lock: a gCAS of the
+// lock word from 0 to the store's token on every member. If only some
+// members granted it (another writer raced us), the acquisition is undone
+// with a second gCAS whose execute map names exactly the members that did
+// (§4.2's selective-execution undo). It reports whether the lock is now
+// held and never waits for it.
+func (s *Store) tryLock(f *sim.Fiber) (bool, error) {
+	res, err := s.r.CAS(f, ctrlWrLock, 0, s.cfg.LockToken, s.allExec)
+	if err != nil {
+		return false, err
+	}
+	granted := 0
+	for _, orig := range res {
+		if orig == 0 {
+			granted++
+		}
+	}
+	if granted == len(res) {
+		return true, nil
+	}
+	succ := make([]bool, len(res))
+	for i, orig := range res {
+		succ[i] = orig == 0
+	}
+	if _, err := s.r.CAS(f, ctrlWrLock, s.cfg.LockToken, 0, succ); err != nil {
+		return false, fmt.Errorf("lock undo: %w", err)
+	}
+	return false, nil
+}
+
+// backoff is how long a writer stays away after its attempt-th (0-based)
+// failed acquisition: linear in the attempt, plus a stagger of up to one
+// LockBackoff derived from the lock token, so writers that collided at one
+// instant do not collide at the next. No random draw: the schedule is a
+// function of the configuration alone.
+func (s *Store) backoff(attempt int) sim.Duration {
+	stagger := (s.cfg.LockToken*0x9E3779B97F4A7C15>>61 + uint64(attempt)) % 8
+	return s.cfg.LockBackoff*sim.Duration(attempt+1) + s.cfg.LockBackoff*sim.Duration(stagger)/8
+}
+
+// WrLock acquires the exclusive group write lock: tryLock, retried after a
+// backoff up to LockRetries times.
 func (s *Store) WrLock(f *sim.Fiber) error {
 	for attempt := 0; attempt < s.cfg.LockRetries; attempt++ {
-		res, err := s.r.CAS(f, ctrlWrLock, 0, s.cfg.LockToken, s.allExec)
-		if err != nil {
+		if ok, err := s.tryLock(f); ok || err != nil {
 			return err
 		}
-		nSucc := 0
-		for _, orig := range res {
-			if orig == 0 {
-				nSucc++
-			}
-		}
-		if nSucc == len(res) {
-			return nil
-		}
-		succ := make([]bool, len(res))
-		for i, orig := range res {
-			succ[i] = orig == 0
-		}
-		// Partial (or failed) acquisition: undo on the replicas that
-		// granted it, then back off and retry.
-		if _, err := s.r.CAS(f, ctrlWrLock, s.cfg.LockToken, 0, succ); err != nil {
-			return fmt.Errorf("lock undo: %w", err)
-		}
-		f.Sleep(s.cfg.LockBackoff * sim.Duration(attempt+1))
+		f.Sleep(s.backoff(attempt))
 	}
 	return ErrLockContended
 }
 
-// WrUnlock releases the group write lock on every replica.
+// WrUnlock releases the group write lock on every replica, as a step of
+// one op.
 func (s *Store) WrUnlock(f *sim.Fiber) error {
-	res, err := s.r.CAS(f, ctrlWrLock, s.cfg.LockToken, 0, s.allExec)
+	if err := s.holds(); err != nil {
+		return err
+	}
+	return s.finishUnlock(f, s.cfg.LockToken)
+}
+
+// lockWord returns the write lock word of the client's mirror.
+func (s *Store) lockWord() (uint64, error) {
+	v, err := s.readPtr(ctrlWrLock)
+	return uint64(v), err
+}
+
+// holds checks, on the client's mirror, that the lock word is the store's
+// token, so an unlock without the lock is an error before anything is sent.
+func (s *Store) holds() error {
+	cur, err := s.lockWord()
 	if err != nil {
 		return err
 	}
-	for i, orig := range res {
-		if orig != s.cfg.LockToken {
-			return fmt.Errorf("txn: unlock found token %d on replica %d, want %d",
-				orig, i, s.cfg.LockToken)
-		}
+	if cur != s.cfg.LockToken {
+		return fmt.Errorf("txn: unlock of token %d finds the lock word holding %d", s.cfg.LockToken, cur)
 	}
 	return nil
+}
+
+// finishUnlock ends the running step with the gCAS that swaps the lock word
+// from token back to 0 on every member. A member that already reads 0 was
+// released by an earlier attempt whose acknowledgement never arrived; no
+// one else can have been granted the lock since, because a grant needs every
+// member and some member held ours until now. Any other value is an error.
+// When the step fails, the client's lock word is put back to token: the
+// client's view is that it still holds the lock, which is what Locked,
+// a retried release and recovery consult.
+func (s *Store) finishUnlock(f *sim.Fiber, token uint64) error {
+	err := s.end(f, func() error {
+		res, err := s.r.CAS(f, ctrlWrLock, token, 0, s.allExec)
+		for i, orig := range res {
+			if orig != token && orig != 0 {
+				return fmt.Errorf("txn: unlock found token %d on replica %d, want %d", orig, i, token)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		s.restoreWord(ctrlWrLock, token)
+	}
+	return err
 }
 
 // WithWrLock runs fn under the group write lock.
@@ -120,11 +181,8 @@ func (s *Store) Readers() (uint64, error) {
 
 // Locked reports whether the write lock word currently holds any token.
 func (s *Store) Locked() (bool, error) {
-	b, err := s.r.ReadLocal(ctrlWrLock, 8)
-	if err != nil {
-		return false, err
-	}
-	return leUint64(b) != 0, nil
+	w, err := s.lockWord()
+	return w != 0, err
 }
 
 // ErrRecovered is wrapped by RepairLog when the tail had to be rolled back

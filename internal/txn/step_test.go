@@ -126,7 +126,8 @@ func timed(f *sim.Fiber, fn func() error) (sim.Duration, error) {
 
 // TestStoreStepLatency pins what the batching buys on a 3-replica chain: a
 // step costs about its first op's traversal of the chain, not one
-// traversal per op, and a large image overlaps the hops.
+// traversal per op — the lock release behind an execute included — and a
+// large image overlaps the hops.
 func TestStoreStepLatency(t *testing.T) {
 	const mib = 1 << 20
 	rig := newStepRig(t, stepRigConfig{replicas: 3, logSize: 64 << 10, dataSize: mib})
@@ -159,18 +160,37 @@ func TestStoreStepLatency(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		if err := st.WrLock(f); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := st.Append(f, kibEntry()); err != nil {
+			t.Error(err)
+			return
+		}
+		execUnlock, err := timed(f, func() error { _, err := st.ExecuteAllAndUnlock(f); return err })
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		image, err := timed(f, func() error { return st.WriteData(f, 0, make([]byte, mib)) })
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		t.Logf("gWRITE 1 KiB %v, gMEMCPY 1 KiB %v, gWRITE 1 MiB %v; Append %v, ExecuteAndAdvance %v, WriteData 1 MiB %v",
-			write1k, memcpy1k, write1m, appendStep, execStep, image)
+		t.Logf("gWRITE 1 KiB %v, gMEMCPY 1 KiB %v, gWRITE 1 MiB %v; Append %v, ExecuteAndAdvance %v, ExecuteAllAndUnlock %v, WriteData 1 MiB %v",
+			write1k, memcpy1k, write1m, appendStep, execStep, execUnlock, image)
 		if limit := write1k * 11 / 10; appendStep > limit {
 			t.Errorf("1 KiB Append took %v, want <= 1.1 × one 1 KiB gWRITE (%v)", appendStep, limit)
 		}
 		if limit := memcpy1k * 11 / 10; execStep > limit {
 			t.Errorf("one-entry ExecuteAndAdvance took %v, want <= 1.1 × one gMEMCPY (%v)", execStep, limit)
+		}
+		if limit := memcpy1k * 11 / 10; execUnlock > limit {
+			t.Errorf("one-entry ExecuteAllAndUnlock took %v, want <= 1.1 × one gMEMCPY (%v)", execUnlock, limit)
+		}
+		if locked, err := st.Locked(); err != nil || locked {
+			t.Errorf("ExecuteAllAndUnlock left the store locked (%v, %v)", locked, err)
 		}
 		if limit := write1m / 2; image > limit {
 			t.Errorf("1 MiB WriteData took %v, want <= 0.5 × one 1 MiB gWRITE (%v)", image, limit)
@@ -369,7 +389,7 @@ func filler(f *sim.Fiber, st *Store) error {
 	return err
 }
 
-// crashSteps builds the three steps. A table remembers, from prepare to the
+// crashSteps builds the four steps. A table remembers, from prepare to the
 // audits, where the pointer its step moves stood, so every rig gets a table
 // of its own.
 func crashSteps() []crashStep {
@@ -508,14 +528,79 @@ func crashSteps() []crashStep {
 		},
 		retry:   func(f *sim.Fiber, st *Store) error { return st.WriteData(f, 0, newImage) },
 		settled: func(image *Store) error { return expectData(image, 0, newImage) },
+	}, {
+		name: "execute-unlock",
+		prepare: func(f *sim.Fiber, st *Store) error {
+			if err := filler(f, st); err != nil {
+				return err
+			}
+			if err := st.WrLock(f); err != nil {
+				return err
+			}
+			before, _ = st.Head()
+			_, err := st.Append(f, entries)
+			after, _ = st.Tail()
+			return err
+		},
+		do: func(f *sim.Fiber, st *Store) error { _, err := st.ExecuteAllAndUnlock(f); return err },
+		clientKept: func(st *Store) error {
+			if head, err := st.Head(); err != nil || head != before {
+				return fmt.Errorf("client head = %d (%v), want %d", head, err, before)
+			}
+			if locked, err := st.Locked(); err != nil || !locked {
+				return fmt.Errorf("client lock word is free (%v): the failed step let go of a lock some member may still hold", err)
+			}
+			return nil
+		},
+		audit: func(f *sim.Fiber, image *Store, acked bool) error {
+			head, _ := image.Head()
+			tail, _ := image.Tail()
+			locked, _ := image.Locked()
+			switch {
+			case tail != after:
+				return fmt.Errorf("tail = %d, want %d", tail, after)
+			case !locked && head != after: // released ⇒ head advanced
+				return fmt.Errorf("lock released with head = %d, want %d", head, after)
+			case acked && locked:
+				return errors.New("acknowledged step left the member locked")
+			case head == before && !acked:
+				return pending(image)
+			case head == after: // head moved ⇒ data region durable
+				return errors.Join(expectData(image, 100, crashA), expectData(image, 2000, crashB))
+			}
+			return fmt.Errorf("head = %d (acked %v), want %d or %d", head, acked, before, after)
+		},
+		retry: func(f *sim.Fiber, st *Store) error {
+			// Recover executed what was pending; the lock is still the
+			// client's unless the step got through before the crash bit.
+			if locked, err := st.Locked(); err != nil || !locked {
+				return err
+			}
+			_, err := st.ExecuteAllAndUnlock(f)
+			return err
+		},
+		settled: func(image *Store) error {
+			if used, _ := image.LogUsed(); used != 0 {
+				return fmt.Errorf("log used = %d after the retry executed", used)
+			}
+			if locked, _ := image.Locked(); locked {
+				return errors.New("member still locked after the retried release")
+			}
+			return errors.Join(expectData(image, 100, crashA), expectData(image, 2000, crashB))
+		},
 	}}
 }
 
 // durableImage opens a member's durable mirror image — what it would come
-// back with after a power loss — as a store of its own.
+// back with after a power loss — as a store of its own. The lock word is
+// the exception: a gCAS is not flushed, the lock is state of the running
+// member, so the image carries the member's live word.
 func (r *stepRig) durableImage(nic *rdma.NIC) (*Store, error) {
 	m := newMemRep(MirrorSizeFor(r.cfg.logSize, r.cfg.dataSize))
 	if err := nic.Memory().ReadDurable(0, m.buf); err != nil {
+		return nil, err
+	}
+	if err := nic.Memory().Read(ctrlWrLock, m.buf[ctrlWrLock:ctrlWrLock+8]); err != nil {
 		return nil, err
 	}
 	return New(m, Config{LogSize: r.cfg.logSize, DataSize: r.cfg.dataSize})
@@ -544,8 +629,9 @@ func (r *stepRig) auditImages(f *sim.Fiber, victim int, when string, audit func(
 // instant, every surviving member's durable image must be one a
 // one-op-at-a-time issue could have left there — the record absent and
 // invisible or present and valid, the data region consistent with the head,
-// image chunks a prefix — the step must leave nothing in flight and the
-// client's view unmoved when it failed, and after failing over to the
+// image chunks a prefix, a released lock word only over an advanced head —
+// the step must leave nothing in flight and the client's view (log pointers
+// and lock word) unmoved when it failed, and after failing over to the
 // survivors the retried step succeeds everywhere.
 func TestCrashInsideStep(t *testing.T) {
 	const instants = 16
@@ -863,6 +949,39 @@ func BenchmarkStoreExecute(b *testing.B) {
 			}
 			b.StartTimer()
 			d, err := timed(f, func() error { _, err := rig.st.ExecuteAndAdvance(f); return err })
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			virt += d
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(virt)/1e3/float64(b.N), "virt-us/op")
+	})
+}
+
+// BenchmarkStoreExecuteUnlock measures one one-entry (1 KiB)
+// ExecuteAllAndUnlock per iteration on a 3-replica chain; the lock and the
+// append that feed it are untimed.
+func BenchmarkStoreExecuteUnlock(b *testing.B) {
+	rig := newStepRig(b, stepRigConfig{replicas: 3, logSize: benchLog})
+	entry := kibEntry()
+	b.ReportAllocs()
+	rig.run(b, func(f *sim.Fiber) {
+		var virt sim.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			err := rig.st.WrLock(f)
+			if err == nil {
+				_, err = rig.st.Append(f, entry)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			b.StartTimer()
+			d, err := timed(f, func() error { _, err := rig.st.ExecuteAllAndUnlock(f); return err })
 			if err != nil {
 				b.Error(err)
 				return

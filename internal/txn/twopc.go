@@ -14,42 +14,48 @@ import (
 // single group ACK. Instead the coordinator runs classic presumed-abort
 // 2PC built from the primitives §5 already provides:
 //
-//	prepare  = group write lock (gCAS) on one store at a time, in the given
-//	           order; then, on every store at once, append the write-set
+//	prepare  = on every store at once: one attempt at the group write lock
+//	           (gCAS); then, on every store at once, append the write-set
 //	           record to the store's replicated WAL (gWRITE + gFLUSH).
 //	           A prepared record is durable on every member but not yet
 //	           applied to the database region.
-//	commit   = on every store at once: ExecuteAll (gMEMCPY + gFLUSH per
-//	           entry, head advance), then release the lock — one chain per
-//	           store, no barrier between a store's execute and its unlock.
+//	commit   = on every store at once: ExecuteAllAndUnlock (gMEMCPY +
+//	           gFLUSH per entry, head advance, and the lock release riding
+//	           behind them as the same step's last op).
 //	abort    = per store: roll the durable tail pointer back over the
 //	           prepared (or half-appended) record and release the lock.
 //
-// The participants are independent groups that share nothing once the
-// locks are held, so the coordinator runs each parallel phase with one
-// fiber per participant (fanOut) and a transaction costs
+// The participants are independent groups, so the coordinator runs every
+// phase with one fiber per participant (fanOut) and a transaction costs its
+// dependent group round trips and nothing else —
 //
-//	S·lock + append + commit record + (execute + unlock) + truncate
+//	lock + append + commit record + (execute‖unlock)
 //
-// sequential group round trips for span S, not 6·S + 2. Only lock
-// acquisition is serial.
+// four, whatever the span: a lock must be granted before the append is
+// posted, every append acknowledged before the commit record, the record
+// durable before any execute.
 //
 // The commit point is a durable record on the coordinator's own
 // replicated store (see CommitLog): a logged transaction appends
 // (txnID, token, participant IDs) after every participant prepared and
-// before any executes, and truncates it once all are done. Recovery
-// therefore has an unambiguous rule — a prepared participant named by a
-// commit record rolls forward (RecoverCommit), one named by no record
-// rolls back (RecoverAbort, presumed abort). Unlogged transactions
-// (BeginDist with no CommitLog) keep the original presumed-abort-only
-// behavior and must tolerate a mid-commit coordinator crash aborting
-// participants the coordinator had not reached.
+// before any executes, and posts its truncate once all are done, without
+// waiting for it. Recovery therefore has an unambiguous rule — a prepared
+// participant named by a commit record rolls forward (RecoverCommit), one
+// named by no record rolls back (RecoverAbort, presumed abort) — which
+// needs the log to hold no record but the running transaction's whenever a
+// participant holds an appended record; Prepare sees to that between its
+// lock round and its append round (CommitLog.Settle). Unlogged
+// transactions (BeginDist with no CommitLog) keep the original
+// presumed-abort-only behavior and must tolerate a mid-commit coordinator
+// crash aborting participants the coordinator had not reached.
 //
-// Deadlock avoidance is by lock ordering: callers must list participants
-// in a globally consistent order (internal/shard sorts by shard ID), so
-// two racing coordinators contend on the first common store instead of
-// deadlocking on each other's suffixes — and the loser aborts before it
-// has appended anything.
+// Deadlock is impossible by construction: locking is no-wait. A
+// coordinator asks for all its locks in one round of single attempts; if
+// any store is contended it gives back every lock that round was granted,
+// backs off holding nothing and asks for the whole set again, up to
+// LockRetries times. It never waits while it holds a lock, so no cycle of
+// waiters can form, whatever order coordinators list their participants
+// in — and a loser aborts before it has appended anything.
 
 // ErrAborted wraps every error returned from a failed Prepare: the
 // transaction took effect nowhere (prepared participants were rolled back
@@ -70,15 +76,15 @@ var ErrInDoubt = errors.New("txn: distributed commit incomplete")
 // hypothesis scenario drive it.
 var ErrCoordinatorCrash = errors.New("txn: coordinator crashed (injected)")
 
-// Step identifies one coordinator-side action inside Prepare/Commit. A
-// step hook (SetStepHook) fires after each step completes, 4·S + 2 times
-// for a logged span-S transaction, and StepLogCommit is always the
-// (2·S + 1)-th firing: every lock and every append fires before it, every
-// execute and unlock after. Locks fire in participant order. Appends, and
-// the execute→unlock chains, run on all participants at once, so within
-// such a phase the firings come in virtual-time order (kernel event order
-// at equal instants — participant order when the chains are equally
-// loaded) and an unlock may fire before another participant's execute.
+// Step identifies one coordinator-side action inside Prepare/Commit, at the
+// granularity of a Store method. A step hook (SetStepHook) fires after each
+// step completes, 3·S + 2 times for a logged span-S transaction that met no
+// contention, and StepLogCommit is always the (2·S + 1)-th firing: every
+// lock and every append fires before it, every execute after. Each phase
+// runs on all participants at once, so within a phase the firings come in
+// virtual-time order (kernel event order at equal instants — participant
+// order when the chains are equally loaded). A lock given back because
+// another store of the round was contended fires again when it is retaken.
 //
 // Returning an error — ErrCoordinatorCrash — from the hook kills the
 // coordinator at that point: no participant starts another step and no
@@ -95,9 +101,8 @@ const (
 	StepLock        Step = iota // participant's group write lock taken
 	StepAppend                  // write-set record durably appended
 	StepLogCommit               // commit record durable on the coordinator log
-	StepExecute                 // participant's log executed into the data region
-	StepUnlock                  // participant's group lock released
-	StepLogTruncate             // commit record truncated
+	StepExecute                 // participant's log executed into the data region and its lock released
+	StepLogTruncate             // commit record's truncate posted
 )
 
 func (s Step) String() string {
@@ -110,8 +115,6 @@ func (s Step) String() string {
 		return "log-commit"
 	case StepExecute:
 		return "execute"
-	case StepUnlock:
-		return "unlock"
 	case StepLogTruncate:
 		return "log-truncate"
 	default:
@@ -271,34 +274,92 @@ func (t *DistTxn) validate() error {
 	return nil
 }
 
-// Prepare runs phase one: take every store's group write lock, one at a
-// time in participant order; then, on all participants at once, snapshot
-// the tail and durably append the write-set record. On any failure every
-// participant is rolled back and unlocked (best-effort — a participant
-// whose group is down keeps its lock until RecoverAbort) and the causes
-// are returned wrapped in ErrAborted. A malformed participant list is
-// rejected the same way before anything is locked.
+// Prepare runs phase one: take every store's group write lock in one round
+// (lockAll); wait until the commit log holds no other transaction's record
+// (the clean-log rule, see CommitLog.Settle — the wait hides behind the
+// lock round); then, on all participants at once, snapshot the tail and
+// durably append the write-set record. On any failure every participant is
+// rolled back and unlocked (best-effort — a participant whose group is
+// down keeps its lock until RecoverAbort) and the causes are returned
+// wrapped in ErrAborted. A malformed participant list is rejected the same
+// way before anything is locked.
 func (t *DistTxn) Prepare(f *sim.Fiber) error {
 	t.halt = nil
 	if err := t.validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrAborted, err)
 	}
-	for i := range t.parts {
-		if err := t.parts[i].Store.WrLock(f); err != nil {
-			return t.failPrepare(f, fmt.Errorf("participant %d lock: %w", i, err))
-		}
-		t.state[i] = stLocked
-		if err := t.step(StepLock, i); err != nil {
-			return err
-		}
-	}
-	err := t.fanOut(f, t.appendOne)
+	err := t.prepare(f)
 	if t.halt != nil {
 		return t.halt
 	}
 	if err != nil {
 		return t.failPrepare(f, err)
 	}
+	return nil
+}
+
+// prepare is Prepare's three rounds; a hook's halt ends it after the round
+// the hook fired in.
+func (t *DistTxn) prepare(f *sim.Fiber) error {
+	if err := t.lockAll(f); err != nil || t.halt != nil {
+		return err
+	}
+	if t.clog != nil {
+		if err := t.clog.Settle(f); err != nil {
+			return fmt.Errorf("commit log: %w", err)
+		}
+	}
+	return t.fanOut(f, t.appendOne)
+}
+
+// lockAll takes every participant's lock without ever waiting for one
+// while holding another: a round of single attempts on all stores at once;
+// if any store was contended, every lock the round was granted is given
+// back (one more round) and the coordinator backs off holding nothing
+// before it asks for the whole set again, LockRetries times at most
+// (participant 0's configuration).
+func (t *DistTxn) lockAll(f *sim.Fiber) error {
+	first := t.parts[0].Store
+	for attempt := 0; attempt < first.cfg.LockRetries; attempt++ {
+		if err := t.fanOut(f, t.lockOne); err != nil || t.halt != nil {
+			return err
+		}
+		if t.count(stLocked) == len(t.parts) {
+			return nil
+		}
+		if err := t.fanOut(f, t.unlockOne); err != nil {
+			return err
+		}
+		f.Sleep(first.backoff(attempt))
+	}
+	return ErrLockContended
+}
+
+// lockOne is one attempt at participant i's lock.
+func (t *DistTxn) lockOne(f *sim.Fiber, i int) error {
+	if t.halt != nil {
+		return nil
+	}
+	ok, err := t.parts[i].Store.tryLock(f)
+	if err != nil {
+		return fmt.Errorf("participant %d lock: %w", i, err)
+	}
+	if ok {
+		t.state[i] = stLocked
+		_ = t.step(StepLock, i) // a halt is reported by Prepare
+	}
+	return nil
+}
+
+// unlockOne gives participant i's lock back after a contended round.
+func (t *DistTxn) unlockOne(f *sim.Fiber, i int) error {
+	if t.state[i] != stLocked {
+		return nil
+	}
+	if err := t.parts[i].Store.WrUnlock(f); err != nil {
+		return fmt.Errorf("participant %d unlock: %w", i, err)
+	}
+	t.state[i] = stIdle
 	return nil
 }
 
@@ -335,15 +396,17 @@ func (t *DistTxn) failPrepare(f *sim.Fiber, cause error) error {
 // first made durable on the coordinator's log — the commit point: before
 // it, a crash aborts the transaction everywhere; at or after it, recovery
 // rolls every participant forward. Then, on all participants at once, the
-// prepared record is applied (ExecuteAll) and the lock released; once the
-// last lock is released the commit record is truncated. All participants
-// must be prepared. On failure past the commit point every participant is
-// still driven as far as its group allows, and Commit returns ErrInDoubt
-// naming the ones that did not finish; it may be called again — finished
-// participants are skipped, so a retry resumes where the fault hit (and
-// re-truncates the record). A commit-record append failure returns
-// ErrAborted instead: nothing has executed yet, so the prepared
-// participants are rolled back as a failed Prepare would.
+// prepared record is applied and the lock released behind it
+// (ExecuteAllAndUnlock); once every participant is done the commit
+// record's truncate is posted and Commit returns without waiting for it —
+// the next Prepare, or Router.Recover, does (CommitLog.Settle). All
+// participants must be prepared. On failure past the commit point every
+// participant is still driven as far as its group allows, and Commit
+// returns ErrInDoubt naming the ones that did not finish; it may be called
+// again — finished participants are skipped, so a retry resumes where the
+// fault hit. A commit-record append failure returns ErrAborted instead:
+// nothing has executed yet, so the prepared participants are rolled back
+// as a failed Prepare would.
 func (t *DistTxn) Commit(f *sim.Fiber) error {
 	t.halt = nil
 	if len(t.parts) == 0 {
@@ -376,37 +439,24 @@ func (t *DistTxn) Commit(f *sim.Fiber) error {
 		return fmt.Errorf("%w: %w", ErrInDoubt, err)
 	}
 	if t.clog != nil && t.logged {
-		if err := t.clog.Truncate(f, t.txnID); err != nil {
-			// The transaction IS committed everywhere; only the record
-			// cleanup failed. A retried Commit skips every participant and
-			// re-truncates; a leftover record is harmless to recovery
-			// (every named shard is already unlocked).
-			return fmt.Errorf("%w: commit-record truncate: %w", ErrInDoubt, err)
-		}
-		if err := t.step(StepLogTruncate, -1); err != nil {
-			return err
-		}
+		// The transaction IS committed everywhere; a truncate that fails is
+		// the next Prepare's to retry (Settle), not this caller's.
+		t.clog.PostTruncate(t.txnID)
+		return t.step(StepLogTruncate, -1)
 	}
 	return nil
 }
 
-// commitOne is the execute→unlock chain on participant i.
+// commitOne is the execute-and-unlock step on participant i.
 func (t *DistTxn) commitOne(f *sim.Fiber, i int) error {
 	if t.state[i] == stDone || t.halt != nil {
 		return nil
 	}
-	st := t.parts[i].Store
-	if _, err := st.ExecuteAll(f); err != nil {
+	if _, err := t.parts[i].Store.ExecuteAllAndUnlock(f); err != nil {
 		return fmt.Errorf("participant %d execute: %w", i, err)
 	}
-	if t.step(StepExecute, i) != nil {
-		return nil // a halt is reported by Commit
-	}
-	if err := st.WrUnlock(f); err != nil {
-		return fmt.Errorf("participant %d unlock: %w", i, err)
-	}
 	t.state[i] = stDone
-	_ = t.step(StepUnlock, i)
+	_ = t.step(StepExecute, i) // a halt is reported by Commit
 	return nil
 }
 
@@ -449,10 +499,13 @@ func (t *DistTxn) rollback(f *sim.Fiber) error {
 
 // Prepared reports how many participants are currently in the prepared
 // state (diagnostics and tests).
-func (t *DistTxn) Prepared() int {
+func (t *DistTxn) Prepared() int { return t.count(stPrepared) }
+
+// count returns how many participants are in state st.
+func (t *DistTxn) count(st txnState) int {
 	n := 0
 	for _, s := range t.state {
-		if s == stPrepared {
+		if s == st {
 			n++
 		}
 	}
@@ -478,12 +531,8 @@ func (t *DistTxn) Prepared() int {
 // record executed), which the shard router guarantees; pending committed
 // records would be discarded along with the prepared one.
 func RecoverAbort(f *sim.Fiber, s *Store, token uint64) (bool, error) {
-	b, err := s.r.ReadLocal(ctrlWrLock, 8)
-	if err != nil {
+	if w, err := s.lockWord(); err != nil || w != token {
 		return false, err
-	}
-	if leUint64(b) != token {
-		return false, nil
 	}
 	head, err := s.Head()
 	if err != nil {
@@ -492,11 +541,7 @@ func RecoverAbort(f *sim.Fiber, s *Store, token uint64) (bool, error) {
 	if err := s.writePtr(f, ctrlTailPtr, head); err != nil {
 		return false, err
 	}
-	hold := s.cfg.LockToken
-	s.cfg.LockToken = token
-	err = s.WrUnlock(f)
-	s.cfg.LockToken = hold
-	if err != nil {
+	if err := s.finishUnlock(f, token); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -505,8 +550,9 @@ func RecoverAbort(f *sim.Fiber, s *Store, token uint64) (bool, error) {
 // RecoverCommit rolls an orphaned prepared participant *forward* after
 // its coordinator crashed past the commit point: if the group write lock
 // currently holds token, every pending record is executed into the data
-// region (ExecuteAll) and the lock released. It returns the number of
-// records applied and whether a roll-forward happened.
+// region and the lock released behind it (ExecuteAllAndUnlock's step, under
+// the crashed coordinator's token). It returns the number of records
+// applied and whether a roll-forward happened.
 //
 // Callers must only invoke this for stores named by a durable commit
 // record (see CommitLog): the record is written after every participant
@@ -516,23 +562,9 @@ func RecoverAbort(f *sim.Fiber, s *Store, token uint64) (bool, error) {
 // longer token-locked was already executed and unlocked before the crash;
 // it is skipped (false, nil).
 func RecoverCommit(f *sim.Fiber, s *Store, token uint64) (int, bool, error) {
-	b, err := s.r.ReadLocal(ctrlWrLock, 8)
-	if err != nil {
+	if w, err := s.lockWord(); err != nil || w != token {
 		return 0, false, err
 	}
-	if leUint64(b) != token {
-		return 0, false, nil
-	}
-	n, err := s.ExecuteAll(f)
-	if err != nil {
-		return n, false, err
-	}
-	hold := s.cfg.LockToken
-	s.cfg.LockToken = token
-	err = s.WrUnlock(f)
-	s.cfg.LockToken = hold
-	if err != nil {
-		return n, false, err
-	}
-	return n, true, nil
+	n, err := s.drain(f, token)
+	return n, err == nil, err
 }

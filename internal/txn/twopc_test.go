@@ -362,7 +362,7 @@ func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 			return
 		}
 		tx.SetStepHook(func(s Step, participant int) error {
-			if s == StepUnlock && participant == 0 {
+			if s == StepExecute && participant == 0 {
 				return ErrCoordinatorCrash
 			}
 			return nil
@@ -467,7 +467,7 @@ func TestRecoverCommitSkipsForeignLock(t *testing.T) {
 func TestStepString(t *testing.T) {
 	want := map[Step]string{
 		StepLock: "lock", StepAppend: "append", StepLogCommit: "log-commit",
-		StepExecute: "execute", StepUnlock: "unlock", StepLogTruncate: "log-truncate",
+		StepExecute: "execute", StepLogTruncate: "log-truncate",
 		Step(99): "step(99)",
 	}
 	for s, w := range want {
@@ -560,9 +560,9 @@ func TestStoreVisitPendingAndTruncate(t *testing.T) {
 // point must leave an all-or-nothing outcome and no leaked locks.
 func TestTwoPCCrashSweep(t *testing.T) {
 	const span = 2
-	// Steps: (lock, append) per participant, log-commit, (execute, unlock)
-	// per participant, log-truncate.
-	totalSteps := 4*span + 2
+	// Steps: (lock, append) per participant, log-commit, execute (and
+	// unlock) per participant, log-truncate.
+	totalSteps := 3*span + 2
 	commitPoint := 2*span + 1 // steps before the record is durable
 	for kill := 1; kill <= totalSteps; kill++ {
 		rig, cl := loggedRig(t, span)

@@ -4,7 +4,8 @@
 // a gWRITE(+gFLUSH) of the record and the tail pointer, posted together;
 // executing it is a gMEMCPY(+gFLUSH) per entry and the head-pointer
 // advance, posted together; isolation is a group lock built from gCAS with
-// undo on partial acquisition.
+// undo on partial acquisition, and its release can ride behind the execute
+// it guards as that step's last op (ExecuteAllAndUnlock).
 //
 // "Posted together" is the layer's one issue rule (see Store.stage): the group
 // ops of one Store method go out back to back and the method waits once,
@@ -166,17 +167,20 @@ func (s *Store) writePtr(f *sim.Fiber, off int, v int) error {
 
 // A step is the group ops of one Store method, issued as one pipelined
 // batch on the caller's fiber: every op but the last is posted through the
-// *Async form (postWrite, postMemcpy), the last goes through the blocking
-// form and the step then waits for the earlier ones (finish). The ops
+// *Async form (postWrite, postMemcpy), the last — a gWRITE (finish) or the
+// gCAS that releases the group lock (finishUnlock) — goes through the
+// blocking form and the step then waits for the earlier ones. The ops
 // reach the wire in program order with the arguments a one-at-a-time walk
 // would use; only their post times differ, so a step costs its first op's
 // traversal of the group plus the later ops' added occupancy. Bytes are
 // staged in the client's mirror immediately before the op that replicates
 // them (stage). The first failure — staging, posting, or an op's signal —
 // fails the step: nothing further is staged or posted, every op already
-// posted is still waited for, and finish returns that error. Ops posted
-// early are issued once; only the last keeps the group's timeout-and-retry
-// loop (no store in the repo runs over a group with MaxRetries > 0).
+// posted is still waited for, and the step returns that error with the
+// client's view of the words it moves (log pointers, lock word) put back.
+// Ops posted early are issued once; only a last gWRITE keeps the group's
+// timeout-and-retry loop (no store in the repo runs over a group with
+// MaxRetries > 0).
 
 // stage copies data into the client's mirror at off, ahead of the op that
 // replicates it.
@@ -192,10 +196,10 @@ func (s *Store) stagePtr(off, v int) {
 	s.stage(off, s.ptrBuf[:])
 }
 
-// restorePtr puts control pointer v back in the client's mirror after a
-// failed step moved it; nothing is sent.
-func (s *Store) restorePtr(off, v int) {
-	binary.LittleEndian.PutUint64(s.ptrBuf[:], uint64(v))
+// restoreWord puts control word v — a log pointer or the lock word — back
+// in the client's mirror after a failed step moved it; nothing is sent.
+func (s *Store) restoreWord(off int, v uint64) {
+	binary.LittleEndian.PutUint64(s.ptrBuf[:], v)
 	_ = s.r.WriteLocal(off, s.ptrBuf[:]) // the step's error is the one reported
 }
 
@@ -250,25 +254,28 @@ func (s *Store) reap(f *sim.Fiber) bool {
 	return true
 }
 
-// finish issues the step's last op — always a durable gWRITE, of
-// [off, off+size) — through the blocking form, so a decorator of the
-// blocking calls sees one call that spans the step, then waits for every
-// op posted before it. The group is left with the in-flight count it had
-// when the step began. finish returns the step's first error in issue
-// order and readies the Store for the next step.
+// finish ends the step with a durable gWRITE of [off, off+size).
 func (s *Store) finish(f *sim.Fiber, off, size int) error {
-	var last error
+	return s.end(f, func() error { return s.r.Write(f, off, size, true) })
+}
+
+// end issues the step's last op through the blocking form, so a decorator
+// of the blocking calls sees one call that spans the step, then waits for
+// every op posted before it. The group is left with the in-flight count it
+// had when the step began. end returns the step's first error in issue
+// order and readies the Store for the next step.
+func (s *Store) end(f *sim.Fiber, last func() error) error {
+	var err error
 	for s.stepErr == nil {
-		last = s.r.Write(f, off, size, true)
-		if last == nil || !errors.Is(last, protocol.ErrTooManyInFlight) || !s.reap(f) {
+		err = last()
+		if err == nil || !errors.Is(err, protocol.ErrTooManyInFlight) || !s.reap(f) {
 			break
 		}
 	}
 	for s.reap(f) {
 	}
-	err := s.stepErr
-	if err == nil {
-		err = last
+	if s.stepErr != nil {
+		err = s.stepErr
 	}
 	s.sigs, s.reaped, s.stepErr = s.sigs[:0], 0, nil
 	return err
@@ -406,18 +413,28 @@ func (s *Store) recordImage(p int) ([]byte, error) {
 // region on every member without replica CPU involvement, then the head
 // pointer advances (truncation). It returns the record's sequence.
 func (s *Store) ExecuteAndAdvance(f *sim.Fiber) (uint64, error) {
+	seq, _, err := s.executeHead(f, 0)
+	return seq, err
+}
+
+// executeHead is ExecuteAndAdvance, and with a non-zero token it also gives
+// the group write lock held under that token back when the record is the
+// last one pending: the head pointer is then posted like the gMEMCPYs and
+// the release gCAS is the step's blocking last op (finishUnlock). released
+// reports that it was.
+func (s *Store) executeHead(f *sim.Fiber, token uint64) (seq uint64, released bool, err error) {
 	oldHead, err := s.Head()
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	head := oldHead
 	tail, err := s.Tail()
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	for {
 		if head == tail {
-			return 0, ErrLogEmpty
+			return 0, false, ErrLogEmpty
 		}
 		if s.wrapAt(head) {
 			head = 0
@@ -425,7 +442,7 @@ func (s *Store) ExecuteAndAdvance(f *sim.Fiber) (uint64, error) {
 		}
 		strip, err := s.r.ReadLocal(s.logOff+head, minInt(wal.PadHeaderSize, s.cfg.LogSize-head))
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		if padLen, ok := wal.IsPad(strip); ok {
 			head += padLen
@@ -438,11 +455,11 @@ func (s *Store) ExecuteAndAdvance(f *sim.Fiber) (uint64, error) {
 	}
 	img, err := s.recordImage(head)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	rec, err := wal.Decode(img)
 	if err != nil {
-		return 0, fmt.Errorf("execute: %w", err)
+		return 0, false, fmt.Errorf("execute: %w", err)
 	}
 	for _, e := range rec.Entries {
 		if e.Len == 0 {
@@ -455,27 +472,58 @@ func (s *Store) ExecuteAndAdvance(f *sim.Fiber) (uint64, error) {
 		newHead = 0
 	}
 	s.stagePtr(ctrlHeadPtr, newHead)
-	if err := s.finish(f, ctrlHeadPtr, 8); err != nil {
+	if released = token != 0 && newHead == tail; released {
+		s.postWrite(f, ctrlHeadPtr, 8)
+		err = s.finishUnlock(f, token)
+	} else {
+		err = s.finish(f, ctrlHeadPtr, 8)
+	}
+	if err != nil {
 		// The record is not known to be applied on every member: it stays
 		// at the client's head, so a retry executes it again (gMEMCPY is
 		// idempotent) and nothing is appended over it meanwhile.
-		s.restorePtr(ctrlHeadPtr, oldHead)
-		return 0, fmt.Errorf("execute seq %d: %w", rec.Seq, err)
+		s.restoreWord(ctrlHeadPtr, uint64(oldHead))
+		return 0, false, fmt.Errorf("execute seq %d: %w", rec.Seq, err)
 	}
-	return rec.Seq, nil
+	return rec.Seq, released, nil
 }
 
 // ExecuteAll drains the log, returning how many records were applied.
-func (s *Store) ExecuteAll(f *sim.Fiber) (int, error) {
-	n := 0
-	for {
-		if _, err := s.ExecuteAndAdvance(f); err != nil {
-			if errors.Is(err, ErrLogEmpty) {
+func (s *Store) ExecuteAll(f *sim.Fiber) (int, error) { return s.drain(f, 0) }
+
+// ExecuteAllAndUnlock is the tail of the §5.2 flow (wrLock … execute …
+// wrUnlock) as one step: it drains the log like ExecuteAll and releases
+// the group write lock behind the last record's execute, so the release
+// costs the gCAS's occupancy instead of a round trip of its own. Every
+// member consumes one FIFO stream, so on each of them lock word released ⇒
+// head advanced ⇒ the record's gMEMCPYs applied and flushed. It returns how
+// many records were applied. When it fails the client's head pointer and
+// lock word read what they read before the failing step — the store is
+// still locked as far as the client knows — so the call can be repeated.
+func (s *Store) ExecuteAllAndUnlock(f *sim.Fiber) (int, error) {
+	if err := s.holds(); err != nil {
+		return 0, err
+	}
+	return s.drain(f, s.cfg.LockToken)
+}
+
+// drain executes every pending record and, with a non-zero token — which
+// the caller has checked the lock is held under — releases the lock behind
+// the last one, or as a step of its own when nothing is pending.
+func (s *Store) drain(f *sim.Fiber, token uint64) (int, error) {
+	for n := 0; ; n++ {
+		_, released, err := s.executeHead(f, token)
+		switch {
+		case errors.Is(err, ErrLogEmpty):
+			if token == 0 {
 				return n, nil
 			}
+			return n, s.finishUnlock(f, token)
+		case err != nil:
 			return n, err
+		case released:
+			return n + 1, nil
 		}
-		n++
 	}
 }
 

@@ -33,11 +33,11 @@ type (
 	ShardRoutingConfig = shard.Config
 	// TxnStep identifies one coordinator-side 2PC action; step hooks
 	// (ShardRouter.SetTxnStepHook) receive it for crash injection. A
-	// span-S transaction fires 4·S + 2 of them: S locks in shard order,
-	// S appends, the commit record, S executes and S unlocks, the
-	// truncate. Appends, and the execute→unlock chains, run on all shards
-	// at once, so within those groups the firings come in virtual-time
-	// order, not shard order; see txn.Step.
+	// span-S transaction fires 3·S + 2 of them: S locks, S appends, the
+	// commit record, S executes (each releasing its shard's lock behind
+	// it), the posted truncate. Every per-shard phase runs on all shards
+	// at once, so within it the firings come in virtual-time order, not
+	// shard order; see txn.Step.
 	TxnStep = txn.Step
 )
 
@@ -56,7 +56,6 @@ const (
 	TxnStepAppend      = txn.StepAppend
 	TxnStepLogCommit   = txn.StepLogCommit
 	TxnStepExecute     = txn.StepExecute
-	TxnStepUnlock      = txn.StepUnlock
 	TxnStepLogTruncate = txn.StepLogTruncate
 )
 

@@ -187,20 +187,22 @@ func init() {
 
 // TestShardedClusterCrashSubsets drives one representative subset per
 // parallel 2PC step through the facade: in a span-4 transaction shards 0
-// and 2 complete the step, shards 1 and 3 are frozen inside it (record
-// written but tail not; memcpy applied but head not advanced; head advanced
-// but still locked), the coordinator dies, and Recover must finish or undo
-// the transaction everywhere.
+// and 2 complete the step, shards 1 and 3 are frozen inside it (not locked;
+// record written but tail not; memcpy applied but head not advanced; head
+// advanced but still locked), the coordinator dies, and Recover must finish
+// or undo the transaction everywhere.
 func TestShardedClusterCrashSubsets(t *testing.T) {
 	const shards = 4
 	cases := []struct {
 		step      TxnStep
 		frozenOps int // group ops a frozen shard completes: lock, record, tail, memcpy, head
 		committed bool
+		back      int // shards Recover rolls back: the locked ones, before the commit point
 	}{
-		{TxnStepAppend, 2, false},
-		{TxnStepExecute, 4, true},
-		{TxnStepUnlock, 5, true},
+		{TxnStepLock, 0, false, 2},
+		{TxnStepAppend, 2, false, shards},
+		{TxnStepExecute, 4, true, 0},
+		{TxnStepExecute, 5, true, 0},
 	}
 	for _, tc := range cases {
 		stopChainGroups = nil
@@ -235,8 +237,8 @@ func TestShardedClusterCrashSubsets(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if tc.committed && (rs.Back != 0 || rs.Forward == 0) || !tc.committed && (rs.Forward != 0 || rs.Back != shards) {
-				t.Errorf("%v: recover stats = %+v, committed = %v", tc.step, rs, tc.committed)
+			if rs.Back != tc.back || tc.committed != (rs.Forward != 0) {
+				t.Errorf("%v/%d: recover stats = %+v, committed = %v", tc.step, tc.frozenOps, rs, tc.committed)
 			}
 			for i := 0; i < shards; i++ {
 				st := r.Shard(i).Store
