@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hyperloop/internal/report"
@@ -42,17 +43,21 @@ func TestIdenticalReportsPass(t *testing.T) {
 func TestAdvisoryOnlyChangesPass(t *testing.T) {
 	dir := t.TempDir()
 	a := writeReport(t, dir, "a.json", sample())
-	cur := sample()
-	// Everything host-dependent moves; virtual time does not.
-	cur.Procs, cur.GoMaxProcs, cur.TotalWallMS = 8, 8, 20
-	cur.Experiments[0].WallMS = 5
-	cur.Experiments[0].EventsPerSec = 200000
-	cur.Experiments[0].DeviceReused = 0
-	cur.Experiments[0].KernelReused = 0
-	cur.Experiments[0].FabricReused = 0
-	b := writeReport(t, dir, "b.json", cur)
-	if err := run([]string{a, b}); err != nil {
-		t.Fatalf("advisory-only drift rejected: %v", err)
+	// Everything host-dependent moves, to a faster host and to one ten
+	// times slower; virtual time does not. Wall clock gates nothing.
+	for _, speed := range []float64{5, 0.1} {
+		cur := sample()
+		cur.Procs, cur.GoMaxProcs = 8, 8
+		cur.TotalWallMS /= speed
+		cur.Experiments[0].WallMS /= speed
+		cur.Experiments[0].EventsPerSec *= speed
+		cur.Experiments[0].DeviceReused = 0
+		cur.Experiments[0].KernelReused = 0
+		cur.Experiments[0].FabricReused = 0
+		b := writeReport(t, dir, "b.json", cur)
+		if err := run([]string{a, b}); err != nil {
+			t.Fatalf("advisory-only drift (host ×%v) rejected: %v", speed, err)
+		}
 	}
 }
 
@@ -120,7 +125,7 @@ func TestOnlyFilterComparesSingleExperiment(t *testing.T) {
 	cur.Experiments[0].SimEvents = 1
 	cur.Experiments[0].Report = "garbage"
 	cur.Experiments = cur.Experiments[:2]
-	cur.TotalWallMS = 7 // single-exp run: throughput gate must be off
+	cur.TotalWallMS = 7 // a single-experiment run's wall time
 	b := writeReport(t, dir, "b.json", cur)
 	if err := run([]string{"-only", "shards", a, b}); err != nil {
 		t.Fatalf("-only shards compared unrelated experiments: %v", err)
@@ -157,6 +162,9 @@ func TestUnknownFieldRejected(t *testing.T) {
 func TestUsage(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Fatal("missing args accepted")
+	}
+	if err := run([]string{"-eps-tolerance", "0", "a.json", "b.json"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Fatalf("retired -eps-tolerance flag: err = %v, want an unknown-flag error", err)
 	}
 }
 

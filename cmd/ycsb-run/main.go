@@ -118,12 +118,13 @@ func (a shardDB) ReadModifyWrite(f *sim.Fiber, key int, v []byte) error {
 }
 
 // shardProtocol maps the legacy backend names onto registry protocols for
-// sharded runs.
+// sharded runs. The registry's naive datapath is event-driven; run rejects
+// the polling and pinned variants before it gets here.
 func shardProtocol(backend string) string {
 	switch backend {
 	case "hyperloop":
 		return "chain"
-	case "naive-event", "naive-polling", "naive-pinned":
+	case "naive-event":
 		return "naive"
 	default:
 		return backend
@@ -144,7 +145,7 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		replicas = fs.Int("replicas", 3, "replica chain length")
 		load     = fs.Bool("load", true, "apply multi-tenant CPU load on replicas (ignored when -shards > 1)")
-		shards   = fs.Int("shards", 1, "partition the keyspace across N independent replication groups (>1 routes ops through the shard router; -db is ignored)")
+		shards   = fs.Int("shards", 1, "partition the keyspace across N independent replication groups (>1 routes ops through the shard router's own key-value store: -db must be kv, and of the naive backends only naive-event exists)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -157,6 +158,14 @@ func run(args []string, out io.Writer) error {
 	}
 	if *replicas < 1 {
 		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
+	}
+	if *shards > 1 {
+		if *dbKind != "kv" {
+			return fmt.Errorf("-db %s is not available with -shards %d: the shard router has its own key-value store", *dbKind, *shards)
+		}
+		if *backend == "naive-polling" || *backend == "naive-pinned" {
+			return fmt.Errorf("-backend %s is not available with -shards %d: sharded groups come from the protocol registry, whose naive datapath is naive-event", *backend, *shards)
+		}
 	}
 
 	w, err := ycsb.ByName(*workload)

@@ -23,6 +23,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"zero shards", []string{"-shards", "0"}, "-shards must be >= 1"},
 		{"negative shards", []string{"-shards", "-4"}, "-shards must be >= 1"},
 		{"zero replicas", []string{"-replicas", "0"}, "-replicas must be >= 1"},
+		// A sharded run has one store and one naive datapath; it used to
+		// run them under the title of whatever was asked for.
+		{"sharded doc", []string{"-shards", "4", "-db", "doc"}, "-db doc is not available with -shards 4"},
+		{"sharded polling", []string{"-shards", "4", "-backend", "naive-polling"}, "-backend naive-polling is not available with -shards 4"},
+		{"sharded pinned", []string{"-shards", "2", "-backend", "naive-pinned"}, "-backend naive-pinned is not available with -shards 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

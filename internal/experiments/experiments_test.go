@@ -223,6 +223,36 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestShardsShape pins the two claims of the shards report: the chain
+// datapath's tenant p99 is the same 8.32 µs under both placements, and a
+// transaction costs what a commit-logged Router.Txn costs on these
+// 2-replica chains — internal/shard's BenchmarkRouterTxn reads 34.35 /
+// 34.42 / 34.46 virt-us/op at spans 1 / 2 / 4 — whatever its span. A
+// transaction without the commit record would read ≈ 24 µs.
+func TestShardsShape(t *testing.T) {
+	r := runQuick(t, "shards")
+	for row, cells := range r.Tables[0].Rows {
+		if cells[0] == "chain" && cells[6] != "8.32µs" {
+			t.Errorf("row %d: chain/%s tenant %s p99 = %s, want 8.32µs", row, cells[1], cells[2], cells[6])
+		}
+	}
+	routerTxn := []time.Duration{34350, 34420, 34460} // ns, spans 1 / 2 / 4
+	txn := r.Tables[1].Rows
+	if len(txn) != len(routerTxn) {
+		t.Fatalf("txn table has %d rows, want one per span", len(txn))
+	}
+	for row, want := range routerTxn {
+		avg := parseDur(t, cell(t, r, 1, row, 2))
+		if avg < want*95/100 || avg > want*105/100 {
+			t.Errorf("span %s: avg = %v, want within 5%% of the logged %v", txn[row][0], avg, want)
+		}
+	}
+	span1, span4 := parseDur(t, cell(t, r, 1, 0, 2)), parseDur(t, cell(t, r, 1, 2, 2))
+	if span4*10 > span1*11 {
+		t.Errorf("span 4 avg = %v, more than 1.1 × span 1's %v", span4, span1)
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	a, err := Run("table2", 42, Quick)
 	if err != nil {

@@ -46,8 +46,9 @@ type rack struct {
 }
 
 // buildRack places nShards groups (protoName datapath) across the rack
-// under the given placement policy and wires a Range-policy router over
-// them with exactly one key per shard (key k → shard k).
+// under the given placement policy, the router's coordinator group beside
+// them, and wires a Range-policy router over them with exactly one key per
+// shard (key k → shard k).
 func buildRack(ar *trialArena, seed uint64, nShards int, protoName string, pol shard.PlacementPolicy) (*rack, error) {
 	k := ar.kernel(seed)
 	fab := ar.fabric(k, rdma.DefaultConfig())
@@ -72,18 +73,24 @@ func buildRack(ar *trialArena, seed uint64, nShards int, protoName string, pol s
 		SlotsPerShard: shardSlots,
 		LogSize:       shardLogSize,
 	}
-	mirror := cfg.MirrorSize()
-	dev := mirror + shardDevExtra
 	router, err := shard.New(cfg, func(id int) (shard.Backend, error) {
-		name := fmt.Sprintf("cli/sh%d", id)
-		client, err := fab.AddNIC(name, ar.device(name, dev))
+		group, mirror := fmt.Sprintf("sh%d", id), cfg.MirrorSize()
+		if id == shard.Coordinator {
+			group, mirror = "coord", cfg.CoordMirrorSize()
+		}
+		name := "cli/" + group
+		client, err := fab.AddNIC(name, ar.device(name, mirror+shardDevExtra))
 		if err != nil {
 			return nil, err
 		}
 		env := protocol.Env{Fabric: fab, Client: client}
-		for j, srv := range place[id] {
-			host := fmt.Sprintf("srv%d/sh%d.%d", srv, id, j)
-			nic, err := fab.AddNIC(host, ar.device(host, dev))
+		for j := 0; j < shardReplicas; j++ {
+			srv := j // the coordinator's replicas: the rack's first servers
+			if id != shard.Coordinator {
+				srv = place[id][j]
+			}
+			host := fmt.Sprintf("srv%d/%s.%d", srv, group, j)
+			nic, err := fab.AddNIC(host, ar.device(host, mirror+shardDevExtra))
 			if err != nil {
 				return nil, err
 			}

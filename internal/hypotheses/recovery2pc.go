@@ -28,20 +28,18 @@ func init() {
 		run2PCRecovery)
 }
 
-// Deployment shape: r2Shards 2-replica chain groups plus a dedicated
+// Deployment shape: r2Shards 2-replica chain groups plus the router's
 // 2-replica coordinator-log group, range-partitioned so key i lives on
 // shard i (span-S transactions touch exactly shards 0..S-1, slot 0).
 const (
-	r2Shards     = 4
-	r2SlotSize   = 64
-	r2Slots      = 8
-	r2LogSize    = 1024
-	r2CoordLog   = 256
-	r2CoordSlots = 8
-	r2Timeout    = 500 * sim.Microsecond
+	r2Shards   = 4
+	r2SlotSize = 64
+	r2Slots    = 8
+	r2LogSize  = 1024
+	r2Timeout  = 500 * sim.Microsecond
 )
 
-// recoveryRig is one sharded deployment with a commit-logged router.
+// recoveryRig is one sharded deployment.
 type recoveryRig struct {
 	k         *sim.Kernel
 	fab       *rdma.Fabric
@@ -59,50 +57,34 @@ func newRecoveryRig(seed uint64, faults *rdma.FaultPlan) (*recoveryRig, error) {
 	}
 	rig := &recoveryRig{k: k, fab: fab}
 
-	buildGroup := func(name string, mirror int) (protocol.Protocol, []*rdma.NIC, error) {
+	cfg := shard.Config{
+		Shards: r2Shards, Policy: shard.Range, Keys: r2Shards,
+		SlotSize: r2SlotSize, SlotsPerShard: r2Slots, LogSize: r2LogSize,
+	}
+	var err error
+	rig.router, err = shard.New(cfg, func(id int) (shard.Backend, error) {
+		name, mirror := fmt.Sprintf("sh%d", id), cfg.MirrorSize()
+		if id == shard.Coordinator {
+			name, mirror = "coord", cfg.CoordMirrorSize()
+		}
 		client, err := fab.AddNIC("cli-"+name, nvm.NewDevice("cli-"+name, devSize(mirror)))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var reps []*rdma.NIC
 		for j := 0; j < 2; j++ {
 			host := fmt.Sprintf("%s-r%d", name, j)
 			nic, err := fab.AddNIC(host, nvm.NewDevice(host, devSize(mirror)))
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			reps = append(reps, nic)
 		}
-		g, err := protocol.Build("chain", protocol.Env{Fabric: fab, Client: client, Replicas: reps},
+		if id != shard.Coordinator {
+			rig.shardNICs = append(rig.shardNICs, reps)
+		}
+		return protocol.Build("chain", protocol.Env{Fabric: fab, Client: client, Replicas: reps},
 			protocol.Params{MirrorSize: mirror, OpTimeout: r2Timeout})
-		if err != nil {
-			return nil, nil, err
-		}
-		return g, reps, nil
-	}
-
-	clData := txn.CommitLogSizeFor(r2CoordSlots, r2Shards)
-	coordGroup, _, err := buildGroup("coord", txn.MirrorSizeFor(r2CoordLog, clData))
-	if err != nil {
-		return nil, err
-	}
-	coordStore, err := txn.New(coordGroup, txn.Config{LogSize: r2CoordLog, DataSize: clData})
-	if err != nil {
-		return nil, err
-	}
-
-	cfg := shard.Config{
-		Shards: r2Shards, Policy: shard.Range, Keys: r2Shards,
-		SlotSize: r2SlotSize, SlotsPerShard: r2Slots, LogSize: r2LogSize,
-		CoordLog: coordStore,
-	}
-	rig.router, err = shard.New(cfg, func(id int) (shard.Backend, error) {
-		g, reps, err := buildGroup(fmt.Sprintf("sh%d", id), cfg.MirrorSize())
-		if err != nil {
-			return nil, err
-		}
-		rig.shardNICs = append(rig.shardNICs, reps)
-		return g, nil
 	})
 	if err != nil {
 		return nil, err

@@ -43,7 +43,7 @@ func TestCrashSubsetSweep(t *testing.T) {
 		for _, stop := range ss.stops {
 			for mask := 1; mask < 1<<span-1; mask++ {
 				t.Run(fmt.Sprintf("%s/stop%d/subset%04b", frozenAt(stop), stop, mask), func(t *testing.T) {
-					r := newLoggedRig(t, sweepConfig(span), nil, 0)
+					r := newRig(t, sweepConfig(span), nil, 0)
 					r.run(t, func(f *sim.Fiber) {
 						for i := 0; i < span; i++ {
 							if mask&(1<<i) == 0 {
@@ -93,7 +93,7 @@ func TestTxnCrashProperty(t *testing.T) {
 	const shards, keys, cases = 4, 24, 200
 	cfg := testConfig(shards)
 	cfg.SlotsPerShard = keys // every key may hash to one shard
-	r := newLoggedRig(t, cfg, nil, 0)
+	r := newRig(t, cfg, nil, 0)
 	rng := rand.New(rand.NewSource(20260926))
 	durable := map[uint64]string{} // model of the data regions
 	acked := map[uint64]bool{}     // keys Get is expected to serve
@@ -200,7 +200,7 @@ func TestTxnCrashProperty(t *testing.T) {
 func BenchmarkRouterTxn(b *testing.B) {
 	for _, span := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("span%d", span), func(b *testing.B) {
-			r := newLoggedRig(b, sweepConfig(4), nil, 0)
+			r := newRig(b, sweepConfig(4), nil, 0)
 			writes := spanWrites(span)
 			b.ReportAllocs()
 			r.run(b, func(f *sim.Fiber) {

@@ -6,94 +6,9 @@ import (
 	"fmt"
 	"testing"
 
-	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/nvm"
-	"hyperloop/internal/protocol/protocoltest"
-	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
 )
-
-// newLoggedRig builds a rig whose router has a coordinator commit log on
-// its own 2-replica group, mirroring NewShardedCluster's wiring. Every
-// shard's group sits behind a pass-through StopGroup (rig.stops) so a test
-// can freeze or slow one participant, and so does the commit log's
-// (rig.coordStop).
-func newLoggedRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {
-	t.Helper()
-	k := sim.NewKernel(7)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	if faults != nil {
-		if err := fab.InstallFaultPlan(faults); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	clLog := 256
-	clData := txn.CommitLogSizeFor(8, cfg.Shards)
-	clMirror := txn.MirrorSizeFor(clLog, clData)
-	client, err := fab.AddNIC("cli-coord", nvm.NewDevice("cli-coord", testDev))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reps []*rdma.NIC
-	for j := 0; j < 2; j++ {
-		host := fmt.Sprintf("coord-r%d", j)
-		nic, err := fab.AddNIC(host, nvm.NewDevice(host, testDev))
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps = append(reps, nic)
-	}
-	gcfg := hyperloop.DefaultConfig(clMirror)
-	gcfg.OpTimeout = opTimeout
-	g, err := hyperloop.Setup(fab, client, reps, gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(g.Close)
-	coordStop := protocoltest.NewStopGroup(g)
-	st, err := txn.New(coordStop, txn.Config{LogSize: clLog, DataSize: clData, LockToken: cfg.LockToken})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CoordLog = st
-
-	mirror := cfg.MirrorSize()
-	rg := &rig{k: k, fab: fab, coordGroup: g, coordStop: coordStop, coordLog: st}
-	r, err := New(cfg, func(id int) (Backend, error) {
-		client, err := fab.AddNIC(fmt.Sprintf("cli-%d", id), nvm.NewDevice(fmt.Sprintf("cli-%d", id), testDev))
-		if err != nil {
-			return nil, err
-		}
-		var reps []*rdma.NIC
-		for j := 0; j < 2; j++ {
-			host := fmt.Sprintf("sh%d-r%d", id, j)
-			nic, err := fab.AddNIC(host, nvm.NewDevice(host, testDev))
-			if err != nil {
-				return nil, err
-			}
-			reps = append(reps, nic)
-		}
-		sgcfg := hyperloop.DefaultConfig(mirror)
-		sgcfg.OpTimeout = opTimeout
-		g, err := hyperloop.Setup(fab, client, reps, sgcfg)
-		if err != nil {
-			return nil, err
-		}
-		stop := protocoltest.NewStopGroup(g)
-		rg.stops = append(rg.stops, stop)
-		return stop, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	rg.router = r
-	return rg
-}
 
 // spanWrites is the sweep transaction: key i lives on shard i (sweepConfig).
 func spanWrites(span int) []Write {
@@ -178,7 +93,7 @@ func TestCrashPointSweep(t *testing.T) {
 		for kill := 1; kill <= totalSteps; kill++ {
 			kill := kill
 			t.Run(fmt.Sprintf("span%d/kill%d", span, kill), func(t *testing.T) {
-				r := newLoggedRig(t, sweepConfig(4), nil, 0)
+				r := newRig(t, sweepConfig(4), nil, 0)
 				r.run(t, func(f *sim.Fiber) {
 					writes := spanWrites(span)
 					step := 0
@@ -234,7 +149,7 @@ func TestCrashPointSweep(t *testing.T) {
 // transaction must be counted exactly once as InDoubt and exactly once as
 // a commit on retry, never as an abort.
 func TestInDoubtRecoveredThenRetriedCountedOnce(t *testing.T) {
-	r := newLoggedRig(t, sweepConfig(2), nil, 0)
+	r := newRig(t, sweepConfig(2), nil, 0)
 	r.run(t, func(f *sim.Fiber) {
 		writes := []Write{
 			{Key: 0, Data: []byte("aa")},
@@ -296,10 +211,11 @@ func TestInDoubtRecoveredThenRetriedCountedOnce(t *testing.T) {
 // log: the record of a finished transaction is no work for recovery, and
 // afterwards nothing is in flight and no member holds the record.
 func TestRecoverSettlesBeforeItScans(t *testing.T) {
-	r := newLoggedRig(t, sweepConfig(2), nil, 0)
+	r := newRig(t, sweepConfig(2), nil, 0)
 	slot := make([]byte, 8)
+	slotOff := txn.MirrorSizeFor(coordLogSize, 0) // the commit log's slot 0: behind the control block and the WAL ring
 	memberSlot := func() []byte {
-		if err := r.coordGroup.ReplicaNIC(1).Memory().ReadDurable(r.coordLog.DataOff(), slot); err != nil {
+		if err := r.coordGroup.ReplicaNIC(1).Memory().ReadDurable(slotOff, slot); err != nil {
 			t.Error(err)
 		}
 		return slot
@@ -363,7 +279,7 @@ func TestGetCountsMisses(t *testing.T) {
 func TestAbortReleasesFreshSlots(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.SlotsPerShard = 4
-	r := newLoggedRig(t, cfg, nil, 0)
+	r := newRig(t, cfg, nil, 0)
 	r.run(t, func(f *sim.Fiber) {
 		// Aborting far more transactions than there are slots: every
 		// abort must hand its fresh slot back.
@@ -398,7 +314,7 @@ func TestAbortReleasesFreshSlots(t *testing.T) {
 func TestPreparedAbortReleasesFreshSlots(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.SlotsPerShard = 4
-	r := newLoggedRig(t, cfg, nil, 0)
+	r := newRig(t, cfg, nil, 0)
 	r.run(t, func(f *sim.Fiber) {
 		// Exhaust the commit log so phase two's record append fails and
 		// the transaction aborts after a successful prepare.

@@ -73,17 +73,20 @@ type Config struct {
 	// LockToken identifies this router in the per-shard group lock words
 	// (default 1).
 	LockToken uint64
-	// CoordLog, when set, is the coordinator's own replicated store used
-	// as the 2PC commit log: Txn durably appends a commit record before
-	// entering phase two and Recover presumes *commit* for transactions
-	// with a record, rolling prepared participants forward instead of
-	// aborting them. The store must sit on its own replication group
-	// (never a shard's) with DataSize ≥ txn.CommitLogSizeFor(slots,
-	// Shards). When nil, recovery presumes abort for everything — the
-	// pre-commit-log behavior, which can roll back half of a transaction
-	// whose coordinator crashed mid-Commit.
-	CoordLog *txn.Store
 }
+
+// Coordinator is the ID New passes to its build callback for the group that
+// holds the router's commit log, ahead of shard 0.
+const Coordinator = -1
+
+// The coordinator's store. coordSlots bounds the commit records alive at
+// once: the running transaction's plus those left in doubt until Recover
+// (a finished transaction's slot is free again by the next append). The
+// commit log lives in the data region; the WAL ring stays empty.
+const (
+	coordLogSize = 256
+	coordSlots   = 16
+)
 
 func (c *Config) fill() error {
 	if c.Shards < 1 {
@@ -115,6 +118,15 @@ func (c Config) MirrorSize() int {
 		return 0
 	}
 	return txn.MirrorSizeFor(c.LogSize, c.SlotsPerShard*c.SlotSize)
+}
+
+// CoordMirrorSize returns the mirror footprint the coordinator's group must
+// provide: room for commit records naming up to Shards participants.
+func (c Config) CoordMirrorSize() int {
+	if err := c.fill(); err != nil {
+		return 0
+	}
+	return txn.MirrorSizeFor(coordLogSize, txn.CommitLogSizeFor(coordSlots, c.Shards))
 }
 
 // Backend is the replication group one shard runs on: the txn.Replicator
@@ -199,49 +211,50 @@ type Stats struct {
 type Router struct {
 	cfg    Config
 	shards []*Shard
-	clog   *txn.CommitLog // nil unless cfg.CoordLog was provided
+	coord  Backend        // the commit log's own replication group
+	clog   *txn.CommitLog // the 2PC commit log, on coord
 	hook   func(txn.Step, int) error
 	stats  Stats
 }
 
-// New builds a Router with cfg.Shards shards, calling build once per shard
-// to produce its replication group. Each group must be independent (its
-// own NICs and device — mirrors start at device offset 0, so groups cannot
-// share) and sized to at least cfg.MirrorSize().
-func New(cfg Config, build func(shardID int) (Backend, error)) (*Router, error) {
+// New builds a Router with cfg.Shards shards, calling build once for the
+// coordinator's group (id Coordinator), which holds the 2PC commit log, and
+// then once per shard. Each group must be independent (its own NICs and
+// device — mirrors start at device offset 0, so groups cannot share) and
+// sized to at least cfg.CoordMirrorSize() and cfg.MirrorSize() respectively.
+func New(cfg Config, build func(id int) (Backend, error)) (*Router, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	r := &Router{cfg: cfg}
-	if cfg.CoordLog != nil {
-		cl, err := txn.NewCommitLog(cfg.CoordLog, cfg.Shards)
+	// open builds group id and the transactional store on it.
+	open := func(id, logSize, dataSize int) (Backend, *txn.Store, error) {
+		b, err := build(id)
 		if err != nil {
-			return nil, fmt.Errorf("coordinator log: %w", err)
+			return nil, nil, err
 		}
-		r.clog = cl
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		b, err := build(i)
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		st, err := txn.New(b, txn.Config{
-			LogSize:   cfg.LogSize,
-			DataSize:  cfg.SlotsPerShard * cfg.SlotSize,
-			LockToken: cfg.LockToken,
-		})
+		st, err := txn.New(b, txn.Config{LogSize: logSize, DataSize: dataSize, LockToken: cfg.LockToken})
 		if err != nil {
 			b.Close()
+			return nil, nil, err
+		}
+		return b, st, nil
+	}
+	coord, st, err := open(Coordinator, coordLogSize, txn.CommitLogSizeFor(coordSlots, cfg.Shards))
+	if err != nil {
+		return nil, fmt.Errorf("coordinator group: %w", err)
+	}
+	r := &Router{cfg: cfg, coord: coord}
+	if r.clog, err = txn.NewCommitLog(st, cfg.Shards); err != nil {
+		r.Close()
+		return nil, fmt.Errorf("coordinator log: %w", err)
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		b, st, err := open(i, cfg.LogSize, cfg.SlotsPerShard*cfg.SlotSize)
+		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		r.shards = append(r.shards, &Shard{
-			ID:      i,
-			Backend: b,
-			Store:   st,
-			dir:     make(map[uint64]*slot),
-		})
+		r.shards = append(r.shards, &Shard{ID: i, Backend: b, Store: st, dir: make(map[uint64]*slot)})
 	}
 	return r, nil
 }
@@ -256,8 +269,7 @@ func (r *Router) Shard(i int) *Shard { return r.shards[i] }
 // Stats returns a snapshot of router-level counters.
 func (r *Router) Stats() Stats { return r.stats }
 
-// CommitLog returns the coordinator commit log, or nil when the router
-// runs presumed-abort-only (no Config.CoordLog).
+// CommitLog returns the coordinator commit log.
 func (r *Router) CommitLog() *txn.CommitLog { return r.clog }
 
 // SetTxnStepHook installs a coordinator step hook on every transaction
@@ -389,7 +401,7 @@ func (r *Router) Txn(f *sim.Fiber, writes []Write) error {
 		}
 		parts[i].Entries = append(parts[i].Entries, wal.Entry{Off: sl.idx * r.cfg.SlotSize, Data: w.Data})
 	}
-	tx, err := txn.BeginDistLogged(parts, r.clog, ids)
+	tx, err := txn.BeginDist(parts, r.clog, ids)
 	if err != nil {
 		release()
 		return err
@@ -445,8 +457,8 @@ type RecoverStats struct {
 }
 
 // Recover resolves orphaned transactions on every shard after a
-// coordinator crash. The coordinator commit log (when configured) is
-// consulted first: a token-locked shard named by a commit record is
+// coordinator crash. The coordinator commit log is consulted first: a
+// token-locked shard named by a commit record is
 // rolled *forward* with txn.RecoverCommit — the record is only written
 // once every participant prepared, so the transaction is committed and
 // executing its prepared record finishes the job. Token-locked shards
@@ -464,24 +476,18 @@ type RecoverStats struct {
 func (r *Router) Recover(f *sim.Fiber) (RecoverStats, error) {
 	var rs RecoverStats
 	var errs []error
+	if err := r.clog.Settle(f); err != nil {
+		errs = append(errs, fmt.Errorf("coordinator log: %w", err))
+	}
+	recs, err := r.clog.Records()
+	if err != nil {
+		return rs, fmt.Errorf("coordinator log scan: %w", err)
+	}
+	recs = slices.DeleteFunc(recs, func(rec txn.CommitRecord) bool { return rec.Token != r.cfg.LockToken })
 	committed := make(map[int]bool)
-	var recs []txn.CommitRecord
-	if r.clog != nil {
-		if err := r.clog.Settle(f); err != nil {
-			errs = append(errs, fmt.Errorf("coordinator log: %w", err))
-		}
-		var err error
-		recs, err = r.clog.Records()
-		if err != nil {
-			return rs, fmt.Errorf("coordinator log scan: %w", err)
-		}
-		for _, rec := range recs {
-			if rec.Token != r.cfg.LockToken {
-				continue
-			}
-			for _, sid := range rec.Shards {
-				committed[sid] = true
-			}
+	for _, rec := range recs {
+		for _, sid := range rec.Shards {
+			committed[sid] = true
 		}
 	}
 	for _, sh := range r.shards {
@@ -505,11 +511,8 @@ func (r *Router) Recover(f *sim.Fiber) (RecoverStats, error) {
 			rs.Back++
 		}
 	}
-	if r.clog != nil && len(errs) == 0 {
+	if len(errs) == 0 {
 		for _, rec := range recs {
-			if rec.Token != r.cfg.LockToken {
-				continue
-			}
 			if err := r.clog.Truncate(f, rec.TxnID); err != nil {
 				errs = append(errs, fmt.Errorf("txn %d: record truncate: %w", rec.TxnID, err))
 				continue
@@ -520,11 +523,10 @@ func (r *Router) Recover(f *sim.Fiber) (RecoverStats, error) {
 	return rs, errors.Join(errs...)
 }
 
-// Close tears down every shard's replication group.
+// Close tears down every shard's replication group, then the coordinator's.
 func (r *Router) Close() {
 	for _, sh := range r.shards {
-		if sh.Backend != nil {
-			sh.Backend.Close()
-		}
+		sh.Backend.Close()
 	}
+	r.coord.Close()
 }

@@ -21,19 +21,17 @@ func testConfig(shards int) Config {
 	return Config{Shards: shards, SlotSize: 64, SlotsPerShard: 8, LogSize: 1024}
 }
 
-// rig builds a Router over real hyperloop chains, one independent
-// 2-replica group per shard.
+// rig is a Router over real hyperloop chains: one independent 2-replica
+// group per shard and one for the coordinator's commit log, each behind a
+// pass-through StopGroup so a test can freeze or slow it.
 type rig struct {
 	k      *sim.Kernel
 	fab    *rdma.Fabric
 	router *Router
-	stops  []*protocoltest.StopGroup // per shard; newLoggedRig only
+	stops  []*protocoltest.StopGroup // per shard
 
-	// The coordinator commit log's group, its gate and its store;
-	// newLoggedRig only.
 	coordGroup *hyperloop.Group
 	coordStop  *protocoltest.StopGroup
-	coordLog   *txn.Store
 }
 
 func newRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {
@@ -45,18 +43,19 @@ func newRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Dura
 			t.Fatal(err)
 		}
 	}
-	mirror := cfg.MirrorSize()
-	if mirror <= 0 {
-		t.Fatalf("bad mirror size %d", mirror)
-	}
+	rg := &rig{k: k, fab: fab}
 	r, err := New(cfg, func(id int) (Backend, error) {
-		client, err := fab.AddNIC(fmt.Sprintf("cli-%d", id), nvm.NewDevice(fmt.Sprintf("cli-%d", id), testDev))
+		cli, rep, mirror := fmt.Sprintf("cli-%d", id), fmt.Sprintf("sh%d", id), cfg.MirrorSize()
+		if id == Coordinator {
+			cli, rep, mirror = "cli-coord", "coord", cfg.CoordMirrorSize()
+		}
+		client, err := fab.AddNIC(cli, nvm.NewDevice(cli, testDev))
 		if err != nil {
 			return nil, err
 		}
 		var reps []*rdma.NIC
 		for j := 0; j < 2; j++ {
-			host := fmt.Sprintf("sh%d-r%d", id, j)
+			host := fmt.Sprintf("%s-r%d", rep, j)
 			nic, err := fab.AddNIC(host, nvm.NewDevice(host, testDev))
 			if err != nil {
 				return nil, err
@@ -65,13 +64,24 @@ func newRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Dura
 		}
 		gcfg := hyperloop.DefaultConfig(mirror)
 		gcfg.OpTimeout = opTimeout
-		return hyperloop.Setup(fab, client, reps, gcfg)
+		g, err := hyperloop.Setup(fab, client, reps, gcfg)
+		if err != nil {
+			return nil, err
+		}
+		stop := protocoltest.NewStopGroup(g)
+		if id == Coordinator {
+			rg.coordGroup, rg.coordStop = g, stop
+		} else {
+			rg.stops = append(rg.stops, stop)
+		}
+		return stop, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	return &rig{k: k, fab: fab, router: r}
+	rg.router = r
+	return rg
 }
 
 func (r *rig) run(t testing.TB, fn func(f *sim.Fiber)) {
@@ -97,6 +107,13 @@ func TestConfigValidation(t *testing.T) {
 	if got := cfg.MirrorSize(); got != want {
 		t.Errorf("MirrorSize = %d, want %d", got, want)
 	}
+	// 16 commit records of up to 4 participants behind a 256-byte ring.
+	if got, want := cfg.CoordMirrorSize(), txn.MirrorSizeFor(256, txn.CommitLogSizeFor(16, 4)); got != want {
+		t.Errorf("CoordMirrorSize = %d, want %d", got, want)
+	}
+	if got := (Config{}).CoordMirrorSize(); got != 0 {
+		t.Errorf("invalid config CoordMirrorSize = %d, want 0", got)
+	}
 	if Hash.String() != "hash" || Range.String() != "range" || Policy(9).String() != "policy(9)" {
 		t.Error("Policy.String mismatch")
 	}
@@ -114,8 +131,19 @@ func TestNewBuilderFailure(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if closed != 2 {
-		t.Errorf("closed %d backends on failure, want 2", closed)
+	if closed != 3 {
+		t.Errorf("closed %d backends on failure, want shards 0 and 1 and the coordinator's", closed)
+	}
+	// The coordinator's group is asked for first; without it nothing is built.
+	built := 0
+	_, err = New(testConfig(3), func(id int) (Backend, error) {
+		if built++; id == Coordinator {
+			return nil, boom
+		}
+		return &fakeBackend{}, nil
+	})
+	if !errors.Is(err, boom) || built != 1 {
+		t.Errorf("coordinator build failure: err = %v after %d builds, want boom after 1", err, built)
 	}
 }
 
@@ -340,10 +368,13 @@ func TestRouterRecover(t *testing.T) {
 	r := newRig(t, cfg, nil, 0)
 	r.run(t, func(f *sim.Fiber) {
 		// A coordinator prepares shard 0 and crashes before commit.
-		tx := txn.BeginDist([]txn.Participant{{
+		tx, err := txn.BeginDist([]txn.Participant{{
 			Store:   r.router.Shard(0).Store,
 			Entries: []wal.Entry{{Off: 0, Data: []byte("orphan")}},
-		}})
+		}}, r.router.CommitLog(), []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := tx.Prepare(f); err != nil {
 			t.Fatal(err)
 		}

@@ -126,6 +126,18 @@ func memStore(t *testing.T) (*memRep, *Store, *sim.Kernel) {
 	return m, st, sim.NewKernel(3)
 }
 
+// memLog is a commit log on an in-memory store of its own, for
+// transactions whose participants are memStores.
+func memLog(t *testing.T) *CommitLog {
+	t.Helper()
+	_, st, _ := memStore(t)
+	cl, err := NewCommitLog(st, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 func runMem(t *testing.T, k *sim.Kernel, fn func(f *sim.Fiber)) {
 	t.Helper()
 	k.Spawn("mem", fn)
@@ -177,14 +189,10 @@ func TestStoreIOFaults(t *testing.T) {
 			t.Errorf("write data group: %v", err)
 		}
 
-		// Lock paths: CAS failure in WrLock/WrUnlock, WithWrLock propagation.
+		// Lock paths: CAS failure in WrLock/WrUnlock.
 		m.fail = failOn("cas", 1)
 		if err := st.WrLock(f); !errors.Is(err, errInjected) {
 			t.Errorf("lock cas: %v", err)
-		}
-		m.fail = failOn("cas", 1)
-		if err := st.WithWrLock(f, func() error { return nil }); !errors.Is(err, errInjected) {
-			t.Errorf("with lock: %v", err)
 		}
 		m.fail = nil
 		if err := st.WrLock(f); err != nil {
@@ -267,6 +275,7 @@ func TestDistTxnRollbackFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := memLog(t)
 	runMem(t, k, func(f *sim.Fiber) {
 		ps := []Participant{
 			{Store: st, Entries: []wal.Entry{{Off: 0, Data: []byte("a")}}},
@@ -278,7 +287,7 @@ func TestDistTxnRollbackFaults(t *testing.T) {
 		// too, so rollback keeps its lock (in doubt until recovery).
 		m2.fail = failOn("write", 1)
 		m.fail = failOn("write", 3)
-		tx := BeginDist(ps)
+		tx := begin(t, ps, cl)
 		err := tx.Prepare(f)
 		if !errors.Is(err, ErrAborted) || !errors.Is(err, errInjected) {
 			t.Fatalf("prepare = %v, want aborted with injected faults", err)
@@ -294,7 +303,7 @@ func TestDistTxnRollbackFaults(t *testing.T) {
 
 		// Commit-side: ExecuteAll failure leaves the txn in doubt.
 		m2.fail = nil
-		tx2 := BeginDist(ps)
+		tx2 := begin(t, ps, cl)
 		if err := tx2.Prepare(f); err != nil {
 			t.Fatal(err)
 		}

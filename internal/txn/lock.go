@@ -117,18 +117,6 @@ func (s *Store) finishUnlock(f *sim.Fiber, token uint64) error {
 	return err
 }
 
-// WithWrLock runs fn under the group write lock.
-func (s *Store) WithWrLock(f *sim.Fiber, fn func() error) error {
-	if err := s.WrLock(f); err != nil {
-		return err
-	}
-	ferr := fn()
-	if uerr := s.WrUnlock(f); uerr != nil && ferr == nil {
-		ferr = uerr
-	}
-	return ferr
-}
-
 // RdLock takes a shared read lock on one replica (0-based) by CASing the
 // reader-count word there — only the replica being read participates
 // (§5, "read locks are not group based").

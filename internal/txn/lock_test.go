@@ -219,7 +219,7 @@ func TestNoWaitLockingUnderContention(t *testing.T) {
 				for i, st := range c.stores {
 					ps[i] = Participant{Store: st, Entries: []wal.Entry{{Off: c.offs[i], Data: []byte(c.last)}}}
 				}
-				tx, err := BeginDistLogged(ps, c.cl, []int{0, 1})
+				tx, err := BeginDist(ps, c.cl, []int{0, 1})
 				if err == nil {
 					err = tx.Prepare(f)
 				}
@@ -267,6 +267,7 @@ func TestNoWaitLockingGivesUpHoldingNothing(t *testing.T) {
 		return st
 	}
 	free, held, squatter := open(0, 1), open(1, 1), open(1, 9)
+	cl := memLog(t) // never reached: the transaction gives up in its lock round
 	rig.run(t, func(f *sim.Fiber) {
 		if err := squatter.WrLock(f); err != nil {
 			t.Errorf("third party lock: %v", err)
@@ -276,7 +277,7 @@ func TestNoWaitLockingGivesUpHoldingNothing(t *testing.T) {
 		for g := range issued {
 			issued[g], _ = rig.groups[g].Stats()
 		}
-		err := BeginDist(parts([]*Store{free, held}, "never")).Prepare(f)
+		err := begin(t, parts([]*Store{free, held}, "never"), cl).Prepare(f)
 		if !errors.Is(err, ErrAborted) || !errors.Is(err, ErrLockContended) {
 			t.Errorf("prepare = %v, want ErrAborted wrapping ErrLockContended", err)
 		}

@@ -247,15 +247,16 @@ func TestFailedPrepareLeavesNoPhantomRecord(t *testing.T) {
 	}
 	t.Run("rewound", func(t *testing.T) {
 		m, st, k := memStore(t)
+		cl := memLog(t)
 		runMem(t, k, func(f *sim.Fiber) {
 			m.fail = failOn("write", 2)
-			if err := BeginDist(aborted(st)).Prepare(f); !errors.Is(err, ErrAborted) || !errors.Is(err, errInjected) {
+			if err := begin(t, aborted(st), cl).Prepare(f); !errors.Is(err, ErrAborted) || !errors.Is(err, errInjected) {
 				t.Errorf("prepare = %v, want ErrAborted wrapping the fault", err)
 				return
 			}
 			m.fail = nil
 			mustUnlocked(t, []*Store{st})
-			next := BeginDist([]Participant{{Store: st, Entries: []wal.Entry{{Off: 64, Data: []byte("next")}}}})
+			next := begin(t, []Participant{{Store: st, Entries: []wal.Entry{{Off: 64, Data: []byte("next")}}}}, cl)
 			if err := next.Prepare(f); err != nil {
 				t.Errorf("next prepare: %v", err)
 				return
@@ -274,6 +275,7 @@ func TestFailedPrepareLeavesNoPhantomRecord(t *testing.T) {
 	})
 	t.Run("rewind fails", func(t *testing.T) {
 		m, st, k := memStore(t)
+		cl := memLog(t)
 		runMem(t, k, func(f *sim.Fiber) {
 			writes := 0
 			m.fail = func(op string) error { // the record goes out, then the group is gone
@@ -284,7 +286,7 @@ func TestFailedPrepareLeavesNoPhantomRecord(t *testing.T) {
 				}
 				return nil
 			}
-			if err := BeginDist(aborted(st)).Prepare(f); !errors.Is(err, ErrAborted) {
+			if err := begin(t, aborted(st), cl).Prepare(f); !errors.Is(err, ErrAborted) {
 				t.Errorf("prepare = %v, want ErrAborted", err)
 				return
 			}

@@ -36,7 +36,7 @@ import (
 // durable before any execute.
 //
 // The commit point is a durable record on the coordinator's own
-// replicated store (see CommitLog): a logged transaction appends
+// replicated store (see CommitLog): every transaction appends
 // (txnID, token, participant IDs) after every participant prepared and
 // before any executes, and posts its truncate once all are done, without
 // waiting for it. Recovery therefore has an unambiguous rule — a prepared
@@ -44,10 +44,7 @@ import (
 // named by no record rolls back (RecoverAbort, presumed abort) — which
 // needs the log to hold no record but the running transaction's whenever a
 // participant holds an appended record; Prepare sees to that between its
-// lock round and its append round (CommitLog.Settle). Unlogged
-// transactions (BeginDist with no CommitLog) keep the original
-// presumed-abort-only behavior and must tolerate a mid-commit coordinator
-// crash aborting participants the coordinator had not reached.
+// lock round and its append round (CommitLog.Settle).
 //
 // Deadlock is impossible by construction: locking is no-wait. A
 // coordinator asks for all its locks in one round of single attempts; if
@@ -78,7 +75,7 @@ var ErrCoordinatorCrash = errors.New("txn: coordinator crashed (injected)")
 
 // Step identifies one coordinator-side action inside Prepare/Commit, at the
 // granularity of a Store method. A step hook (SetStepHook) fires after each
-// step completes, 3·S + 2 times for a logged span-S transaction that met no
+// step completes, 3·S + 2 times for a span-S transaction that met no
 // contention, and StepLogCommit is always the (2·S + 1)-th firing: every
 // lock and every append fires before it, every execute after. Each phase
 // runs on all participants at once, so within a phase the firings come in
@@ -142,21 +139,19 @@ const (
 )
 
 // DistTxn is one distributed transaction. The zero value is invalid; use
-// BeginDist or BeginDistLogged. A DistTxn is driven by a single fiber
-// (which runs the other participants of a parallel phase on child fibers
-// of its own) and is not reusable: after Commit or Abort returns it is
-// spent.
+// BeginDist. A DistTxn is driven by a single fiber (which runs the other
+// participants of a parallel phase on child fibers of its own) and is not
+// reusable: after Commit or Abort returns it is spent.
 type DistTxn struct {
 	parts []Participant
 	state []txnState
 	tails []int // tail snapshot taken under the lock, before the append
 
-	clog   *CommitLog // nil for unlogged (presumed-abort-only) transactions
-	ids    []int      // participant shard IDs named in the commit record
-	txnID  uint64     // assigned by the commit log at the commit point
-	logged bool       // commit record durably appended
-	hook   func(Step, int) error
-	halt   error // first hook error of this call: every participant stops
+	clog  *CommitLog // the coordinator's log, where the commit point is recorded
+	ids   []int      // participant shard IDs named in the commit record
+	txnID uint64     // assigned by the commit log at the commit point, 0 before it
+	hook  func(Step, int) error
+	halt  error // first hook error of this call: every participant stops
 
 	// fanOut state, allocated once per transaction and shared by its phases.
 	errs     []error                     // each participant's result of the running phase
@@ -167,13 +162,23 @@ type DistTxn struct {
 	joinFn   func()                      // fires join
 }
 
-// BeginDist starts a distributed transaction over the given participants,
-// in the given (deadlock-consistent) order.
-func BeginDist(parts []Participant) *DistTxn {
+// BeginDist starts a distributed transaction over the given participants
+// whose commit point is durably recorded on cl before phase two: Commit
+// appends a record naming shardIDs (one per participant, same order) so
+// recovery can roll the transaction forward past a coordinator crash.
+func BeginDist(parts []Participant, cl *CommitLog, shardIDs []int) (*DistTxn, error) {
+	if cl == nil {
+		return nil, fmt.Errorf("%w: no commit log", ErrBadArgument)
+	}
+	if len(shardIDs) != len(parts) {
+		return nil, fmt.Errorf("%w: %d shard IDs for %d participants", ErrBadArgument, len(shardIDs), len(parts))
+	}
 	t := &DistTxn{
 		parts: parts,
 		state: make([]txnState, len(parts)),
 		tails: make([]int, len(parts)),
+		clog:  cl,
+		ids:   shardIDs,
 		errs:  make([]error, len(parts)),
 	}
 	if len(parts) > 1 {
@@ -183,29 +188,11 @@ func BeginDist(parts []Participant) *DistTxn {
 		}
 		t.joinFn = func() { t.join.Fire(nil) }
 	}
-	return t
-}
-
-// BeginDistLogged starts a distributed transaction whose commit point is
-// durably recorded on cl before phase two: Commit appends a record naming
-// shardIDs (one per participant, same order) so recovery can roll the
-// transaction forward past a coordinator crash. A nil cl degrades to
-// BeginDist.
-func BeginDistLogged(parts []Participant, cl *CommitLog, shardIDs []int) (*DistTxn, error) {
-	t := BeginDist(parts)
-	if cl == nil {
-		return t, nil
-	}
-	if len(shardIDs) != len(parts) {
-		return nil, fmt.Errorf("%w: %d shard IDs for %d participants", ErrBadArgument, len(shardIDs), len(parts))
-	}
-	t.clog = cl
-	t.ids = shardIDs
 	return t, nil
 }
 
 // TxnID returns the transaction's commit-log ID — 0 until the commit
-// record has been appended (unlogged transactions never get one).
+// record has been appended.
 func (t *DistTxn) TxnID() uint64 { return t.txnID }
 
 // SetStepHook installs a hook fired after every coordinator step, on the
@@ -304,10 +291,8 @@ func (t *DistTxn) prepare(f *sim.Fiber) error {
 	if err := t.lockAll(f); err != nil || t.halt != nil {
 		return err
 	}
-	if t.clog != nil {
-		if err := t.clog.Settle(f); err != nil {
-			return fmt.Errorf("commit log: %w", err)
-		}
+	if err := t.clog.Settle(f); err != nil {
+		return fmt.Errorf("commit log: %w", err)
 	}
 	return t.fanOut(f, t.appendOne)
 }
@@ -392,10 +377,10 @@ func (t *DistTxn) failPrepare(f *sim.Fiber, cause error) error {
 	return fmt.Errorf("%w: %w", ErrAborted, cause)
 }
 
-// Commit runs phase two. For a logged transaction the commit record is
-// first made durable on the coordinator's log — the commit point: before
-// it, a crash aborts the transaction everywhere; at or after it, recovery
-// rolls every participant forward. Then, on all participants at once, the
+// Commit runs phase two. The commit record is first made durable on the
+// coordinator's log — the commit point: before it, a crash aborts the
+// transaction everywhere; at or after it, recovery rolls every
+// participant forward. Then, on all participants at once, the
 // prepared record is applied and the lock released behind it
 // (ExecuteAllAndUnlock); once every participant is done the commit
 // record's truncate is posted and Commit returns without waiting for it —
@@ -417,7 +402,7 @@ func (t *DistTxn) Commit(f *sim.Fiber) error {
 			return fmt.Errorf("%w: participant %d not prepared", ErrBadArgument, i)
 		}
 	}
-	if t.clog != nil && !t.logged {
+	if t.txnID == 0 { // not a retried Commit
 		token := t.parts[0].Store.cfg.LockToken
 		id, err := t.clog.Append(f, token, t.ids)
 		if err != nil {
@@ -426,7 +411,6 @@ func (t *DistTxn) Commit(f *sim.Fiber) error {
 			return t.failPrepare(f, fmt.Errorf("commit record: %w", err))
 		}
 		t.txnID = id
-		t.logged = true
 		if err := t.step(StepLogCommit, -1); err != nil {
 			return err
 		}
@@ -438,13 +422,10 @@ func (t *DistTxn) Commit(f *sim.Fiber) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrInDoubt, err)
 	}
-	if t.clog != nil && t.logged {
-		// The transaction IS committed everywhere; a truncate that fails is
-		// the next Prepare's to retry (Settle), not this caller's.
-		t.clog.PostTruncate(t.txnID)
-		return t.step(StepLogTruncate, -1)
-	}
-	return nil
+	// The transaction IS committed everywhere; a truncate that fails is
+	// the next Prepare's to retry (Settle), not this caller's.
+	t.clog.PostTruncate(t.txnID)
+	return t.step(StepLogTruncate, -1)
 }
 
 // commitOne is the execute-and-unlock step on participant i.

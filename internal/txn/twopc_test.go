@@ -114,10 +114,26 @@ func parts(stores []*Store, payload string) []Participant {
 	return ps
 }
 
+// begin starts a transaction over ps whose commit record, on cl, names
+// them 0..n-1.
+func begin(t testing.TB, ps []Participant, cl *CommitLog) *DistTxn {
+	t.Helper()
+	ids := make([]int, len(ps))
+	for i := range ids {
+		ids[i] = i
+	}
+	tx, err := BeginDist(ps, cl, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
 func TestTwoPCCommitAppliesEverywhere(t *testing.T) {
-	rig := newTwoPCRig(t, 2, nil, 0)
+	rig, cl := loggedRig(t, 2)
+	stores := rig.stores[:2]
 	rig.run(t, func(f *sim.Fiber) {
-		tx := BeginDist(parts(rig.stores, "commit"))
+		tx := begin(t, parts(stores, "commit"), cl)
 		if err := tx.Prepare(f); err != nil {
 			t.Errorf("prepare: %v", err)
 			return
@@ -129,7 +145,7 @@ func TestTwoPCCommitAppliesEverywhere(t *testing.T) {
 			t.Errorf("commit: %v", err)
 			return
 		}
-		for i, st := range rig.stores {
+		for i, st := range stores {
 			want := []byte(fmt.Sprintf("commit-%d", i))
 			got, err := st.ReadData(64*i, len(want))
 			if err != nil || !bytes.Equal(got, want) {
@@ -146,14 +162,15 @@ func TestTwoPCCommitAppliesEverywhere(t *testing.T) {
 				t.Errorf("store %d: log used = %d (%v), want 0", i, used, err)
 			}
 		}
-		mustUnlocked(t, rig.stores)
+		mustUnlocked(t, stores)
 	})
 }
 
 func TestTwoPCAbortReleasesLocksAndRollsBack(t *testing.T) {
-	rig := newTwoPCRig(t, 2, nil, 0)
+	rig, cl := loggedRig(t, 2)
+	stores := rig.stores[:2]
 	rig.run(t, func(f *sim.Fiber) {
-		tx := BeginDist(parts(rig.stores, "abort"))
+		tx := begin(t, parts(stores, "abort"), cl)
 		if err := tx.Prepare(f); err != nil {
 			t.Errorf("prepare: %v", err)
 			return
@@ -162,7 +179,7 @@ func TestTwoPCAbortReleasesLocksAndRollsBack(t *testing.T) {
 			t.Errorf("abort: %v", err)
 			return
 		}
-		for i, st := range rig.stores {
+		for i, st := range stores {
 			if used, err := st.LogUsed(); err != nil || used != 0 {
 				t.Errorf("store %d: log used after abort = %d (%v), want 0", i, used, err)
 			}
@@ -171,10 +188,10 @@ func TestTwoPCAbortReleasesLocksAndRollsBack(t *testing.T) {
 				t.Errorf("store %d: data leaked through abort: %q (%v)", i, got, err)
 			}
 		}
-		mustUnlocked(t, rig.stores)
+		mustUnlocked(t, stores)
 
 		// The aborted stores are immediately reusable.
-		tx2 := BeginDist(parts(rig.stores, "after"))
+		tx2 := begin(t, parts(stores, "after"), cl)
 		if err := tx2.Prepare(f); err != nil {
 			t.Errorf("prepare after abort: %v", err)
 			return
@@ -182,7 +199,7 @@ func TestTwoPCAbortReleasesLocksAndRollsBack(t *testing.T) {
 		if err := tx2.Commit(f); err != nil {
 			t.Errorf("commit after abort: %v", err)
 		}
-		mustUnlocked(t, rig.stores)
+		mustUnlocked(t, stores)
 	})
 }
 
@@ -192,15 +209,16 @@ func TestTwoPCAbortReleasesLocksAndRollsBack(t *testing.T) {
 // A recovery agent resolves each store with RecoverAbort and the stores
 // come back clean: unlocked, empty logs, no data applied.
 func TestTwoPCCoordinatorCrashRecovery(t *testing.T) {
-	rig := newTwoPCRig(t, 2, nil, 0)
+	rig, cl := loggedRig(t, 2)
+	stores := rig.stores[:2]
 	rig.run(t, func(f *sim.Fiber) {
-		tx := BeginDist(parts(rig.stores, "crash"))
+		tx := begin(t, parts(stores, "crash"), cl)
 		if err := tx.Prepare(f); err != nil {
 			t.Errorf("prepare: %v", err)
 			return
 		}
 		// Coordinator crashes here: tx is never driven again.
-		for i, st := range rig.stores {
+		for i, st := range stores {
 			if locked, _ := st.Locked(); !locked {
 				t.Errorf("store %d: not locked after prepare", i)
 			}
@@ -208,7 +226,7 @@ func TestTwoPCCoordinatorCrashRecovery(t *testing.T) {
 				t.Errorf("store %d: pending = %v (%v), want one record", i, pend, err)
 			}
 		}
-		for i, st := range rig.stores {
+		for i, st := range stores {
 			rolled, err := RecoverAbort(f, st, 42)
 			if err != nil {
 				t.Errorf("store %d: recover: %v", i, err)
@@ -218,7 +236,7 @@ func TestTwoPCCoordinatorCrashRecovery(t *testing.T) {
 				t.Errorf("store %d: recovery found nothing to roll back", i)
 			}
 		}
-		for i, st := range rig.stores {
+		for i, st := range stores {
 			if used, err := st.LogUsed(); err != nil || used != 0 {
 				t.Errorf("store %d: log used after recovery = %d (%v)", i, used, err)
 			}
@@ -227,10 +245,10 @@ func TestTwoPCCoordinatorCrashRecovery(t *testing.T) {
 				t.Errorf("store %d: data applied despite abort: %q (%v)", i, got, err)
 			}
 		}
-		mustUnlocked(t, rig.stores)
+		mustUnlocked(t, stores)
 
 		// RecoverAbort on a clean store is a no-op.
-		if rolled, err := RecoverAbort(f, rig.stores[0], 42); err != nil || rolled {
+		if rolled, err := RecoverAbort(f, stores[0], 42); err != nil || rolled {
 			t.Errorf("recover on clean store = %v, %v; want false, nil", rolled, err)
 		}
 	})
@@ -245,10 +263,14 @@ func TestTwoPCPrepareTimeoutAbortsPreparedPrefix(t *testing.T) {
 	faults := &rdma.FaultPlan{
 		NICs: []rdma.NICFault{{Host: "s1-r1", At: sim.Time(5 * sim.Microsecond), Down: true}},
 	}
-	rig := newTwoPCRig(t, 2, faults, 200*sim.Microsecond)
+	rig := newTwoPCRig(t, 3, faults, 200*sim.Microsecond) // store 2 holds the commit log
+	cl, err := NewCommitLog(rig.stores[2], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rig.run(t, func(f *sim.Fiber) {
 		f.Sleep(50 * sim.Microsecond) // let the crash land first
-		tx := BeginDist(parts(rig.stores, "timeout"))
+		tx := begin(t, parts(rig.stores[:2], "timeout"), cl)
 		err := tx.Prepare(f)
 		if !errors.Is(err, ErrAborted) {
 			t.Errorf("prepare err = %v, want ErrAborted", err)
@@ -264,7 +286,7 @@ func TestTwoPCPrepareTimeoutAbortsPreparedPrefix(t *testing.T) {
 			t.Errorf("store 0: log used = %d (%v), want 0", used, err)
 		}
 		// And usable: a single-store transaction commits straight through.
-		tx2 := BeginDist(parts(rig.stores[:1], "retry"))
+		tx2 := begin(t, parts(rig.stores[:1], "retry"), cl)
 		if err := tx2.Prepare(f); err != nil {
 			t.Errorf("prepare after aborted txn: %v", err)
 			return
@@ -276,9 +298,9 @@ func TestTwoPCPrepareTimeoutAbortsPreparedPrefix(t *testing.T) {
 }
 
 func TestTwoPCCommitWithoutPrepare(t *testing.T) {
-	rig := newTwoPCRig(t, 1, nil, 0)
+	rig, cl := loggedRig(t, 1)
 	rig.run(t, func(f *sim.Fiber) {
-		tx := BeginDist(parts(rig.stores, "x"))
+		tx := begin(t, parts(rig.stores[:1], "x"), cl)
 		if err := tx.Commit(f); !errors.Is(err, ErrBadArgument) {
 			t.Errorf("commit without prepare = %v, want ErrBadArgument", err)
 		}
@@ -297,22 +319,21 @@ func loggedRig(t *testing.T, nParts int) (*twoPCRig, *CommitLog) {
 	return rig, cl
 }
 
-func TestBeginDistLogged(t *testing.T) {
+func TestBeginDistRejectsBadArguments(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	ps := parts(rig.stores[:2], "x")
-	if _, err := BeginDistLogged(ps, cl, []int{0}); !errors.Is(err, ErrBadArgument) {
+	if _, err := BeginDist(ps, cl, []int{0}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("mismatched shard IDs: %v, want ErrBadArgument", err)
 	}
-	tx, err := BeginDistLogged(ps, nil, nil)
-	if err != nil || tx.clog != nil {
-		t.Errorf("nil log must degrade to BeginDist (tx=%+v, err=%v)", tx, err)
+	if _, err := BeginDist(ps, nil, []int{0, 1}); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("no commit log: %v, want ErrBadArgument", err)
 	}
 }
 
 func TestTwoPCLoggedCommit(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	rig.run(t, func(f *sim.Fiber) {
-		tx, err := BeginDistLogged(parts(rig.stores[:2], "logged"), cl, []int{0, 1})
+		tx, err := BeginDist(parts(rig.stores[:2], "logged"), cl, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +377,7 @@ func TestTwoPCLoggedCommit(t *testing.T) {
 func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	rig.run(t, func(f *sim.Fiber) {
-		tx, err := BeginDistLogged(parts(rig.stores[:2], "crash"), cl, []int{0, 1})
+		tx, err := BeginDist(parts(rig.stores[:2], "crash"), cl, []int{0, 1})
 		if err != nil {
 			t.Error(err)
 			return
@@ -415,7 +436,7 @@ func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 func TestTwoPCCrashBeforeCommitPointRollsBack(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	rig.run(t, func(f *sim.Fiber) {
-		tx, err := BeginDistLogged(parts(rig.stores[:2], "gone"), cl, []int{0, 1})
+		tx, err := BeginDist(parts(rig.stores[:2], "gone"), cl, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +509,7 @@ func TestTwoPCCommitRecordFullAborts(t *testing.T) {
 				t.Fatalf("fill %d: %v", i, err)
 			}
 		}
-		tx, err := BeginDistLogged(parts(rig.stores[:2], "full"), cl, []int{0, 1})
+		tx, err := BeginDist(parts(rig.stores[:2], "full"), cl, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,7 +588,7 @@ func TestTwoPCCrashSweep(t *testing.T) {
 	for kill := 1; kill <= totalSteps; kill++ {
 		rig, cl := loggedRig(t, span)
 		rig.run(t, func(f *sim.Fiber) {
-			tx, err := BeginDistLogged(parts(rig.stores[:span], "sweep"), cl, []int{0, 1})
+			tx, err := BeginDist(parts(rig.stores[:span], "sweep"), cl, []int{0, 1})
 			if err != nil {
 				t.Fatal(err)
 			}

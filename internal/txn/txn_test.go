@@ -293,17 +293,26 @@ func TestWrLockContention(t *testing.T) {
 	}
 }
 
-func TestWithWrLockReleasesOnError(t *testing.T) {
+// TestWrUnlockAfterFailedBody: a writer whose work under the group lock
+// fails still gives the lock back — the lock/work/unlock sequence every
+// caller now spells out itself.
+func TestWrUnlockAfterFailedBody(t *testing.T) {
 	b := newBackends(t, 2)[0]
 	b.run(t, func(f *sim.Fiber) {
-		wantErr := errors.New("app failure")
-		err := b.st.WithWrLock(f, func() error { return wantErr })
-		if !errors.Is(err, wantErr) {
+		if err := b.st.WrLock(f); err != nil {
+			t.Errorf("lock: %v", err)
+			return
+		}
+		_, err := b.st.Append(f, []wal.Entry{{Off: testData, Data: []byte("past the data region")}})
+		if !errors.Is(err, ErrBadArgument) {
 			t.Errorf("err = %v", err)
+		}
+		if err := b.st.WrUnlock(f); err != nil {
+			t.Errorf("unlock: %v", err)
 		}
 		locked, _ := b.st.Locked()
 		if locked {
-			t.Error("lock leaked after callback error")
+			t.Error("lock leaked after the work under it failed")
 		}
 	})
 }
@@ -445,14 +454,18 @@ func TestTxnOverFanout(t *testing.T) {
 	}
 	b := backend{name: "fanout", k: k, st: st, nics: reps}
 	b.run(t, func(f *sim.Fiber) {
-		if err := st.WithWrLock(f, func() error {
-			if _, err := st.Append(f, []wal.Entry{{Off: 0, Data: []byte("fanout txn")}}); err != nil {
-				return err
-			}
-			_, err := st.ExecuteAll(f)
-			return err
-		}); err != nil {
-			t.Errorf("txn: %v", err)
+		if err := st.WrLock(f); err != nil {
+			t.Errorf("lock: %v", err)
+			return
+		}
+		if _, err := st.Append(f, []wal.Entry{{Off: 0, Data: []byte("fanout txn")}}); err != nil {
+			t.Errorf("append: %v", err)
+		}
+		if _, err := st.ExecuteAll(f); err != nil {
+			t.Errorf("execute: %v", err)
+		}
+		if err := st.WrUnlock(f); err != nil {
+			t.Errorf("unlock: %v", err)
 		}
 	})
 	for i, nic := range reps {

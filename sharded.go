@@ -86,20 +86,11 @@ type ShardedClusterConfig struct {
 	// PlaceTenantAffinity.
 	TenantOf func(shard int) int
 	// Routing configures the router's key→shard mapping and per-shard
-	// store sizes; Routing.Shards is overwritten with Shards, and
-	// Routing.CoordLog with the coordinator group's store when CommitLog
-	// is set.
+	// store sizes; Routing.Shards is overwritten with Shards.
 	Routing shard.Config
-	// CommitLog, when true, provisions a dedicated replication group for
-	// the coordinator's 2PC commit log: Txn durably records the commit
-	// point before phase two and Router.Recover rolls record-bearing
-	// transactions forward instead of aborting them. Off by default —
-	// enabling it adds group traffic on the commit path, changing event
-	// timing relative to a presumed-abort-only cluster.
+	// Deprecated: CommitLog is ignored. Every cluster has a coordinator
+	// group holding the router's 2PC commit log.
 	CommitLog bool
-	// CommitLogSlots bounds concurrently in-flight commit records
-	// (default 16). Only consulted when CommitLog is set.
-	CommitLogSlots int
 	// DeviceExtra is per-NIC device headroom past the mirror for rings and
 	// staging buffers (default 1 MiB).
 	DeviceExtra int
@@ -111,12 +102,12 @@ type ShardedCluster struct {
 	fabric *rdma.Fabric
 	scheds []*cpusim.Scheduler
 	router *shard.Router
-	coord  shard.Backend // coordinator commit-log group, nil unless CommitLog
 }
 
 // NewShardedCluster builds the deployment: a rack of servers, one
-// replication group per shard placed across them, and a router over the
-// groups.
+// replication group per shard placed across them plus the coordinator's
+// (the router's 2PC commit log, replica j on server j), and a router over
+// the groups.
 func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
@@ -159,66 +150,31 @@ func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
 	if mirror <= 0 {
 		return nil, fmt.Errorf("hyperloop: invalid shard routing config")
 	}
-	devSize := mirror + cfg.DeviceExtra
-	if cfg.CommitLog {
-		if cfg.CommitLogSlots <= 0 {
-			cfg.CommitLogSlots = 16
+	c.router, err = shard.New(cfg.Routing, func(id int) (shard.Backend, error) {
+		group, size := fmt.Sprintf("sh%d", id), mirror
+		if id == shard.Coordinator {
+			group, size = "coord", cfg.Routing.CoordMirrorSize()
 		}
-		// The coordinator's commit log lives on its own replication group
-		// — never a shard's — so the commit point survives the coordinator
-		// with the same fault tolerance as the data it governs.
-		clLog := 256
-		clData := txn.CommitLogSizeFor(cfg.CommitLogSlots, cfg.Shards)
-		clDev := txn.MirrorSizeFor(clLog, clData) + cfg.DeviceExtra
-		name := "cli/coord"
-		client, err := fab.AddNIC(name, nvm.NewDevice(name, clDev))
+		name := "cli/" + group
+		client, err := fab.AddNIC(name, nvm.NewDevice(name, size+cfg.DeviceExtra))
 		if err != nil {
 			return nil, err
 		}
 		env := protocol.Env{Fabric: fab, Client: client}
 		for j := 0; j < cfg.ReplicasPerShard; j++ {
-			srv := j % cfg.Servers
-			host := fmt.Sprintf("srv%d/coord.%d", srv, j)
-			nic, err := fab.AddNIC(host, nvm.NewDevice(host, clDev))
+			srv := j // the coordinator's replicas: the rack's first servers
+			if id != shard.Coordinator {
+				srv = place[id][j]
+			}
+			host := fmt.Sprintf("srv%d/%s.%d", srv, group, j)
+			nic, err := fab.AddNIC(host, nvm.NewDevice(host, size+cfg.DeviceExtra))
 			if err != nil {
 				return nil, err
 			}
 			env.Replicas = append(env.Replicas, nic)
 			env.Scheds = append(env.Scheds, c.scheds[srv])
 		}
-		backend, err := protocol.Build(cfg.Protocol, env, protocol.Params{MirrorSize: txn.MirrorSizeFor(clLog, clData)})
-		if err != nil {
-			return nil, err
-		}
-		c.coord = backend
-		store, err := txn.New(backend, txn.Config{
-			LogSize:   clLog,
-			DataSize:  clData,
-			LockToken: cfg.Routing.LockToken,
-		})
-		if err != nil {
-			backend.Close()
-			return nil, err
-		}
-		cfg.Routing.CoordLog = store
-	}
-	c.router, err = shard.New(cfg.Routing, func(id int) (shard.Backend, error) {
-		name := fmt.Sprintf("cli/sh%d", id)
-		client, err := fab.AddNIC(name, nvm.NewDevice(name, devSize))
-		if err != nil {
-			return nil, err
-		}
-		env := protocol.Env{Fabric: fab, Client: client}
-		for j, srv := range place[id] {
-			host := fmt.Sprintf("srv%d/sh%d.%d", srv, id, j)
-			nic, err := fab.AddNIC(host, nvm.NewDevice(host, devSize))
-			if err != nil {
-				return nil, err
-			}
-			env.Replicas = append(env.Replicas, nic)
-			env.Scheds = append(env.Scheds, c.scheds[srv])
-		}
-		return protocol.Build(cfg.Protocol, env, protocol.Params{MirrorSize: mirror})
+		return protocol.Build(cfg.Protocol, env, protocol.Params{MirrorSize: size})
 	})
 	if err != nil {
 		return nil, err
@@ -247,11 +203,5 @@ func (c *ShardedCluster) Schedulers() []*cpusim.Scheduler {
 // mirroring Cluster.Run.
 func (c *ShardedCluster) Run(fn func(f *Fiber) error) error { return runMain(c.kernel, fn) }
 
-// Close tears down every shard's replication group, plus the
-// coordinator commit-log group when one was provisioned.
-func (c *ShardedCluster) Close() {
-	c.router.Close()
-	if c.coord != nil {
-		c.coord.Close()
-	}
-}
+// Close tears down every replication group.
+func (c *ShardedCluster) Close() { c.router.Close() }

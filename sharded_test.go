@@ -25,6 +25,9 @@ func TestShardedClusterDefaults(t *testing.T) {
 	if c.Kernel() == nil || c.Fabric() == nil {
 		t.Fatal("accessors returned nil")
 	}
+	if c.Router().CommitLog() == nil {
+		t.Fatal("the zero-value config built no coordinator commit log")
+	}
 }
 
 func TestShardedFacadeFlow(t *testing.T) {
@@ -113,16 +116,12 @@ func TestShardedClusterCommitLog(t *testing.T) {
 		Shards:           4,
 		ReplicasPerShard: 2,
 		Servers:          2,
-		CommitLog:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	r := c.Router()
-	if r.CommitLog() == nil {
-		t.Fatal("CommitLog option produced no coordinator log")
-	}
 	err = c.Run(func(f *Fiber) error {
 		writes := []ShardWrite{
 			{Key: 10, Data: []byte("x")},
@@ -188,9 +187,10 @@ func init() {
 // TestShardedClusterCrashSubsets drives one representative subset per
 // parallel 2PC step through the facade: in a span-4 transaction shards 0
 // and 2 complete the step, shards 1 and 3 are frozen inside it (not locked;
-// record written but tail not; memcpy applied but head not advanced; head
-// advanced but still locked), the coordinator dies, and Recover must finish
-// or undo the transaction everywhere.
+// record written but tail not; record and tail written, nothing applied;
+// memcpy applied but head not advanced; head advanced but still locked),
+// the coordinator dies, and Recover must finish or undo the transaction
+// everywhere — on a cluster whose config asks for nothing.
 func TestShardedClusterCrashSubsets(t *testing.T) {
 	const shards = 4
 	cases := []struct {
@@ -201,6 +201,7 @@ func TestShardedClusterCrashSubsets(t *testing.T) {
 	}{
 		{TxnStepLock, 0, false, 2},
 		{TxnStepAppend, 2, false, shards},
+		{TxnStepExecute, 3, true, 0},
 		{TxnStepExecute, 4, true, 0},
 		{TxnStepExecute, 5, true, 0},
 	}
@@ -208,13 +209,13 @@ func TestShardedClusterCrashSubsets(t *testing.T) {
 		stopChainGroups = nil
 		c, err := NewShardedCluster(ShardedClusterConfig{
 			Seed: 5, Shards: shards, ReplicasPerShard: 2, Servers: 2,
-			Protocol: stopChain, CommitLog: true,
-			Routing: ShardRoutingConfig{Policy: ShardRange, Keys: shards},
+			Protocol: stopChain,
+			Routing:  ShardRoutingConfig{Policy: ShardRange, Keys: shards},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups := stopChainGroups[1:] // [0] is the coordinator log's
+		groups := stopChainGroups[len(stopChainGroups)-shards:] // after the coordinator log's
 		r := c.Router()
 		writes := make([]ShardWrite, shards)
 		for i := range writes {
