@@ -26,16 +26,13 @@
 package hyperloop
 
 import (
-	"errors"
-	"fmt"
-
 	"hyperloop/internal/cpusim"
 	hl "hyperloop/internal/hyperloop"
 	"hyperloop/internal/naive"
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 )
 
 // Re-exported core types so downstream code needs only this package.
@@ -76,20 +73,21 @@ type ClusterConfig struct {
 	DeviceSize int
 	// MultiTenantLoad co-locates ~10 bursty tenant processes per core
 	// plus stress hogs on every storage server, reproducing the paper's
-	// environment. Only the Naive backend is affected — that is the point.
+	// environment. Only CPU-driven groups are affected (NewNaiveGroup, the
+	// registry's "naive") — that is the point.
 	MultiTenantLoad bool
 }
 
 // Cluster is a simulated deployment: one client machine and N storage
-// servers connected by an RDMA fabric.
+// servers connected by an RDMA fabric — a topo.Rack holding one set of
+// machines that every group constructor below builds over.
 type Cluster struct {
-	kernel *sim.Kernel
-	fabric *rdma.Fabric
-	client *rdma.NIC
-	nics   []*rdma.NIC
-	scheds []*cpusim.Scheduler
-	cfg    ClusterConfig
+	rack *topo.Rack
+	env  protocol.Env
 }
+
+// runHorizon bounds Cluster.Run and ShardedCluster.Run in virtual time.
+const runHorizon = 3600 * sim.Second
 
 // NewCluster builds the deployment.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -102,66 +100,52 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.DeviceSize <= 0 {
 		cfg.DeviceSize = 16 << 20
 	}
-	k := sim.NewKernel(cfg.Seed)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	client, err := fab.AddNIC("client", nvm.NewDevice("client", cfg.DeviceSize))
+	spec := topo.Spec{
+		Seed: cfg.Seed, Servers: cfg.Replicas, Cores: cfg.CoresPerServer,
+		DevExtra: cfg.DeviceSize, // the machines exist before any mirror is sized
+	}
+	if cfg.MultiTenantLoad {
+		spec.TenantsPerCore = 10
+	}
+	rack, err := topo.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{kernel: k, fabric: fab, client: client, cfg: cfg}
-	for i := 0; i < cfg.Replicas; i++ {
-		host := fmt.Sprintf("server-%d", i)
-		nic, err := fab.AddNIC(host, nvm.NewDevice(host, cfg.DeviceSize))
-		if err != nil {
-			return nil, err
-		}
-		sched, err := cpusim.New(k, cpusim.DefaultConfig(cfg.CoresPerServer))
-		if err != nil {
-			return nil, err
-		}
-		if cfg.MultiTenantLoad {
-			sched.AddHogs(cfg.CoresPerServer / 2)
-			sched.AddNoise(10*cfg.CoresPerServer, 300*sim.Microsecond, 2700*sim.Microsecond)
-			sched.AddStorms(2*cfg.CoresPerServer, 200*sim.Millisecond, 4*sim.Millisecond)
-		}
-		c.nics = append(c.nics, nic)
-		c.scheds = append(c.scheds, sched)
+	env, err := rack.Env(topo.GroupSpec{Servers: topo.FirstServers(cfg.Replicas)})
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
+	return &Cluster{rack: rack, env: env}, nil
 }
 
 // Kernel exposes the simulation kernel (timers, fibers, virtual clock).
-func (c *Cluster) Kernel() *sim.Kernel { return c.kernel }
+func (c *Cluster) Kernel() *sim.Kernel { return c.rack.Kernel }
 
 // Fabric exposes the RDMA fabric.
-func (c *Cluster) Fabric() *rdma.Fabric { return c.fabric }
+func (c *Cluster) Fabric() *rdma.Fabric { return c.rack.Fabric }
 
 // ClientNIC returns the client machine's NIC.
-func (c *Cluster) ClientNIC() *rdma.NIC { return c.client }
+func (c *Cluster) ClientNIC() *rdma.NIC { return c.env.Client }
 
 // ReplicaNICs returns the storage servers' NICs in chain order.
 func (c *Cluster) ReplicaNICs() []*rdma.NIC {
-	out := make([]*rdma.NIC, len(c.nics))
-	copy(out, c.nics)
-	return out
+	return append([]*rdma.NIC(nil), c.env.Replicas...)
 }
 
 // Schedulers returns each storage server's CPU scheduler.
 func (c *Cluster) Schedulers() []*cpusim.Scheduler {
-	out := make([]*cpusim.Scheduler, len(c.scheds))
-	copy(out, c.scheds)
-	return out
+	return append([]*cpusim.Scheduler(nil), c.rack.Scheds...)
 }
 
 // NewGroup builds a HyperLoop (NIC-offloaded) replication group whose
 // mirrored region spans mirrorSize bytes on every member.
 func (c *Cluster) NewGroup(mirrorSize int) (*Group, error) {
-	return hl.Setup(c.fabric, c.client, c.nics, hl.DefaultConfig(mirrorSize))
+	return c.NewGroupWithConfig(hl.DefaultConfig(mirrorSize))
 }
 
 // NewGroupWithConfig builds a HyperLoop group with full control.
 func (c *Cluster) NewGroupWithConfig(cfg hl.Config) (*Group, error) {
-	return hl.Setup(c.fabric, c.client, c.nics, cfg)
+	return hl.Setup(c.env.Fabric, c.env.Client, c.env.Replicas, cfg)
 }
 
 // NewNaiveGroup builds the Naive-RDMA baseline group: the same chain, but
@@ -171,43 +155,14 @@ func (c *Cluster) NewGroupWithConfig(cfg hl.Config) (*Group, error) {
 func (c *Cluster) NewNaiveGroup(mirrorSize int, mode NaiveMode) (*NaiveGroup, error) {
 	cfg := naive.DefaultConfig(mirrorSize)
 	cfg.Mode = mode
-	if c.cfg.MultiTenantLoad {
-		cfg.WakePenalty = 3 * sim.Millisecond
-		cfg.WakePenaltyProb = 0.015
-	}
-	return naive.Setup(c.fabric, c.client, c.nics, c.scheds, cfg)
+	cfg.WakePenalty, cfg.WakePenaltyProb = c.rack.WakePenalty()
+	return naive.Setup(c.env.Fabric, c.env.Client, c.env.Replicas, c.env.Scheds, cfg)
 }
 
 // Run spawns fn as a fiber, drives the simulation until fn returns (or the
 // horizon passes), and returns fn's error. It is the main entry point for
 // programs using the library.
-func (c *Cluster) Run(fn func(f *Fiber) error) error { return runMain(c.kernel, fn) }
-
-// runMain spawns fn as the "main" fiber on k and drives the simulation
-// until fn returns or the one-hour virtual horizon passes.
-func runMain(k *sim.Kernel, fn func(f *Fiber) error) error {
-	var fnErr error
-	done := false
-	k.Spawn("main", func(f *sim.Fiber) {
-		fnErr = fn(f)
-		done = true
-		k.StopRun()
-	})
-	err := k.RunUntil(k.Now().Add(3600 * sim.Second))
-	if errors.Is(err, sim.ErrStopped) {
-		err = nil
-	}
-	if err != nil {
-		return err
-	}
-	if fnErr != nil {
-		return fnErr
-	}
-	if !done {
-		return fmt.Errorf("hyperloop: run did not complete within the simulation horizon")
-	}
-	return nil
-}
+func (c *Cluster) Run(fn func(f *Fiber) error) error { return c.rack.Run(runHorizon, "main", fn) }
 
 // HyperLoopConfig re-exports the group configuration.
 type HyperLoopConfig = hl.Config
@@ -219,7 +174,7 @@ func DefaultGroupConfig(mirrorSize int) hl.Config { return hl.DefaultConfig(mirr
 // NewGroupOver builds a HyperLoop group over an explicit replica chain —
 // for example after failover replaced a member (see examples/failover).
 func (c *Cluster) NewGroupOver(replicas []*rdma.NIC, mirrorSize int) (*Group, error) {
-	return hl.Setup(c.fabric, c.client, replicas, hl.DefaultConfig(mirrorSize))
+	return hl.Setup(c.env.Fabric, c.env.Client, replicas, hl.DefaultConfig(mirrorSize))
 }
 
 // FanoutGroup is the §7 extension: a primary's NIC coordinates all backups
@@ -229,7 +184,7 @@ type FanoutGroup = hl.FanoutGroup
 // NewFanoutGroup builds a fan-out replication group over the cluster's
 // servers (server 0 is the primary).
 func (c *Cluster) NewFanoutGroup(mirrorSize int) (*FanoutGroup, error) {
-	return hl.SetupFanout(c.fabric, c.client, c.nics, hl.DefaultConfig(mirrorSize))
+	return hl.SetupFanout(c.env.Fabric, c.env.Client, c.env.Replicas, hl.DefaultConfig(mirrorSize))
 }
 
 // BroadcastGroup is the quorum broadcast protocol: the client NIC fans
@@ -241,7 +196,7 @@ type BroadcastGroup = hl.BroadcastGroup
 func (c *Cluster) NewBroadcastGroup(mirrorSize, quorum int) (*BroadcastGroup, error) {
 	cfg := hl.DefaultConfig(mirrorSize)
 	cfg.AckQuorum = quorum
-	return hl.SetupBroadcast(c.fabric, c.client, c.nics, cfg)
+	return hl.SetupBroadcast(c.env.Fabric, c.env.Client, c.env.Replicas, cfg)
 }
 
 // Protocol is the replication-strategy interface every group implements;
@@ -268,12 +223,8 @@ func (c *Cluster) NewProtocolGroup(name string, mirrorSize int) (Protocol, error
 }
 
 // NewProtocolGroupWithParams builds the named protocol with full policy
-// control.
+// control. Under MultiTenantLoad a CPU-driven protocol carries the same
+// wake penalty NewNaiveGroup applies.
 func (c *Cluster) NewProtocolGroupWithParams(name string, p protocol.Params) (Protocol, error) {
-	return protocol.Build(name, protocol.Env{
-		Fabric:   c.fabric,
-		Client:   c.client,
-		Replicas: c.ReplicaNICs(),
-		Scheds:   c.Schedulers(),
-	}, p)
+	return c.rack.GroupOver(c.env, name, p)
 }

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"hyperloop/internal/cpusim"
 	"hyperloop/internal/docstore"
 	"hyperloop/internal/kvstore"
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/naive"
-	"hyperloop/internal/rdma"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/ycsb"
 )
 
@@ -148,9 +148,8 @@ type replicaSet struct {
 // with coresPerServer cores each, all on the naive (CPU-driven) backend —
 // the §2.2 motivation setup.
 type fig2Cluster struct {
-	k      *sim.Kernel
-	scheds []*cpusim.Scheduler
-	sets   []*replicaSet
+	*topo.Rack
+	sets []*replicaSet
 
 	recordCount int
 	opCount     int
@@ -158,43 +157,28 @@ type fig2Cluster struct {
 }
 
 func newFig2Cluster(ar *trialArena, seed uint64, nSets, coresPerServer, recordCount, opCount int) (*fig2Cluster, error) {
-	k := ar.kernel(seed)
-	fab := ar.fabric(k, rdma.DefaultConfig())
 	const servers = 3
-	var scheds []*cpusim.Scheduler
-	for s := 0; s < servers; s++ {
-		sched, err := cpusim.New(k, cpusim.DefaultConfig(coresPerServer))
-		if err != nil {
-			return nil, err
-		}
-		scheds = append(scheds, sched)
+	r, err := topo.Build(topo.Spec{
+		Seed: seed, Servers: servers, Cores: coresPerServer, DevExtra: devExtra, Alloc: ar,
+	})
+	if err != nil {
+		return nil, err
 	}
 	dcfg := docstore.Config{LogSize: 64 * 1024, DataSize: 512 * 1024, SlotSize: 1536}
-	mirror := docstore.MirrorSizeFor(dcfg)
-	c := &fig2Cluster{k: k, scheds: scheds}
+	c := &fig2Cluster{Rack: r, recordCount: recordCount, opCount: opCount, seed: seed}
 	for i := 0; i < nSets; i++ {
-		client, err := fab.AddNIC(fmt.Sprintf("client-%d", i), ar.device(fmt.Sprintf("client-%d", i), devSize(mirror)))
-		if err != nil {
-			return nil, err
+		gs := topo.GroupSpec{
+			Name: fmt.Sprintf("set%d", i), Servers: topo.FirstServers(servers),
+			Mirror: docstore.MirrorSizeFor(dcfg),
 		}
-		var reps []*rdma.NIC
-		for s := 0; s < servers; s++ {
-			host := fmt.Sprintf("srv%d-set%d", s, i)
-			nic, err := fab.AddNIC(host, ar.device(host, devSize(mirror)))
-			if err != nil {
-				return nil, err
-			}
-			reps = append(reps, nic)
-		}
-		ncfg := naive.DefaultConfig(mirror)
-		ncfg.Mode = naive.ModeEvent
 		// Fig. 2's replicas are full document-database processes (mongod):
 		// applying one journal record costs ~100µs of CPU (BSON decode,
 		// index update, two-phase commit bookkeeping), not the bare
 		// message-forwarding cost of the microbenchmark baseline.
-		ncfg.RecvHandlerCPU = 30 * sim.Microsecond
-		ncfg.PostCPU = 5 * sim.Microsecond
-		g, err := naive.Setup(fab, client, reps, scheds, ncfg)
+		g, err := tunedNaive(r, gs, protocol.Params{}, func(ncfg *naive.Config) {
+			ncfg.RecvHandlerCPU = 30 * sim.Microsecond
+			ncfg.PostCPU = 5 * sim.Microsecond
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -204,9 +188,6 @@ func newFig2Cluster(ar *trialArena, seed uint64, nSets, coresPerServer, recordCo
 		}
 		c.sets = append(c.sets, &replicaSet{st: st})
 	}
-	c.recordCount = recordCount
-	c.opCount = opCount
-	c.seed = seed
 	return c, nil
 }
 
@@ -231,7 +212,7 @@ func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 			}
 			return v
 		}
-		c.k.Spawn(fmt.Sprintf("set-%d-load", i), func(f *sim.Fiber) {
+		c.Kernel.Spawn(fmt.Sprintf("set-%d-load", i), func(f *sim.Fiber) {
 			for r := 0; r < c.recordCount; r++ {
 				doc := docstore.Doc{"_id": ycsb.Key(r), "field0": string(value())}
 				if err := set.st.Insert(f, "usertable", doc); err != nil {
@@ -252,12 +233,12 @@ func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 				for op := 0; op < c.opCount; op++ {
 					op := op
 					at := f.Now().Add(sim.Duration(op) * interval).Add(sim.Duration(rng2.Intn(1000)) * sim.Microsecond)
-					c.k.At(at, func() {
-						c.k.Spawn(fmt.Sprintf("set-%d-op-%d", j, op), func(fo *sim.Fiber) {
+					c.Kernel.At(at, func() {
+						c.Kernel.Spawn(fmt.Sprintf("set-%d-op-%d", j, op), func(fo *sim.Fiber) {
 							defer func() {
 								remaining--
 								if remaining == 0 {
-									c.k.StopRun()
+									c.Kernel.StopRun()
 								}
 							}()
 							start := fo.Now()
@@ -279,11 +260,7 @@ func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 			}
 		})
 	}
-	err := c.k.RunUntil(c.k.Now().Add(60 * 60 * sim.Second))
-	if err == sim.ErrStopped {
-		err = nil
-	}
-	if err != nil {
+	if err := c.Run(60*60*sim.Second, "", nil); err != nil {
 		return nil, err
 	}
 	if firstErr != nil {
@@ -297,7 +274,7 @@ func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 
 func (c *fig2Cluster) contextSwitches() int64 {
 	var n int64
-	for _, s := range c.scheds {
+	for _, s := range c.Scheds {
 		n += s.ContextSwitches()
 	}
 	return n
@@ -412,44 +389,19 @@ func fig2b(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	}, nil
 }
 
-// appCluster builds one kvstore or docstore deployment on the chosen
-// backend with multi-tenant co-location.
-func appCluster(ar *trialArena, seed uint64, backend Backend, mirror int) (*cluster, error) {
-	cfg := clusterCfg{
-		seed:     seed,
-		replicas: 3,
-		mirror:   mirror,
-		backend:  backend,
-		cores:    16,
-		ar:       ar,
-	}
-	cfg.multiTenantLoad()
-	return newCluster(cfg)
-}
-
 // runYCSB loads and runs one workload against db within cluster c.
 func runYCSB(c *cluster, db ycsb.DB, rcfg ycsb.RunnerConfig) (*ycsb.Result, error) {
 	var res *ycsb.Result
-	var runErr error
-	c.k.Spawn("ycsb", func(f *sim.Fiber) {
-		defer c.k.StopRun()
+	err := c.Run(60*60*sim.Second, "ycsb", func(f *sim.Fiber) error {
 		r := ycsb.NewRunner(rcfg)
 		if err := r.Load(f, db); err != nil {
-			runErr = err
-			return
+			return err
 		}
-		res, runErr = r.Run(f, db)
+		var err error
+		res, err = r.Run(f, db)
+		return err
 	})
-	if err := c.runToStop(60 * 60 * sim.Second); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if res == nil {
-		return nil, fmt.Errorf("ycsb run did not finish")
-	}
-	return res, nil
+	return res, err
 }
 
 // Fig11 regenerates Figure 11: replicated RocksDB-like store under
@@ -469,7 +421,7 @@ func fig11(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	hists := make([]*metrics.Histogram, len(backends))
 	if err := forEach(rc, len(backends), func(j int, ar *trialArena) error {
 		b := backends[j]
-		c, err := appCluster(ar, seed, b, mirror)
+		c, err := backendCluster(ar, seed, b, 3, mirror, true)
 		if err != nil {
 			return err
 		}
@@ -514,7 +466,7 @@ func fig12(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	opCount := scale.pick(150, 1500)
 
 	measure := func(ar *trialArena, backend Backend, w ycsb.Workload) (*ycsb.Result, error) {
-		c, err := appCluster(ar, seed, backend, mirror)
+		c, err := backendCluster(ar, seed, backend, 3, mirror, true)
 		if err != nil {
 			return nil, err
 		}

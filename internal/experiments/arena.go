@@ -36,12 +36,12 @@ type trialArena struct {
 	devSnap nvm.PoolStats
 }
 
-// kernel returns a kernel seeded like sim.NewKernel(seed), pooled when
+// Kernel returns a kernel seeded like sim.NewKernel(seed), pooled when
 // possible. Safe on a nil arena (always fresh) so helpers outside the
 // worker pool keep working; a nil arena's kernels go unattributed. The
 // nil arena is also the fresh reference TestPooledVsFreshIdentical
 // compares the pooled lifecycle against.
-func (a *trialArena) kernel(seed uint64) *sim.Kernel {
+func (a *trialArena) Kernel(seed uint64) *sim.Kernel {
 	if a == nil {
 		return sim.NewKernel(seed)
 	}
@@ -62,8 +62,8 @@ func (a *trialArena) kernel(seed uint64) *sim.Kernel {
 	return k
 }
 
-// device returns a zeroed device, pooled by size when possible.
-func (a *trialArena) device(name string, size int) *nvm.Device {
+// Device returns a zeroed device, pooled by size when possible.
+func (a *trialArena) Device(name string, size int) *nvm.Device {
 	if a == nil {
 		return nvm.NewDevice(name, size)
 	}
@@ -72,9 +72,9 @@ func (a *trialArena) device(name string, size int) *nvm.Device {
 	return d
 }
 
-// fabric builds a trial's fabric on k, reusing a pooled fabric (and its
+// Fabric builds a trial's fabric on k, reusing a pooled fabric (and its
 // recycled NICs and payload buffers) when one is available.
-func (a *trialArena) fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric {
+func (a *trialArena) Fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric {
 	if a == nil {
 		return rdma.NewFabric(k, cfg)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"hyperloop/internal/chain"
-	"hyperloop/internal/hyperloop"
 	"hyperloop/internal/metrics"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -43,30 +43,23 @@ func failover(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 }
 
 func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
-	cfg := clusterCfg{
-		seed:     seed,
-		replicas: 3,
-		mirror:   failoverMirror,
-		backend:  BackendHyperLoop,
-		cores:    16,
-		ar:       ar,
-
-		opTimeout:    200 * sim.Microsecond,
-		maxRetries:   1,
-		retryBackoff: 50 * sim.Microsecond,
-		faults: &rdma.FaultPlan{
-			NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(failoverCrashAt), Down: true}},
-		},
+	spec := testbed(ar, seed, 3, false)
+	spec.Faults = &rdma.FaultPlan{
+		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(failoverCrashAt), Down: true}},
 	}
-	c, err := newCluster(cfg)
+	params := protocol.Params{
+		MirrorSize: failoverMirror,
+		OpTimeout:  200 * sim.Microsecond, MaxRetries: 1, RetryBackoff: 50 * sim.Microsecond,
+	}
+	c, err := newCluster(spec, "chain", params, nil)
 	if err != nil {
 		return nil, err
 	}
-	spare, err := c.fab.AddNIC("spare", ar.device("spare", devSize(failoverMirror)))
+	spare, err := c.Fabric.AddNIC("spare", c.Device("spare", failoverMirror))
 	if err != nil {
 		return nil, err
 	}
-	mon, err := chain.New(c.k, c.nics(), chain.Config{
+	mon, err := chain.New(c.Kernel, c.nics(), chain.Config{
 		HeartbeatEvery:  failoverBeat,
 		MissedThreshold: failoverMissed,
 	})
@@ -87,14 +80,14 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 	suspected := sim.NewSignal()
 	mon.OnSuspect(func(idx int) {
 		failedIdx = idx
-		tSuspect = c.k.Now()
+		tSuspect = c.Kernel.Now()
 		mon.PauseWrites()
 		suspected.Fire(nil)
 	})
 	mon.Start()
 
 	group := c.group // swapped for the re-established datapath on recovery
-	c.k.Spawn("repair", func(f *sim.Fiber) {
+	c.Kernel.Spawn("repair", func(f *sim.Fiber) {
 		if err := f.Await(suspected); err != nil {
 			return // kernel stopped before any failure
 		}
@@ -111,13 +104,10 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 		// control rings at the same device offsets, so the abandoned QPs
 		// must be destroyed or they race the new group for its completions.
 		c.group.Close()
-		members := append([]*rdma.NIC(nil), c.nics()...)
-		members[failedIdx] = spare
-		gcfg := hyperloop.DefaultConfig(failoverMirror)
-		gcfg.OpTimeout = cfg.opTimeout
-		gcfg.MaxRetries = cfg.maxRetries
-		gcfg.RetryBackoff = cfg.retryBackoff
-		g2, err := hyperloop.Setup(c.fab, c.client, members, gcfg)
+		env := c.Members("")
+		env.Replicas = append([]*rdma.NIC(nil), env.Replicas...)
+		env.Replicas[failedIdx] = spare
+		g2, err := c.GroupOver(env, "chain", params)
 		if err != nil {
 			repairErr = fmt.Errorf("re-setup: %w", err)
 			return
@@ -138,18 +128,15 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 		}
 		return b
 	}
-	var runErr error
-	c.k.Spawn("failover-writer", func(f *sim.Fiber) {
+	err = c.Run(30*60*sim.Second, "failover-writer", func(f *sim.Fiber) error {
 		defer mon.Stop()
-		defer c.k.StopRun()
 		deadline := f.Now().Add(sim.Second)
 		for i := 0; i < ops; i++ {
 			off := (i % 128) * 2048
 			for {
 				if f.Now() > deadline {
-					runErr = fmt.Errorf("op %d: gave up at t=%v (%d timeouts, paused=%v)",
+					return fmt.Errorf("op %d: gave up at t=%v (%d timeouts, paused=%v)",
 						i, f.Now(), timeouts, mon.Paused())
-					return
 				}
 				if mon.Paused() {
 					f.Sleep(50 * sim.Microsecond)
@@ -186,15 +173,13 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 				break
 			}
 		}
+		return nil
 	})
-	if err := c.runToStop(30 * 60 * sim.Second); err != nil {
-		return nil, err
-	}
 	if repairErr != nil {
 		return nil, repairErr
 	}
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	if !sawFailure || firstOKAfter == 0 {
 		return nil, fmt.Errorf("failover: crash produced no observable outage (failures=%v firstOKAfter=%v)", sawFailure, firstOKAfter)
@@ -229,17 +214,11 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 		tl.AddRow(fd(sim.Duration(b)*failoverBucket), okBucket[b], toBucket[b], maxs)
 	}
 
-	groups := []groupAPI{c.group}
+	retried := c.group.Retried()
 	if group != c.group {
-		groups = append(groups, group)
+		retried += group.Retried()
 	}
-	retried := int64(0)
-	for _, g := range groups {
-		if r, ok := g.(interface{ Retried() int64 }); ok {
-			retried += r.Retried()
-		}
-	}
-	fs := c.fab.FaultStats()
+	fs := c.Fabric.FaultStats()
 	return &Report{
 		ID: "failover", Title: "Failover: mid-chain crash, suspicion, catch-up, resume (§5)",
 		Tables: []*metrics.Table{timeline, lat, tl},

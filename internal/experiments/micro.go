@@ -6,38 +6,25 @@ import (
 	"time"
 
 	"hyperloop/internal/metrics"
+	"hyperloop/internal/naive"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
 	"hyperloop/internal/wal"
 )
 
-// microCluster builds the §6.1 microbenchmark deployment: 3 replicas (or
-// more), 16-core servers with multi-tenant co-located load, one backend.
-// ar supplies the trial's kernel/devices/buffers; nil builds fresh.
-func microCluster(ar *trialArena, seed uint64, backend Backend, replicas int, loaded bool) (*cluster, error) {
-	cfg := clusterCfg{
-		seed:     seed,
-		replicas: replicas,
-		mirror:   1 << 20,
-		backend:  backend,
-		cores:    16,
-		ar:       ar,
-	}
-	if loaded {
-		cfg.multiTenantLoad()
-	}
-	return newCluster(cfg)
-}
+// microMirror is the §6.1 microbenchmarks' mirrored region.
+const microMirror = 1 << 20
 
 // latencyTrial measures one (backend, size) latency point on its own
 // private cluster — the self-contained unit forEach runs concurrently.
 func latencyTrial(ar *trialArena, seed uint64, backend Backend, replicas, ops, size int,
 	issue func(c *cluster, f *sim.Fiber, size, i int) error) (*metrics.Histogram, error) {
-	c, err := microCluster(ar, seed, backend, replicas, true)
+	c, err := backendCluster(ar, seed, backend, replicas, microMirror, true)
 	if err != nil {
 		return nil, err
 	}
-	return c.runLatency(ops, size, func(f *sim.Fiber, i int) error {
+	return c.runLatency(ops, func(f *sim.Fiber, i int) error {
 		return issue(c, f, size, i)
 	})
 }
@@ -119,13 +106,13 @@ func fig8(rc *runCtx, seed uint64, scale Scale, id, title string,
 func table2(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(500, 10000)
 	measure := func(ar *trialArena, backend Backend) (*metrics.Histogram, error) {
-		c, err := microCluster(ar, seed, backend, 3, true)
+		c, err := backendCluster(ar, seed, backend, 3, microMirror, true)
 		if err != nil {
 			return nil, err
 		}
 		exec := []bool{true, true, true}
 		val := uint64(0)
-		return c.runLatency(ops, 8, func(f *sim.Fiber, i int) error {
+		return c.runLatency(ops, func(f *sim.Fiber, i int) error {
 			_, err := c.group.CAS(f, 0, val, val+1, exec)
 			val++
 			return err
@@ -170,17 +157,17 @@ func fig9(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		cpu  float64
 	}
 	measure := func(ar *trialArena, backend Backend, size int) (point, error) {
-		cfg := clusterCfg{
-			seed: seed, replicas: 3, mirror: 1 << 20, backend: backend, cores: 16, ar: ar,
-		}
-		cfg.multiTenantLoad()
+		proto, tune := backend.datapath()
 		if backend == BackendNaivePinned {
 			// A dedicated tight polling loop forwards in ~1µs per op
 			// (poll + parse + post), unlike the interrupt-driven handler.
-			cfg.naiveRecvCPU = 600 * sim.Nanosecond
-			cfg.naivePostCPU = 200 * sim.Nanosecond
+			tune = func(c *naive.Config) {
+				c.Mode = naive.ModePinned
+				c.RecvHandlerCPU = 600 * sim.Nanosecond
+				c.PostCPU = 200 * sim.Nanosecond
+			}
 		}
-		c, err := newCluster(cfg)
+		c, err := newCluster(testbed(ar, seed, 3, true), proto, protocol.Params{MirrorSize: microMirror}, tune)
 		if err != nil {
 			return point{}, err
 		}
@@ -189,41 +176,31 @@ func fig9(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 			ops = window * 2
 		}
 		var start, end sim.Time
-		var runErr error
-		c.k.Spawn("tput-driver", func(f *sim.Fiber) {
-			defer c.k.StopRun()
+		err = c.Run(30*60*sim.Second, "tput-driver", func(f *sim.Fiber) error {
 			start = f.Now()
 			sigs := make([]*sim.Signal, 0, window)
 			for i := 0; i < ops; i++ {
 				off := (i % 8) * 65536
 				sig, err := c.group.WriteAsync(off, size, true)
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				sigs = append(sigs, sig)
 				if len(sigs) == window {
 					if err := f.Await(sigs[0]); err != nil {
-						runErr = err
-						return
+						return err
 					}
 					sigs = sigs[1:]
 				}
 			}
 			if err := f.AwaitAll(sigs...); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			end = f.Now()
+			return nil
 		})
-		if err := c.runToStop(30 * 60 * sim.Second); err != nil {
-			return point{}, err
-		}
-		if runErr != nil {
-			return point{}, runErr
-		}
-		if end == 0 {
-			return point{}, fmt.Errorf("%v size %d: run did not finish", backend, size)
+		if err != nil {
+			return point{}, fmt.Errorf("%v size %d: %w", backend, size, err)
 		}
 		elapsed := end.Sub(start)
 		if elapsed <= 0 {
@@ -232,7 +209,11 @@ func fig9(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		kops := float64(ops) / elapsed.Seconds() / 1000
 		// Critical-path CPU: replica handler CPU as a fraction of one
 		// core over the run (HyperLoop: identically zero).
-		cpu := 100 * float64(c.replicaCPU()) / float64(elapsed) / 3
+		var handlerCPU sim.Duration
+		if ng, ok := c.group.(*naive.Group); ok {
+			handlerCPU = ng.ReplicaHandlerCPU()
+		}
+		cpu := 100 * float64(handlerCPU) / float64(elapsed) / 3
 		return point{kops: kops, cpu: cpu}, nil
 	}
 
@@ -335,11 +316,11 @@ func fig10(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 func ablationNoLoad(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(300, 5000)
 	measure := func(ar *trialArena, backend Backend, loaded bool) (*metrics.Histogram, error) {
-		c, err := microCluster(ar, seed, backend, 3, loaded)
+		c, err := backendCluster(ar, seed, backend, 3, microMirror, loaded)
 		if err != nil {
 			return nil, err
 		}
-		return c.runLatency(ops, 1024, func(f *sim.Fiber, i int) error {
+		return c.runLatency(ops, func(f *sim.Fiber, i int) error {
 			return writeIssue(c, f, 1024, i)
 		})
 	}
@@ -379,11 +360,11 @@ func ablationNoLoad(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 func ablationFlush(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(300, 5000)
 	measure := func(ar *trialArena, durable bool) (*metrics.Histogram, error) {
-		c, err := microCluster(ar, seed, BackendHyperLoop, 3, false)
+		c, err := backendCluster(ar, seed, BackendHyperLoop, 3, microMirror, false)
 		if err != nil {
 			return nil, err
 		}
-		return c.runLatency(ops, 4096, func(f *sim.Fiber, i int) error {
+		return c.runLatency(ops, func(f *sim.Fiber, i int) error {
 			return c.group.Write(f, (i%16)*8192, 4096, durable)
 		})
 	}
@@ -416,11 +397,8 @@ func ablationFlush(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(400, 4000)
 	measure := func(ar *trialArena, depth int) (float64, error) {
-		cfg := clusterCfg{
-			seed: seed, replicas: 3, mirror: 1 << 20,
-			backend: BackendHyperLoop, cores: 16, depth: depth, ar: ar,
-		}
-		c, err := newCluster(cfg)
+		c, err := newCluster(testbed(ar, seed, 3, false), "chain",
+			protocol.Params{MirrorSize: microMirror, Depth: depth}, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -429,40 +407,30 @@ func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 			window = 1
 		}
 		var start, end sim.Time
-		var runErr error
-		c.k.Spawn("depth-driver", func(f *sim.Fiber) {
-			defer c.k.StopRun()
+		err = c.Run(60*sim.Second, "depth-driver", func(f *sim.Fiber) error {
 			start = f.Now()
 			var sigs []*sim.Signal
 			for i := 0; i < ops; i++ {
 				sig, err := c.group.WriteAsync((i%8)*4096, 1024, true)
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				sigs = append(sigs, sig)
 				if len(sigs) >= window {
 					if err := f.Await(sigs[0]); err != nil {
-						runErr = err
-						return
+						return err
 					}
 					sigs = sigs[1:]
 				}
 			}
 			if err := f.AwaitAll(sigs...); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			end = f.Now()
+			return nil
 		})
-		if err := c.runToStop(60 * sim.Second); err != nil {
-			return 0, err
-		}
-		if runErr != nil {
-			return 0, fmt.Errorf("depth %d: %w", depth, runErr)
-		}
-		if end == 0 {
-			return 0, fmt.Errorf("depth %d: did not finish", depth)
+		if err != nil {
+			return 0, fmt.Errorf("depth %d: %w", depth, err)
 		}
 		return float64(ops) / end.Sub(start).Seconds() / 1000, nil
 	}
@@ -510,21 +478,15 @@ func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		maxTx     int64
 	}
 	measure := func(ar *trialArena, fan bool) (res, error) {
-		cfg := clusterCfg{
-			seed: seed, replicas: 3, mirror: 1 << 20,
-			backend: BackendHyperLoop, cores: 16, ar: ar,
-		}
-		var c *cluster
-		var err error
+		proto := "chain"
 		if fan {
-			c, err = newFanoutCluster(cfg)
-		} else {
-			c, err = newCluster(cfg)
+			proto = "fanout"
 		}
+		c, err := newCluster(testbed(ar, seed, 3, false), proto, protocol.Params{MirrorSize: microMirror}, nil)
 		if err != nil {
 			return res{}, err
 		}
-		h, err := c.runLatency(ops, size, func(f *sim.Fiber, i int) error {
+		h, err := c.runLatency(ops, func(f *sim.Fiber, i int) error {
 			return c.group.Write(f, (i%16)*8192, size, true)
 		})
 		if err != nil {
@@ -600,7 +562,7 @@ func ablationConsistency(rc *runCtx, seed uint64, scale Scale) (*Report, error) 
 func ablationConsistencyTable(rc *runCtx, seed uint64, ops int) (*metrics.Table, error) {
 	var tbl *metrics.Table
 	err := withArena(rc, func(ar *trialArena) error {
-		c, err := microCluster(ar, seed, BackendHyperLoop, 3, false)
+		c, err := backendCluster(ar, seed, BackendHyperLoop, 3, microMirror, false)
 		if err != nil {
 			return err
 		}
@@ -648,23 +610,18 @@ func ablationConsistencyTable(rc *runCtx, seed uint64, ops int) (*metrics.Table,
 			"mode", "avg", "p99")
 		for _, m := range modes {
 			h := metrics.NewHistogram()
-			var runErr error
-			c.k.Spawn("mode-driver", func(f *sim.Fiber) {
-				defer c.k.StopRun()
+			err := c.Run(60*sim.Second, "mode-driver", func(f *sim.Fiber) error {
 				for i := 0; i < ops; i++ {
 					start := f.Now()
 					if err := m.op(f, i); err != nil {
-						runErr = fmt.Errorf("%s op %d: %w", m.name, i, err)
-						return
+						return fmt.Errorf("%s op %d: %w", m.name, i, err)
 					}
 					h.RecordDuration(f.Now().Sub(start))
 				}
+				return nil
 			})
-			if err := c.runToStop(60 * sim.Second); err != nil {
+			if err != nil {
 				return err
-			}
-			if runErr != nil {
-				return runErr
 			}
 			tbl.AddRow(m.name, h.MeanDuration(), h.PercentileDuration(99))
 		}

@@ -51,20 +51,18 @@ func protocolsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 
 	// Leg 1: fault-free latency and message cost.
 	if err := forEach(rc, len(names), func(j int, ar *trialArena) error {
-		c, err := newProtocolCluster(clusterCfg{
-			seed: seed, replicas: 3, mirror: protoMirror, cores: 16, ar: ar,
-		}, names[j])
+		c, err := newCluster(testbed(ar, seed, 3, false), names[j], protocol.Params{MirrorSize: protoMirror}, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[j], err)
 		}
-		msgs0, bytes0 := c.fab.Stats()
-		h, err := c.runLatency(ops, protoWriteSize, func(f *sim.Fiber, i int) error {
+		msgs0, bytes0 := c.Fabric.Stats()
+		h, err := c.runLatency(ops, func(f *sim.Fiber, i int) error {
 			return c.group.Write(f, (i%16)*8192, protoWriteSize, true)
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[j], err)
 		}
-		msgs1, bytes1 := c.fab.Stats()
+		msgs1, bytes1 := c.Fabric.Stats()
 		costs[j] = costRes{
 			h:       h,
 			msgsOp:  float64(msgs1-msgs0) / float64(ops),
@@ -135,25 +133,23 @@ type protoAvail struct {
 // the first completed write after it (0 if writes never succeed again —
 // the protocol needs failover to make progress).
 func protocolAvailTrial(ar *trialArena, seed uint64, name string) (protoAvail, error) {
-	c, err := newProtocolCluster(clusterCfg{
-		seed: seed, replicas: 3, mirror: protoMirror, cores: 16, ar: ar,
-		opTimeout: protoTimeout, maxRetries: 1, retryBackoff: protoBackoff,
-		faults: &rdma.FaultPlan{
-			NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(protoCrashAt), Down: true}},
-		},
-	}, name)
+	spec := testbed(ar, seed, 3, false)
+	spec.Faults = &rdma.FaultPlan{
+		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(protoCrashAt), Down: true}},
+	}
+	c, err := newCluster(spec, name, protocol.Params{
+		MirrorSize: protoMirror, OpTimeout: protoTimeout, MaxRetries: 1, RetryBackoff: protoBackoff,
+	}, nil)
 	if err != nil {
 		return protoAvail{}, err
 	}
 	var (
 		res          protoAvail
 		firstOKAfter sim.Time
-		driverErr    error
 		crashAt      = sim.Time(0).Add(protoCrashAt)
 		horizon      = sim.Time(0).Add(protoHorizon)
 	)
-	c.k.Spawn("proto-avail-writer", func(f *sim.Fiber) {
-		defer c.k.StopRun()
+	err = c.Run(30*60*sim.Second, "proto-avail-writer", func(f *sim.Fiber) error {
 		for i := 0; f.Now() < horizon; i++ {
 			off := (i % 128) * 2048
 			err := c.group.Write(f, off, protoWriteSize, true)
@@ -168,19 +164,16 @@ func protocolAvailTrial(ar *trialArena, seed uint64, name string) (protoAvail, e
 				}
 			default:
 				if !protocol.IsOpError(err) {
-					driverErr = fmt.Errorf("op %d: %w", i, err)
-					return
+					return fmt.Errorf("op %d: %w", i, err)
 				}
 				res.failed++
 				f.Sleep(100 * sim.Microsecond)
 			}
 		}
+		return nil
 	})
-	if err := c.runToStop(30 * 60 * sim.Second); err != nil {
+	if err != nil {
 		return protoAvail{}, err
-	}
-	if driverErr != nil {
-		return protoAvail{}, driverErr
 	}
 	if res.failed == 0 && res.okAfter == 0 {
 		return protoAvail{}, fmt.Errorf("crash left no observable trace (okBefore=%d)", res.okBefore)

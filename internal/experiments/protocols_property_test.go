@@ -53,11 +53,8 @@ func TestProtocolFaultStressProperty(t *testing.T) {
 				if err := plan.Validate(); err != nil {
 					t.Fatalf("seed %d: generator emitted an invalid plan: %v", seed, err)
 				}
-				c := confCluster(t, seed, name, clusterCfg{
-					opTimeout: 150 * sim.Microsecond, maxRetries: 2, retryBackoff: 50 * sim.Microsecond,
-					faults: plan,
-				})
-				g := c.group.(protocol.Protocol)
+				c := confCluster(t, seed, name, protocol.Params{OpTimeout: 150 * sim.Microsecond, MaxRetries: 2, RetryBackoff: 50 * sim.Microsecond}, plan)
+				g := c.group
 				var ok, failed int
 				drive(t, c, func(f *sim.Fiber) error {
 					for i := 0; i < ops; i++ {
@@ -93,7 +90,7 @@ func TestProtocolFaultStressProperty(t *testing.T) {
 				if completed > issued {
 					t.Fatalf("seed %d: completed %d > issued %d", seed, completed, issued)
 				}
-				if fs := c.fab.FaultStats(); fs.Drops == 0 && fs.Dups == 0 {
+				if fs := c.Fabric.FaultStats(); fs.Drops == 0 && fs.Dups == 0 {
 					t.Fatalf("seed %d: plan injected nothing: %+v", seed, fs)
 				}
 				g.Close()

@@ -38,13 +38,12 @@ func TestProtocolRegistryComplete(t *testing.T) {
 
 // confCluster builds a 3-replica deployment running the named protocol,
 // outside the experiment worker pool (nil arena = everything fresh).
-func confCluster(t *testing.T, seed uint64, name string, cfg clusterCfg) *cluster {
+func confCluster(t *testing.T, seed uint64, name string, p protocol.Params, faults *rdma.FaultPlan) *cluster {
 	t.Helper()
-	cfg.seed = seed
-	cfg.replicas = 3
-	cfg.mirror = 64 << 10
-	cfg.cores = 16
-	c, err := newProtocolCluster(cfg, name)
+	spec := testbed(nil, seed, 3, false)
+	spec.Faults = faults
+	p.MirrorSize = 64 << 10
+	c, err := newCluster(spec, name, p, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -55,21 +54,8 @@ func confCluster(t *testing.T, seed uint64, name string, cfg clusterCfg) *cluste
 // simulation deadlocks instead of reaching StopRun.
 func drive(t *testing.T, c *cluster, fn func(f *sim.Fiber) error) {
 	t.Helper()
-	var fnErr error
-	done := false
-	c.k.Spawn("conformance-driver", func(f *sim.Fiber) {
-		defer c.k.StopRun()
-		fnErr = fn(f)
-		done = true
-	})
-	if err := c.runToStop(60 * sim.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if fnErr != nil {
-		t.Fatal(fnErr)
-	}
-	if !done {
-		t.Fatal("driver hung: simulation horizon elapsed before the script finished")
+	if err := c.Run(60*sim.Second, "conformance-driver", fn); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -81,8 +67,8 @@ func drive(t *testing.T, c *cluster, fn func(f *sim.Fiber) error) {
 func TestProtocolConformance(t *testing.T) {
 	for _, name := range protocol.Names() {
 		t.Run(name, func(t *testing.T) {
-			c := confCluster(t, 1, name, clusterCfg{})
-			g := c.group.(protocol.Protocol)
+			c := confCluster(t, 1, name, protocol.Params{}, nil)
+			g := c.group
 			payload := bytes.Repeat([]byte("conform!"), 64) // 512 B
 			drive(t, c, func(f *sim.Fiber) error {
 				// Replicated durable writes at distinct offsets.
@@ -139,7 +125,7 @@ func TestProtocolConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make([]byte, len(want))
-			for i, nic := range c.members {
+			for i, nic := range c.nics() {
 				if err := nic.Memory().Read(0, got); err != nil {
 					t.Fatalf("replica %d read: %v", i, err)
 				}
@@ -161,13 +147,11 @@ func TestProtocolConformance(t *testing.T) {
 func TestProtocolConformanceUnderFaults(t *testing.T) {
 	for _, name := range protocol.Names() {
 		t.Run(name, func(t *testing.T) {
-			c := confCluster(t, 1, name, clusterCfg{
-				opTimeout: 200 * sim.Microsecond, maxRetries: 1, retryBackoff: 50 * sim.Microsecond,
-				faults: &rdma.FaultPlan{
+			c := confCluster(t, 1, name, protocol.Params{OpTimeout: 200 * sim.Microsecond, MaxRetries: 1, RetryBackoff: 50 * sim.Microsecond},
+				&rdma.FaultPlan{
 					NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(0).Add(1 * sim.Millisecond), Down: true}},
-				},
-			})
-			g := c.group.(protocol.Protocol)
+				})
+			g := c.group
 			var ok, failed int
 			drive(t, c, func(f *sim.Fiber) error {
 				horizon := sim.Time(0).Add(3 * sim.Millisecond)
@@ -210,8 +194,8 @@ func TestProtocolConformanceUnderFaults(t *testing.T) {
 func TestProtocolClose(t *testing.T) {
 	for _, name := range protocol.Names() {
 		t.Run(name, func(t *testing.T) {
-			c := confCluster(t, 1, name, clusterCfg{})
-			g := c.group.(protocol.Protocol)
+			c := confCluster(t, 1, name, protocol.Params{}, nil)
+			g := c.group
 			drive(t, c, func(f *sim.Fiber) error {
 				sig, err := g.WriteAsync(0, 512, true)
 				if err != nil {
@@ -248,8 +232,8 @@ func TestProtocolRejectsBadRanges(t *testing.T) {
 	const mirror = 64 << 10 // confCluster's
 	for _, name := range protocol.Names() {
 		t.Run(name, func(t *testing.T) {
-			c := confCluster(t, 1, name, clusterCfg{})
-			g := c.group.(protocol.Protocol)
+			c := confCluster(t, 1, name, protocol.Params{}, nil)
+			g := c.group
 			exec := make([]bool, g.GroupSize())
 			async := func(_ *sim.Signal, err error) error { return err }
 			bad := []struct {
@@ -306,13 +290,11 @@ func TestProtocolDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []uint64{1, 2, 42} {
 				fp := func() string {
-					c := confCluster(t, seed, name, clusterCfg{
-						opTimeout: 200 * sim.Microsecond, maxRetries: 1, retryBackoff: 50 * sim.Microsecond,
-						faults: &rdma.FaultPlan{
+					c := confCluster(t, seed, name, protocol.Params{OpTimeout: 200 * sim.Microsecond, MaxRetries: 1, RetryBackoff: 50 * sim.Microsecond},
+						&rdma.FaultPlan{
 							NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(0).Add(1 * sim.Millisecond), Down: true}},
-						},
-					})
-					g := c.group.(protocol.Protocol)
+						})
+					g := c.group
 					var ok, failed int
 					drive(t, c, func(f *sim.Fiber) error {
 						horizon := sim.Time(0).Add(3 * sim.Millisecond)
@@ -330,9 +312,9 @@ func TestProtocolDeterminism(t *testing.T) {
 						}
 						return nil
 					})
-					msgs, wire := c.fab.Stats()
+					msgs, wire := c.Fabric.Stats()
 					s := fmt.Sprintf("events=%d msgs=%d wire=%d cqes=%d ok=%d failed=%d now=%d",
-						c.k.Executed(), msgs, wire, c.fab.CQEs(), ok, failed, c.k.Now())
+						c.Kernel.Executed(), msgs, wire, c.Fabric.CQEs(), ok, failed, c.Kernel.Now())
 					g.Close()
 					return s
 				}
@@ -360,16 +342,14 @@ func TestProtocolFlushUnderFault(t *testing.T) {
 	)
 	for _, name := range protocol.Names() {
 		t.Run(name, func(t *testing.T) {
-			c := confCluster(t, 1, name, clusterCfg{
-				opTimeout: 100 * sim.Microsecond, maxRetries: 1, retryBackoff: 25 * sim.Microsecond,
-				faults: &rdma.FaultPlan{
+			c := confCluster(t, 1, name, protocol.Params{OpTimeout: 100 * sim.Microsecond, MaxRetries: 1, RetryBackoff: 25 * sim.Microsecond},
+				&rdma.FaultPlan{
 					NICs: []rdma.NICFault{
 						{Host: "server-1", At: sim.Time(0).Add(downAt), Down: true},
 						{Host: "server-1", At: sim.Time(0).Add(upAgain), Down: false},
 					},
-				},
-			})
-			g := c.group.(protocol.Protocol)
+				})
+			g := c.group
 			payload := func(i int) []byte {
 				b := make([]byte, opSize)
 				for j := range b {
@@ -407,10 +387,10 @@ func TestProtocolFlushUnderFault(t *testing.T) {
 				t.Fatalf("%d ops unresolved after the script", fl)
 			}
 			g.Close()
-			for _, m := range c.members {
+			for _, m := range c.nics() {
 				m.Memory().Crash()
 			}
-			need := protocol.AcksNeeded(name, len(c.members))
+			need := protocol.AcksNeeded(name, len(c.nics()))
 			ackedN := 0
 			buf := make([]byte, opSize)
 			for i := 0; i < ops; i++ {
@@ -419,7 +399,7 @@ func TestProtocolFlushUnderFault(t *testing.T) {
 				}
 				ackedN++
 				copies := 0
-				for _, m := range c.members {
+				for _, m := range c.nics() {
 					if err := m.Memory().ReadDurable(i*opSize, buf); err != nil {
 						t.Fatal(err)
 					}
@@ -450,13 +430,11 @@ func TestProtocolFlushUnderFault(t *testing.T) {
 func TestProtocolCASNeverRetriedUnderTimeout(t *testing.T) {
 	for _, name := range protocol.Names() {
 		t.Run(name, func(t *testing.T) {
-			c := confCluster(t, 1, name, clusterCfg{
-				opTimeout: 100 * sim.Microsecond, maxRetries: 2, retryBackoff: 25 * sim.Microsecond,
-				faults: &rdma.FaultPlan{
+			c := confCluster(t, 1, name, protocol.Params{OpTimeout: 100 * sim.Microsecond, MaxRetries: 2, RetryBackoff: 25 * sim.Microsecond},
+				&rdma.FaultPlan{
 					NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(0).Add(300 * sim.Microsecond), Down: true}},
-				},
-			})
-			g := c.group.(protocol.Protocol)
+				})
+			g := c.group
 			exec := []bool{true, true, true}
 			drive(t, c, func(f *sim.Fiber) error {
 				// Seed the lock word while the group is healthy.
@@ -533,7 +511,7 @@ func TestProtocolPerMemberPrefix(t *testing.T) {
 	// script posts the pairs; crash, when non-nil, is armed as the first op
 	// goes out. It returns how long the posting phase took.
 	script := func(t *testing.T, c *cluster, memcpy bool, crash func()) (took sim.Duration) {
-		g := c.group.(protocol.Protocol)
+		g := c.group
 		drive(t, c, func(f *sim.Fiber) error {
 			if memcpy {
 				for i := 1; i <= pairs; i++ {
@@ -605,23 +583,23 @@ func TestProtocolPerMemberPrefix(t *testing.T) {
 		for _, memcpy := range []bool{false, true} {
 			op := map[bool]string{false: "gWRITE", true: "gMEMCPY"}[memcpy]
 			t.Run(name+"/"+op, func(t *testing.T) {
-				ccfg := clusterCfg{opTimeout: 200 * sim.Microsecond}
-				healthy := script(t, confCluster(t, 1, name, ccfg), memcpy, nil)
+				params := protocol.Params{OpTimeout: 200 * sim.Microsecond}
+				healthy := script(t, confCluster(t, 1, name, params, nil), memcpy, nil)
 				rng := rand.New(rand.NewSource(20261002))
 				partial := 0
 				for n := 0; n < cases; n++ {
 					victim := rng.Intn(3)
 					at := sim.Duration(rng.Int63n(int64(healthy)))
-					c := confCluster(t, uint64(n+1), name, ccfg)
+					c := confCluster(t, uint64(n+1), name, params, nil)
 					script(t, c, memcpy, func() {
-						c.k.AfterFunc(at, func() { c.members[victim].SetDown(true) }, nil)
+						c.Kernel.AfterFunc(at, func() { c.nics()[victim].SetDown(true) }, nil)
 					})
-					g := c.group.(protocol.Protocol)
+					g := c.group
 					if fl := g.InFlight(); fl != 0 {
 						t.Fatalf("%d ops unresolved after the script", fl)
 					}
 					g.Close()
-					for m, nic := range c.members {
+					for m, nic := range c.nics() {
 						nic.Memory().Crash()
 						img := make([]byte, 64<<10)
 						if err := nic.Memory().Read(0, img); err != nil {

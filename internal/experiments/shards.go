@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"fmt"
 
-	"hyperloop/internal/cpusim"
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
-	"hyperloop/internal/rdma"
 	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/ycsb"
 )
 
@@ -41,24 +40,20 @@ func shardTenantOf(nShards, s int) int { return s * shardTenants / nShards }
 // rack is one built deployment: a router over nShards groups placed
 // across the rack's servers.
 type rack struct {
-	k      *sim.Kernel
+	*topo.Rack
 	router *shard.Router
 }
 
-// buildRack places nShards groups (protoName datapath) across the rack
+// shardRack places nShards groups (protoName datapath) across the rack
 // under the given placement policy, the router's coordinator group beside
 // them, and wires a Range-policy router over them with exactly one key per
 // shard (key k → shard k).
-func buildRack(ar *trialArena, seed uint64, nShards int, protoName string, pol shard.PlacementPolicy) (*rack, error) {
-	k := ar.kernel(seed)
-	fab := ar.fabric(k, rdma.DefaultConfig())
-	scheds := make([]*cpusim.Scheduler, shardServers)
-	for s := range scheds {
-		sched, err := cpusim.New(k, cpusim.DefaultConfig(shardCores))
-		if err != nil {
-			return nil, err
-		}
-		scheds[s] = sched
+func shardRack(ar *trialArena, seed uint64, nShards int, protoName string, pol shard.PlacementPolicy) (*rack, error) {
+	r, err := topo.Build(topo.Spec{
+		Seed: seed, Servers: shardServers, Cores: shardCores, DevExtra: shardDevExtra, Alloc: ar,
+	})
+	if err != nil {
+		return nil, err
 	}
 	place, err := shard.Place(pol, nShards, shardReplicas, shardServers,
 		func(s int) int { return shardTenantOf(nShards, s) })
@@ -73,39 +68,11 @@ func buildRack(ar *trialArena, seed uint64, nShards int, protoName string, pol s
 		SlotsPerShard: shardSlots,
 		LogSize:       shardLogSize,
 	}
-	router, err := shard.New(cfg, func(id int) (shard.Backend, error) {
-		group, mirror := fmt.Sprintf("sh%d", id), cfg.MirrorSize()
-		if id == shard.Coordinator {
-			group, mirror = "coord", cfg.CoordMirrorSize()
-		}
-		name := "cli/" + group
-		client, err := fab.AddNIC(name, ar.device(name, mirror+shardDevExtra))
-		if err != nil {
-			return nil, err
-		}
-		env := protocol.Env{Fabric: fab, Client: client}
-		for j := 0; j < shardReplicas; j++ {
-			srv := j // the coordinator's replicas: the rack's first servers
-			if id != shard.Coordinator {
-				srv = place[id][j]
-			}
-			host := fmt.Sprintf("srv%d/%s.%d", srv, group, j)
-			nic, err := fab.AddNIC(host, ar.device(host, mirror+shardDevExtra))
-			if err != nil {
-				return nil, err
-			}
-			env.Replicas = append(env.Replicas, nic)
-			env.Scheds = append(env.Scheds, scheds[srv])
-		}
-		return protocol.Build(protoName, env, protocol.Params{
-			MirrorSize: mirror,
-			Depth:      shardDepth,
-		})
-	})
+	router, err := shard.New(cfg, r.ShardBackends(cfg, place, protoName, protocol.Params{Depth: shardDepth}))
 	if err != nil {
 		return nil, err
 	}
-	return &rack{k: k, router: router}, nil
+	return &rack{Rack: r, router: router}, nil
 }
 
 // tenantRes is one tenant leg's outcome: per-tenant latency and volume.
@@ -124,7 +91,7 @@ type tenantRes struct {
 // done, and where its replica handlers sit is exactly what placement
 // decides.
 func shardTenantTrial(ar *trialArena, seed uint64, nShards int, protoName string, pol shard.PlacementPolicy, ops int) (tenantRes, error) {
-	r, err := buildRack(ar, seed, nShards, protoName, pol)
+	r, err := shardRack(ar, seed, nShards, protoName, pol)
 	if err != nil {
 		return tenantRes{}, err
 	}
@@ -164,13 +131,13 @@ func shardTenantTrial(ar *trialArena, seed uint64, nShards int, protoName string
 	for s := 0; s < nShards; s++ {
 		s := s
 		t := shardTenantOf(nShards, s)
-		r.k.Spawn(fmt.Sprintf("sh%d", s), func(f *sim.Fiber) {
+		r.Kernel.Spawn(fmt.Sprintf("sh%d", s), func(f *sim.Fiber) {
 			defer func() {
 				if end := f.Now(); end > res.done[t] {
 					res.done[t] = end
 				}
 				if remaining--; remaining == 0 {
-					r.k.StopRun()
+					r.Kernel.StopRun()
 				}
 			}()
 			for i := 0; i < shardOps[s]; i++ {
@@ -185,7 +152,7 @@ func shardTenantTrial(ar *trialArena, seed uint64, nShards int, protoName string
 			}
 		})
 	}
-	if err := r.runToStop(30 * 60 * sim.Second); err != nil {
+	if err := r.Run(30*60*sim.Second, "", nil); err != nil {
 		return tenantRes{}, err
 	}
 	if trialErr != nil {
@@ -195,15 +162,6 @@ func shardTenantTrial(ar *trialArena, seed uint64, nShards int, protoName string
 		return tenantRes{}, fmt.Errorf("ran %d/%d puts", got, ops)
 	}
 	return res, nil
-}
-
-// runToStop mirrors cluster.runToStop for racks.
-func (r *rack) runToStop(horizon sim.Duration) error {
-	err := r.k.RunUntil(r.k.Now().Add(horizon))
-	if err == sim.ErrStopped {
-		return nil
-	}
-	return err
 }
 
 // txnRes is the cross-shard leg's outcome, one slot per txn span.
@@ -219,7 +177,7 @@ type txnRes struct {
 // with the unlock behind it, per group), shard sets rotating so every group
 // participates.
 func shardTxnTrial(ar *trialArena, seed uint64, nShards, txns int) (txnRes, error) {
-	r, err := buildRack(ar, seed, nShards, "chain", shard.RoundRobin)
+	r, err := shardRack(ar, seed, nShards, "chain", shard.RoundRobin)
 	if err != nil {
 		return txnRes{}, err
 	}
@@ -227,9 +185,7 @@ func shardTxnTrial(ar *trialArena, seed uint64, nShards, txns int) (txnRes, erro
 
 	res := txnRes{spans: []int{1, 2, 4}}
 	value := bytes.Repeat([]byte{0x7e}, shardValueSize)
-	var trialErr error
-	r.k.Spawn("txn-driver", func(f *sim.Fiber) {
-		defer r.k.StopRun()
+	err = r.Run(30*60*sim.Second, "txn-driver", func(f *sim.Fiber) error {
 		for si, span := range res.spans {
 			h := metrics.NewHistogram()
 			res.hist = append(res.hist, h)
@@ -241,18 +197,15 @@ func shardTxnTrial(ar *trialArena, seed uint64, nShards, txns int) (txnRes, erro
 				}
 				start := f.Now()
 				if err := r.router.Txn(f, writes); err != nil {
-					trialErr = fmt.Errorf("span %d txn %d: %w", span, i, err)
-					return
+					return fmt.Errorf("span %d txn %d: %w", span, i, err)
 				}
 				h.RecordDuration(f.Now().Sub(start))
 			}
 		}
+		return nil
 	})
-	if err := r.runToStop(30 * 60 * sim.Second); err != nil {
+	if err != nil {
 		return txnRes{}, err
-	}
-	if trialErr != nil {
-		return txnRes{}, trialErr
 	}
 	res.stats = r.router.Stats()
 	if want := uint64(len(res.spans) * txns); res.stats.Commits != want {

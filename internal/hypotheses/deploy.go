@@ -1,131 +1,63 @@
 package hypotheses
 
 import (
-	"errors"
 	"fmt"
 
-	"hyperloop/internal/cpusim"
 	"hyperloop/internal/metrics"
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 
 	// Scenarios build protocols by registry name; link the implementations.
 	_ "hyperloop/internal/hyperloop"
 	_ "hyperloop/internal/naive"
 )
 
-// deployCfg describes one simulated deployment: a client machine plus
-// nReplicas storage servers. Unlike the experiments cluster there is no
-// trial arena — every scenario run builds fresh kernels, so one scenario
-// can never perturb another's counters and the catalog needs no pooling
-// discipline to stay deterministic.
-type deployCfg struct {
-	seed     uint64
-	proto    string // protocol registry name
-	replicas int    // default 3
-	mirror   int    // default 256 KB
-	cores    int    // per-replica CPU cores, default 8
-
-	// Co-located tenant load on every replica's scheduler.
-	hogs       int
-	noise      int
-	noiseBurst sim.Duration
-	noiseIdle  sim.Duration
-	storms     bool
-
-	// Blocking-path failure policy.
-	opTimeout    sim.Duration
-	maxRetries   int
-	retryBackoff sim.Duration
-
-	// Multi-tenant wake penalty for CPU-driven protocols (see
-	// protocol.Params).
-	wakePenalty     sim.Duration
-	wakePenaltyProb float64
-
-	// faults is installed on the fabric before any NIC exists, exactly as
-	// the experiments cluster does, so scheduled NIC events and link rules
-	// are armed for the whole run.
-	faults *rdma.FaultPlan
-}
-
-// deployment is a built scenario cluster.
+// deployment is a built scenario cluster: a client machine plus one storage
+// server per replica, hosting one group. Unlike the experiments cluster
+// there is no trial arena — every scenario run builds fresh kernels, so one
+// scenario can never perturb another's counters and the catalog needs no
+// pooling discipline to stay deterministic.
 type deployment struct {
-	k       *sim.Kernel
-	fab     *rdma.Fabric
-	client  *rdma.NIC
-	members []*rdma.NIC
-	scheds  []*cpusim.Scheduler
-	group   protocol.Protocol
+	*topo.Rack
+	group protocol.Protocol
 }
 
-// devSize returns the device size needed for mirror + control structures.
-func devSize(mirror int) int { return mirror + 4<<20 }
-
-// newDeployment builds the deployment and the named protocol over it.
-func newDeployment(cfg deployCfg) (*deployment, error) {
-	if cfg.replicas == 0 {
-		cfg.replicas = 3
+// deploy builds spec's rack and the named protocol over all of its
+// servers. Zero fields take the catalog's defaults: 3 servers of 8 cores, a
+// 256 KB mirror.
+func deploy(spec topo.Spec, proto string, p protocol.Params) (*deployment, error) {
+	if spec.Servers == 0 {
+		spec.Servers = 3
 	}
-	if cfg.mirror == 0 {
-		cfg.mirror = 256 << 10
+	if spec.Cores == 0 {
+		spec.Cores = 8
 	}
-	if cfg.cores == 0 {
-		cfg.cores = 8
+	if p.MirrorSize == 0 {
+		p.MirrorSize = 256 << 10
 	}
-	k := sim.NewKernel(cfg.seed)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	if cfg.faults != nil {
-		if err := fab.InstallFaultPlan(cfg.faults); err != nil {
-			return nil, err
-		}
-	}
-	client, err := fab.AddNIC("client", nvm.NewDevice("client", devSize(cfg.mirror)))
+	spec.DevExtra = devExtra
+	r, err := topo.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	d := &deployment{k: k, fab: fab, client: client}
-	for i := 0; i < cfg.replicas; i++ {
-		host := fmt.Sprintf("server-%d", i)
-		nic, err := fab.AddNIC(host, nvm.NewDevice(host, devSize(cfg.mirror)))
-		if err != nil {
-			return nil, err
-		}
-		d.members = append(d.members, nic)
-		sched, err := cpusim.New(k, cpusim.DefaultConfig(cfg.cores))
-		if err != nil {
-			return nil, err
-		}
-		sched.AddHogs(cfg.hogs)
-		if cfg.noise > 0 {
-			sched.AddNoise(cfg.noise, cfg.noiseBurst, cfg.noiseIdle)
-		}
-		if cfg.storms {
-			sched.AddStorms(2*cfg.cores, 200*sim.Millisecond, 4*sim.Millisecond)
-		}
-		d.scheds = append(d.scheds, sched)
-	}
-	g, err := protocol.Build(cfg.proto, protocol.Env{
-		Fabric: fab, Client: client, Replicas: d.members, Scheds: d.scheds,
-	}, protocol.Params{
-		MirrorSize:      cfg.mirror,
-		OpTimeout:       cfg.opTimeout,
-		MaxRetries:      cfg.maxRetries,
-		RetryBackoff:    cfg.retryBackoff,
-		WakePenalty:     cfg.wakePenalty,
-		WakePenaltyProb: cfg.wakePenaltyProb,
-	})
+	g, err := r.Group(topo.GroupSpec{Servers: topo.FirstServers(spec.Servers), Mirror: p.MirrorSize}, proto, p)
 	if err != nil {
 		return nil, err
 	}
-	d.group = g
-	return d, nil
+	return &deployment{Rack: r, group: g}, nil
 }
+
+// devExtra is each device's headroom past the mirror for control
+// structures.
+const devExtra = 4 << 20
+
+// members returns the replica NICs in member order.
+func (d *deployment) members() []*rdma.NIC { return d.Members("").Replicas }
 
 // counters snapshots the deployment's deterministic totals.
-func (d *deployment) counters() Counters { return countersOf(d.k, d.fab) }
+func (d *deployment) counters() Counters { return countersOf(d.Kernel, d.Fabric) }
 
 // countersOf snapshots the deterministic totals of one kernel and fabric.
 func countersOf(k *sim.Kernel, fab *rdma.Fabric) Counters {
@@ -141,40 +73,14 @@ func countersOf(k *sim.Kernel, fab *rdma.Fabric) Counters {
 	}
 }
 
-// drive runs fn as the deployment's single driver fiber.
-func (d *deployment) drive(horizon sim.Duration, fn func(f *sim.Fiber) error) error {
-	return drive(d.k, horizon, "hypothesis-driver", fn)
-}
-
-// drive spawns a single driver fiber called name, runs the kernel until
-// the driver finishes (it stops the run; background tenant load never
-// drains on its own) or the horizon elapses, and propagates the driver's
-// error.
-func drive(k *sim.Kernel, horizon sim.Duration, name string, fn func(f *sim.Fiber) error) error {
-	var runErr error
-	done := false
-	k.Spawn(name, func(f *sim.Fiber) {
-		defer k.StopRun()
-		runErr = fn(f)
-		done = true
-	})
-	if err := k.RunUntil(k.Now().Add(horizon)); err != nil && !errors.Is(err, sim.ErrStopped) {
-		return err
-	}
-	if runErr != nil {
-		return runErr
-	}
-	if !done {
-		return fmt.Errorf("driver hung: horizon %v elapsed", horizon)
-	}
-	return nil
-}
+// driver names the one driver fiber a scenario runs on its deployment.
+const driver = "hypothesis-driver"
 
 // latency drives ops closed-loop durable writes of the given size and
 // returns the latency histogram.
 func (d *deployment) latency(ops, size int) (*metrics.Histogram, error) {
 	h := metrics.NewHistogram()
-	err := d.drive(60*sim.Second, func(f *sim.Fiber) error {
+	err := d.Run(60*sim.Second, driver, func(f *sim.Fiber) error {
 		for i := 0; i < ops; i++ {
 			off := (i % 128) * 2048
 			start := f.Now()

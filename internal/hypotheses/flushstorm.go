@@ -8,6 +8,7 @@ import (
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 )
 
 func init() {
@@ -56,12 +57,10 @@ func runFlushStorm(seed uint64, sc Scale) (*Result, error) {
 	table := metrics.NewTable("gFLUSH durability through a rolling NIC crash storm",
 		"protocol", "acked flushes", "failed ops", "min durable copies", "quorum needed", "drops")
 	for _, name := range protocol.Names() {
-		d, err := newDeployment(deployCfg{
-			seed: seed, proto: name,
-			opTimeout:    fsTimeout,
-			maxRetries:   1,
-			retryBackoff: 25 * sim.Microsecond,
-			faults:       stormPlan(3),
+		d, err := deploy(topo.Spec{Seed: seed, Faults: stormPlan(3)}, name, protocol.Params{
+			OpTimeout:    fsTimeout,
+			MaxRetries:   1,
+			RetryBackoff: 25 * sim.Microsecond,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
@@ -77,7 +76,7 @@ func runFlushStorm(seed uint64, sc Scale) (*Result, error) {
 			return b
 		}
 		var failed int64
-		err = d.drive(60*sim.Second, func(f *sim.Fiber) error {
+		err = d.Run(60*sim.Second, driver, func(f *sim.Fiber) error {
 			for i := 0; i < ops; i++ {
 				off := i * fsOpSize
 				if err := d.group.WriteLocal(off, payload(i)); err != nil {
@@ -108,11 +107,11 @@ func runFlushStorm(seed uint64, sc Scale) (*Result, error) {
 		// Power-fail every member device: unflushed writes vanish and the
 		// current image reverts to the durable one. Whatever survives is
 		// exactly what a post-crash recovery would find.
-		for _, m := range d.members {
+		for _, m := range d.members() {
 			m.Memory().Crash()
 		}
-		need := protocol.AcksNeeded(name, len(d.members))
-		minCopies, ackedN := len(d.members)+1, 0
+		need := protocol.AcksNeeded(name, len(d.members()))
+		minCopies, ackedN := len(d.members())+1, 0
 		underQuorum := 0
 		buf := make([]byte, fsOpSize)
 		for i := 0; i < ops; i++ {
@@ -121,7 +120,7 @@ func runFlushStorm(seed uint64, sc Scale) (*Result, error) {
 			}
 			ackedN++
 			copies := 0
-			for _, m := range d.members {
+			for _, m := range d.members() {
 				if err := m.Memory().ReadDurable(i*fsOpSize, buf); err != nil {
 					return nil, fmt.Errorf("%s: member read: %w", name, err)
 				}
@@ -139,7 +138,7 @@ func runFlushStorm(seed uint64, sc Scale) (*Result, error) {
 		if ackedN == 0 {
 			minCopies = 0
 		}
-		fs := d.fab.FaultStats()
+		fs := d.Fabric.FaultStats()
 		table.AddRow(name, ackedN, failed, minCopies, need, fs.Drops)
 		res.Counters = res.Counters.add(d.counters())
 
@@ -149,7 +148,7 @@ func runFlushStorm(seed uint64, sc Scale) (*Result, error) {
 		if name == "bcast" {
 			allAckFailed = failed
 		}
-		if need < len(d.members) {
+		if need < len(d.members()) {
 			// Not zero failures: a member that crashed mid-chain keeps its
 			// loop QP one op behind (errored WQEs no longer satisfy WAITs),
 			// so an op can still time out when the storm shrinks the live

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"hyperloop/internal/metrics"
+	"hyperloop/internal/protocol"
+	"hyperloop/internal/topo"
 )
 
 func TestCatalog(t *testing.T) {
@@ -96,7 +98,7 @@ func TestFindingsRendering(t *testing.T) {
 }
 
 func TestDeploymentErrors(t *testing.T) {
-	if _, err := newDeployment(deployCfg{seed: 1, proto: "no-such-protocol"}); err == nil {
+	if _, err := deploy(topo.Spec{Seed: 1}, "no-such-protocol", protocol.Params{}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 )
 
 func init() {
@@ -40,23 +41,19 @@ func runMultiFailure(seed uint64, sc Scale) (*Result, error) {
 	table := metrics.NewTable("Op outcomes around a concurrent client+replica crash (1KB gWRITE)",
 		"protocol", "ok before", "failed during", "ok after", "drops", "in flight at end")
 	for _, name := range protocol.Names() {
-		d, err := newDeployment(deployCfg{
-			seed: seed, proto: name,
-			opTimeout: mfTimeout,
-			// No retries: the scenario observes raw failures, not the retry
-			// policy's ability to paper over them.
-			faults: &rdma.FaultPlan{NICs: []rdma.NICFault{
-				{Host: "client", At: sim.Time(mfClientDownAt), Down: true},
-				{Host: "client", At: sim.Time(mfClientUpAt), Down: false},
-				{Host: "server-1", At: sim.Time(mfServerDownAt), Down: true},
-				{Host: "server-1", At: sim.Time(mfServerUpAt), Down: false},
-			}},
-		})
+		// No retries: the scenario observes raw failures, not the retry
+		// policy's ability to paper over them.
+		d, err := deploy(topo.Spec{Seed: seed, Faults: &rdma.FaultPlan{NICs: []rdma.NICFault{
+			{Host: "client", At: sim.Time(mfClientDownAt), Down: true},
+			{Host: "client", At: sim.Time(mfClientUpAt), Down: false},
+			{Host: "server-1", At: sim.Time(mfServerDownAt), Down: true},
+			{Host: "server-1", At: sim.Time(mfServerUpAt), Down: false},
+		}}}, name, protocol.Params{OpTimeout: mfTimeout})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		var okBefore, failedDuring, okAfter, failedAfter int64
-		err = d.drive(60*sim.Second, func(f *sim.Fiber) error {
+		err = d.Run(60*sim.Second, driver, func(f *sim.Fiber) error {
 			for i := 0; i < ops; i++ {
 				err := d.group.Write(f, (i%128)*2048, 1024, false)
 				now := f.Now()
@@ -85,7 +82,7 @@ func runMultiFailure(seed uint64, sc Scale) (*Result, error) {
 		}
 		inflight := d.group.InFlight()
 		d.group.Close()
-		fs := d.fab.FaultStats()
+		fs := d.Fabric.FaultStats()
 		table.AddRow(name, okBefore, failedDuring, okAfter, fs.Drops, inflight)
 		res.Counters = res.Counters.add(d.counters())
 

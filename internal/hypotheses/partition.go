@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"hyperloop/internal/chain"
-	"hyperloop/internal/hyperloop"
 	"hyperloop/internal/metrics"
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 )
 
 func init() {
@@ -49,29 +48,28 @@ const (
 func runPartitionFailover(seed uint64, sc Scale) (*Result, error) {
 	ops := sc.pick(300, 2000)
 	res := &Result{}
-	d, err := newDeployment(deployCfg{
-		seed: seed, proto: "chain",
-		mirror:       pfMirror,
-		opTimeout:    200 * sim.Microsecond,
-		maxRetries:   1,
-		retryBackoff: 50 * sim.Microsecond,
-		faults: &rdma.FaultPlan{
-			NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(pfCrashAt), Down: true}},
-			// Sever client↔head in both directions for the whole recovery.
-			Links: []rdma.LinkFault{
-				{From: "client", To: "server-0", PartitionFrom: sim.Time(pfPartFrom), PartitionUntil: sim.Time(pfPartTo)},
-				{From: "server-0", To: "client", PartitionFrom: sim.Time(pfPartFrom), PartitionUntil: sim.Time(pfPartTo)},
-			},
+	params := protocol.Params{
+		MirrorSize:   pfMirror,
+		OpTimeout:    200 * sim.Microsecond,
+		MaxRetries:   1,
+		RetryBackoff: 50 * sim.Microsecond,
+	}
+	d, err := deploy(topo.Spec{Seed: seed, Faults: &rdma.FaultPlan{
+		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(pfCrashAt), Down: true}},
+		// Sever client↔head in both directions for the whole recovery.
+		Links: []rdma.LinkFault{
+			{From: "client", To: "server-0", PartitionFrom: sim.Time(pfPartFrom), PartitionUntil: sim.Time(pfPartTo)},
+			{From: "server-0", To: "client", PartitionFrom: sim.Time(pfPartFrom), PartitionUntil: sim.Time(pfPartTo)},
 		},
-	})
+	}}, "chain", params)
 	if err != nil {
 		return nil, err
 	}
-	spare, err := d.fab.AddNIC("spare", nvm.NewDevice("spare", devSize(pfMirror)))
+	spare, err := d.Fabric.AddNIC("spare", d.Device("spare", pfMirror))
 	if err != nil {
 		return nil, err
 	}
-	mon, err := chain.New(d.k, d.members, chain.Config{
+	mon, err := chain.New(d.Kernel, d.members(), chain.Config{
 		HeartbeatEvery:  pfBeat,
 		MissedThreshold: pfMissed,
 	})
@@ -88,12 +86,12 @@ func runPartitionFailover(seed uint64, sc Scale) (*Result, error) {
 		sawFailure                 bool
 		timeouts                   int64
 		repairErr                  error
-		newMembers                 []*rdma.NIC
+		repaired                   = d.Members("") // the group's NICs, the spare swapped in on repair
 	)
 	suspected := sim.NewSignal()
 	mon.OnSuspect(func(idx int) {
 		failedIdx = idx
-		tSuspect = d.k.Now()
+		tSuspect = d.Kernel.Now()
 		mon.PauseWrites()
 		suspected.Fire(nil)
 	})
@@ -107,20 +105,16 @@ func runPartitionFailover(seed uint64, sc Scale) (*Result, error) {
 	// *survives* depends on the wire no longer eating messages.
 	reestablish := func() error {
 		group.Close()
-		gcfg := hyperloop.DefaultConfig(pfMirror)
-		gcfg.OpTimeout = 200 * sim.Microsecond
-		gcfg.MaxRetries = 1
-		gcfg.RetryBackoff = 50 * sim.Microsecond
-		g, err := hyperloop.Setup(d.fab, d.client, newMembers, gcfg)
+		g, err := d.GroupOver(repaired, "chain", params)
 		if err != nil {
 			return err
 		}
 		group = g
 		resetups++
-		tLastResetup = d.k.Now()
+		tLastResetup = d.Kernel.Now()
 		return nil
 	}
-	d.k.Spawn("repair", func(f *sim.Fiber) {
+	d.Kernel.Spawn("repair", func(f *sim.Fiber) {
 		if err := f.Await(suspected); err != nil {
 			return
 		}
@@ -135,8 +129,8 @@ func runPartitionFailover(seed uint64, sc Scale) (*Result, error) {
 			repairErr = fmt.Errorf("replace: %w", err)
 			return
 		}
-		newMembers = append([]*rdma.NIC(nil), d.members...)
-		newMembers[failedIdx] = spare
+		repaired.Replicas = append([]*rdma.NIC(nil), repaired.Replicas...)
+		repaired.Replicas[failedIdx] = spare
 		if err := reestablish(); err != nil {
 			repairErr = fmt.Errorf("re-setup: %w", err)
 			return
@@ -145,7 +139,7 @@ func runPartitionFailover(seed uint64, sc Scale) (*Result, error) {
 		mon.ResumeWrites()
 	})
 
-	err = d.drive(60*sim.Second, func(f *sim.Fiber) error {
+	err = d.Run(60*sim.Second, driver, func(f *sim.Fiber) error {
 		defer mon.Stop()
 		deadline := f.Now().Add(sim.Second)
 		consecFails := 0
@@ -205,7 +199,7 @@ func runPartitionFailover(seed uint64, sc Scale) (*Result, error) {
 		return nil, fmt.Errorf("crash produced no observable outage (failures=%v firstOKAfter=%v)", sawFailure, firstOKAfter)
 	}
 	res.Counters = d.counters()
-	fs := d.fab.FaultStats()
+	fs := d.Fabric.FaultStats()
 	window := firstOKAfter.Sub(lastOKBefore)
 
 	timeline := metrics.NewTable("Recovery vs partition timeline (virtual time)", "event", "t")

@@ -6,11 +6,11 @@ import (
 	"fmt"
 
 	"hyperloop/internal/metrics"
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/txn"
 )
 
@@ -39,57 +39,33 @@ const (
 	r2Timeout  = 500 * sim.Microsecond
 )
 
-// recoveryRig is one sharded deployment.
+// recoveryRig is one sharded deployment. It runs chains only, so the rack
+// has no schedulers (idle ones would fork the kernel RNG and move the
+// dup+delay leg's draws).
 type recoveryRig struct {
-	k         *sim.Kernel
-	fab       *rdma.Fabric
-	router    *shard.Router
-	shardNICs [][]*rdma.NIC // per shard, its replica NICs
+	*topo.Rack
+	router *shard.Router
 }
 
 func newRecoveryRig(seed uint64, faults *rdma.FaultPlan) (*recoveryRig, error) {
-	k := sim.NewKernel(seed)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	if faults != nil {
-		if err := fab.InstallFaultPlan(faults); err != nil {
-			return nil, err
-		}
+	const replicas = 2
+	r, err := topo.Build(topo.Spec{Seed: seed, Servers: replicas, Faults: faults, DevExtra: devExtra})
+	if err != nil {
+		return nil, err
 	}
-	rig := &recoveryRig{k: k, fab: fab}
-
 	cfg := shard.Config{
 		Shards: r2Shards, Policy: shard.Range, Keys: r2Shards,
 		SlotSize: r2SlotSize, SlotsPerShard: r2Slots, LogSize: r2LogSize,
 	}
-	var err error
-	rig.router, err = shard.New(cfg, func(id int) (shard.Backend, error) {
-		name, mirror := fmt.Sprintf("sh%d", id), cfg.MirrorSize()
-		if id == shard.Coordinator {
-			name, mirror = "coord", cfg.CoordMirrorSize()
-		}
-		client, err := fab.AddNIC("cli-"+name, nvm.NewDevice("cli-"+name, devSize(mirror)))
-		if err != nil {
-			return nil, err
-		}
-		var reps []*rdma.NIC
-		for j := 0; j < 2; j++ {
-			host := fmt.Sprintf("%s-r%d", name, j)
-			nic, err := fab.AddNIC(host, nvm.NewDevice(host, devSize(mirror)))
-			if err != nil {
-				return nil, err
-			}
-			reps = append(reps, nic)
-		}
-		if id != shard.Coordinator {
-			rig.shardNICs = append(rig.shardNICs, reps)
-		}
-		return protocol.Build("chain", protocol.Env{Fabric: fab, Client: client, Replicas: reps},
-			protocol.Params{MirrorSize: mirror, OpTimeout: r2Timeout})
-	})
+	place, err := shard.Place(shard.RoundRobin, r2Shards, replicas, replicas, nil)
 	if err != nil {
 		return nil, err
 	}
-	return rig, nil
+	router, err := shard.New(cfg, r.ShardBackends(cfg, place, "chain", protocol.Params{OpTimeout: r2Timeout}))
+	if err != nil {
+		return nil, err
+	}
+	return &recoveryRig{Rack: r, router: router}, nil
 }
 
 func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
@@ -114,7 +90,7 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 			plan := &rdma.FaultPlan{}
 			for i := 0; i < r2Shards-1; i++ {
 				plan.Links = append(plan.Links, rdma.LinkFault{
-					From:       fmt.Sprintf("cli-sh%d", i),
+					From:       fmt.Sprintf("cli/sh%d", i), // shard i's client NIC (topo.Rack.ShardBackends)
 					ExtraDelay: sim.Duration(r2Shards-1-i) * 1500 * sim.Nanosecond,
 				})
 			}
@@ -143,7 +119,7 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 				for i := range writes {
 					writes[i] = shard.Write{Key: uint64(i), Data: []byte(fmt.Sprintf("p%d", i))}
 				}
-				err = drive(rig.k, 60*sim.Second, "2pc-recovery-driver", func(f *sim.Fiber) error {
+				err = rig.Run(60*sim.Second, "2pc-recovery-driver", func(f *sim.Fiber) error {
 					step := 0
 					rig.router.SetTxnStepHook(func(s txn.Step, participant int) error {
 						step++
@@ -176,7 +152,7 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 							return fmt.Errorf("shard %d read: %w", i, err)
 						}
 						shardVisible := bytes.Equal(got, want)
-						for _, nic := range rig.shardNICs[i] {
+						for _, nic := range rig.Members(fmt.Sprintf("sh%d", i)).Replicas {
 							img := make([]byte, len(want))
 							if err := nic.Memory().Read(st.DataOff(), img); err != nil {
 								return fmt.Errorf("shard %d replica read: %w", i, err)
@@ -223,7 +199,7 @@ func run2PCRecovery(seed uint64, sc Scale) (*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s span %d kill %d: %w", leg.name, span, kill, err)
 				}
-				res.Counters = res.Counters.add(countersOf(rig.k, rig.fab))
+				res.Counters = res.Counters.add(countersOf(rig.Kernel, rig.Fabric))
 			}
 			table.AddRow(leg.name, span, totalSteps, rolledBack, rolledForward, lockLeaks, retryCommits)
 

@@ -7,6 +7,7 @@ import (
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 )
 
 func init() {
@@ -36,18 +37,16 @@ func runRetryLoss(seed uint64, sc Scale) (*Result, error) {
 				// forwards, and acks are all equally lossy.
 				plan = &rdma.FaultPlan{Links: []rdma.LinkFault{{DropProb: loss}}}
 			}
-			d, err := newDeployment(deployCfg{
-				seed: seed, proto: name,
-				opTimeout:    200 * sim.Microsecond,
-				maxRetries:   3,
-				retryBackoff: 50 * sim.Microsecond,
-				faults:       plan,
+			d, err := deploy(topo.Spec{Seed: seed, Faults: plan}, name, protocol.Params{
+				OpTimeout:    200 * sim.Microsecond,
+				MaxRetries:   3,
+				RetryBackoff: 50 * sim.Microsecond,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s loss=%v: %w", name, loss, err)
 			}
 			var ok, failed int64
-			err = d.drive(60*sim.Second, func(f *sim.Fiber) error {
+			err = d.Run(60*sim.Second, driver, func(f *sim.Fiber) error {
 				for i := 0; i < ops; i++ {
 					err := d.group.Write(f, (i%128)*2048, 1024, true)
 					switch {
@@ -67,7 +66,7 @@ func runRetryLoss(seed uint64, sc Scale) (*Result, error) {
 			retried := d.group.Retried()
 			inflight := d.group.InFlight()
 			d.group.Close()
-			fs := d.fab.FaultStats()
+			fs := d.Fabric.FaultStats()
 			table.AddRow(name, fmt.Sprintf("%.1f%%", loss*100), ok, failed, retried, fs.Drops)
 			burden = append(burden, retried+failed)
 			res.Counters = res.Counters.add(d.counters())

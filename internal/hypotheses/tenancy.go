@@ -6,6 +6,7 @@ import (
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 )
 
 func init() {
@@ -20,7 +21,8 @@ func init() {
 
 // Tenancy sweep: tenant processes per replica core. The heavy point
 // matches the paper's co-location (~10 bursty tenants per core plus hogs
-// and periodic storms).
+// and periodic storms). The load itself is topo's (Spec.TenantsPerCore);
+// the burst and idle means here are what the notes print.
 const (
 	tiCores      = 8
 	tiNoiseBurst = 300 * sim.Microsecond
@@ -40,27 +42,11 @@ func runTenantInterference(seed uint64, sc Scale) (*Result, error) {
 		cpuDriven := protocol.TraitsOf(name).CPUDriven
 		var idleP99, loadedP99 sim.Duration
 		for _, perCore := range loads {
-			cfg := deployCfg{
-				seed: seed, proto: name,
-				cores:        tiCores,
-				opTimeout:    20 * sim.Millisecond,
-				maxRetries:   1,
-				retryBackoff: 50 * sim.Microsecond,
-			}
-			if perCore > 0 {
-				cfg.noise = perCore * tiCores
-				cfg.noiseBurst = tiNoiseBurst
-				cfg.noiseIdle = tiNoiseIdle
-				cfg.hogs = tiCores / 2
-				cfg.storms = true
-				if cpuDriven {
-					// Multi-tenant co-location also costs the replica handler
-					// its machine-wide sleeper credit (§2.2 tail mechanism).
-					cfg.wakePenalty = 3 * sim.Millisecond
-					cfg.wakePenaltyProb = 0.015
-				}
-			}
-			d, err := newDeployment(cfg)
+			d, err := deploy(topo.Spec{Seed: seed, Cores: tiCores, TenantsPerCore: perCore}, name, protocol.Params{
+				OpTimeout:    20 * sim.Millisecond,
+				MaxRetries:   1,
+				RetryBackoff: 50 * sim.Microsecond,
+			})
 			if err != nil {
 				return nil, fmt.Errorf("%s load=%d: %w", name, perCore, err)
 			}

@@ -123,8 +123,8 @@ func FuzzWQEDecode(f *testing.F) {
 			switch {
 			case w.Len > memSize:
 				want = StatusLocalError // length bounds-check precedes buffering
-			case int(w.Local) < 0 || int(w.Local)+int(w.Len) > memSize:
-				want = StatusLocalError // local read out of bounds
+			case w.Local > memSize-w.Len:
+				want = StatusLocalError // local read out of bounds (Len ≤ memSize here; Local+Len may wrap)
 			case w.Aux1 != mr.RKey || !mr.Contains(w.Remote, w.Len):
 				want = StatusRemoteAccessError // rkey/remote-range rejected
 			}

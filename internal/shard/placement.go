@@ -50,7 +50,12 @@ func Place(policy PlacementPolicy, shards, replicas, servers int, tenantOf func(
 	for s := 0; s < shards; s++ {
 		base := s * replicas
 		if policy == TenantAffinity {
-			base = tenantOf(s) * replicas
+			t := tenantOf(s)
+			if t < 0 {
+				// Go's % keeps the sign: the row would name a negative server.
+				return nil, fmt.Errorf("%w: tenantOf(%d) = %d, tenants are numbered from 0", ErrBadArgument, s, t)
+			}
+			base = t * replicas
 		}
 		row := make([]int, replicas)
 		for j := 0; j < replicas; j++ {

@@ -409,6 +409,9 @@ func TestPlace(t *testing.T) {
 	if _, err := Place(TenantAffinity, 1, 1, 1, nil); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("affinity without tenantOf: %v", err)
 	}
+	if _, err := Place(TenantAffinity, 4, 2, 4, func(s int) int { return s - 2 }); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("negative tenant: %v", err)
+	}
 
 	rr, err := Place(RoundRobin, 6, 2, 4, nil)
 	if err != nil {

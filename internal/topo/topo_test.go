@@ -1,0 +1,417 @@
+package topo
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"hyperloop/internal/hyperloop"
+	_ "hyperloop/internal/naive"
+	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol"
+	"hyperloop/internal/rdma"
+	"hyperloop/internal/shard"
+	"hyperloop/internal/sim"
+)
+
+// probe is a registry protocol that records what Group handed its builder
+// and then builds a plain chain.
+var probe struct {
+	env protocol.Env
+	p   protocol.Params
+}
+
+func init() {
+	protocol.Register("topo-probe", "records its build inputs (topo tests)",
+		func(env protocol.Env, p protocol.Params) (protocol.Protocol, error) {
+			probe.env, probe.p = env, p
+			return protocol.Build("chain", env, p)
+		})
+}
+
+// TestNoCoresNoSchedulers: Cores 0 builds no scheduler, so the kernel RNG's
+// next draw is what it is on a kernel that only ever had a fabric made on
+// it; a single idle core already moves it.
+func TestNoCoresNoSchedulers(t *testing.T) {
+	ref := sim.NewKernel(7)
+	rdma.NewFabric(ref, rdma.DefaultConfig())
+	want := ref.RNG().Uint64()
+
+	r, err := Build(Spec{Seed: 7, Servers: 2, DevExtra: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Scheds != nil {
+		t.Fatalf("Cores 0 built %d schedulers", len(r.Scheds))
+	}
+	env, err := r.Env(GroupSpec{Name: "g", Servers: []int{1, 0}, Mirror: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Scheds != nil {
+		t.Fatal("Env.Scheds set on a rack without schedulers")
+	}
+	if max, prob := r.WakePenalty(); max != 0 || prob != 0 {
+		t.Fatalf("idle rack has wake penalty %v/%v", max, prob)
+	}
+	if got := r.Kernel.RNG().Uint64(); got != want {
+		t.Fatalf("kernel RNG drew %#x after Build+Env, a fresh kernel draws %#x", got, want)
+	}
+
+	withCore, err := Build(Spec{Seed: 7, Servers: 2, Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := withCore.Kernel.RNG().Uint64(); got == want {
+		t.Fatal("one idle core per server left the kernel RNG untouched; the Cores-0 case tests nothing")
+	}
+	if _, err := Build(Spec{Seed: 7}); err == nil {
+		t.Fatal("a rack of zero servers was built")
+	}
+	if _, err := Build(Spec{Servers: 1, Faults: &rdma.FaultPlan{Links: []rdma.LinkFault{{DropProb: 2}}}}); !errors.Is(err, rdma.ErrBadFaultPlan) {
+		t.Fatalf("bad fault plan: %v", err)
+	}
+}
+
+// TestGroupWiring checks what Group hands the protocol builder: NIC names,
+// device sizes, each replica's server scheduler, the mirror size, and the
+// wake penalty exactly when the rack carries tenants.
+func TestGroupWiring(t *testing.T) {
+	for _, tenants := range []int{0, 10} {
+		r, err := Build(Spec{Seed: 1, Servers: 4, Cores: 2, TenantsPerCore: tenants, DevExtra: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := r.Group(GroupSpec{Name: "kv", Servers: []int{3, 1}, Mirror: 8192}, "topo-probe", protocol.Params{Depth: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, p := probe.env, probe.p
+		if env.Client.Host() != "cli/kv" || env.Replicas[0].Host() != "srv3/kv.0" || env.Replicas[1].Host() != "srv1/kv.1" {
+			t.Errorf("NIC names: %s %s %s", env.Client.Host(), env.Replicas[0].Host(), env.Replicas[1].Host())
+		}
+		if env.Scheds[0] != r.Scheds[3] || env.Scheds[1] != r.Scheds[1] {
+			t.Error("replica schedulers are not their servers'")
+		}
+		if got := env.Replicas[0].Memory().Size(); got != 8192+1<<20 {
+			t.Errorf("device size %d, want mirror + DevExtra", got)
+		}
+		if p.MirrorSize != 8192 || p.Depth != 8 {
+			t.Errorf("params %+v", p)
+		}
+		if wantPenalty := tenants > 0; (p.WakePenalty > 0) != wantPenalty || (p.WakePenaltyProb > 0) != wantPenalty {
+			t.Errorf("tenants=%d: wake penalty %v p=%v", tenants, p.WakePenalty, p.WakePenaltyProb)
+		}
+		if max, prob := r.WakePenalty(); max != p.WakePenalty || prob != p.WakePenaltyProb {
+			t.Errorf("WakePenalty() = %v/%v, Group filled %v/%v", max, prob, p.WakePenalty, p.WakePenaltyProb)
+		}
+		if m := r.Members("kv"); m.Client != env.Client || len(m.Replicas) != 2 || m.Replicas[1] != env.Replicas[1] {
+			t.Error("Members did not return the placed NICs")
+		}
+		if m := r.Members("nope"); m.Client != nil {
+			t.Error("Members invented a group")
+		}
+		// The sole-group layout keeps the names reports and fault plans use.
+		sole, err := r.Env(GroupSpec{Servers: FirstServers(2), Mirror: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sole.Client.Host() != "client" || sole.Replicas[1].Host() != "server-1" {
+			t.Errorf("sole-group names: %s %s", sole.Client.Host(), sole.Replicas[1].Host())
+		}
+		if err := r.Run(sim.Second, "writer", func(f *sim.Fiber) error { return g.Write(f, 0, 64, true) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFailedGroupClosesBuilt: a Group that cannot be placed or built leaves
+// the rack half-made, so the groups already built are closed.
+func TestFailedGroupClosesBuilt(t *testing.T) {
+	for name, bad := range map[string]func(r *Rack) error{
+		"unknown protocol": func(r *Rack) error {
+			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{0, 1}, Mirror: 4096}, "no-such-protocol", protocol.Params{})
+			return err
+		},
+		"server out of range": func(r *Rack) error {
+			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{0, 2}, Mirror: 4096}, "chain", protocol.Params{})
+			return err
+		},
+		"negative server": func(r *Rack) error {
+			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{-1}, Mirror: 4096}, "chain", protocol.Params{})
+			return err
+		},
+		"duplicate name": func(r *Rack) error {
+			_, err := r.Group(GroupSpec{Name: "a", Servers: []int{0, 1}, Mirror: 4096}, "chain", protocol.Params{})
+			return err
+		},
+	} {
+		r, err := Build(Spec{Seed: 1, Servers: 2, DevExtra: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := r.Group(GroupSpec{Name: "a", Servers: []int{0, 1}, Mirror: 4096}, "chain", protocol.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad(r) == nil {
+			t.Fatalf("%s: Group succeeded", name)
+		}
+		if _, err := a.WriteAsync(0, 64, false); !errors.Is(err, protocol.ErrClosed) {
+			t.Errorf("%s: the group built before the failure is still open: %v", name, err)
+		}
+	}
+}
+
+// TestShardBackends: the coordinator's group comes first, on the rack's
+// first servers; shards follow the placement; a failing build closes what
+// was built.
+func TestShardBackends(t *testing.T) {
+	r, err := Build(Spec{Seed: 3, Servers: 4, Cores: 1, DevExtra: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := shard.Config{Shards: 3, Policy: shard.Range, Keys: 3}
+	place := [][]int{{2, 3}, {0, 1}, {3, 0}}
+	router, err := shard.New(cfg, r.ShardBackends(cfg, place, "chain", protocol.Params{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	if got := r.placed[0].name; got != "coord" {
+		t.Fatalf("first group placed is %q, want the coordinator's", got)
+	}
+	coord := r.Members("coord")
+	if coord.Client.Host() != "cli/coord" || coord.Replicas[0].Host() != "srv0/coord.0" || coord.Replicas[1].Host() != "srv1/coord.1" {
+		t.Errorf("coordinator NICs: %s %s %s", coord.Client.Host(), coord.Replicas[0].Host(), coord.Replicas[1].Host())
+	}
+	if got := coord.Client.Memory().Size(); got != cfg.CoordMirrorSize()+64<<10 {
+		t.Errorf("coordinator device %d bytes, want CoordMirrorSize + DevExtra", got)
+	}
+	sh2 := r.Members("sh2")
+	if sh2.Replicas[0].Host() != "srv3/sh2.0" || sh2.Replicas[1].Host() != "srv0/sh2.1" || sh2.Scheds[0] != r.Scheds[3] {
+		t.Errorf("shard 2 placement: %s %s", sh2.Replicas[0].Host(), sh2.Replicas[1].Host())
+	}
+	if got := sh2.Client.Memory().Size(); got != cfg.MirrorSize()+64<<10 {
+		t.Errorf("shard device %d bytes, want MirrorSize + DevExtra", got)
+	}
+	err = r.Run(sim.Second, "txn", func(f *sim.Fiber) error {
+		return router.Txn(f, []shard.Write{{Key: 0, Data: []byte("a")}, {Key: 2, Data: []byte("b")}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r2, err := Build(Spec{Seed: 3, Servers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.New(cfg, r2.ShardBackends(cfg, place, "chain", protocol.Params{})); err == nil {
+		t.Fatal("placement on servers the rack does not have was accepted")
+	}
+}
+
+// TestRun covers the one run loop's four endings.
+func TestRun(t *testing.T) {
+	r, err := Build(Spec{Seed: 1, Servers: 1, Cores: 1, TenantsPerCore: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(sim.Second, "ok", func(f *sim.Fiber) error { f.Sleep(sim.Millisecond); return nil }); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	boom := errors.New("boom")
+	if err := r.Run(sim.Second, "fails", func(f *sim.Fiber) error { return boom }); err != boom {
+		t.Fatalf("driver error not returned bare: %v", err)
+	}
+	never := sim.NewSignal()
+	if err := r.Run(sim.Millisecond, "stuck", func(f *sim.Fiber) error { return f.Await(never) }); err == nil {
+		t.Fatal("a hung driver was not reported")
+	}
+	// Caller-spawned fibers: the run ends when one of them stops it, or at
+	// the horizon (tenant load alone never ends a run).
+	stopped := false
+	r.Kernel.Spawn("own", func(f *sim.Fiber) {
+		f.Sleep(sim.Millisecond)
+		stopped = true
+		r.Kernel.StopRun()
+	})
+	start := r.Kernel.Now()
+	if err := r.Run(sim.Second, "", nil); err != nil || !stopped {
+		t.Fatalf("nil-fn run: err=%v stopped=%v", err, stopped)
+	}
+	if err := r.Run(sim.Millisecond, "", nil); err != nil {
+		t.Fatalf("horizon with no driver: %v", err)
+	}
+	if got := r.Kernel.Now().Sub(start); got < 2*sim.Millisecond {
+		t.Fatalf("two runs advanced the clock only %v", got)
+	}
+}
+
+// TestRunRejectsStaleFaultHost: a plan naming a NIC the rack never got
+// would match nothing and fail nothing, so Run refuses it.
+func TestRunRejectsStaleFaultHost(t *testing.T) {
+	for host, ok := range map[string]bool{"cli/sh0": true, "srv1/sh0.1": true, "cli-sh0": false} {
+		r, err := Build(Spec{Seed: 1, Servers: 2, DevExtra: 1 << 20, Faults: &rdma.FaultPlan{
+			Links: []rdma.LinkFault{{From: host, ExtraDelay: sim.Microsecond}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Group(GroupSpec{Name: "sh0", Servers: []int{0, 1}, Mirror: 4096}, "chain", protocol.Params{}); err != nil {
+			t.Fatal(err)
+		}
+		err = r.Run(sim.Millisecond, "idle", func(*sim.Fiber) error { return nil })
+		if (err == nil) != ok {
+			t.Errorf("plan naming %q: Run returned %v", host, err)
+		}
+	}
+	r, err := Build(Spec{Seed: 1, Servers: 1, Faults: &rdma.FaultPlan{
+		NICs: []rdma.NICFault{{Host: "server-9", At: sim.Time(sim.Millisecond), Down: true}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(sim.Millisecond, "", nil); err == nil {
+		t.Error("a crash scheduled for a NIC the rack does not have was accepted")
+	}
+}
+
+// poolAlloc is a pooling Alloc in the shape of the experiment arenas: one
+// kernel and one fabric reset between racks, devices from a nvm.DevicePool.
+type poolAlloc struct {
+	k       *sim.Kernel
+	fab     *rdma.Fabric
+	devs    nvm.DevicePool
+	out     []*nvm.Device
+	kernels int // kernels reused
+}
+
+func (a *poolAlloc) Kernel(seed uint64) *sim.Kernel {
+	if a.k != nil && a.k.Reset(seed) {
+		a.kernels++
+	} else {
+		a.k = sim.NewKernel(seed)
+	}
+	return a.k
+}
+
+func (a *poolAlloc) Fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric {
+	if a.fab == nil {
+		a.fab = rdma.NewFabric(k, cfg)
+	} else {
+		a.fab.Reset(k, cfg)
+	}
+	return a.fab
+}
+
+func (a *poolAlloc) Device(name string, size int) *nvm.Device {
+	d := a.devs.Get(name, size)
+	a.out = append(a.out, d)
+	return d
+}
+
+func (a *poolAlloc) release() {
+	for _, d := range a.out {
+		a.devs.Put(d)
+	}
+	a.out = a.out[:0]
+}
+
+// TestAllocPooledVsFresh: where kernel, fabric and devices come from must
+// not move an event. The same loaded rack runs 100 durable writes on the
+// CPU-driven datapath (RNG-hungry: tenant bursts, wake penalties, jitter)
+// with the nil Alloc, with a cold pool and with the pool warm, and the
+// trace — clock, executed events and wire totals after every write — must
+// be equal.
+func TestAllocPooledVsFresh(t *testing.T) {
+	type point struct {
+		now         sim.Time
+		executed    int64
+		msgs, bytes int64
+	}
+	trace := func(a Alloc) []point {
+		t.Helper()
+		r, err := Build(Spec{Seed: 42, Servers: 3, Cores: 4, TenantsPerCore: 10, DevExtra: 4 << 20, Alloc: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := r.Group(GroupSpec{Servers: FirstServers(3), Mirror: 256 << 10}, "naive", protocol.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []point
+		err = r.Run(60*sim.Second, "writer", func(f *sim.Fiber) error {
+			for i := 0; i < 100; i++ {
+				if err := g.Write(f, (i%64)*1024, 1024, true); err != nil {
+					return fmt.Errorf("write %d: %w", i, err)
+				}
+				msgs, bytes := r.Fabric.Stats()
+				out = append(out, point{f.Now(), r.Kernel.Executed(), msgs, bytes})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		return out
+	}
+	fresh := trace(nil)
+	pool := &poolAlloc{}
+	for _, pass := range []string{"cold", "warm"} {
+		got := trace(pool)
+		pool.release()
+		if len(got) != len(fresh) {
+			t.Fatalf("%s pool: %d points, fresh %d", pass, len(got), len(fresh))
+		}
+		for i := range got {
+			if got[i] != fresh[i] {
+				t.Fatalf("%s pool diverges from fresh at write %d: %+v vs %+v", pass, i, got[i], fresh[i])
+			}
+		}
+	}
+	if s := pool.devs.Stats(); s.Reused == 0 || pool.kernels == 0 {
+		t.Fatalf("the warm pass reused nothing: devices %+v, kernels %d", s, pool.kernels)
+	}
+}
+
+// TestGroupOver: a second group over NICs the rack already has is built
+// without placing anything, and Close tears it down with the rest.
+func TestGroupOver(t *testing.T) {
+	r, err := Build(Spec{Seed: 1, Servers: 3, DevExtra: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, err := r.Group(GroupSpec{Servers: FirstServers(3), Mirror: 64 << 10}, "chain", protocol.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1.Close()
+	spare, err := r.Fabric.AddNIC("spare", r.Device("spare", 64<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := r.Members("")
+	env.Replicas = []*rdma.NIC{env.Replicas[0], spare, env.Replicas[2]}
+	g2, err := r.GroupOver(env, "chain", protocol.Params{MirrorSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g2.(*hyperloop.Group); !ok {
+		t.Fatalf("GroupOver built %T", g2)
+	}
+	if err := r.Run(sim.Second, "writer", func(f *sim.Fiber) error { return g2.Write(f, 0, 128, true) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.GroupOver(env, "no-such-protocol", protocol.Params{}); err == nil {
+		t.Fatal("unknown protocol accepted")
+	}
+	if _, err := g2.WriteAsync(0, 64, false); err != nil {
+		t.Fatalf("a failed GroupOver closed the rack's groups: %v", err)
+	}
+	r.Close()
+	if _, err := g2.WriteAsync(0, 64, false); !errors.Is(err, protocol.ErrClosed) {
+		t.Fatalf("Close left a group open: %v", err)
+	}
+}

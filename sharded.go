@@ -4,11 +4,11 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cpusim"
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/txn"
 )
 
@@ -96,11 +96,10 @@ type ShardedClusterConfig struct {
 	DeviceExtra int
 }
 
-// ShardedCluster is a built sharded deployment.
+// ShardedCluster is a built sharded deployment: a topo.Rack and the router
+// over the groups placed on it.
 type ShardedCluster struct {
-	kernel *sim.Kernel
-	fabric *rdma.Fabric
-	scheds []*cpusim.Scheduler
+	rack   *topo.Rack
 	router *shard.Router
 }
 
@@ -116,10 +115,7 @@ func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
 		cfg.ReplicasPerShard = 3
 	}
 	if cfg.Servers <= 0 {
-		cfg.Servers = cfg.ReplicasPerShard
-		if cfg.Servers < 4 {
-			cfg.Servers = 4
-		}
+		cfg.Servers = max(cfg.ReplicasPerShard, 4)
 	}
 	if cfg.CoresPerServer <= 0 {
 		cfg.CoresPerServer = 16
@@ -132,54 +128,24 @@ func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
 	}
 	cfg.Routing.Shards = cfg.Shards
 
-	k := sim.NewKernel(cfg.Seed)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	c := &ShardedCluster{kernel: k, fabric: fab}
-	for s := 0; s < cfg.Servers; s++ {
-		sched, err := cpusim.New(k, cpusim.DefaultConfig(cfg.CoresPerServer))
-		if err != nil {
-			return nil, err
-		}
-		c.scheds = append(c.scheds, sched)
+	rack, err := topo.Build(topo.Spec{
+		Seed: cfg.Seed, Servers: cfg.Servers, Cores: cfg.CoresPerServer, DevExtra: cfg.DeviceExtra,
+	})
+	if err != nil {
+		return nil, err
 	}
 	place, err := shard.Place(cfg.Placement, cfg.Shards, cfg.ReplicasPerShard, cfg.Servers, cfg.TenantOf)
 	if err != nil {
 		return nil, err
 	}
-	mirror := cfg.Routing.MirrorSize()
-	if mirror <= 0 {
+	if cfg.Routing.MirrorSize() <= 0 {
 		return nil, fmt.Errorf("hyperloop: invalid shard routing config")
 	}
-	c.router, err = shard.New(cfg.Routing, func(id int) (shard.Backend, error) {
-		group, size := fmt.Sprintf("sh%d", id), mirror
-		if id == shard.Coordinator {
-			group, size = "coord", cfg.Routing.CoordMirrorSize()
-		}
-		name := "cli/" + group
-		client, err := fab.AddNIC(name, nvm.NewDevice(name, size+cfg.DeviceExtra))
-		if err != nil {
-			return nil, err
-		}
-		env := protocol.Env{Fabric: fab, Client: client}
-		for j := 0; j < cfg.ReplicasPerShard; j++ {
-			srv := j // the coordinator's replicas: the rack's first servers
-			if id != shard.Coordinator {
-				srv = place[id][j]
-			}
-			host := fmt.Sprintf("srv%d/%s.%d", srv, group, j)
-			nic, err := fab.AddNIC(host, nvm.NewDevice(host, size+cfg.DeviceExtra))
-			if err != nil {
-				return nil, err
-			}
-			env.Replicas = append(env.Replicas, nic)
-			env.Scheds = append(env.Scheds, c.scheds[srv])
-		}
-		return protocol.Build(cfg.Protocol, env, protocol.Params{MirrorSize: size})
-	})
+	router, err := shard.New(cfg.Routing, rack.ShardBackends(cfg.Routing, place, cfg.Protocol, protocol.Params{}))
 	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &ShardedCluster{rack: rack, router: router}, nil
 }
 
 // Router returns the shard router: Put/Get for single-key operations and
@@ -187,21 +153,21 @@ func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
 func (c *ShardedCluster) Router() *ShardRouter { return c.router }
 
 // Kernel exposes the simulation kernel.
-func (c *ShardedCluster) Kernel() *sim.Kernel { return c.kernel }
+func (c *ShardedCluster) Kernel() *sim.Kernel { return c.rack.Kernel }
 
 // Fabric exposes the RDMA fabric shared by all groups.
-func (c *ShardedCluster) Fabric() *rdma.Fabric { return c.fabric }
+func (c *ShardedCluster) Fabric() *rdma.Fabric { return c.rack.Fabric }
 
 // Schedulers returns each rack server's CPU scheduler.
 func (c *ShardedCluster) Schedulers() []*cpusim.Scheduler {
-	out := make([]*cpusim.Scheduler, len(c.scheds))
-	copy(out, c.scheds)
-	return out
+	return append([]*cpusim.Scheduler(nil), c.rack.Scheds...)
 }
 
 // Run spawns fn as a fiber and drives the simulation until fn returns,
 // mirroring Cluster.Run.
-func (c *ShardedCluster) Run(fn func(f *Fiber) error) error { return runMain(c.kernel, fn) }
+func (c *ShardedCluster) Run(fn func(f *Fiber) error) error {
+	return c.rack.Run(runHorizon, "main", fn)
+}
 
 // Close tears down every replication group.
 func (c *ShardedCluster) Close() { c.router.Close() }

@@ -108,6 +108,13 @@ func TestShardedClusterBadConfig(t *testing.T) {
 	}); err == nil {
 		t.Fatal("affinity without TenantOf accepted")
 	}
+	// A negative tenant used to place a replica on server -1 and panic
+	// indexing the schedulers.
+	if _, err := NewShardedCluster(ShardedClusterConfig{
+		Placement: PlaceTenantAffinity, TenantOf: func(s int) int { return s - 1 },
+	}); err == nil {
+		t.Fatal("negative tenant accepted")
+	}
 }
 
 func TestShardedClusterCommitLog(t *testing.T) {
