@@ -8,8 +8,8 @@
 #           detector over the scheduler and the simulation/RDMA/protocol/
 #           txn/shard hot paths, coverage floors, baseline-staleness and
 #           protocol-conformance suites
-#   fuzz    short fuzz runs over the WQE decoder, device reset and fault
-#           plan validation
+#   fuzz    short fuzz runs over the WQE decoder, device reset, fault plan
+#           validation and the event queue's pop order
 #   bench   determinism goldens across a seed matrix (serial vs
 #           overlapped, full sweep plus a shards-only leg), the
 #           hypothesis-catalog reproducibility matrix, and the bench/hypo
@@ -190,10 +190,17 @@ stage_test() {
         ./internal/experiments ./internal/sim ./internal/rdma ./internal/cpusim \
         ./internal/txn ./internal/shard ./internal/topo \
         ./internal/protocol ./internal/hyperloop ./internal/naive
+    # The event queue's differential scripts and the bitmask-vs-core-walk
+    # dispatch comparison are cheap and order-sensitive: three more rounds.
+    step "go test -race -count=3 (queue, dispatch)" go test -race -count=3 \
+        -run 'EventQueue|RunUntilZero|BitmaskDispatch' \
+        ./internal/sim ./internal/cpusim
     # One iteration of each layer micro-benchmark, so they keep compiling
     # and running; their numbers are read by hand (DESIGN.md, nvm).
     step "layer benchmarks run" go test -run '^$' -bench . -benchtime 1x \
         ./internal/nvm ./internal/txn ./internal/shard
+    step "queue and dispatch benchmarks run" go test -run '^$' \
+        -bench 'KernelHold|Dispatch' -benchtime 1x ./internal/sim ./internal/cpusim
     step "coverage internal/nvm >=90" covercheck ./internal/nvm 90
     step "coverage internal/ring >=90" covercheck ./internal/ring 90
     step "coverage internal/hypotheses >=85" covercheck ./internal/hypotheses 85
@@ -223,9 +230,11 @@ stage_test() {
 
 # Short fuzz runs: arbitrary 64-byte WQE slots through a live send ring,
 # arbitrary workloads through Device.Reset-equals-fresh, arbitrary
-# insert/remove sequences through RangeSet against a boolean model, and
+# insert/remove sequences through RangeSet against a boolean model,
 # arbitrary fault schedules through FaultPlan.Validate (accepted plans
-# must then survive installation on a live fabric).
+# must then survive installation on a live fabric), and arbitrary
+# schedule/stop/run scripts through the kernel against a sort-the-slice
+# reference.
 stage_fuzz() {
     step "fuzz WQE decode" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzWQEDecode -fuzztime=10s
@@ -235,6 +244,8 @@ stage_fuzz() {
         -fuzz=FuzzRangeSetModel -fuzztime=10s
     step "fuzz fault plan" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzFaultPlanValidate -fuzztime=10s
+    step "fuzz event queue" go test ./internal/sim -run='^$' \
+        -fuzz=FuzzEventQueueOrder -fuzztime=10s
 }
 
 # ---------- bench ----------

@@ -227,11 +227,13 @@ type Scheduler struct {
 	runq  procHeap
 	seq   uint64
 
+	idle    []uint64 // bit c%64 of word c/64 is set while core c runs nothing
+	running int      // cores with a current process
+
 	clockV       sim.Duration // monotone floor for wakeup placement
 	ctxSwitches  int64
 	wakes        int64 // runnable transitions (see Wakes)
 	started      sim.Time
-	pinnedCores  int
 	dispatchPend bool
 	dispatchFn   func()   // cached dispatch callback
 	done         []func() // finishSlice's reusable callback scratch
@@ -250,11 +252,13 @@ func New(k *sim.Kernel, cfg Config) (*Scheduler, error) {
 		cfg:     cfg,
 		rng:     k.RNG().Fork(),
 		started: k.Now(),
+		idle:    make([]uint64, (cfg.Cores+63)/64),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		c := &core{id: i}
 		c.finish = func() { s.finishSlice(c) }
 		s.cores = append(s.cores, c)
+		s.idle[i>>6] |= 1 << (i & 63)
 	}
 	s.dispatchFn = func() {
 		s.dispatchPend = false
@@ -332,11 +336,12 @@ func (p *Proc) SetRefill(chunk func() sim.Duration) {
 	p.s.wake(p)
 }
 
-// Pin dedicates a core to p (busy polling). The pinned core leaves the
-// shared pool; submitted work is handled within a poll interval.
+// Pin gives p a dedicated core of its own to busy-poll on: submitted work
+// is picked up within a poll interval and handled there, serially. The
+// core is extra — the shared pool keeps all cfg.Cores cores, so pinning
+// does not shrink what the other processes are scheduled on.
 func (p *Proc) Pin() {
 	p.pinned = true
-	p.s.pinnedCores++
 	if p.pinFireFn == nil {
 		p.pinFireFn = func() {
 			w := p.pinq.PopFront()
@@ -397,12 +402,7 @@ func (s *Scheduler) scheduleDispatch() {
 
 // slice returns the per-dispatch time slice under current load.
 func (s *Scheduler) slice() sim.Duration {
-	nr := len(s.runq)
-	for _, c := range s.cores {
-		if c.cur != nil {
-			nr++
-		}
-	}
+	nr := len(s.runq) + s.running
 	if nr == 0 {
 		nr = 1
 	}
@@ -413,17 +413,19 @@ func (s *Scheduler) slice() sim.Duration {
 	return d
 }
 
+// dispatch starts queued processes on idle cores, lowest core first.
 func (s *Scheduler) dispatch() {
-	for _, c := range s.cores {
-		if c.cur != nil || len(s.runq) == 0 {
-			continue
+	for w, free := range s.idle {
+		for ; free != 0 && len(s.runq) > 0; free &= free - 1 {
+			s.startOn(s.cores[w<<6+bits.TrailingZeros64(free)], s.runqPop())
 		}
-		s.startOn(c, s.runqPop())
 	}
 }
 
 func (s *Scheduler) startOn(c *core, p *Proc) {
 	c.cur = p
+	s.idle[c.id>>6] &^= 1 << (c.id & 63)
+	s.running++
 	p.running = true
 	p.waits++
 	p.waitTime += s.k.Now().Sub(p.wokeAt)
@@ -453,6 +455,8 @@ func (s *Scheduler) finishSlice(c *core) {
 	p.totalCPU += ran
 	p.running = false
 	c.cur = nil
+	s.idle[c.id>>6] |= 1 << (c.id & 63)
+	s.running--
 	c.last = p
 	if p.vruntime-s.cfg.TargetLatency > s.clockV {
 		s.clockV = p.vruntime - s.cfg.TargetLatency

@@ -301,3 +301,98 @@ func TestNoiseDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("nondeterministic: (%d,%v) vs (%d,%v)", c1, t1, c2, t2)
 	}
 }
+
+// refDispatch is dispatch as it was before the idle-core bitmask: visit
+// every core in index order and start the run-queue head on each free one.
+// Before each start it also recounts, by walking the cores, what the
+// scheduler now keeps incrementally.
+func refDispatch(t *testing.T, s *Scheduler) {
+	for _, c := range s.cores {
+		if c.cur != nil || len(s.runq) == 0 {
+			continue
+		}
+		running := 0
+		for _, o := range s.cores {
+			idle := s.idle[o.id>>6]&(1<<(o.id&63)) != 0
+			if idle != (o.cur == nil) {
+				t.Errorf("core %d: idle bit %v, cur %v", o.id, idle, o.cur)
+			}
+			if o.cur != nil {
+				running++
+			}
+		}
+		if running != s.running {
+			t.Errorf("running = %d, %d cores have a current process", s.running, running)
+		}
+		s.startOn(c, s.runqPop())
+	}
+}
+
+// TestBitmaskDispatchMatchesCoreWalk runs one seeded tenant load twice —
+// once dispatching through the idle-core bitmask, once through refDispatch
+// — on 70 cores, so the bitmask spans two words, about two thirds busy, so
+// most dispatches have several idle cores to choose from. Which core a
+// process lands on decides whether it pays a context switch, and with that
+// every later instant, so equal per-process CPU time plus equal switch and
+// wake counts mean the two picked the same core every time.
+func TestBitmaskDispatchMatchesCoreWalk(t *testing.T) {
+	type stats struct {
+		cpu    []sim.Duration
+		waits  []int64
+		ctx    int64
+		wakes  int64
+		events int64
+	}
+	run := func(reference bool) stats {
+		const cores = 70
+		k := sim.NewKernel(5)
+		s := mustNew(t, k, DefaultConfig(cores))
+		if reference {
+			s.dispatchFn = func() {
+				s.dispatchPend = false
+				refDispatch(t, s)
+			}
+		}
+		rng := sim.NewRNG(6)
+		var procs []*Proc
+		for i := 0; i < cores/7; i++ {
+			p := s.NewProc("hog")
+			p.SetRefill(func() sim.Duration { return 4 * sim.Millisecond })
+			procs = append(procs, p)
+		}
+		for i := 0; i < 3*cores; i++ {
+			p := s.NewProc("tenant")
+			if i%7 == 0 {
+				p.SetWakePenalty(0.05, 3*sim.Millisecond)
+			}
+			var burst, rest func()
+			burst = func() { p.Submit(sim.Duration(rng.Exp(float64(300*sim.Microsecond))), rest) }
+			rest = func() { k.AfterFunc(sim.Duration(rng.Exp(float64(1500*sim.Microsecond))), burst, nil) }
+			k.AfterFunc(rng.DurationRange(0, sim.Millisecond), burst, nil)
+			procs = append(procs, p)
+		}
+		if err := k.RunUntil(sim.Time(60 * sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		st := stats{ctx: s.ContextSwitches(), wakes: s.Wakes(), events: k.Executed()}
+		for _, p := range procs {
+			st.cpu = append(st.cpu, p.TotalCPU())
+			st.waits = append(st.waits, p.waits)
+		}
+		return st
+	}
+	got, want := run(false), run(true)
+	if got.ctx != want.ctx || got.wakes != want.wakes || got.events != want.events {
+		t.Fatalf("bitmask: %d switches, %d wakes, %d events; core walk: %d, %d, %d",
+			got.ctx, got.wakes, got.events, want.ctx, want.wakes, want.events)
+	}
+	if want.ctx < 1000 {
+		t.Fatalf("only %d context switches; the load is not exercising dispatch", want.ctx)
+	}
+	for i := range want.cpu {
+		if got.cpu[i] != want.cpu[i] || got.waits[i] != want.waits[i] {
+			t.Fatalf("proc %d: bitmask ran it %v over %d slices, core walk %v over %d",
+				i, got.cpu[i], got.waits[i], want.cpu[i], want.waits[i])
+		}
+	}
+}

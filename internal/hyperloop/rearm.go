@@ -19,10 +19,10 @@ func reArmAfter(k *sim.Kernel, grp *protocol.Group, nic *rdma.NIC, d sim.Duratio
 			return
 		}
 		if nic.Down() {
-			k.After(d, fn)
+			k.AfterFunc(d, fn, nil)
 			return
 		}
 		arm()
 	}
-	k.After(d, fn)
+	k.AfterFunc(d, fn, nil)
 }

@@ -129,6 +129,7 @@ type QP struct {
 	// one outstanding invocation (guarded by pumpBusy / inboxBusy /
 	// rnrWaiting), so the shared state cannot be clobbered.
 	pumpFn       func()
+	doorbellFn   func() // what a parked WAIT hands the CQ to be woken by
 	pumpResumeFn func()
 	inboxFn      func()
 	inboxDoneFn  func()
@@ -144,6 +145,7 @@ type QP struct {
 // initCallbacks builds the per-QP cached callbacks; called from CreateQP.
 func (q *QP) initCallbacks() {
 	q.pumpFn = q.pump
+	q.doorbellFn = q.Doorbell
 	q.pumpResumeFn = func() {
 		q.pumpBusy = false
 		q.pump()
@@ -380,7 +382,7 @@ func (q *QP) execWait(w WQE) {
 	// costs one extra no-op pump, never correctness.
 	if w.Flags&FlagWaitAbs != 0 {
 		if cq.total < int64(w.Compare) {
-			cq.subscribe(q.Doorbell, int64(w.Compare))
+			cq.subscribe(q.doorbellFn, int64(w.Compare))
 			return
 		}
 	} else {
@@ -395,7 +397,7 @@ func (q *QP) execWait(w WQE) {
 			need = 1
 		}
 		if cq.okTotal-cq.waitConsumed < need {
-			cq.subscribeOK(q.Doorbell, cq.waitConsumed+need)
+			cq.subscribeOK(q.doorbellFn, cq.waitConsumed+need)
 			return
 		}
 		cq.waitConsumed += need

@@ -151,3 +151,37 @@ func TestCQHandlerAndWaitCoexist(t *testing.T) {
 		t.Fatal("WAIT-gated NOP did not fire alongside the handler")
 	}
 }
+
+// TestParkedWaitDoesNotAllocate: a WAIT that finds its CQ short parks the
+// queue's cached doorbell callback with the CQ and is woken through it —
+// the offloaded datapath does this once per chain hop, so it must not cost
+// an allocation (a method value bound per park did).
+func TestParkedWaitDoesNotAllocate(t *testing.T) {
+	p := newTestPair(t)
+	src := p.qa.SendCQ()
+	waiter, err := p.na.CreateQP(QPConfig{SendRingOff: 2048, SendSlots: 4, SendCQ: p.na.CreateCQ(), RecvCQ: p.na.CreateCQ()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if _, err := waiter.PostSend(WQE{Opcode: OpWait, Imm: 1, Aux1: src.CQN(), Aux2: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := waiter.PostSendDeferred(WQE{Opcode: OpNop, Flags: FlagSignaled}); err != nil {
+			t.Fatal(err)
+		}
+		waiter.Doorbell()
+		p.run(t) // the WAIT executes, finds nothing to consume, parks
+		if _, err := p.qa.PostSend(WQE{Opcode: OpNop, Flags: FlagSignaled}); err != nil {
+			t.Fatal(err)
+		}
+		p.run(t) // the NOP completes, the CQ rings the parked queue, the gated NOP runs
+	}
+	allocs := testing.AllocsPerRun(200, cycle) // one warm-up call, then 200
+	if woken := waiter.SendCQ().Total(); woken != 201 {
+		t.Fatalf("%d of 201 parked WAITs were woken", woken)
+	}
+	if allocs != 0 {
+		t.Fatalf("a parked-then-woken WAIT costs %v allocations, want 0", allocs)
+	}
+}

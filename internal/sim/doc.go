@@ -63,7 +63,7 @@
 // anonymous goroutine.
 //
 // Why determinism survives goroutine reuse. Scheduling decisions are made
-// only by the kernel's event heap, keyed by (virtual time, sequence
+// only by the kernel's event queue, keyed by (virtual time, sequence
 // number); which OS thread or goroutine executes a fiber body is
 // invisible to simulation state. Reusing a runner changes neither the
 // number nor the order of scheduled events (Spawn posts exactly one start

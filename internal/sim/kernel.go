@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -44,45 +43,14 @@ type event struct {
 	fn    func()
 	seq   uint64
 	gen   uint64
-	index int32 // heap index; -1 when not queued
-}
-
-// signBit flips the int64 sign so that packing a Time into a uint64
-// preserves order under unsigned comparison.
-const signBit = 1 << 63
-
-// packHi maps a Time to the high word of the packed ordering key. The sign
-// flip makes uint64 comparison agree with int64 comparison, so negative
-// instants (which the public API clamps away, but the comparator must not
-// rely on that) still order correctly.
-func packHi(at Time) uint64 { return uint64(at) ^ signBit }
-
-// unpackAt recovers the Time from a packed high word.
-func unpackAt(hi uint64) Time { return Time(hi ^ signBit) }
-
-// keyLess compares two packed (Time, seq) keys as a single 128-bit unsigned
-// value: the subtraction a-b borrows out of the high word exactly when
-// a < b. One borrow chain, no branches — the event heap's entire ordering
-// rule, (at, seq) lexicographic, in two ALU ops.
-func keyLess(ahi, alo, bhi, blo uint64) bool {
-	_, borrow := bits.Sub64(alo, blo, 0)
-	_, borrow = bits.Sub64(ahi, bhi, borrow)
-	return borrow != 0
-}
-
-// heapEntry keeps the packed ordering key inline so sift operations compare
-// without chasing the event pointer. hi is packHi(at), lo is the sequence
-// number; together they form one 128-bit key with the same total order as
-// lexicographic (at, seq).
-type heapEntry struct {
-	hi, lo uint64
-	ev     *event
+	index int32 // position in the container named by where; -1 when not queued
+	where int32 // inNear, inFar, or a wheel slot
 }
 
 // ringEv is a same-instant callback queued on the kernel's FIFO ring
-// instead of the heap. Only callbacks scheduled with a nil *Timer ride the
+// instead of the event queue. Only callbacks scheduled with a nil *Timer ride the
 // ring, so no handle can ever cancel one; seq keeps the total order exact
-// when ring and heap both hold events for the current instant.
+// when ring and queue both hold events for the current instant.
 type ringEv struct {
 	seq uint64
 	fn  func()
@@ -113,7 +81,7 @@ func (t *Timer) Stop() bool {
 	if ev.gen != t.gen || ev.index < 0 {
 		return false
 	}
-	t.k.heapRemove(int(ev.index))
+	t.k.q.remove(ev)
 	t.k.release(ev)
 	return true
 }
@@ -136,14 +104,15 @@ func TotalEvents() int64 { return totalEvents.Load() }
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  []heapEntry
+	q       eventQueue        // timers and future events; its horizon stays ahead of now
 	nowq    ring.Ring[ringEv] // same-instant FIFO: timer-less events at t <= now
 	free    []*event
 	rng     *RNG
 	stopped bool
 	depth   int  // Run re-entry depth (RunUntil nests inside event callbacks)
-	limit   Time // 0 = no limit
-	fibers  int  // live fiber count, for leak detection
+	limit   Time // RunUntil's bound; in force while limited
+	limited bool
+	fibers  int // live fiber count, for leak detection
 
 	fiberFree   []*Fiber // parked runner goroutines, reused across Spawns
 	fiberStarts int64    // runner goroutines ever created (pool misses)
@@ -155,7 +124,9 @@ type Kernel struct {
 // NewKernel returns a kernel with its clock at zero and a deterministic RNG
 // derived from seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: NewRNG(seed)}
+	k := &Kernel{rng: NewRNG(seed)}
+	k.q.hb = 1
+	return k
 }
 
 // Now returns the current virtual time.
@@ -193,105 +164,13 @@ func (k *Kernel) release(ev *event) {
 	k.free = append(k.free, ev)
 }
 
-// The event queue is a 4-ary heap over packed 128-bit keys: half the depth
-// of a binary heap means half the moves per sift, the four children share a
-// cache line of heapEntries, and each comparison is one borrow chain
-// (keyLess) instead of a two-field branch. Sifts move entries into a hole
-// rather than swapping, so each level costs one entry copy, not three.
-// Heap shape never affects simulation order — pops follow the strict total
-// order (at, seq), which any correct heap yields identically.
-func (k *Kernel) siftUp(i int) {
-	h := k.events
-	e := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !keyLess(e.hi, e.lo, h[p].hi, h[p].lo) {
-			break
-		}
-		h[i] = h[p]
-		h[i].ev.index = int32(i)
-		i = p
-	}
-	h[i] = e
-	e.ev.index = int32(i)
-}
-
-// siftDown restores heap order below i, reporting whether the entry moved.
-// The interior-node case (all four children present) is specialized: the
-// min-of-four scan runs with no per-child bounds checks.
-func (k *Kernel) siftDown(i int) bool {
-	h := k.events
-	n := len(h)
-	e := h[i]
-	i0 := i
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		mhi, mlo := h[c].hi, h[c].lo
-		if c+4 <= n {
-			// Interior node: exactly four children, unrolled.
-			if keyLess(h[c+1].hi, h[c+1].lo, mhi, mlo) {
-				m, mhi, mlo = c+1, h[c+1].hi, h[c+1].lo
-			}
-			if keyLess(h[c+2].hi, h[c+2].lo, mhi, mlo) {
-				m, mhi, mlo = c+2, h[c+2].hi, h[c+2].lo
-			}
-			if keyLess(h[c+3].hi, h[c+3].lo, mhi, mlo) {
-				m, mhi, mlo = c+3, h[c+3].hi, h[c+3].lo
-			}
-		} else {
-			for j := c + 1; j < n; j++ {
-				if keyLess(h[j].hi, h[j].lo, mhi, mlo) {
-					m, mhi, mlo = j, h[j].hi, h[j].lo
-				}
-			}
-		}
-		if !keyLess(mhi, mlo, e.hi, e.lo) {
-			break
-		}
-		h[i] = h[m]
-		h[i].ev.index = int32(i)
-		i = m
-	}
-	h[i] = e
-	e.ev.index = int32(i)
-	return i > i0
-}
-
-func (k *Kernel) heapPush(at Time, ev *event) {
-	ev.index = int32(len(k.events))
-	k.events = append(k.events, heapEntry{hi: packHi(at), lo: ev.seq, ev: ev})
-	k.siftUp(len(k.events) - 1)
-}
-
-func (k *Kernel) heapRemove(i int) *event {
-	n := len(k.events) - 1
-	ev := k.events[i].ev
-	if i != n {
-		k.events[i] = k.events[n]
-		k.events[i].ev.index = int32(i)
-	}
-	k.events[n] = heapEntry{}
-	k.events = k.events[:n]
-	if i < n {
-		if !k.siftDown(i) {
-			k.siftUp(i)
-		}
-	}
-	ev.index = -1
-	return ev
-}
-
 // schedule queues fn at instant t (clamped to now) and returns its event.
 func (k *Kernel) schedule(t Time, fn func()) *event {
 	if t < k.now {
 		t = k.now
 	}
 	ev := k.alloc(fn)
-	k.heapPush(t, ev)
+	k.q.push(heapEntry{hi: packHi(t), lo: ev.seq, ev: ev})
 	return ev
 }
 
@@ -328,11 +207,11 @@ func (k *Kernel) AfterFunc(d Duration, fn func(), t *Timer) {
 //
 // A timer-less callback at the current instant — the shape of every
 // doorbell, dispatch kick, and fiber start in the datapath — skips the
-// event heap entirely: it is appended to the kernel's same-instant FIFO
+// event queue entirely: it is appended to the kernel's same-instant FIFO
 // ring, which pops in O(1) with no event allocation. The ring preserves
 // the exact (at, seq) total order: its entries all carry at == now, they
-// are pushed (hence popped) in seq order, and the run loop fires a heap
-// event first whenever the heap's front sorts earlier.
+// are pushed (hence popped) in seq order, and the run loop fires a queued
+// event first whenever the queue's front sorts earlier.
 func (k *Kernel) AtFunc(at Time, fn func(), t *Timer) {
 	if t == nil {
 		if at <= k.now {
@@ -371,32 +250,41 @@ func (k *Kernel) Run() error {
 	k.depth++
 	defer k.exitRun()
 	for {
-		nh := len(k.events)
-		if k.nowq.Len() == 0 && nh == 0 {
-			return nil
+		if len(k.q.near) == 0 && k.nowq.Len() == 0 {
+			if k.q.len() == 0 {
+				return nil
+			}
+			k.q.refill()
 		}
 		if k.stopped {
 			return ErrStopped
 		}
+		if k.limited && k.now > k.limit {
+			// A nested RunUntil ran the clock past this one's bound.
+			return nil
+		}
+		// Every queued event at the current instant is in the near heap
+		// (the horizon is ahead of now), so its front is all the ring has
+		// to be compared with. Ring entries sit at (now, seq); the queue's
+		// front fires first if it sorts earlier (same instant, smaller seq).
+		near := k.q.near
 		useRing := k.nowq.Len() > 0
-		if useRing && nh > 0 {
-			// Ring entries sit at (now, seq); fire the heap front first if
-			// it sorts earlier (same instant, smaller seq).
-			if keyLess(k.events[0].hi, k.events[0].lo, packHi(k.now), k.nowq.Front().seq) {
-				useRing = false
-			}
+		if useRing && len(near) > 0 &&
+			keyLess(near[0].hi, near[0].lo, packHi(k.now), k.nowq.Front().seq) {
+			useRing = false
 		}
 		var fn func()
 		if useRing {
 			fn = k.nowq.PopFront().fn
 		} else {
-			at := unpackAt(k.events[0].hi)
-			if k.limit > 0 && at > k.limit {
+			at := unpackAt(near[0].hi)
+			if k.limited && at > k.limit {
 				k.now = k.limit
 				return nil
 			}
 			k.now = at
-			ev := k.heapRemove(0)
+			ev := k.q.near.remove(0).ev
+			ev.index = -1
 			fn = ev.fn
 			k.release(ev) // before fn so the callback can reuse the slot
 		}
@@ -421,21 +309,26 @@ func (k *Kernel) exitRun() {
 }
 
 // RunUntil executes events up to and including instant t, then advances the
-// clock to t and returns. Events after t remain queued.
+// clock to t and returns. Events after t remain queued; an instant already
+// past runs nothing.
 func (k *Kernel) RunUntil(t Time) error {
-	prev := k.limit
-	k.limit = t
+	if t < k.now {
+		return nil
+	}
+	prev, prevLimited := k.limit, k.limited
+	k.limit, k.limited = t, true
 	err := k.Run()
-	k.limit = prev
+	k.limit, k.limited = prev, prevLimited
 	if err == nil && k.now < t {
 		k.now = t
 	}
+	k.q.keepAhead(k.now) // the clock may have moved without a pop
 	return err
 }
 
 // Reset returns the kernel to the state NewKernel(seed) would produce
 // while keeping its allocated capacity: the event free list, the event
-// heap's backing array and the same-instant ring survive, so a pooled
+// queue's backing arrays and the same-instant ring survive, so a pooled
 // kernel's next trial allocates far less than a fresh one. Still-queued
 // events are cancelled into the free list and the RNG is re-seeded, so
 // simulation behaviour after Reset is byte-identical to a fresh kernel's —
@@ -447,26 +340,21 @@ func (k *Kernel) Reset(seed uint64) bool {
 	if k.depth != 0 || k.fibers != 0 {
 		return false
 	}
-	for i := range k.events {
-		ev := k.events[i].ev
-		ev.index = -1
-		k.release(ev)
-		k.events[i] = heapEntry{}
-	}
-	k.events = k.events[:0]
+	k.q.reset(k.release)
 	k.nowq.Reset()
 	if k.executed != k.flushed {
 		totalEvents.Add(k.executed - k.flushed)
 	}
 	k.now, k.seq = 0, 0
-	k.stopped, k.limit = false, 0
+	k.stopped, k.limit, k.limited = false, 0, false
 	k.executed, k.flushed, k.fiberStarts = 0, 0, 0
 	k.rng = NewRNG(seed)
 	return true
 }
 
-// Pending reports the number of queued events (heap and same-instant ring).
-func (k *Kernel) Pending() int { return len(k.events) + k.nowq.Len() }
+// Pending reports the number of queued events (event queue and
+// same-instant ring).
+func (k *Kernel) Pending() int { return k.q.len() + k.nowq.Len() }
 
 // FreeEvents reports the size of the event free list — recycled event
 // structs awaiting reuse. Leak tests compare it across runs.

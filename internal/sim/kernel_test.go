@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -394,52 +393,6 @@ func TestPackedKeyMatchesReference(t *testing.T) {
 					a.at, a.seq, b.at, b.seq, got, want)
 			}
 		}
-	}
-}
-
-// TestPackedHeapPopOrder pushes events with adversarial (at, seq) keys —
-// including times near the int64 extremes — straight into the kernel heap
-// and verifies pops come out in exactly the order the old two-field
-// compare would have produced.
-func TestPackedHeapPopOrder(t *testing.T) {
-	k := NewKernel(1)
-	rng := NewRNG(42)
-	times := []Time{
-		math.MinInt64, math.MinInt64 + 1, -1, 0, 1,
-		math.MaxInt64 - 1, math.MaxInt64,
-	}
-	type key struct {
-		at  Time
-		seq uint64
-	}
-	var want []key
-	push := func(at Time) {
-		ev := k.alloc(func() {})
-		want = append(want, key{at, ev.seq})
-		k.heapPush(at, ev)
-	}
-	for i := 0; i < 2000; i++ {
-		push(Time(rng.Uint64()))
-	}
-	for _, at := range times {
-		push(at)
-	}
-	sort.SliceStable(want, func(i, j int) bool {
-		return refLess(want[i].at, want[i].seq, want[j].at, want[j].seq)
-	})
-	for i, w := range want {
-		if len(k.events) == 0 {
-			t.Fatalf("heap empty after %d pops, want %d", i, len(want))
-		}
-		at := unpackAt(k.events[0].hi)
-		ev := k.heapRemove(0)
-		if at != w.at || ev.seq != w.seq {
-			t.Fatalf("pop %d: got (%d,%d), want (%d,%d)", i, at, ev.seq, w.at, w.seq)
-		}
-		k.release(ev)
-	}
-	if len(k.events) != 0 {
-		t.Fatalf("heap still has %d entries", len(k.events))
 	}
 }
 
