@@ -11,16 +11,15 @@
 #   fuzz    short fuzz runs over the WQE decoder, device reset, fault plan
 #           validation and the event queue's pop order
 #   bench   determinism goldens across a seed matrix (serial vs
-#           overlapped, full sweep plus a shards-only leg), the
-#           hypothesis-catalog reproducibility matrix, and the bench/hypo
-#           regression gates against the committed baselines
+#           overlapped, every experiment and claim scenario plus a
+#           shards-only leg), and the regression gate against the
+#           committed baseline and hypotheses/ findings
 #
 #   ./ci.sh                    run every stage in sequence
 #   ./ci.sh <stage>            run one stage (lint | test | fuzz | bench)
-#   ./ci.sh -update-baseline   regenerate BENCH_baseline.json,
-#                              HYPO_baseline.json and hypotheses/ instead
-#                              of diffing against them; commit the result
-#                              (see EXPERIMENTS.md)
+#   ./ci.sh -update-baseline   regenerate BENCH_baseline.json and
+#                              hypotheses/ instead of diffing against
+#                              them; commit the result (see EXPERIMENTS.md)
 #
 # Every step runs through a quiet runner: output is captured per step, a
 # one-line timing entry is printed as it finishes (and collected in the
@@ -129,8 +128,8 @@ stage_lint() {
 # ---------- test ----------
 
 # Coverage floors. nvm's dirty-range reset and ring's log are what device
-# pooling leans on for correctness; the hypothesis catalog is the
-# claim-validation surface; the shard router is the cross-shard atomicity
+# pooling leans on for correctness; internal/experiments holds the claim
+# scenarios, the claim-validation surface; the shard router is the cross-shard atomicity
 # surface (2PC lock ordering, abort rollback, recovery); protocol.Group is
 # the one issue path of every replication protocol.
 covercheck() {
@@ -203,21 +202,19 @@ stage_test() {
         -bench 'KernelHold|Dispatch' -benchtime 1x ./internal/sim ./internal/cpusim
     step "coverage internal/nvm >=90" covercheck ./internal/nvm 90
     step "coverage internal/ring >=90" covercheck ./internal/ring 90
-    step "coverage internal/hypotheses >=85" covercheck ./internal/hypotheses 85
+    step "coverage internal/experiments >=85" covercheck ./internal/experiments 85
     step "coverage internal/shard >=85" covercheck ./internal/shard 85
     step "coverage internal/txn >=85" covercheck ./internal/txn 85
     step "coverage internal/protocol >=85" covercheck ./internal/protocol 85
     step "coverage internal/topo >=85" covercheck ./internal/topo 85
-    # Both committed baselines must decode against the -json schema
-    # (internal/report) and cover the current experiment registry (also
-    # part of `go test ./...` above; run it by name so a staleness failure
-    # is unmistakable in CI logs). Same bar for the hypothesis catalog and
-    # the committed hypotheses/<id>/FINDINGS.md artifacts.
+    # The committed baseline must decode against the -json schema
+    # (internal/report) and cover the current registry, and the committed
+    # hypotheses/<id>/FINDINGS.md artifacts must match a regeneration (also
+    # part of `go test ./...` above; run them by name so a staleness
+    # failure is unmistakable in CI logs).
     step "baseline schema" go test ./internal/report \
         -run TestCommittedBaselinesMatchSchema -count=1
     step "baseline staleness" go test ./cmd/hyperloop-bench \
-        -run TestBaselineMatchesSchema -count=1
-    step "hypo baseline staleness" go test ./cmd/hypothesis-run \
         -run 'TestBaselineMatchesSchema|TestCommittedFindingsMatch' -count=1
     # Cross-protocol conformance: the suite iterates protocol.Names(), so
     # every registered replication protocol runs the same
@@ -253,13 +250,13 @@ stage_fuzz() {
 build_tools() {
     go build -o "$tmp/bench" ./cmd/hyperloop-bench
     go build -o "$tmp/benchdiff" ./cmd/benchdiff
-    go build -o "$tmp/hyporun" ./cmd/hypothesis-run
 }
 
 # Determinism golden for one experiment selection at one seed: the bench
-# output is virtual-time numbers, so it must be byte-identical serial
-# (-procs 1) vs overlapped once the wall-time-only lines ("regenerated
-# in") are stripped. The overlapped side is pinned to -procs 4, not
+# output — every experiment's report and every scenario's findings — is
+# virtual-time numbers, so it must be byte-identical serial (-procs 1) vs
+# overlapped once the wall-time-only lines ("regenerated in") are
+# stripped. The overlapped side is pinned to -procs 4, not
 # -procs 0: on a one-core runner 0 resolves to a budget of 1, which is the
 # serial schedule, and the gate would compare serial with serial. Results
 # are identical at any setting; oversubscription only costs wall time.
@@ -272,38 +269,17 @@ determinism() {
     diff -u "$tmp/serial.norm" "$tmp/overlap.norm"
 }
 
-# Hypothesis catalog at one seed: every claim must hold (exit 0), and a
-# repeat run at the same seed must reproduce every strict virtual-time
-# counter exactly. benchdiff does the strict comparison.
-hypo_repro() {
-    seed=$1
-    "$tmp/hyporun" -run all -scale quick -seed "$seed" -json "$tmp/hypo-a.json" >/dev/null
-    "$tmp/hyporun" -run all -scale quick -seed "$seed" -json "$tmp/hypo-b.json" >/dev/null
-    "$tmp/benchdiff" "$tmp/hypo-a.json" "$tmp/hypo-b.json"
-}
-
-# Bench regression gate: an overlapped quick run (-procs 4, for the reason
-# given at determinism) must match the committed serial baseline on every
-# strict (virtual-time) field; benchdiff names the first divergence per
-# experiment. Wall clock gates nothing here — host-clock evidence is
-# `bash bench/run.sh` (BENCHMARK.json). The per-experiment wall/events CSV
-# lands in the artifacts dir. On an intentional behaviour change, run
-# `./ci.sh -update-baseline` and commit.
+# Regression gate: an overlapped quick run (-procs 4, for the reason given
+# at determinism) must hold every claim (exit 0), match the committed
+# serial baseline on every field but procs (benchdiff names the first
+# divergence per experiment), and regenerate the committed hypotheses/
+# FINDINGS.md tree byte for byte. Wall clock gates nothing here —
+# host-clock evidence is `bash bench/run.sh` (BENCHMARK.json). On an
+# intentional behaviour change, run `./ci.sh -update-baseline` and commit.
 bench_gate() {
     "$tmp/bench" -exp all -scale quick -seed 1 -procs 4 -json "$artifacts/bench-quick.json" \
-        >"$artifacts/bench-quick.txt"
-    "$tmp/benchdiff" -csv "$artifacts/bench-quick.csv" BENCH_baseline.json "$artifacts/bench-quick.json"
-}
-
-# Hypothesis regression gate: a fresh seed-1 quick run must match the
-# committed HYPO_baseline.json on every strict field, and the regenerated
-# FINDINGS.md evidence must match the committed hypotheses/ tree.
-hypo_gate() {
-    "$tmp/hyporun" -run all -scale quick -seed 1 \
-        -json "$artifacts/hypo-quick.json" -findings "$artifacts/hypotheses" \
-        >"$artifacts/hypo-quick.txt"
-    "$tmp/benchdiff" -csv "$artifacts/hypo-quick.csv" \
-        HYPO_baseline.json "$artifacts/hypo-quick.json"
+        -findings "$artifacts/hypotheses" >"$artifacts/bench-quick.txt"
+    "$tmp/benchdiff" BENCH_baseline.json "$artifacts/bench-quick.json"
     diff -ru hypotheses "$artifacts/hypotheses"
 }
 
@@ -315,32 +291,27 @@ stage_bench() {
         # rack schedulers — the densest overlap surface in the suite — so
         # it gets its own named leg in the seed matrix.
         step "determinism shards seed=$seed" determinism shards "$seed"
-        step "hypo reproducibility seed=$seed" hypo_repro "$seed"
     done
     step "bench regression gate" bench_gate
-    step "hypo regression gate" hypo_gate
 }
 
 # ---------- update-baseline ----------
 
 update_baseline() {
     # The committed baseline is always generated serially: -procs 1 is the
-    # degenerate schedule every other -procs value must reproduce.
+    # degenerate schedule every other -procs value must reproduce. The
+    # committed FINDINGS.md evidence comes from the same run, so the two
+    # can never drift apart.
     "$tmp/bench" -exp all -scale quick -seed 1 -procs 1 -json BENCH_baseline.json \
-        >"$artifacts/bench-quick.txt"
+        -findings hypotheses >"$artifacts/bench-quick.txt"
     cp BENCH_baseline.json "$artifacts/bench-quick.json"
-    # The hypothesis baseline and the committed FINDINGS.md evidence
-    # regenerate together so they can never drift apart.
-    "$tmp/hyporun" -run all -scale quick -seed 1 \
-        -json HYPO_baseline.json -findings hypotheses >"$artifacts/hypo-quick.txt"
-    cp HYPO_baseline.json "$artifacts/hypo-quick.json"
 }
 
 case "$mode" in
 update)
     step "build bench tools" build_tools
     step "regenerate baselines" update_baseline
-    echo "BENCH_baseline.json, HYPO_baseline.json and hypotheses/ regenerated; review and commit" >&2
+    echo "BENCH_baseline.json and hypotheses/ regenerated; review and commit" >&2
     ;;
 lint) run_stage lint stage_lint ;;
 test) run_stage test stage_test ;;

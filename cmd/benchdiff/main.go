@@ -3,26 +3,20 @@
 //
 // Usage:
 //
-//	benchdiff [-csv out.csv] [-only exp] BENCH_baseline.json current.json
+//	benchdiff [-only exp] BENCH_baseline.json current.json
 //
-// Strict fields — the simulation's virtual-time behaviour — must match
-// exactly: seed, scale, the experiment id sequence, each experiment's
-// rendered report text (every latency and throughput number is virtual
-// time, so the text is deterministic), and the demand-side counters
-// sim_events, cqes, messages, wire_bytes, device_gets, device_puts,
-// device_bytes_demand, kernel_gets, fabric_builds. Any strict mismatch
-// is a behaviour change: benchdiff prints the first divergence per
-// experiment and exits 1. If the change is intentional, regenerate the
-// baseline (see ci.sh -update-baseline).
-//
-// Advisory fields — wall-clock timings and the pools' fresh/reused splits
-// — depend on host speed and goroutine scheduling. benchdiff prints their
-// deltas for the log and never fails on them: the committed baseline is a
-// serial run, CI's is overlapped, and a shared host's run-to-run spread is
-// wider than any band worth gating on. Host-clock evidence comes from
-// `bash bench/run.sh` medians (BENCHMARK.json). -csv additionally writes
-// the current report's per-experiment wall/event figures as CSV for CI
-// artifact upload.
+// Every field the report carries is the simulation's virtual-time
+// behaviour, and all of it but procs must match exactly: seed, scale, the
+// experiment id sequence, each experiment's rendered report text (every
+// latency and throughput number is virtual time, so the text is
+// deterministic), and the counters sim_events, cqes, messages, wire_bytes,
+// device_gets, device_puts, device_bytes_demand, kernel_gets,
+// fabric_builds. Any mismatch is a behaviour change: benchdiff prints the
+// first divergence per experiment and exits 1. If the change is
+// intentional, regenerate the baseline (see ci.sh -update-baseline).
+// Procs is not compared: the committed baseline is a serial run, CI's is
+// overlapped, and both must read the same. Host-clock evidence comes from
+// `bash bench/run.sh` medians (BENCHMARK.json).
 //
 // -only <experiment> restricts the comparison to one experiment id — for
 // iterating on a single experiment locally without re-running the full
@@ -57,30 +51,6 @@ func firstLineDiff(a, b string) (int, string, string) {
 	return 0, "", ""
 }
 
-// aggregateEPS returns a report's whole-run simulator rate: total executed
-// events over total wall time.
-func aggregateEPS(r *report.BenchReport) float64 {
-	if r.TotalWallMS <= 0 {
-		return 0
-	}
-	var ev int64
-	for _, e := range r.Experiments {
-		ev += e.SimEvents
-	}
-	return float64(ev) / (r.TotalWallMS / 1000)
-}
-
-// writeCSV dumps the current report's per-experiment wall/event figures.
-func writeCSV(path string, r *report.BenchReport) error {
-	var sb strings.Builder
-	sb.WriteString("id,wall_ms,sim_events,events_per_sec\n")
-	for _, e := range r.Experiments {
-		fmt.Fprintf(&sb, "%s,%.3f,%d,%.0f\n", e.ID, e.WallMS, e.SimEvents, e.EventsPerSec)
-	}
-	fmt.Fprintf(&sb, "total,%.3f,,%.0f\n", r.TotalWallMS, aggregateEPS(r))
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
-}
-
 // filterOnly narrows a report to the named experiment id.
 func filterOnly(r *report.BenchReport, id, path string) (*report.BenchReport, error) {
 	for _, e := range r.Experiments {
@@ -95,13 +65,12 @@ func filterOnly(r *report.BenchReport, id, path string) (*report.BenchReport, er
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	csvPath := fs.String("csv", "", "write the current report's per-experiment wall/events CSV to this file")
 	only := fs.String("only", "", "compare just this experiment id")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: benchdiff [-csv out.csv] [-only exp] <baseline.json> <current.json>")
+		return fmt.Errorf("usage: benchdiff [-only exp] <baseline.json> <current.json>")
 	}
 	base, err := report.Load(fs.Arg(0))
 	if err != nil {
@@ -120,11 +89,6 @@ func run(args []string) error {
 		}
 	}
 	args = []string{fs.Arg(0), fs.Arg(1)}
-	if *csvPath != "" {
-		if err := writeCSV(*csvPath, cur); err != nil {
-			return err
-		}
-	}
 
 	var bad []string
 	strict := func(ok bool, format string, a ...any) {
@@ -165,23 +129,6 @@ func run(args []string) error {
 			cmp("device_bytes_demand", b.DeviceBytesDemand, c.DeviceBytesDemand)
 			cmp("kernel_gets", b.KernelGets, c.KernelGets)
 			cmp("fabric_builds", b.FabricBuilds, c.FabricBuilds)
-		}
-	}
-
-	// Advisory: host-dependent numbers, printed for the log only.
-	fmt.Printf("advisory: total wall %.1fms -> %.1fms (procs %d -> %d, gomaxprocs %d -> %d)\n",
-		base.TotalWallMS, cur.TotalWallMS, base.Procs, cur.Procs, base.GoMaxProcs, cur.GoMaxProcs)
-	if len(base.Experiments) == len(cur.Experiments) {
-		for i := range base.Experiments {
-			b, c := base.Experiments[i], cur.Experiments[i]
-			if b.ID != c.ID {
-				continue
-			}
-			fmt.Printf("advisory: %-15s wall %8.1fms -> %8.1fms  reuse dev %d/%d -> %d/%d  kern %d/%d -> %d/%d  fab %d/%d -> %d/%d\n",
-				b.ID, b.WallMS, c.WallMS,
-				b.DeviceReused, b.DeviceGets, c.DeviceReused, c.DeviceGets,
-				b.KernelReused, b.KernelGets, c.KernelReused, c.KernelGets,
-				b.FabricReused, b.FabricBuilds, c.FabricReused, c.FabricBuilds)
 		}
 	}
 

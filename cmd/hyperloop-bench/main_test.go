@@ -78,7 +78,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("experiments = %+v, want one abl-flush entry", rep.Experiments)
 	}
 	e := rep.Experiments[0]
-	if e.SimEvents <= 0 || e.WallMS <= 0 || e.EventsPerSec <= 0 {
+	if e.SimEvents <= 0 || e.KernelGets <= 0 || e.DeviceGets <= 0 {
 		t.Fatalf("stats not populated: %+v", e)
 	}
 	if e.CQEs <= 0 || e.Messages <= 0 || e.WireBytes <= 0 {
@@ -91,7 +91,7 @@ func TestJSONOutput(t *testing.T) {
 
 // TestBaselineMatchesSchema fails when the committed BENCH_baseline.json has
 // gone stale: it no longer decodes strictly against internal/report, or its
-// experiment set no longer matches the registry. Refresh with:
+// id list no longer matches the registry's order. Refresh with:
 //
 //	go run ./cmd/hyperloop-bench -exp all -scale quick -seed 1 -procs 1 -json BENCH_baseline.json
 func TestBaselineMatchesSchema(t *testing.T) {
@@ -99,22 +99,33 @@ func TestBaselineMatchesSchema(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed baseline does not decode — regenerate it: %v", err)
 	}
-	// The experiment list must match the registry's paper order exactly.
+	// The id list must match the registry's order exactly.
 	var ids []string
 	for _, e := range rep.Experiments {
 		ids = append(ids, e.ID)
 	}
-	if want := experiments.PaperOrder(); !reflect.DeepEqual(ids, want) {
+	if want := experiments.Order(); !reflect.DeepEqual(ids, want) {
 		t.Fatalf("baseline covers %v\nregistry has  %v — regenerate it", ids, want)
 	}
-	// Light sanity on values so an interrupted regeneration can't be committed.
-	if rep.Scale != "quick" || rep.Procs != 1 {
-		t.Fatalf("baseline must be -scale quick -procs 1, got scale=%q procs=%d", rep.Scale, rep.Procs)
+	// Deterministic sanity on values so an interrupted or refuted
+	// regeneration can't be committed.
+	if rep.Scale != "quick" || rep.Seed != 1 || rep.Procs != 1 {
+		t.Fatalf("baseline must be -scale quick -seed 1 -procs 1, got scale=%q seed=%d procs=%d", rep.Scale, rep.Seed, rep.Procs)
 	}
+	validated := 0
 	for _, e := range rep.Experiments {
 		// table3 renders a static workload table; it schedules no trials.
-		if e.WallMS <= 0 || e.Report == "" || (e.SimEvents == 0 && e.ID != "table3") {
+		if e.Report == "" || (e.SimEvents == 0 && e.ID != "table3") {
 			t.Fatalf("experiment %s has empty stats: %+v", e.ID, e)
 		}
+		if strings.HasPrefix(e.Report, "# Hypothesis: ") {
+			if !strings.Contains(e.Report, "Verdict: VALIDATED") {
+				t.Fatalf("scenario %s is not validated in the baseline:\n%s", e.ID, e.Report)
+			}
+			validated++
+		}
+	}
+	if validated != 6 {
+		t.Fatalf("baseline has %d validated scenarios, want 6", validated)
 	}
 }

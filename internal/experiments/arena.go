@@ -97,8 +97,9 @@ func (a *trialArena) Fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric {
 // arena — devices are reset (zeroing only their written ranges) and
 // pooled, idle kernels are pooled for the next Reset, fabrics are pooled
 // whole — and attributes the trial's counters to rc's experiment run:
-// each kernel's executed-event count, each fabric's CQE/message/byte
-// totals, and the device pool's stat delta all land in rc's StatSink.
+// each kernel's executed-event count, each fabric's CQE/message/byte and
+// drop/dup totals, and the device pool's stat delta all land in rc's
+// StatSink.
 // Safe on a nil arena and a nil rc.
 func (a *trialArena) endTrial(rc *runCtx) {
 	if a == nil {
@@ -116,9 +117,12 @@ func (a *trialArena) endTrial(rc *runCtx) {
 	a.trialKernels = a.trialKernels[:0]
 	for i, f := range a.trialFabrics {
 		msgs, bytes := f.Stats()
+		fs := f.FaultStats()
 		t.Messages += msgs
 		t.WireBytes += bytes
 		t.CQEs += f.CQEs()
+		t.Drops += fs.Drops
+		t.Dups += fs.Dups
 		a.fabrics = append(a.fabrics, f)
 		a.trialFabrics[i] = nil
 	}

@@ -5,6 +5,7 @@ import (
 
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol"
 )
 
 // TestPooledVsFreshIdentical is the arena's golden test: the pooled trial
@@ -12,7 +13,7 @@ import (
 // virtual-time number. fig8a's trial function runs on the nil arena —
 // everything allocated fresh, the reference — on a cold arena, and on an
 // arena warmed by every earlier trial of every backend, and the latency
-// summaries must be equal.
+// summaries must be equal; then the same for faulted scenario trials.
 func TestPooledVsFreshIdentical(t *testing.T) {
 	const seed, ops = 42, 300
 	backends := []Backend{BackendHyperLoop, BackendNaiveEvent, BackendNaivePolling, BackendNaivePinned}
@@ -39,6 +40,50 @@ func TestPooledVsFreshIdentical(t *testing.T) {
 				t.Errorf("%v size %d: warm arena differs from fresh:\nwarm:  %v\nfresh: %v", b, size, w, fresh)
 			}
 		}
+	}
+
+	// Faulted trials recycle fabrics whose fault plans fired (NICs crashed
+	// and restarted, QPs errored, duplicates suppressed) and devices that
+	// lost power: flush-storm's crash/restart storm on every protocol, then
+	// 2pc-recovery's dup+delay leg killed at the commit point (recovery
+	// rolls both shards forward), twice on the warm arena. The outcome
+	// (everything the findings print) must not move, and the warm arena's
+	// counters must equal the cold one's — a cold arena allocates
+	// everything fresh, so it is the fresh reference with its counters
+	// attributed.
+	faulted := func(name string, run func(ar *trialArena) (any, error)) {
+		t.Helper()
+		trial := func(ar *trialArena) (any, StatSink) {
+			out, err := run(ar)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var rc runCtx
+			ar.endTrial(&rc)
+			return out, deterministicStats(rc.stats())
+		}
+		fresh, _ := trial(nil)
+		cold, coldStats := trial(&trialArena{})
+		if cold != fresh {
+			t.Errorf("%s: cold arena differs from fresh:\ncold:  %+v\nfresh: %+v", name, cold, fresh)
+		}
+		if w, s := trial(warm); w != fresh || s != coldStats {
+			t.Errorf("%s: warm arena differs from fresh:\nwarm:  %+v %+v\nfresh: %+v %+v", name, w, s, fresh, coldStats)
+		}
+		if coldStats.Drops+coldStats.Dups == 0 {
+			t.Errorf("%s: no fault fired (%+v)", name, coldStats)
+		}
+	}
+	for _, name := range protocol.Names() {
+		faulted("flush-storm "+name, func(ar *trialArena) (any, error) {
+			return stormTrial(ar, seed, name, 240)
+		})
+	}
+	dupDelay := r2Legs[1]
+	for i := 0; i < 2; i++ {
+		faulted("2pc-recovery "+dupDelay.name, func(ar *trialArena) (any, error) {
+			return killTrial(ar, seed, dupDelay.faults(), 2, 5, 1)
+		})
 	}
 	// The warm arena must really have served from its pools, or the test
 	// compared fresh with fresh.
@@ -76,11 +121,11 @@ func TestStatSinkShowsReuse(t *testing.T) {
 	}
 }
 
-// TestArenaNoLeaks runs every experiment and asserts the trial arenas wind
-// down to their idle state: nothing checked out mid-trial, every pooled
-// kernel free of live fibers, every pooled device fully reset, and a
-// second full pass keeps pool populations at the first pass's baseline
-// (steady state, not growth).
+// TestArenaNoLeaks runs every experiment and claim scenario and asserts
+// the trial arenas wind down to their idle state: nothing checked out
+// mid-trial, every pooled kernel free of live fibers, every pooled device
+// fully reset, and a second full pass keeps pool populations at the first
+// pass's baseline (steady state, not growth).
 func TestArenaNoLeaks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")

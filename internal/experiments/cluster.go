@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2.2 Fig. 2, §6.1 Figs. 8–10 + Table 2, §6.2 Figs. 11–12)
-// plus ablations, over the simulated cluster. Each experiment returns a
-// Report whose tables print the same rows/series the paper shows.
+// plus ablations, over the simulated cluster, and runs the claim scenarios
+// that defend its fault and durability statements (claims.go). Each entry
+// returns a Report: the same rows/series the paper shows, or a claim, its
+// checks and the data behind them.
 package experiments
 
 import (
@@ -153,16 +155,26 @@ func (c *cluster) runLatency(ops int, issue func(f *sim.Fiber, i int) error) (*m
 	return h, nil
 }
 
-// Report is one experiment's regenerated output.
+// Report is one experiment's regenerated output. A claim scenario's report
+// also carries the claim it defends and the checks that decide it.
 type Report struct {
 	ID     string
 	Title  string
+	Claim  string
+	Checks []Check
 	Tables []*metrics.Table
 	Notes  []string
+
+	// counters are the run's attributed totals, which findings print;
+	// runWith fills them in once the run's trials have ended.
+	counters StatSink
 }
 
-// String renders the report.
+// String renders the report; a scenario's is its FINDINGS.md text.
 func (r *Report) String() string {
+	if r.Claim != "" {
+		return r.findings()
+	}
 	out := fmt.Sprintf("== %s: %s ==\n", r.ID, r.Title)
 	for _, t := range r.Tables {
 		out += "\n" + t.String()

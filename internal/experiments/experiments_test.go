@@ -46,15 +46,27 @@ func parseDur(t *testing.T, s string) time.Duration {
 	return d
 }
 
+// TestRegistryComplete: Order lists every registered id exactly once — the
+// 18 paper experiments, then the claim scenarios — and each has a
+// description.
 func TestRegistryComplete(t *testing.T) {
 	names := Names()
-	if len(names) != len(PaperOrder()) {
-		t.Fatalf("registry has %d entries, paper order %d", len(names), len(PaperOrder()))
+	order := Order()
+	if len(names) != len(order) {
+		t.Fatalf("registry has %d entries, Order() %d", len(names), len(order))
 	}
-	for _, id := range PaperOrder() {
+	seen := map[string]bool{}
+	for i, id := range order {
+		if _, ok := registry[id]; !ok || seen[id] {
+			t.Fatalf("Order()[%d] = %q: unregistered or listed twice", i, id)
+		}
+		seen[id] = true
 		if Describe(id) == "" {
 			t.Fatalf("experiment %s has no description", id)
 		}
+	}
+	if got := order[len(order)-len(scenarios):]; strings.Join(got, " ") != strings.Join(scenarios, " ") {
+		t.Fatalf("Order() ends with %v, want the scenarios %v", got, scenarios)
 	}
 	if _, err := Run("nope", 1, Quick); err == nil {
 		t.Fatal("unknown experiment accepted")

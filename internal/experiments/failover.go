@@ -189,8 +189,6 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 		return nil, fmt.Errorf("failover: unavailability window %v exceeds the %v bound", window, failoverMaxPause)
 	}
 
-	fd := func(d sim.Duration) string { return metrics.FormatDuration(d) }
-	ft := func(t sim.Time) string { return metrics.FormatDuration(t.Sub(sim.Time(0))) }
 	timeline := metrics.NewTable("Recovery timeline (virtual time)", "event", "t")
 	timeline.AddRow("NIC crash injected (server-1)", fd(failoverCrashAt))
 	timeline.AddRow(fmt.Sprintf("failure suspected, writes paused (%d beats @ %s)", failoverMissed, fd(failoverBeat)), ft(tSuspect))

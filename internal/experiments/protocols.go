@@ -88,7 +88,6 @@ func protocolsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		return nil, err
 	}
 
-	fd := func(d sim.Duration) string { return metrics.FormatDuration(d) }
 	cost := metrics.NewTable(
 		fmt.Sprintf("Fault-free cost: %dB durable gWRITE, G=3 (client counters exclude the local copy)", protoWriteSize),
 		"protocol", "avg", "p99", "msgs/op", "wire KB/op")

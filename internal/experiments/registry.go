@@ -8,7 +8,8 @@ import (
 // runFn is an experiment entry point. rc identifies the run: the trials
 // an experiment schedules report their counters into rc's StatSink, and
 // when the two-level scheduler dispatched the run, trials also draw slots
-// from rc's shared cross-experiment budget.
+// from rc's shared cross-experiment budget. A refuted claim is not an
+// error: it is a Report whose checks failed.
 type runFn func(rc *runCtx, seed uint64, scale Scale) (*Report, error)
 
 // entry pairs an experiment with its description for listings.
@@ -36,6 +37,13 @@ var registry = map[string]entry{
 	"failover":        {failover, "mid-chain replica crash: detection, catch-up, resume (§5)"},
 	"protocols":       {protocolsExp, "replication protocol comparison: latency, message cost, availability"},
 	"shards":          {shardsExp, "sharded scale-out: placement, tenant skew, cross-shard 2PC"},
+
+	"retry-vs-loss":       {retryVsLoss, "claim: sweep wire drop probability 0→5% per protocol, count retries and failures"},
+	"multi-failure":       {multiFailure, "claim: crash client + replica NICs ~50µs apart mid-run, restart both, per protocol"},
+	"partition-failover":  {partitionFailover, "claim: crash mid-chain replica, partition the client↔head link across the whole recovery"},
+	"flush-storm":         {flushStorm, "claim: crash/restart storm across members, then power-fail every device and audit durable images"},
+	"2pc-recovery":        {recovery2PC, "claim: kill the coordinator after every 2PC step across spans 1/2/4, recover, audit visibility/locks/log"},
+	"tenant-interference": {tenantInterference, "claim: sweep per-core tenant noise on replica CPUs, compare p99 write latency per protocol"},
 }
 
 // Names returns all experiment ids, sorted.
@@ -51,13 +59,19 @@ func Names() []string {
 // Describe returns an experiment's one-line description.
 func Describe(name string) string { return registry[name].desc }
 
-// runWith executes the named experiment for the run rc.
+// runWith executes the named experiment for the run rc. Every trial has
+// ended when the entry returns, so the report's counters are complete.
 func runWith(rc *runCtx, name string, seed uint64, scale Scale) (*Report, error) {
 	e, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	return e.fn(rc, seed, scale)
+	rep, err := e.fn(rc, seed, scale)
+	if err != nil {
+		return nil, err
+	}
+	rep.counters = rc.stats()
+	return rep, nil
 }
 
 // Run executes the named experiment.
@@ -76,8 +90,11 @@ func RunStats(name string, seed uint64, scale Scale) (*Report, StatSink, error) 
 	return rep, rc.stats(), err
 }
 
-// PaperOrder lists experiment ids in the order they appear in the paper.
-func PaperOrder() []string {
+// Order lists every id in presentation order: the paper's experiments as
+// they appear in it, then the claim scenarios — cheap wire-level claims
+// first, the recovery and durability scenarios after, the CPU scheduling
+// claim last.
+func Order() []string {
 	return []string{
 		"fig2a", "fig2b",
 		"table3",
@@ -85,5 +102,7 @@ func PaperOrder() []string {
 		"fig11", "fig12",
 		"abl-load", "abl-flush", "abl-depth", "abl-fanout", "abl-consistency",
 		"failover", "protocols", "shards",
+		"retry-vs-loss", "multi-failure", "partition-failover",
+		"flush-storm", "2pc-recovery", "tenant-interference",
 	}
 }

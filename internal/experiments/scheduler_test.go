@@ -29,7 +29,7 @@ func TestOverlappedVsSerialIdentical(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
 	const seed = 1
-	ids := PaperOrder()
+	ids := Order()
 	modes := []int{1, 2, 0}
 	if raceEnabled {
 		// The race detector's ~10× slowdown would push the full matrix

@@ -11,22 +11,25 @@ import "sync"
 // would had its experiment run alone (TestStatAttributionOverlapped).
 //
 // Deterministic fields — identical at any parallelism and any overlap:
-// SimEvents, CQEs, Messages, WireBytes, and the demand-side arena counters
-// (DeviceGets, DevicePuts, DeviceBytesDemand, KernelGets, FabricBuilds).
-// Supply-side splits (Fresh vs Reused, BytesZeroed) depend on which
-// worker's pools happened to be warm, so they are advisory; only the
-// totals they split are pinned.
+// SimEvents, CQEs, Messages, WireBytes, Drops, Dups, and the demand-side
+// arena counters (DeviceGets, DevicePuts, DeviceBytesDemand, KernelGets,
+// FabricBuilds). Supply-side splits (Fresh vs Reused, BytesZeroed) depend
+// on which worker's pools happened to be warm; the arena tests read them,
+// no report does.
 type StatSink struct {
 	// SimEvents counts simulation events executed by the run's trial
-	// kernels; CQEs, Messages and WireBytes are the trial fabrics' totals.
+	// kernels; CQEs, Messages and WireBytes are the trial fabrics' totals,
+	// Drops and Dups their injected faults' (rdma.Fabric.FaultStats).
 	SimEvents int64
 	CQEs      int64
 	Messages  int64
 	WireBytes int64
+	Drops     int64
+	Dups      int64
 
 	// Arena counters for the run's trials. Gets/Puts/BytesDemand count
 	// what trials asked for (deterministic); Fresh/Reused/BytesZeroed
-	// count how the pools happened to serve it (advisory).
+	// count how the pools happened to serve it.
 	DeviceGets        int64
 	DevicePuts        int64
 	DeviceFresh       int64
@@ -48,6 +51,8 @@ func (s *StatSink) add(t StatSink) {
 	s.CQEs += t.CQEs
 	s.Messages += t.Messages
 	s.WireBytes += t.WireBytes
+	s.Drops += t.Drops
+	s.Dups += t.Dups
 	s.DeviceGets += t.DeviceGets
 	s.DevicePuts += t.DevicePuts
 	s.DeviceFresh += t.DeviceFresh

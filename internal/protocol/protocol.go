@@ -128,7 +128,7 @@ type Params struct {
 }
 
 // Traits are static per-protocol properties that cross-protocol harnesses
-// (the conformance suite, the hypothesis catalog) use to pick applicable
+// (the conformance suite, the claim scenarios) use to pick applicable
 // scenarios and the guarantee each protocol actually makes. The zero value
 // is the strongest default: completion requires every member's ack and no
 // replica CPU sits on the critical path.

@@ -109,11 +109,9 @@ type Fabric struct {
 const bufClasses = 26
 
 // BufPool recycles payload scratch buffers by power-of-two size class.
-// Every fabric owns one by default; a trial arena can instead lend the
-// same pool to a sequence of fabrics (AdoptBufPool) so buffers survive
-// across trials. Buffer contents are undefined — every user overwrites
-// them fully — so reuse never changes behaviour. A BufPool must only be
-// used by one fabric at a time.
+// Every fabric owns one, and it survives Reset, so a pooled fabric keeps
+// its buffers across trials. Buffer contents are undefined — every user
+// overwrites them fully — so reuse never changes behaviour.
 type BufPool struct {
 	classes [bufClasses][][]byte
 }
@@ -151,16 +149,6 @@ func (p *BufPool) put(b []byte) {
 	p.classes[c] = append(p.classes[c], b[:cap(b)])
 }
 
-// Buffers reports the number of pooled buffers; leak tests compare it
-// across trials.
-func (p *BufPool) Buffers() int {
-	n := 0
-	for _, c := range p.classes {
-		n += len(c)
-	}
-	return n
-}
-
 func (f *Fabric) getBuf(n int) []byte { return f.bufs.get(n) }
 func (f *Fabric) putBuf(b []byte)     { f.bufs.put(b) }
 
@@ -185,15 +173,6 @@ func (f *Fabric) putWire(wm *wireMsg) {
 	wm.msg = inMsg{}
 	wm.payload = nil
 	f.wireFree = append(f.wireFree, wm)
-}
-
-// AdoptBufPool makes f draw payload scratch buffers from bp instead of
-// its own pool. Call it before any traffic flows; bp must not be shared
-// with a concurrently running fabric.
-func (f *Fabric) AdoptBufPool(bp *BufPool) {
-	if bp != nil {
-		f.bufs = bp
-	}
 }
 
 // normalize fills unset config fields with the calibrated defaults.
@@ -228,8 +207,8 @@ func NewFabric(k *sim.Kernel, cfg Config) *Fabric {
 
 // Reset returns the fabric to the state NewFabric(k, cfg) would produce
 // while keeping allocated capacity: the NIC table's storage, retired NIC
-// structs (with their MR/QP/CQ maps), and any adopted scratch-buffer pool
-// all survive for the next trial. Behaviour after Reset is byte-identical
+// structs (with their MR/QP/CQ maps), and the scratch-buffer pool all
+// survive for the next trial. Behaviour after Reset is byte-identical
 // to a fresh fabric's — the RNG is re-forked from k exactly as NewFabric
 // does, and a recycled NIC is indistinguishable from a new one — so
 // fabric pooling can never move a virtual-time number.
@@ -308,7 +287,3 @@ func (f *Fabric) Stats() (messages, bytes int64) { return f.msgs, f.bytesOnWire 
 // CQEs reports the number of completion-queue entries delivered across
 // all of the fabric's CQs since creation or the last Reset.
 func (f *Fabric) CQEs() int64 { return f.cqes }
-
-// PooledNICs reports the number of recycled NIC structs awaiting reuse;
-// leak tests compare it across trials.
-func (f *Fabric) PooledNICs() int { return len(f.nicFree) }

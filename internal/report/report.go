@@ -1,6 +1,5 @@
-// Package report is the -json schema shared by hyperloop-bench,
-// hypothesis-run and benchdiff: the two writers emit it, benchdiff and the
-// baseline-staleness tests decode it strictly.
+// Package report is the -json schema hyperloop-bench writes and benchdiff
+// and the baseline-staleness tests decode strictly.
 package report
 
 import (
@@ -10,49 +9,39 @@ import (
 	"os"
 )
 
-// ExpStats is one experiment's (or hypothesis scenario's) entry, filled
-// from the run's own StatSink — counters its trials attributed locally, so
-// they read the same whether experiments ran serially or overlapped.
+// ExpStats is one experiment's (or claim scenario's) entry, filled from the
+// run's own StatSink — counters its trials attributed locally, so they read
+// the same whether experiments ran serially or overlapped.
 //
-// Report and the deterministic counters (sim_events, cqes, messages,
-// wire_bytes, device_gets/puts, device_bytes_demand, kernel_gets,
-// fabric_builds) are byte-identical at any -procs setting; the CI
-// regression gate (cmd/benchdiff) diffs them exactly. Wall-clock rates and
-// the pools' fresh/reused splits depend on host scheduling and are
-// advisory. The hypothesis catalog does not track the pool fields; they
-// stay zero on both sides of a diff.
+// Every field is deterministic: the report text and the counters are
+// byte-identical for a given (seed, scale) at any -procs setting, so a
+// regenerated baseline differs from the committed one only where behaviour
+// changed. The CI regression gate (cmd/benchdiff) diffs them exactly.
+// Host-clock figures (wall time, the pools' fresh/reused splits) are not
+// recorded; host-clock evidence is `bash bench/run.sh`.
 type ExpStats struct {
 	ID     string `json:"id"`
 	Report string `json:"report"`
 
-	WallMS       float64 `json:"wall_ms"`
-	SimEvents    int64   `json:"sim_events"`
-	CQEs         int64   `json:"cqes"`
-	Messages     int64   `json:"messages"`
-	WireBytes    int64   `json:"wire_bytes"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	SimEvents int64 `json:"sim_events"`
+	CQEs      int64 `json:"cqes"`
+	Messages  int64 `json:"messages"`
+	WireBytes int64 `json:"wire_bytes"`
 
 	DeviceGets        int64 `json:"device_gets"`
 	DevicePuts        int64 `json:"device_puts"`
-	DeviceFresh       int64 `json:"device_fresh"`
-	DeviceReused      int64 `json:"device_reused"`
-	DeviceBytesZeroed int64 `json:"device_bytes_zeroed"`
 	DeviceBytesDemand int64 `json:"device_bytes_demand"`
 	KernelGets        int64 `json:"kernel_gets"`
-	KernelFresh       int64 `json:"kernel_fresh"`
-	KernelReused      int64 `json:"kernel_reused"`
 	FabricBuilds      int64 `json:"fabric_builds"`
-	FabricReused      int64 `json:"fabric_reused"`
 }
 
-// BenchReport is the -json output: enough to compare perf across commits.
+// BenchReport is the -json output: enough to compare behaviour across
+// commits.
 type BenchReport struct {
 	Seed        uint64     `json:"seed"`
 	Scale       string     `json:"scale"`
 	Procs       int        `json:"procs"`
-	GoMaxProcs  int        `json:"gomaxprocs"`
 	Experiments []ExpStats `json:"experiments"`
-	TotalWallMS float64    `json:"total_wall_ms"`
 }
 
 // Load reads a report, rejecting fields the schema does not have — a file

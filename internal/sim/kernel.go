@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"hyperloop/internal/ring"
@@ -89,15 +88,6 @@ func (t *Timer) Stop() bool {
 // ErrStopped is returned by Run when StopRun was called.
 var ErrStopped = errors.New("sim: run stopped")
 
-// totalEvents accumulates executed-event counts across all kernels in the
-// process; each kernel flushes its delta when a top-level Run returns.
-var totalEvents atomic.Int64
-
-// TotalEvents returns the number of events executed process-wide across all
-// kernels whose top-level Run has returned. The bench harness samples it
-// around an experiment to report events/sec.
-func TotalEvents() int64 { return totalEvents.Load() }
-
 // Kernel is the discrete-event simulation core. It is not safe for
 // concurrent use; fibers hand control back and forth cooperatively so all
 // simulation logic is effectively single-threaded.
@@ -118,7 +108,6 @@ type Kernel struct {
 	fiberStarts int64    // runner goroutines ever created (pool misses)
 
 	executed int64
-	flushed  int64 // portion of executed already added to totalEvents
 }
 
 // NewKernel returns a kernel with its clock at zero and a deterministic RNG
@@ -302,10 +291,6 @@ func (k *Kernel) exitRun() {
 	// goroutine starts *within* a run (where the thousands of Spawns are),
 	// while a kernel dropped after Run leaks nothing.
 	k.drainFiberPool()
-	if k.executed != k.flushed {
-		totalEvents.Add(k.executed - k.flushed)
-		k.flushed = k.executed
-	}
 }
 
 // RunUntil executes events up to and including instant t, then advances the
@@ -342,12 +327,9 @@ func (k *Kernel) Reset(seed uint64) bool {
 	}
 	k.q.reset(k.release)
 	k.nowq.Reset()
-	if k.executed != k.flushed {
-		totalEvents.Add(k.executed - k.flushed)
-	}
 	k.now, k.seq = 0, 0
 	k.stopped, k.limit, k.limited = false, 0, false
-	k.executed, k.flushed, k.fiberStarts = 0, 0, 0
+	k.executed, k.fiberStarts = 0, 0
 	k.rng = NewRNG(seed)
 	return true
 }
@@ -355,10 +337,6 @@ func (k *Kernel) Reset(seed uint64) bool {
 // Pending reports the number of queued events (event queue and
 // same-instant ring).
 func (k *Kernel) Pending() int { return k.q.len() + k.nowq.Len() }
-
-// FreeEvents reports the size of the event free list — recycled event
-// structs awaiting reuse. Leak tests compare it across runs.
-func (k *Kernel) FreeEvents() int { return len(k.free) }
 
 // PooledFibers reports the number of parked runner goroutines. The pool
 // drains at top-level Run exit, so between runs it is zero.

@@ -186,9 +186,9 @@ func TestHeapRandomizedOrdering(t *testing.T) {
 	}
 }
 
-// TestExecutedCounter checks per-kernel and process-wide event accounting.
+// TestExecutedCounter checks per-kernel event accounting and that Reset
+// rewinds it, which the experiment arenas' per-trial attribution relies on.
 func TestExecutedCounter(t *testing.T) {
-	before := TotalEvents()
 	k := NewKernel(1)
 	for i := 0; i < 10; i++ {
 		k.After(Duration(i)*Microsecond, func() {})
@@ -199,7 +199,7 @@ func TestExecutedCounter(t *testing.T) {
 	if k.Executed() != 10 {
 		t.Fatalf("Executed = %d, want 10", k.Executed())
 	}
-	if got := TotalEvents() - before; got < 10 {
-		t.Fatalf("TotalEvents delta = %d, want >= 10", got)
+	if !k.Reset(1) || k.Executed() != 0 {
+		t.Fatalf("after Reset: Executed = %d, want 0", k.Executed())
 	}
 }

@@ -1,7 +1,7 @@
 // Package topo assembles every simulated cluster in the repository: a rack
 // of servers on one kernel and one fabric, the tenant load their CPUs
 // carry, and the replication groups placed across them. The facade types,
-// the experiments and the hypothesis scenarios all build through it, so the
+// the experiments and the claim scenarios all build through it, so the
 // build order — which fixes RNG forks and event sequence numbers, and with
 // them every reported number — is stated once (DESIGN.md, "Topology").
 package topo

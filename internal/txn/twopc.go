@@ -70,7 +70,7 @@ var ErrInDoubt = errors.New("txn: distributed commit incomplete")
 // leaving every participant exactly as a real crash would — locks held,
 // records appended, nothing rolled back (see Step for what concurrent
 // participants do). Crash-point sweep harnesses and the 2pc-recovery
-// hypothesis scenario drive it.
+// claim scenario drive it.
 var ErrCoordinatorCrash = errors.New("txn: coordinator crashed (injected)")
 
 // Step identifies one coordinator-side action inside Prepare/Commit, at the
