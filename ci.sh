@@ -132,6 +132,7 @@ stage_lint() {
 # scenarios, the claim-validation surface; the shard router is the cross-shard atomicity
 # surface (2PC lock ordering, abort rollback, recovery); protocol.Group is
 # the one issue path of every replication protocol.
+# chain.Manager.Repair is the one recovery path every failover runs.
 covercheck() {
     pkg=$1 floor=$2
     go test -coverprofile "$tmp/cover.out" "$pkg"
@@ -185,10 +186,11 @@ stage_test() {
     # the race leg: 2PC and the router are lock-ordering-sensitive.
     # protocol, hyperloop and naive join it because every trial of the
     # overlapped worker pool runs through protocol.Group and a datapath.
+    # chain joins it: Repair is the one recovery path every failover runs.
     step "go test -race (hot paths)" go test -race -timeout 20m \
         ./internal/experiments ./internal/sim ./internal/rdma ./internal/cpusim \
         ./internal/txn ./internal/shard ./internal/topo \
-        ./internal/protocol ./internal/hyperloop ./internal/naive
+        ./internal/protocol ./internal/hyperloop ./internal/naive ./internal/chain
     # The event queue's differential scripts and the bitmask-vs-core-walk
     # dispatch comparison are cheap and order-sensitive: three more rounds.
     step "go test -race -count=3 (queue, dispatch)" go test -race -count=3 \
@@ -207,6 +209,7 @@ stage_test() {
     step "coverage internal/txn >=85" covercheck ./internal/txn 85
     step "coverage internal/protocol >=85" covercheck ./internal/protocol 85
     step "coverage internal/topo >=85" covercheck ./internal/topo 85
+    step "coverage internal/chain >=85" covercheck ./internal/chain 85
     # The committed baseline must decode against the -json schema
     # (internal/report) and cover the current registry, and the committed
     # hypotheses/<id>/FINDINGS.md artifacts must match a regeneration (also

@@ -30,56 +30,6 @@ func main() {
 	}
 }
 
-// kvDB adapts the KV store to the YCSB driver.
-type kvDB struct{ db *kvstore.DB }
-
-func (a kvDB) Read(f *sim.Fiber, key int) error {
-	if _, ok := a.db.Get([]byte(ycsb.Key(key))); !ok {
-		return fmt.Errorf("missing key %d", key)
-	}
-	return nil
-}
-func (a kvDB) Update(f *sim.Fiber, key int, v []byte) error {
-	return a.db.Put(f, []byte(ycsb.Key(key)), v)
-}
-func (a kvDB) Insert(f *sim.Fiber, key int, v []byte) error {
-	return a.db.Put(f, []byte(ycsb.Key(key)), v)
-}
-func (a kvDB) Scan(f *sim.Fiber, start, count int) error {
-	a.db.Scan([]byte(ycsb.Key(start)), count)
-	return nil
-}
-func (a kvDB) ReadModifyWrite(f *sim.Fiber, key int, v []byte) error {
-	if err := a.Read(f, key); err != nil {
-		return err
-	}
-	return a.Update(f, key, v)
-}
-
-// docDB adapts the document store.
-type docDB struct{ st *docstore.Store }
-
-func (a docDB) Read(f *sim.Fiber, key int) error {
-	_, err := a.st.FindID("usertable", ycsb.Key(key))
-	return err
-}
-func (a docDB) Update(f *sim.Fiber, key int, v []byte) error {
-	return a.st.Update(f, "usertable", ycsb.Key(key), docstore.Doc{"field0": string(v)})
-}
-func (a docDB) Insert(f *sim.Fiber, key int, v []byte) error {
-	return a.st.Insert(f, "usertable", docstore.Doc{"_id": ycsb.Key(key), "field0": string(v)})
-}
-func (a docDB) Scan(f *sim.Fiber, start, count int) error {
-	_, err := a.st.Scan("usertable", ycsb.Key(start), count)
-	return err
-}
-func (a docDB) ReadModifyWrite(f *sim.Fiber, key int, v []byte) error {
-	if err := a.Read(f, key); err != nil {
-		return err
-	}
-	return a.Update(f, key, v)
-}
-
 // shardDB adapts the shard router: every key lives on one of N
 // independent replication groups, read-modify-writes go through the
 // cross-shard transaction path, and scans degrade to point gets (hash
@@ -223,7 +173,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			db = kvDB{db: kv}
+			db = ycsb.KV(kv)
 		case "doc":
 			dcfg := docstore.DefaultConfig()
 			group, err := makeGroup(cluster, *backend, docstore.MirrorSizeFor(dcfg))
@@ -234,7 +184,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			db = docDB{st: st}
+			db = ycsb.Doc(st)
 		default:
 			return fmt.Errorf("unknown -db %q (kv|doc)", *dbKind)
 		}

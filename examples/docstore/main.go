@@ -81,7 +81,7 @@ func run() error {
 			ValueSize:   256,
 			Seed:        3,
 		})
-		ad := adapter{st: st}
+		ad := ycsb.Doc(st)
 		if err := runner.Load(f, ad); err != nil {
 			return err
 		}
@@ -92,32 +92,4 @@ func run() error {
 		fmt.Printf("YCSB-B (95%% read / 5%% update): %s\n", res.Overall.Summarize())
 		return nil
 	})
-}
-
-// adapter maps YCSB ops onto the document store.
-type adapter struct{ st *docstore.Store }
-
-func (a adapter) Read(f *hyperloop.Fiber, key int) error {
-	_, err := a.st.FindID("usertable", ycsb.Key(key))
-	return err
-}
-
-func (a adapter) Update(f *hyperloop.Fiber, key int, v []byte) error {
-	return a.st.Update(f, "usertable", ycsb.Key(key), docstore.Doc{"field0": string(v)})
-}
-
-func (a adapter) Insert(f *hyperloop.Fiber, key int, v []byte) error {
-	return a.st.Insert(f, "usertable", docstore.Doc{"_id": ycsb.Key(key), "field0": string(v)})
-}
-
-func (a adapter) Scan(f *hyperloop.Fiber, start, count int) error {
-	_, err := a.st.Scan("usertable", ycsb.Key(start), count)
-	return err
-}
-
-func (a adapter) ReadModifyWrite(f *hyperloop.Fiber, key int, v []byte) error {
-	if err := a.Read(f, key); err != nil {
-		return err
-	}
-	return a.Update(f, key, v)
 }

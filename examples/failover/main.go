@@ -1,6 +1,8 @@
 // Failover example (§5 recovery): a replica dies mid-workload; heartbeats
 // detect it; writes pause; a spare machine catches up from a healthy
 // member; a fresh HyperLoop datapath is established; writes resume.
+// chain.Manager.Repair runs that protocol; the application supplies only
+// how its datapath and store are rebuilt over the repaired chain.
 package main
 
 import (
@@ -26,8 +28,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	const logSize, dataSize = 32 * 1024, 64 * 1024
-	mirror := txn.MirrorSizeFor(logSize, dataSize)
+	tcfg := txn.Config{LogSize: 32 * 1024, DataSize: 64 * 1024}
+	mirror := txn.MirrorSizeFor(tcfg.LogSize, tcfg.DataSize)
 
 	gcfg := hyperloop.DefaultGroupConfig(mirror)
 	gcfg.OpTimeout = 2 * sim.Millisecond
@@ -35,7 +37,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	store, err := txn.New(group, txn.Config{LogSize: logSize, DataSize: dataSize})
+	store, err := txn.New(group, tcfg)
 	if err != nil {
 		return err
 	}
@@ -51,13 +53,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	suspected := sim.NewSignal()
-	monitor.OnSuspect(func(idx int) {
-		fmt.Printf("heartbeat monitor: replica %d suspected after consecutive misses — pausing writes\n", idx)
-		monitor.PauseWrites()
-		suspected.Fire(nil)
+	// The application's part of recovery: close the old datapath, build a
+	// fresh one over the repaired chain and recover the store on it.
+	repair := monitor.Repair(spare, mirror, func(f *hyperloop.Fiber, members []*hyperloop.NIC) error {
+		group.Close()
+		g, err := cluster.NewGroupOver(members, mirror)
+		if err != nil {
+			return err
+		}
+		s, err := txn.New(g, tcfg)
+		if err != nil {
+			return err
+		}
+		if _, err := s.Recover(f); err != nil {
+			return err
+		}
+		store = s
+		return nil
 	})
-	monitor.Start()
 
 	return cluster.Run(func(f *hyperloop.Fiber) error {
 		for i := 0; i < 5; i++ {
@@ -72,46 +85,23 @@ func run() error {
 		}
 		fmt.Println("phase 1: 5 transactions committed on the healthy chain")
 
-		// Replica 1 loses power.
+		// Replica 1 loses power; wait out detection and repair.
 		replicas[1].SetDown(true)
-		if err := f.Await(suspected); err != nil {
+		if err := f.Await(repair.Done); err != nil {
 			return err
 		}
-
-		// Catch-up: ship a healthy member's image to the spare.
-		start := f.Now()
-		src, err := monitor.CatchUp(f, spare, mirror)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("catch-up from replica %d to spare took %v\n", src, f.Now().Sub(start))
-		if err := monitor.Replace(1, spare); err != nil {
-			return err
-		}
-
-		// Re-establish the datapath over the repaired chain.
-		group2, err := cluster.NewGroupOver([]*hyperloop.NIC{replicas[0], spare, replicas[2]}, mirror)
-		if err != nil {
-			return err
-		}
-		store2, err := txn.New(group2, txn.Config{LogSize: logSize, DataSize: dataSize})
-		if err != nil {
-			return err
-		}
-		if _, err := store2.Recover(f); err != nil {
-			return err
-		}
-		monitor.ResumeWrites()
+		fmt.Printf("heartbeat monitor: replica %d suspected after consecutive misses — pausing writes\n", repair.Failed)
+		fmt.Printf("catch-up from replica %d to spare took %v\n", repair.Source, repair.CaughtUp.Sub(repair.Suspected))
 		fmt.Println("datapath re-established; writes resumed")
 
-		if _, err := store2.Append(f, []wal.Entry{{Off: 1024, Data: []byte("post-failover")}}); err != nil {
+		if _, err := store.Append(f, []wal.Entry{{Off: 1024, Data: []byte("post-failover")}}); err != nil {
 			return err
 		}
-		if _, err := store2.ExecuteAll(f); err != nil {
+		if _, err := store.ExecuteAll(f); err != nil {
 			return err
 		}
 		buf := make([]byte, 13)
-		if err := spare.Memory().Read(txn.CtrlSize+logSize+1024, buf); err != nil {
+		if err := spare.Memory().Read(txn.CtrlSize+tcfg.LogSize+1024, buf); err != nil {
 			return err
 		}
 		fmt.Printf("spare replica data after failover: %q\n", buf)

@@ -5,8 +5,8 @@
 // replacement replica, and re-establishing a fresh HyperLoop datapath.
 //
 // HyperLoop accelerates only the data path; when membership changes, the
-// application's recovery protocol takes over — this package is that
-// protocol's skeleton.
+// application's recovery protocol takes over. Manager.Repair is that
+// protocol, once: every caller supplies only how its datapath is rebuilt.
 package chain
 
 import (
@@ -19,10 +19,8 @@ import (
 
 // Errors returned by the manager.
 var (
-	ErrStopped    = errors.New("chain: monitor stopped")
-	ErrNoHealthy  = errors.New("chain: no healthy source for catch-up")
-	ErrBadMember  = errors.New("chain: bad member index")
-	ErrNotStarted = errors.New("chain: monitor not started")
+	ErrNoHealthy = errors.New("chain: no healthy source for catch-up")
+	ErrBadMember = errors.New("chain: bad member index")
 	// ErrSourceLost reports that the catch-up source died mid-transfer;
 	// the copied image cannot be trusted and the caller must pick a new
 	// source and retry.
@@ -53,28 +51,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// MemberState describes a member's health.
-type MemberState int
-
-// Member states.
-const (
-	StateHealthy MemberState = iota + 1
-	StateSuspected
-)
-
-// String returns the state name.
-func (s MemberState) String() string {
-	if s == StateHealthy {
-		return "healthy"
-	}
-	return "suspected"
-}
-
 // member tracks one replica's heartbeat state.
 type member struct {
-	nic    *rdma.NIC
-	missed int
-	state  MemberState
+	nic       *rdma.NIC
+	missed    int
+	suspected bool
 }
 
 // Manager monitors a replica set and coordinates recovery.
@@ -85,11 +66,8 @@ type Manager struct {
 
 	onSuspect func(idx int)
 	running   bool
-	stop      *sim.Timer
+	timer     *sim.Timer
 	paused    bool
-
-	beats     int64
-	suspicion int64
 }
 
 // New builds a manager over the replicas' NICs.
@@ -108,16 +86,13 @@ func New(k *sim.Kernel, nics []*rdma.NIC, cfg Config) (*Manager, error) {
 	}
 	m := &Manager{k: k, cfg: cfg}
 	for _, nic := range nics {
-		m.members = append(m.members, &member{nic: nic, state: StateHealthy})
+		m.members = append(m.members, &member{nic: nic})
 	}
 	return m, nil
 }
 
-// OnSuspect installs the callback fired once per transition to suspected.
-func (m *Manager) OnSuspect(fn func(idx int)) { m.onSuspect = fn }
-
-// Start begins heartbeat monitoring.
-func (m *Manager) Start() {
+// start begins heartbeat monitoring.
+func (m *Manager) start() {
 	if m.running {
 		return
 	}
@@ -128,9 +103,9 @@ func (m *Manager) Start() {
 // Stop halts monitoring.
 func (m *Manager) Stop() {
 	m.running = false
-	if m.stop != nil {
-		m.stop.Stop()
-		m.stop = nil
+	if m.timer != nil {
+		m.timer.Stop()
+		m.timer = nil
 	}
 }
 
@@ -138,80 +113,53 @@ func (m *Manager) tick() {
 	if !m.running {
 		return
 	}
-	m.beats++
 	for i, mem := range m.members {
 		if mem.nic.Down() {
 			mem.missed++
 		} else {
 			mem.missed = 0
-			if mem.state == StateSuspected {
-				mem.state = StateHealthy
-			}
+			mem.suspected = false
 		}
-		if mem.missed >= m.cfg.MissedThreshold && mem.state != StateSuspected {
-			mem.state = StateSuspected
-			m.suspicion++
+		if mem.missed >= m.cfg.MissedThreshold && !mem.suspected {
+			mem.suspected = true
 			if m.onSuspect != nil {
 				m.onSuspect(i)
 			}
 		}
 	}
-	m.stop = m.k.After(m.cfg.HeartbeatEvery, m.tick)
+	m.timer = m.k.After(m.cfg.HeartbeatEvery, m.tick)
 }
 
-// State returns member i's health.
-func (m *Manager) State(i int) (MemberState, error) {
-	if i < 0 || i >= len(m.members) {
-		return 0, fmt.Errorf("%w: %d", ErrBadMember, i)
-	}
-	return m.members[i].state, nil
-}
-
-// Suspected lists the indices of suspected members.
-func (m *Manager) Suspected() []int {
-	var out []int
+// healthy returns the index of some healthy member, or -1.
+func (m *Manager) healthy() int {
 	for i, mem := range m.members {
-		if mem.state == StateSuspected {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Healthy returns the index of some healthy member, or -1.
-func (m *Manager) Healthy() int {
-	for i, mem := range m.members {
-		if mem.state == StateHealthy && !mem.nic.Down() {
+		if !mem.suspected && !mem.nic.Down() {
 			return i
 		}
 	}
 	return -1
 }
 
-// PauseWrites marks the chain write-paused during catch-up (§5.1: "writes
+// Paused reports whether writes are paused: from the instant a Repair's
+// member is suspected until its datapath is re-established (§5.1: "writes
 // are paused for a short duration of catch-up phase"). The application
-// checks Paused before issuing writes.
-func (m *Manager) PauseWrites()  { m.paused = true }
-func (m *Manager) ResumeWrites() { m.paused = false }
-
-// Paused reports whether writes are paused.
+// checks it before every write.
 func (m *Manager) Paused() bool { return m.paused }
 
-// Replace swaps member idx's NIC for a replacement (a fresh machine) and
-// resets its health.
-func (m *Manager) Replace(idx int, nic *rdma.NIC) error {
-	if idx < 0 || idx >= len(m.members) {
-		return fmt.Errorf("%w: %d", ErrBadMember, idx)
+// nics returns the members' NICs in chain order.
+func (m *Manager) nics() []*rdma.NIC {
+	out := make([]*rdma.NIC, len(m.members))
+	for i, mem := range m.members {
+		out[i] = mem.nic
 	}
-	m.members[idx] = &member{nic: nic, state: StateHealthy}
-	return nil
+	return out
 }
 
-// CatchUp copies the first mirrorSize bytes of a healthy member's durable
+// catchUp copies the first mirrorSize bytes of a healthy member's durable
 // state onto the replacement device and flushes it, charging transfer time
 // at the configured bandwidth. It returns the source member used.
-func (m *Manager) CatchUp(f *sim.Fiber, to *rdma.NIC, mirrorSize int) (int, error) {
-	src := m.Healthy()
+func (m *Manager) catchUp(f *sim.Fiber, to *rdma.NIC, mirrorSize int) (int, error) {
+	src := m.healthy()
 	if src < 0 {
 		return -1, ErrNoHealthy
 	}
@@ -240,5 +188,62 @@ func (m *Manager) CatchUp(f *sim.Fiber, to *rdma.NIC, mirrorSize int) (int, erro
 	return src, nil
 }
 
-// Stats reports heartbeat rounds and suspicion transitions.
-func (m *Manager) Stats() (beats, suspicions int64) { return m.beats, m.suspicion }
+// Repair is one run of the recovery protocol, filled in as it progresses.
+// Everything runs on one kernel, so fibers may read it at any time.
+type Repair struct {
+	Failed    int      // member index first suspected; -1 until then
+	Source    int      // member the spare caught up from; -1 until chosen
+	Suspected sim.Time // when Failed was suspected and writes paused
+	CaughtUp  sim.Time // when the spare held the source's durable image
+	Resumed   sim.Time // when the datapath was re-established and writes resumed
+	// Err says why the repair stopped short; writes then stay paused.
+	Err error
+	// Done fires with Err when the repair ends, either way.
+	Done *sim.Signal
+}
+
+// Repair starts heartbeat monitoring and arms the §5 recovery protocol for
+// the first member suspected. Inside the suspicion callback it pauses writes,
+// so no writer sends to the dying chain again. A "repair" fiber then
+// catches spare up on the first mirror bytes of a healthy member, swaps it in
+// at the failed index, and calls rebuild with the members' NICs in chain
+// order — the caller closes its old datapath there and builds a fresh one
+// over them — and resumes writes. A failed step ends the repair with writes
+// still paused. Later suspicions are ignored; a Manager runs one Repair.
+func (m *Manager) Repair(spare *rdma.NIC, mirror int, rebuild func(f *sim.Fiber, members []*rdma.NIC) error) *Repair {
+	r := &Repair{Failed: -1, Source: -1, Done: sim.NewSignal()}
+	suspected := sim.NewSignal()
+	m.onSuspect = func(idx int) {
+		if r.Failed >= 0 {
+			return
+		}
+		r.Failed, r.Suspected = idx, m.k.Now()
+		m.paused = true
+		suspected.Fire(nil)
+	}
+	m.start()
+	m.k.Spawn("repair", func(f *sim.Fiber) {
+		_ = f.Await(suspected) // fires with nil only
+		if r.Err = m.repair(f, r, spare, mirror, rebuild); r.Err == nil {
+			m.paused = false
+			r.Resumed = f.Now()
+		}
+		r.Done.Fire(r.Err)
+	})
+	return r
+}
+
+// repair runs catch-up, replace and rebuild for r's failed member.
+func (m *Manager) repair(f *sim.Fiber, r *Repair, spare *rdma.NIC, mirror int, rebuild func(*sim.Fiber, []*rdma.NIC) error) error {
+	src, err := m.catchUp(f, spare, mirror)
+	r.Source = src
+	if err != nil {
+		return fmt.Errorf("catch-up: %w", err)
+	}
+	r.CaughtUp = f.Now()
+	m.members[r.Failed] = &member{nic: spare}
+	if err := rebuild(f, m.nics()); err != nil {
+		return fmt.Errorf("re-setup: %w", err)
+	}
+	return nil
+}

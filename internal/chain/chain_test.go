@@ -41,11 +41,8 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.State(5); !errors.Is(err, ErrBadMember) {
-		t.Fatalf("state err = %v", err)
-	}
-	if err := m.Replace(7, nics[0]); !errors.Is(err, ErrBadMember) {
-		t.Fatalf("replace err = %v", err)
+	if m.cfg != DefaultConfig() {
+		t.Fatalf("zero config filled as %+v, want the defaults", m.cfg)
 	}
 }
 
@@ -58,8 +55,8 @@ func TestFailureDetectionAfterConsecutiveMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var suspected []int
-	m.OnSuspect(func(idx int) { suspected = append(suspected, idx) })
-	m.Start()
+	m.onSuspect = func(idx int) { suspected = append(suspected, idx) }
+	m.start()
 
 	// Fail member 1 at t=20ms; suspicion requires 3 consecutive misses.
 	k.At(sim.Time(20*sim.Millisecond), func() { nics[1].SetDown(true) })
@@ -69,19 +66,11 @@ func TestFailureDetectionAfterConsecutiveMisses(t *testing.T) {
 	if len(suspected) != 1 || suspected[0] != 1 {
 		t.Fatalf("suspected = %v, want [1]", suspected)
 	}
-	st, _ := m.State(1)
-	if st != StateSuspected {
-		t.Fatalf("state = %v", st)
+	if !m.members[1].suspected {
+		t.Fatal("member 1 not marked suspected")
 	}
-	if got := m.Suspected(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Suspected() = %v", got)
-	}
-	if h := m.Healthy(); h != 0 && h != 2 {
+	if h := m.healthy(); h != 0 && h != 2 {
 		t.Fatalf("healthy = %d", h)
-	}
-	beats, susp := m.Stats()
-	if beats == 0 || susp != 1 {
-		t.Fatalf("stats = %d, %d", beats, susp)
 	}
 	m.Stop()
 }
@@ -94,8 +83,8 @@ func TestBriefBlipDoesNotTriggerSuspicion(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := false
-	m.OnSuspect(func(int) { fired = true })
-	m.Start()
+	m.onSuspect = func(int) { fired = true }
+	m.start()
 	// Down for just one heartbeat interval — below the 3-miss threshold.
 	k.At(sim.Time(20*sim.Millisecond), func() { nics[0].SetDown(true) })
 	k.At(sim.Time(27*sim.Millisecond), func() { nics[0].SetDown(false) })
@@ -115,33 +104,147 @@ func TestRecoveryAfterSuspicionClears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
+	fired := false
+	m.onSuspect = func(int) { fired = true }
+	m.start()
 	k.At(sim.Time(10*sim.Millisecond), func() { nics[0].SetDown(true) })
 	k.At(sim.Time(60*sim.Millisecond), func() { nics[0].SetDown(false) })
 	if err := k.RunUntil(sim.Time(120 * sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := m.State(0)
-	if st != StateHealthy {
-		t.Fatalf("member did not return to healthy: %v", st)
+	if !fired || m.members[0].suspected {
+		t.Fatalf("suspicion fired=%v, still suspected=%v: want a suspicion that cleared", fired, m.members[0].suspected)
 	}
 	m.Stop()
 }
 
-func TestPauseResumeWrites(t *testing.T) {
+// repairRig is a 3-member chain plus a spare on bare NICs: member 1 goes
+// down at 1ms and is suspected at 15ms (three missed 5ms beats). The
+// catch-up bandwidth is slowed so a 64 KiB transfer spans [15ms, ~80ms),
+// a window a test can kill either end of the transfer in.
+type repairRig struct {
+	k     *sim.Kernel
+	nics  []*rdma.NIC // members m0..m2, then the spare m3
+	spare *rdma.NIC
+	m     *Manager
+}
+
+const rigMirror = 64 * 1024
+
+func newRepairRig(t *testing.T) *repairRig {
+	t.Helper()
 	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 1)
-	m, _ := New(k, nics, DefaultConfig())
-	if m.Paused() {
-		t.Fatal("paused initially")
+	_, nics := buildNICs(t, k, 4)
+	cfg := DefaultConfig()
+	cfg.CatchUpBandwidthBps = 8e6
+	m, err := New(k, nics[:3], cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.PauseWrites()
-	if !m.Paused() {
-		t.Fatal("pause lost")
+	_ = nics[0].Memory().Write(0, []byte("source image"))
+	nics[0].Memory().FlushAll()
+	k.At(sim.Time(sim.Millisecond), func() { nics[1].SetDown(true) })
+	return &repairRig{k: k, nics: nics, spare: nics[3], m: m}
+}
+
+func (r *repairRig) run(t *testing.T) {
+	t.Helper()
+	if err := r.k.RunUntil(sim.Time(200 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
-	m.ResumeWrites()
-	if m.Paused() {
-		t.Fatal("resume lost")
+	r.m.Stop()
+}
+
+// TestPauseResumeWrites follows one successful Repair: writes run until the
+// suspicion, stay paused through catch-up and rebuild, and resume once
+// rebuild has the chain with the spare in the failed member's place.
+func TestPauseResumeWrites(t *testing.T) {
+	r := newRepairRig(t)
+	var (
+		pausedInRebuild bool
+		members         []*rdma.NIC
+	)
+	rep := r.m.Repair(r.spare, rigMirror, func(f *sim.Fiber, m []*rdma.NIC) error {
+		pausedInRebuild, members = r.m.Paused(), m
+		return nil
+	})
+	if r.m.Paused() {
+		t.Fatal("paused before any suspicion")
+	}
+	r.run(t)
+	if !rep.Done.Fired() || rep.Err != nil {
+		t.Fatalf("repair done=%v err=%v", rep.Done.Fired(), rep.Err)
+	}
+	if !pausedInRebuild || r.m.Paused() {
+		t.Fatalf("paused during rebuild=%v after=%v, want true then false", pausedInRebuild, r.m.Paused())
+	}
+	want := []*rdma.NIC{r.nics[0], r.spare, r.nics[2]}
+	if fmt.Sprint(members) != fmt.Sprint(want) {
+		t.Fatalf("rebuild got members %v, want %v", members, want)
+	}
+	if rep.Failed != 1 || rep.Source != 0 {
+		t.Fatalf("failed=%d source=%d, want 1 and 0", rep.Failed, rep.Source)
+	}
+	if rep.Suspected != sim.Time(15*sim.Millisecond) || rep.CaughtUp <= rep.Suspected || rep.Resumed != rep.CaughtUp {
+		t.Fatalf("timeline suspected=%v caught up=%v resumed=%v", rep.Suspected, rep.CaughtUp, rep.Resumed)
+	}
+	got := make([]byte, 12)
+	_ = r.spare.Memory().ReadDurable(0, got)
+	if string(got) != "source image" {
+		t.Fatalf("spare durable state = %q", got)
+	}
+}
+
+// TestRepairErrors drives the ways a Repair stops short. Each must report
+// its own cause, call rebuild at most once, leave writes paused and fire
+// Done with the error.
+func TestRepairErrors(t *testing.T) {
+	errRebuild := errors.New("rebuild refused")
+	cases := []struct {
+		name     string
+		kill     func(r *repairRig) *rdma.NIC // the NIC to take down mid-transfer, if any
+		rebuild  error
+		want     error
+		rebuilds int
+	}{
+		{name: "source dies mid-transfer", kill: func(r *repairRig) *rdma.NIC { return r.nics[0] }, want: ErrSourceLost},
+		{name: "target dies mid-transfer", kill: func(r *repairRig) *rdma.NIC { return r.spare }, want: ErrTargetLost},
+		{name: "rebuild fails", rebuild: errRebuild, want: errRebuild, rebuilds: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRepairRig(t)
+			if tc.kill != nil {
+				nic := tc.kill(r)
+				r.k.At(sim.Time(40*sim.Millisecond), func() { nic.SetDown(true) })
+			}
+			rebuilds := 0
+			rep := r.m.Repair(r.spare, rigMirror, func(*sim.Fiber, []*rdma.NIC) error {
+				rebuilds++
+				return tc.rebuild
+			})
+			r.run(t)
+			if !errors.Is(rep.Err, tc.want) {
+				t.Fatalf("err = %v, want %v", rep.Err, tc.want)
+			}
+			if !rep.Done.Fired() || rep.Done.Err() != rep.Err {
+				t.Fatalf("done fired=%v with %v, want %v", rep.Done.Fired(), rep.Done.Err(), rep.Err)
+			}
+			if rebuilds != tc.rebuilds {
+				t.Fatalf("rebuild ran %d times, want %d", rebuilds, tc.rebuilds)
+			}
+			if !r.m.Paused() || rep.Resumed != 0 {
+				t.Fatalf("paused=%v resumed=%v after a failed repair, want writes still paused", r.m.Paused(), rep.Resumed)
+			}
+			if tc.kill != nil {
+				// A transfer that lost an end installs nothing.
+				got := make([]byte, 6)
+				_ = r.spare.Memory().Read(0, got)
+				if string(got) == "source" {
+					t.Fatal("untrusted image was installed on the replacement")
+				}
+			}
+		})
 	}
 }
 
@@ -161,7 +264,7 @@ func TestCatchUpCopiesDurableState(t *testing.T) {
 	var took sim.Duration
 	k.Spawn("recovery", func(f *sim.Fiber) {
 		start := f.Now()
-		src, catchErr = m.CatchUp(f, nics[2], 64*1024)
+		src, catchErr = m.catchUp(f, nics[2], 64*1024)
 		took = f.Now().Sub(start)
 	})
 	if err := k.Run(); err != nil {
@@ -183,58 +286,6 @@ func TestCatchUpCopiesDurableState(t *testing.T) {
 	}
 }
 
-// TestCatchUpSourceDiesMidTransfer pins the race the transfer sleep
-// opens: the source fails while the image is in flight, so CatchUp must
-// return ErrSourceLost and must not install the now-uncertifiable image.
-func TestCatchUpSourceDiesMidTransfer(t *testing.T) {
-	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 3)
-	m, err := New(k, nics, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = nics[0].Memory().Write(0, []byte("doomed source image"))
-	// A 64 KB transfer at the default bandwidth takes ~9µs; kill the
-	// source halfway through it.
-	k.After(4*sim.Microsecond, func() { nics[0].SetDown(true) })
-	var catchErr error
-	k.Spawn("recovery", func(f *sim.Fiber) {
-		_, catchErr = m.CatchUp(f, nics[2], 64*1024)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(catchErr, ErrSourceLost) {
-		t.Fatalf("err = %v, want ErrSourceLost", catchErr)
-	}
-	got := make([]byte, 6)
-	_ = nics[2].Memory().Read(0, got)
-	if string(got) == "doomed" {
-		t.Fatal("untrusted image was installed on the replacement")
-	}
-}
-
-// TestCatchUpTargetDiesMidTransfer covers the other end of the same race.
-func TestCatchUpTargetDiesMidTransfer(t *testing.T) {
-	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 3)
-	m, err := New(k, nics[:2], DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.After(4*sim.Microsecond, func() { nics[2].SetDown(true) })
-	var catchErr error
-	k.Spawn("recovery", func(f *sim.Fiber) {
-		_, catchErr = m.CatchUp(f, nics[2], 64*1024)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(catchErr, ErrTargetLost) {
-		t.Fatalf("err = %v, want ErrTargetLost", catchErr)
-	}
-}
-
 func TestCatchUpNeedsHealthySource(t *testing.T) {
 	k := sim.NewKernel(1)
 	_, nics := buildNICs(t, k, 2)
@@ -242,7 +293,7 @@ func TestCatchUpNeedsHealthySource(t *testing.T) {
 	nics[0].SetDown(true)
 	var err error
 	k.Spawn("recovery", func(f *sim.Fiber) {
-		_, err = m.CatchUp(f, nics[1], 1024)
+		_, err = m.catchUp(f, nics[1], 1024)
 	})
 	if kerr := k.Run(); kerr != nil {
 		t.Fatal(kerr)
@@ -262,13 +313,14 @@ func TestEndToEndFailover(t *testing.T) {
 	client, r0, r1, r2, spare := nics[0], nics[1], nics[2], nics[3], nics[4]
 
 	const mirror = 256 * 1024
+	tcfg := txn.Config{LogSize: 32 * 1024, DataSize: 64 * 1024}
 	gcfg := hyperloop.DefaultConfig(mirror)
 	gcfg.OpTimeout = 2 * sim.Millisecond
 	g, err := hyperloop.Setup(fab, client, []*rdma.NIC{r0, r1, r2}, gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := txn.New(g, txn.Config{LogSize: 32 * 1024, DataSize: 64 * 1024})
+	st, err := txn.New(g, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,14 +328,23 @@ func TestEndToEndFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suspectCh := sim.NewSignal()
-	var failedIdx int
-	mon.OnSuspect(func(idx int) {
-		failedIdx = idx
-		mon.PauseWrites()
-		suspectCh.Fire(nil)
+	pausedAtRebuild := false
+	rep := mon.Repair(spare, mirror, func(f *sim.Fiber, members []*rdma.NIC) error {
+		pausedAtRebuild = mon.Paused()
+		// Close the old group first — its abandoned QPs share ring memory
+		// with the successor and must not wake on its traffic — then build
+		// a fresh group over the new chain and recover the store on it.
+		g.Close()
+		g2, err := hyperloop.Setup(fab, client, members, hyperloop.DefaultConfig(mirror))
+		if err != nil {
+			return err
+		}
+		if st, err = txn.New(g2, tcfg); err != nil {
+			return err
+		}
+		_, err = st.Recover(f)
+		return err
 	})
-	mon.Start()
 
 	var phase2Data = []byte("written after failover")
 	k.Spawn("workload", func(f *sim.Fiber) {
@@ -300,57 +361,27 @@ func TestEndToEndFailover(t *testing.T) {
 			return
 		}
 
-		// Kill replica 1 and wait for detection.
+		// Kill replica 1 and wait for the repair.
 		r1.SetDown(true)
-		if err := f.Await(suspectCh); err != nil {
-			t.Errorf("await suspicion: %v", err)
+		if err := f.Await(rep.Done); err != nil {
+			t.Errorf("repair: %v", err)
 			return
 		}
-		if failedIdx != 1 {
-			t.Errorf("suspected %d, want 1", failedIdx)
+		if rep.Failed != 1 {
+			t.Errorf("suspected %d, want 1", rep.Failed)
 			return
 		}
-		if !mon.Paused() {
-			t.Error("writes not paused on failure")
+		if !pausedAtRebuild || mon.Paused() {
+			t.Errorf("paused at rebuild=%v after=%v, want writes paused from suspicion until resume", pausedAtRebuild, mon.Paused())
 			return
 		}
-
-		// Catch-up: transfer a healthy member's state to the spare.
-		if _, err := mon.CatchUp(f, spare, mirror); err != nil {
-			t.Errorf("catch up: %v", err)
-			return
-		}
-		if err := mon.Replace(1, spare); err != nil {
-			t.Errorf("replace: %v", err)
-			return
-		}
-
-		// Re-establish the datapath: close the old group first — its
-		// abandoned QPs share ring memory with the successor and must not
-		// wake on its traffic — then build a fresh group over the new chain.
-		g.Close()
-		g2, err := hyperloop.Setup(fab, client, []*rdma.NIC{r0, spare, r2}, hyperloop.DefaultConfig(mirror))
-		if err != nil {
-			t.Errorf("re-setup: %v", err)
-			return
-		}
-		st2, err := txn.New(g2, txn.Config{LogSize: 32 * 1024, DataSize: 64 * 1024})
-		if err != nil {
-			t.Errorf("re-txn: %v", err)
-			return
-		}
-		if _, err := st2.Recover(f); err != nil {
-			t.Errorf("recover on new chain: %v", err)
-			return
-		}
-		mon.ResumeWrites()
 
 		// Phase 2: writes flow on the new chain.
-		if _, err := st2.Append(f, []wal.Entry{{Off: 1024, Data: phase2Data}}); err != nil {
+		if _, err := st.Append(f, []wal.Entry{{Off: 1024, Data: phase2Data}}); err != nil {
 			t.Errorf("phase2 append: %v", err)
 			return
 		}
-		if _, err := st2.ExecuteAll(f); err != nil {
+		if _, err := st.ExecuteAll(f); err != nil {
 			t.Errorf("phase2 execute: %v", err)
 		}
 	})

@@ -13,81 +13,6 @@ import (
 	"hyperloop/internal/ycsb"
 )
 
-// kvAdapter bridges the RocksDB-like store to the YCSB runner.
-type kvAdapter struct {
-	db *kvstore.DB
-}
-
-func (a *kvAdapter) key(i int) []byte { return []byte(ycsb.Key(i)) }
-
-func (a *kvAdapter) Read(f *sim.Fiber, key int) error {
-	if _, ok := a.db.Get(a.key(key)); !ok {
-		return fmt.Errorf("kv read: missing key %d", key)
-	}
-	return nil
-}
-
-func (a *kvAdapter) Update(f *sim.Fiber, key int, value []byte) error {
-	return a.db.Put(f, a.key(key), value)
-}
-
-func (a *kvAdapter) Insert(f *sim.Fiber, key int, value []byte) error {
-	return a.db.Put(f, a.key(key), value)
-}
-
-func (a *kvAdapter) Scan(f *sim.Fiber, start, count int) error {
-	a.db.Scan(a.key(start), count)
-	return nil
-}
-
-func (a *kvAdapter) ReadModifyWrite(f *sim.Fiber, key int, value []byte) error {
-	if _, ok := a.db.Get(a.key(key)); !ok {
-		return fmt.Errorf("kv rmw: missing key %d", key)
-	}
-	return a.db.Put(f, a.key(key), value)
-}
-
-var _ ycsb.DB = (*kvAdapter)(nil)
-
-// docAdapter bridges the MongoDB-like store to the YCSB runner.
-type docAdapter struct {
-	st   *docstore.Store
-	coll string
-}
-
-func (a *docAdapter) id(i int) string { return ycsb.Key(i) }
-
-func (a *docAdapter) doc(i int, value []byte) docstore.Doc {
-	return docstore.Doc{"_id": a.id(i), "field0": string(value)}
-}
-
-func (a *docAdapter) Read(f *sim.Fiber, key int) error {
-	_, err := a.st.FindID(a.coll, a.id(key))
-	return err
-}
-
-func (a *docAdapter) Update(f *sim.Fiber, key int, value []byte) error {
-	return a.st.Update(f, a.coll, a.id(key), docstore.Doc{"field0": string(value)})
-}
-
-func (a *docAdapter) Insert(f *sim.Fiber, key int, value []byte) error {
-	return a.st.Insert(f, a.coll, a.doc(key, value))
-}
-
-func (a *docAdapter) Scan(f *sim.Fiber, start, count int) error {
-	_, err := a.st.Scan(a.coll, a.id(start), count)
-	return err
-}
-
-func (a *docAdapter) ReadModifyWrite(f *sim.Fiber, key int, value []byte) error {
-	if _, err := a.st.FindID(a.coll, a.id(key)); err != nil {
-		return err
-	}
-	return a.st.Update(f, a.coll, a.id(key), docstore.Doc{"field0": string(value)})
-}
-
-var _ ycsb.DB = (*docAdapter)(nil)
-
 // softDB wraps a store adapter with the client-side database software
 // overhead (query parsing, memtable/index updates, session bookkeeping)
 // that the paper calls out as the dominant remaining latency under
@@ -429,7 +354,7 @@ func fig11(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runYCSB(c, newSoftDB(&kvAdapter{db: db}, 100*sim.Microsecond, seed+3), rcfg)
+		res, err := runYCSB(c, newSoftDB(ycsb.KV(db), 100*sim.Microsecond, seed+3), rcfg)
 		if err != nil {
 			return fmt.Errorf("%v: %w", b, err)
 		}
@@ -474,7 +399,7 @@ func fig12(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return runYCSB(c, newSoftDB(&docAdapter{st: st, coll: "usertable"}, 500*sim.Microsecond, seed+5), ycsb.RunnerConfig{
+		return runYCSB(c, newSoftDB(ycsb.Doc(st), 500*sim.Microsecond, seed+5), ycsb.RunnerConfig{
 			Workload:    w,
 			RecordCount: recordCount,
 			OpCount:     opCount,

@@ -3,24 +3,19 @@ package experiments
 import (
 	"fmt"
 
-	"hyperloop/internal/chain"
 	"hyperloop/internal/metrics"
-	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
 )
 
-// Partition-failover schedule. The crash lands at 2ms; suspicion needs 3
-// missed 500µs heartbeats (~3.5ms); the partition opens just after the
-// crash and heals long after recovery has re-established the datapath.
+// Partition-failover schedule. The crash, the monitor and the datapath
+// are failover's: the crash lands at 2ms and suspicion needs 3 missed
+// 500µs heartbeats (~3.5ms). The partition opens just after the crash and
+// heals long after recovery has re-established the datapath.
 const (
-	pfMirror   = 256 << 10
-	pfCrashAt  = 2000 * sim.Microsecond
 	pfPartFrom = 2200 * sim.Microsecond
 	pfPartTo   = 6000 * sim.Microsecond
-	pfBeat     = 500 * sim.Microsecond
-	pfMissed   = 3
 	pfMaxGap   = 8 * sim.Millisecond // window must stay under this
 	pfMinGap   = 2 * sim.Millisecond // and over this: the partition, not recovery, set it
 	// Consecutive write failures on a freshly established datapath before
@@ -50,167 +45,66 @@ func partitionFailover(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 }
 
 func partitionTrial(ar *trialArena, rep *Report, seed uint64, ops int) error {
-	params := protocol.Params{
-		MirrorSize:   pfMirror,
-		OpTimeout:    200 * sim.Microsecond,
-		MaxRetries:   1,
-		RetryBackoff: 50 * sim.Microsecond,
-	}
 	d, err := deploy(ar, topo.Spec{Seed: seed, Faults: &rdma.FaultPlan{
-		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(pfCrashAt), Down: true}},
+		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(failoverCrashAt), Down: true}},
 		// Sever client↔head in both directions for the whole recovery.
 		Links: []rdma.LinkFault{
 			{From: "client", To: "server-0", PartitionFrom: sim.Time(pfPartFrom), PartitionUntil: sim.Time(pfPartTo)},
 			{From: "server-0", To: "client", PartitionFrom: sim.Time(pfPartFrom), PartitionUntil: sim.Time(pfPartTo)},
 		},
-	}}, "chain", params)
+	}}, "chain", failoverParams)
 	if err != nil {
 		return err
 	}
-	spare, err := d.Fabric.AddNIC("spare", d.Device("spare", pfMirror))
+	// Catch-up reads a healthy member's memory over the storage-side
+	// interconnect (the chain package models it off the client fabric), so
+	// the client-side partition cannot delay it. Re-arming is remote
+	// work-request manipulation posted directly into member rings by the
+	// control path — no wire round-trips — so it succeeds mid-partition;
+	// whether the new datapath *survives* depends on the wire no longer
+	// eating messages.
+	w, err := newOutage(d)
 	if err != nil {
 		return err
 	}
-	mon, err := chain.New(d.Kernel, d.nics(), chain.Config{
-		HeartbeatEvery:  pfBeat,
-		MissedThreshold: pfMissed,
-	})
-	if err != nil {
-		return err
-	}
-
-	var (
-		tSuspect, tResetup         sim.Time
-		tLastResetup               sim.Time
-		resetups                   int
-		lastOKBefore, firstOKAfter sim.Time
-		failedIdx                  = -1
-		sawFailure                 bool
-		timeouts                   int64
-		repairErr                  error
-		repaired                   = d.Members("") // the group's NICs, the spare swapped in on repair
-	)
-	suspected := sim.NewSignal()
-	mon.OnSuspect(func(idx int) {
-		failedIdx = idx
-		tSuspect = d.Kernel.Now()
-		mon.PauseWrites()
-		suspected.Fire(nil)
-	})
-	mon.Start()
-
-	group := d.group
-	// reestablish tears down the current datapath and arms a fresh one over
-	// the post-repair membership. Arming is remote work-request manipulation
-	// posted directly into member rings by the control path — no wire
-	// round-trips — so it succeeds mid-partition; whether the new datapath
-	// *survives* depends on the wire no longer eating messages.
-	reestablish := func() error {
-		group.Close()
-		g, err := d.GroupOver(repaired, "chain", params)
-		if err != nil {
-			return err
+	consecFails := 0
+	w.attempt = func(_, _ sim.Time, err error) error {
+		if err == nil {
+			consecFails = 0
+			return nil
 		}
-		group = g
-		resetups++
-		tLastResetup = d.Kernel.Now()
-		return nil
-	}
-	d.Kernel.Spawn("repair", func(f *sim.Fiber) {
-		if err := f.Await(suspected); err != nil {
-			return
-		}
-		// Catch-up reads a healthy member's memory over the storage-side
-		// interconnect (the chain package models it off the client fabric),
-		// so the client-side partition cannot delay it.
-		if _, err := mon.CatchUp(f, spare, pfMirror); err != nil {
-			repairErr = fmt.Errorf("catch-up: %w", err)
-			return
-		}
-		if err := mon.Replace(failedIdx, spare); err != nil {
-			repairErr = fmt.Errorf("replace: %w", err)
-			return
-		}
-		repaired.Replicas = append([]*rdma.NIC(nil), repaired.Replicas...)
-		repaired.Replicas[failedIdx] = spare
-		if err := reestablish(); err != nil {
-			repairErr = fmt.Errorf("re-setup: %w", err)
-			return
-		}
-		tResetup = f.Now()
-		mon.ResumeWrites()
-	})
-
-	err = d.Run(60*sim.Second, driver, func(f *sim.Fiber) error {
-		defer mon.Stop()
-		deadline := f.Now().Add(sim.Second)
-		consecFails := 0
-		for i := 0; i < ops; i++ {
-			off := (i % 128) * 2048
-			for {
-				if f.Now() > deadline {
-					return fmt.Errorf("op %d: gave up at t=%v (%d timeouts, paused=%v)",
-						i, f.Now(), timeouts, mon.Paused())
-				}
-				if mon.Paused() {
-					f.Sleep(50 * sim.Microsecond)
-					continue
-				}
-				if err := group.Write(f, off, 1024, true); err != nil {
-					if !protocol.IsOpError(err) {
-						return fmt.Errorf("op %d: %w", i, err)
-					}
-					sawFailure = true
-					timeouts++
-					// After the first repair, repeated failures on a fresh
-					// datapath mean the partition broke it: losing even one
-					// message desynchronizes the pre-posted chains (real RC
-					// would exhaust retries and error the QP). Re-establish
-					// and try again — this converges once the wire heals.
-					if tResetup > 0 {
-						consecFails++
-						if consecFails >= pfBrokenAfter {
-							consecFails = 0
-							if err := reestablish(); err != nil {
-								return fmt.Errorf("op %d: re-establish: %w", i, err)
-							}
-						}
-					}
-					f.Sleep(100 * sim.Microsecond)
-					continue
-				}
+		// After the first repair, repeated failures on a fresh datapath
+		// mean the partition broke it: losing even one message
+		// desynchronizes the pre-posted chains (real RC would exhaust
+		// retries and error the QP). Re-establish and try again — this
+		// converges once the wire heals.
+		if w.repair.Resumed > 0 {
+			consecFails++
+			if consecFails >= pfBrokenAfter {
 				consecFails = 0
-				now := f.Now()
-				if !sawFailure {
-					lastOKBefore = now
-				} else if firstOKAfter == 0 {
-					firstOKAfter = now
+				if err := w.rearm(); err != nil {
+					return fmt.Errorf("re-establish: %w", err)
 				}
-				break
 			}
 		}
 		return nil
-	})
-	if err != nil {
+	}
+	if err := w.run(ops); err != nil {
 		return err
 	}
-	if repairErr != nil {
-		return repairErr
-	}
-	if !sawFailure || firstOKAfter == 0 {
-		return fmt.Errorf("crash produced no observable outage (failures=%v firstOKAfter=%v)", sawFailure, firstOKAfter)
-	}
 	fs := d.Fabric.FaultStats()
-	window := firstOKAfter.Sub(lastOKBefore)
+	tResetup, firstOKAfter := w.repair.Resumed, w.firstOKAfter
+	resetups, tLastResetup := w.rearms, w.lastRearm
+	window := firstOKAfter.Sub(w.lastOKBefore)
 
 	timeline := metrics.NewTable("Recovery vs partition timeline (virtual time)", "event", "t")
-	timeline.AddRow("NIC crash injected (server-1)", fd(pfCrashAt))
+	timeline.AddRow("NIC crash injected (server-1)", fd(failoverCrashAt))
 	timeline.AddRow("client↔server-0 partition opens", fd(pfPartFrom))
-	timeline.AddRow(fmt.Sprintf("failure suspected, writes paused (%d beats @ %s)", pfMissed, fd(pfBeat)), ft(tSuspect))
+	timeline.AddRow(fmt.Sprintf("failure suspected, writes paused (%d beats @ %s)", failoverMissed, fd(failoverBeat)), ft(w.repair.Suspected))
 	timeline.AddRow("failover recovery done, datapath armed, writes resumed", ft(tResetup))
 	timeline.AddRow("partition heals", fd(pfPartTo))
 	timeline.AddRow(fmt.Sprintf("final datapath re-establishment (%d total)", resetups), ft(tLastResetup))
-	timeline.AddRow("last good write before outage", ft(lastOKBefore))
+	timeline.AddRow("last good write before outage", ft(w.lastOKBefore))
 	timeline.AddRow("first good write after outage", ft(firstOKAfter))
 	timeline.AddRow("unavailability window", fd(window))
 	rep.Tables = append(rep.Tables, timeline)
@@ -220,7 +114,7 @@ func partitionTrial(ar *trialArena, rep *Report, seed uint64, ops int) error {
 		"failover recovery re-armed the datapath at %s, partition heals at %s", ft(tResetup), fd(pfPartTo))
 	rep.check("writes stay down until the partition heals",
 		firstOKAfter >= sim.Time(pfPartTo),
-		"first good write at %s, heal at %s, %d timed-out attempts in between", ft(firstOKAfter), fd(pfPartTo), timeouts)
+		"first good write at %s, heal at %s, %d timed-out attempts in between", ft(firstOKAfter), fd(pfPartTo), w.timeouts)
 	rep.check("a partitioned datapath is broken, not paused",
 		resetups >= 2 && tLastResetup > tResetup,
 		"%d datapath establishments: every one armed while the wire dropped messages was poisoned by the loss", resetups)
@@ -235,7 +129,7 @@ func partitionTrial(ar *trialArena, rep *Report, seed uint64, ops int) error {
 
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("partition [%s, %s) outlives suspicion (+catch-up +re-setup) by design; %d write attempts timed out, %d datapath establishments",
-			fd(pfPartFrom), fd(pfPartTo), timeouts, resetups),
+			fd(pfPartFrom), fd(pfPartTo), w.timeouts, resetups),
 		"heartbeats and catch-up are the application's recovery protocol and run off the partitioned wire; only the client datapath is cut",
 		"the fabric models message loss as permanent (RC retry exhaustion): one dropped metadata SEND shifts every later receive against its pre-posted seq-keyed chain slots, so the group forwards stale staging bytes and wedges — exactly why real RC moves a lossy QP to the error state and forces re-establishment",
 		fmt.Sprintf("the client declares a post-repair datapath broken after %d consecutive op timeouts and re-arms it; re-arming is wireless control-path work, so the loop converges one cycle after heal", pfBrokenAfter))
