@@ -133,12 +133,19 @@ stage_lint() {
 # surface (2PC lock ordering, abort rollback, recovery); protocol.Group is
 # the one issue path of every replication protocol.
 # chain.Manager.Repair is the one recovery path every failover runs.
+# The datapaths are measured over the conformance suite too: broadcast is
+# driven only from internal/experiments.
+#
+# covercheck <floor> <covered pkgs, comma-separated> [<test pkgs>...]
+# (the test packages default to the covered ones)
 covercheck() {
-    pkg=$1 floor=$2
-    go test -coverprofile "$tmp/cover.out" "$pkg"
+    floor=$1 cover=$2
+    shift 2
+    [ $# -gt 0 ] || set -- $(echo "$cover" | tr , ' ')
+    go test -coverprofile "$tmp/cover.out" -coverpkg "$cover" "$@"
     pct=$(go tool cover -func "$tmp/cover.out" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
     if awk -v p="$pct" -v f="$floor" 'BEGIN { exit !(p < f) }'; then
-        echo "coverage for $pkg is ${pct}%, below the ${floor}% floor" >&2
+        echo "coverage for $cover is ${pct}%, below the ${floor}% floor" >&2
         exit 1
     fi
 }
@@ -202,14 +209,17 @@ stage_test() {
         ./internal/nvm ./internal/txn ./internal/shard
     step "queue and dispatch benchmarks run" go test -run '^$' \
         -bench 'KernelHold|Dispatch' -benchtime 1x ./internal/sim ./internal/cpusim
-    step "coverage internal/nvm >=90" covercheck ./internal/nvm 90
-    step "coverage internal/ring >=90" covercheck ./internal/ring 90
-    step "coverage internal/experiments >=85" covercheck ./internal/experiments 85
-    step "coverage internal/shard >=85" covercheck ./internal/shard 85
-    step "coverage internal/txn >=85" covercheck ./internal/txn 85
-    step "coverage internal/protocol >=85" covercheck ./internal/protocol 85
-    step "coverage internal/topo >=85" covercheck ./internal/topo 85
-    step "coverage internal/chain >=85" covercheck ./internal/chain 85
+    step "coverage internal/nvm >=90" covercheck 90 ./internal/nvm
+    step "coverage internal/ring >=90" covercheck 90 ./internal/ring
+    step "coverage internal/experiments >=85" covercheck 85 ./internal/experiments
+    step "coverage internal/shard >=85" covercheck 85 ./internal/shard
+    step "coverage internal/txn >=85" covercheck 85 ./internal/txn
+    step "coverage internal/protocol >=85" covercheck 85 ./internal/protocol
+    step "coverage internal/topo >=85" covercheck 85 ./internal/topo
+    step "coverage internal/chain >=85" covercheck 85 ./internal/chain
+    step "coverage datapaths (hyperloop, naive) >=80" covercheck 80 \
+        ./internal/hyperloop,./internal/naive \
+        ./internal/hyperloop ./internal/naive ./internal/experiments
     # The committed baseline must decode against the -json schema
     # (internal/report) and cover the current registry, and the committed
     # hypotheses/<id>/FINDINGS.md artifacts must match a regeneration (also

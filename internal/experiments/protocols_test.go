@@ -224,6 +224,85 @@ func TestProtocolClose(t *testing.T) {
 	}
 }
 
+// TestProtocolCloseThenRebuild closes every protocol with writes still in
+// flight and builds its successor over the same NICs, with a spare in
+// member 1's place — what a failover does. Close must leave no QP or CQ
+// live on any NIC the group used. The successor lays its rings out at the
+// same device offsets, so it must not run any work the closed group
+// posted but never executed: every write on it completes, and every
+// member's mirror ends equal to the client's.
+func TestProtocolCloseThenRebuild(t *testing.T) {
+	const (
+		depth  = 32 // the default window
+		mirror = 64 << 10
+		span   = 16 << 10 // the writes land in 16 1 KiB slots
+	)
+	for _, name := range protocol.Names() {
+		t.Run(name, func(t *testing.T) {
+			p := protocol.Params{OpTimeout: 200 * sim.Microsecond}
+			c := confCluster(t, 1, name, p, nil)
+			spare, err := c.Fabric.AddNIC("spare", c.Device("spare", mirror))
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := c.Members("")
+			next := env
+			next.Replicas = []*rdma.NIC{env.Replicas[0], spare, env.Replicas[2]}
+			p.MirrorSize = mirror
+			var g2 protocol.Protocol
+			drive(t, c, func(f *sim.Fiber) error {
+				g := c.group
+				for i := 0; i < depth+8; i++ {
+					if err := g.Write(f, (i%16)*1024, 512, true); err != nil {
+						return fmt.Errorf("write %d: %w", i, err)
+					}
+				}
+				for i := 0; i < 4; i++ {
+					if _, err := g.WriteAsync(i*1024, 512, true); err != nil {
+						return fmt.Errorf("async write %d: %w", i, err)
+					}
+				}
+				g.Close()
+				for _, nic := range append([]*rdma.NIC{env.Client}, env.Replicas...) {
+					if !nic.Idle() {
+						return fmt.Errorf("%s: a QP or CQ is still live after Close", nic.Host())
+					}
+				}
+				if g2, err = c.GroupOver(next, name, p); err != nil {
+					return err
+				}
+				for i := 0; i < 2*depth; i++ {
+					off := (i % 16) * 1024
+					if err := g2.WriteLocal(off, bytes.Repeat([]byte{byte(i + 1)}, 512)); err != nil {
+						return err
+					}
+					if err := g2.Write(f, off, 512, true); err != nil {
+						return fmt.Errorf("write %d on the rebuilt group: %w", i, err)
+					}
+				}
+				// Quorum protocols complete before the slowest member's
+				// apply; give stragglers time to land before comparing.
+				f.Sleep(2 * sim.Millisecond)
+				return nil
+			})
+			want, err := g2.ReadLocal(0, span)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, span)
+			for i, nic := range next.Replicas {
+				if err := nic.Memory().Read(0, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, got) {
+					t.Fatalf("member %d (%s) mirror diverges from the client's", i, nic.Host())
+				}
+			}
+			g2.Close()
+		})
+	}
+}
+
 // TestProtocolRejectsBadRanges feeds every primitive of every protocol
 // arguments outside the mirror — negative offsets and sizes included — and
 // requires the canonical ErrBadArgument before anything is consumed: no

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
-	"hyperloop/internal/sim"
 )
 
 // BroadcastGroup is an ABD/Hermes-style NIC-offloaded broadcast: the
@@ -38,16 +36,14 @@ import (
 type BroadcastGroup struct {
 	*protocol.Group
 
-	fab *rdma.Fabric
-	k   *sim.Kernel
-	cfg Config
+	cfg   Config
+	hosts []*protocol.Host
 
 	client  *rdma.NIC
 	qpFan   []*rdma.QP // per-member data WRITE + metadata SEND
 	qpAckIn []*rdma.QP // per-member ack receive side
-	ackMR   *rdma.MemoryRegion
-	ackOff  uint64 // client ack slots: per member, per depth slot
-	metaOff uint64 // per-member per-op metadata staging
+	ackOff  uint64     // client ack slots: per member, per depth slot
+	metaOff uint64     // per-member per-op metadata staging
 
 	members []*leafMember
 
@@ -85,19 +81,15 @@ func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg
 	if cfg.AckQuorum < 0 || cfg.AckQuorum > len(members) {
 		return nil, fmt.Errorf("%w: ack quorum %d outside [0,%d]", ErrBadArgument, cfg.AckQuorum, len(members))
 	}
-	g := &BroadcastGroup{
-		fab:    fab,
-		k:      fab.Kernel(),
-		cfg:    cfg,
-		client: client,
-		acks:   make(map[uint64]*bcastAckState),
-	}
-	g.Group = newSurface(client, len(members), cfg, g)
-	if err := g.setupBcastClient(len(members)); err != nil {
+	g := &BroadcastGroup{cfg: cfg, client: client, acks: make(map[uint64]*bcastAckState)}
+	g.Group = newSurface(fab, client, len(members), cfg, g)
+	if err := g.setupClient(len(members)); err != nil {
 		return nil, err
 	}
 	for i, nic := range members {
-		m, err := setupLeafMember(nic, cfg)
+		h := protocol.NewHost(nic, cfg.MirrorSize)
+		g.hosts = append(g.hosts, h)
+		m, err := setupLeafMember(h, cfg.Depth)
 		if err != nil {
 			return nil, fmt.Errorf("member %d: %w", i, err)
 		}
@@ -116,7 +108,7 @@ func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg
 		}
 	}
 	for _, m := range g.members {
-		m.installReArm(g.k, g.Group)
+		reArmOn(m.qpAck.SendCQ(), g.Group, m.nic, cfg.Depth, m.arm)
 	}
 	for j := range g.members {
 		j := j
@@ -129,60 +121,16 @@ func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg
 	return g, nil
 }
 
-func (g *BroadcastGroup) setupBcastClient(n int) error {
-	alloc := nvm.NewAllocator(g.client.Memory())
-	mirror, err := alloc.Alloc("mirror", g.cfg.MirrorSize)
-	if err != nil {
-		return err
-	}
-	if mirror.Off != 0 {
-		return fmt.Errorf("hyperloop: client mirror not at offset 0")
-	}
-	meta, err := alloc.Alloc("meta", g.cfg.Depth*n*fanBackupMetaLen)
-	if err != nil {
-		return err
-	}
-	ack, err := alloc.Alloc("ack", g.cfg.Depth*n*fanAckLen)
-	if err != nil {
-		return err
-	}
-	g.metaOff = uint64(meta.Off)
-	g.ackOff = uint64(ack.Off)
-	g.ackMR, err = g.client.RegisterMR(uint64(ack.Off), uint64(ack.Len), rdma.AccessRemoteWrite)
-	if err != nil {
-		return err
-	}
+func (g *BroadcastGroup) setupClient(n int) error {
+	h := protocol.NewHost(g.client, g.cfg.MirrorSize)
+	g.hosts = append(g.hosts, h)
+	g.metaOff = h.Region("meta", g.cfg.Depth*n*fanBackupMetaLen)
+	g.ackOff = h.Region("ack", g.cfg.Depth*n*fanAckLen)
 	for j := 0; j < n; j++ {
-		fanRing, err := alloc.Alloc(fmt.Sprintf("fan-ring-%d", j), 2*g.cfg.Depth*rdma.WQESize)
-		if err != nil {
-			return err
-		}
-		qp, err := g.client.CreateQP(rdma.QPConfig{
-			SendRingOff: uint64(fanRing.Off), SendSlots: fanRing.Len / rdma.WQESize,
-			SendCQ: g.client.CreateCQ(), RecvCQ: g.client.CreateCQ(),
-		})
-		if err != nil {
-			return err
-		}
-		qp.SendCQ().Discard()
-		qp.RecvCQ().Discard()
-		g.qpFan = append(g.qpFan, qp)
-
-		ackRing, err := alloc.Alloc(fmt.Sprintf("ackin-ring-%d", j), rdma.WQESize)
-		if err != nil {
-			return err
-		}
-		aqp, err := g.client.CreateQP(rdma.QPConfig{
-			SendRingOff: uint64(ackRing.Off), SendSlots: 1,
-			SendCQ: g.client.CreateCQ(), RecvCQ: g.client.CreateCQ(),
-		})
-		if err != nil {
-			return err
-		}
-		aqp.SendCQ().Discard()
-		g.qpAckIn = append(g.qpAckIn, aqp)
+		g.qpFan = append(g.qpFan, h.QP(fmt.Sprintf("fan-ring-%d", j), 2*g.cfg.Depth, nil, nil))
+		g.qpAckIn = append(g.qpAckIn, h.QP(fmt.Sprintf("ackin-ring-%d", j), 1, nil, nil))
 	}
-	return nil
+	return h.Err()
 }
 
 // clientAckAddr is member j's ack landing slot for op seq.
@@ -222,10 +170,7 @@ func (g *BroadcastGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 		if err := encodeLocalBlock(bmeta, seq, kind, p, m.mirror.RKey, resultAddr, j); err != nil {
 			return err
 		}
-		hdr := bmeta[2*rdma.DescLen:]
-		binary.LittleEndian.PutUint64(hdr, seq)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(kind))
-		binary.LittleEndian.PutUint32(hdr[12:], 0)
+		putHeader(bmeta[2*rdma.DescLen:], seq, kind)
 		if err := g.client.Memory().Write(int(g.bmetaAddr(j, seq)), bmeta); err != nil {
 			return err
 		}
@@ -300,18 +245,10 @@ func (g *BroadcastGroup) ReplicaNIC(i int) *rdma.NIC { return g.members[i].nic }
 // ClientNIC returns the client's NIC.
 func (g *BroadcastGroup) ClientNIC() *rdma.NIC { return g.client }
 
-// Teardown is the broadcast's half of Close (protocol.Strategy): the ack
-// accumulators are dropped and every QP the group created is destroyed so
-// the NICs can host a new group.
+// Teardown is the broadcast's half of Close (protocol.Strategy): every QP
+// and CQ the group created is destroyed so the NICs can host a new group.
 func (g *BroadcastGroup) Teardown() {
-	g.acks = make(map[uint64]*bcastAckState)
-	for _, qp := range g.qpFan {
-		qp.Destroy()
-	}
-	for _, qp := range g.qpAckIn {
-		qp.Destroy()
-	}
-	for _, m := range g.members {
-		m.destroy()
+	for _, h := range g.hosts {
+		h.Destroy()
 	}
 }

@@ -43,4 +43,10 @@
 //     the client NIC fans the value to every replica directly and the
 //     client completes an op on a configurable quorum of NIC-generated
 //     acks ("bcast" waits for all, "bcast-maj" for a majority).
+//
+// The three share their parts: every NIC is carved through a
+// protocol.Host (mirror at offset 0, then rings, staging and ack slots;
+// Teardown destroys the hosts), every member's L1/L2 block is one
+// encodeLocalBlock, the chain and fan-out client decode one groupAck, and
+// every member re-arms its window through one reArmOn.
 package hyperloop

@@ -2,9 +2,6 @@ package hyperloop
 
 import "hyperloop/internal/rdma"
 
-// PrimaryNIC returns the coordinating member's NIC.
-func (g *FanoutGroup) PrimaryNIC() *rdma.NIC { return g.primary.nic }
-
 // ReplicaNIC returns member i's NIC (0 = primary, i>0 = backup i).
 func (g *FanoutGroup) ReplicaNIC(i int) *rdma.NIC {
 	if i == 0 {
@@ -17,19 +14,9 @@ func (g *FanoutGroup) ReplicaNIC(i int) *rdma.NIC {
 func (g *FanoutGroup) ClientNIC() *rdma.NIC { return g.client }
 
 // Teardown is the fan-out's half of Close (protocol.Strategy): every QP
-// the group created is destroyed so the NICs can host a new group.
+// and CQ the group created is destroyed so the NICs can host a new group.
 func (g *FanoutGroup) Teardown() {
-	g.qpHead.Destroy()
-	p := g.primary
-	p.qpClient.Destroy()
-	p.qpLoop.Destroy()
-	for _, qp := range p.qpFwd {
-		qp.Destroy()
-	}
-	for _, qp := range p.qpAckIn {
-		qp.Destroy()
-	}
-	for _, b := range g.backups {
-		b.destroy()
+	for _, h := range g.hosts {
+		h.Destroy()
 	}
 }

@@ -1,23 +1,15 @@
 package hyperloop
 
-import (
-	"encoding/binary"
-
-	"hyperloop/internal/rdma"
-)
+import "hyperloop/internal/rdma"
 
 func (g *FanoutGroup) resultSlotAddr(seq uint64) uint64 {
-	return g.primary.resultOff + (seq%uint64(g.cfg.Depth))*uint64(g.primary.resultSlot)
+	return g.primary.resultOff + (seq%uint64(g.cfg.Depth))*uint64(g.ack.slotLen())
 }
 
 func (g *FanoutGroup) stagingAddr(j int, seq uint64) uint64 {
 	b := max(g.numBackups(), 1)
 	slot := (seq % uint64(g.cfg.Depth)) * uint64(b)
-	return g.primary.stagingOff + (slot+uint64(j))*uint64(g.primary.stagingSlot)
-}
-
-func (g *FanoutGroup) clientAckAddr(seq uint64) uint64 {
-	return g.ackOff + (seq%uint64(g.cfg.Depth))*uint64(g.resultSlotLen())
+	return g.primary.stagingOff + (slot+uint64(j))*uint64(fanBackupMetaLen)
 }
 
 // armPrimary pre-posts the primary's chains and receives for op seq.
@@ -48,7 +40,7 @@ func (g *FanoutGroup) armPrimary(seq uint64) error {
 
 	// Loopback chain.
 	if _, err := p.qpLoop.PostSend(rdma.WQE{
-		Opcode: rdma.OpWait, Imm: 1, Aux1: p.recvCQ.CQN(), Aux2: 2, WRID: seq,
+		Opcode: rdma.OpWait, Imm: 1, Aux1: p.qpClient.RecvCQ().CQN(), Aux2: 2, WRID: seq,
 	}); err != nil {
 		return err
 	}
@@ -65,7 +57,7 @@ func (g *FanoutGroup) armPrimary(seq uint64) error {
 	for j := 0; j < b; j++ {
 		if _, err := p.qpFwd[j].PostSend(rdma.WQE{
 			Opcode: rdma.OpWait, Flags: rdma.FlagWaitAbs,
-			Compare: 2 * (seq + 1), Aux1: p.loopCQ.CQN(), Aux2: 2, WRID: seq,
+			Compare: 2 * (seq + 1), Aux1: p.qpLoop.SendCQ().CQN(), Aux2: 2, WRID: seq,
 		}); err != nil {
 			return err
 		}
@@ -99,7 +91,7 @@ func (g *FanoutGroup) armPrimary(seq uint64) error {
 	if b == 0 {
 		if _, err := p.qpClient.PostSend(rdma.WQE{
 			Opcode: rdma.OpWait, Flags: rdma.FlagWaitAbs,
-			Compare: 2 * (seq + 1), Aux1: p.loopCQ.CQN(), WRID: seq,
+			Compare: 2 * (seq + 1), Aux1: p.qpLoop.SendCQ().CQN(), WRID: seq,
 		}); err != nil {
 			return err
 		}
@@ -107,77 +99,17 @@ func (g *FanoutGroup) armPrimary(seq uint64) error {
 	for j := 0; j < b; j++ {
 		if _, err := p.qpClient.PostSend(rdma.WQE{
 			Opcode: rdma.OpWait, Flags: rdma.FlagWaitAbs,
-			Compare: seq + 1, Aux1: p.ackCQs[j].CQN(), WRID: seq,
+			Compare: seq + 1, Aux1: p.qpAckIn[j].RecvCQ().CQN(), WRID: seq,
 		}); err != nil {
 			return err
 		}
 	}
 	_, err := p.qpClient.PostSend(rdma.WQE{
 		Opcode: rdma.OpWriteImm, Flags: rdma.FlagSignaled, WRID: seq, Imm: uint32(seq),
-		Local: g.resultSlotAddr(seq), Len: uint64(g.resultSlotLen()),
-		Remote: g.clientAckAddr(seq), Aux1: g.ackMR.RKey,
+		Local: g.resultSlotAddr(seq), Len: uint64(g.ack.slotLen()),
+		Remote: g.ack.addr(seq), Aux1: g.ack.mr.RKey,
 	})
 	return err
-}
-
-// installFanReArm wires the off-critical-path chain replenishment.
-func (g *FanoutGroup) installFanReArm() {
-	p := g.primary
-	p.qpClient.SendCQ().SetDrainHandler(func(batch []rdma.CQE) {
-		for range batch {
-			seq := p.completed
-			p.completed++
-			reArmAfter(g.k, g.Group, p.nic, g.cfg.ReArmDelay, func() {
-				_ = g.armPrimary(seq + uint64(g.cfg.Depth))
-			})
-		}
-	})
-	for _, b := range g.backups {
-		b.installReArm(g.k, g.Group)
-	}
-}
-
-// encodeLocalBlock builds the patched L1/L2 descriptors for one member of
-// a fan-out or broadcast group. memberIdx indexes p.Exec for gCAS;
-// resultAddr is where that member's CAS result lands.
-func encodeLocalBlock(buf []byte, seq uint64, kind opKind, p opParams,
-	mirrorRKey uint32, resultAddr uint64, memberIdx int) error {
-	l1 := rdma.WQE{Opcode: rdma.OpNop, Flags: rdma.FlagSignaled, WRID: seq}
-	switch {
-	case kind == kindCAS && p.Exec[memberIdx]:
-		l1 = rdma.WQE{
-			Opcode: rdma.OpCAS, Flags: rdma.FlagSignaled, WRID: seq,
-			Local: resultAddr, Remote: uint64(p.Off),
-			Compare: p.Old, Swap: p.New, Aux1: mirrorRKey,
-		}
-	case kind == kindMemcpy:
-		l1 = rdma.WQE{
-			Opcode: rdma.OpMemcpy, Flags: rdma.FlagSignaled, WRID: seq,
-			Local: uint64(p.Src), Len: uint64(p.Size), Remote: uint64(p.Dst),
-		}
-	}
-	l2 := rdma.WQE{Opcode: rdma.OpNop, Flags: rdma.FlagSignaled, WRID: seq}
-	switch {
-	case kind == kindWrite && p.Durable:
-		l2 = rdma.WQE{
-			Opcode: rdma.OpFlush, Flags: rdma.FlagSignaled, WRID: seq,
-			Remote: uint64(p.Off), Len: uint64(p.Size), Aux1: mirrorRKey,
-		}
-	case kind == kindMemcpy && p.Durable:
-		l2 = rdma.WQE{
-			Opcode: rdma.OpFlush, Flags: rdma.FlagSignaled, WRID: seq,
-			Remote: uint64(p.Dst), Len: uint64(p.Size), Aux1: mirrorRKey,
-		}
-	case kind == kindFlush:
-		l2 = rdma.WQE{
-			Opcode: rdma.OpFlush, Flags: rdma.FlagSignaled, WRID: seq,
-			Remote: uint64(p.Off), Len: uint64(p.Size), Aux1: mirrorRKey,
-		}
-	}
-	if err := l1.EncodeDesc(buf); err != nil {
-		return err
-	}
-	return l2.EncodeDesc(buf[rdma.DescLen:])
 }
 
 // Transmit is the fan-out's half of an issue (protocol.Strategy): it
@@ -226,41 +158,14 @@ func (g *FanoutGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 		if err := encodeLocalBlock(msg[pos:], seq, kind, p, bk.mirror.RKey, resultAddr, j+1); err != nil {
 			return err
 		}
-		hdr := msg[pos+2*rdma.DescLen:]
-		binary.LittleEndian.PutUint64(hdr, seq)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(kind))
+		putHeader(msg[pos+2*rdma.DescLen:], seq, kind)
 		pos += fanBackupMetaLen
 	}
-	binary.LittleEndian.PutUint64(msg[pos:], seq)
-	binary.LittleEndian.PutUint32(msg[pos+8:], uint32(kind))
+	putHeader(msg[pos:], seq, kind)
 
 	metaAddr := g.metaOff + (seq%uint64(g.cfg.Depth))*uint64(g.metaLen())
 	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
 		return err
 	}
 	return postToHead(g.qpHead, seq, kind, p, g.primary.mirror.RKey, metaAddr, g.metaLen())
-}
-
-// onAcks handles a drained batch of group-ACK completions.
-func (g *FanoutGroup) onAcks(batch []rdma.CQE) {
-	for _, e := range batch {
-		g.onAck(e)
-	}
-}
-
-// onAck resolves a completed fan-out operation.
-func (g *FanoutGroup) onAck(e rdma.CQE) {
-	g.qpAck.PostRecv(rdma.RecvWQE{})
-	slotAddr := int(g.clientAckAddr(uint64(e.Imm)))
-	if cap(g.ackBuf) < g.resultSlotLen() {
-		g.ackBuf = make([]byte, g.resultSlotLen())
-	}
-	buf := g.ackBuf[:g.resultSlotLen()]
-	if err := g.client.Memory().Read(slotAddr, buf); err != nil {
-		return
-	}
-	for j := range g.ackRes {
-		g.ackRes[j] = binary.LittleEndian.Uint64(buf[j*resultEntry:])
-	}
-	g.Complete(binary.LittleEndian.Uint64(buf[len(g.ackRes)*resultEntry:]), g.ackRes)
 }

@@ -175,7 +175,7 @@ func TestFanoutSingleMember(t *testing.T) {
 			t.Errorf("write: %v", err)
 		}
 	})
-	b, _ := g.PrimaryNIC().Memory().Slice(0, 4)
+	b, _ := g.ReplicaNIC(0).Memory().Slice(0, 4)
 	if string(b) != "solo" {
 		t.Fatalf("primary = %q", b)
 	}

@@ -435,53 +435,6 @@ func TestRetryBoundedOnPermanentCrash(t *testing.T) {
 	}
 }
 
-func TestCloseThenResetupOverlappingNICs(t *testing.T) {
-	// Failover re-establishes a group over surviving members. Both Setups
-	// allocate control rings at identical device offsets, so the old
-	// group's QPs — still parked on WAITs — would wake on the new group's
-	// traffic, re-read the rewritten ring slots, and steal its WAIT
-	// completions, stalling the new chain forever on disowned WQEs.
-	// Close must make the abandoned datapath fully inert.
-	k := sim.NewKernel(1)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	client, err := fab.AddNIC("client", nvm.NewDevice("client", testDev))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reps []*rdma.NIC
-	for _, h := range []string{"r0", "r1", "r2", "spare"} {
-		nic, err := fab.AddNIC(h, nvm.NewDevice(h, testDev))
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps = append(reps, nic)
-	}
-	cfg := DefaultConfig(testMirror)
-	cfg.OpTimeout = 200 * sim.Microsecond
-	g1, err := Setup(fab, client, reps[:3], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1.Close()
-	if _, err := g1.WriteAsync(0, 64, false); !errors.Is(err, ErrClosed) {
-		t.Fatalf("WriteAsync on closed group: err = %v, want ErrClosed", err)
-	}
-	g2, err := Setup(fab, client, []*rdma.NIC{reps[0], reps[3], reps[2]}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runFiber(t, k, func(f *sim.Fiber) {
-		for i := 0; i < 100; i++ {
-			if err := g2.Write(f, (i%16)*1024, 1024, true); err != nil {
-				t.Fatalf("write %d on re-established group: %v", i, err)
-			}
-		}
-	})
-	if _, completed := g2.Stats(); completed != 100 {
-		t.Errorf("completed = %d, want 100", completed)
-	}
-}
-
 func TestCloseFailsInFlightOps(t *testing.T) {
 	// Close fires ErrClosed into every awaiting fiber; nothing hangs on an
 	// operation the torn-down datapath will never complete.

@@ -1,6 +1,10 @@
 package hyperloop
 
-import "hyperloop/internal/rdma"
+import (
+	"encoding/binary"
+
+	"hyperloop/internal/rdma"
+)
 
 // Metadata message layout (all values little-endian):
 //
@@ -13,11 +17,9 @@ const (
 	resultEntry   = 8                // one uint64 per group member
 )
 
-// layout captures the derived sizes of a group with G replicas and a given
-// operation window (depth).
+// layout captures the derived sizes of a group with G replicas.
 type layout struct {
 	groupSize int
-	depth     int
 }
 
 // metaLen returns the metadata message size arriving at hop i (1-based).
@@ -33,8 +35,12 @@ func (l layout) metaRest(i int) int {
 
 func (l layout) resultsLen() int { return l.groupSize * resultEntry }
 
-// ackSlotSize is what the tail delivers to the client: results + header.
-func (l layout) ackSlotSize() int { return l.resultsLen() + headerSize }
+// putHeader writes an operation's header: seq, kind, then the reserved word.
+func putHeader(b []byte, seq uint64, kind opKind) {
+	binary.LittleEndian.PutUint64(b, seq)
+	binary.LittleEndian.PutUint32(b[8:], uint32(kind))
+	binary.LittleEndian.PutUint32(b[12:], 0)
+}
 
 // resultOffsetInStaging returns where node j's (1-based) gCAS result lives
 // within hop i's staging slot (which holds metaRest(i) bytes:
@@ -47,6 +53,5 @@ func (l layout) resultOffsetInStaging(i, j int) int {
 // three slots (WAIT, op A, op B) on both the loopback and next-hop rings.
 const slotsPerOp = 3
 
-func chainWaitSlot(seq uint64) uint64 { return seq * slotsPerOp }
-func chainSlotA(seq uint64) uint64    { return seq*slotsPerOp + 1 }
-func chainSlotB(seq uint64) uint64    { return seq*slotsPerOp + 2 }
+func chainSlotA(seq uint64) uint64 { return seq*slotsPerOp + 1 }
+func chainSlotB(seq uint64) uint64 { return seq*slotsPerOp + 2 }

@@ -6,23 +6,37 @@ import (
 	"hyperloop/internal/sim"
 )
 
-// reArmAfter schedules one off-critical-path chain re-arm. A down NIC
+// reArmDelay is how long after an operation has passed through a member
+// its control path re-arms that slot. It is off the critical path by
+// construction.
+const reArmDelay = 5 * sim.Microsecond
+
+// reArmOn wires a member's lazy control-path re-arm: the n-th completion
+// on cq means operation n has fully passed through the member, so arm
+// posts the chains for operation n+depth, reArmDelay later. A down NIC
 // defers the re-arm instead of dropping it: a NIC outage doesn't kill the
 // member host, whose control path keeps retrying its replenishment until
 // the link returns. Dropping the re-arm would permanently shrink the
 // pre-posted window — enough crash/restart cycles and the group wedges
-// with every receive slot gone.
-func reArmAfter(k *sim.Kernel, grp *protocol.Group, nic *rdma.NIC, d sim.Duration, arm func()) {
-	var fn func()
-	fn = func() {
-		if grp.Closed() {
-			return
+// with every receive slot gone. A closed group re-arms nothing.
+func reArmOn(cq *rdma.CQ, grp *protocol.Group, nic *rdma.NIC, depth int, arm func(seq uint64) error) {
+	k := nic.Fabric().Kernel()
+	var completed uint64
+	cq.SetDrainHandler(func(batch []rdma.CQE) {
+		for range batch {
+			seq := completed + uint64(depth)
+			completed++
+			var fn func()
+			fn = func() {
+				switch {
+				case grp.Closed():
+				case nic.Down():
+					k.AfterFunc(reArmDelay, fn, nil)
+				default:
+					_ = arm(seq)
+				}
+			}
+			k.AfterFunc(reArmDelay, fn, nil)
 		}
-		if nic.Down() {
-			k.AfterFunc(d, fn, nil)
-			return
-		}
-		arm()
-	}
-	k.AfterFunc(d, fn, nil)
+	})
 }

@@ -3,7 +3,8 @@ package hyperloop
 import "hyperloop/internal/protocol"
 
 // cfgFromParams translates the protocol-neutral policy knobs into this
-// package's Config; zero values keep each Setup's defaults.
+// package's Config; zero values keep each Setup's defaults. The broadcast
+// builders set AckQuorum themselves.
 func cfgFromParams(p protocol.Params) Config {
 	return Config{
 		MirrorSize:   p.MirrorSize,
@@ -11,7 +12,6 @@ func cfgFromParams(p protocol.Params) Config {
 		OpTimeout:    p.OpTimeout,
 		MaxRetries:   p.MaxRetries,
 		RetryBackoff: p.RetryBackoff,
-		AckQuorum:    p.Quorum,
 	}
 }
 
@@ -29,9 +29,7 @@ func init() {
 	protocol.Register("bcast",
 		"client NIC broadcast, completes on all member acks (Hermes-style strong mode)",
 		func(env protocol.Env, p protocol.Params) (protocol.Protocol, error) {
-			cfg := cfgFromParams(p)
-			cfg.AckQuorum = 0 // all members
-			return SetupBroadcast(env.Fabric, env.Client, env.Replicas, cfg)
+			return SetupBroadcast(env.Fabric, env.Client, env.Replicas, cfgFromParams(p))
 		})
 	protocol.Register("bcast-maj",
 		"client NIC broadcast, completes on a majority of member acks (ABD-style)",

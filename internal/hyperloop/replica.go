@@ -14,7 +14,7 @@ func (g *Group) arm(r *replica, seq uint64) error {
 	// goes to this op's staging slot for forwarding.
 	loopRing, loopSlots := r.qpLoop.RingOff(), r.qpLoop.RingSlots()
 	nextRing, nextSlots := r.qpNext.RingOff(), r.qpNext.RingSlots()
-	stagingAddr := r.stagingOff + (seq%uint64(g.cfg.Depth))*uint64(r.stagingSlot)
+	stagingAddr := g.stagingAddr(r, seq)
 	defer r.qpPrev.PostRecv(rdma.RecvWQE{ // posted after the chain slots exist
 		WRID: seq,
 		SGEs: []rdma.SGE{
@@ -30,7 +30,7 @@ func (g *Group) arm(r *replica, seq uint64) error {
 	// (to-be-patched) local operations. Placeholders are signaled NOPs so
 	// the chain also works if a patch leaves them untouched.
 	if _, err := r.qpLoop.PostSend(rdma.WQE{
-		Opcode: rdma.OpWait, Imm: 1, Aux1: r.recvCQ.CQN(), Aux2: 2, WRID: seq,
+		Opcode: rdma.OpWait, Imm: 1, Aux1: r.qpPrev.RecvCQ().CQN(), Aux2: 2, WRID: seq,
 	}); err != nil {
 		return err
 	}
@@ -48,7 +48,7 @@ func (g *Group) arm(r *replica, seq uint64) error {
 	// Next-hop chain: WAIT for both local completions, then forward the
 	// data WRITE (F1) and the peeled metadata SEND (F2).
 	if _, err := r.qpNext.PostSend(rdma.WQE{
-		Opcode: rdma.OpWait, Imm: 2, Aux1: r.loopCQ.CQN(), Aux2: 2, WRID: seq,
+		Opcode: rdma.OpWait, Imm: 2, Aux1: r.qpLoop.SendCQ().CQN(), Aux2: 2, WRID: seq,
 	}); err != nil {
 		return err
 	}
@@ -63,20 +63,4 @@ func (g *Group) arm(r *replica, seq uint64) error {
 		return err
 	}
 	return nil
-}
-
-// installReArm wires the lazy control-path re-arm: each completed F2 on
-// the next-hop CQ means one operation has fully passed through this
-// replica, so the chain for sequence seq+Depth can be posted. The re-arm
-// runs ReArmDelay later and costs no datapath time.
-func (g *Group) installReArm(r *replica) {
-	r.nextCQ.SetDrainHandler(func(batch []rdma.CQE) {
-		for range batch {
-			seq := r.completed
-			r.completed++
-			reArmAfter(g.k, g.Group, r.nic, g.cfg.ReArmDelay, func() {
-				_ = g.arm(r, seq+uint64(g.cfg.Depth))
-			})
-		}
-	})
 }

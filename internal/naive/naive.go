@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cpusim"
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
@@ -176,9 +175,8 @@ type replica struct {
 type Group struct {
 	*protocol.Group
 
-	fab *rdma.Fabric
-	k   *sim.Kernel
-	cfg Config
+	cfg   Config
+	hosts []*protocol.Host
 
 	client   *rdma.NIC
 	qpHead   *rdma.QP
@@ -206,24 +204,11 @@ func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC,
 	if cfg.MirrorSize <= 0 {
 		return nil, fmt.Errorf("%w: mirror size must be positive", ErrBadArgument)
 	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 32
-	}
-	// ACK imm truncates seq to 32 bits; power-of-two depth keeps slot
-	// arithmetic consistent (see hyperloop.Setup).
-	for cfg.Depth&(cfg.Depth-1) != 0 {
-		cfg.Depth++
-	}
+	cfg.Depth = protocol.Window(cfg.Depth)
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeEvent
 	}
-	g := &Group{
-		fab:    fab,
-		k:      fab.Kernel(),
-		cfg:    cfg,
-		client: client,
-		ackRes: make([]uint64, len(replicas)),
-	}
+	g := &Group{cfg: cfg, client: client, ackRes: make([]uint64, len(replicas))}
 	g.Group = protocol.NewGroup(protocol.GroupConfig{
 		Kernel: fab.Kernel(), Mirror: client.Memory(),
 		GroupSize: len(replicas), MirrorSize: cfg.MirrorSize, Depth: cfg.Depth,
@@ -260,100 +245,29 @@ func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC,
 		g.qpAck.PostRecv(rdma.RecvWQE{})
 	}
 	g.qpAck.RecvCQ().SetDrainHandler(g.onAcks)
-	// The remaining CQs carry no information the chain consumes; keep them
-	// as counters only so completions don't accumulate for the whole run.
-	g.qpHead.SendCQ().Discard()
-	g.qpHead.RecvCQ().Discard()
-	g.qpAck.SendCQ().Discard()
 	return g, nil
 }
 
 func (g *Group) setupClient() error {
-	alloc := nvm.NewAllocator(g.client.Memory())
-	mirror, err := alloc.Alloc("mirror", g.cfg.MirrorSize)
-	if err != nil {
-		return err
-	}
-	if mirror.Off != 0 {
-		return fmt.Errorf("naive: client mirror not at offset 0")
-	}
-	meta, err := alloc.Alloc("meta", g.cfg.Depth*g.msgLen())
-	if err != nil {
-		return err
-	}
-	ack, err := alloc.Alloc("ack", g.cfg.Depth*g.msgLen())
-	if err != nil {
-		return err
-	}
-	headRing, err := alloc.Alloc("head-ring", 2*g.cfg.Depth*rdma.WQESize)
-	if err != nil {
-		return err
-	}
-	ackRing, err := alloc.Alloc("ack-ring", rdma.WQESize)
-	if err != nil {
-		return err
-	}
-	g.metaOff = uint64(meta.Off)
-	g.ackOff = uint64(ack.Off)
-	g.ackMR, err = g.client.RegisterMR(uint64(ack.Off), uint64(ack.Len), rdma.AccessRemoteWrite)
-	if err != nil {
-		return err
-	}
-	g.qpHead, err = g.client.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(headRing.Off), SendSlots: headRing.Len / rdma.WQESize,
-		SendCQ: g.client.CreateCQ(), RecvCQ: g.client.CreateCQ(),
-	})
-	if err != nil {
-		return err
-	}
-	g.qpAck, err = g.client.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(ackRing.Off), SendSlots: 1,
-		SendCQ: g.client.CreateCQ(), RecvCQ: g.client.CreateCQ(),
-	})
-	return err
+	h := protocol.NewHost(g.client, g.cfg.MirrorSize)
+	g.hosts = append(g.hosts, h)
+	g.metaOff = h.Region("meta", g.cfg.Depth*g.msgLen())
+	g.ackOff = h.Region("ack", g.cfg.Depth*g.msgLen())
+	g.ackMR = h.MR(g.ackOff, g.cfg.Depth*g.msgLen(), rdma.AccessRemoteWrite)
+	g.qpHead = h.QP("head-ring", 2*g.cfg.Depth, nil, nil)
+	g.qpAck = h.QP("ack-ring", 1, nil, nil)
+	return h.Err()
 }
 
 func (g *Group) setupReplica(index int, nic *rdma.NIC, sched *cpusim.Scheduler) (*replica, error) {
-	r := &replica{index: index, nic: nic, g: g} // isTail finalized in install
-	alloc := nvm.NewAllocator(nic.Memory())
-	mirror, err := alloc.Alloc("mirror", g.cfg.MirrorSize)
-	if err != nil {
-		return nil, err
-	}
-	if mirror.Off != 0 {
-		return nil, fmt.Errorf("naive: mirror not at offset 0")
-	}
-	staging, err := alloc.Alloc("staging", g.cfg.Depth*g.msgLen())
-	if err != nil {
-		return nil, err
-	}
-	prevRing, err := alloc.Alloc("prev-ring", rdma.WQESize)
-	if err != nil {
-		return nil, err
-	}
-	nextRing, err := alloc.Alloc("next-ring", 2*g.cfg.Depth*rdma.WQESize)
-	if err != nil {
-		return nil, err
-	}
-	r.stagingOff = uint64(staging.Off)
-	r.stagingSlot = g.msgLen()
-	r.mirror, err = nic.RegisterMR(0, uint64(g.cfg.MirrorSize),
-		rdma.AccessRemoteRead|rdma.AccessRemoteWrite|rdma.AccessRemoteAtomic)
-	if err != nil {
-		return nil, err
-	}
-	r.qpPrev, err = nic.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(prevRing.Off), SendSlots: 1,
-		SendCQ: nic.CreateCQ(), RecvCQ: nic.CreateCQ(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.qpNext, err = nic.CreateQP(rdma.QPConfig{
-		SendRingOff: uint64(nextRing.Off), SendSlots: nextRing.Len / rdma.WQESize,
-		SendCQ: nic.CreateCQ(), RecvCQ: nic.CreateCQ(),
-	})
-	if err != nil {
+	h := protocol.NewHost(nic, g.cfg.MirrorSize)
+	g.hosts = append(g.hosts, h)
+	r := &replica{index: index, nic: nic, g: g, stagingSlot: g.msgLen()} // isTail finalized in install
+	r.stagingOff = h.Region("staging", g.cfg.Depth*r.stagingSlot)
+	r.mirror = h.MirrorMR()
+	r.qpPrev = h.QP("prev-ring", 1, nil, nil)
+	r.qpNext = h.QP("next-ring", 2*g.cfg.Depth, nil, nil)
+	if err := h.Err(); err != nil {
 		return nil, err
 	}
 	r.proc = sched.NewProc(fmt.Sprintf("replica-%d", index))
@@ -383,9 +297,6 @@ func (r *replica) install() {
 			r.proc.Submit(r.handlerCost(slot), func() { r.handle(slot) })
 		}
 	})
-	r.qpPrev.SendCQ().Discard()
-	r.qpNext.SendCQ().Discard()
-	r.qpNext.RecvCQ().Discard()
 }
 
 // handlerCost computes the CPU time the handler will consume for the
@@ -535,14 +446,11 @@ func (g *Group) onAck(e rdma.CQE) {
 	g.Complete(decodeHeader(buf).seq, g.ackRes)
 }
 
-// Teardown is the baseline's half of Close (protocol.Strategy): the
-// group's QPs are destroyed. The replica handler processes stay registered
-// with their schedulers but receive no further work.
+// Teardown is the baseline's half of Close (protocol.Strategy): every QP
+// and CQ the group created is destroyed. The replica handler processes
+// stay registered with their schedulers but receive no further work.
 func (g *Group) Teardown() {
-	g.qpHead.Destroy()
-	g.qpAck.Destroy()
-	for _, r := range g.replicas {
-		r.qpPrev.Destroy()
-		r.qpNext.Destroy()
+	for _, h := range g.hosts {
+		h.Destroy()
 	}
 }

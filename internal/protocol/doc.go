@@ -42,7 +42,10 @@
 // Close. It drives a Strategy of two methods — Transmit one (seq, kind,
 // Op), Teardown the QPs — and the strategy reports each group ACK through
 // Group.Complete. The concrete types embed *Group, so no protocol package
-// defines a Protocol method of its own. Canonical sentinel errors live
+// defines a Protocol method of its own. Every strategy sets up each NIC
+// through a Host, which carves the mirror at offset 0 (so a NIC hosts one
+// group at a time), owns the QPs and CQs, and destroys them for Teardown;
+// Window is the one depth rule. Canonical sentinel errors live
 // here too; per-package errors wrap them via WrapErr so errors.Is matches
 // across protocols while each package keeps its historical error strings.
 package protocol

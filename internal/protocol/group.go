@@ -44,8 +44,9 @@ type Strategy interface {
 	// op to the client's mirror; an error makes Group abort seq. When the
 	// group's ack for seq arrives the strategy calls Group.Complete.
 	Transmit(seq uint64, kind OpKind, op Op) error
-	// Teardown destroys every QP and CQ the strategy created. Group.Close
-	// calls it exactly once, after failing the in-flight operations.
+	// Teardown destroys every QP and CQ the strategy created, by calling
+	// Destroy on each of its Hosts. Group.Close calls it exactly once,
+	// after failing the in-flight operations.
 	Teardown()
 }
 
@@ -71,6 +72,22 @@ type GroupConfig struct {
 	MaxRetries   int
 	RetryBackoff sim.Duration
 	Errors       Errors
+}
+
+// Window returns the number of pre-posted operation slots a group runs
+// with when depth slots are asked for: 32 when depth is unset, otherwise
+// depth rounded up to a power of two. An ACK's imm carries only the low
+// 32 bits of the sequence, and a power-of-two depth keeps slot arithmetic
+// consistent across that truncation.
+func Window(depth int) int {
+	if depth <= 0 {
+		return 32
+	}
+	w := 1
+	for w < depth {
+		w <<= 1
+	}
+	return w
 }
 
 // pending is a client-issued operation awaiting its group ACK. The signal

@@ -114,9 +114,6 @@ type Params struct {
 	OpTimeout    sim.Duration
 	MaxRetries   int
 	RetryBackoff sim.Duration
-	// Quorum is broadcast-specific: acks required to complete a write
-	// (0 = all members). Other protocols ignore it.
-	Quorum int
 
 	// WakePenalty/WakePenaltyProb model multi-tenant co-location for
 	// CPU-driven protocols: with probability WakePenaltyProb a replica

@@ -463,6 +463,10 @@ func (n *NIC) CreateQP(cfg QPConfig) (*QP, error) {
 // QP returns the queue pair with the given number, or nil.
 func (n *NIC) QP(qpn uint32) *QP { return n.qps[qpn] }
 
+// Idle reports whether the NIC holds no live queue pair or completion
+// queue: everything ever created on it has been destroyed.
+func (n *NIC) Idle() bool { return len(n.qps) == 0 && len(n.cqs) == 0 }
+
 // Stats reports WQEs executed and payload bytes transmitted by this NIC.
 func (n *NIC) Stats() (wqes, bytesTx int64) { return n.wqesExecuted, n.bytesTx }
 

@@ -197,15 +197,20 @@ var ErrQPDestroyed = fmt.Errorf("rdma: QP destroyed")
 // without completions (the owner is expected to destroy the QP's CQs
 // alongside it), the peer link is severed so the peer's subsequent sends
 // fail locally instead of transmitting into a void, and the QPN is
-// retired. Destroy is what makes re-allocating a QP's ring memory safe:
-// an abandoned-but-live QP parked on a ring that a successor rewrites
-// would otherwise wake, re-read the foreign WQEs, and race the successor
-// for its own completions.
+// retired. Posted work the engine never reached is flushed: its slots
+// lose their ownership flag, so a successor QP whose ring lands on the
+// same memory cannot run them as its own. Destroy is what makes
+// re-allocating a QP's ring memory safe: an abandoned-but-live QP parked
+// on a ring that a successor rewrites would otherwise wake, re-read the
+// foreign WQEs, and race the successor for its own completions.
 func (q *QP) Destroy() {
 	if q.dead {
 		return
 	}
 	q.dead = true
+	for seq := q.head; seq != q.tail; seq++ {
+		_ = q.setOwned(seq, false)
+	}
 	q.stopAckTimer()
 	q.epoch++ // straggler replies to abandoned pendings are discarded
 	q.pending.Reset()
