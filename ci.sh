@@ -204,9 +204,10 @@ stage_test() {
         -run 'EventQueue|RunUntilZero|BitmaskDispatch' \
         ./internal/sim ./internal/cpusim
     # One iteration of each layer micro-benchmark, so they keep compiling
-    # and running; their numbers are read by hand (DESIGN.md, nvm).
-    step "layer benchmarks run" go test -run '^$' -bench . -benchtime 1x \
-        ./internal/nvm ./internal/txn ./internal/shard
+    # and running; their numbers are read by hand (DESIGN.md, nvm), and
+    # -benchmem puts each one's allocs/op in the log.
+    step "layer benchmarks run" go test -run '^$' -bench . -benchtime 1x -benchmem \
+        ./internal/nvm ./internal/txn ./internal/shard ./internal/kvstore
     step "queue and dispatch benchmarks run" go test -run '^$' \
         -bench 'KernelHold|Dispatch' -benchtime 1x ./internal/sim ./internal/cpusim
     step "coverage internal/nvm >=90" covercheck 90 ./internal/nvm

@@ -82,6 +82,7 @@ type slotRef struct {
 
 // Store is the replicated document store.
 type Store struct {
+	r     txn.Replicator // slots are decoded in place, from its ViewLocal
 	st    *txn.Store
 	cfg   Config
 	slots int
@@ -111,6 +112,7 @@ func Open(r txn.Replicator, cfg Config) (*Store, error) {
 	}
 	slots := cfg.DataSize / cfg.SlotSize
 	return &Store{
+		r:      r,
 		st:     st,
 		cfg:    cfg,
 		slots:  slots,
@@ -325,7 +327,7 @@ func (s *Store) Delete(f *sim.Fiber, coll, id string) error {
 }
 
 func (s *Store) loadSlotDoc(slot int) (Doc, error) {
-	img, err := s.st.ReadData(s.slotOff(slot), s.cfg.SlotSize)
+	img, err := s.r.ViewLocal(s.st.DataOff()+s.slotOff(slot), s.cfg.SlotSize)
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +412,7 @@ func (s *Store) Recover(f *sim.Fiber) error {
 	// Collection names are recovered from documents' own payloads: we
 	// remember hash→name as we parse.
 	for i := 0; i < s.slots; i++ {
-		img, err := s.st.ReadData(s.slotOff(i), s.cfg.SlotSize)
+		img, err := s.r.ViewLocal(s.st.DataOff()+s.slotOff(i), s.cfg.SlotSize)
 		if err != nil {
 			return err
 		}

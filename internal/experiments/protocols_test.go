@@ -120,7 +120,7 @@ func TestProtocolConformance(t *testing.T) {
 				t.Fatalf("issued=%d completed=%d, want equal and nonzero", issued, completed)
 			}
 			// Every replica mirror must match the client's, byte for byte.
-			want, err := g.ReadLocal(0, 34<<10)
+			want, err := g.ViewLocal(0, 34<<10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +285,7 @@ func TestProtocolCloseThenRebuild(t *testing.T) {
 				f.Sleep(2 * sim.Millisecond)
 				return nil
 			})
-			want, err := g2.ReadLocal(0, span)
+			want, err := g2.ViewLocal(0, span)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,8 +333,8 @@ func TestProtocolRejectsBadRanges(t *testing.T) {
 				{"CAS past the end", func(f *sim.Fiber) error { _, err := g.CAS(f, mirror-4, 0, 1, exec); return err }},
 				{"CAS short execute map", func(f *sim.Fiber) error { _, err := g.CAS(f, 0, 0, 1, exec[:1]); return err }},
 				{"WriteLocal negative offset", func(*sim.Fiber) error { return g.WriteLocal(-1, make([]byte, 8)) }},
-				{"ReadLocal past the end", func(*sim.Fiber) error { _, err := g.ReadLocal(mirror-4, 8); return err }},
-				{"ReadLocal negative length", func(*sim.Fiber) error { _, err := g.ReadLocal(0, -1); return err }},
+				{"ViewLocal past the end", func(*sim.Fiber) error { _, err := g.ViewLocal(mirror-4, 8); return err }},
+				{"ViewLocal negative length", func(*sim.Fiber) error { _, err := g.ViewLocal(0, -1); return err }},
 			}
 			drive(t, c, func(f *sim.Fiber) error {
 				for _, b := range bad {

@@ -65,9 +65,10 @@ type replica struct {
 	nic    *rdma.NIC
 	mirror *rdma.MemoryRegion
 
-	qpPrev *rdma.QP // from previous member (client for hop 1); its recv CQ gates L1/L2
-	qpNext *rdma.QP // to next member (to client's ACK QP for the tail); its send CQ drives re-arm
-	qpLoop *rdma.QP // loopback for local CAS/FLUSH; its send CQ gates F1/F2
+	qpPrev *rdma.QP     // from previous member (client for hop 1); its recv CQ gates L1/L2
+	qpNext *rdma.QP     // to next member (to client's ACK QP for the tail); its send CQ drives re-arm
+	qpLoop *rdma.QP     // loopback for local CAS/FLUSH; its send CQ gates F1/F2
+	recv   [][]rdma.SGE // qpPrev's scatter lists by seq % Depth (recvSGEs)
 
 	stagingOff  uint64
 	stagingSlot int
@@ -199,6 +200,10 @@ func (g *Group) setupReplica(index int, nic *rdma.NIC) (*replica, error) {
 		return nil, err
 	}
 	r.qpLoop.Connect(r.qpLoop) // loopback
+	r.recv = make([][]rdma.SGE, g.cfg.Depth)
+	for i := range r.recv {
+		r.recv[i] = g.recvSGEs(r, uint64(i))
+	}
 	return r, nil
 }
 

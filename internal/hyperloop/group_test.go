@@ -373,7 +373,7 @@ func TestReadHead(t *testing.T) {
 			t.Errorf("read head: %v", err)
 			return
 		}
-		got, err := g.ReadLocal(2048, len(data))
+		got, err := g.ViewLocal(2048, len(data))
 		if err != nil {
 			t.Error(err)
 			return
@@ -468,7 +468,7 @@ func TestBadRangeRejected(t *testing.T) {
 		if err := g.WriteLocal(-1, []byte{1}); !errors.Is(err, ErrBadArgument) {
 			t.Errorf("negative local write err = %v", err)
 		}
-		if _, err := g.ReadLocal(testMirror, 1); !errors.Is(err, ErrBadArgument) {
+		if _, err := g.ViewLocal(testMirror, 1); !errors.Is(err, ErrBadArgument) {
 			t.Errorf("local read err = %v", err)
 		}
 	})

@@ -8,23 +8,8 @@ import (
 // replica r. This runs on the replica's control path (setup and lazy
 // re-arm) — never on the datapath.
 func (g *Group) arm(r *replica, seq uint64) error {
-	// Receive for the metadata SEND from the previous hop: the first four
-	// scatter elements land the descriptor block directly inside the
-	// pre-posted WQE slots (remote work request manipulation); the rest
-	// goes to this op's staging slot for forwarding.
-	loopRing, loopSlots := r.qpLoop.RingOff(), r.qpLoop.RingSlots()
-	nextRing, nextSlots := r.qpNext.RingOff(), r.qpNext.RingSlots()
-	stagingAddr := g.stagingAddr(r, seq)
-	defer r.qpPrev.PostRecv(rdma.RecvWQE{ // posted after the chain slots exist
-		WRID: seq,
-		SGEs: []rdma.SGE{
-			{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotA(seq)), Len: rdma.DescLen},
-			{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotB(seq)), Len: rdma.DescLen},
-			{Addr: rdma.DescAddr(nextRing, nextSlots, chainSlotA(seq)), Len: rdma.DescLen},
-			{Addr: rdma.DescAddr(nextRing, nextSlots, chainSlotB(seq)), Len: rdma.DescLen},
-			{Addr: stagingAddr, Len: uint64(r.metaRest)},
-		},
-	})
+	// The metadata receive is posted after the chain slots exist.
+	defer r.qpPrev.PostRecv(rdma.RecvWQE{WRID: seq, SGEs: r.recv[seq%uint64(g.cfg.Depth)]})
 
 	// Loopback chain: WAIT for the metadata receive, then run the two
 	// (to-be-patched) local operations. Placeholders are signaled NOPs so
@@ -63,4 +48,21 @@ func (g *Group) arm(r *replica, seq uint64) error {
 		return err
 	}
 	return nil
+}
+
+// recvSGEs is the scatter list of replica r's metadata receive for seq,
+// which depends on seq % Depth alone, so setup builds each slot's once:
+// the first four elements land the descriptor block directly inside the
+// pre-posted WQE slots (remote work request manipulation); the rest goes
+// to this op's staging slot for forwarding.
+func (g *Group) recvSGEs(r *replica, seq uint64) []rdma.SGE {
+	loopRing, loopSlots := r.qpLoop.RingOff(), r.qpLoop.RingSlots()
+	nextRing, nextSlots := r.qpNext.RingOff(), r.qpNext.RingSlots()
+	return []rdma.SGE{
+		{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotA(seq)), Len: rdma.DescLen},
+		{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotB(seq)), Len: rdma.DescLen},
+		{Addr: rdma.DescAddr(nextRing, nextSlots, chainSlotA(seq)), Len: rdma.DescLen},
+		{Addr: rdma.DescAddr(nextRing, nextSlots, chainSlotB(seq)), Len: rdma.DescLen},
+		{Addr: g.stagingAddr(r, seq), Len: uint64(r.metaRest)},
+	}
 }

@@ -77,6 +77,8 @@ type DB struct {
 	stats Stats
 
 	mutations int
+	opBuf     []byte // the op record; Append copies it into the log
+	ckptBuf   []byte // the checkpoint image; WriteData copies it out
 }
 
 // Open builds a DB over a replication group (either backend).
@@ -104,13 +106,12 @@ func (db *DB) Stats() Stats { return db.stats }
 // Len returns the number of live keys.
 func (db *DB) Len() int { return db.mem.size }
 
-func encodeOp(op byte, key, value []byte) []byte {
-	buf := make([]byte, 1+2+len(key)+len(value))
-	buf[0] = op
+// encodeOp appends the op record to buf.
+func encodeOp(buf []byte, op byte, key, value []byte) []byte {
+	buf = append(buf, op, 0, 0)
 	binary.LittleEndian.PutUint16(buf[1:], uint16(len(key)))
-	copy(buf[3:], key)
-	copy(buf[3+len(key):], value)
-	return buf
+	buf = append(buf, key...)
+	return append(buf, value...)
 }
 
 func decodeOp(data []byte) (op byte, key, value []byte, err error) {
@@ -125,7 +126,8 @@ func decodeOp(data []byte) (op byte, key, value []byte, err error) {
 	return op, data[3 : 3+klen], data[3+klen:], nil
 }
 
-// Put durably replicates and applies a key-value write.
+// Put durably replicates and applies a key-value write. The memtable keeps
+// value itself, not a copy: the caller must not modify it afterwards.
 func (db *DB) Put(f *sim.Fiber, key, value []byte) error {
 	return db.mutate(f, opPut, key, value)
 }
@@ -139,13 +141,14 @@ func (db *DB) mutate(f *sim.Fiber, op byte, key, value []byte) error {
 	if len(key) == 0 || len(key) > 1<<16-1 {
 		return fmt.Errorf("%w: key length %d", ErrBadArgument, len(key))
 	}
-	rec := encodeOp(op, key, value)
-	_, err := db.st.Append(f, []wal.Entry{{Off: 0, Data: rec}})
+	db.opBuf = encodeOp(db.opBuf[:0], op, key, value)
+	rec := [1]wal.Entry{{Off: 0, Data: db.opBuf}}
+	_, err := db.st.Append(f, rec[:])
 	if errors.Is(err, txn.ErrLogFull) {
 		if cerr := db.Checkpoint(f); cerr != nil {
 			return cerr
 		}
-		_, err = db.st.Append(f, []wal.Entry{{Off: 0, Data: rec}})
+		_, err = db.st.Append(f, rec[:])
 	}
 	if err != nil {
 		return err
@@ -165,7 +168,8 @@ func (db *DB) mutate(f *sim.Fiber, op byte, key, value []byte) error {
 }
 
 // Get returns the value for key from the memtable (strongly consistent:
-// the memtable only reflects acknowledged, replicated writes).
+// the memtable only reflects acknowledged, replicated writes). It is the
+// stored slice itself, read-only.
 func (db *DB) Get(key []byte) ([]byte, bool) {
 	db.stats.Gets++
 	v, found, tomb := db.mem.get(key)
@@ -191,25 +195,26 @@ func (db *DB) Scan(start []byte, max int) []Pair {
 	return out
 }
 
-// encodeCheckpoint serializes the live state: the pairs are appended behind
-// space reserved for the header, which is filled in last, so the image is
-// built once.
+// encodeCheckpoint serializes the live state into the DB's image buffer,
+// walking the memtable in key order: the pairs are appended behind space
+// reserved for the header, which is filled in last, so the image is built
+// once.
 func (db *DB) encodeCheckpoint() []byte {
-	pairs := db.mem.all()
-	out := make([]byte, ckptHeaderSize, ckptHeaderSize+db.mem.bytes+len(pairs)*8)
+	out := append(db.ckptBuf[:0], make([]byte, ckptHeaderSize)...)
 	count := 0
-	for _, p := range pairs {
-		if p.value == nil {
+	for n := db.mem.head.next[0]; n != nil; n = n.next[0] {
+		if n.value == nil {
 			continue // checkpoints drop tombstones: they capture full state
 		}
 		var hdr [6]byte
-		binary.LittleEndian.PutUint16(hdr[0:], uint16(len(p.key)))
-		binary.LittleEndian.PutUint32(hdr[2:], uint32(len(p.value)))
+		binary.LittleEndian.PutUint16(hdr[0:], uint16(len(n.key)))
+		binary.LittleEndian.PutUint32(hdr[2:], uint32(len(n.value)))
 		out = append(out, hdr[:]...)
-		out = append(out, p.key...)
-		out = append(out, p.value...)
+		out = append(out, n.key...)
+		out = append(out, n.value...)
 		count++
 	}
+	db.ckptBuf = out
 	body := out[ckptHeaderSize:]
 	binary.LittleEndian.PutUint32(out[0:], ckptMagic)
 	binary.LittleEndian.PutUint32(out[4:], uint32(count))

@@ -15,7 +15,7 @@ import (
 	"hyperloop/internal/sim"
 )
 
-func testDB(t *testing.T, cfg Config) (*sim.Kernel, *DB, *hyperloop.Group) {
+func testDB(t testing.TB, cfg Config) (*sim.Kernel, *DB, *hyperloop.Group) {
 	t.Helper()
 	k := sim.NewKernel(5)
 	fab := rdma.NewFabric(k, rdma.DefaultConfig())
@@ -39,7 +39,7 @@ func testDB(t *testing.T, cfg Config) (*sim.Kernel, *DB, *hyperloop.Group) {
 	return k, db, g
 }
 
-func run(t *testing.T, k *sim.Kernel, fn func(f *sim.Fiber)) {
+func run(t testing.TB, k *sim.Kernel, fn func(f *sim.Fiber)) {
 	t.Helper()
 	k.Spawn("kv-test", fn)
 	if err := k.Run(); err != nil {
@@ -196,6 +196,70 @@ func TestAutomaticCheckpointOnFullLog(t *testing.T) {
 	if db.Len() != 10 {
 		t.Fatalf("len = %d", db.Len())
 	}
+}
+
+// warmPuts returns a Put cycling over ten keys with one 900-byte value,
+// after driving it through many log wraps, each of which checkpoints (a
+// full smallConfig log holds 17 such records), for 200 virtual ms: a dozen
+// turns of the kernel's timing wheel, whose slots grow on first use, so
+// every slot has held a checkpoint's burst of events.
+func warmPuts(f *sim.Fiber, db *DB, fail func(error)) func() {
+	keys := make([][]byte, 10)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%03d", i))
+	}
+	val := bytes.Repeat([]byte{7}, 900)
+	i := 0
+	put := func() {
+		if err := db.Put(f, keys[i%len(keys)], val); err != nil {
+			fail(err)
+		}
+		i++
+	}
+	for f.Now() < sim.Time(200*sim.Millisecond) {
+		put()
+	}
+	return put
+}
+
+// TestPutSteadyStateAllocs: over a chain group, a Put allocates nothing
+// once the key set exists and the log has wrapped — the checkpoint a full
+// log triggers included: the op record and the image are built in the
+// DB's buffers, from the memtable in place.
+func TestPutSteadyStateAllocs(t *testing.T) {
+	k, db, _ := testDB(t, smallConfig())
+	run(t, k, func(f *sim.Fiber) {
+		put := warmPuts(f, db, func(err error) { t.Error(err) })
+		const runs = 20
+		ckpts := db.Stats().Checkpoints
+		allocs := testing.AllocsPerRun(runs, func() {
+			for j := 0; j < 20; j++ {
+				put()
+			}
+		})
+		if n := db.Stats().Checkpoints - ckpts; n < runs+1 {
+			t.Errorf("%d checkpoints in %d runs, want one in each", n, runs+1)
+		}
+		if allocs != 0 {
+			t.Errorf("20 Puts and a checkpoint: %v allocations, want 0", allocs)
+		}
+	})
+}
+
+// BenchmarkPut is one 900-byte Put over a 3-replica chain, the
+// checkpoints a full log triggers included; allocs/op is the store's
+// steady-state garbage.
+func BenchmarkPut(b *testing.B) {
+	k, db, _ := testDB(b, smallConfig())
+	b.ReportAllocs()
+	run(b, k, func(f *sim.Fiber) {
+		put := warmPuts(f, db, func(err error) { b.Error(err) })
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			put()
+		}
+		b.StopTimer()
+	})
 }
 
 func TestRecoveryAfterCrash(t *testing.T) {

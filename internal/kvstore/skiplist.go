@@ -127,15 +127,6 @@ func (s *skiplist) scan(start []byte, max int) []kvPair {
 	return out
 }
 
-// all returns every entry including tombstones, in key order.
-func (s *skiplist) all() []kvPair {
-	var out []kvPair
-	for n := s.head.next[0]; n != nil; n = n.next[0] {
-		out = append(out, kvPair{key: n.key, value: n.value})
-	}
-	return out
-}
-
 type kvPair struct {
 	key   []byte
 	value []byte

@@ -44,7 +44,7 @@ func LoadView(mirror []byte, cfg Config) (map[string][]byte, error) {
 			}
 			continue
 		}
-		rec, err := wal.Decode(log[p:])
+		rec, err := wal.Decode(log[p:], nil)
 		if err != nil {
 			// Torn tail: the valid prefix is the eventually-consistent view.
 			return view, nil

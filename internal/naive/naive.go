@@ -155,6 +155,7 @@ type replica struct {
 	mirror *rdma.MemoryRegion
 	qpPrev *rdma.QP
 	qpNext *rdma.QP
+	recv   [][]rdma.SGE // metadata receive scatter list by slot % Depth
 
 	stagingOff  uint64
 	stagingSlot int
@@ -270,6 +271,10 @@ func (g *Group) setupReplica(index int, nic *rdma.NIC, sched *cpusim.Scheduler) 
 	if err := h.Err(); err != nil {
 		return nil, err
 	}
+	r.recv = make([][]rdma.SGE, g.cfg.Depth)
+	for i := range r.recv {
+		r.recv[i] = []rdma.SGE{{Addr: r.stagingAddr(uint64(i)), Len: uint64(g.msgLen())}}
+	}
 	r.proc = sched.NewProc(fmt.Sprintf("replica-%d", index))
 	if g.cfg.WakePenalty > 0 {
 		r.proc.SetWakePenalty(g.cfg.WakePenaltyProb, g.cfg.WakePenalty)
@@ -285,16 +290,23 @@ func (g *Group) setupReplica(index int, nic *rdma.NIC, sched *cpusim.Scheduler) 
 }
 
 // install wires the replica's completion handler: every metadata receive
-// becomes CPU work for the replica process.
+// becomes CPU work for the replica process, one work item per slot, idle
+// again by the time the slot's next receive (posted by handle) completes.
 func (r *replica) install() {
 	r.isTail = r.index == len(r.g.replicas)
+	depth := uint64(r.g.cfg.Depth)
+	wrids := make([]uint64, depth)
+	work := make([]func(), depth)
+	for i := range work {
+		work[i] = func() { r.handle(wrids[i]) }
+	}
 	r.qpPrev.RecvCQ().SetDrainHandler(func(batch []rdma.CQE) {
 		for _, e := range batch {
 			if e.Status != rdma.StatusSuccess {
 				continue
 			}
-			slot := e.WRID
-			r.proc.Submit(r.handlerCost(slot), func() { r.handle(slot) })
+			wrids[e.WRID%depth] = e.WRID
+			r.proc.Submit(r.handlerCost(e.WRID), work[e.WRID%depth])
 		}
 	})
 }
@@ -413,10 +425,7 @@ func (r *replica) handle(slot uint64) {
 }
 
 func (r *replica) postRecv(slot uint64) {
-	r.qpPrev.PostRecv(rdma.RecvWQE{
-		WRID: slot,
-		SGEs: []rdma.SGE{{Addr: r.stagingAddr(slot), Len: uint64(r.g.msgLen())}},
-	})
+	r.qpPrev.PostRecv(rdma.RecvWQE{WRID: slot, SGEs: r.recv[slot%uint64(r.g.cfg.Depth)]})
 }
 
 func (g *Group) ackAddr(seq uint64) uint64 {

@@ -108,6 +108,33 @@ func TestNaiveWriteReplicates(t *testing.T) {
 	}
 }
 
+// TestNaiveWriteSteadyStateAllocs: a durable gWRITE through the CPU-driven
+// chain allocates nothing once warm — each replica's receive lists and
+// handler work items are built per slot at setup.
+func TestNaiveWriteSteadyStateAllocs(t *testing.T) {
+	e := newEnv(t, 3, 4, DefaultConfig(testMirror))
+	var err error
+	write := func(f *sim.Fiber) {
+		if werr := e.g.Write(f, 64, 512, true); werr != nil && err == nil {
+			err = werr
+		}
+	}
+	e.run(t, sim.Second, func(f *sim.Fiber) {
+		// Past every window of the kernel's timing wheel, whose slots
+		// allocate on first use.
+		for f.Now() < sim.Time(40*sim.Millisecond) {
+			write(f)
+		}
+		allocs := testing.AllocsPerRun(100, func() { write(f) })
+		if err != nil {
+			t.Error(err)
+		}
+		if allocs != 0 {
+			t.Errorf("naive Write: %v allocations, want 0", allocs)
+		}
+	})
+}
+
 func TestNaiveDurableWriteSurvivesCrash(t *testing.T) {
 	e := newEnv(t, 2, 4, DefaultConfig(testMirror))
 	data := []byte("durable naive")

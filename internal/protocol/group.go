@@ -90,13 +90,17 @@ func Window(depth int) int {
 	return w
 }
 
-// pending is a client-issued operation awaiting its group ACK. The signal
-// is part of it, so an op is one allocation (of 80 bytes). results is
-// non-nil for a gCAS only, sized at issue for one value per member.
+// pending is a client-issued operation awaiting its group ACK. Each window
+// slot (seq % Depth) recycles one for the op it next carries, unless an
+// Await has yet to return its signal: then the slot takes a fresh one. Ops
+// that complete in order, for callers that await their posts, recycle.
 type pending struct {
 	sig     sim.Signal
+	seq     uint64
+	cas     bool
 	results []uint64
-	timer   *sim.Timer
+	timer   sim.Timer
+	expire  func() // the timeout callback, built once per pending
 }
 
 // Group is the one implementation of Protocol. It owns everything the
@@ -111,6 +115,7 @@ type Group struct {
 
 	nextSeq  uint64
 	inflight map[uint64]*pending
+	slots    []*pending // by seq % Depth
 
 	issued    int64
 	completed int64
@@ -121,7 +126,8 @@ type Group struct {
 // NewGroup builds a group over an already set-up strategy. Concrete
 // protocol types embed the result, which is how they satisfy Protocol.
 func NewGroup(cfg GroupConfig, s Strategy) *Group {
-	return &Group{cfg: cfg, strategy: s, inflight: make(map[uint64]*pending)}
+	return &Group{cfg: cfg, strategy: s, inflight: make(map[uint64]*pending),
+		slots: make([]*pending, max(cfg.Depth, 1))}
 }
 
 // inMirror reports whether [off, off+size) lies inside the mirror; it
@@ -165,18 +171,21 @@ func (g *Group) issue(kind OpKind, op Op) (*pending, error) {
 	}
 	seq := g.nextSeq
 	g.nextSeq++
-	p := &pending{}
-	if kind == KindCAS {
-		p.results = make([]uint64, 0, g.cfg.GroupSize)
-	}
-	g.inflight[seq] = p
-	if g.cfg.OpTimeout > 0 {
-		p.timer = g.cfg.Kernel.After(g.cfg.OpTimeout, func() {
-			if _, ok := g.inflight[seq]; ok {
-				delete(g.inflight, seq)
+	i := seq % uint64(len(g.slots))
+	if p := g.slots[i]; p == nil || !p.sig.Awaited() {
+		p = &pending{}
+		p.expire = func() {
+			if g.resolve(p.seq) == p {
 				p.sig.Fire(g.cfg.Errors.Timeout)
 			}
-		})
+		}
+		g.slots[i] = p
+	}
+	p := g.slots[i]
+	p.seq, p.cas, p.sig = seq, kind == KindCAS, sim.Signal{}
+	g.inflight[seq] = p
+	if g.cfg.OpTimeout > 0 {
+		g.cfg.Kernel.AfterFunc(g.cfg.OpTimeout, p.expire, &p.timer)
 	}
 	err := ApplyLocal(g.cfg.Mirror, kind, op)
 	if err == nil {
@@ -198,9 +207,7 @@ func (g *Group) resolve(seq uint64) *pending {
 		return nil
 	}
 	delete(g.inflight, seq)
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	p.timer.Stop()
 	return p
 }
 
@@ -214,8 +221,8 @@ func (g *Group) Complete(seq uint64, results []uint64) {
 		return
 	}
 	g.completed++
-	if p.results != nil {
-		p.results = append(p.results, results...)
+	if p.cas {
+		p.results = append(p.results[:0], results...)
 	}
 	p.sig.Fire(nil)
 }
@@ -256,18 +263,20 @@ func (g *Group) WriteLocal(off int, data []byte) error {
 	return g.cfg.Mirror.Write(off, data)
 }
 
-// ReadLocal returns a copy of the client's mirror range.
-func (g *Group) ReadLocal(off, n int) ([]byte, error) {
+// ViewLocal returns the client's mirror range in place: read-only, and
+// valid until the caller next yields to the kernel, after which a group op
+// may have rewritten it.
+func (g *Group) ViewLocal(off, n int) ([]byte, error) {
 	if !g.inMirror(off, n) {
 		return nil, fmt.Errorf("%w: local read outside mirror", g.cfg.Errors.BadArgument)
 	}
-	buf := make([]byte, n)
-	err := g.cfg.Mirror.Read(off, buf)
-	return buf, err
+	return g.cfg.Mirror.Slice(off, n)
 }
 
 // WriteAsync replicates [off, off+size) of the mirror to every member
-// (gWRITE), optionally durable on each. The signal fires on the group ACK.
+// (gWRITE), optionally durable on each. The signal fires on the group ACK;
+// it is the group's, recycled for a later op once an Await has returned
+// it, so the caller awaits it at most once and drops it afterwards.
 func (g *Group) WriteAsync(off, size int, durable bool) (*sim.Signal, error) {
 	return g.async(KindWrite, Op{Off: off, Size: size, Durable: durable})
 }
@@ -293,7 +302,8 @@ func (g *Group) Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error {
 // CAS performs a group compare-and-swap (gCAS) of the 8-byte word at off
 // on every member whose execute-map entry is true, returning the original
 // value observed at each; entries for skipped members are zero. gCAS is
-// never retried.
+// never retried. The result slice is the group's, valid until the caller
+// next yields.
 func (g *Group) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error) {
 	p, err := g.issue(KindCAS, Op{Off: off, Size: 8, Old: old, New: new, Exec: exec})
 	if err != nil {

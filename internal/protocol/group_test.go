@@ -109,8 +109,8 @@ func TestBadArgumentsConsumeNothing(t *testing.T) {
 		"memcpy dst past end":  func() error { _, err := g.MemcpyAsync(0, testMirror-4, 8, false); return err },
 		"cas past end":         func() error { _, err := g.CAS(nil, testMirror-4, 0, 1, exec); return err },
 		"cas short exec map":   func() error { _, err := g.CAS(nil, 0, 0, 1, exec[:2]); return err },
-		"read negative length": func() error { _, err := g.ReadLocal(0, -1); return err },
-		"read past end":        func() error { _, err := g.ReadLocal(testMirror-4, 8); return err },
+		"read negative length": func() error { _, err := g.ViewLocal(0, -1); return err },
+		"read past end":        func() error { _, err := g.ViewLocal(testMirror-4, 8); return err },
 		"local write past end": func() error { return g.WriteLocal(testMirror-4, make([]byte, 8)) },
 		"local write negative": func() error { return g.WriteLocal(-1, make([]byte, 8)) },
 	}
@@ -246,7 +246,7 @@ func TestLocalMirrorAccessAndApply(t *testing.T) {
 	if _, err := g.MemcpyAsync(128, 256, 8, false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.ReadLocal(256, 8)
+	got, err := g.ViewLocal(256, 8)
 	if err != nil || string(got) != "abcdefgh" {
 		t.Fatalf("client mirror after gMEMCPY = %q, %v", got, err)
 	}

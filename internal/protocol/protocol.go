@@ -56,11 +56,13 @@ type Protocol interface {
 	// WriteLocal stores data into the client's mirror; the usual pattern
 	// is WriteLocal followed by Write to replicate the range.
 	WriteLocal(off int, data []byte) error
-	// ReadLocal returns a copy of the client's mirror range.
-	ReadLocal(off, n int) ([]byte, error)
+	// ViewLocal returns the client's mirror range in place, read-only and
+	// valid until the caller next yields to the kernel.
+	ViewLocal(off, n int) ([]byte, error)
 
 	// WriteAsync replicates [off, off+size) to all replicas (gWRITE),
-	// optionally durable on each; the signal fires on the group ACK.
+	// optionally durable on each; the signal fires on the group ACK. The
+	// group recycles the signal once an Await has returned it.
 	WriteAsync(off, size int, durable bool) (*sim.Signal, error)
 	// Write is the blocking form of WriteAsync; with MaxRetries > 0 a
 	// timed-out write is re-issued under a fresh sequence number.
@@ -72,7 +74,8 @@ type Protocol interface {
 	Memcpy(f *sim.Fiber, src, dst, size int, durable bool) error
 	// CAS performs a group compare-and-swap of the 8-byte word at off on
 	// every member whose execute-map entry is true, returning the original
-	// values observed. gCAS is never retried.
+	// values observed (valid until the caller next yields). gCAS is never
+	// retried.
 	CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uint64, error)
 	// FlushAsync makes [off, off+size) durable on every member (gFLUSH).
 	FlushAsync(off, size int) (*sim.Signal, error)

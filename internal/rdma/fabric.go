@@ -136,8 +136,9 @@ func (p *BufPool) get(n int) []byte {
 }
 
 // put returns a scratch buffer to the pool. Only buffers with exact
-// power-of-two capacity (the shape get produces) are kept, so passing a
-// foreign slice is harmless.
+// power-of-two capacity (the shape get produces) are kept, and the pool
+// never shrinks, so a slice of that shape that did not come from get grows
+// it for good: pass only buffers get returned.
 func (p *BufPool) put(b []byte) {
 	if cap(b) == 0 {
 		return

@@ -140,6 +140,11 @@ type QP struct {
 	inSeq  uint64
 	inSt   Status
 	inResp []byte
+
+	// The due completion of a local op with a duration (completeAfter).
+	localW      WQE
+	localSt     Status
+	localDoneFn func()
 }
 
 // initCallbacks builds the per-QP cached callbacks; called from CreateQP.
@@ -157,6 +162,7 @@ func (q *QP) initCallbacks() {
 		q.processInbox()
 	}
 	q.ackFn = q.ackExpire
+	q.localDoneFn = func() { q.pushSendCompletion(q.localW, q.localSt, int(q.localW.Len)) }
 }
 
 // QPN returns the queue pair number.
@@ -646,11 +652,12 @@ func (q *QP) completeLocal(w WQE, st Status) {
 }
 
 // completeAfter pushes a send completion after a delay (local ops with
-// duration, e.g. MEMCPY).
+// duration, e.g. MEMCPY). At most one is due at a time: the engine runs
+// the next WQE only once this one's occupancy — the same delay, scheduled
+// after it — has passed.
 func (q *QP) completeAfter(w WQE, st Status, d sim.Duration) {
-	q.nic.fabric.k.AfterFunc(d, func() {
-		q.pushSendCompletion(w, st, int(w.Len))
-	}, nil)
+	q.localW, q.localSt = w, st
+	q.nic.fabric.k.AfterFunc(d, q.localDoneFn, nil)
 }
 
 func (q *QP) pushSendCompletion(w WQE, st Status, n int) {
@@ -832,9 +839,9 @@ func (q *QP) applyInbound(m inMsg) (Status, []byte, sim.Duration) {
 				return StatusRemoteAccessError, nil, 0
 			}
 		}
-		var ob [8]byte
-		binary.LittleEndian.PutUint64(ob[:], orig)
-		return StatusSuccess, ob[:], 0
+		ob := n.fabric.getBuf(8) // the requester's handleAck returns it to the pool
+		binary.LittleEndian.PutUint64(ob, orig)
+		return StatusSuccess, ob, 0
 
 	default:
 		return StatusLocalError, nil, 0

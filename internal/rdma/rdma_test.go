@@ -311,6 +311,31 @@ func TestCASSwapsAndReturnsOriginal(t *testing.T) {
 	}
 }
 
+// TestCASRepliesRecyclePoolBuffers: the responder's 8-byte CAS reply is a
+// pool buffer that the requester hands back, so a run of CAS ops reuses
+// one buffer instead of adding one to the payload pool per op (a reply
+// built outside the pool was kept there forever).
+func TestCASRepliesRecyclePoolBuffers(t *testing.T) {
+	p := newTestPair(t)
+	for i := 0; i < 1000; i++ {
+		if _, err := p.qa.PostSend(WQE{
+			Opcode: OpCAS, Flags: FlagSignaled,
+			Local: bufA, Remote: bufB, Aux1: p.mrb.RKey, Compare: uint64(i), Swap: uint64(i + 1),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		p.run(t)
+	}
+	if got := p.qa.SendCQ().Total(); got != 1000 {
+		t.Fatalf("%d of 1000 CAS ops completed", got)
+	}
+	for c, bufs := range p.fab.bufs.classes {
+		if len(bufs) > 2 {
+			t.Errorf("pool class %d holds %d buffers after 1000 CAS ops, want at most 2", c, len(bufs))
+		}
+	}
+}
+
 func TestMemcpyLocal(t *testing.T) {
 	p := newTestPair(t)
 	data := []byte("copy within one host's NVM")

@@ -222,3 +222,32 @@ func BenchmarkRouterTxn(b *testing.B) {
 		})
 	}
 }
+
+// TestRouterTxnSteadyStateAllocs: a span-2 transaction allocates nothing
+// once its keys have slots — the router keeps its participant lists and
+// its DistTxn, whose child fibers come from the kernel's pool, and every
+// store step below reuses the group's per-op state.
+func TestRouterTxnSteadyStateAllocs(t *testing.T) {
+	r := newRig(t, sweepConfig(4), nil, 0)
+	writes := spanWrites(2)
+	var err error
+	commit := func(f *sim.Fiber) {
+		if e := r.router.Txn(f, writes); e != nil && err == nil {
+			err = e
+		}
+	}
+	r.run(t, func(f *sim.Fiber) {
+		// Past every window of the kernel's timing wheel, whose slots
+		// allocate on first use.
+		for f.Now() < sim.Time(40*sim.Millisecond) {
+			commit(f)
+		}
+		allocs := testing.AllocsPerRun(100, func() { commit(f) })
+		if err != nil {
+			t.Error(err)
+		}
+		if allocs != 0 {
+			t.Errorf("span-2 Router.Txn: %v allocations, want 0", allocs)
+		}
+	})
+}

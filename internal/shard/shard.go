@@ -149,9 +149,10 @@ type Shard struct {
 	Backend Backend
 	Store   *txn.Store
 
-	dir  map[uint64]*slot
-	next int
-	free []int // slot indexes returned by aborted first-touch allocations
+	dir     map[uint64]*slot
+	next    int
+	free    []int       // slot indexes returned by aborted first-touch allocations
+	entries []wal.Entry // Router.Txn's write set on this shard, reused
 }
 
 // slotFor returns key's slot, allocating one on first touch — reclaimed
@@ -207,7 +208,8 @@ type Stats struct {
 
 // Router maps keys onto shards and drives operations against them. A
 // Router is driven from simulation fibers on one kernel; like the groups
-// beneath it, it is not safe for concurrent use from real OS threads.
+// beneath it, it is not safe for concurrent use from real OS threads, and
+// one fiber at a time runs Txn (the router has one lock token).
 type Router struct {
 	cfg    Config
 	shards []*Shard
@@ -215,6 +217,16 @@ type Router struct {
 	clog   *txn.CommitLog // the 2PC commit log, on coord
 	hook   func(txn.Step, int) error
 	stats  Stats
+	tx     txn.DistTxn       // Txn's, reused like the lists below
+	ids    []int             // the running transaction's shard IDs
+	parts  []txn.Participant // its participants
+	fresh  []allocation      // the slots it allocated
+}
+
+// allocation is a slot a transaction allocated on first touch of key.
+type allocation struct {
+	sh  *Shard
+	key uint64
 }
 
 // New builds a Router with cfg.Shards shards, calling build once for the
@@ -364,16 +376,11 @@ func (r *Router) Txn(f *sim.Fiber, writes []Write) error {
 	}
 	// Participants are kept sorted by shard ID as they are found: a linear
 	// scan of at most Shards entries, which for the usual handful of keys
-	// beats a map plus a sort and allocates only the two slices.
-	ids := make([]int, 0, 4)
-	parts := make([]txn.Participant, 0, 4)
-	type allocation struct {
-		sh  *Shard
-		key uint64
-	}
-	var fresh []allocation
+	// beats a map plus a sort. The lists and every shard's entries are the
+	// router's, reused from one transaction to the next.
+	r.ids, r.parts, r.fresh = r.ids[:0], r.parts[:0], r.fresh[:0]
 	release := func() {
-		for _, a := range fresh {
+		for _, a := range r.fresh {
 			a.sh.release(a.key)
 		}
 	}
@@ -389,26 +396,25 @@ func (r *Router) Txn(f *sim.Fiber, writes []Write) error {
 			return err
 		}
 		if isNew {
-			fresh = append(fresh, allocation{sh, w.Key})
+			r.fresh = append(r.fresh, allocation{sh, w.Key})
 		}
 		i := 0
-		for i < len(ids) && ids[i] < sh.ID {
+		for i < len(r.ids) && r.ids[i] < sh.ID {
 			i++
 		}
-		if i == len(ids) || ids[i] != sh.ID {
-			ids = slices.Insert(ids, i, sh.ID)
-			parts = slices.Insert(parts, i, txn.Participant{Store: sh.Store})
+		if i == len(r.ids) || r.ids[i] != sh.ID {
+			r.ids = slices.Insert(r.ids, i, sh.ID)
+			r.parts = slices.Insert(r.parts, i, txn.Participant{Store: sh.Store, Entries: sh.entries[:0]})
 		}
-		parts[i].Entries = append(parts[i].Entries, wal.Entry{Off: sl.idx * r.cfg.SlotSize, Data: w.Data})
+		r.parts[i].Entries = append(r.parts[i].Entries, wal.Entry{Off: sl.idx * r.cfg.SlotSize, Data: w.Data})
+		sh.entries = r.parts[i].Entries
 	}
-	tx, err := txn.BeginDist(parts, r.clog, ids)
+	tx, err := r.tx.Begin(r.parts, r.clog, r.ids)
 	if err != nil {
 		release()
 		return err
 	}
-	if r.hook != nil {
-		tx.SetStepHook(r.hook)
-	}
+	tx.SetStepHook(r.hook)
 	if err := tx.Prepare(f); err != nil {
 		if errors.Is(err, txn.ErrCoordinatorCrash) {
 			// The injected crash killed the coordinator mid-protocol:
@@ -438,7 +444,7 @@ func (r *Router) Txn(f *sim.Fiber, writes []Write) error {
 		r.shards[r.ShardOf(w.Key)].dir[w.Key].n = len(w.Data)
 	}
 	r.stats.Commits++
-	if len(ids) > 1 {
+	if len(r.ids) > 1 {
 		r.stats.CrossShard++
 	}
 	return nil

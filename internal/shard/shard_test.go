@@ -159,7 +159,7 @@ func (b *fakeBackend) WriteLocal(off int, data []byte) error {
 	copy(b.mem[off:], data)
 	return nil
 }
-func (b *fakeBackend) ReadLocal(off, n int) ([]byte, error) {
+func (b *fakeBackend) ViewLocal(off, n int) ([]byte, error) {
 	out := make([]byte, n)
 	copy(out, b.mem[off:])
 	return out, nil
@@ -368,7 +368,7 @@ func TestRouterRecover(t *testing.T) {
 	r := newRig(t, cfg, nil, 0)
 	r.run(t, func(f *sim.Fiber) {
 		// A coordinator prepares shard 0 and crashes before commit.
-		tx, err := txn.BeginDist([]txn.Participant{{
+		tx, err := new(txn.DistTxn).Begin([]txn.Participant{{
 			Store:   r.router.Shard(0).Store,
 			Entries: []wal.Entry{{Off: 0, Data: []byte("orphan")}},
 		}}, r.router.CommitLog(), []int{0})

@@ -163,6 +163,7 @@ func (f *Fiber) Await(s *Signal) error {
 		s.subscribe(f.dispatchFn)
 		f.pause()
 	}
+	s.awaited = true
 	return s.err
 }
 
@@ -180,11 +181,14 @@ func (f *Fiber) AwaitAll(sigs ...*Signal) error {
 
 // Signal is a one-shot completion notification. Fire may be called from
 // kernel or fiber context; waiters resume synchronously, in subscription
-// order, before Fire returns.
+// order, before Fire returns. The zero value is unfired; its first waiter
+// is held inline, so a signal one fiber awaits never allocates.
 type Signal struct {
 	fired   bool
+	awaited bool // an Await has returned after the fire
 	err     error
-	waiters []func()
+	first   func()
+	waiters []func() // every waiter after first
 }
 
 // NewSignal returns an unfired signal.
@@ -193,10 +197,20 @@ func NewSignal() *Signal { return &Signal{} }
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
+// Awaited reports whether an Await has returned the fired signal's error —
+// how the owner of a recycled signal knows its holder is done with it.
+func (s *Signal) Awaited() bool { return s.awaited }
+
 // Err returns the error the signal fired with (nil before firing).
 func (s *Signal) Err() error { return s.err }
 
-func (s *Signal) subscribe(fn func()) { s.waiters = append(s.waiters, fn) }
+func (s *Signal) subscribe(fn func()) {
+	if s.first == nil {
+		s.first = fn
+		return
+	}
+	s.waiters = append(s.waiters, fn)
+}
 
 // Fire marks the signal complete and wakes all waiters. A signal fires at
 // most once: calling Fire on an already-fired signal is a logic error in
@@ -210,8 +224,11 @@ func (s *Signal) Fire(err error) {
 	}
 	s.fired = true
 	s.err = err
-	ws := s.waiters
-	s.waiters = nil
+	first, ws := s.first, s.waiters
+	s.first, s.waiters = nil, nil
+	if first != nil {
+		first()
+	}
 	for _, w := range ws {
 		w()
 	}

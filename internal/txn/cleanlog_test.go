@@ -40,7 +40,7 @@ func TestFailedCommitRecordAppendLeavesNoLiveRecord(t *testing.T) {
 	}
 	rig.run(t, func(f *sim.Fiber) {
 		tail := rig.groups[span].ReplicaNIC(1)
-		first, err := BeginDist(parts(rig.stores[:span], "first"), cl, []int{0, 1})
+		first, err := new(DistTxn).Begin(parts(rig.stores[:span], "first"), cl, []int{0, 1})
 		if err != nil {
 			t.Error(err)
 			return
@@ -56,7 +56,7 @@ func TestFailedCommitRecordAppendLeavesNoLiveRecord(t *testing.T) {
 		}
 		tail.SetDown(false)
 
-		second, err := BeginDist(parts(rig.stores[:span], "secnd"), cl, []int{0, 1})
+		second, err := new(DistTxn).Begin(parts(rig.stores[:span], "secnd"), cl, []int{0, 1})
 		if err != nil {
 			t.Error(err)
 			return
@@ -81,7 +81,7 @@ func TestFailedCommitRecordAppendLeavesNoLiveRecord(t *testing.T) {
 // record: the truncate could not even be posted, so it is owed.
 func cleanLogRig(t *testing.T, f *sim.Fiber, rig *twoPCRig, cl *CommitLog) bool {
 	t.Helper()
-	older, err := BeginDist(parts(rig.stores[:2], "older"), cl, []int{0, 1})
+	older, err := new(DistTxn).Begin(parts(rig.stores[:2], "older"), cl, []int{0, 1})
 	if err != nil {
 		t.Error(err)
 		return false
@@ -138,7 +138,7 @@ func TestCleanLogRule(t *testing.T) {
 			}
 			const budget = 100
 			rig.stops[0].Budget, rig.stops[1].Budget = budget, budget
-			newer, _ := BeginDist(parts(rig.stores[:2], "newer"), cl, []int{0, 1})
+			newer, _ := new(DistTxn).Begin(parts(rig.stores[:2], "newer"), cl, []int{0, 1})
 			newer.SetStepHook(func(s Step, _ int) error {
 				if s == StepLock {
 					return ErrCoordinatorCrash
@@ -179,7 +179,7 @@ func TestCleanLogRule(t *testing.T) {
 			for i := range issued {
 				issued[i], _ = rig.groups[i].Stats()
 			}
-			newer, _ := BeginDist(parts(rig.stores[:2], "newer"), cl, []int{0, 1})
+			newer, _ := new(DistTxn).Begin(parts(rig.stores[:2], "newer"), cl, []int{0, 1})
 			err := newer.Prepare(f)
 			if !errors.Is(err, ErrAborted) || !errors.Is(err, protocoltest.ErrStopped) {
 				t.Errorf("newer prepare = %v, want ErrAborted wrapping the failed truncate", err)
@@ -192,7 +192,7 @@ func TestCleanLogRule(t *testing.T) {
 			mustUnlocked(t, rig.stores[:2])
 
 			rig.stops[2].Budget = -1
-			again, _ := BeginDist(parts(rig.stores[:2], "older"), cl, []int{0, 1})
+			again, _ := new(DistTxn).Begin(parts(rig.stores[:2], "older"), cl, []int{0, 1})
 			if err := again.Prepare(f); err != nil {
 				t.Errorf("prepare with the commit log's group back: %v", err)
 				return
@@ -225,7 +225,7 @@ func TestOneSlotCommitLogRunsBackToBack(t *testing.T) {
 	}
 	rig.run(t, func(f *sim.Fiber) {
 		for n := 0; n < 100; n++ {
-			tx, err := BeginDist(parts(rig.stores[:2], fmt.Sprintf("n%02d", n)), cl, []int{0, 1})
+			tx, err := new(DistTxn).Begin(parts(rig.stores[:2], fmt.Sprintf("n%02d", n)), cl, []int{0, 1})
 			if err == nil {
 				err = tx.Prepare(f)
 			}

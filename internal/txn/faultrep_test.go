@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -16,7 +17,7 @@ type memRep struct {
 	buf  []byte
 	fail func(op string) error
 
-	readBytes int // bytes requested through ReadLocal
+	readBytes int // bytes requested through ViewLocal
 }
 
 var errInjected = errors.New("injected replicator fault")
@@ -43,12 +44,12 @@ func (m *memRep) WriteLocal(off int, data []byte) error {
 	return nil
 }
 
-func (m *memRep) ReadLocal(off, n int) ([]byte, error) {
-	if err := m.check("readlocal"); err != nil {
+func (m *memRep) ViewLocal(off, n int) ([]byte, error) {
+	if err := m.check("viewlocal"); err != nil {
 		return nil, err
 	}
 	if off < 0 || off+n > len(m.buf) {
-		return nil, fmt.Errorf("readlocal out of range [%d,%d)", off, off+n)
+		return nil, fmt.Errorf("viewlocal out of range [%d,%d)", off, off+n)
 	}
 	m.readBytes += n
 	out := make([]byte, n)
@@ -88,7 +89,7 @@ func (m *memRep) CAS(f *sim.Fiber, off int, old, new uint64, exec []bool) ([]uin
 	if err := m.check("cas"); err != nil {
 		return nil, err
 	}
-	cur := leUint64(m.buf[off : off+8])
+	cur := binary.LittleEndian.Uint64(m.buf[off : off+8])
 	if exec[0] && cur == old {
 		var b [8]byte
 		for i := range b {
@@ -152,7 +153,7 @@ func TestStoreIOFaults(t *testing.T) {
 		entry := []wal.Entry{{Off: 0, Data: []byte("io")}}
 
 		// Append: tail read, record flush, tail-pointer write.
-		m.fail = failOn("readlocal", 1)
+		m.fail = failOn("viewlocal", 1)
 		if _, err := st.Append(f, entry); !errors.Is(err, errInjected) {
 			t.Errorf("append tail read: %v", err)
 		}
@@ -162,19 +163,19 @@ func TestStoreIOFaults(t *testing.T) {
 		}
 
 		// LogUsed / Locked / Readers / readPtr error propagation.
-		m.fail = failOn("readlocal", 1)
+		m.fail = failOn("viewlocal", 1)
 		if _, err := st.LogUsed(); !errors.Is(err, errInjected) {
 			t.Errorf("log used: %v", err)
 		}
-		m.fail = failOn("readlocal", 2)
+		m.fail = failOn("viewlocal", 2)
 		if _, err := st.LogUsed(); !errors.Is(err, errInjected) {
 			t.Errorf("log used tail: %v", err)
 		}
-		m.fail = failOn("readlocal", 1)
+		m.fail = failOn("viewlocal", 1)
 		if _, err := st.Locked(); !errors.Is(err, errInjected) {
 			t.Errorf("locked: %v", err)
 		}
-		m.fail = failOn("readlocal", 1)
+		m.fail = failOn("viewlocal", 1)
 		if _, err := st.Readers(); !errors.Is(err, errInjected) {
 			t.Errorf("readers: %v", err)
 		}
@@ -208,7 +209,7 @@ func TestStoreIOFaults(t *testing.T) {
 		}
 
 		// TruncateAll: tail read failure.
-		m.fail = failOn("readlocal", 1)
+		m.fail = failOn("viewlocal", 1)
 		if err := st.TruncateAll(f); !errors.Is(err, errInjected) {
 			t.Errorf("truncate all: %v", err)
 		}
@@ -227,23 +228,23 @@ func TestRecoverIOFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		m.fail = failOn("readlocal", 1)
+		m.fail = failOn("viewlocal", 1)
 		if _, err := RecoverAbort(f, st, 42); !errors.Is(err, errInjected) {
 			t.Errorf("recover abort lock read: %v", err)
 		}
-		m.fail = failOn("readlocal", 1)
+		m.fail = failOn("viewlocal", 1)
 		if _, _, err := RecoverCommit(f, st, 42); !errors.Is(err, errInjected) {
 			t.Errorf("recover commit lock read: %v", err)
 		}
-		m.fail = failOn("readlocal", 1)
+		m.fail = failOn("viewlocal", 1)
 		if _, err := st.PendingSeqs(); !errors.Is(err, errInjected) {
 			t.Errorf("pending seqs head read: %v", err)
 		}
-		m.fail = failOn("readlocal", 2)
+		m.fail = failOn("viewlocal", 2)
 		if _, err := st.PendingSeqs(); !errors.Is(err, errInjected) {
 			t.Errorf("pending seqs tail read: %v", err)
 		}
-		m.fail = failOn("readlocal", 3)
+		m.fail = failOn("viewlocal", 3)
 		if _, err := st.PendingSeqs(); !errors.Is(err, errInjected) {
 			t.Errorf("pending seqs record read: %v", err)
 		}

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -137,11 +138,11 @@ func (s *Store) adjustReaders(f *sim.Fiber, replica int, delta int) error {
 	exec := make([]bool, g)
 	exec[replica] = true
 	for attempt := 0; attempt < s.cfg.LockRetries; attempt++ {
-		b, err := s.r.ReadLocal(ctrlRdLock, 8)
+		b, err := s.r.ViewLocal(ctrlRdLock, 8)
 		if err != nil {
 			return err
 		}
-		cur := leUint64(b)
+		cur := binary.LittleEndian.Uint64(b)
 		want := uint64(int64(cur) + int64(delta))
 		if int64(want) < 0 {
 			return fmt.Errorf("%w: reader count underflow", ErrBadArgument)
@@ -160,11 +161,11 @@ func (s *Store) adjustReaders(f *sim.Fiber, replica int, delta int) error {
 
 // Readers returns the client-coherent reader count (diagnostics).
 func (s *Store) Readers() (uint64, error) {
-	b, err := s.r.ReadLocal(ctrlRdLock, 8)
+	b, err := s.r.ViewLocal(ctrlRdLock, 8)
 	if err != nil {
 		return 0, err
 	}
-	return leUint64(b), nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // Locked reports whether the write lock word currently holds any token.

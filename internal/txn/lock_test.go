@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -18,7 +19,7 @@ func memberLockWord(t *testing.T, nic *rdma.NIC) uint64 {
 	if err := nic.Memory().Read(ctrlWrLock, b[:]); err != nil {
 		t.Errorf("%s: lock word: %v", nic.Host(), err)
 	}
-	return leUint64(b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // TestFailedUnlockKeepsClientLocked: the last member of a 3-replica chain
@@ -219,7 +220,7 @@ func TestNoWaitLockingUnderContention(t *testing.T) {
 				for i, st := range c.stores {
 					ps[i] = Participant{Store: st, Entries: []wal.Entry{{Off: c.offs[i], Data: []byte(c.last)}}}
 				}
-				tx, err := BeginDist(ps, c.cl, []int{0, 1})
+				tx, err := new(DistTxn).Begin(ps, c.cl, []int{0, 1})
 				if err == nil {
 					err = tx.Prepare(f)
 				}

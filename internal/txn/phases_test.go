@@ -98,7 +98,7 @@ func TestPrepareRejectsBadParticipantLists(t *testing.T) {
 	}
 	rig.run(t, func(f *sim.Fiber) {
 		for _, c := range cases {
-			tx, err := BeginDist(c.parts, cl, c.ids)
+			tx, err := new(DistTxn).Begin(c.parts, cl, c.ids)
 			if err != nil {
 				t.Errorf("%s: begin: %v", c.name, err)
 				continue
@@ -179,7 +179,7 @@ func TestTwoPCSubsetSweep(t *testing.T) {
 				label := fmt.Sprintf("%v stop-after-%d subset %04b", ss.step, stop, mask)
 				rig, cl := loggedRig(t, span)
 				rig.run(t, func(f *sim.Fiber) {
-					tx, err := BeginDist(parts(rig.stores[:span], "subset"), cl, []int{0, 1, 2, 3})
+					tx, err := new(DistTxn).Begin(parts(rig.stores[:span], "subset"), cl, []int{0, 1, 2, 3})
 					if err != nil {
 						t.Error(err)
 						return
@@ -235,7 +235,7 @@ func TestCommitDrivesEveryParticipant(t *testing.T) {
 	const span, dead = 4, 1
 	rig, cl := loggedRig(t, span)
 	rig.run(t, func(f *sim.Fiber) {
-		tx, err := BeginDist(parts(rig.stores[:span], "drive"), cl, []int{0, 1, 2, 3})
+		tx, err := new(DistTxn).Begin(parts(rig.stores[:span], "drive"), cl, []int{0, 1, 2, 3})
 		if err != nil {
 			t.Error(err)
 			return
@@ -305,7 +305,7 @@ func TestTxnLatencyBySpan(t *testing.T) {
 		var latency []sim.Duration
 		spans := []int{1, 1, 2, 4}
 		for _, span := range spans {
-			tx, err := BeginDist(parts(rig.stores[:span], "lat"), cl, []int{0, 1, 2, 3}[:span])
+			tx, err := new(DistTxn).Begin(parts(rig.stores[:span], "lat"), cl, []int{0, 1, 2, 3}[:span])
 			if err != nil {
 				t.Error(err)
 				return

@@ -3,18 +3,20 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hyperloop/internal/sim"
 	"hyperloop/internal/wal"
 )
 
 // ReadData returns a copy of [off, off+n) of the data region from the
-// client's mirror.
+// client's mirror; the caller owns it.
 func (s *Store) ReadData(off, n int) ([]byte, error) {
 	if !s.inData(off, n) {
 		return nil, fmt.Errorf("%w: data read out of range", ErrBadArgument)
 	}
-	return s.r.ReadLocal(s.dataOff+off, n)
+	v, err := s.r.ViewLocal(s.dataOff+off, n)
+	return slices.Clone(v), err
 }
 
 // logRecord pairs a decoded record with its position in the log ring.
@@ -42,7 +44,7 @@ func (s *Store) scanLog() (recs []logRecord, validEnd int, torn bool, err error)
 			p = 0
 			continue
 		}
-		strip, err := s.r.ReadLocal(s.logOff+p, minInt(wal.PadHeaderSize, s.cfg.LogSize-p))
+		strip, err := s.r.ViewLocal(s.logOff+p, min(wal.PadHeaderSize, s.cfg.LogSize-p))
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -57,7 +59,7 @@ func (s *Store) scanLog() (recs []logRecord, validEnd int, torn bool, err error)
 		if err != nil {
 			return nil, 0, false, err
 		}
-		rec, derr := wal.Decode(img)
+		rec, derr := wal.Decode(img, nil)
 		if derr != nil {
 			return recs, p, true, nil
 		}
@@ -127,7 +129,7 @@ func (s *Store) VisitPending(fn func(seq uint64, entries []wal.Entry) error) err
 		return err
 	}
 	for _, lr := range recs {
-		img, err := s.r.ReadLocal(s.logOff+lr.pos, lr.rec.Size)
+		img, err := s.r.ViewLocal(s.logOff+lr.pos, lr.rec.Size)
 		if err != nil {
 			return err
 		}

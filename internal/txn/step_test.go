@@ -1025,3 +1025,36 @@ func TestStopGroupGatesPosts(t *testing.T) {
 		}
 	})
 }
+
+// TestStoreStepSteadyStateAllocs: once the log ring has wrapped, an Append
+// and the ExecuteAndAdvance that applies it allocate nothing — the Store
+// encodes and decodes the record in buffers it keeps, reads the log in
+// place, the group recycles its per-op state by window slot and the chain
+// its re-arm tasks and receive lists.
+func TestStoreStepSteadyStateAllocs(t *testing.T) {
+	rig := newStepRig(t, stepRigConfig{replicas: 3})
+	entry := kibEntry()
+	var err error
+	step := func(f *sim.Fiber) {
+		if _, e := rig.st.Append(f, entry); e != nil && err == nil {
+			err = e
+		}
+		if _, e := rig.st.ExecuteAndAdvance(f); e != nil && err == nil {
+			err = e
+		}
+	}
+	rig.run(t, func(f *sim.Fiber) {
+		// Warm up past every window of the kernel's timing wheel, whose
+		// slots allocate on first use, and many trips round the log ring.
+		for f.Now() < sim.Time(40*sim.Millisecond) {
+			step(f)
+		}
+		allocs := testing.AllocsPerRun(100, func() { step(f) })
+		if err != nil {
+			t.Error(err)
+		}
+		if allocs != 0 {
+			t.Errorf("Append + ExecuteAndAdvance: %v allocations, want 0", allocs)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hyperloop/internal/sim"
 	"hyperloop/internal/wal"
@@ -138,10 +139,10 @@ const (
 	stDone               // committed or rolled back, lock released
 )
 
-// DistTxn is one distributed transaction. The zero value is invalid; use
-// BeginDist. A DistTxn is driven by a single fiber (which runs the other
-// participants of a parallel phase on child fibers of its own) and is not
-// reusable: after Commit or Abort returns it is spent.
+// DistTxn is one distributed transaction, started by Begin on a zero or
+// spent DistTxn. It is driven by a single fiber (which runs the other
+// participants of a parallel phase on child fibers of its own); once
+// Commit or Abort has returned, Begin may start the next one on it.
 type DistTxn struct {
 	parts []Participant
 	state []txnState
@@ -153,42 +154,47 @@ type DistTxn struct {
 	hook  func(Step, int) error
 	halt  error // first hook error of this call: every participant stops
 
-	// fanOut state, allocated once per transaction and shared by its phases.
-	errs     []error                     // each participant's result of the running phase
-	body     func(*sim.Fiber, int) error // the running phase
-	children []func(*sim.Fiber)          // fiber bodies of participants 1..n-1 (runChild)
-	running  int                         // children that have not returned yet
-	join     sim.Signal                  // fired, from kernel context, by the last child
-	joinFn   func()                      // fires join
+	// fanOut state, shared by the phases and kept from one transaction to
+	// the next.
+	errs     []error                               // each participant's result of the running phase
+	body     func(*DistTxn, *sim.Fiber, int) error // the running phase, a method expression (no allocation)
+	children []func(*sim.Fiber)                    // fiber bodies of participants 1, 2, … (runChild)
+	running  int                                   // children that have not returned yet
+	join     sim.Signal                            // fired, from kernel context, by the last child
+	joinFn   func()                                // fires join
 }
 
-// BeginDist starts a distributed transaction over the given participants
+// Begin starts a distributed transaction on t over the given participants
 // whose commit point is durably recorded on cl before phase two: Commit
 // appends a record naming shardIDs (one per participant, same order) so
-// recovery can roll the transaction forward past a coordinator crash.
-func BeginDist(parts []Participant, cl *CommitLog, shardIDs []int) (*DistTxn, error) {
+// recovery can roll the transaction forward past a coordinator crash. It
+// returns t. Begin reuses what t kept from its earlier transactions, so a
+// coordinator that keeps one DistTxn allocates nothing per transaction
+// once it has run its widest span.
+func (t *DistTxn) Begin(parts []Participant, cl *CommitLog, shardIDs []int) (*DistTxn, error) {
 	if cl == nil {
 		return nil, fmt.Errorf("%w: no commit log", ErrBadArgument)
 	}
 	if len(shardIDs) != len(parts) {
 		return nil, fmt.Errorf("%w: %d shard IDs for %d participants", ErrBadArgument, len(shardIDs), len(parts))
 	}
-	t := &DistTxn{
-		parts: parts,
-		state: make([]txnState, len(parts)),
-		tails: make([]int, len(parts)),
-		clog:  cl,
-		ids:   shardIDs,
-		errs:  make([]error, len(parts)),
+	n := len(parts)
+	t.parts, t.clog, t.ids, t.txnID, t.hook, t.halt = parts, cl, shardIDs, 0, nil, nil
+	t.state, t.tails, t.errs = zeroed(t.state, n), zeroed(t.tails, n), zeroed(t.errs, n)
+	for i := len(t.children) + 1; i < n; i++ {
+		t.children = append(t.children, func(cf *sim.Fiber) { t.runChild(cf, i) })
 	}
-	if len(parts) > 1 {
-		t.children = make([]func(*sim.Fiber), len(parts)-1)
-		for i := range t.children {
-			t.children[i] = func(cf *sim.Fiber) { t.runChild(cf, i+1) }
-		}
+	if t.joinFn == nil {
 		t.joinFn = func() { t.join.Fire(nil) }
 	}
 	return t, nil
+}
+
+// zeroed returns s at length n, all zero, in s's array when it fits.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // TxnID returns the transaction's commit-log ID — 0 until the commit
@@ -218,13 +224,14 @@ func (t *DistTxn) step(s Step, participant int) error {
 // their start times move. It returns once every participant has returned
 // and every child fiber has exited, with the participants' errors joined
 // in participant order. A single participant spawns nothing.
-func (t *DistTxn) fanOut(f *sim.Fiber, body func(*sim.Fiber, int) error) error {
-	t.body, t.running, t.join = body, len(t.children), sim.Signal{}
-	for _, child := range t.children {
+func (t *DistTxn) fanOut(f *sim.Fiber, body func(*DistTxn, *sim.Fiber, int) error) error {
+	children := t.children[:len(t.parts)-1]
+	t.body, t.running, t.join = body, len(children), sim.Signal{}
+	for _, child := range children {
 		f.Kernel().Spawn("2pc-participant", child)
 	}
-	t.errs[0] = body(f, 0)
-	if len(t.children) > 0 {
+	t.errs[0] = body(t, f, 0)
+	if len(children) > 0 {
 		_ = f.Await(&t.join) // fired with nil; the results are in t.errs
 	}
 	return errors.Join(t.errs...)
@@ -235,7 +242,7 @@ func (t *DistTxn) fanOut(f *sim.Fiber, body func(*sim.Fiber, int) error) error {
 // rather than from its own stack, so it has exited by the time fanOut
 // returns.
 func (t *DistTxn) runChild(cf *sim.Fiber, i int) {
-	t.errs[i] = t.body(cf, i)
+	t.errs[i] = t.body(t, cf, i)
 	if t.running--; t.running == 0 {
 		cf.Kernel().AfterFunc(0, t.joinFn, nil)
 	}
@@ -294,7 +301,7 @@ func (t *DistTxn) prepare(f *sim.Fiber) error {
 	if err := t.clog.Settle(f); err != nil {
 		return fmt.Errorf("commit log: %w", err)
 	}
-	return t.fanOut(f, t.appendOne)
+	return t.fanOut(f, (*DistTxn).appendOne)
 }
 
 // lockAll takes every participant's lock without ever waiting for one
@@ -306,13 +313,13 @@ func (t *DistTxn) prepare(f *sim.Fiber) error {
 func (t *DistTxn) lockAll(f *sim.Fiber) error {
 	first := t.parts[0].Store
 	for attempt := 0; attempt < first.cfg.LockRetries; attempt++ {
-		if err := t.fanOut(f, t.lockOne); err != nil || t.halt != nil {
+		if err := t.fanOut(f, (*DistTxn).lockOne); err != nil || t.halt != nil {
 			return err
 		}
 		if t.count(stLocked) == len(t.parts) {
 			return nil
 		}
-		if err := t.fanOut(f, t.unlockOne); err != nil {
+		if err := t.fanOut(f, (*DistTxn).unlockOne); err != nil {
 			return err
 		}
 		f.Sleep(first.backoff(attempt))
@@ -415,7 +422,7 @@ func (t *DistTxn) Commit(f *sim.Fiber) error {
 			return err
 		}
 	}
-	err := t.fanOut(f, t.commitOne)
+	err := t.fanOut(f, (*DistTxn).commitOne)
 	if t.halt != nil {
 		return t.halt
 	}

@@ -122,7 +122,7 @@ func begin(t testing.TB, ps []Participant, cl *CommitLog) *DistTxn {
 	for i := range ids {
 		ids[i] = i
 	}
-	tx, err := BeginDist(ps, cl, ids)
+	tx, err := new(DistTxn).Begin(ps, cl, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +322,10 @@ func loggedRig(t *testing.T, nParts int) (*twoPCRig, *CommitLog) {
 func TestBeginDistRejectsBadArguments(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	ps := parts(rig.stores[:2], "x")
-	if _, err := BeginDist(ps, cl, []int{0}); !errors.Is(err, ErrBadArgument) {
+	if _, err := new(DistTxn).Begin(ps, cl, []int{0}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("mismatched shard IDs: %v, want ErrBadArgument", err)
 	}
-	if _, err := BeginDist(ps, nil, []int{0, 1}); !errors.Is(err, ErrBadArgument) {
+	if _, err := new(DistTxn).Begin(ps, nil, []int{0, 1}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("no commit log: %v, want ErrBadArgument", err)
 	}
 }
@@ -333,7 +333,7 @@ func TestBeginDistRejectsBadArguments(t *testing.T) {
 func TestTwoPCLoggedCommit(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	rig.run(t, func(f *sim.Fiber) {
-		tx, err := BeginDist(parts(rig.stores[:2], "logged"), cl, []int{0, 1})
+		tx, err := new(DistTxn).Begin(parts(rig.stores[:2], "logged"), cl, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func TestTwoPCLoggedCommit(t *testing.T) {
 func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	rig.run(t, func(f *sim.Fiber) {
-		tx, err := BeginDist(parts(rig.stores[:2], "crash"), cl, []int{0, 1})
+		tx, err := new(DistTxn).Begin(parts(rig.stores[:2], "crash"), cl, []int{0, 1})
 		if err != nil {
 			t.Error(err)
 			return
@@ -436,7 +436,7 @@ func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 func TestTwoPCCrashBeforeCommitPointRollsBack(t *testing.T) {
 	rig, cl := loggedRig(t, 2)
 	rig.run(t, func(f *sim.Fiber) {
-		tx, err := BeginDist(parts(rig.stores[:2], "gone"), cl, []int{0, 1})
+		tx, err := new(DistTxn).Begin(parts(rig.stores[:2], "gone"), cl, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,7 +509,7 @@ func TestTwoPCCommitRecordFullAborts(t *testing.T) {
 				t.Fatalf("fill %d: %v", i, err)
 			}
 		}
-		tx, err := BeginDist(parts(rig.stores[:2], "full"), cl, []int{0, 1})
+		tx, err := new(DistTxn).Begin(parts(rig.stores[:2], "full"), cl, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,7 +588,7 @@ func TestTwoPCCrashSweep(t *testing.T) {
 	for kill := 1; kill <= totalSteps; kill++ {
 		rig, cl := loggedRig(t, span)
 		rig.run(t, func(f *sim.Fiber) {
-			tx, err := BeginDist(parts(rig.stores[:span], "sweep"), cl, []int{0, 1})
+			tx, err := new(DistTxn).Begin(parts(rig.stores[:span], "sweep"), cl, []int{0, 1})
 			if err != nil {
 				t.Fatal(err)
 			}

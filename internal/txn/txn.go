@@ -40,7 +40,7 @@ import (
 type Replicator interface {
 	GroupSize() int
 	WriteLocal(off int, data []byte) error
-	ReadLocal(off, n int) ([]byte, error)
+	ViewLocal(off, n int) ([]byte, error)
 	WriteAsync(off, size int, durable bool) (*sim.Signal, error)
 	Write(f *sim.Fiber, off, size int, durable bool) error
 	MemcpyAsync(src, dst, size int, durable bool) (*sim.Signal, error)
@@ -91,9 +91,10 @@ type Store struct {
 	dataOff int
 	nextSeq uint64
 
-	allExec []bool  // the gCAS execute map naming every member
-	ptrBuf  [8]byte // an encoded control pointer (also CommitLog's 8 zero bytes)
-	encBuf  []byte  // Append's encoded record and wrap pad; CommitLog's slot image
+	allExec []bool             // the gCAS execute map naming every member
+	ptrBuf  [8]byte            // an encoded control pointer (also CommitLog's 8 zero bytes)
+	encBuf  []byte             // Append's encoded record and wrap pad; CommitLog's slot image
+	entries []wal.DecodedEntry // the entries of the record executeHead decoded last
 
 	// The running step (see stage): the signals of the ops posted so far in
 	// issue order, how many of them have been waited for, and the step's
@@ -147,16 +148,11 @@ func (s *Store) MirrorSize() int { return ctrlSize + s.cfg.LogSize + s.cfg.DataS
 func MirrorSizeFor(logSize, dataSize int) int { return ctrlSize + logSize + dataSize }
 
 func (s *Store) readPtr(off int) (int, error) {
-	b, err := s.r.ReadLocal(off, 8)
+	b, err := s.r.ViewLocal(off, 8)
 	if err != nil {
 		return 0, err
 	}
-	return int(leUint64(b)), nil
-}
-
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return int(binary.LittleEndian.Uint64(b)), nil
 }
 
 // writePtr durably replicates a control pointer: a step of one op.
@@ -400,12 +396,12 @@ func (s *Store) scratch(n int) []byte {
 // size, however large the log is.
 func (s *Store) recordImage(p int) ([]byte, error) {
 	n, err := wal.Extent(s.cfg.LogSize-p, func(pos, n int) ([]byte, error) {
-		return s.r.ReadLocal(s.logOff+p+pos, n)
+		return s.r.ViewLocal(s.logOff+p+pos, n)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return s.r.ReadLocal(s.logOff+p, n)
+	return s.r.ViewLocal(s.logOff+p, n)
 }
 
 // ExecuteAndAdvance processes the record at the log head: one gMEMCPY +
@@ -440,7 +436,7 @@ func (s *Store) executeHead(f *sim.Fiber, token uint64) (seq uint64, released bo
 			head = 0
 			continue
 		}
-		strip, err := s.r.ReadLocal(s.logOff+head, minInt(wal.PadHeaderSize, s.cfg.LogSize-head))
+		strip, err := s.r.ViewLocal(s.logOff+head, min(wal.PadHeaderSize, s.cfg.LogSize-head))
 		if err != nil {
 			return 0, false, err
 		}
@@ -457,10 +453,11 @@ func (s *Store) executeHead(f *sim.Fiber, token uint64) (seq uint64, released bo
 	if err != nil {
 		return 0, false, err
 	}
-	rec, err := wal.Decode(img)
+	rec, err := wal.Decode(img, s.entries)
 	if err != nil {
 		return 0, false, fmt.Errorf("execute: %w", err)
 	}
+	s.entries = rec.Entries
 	for _, e := range rec.Entries {
 		if e.Len == 0 {
 			continue
@@ -525,13 +522,6 @@ func (s *Store) drain(f *sim.Fiber, token uint64) (int, error) {
 			return n + 1, nil
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // dataChunk is the largest gWRITE WriteData issues. A store-and-forward

@@ -96,7 +96,8 @@ func (d *DecodedRecord) Data(buf []byte, e DecodedEntry) []byte {
 }
 
 // Decode parses a record at the start of buf, verifying framing and CRC.
-func Decode(buf []byte) (DecodedRecord, error) {
+// The entry list is built in entries[:0]: pass the last record's to reuse.
+func Decode(buf []byte, entries []DecodedEntry) (DecodedRecord, error) {
 	var d DecodedRecord
 	if len(buf) < recHeaderSize+recTrailerSize {
 		return d, ErrTooSmall
@@ -110,7 +111,7 @@ func Decode(buf []byte) (DecodedRecord, error) {
 		return d, fmt.Errorf("%w: implausible entry count %d", ErrCorrupt, n)
 	}
 	p := recHeaderSize
-	d.Entries = make([]DecodedEntry, 0, n)
+	d.Entries = entries[:0]
 	for i := 0; i < n; i++ {
 		if p+entryHeader > len(buf) {
 			return d, fmt.Errorf("%w: truncated entry header", ErrCorrupt)
@@ -216,7 +217,7 @@ func Scan(img []byte, head, tail int) ([]DecodedRecord, []int, error) {
 			}
 			continue
 		}
-		d, err := Decode(img[p:])
+		d, err := Decode(img[p:], nil)
 		if err != nil {
 			return recs, positions, err
 		}

@@ -24,7 +24,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if n != r.EncodedSize() {
 		t.Fatalf("encoded %d bytes, size says %d", n, r.EncodedSize())
 	}
-	d, err := Decode(buf)
+	d, err := Decode(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +66,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for name, corrupt := range cases {
 		bad := append([]byte(nil), good...)
 		corrupt(bad)
-		if _, err := Decode(bad); err == nil {
+		if _, err := Decode(bad, nil); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
 	}
 	// Truncated buffer.
-	if _, err := Decode(good[:len(good)-2]); err == nil {
+	if _, err := Decode(good[:len(good)-2], nil); err == nil {
 		t.Error("truncated record accepted")
 	}
-	if _, err := Decode(good[:3]); !errors.Is(err, ErrTooSmall) {
+	if _, err := Decode(good[:3], nil); !errors.Is(err, ErrTooSmall) {
 		t.Error("tiny buffer accepted")
 	}
 }
@@ -167,7 +167,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := Decode(buf)
+		d, err := Decode(buf, nil)
 		if err != nil || d.Seq != seq || len(d.Entries) != len(r.Entries) || d.Size != sz {
 			return false
 		}
@@ -195,7 +195,7 @@ func TestCorruptionDetectionProperty(t *testing.T) {
 		pos := int(bitIdx) % (len(buf) * 8)
 		bad := append([]byte(nil), buf...)
 		bad[pos/8] ^= 1 << (pos % 8)
-		_, err := Decode(bad)
+		_, err := Decode(bad, nil)
 		return err != nil // every single-bit flip must be caught
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -225,8 +225,8 @@ func TestExtentAgreesWithDecode(t *testing.T) {
 		if err != nil || n > len(img) {
 			return fetched, false
 		}
-		whole, werr := Decode(img)
-		cut, cerr := Decode(img[:n])
+		whole, werr := Decode(img, nil)
+		cut, cerr := Decode(img[:n], nil)
 		if (werr == nil) != (cerr == nil) || errors.Is(werr, ErrTooSmall) != errors.Is(cerr, ErrTooSmall) {
 			return fetched, false
 		}
