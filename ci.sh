@@ -8,8 +8,9 @@
 #           detector over the scheduler and the simulation/RDMA/protocol/
 #           txn/shard hot paths, coverage floors, baseline-staleness and
 #           protocol-conformance suites
-#   fuzz    short fuzz runs over the WQE decoder, device reset, fault plan
-#           validation and the event queue's pop order
+#   fuzz    short fuzz runs over the WQE decoder, the device against its
+#           flat reference, device reset, fault plan validation and the
+#           event queue's pop order
 #   bench   determinism goldens across a seed matrix (serial vs
 #           overlapped, every experiment and claim scenario plus a
 #           shards-only leg), and the regression gate against the
@@ -127,7 +128,7 @@ stage_lint() {
 
 # ---------- test ----------
 
-# Coverage floors. nvm's dirty-range reset and ring's log are what device
+# Coverage floors. nvm's page tables and ring's log are what device
 # pooling leans on for correctness; internal/experiments holds the claim
 # scenarios, the claim-validation surface; the shard router is the cross-shard atomicity
 # surface (2PC lock ordering, abort rollback, recovery); protocol.Group is
@@ -240,7 +241,9 @@ stage_test() {
 # ---------- fuzz ----------
 
 # Short fuzz runs: arbitrary 64-byte WQE slots through a live send ring,
-# arbitrary workloads through Device.Reset-equals-fresh, arbitrary
+# arbitrary page-straddling workloads through the page-table Device and a
+# flat two-image reference side by side, arbitrary workloads through
+# Device.Reset-equals-fresh, arbitrary
 # insert/remove sequences through RangeSet against a boolean model,
 # arbitrary fault schedules through FaultPlan.Validate (accepted plans
 # must then survive installation on a live fabric), and arbitrary
@@ -249,6 +252,8 @@ stage_test() {
 stage_fuzz() {
     step "fuzz WQE decode" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzWQEDecode -fuzztime=10s
+    step "fuzz device model" go test ./internal/nvm -run='^$' \
+        -fuzz=FuzzDeviceModel -fuzztime=10s
     step "fuzz device reset" go test ./internal/nvm -run='^$' \
         -fuzz=FuzzDeviceReset -fuzztime=10s
     step "fuzz range set" go test ./internal/nvm -run='^$' \

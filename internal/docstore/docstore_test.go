@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -327,6 +328,38 @@ func TestLockFreeReadRejectsTornSlot(t *testing.T) {
 		}
 		if _, err := s.ReadReplicaLockFree(f, reader, "c", "torn"); !errors.Is(err, ErrTornRead) {
 			t.Errorf("torn read err = %v, want ErrTornRead", err)
+		}
+	})
+}
+
+// TestStraddlingSlotReadAllocs: a slot that crosses a 4 KiB nvm page is
+// assembled in the client device's one view buffer, so the in-place slot
+// read FindID decodes from allocates nothing.
+func TestStraddlingSlotReadAllocs(t *testing.T) {
+	k, s, _ := testStore(t, smallConfig())
+	run(t, k, func(f *sim.Fiber) {
+		off, straddles := 0, false
+		for i := 0; !straddles; i++ {
+			id := fmt.Sprintf("d%d", i)
+			if err := s.Insert(f, "c", Doc{"_id": id}); err != nil {
+				t.Error(err)
+				return
+			}
+			off = s.st.DataOff() + s.slotOff(s.dir["c"][id])
+			straddles = off/4096 != (off+s.cfg.SlotSize-1)/4096
+		}
+		var payload []byte
+		allocs := testing.AllocsPerRun(100, func() {
+			img, err := s.r.ViewLocal(off, s.cfg.SlotSize)
+			if err == nil {
+				payload, _, _ = decodeSlot(img)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("straddling slot read: %v allocations, want 0", allocs)
+		}
+		if !bytes.Contains(payload, []byte(`"_coll":"c"`)) {
+			t.Errorf("straddling slot decoded to %q", payload)
 		}
 	})
 }

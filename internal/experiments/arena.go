@@ -9,7 +9,7 @@ import (
 )
 
 // trialArena owns the reusable simulation state of one trial: pooled NVM
-// devices (reset to their written ranges only, not reallocated), pooled
+// devices (reset by dropping the pages they allocated), pooled
 // simulation kernels (event free lists and heap capacity survive), and
 // pooled rdma.Fabric objects — the whole fabric, its recycled NIC structs,
 // and its payload-buffer pool, not just scratch buffers. A trial acquires
@@ -94,7 +94,7 @@ func (a *trialArena) Fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric {
 }
 
 // endTrial releases everything the current trial acquired back to the
-// arena — devices are reset (zeroing only their written ranges) and
+// arena — devices are reset (dropping only the pages they allocated) and
 // pooled, idle kernels are pooled for the next Reset, fabrics are pooled
 // whole — and attributes the trial's counters to rc's experiment run:
 // each kernel's executed-event count, each fabric's CQE/message/byte and

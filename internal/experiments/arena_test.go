@@ -94,8 +94,8 @@ func TestPooledVsFreshIdentical(t *testing.T) {
 
 // TestStatSinkShowsReuse pins what pooling buys: once the pools are warm,
 // a fig8a run reuses devices and kernels and performs less than half the
-// setup zeroing that per-trial fresh allocation would (the dirty-range
-// reset only pays for bytes a trial actually wrote).
+// setup zeroing that two eager images per trial device would (a device
+// allocates only the pages a trial stores into).
 func TestStatSinkShowsReuse(t *testing.T) {
 	prevProcs := SetParallelism(1)
 	defer SetParallelism(prevProcs)
@@ -160,9 +160,9 @@ func TestArenaNoLeaks(t *testing.T) {
 				}
 			}
 			a.devices.ForEachIdle(func(d *nvm.Device) {
-				if d.WrittenBytes() != 0 || d.DirtyBytes() != 0 {
-					t.Fatalf("%s: pooled device %q not reset (written=%d dirty=%d)",
-						pass, d.Name(), d.WrittenBytes(), d.DirtyBytes())
+				if d.ResidentBytes() != 0 || d.DirtyBytes() != 0 {
+					t.Fatalf("%s: pooled device %q not reset (resident=%d dirty=%d)",
+						pass, d.Name(), d.ResidentBytes(), d.DirtyBytes())
 				}
 			})
 			devices += int64(a.devices.Idle())

@@ -166,7 +166,6 @@ type replica struct {
 	// the one-runner invariant serializes all handlers on a kernel and no
 	// buffer outlives the call that filled it.
 	scratch []byte // staging-slot decode buffer
-	copyBuf []byte // memcpy bounce buffer
 }
 
 // Group is the Naive-RDMA replication chain. The embedded protocol.Group
@@ -372,13 +371,7 @@ func (r *replica) handle(slot uint64) {
 			_, _ = mem.Flush(int(h.off), int(h.size))
 		}
 	case kindMemcpy:
-		if cap(r.copyBuf) < int(h.size) {
-			r.copyBuf = make([]byte, h.size)
-		}
-		data := r.copyBuf[:h.size]
-		if err := mem.Read(int(h.src), data); err == nil {
-			_ = mem.Write(int(h.dst), data)
-		}
+		_ = mem.Copy(int(h.dst), int(h.src), int(h.size))
 		if h.durable {
 			_, _ = mem.Flush(int(h.dst), int(h.size))
 		}

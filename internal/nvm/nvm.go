@@ -6,8 +6,11 @@
 // before reaching the durable medium; only a flush (triggered in HyperLoop
 // by a 0-byte RDMA READ to the same address) commits them. A power failure
 // (Crash) discards everything unflushed. The model keeps two images — the
-// current view and the durable image — plus the set of dirty ranges, so
-// tests can assert exactly which bytes survive a crash.
+// current view and the durable image — plus the set of dirty ranges, exact
+// to the byte, so tests can assert exactly which bytes survive a crash.
+// Each image is a table of 4 KiB pages that exist only once the model
+// stores into them, so a device costs host memory in proportion to what
+// it touches, not to its size.
 package nvm
 
 import (
@@ -15,26 +18,58 @@ import (
 	"slices"
 )
 
+// pageSize is the granularity at which a device allocates its images.
+const pageSize = 4096
+
+type page [pageSize]byte
+
+// zeroPage is what every absent page reads as; nothing writes it.
+var zeroPage page
+
 // Device is one node's non-volatile memory. It is used only from
 // simulation (single-threaded) context and needs no locking.
 type Device struct {
-	name    string
-	current []byte // latest view: durable bytes overlaid with cached writes
-	durable []byte // what survives a crash
-	dirty   RangeSet
-	written RangeSet // every byte written since NewDevice/Reset; bounds Reset cost
+	name     string
+	size     int
+	current  []*page // latest view: durable bytes overlaid with cached writes
+	durable  []*page // what survives a crash; a page here has one in current
+	resident int     // bytes in the allocated pages of both images
+	dirty    RangeSet
+	view     []byte // holds the last Slice that crossed a page boundary
 
 	writes  int64
 	flushes int64
 	crashes int64
 }
 
-// NewDevice returns a zeroed device of the given size in bytes.
+// NewDevice returns a zeroed device of the given size in bytes. No page of
+// either image exists until the model stores into it.
 func NewDevice(name string, size int) *Device {
-	return &Device{
-		name:    name,
-		current: make([]byte, size),
-		durable: make([]byte, size),
+	pages := (size + pageSize - 1) / pageSize
+	return &Device{name: name, size: size, current: make([]*page, pages), durable: make([]*page, pages)}
+}
+
+// get returns page p of image t, or the zero page when it is absent.
+func get(t []*page, p int) *page {
+	if t[p] == nil {
+		return &zeroPage
+	}
+	return t[p]
+}
+
+// touch returns page p of image t, allocating it on first use.
+func (d *Device) touch(t []*page, p int) *page {
+	if t[p] == nil {
+		t[p] = new(page)
+		d.resident += pageSize
+	}
+	return t[p]
+}
+
+// readImage copies image t at off into buf.
+func readImage(t []*page, off int, buf []byte) {
+	for n := 0; n < len(buf); {
+		n += copy(buf[n:], get(t, (off+n)/pageSize)[(off+n)%pageSize:])
 	}
 }
 
@@ -42,7 +77,7 @@ func NewDevice(name string, size int) *Device {
 func (d *Device) Name() string { return d.name }
 
 // Size returns the capacity in bytes.
-func (d *Device) Size() int { return len(d.current) }
+func (d *Device) Size() int { return d.size }
 
 // BoundsError reports an out-of-range access.
 type BoundsError struct {
@@ -58,24 +93,54 @@ func (e *BoundsError) Error() string {
 }
 
 func (d *Device) check(off, n int) error {
-	if off < 0 || n < 0 || off > len(d.current)-n { // off+n may overflow
-		return &BoundsError{Device: d.name, Off: off, Len: n, Size: len(d.current)}
+	if off < 0 || n < 0 || off > d.size-n { // off+n may overflow
+		return &BoundsError{Device: d.name, Off: off, Len: n, Size: d.size}
 	}
 	return nil
 }
 
 // Write stores data at off in the volatile cache. The bytes are visible to
-// subsequent reads but not durable until flushed.
+// subsequent reads but not durable until flushed. data must not be a view
+// of this device: Copy moves bytes within it.
 func (d *Device) Write(off int, data []byte) error {
 	if err := d.check(off, len(data)); err != nil {
 		return err
 	}
-	copy(d.current[off:], data)
+	for n := 0; n < len(data); {
+		n += copy(d.touch(d.current, (off+n)/pageSize)[(off+n)%pageSize:], data[n:])
+	}
 	if len(data) > 0 {
 		d.dirty.Insert(off, off+len(data))
-		d.written.Insert(off, off+len(data))
 		d.writes++
 	}
+	return nil
+}
+
+// Copy moves n bytes from src to dst in the volatile cache with memmove
+// semantics, as one write of the destination. It allocates only pages it
+// stores into for the first time.
+func (d *Device) Copy(dst, src, n int) error {
+	if err := d.check(src, n); err != nil {
+		return err
+	}
+	if err := d.check(dst, n); err != nil || n == 0 {
+		return err
+	}
+	// Piece by piece, each inside one source and one destination page, back
+	// to front when dst lies past src, so no piece reads what one wrote.
+	for k := 0; k < n; {
+		at := k // the piece's offset into both ranges
+		c := min(n-k, pageSize-(dst+k)%pageSize, pageSize-(src+k)%pageSize)
+		if dst > src {
+			c = min(n-k, (dst+n-k-1)%pageSize+1, (src+n-k-1)%pageSize+1)
+			at = n - k - c
+		}
+		s, t := src+at, dst+at
+		copy(d.touch(d.current, t/pageSize)[t%pageSize:t%pageSize+c], get(d.current, s/pageSize)[s%pageSize:])
+		k += c
+	}
+	d.dirty.Insert(dst, dst+n)
+	d.writes++
 	return nil
 }
 
@@ -84,7 +149,7 @@ func (d *Device) Read(off int, buf []byte) error {
 	if err := d.check(off, len(buf)); err != nil {
 		return err
 	}
-	copy(buf, d.current[off:])
+	readImage(d.current, off, buf)
 	return nil
 }
 
@@ -94,17 +159,26 @@ func (d *Device) ReadDurable(off int, buf []byte) error {
 	if err := d.check(off, len(buf)); err != nil {
 		return err
 	}
-	copy(buf, d.durable[off:])
+	readImage(d.durable, off, buf)
 	return nil
 }
 
-// Slice returns a read-only view of the current image; callers must not
-// retain or mutate it across simulation steps.
+// Slice returns a read-only view of the current image, which callers must
+// not mutate. A range inside one page is viewed in place (an absent page
+// through the shared zero page); a range that crosses a page boundary is
+// assembled in a buffer the device owns, so that view is valid only until
+// the next Slice on this device. Either is valid at most until the caller
+// yields to the kernel.
 func (d *Device) Slice(off, n int) ([]byte, error) {
 	if err := d.check(off, n); err != nil {
 		return nil, err
 	}
-	return d.current[off : off+n : off+n], nil
+	if p, o := off/pageSize, off%pageSize; p < len(d.current) && o+n <= pageSize {
+		return get(d.current, p)[o : o+n : o+n], nil
+	}
+	d.view = slices.Grow(d.view[:0], n)[:n]
+	readImage(d.current, off, d.view)
+	return d.view[:n:n], nil
 }
 
 // Flush commits all dirty bytes intersecting [off, off+n) to the durable
@@ -116,9 +190,12 @@ func (d *Device) Flush(off, n int) (int, error) {
 	flushed := 0
 	i, j := d.dirty.overlap(off, off+n)
 	for _, r := range d.dirty.rs[i:j] {
-		lo, hi := max(r.Lo, off), min(r.Hi, off+n)
-		copy(d.durable[lo:hi], d.current[lo:hi])
-		flushed += hi - lo
+		for lo, hi := max(r.Lo, off), min(r.Hi, off+n); lo < hi; {
+			p, o := lo/pageSize, lo%pageSize
+			c := copy(d.touch(d.durable, p)[o:min(pageSize, o+hi-lo)], d.current[p][o:])
+			lo += c
+			flushed += c
+		}
 	}
 	d.dirty.cut(i, j, off, off+n)
 	if flushed > 0 {
@@ -129,14 +206,18 @@ func (d *Device) Flush(off, n int) (int, error) {
 
 // FlushAll commits every dirty byte.
 func (d *Device) FlushAll() int {
-	n, _ := d.Flush(0, len(d.current))
+	n, _ := d.Flush(0, d.size)
 	return n
 }
 
 // Crash simulates power loss: all unflushed writes are discarded and the
 // current view reverts to the durable image.
 func (d *Device) Crash() {
-	copy(d.current, d.durable)
+	for p, c := range d.current {
+		if c != nil {
+			*c = *get(d.durable, p)
+		}
+	}
 	d.dirty.Clear()
 	d.crashes++
 }
@@ -144,26 +225,22 @@ func (d *Device) Crash() {
 // DirtyBytes returns the number of bytes written but not yet durable.
 func (d *Device) DirtyBytes() int { return d.dirty.Total() }
 
-// WrittenBytes returns the number of distinct bytes written since the
-// device was created or last Reset — the footprint Reset will zero.
-func (d *Device) WrittenBytes() int { return d.written.Total() }
+// ResidentBytes returns the bytes held in the allocated pages of both
+// images — the host memory the device's contents take.
+func (d *Device) ResidentBytes() int { return d.resident }
 
 // Reset returns the device to the state NewDevice would produce — both
-// images all-zero, no dirty ranges, zeroed stats — without reallocating.
-// Only bytes recorded in the written set are cleared, so a trial that
-// touched 1 MB of a 16 MB device pays for 1 MB, not 16. It returns the
-// number of bytes zeroed across both images.
+// images all-zero, no dirty ranges, zeroed stats — by dropping every
+// allocated page and keeping the page tables, so a trial that touched 1 MB
+// of a 16 MB device pays for 1 MB, not 16. It returns the bytes dropped
+// (ResidentBytes before the call).
 func (d *Device) Reset() int {
-	zeroed := 0
-	for _, r := range d.written.rs {
-		clear(d.current[r.Lo:r.Hi])
-		clear(d.durable[r.Lo:r.Hi])
-		zeroed += 2 * (r.Hi - r.Lo)
-	}
-	d.written.Clear()
+	n := d.resident
+	clear(d.current)
+	clear(d.durable)
 	d.dirty.Clear()
-	d.writes, d.flushes, d.crashes = 0, 0, 0
-	return zeroed
+	d.resident, d.writes, d.flushes, d.crashes = 0, 0, 0, 0
+	return n
 }
 
 // Stats reports operation counts.
@@ -216,8 +293,8 @@ func NewAllocator(dev *Device) *Allocator { return &Allocator{dev: dev} }
 func (a *Allocator) Alloc(name string, n int) (*Region, error) {
 	const align = 64
 	off := (a.next + align - 1) &^ (align - 1)
-	if off+n > a.dev.Size() {
-		return nil, fmt.Errorf("nvm %s: out of space allocating %q (%d bytes, %d free)",
+	if n < 0 || off+n > a.dev.Size() {
+		return nil, fmt.Errorf("nvm %s: cannot allocate %q (%d bytes, %d free)",
 			a.dev.name, name, n, a.dev.Size()-off)
 	}
 	a.next = off + n

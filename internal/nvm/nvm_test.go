@@ -180,6 +180,26 @@ func TestAllocatorExhaustion(t *testing.T) {
 	}
 }
 
+// TestAllocatorRejectsNegativeSize: a negative size would move the
+// allocator backwards, so the next region would overlap the previous one.
+func TestAllocatorRejectsNegativeSize(t *testing.T) {
+	a := NewAllocator(NewDevice("test", 4096))
+	r1, err := a.Alloc("a", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Alloc("neg", -512); err == nil {
+		t.Fatal("negative size accepted")
+	}
+	r2, err := a.Alloc("b", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Off < r1.Off+r1.Len {
+		t.Fatalf("regions overlap: %+v %+v", r1, r2)
+	}
+}
+
 func TestRangeSetInsertMerge(t *testing.T) {
 	var s RangeSet
 	s.Insert(10, 20)
@@ -417,8 +437,18 @@ func TestWriteFlushSteadyStateAllocs(t *testing.T) {
 	if got, want := d.DirtyBytes(), (benchSlots-1)*benchValue; got != want {
 		t.Errorf("DirtyBytes = %d, want %d", got, want)
 	}
-	if got, want := d.WrittenBytes(), benchSlots*benchValue; got != want {
-		t.Errorf("WrittenBytes = %d, want %d", got, want)
+	if got, want := d.ResidentBytes(), (benchSlots*benchStride/pageSize+1)*pageSize; got != want {
+		t.Errorf("ResidentBytes = %d, want %d (every current page, one durable)", got, want)
+	}
+	// A gMEMCPY and a view that each straddle a page boundary.
+	src, dst := 1001*benchStride+1536, 1003*benchStride+1536
+	if n := testing.AllocsPerRun(100, func() {
+		_ = d.Copy(dst, src, benchValue)
+		if v, _ := d.Slice(src, benchValue); len(v) != benchValue {
+			t.Fatalf("straddling view is %d bytes, want %d", len(v), benchValue)
+		}
+	}); n != 0 {
+		t.Errorf("straddling Copy+Slice: %v allocs/op, want 0", n)
 	}
 }
 

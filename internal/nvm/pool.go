@@ -1,9 +1,9 @@
 package nvm
 
 // PoolStats counts a DevicePool's allocation and reset work. BytesZeroed
-// is the zeroing actually performed (a fresh allocation zero-fills both
-// images; a reuse zeroes only the previous trial's written ranges);
-// BytesDemand is what allocating fresh on every Get would have zeroed, so
+// is the zeroing actually performed: the pages trials allocated (each is
+// zero-filled when created), counted when Put drops them; BytesDemand is
+// what two eager full-size images per Get would have zeroed, so
 // BytesZeroed/BytesDemand is the fraction of setup zeroing that remains.
 type PoolStats struct {
 	Gets   int64
@@ -30,7 +30,7 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 }
 
 // DevicePool recycles Devices by exact size. Put resets a device to its
-// freshly-allocated state (zeroing only its written ranges); Get hands it
+// freshly-allocated state (dropping the pages it allocated); Get hands it
 // out again under a new name. The pool is used from one goroutine at a
 // time (each experiment worker owns one) and needs no locking.
 type DevicePool struct {
@@ -52,7 +52,6 @@ func (p *DevicePool) Get(name string, size int) *Device {
 		return d
 	}
 	p.stats.Fresh++
-	p.stats.BytesZeroed += 2 * int64(size) // make() zero-fills both images
 	return NewDevice(name, size)
 }
 

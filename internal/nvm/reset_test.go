@@ -35,7 +35,7 @@ func applyOp(d *Device, o devOp) int {
 }
 
 // sameState compares every observable of two devices: the full current and
-// durable images (via Read/ReadDurable), the dirty and written footprints,
+// durable images (via Read/ReadDurable), the dirty and resident footprints,
 // and the op counters.
 func sameState(t *testing.T, a, b *Device) bool {
 	t.Helper()
@@ -61,7 +61,7 @@ func sameState(t *testing.T, a, b *Device) bool {
 	if !bytes.Equal(ca, cb) {
 		return false
 	}
-	if a.DirtyBytes() != b.DirtyBytes() || a.WrittenBytes() != b.WrittenBytes() {
+	if a.DirtyBytes() != b.DirtyBytes() || a.ResidentBytes() != b.ResidentBytes() {
 		return false
 	}
 	aw, af, ac := a.Stats()
@@ -96,8 +96,8 @@ func TestDeviceResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestResetZeroesOnlyWritten pins the cost model: Reset reports 2x the
-// written footprint (both images), not 2x the device size.
+// TestResetZeroesOnlyWritten pins the cost model: Reset drops the pages
+// the device allocated in both images, not 2x the device size.
 func TestResetZeroesOnlyWritten(t *testing.T) {
 	d := NewDevice("r", 1<<20)
 	if err := d.Write(100, make([]byte, 50)); err != nil {
@@ -109,23 +109,26 @@ func TestResetZeroesOnlyWritten(t *testing.T) {
 	if _, err := d.Flush(0, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := d.WrittenBytes(), 120; got != want {
-		t.Fatalf("WrittenBytes = %d, want %d", got, want)
+	if err := d.Write(2*pageSize-10, make([]byte, 20)); err != nil { // pages 1 and 2, unflushed
+		t.Fatal(err)
 	}
-	if got, want := d.Reset(), 240; got != want {
-		t.Fatalf("Reset zeroed %d bytes, want %d", got, want)
+	if got, want := d.ResidentBytes(), 4*pageSize; got != want {
+		t.Fatalf("ResidentBytes = %d, want %d", got, want)
 	}
-	if d.WrittenBytes() != 0 || d.DirtyBytes() != 0 {
-		t.Fatalf("footprints after reset: written=%d dirty=%d", d.WrittenBytes(), d.DirtyBytes())
+	if got, want := d.Reset(), 4*pageSize; got != want {
+		t.Fatalf("Reset dropped %d bytes, want %d", got, want)
+	}
+	if d.ResidentBytes() != 0 || d.DirtyBytes() != 0 {
+		t.Fatalf("footprints after reset: resident=%d dirty=%d", d.ResidentBytes(), d.DirtyBytes())
 	}
 	if got := d.Reset(); got != 0 {
-		t.Fatalf("second Reset zeroed %d bytes, want 0", got)
+		t.Fatalf("second Reset dropped %d bytes, want 0", got)
 	}
 }
 
 // TestResetClearsFlushedAndCrashed covers the subtle path: bytes that were
 // flushed (live in durable) or crash-restored (copied back into current)
-// still sit inside the written set, so Reset must clear both images.
+// still sit in allocated pages, so Reset must clear both images.
 func TestResetClearsFlushedAndCrashed(t *testing.T) {
 	d := NewDevice("fc", 256)
 	if err := d.Write(0, []byte{1, 2, 3}); err != nil {
@@ -285,12 +288,12 @@ func TestDevicePoolReuse(t *testing.T) {
 	if s.Gets != 3 || s.Puts != 1 || s.Fresh != 2 || s.Reused != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	// Demand counts a full fresh allocation per Get; actual zeroing paid
-	// full price twice (fresh allocs) plus 6 bytes for the reset.
+	// Demand counts two full images per Get; the zeroing actually paid is
+	// the one page d1's write allocated.
 	if s.BytesDemand != 2*(1024+1024+2048) {
 		t.Fatalf("BytesDemand = %d", s.BytesDemand)
 	}
-	if s.BytesZeroed != 2*(1024+2048)+6 {
+	if s.BytesZeroed != pageSize {
 		t.Fatalf("BytesZeroed = %d", s.BytesZeroed)
 	}
 	p.Put(nil) // must be a no-op

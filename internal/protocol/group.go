@@ -263,9 +263,9 @@ func (g *Group) WriteLocal(off int, data []byte) error {
 	return g.cfg.Mirror.Write(off, data)
 }
 
-// ViewLocal returns the client's mirror range in place: read-only, and
-// valid until the caller next yields to the kernel, after which a group op
-// may have rewritten it.
+// ViewLocal returns the client's mirror range (nvm.Device.Slice): read-only,
+// valid until the caller next yields to the kernel or, for a range that
+// crosses a device page, until the next ViewLocal.
 func (g *Group) ViewLocal(off, n int) ([]byte, error) {
 	if !g.inMirror(off, n) {
 		return nil, fmt.Errorf("%w: local read outside mirror", g.cfg.Errors.BadArgument)
@@ -375,13 +375,7 @@ func ApplyLocal(mem *nvm.Device, kind OpKind, p Op) error {
 			}
 		}
 	case KindMemcpy:
-		// Device.Write copies with memmove semantics, so the source view
-		// may overlap the destination.
-		data, err := mem.Slice(p.Src, p.Size)
-		if err != nil {
-			return err
-		}
-		if err := mem.Write(p.Dst, data); err != nil {
+		if err := mem.Copy(p.Dst, p.Src, p.Size); err != nil {
 			return err
 		}
 		if p.Durable {

@@ -56,8 +56,9 @@ type Protocol interface {
 	// WriteLocal stores data into the client's mirror; the usual pattern
 	// is WriteLocal followed by Write to replicate the range.
 	WriteLocal(off int, data []byte) error
-	// ViewLocal returns the client's mirror range in place, read-only and
-	// valid until the caller next yields to the kernel.
+	// ViewLocal returns the client's mirror range, read-only. The view is
+	// valid until the caller next yields to the kernel or, for a range that
+	// crosses a device page, until the next ViewLocal.
 	ViewLocal(off, n int) ([]byte, error)
 
 	// WriteAsync replicates [off, off+size) to all replicas (gWRITE),

@@ -436,20 +436,15 @@ func (q *QP) execute(w WQE) {
 
 	case OpMemcpy:
 		if w.Len > uint64(n.mem.Size()) {
-			// Bounds-check before the scratch allocation: a malformed
-			// length must fail like any other bad access, not size a buffer.
+			// A malformed length fails before it is charged as copy time.
 			q.completeLocal(w, StatusLocalError)
 			q.advance(w, cfg.WQEProc)
 			return
 		}
 		st := StatusSuccess
-		data := n.fabric.getBuf(int(w.Len))
-		if err := n.mem.Read(int(w.Local), data); err != nil {
-			st = StatusLocalError
-		} else if err := n.mem.Write(int(w.Remote), data); err != nil {
+		if err := n.mem.Copy(int(w.Remote), int(w.Local), int(w.Len)); err != nil {
 			st = StatusLocalError
 		}
-		n.fabric.putBuf(data)
 		occ := cfg.WQEProc + sim.Duration(float64(w.Len)*8/cfg.MemCopyBps*1e9)
 		q.completeAfter(w, st, occ)
 		q.advance(w, occ)

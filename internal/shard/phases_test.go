@@ -226,28 +226,47 @@ func BenchmarkRouterTxn(b *testing.B) {
 // TestRouterTxnSteadyStateAllocs: a span-2 transaction allocates nothing
 // once its keys have slots — the router keeps its participant lists and
 // its DistTxn, whose child fibers come from the kernel's pool, and every
-// store step below reuses the group's per-op state.
+// store step below reuses the group's per-op state. A record larger than a
+// 4 KiB nvm page straddles one on every run and is read through the
+// device's one assembly buffer (AllocsPerRun truncates the mean, so a path
+// that allocates on only some runs must be taken on every one).
 func TestRouterTxnSteadyStateAllocs(t *testing.T) {
-	r := newRig(t, sweepConfig(4), nil, 0)
-	writes := spanWrites(2)
-	var err error
-	commit := func(f *sim.Fiber) {
-		if e := r.router.Txn(f, writes); e != nil && err == nil {
-			err = e
-		}
+	big := sweepConfig(4)
+	big.SlotSize, big.SlotsPerShard, big.LogSize = 4608, 1, 12<<10
+	bigWrites := spanWrites(2)
+	for i := range bigWrites {
+		bigWrites[i].Data = make([]byte, 4200)
 	}
-	r.run(t, func(f *sim.Fiber) {
-		// Past every window of the kernel's timing wheel, whose slots
-		// allocate on first use.
-		for f.Now() < sim.Time(40*sim.Millisecond) {
-			commit(f)
-		}
-		allocs := testing.AllocsPerRun(100, func() { commit(f) })
-		if err != nil {
-			t.Error(err)
-		}
-		if allocs != 0 {
-			t.Errorf("span-2 Router.Txn: %v allocations, want 0", allocs)
-		}
-	})
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		writes []Write
+	}{
+		{"small", sweepConfig(4), spanWrites(2)},
+		{"page-straddling", big, bigWrites},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, c.cfg, nil, 0)
+			var err error
+			commit := func(f *sim.Fiber) {
+				if e := r.router.Txn(f, c.writes); e != nil && err == nil {
+					err = e
+				}
+			}
+			r.run(t, func(f *sim.Fiber) {
+				// Past every window of the kernel's timing wheel, whose slots
+				// allocate on first use.
+				for f.Now() < sim.Time(40*sim.Millisecond) {
+					commit(f)
+				}
+				allocs := testing.AllocsPerRun(100, func() { commit(f) })
+				if err != nil {
+					t.Error(err)
+				}
+				if allocs != 0 {
+					t.Errorf("span-2 Router.Txn: %v allocations, want 0", allocs)
+				}
+			})
+		})
+	}
 }

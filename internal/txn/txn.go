@@ -36,7 +36,8 @@ import (
 // gWRITE and gMEMCPY a step pipelines with. It is a subset of
 // protocol.Protocol, which protocol.Group — and so every registered
 // replication protocol — provides. A window-full post must report an error
-// matching protocol.ErrTooManyInFlight.
+// matching protocol.ErrTooManyInFlight. A ViewLocal view may last only until
+// the next one (protocol.Protocol), so the Store reads each before the next.
 type Replicator interface {
 	GroupSize() int
 	WriteLocal(off int, data []byte) error

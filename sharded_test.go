@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hyperloop/internal/protocol"
@@ -28,6 +29,29 @@ func TestShardedClusterDefaults(t *testing.T) {
 	if c.Router().CommitLog() == nil {
 		t.Fatal("the zero-value config built no coordinator commit log")
 	}
+}
+
+// TestIdleShardGroupHeap pins what an idle shard group costs in Go heap: a
+// device allocates only the pages the model stores into, so a group holds
+// its page tables, rings and control state, not two full images per NIC.
+func TestIdleShardGroupHeap(t *testing.T) {
+	const shards = 256
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := NewShardedCluster(ShardedClusterConfig{Seed: 1, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	perGroup := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / shards
+	t.Logf("%d idle shard groups: %d KiB of heap each", shards, perGroup>>10)
+	if perGroup > 128<<10 {
+		t.Errorf("an idle shard group holds %d KiB of heap, want <= 128 KiB", perGroup>>10)
+	}
+	c.Close()
 }
 
 func TestShardedFacadeFlow(t *testing.T) {
