@@ -134,6 +134,8 @@ stage_lint() {
 # surface (2PC lock ordering, abort rollback, recovery); protocol.Group is
 # the one issue path of every replication protocol.
 # chain.Manager.Repair is the one recovery path every failover runs.
+# docstore's decoded-document table must agree with its slots on every
+# path that writes one.
 # The datapaths are measured over the conformance suite too: broadcast is
 # driven only from internal/experiments.
 #
@@ -208,7 +210,8 @@ stage_test() {
     # and running; their numbers are read by hand (DESIGN.md, nvm), and
     # -benchmem puts each one's allocs/op in the log.
     step "layer benchmarks run" go test -run '^$' -bench . -benchtime 1x -benchmem \
-        ./internal/nvm ./internal/txn ./internal/shard ./internal/kvstore
+        ./internal/nvm ./internal/txn ./internal/shard ./internal/kvstore \
+        ./internal/docstore
     step "queue and dispatch benchmarks run" go test -run '^$' \
         -bench 'KernelHold|Dispatch' -benchtime 1x ./internal/sim ./internal/cpusim
     step "coverage internal/nvm >=90" covercheck 90 ./internal/nvm
@@ -219,6 +222,7 @@ stage_test() {
     step "coverage internal/protocol >=85" covercheck 85 ./internal/protocol
     step "coverage internal/topo >=85" covercheck 85 ./internal/topo
     step "coverage internal/chain >=85" covercheck 85 ./internal/chain
+    step "coverage internal/docstore >=80" covercheck 80 ./internal/docstore
     step "coverage datapaths (hyperloop, naive) >=80" covercheck 80 \
         ./internal/hyperloop,./internal/naive \
         ./internal/hyperloop ./internal/naive ./internal/experiments

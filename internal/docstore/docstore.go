@@ -6,16 +6,21 @@
 // The store runs over either replication backend (HyperLoop or
 // Naive-RDMA) through the txn layer, mirroring the paper's front-end /
 // back-end split: the front end (this package, on the client) marshals
-// documents and drives the journal; the back ends are just NVM + NIC.
+// documents and drives the journal; the back ends are just NVM + NIC. The
+// front end keeps its documents decoded, so the JSON slots are the
+// replicated, recoverable image and not what reads and merges parse.
 package docstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"sort"
+	"unicode/utf8"
 
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
@@ -94,6 +99,15 @@ type Store struct {
 	used   []bool
 	refs   []slotRef
 	stats  Stats
+
+	// docs[slot] is the slot's document, decoded, when it is flat (see
+	// flat); nil means read the slot. spare is Update's merge target and
+	// trades places with the entry it replaces.
+	docs  []Doc
+	spare Doc
+	img   bytes.Buffer  // the slot image being built: header, then payload
+	enc   *json.Encoder // writes payloads into img
+	entry [1]wal.Entry  // commit's journal record
 }
 
 // Open builds a Store over a replication group.
@@ -111,7 +125,7 @@ func Open(r txn.Replicator, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	slots := cfg.DataSize / cfg.SlotSize
-	return &Store{
+	s := &Store{
 		r:      r,
 		st:     st,
 		cfg:    cfg,
@@ -120,7 +134,12 @@ func Open(r txn.Replicator, cfg Config) (*Store, error) {
 		sorted: make(map[string][]string),
 		used:   make([]bool, slots),
 		refs:   make([]slotRef, slots),
-	}, nil
+		docs:   make([]Doc, slots),
+		spare:  make(Doc),
+	}
+	s.img.Write(make([]byte, slotHeaderSize))
+	s.enc = json.NewEncoder(&s.img)
+	return s, nil
 }
 
 // Store exposes the underlying transaction store.
@@ -163,17 +182,23 @@ func (s *Store) allocSlot() (int, error) {
 
 func (s *Store) slotOff(i int) int { return i * s.cfg.SlotSize }
 
-// encodeSlot frames a document payload for its slot.
-func (s *Store) encodeSlot(coll string, payload []byte) ([]byte, error) {
-	if slotHeaderSize+len(payload) > s.cfg.SlotSize {
+// encodeDoc frames doc's JSON encoding (json.Marshal's bytes) for its
+// slot, in the store's image buffer: valid until the next call.
+func (s *Store) encodeDoc(coll string, doc Doc) ([]byte, error) {
+	s.img.Truncate(slotHeaderSize)
+	if err := s.enc.Encode(doc); err != nil {
+		return nil, fmt.Errorf("docstore: marshal: %w", err)
+	}
+	buf := s.img.Bytes()
+	buf = buf[:len(buf)-1] // Encode's trailing newline
+	payload := buf[slotHeaderSize:]
+	if len(buf) > s.cfg.SlotSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
-	buf := make([]byte, slotHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:], slotMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[8:], collHash(coll))
 	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(payload))
-	copy(buf[slotHeaderSize:], payload)
 	return buf, nil
 }
 
@@ -197,21 +222,58 @@ func decodeSlot(img []byte) (payload []byte, hash uint32, ok bool) {
 	return payload, binary.LittleEndian.Uint32(img[8:]), true
 }
 
-// commit appends the journal record and executes it under the group write
-// lock — the §5.2 transaction flow (wrLock … ExecuteAndAdvance … wrUnlock),
-// the release riding behind the execute as one step.
-func (s *Store) commit(f *sim.Fiber, entries []wal.Entry) error {
-	if _, err := s.st.Append(f, entries); err != nil {
-		return err
+// decodeDoc decodes the document in one slot image.
+func decodeDoc(img []byte) (doc Doc, hash uint32, err error) {
+	payload, hash, ok := decodeSlot(img)
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: slot empty", ErrNotFound)
 	}
-	if err := s.st.WrLock(f); err != nil {
-		return err
+	if err := json.Unmarshal(payload, &doc); err != nil {
+		return nil, 0, fmt.Errorf("docstore: unmarshal: %w", err)
 	}
-	if _, err := s.st.ExecuteAllAndUnlock(f); err != nil {
-		_ = s.st.WrUnlock(f) // best effort; the execute's error is the one reported
-		return err
+	return doc, hash, nil
+}
+
+// flat reports whether doc can stand in for its slot in docs: every key
+// and string is valid UTF-8 and every value a string, a float64 (finite:
+// encoding rejects the others), a bool or nil. Such a map decodes from its
+// own encoding unchanged, and its values are immutable, so a shallow copy
+// is the caller's own.
+func flat(doc Doc) bool {
+	for k, v := range doc {
+		str, _ := v.(string)
+		switch v.(type) {
+		case nil, bool, float64, string:
+		default:
+			return false
+		}
+		if !utf8.ValidString(k) || !utf8.ValidString(str) {
+			return false
+		}
 	}
-	return nil
+	return true
+}
+
+// commit writes img into the slot through the journal: it appends the
+// record and executes it under the group write lock — the §5.2 transaction
+// flow (wrLock … ExecuteAndAdvance … wrUnlock), the release riding behind
+// the execute as one step.
+func (s *Store) commit(f *sim.Fiber, slot int, img []byte) error {
+	s.entry[0] = wal.Entry{Off: s.slotOff(slot), Data: img}
+	if _, err := s.st.Append(f, s.entry[:]); err != nil {
+		return err // Append is failure-atomic: there is no record to execute
+	}
+	err := s.st.WrLock(f)
+	if err == nil {
+		if _, err = s.st.ExecuteAllAndUnlock(f); err != nil {
+			_ = s.st.WrUnlock(f) // best effort; the execute's error is the one reported
+		}
+	}
+	if err != nil {
+		// The record still executes at the next drain: reads go to the slot.
+		s.docs[slot] = nil
+	}
+	return err
 }
 
 func (s *Store) indexInsert(coll, id string, slot int) {
@@ -260,22 +322,21 @@ func (s *Store) Insert(f *sim.Fiber, coll string, doc Doc) error {
 		stored[k] = v
 	}
 	stored["_coll"] = coll
-	payload, err := json.Marshal(stored)
-	if err != nil {
-		return fmt.Errorf("docstore: marshal: %w", err)
-	}
 	slot, err := s.allocSlot()
 	if err != nil {
 		return err
 	}
-	img, err := s.encodeSlot(coll, payload)
+	img, err := s.encodeDoc(coll, stored)
 	if err != nil {
 		return err
 	}
-	if err := s.commit(f, []wal.Entry{{Off: s.slotOff(slot), Data: img}}); err != nil {
+	if err := s.commit(f, slot, img); err != nil {
 		return err
 	}
 	s.indexInsert(coll, id, slot)
+	if flat(stored) {
+		s.docs[slot] = stored
+	}
 	s.stats.Inserts++
 	return nil
 }
@@ -286,9 +347,17 @@ func (s *Store) Update(f *sim.Fiber, coll, id string, fields Doc) error {
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, coll, id)
 	}
-	doc, err := s.loadSlotDoc(slot)
-	if err != nil {
-		return err
+	doc := s.docs[slot]
+	spare := doc != nil
+	if spare {
+		clear(s.spare)
+		maps.Copy(s.spare, doc)
+		doc = s.spare
+	} else {
+		var err error
+		if doc, err = s.loadSlotDoc(slot); err != nil {
+			return err
+		}
 	}
 	for k, v := range fields {
 		if k == "_id" {
@@ -296,17 +365,19 @@ func (s *Store) Update(f *sim.Fiber, coll, id string, fields Doc) error {
 		}
 		doc[k] = v
 	}
-	payload, err := json.Marshal(doc)
-	if err != nil {
-		return fmt.Errorf("docstore: marshal: %w", err)
-	}
-	img, err := s.encodeSlot(coll, payload)
+	img, err := s.encodeDoc(coll, doc)
 	if err != nil {
 		return err
 	}
-	if err := s.commit(f, []wal.Entry{{Off: s.slotOff(slot), Data: img}}); err != nil {
+	if err := s.commit(f, slot, img); err != nil {
 		return err
 	}
+	if !flat(doc) {
+		doc = nil
+	} else if spare {
+		s.spare = s.docs[slot] // the replaced entry is the next merge target
+	}
+	s.docs[slot] = doc
 	s.stats.Updates++
 	return nil
 }
@@ -318,10 +389,11 @@ func (s *Store) Delete(f *sim.Fiber, coll, id string) error {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, coll, id)
 	}
 	zero := make([]byte, slotHeaderSize)
-	if err := s.commit(f, []wal.Entry{{Off: s.slotOff(slot), Data: zero}}); err != nil {
+	if err := s.commit(f, slot, zero); err != nil {
 		return err
 	}
 	s.indexDelete(coll, id)
+	s.docs[slot] = nil
 	s.stats.Deletes++
 	return nil
 }
@@ -331,25 +403,21 @@ func (s *Store) loadSlotDoc(slot int) (Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, _, ok := decodeSlot(img)
-	if !ok {
-		return nil, fmt.Errorf("%w: slot %d empty", ErrNotFound, slot)
-	}
-	var doc Doc
-	if err := json.Unmarshal(payload, &doc); err != nil {
-		return nil, fmt.Errorf("docstore: unmarshal: %w", err)
-	}
-	return doc, nil
+	doc, _, err := decodeDoc(img)
+	return doc, err
 }
 
 // FindID returns the document with the given id (strong read from the
-// client's authoritative copy).
+// client's authoritative copy). The result is the caller's to modify.
 func (s *Store) FindID(coll, id string) (Doc, error) {
 	slot, ok := s.dir[coll][id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, coll, id)
 	}
 	s.stats.Finds++
+	if doc := s.docs[slot]; doc != nil {
+		return maps.Clone(doc), nil
+	}
 	return s.loadSlotDoc(slot)
 }
 
@@ -386,13 +454,9 @@ func (s *Store) ReadReplica(f *sim.Fiber, replica int, replicaImg func(off, n in
 	if err != nil {
 		return nil, err
 	}
-	payload, _, ok2 := decodeSlot(img)
-	if !ok2 {
-		return nil, fmt.Errorf("%w: replica slot empty", ErrNotFound)
-	}
-	var doc Doc
-	if err := json.Unmarshal(payload, &doc); err != nil {
-		return nil, fmt.Errorf("docstore: replica unmarshal: %w", err)
+	doc, _, err := decodeDoc(img)
+	if err != nil {
+		return nil, fmt.Errorf("replica %d: %w", replica, err)
 	}
 	s.stats.ReplicaGets++
 	return doc, nil
@@ -408,6 +472,7 @@ func (s *Store) Recover(f *sim.Fiber) error {
 	s.sorted = make(map[string][]string)
 	s.used = make([]bool, s.slots)
 	s.refs = make([]slotRef, s.slots)
+	clear(s.docs)
 	collNames := make(map[uint32]string)
 	// Collection names are recovered from documents' own payloads: we
 	// remember hash→name as we parse.
@@ -416,13 +481,9 @@ func (s *Store) Recover(f *sim.Fiber) error {
 		if err != nil {
 			return err
 		}
-		payload, hash, ok := decodeSlot(img)
-		if !ok {
-			continue
-		}
-		var doc Doc
-		if err := json.Unmarshal(payload, &doc); err != nil {
-			continue // torn slot content; skip
+		doc, hash, err := decodeDoc(img)
+		if err != nil {
+			continue // free or torn slot; skip
 		}
 		id, err := docID(doc)
 		if err != nil {
@@ -438,6 +499,9 @@ func (s *Store) Recover(f *sim.Fiber) error {
 			collNames[hash] = coll
 		}
 		s.indexInsert(coll, id, i)
+		if flat(doc) {
+			s.docs[i] = doc
+		}
 	}
 	return nil
 }
@@ -463,14 +527,9 @@ func (s *Store) ReadReplicaLockFree(f *sim.Fiber, replicaImg func(off, n int) ([
 		if err != nil {
 			return nil, err
 		}
-		payload, _, ok := decodeSlot(img)
-		if !ok {
+		doc, _, err := decodeDoc(img)
+		if err != nil {
 			// Torn or mid-update: back off one network RTT and retry.
-			f.Sleep(2 * sim.Microsecond)
-			continue
-		}
-		var doc Doc
-		if err := json.Unmarshal(payload, &doc); err != nil {
 			f.Sleep(2 * sim.Microsecond)
 			continue
 		}

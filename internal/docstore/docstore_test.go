@@ -16,7 +16,7 @@ func smallConfig() Config {
 	return Config{LogSize: 32 * 1024, DataSize: 128 * 1024, SlotSize: 1024}
 }
 
-func testStore(t *testing.T, cfg Config) (*sim.Kernel, *Store, *hyperloop.Group) {
+func testStore(t testing.TB, cfg Config) (*sim.Kernel, *Store, *hyperloop.Group) {
 	t.Helper()
 	k := sim.NewKernel(11)
 	fab := rdma.NewFabric(k, rdma.DefaultConfig())
@@ -40,7 +40,7 @@ func testStore(t *testing.T, cfg Config) (*sim.Kernel, *Store, *hyperloop.Group)
 	return k, s, g
 }
 
-func run(t *testing.T, k *sim.Kernel, fn func(f *sim.Fiber)) {
+func run(t testing.TB, k *sim.Kernel, fn func(f *sim.Fiber)) {
 	t.Helper()
 	k.Spawn("doc-test", fn)
 	if err := k.Run(); err != nil {
