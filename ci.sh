@@ -2,8 +2,9 @@
 # Tier-1 verification, split into named stages so CI can run them as
 # parallel jobs and developers can iterate on one stage locally:
 #
-#   lint    gofmt gate and go vet always; staticcheck + govulncheck when
-#           they are already on PATH (never fetched), saying which ran
+#   lint    gofmt gate, go vet and the one-group-constructor guard
+#           always; staticcheck + govulncheck when they are already on
+#           PATH (never fetched), saying which ran
 #   test    build, full suite (root module and the bench/ module), race
 #           detector over the scheduler and the simulation/RDMA/protocol/
 #           txn/shard hot paths, coverage floors, baseline-staleness and
@@ -117,10 +118,29 @@ optional_tool() {
     fi
 }
 
+# One group constructor: every replication group is built through
+# topo.Rack (DESIGN.md, "Topology"), so a hook installed there sees them
+# all. Nothing else may make a fabric or call a datapath's Setup. Exempt:
+# the rack itself, the fabric, the datapath packages (their Setup and its
+# own unit tests), the experiment arenas' Alloc, sensitivity_test.go
+# (it varies rdma/cpusim configs a topo.Spec does not carry) and bench/
+# (its own module, frozen).
+one_group_constructor() {
+    hits=$(grep -rn 'rdma\.NewFabric(\|Setup(\|SetupFanout(\|SetupBroadcast(' --include='*.go' . |
+        grep -v '^./bench/\|^./internal/topo/\|^./internal/rdma/\|^./internal/hyperloop/\|^./internal/naive/\|^./internal/protocol/\|^./internal/experiments/arena.go\|^./internal/experiments/sensitivity_test.go' ||
+        true)
+    if [ -n "$hits" ]; then
+        echo "groups built outside topo.Rack (build them with Rack.Group/GroupOver):" >&2
+        echo "$hits" >&2
+        exit 1
+    fi
+}
+
 stage_lint() {
-    ran="gofmt, go vet" skipped=
+    ran="gofmt, go vet, one group constructor" skipped=
     step "gofmt" check_fmt
     step "go vet" go vet ./...
+    step "one group constructor" one_group_constructor
     optional_tool staticcheck
     optional_tool govulncheck
     echo "lint ran: $ran${skipped:+ (not on PATH, skipped:$skipped)}" | tee -a "$times_file"

@@ -31,9 +31,9 @@ func run() error {
 	tcfg := txn.Config{LogSize: 32 * 1024, DataSize: 64 * 1024}
 	mirror := txn.MirrorSizeFor(tcfg.LogSize, tcfg.DataSize)
 
-	gcfg := hyperloop.DefaultGroupConfig(mirror)
-	gcfg.OpTimeout = 2 * sim.Millisecond
-	group, err := cluster.NewGroupWithConfig(gcfg)
+	group, err := cluster.NewProtocolGroupWithParams("chain", hyperloop.ProtocolParams{
+		MirrorSize: mirror, OpTimeout: 2 * sim.Millisecond,
+	})
 	if err != nil {
 		return err
 	}

@@ -42,9 +42,11 @@ type (
 	Fiber = sim.Fiber
 	// Signal is a one-shot completion notification for async operations.
 	Signal = sim.Signal
-	// Group is a HyperLoop (NIC-offloaded) replication group.
+	// Group is a HyperLoop (NIC-offloaded) replication group, what
+	// NewGroup and NewGroupOver build.
 	Group = hl.Group
-	// NaiveGroup is the CPU-driven Naive-RDMA baseline group.
+	// NaiveGroup is the CPU-driven Naive-RDMA baseline group, what
+	// NewNaiveGroup builds.
 	NaiveGroup = naive.Group
 	// NaiveMode selects how baseline replica CPUs pick up completions.
 	NaiveMode = naive.Mode
@@ -137,26 +139,20 @@ func (c *Cluster) Schedulers() []*cpusim.Scheduler {
 	return append([]*cpusim.Scheduler(nil), c.rack.Scheds...)
 }
 
-// NewGroup builds a HyperLoop (NIC-offloaded) replication group whose
-// mirrored region spans mirrorSize bytes on every member.
-func (c *Cluster) NewGroup(mirrorSize int) (*Group, error) {
-	return c.NewGroupWithConfig(hl.DefaultConfig(mirrorSize))
-}
-
-// NewGroupWithConfig builds a HyperLoop group with full control.
-func (c *Cluster) NewGroupWithConfig(cfg hl.Config) (*Group, error) {
-	return hl.Setup(c.env.Fabric, c.env.Client, c.env.Replicas, cfg)
+// NewGroup builds a HyperLoop (NIC-offloaded) replication group — the
+// registry's "chain" — whose mirrored region spans mirrorSize bytes on
+// every member.
+func (c *Cluster) NewGroup(mirrorSize int) (Protocol, error) {
+	return c.NewProtocolGroup("chain", mirrorSize)
 }
 
 // NewNaiveGroup builds the Naive-RDMA baseline group: the same chain, but
 // replica CPUs on the critical path in the given mode. Under
 // MultiTenantLoad the handlers also carry the per-tenant wakeup-placement
 // penalty (DESIGN.md, "multi-tenant latency model").
-func (c *Cluster) NewNaiveGroup(mirrorSize int, mode NaiveMode) (*NaiveGroup, error) {
-	cfg := naive.DefaultConfig(mirrorSize)
-	cfg.Mode = mode
-	cfg.WakePenalty, cfg.WakePenaltyProb = c.rack.WakePenalty()
-	return naive.Setup(c.env.Fabric, c.env.Client, c.env.Replicas, c.env.Scheds, cfg)
+func (c *Cluster) NewNaiveGroup(mirrorSize int, mode NaiveMode) (Protocol, error) {
+	tune := func(cfg *naive.Config) { cfg.Mode = mode }
+	return c.rack.GroupOver(c.env, naive.Builder(tune), protocol.Params{MirrorSize: mirrorSize})
 }
 
 // Run spawns fn as a fiber, drives the simulation until fn returns (or the
@@ -164,39 +160,12 @@ func (c *Cluster) NewNaiveGroup(mirrorSize int, mode NaiveMode) (*NaiveGroup, er
 // programs using the library.
 func (c *Cluster) Run(fn func(f *Fiber) error) error { return c.rack.Run(runHorizon, "main", fn) }
 
-// HyperLoopConfig re-exports the group configuration.
-type HyperLoopConfig = hl.Config
-
-// DefaultGroupConfig returns the default group configuration for a mirror
-// of the given size.
-func DefaultGroupConfig(mirrorSize int) hl.Config { return hl.DefaultConfig(mirrorSize) }
-
 // NewGroupOver builds a HyperLoop group over an explicit replica chain —
 // for example after failover replaced a member (see examples/failover).
-func (c *Cluster) NewGroupOver(replicas []*rdma.NIC, mirrorSize int) (*Group, error) {
-	return hl.Setup(c.env.Fabric, c.env.Client, replicas, hl.DefaultConfig(mirrorSize))
-}
-
-// FanoutGroup is the §7 extension: a primary's NIC coordinates all backups
-// in parallel instead of a chain.
-type FanoutGroup = hl.FanoutGroup
-
-// NewFanoutGroup builds a fan-out replication group over the cluster's
-// servers (server 0 is the primary).
-func (c *Cluster) NewFanoutGroup(mirrorSize int) (*FanoutGroup, error) {
-	return hl.SetupFanout(c.env.Fabric, c.env.Client, c.env.Replicas, hl.DefaultConfig(mirrorSize))
-}
-
-// BroadcastGroup is the quorum broadcast protocol: the client NIC fans
-// values to every replica and completes on a quorum of hardware acks.
-type BroadcastGroup = hl.BroadcastGroup
-
-// NewBroadcastGroup builds a broadcast replication group over the
-// cluster's servers; quorum 0 completes on all member acks.
-func (c *Cluster) NewBroadcastGroup(mirrorSize, quorum int) (*BroadcastGroup, error) {
-	cfg := hl.DefaultConfig(mirrorSize)
-	cfg.AckQuorum = quorum
-	return hl.SetupBroadcast(c.env.Fabric, c.env.Client, c.env.Replicas, cfg)
+func (c *Cluster) NewGroupOver(replicas []*rdma.NIC, mirrorSize int) (Protocol, error) {
+	env := c.env
+	env.Replicas = replicas
+	return c.rack.GroupOver(env, protocol.Named("chain"), protocol.Params{MirrorSize: mirrorSize})
 }
 
 // Protocol is the replication-strategy interface every group implements;
@@ -226,5 +195,5 @@ func (c *Cluster) NewProtocolGroup(name string, mirrorSize int) (Protocol, error
 // control. Under MultiTenantLoad a CPU-driven protocol carries the same
 // wake penalty NewNaiveGroup applies.
 func (c *Cluster) NewProtocolGroupWithParams(name string, p protocol.Params) (Protocol, error) {
-	return c.rack.GroupOver(c.env, name, p)
+	return c.rack.GroupOver(c.env, protocol.Named(name), p)
 }

@@ -72,7 +72,7 @@ func TestFacadeNaiveGroupAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.ReplicaHandlerCPU() <= 0 {
+	if g.(*NaiveGroup).ReplicaHandlerCPU() <= 0 {
 		t.Fatal("naive backend consumed no replica CPU")
 	}
 }

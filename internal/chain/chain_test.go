@@ -6,37 +6,37 @@ import (
 	"fmt"
 	"testing"
 
-	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/nvm"
+	_ "hyperloop/internal/hyperloop" // registers "chain"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/txn"
 	"hyperloop/internal/wal"
 )
 
 const devSize = 1 << 20
 
-func buildNICs(t *testing.T, k *sim.Kernel, n int) (*rdma.Fabric, []*rdma.NIC) {
+// buildNICs places n members on a rack of n servers, its kernel seeded
+// with seed, and returns the kernel and the members' NICs.
+func buildNICs(t *testing.T, seed uint64, n int) (*sim.Kernel, []*rdma.NIC) {
 	t.Helper()
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	var nics []*rdma.NIC
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("m%d", i)
-		nic, err := fab.AddNIC(name, nvm.NewDevice(name, devSize))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nics = append(nics, nic)
+	r, err := topo.Build(topo.Spec{Seed: seed, Servers: n, DevExtra: devSize})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return fab, nics
+	env, err := r.Env(topo.GroupSpec{Servers: topo.FirstServers(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Kernel, env.Replicas
 }
 
 func TestValidation(t *testing.T) {
-	k := sim.NewKernel(1)
+	k, nics := buildNICs(t, 1, 1)
 	if _, err := New(k, nil, DefaultConfig()); !errors.Is(err, ErrBadMember) {
 		t.Fatalf("err = %v", err)
 	}
-	_, nics := buildNICs(t, k, 1)
 	m, err := New(k, nics, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +47,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestFailureDetectionAfterConsecutiveMisses(t *testing.T) {
-	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 3)
+	k, nics := buildNICs(t, 1, 3)
 	cfg := DefaultConfig()
 	m, err := New(k, nics, cfg)
 	if err != nil {
@@ -76,8 +75,7 @@ func TestFailureDetectionAfterConsecutiveMisses(t *testing.T) {
 }
 
 func TestBriefBlipDoesNotTriggerSuspicion(t *testing.T) {
-	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 2)
+	k, nics := buildNICs(t, 1, 2)
 	m, err := New(k, nics, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +96,7 @@ func TestBriefBlipDoesNotTriggerSuspicion(t *testing.T) {
 }
 
 func TestRecoveryAfterSuspicionClears(t *testing.T) {
-	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 2)
+	k, nics := buildNICs(t, 1, 2)
 	m, err := New(k, nics, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +130,7 @@ const rigMirror = 64 * 1024
 
 func newRepairRig(t *testing.T) *repairRig {
 	t.Helper()
-	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 4)
+	k, nics := buildNICs(t, 1, 4)
 	cfg := DefaultConfig()
 	cfg.CatchUpBandwidthBps = 8e6
 	m, err := New(k, nics[:3], cfg)
@@ -249,8 +245,7 @@ func TestRepairErrors(t *testing.T) {
 }
 
 func TestCatchUpCopiesDurableState(t *testing.T) {
-	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 3)
+	k, nics := buildNICs(t, 1, 3)
 	m, err := New(k, nics, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -287,8 +282,7 @@ func TestCatchUpCopiesDurableState(t *testing.T) {
 }
 
 func TestCatchUpNeedsHealthySource(t *testing.T) {
-	k := sim.NewKernel(1)
-	_, nics := buildNICs(t, k, 2)
+	k, nics := buildNICs(t, 1, 2)
 	m, _ := New(k, nics[:1], DefaultConfig())
 	nics[0].SetDown(true)
 	var err error
@@ -308,15 +302,21 @@ func TestCatchUpNeedsHealthySource(t *testing.T) {
 // catches up from a healthy member; a fresh HyperLoop datapath is
 // established; writes resume and the data survives.
 func TestEndToEndFailover(t *testing.T) {
-	k := sim.NewKernel(77)
-	fab, nics := buildNICs(t, k, 5) // client, r0, r1, r2, spare
-	client, r0, r1, r2, spare := nics[0], nics[1], nics[2], nics[3], nics[4]
-
 	const mirror = 256 * 1024
+	r, err := topo.Build(topo.Spec{Seed: 77, Servers: 3, DevExtra: devSize - mirror})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := r.Kernel
+	chain := protocol.Named("chain")
 	tcfg := txn.Config{LogSize: 32 * 1024, DataSize: 64 * 1024}
-	gcfg := hyperloop.DefaultConfig(mirror)
-	gcfg.OpTimeout = 2 * sim.Millisecond
-	g, err := hyperloop.Setup(fab, client, []*rdma.NIC{r0, r1, r2}, gcfg)
+	g, err := r.Group(topo.GroupSpec{Servers: topo.FirstServers(3), Mirror: mirror}, chain, protocol.Params{OpTimeout: 2 * sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := r.Members("")
+	r1 := env.Replicas[1]
+	spare, err := r.Fabric.AddNIC("spare", r.Device("spare", mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestEndToEndFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := New(k, []*rdma.NIC{r0, r1, r2}, DefaultConfig())
+	mon, err := New(k, env.Replicas, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,8 @@ func TestEndToEndFailover(t *testing.T) {
 		// with the successor and must not wake on its traffic — then build
 		// a fresh group over the new chain and recover the store on it.
 		g.Close()
-		g2, err := hyperloop.Setup(fab, client, members, hyperloop.DefaultConfig(mirror))
+		env.Replicas = members
+		g2, err := r.GroupOver(env, chain, protocol.Params{MirrorSize: mirror})
 		if err != nil {
 			return err
 		}

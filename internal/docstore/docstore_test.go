@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/nvm"
-	"hyperloop/internal/rdma"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 )
 
 func smallConfig() Config {
@@ -18,18 +18,11 @@ func smallConfig() Config {
 
 func testStore(t testing.TB, cfg Config) (*sim.Kernel, *Store, *hyperloop.Group) {
 	t.Helper()
-	k := sim.NewKernel(11)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	mirror := MirrorSizeFor(cfg)
-	devSize := mirror + (1 << 20)
-	client, _ := fab.AddNIC("client", nvm.NewDevice("client", devSize))
-	var reps []*rdma.NIC
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("r%d", i)
-		nic, _ := fab.AddNIC(name, nvm.NewDevice(name, devSize))
-		reps = append(reps, nic)
+	r, err := topo.Build(topo.Spec{Seed: 11, Servers: 3, DevExtra: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g, err := hyperloop.Setup(fab, client, reps, hyperloop.DefaultConfig(mirror))
+	g, err := r.Group(topo.GroupSpec{Servers: topo.FirstServers(3), Mirror: MirrorSizeFor(cfg)}, protocol.Named("chain"), protocol.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +30,7 @@ func testStore(t testing.TB, cfg Config) (*sim.Kernel, *Store, *hyperloop.Group)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, s, g
+	return r.Kernel, s, g.(*hyperloop.Group)
 }
 
 func run(t testing.TB, k *sim.Kernel, fn func(f *sim.Fiber)) {

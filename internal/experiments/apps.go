@@ -91,19 +91,20 @@ func newFig2Cluster(ar *trialArena, seed uint64, nSets, coresPerServer, recordCo
 	}
 	dcfg := docstore.Config{LogSize: 64 * 1024, DataSize: 512 * 1024, SlotSize: 1536}
 	c := &fig2Cluster{Rack: r, recordCount: recordCount, opCount: opCount, seed: seed}
+	// Fig. 2's replicas are full document-database processes (mongod):
+	// applying one journal record costs ~100µs of CPU (BSON decode, index
+	// update, two-phase commit bookkeeping), not the bare message-forwarding
+	// cost of the microbenchmark baseline.
+	mongod := naive.Builder(func(ncfg *naive.Config) {
+		ncfg.RecvHandlerCPU = 30 * sim.Microsecond
+		ncfg.PostCPU = 5 * sim.Microsecond
+	})
 	for i := 0; i < nSets; i++ {
 		gs := topo.GroupSpec{
 			Name: fmt.Sprintf("set%d", i), Servers: topo.FirstServers(servers),
 			Mirror: docstore.MirrorSizeFor(dcfg),
 		}
-		// Fig. 2's replicas are full document-database processes (mongod):
-		// applying one journal record costs ~100µs of CPU (BSON decode,
-		// index update, two-phase commit bookkeeping), not the bare
-		// message-forwarding cost of the microbenchmark baseline.
-		g, err := tunedNaive(r, gs, protocol.Params{}, func(ncfg *naive.Config) {
-			ncfg.RecvHandlerCPU = 30 * sim.Microsecond
-			ncfg.PostCPU = 5 * sim.Microsecond
-		})
+		g, err := r.Group(gs, mongod, protocol.Params{})
 		if err != nil {
 			return nil, err
 		}

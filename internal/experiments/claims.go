@@ -107,7 +107,7 @@ func deploy(ar *trialArena, spec topo.Spec, proto string, p protocol.Params) (*c
 		p.MirrorSize = 256 << 10
 	}
 	spec.Alloc = ar
-	return newCluster(spec, proto, p, nil)
+	return newCluster(spec, protocol.Named(proto), p)
 }
 
 // driver names the one driver fiber a scenario runs on its deployment.

@@ -48,19 +48,25 @@ func (b Backend) String() string {
 	}
 }
 
-// datapath returns what newCluster builds for b: the registry protocol,
-// and — for the baseline's polling and pinned replica modes, which the
-// registry does not carry — the naive.Config tuning.
-func (b Backend) datapath() (proto string, tune func(*naive.Config)) {
+// datapath returns the builder newCluster uses for b: the registry
+// protocol, or the baseline tuned past what the registry carries — its
+// polling and pinned replica modes.
+func (b Backend) datapath() protocol.Builder {
 	switch b {
 	case BackendHyperLoop:
-		return "chain", nil
+		return protocol.Named("chain")
 	case BackendNaivePolling:
-		return "naive", func(c *naive.Config) { c.Mode = naive.ModePolling }
+		return naive.Builder(func(c *naive.Config) { c.Mode = naive.ModePolling })
 	case BackendNaivePinned:
-		return "naive", func(c *naive.Config) { c.Mode = naive.ModePinned }
+		// A dedicated tight polling loop forwards in ~1µs per op (poll +
+		// parse + post), unlike the interrupt-driven handler.
+		return naive.Builder(func(c *naive.Config) {
+			c.Mode = naive.ModePinned
+			c.RecvHandlerCPU = 600 * sim.Nanosecond
+			c.PostCPU = 200 * sim.Nanosecond
+		})
 	default:
-		return "naive", nil
+		return protocol.Named("naive")
 	}
 }
 
@@ -87,11 +93,9 @@ func testbed(ar *trialArena, seed uint64, replicas int, loaded bool) topo.Spec {
 	return spec
 }
 
-// newCluster builds the rack spec describes and one group of the named
-// registry protocol over all its servers, mirror and policy from p. A
-// non-nil tune instead builds the CPU-driven baseline with a config
-// protocol.Params cannot express (see tunedNaive).
-func newCluster(spec topo.Spec, proto string, p protocol.Params, tune func(*naive.Config)) (*cluster, error) {
+// newCluster builds the rack spec describes and one group over all its
+// servers, built by b with mirror and policy from p.
+func newCluster(spec topo.Spec, b protocol.Builder, p protocol.Params) (*cluster, error) {
 	spec.DevExtra = devExtra
 	r, err := topo.Build(spec)
 	if err != nil {
@@ -99,37 +103,15 @@ func newCluster(spec topo.Spec, proto string, p protocol.Params, tune func(*naiv
 	}
 	c := &cluster{Rack: r}
 	gs := topo.GroupSpec{Servers: topo.FirstServers(spec.Servers), Mirror: p.MirrorSize}
-	if tune != nil {
-		c.group, err = tunedNaive(r, gs, p, tune)
-	} else {
-		c.group, err = r.Group(gs, proto, p)
-	}
-	if err != nil {
+	if c.group, err = r.Group(gs, b, p); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// tunedNaive places a group and builds the CPU-driven baseline over it with
-// tune applied to the config p translates to — a replica mode or handler
-// costs the registry's "naive" cannot be asked for. The tenant wake penalty
-// comes from the rack, as it does for registry-built groups.
-func tunedNaive(r *topo.Rack, gs topo.GroupSpec, p protocol.Params, tune func(*naive.Config)) (*naive.Group, error) {
-	env, err := r.Env(gs)
-	if err != nil {
-		return nil, err
-	}
-	p.MirrorSize = gs.Mirror
-	p.WakePenalty, p.WakePenaltyProb = r.WakePenalty()
-	cfg := naive.ConfigFor(p)
-	tune(&cfg)
-	return naive.Setup(env.Fabric, env.Client, env.Replicas, env.Scheds, cfg)
-}
-
 // backendCluster builds the testbed with one group on the given backend.
 func backendCluster(ar *trialArena, seed uint64, backend Backend, replicas, mirror int, loaded bool) (*cluster, error) {
-	proto, tune := backend.datapath()
-	return newCluster(testbed(ar, seed, replicas, loaded), proto, protocol.Params{MirrorSize: mirror}, tune)
+	return newCluster(testbed(ar, seed, replicas, loaded), backend.datapath(), protocol.Params{MirrorSize: mirror})
 }
 
 // nics returns the replica NICs in member order.

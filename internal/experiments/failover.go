@@ -56,7 +56,7 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 	spec.Faults = &rdma.FaultPlan{
 		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(failoverCrashAt), Down: true}},
 	}
-	c, err := newCluster(spec, "chain", failoverParams, nil)
+	c, err := newCluster(spec, protocol.Named("chain"), failoverParams)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +256,7 @@ func (o *outage) rearm() error {
 	o.group.Close()
 	env := o.c.Members("")
 	env.Replicas = o.members
-	g, err := o.c.GroupOver(env, "chain", failoverParams)
+	g, err := o.c.GroupOver(env, protocol.Named("chain"), failoverParams)
 	if err != nil {
 		return err
 	}

@@ -157,17 +157,7 @@ func fig9(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		cpu  float64
 	}
 	measure := func(ar *trialArena, backend Backend, size int) (point, error) {
-		proto, tune := backend.datapath()
-		if backend == BackendNaivePinned {
-			// A dedicated tight polling loop forwards in ~1µs per op
-			// (poll + parse + post), unlike the interrupt-driven handler.
-			tune = func(c *naive.Config) {
-				c.Mode = naive.ModePinned
-				c.RecvHandlerCPU = 600 * sim.Nanosecond
-				c.PostCPU = 200 * sim.Nanosecond
-			}
-		}
-		c, err := newCluster(testbed(ar, seed, 3, true), proto, protocol.Params{MirrorSize: microMirror}, tune)
+		c, err := backendCluster(ar, seed, backend, 3, microMirror, true)
 		if err != nil {
 			return point{}, err
 		}
@@ -397,8 +387,8 @@ func ablationFlush(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(400, 4000)
 	measure := func(ar *trialArena, depth int) (float64, error) {
-		c, err := newCluster(testbed(ar, seed, 3, false), "chain",
-			protocol.Params{MirrorSize: microMirror, Depth: depth}, nil)
+		c, err := newCluster(testbed(ar, seed, 3, false), protocol.Named("chain"),
+			protocol.Params{MirrorSize: microMirror, Depth: depth})
 		if err != nil {
 			return 0, err
 		}
@@ -482,7 +472,7 @@ func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		if fan {
 			proto = "fanout"
 		}
-		c, err := newCluster(testbed(ar, seed, 3, false), proto, protocol.Params{MirrorSize: microMirror}, nil)
+		c, err := newCluster(testbed(ar, seed, 3, false), protocol.Named(proto), protocol.Params{MirrorSize: microMirror})
 		if err != nil {
 			return res{}, err
 		}

@@ -51,7 +51,7 @@ func protocolsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 
 	// Leg 1: fault-free latency and message cost.
 	if err := forEach(rc, len(names), func(j int, ar *trialArena) error {
-		c, err := newCluster(testbed(ar, seed, 3, false), names[j], protocol.Params{MirrorSize: protoMirror}, nil)
+		c, err := newCluster(testbed(ar, seed, 3, false), protocol.Named(names[j]), protocol.Params{MirrorSize: protoMirror})
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[j], err)
 		}
@@ -136,9 +136,9 @@ func protocolAvailTrial(ar *trialArena, seed uint64, name string) (protoAvail, e
 	spec.Faults = &rdma.FaultPlan{
 		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(protoCrashAt), Down: true}},
 	}
-	c, err := newCluster(spec, name, protocol.Params{
+	c, err := newCluster(spec, protocol.Named(name), protocol.Params{
 		MirrorSize: protoMirror, OpTimeout: protoTimeout, MaxRetries: 1, RetryBackoff: protoBackoff,
-	}, nil)
+	})
 	if err != nil {
 		return protoAvail{}, err
 	}

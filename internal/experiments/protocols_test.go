@@ -43,7 +43,7 @@ func confCluster(t *testing.T, seed uint64, name string, p protocol.Params, faul
 	spec := testbed(nil, seed, 3, false)
 	spec.Faults = faults
 	p.MirrorSize = 64 << 10
-	c, err := newCluster(spec, name, p, nil)
+	c, err := newCluster(spec, protocol.Named(name), p)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -268,7 +268,7 @@ func TestProtocolCloseThenRebuild(t *testing.T) {
 						return fmt.Errorf("%s: a QP or CQ is still live after Close", nic.Host())
 					}
 				}
-				if g2, err = c.GroupOver(next, name, p); err != nil {
+				if g2, err = c.GroupOver(next, protocol.Named(name), p); err != nil {
 					return err
 				}
 				for i := 0; i < 2*depth; i++ {

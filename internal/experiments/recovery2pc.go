@@ -47,7 +47,7 @@ func newRecoveryRig(ar *trialArena, seed uint64, faults *rdma.FaultPlan) (*recov
 	if err != nil {
 		return nil, err
 	}
-	router, err := shard.New(cfg, r.ShardBackends(cfg, place, "chain", protocol.Params{OpTimeout: r2Timeout}))
+	router, err := shard.New(cfg, shard.RackBackends(r, cfg, place, protocol.Named("chain"), protocol.Params{OpTimeout: r2Timeout}))
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ var r2Legs = []struct {
 		plan := &rdma.FaultPlan{}
 		for i := 0; i < r2Shards-1; i++ {
 			plan.Links = append(plan.Links, rdma.LinkFault{
-				From:       fmt.Sprintf("cli/sh%d", i), // shard i's client NIC (topo.Rack.ShardBackends)
+				From:       fmt.Sprintf("cli/sh%d", i), // shard i's client NIC (shard.RackBackends)
 				ExtraDelay: sim.Duration(r2Shards-1-i) * 1500 * sim.Nanosecond,
 			})
 		}

@@ -68,7 +68,7 @@ func shardRack(ar *trialArena, seed uint64, nShards int, protoName string, pol s
 		SlotsPerShard: shardSlots,
 		LogSize:       shardLogSize,
 	}
-	router, err := shard.New(cfg, r.ShardBackends(cfg, place, protoName, protocol.Params{Depth: shardDepth}))
+	router, err := shard.New(cfg, shard.RackBackends(r, cfg, place, protocol.Named(protoName), protocol.Params{Depth: shardDepth}))
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"hyperloop/internal/cpusim"
-	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/naive"
-	"hyperloop/internal/nvm"
-	"hyperloop/internal/rdma"
+	_ "hyperloop/internal/naive"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
 )
@@ -20,45 +16,9 @@ import (
 // lines of code" application ports.
 func TestBackendEquivalence(t *testing.T) {
 	cfg := smallConfig()
-	mirror := MirrorSizeFor(cfg)
-	devSize := mirror + (1 << 20)
-
 	build := func(name string) (*sim.Kernel, txn.Replicator) {
-		k := sim.NewKernel(31)
-		fab := rdma.NewFabric(k, rdma.DefaultConfig())
-		client, _ := fab.AddNIC("client", nvm.NewDevice("client", devSize))
-		var reps []*rdma.NIC
-		var scheds []*cpusim.Scheduler
-		for i := 0; i < 3; i++ {
-			host := fmt.Sprintf("%s-%d", name, i)
-			nic, _ := fab.AddNIC(host, nvm.NewDevice(host, devSize))
-			reps = append(reps, nic)
-			s, err := cpusim.New(k, cpusim.DefaultConfig(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			scheds = append(scheds, s)
-		}
-		switch name {
-		case "chain":
-			g, err := hyperloop.Setup(fab, client, reps, hyperloop.DefaultConfig(mirror))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return k, g
-		case "fanout":
-			g, err := hyperloop.SetupFanout(fab, client, reps, hyperloop.DefaultConfig(mirror))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return k, g
-		default:
-			g, err := naive.Setup(fab, client, reps, scheds, naive.DefaultConfig(mirror))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return k, g
-		}
+		r, g := testGroup(t, 31, 4, name, cfg)
+		return r.Kernel, g
 	}
 
 	program := func(f *sim.Fiber, db *DB) error {
@@ -114,26 +74,8 @@ func TestBackendEquivalence(t *testing.T) {
 // CPU-driven backend too.
 func TestKVOverNaiveRecovery(t *testing.T) {
 	cfg := smallConfig()
-	mirror := MirrorSizeFor(cfg)
-	k := sim.NewKernel(13)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	clientDev := nvm.NewDevice("client", mirror+(1<<20))
-	client, _ := fab.AddNIC("client", clientDev)
-	var reps []*rdma.NIC
-	var scheds []*cpusim.Scheduler
-	for i := 0; i < 3; i++ {
-		nic, _ := fab.AddNIC(fmt.Sprintf("n%d", i), nvm.NewDevice(fmt.Sprintf("n%d", i), mirror+(1<<20)))
-		reps = append(reps, nic)
-		s, err := cpusim.New(k, cpusim.DefaultConfig(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		scheds = append(scheds, s)
-	}
-	g, err := naive.Setup(fab, client, reps, scheds, naive.DefaultConfig(mirror))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, g := testGroup(t, 13, 4, "naive", cfg)
+	k, clientDev := r.Kernel, r.Members("").Client.Memory()
 	db, err := Open(g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,33 +10,34 @@ import (
 	"testing/quick"
 
 	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/nvm"
-	"hyperloop/internal/rdma"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 )
 
-func testDB(t testing.TB, cfg Config) (*sim.Kernel, *DB, *hyperloop.Group) {
+// testGroup builds a rack of 3 servers with the given cores each and one
+// group of the registry protocol proto, sized for cfg, across them.
+func testGroup(t testing.TB, seed uint64, cores int, proto string, cfg Config) (*topo.Rack, protocol.Protocol) {
 	t.Helper()
-	k := sim.NewKernel(5)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	mirror := MirrorSizeFor(cfg)
-	devSize := mirror + (1 << 20)
-	client, _ := fab.AddNIC("client", nvm.NewDevice("client", devSize))
-	var reps []*rdma.NIC
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("r%d", i)
-		nic, _ := fab.AddNIC(name, nvm.NewDevice(name, devSize))
-		reps = append(reps, nic)
-	}
-	g, err := hyperloop.Setup(fab, client, reps, hyperloop.DefaultConfig(mirror))
+	r, err := topo.Build(topo.Spec{Seed: seed, Servers: 3, Cores: cores, DevExtra: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := r.Group(topo.GroupSpec{Servers: topo.FirstServers(3), Mirror: MirrorSizeFor(cfg)}, protocol.Named(proto), protocol.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, g
+}
+
+func testDB(t testing.TB, cfg Config) (*sim.Kernel, *DB, *hyperloop.Group) {
+	t.Helper()
+	r, g := testGroup(t, 5, 0, "chain", cfg)
 	db, err := Open(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, db, g
+	return r.Kernel, db, g.(*hyperloop.Group)
 }
 
 func run(t testing.TB, k *sim.Kernel, fn func(f *sim.Fiber)) {

@@ -211,3 +211,10 @@ func Build(name string, env Env, p Params) (Protocol, error) {
 	}
 	return e.build(env, p)
 }
+
+// Named returns the builder registered under name. The name is resolved
+// when the builder runs, so an unknown one fails that build with Build's
+// error.
+func Named(name string) Builder {
+	return func(env Env, p Params) (Protocol, error) { return Build(name, env, p) }
+}

@@ -1,6 +1,11 @@
 package shard
 
-import "fmt"
+import (
+	"fmt"
+
+	"hyperloop/internal/protocol"
+	"hyperloop/internal/topo"
+)
 
 // Placement maps shard replicas onto a rack of servers. The simulated rack
 // hosts many NICs per server (SR-IOV style): a server contributes its CPU
@@ -64,4 +69,24 @@ func Place(policy PlacementPolicy, shards, replicas, servers int, tenantOf func(
 		out[s] = row
 	}
 	return out, nil
+}
+
+// RackBackends returns the build callback New needs, every group built by
+// b through rack r: shard id's replicas go on servers place[id] under the
+// name sh<id>; the coordinator's group, which New asks for first, is
+// "coord" with replica j on server j.
+func RackBackends(r *topo.Rack, cfg Config, place [][]int, b protocol.Builder, p protocol.Params) func(id int) (Backend, error) {
+	return func(id int) (Backend, error) {
+		var g topo.GroupSpec
+		if id == Coordinator {
+			g = topo.GroupSpec{Name: "coord", Servers: topo.FirstServers(len(place[0])), Mirror: cfg.CoordMirrorSize()}
+		} else {
+			g = topo.GroupSpec{Name: fmt.Sprintf("sh%d", id), Servers: place[id], Mirror: cfg.MirrorSize()}
+		}
+		grp, err := r.Group(g, b, p)
+		if err != nil {
+			return nil, err
+		}
+		return grp, nil
+	}
 }

@@ -7,14 +7,16 @@ import (
 	"testing"
 
 	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/protocol/protocoltest"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/txn"
 	"hyperloop/internal/wal"
 )
 
+// testDev is each NIC's device headroom past its group's mirror.
 const testDev = 64 * 1024
 
 func testConfig(shards int) Config {
@@ -26,7 +28,6 @@ func testConfig(shards int) Config {
 // pass-through StopGroup so a test can freeze or slow it.
 type rig struct {
 	k      *sim.Kernel
-	fab    *rdma.Fabric
 	router *Router
 	stops  []*protocoltest.StopGroup // per shard
 
@@ -36,46 +37,30 @@ type rig struct {
 
 func newRig(t testing.TB, cfg Config, faults *rdma.FaultPlan, opTimeout sim.Duration) *rig {
 	t.Helper()
-	k := sim.NewKernel(7)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	if faults != nil {
-		if err := fab.InstallFaultPlan(faults); err != nil {
-			t.Fatal(err)
-		}
+	rack, err := topo.Build(topo.Spec{Seed: 7, Servers: 2, Faults: faults, DevExtra: testDev})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rg := &rig{k: k, fab: fab}
-	r, err := New(cfg, func(id int) (Backend, error) {
-		cli, rep, mirror := fmt.Sprintf("cli-%d", id), fmt.Sprintf("sh%d", id), cfg.MirrorSize()
-		if id == Coordinator {
-			cli, rep, mirror = "cli-coord", "coord", cfg.CoordMirrorSize()
-		}
-		client, err := fab.AddNIC(cli, nvm.NewDevice(cli, testDev))
-		if err != nil {
-			return nil, err
-		}
-		var reps []*rdma.NIC
-		for j := 0; j < 2; j++ {
-			host := fmt.Sprintf("%s-r%d", rep, j)
-			nic, err := fab.AddNIC(host, nvm.NewDevice(host, testDev))
-			if err != nil {
-				return nil, err
-			}
-			reps = append(reps, nic)
-		}
-		gcfg := hyperloop.DefaultConfig(mirror)
-		gcfg.OpTimeout = opTimeout
-		g, err := hyperloop.Setup(fab, client, reps, gcfg)
+	rg := &rig{k: rack.Kernel}
+	// Every group is a chain on both servers behind its StopGroup.
+	stopped := func(env protocol.Env, p protocol.Params) (protocol.Protocol, error) {
+		g, err := protocol.Build("chain", env, p)
 		if err != nil {
 			return nil, err
 		}
 		stop := protocoltest.NewStopGroup(g)
-		if id == Coordinator {
-			rg.coordGroup, rg.coordStop = g, stop
+		if env.Client.Host() == "cli/coord" {
+			rg.coordGroup, rg.coordStop = g.(*hyperloop.Group), stop
 		} else {
 			rg.stops = append(rg.stops, stop)
 		}
 		return stop, nil
-	})
+	}
+	place := make([][]int, cfg.Shards)
+	for i := range place {
+		place[i] = topo.FirstServers(2)
+	}
+	r, err := New(cfg, RackBackends(rack, cfg, place, stopped, protocol.Params{OpTimeout: opTimeout}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +314,7 @@ func TestCrossShardTxnAbortUnderFault(t *testing.T) {
 	cfg.Policy = Range
 	cfg.Keys = 2
 	faults := &rdma.FaultPlan{
-		NICs: []rdma.NICFault{{Host: "sh1-r1", At: sim.Time(5 * sim.Microsecond), Down: true}},
+		NICs: []rdma.NICFault{{Host: "srv1/sh1.1", At: sim.Time(5 * sim.Microsecond), Down: true}},
 	}
 	r := newRig(t, cfg, faults, 200*sim.Microsecond)
 	r.run(t, func(f *sim.Fiber) {

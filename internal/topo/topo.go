@@ -14,7 +14,6 @@ import (
 	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
-	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
 )
 
@@ -137,8 +136,9 @@ type wakePenalty struct {
 // tenants (~300 µs bursts, ~2.7 ms idle) plus one stress hog per two cores;
 // 2×cores batch daemons bursting ~4 ms every ~200 ms; and the returned
 // penalty — with p = 0.015 a handler woken on this server enters up to 3 ms
-// behind the run-queue head — which Group and WakePenalty hand to
-// CPU-driven protocols. perCore = 0 is an idle server with no penalty.
+// behind the run-queue head — which GroupOver hands every builder, so
+// CPU-driven protocols pay it. perCore = 0 is an idle server with no
+// penalty.
 func colocate(k *sim.Kernel, cores, perCore int) (*cpusim.Scheduler, wakePenalty, error) {
 	sched, err := cpusim.New(k, cpusim.DefaultConfig(cores))
 	if err != nil || perCore <= 0 {
@@ -150,11 +150,6 @@ func colocate(k *sim.Kernel, cores, perCore int) (*cpusim.Scheduler, wakePenalty
 	return sched, wakePenalty{max: 3 * sim.Millisecond, prob: 0.015}, nil
 }
 
-// WakePenalty returns the wake penalty replica handlers pay under this
-// rack's tenant load (zero on an idle rack), for callers that configure a
-// CPU-driven datapath past what protocol.Params carries.
-func (r *Rack) WakePenalty() (max sim.Duration, prob float64) { return r.wake.max, r.wake.prob }
-
 // Device returns a device sized for a NIC that will hold a mirror of the
 // given size — how callers make the spare NIC a failover swaps in.
 func (r *Rack) Device(name string, mirror int) *nvm.Device {
@@ -163,8 +158,8 @@ func (r *Rack) Device(name string, mirror int) *nvm.Device {
 
 // Env adds a group's client NIC and replica NICs to the fabric and returns
 // them, with each replica's server scheduler, as the protocol.Env a
-// datapath is built over. Callers that need more than protocol.Params
-// expresses build over it themselves; everyone else uses Group.
+// datapath is built over. It builds nothing: Group places and builds in
+// one call, and GroupOver builds over an Env placed earlier.
 func (r *Rack) Env(g GroupSpec) (protocol.Env, error) {
 	client := "client"
 	if g.Name != "" {
@@ -208,17 +203,17 @@ func (r *Rack) Members(name string) protocol.Env {
 	return protocol.Env{}
 }
 
-// Group places a group and builds the named registry protocol over it with
-// a mirror of g.Mirror bytes. A failed build leaves the rack half-made, so
-// it closes every group built so far.
-func (r *Rack) Group(g GroupSpec, proto string, p protocol.Params) (protocol.Protocol, error) {
+// Group places a group and builds b over it with a mirror of g.Mirror
+// bytes; a registry protocol's builder is protocol.Named(name). A failed
+// build leaves the rack half-made, so it closes every group built so far.
+func (r *Rack) Group(g GroupSpec, b protocol.Builder, p protocol.Params) (protocol.Protocol, error) {
 	env, err := r.Env(g)
 	if err != nil {
 		r.Close()
 		return nil, err
 	}
 	p.MirrorSize = g.Mirror
-	grp, err := r.GroupOver(env, proto, p)
+	grp, err := r.GroupOver(env, b, p)
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -226,40 +221,21 @@ func (r *Rack) Group(g GroupSpec, proto string, p protocol.Params) (protocol.Pro
 	return grp, nil
 }
 
-// GroupOver builds the named protocol over NICs the rack already has: a
-// placed group's after failover swapped a member, or another group on the
-// same machines. Under tenant load it fills in the wake penalty, so every
-// CPU-driven group pays it whichever caller built it.
-func (r *Rack) GroupOver(env protocol.Env, proto string, p protocol.Params) (protocol.Protocol, error) {
+// GroupOver is the one place a group is built: over NICs the rack already
+// has (a placed group's, after failover swapped a member, or another group
+// on the same machines), with the tenant wake penalty filled into p under
+// load — so every CPU-driven group pays it, whatever its builder — and the
+// group recorded for Close.
+func (r *Rack) GroupOver(env protocol.Env, b protocol.Builder, p protocol.Params) (protocol.Protocol, error) {
 	if r.wake.prob > 0 {
 		p.WakePenalty, p.WakePenaltyProb = r.wake.max, r.wake.prob
 	}
-	g, err := protocol.Build(proto, env, p)
+	g, err := b(env, p)
 	if err != nil {
 		return nil, err
 	}
 	r.groups = append(r.groups, g)
 	return g, nil
-}
-
-// ShardBackends returns the group-building callback shard.New needs: shard
-// id's replicas go on servers place[id] under the name sh<id>; the
-// coordinator's group, which shard.New asks for first, is "coord" with
-// replica j on server j.
-func (r *Rack) ShardBackends(cfg shard.Config, place [][]int, proto string, p protocol.Params) func(id int) (shard.Backend, error) {
-	return func(id int) (shard.Backend, error) {
-		var g GroupSpec
-		if id == shard.Coordinator {
-			g = GroupSpec{Name: "coord", Servers: FirstServers(len(place[0])), Mirror: cfg.CoordMirrorSize()}
-		} else {
-			g = GroupSpec{Name: fmt.Sprintf("sh%d", id), Servers: place[id], Mirror: cfg.MirrorSize()}
-		}
-		grp, err := r.Group(g, proto, p)
-		if err != nil {
-			return nil, err
-		}
-		return grp, nil
-	}
 }
 
 // FirstServers returns the placement of an n-replica group on the rack's

@@ -10,24 +10,10 @@ import (
 	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
-	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
 )
 
-// probe is a registry protocol that records what Group handed its builder
-// and then builds a plain chain.
-var probe struct {
-	env protocol.Env
-	p   protocol.Params
-}
-
-func init() {
-	protocol.Register("topo-probe", "records its build inputs (topo tests)",
-		func(env protocol.Env, p protocol.Params) (protocol.Protocol, error) {
-			probe.env, probe.p = env, p
-			return protocol.Build("chain", env, p)
-		})
-}
+var chain = protocol.Named("chain")
 
 // TestNoCoresNoSchedulers: Cores 0 builds no scheduler, so the kernel RNG's
 // next draw is what it is on a kernel that only ever had a fabric made on
@@ -50,9 +36,6 @@ func TestNoCoresNoSchedulers(t *testing.T) {
 	}
 	if env.Scheds != nil {
 		t.Fatal("Env.Scheds set on a rack without schedulers")
-	}
-	if max, prob := r.WakePenalty(); max != 0 || prob != 0 {
-		t.Fatalf("idle rack has wake penalty %v/%v", max, prob)
 	}
 	if got := r.Kernel.RNG().Uint64(); got != want {
 		t.Fatalf("kernel RNG drew %#x after Build+Env, a fresh kernel draws %#x", got, want)
@@ -82,11 +65,16 @@ func TestGroupWiring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := r.Group(GroupSpec{Name: "kv", Servers: []int{3, 1}, Mirror: 8192}, "topo-probe", protocol.Params{Depth: 8})
+		var env protocol.Env
+		var p protocol.Params
+		probe := func(e protocol.Env, q protocol.Params) (protocol.Protocol, error) {
+			env, p = e, q
+			return chain(e, q)
+		}
+		g, err := r.Group(GroupSpec{Name: "kv", Servers: []int{3, 1}, Mirror: 8192}, probe, protocol.Params{Depth: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, p := probe.env, probe.p
 		if env.Client.Host() != "cli/kv" || env.Replicas[0].Host() != "srv3/kv.0" || env.Replicas[1].Host() != "srv1/kv.1" {
 			t.Errorf("NIC names: %s %s %s", env.Client.Host(), env.Replicas[0].Host(), env.Replicas[1].Host())
 		}
@@ -101,9 +89,6 @@ func TestGroupWiring(t *testing.T) {
 		}
 		if wantPenalty := tenants > 0; (p.WakePenalty > 0) != wantPenalty || (p.WakePenaltyProb > 0) != wantPenalty {
 			t.Errorf("tenants=%d: wake penalty %v p=%v", tenants, p.WakePenalty, p.WakePenaltyProb)
-		}
-		if max, prob := r.WakePenalty(); max != p.WakePenalty || prob != p.WakePenaltyProb {
-			t.Errorf("WakePenalty() = %v/%v, Group filled %v/%v", max, prob, p.WakePenalty, p.WakePenaltyProb)
 		}
 		if m := r.Members("kv"); m.Client != env.Client || len(m.Replicas) != 2 || m.Replicas[1] != env.Replicas[1] {
 			t.Error("Members did not return the placed NICs")
@@ -130,19 +115,19 @@ func TestGroupWiring(t *testing.T) {
 func TestFailedGroupClosesBuilt(t *testing.T) {
 	for name, bad := range map[string]func(r *Rack) error{
 		"unknown protocol": func(r *Rack) error {
-			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{0, 1}, Mirror: 4096}, "no-such-protocol", protocol.Params{})
+			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{0, 1}, Mirror: 4096}, protocol.Named("no-such-protocol"), protocol.Params{})
 			return err
 		},
 		"server out of range": func(r *Rack) error {
-			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{0, 2}, Mirror: 4096}, "chain", protocol.Params{})
+			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{0, 2}, Mirror: 4096}, chain, protocol.Params{})
 			return err
 		},
 		"negative server": func(r *Rack) error {
-			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{-1}, Mirror: 4096}, "chain", protocol.Params{})
+			_, err := r.Group(GroupSpec{Name: "b", Servers: []int{-1}, Mirror: 4096}, chain, protocol.Params{})
 			return err
 		},
 		"duplicate name": func(r *Rack) error {
-			_, err := r.Group(GroupSpec{Name: "a", Servers: []int{0, 1}, Mirror: 4096}, "chain", protocol.Params{})
+			_, err := r.Group(GroupSpec{Name: "a", Servers: []int{0, 1}, Mirror: 4096}, chain, protocol.Params{})
 			return err
 		},
 	} {
@@ -150,7 +135,7 @@ func TestFailedGroupClosesBuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := r.Group(GroupSpec{Name: "a", Servers: []int{0, 1}, Mirror: 4096}, "chain", protocol.Params{})
+		a, err := r.Group(GroupSpec{Name: "a", Servers: []int{0, 1}, Mirror: 4096}, chain, protocol.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,54 +145,6 @@ func TestFailedGroupClosesBuilt(t *testing.T) {
 		if _, err := a.WriteAsync(0, 64, false); !errors.Is(err, protocol.ErrClosed) {
 			t.Errorf("%s: the group built before the failure is still open: %v", name, err)
 		}
-	}
-}
-
-// TestShardBackends: the coordinator's group comes first, on the rack's
-// first servers; shards follow the placement; a failing build closes what
-// was built.
-func TestShardBackends(t *testing.T) {
-	r, err := Build(Spec{Seed: 3, Servers: 4, Cores: 1, DevExtra: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := shard.Config{Shards: 3, Policy: shard.Range, Keys: 3}
-	place := [][]int{{2, 3}, {0, 1}, {3, 0}}
-	router, err := shard.New(cfg, r.ShardBackends(cfg, place, "chain", protocol.Params{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	if got := r.placed[0].name; got != "coord" {
-		t.Fatalf("first group placed is %q, want the coordinator's", got)
-	}
-	coord := r.Members("coord")
-	if coord.Client.Host() != "cli/coord" || coord.Replicas[0].Host() != "srv0/coord.0" || coord.Replicas[1].Host() != "srv1/coord.1" {
-		t.Errorf("coordinator NICs: %s %s %s", coord.Client.Host(), coord.Replicas[0].Host(), coord.Replicas[1].Host())
-	}
-	if got := coord.Client.Memory().Size(); got != cfg.CoordMirrorSize()+64<<10 {
-		t.Errorf("coordinator device %d bytes, want CoordMirrorSize + DevExtra", got)
-	}
-	sh2 := r.Members("sh2")
-	if sh2.Replicas[0].Host() != "srv3/sh2.0" || sh2.Replicas[1].Host() != "srv0/sh2.1" || sh2.Scheds[0] != r.Scheds[3] {
-		t.Errorf("shard 2 placement: %s %s", sh2.Replicas[0].Host(), sh2.Replicas[1].Host())
-	}
-	if got := sh2.Client.Memory().Size(); got != cfg.MirrorSize()+64<<10 {
-		t.Errorf("shard device %d bytes, want MirrorSize + DevExtra", got)
-	}
-	err = r.Run(sim.Second, "txn", func(f *sim.Fiber) error {
-		return router.Txn(f, []shard.Write{{Key: 0, Data: []byte("a")}, {Key: 2, Data: []byte("b")}})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r2, err := Build(Spec{Seed: 3, Servers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shard.New(cfg, r2.ShardBackends(cfg, place, "chain", protocol.Params{})); err == nil {
-		t.Fatal("placement on servers the rack does not have was accepted")
 	}
 }
 
@@ -258,7 +195,7 @@ func TestRunRejectsStaleFaultHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Group(GroupSpec{Name: "sh0", Servers: []int{0, 1}, Mirror: 4096}, "chain", protocol.Params{}); err != nil {
+		if _, err := r.Group(GroupSpec{Name: "sh0", Servers: []int{0, 1}, Mirror: 4096}, chain, protocol.Params{}); err != nil {
 			t.Fatal(err)
 		}
 		err = r.Run(sim.Millisecond, "idle", func(*sim.Fiber) error { return nil })
@@ -336,7 +273,7 @@ func TestAllocPooledVsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := r.Group(GroupSpec{Servers: FirstServers(3), Mirror: 256 << 10}, "naive", protocol.Params{})
+		g, err := r.Group(GroupSpec{Servers: FirstServers(3), Mirror: 256 << 10}, protocol.Named("naive"), protocol.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +320,7 @@ func TestGroupOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := r.Group(GroupSpec{Servers: FirstServers(3), Mirror: 64 << 10}, "chain", protocol.Params{})
+	g1, err := r.Group(GroupSpec{Servers: FirstServers(3), Mirror: 64 << 10}, chain, protocol.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +331,7 @@ func TestGroupOver(t *testing.T) {
 	}
 	env := r.Members("")
 	env.Replicas = []*rdma.NIC{env.Replicas[0], spare, env.Replicas[2]}
-	g2, err := r.GroupOver(env, "chain", protocol.Params{MirrorSize: 64 << 10})
+	g2, err := r.GroupOver(env, chain, protocol.Params{MirrorSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,14 +341,10 @@ func TestGroupOver(t *testing.T) {
 	if err := r.Run(sim.Second, "writer", func(f *sim.Fiber) error { return g2.Write(f, 0, 128, true) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.GroupOver(env, "no-such-protocol", protocol.Params{}); err == nil {
+	if _, err := r.GroupOver(env, protocol.Named("no-such-protocol"), protocol.Params{}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 	if _, err := g2.WriteAsync(0, 64, false); err != nil {
 		t.Fatalf("a failed GroupOver closed the rack's groups: %v", err)
-	}
-	r.Close()
-	if _, err := g2.WriteAsync(0, 64, false); !errors.Is(err, protocol.ErrClosed) {
-		t.Fatalf("Close left a group open: %v", err)
 	}
 }

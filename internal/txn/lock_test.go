@@ -58,7 +58,7 @@ func TestFailedUnlockKeepsClientLocked(t *testing.T) {
 
 		last.SetDown(false)
 		rig.g.Close()
-		if err := rig.setup(rig.nics, rig.scheds); err != nil {
+		if err := rig.setup(rig.env); err != nil {
 			t.Errorf("group set-up with the member back: %v", err)
 			return
 		}

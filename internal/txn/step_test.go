@@ -6,30 +6,27 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"hyperloop/internal/cpusim"
-	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/naive"
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/protocol/protocoltest"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/wal"
 )
 
 // stepRig is one store over a real group, with the group's InFlight count
 // and the member NICs in reach.
 type stepRig struct {
-	cfg    stepRigConfig
-	k      *sim.Kernel
-	fab    *rdma.Fabric
-	client *rdma.NIC
-	nics   []*rdma.NIC
-	scheds []*cpusim.Scheduler // naive only
-	g      protocol.Protocol
-	st     *Store
+	cfg  stepRigConfig
+	k    *sim.Kernel
+	rack *topo.Rack
+	env  protocol.Env // the placed group: client, members, their schedulers
+	nics []*rdma.NIC
+	g    protocol.Protocol
+	st   *Store
 }
 
 // stepRigConfig sizes a stepRig; zero fields take the package's test sizes,
@@ -50,62 +47,52 @@ func newStepRig(t testing.TB, c stepRigConfig) *stepRig {
 	if c.dataSize == 0 {
 		c.dataSize = testData
 	}
-	mirror := MirrorSizeFor(c.logSize, c.dataSize)
-	dev := mirror + 1<<20 // rings, staging and metadata behind the mirror
-	k := sim.NewKernel(7)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	client, err := fab.AddNIC("client", nvm.NewDevice("client", dev))
+	cores := 0
+	if c.naive {
+		cores = 4
+	}
+	rack, err := topo.Build(topo.Spec{Seed: 7, Servers: c.replicas, Cores: cores, DevExtra: 1 << 20}) // rings, staging, metadata
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &stepRig{cfg: c, k: k, fab: fab, client: client}
-	for i := 0; i < c.replicas; i++ {
-		host := fmt.Sprintf("m%d", i)
-		nic, err := fab.AddNIC(host, nvm.NewDevice(host, dev))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.nics = append(rig.nics, nic)
-		if c.naive {
-			s, err := cpusim.New(k, cpusim.DefaultConfig(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rig.scheds = append(rig.scheds, s)
-		}
+	env, err := rack.Env(topo.GroupSpec{Servers: topo.FirstServers(c.replicas), Mirror: MirrorSizeFor(c.logSize, c.dataSize)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := rig.setup(rig.nics, rig.scheds); err != nil {
+	rig := &stepRig{cfg: c, k: rack.Kernel, rack: rack, env: env, nics: env.Replicas}
+	if err := rig.setup(env); err != nil {
 		t.Fatal(err)
 	}
 	return rig
 }
 
-// setup builds the rig's group and store over members; called again with
-// the survivors, after Close, it is the failover path.
-func (r *stepRig) setup(members []*rdma.NIC, scheds []*cpusim.Scheduler) error {
+// setup builds the rig's group and store over env; called again with the
+// survivors (see without), after Close, it is the failover path.
+func (r *stepRig) setup(env protocol.Env) error {
 	c := r.cfg
-	mirror := MirrorSizeFor(c.logSize, c.dataSize)
-	var err error
+	proto := "chain"
 	if c.naive {
-		cfg := naive.DefaultConfig(mirror)
-		cfg.OpTimeout = c.opTimeout
-		if c.depth != 0 {
-			cfg.Depth = c.depth
-		}
-		r.g, err = naive.Setup(r.fab, r.client, members, scheds, cfg)
-	} else {
-		cfg := hyperloop.DefaultConfig(mirror)
-		cfg.OpTimeout = c.opTimeout
-		if c.depth != 0 {
-			cfg.Depth = c.depth
-		}
-		r.g, err = hyperloop.Setup(r.fab, r.client, members, cfg)
+		proto = "naive"
 	}
+	var err error
+	r.g, err = r.rack.GroupOver(env, protocol.Named(proto), protocol.Params{
+		MirrorSize: MirrorSizeFor(c.logSize, c.dataSize), Depth: c.depth, OpTimeout: c.opTimeout,
+	})
 	if err != nil {
 		return err
 	}
 	r.st, err = New(r.g, Config{LogSize: c.logSize, DataSize: c.dataSize})
 	return err
+}
+
+// without returns the rig's placement less member victim.
+func (r *stepRig) without(victim int) protocol.Env {
+	env := r.env
+	env.Replicas = slices.Delete(slices.Clone(env.Replicas), victim, victim+1)
+	if env.Scheds != nil {
+		env.Scheds = slices.Delete(slices.Clone(env.Scheds), victim, victim+1)
+	}
+	return env
 }
 
 // run drives fn on a fiber; fn must use t.Error + return, not t.Fatal.
@@ -713,20 +700,9 @@ func crashInsideStep(t *testing.T, cfg stepRigConfig, step crashStep, victim int
 		if t.Failed() {
 			return
 		}
-		var survivors []*rdma.NIC
-		var scheds []*cpusim.Scheduler
-		for m, nic := range rig.nics {
-			if m == victim {
-				continue
-			}
-			survivors = append(survivors, nic)
-			if cfg.naive {
-				scheds = append(scheds, rig.scheds[m])
-			}
-		}
 		// Fail over to the survivors; the client's mirror is the authority.
 		rig.g.Close()
-		if err := rig.setup(survivors, scheds); err != nil {
+		if err := rig.setup(rig.without(victim)); err != nil {
 			t.Errorf("failover: %v", err)
 			return
 		}

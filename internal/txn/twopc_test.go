@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/protocol/protocoltest"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/wal"
 )
 
@@ -21,7 +22,6 @@ import (
 // participant.
 type twoPCRig struct {
 	k      *sim.Kernel
-	fab    *rdma.Fabric
 	stores []*Store
 	groups []*hyperloop.Group
 	stops  []*protocoltest.StopGroup
@@ -38,35 +38,19 @@ func newTwoPCRig(t *testing.T, nStores int, faults *rdma.FaultPlan, opTimeout si
 // newTwoPCRigN is newTwoPCRig with a chosen chain length.
 func newTwoPCRigN(t *testing.T, nStores, replicas int, faults *rdma.FaultPlan, opTimeout sim.Duration) *twoPCRig {
 	t.Helper()
-	k := sim.NewKernel(11)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	if faults != nil {
-		if err := fab.InstallFaultPlan(faults); err != nil {
-			t.Fatal(err)
-		}
+	rack, err := topo.Build(topo.Spec{Seed: 11, Servers: replicas, Faults: faults, DevExtra: testDev - MirrorSizeFor(testLog, testData)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rig := &twoPCRig{k: k, fab: fab}
-	mirror := MirrorSizeFor(testLog, testData)
+	rig := &twoPCRig{k: rack.Kernel}
 	for s := 0; s < nStores; s++ {
-		client, err := fab.AddNIC(fmt.Sprintf("cli-%d", s), nvm.NewDevice(fmt.Sprintf("cli-%d", s), testDev))
+		// Store s's NICs are cli/s<s> and srv<j>/s<s>.<j>.
+		gs := topo.GroupSpec{Name: fmt.Sprintf("s%d", s), Servers: topo.FirstServers(replicas), Mirror: MirrorSizeFor(testLog, testData)}
+		grp, err := rack.Group(gs, protocol.Named("chain"), protocol.Params{OpTimeout: opTimeout})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var reps []*rdma.NIC
-		for i := 0; i < replicas; i++ {
-			host := fmt.Sprintf("s%d-r%d", s, i)
-			nic, err := fab.AddNIC(host, nvm.NewDevice(host, testDev))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, nic)
-		}
-		cfg := hyperloop.DefaultConfig(mirror)
-		cfg.OpTimeout = opTimeout
-		g, err := hyperloop.Setup(fab, client, reps, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := grp.(*hyperloop.Group)
 		stop := protocoltest.NewStopGroup(g)
 		st, err := New(stop, Config{LogSize: testLog, DataSize: testData, LockToken: 42})
 		if err != nil {
@@ -261,7 +245,7 @@ func TestTwoPCCoordinatorCrashRecovery(t *testing.T) {
 // group locks on any reachable store.
 func TestTwoPCPrepareTimeoutAbortsPreparedPrefix(t *testing.T) {
 	faults := &rdma.FaultPlan{
-		NICs: []rdma.NICFault{{Host: "s1-r1", At: sim.Time(5 * sim.Microsecond), Down: true}},
+		NICs: []rdma.NICFault{{Host: "srv1/s1.1", At: sim.Time(5 * sim.Microsecond), Down: true}},
 	}
 	rig := newTwoPCRig(t, 3, faults, 200*sim.Microsecond) // store 2 holds the commit log
 	cl, err := NewCommitLog(rig.stores[2], 2)

@@ -6,12 +6,11 @@ import (
 	"fmt"
 	"testing"
 
-	"hyperloop/internal/cpusim"
-	"hyperloop/internal/hyperloop"
-	"hyperloop/internal/naive"
-	"hyperloop/internal/nvm"
+	_ "hyperloop/internal/naive" // registers "naive"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/topo"
 	"hyperloop/internal/wal"
 )
 
@@ -32,56 +31,31 @@ type backend struct {
 
 func newBackends(t *testing.T, nReplicas int) []backend {
 	t.Helper()
-	var out []backend
+	return []backend{
+		newBackend(t, "hyperloop", "chain", 0, nReplicas),
+		newBackend(t, "naive", "naive", 4, nReplicas),
+	}
+}
 
+// newBackend builds a store over the registry protocol proto on a rack of
+// nReplicas servers with the given cores each (none for NIC-offloaded
+// protocols).
+func newBackend(t *testing.T, name, proto string, cores, nReplicas int) backend {
+	t.Helper()
 	mirror := MirrorSizeFor(testLog, testData)
-
-	{ // HyperLoop
-		k := sim.NewKernel(7)
-		fab := rdma.NewFabric(k, rdma.DefaultConfig())
-		client, _ := fab.AddNIC("client", nvm.NewDevice("client", testDev))
-		var reps []*rdma.NIC
-		for i := 0; i < nReplicas; i++ {
-			nic, _ := fab.AddNIC(fmt.Sprintf("h%d", i), nvm.NewDevice(fmt.Sprintf("h%d", i), testDev))
-			reps = append(reps, nic)
-		}
-		g, err := hyperloop.Setup(fab, client, reps, hyperloop.DefaultConfig(mirror))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := New(g, Config{LogSize: testLog, DataSize: testData})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, backend{name: "hyperloop", k: k, st: st, nics: reps})
+	r, err := topo.Build(topo.Spec{Seed: 7, Servers: nReplicas, Cores: cores, DevExtra: testDev - mirror})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	{ // Naive-RDMA
-		k := sim.NewKernel(7)
-		fab := rdma.NewFabric(k, rdma.DefaultConfig())
-		client, _ := fab.AddNIC("client", nvm.NewDevice("client", testDev))
-		var reps []*rdma.NIC
-		var scheds []*cpusim.Scheduler
-		for i := 0; i < nReplicas; i++ {
-			nic, _ := fab.AddNIC(fmt.Sprintf("n%d", i), nvm.NewDevice(fmt.Sprintf("n%d", i), testDev))
-			reps = append(reps, nic)
-			s, err := cpusim.New(k, cpusim.DefaultConfig(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			scheds = append(scheds, s)
-		}
-		g, err := naive.Setup(fab, client, reps, scheds, naive.DefaultConfig(mirror))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := New(g, Config{LogSize: testLog, DataSize: testData})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, backend{name: "naive", k: k, st: st, nics: reps})
+	g, err := r.Group(topo.GroupSpec{Servers: topo.FirstServers(nReplicas), Mirror: mirror}, protocol.Named(proto), protocol.Params{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	st, err := New(g, Config{LogSize: testLog, DataSize: testData})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return backend{name: name, k: r.Kernel, st: st, nics: r.Members("").Replicas}
 }
 
 func (b backend) run(t *testing.T, fn func(f *sim.Fiber)) {
@@ -435,24 +409,8 @@ func TestSequencesSurviveRecovery(t *testing.T) {
 // TestTxnOverFanout verifies the transaction layer runs unchanged over the
 // §7 fan-out topology — the third interchangeable Replicator.
 func TestTxnOverFanout(t *testing.T) {
-	k := sim.NewKernel(7)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	client, _ := fab.AddNIC("client", nvm.NewDevice("client", testDev))
-	var reps []*rdma.NIC
-	for i := 0; i < 3; i++ {
-		nic, _ := fab.AddNIC(fmt.Sprintf("f%d", i), nvm.NewDevice(fmt.Sprintf("f%d", i), testDev))
-		reps = append(reps, nic)
-	}
-	g, err := hyperloop.SetupFanout(fab, client, reps,
-		hyperloop.DefaultConfig(MirrorSizeFor(testLog, testData)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := New(g, Config{LogSize: testLog, DataSize: testData})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := backend{name: "fanout", k: k, st: st, nics: reps}
+	b := newBackend(t, "fanout", "fanout", 0, 3)
+	st := b.st
 	b.run(t, func(f *sim.Fiber) {
 		if err := st.WrLock(f); err != nil {
 			t.Errorf("lock: %v", err)
@@ -468,7 +426,7 @@ func TestTxnOverFanout(t *testing.T) {
 			t.Errorf("unlock: %v", err)
 		}
 	})
-	for i, nic := range reps {
+	for i, nic := range b.nics {
 		nic.Memory().Crash()
 		got := make([]byte, 10)
 		_ = nic.Memory().Read(st.DataOff(), got)

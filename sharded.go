@@ -141,7 +141,7 @@ func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
 	if cfg.Routing.MirrorSize() <= 0 {
 		return nil, fmt.Errorf("hyperloop: invalid shard routing config")
 	}
-	router, err := shard.New(cfg.Routing, rack.ShardBackends(cfg.Routing, place, cfg.Protocol, protocol.Params{}))
+	router, err := shard.New(cfg.Routing, shard.RackBackends(rack, cfg.Routing, place, protocol.Named(cfg.Protocol), protocol.Params{}))
 	if err != nil {
 		return nil, err
 	}

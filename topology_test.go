@@ -124,31 +124,117 @@ func TestFacadeTopologyGolden(t *testing.T) {
 	}
 }
 
-// TestTenantPenaltyWhicheverConstructor: under MultiTenantLoad every
-// CPU-driven group carries the wake penalty, whichever constructor built
-// it. "naive" in the registry and NewNaiveGroup(NaiveEvent) are the same
-// datapath, so the same writes must end at the same virtual instant after
-// the same number of kernel events.
-func TestTenantPenaltyWhicheverConstructor(t *testing.T) {
-	run := func(build func(c *Cluster) (Protocol, error)) facadeGolden {
-		t.Helper()
-		c, err := NewCluster(ClusterConfig{Seed: 1, MultiTenantLoad: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Run(func(f *Fiber) error { return durableWrites(f, g, 400) }); err != nil {
-			t.Fatal(err)
-		}
-		msgs, bytes := c.Fabric().Stats()
-		return goldenOf(c.Kernel(), msgs, bytes)
+// constructorRun is what one facade constructor's run must reproduce: the
+// virtual instant the op program ended at, the group's issued/completed
+// counts, the kernel's executed events and the fabric's wire totals.
+type constructorRun struct {
+	now               sim.Time
+	issued, completed int64
+	executed          int64
+	msgs, bytes       int64
+}
+
+// opProgram drives every group primitive: a durable write, a memcpy, a
+// CAS on every member and a flush, twenty rounds at rotating offsets.
+func opProgram(f *Fiber, g Protocol) error {
+	payload := bytes.Repeat([]byte{0x5a}, 512)
+	exec := make([]bool, g.GroupSize())
+	for j := range exec {
+		exec[j] = true
 	}
-	registry := run(func(c *Cluster) (Protocol, error) { return c.NewProtocolGroup("naive", 1<<20) })
-	direct := run(func(c *Cluster) (Protocol, error) { return c.NewNaiveGroup(1<<20, NaiveEvent) })
-	if registry != direct {
-		t.Fatalf("NewProtocolGroup(\"naive\") ended at %+v, NewNaiveGroup(NaiveEvent) at %+v", registry, direct)
+	for i := 0; i < 20; i++ {
+		off := (i % 16) * 1024
+		if err := g.WriteLocal(off, payload); err != nil {
+			return err
+		}
+		if err := g.Write(f, off, len(payload), true); err != nil {
+			return fmt.Errorf("round %d write: %w", i, err)
+		}
+		if err := g.Memcpy(f, off, 64<<10+off, len(payload), false); err != nil {
+			return fmt.Errorf("round %d memcpy: %w", i, err)
+		}
+		if _, err := g.CAS(f, 128<<10, uint64(i), uint64(i+1), exec); err != nil {
+			return fmt.Errorf("round %d cas: %w", i, err)
+		}
+		if err := g.Flush(f, 64<<10+off, len(payload)); err != nil {
+			return fmt.Errorf("round %d flush: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// TestFacadeConstructorGolden pins every facade group constructor, on an
+// idle and on a MultiTenantLoad cluster: the same op program must end at
+// the same virtual instant with the same counters. No report reaches
+// NewNaiveGroup's polling and pinned modes or NewGroupOver, so this is
+// what holds those paths still when the facade's wiring changes. The
+// registry's "naive" and NewNaiveGroup(NaiveEvent) are one datapath and
+// pin one value on either cluster: under MultiTenantLoad both carry the
+// wake penalty, whichever constructor built them.
+func TestFacadeConstructorGolden(t *testing.T) {
+	type ctor struct {
+		name  string
+		build func(c *Cluster) (Protocol, error)
+	}
+	const mirror = 256 << 10
+	ctors := []ctor{
+		{"NewGroup", func(c *Cluster) (Protocol, error) { return c.NewGroup(mirror) }},
+		{"NewNaiveGroup/event", func(c *Cluster) (Protocol, error) { return c.NewNaiveGroup(mirror, NaiveEvent) }},
+		{"NewNaiveGroup/polling", func(c *Cluster) (Protocol, error) { return c.NewNaiveGroup(mirror, NaivePolling) }},
+		{"NewNaiveGroup/pinned", func(c *Cluster) (Protocol, error) { return c.NewNaiveGroup(mirror, NaivePinned) }},
+		{"NewGroupOver", func(c *Cluster) (Protocol, error) { return c.NewGroupOver(c.ReplicaNICs(), mirror) }},
+	}
+	for _, name := range Protocols() {
+		ctors = append(ctors, ctor{"NewProtocolGroup/" + name, func(c *Cluster) (Protocol, error) {
+			return c.NewProtocolGroup(name, mirror)
+		}})
+	}
+	want := map[string]constructorRun{
+		"NewGroup loaded=false":                         {796836, 80, 80, 4478, 759, 173810},
+		"NewNaiveGroup/event loaded=false":              {1663037, 80, 80, 2559, 759, 86770},
+		"NewNaiveGroup/polling loaded=false":            {12440078, 80, 80, 3762, 759, 86770},
+		"NewNaiveGroup/pinned loaded=false":             {1888037, 80, 80, 2079, 759, 86770},
+		"NewGroupOver loaded=false":                     {796836, 80, 80, 4478, 759, 173810},
+		"NewProtocolGroup/bcast loaded=false":           {301457, 80, 80, 4992, 1077, 99510},
+		"NewProtocolGroup/bcast-maj loaded=false":       {299024, 80, 80, 4959, 1077, 99510},
+		"NewProtocolGroup/chain loaded=false":           {796836, 80, 80, 4478, 759, 173810},
+		"NewProtocolGroup/fanout loaded=false":          {658326, 80, 80, 5577, 1079, 139250},
+		"NewProtocolGroup/naive loaded=false":           {1663037, 80, 80, 2559, 759, 86770},
+		"NewProtocolGroup/test-stop-chain loaded=false": {796836, 80, 80, 4478, 759, 173810},
+		"NewGroup loaded=true":                          {796836, 80, 80, 4613, 759, 173810},
+		"NewNaiveGroup/event loaded=true":               {119283731, 80, 80, 17389, 759, 86770},
+		"NewNaiveGroup/polling loaded=true":             {217161506, 80, 80, 34479, 759, 86770},
+		"NewNaiveGroup/pinned loaded=true":              {1888037, 80, 80, 2336, 759, 86770},
+		"NewGroupOver loaded=true":                      {796836, 80, 80, 4613, 759, 173810},
+		"NewProtocolGroup/bcast loaded=true":            {301457, 80, 80, 5043, 1077, 99510},
+		"NewProtocolGroup/bcast-maj loaded=true":        {299024, 80, 80, 5008, 1077, 99510},
+		"NewProtocolGroup/chain loaded=true":            {796836, 80, 80, 4613, 759, 173810},
+		"NewProtocolGroup/fanout loaded=true":           {658326, 80, 80, 5692, 1079, 139250},
+		"NewProtocolGroup/naive loaded=true":            {119283731, 80, 80, 17389, 759, 86770},
+		"NewProtocolGroup/test-stop-chain loaded=true":  {796836, 80, 80, 4613, 759, 173810},
+	}
+	for _, loaded := range []bool{false, true} {
+		for _, ct := range ctors {
+			key := fmt.Sprintf("%s loaded=%v", ct.name, loaded)
+			c, err := NewCluster(ClusterConfig{Seed: 1, CoresPerServer: 4, MultiTenantLoad: loaded})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := ct.build(c)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if err := c.Run(func(f *Fiber) error { return opProgram(f, g) }); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			g.Close()
+			var got constructorRun
+			got.now, got.executed = c.Kernel().Now(), c.Kernel().Executed()
+			got.issued, got.completed = g.Stats()
+			got.msgs, got.bytes = c.Fabric().Stats()
+			if w, ok := want[key]; !ok || got != w {
+				t.Errorf("%s: got %+v, want %+v", key, got, w)
+			}
+		}
 	}
 }
