@@ -1,11 +1,9 @@
 package hyperloop
 
-// One benchmark per table/figure of the paper's evaluation. Each iteration
-// regenerates the experiment at Quick scale (deterministic per seed; the
-// iteration index varies the seed). `go run ./cmd/hyperloop-bench -scale
-// full` produces the paper-grade sample counts; these benches exist so
-// `go test -bench=.` exercises every experiment end to end and reports the
-// headline quantities as custom metrics.
+// Benchmarks of the facade's primitives, the simulator kernel and the
+// trial worker pool. The paper's experiments themselves run through
+// cmd/hyperloop-bench and the CI goldens (determinism, baseline and
+// full-scale report).
 
 import (
 	"testing"
@@ -14,31 +12,6 @@ import (
 	"hyperloop/internal/experiments"
 	"hyperloop/internal/sim"
 )
-
-// benchExperiment runs one registered experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, uint64(i+1), experiments.Quick); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-}
-
-func BenchmarkFig2a(b *testing.B)  { benchExperiment(b, "fig2a") }
-func BenchmarkFig2b(b *testing.B)  { benchExperiment(b, "fig2b") }
-func BenchmarkFig8a(b *testing.B)  { benchExperiment(b, "fig8a") }
-func BenchmarkFig8b(b *testing.B)  { benchExperiment(b, "fig8b") }
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { benchExperiment(b, "fig12") }
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-
-func BenchmarkAblationLoad(b *testing.B)  { benchExperiment(b, "abl-load") }
-func BenchmarkAblationFlush(b *testing.B) { benchExperiment(b, "abl-flush") }
-func BenchmarkAblationDepth(b *testing.B) { benchExperiment(b, "abl-depth") }
 
 // BenchmarkGWritePrimitive measures the core primitive directly: virtual
 // (simulated) latency of a durable 1KB gWRITE over 3 replicas, reported as

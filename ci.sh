@@ -14,8 +14,9 @@
 #           event queue's pop order
 #   bench   determinism goldens across a seed matrix (serial vs
 #           overlapped, every experiment and claim scenario plus a
-#           shards-only leg), and the regression gate against the
-#           committed baseline and hypotheses/ findings
+#           shards-only leg), the regression gate against the
+#           committed baseline and hypotheses/ findings, and the
+#           full-scale report golden (results-full.txt)
 #
 #   ./ci.sh                    run every stage in sequence
 #   ./ci.sh <stage>            run one stage (lint | test | fuzz | bench)
@@ -326,6 +327,22 @@ bench_gate() {
     diff -ru hypotheses "$artifacts/hypotheses"
 }
 
+# Full-scale report golden: results-full.txt is the paper experiments'
+# reports at -scale full -seed 7. Rerun every id it names (its "== id:"
+# headers) and diff the concatenated text against it, wall-time lines
+# stripped, so a change to any table, row or note of a paper figure fails
+# here even when it is self-consistent across seeds and -procs. On an
+# intentional change, regenerate the file (EXPERIMENTS.md shows how).
+full_golden() {
+    : >"$tmp/full.txt"
+    for id in $(sed -n 's/^== \([a-z0-9-]*\): .*/\1/p' results-full.txt); do
+        "$tmp/bench" -exp "$id" -scale full -seed 7 >>"$tmp/full.txt"
+    done
+    grep -v 'regenerated in' results-full.txt >"$tmp/full-want.norm"
+    grep -v 'regenerated in' "$tmp/full.txt" >"$tmp/full-got.norm"
+    diff -u "$tmp/full-want.norm" "$tmp/full-got.norm"
+}
+
 stage_bench() {
     step "build bench tools" build_tools
     for seed in 1 2 42; do
@@ -336,6 +353,7 @@ stage_bench() {
         step "determinism shards seed=$seed" determinism shards "$seed"
     done
     step "bench regression gate" bench_gate
+    step "full-scale report golden" full_golden
 }
 
 # ---------- update-baseline ----------

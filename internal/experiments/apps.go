@@ -69,28 +69,28 @@ type replicaSet struct {
 	mu sim.Mutex // primary applies journal records serially (oplog order)
 }
 
-// fig2Cluster builds nSets document-store chains across 3 shared servers
-// with coresPerServer cores each, all on the naive (CPU-driven) backend —
-// the §2.2 motivation setup.
-type fig2Cluster struct {
-	*topo.Rack
-	sets []*replicaSet
-
-	recordCount int
-	opCount     int
-	seed        uint64
+// fig2Point is one Fig. 2 trial's outcome: the merged update latency and
+// the context switches across the servers' schedulers.
+type fig2Point struct {
+	h   *metrics.Histogram
+	ctx int64
 }
 
-func newFig2Cluster(ar *trialArena, seed uint64, nSets, coresPerServer, recordCount, opCount int) (*fig2Cluster, error) {
+// fig2Trial builds nSets document-store chains across 3 shared servers
+// with cores cores each, all on the naive (CPU-driven) backend — the §2.2
+// motivation setup — loads every set, then drives an OPEN-loop update
+// stream against each (one op submitted per interval, applied serially per
+// set like an oplog). Past the saturation knee the per-set apply queue
+// grows and latency blows up — the Fig. 2 mechanism.
+func fig2Trial(ar *trialArena, seed uint64, nSets, cores, recordCount, opCount int) (fig2Point, error) {
 	const servers = 3
-	r, err := topo.Build(topo.Spec{
-		Seed: seed, Servers: servers, Cores: coresPerServer, DevExtra: devExtra, Alloc: ar,
+	c, err := topo.Build(topo.Spec{
+		Seed: seed, Servers: servers, Cores: cores, DevExtra: devExtra, Alloc: ar,
 	})
 	if err != nil {
-		return nil, err
+		return fig2Point{}, err
 	}
 	dcfg := docstore.Config{LogSize: 64 * 1024, DataSize: 512 * 1024, SlotSize: 1536}
-	c := &fig2Cluster{Rack: r, recordCount: recordCount, opCount: opCount, seed: seed}
 	// Fig. 2's replicas are full document-database processes (mongod):
 	// applying one journal record costs ~100µs of CPU (BSON decode, index
 	// update, two-phase commit bookkeeping), not the bare message-forwarding
@@ -99,38 +99,30 @@ func newFig2Cluster(ar *trialArena, seed uint64, nSets, coresPerServer, recordCo
 		ncfg.RecvHandlerCPU = 30 * sim.Microsecond
 		ncfg.PostCPU = 5 * sim.Microsecond
 	})
-	for i := 0; i < nSets; i++ {
+	sets := make([]*replicaSet, nSets)
+	for i := range sets {
 		gs := topo.GroupSpec{
 			Name: fmt.Sprintf("set%d", i), Servers: topo.FirstServers(servers),
 			Mirror: docstore.MirrorSizeFor(dcfg),
 		}
-		g, err := r.Group(gs, mongod, protocol.Params{})
+		g, err := c.Group(gs, mongod, protocol.Params{})
 		if err != nil {
-			return nil, err
+			return fig2Point{}, err
 		}
 		st, err := docstore.Open(g, dcfg)
 		if err != nil {
-			return nil, err
+			return fig2Point{}, err
 		}
-		c.sets = append(c.sets, &replicaSet{st: st})
+		sets[i] = &replicaSet{st: st}
 	}
-	return c, nil
-}
 
-// run loads every set, then drives an OPEN-loop update stream against each
-// (one op submitted per interval, applied serially per set like an oplog).
-// Past the saturation knee the per-set apply queue grows and latency blows
-// up — the Fig. 2 mechanism. Returns the merged latency histogram.
-func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 	const interval = 1 * sim.Millisecond
 	merged := metrics.NewHistogram()
 	var firstErr error
-	remaining := len(c.sets) * c.opCount
+	remaining := nSets * opCount
 	loaded := 0
-
-	for i, set := range c.sets {
-		i, set := i, set
-		rng := sim.NewRNG(c.seed + uint64(i)*7919)
+	for i, set := range sets {
+		rng := sim.NewRNG(seed + uint64(i)*7919)
 		value := func() []byte {
 			v := make([]byte, 256)
 			for j := range v {
@@ -139,7 +131,7 @@ func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 			return v
 		}
 		c.Kernel.Spawn(fmt.Sprintf("set-%d-load", i), func(f *sim.Fiber) {
-			for r := 0; r < c.recordCount; r++ {
+			for r := 0; r < recordCount; r++ {
 				doc := docstore.Doc{"_id": ycsb.Key(r), "field0": string(value())}
 				if err := set.st.Insert(f, "usertable", doc); err != nil {
 					if firstErr == nil {
@@ -149,15 +141,13 @@ func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 				}
 			}
 			loaded++
-			if loaded < len(c.sets) {
+			if loaded < nSets {
 				return
 			}
 			// All sets loaded: start the open-loop update streams.
-			for j := range c.sets {
-				j := j
-				rng2 := sim.NewRNG(c.seed + 31*uint64(j) + 5)
-				for op := 0; op < c.opCount; op++ {
-					op := op
+			for j := range sets {
+				rng2 := sim.NewRNG(seed + 31*uint64(j) + 5)
+				for op := 0; op < opCount; op++ {
 					at := f.Now().Add(sim.Duration(op) * interval).Add(sim.Duration(rng2.Intn(1000)) * sim.Microsecond)
 					c.Kernel.At(at, func() {
 						c.Kernel.Spawn(fmt.Sprintf("set-%d-op-%d", j, op), func(fo *sim.Fiber) {
@@ -168,9 +158,9 @@ func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 								}
 							}()
 							start := fo.Now()
-							set := c.sets[j]
+							set := sets[j]
 							set.mu.Lock(fo)
-							err := set.st.Update(fo, "usertable", ycsb.Key(rng2.Intn(c.recordCount)),
+							err := set.st.Update(fo, "usertable", ycsb.Key(rng2.Intn(recordCount)),
 								docstore.Doc{"field0": string(value())})
 							set.mu.Unlock()
 							if err != nil {
@@ -187,23 +177,19 @@ func (c *fig2Cluster) run() (*metrics.Histogram, error) {
 		})
 	}
 	if err := c.Run(60*60*sim.Second, "", nil); err != nil {
-		return nil, err
+		return fig2Point{}, err
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return fig2Point{}, firstErr
 	}
 	if remaining > 0 {
-		return nil, fmt.Errorf("fig2: %d ops did not finish", remaining)
+		return fig2Point{}, fmt.Errorf("fig2: %d ops did not finish", remaining)
 	}
-	return merged, nil
-}
-
-func (c *fig2Cluster) contextSwitches() int64 {
-	var n int64
+	var ctx int64
 	for _, s := range c.Scheds {
-		n += s.ContextSwitches()
+		ctx += s.ContextSwitches()
 	}
-	return n
+	return fig2Point{h: merged, ctx: ctx}, nil
 }
 
 // Fig2a regenerates Figure 2(a): document-store latency and normalized
@@ -218,51 +204,33 @@ func fig2a(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	opCount := scale.pick(40, 200)
 	cores := scale.pick(2, 4) // places the saturation knee inside each sweep
 
-	type row struct {
-		sets       int
-		mean, p95  sim.Duration
-		p99        sim.Duration
-		ctxSwitch  int64
-		normalized float64
-	}
-	rows := make([]row, len(setCounts))
-	if err := forEach(rc, len(setCounts), func(j int, ar *trialArena) error {
-		n := setCounts[j]
-		c, err := newFig2Cluster(ar, seed, n, cores, recordCount, opCount)
+	points, err := trials(rc, len(setCounts), func(j int, ar *trialArena) (fig2Point, error) {
+		p, err := fig2Trial(ar, seed, setCounts[j], cores, recordCount, opCount)
 		if err != nil {
-			return err
+			return p, fmt.Errorf("sets=%d: %w", setCounts[j], err)
 		}
-		h, err := c.run()
-		if err != nil {
-			return fmt.Errorf("sets=%d: %w", n, err)
-		}
-		rows[j] = row{
-			sets: n, mean: h.MeanDuration(), p95: h.PercentileDuration(95),
-			p99: h.PercentileDuration(99), ctxSwitch: c.contextSwitches(),
-		}
-		return nil
-	}); err != nil {
+		return p, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	var maxCtx int64
-	for _, r := range rows {
-		if r.ctxSwitch > maxCtx {
-			maxCtx = r.ctxSwitch
-		}
+	for _, p := range points {
+		maxCtx = max(maxCtx, p.ctx)
 	}
 	tbl := metrics.NewTable("Figure 2(a): latency vs replica-sets (naive replication)",
 		"replica-sets", "avg", "p95", "p99", "ctx-switches", "normalized")
-	for _, r := range rows {
-		tbl.AddRow(r.sets, r.mean, r.p95, r.p99, r.ctxSwitch,
-			fmt.Sprintf("%.2f", float64(r.ctxSwitch)/float64(maxInt64(maxCtx, 1))))
+	for j, p := range points {
+		tbl.AddRow(setCounts[j], p.h.MeanDuration(), p.h.PercentileDuration(95), p.h.PercentileDuration(99), p.ctx,
+			fmt.Sprintf("%.2f", float64(p.ctx)/float64(max(maxCtx, 1))))
 	}
-	grow := float64(rows[len(rows)-1].mean) / float64(maxInt64(int64(rows[0].mean), 1))
+	first, last := points[0].h.MeanDuration(), points[len(points)-1].h.MeanDuration()
 	return &Report{
 		ID: "fig2a", Title: "CPU contention vs replica-sets (Fig. 2a)",
 		Tables: []*metrics.Table{tbl},
 		Notes: []string{fmt.Sprintf(
 			"avg latency grows %.1fx from %d to %d replica-sets; context switches grow with co-location (paper: monotone growth)",
-			grow, rows[0].sets, rows[len(rows)-1].sets)},
+			float64(last)/float64(max(first, 1)), setCounts[0], setCounts[len(setCounts)-1])},
 	}, nil
 }
 
@@ -274,44 +242,29 @@ func fig2b(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	recordCount := scale.pick(20, 40)
 	opCount := scale.pick(40, 150)
 
-	type point struct {
-		h   *metrics.Histogram
-		ctx int64
-	}
-	points := make([]point, len(coreCounts))
-	if err := forEach(rc, len(coreCounts), func(j int, ar *trialArena) error {
-		cores := coreCounts[j]
-		c, err := newFig2Cluster(ar, seed, nSets, cores, recordCount, opCount)
+	points, err := trials(rc, len(coreCounts), func(j int, ar *trialArena) (fig2Point, error) {
+		p, err := fig2Trial(ar, seed, nSets, coreCounts[j], recordCount, opCount)
 		if err != nil {
-			return err
+			return p, fmt.Errorf("cores=%d: %w", coreCounts[j], err)
 		}
-		h, err := c.run()
-		if err != nil {
-			return fmt.Errorf("cores=%d: %w", cores, err)
-		}
-		points[j] = point{h: h, ctx: c.contextSwitches()}
-		return nil
-	}); err != nil {
+		return p, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable(fmt.Sprintf("Figure 2(b): latency vs cores (%d replica-sets)", nSets),
 		"cores", "avg", "p95", "p99", "ctx-switches")
-	var first, last sim.Duration
-	for j, cores := range coreCounts {
-		h := points[j].h
-		if first == 0 {
-			first = h.MeanDuration()
-		}
-		last = h.MeanDuration()
-		tbl.AddRow(cores, h.MeanDuration(), h.PercentileDuration(95),
-			h.PercentileDuration(99), points[j].ctx)
+	for j, p := range points {
+		tbl.AddRow(coreCounts[j], p.h.MeanDuration(), p.h.PercentileDuration(95),
+			p.h.PercentileDuration(99), p.ctx)
 	}
+	first, last := points[0].h.MeanDuration(), points[len(points)-1].h.MeanDuration()
 	return &Report{
 		ID: "fig2b", Title: "More cores relieve contention (Fig. 2b)",
 		Tables: []*metrics.Table{tbl},
 		Notes: []string{fmt.Sprintf(
 			"avg latency falls %.1fx from 2 to 16 cores (paper: monotone decrease)",
-			float64(first)/float64(maxInt64(int64(last), 1)))},
+			float64(first)/float64(max(last, 1)))},
 	}, nil
 }
 
@@ -344,24 +297,22 @@ func fig11(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		Seed:        seed,
 	}
 	backends := []Backend{BackendNaiveEvent, BackendNaivePolling, BackendHyperLoop}
-	hists := make([]*metrics.Histogram, len(backends))
-	if err := forEach(rc, len(backends), func(j int, ar *trialArena) error {
-		b := backends[j]
-		c, err := backendCluster(ar, seed, b, 3, mirror, true)
+	hists, err := trials(rc, len(backends), func(j int, ar *trialArena) (*metrics.Histogram, error) {
+		c, err := backendCluster(ar, seed, backends[j], 3, mirror, true)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		db, err := kvstore.Open(c.group, kcfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := runYCSB(c, newSoftDB(ycsb.KV(db), 100*sim.Microsecond, seed+3), rcfg)
 		if err != nil {
-			return fmt.Errorf("%v: %w", b, err)
+			return nil, fmt.Errorf("%v: %w", backends[j], err)
 		}
-		hists[j] = res.ByOp[ycsb.OpUpdate]
-		return nil
-	}); err != nil {
+		return res.ByOp[ycsb.OpUpdate], nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable("Figure 11: replicated KV store, YCSB-A update latency",
@@ -391,7 +342,10 @@ func fig12(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	recordCount := scale.pick(40, 150)
 	opCount := scale.pick(150, 1500)
 
-	measure := func(ar *trialArena, backend Backend, w ycsb.Workload) (*ycsb.Result, error) {
+	workloads := ycsb.Workloads()
+	backends := []Backend{BackendNaivePolling, BackendHyperLoop}
+	results, err := trials(rc, len(workloads)*len(backends), func(j int, ar *trialArena) (*ycsb.Result, error) {
+		w, backend := workloads[j/len(backends)], backends[j%len(backends)]
 		c, err := backendCluster(ar, seed, backend, 3, mirror, true)
 		if err != nil {
 			return nil, err
@@ -400,28 +354,19 @@ func fig12(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return runYCSB(c, newSoftDB(ycsb.Doc(st), 500*sim.Microsecond, seed+5), ycsb.RunnerConfig{
+		res, err := runYCSB(c, newSoftDB(ycsb.Doc(st), 500*sim.Microsecond, seed+5), ycsb.RunnerConfig{
 			Workload:    w,
 			RecordCount: recordCount,
 			OpCount:     opCount,
 			ValueSize:   512,
 			Seed:        seed,
 		})
-	}
-
-	workloads := ycsb.Workloads()
-	backends := []Backend{BackendNaivePolling, BackendHyperLoop}
-	names := []string{"native", "hyperloop"}
-	results := make([]*ycsb.Result, len(workloads)*len(backends))
-	if err := forEach(rc, len(results), func(j int, ar *trialArena) error {
-		wi, bi := j/len(backends), j%len(backends)
-		r, err := measure(ar, backends[bi], workloads[wi])
 		if err != nil {
-			return fmt.Errorf("%s %s: %w", names[bi], workloads[wi].Name, err)
+			return nil, fmt.Errorf("%v %s: %w", backend, w.Name, err)
 		}
-		results[j] = r
-		return nil
-	}); err != nil {
+		return res, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	native := metrics.NewTable("Figure 12(a): native (CPU-polling) replication",

@@ -176,15 +176,3 @@ func releaseArena(a *trialArena, rc *runCtx) {
 	arenas.free = append(arenas.free, a)
 	arenas.mu.Unlock()
 }
-
-// withArena runs fn with a checked-out arena and releases its trial state
-// afterwards — the serial-path equivalent of one forEach worker, for
-// experiments that build clusters outside a worker pool. The whole call
-// counts as one trial against rc's shared slot budget.
-func withArena(rc *runCtx, fn func(ar *trialArena) error) error {
-	rc.acquire()
-	defer rc.release()
-	ar := acquireArena()
-	defer releaseArena(ar, rc)
-	return fn(ar)
-}

@@ -137,6 +137,36 @@ func (c *cluster) runLatency(ops int, issue func(f *sim.Fiber, i int) error) (*m
 	return h, nil
 }
 
+// runPipelined drives ops group operations with up to window in flight —
+// issue posts op i and returns its completion signal — and returns the
+// virtual time from the first post to the last completion.
+func (c *cluster) runPipelined(ops, window int, issue func(i int) (*sim.Signal, error)) (sim.Duration, error) {
+	var elapsed sim.Duration
+	err := c.Run(30*60*sim.Second, "pipelined-driver", func(f *sim.Fiber) error {
+		start := f.Now()
+		sigs := make([]*sim.Signal, 0, window)
+		for i := 0; i < ops; i++ {
+			sig, err := issue(i)
+			if err != nil {
+				return err
+			}
+			sigs = append(sigs, sig)
+			if len(sigs) == window {
+				if err := f.Await(sigs[0]); err != nil {
+					return err
+				}
+				sigs = sigs[1:]
+			}
+		}
+		if err := f.AwaitAll(sigs...); err != nil {
+			return err
+		}
+		elapsed = max(f.Now().Sub(start), sim.Nanosecond)
+		return nil
+	})
+	return elapsed, err
+}
+
 // Report is one experiment's regenerated output. A claim scenario's report
 // also carries the claim it defends and the checks that decide it.
 type Report struct {

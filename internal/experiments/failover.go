@@ -41,14 +41,13 @@ var failoverParams = protocol.Params{
 // outage, and the unavailability window (last good write before the crash
 // to first good write after recovery).
 func failover(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
-	ops := scale.pick(600, 6000)
-	var rep *Report
-	err := withArena(rc, func(ar *trialArena) error {
-		r, err := failoverTrial(ar, seed, ops)
-		rep = r
-		return err
+	reps, err := trials(rc, 1, func(_ int, ar *trialArena) (*Report, error) {
+		return failoverTrial(ar, seed, scale.pick(600, 6000))
 	})
-	return rep, err
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
 }
 
 func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {

@@ -142,15 +142,14 @@ func flushStorm(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		"all-ack twin, while all-ack protocols must fail ops whenever any " +
 		"member is down."}
 	names := protocol.Names()
-	audits := make([]stormAudit, len(names))
-	if err := forEach(rc, len(names), func(j int, ar *trialArena) error {
+	audits, err := trials(rc, len(names), func(j int, ar *trialArena) (stormAudit, error) {
 		a, err := stormTrial(ar, seed, names[j], ops)
 		if err != nil {
-			return fmt.Errorf("%s: %w", names[j], err)
+			return a, fmt.Errorf("%s: %w", names[j], err)
 		}
-		audits[j] = a
-		return nil
-	}); err != nil {
+		return a, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/naive"
@@ -16,17 +15,21 @@ import (
 // microMirror is the §6.1 microbenchmarks' mirrored region.
 const microMirror = 1 << 20
 
-// latencyTrial measures one (backend, size) latency point on its own
-// private cluster — the self-contained unit forEach runs concurrently.
+// latencyTrial measures one (backend, group size, message size) latency
+// point on its own private cluster.
 func latencyTrial(ar *trialArena, seed uint64, backend Backend, replicas, ops, size int,
 	issue func(c *cluster, f *sim.Fiber, size, i int) error) (*metrics.Histogram, error) {
 	c, err := backendCluster(ar, seed, backend, replicas, microMirror, true)
 	if err != nil {
 		return nil, err
 	}
-	return c.runLatency(ops, func(f *sim.Fiber, i int) error {
+	h, err := c.runLatency(ops, func(f *sim.Fiber, i int) error {
 		return issue(c, f, size, i)
 	})
+	if err != nil {
+		return nil, fmt.Errorf("%v G=%d size=%d: %w", backend, replicas, size, err)
+	}
+	return h, nil
 }
 
 // writeIssue performs one gWRITE of size bytes at a rotating offset.
@@ -61,17 +64,10 @@ func fig8(rc *runCtx, seed uint64, scale Scale, id, title string,
 	issue func(c *cluster, f *sim.Fiber, size, i int) error) (*Report, error) {
 	ops := scale.pick(300, 10000)
 	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
-	// One job per (backend, size); each builds its own cluster, so the
-	// trials run concurrently and merge in deterministic point order.
-	hists := make([]*metrics.Histogram, len(backends)*len(messageSizes))
-	err := forEach(rc, len(hists), func(j int, ar *trialArena) error {
-		bi, si := j/len(messageSizes), j%len(messageSizes)
-		h, err := latencyTrial(ar, seed+uint64(si), backends[bi], 3, ops, messageSizes[si], issue)
-		if err != nil {
-			return fmt.Errorf("%v size %d: %w", backends[bi], messageSizes[si], err)
-		}
-		hists[j] = h
-		return nil
+	// One trial per (backend, size), backend-major.
+	hists, err := trials(rc, len(backends)*len(messageSizes), func(j int, ar *trialArena) (*metrics.Histogram, error) {
+		si := j % len(messageSizes)
+		return latencyTrial(ar, seed+uint64(si), backends[j/len(messageSizes)], 3, ops, messageSizes[si], issue)
 	})
 	if err != nil {
 		return nil, err
@@ -82,7 +78,7 @@ func fig8(rc *runCtx, seed uint64, scale Scale, id, title string,
 	var worstRatio float64
 	for si, size := range messageSizes {
 		n, h := hists[si], hists[len(messageSizes)+si]
-		ratio := float64(n.Percentile(99)) / float64(maxInt64(h.Percentile(99), 1))
+		ratio := float64(n.Percentile(99)) / float64(max(h.Percentile(99), 1))
 		if ratio > worstRatio {
 			worstRatio = ratio
 			worst = metrics.FormatBytes(size)
@@ -105,29 +101,19 @@ func fig8(rc *runCtx, seed uint64, scale Scale, id, title string,
 // Naive-RDMA vs HyperLoop.
 func table2(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(500, 10000)
-	measure := func(ar *trialArena, backend Backend) (*metrics.Histogram, error) {
-		c, err := backendCluster(ar, seed, backend, 3, microMirror, true)
+	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
+	hists, err := trials(rc, len(backends), func(j int, ar *trialArena) (*metrics.Histogram, error) {
+		c, err := backendCluster(ar, seed, backends[j], 3, microMirror, true)
 		if err != nil {
 			return nil, err
 		}
 		exec := []bool{true, true, true}
-		val := uint64(0)
 		return c.runLatency(ops, func(f *sim.Fiber, i int) error {
-			_, err := c.group.CAS(f, 0, val, val+1, exec)
-			val++
+			_, err := c.group.CAS(f, 0, uint64(i), uint64(i)+1, exec)
 			return err
 		})
-	}
-	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
-	hists := make([]*metrics.Histogram, len(backends))
-	if err := forEach(rc, len(backends), func(j int, ar *trialArena) error {
-		h, err := measure(ar, backends[j])
-		if err != nil {
-			return err
-		}
-		hists[j] = h
-		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	nh, hh := hists[0], hists[1]
@@ -156,68 +142,32 @@ func fig9(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		kops float64
 		cpu  float64
 	}
-	measure := func(ar *trialArena, backend Backend, size int) (point, error) {
+	backends := []Backend{BackendNaivePinned, BackendHyperLoop}
+	points, err := trials(rc, len(sizes)*len(backends), func(j int, ar *trialArena) (point, error) {
+		backend, size := backends[j%len(backends)], sizes[j/len(backends)]
 		c, err := backendCluster(ar, seed, backend, 3, microMirror, true)
 		if err != nil {
 			return point{}, err
 		}
-		ops := totalBytes / size
-		if ops < window*2 {
-			ops = window * 2
-		}
-		var start, end sim.Time
-		err = c.Run(30*60*sim.Second, "tput-driver", func(f *sim.Fiber) error {
-			start = f.Now()
-			sigs := make([]*sim.Signal, 0, window)
-			for i := 0; i < ops; i++ {
-				off := (i % 8) * 65536
-				sig, err := c.group.WriteAsync(off, size, true)
-				if err != nil {
-					return err
-				}
-				sigs = append(sigs, sig)
-				if len(sigs) == window {
-					if err := f.Await(sigs[0]); err != nil {
-						return err
-					}
-					sigs = sigs[1:]
-				}
-			}
-			if err := f.AwaitAll(sigs...); err != nil {
-				return err
-			}
-			end = f.Now()
-			return nil
+		ops := max(totalBytes/size, window*2)
+		elapsed, err := c.runPipelined(ops, window, func(i int) (*sim.Signal, error) {
+			return c.group.WriteAsync((i%8)*65536, size, true)
 		})
 		if err != nil {
 			return point{}, fmt.Errorf("%v size %d: %w", backend, size, err)
 		}
-		elapsed := end.Sub(start)
-		if elapsed <= 0 {
-			elapsed = time.Nanosecond
-		}
-		kops := float64(ops) / elapsed.Seconds() / 1000
 		// Critical-path CPU: replica handler CPU as a fraction of one
 		// core over the run (HyperLoop: identically zero).
 		var handlerCPU sim.Duration
 		if ng, ok := c.group.(*naive.Group); ok {
 			handlerCPU = ng.ReplicaHandlerCPU()
 		}
-		cpu := 100 * float64(handlerCPU) / float64(elapsed) / 3
-		return point{kops: kops, cpu: cpu}, nil
-	}
-
-	backends := []Backend{BackendNaivePinned, BackendHyperLoop}
-	points := make([]point, len(sizes)*len(backends))
-	if err := forEach(rc, len(points), func(j int, ar *trialArena) error {
-		si, bi := j/len(backends), j%len(backends)
-		p, err := measure(ar, backends[bi], sizes[si])
-		if err != nil {
-			return err
-		}
-		points[j] = p
-		return nil
-	}); err != nil {
+		return point{
+			kops: float64(ops) / elapsed.Seconds() / 1000,
+			cpu:  100 * float64(handlerCPU) / float64(elapsed) / 3,
+		}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable("Figure 9: gWRITE throughput and replica CPU",
@@ -246,24 +196,12 @@ func fig10(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	sizes := messageSizes
 
 	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
-	// Flatten the triple loop (backend × group size × message size) into one
-	// job list; indexing keeps row/column assembly in deterministic order.
-	hists := make([]*metrics.Histogram, len(backends)*len(groupSizes)*len(sizes))
-	if err := forEach(rc, len(hists), func(j int, ar *trialArena) error {
-		bi := j / (len(groupSizes) * len(sizes))
-		gi := j / len(sizes) % len(groupSizes)
-		si := j % len(sizes)
-		backend, g, size := backends[bi], groupSizes[gi], sizes[si]
-		h, err := latencyTrial(ar, seed+uint64(si), backend, g, ops, size,
-			func(c *cluster, f *sim.Fiber, size, i int) error {
-				return writeIssue(c, f, size, i)
-			})
-		if err != nil {
-			return fmt.Errorf("%v G=%d size=%d: %w", backend, g, size, err)
-		}
-		hists[j] = h
-		return nil
-	}); err != nil {
+	// One trial per (backend, group size, message size), in that nesting.
+	hists, err := trials(rc, len(backends)*len(groupSizes)*len(sizes), func(j int, ar *trialArena) (*metrics.Histogram, error) {
+		bi, gi, si := j/(len(groupSizes)*len(sizes)), j/len(sizes)%len(groupSizes), j%len(sizes)
+		return latencyTrial(ar, seed+uint64(si), backends[bi], groupSizes[gi], ops, sizes[si], writeIssue)
+	})
+	if err != nil {
 		return nil, err
 	}
 	at := func(bi, gi, si int) *metrics.Histogram {
@@ -280,7 +218,7 @@ func fig10(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 			p3 := at(bi, 0, si).PercentileDuration(99)
 			p5 := at(bi, 1, si).PercentileDuration(99)
 			p7 := at(bi, 2, si).PercentileDuration(99)
-			g := float64(p7) / float64(maxInt64(int64(p3), 1))
+			g := float64(p7) / float64(max(p3, 1))
 			if g > maxGrowth {
 				maxGrowth = g
 			}
@@ -305,26 +243,18 @@ func fig10(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 // causes the tail.
 func ablationNoLoad(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(300, 5000)
-	measure := func(ar *trialArena, backend Backend, loaded bool) (*metrics.Histogram, error) {
-		c, err := backendCluster(ar, seed, backend, 3, microMirror, loaded)
+	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
+	loads := []bool{false, true}
+	hists, err := trials(rc, len(backends)*len(loads), func(j int, ar *trialArena) (*metrics.Histogram, error) {
+		c, err := backendCluster(ar, seed, backends[j/len(loads)], 3, microMirror, loads[j%len(loads)])
 		if err != nil {
 			return nil, err
 		}
 		return c.runLatency(ops, func(f *sim.Fiber, i int) error {
 			return writeIssue(c, f, 1024, i)
 		})
-	}
-	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
-	loads := []bool{false, true}
-	hists := make([]*metrics.Histogram, len(backends)*len(loads))
-	if err := forEach(rc, len(hists), func(j int, ar *trialArena) error {
-		h, err := measure(ar, backends[j/len(loads)], loads[j%len(loads)])
-		if err != nil {
-			return err
-		}
-		hists[j] = h
-		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable("Ablation: co-located load on replica CPUs (1KB gWRITE)",
@@ -349,25 +279,17 @@ func ablationNoLoad(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 // AblationFlush quantifies the durability (gFLUSH interleaving) cost.
 func ablationFlush(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(300, 5000)
-	measure := func(ar *trialArena, durable bool) (*metrics.Histogram, error) {
+	durable := []bool{false, true}
+	hists, err := trials(rc, len(durable), func(j int, ar *trialArena) (*metrics.Histogram, error) {
 		c, err := backendCluster(ar, seed, BackendHyperLoop, 3, microMirror, false)
 		if err != nil {
 			return nil, err
 		}
 		return c.runLatency(ops, func(f *sim.Fiber, i int) error {
-			return c.group.Write(f, (i%16)*8192, 4096, durable)
+			return c.group.Write(f, (i%16)*8192, 4096, durable[j])
 		})
-	}
-	modes := []bool{false, true}
-	hists := make([]*metrics.Histogram, len(modes))
-	if err := forEach(rc, len(modes), func(j int, ar *trialArena) error {
-		h, err := measure(ar, modes[j])
-		if err != nil {
-			return err
-		}
-		hists[j] = h
-		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	vol, dur := hists[0], hists[1]
@@ -386,54 +308,22 @@ func ablationFlush(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 // throughput — the design choice behind HyperLoop's pre-posted chains.
 func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(400, 4000)
-	measure := func(ar *trialArena, depth int) (float64, error) {
+	depths := []int{4, 8, 16, 32, 64}
+	kops, err := trials(rc, len(depths), func(j int, ar *trialArena) (float64, error) {
 		c, err := newCluster(testbed(ar, seed, 3, false), protocol.Named("chain"),
-			protocol.Params{MirrorSize: microMirror, Depth: depth})
+			protocol.Params{MirrorSize: microMirror, Depth: depths[j]})
 		if err != nil {
 			return 0, err
 		}
-		window := depth - 3
-		if window < 1 {
-			window = 1
-		}
-		var start, end sim.Time
-		err = c.Run(60*sim.Second, "depth-driver", func(f *sim.Fiber) error {
-			start = f.Now()
-			var sigs []*sim.Signal
-			for i := 0; i < ops; i++ {
-				sig, err := c.group.WriteAsync((i%8)*4096, 1024, true)
-				if err != nil {
-					return err
-				}
-				sigs = append(sigs, sig)
-				if len(sigs) >= window {
-					if err := f.Await(sigs[0]); err != nil {
-						return err
-					}
-					sigs = sigs[1:]
-				}
-			}
-			if err := f.AwaitAll(sigs...); err != nil {
-				return err
-			}
-			end = f.Now()
-			return nil
+		elapsed, err := c.runPipelined(ops, max(depths[j]-3, 1), func(i int) (*sim.Signal, error) {
+			return c.group.WriteAsync((i%8)*4096, 1024, true)
 		})
 		if err != nil {
-			return 0, fmt.Errorf("depth %d: %w", depth, err)
+			return 0, fmt.Errorf("depth %d: %w", depths[j], err)
 		}
-		return float64(ops) / end.Sub(start).Seconds() / 1000, nil
-	}
-	depths := []int{4, 8, 16, 32, 64}
-	kops := make([]float64, len(depths))
-	if err := forEach(rc, len(depths), func(j int, ar *trialArena) error {
-		k, err := measure(ar, depths[j])
-		if err != nil {
-			return err
-		}
-		kops[j] = k
-		return nil
-	}); err != nil {
+		return float64(ops) / elapsed.Seconds() / 1000, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable("Ablation: pre-armed window depth vs pipelined gWRITE throughput (1KB)",
@@ -448,13 +338,6 @@ func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	}, nil
 }
 
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // AblationFanout compares the chain topology against the §7 fan-out
 // extension: latency is comparable, but fan-out concentrates transmission
 // (and active write QPs) on the primary while the chain load-balances —
@@ -467,12 +350,9 @@ func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		primaryTx int64
 		maxTx     int64
 	}
-	measure := func(ar *trialArena, fan bool) (res, error) {
-		proto := "chain"
-		if fan {
-			proto = "fanout"
-		}
-		c, err := newCluster(testbed(ar, seed, 3, false), protocol.Named(proto), protocol.Params{MirrorSize: microMirror})
+	topos := []string{"chain", "fanout"}
+	results, err := trials(rc, len(topos), func(j int, ar *trialArena) (res, error) {
+		c, err := newCluster(testbed(ar, seed, 3, false), protocol.Named(topos[j]), protocol.Params{MirrorSize: microMirror})
 		if err != nil {
 			return res{}, err
 		}
@@ -493,17 +373,8 @@ func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 			}
 		}
 		return res{h: h, primaryTx: primaryTx, maxTx: maxTx}, nil
-	}
-	topos := []bool{false, true}
-	results := make([]res, len(topos))
-	if err := forEach(rc, len(topos), func(j int, ar *trialArena) error {
-		r, err := measure(ar, topos[j])
-		if err != nil {
-			return err
-		}
-		results[j] = r
-		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	chain, fan := results[0], results[1]
@@ -528,37 +399,18 @@ func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 // (log execution off the critical path), RAMCloud-like semantics (skip the
 // durability primitive), and replicated-cache semantics (no log at all).
 //
-// This experiment stays serial: all four modes deliberately share one
-// cluster and one txn store (the spectrum is measured on the same state),
-// so the trials are not independent jobs forEach could run concurrently.
+// All four modes deliberately share one cluster and one txn store (the
+// spectrum is measured on the same state), so the experiment is one trial.
 func ablationConsistency(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	ops := scale.pick(300, 5000)
-	tbl, err := ablationConsistencyTable(rc, seed, ops)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID: "abl-consistency", Title: "Ablation: weaker consistency models (§7)",
-		Tables: []*metrics.Table{tbl},
-		Notes: []string{
-			"each dropped guarantee removes group operations from the critical path,",
-			"recovering RAMCloud/Memcached-like latency from the same primitive set",
-		},
-	}, nil
-}
-
-// ablationConsistencyTable runs the four modes on one shared cluster,
-// checked out of the arena pool like a single long trial.
-func ablationConsistencyTable(rc *runCtx, seed uint64, ops int) (*metrics.Table, error) {
-	var tbl *metrics.Table
-	err := withArena(rc, func(ar *trialArena) error {
+	tables, err := trials(rc, 1, func(_ int, ar *trialArena) (*metrics.Table, error) {
 		c, err := backendCluster(ar, seed, BackendHyperLoop, 3, microMirror, false)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		st, err := txn.New(c.group, txn.Config{LogSize: 64 * 1024, DataSize: 128 * 1024})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		entry := func(i int) []wal.Entry {
 			return []wal.Entry{{Off: (i % 64) * 512, Data: bytes.Repeat([]byte{byte(i)}, 256)}}
@@ -596,26 +448,26 @@ func ablationConsistencyTable(rc *runCtx, seed uint64, ops int) (*metrics.Table,
 				return c.group.Write(f, (i%64)*1024, 256, false)
 			}},
 		}
-		tbl = metrics.NewTable("Ablation: consistency spectrum on HyperLoop primitives (§7)",
+		tbl := metrics.NewTable("Ablation: consistency spectrum on HyperLoop primitives (§7)",
 			"mode", "avg", "p99")
 		for _, m := range modes {
-			h := metrics.NewHistogram()
-			err := c.Run(60*sim.Second, "mode-driver", func(f *sim.Fiber) error {
-				for i := 0; i < ops; i++ {
-					start := f.Now()
-					if err := m.op(f, i); err != nil {
-						return fmt.Errorf("%s op %d: %w", m.name, i, err)
-					}
-					h.RecordDuration(f.Now().Sub(start))
-				}
-				return nil
-			})
+			h, err := c.runLatency(ops, m.op)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("%s: %w", m.name, err)
 			}
 			tbl.AddRow(m.name, h.MeanDuration(), h.PercentileDuration(99))
 		}
-		return nil
+		return tbl, nil
 	})
-	return tbl, err
+	if err != nil {
+		return nil, err
+	}
+	return &Report{
+		ID: "abl-consistency", Title: "Ablation: weaker consistency models (§7)",
+		Tables: tables,
+		Notes: []string{
+			"each dropped guarantee removes group operations from the critical path,",
+			"recovering RAMCloud/Memcached-like latency from the same primitive set",
+		},
+	}, nil
 }

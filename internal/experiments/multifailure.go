@@ -33,8 +33,7 @@ func multiFailure(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		"exercises exactly that repair)."}
 	names := protocol.Names()
 	type outcome struct{ okBefore, failedDuring, okAfter, failedAfter, drops, inflight int64 }
-	outs := make([]outcome, len(names))
-	if err := forEach(rc, len(names), func(j int, ar *trialArena) error {
+	outs, err := trials(rc, len(names), func(j int, ar *trialArena) (outcome, error) {
 		name := names[j]
 		// No retries: the scenario observes raw failures, not the retry
 		// policy's ability to paper over them.
@@ -45,7 +44,7 @@ func multiFailure(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 			{Host: "server-1", At: sim.Time(mfServerUpAt), Down: false},
 		}}}, name, protocol.Params{OpTimeout: mfTimeout})
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return outcome{}, fmt.Errorf("%s: %w", name, err)
 		}
 		var o outcome
 		err = d.Run(60*sim.Second, driver, func(f *sim.Fiber) error {
@@ -73,14 +72,14 @@ func multiFailure(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return o, fmt.Errorf("%s: %w", name, err)
 		}
 		o.inflight = int64(d.group.InFlight())
 		d.group.Close()
 		o.drops = d.Fabric.FaultStats().Drops
-		outs[j] = o
-		return nil
-	}); err != nil {
+		return o, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

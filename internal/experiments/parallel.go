@@ -27,47 +27,42 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runTrial executes one trial job inside a slot of rc's shared budget,
-// with an arena checked out of the package pool for exactly the trial's
-// duration. The job builds its cluster/kernel/devices/fabric through the
-// arena; endTrial (via releaseArena) returns everything and attributes
-// the trial's counters to rc's sink.
-func runTrial(rc *runCtx, i int, job func(i int, ar *trialArena) error) error {
-	rc.acquire()
-	defer rc.release()
-	ar := acquireArena()
-	defer releaseArena(ar, rc)
-	return job(i, ar)
-}
-
-// forEach runs job(0..n-1) for the experiment run rc and waits for all
-// jobs. Trials run on up to Parallelism() workers, each holding one slot
-// of rc's shared cross-experiment budget (when rc carries one) per trial,
-// and each job writes results into its own index slot. When several jobs
-// fail, the error of the lowest index is returned — the same one the
-// serial loop would have hit first — so error reporting is deterministic
-// under any scheduling.
-func forEach(rc *runCtx, n int, job func(i int, ar *trialArena) error) error {
-	if n <= 0 {
-		return nil
+// trials runs trial(0..n-1) for the experiment run rc and returns their
+// results in index order; it is how every experiment and scenario runs a
+// trial. Trials run on up to Parallelism() workers, each holding one slot
+// of rc's shared cross-experiment budget (when rc carries one) and one
+// arena checked out of the package pool for exactly the trial's duration:
+// the trial builds its cluster/kernel/devices/fabric through the arena,
+// and releasing it attributes the trial's counters to rc's sink. With one
+// worker the trials run serially and stop at the first failure. When
+// several trials fail, the error of the lowest index is returned — the
+// one the serial loop would have hit first — so error reporting is
+// deterministic under any scheduling.
+func trials[T any](rc *runCtx, n int, trial func(i int, ar *trialArena) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	run := func(i int) error {
+		rc.acquire()
+		defer rc.release()
+		ar := acquireArena()
+		defer releaseArena(ar, rc)
+		var err error
+		out[i], err = trial(i, ar)
+		return err
 	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
+	workers := min(Parallelism(), n)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := runTrial(rc, i, job); err != nil {
-				return err
+		for i := range n {
+			if err := run(i); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return out, nil
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
 			for {
@@ -75,15 +70,15 @@ func forEach(rc *runCtx, n int, job func(i int, ar *trialArena) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = runTrial(rc, i, job)
+				errs[i] = run(i)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }

@@ -8,21 +8,32 @@ import (
 	"time"
 )
 
-// TestForEachRunsAllIndices checks every index runs exactly once.
+// TestForEachRunsAllIndices checks every index runs exactly once and that
+// trials returns result i at index i, even when later trials finish first.
 func TestForEachRunsAllIndices(t *testing.T) {
 	prev := SetParallelism(4)
 	defer SetParallelism(prev)
 	const n = 100
 	counts := make([]int32, n)
-	if err := forEach(nil, n, func(i int, ar *trialArena) error {
+	got, err := trials(nil, n, func(i int, ar *trialArena) (int, error) {
 		atomic.AddInt32(&counts[i], 1)
-		return nil
-	}); err != nil {
+		time.Sleep(time.Duration(n-i) * 10 * time.Microsecond) // lower indices finish later
+		return i, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("index %d ran %d times", i, c)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("got %d results, want %d", len(got), n)
+	}
+	for i, r := range got {
+		if r != i {
+			t.Fatalf("result at index %d = %d, want %d", i, r, i)
 		}
 	}
 }
@@ -36,15 +47,15 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for trial := 0; trial < 20; trial++ {
-		err := forEach(nil, 16, func(i int, ar *trialArena) error {
+		_, err := trials(nil, 16, func(i int, ar *trialArena) (int, error) {
 			switch i {
 			case 3:
 				time.Sleep(time.Millisecond) // lowest-index failure finishes last
-				return errLow
+				return i, errLow
 			case 11:
-				return errHigh
+				return i, errHigh
 			}
-			return nil
+			return i, nil
 		})
 		if err != errLow {
 			t.Fatalf("trial %d: err = %v, want %v", trial, err, errLow)
@@ -58,7 +69,7 @@ func TestForEachBoundsWorkers(t *testing.T) {
 	defer SetParallelism(prev)
 	var cur, max int32
 	var mu sync.Mutex
-	if err := forEach(nil, 30, func(i int, ar *trialArena) error {
+	if _, err := trials(nil, 30, func(i int, ar *trialArena) (int, error) {
 		c := atomic.AddInt32(&cur, 1)
 		mu.Lock()
 		if c > max {
@@ -67,34 +78,34 @@ func TestForEachBoundsWorkers(t *testing.T) {
 		mu.Unlock()
 		time.Sleep(time.Millisecond)
 		atomic.AddInt32(&cur, -1)
-		return nil
+		return i, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if max > 3 {
-		t.Fatalf("observed %d concurrent jobs, want <= 3", max)
+		t.Fatalf("observed %d concurrent trials, want <= 3", max)
 	}
 }
 
 // TestForEachSerialShortCircuits checks the serial fast path stops at the
-// first failure instead of running the remaining jobs.
+// first failure instead of running the remaining trials.
 func TestForEachSerialShortCircuits(t *testing.T) {
 	prev := SetParallelism(1)
 	defer SetParallelism(prev)
 	ran := 0
 	boom := errors.New("boom")
-	err := forEach(nil, 10, func(i int, ar *trialArena) error {
+	_, err := trials(nil, 10, func(i int, ar *trialArena) (int, error) {
 		ran++
 		if i == 2 {
-			return boom
+			return i, boom
 		}
-		return nil
+		return i, nil
 	})
 	if err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	if ran != 3 {
-		t.Fatalf("ran = %d jobs, want 3", ran)
+		t.Fatalf("ran = %d trials, want 3", ran)
 	}
 }
 

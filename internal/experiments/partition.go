@@ -36,8 +36,8 @@ func partitionFailover(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		"after RC retry exhaustion), so writes resume only once the partition " +
 		"heals and the datapath is re-established over the healed link."}
 	// The whole scenario is one deployment, so one trial.
-	if err := withArena(rc, func(ar *trialArena) error {
-		return partitionTrial(ar, rep, seed, sc.pick(300, 2000))
+	if _, err := trials(rc, 1, func(_ int, ar *trialArena) (*Report, error) {
+		return rep, partitionTrial(ar, rep, seed, sc.pick(300, 2000))
 	}); err != nil {
 		return nil, err
 	}

@@ -41,50 +41,40 @@ func protocolsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		msgsOp  float64
 		bytesOp float64
 	}
-	type availRes struct {
-		okBefore, okAfter int64
-		failed            int64
-		window            sim.Duration // 0 = never recovered
-	}
-	costs := make([]costRes, len(names))
-	avails := make([]availRes, len(names))
 
 	// Leg 1: fault-free latency and message cost.
-	if err := forEach(rc, len(names), func(j int, ar *trialArena) error {
+	costs, err := trials(rc, len(names), func(j int, ar *trialArena) (costRes, error) {
 		c, err := newCluster(testbed(ar, seed, 3, false), protocol.Named(names[j]), protocol.Params{MirrorSize: protoMirror})
 		if err != nil {
-			return fmt.Errorf("%s: %w", names[j], err)
+			return costRes{}, fmt.Errorf("%s: %w", names[j], err)
 		}
 		msgs0, bytes0 := c.Fabric.Stats()
 		h, err := c.runLatency(ops, func(f *sim.Fiber, i int) error {
 			return c.group.Write(f, (i%16)*8192, protoWriteSize, true)
 		})
 		if err != nil {
-			return fmt.Errorf("%s: %w", names[j], err)
+			return costRes{}, fmt.Errorf("%s: %w", names[j], err)
 		}
 		msgs1, bytes1 := c.Fabric.Stats()
-		costs[j] = costRes{
+		return costRes{
 			h:       h,
 			msgsOp:  float64(msgs1-msgs0) / float64(ops),
 			bytesOp: float64(bytes1-bytes0) / float64(ops),
-		}
-		return nil
-	}); err != nil {
+		}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	// Leg 2: availability across a replica crash.
-	if err := forEach(rc, len(names), func(j int, ar *trialArena) error {
+	avails, err := trials(rc, len(names), func(j int, ar *trialArena) (protoAvail, error) {
 		r, err := protocolAvailTrial(ar, seed, names[j])
 		if err != nil {
-			return fmt.Errorf("%s: %w", names[j], err)
+			return r, fmt.Errorf("%s: %w", names[j], err)
 		}
-		avails[j] = availRes{
-			okBefore: r.okBefore, okAfter: r.okAfter,
-			failed: r.failed, window: r.window,
-		}
-		return nil
-	}); err != nil {
+		return r, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -119,10 +109,11 @@ func protocolsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	}, nil
 }
 
+// protoAvail is one protocol's availability-leg outcome.
 type protoAvail struct {
 	okBefore, okAfter int64
 	failed            int64
-	window            sim.Duration
+	window            sim.Duration // 0 = never recovered
 }
 
 // protocolAvailTrial drives closed-loop writes through one protocol

@@ -202,16 +202,15 @@ func recovery2PC(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 			}
 		}
 	}
-	outs := make([]killOutcome, len(points))
-	if err := forEach(rc, len(points), func(j int, ar *trialArena) error {
+	outs, err := trials(rc, len(points), func(j int, ar *trialArena) (killOutcome, error) {
 		p := points[j]
 		o, err := killTrial(ar, seed, r2Legs[p.leg].faults(), p.span, p.kill, afterTxns)
 		if err != nil {
-			return fmt.Errorf("%s span %d kill %d: %w", r2Legs[p.leg].name, p.span, p.kill, err)
+			return o, fmt.Errorf("%s span %d kill %d: %w", r2Legs[p.leg].name, p.span, p.kill, err)
 		}
-		outs[j] = o
-		return nil
-	}); err != nil {
+		return o, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

@@ -21,9 +21,8 @@ func retryVsLoss(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		"retries, and the retry+failure burden does not shrink as loss grows."}
 	names := protocol.Names()
 	type point struct{ ok, failed, retried, inflight, drops int64 }
-	points := make([]point, len(names)*len(lossRates))
 	// One trial per (protocol, loss rate).
-	if err := forEach(rc, len(points), func(j int, ar *trialArena) error {
+	points, err := trials(rc, len(names)*len(lossRates), func(j int, ar *trialArena) (point, error) {
 		name, loss := names[j/len(lossRates)], lossRates[j%len(lossRates)]
 		var plan *rdma.FaultPlan
 		if loss > 0 {
@@ -37,7 +36,7 @@ func retryVsLoss(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 			RetryBackoff: 50 * sim.Microsecond,
 		})
 		if err != nil {
-			return fmt.Errorf("%s loss=%v: %w", name, loss, err)
+			return point{}, fmt.Errorf("%s loss=%v: %w", name, loss, err)
 		}
 		var p point
 		err = d.Run(60*sim.Second, driver, func(f *sim.Fiber) error {
@@ -55,15 +54,15 @@ func retryVsLoss(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("%s loss=%v: %w", name, loss, err)
+			return point{}, fmt.Errorf("%s loss=%v: %w", name, loss, err)
 		}
 		p.retried = d.group.Retried()
 		p.inflight = int64(d.group.InFlight())
 		d.group.Close()
 		p.drops = d.Fabric.FaultStats().Drops
-		points[j] = p
-		return nil
-	}); err != nil {
+		return p, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

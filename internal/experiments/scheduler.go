@@ -21,7 +21,7 @@ type Result struct {
 // RunAll executes the named experiments under the two-level scheduler.
 //
 // Level one dispatches experiments; level two is the per-experiment trial
-// worker pool (forEach). Both levels share one trial budget: Parallelism()
+// worker pool (trials). Both levels share one trial budget: Parallelism()
 // slots process-wide, so -procs bounds in-flight trials no matter how many
 // experiments are open at once. With a budget of one the dispatcher
 // degrades to the classic serial schedule — experiments strictly one after
@@ -37,12 +37,12 @@ type Result struct {
 // experiment's stragglers would otherwise leave idle.
 //
 // On failure RunAll returns the error of the earliest experiment in ids
-// order, mirroring forEach's lowest-index rule, so error reporting is
+// order, mirroring trials' lowest-index rule, so error reporting is
 // deterministic under any scheduling.
 func RunAll(ids []string, seed uint64, scale Scale) ([]Result, error) {
 	// Validate up front so a typo fails before any experiment starts.
 	for _, id := range ids {
-		if _, ok := registry[id]; !ok {
+		if _, ok := lookup(id); !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, Names())
 		}
 	}

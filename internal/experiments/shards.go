@@ -238,36 +238,37 @@ func shardsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		{"naive", shard.RoundRobin},
 		{"naive", shard.TenantAffinity},
 	}
-	tenantRuns := make([]tenantRes, len(legs))
-	var txnRun txnRes
-
-	// One forEach over all five trials so the whole rack sweep shares the
+	// One trials call over all five legs so the whole rack sweep shares the
 	// worker pool; the txn leg rides as the last index.
-	if err := forEach(rc, len(legs)+1, func(i int, ar *trialArena) error {
+	type run struct {
+		tenant tenantRes
+		txn    txnRes
+	}
+	runs, err := trials(rc, len(legs)+1, func(i int, ar *trialArena) (run, error) {
 		if i == len(legs) {
 			r, err := shardTxnTrial(ar, seed, nShards, txns)
 			if err != nil {
-				return fmt.Errorf("txn leg: %w", err)
+				return run{}, fmt.Errorf("txn leg: %w", err)
 			}
-			txnRun = r
-			return nil
+			return run{txn: r}, nil
 		}
 		r, err := shardTenantTrial(ar, seed, nShards, legs[i].proto, legs[i].pol, ops)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", legs[i].proto, legs[i].pol, err)
+			return run{}, fmt.Errorf("%s/%s: %w", legs[i].proto, legs[i].pol, err)
 		}
-		tenantRuns[i] = r
-		return nil
-	}); err != nil {
+		return run{tenant: r}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
+	txnRun := runs[len(legs)].txn
 
 	iso := metrics.NewTable(
 		fmt.Sprintf("Tenant isolation: %d groups × %d replicas on %d servers (%d cores each), zipf(%.2f) skew over %d tenants",
 			nShards, shardReplicas, shardServers, shardCores, shardZipfTheta, shardTenants),
 		"datapath", "placement", "tenant", "ops", "ops/ms", "p50", "p99")
 	for i, l := range legs {
-		r := tenantRuns[i]
+		r := runs[i].tenant
 		for t := 0; t < shardTenants; t++ {
 			rate := "-"
 			if ms := float64(r.done[t]) / float64(sim.Millisecond); ms > 0 {

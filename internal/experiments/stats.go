@@ -78,7 +78,7 @@ type runCtx struct {
 	// sem is the cross-experiment trial budget: a worker holds one slot
 	// for the duration of each trial, so the total number of in-flight
 	// trials across every overlapped experiment never exceeds the -procs
-	// setting. nil means the run is not sharing a budget and forEach's own
+	// setting. nil means the run is not sharing a budget and trials' own
 	// worker bound (Parallelism) is the only limit.
 	sem chan struct{}
 }

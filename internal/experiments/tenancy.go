@@ -31,8 +31,7 @@ func tenantInterference(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		"CPU-driven baseline's tail inflates by multiples (§2.2)."}
 	names := protocol.Names()
 	// One trial per (protocol, load).
-	hists := make([]*metrics.Histogram, len(names)*len(loads))
-	if err := forEach(rc, len(hists), func(j int, ar *trialArena) error {
+	hists, err := trials(rc, len(names)*len(loads), func(j int, ar *trialArena) (*metrics.Histogram, error) {
 		name, perCore := names[j/len(loads)], loads[j%len(loads)]
 		d, err := deploy(ar, topo.Spec{Seed: seed, Cores: tiCores, TenantsPerCore: perCore}, name, protocol.Params{
 			OpTimeout:    20 * sim.Millisecond,
@@ -40,18 +39,18 @@ func tenantInterference(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 			RetryBackoff: 50 * sim.Microsecond,
 		})
 		if err != nil {
-			return fmt.Errorf("%s load=%d: %w", name, perCore, err)
+			return nil, fmt.Errorf("%s load=%d: %w", name, perCore, err)
 		}
 		h, err := d.runLatency(ops, func(f *sim.Fiber, i int) error {
 			return d.group.Write(f, (i%128)*2048, 1024, true)
 		})
 		if err != nil {
-			return fmt.Errorf("%s load=%d: %w", name, perCore, err)
+			return nil, fmt.Errorf("%s load=%d: %w", name, perCore, err)
 		}
 		d.group.Close()
-		hists[j] = h
-		return nil
-	}); err != nil {
+		return h, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

@@ -192,7 +192,7 @@ func (r *Runner) Run(f *sim.Fiber, db DB) (*Result, error) {
 		case OpModify:
 			err = db.ReadModifyWrite(f, r.gen.Next(r.keys), r.value())
 		case OpScan:
-			n := 1 + r.rng.Intn(maxInt(r.cfg.Workload.MaxScanLen, 1))
+			n := 1 + r.rng.Intn(max(r.cfg.Workload.MaxScanLen, 1))
 			err = db.Scan(f, r.gen.Next(r.keys), n)
 		}
 		lat := f.Now().Sub(start)
@@ -208,11 +208,4 @@ func (r *Runner) Run(f *sim.Fiber, db DB) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
