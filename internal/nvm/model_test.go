@@ -8,12 +8,14 @@ import (
 
 // flatDevice is the reference FuzzDeviceModel holds Device to: two eager
 // full-size images and a byte-exact dirty set, as Device was before page
-// tables, plus which pages a store has reached in each image, which is
-// what ResidentBytes must count.
+// tables and pre-images, plus what ResidentBytes must count: which pages a
+// store has reached in the current image, which pages hold a pre-image
+// page, and the most that have held one at once since the last reset.
 type flatDevice struct {
-	current, durable   []byte
-	curPages, durPages []bool
-	dirty              RangeSet
+	current, durable  []byte
+	curPages, preHeld []bool
+	preHigh           int
+	dirty             RangeSet
 
 	writes, flushes, crashes int64
 }
@@ -22,7 +24,7 @@ func newFlatDevice(size int) *flatDevice {
 	pages := (size + pageSize - 1) / pageSize
 	return &flatDevice{
 		current: make([]byte, size), durable: make([]byte, size),
-		curPages: make([]bool, pages), durPages: make([]bool, pages),
+		curPages: make([]bool, pages), preHeld: make([]bool, pages),
 	}
 }
 
@@ -36,8 +38,22 @@ func markPages(pages []bool, lo, hi int) {
 	}
 }
 
-// store is Write and Copy: src is copied with memmove semantics.
+// store is Write and Copy: src is copied with memmove semantics. A page
+// takes a pre-image page when the store makes dirty a byte whose durable
+// value is non-zero, unless the page holds one already.
 func (m *flatDevice) store(off int, src []byte) {
+	for b := off; b < off+len(src); b++ {
+		if !m.dirty.Contains(b, b+1) && m.durable[b] != 0 {
+			m.preHeld[b/pageSize] = true
+		}
+	}
+	held := 0
+	for _, h := range m.preHeld {
+		if h {
+			held++
+		}
+	}
+	m.preHigh = max(m.preHigh, held)
 	copy(m.current[off:], src)
 	if len(src) > 0 {
 		markPages(m.curPages, off, off+len(src))
@@ -50,10 +66,12 @@ func (m *flatDevice) flush(off, n int) int {
 	flushed := 0
 	for _, r := range m.dirty.Intersect(off, off+n) {
 		copy(m.durable[r.Lo:r.Hi], m.current[r.Lo:r.Hi])
-		markPages(m.durPages, r.Lo, r.Hi)
 		flushed += r.Hi - r.Lo
 	}
 	m.dirty.Remove(off, off+n)
+	for p := range m.preHeld { // a page with no dirty byte needs no pre-image
+		m.preHeld[p] = m.preHeld[p] && len(m.dirty.Intersect(p*pageSize, (p+1)*pageSize)) > 0
+	}
 	if flushed > 0 {
 		m.flushes++
 	}
@@ -63,6 +81,7 @@ func (m *flatDevice) flush(off, n int) int {
 func (m *flatDevice) crash() {
 	copy(m.current, m.durable)
 	m.dirty.Clear()
+	clear(m.preHeld)
 	m.crashes++
 }
 
@@ -70,13 +89,13 @@ func (m *flatDevice) reset() {
 	*m = *newFlatDevice(len(m.current))
 }
 
+// residentBytes is the current pages plus every pre-image page the device
+// has allocated: a page it no longer needs waits on a spare list, so that
+// is the most held at once.
 func (m *flatDevice) residentBytes() int {
-	n := 0
-	for p := range m.curPages {
-		if m.curPages[p] {
-			n += pageSize
-		}
-		if m.durPages[p] {
+	n := m.preHigh * pageSize
+	for _, c := range m.curPages {
+		if c {
 			n += pageSize
 		}
 	}
@@ -117,6 +136,29 @@ var modelScripts = map[string][][modelOpSize]byte{
 		{4, 4, 0, 0, 0, 129, 0},      // flush 64 bytes from page 1's start
 		{5, 0, 0, 0, 0, 0, 0},
 		{6, 4, 0x80, 0, 0, 16, 0},
+	},
+	"rewrite flushed bytes across a boundary, partial flush, crash": {
+		{0, 4, 0x80, 0, 0, 16, 0xAA}, // 512 bytes from 128 before page 1
+		{4, 0, 0, 0, 0, 254, 0},      // flush them
+		{0, 4, 0xC0, 0, 0, 8, 0x11},  // rewrite 256 from 64 before page 1: both pages take a pre-image
+		{4, 4, 0xE0, 0, 0, 129, 0},   // flush the 64 bytes around page 1's start
+		{6, 4, 0x80, 0, 0, 16, 0},
+		{4, 4, 0xC0, 0, 0, 129, 0}, // flush the rest of page 0: its pre-image goes spare
+		{5, 0, 0, 0, 0, 0, 0},
+		{6, 4, 0x80, 0, 0, 16, 0},
+	},
+	"a spare's stale bytes under zero pre-images": {
+		{0, 4, 0, 0, 0, 8, 0xAA},     // 256 bytes at page 1's start
+		{0, 9, 0, 0, 0, 8, 0x55},     // 256 bytes a quarter into page 2
+		{4, 0, 0, 0, 0, 254, 0},      // flush page 1
+		{4, 8, 0, 0, 0, 128, 0},      // flush page 2
+		{0, 4, 0, 0, 0, 8, 0x11},     // rewrite page 1's bytes: it takes a pre-image page
+		{4, 4, 0, 0, 0, 8, 0},        // flush them: the page goes spare, its bytes stale
+		{0, 8, 0, 0, 0, 2, 0x77},     // dirty over zeros at page 2's [0, 64): nothing recorded
+		{0, 8, 0x60, 0, 0, 2, 0x33},  // and at [96, 160)
+		{0, 8, 0x50, 0, 0, 66, 0x99}, // [80, 2192) over zeros, [96, 160), then the non-zero bytes
+		{5, 0, 0, 0, 0, 0, 0},        // the spare's stale bytes at [0, 160) must not come back
+		{6, 8, 0, 0, 0, 8, 0},
 	},
 	"overlapping copies both ways across a boundary": {
 		{0, 3, 0, 0, 0, 64, 0x11},   // 2 KiB from 3/4 of page 0

@@ -5,20 +5,23 @@
 // RDMA WRITEs land in the NIC/CPU cache hierarchy and are acknowledged
 // before reaching the durable medium; only a flush (triggered in HyperLoop
 // by a 0-byte RDMA READ to the same address) commits them. A power failure
-// (Crash) discards everything unflushed. The model keeps two images — the
-// current view and the durable image — plus the set of dirty ranges, exact
-// to the byte, so tests can assert exactly which bytes survive a crash.
-// Each image is a table of 4 KiB pages that exist only once the model
-// stores into them, so a device costs host memory in proportion to what
-// it touches, not to its size.
+// (Crash) discards everything unflushed. The model keeps one image — the
+// current view — plus the set of dirty ranges, exact to the byte, and the
+// pre-image of every dirty byte: the durable value a crash restores. A
+// clean byte's durable value is its current one, so nothing more is kept,
+// and tests can assert exactly which bytes survive a crash. The image is
+// a table of 4 KiB pages that exist only once the model stores into them,
+// so a device costs host memory in proportion to what it touches, not to
+// its size.
 package nvm
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 )
 
-// pageSize is the granularity at which a device allocates its images.
+// pageSize is the granularity at which a device allocates its pages.
 const pageSize = 4096
 
 type page [pageSize]byte
@@ -28,12 +31,19 @@ var zeroPage page
 
 // Device is one node's non-volatile memory. It is used only from
 // simulation (single-threaded) context and needs no locking.
+//
+// A page of pre holds the durable value of each dirty byte of that page;
+// its other bytes are stale and never read. A dirty byte whose page has no
+// pre-image page has durable value zero. A pre-image page is taken when a
+// store first makes a non-zero durable byte of its page dirty, and goes to
+// spare when a flush or crash leaves the page with no dirty byte.
 type Device struct {
 	name     string
 	size     int
 	current  []*page // latest view: durable bytes overlaid with cached writes
-	durable  []*page // what survives a crash; a page here has one in current
-	resident int     // bytes in the allocated pages of both images
+	pre      []*page // pre-images of dirty bytes; a page here has one in current
+	spare    []*page // pre-image pages no page holds, reused before allocating
+	resident int     // bytes in the allocated current, pre-image and spare pages
 	dirty    RangeSet
 	view     []byte // holds the last Slice that crossed a page boundary
 
@@ -42,14 +52,14 @@ type Device struct {
 	crashes int64
 }
 
-// NewDevice returns a zeroed device of the given size in bytes. No page of
-// either image exists until the model stores into it.
+// NewDevice returns a zeroed device of the given size in bytes. No page
+// exists until the model stores into it.
 func NewDevice(name string, size int) *Device {
 	pages := (size + pageSize - 1) / pageSize
-	return &Device{name: name, size: size, current: make([]*page, pages), durable: make([]*page, pages)}
+	return &Device{name: name, size: size, current: make([]*page, pages), pre: make([]*page, pages)}
 }
 
-// get returns page p of image t, or the zero page when it is absent.
+// get returns page p of table t, or the zero page when it is absent.
 func get(t []*page, p int) *page {
 	if t[p] == nil {
 		return &zeroPage
@@ -57,19 +67,91 @@ func get(t []*page, p int) *page {
 	return t[p]
 }
 
-// touch returns page p of image t, allocating it on first use.
-func (d *Device) touch(t []*page, p int) *page {
-	if t[p] == nil {
-		t[p] = new(page)
+// touch returns current page p, allocating it on first use.
+func (d *Device) touch(p int) *page {
+	if d.current[p] == nil {
+		d.current[p] = new(page)
 		d.resident += pageSize
 	}
-	return t[p]
+	return d.current[p]
 }
 
-// readImage copies image t at off into buf.
-func readImage(t []*page, off int, buf []byte) {
+// readImage copies the current image at off into buf.
+func (d *Device) readImage(off int, buf []byte) {
 	for n := 0; n < len(buf); {
-		n += copy(buf[n:], get(t, (off+n)/pageSize)[(off+n)%pageSize:])
+		n += copy(buf[n:], get(d.current, (off+n)/pageSize)[(off+n)%pageSize:])
+	}
+}
+
+// save records the pre-images a store over [lo, hi) needs, before it
+// overwrites current. d.dirty.rs[i:j] are the dirty ranges that overlap or
+// touch [lo, hi) (RangeSet.span); the bytes between them are clean, and a
+// clean byte's durable value is its current one.
+func (d *Device) save(i, j, lo, hi int) {
+	at := lo
+	for _, r := range d.dirty.rs[i:j] {
+		if r.Lo > at {
+			d.saveClean(lo, at, r.Lo)
+		}
+		at = max(at, r.Hi)
+	}
+	if at < hi {
+		d.saveClean(lo, at, hi)
+	}
+}
+
+// saveClean copies the clean bytes [a, b) of a store that starts at lo into
+// their pre-image pages. Nothing is recorded for an absent current page, or
+// for zero bytes of a page that has no pre-image page, since a dirty byte
+// there has durable value zero already.
+func (d *Device) saveClean(lo, a, b int) {
+	for a < b {
+		p, o := a/pageSize, a%pageSize
+		c := min(b-a, pageSize-o)
+		if cur := d.current[p]; cur != nil {
+			pre := d.pre[p]
+			if pre == nil && !bytes.Equal(cur[o:o+c], zeroPage[:c]) {
+				pre = d.takePre(p, max(lo, p*pageSize), a)
+			}
+			if pre != nil {
+				copy(pre[o:o+c], cur[o:o+c])
+			}
+		}
+		a += c
+	}
+}
+
+// takePre gives page p a pre-image page, a spare one when there is one.
+// Every byte of page p that is dirty, or that the store in progress made
+// dirty in [zlo, zhi) without recording it, has durable value zero; a
+// spare page holds stale bytes, so exactly those are cleared. The rest of
+// it stays stale: clearing all 4 KiB on every reuse made
+// BenchmarkDeviceRewriteFlush, the kv log's wrap, ~15 % slower.
+func (d *Device) takePre(p, zlo, zhi int) *page {
+	n := len(d.spare)
+	if n == 0 {
+		d.pre[p] = new(page)
+		d.resident += pageSize
+		return d.pre[p]
+	}
+	pg := d.spare[n-1]
+	d.spare[n-1] = nil // Reset drops pages through pre and spare[:len] only
+	d.spare = d.spare[:n-1]
+	base := p * pageSize
+	clear(pg[zlo-base : zhi-base])
+	i, j := d.dirty.overlap(base, base+pageSize)
+	for _, r := range d.dirty.rs[i:j] {
+		clear(pg[max(r.Lo, base)-base : min(r.Hi, base+pageSize)-base])
+	}
+	d.pre[p] = pg
+	return pg
+}
+
+// release hands page p's pre-image page, if any, to the spare list.
+func (d *Device) release(p int) {
+	if pg := d.pre[p]; pg != nil {
+		d.spare = append(d.spare, pg)
+		d.pre[p] = nil
 	}
 }
 
@@ -103,16 +185,17 @@ func (d *Device) check(off, n int) error {
 // subsequent reads but not durable until flushed. data must not be a view
 // of this device: Copy moves bytes within it.
 func (d *Device) Write(off int, data []byte) error {
-	if err := d.check(off, len(data)); err != nil {
+	if err := d.check(off, len(data)); err != nil || len(data) == 0 {
 		return err
 	}
+	end := off + len(data)
+	i, j := d.dirty.span(off, end)
+	d.save(i, j, off, end)
 	for n := 0; n < len(data); {
-		n += copy(d.touch(d.current, (off+n)/pageSize)[(off+n)%pageSize:], data[n:])
+		n += copy(d.touch((off + n) / pageSize)[(off+n)%pageSize:], data[n:])
 	}
-	if len(data) > 0 {
-		d.dirty.Insert(off, off+len(data))
-		d.writes++
-	}
+	d.dirty.merge(i, j, off, end)
+	d.writes++
 	return nil
 }
 
@@ -126,6 +209,8 @@ func (d *Device) Copy(dst, src, n int) error {
 	if err := d.check(dst, n); err != nil || n == 0 {
 		return err
 	}
+	i, j := d.dirty.span(dst, dst+n)
+	d.save(i, j, dst, dst+n)
 	// Piece by piece, each inside one source and one destination page, back
 	// to front when dst lies past src, so no piece reads what one wrote.
 	for k := 0; k < n; {
@@ -136,10 +221,10 @@ func (d *Device) Copy(dst, src, n int) error {
 			at = n - k - c
 		}
 		s, t := src+at, dst+at
-		copy(d.touch(d.current, t/pageSize)[t%pageSize:t%pageSize+c], get(d.current, s/pageSize)[s%pageSize:])
+		copy(d.touch(t / pageSize)[t%pageSize:t%pageSize+c], get(d.current, s/pageSize)[s%pageSize:])
 		k += c
 	}
-	d.dirty.Insert(dst, dst+n)
+	d.dirty.merge(i, j, dst, dst+n)
 	d.writes++
 	return nil
 }
@@ -149,17 +234,25 @@ func (d *Device) Read(off int, buf []byte) error {
 	if err := d.check(off, len(buf)); err != nil {
 		return err
 	}
-	readImage(d.current, off, buf)
+	d.readImage(off, buf)
 	return nil
 }
 
 // ReadDurable copies only the durable image at off into buf; it shows what
-// a post-crash recovery would see.
+// a post-crash recovery would see: the current image with each dirty byte's
+// pre-image laid over it.
 func (d *Device) ReadDurable(off int, buf []byte) error {
 	if err := d.check(off, len(buf)); err != nil {
 		return err
 	}
-	readImage(d.durable, off, buf)
+	d.readImage(off, buf)
+	i, j := d.dirty.overlap(off, off+len(buf))
+	for _, r := range d.dirty.rs[i:j] {
+		for a, b := max(r.Lo, off), min(r.Hi, off+len(buf)); a < b; {
+			p, o := a/pageSize, a%pageSize
+			a += copy(buf[a-off:b-off], get(d.pre, p)[o:])
+		}
+	}
 	return nil
 }
 
@@ -177,27 +270,33 @@ func (d *Device) Slice(off, n int) ([]byte, error) {
 		return get(d.current, p)[o : o+n : o+n], nil
 	}
 	d.view = slices.Grow(d.view[:0], n)[:n]
-	readImage(d.current, off, d.view)
+	d.readImage(off, d.view)
 	return d.view[:n:n], nil
 }
 
 // Flush commits all dirty bytes intersecting [off, off+n) to the durable
-// image and returns the number of bytes flushed.
+// image and returns the number of bytes flushed. It copies nothing: a
+// flushed byte is clean, so its durable value is its current one. A page
+// the flush leaves with no dirty byte hands its pre-image page to spare.
 func (d *Device) Flush(off, n int) (int, error) {
 	if err := d.check(off, n); err != nil {
 		return 0, err
 	}
+	end := off + n
 	flushed := 0
-	i, j := d.dirty.overlap(off, off+n)
+	i, j := d.dirty.overlap(off, end)
 	for _, r := range d.dirty.rs[i:j] {
-		for lo, hi := max(r.Lo, off), min(r.Hi, off+n); lo < hi; {
-			p, o := lo/pageSize, lo%pageSize
-			c := copy(d.touch(d.durable, p)[o:min(pageSize, o+hi-lo)], d.current[p][o:])
-			lo += c
-			flushed += c
+		lo, hi := max(r.Lo, off), min(r.Hi, end)
+		flushed += hi - lo
+		for p := lo / pageSize; p*pageSize < hi; p++ {
+			// Page p keeps a dirty byte only if one lies outside [off, end).
+			if base := p * pageSize; d.pre[p] != nil &&
+				!d.dirty.any(base, min(off, base+pageSize)) && !d.dirty.any(max(end, base), base+pageSize) {
+				d.release(p)
+			}
 		}
 	}
-	d.dirty.cut(i, j, off, off+n)
+	d.dirty.cut(i, j, off, end)
 	if flushed > 0 {
 		d.flushes++
 	}
@@ -211,12 +310,17 @@ func (d *Device) FlushAll() int {
 }
 
 // Crash simulates power loss: all unflushed writes are discarded and the
-// current view reverts to the durable image.
+// current view reverts to the durable image. Only the dirty ranges differ
+// from it, so only they are restored, each from its pre-image.
 func (d *Device) Crash() {
-	for p, c := range d.current {
-		if c != nil {
-			*c = *get(d.durable, p)
+	for _, r := range d.dirty.rs {
+		for a := r.Lo; a < r.Hi; {
+			p, o := a/pageSize, a%pageSize
+			a += copy(d.current[p][o:min(pageSize, o+r.Hi-a)], get(d.pre, p)[o:])
 		}
+	}
+	for p := range d.pre {
+		d.release(p)
 	}
 	d.dirty.Clear()
 	d.crashes++
@@ -225,19 +329,21 @@ func (d *Device) Crash() {
 // DirtyBytes returns the number of bytes written but not yet durable.
 func (d *Device) DirtyBytes() int { return d.dirty.Total() }
 
-// ResidentBytes returns the bytes held in the allocated pages of both
-// images — the host memory the device's contents take.
+// ResidentBytes returns the bytes held in the allocated current, pre-image
+// and spare pages — the host memory the device's contents take.
 func (d *Device) ResidentBytes() int { return d.resident }
 
-// Reset returns the device to the state NewDevice would produce — both
-// images all-zero, no dirty ranges, zeroed stats — by dropping every
+// Reset returns the device to the state NewDevice would produce — an
+// all-zero image, no dirty ranges, zeroed stats — by dropping every
 // allocated page and keeping the page tables, so a trial that touched 1 MB
 // of a 16 MB device pays for 1 MB, not 16. It returns the bytes dropped
 // (ResidentBytes before the call).
 func (d *Device) Reset() int {
 	n := d.resident
 	clear(d.current)
-	clear(d.durable)
+	clear(d.pre)
+	clear(d.spare)
+	d.spare = d.spare[:0]
 	d.dirty.Clear()
 	d.resident, d.writes, d.flushes, d.crashes = 0, 0, 0, 0
 	return n
@@ -256,26 +362,34 @@ type Region struct {
 	Len  int
 }
 
+// check is Device.check for region-relative [off, off+n), naming the region.
+func (r *Region) check(off, n int) error {
+	if off < 0 || n < 0 || off > r.Len-n { // off+n may overflow
+		return &BoundsError{Device: r.Dev.name + "/" + r.Name, Off: off, Len: n, Size: r.Len}
+	}
+	return nil
+}
+
 // Write stores data at region-relative offset off.
 func (r *Region) Write(off int, data []byte) error {
-	if off < 0 || off+len(data) > r.Len {
-		return &BoundsError{Device: r.Dev.name + "/" + r.Name, Off: off, Len: len(data), Size: r.Len}
+	if err := r.check(off, len(data)); err != nil {
+		return err
 	}
 	return r.Dev.Write(r.Off+off, data)
 }
 
 // Read copies the current view at region-relative offset off into buf.
 func (r *Region) Read(off int, buf []byte) error {
-	if off < 0 || off+len(buf) > r.Len {
-		return &BoundsError{Device: r.Dev.name + "/" + r.Name, Off: off, Len: len(buf), Size: r.Len}
+	if err := r.check(off, len(buf)); err != nil {
+		return err
 	}
 	return r.Dev.Read(r.Off+off, buf)
 }
 
 // Flush commits region-relative [off, off+n).
 func (r *Region) Flush(off, n int) (int, error) {
-	if off < 0 || off+n > r.Len {
-		return 0, &BoundsError{Device: r.Dev.name + "/" + r.Name, Off: off, Len: n, Size: r.Len}
+	if err := r.check(off, n); err != nil {
+		return 0, err
 	}
 	return r.Dev.Flush(r.Off+off, n)
 }
@@ -326,7 +440,7 @@ type RangeSet struct {
 }
 
 // search returns the index of the first range with Hi >= x, or len(s.rs).
-// Every Write pays it twice and every Flush once, so the loop is written
+// Every Write and every Flush pays it, so the loop is written
 // out: slices.BinarySearchFunc's comparison callback measured 15-25 %
 // slower on BenchmarkDeviceWriteScatter.
 func (s *RangeSet) search(x int) int {
@@ -355,17 +469,35 @@ func (s *RangeSet) overlap(lo, hi int) (i, j int) {
 	return i, j
 }
 
+// any reports whether some byte of [lo, hi) is in the set.
+func (s *RangeSet) any(lo, hi int) bool {
+	i, j := s.overlap(lo, hi)
+	return i < j
+}
+
 // Insert adds [lo, hi), merging with overlapping or adjacent ranges. A
 // range already covered merges into itself: one element rewritten, no shift.
 func (s *RangeSet) Insert(lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	i := s.search(lo) // first range that overlaps or touches [lo, hi) on the left
-	j := i
+	i, j := s.span(lo, hi)
+	s.merge(i, j, lo, hi)
+}
+
+// span returns the run s.rs[i:j] of ranges that overlap or touch [lo, hi),
+// which must not be empty: the ranges Insert merges it with.
+func (s *RangeSet) span(lo, hi int) (i, j int) {
+	i = s.search(lo) // first range that overlaps or touches [lo, hi) on the left
+	j = i
 	for j < len(s.rs) && s.rs[j].Lo <= hi {
 		j++
 	}
+	return i, j
+}
+
+// merge adds [lo, hi) given its run s.rs[i:j] from span.
+func (s *RangeSet) merge(i, j, lo, hi int) {
 	if i == j {
 		s.rs = slices.Insert(s.rs, i, Range{lo, hi})
 		return

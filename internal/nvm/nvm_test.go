@@ -3,6 +3,7 @@ package nvm
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -163,6 +164,33 @@ func TestRegionOffsets(t *testing.T) {
 	}
 	if _, err := r1.Flush(0, 3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegionBoundsNearMaxInt: off+len wraps past math.MaxInt, so a check
+// of the sum would pass; the region must reject the access itself, under
+// its own name and with the offset the caller gave.
+func TestRegionBoundsNearMaxInt(t *testing.T) {
+	a := NewAllocator(NewDevice("test", 4096))
+	if _, err := a.Alloc("head", 100); err != nil {
+		t.Fatal(err)
+	}
+	r, err := a.Alloc("log", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const off = math.MaxInt - 3
+	buf := make([]byte, 8)
+	_, flushErr := r.Flush(off, len(buf))
+	for op, err := range map[string]error{
+		"Write": r.Write(off, buf),
+		"Read":  r.Read(off, buf),
+		"Flush": flushErr,
+	} {
+		var be *BoundsError
+		if !errors.As(err, &be) || be.Device != "test/log" || be.Off != off || be.Len != len(buf) || be.Size != r.Len {
+			t.Errorf("%s at MaxInt-3: err = %v, want the region's BoundsError", op, err)
+		}
 	}
 }
 
@@ -417,7 +445,8 @@ func scatteredDevice(tb testing.TB) (*Device, []byte) {
 
 // TestWriteFlushSteadyStateAllocs pins the cost contract of the write
 // path: once a device's ranges are resident, neither re-writing one nor a
-// write+flush cycle over it allocates, however many ranges the device holds.
+// write+flush cycle over it allocates, however many ranges the device
+// holds — not even when the write must record pre-images.
 func TestWriteFlushSteadyStateAllocs(t *testing.T) {
 	d, data := scatteredDevice(t)
 	const off = 1000 * benchStride
@@ -434,11 +463,30 @@ func TestWriteFlushSteadyStateAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Write+Flush cycle: %v allocs/op, want 0", n)
 	}
-	if got, want := d.DirtyBytes(), (benchSlots-1)*benchValue; got != want {
+	// Rewriting flushed non-zero bytes records their pre-images in a page
+	// that each flush leaves clean, so it goes spare and the next write
+	// takes it back: the kv log's wrap. Slots 2000 and 2001 fill one page.
+	const at = 2000 * benchStride
+	rewrite := bytes.Repeat([]byte{0xA5}, benchValue)
+	if err := d.Write(at, rewrite); err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := d.Flush(at, pageSize); f != 2*benchValue {
+		t.Fatalf("flushed %d bytes, want %d", f, 2*benchValue)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = d.Write(at, rewrite)
+		if f, _ := d.Flush(at, len(rewrite)); f != len(rewrite) {
+			t.Fatalf("flushed %d bytes, want %d", f, len(rewrite))
+		}
+	}); n != 0 {
+		t.Errorf("rewrite-of-flushed-bytes+Flush cycle: %v allocs/op, want 0", n)
+	}
+	if got, want := d.DirtyBytes(), (benchSlots-3)*benchValue; got != want {
 		t.Errorf("DirtyBytes = %d, want %d", got, want)
 	}
 	if got, want := d.ResidentBytes(), (benchSlots*benchStride/pageSize+1)*pageSize; got != want {
-		t.Errorf("ResidentBytes = %d, want %d (every current page, one durable)", got, want)
+		t.Errorf("ResidentBytes = %d, want %d (every current page, one spare pre-image)", got, want)
 	}
 	// A gMEMCPY and a view that each straddle a page boundary.
 	src, dst := 1001*benchStride+1536, 1003*benchStride+1536

@@ -1,10 +1,11 @@
 package nvm
 
 // PoolStats counts a DevicePool's allocation and reset work. BytesZeroed
-// is the zeroing actually performed: the pages trials allocated (each is
-// zero-filled when created), counted when Put drops them; BytesDemand is
-// what two eager full-size images per Get would have zeroed, so
-// BytesZeroed/BytesDemand is the fraction of setup zeroing that remains.
+// is the zeroing actually performed: the current, pre-image and spare
+// pages trials allocated (each is zero-filled when created), counted when
+// Put drops them; BytesDemand is what two eager full-size images per Get
+// (a current and a durable one, as devices once kept) would have zeroed,
+// so BytesZeroed/BytesDemand is the fraction of setup zeroing that remains.
 type PoolStats struct {
 	Gets   int64
 	Puts   int64

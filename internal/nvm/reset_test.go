@@ -96,24 +96,30 @@ func TestDeviceResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestResetZeroesOnlyWritten pins the cost model: Reset drops the pages
-// the device allocated in both images, not 2x the device size.
+// TestResetZeroesOnlyWritten pins the cost model: Reset drops the current
+// and pre-image pages the device allocated, not 2x the device size.
 func TestResetZeroesOnlyWritten(t *testing.T) {
 	d := NewDevice("r", 1<<20)
-	if err := d.Write(100, make([]byte, 50)); err != nil {
+	if err := d.Write(100, bytes.Repeat([]byte{1}, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Write(120, make([]byte, 100)); err != nil { // overlaps: union is [100,220)
+	if err := d.Write(120, bytes.Repeat([]byte{2}, 100)); err != nil { // overlaps: union is [100,220)
 		t.Fatal(err)
 	}
 	if _, err := d.Flush(0, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Write(2*pageSize-10, make([]byte, 20)); err != nil { // pages 1 and 2, unflushed
+	if err := d.Write(2*pageSize-10, bytes.Repeat([]byte{3}, 20)); err != nil { // pages 1 and 2, unflushed
+		t.Fatal(err)
+	}
+	if got, want := d.ResidentBytes(), 3*pageSize; got != want {
+		t.Fatalf("ResidentBytes = %d, want %d (three current pages)", got, want)
+	}
+	if err := d.Write(150, bytes.Repeat([]byte{4}, 10)); err != nil { // over flushed non-zero bytes
 		t.Fatal(err)
 	}
 	if got, want := d.ResidentBytes(), 4*pageSize; got != want {
-		t.Fatalf("ResidentBytes = %d, want %d", got, want)
+		t.Fatalf("ResidentBytes = %d, want %d (three current pages, one pre-image)", got, want)
 	}
 	if got, want := d.Reset(), 4*pageSize; got != want {
 		t.Fatalf("Reset dropped %d bytes, want %d", got, want)
@@ -127,8 +133,8 @@ func TestResetZeroesOnlyWritten(t *testing.T) {
 }
 
 // TestResetClearsFlushedAndCrashed covers the subtle path: bytes that were
-// flushed (live in durable) or crash-restored (copied back into current)
-// still sit in allocated pages, so Reset must clear both images.
+// flushed or crash-restored still sit in allocated pages, so Reset must
+// clear both the current image and the durable one.
 func TestResetClearsFlushedAndCrashed(t *testing.T) {
 	d := NewDevice("fc", 256)
 	if err := d.Write(0, []byte{1, 2, 3}); err != nil {

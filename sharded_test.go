@@ -54,6 +54,46 @@ func TestIdleShardGroupHeap(t *testing.T) {
 	c.Close()
 }
 
+// TestLoadedShardGroupHeap pins what a full shard group costs in Go heap:
+// every NIC of the group holds the bytes stored on it once, in its current
+// image. A clean byte's durable value is its current one, so a flushed page
+// is not held a second time.
+func TestLoadedShardGroupHeap(t *testing.T) {
+	const shards, replicas, slots, slotSize = 8, 2, 64, 4096
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := NewShardedCluster(ShardedClusterConfig{
+		Seed: 1, Shards: shards, ReplicasPerShard: replicas,
+		Routing: ShardRoutingConfig{Policy: ShardRange, Keys: shards * slots, SlotSize: slotSize, SlotsPerShard: slots},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := c.Router()
+	val := bytes.Repeat([]byte{0x5A}, slotSize)
+	if err := c.Run(func(f *Fiber) error {
+		for k := uint64(0); k < shards*slots; k++ {
+			if err := r.Put(f, k, val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	perGroup := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / shards
+	stored := int64(slots * slotSize) // per NIC
+	t.Logf("%d full shard groups: %d KiB of heap each, %d KiB stored per NIC", shards, perGroup>>10, stored>>10)
+	if limit := (replicas + 1) * stored * 3 / 2; perGroup > limit {
+		t.Errorf("a full shard group holds %d KiB of heap, want <= %d KiB", perGroup>>10, limit>>10)
+	}
+}
+
 func TestShardedFacadeFlow(t *testing.T) {
 	c, err := NewShardedCluster(ShardedClusterConfig{
 		Seed:             7,
