@@ -10,7 +10,7 @@
 #           txn/shard hot paths, coverage floors, baseline-staleness and
 #           protocol-conformance suites
 #   fuzz    short fuzz runs over the WQE decoder, the device against its
-#           flat reference, device reset, fault plan validation and the
+#           flat reference, the range set, fault plan validation and the
 #           event queue's pop order
 #   bench   determinism goldens across a seed matrix (serial vs
 #           overlapped, every experiment and claim scenario plus a
@@ -149,8 +149,8 @@ stage_lint() {
 
 # ---------- test ----------
 
-# Coverage floors. nvm's page tables and ring's log are what device
-# pooling leans on for correctness; internal/experiments holds the claim
+# Coverage floors. nvm's page tables and ring's log are what every
+# durability claim leans on for correctness; internal/experiments holds the claim
 # scenarios, the claim-validation surface; the shard router is the cross-shard atomicity
 # surface (2PC lock ordering, abort rollback, recovery); protocol.Group is
 # the one issue path of every replication protocol.
@@ -267,8 +267,7 @@ stage_test() {
 
 # Short fuzz runs: arbitrary 64-byte WQE slots through a live send ring,
 # arbitrary page-straddling workloads through the page-table Device and a
-# flat two-image reference side by side, arbitrary workloads through
-# Device.Reset-equals-fresh, arbitrary
+# flat two-image reference side by side, arbitrary
 # insert/remove sequences through RangeSet against a boolean model,
 # arbitrary fault schedules through FaultPlan.Validate (accepted plans
 # must then survive installation on a live fabric), and arbitrary
@@ -279,8 +278,6 @@ stage_fuzz() {
         -fuzz=FuzzWQEDecode -fuzztime=10s
     step "fuzz device model" go test ./internal/nvm -run='^$' \
         -fuzz=FuzzDeviceModel -fuzztime=10s
-    step "fuzz device reset" go test ./internal/nvm -run='^$' \
-        -fuzz=FuzzDeviceReset -fuzztime=10s
     step "fuzz range set" go test ./internal/nvm -run='^$' \
         -fuzz=FuzzRangeSetModel -fuzztime=10s
     step "fuzz fault plan" go test ./internal/rdma -run='^$' \

@@ -24,8 +24,6 @@ func sample() report.BenchReport {
 		Experiments: []report.ExpStats{{
 			ID: "fig8a", Report: "== fig8a ==\np50 1.2us\n",
 			SimEvents: 1000, CQEs: 50, Messages: 60, WireBytes: 4096,
-			DeviceGets: 4, DevicePuts: 4, DeviceBytesDemand: 1 << 20,
-			KernelGets: 4, FabricBuilds: 4,
 		}},
 	}
 }

@@ -104,17 +104,12 @@ func run(args []string) error {
 		s := r.Stats
 		text := r.Report.String()
 		bench.Experiments = append(bench.Experiments, report.ExpStats{
-			ID:                r.ID,
-			Report:            text,
-			SimEvents:         s.SimEvents,
-			CQEs:              s.CQEs,
-			Messages:          s.Messages,
-			WireBytes:         s.WireBytes,
-			DeviceGets:        s.DeviceGets,
-			DevicePuts:        s.DevicePuts,
-			DeviceBytesDemand: s.DeviceBytesDemand,
-			KernelGets:        s.KernelGets,
-			FabricBuilds:      s.FabricBuilds,
+			ID:        r.ID,
+			Report:    text,
+			SimEvents: s.SimEvents,
+			CQEs:      s.CQEs,
+			Messages:  s.Messages,
+			WireBytes: s.WireBytes,
 		})
 		fmt.Println(text)
 		fmt.Printf("(%s regenerated in %v wall time)\n\n", r.ID, r.Wall.Round(time.Millisecond))

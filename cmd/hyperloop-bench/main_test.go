@@ -78,7 +78,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("experiments = %+v, want one abl-flush entry", rep.Experiments)
 	}
 	e := rep.Experiments[0]
-	if e.SimEvents <= 0 || e.KernelGets <= 0 || e.DeviceGets <= 0 {
+	if e.SimEvents <= 0 {
 		t.Fatalf("stats not populated: %+v", e)
 	}
 	if e.CQEs <= 0 || e.Messages <= 0 || e.WireBytes <= 0 {

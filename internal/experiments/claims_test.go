@@ -129,7 +129,7 @@ func TestScenarioDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deterministicStats(a.counters) != deterministicStats(b.counters) {
+	if a.counters != b.counters {
 		t.Fatalf("counters differ across identical runs:\n%+v\n%+v", a.counters, b.counters)
 	}
 	if a.findings() != b.findings() {
@@ -139,7 +139,7 @@ func TestScenarioDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deterministicStats(c.counters) == deterministicStats(a.counters) {
+	if c.counters == a.counters {
 		t.Fatal("different seeds produced identical counters — seed not wired through")
 	}
 }

@@ -30,10 +30,10 @@ func Parallelism() int {
 // trials runs trial(0..n-1) for the experiment run rc and returns their
 // results in index order; it is how every experiment and scenario runs a
 // trial. Trials run on up to Parallelism() workers, each holding one slot
-// of rc's shared cross-experiment budget (when rc carries one) and one
-// arena checked out of the package pool for exactly the trial's duration:
-// the trial builds its cluster/kernel/devices/fabric through the arena,
-// and releasing it attributes the trial's counters to rc's sink. With one
+// of rc's shared cross-experiment budget (when rc carries one) for the
+// trial's duration. Every trial gets a new arena: it builds its racks'
+// kernels and fabrics through it, fresh, and when it ends the arena
+// attributes their counters to rc's sink. With one
 // worker the trials run serially and stop at the first failure. When
 // several trials fail, the error of the lowest index is returned — the
 // one the serial loop would have hit first — so error reporting is
@@ -43,8 +43,8 @@ func trials[T any](rc *runCtx, n int, trial func(i int, ar *trialArena) (T, erro
 	run := func(i int) error {
 		rc.acquire()
 		defer rc.release()
-		ar := acquireArena()
-		defer releaseArena(ar, rc)
+		ar := &trialArena{}
+		defer ar.endTrial(rc) // a failed trial is still attributed
 		var err error
 		out[i], err = trial(i, ar)
 		return err

@@ -2,19 +2,10 @@ package experiments
 
 import (
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
-
-// deterministicStats strips the scheduling-dependent fields of a sink —
-// the pools' fresh/reused splits and the zeroing actually performed —
-// leaving only the counters that must be byte-identical at any -procs
-// setting and under any experiment overlap.
-func deterministicStats(s StatSink) StatSink {
-	s.DeviceFresh, s.DeviceReused, s.DeviceBytesZeroed = 0, 0, 0
-	s.KernelFresh, s.KernelReused = 0, 0
-	s.FabricReused = 0
-	return s
-}
 
 // TestOverlappedVsSerialIdentical is the tentpole's golden test: the
 // two-level scheduler must overlap experiments without moving a single
@@ -62,7 +53,7 @@ func TestOverlappedVsSerialIdentical(t *testing.T) {
 				t.Errorf("procs=%d %s: report differs from serial run:\n--- overlapped ---\n%s\n--- serial ---\n%s",
 					p, r.ID, got, want)
 			}
-			if got, want := deterministicStats(r.Stats), deterministicStats(serial[i].Stats); got != want {
+			if got, want := r.Stats, serial[i].Stats; got != want {
 				t.Errorf("procs=%d %s: attributed counters differ from serial run:\noverlapped: %+v\nserial:     %+v",
 					p, r.ID, got, want)
 			}
@@ -74,17 +65,44 @@ func TestOverlappedVsSerialIdentical(t *testing.T) {
 }
 
 // TestRunAllSharesOneBudget pins the property the shared semaphore exists
-// for: however many experiments are open, in-flight trials — and so the
-// arenas ever checked out at once — never exceed the budget. Starting from
-// an empty arena pool, three overlapped multi-trial experiments at budget
-// 2 may create at most 2 arenas, and results come back in ids order.
+// for: however many experiments are open, in-flight trials never exceed
+// the budget. Three runs share one budget of 2, as RunAll's overlapped
+// experiments do, while each would run 4 workers on its own; at most 2 of
+// their trials may be in flight at once. Then RunAll over three
+// multi-trial experiments at budget 2 must return results in ids order.
 func TestRunAllSharesOneBudget(t *testing.T) {
-	prev := SetParallelism(2)
+	prev := SetParallelism(4)
 	defer SetParallelism(prev)
-	arenas.mu.Lock()
-	arenas.free, arenas.all = nil, nil
-	arenas.mu.Unlock()
+	sem := make(chan struct{}, 2)
+	var mu sync.Mutex
+	inFlight, peak := 0, 0
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := trials(&runCtx{sem: sem}, 8, func(int, *trialArena) (struct{}, error) {
+				mu.Lock()
+				inFlight++
+				peak = max(peak, inFlight)
+				mu.Unlock()
+				time.Sleep(200 * time.Microsecond)
+				mu.Lock()
+				inFlight--
+				mu.Unlock()
+				return struct{}{}, nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if peak > 2 {
+		t.Fatalf("%d trials in flight under a budget of 2", peak)
+	}
 
+	SetParallelism(2)
 	ids := []string{"fig8b", "table2", "abl-depth"}
 	res, err := RunAll(ids, 1, Quick)
 	if err != nil {
@@ -94,14 +112,6 @@ func TestRunAllSharesOneBudget(t *testing.T) {
 		if r.ID != ids[i] {
 			t.Errorf("result %d is %s, want %s (ids order)", i, r.ID, ids[i])
 		}
-	}
-	arenas.mu.Lock()
-	defer arenas.mu.Unlock()
-	if n := len(arenas.all); n < 1 || n > 2 {
-		t.Fatalf("%d arenas created under a budget of 2", n)
-	}
-	if len(arenas.free) != len(arenas.all) {
-		t.Fatalf("%d of %d arenas still checked out after RunAll", len(arenas.all)-len(arenas.free), len(arenas.all))
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // hundreds of independent replication groups (SR-IOV style — many NICs
 // per server, one per shard replica), owned by shardTenants tenants with
 // zipfian-skewed load. Small mirrors and shallow rings keep a
-// 100-group × 3-NIC trial inside one pooled arena.
+// 100-group × 3-NIC trial small in host memory.
 const (
 	shardReplicas  = 2
 	shardServers   = 16

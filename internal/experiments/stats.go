@@ -3,19 +3,12 @@ package experiments
 import "sync"
 
 // StatSink accumulates the simulation counters attributed to exactly one
-// experiment run. Attribution is local, not global: every trial owns a
-// private kernel and fabric whose counters rewind when the arena checks
-// them out, and endTrial folds the trial's deltas into the sink of the
-// experiment that ran the trial. Two overlapped experiments therefore
-// never scramble each other's numbers — each sink reads the same as it
-// would had its experiment run alone (TestStatAttributionOverlapped).
-//
-// Deterministic fields — identical at any parallelism and any overlap:
-// SimEvents, CQEs, Messages, WireBytes, Drops, Dups, and the demand-side
-// arena counters (DeviceGets, DevicePuts, DeviceBytesDemand, KernelGets,
-// FabricBuilds). Supply-side splits (Fresh vs Reused, BytesZeroed) depend
-// on which worker's pools happened to be warm; the arena tests read them,
-// no report does.
+// experiment run. Attribution is local, not global: every trial builds
+// private kernels and fabrics through its own arena, and endTrial folds
+// their counters into the sink of the experiment that ran the trial. Two
+// overlapped experiments therefore never scramble each other's numbers —
+// each sink reads the same as it would had its experiment run alone, at
+// any parallelism (TestStatAttributionUnderOverlap).
 type StatSink struct {
 	// SimEvents counts simulation events executed by the run's trial
 	// kernels; CQEs, Messages and WireBytes are the trial fabrics' totals,
@@ -27,22 +20,12 @@ type StatSink struct {
 	Drops     int64
 	Dups      int64
 
-	// Arena counters for the run's trials. Gets/Puts/BytesDemand count
-	// what trials asked for (deterministic); Fresh/Reused/BytesZeroed
-	// count how the pools happened to serve it.
-	DeviceGets        int64
-	DevicePuts        int64
-	DeviceFresh       int64
-	DeviceReused      int64
-	DeviceBytesZeroed int64
-	DeviceBytesDemand int64
-
-	KernelGets   int64
-	KernelFresh  int64
-	KernelReused int64
-
-	FabricBuilds int64
-	FabricReused int64
+	// LiveFibers and ParkedRunners count the fibers still alive and the
+	// runner goroutines still parked on the trial kernels when their
+	// trials ended. Both are leak checks: zero in every run
+	// (TestArenaNoLeaks), and no report prints them.
+	LiveFibers    int64
+	ParkedRunners int64
 }
 
 // add folds one trial's counters into the sink.
@@ -53,17 +36,8 @@ func (s *StatSink) add(t StatSink) {
 	s.WireBytes += t.WireBytes
 	s.Drops += t.Drops
 	s.Dups += t.Dups
-	s.DeviceGets += t.DeviceGets
-	s.DevicePuts += t.DevicePuts
-	s.DeviceFresh += t.DeviceFresh
-	s.DeviceReused += t.DeviceReused
-	s.DeviceBytesZeroed += t.DeviceBytesZeroed
-	s.DeviceBytesDemand += t.DeviceBytesDemand
-	s.KernelGets += t.KernelGets
-	s.KernelFresh += t.KernelFresh
-	s.KernelReused += t.KernelReused
-	s.FabricBuilds += t.FabricBuilds
-	s.FabricReused += t.FabricReused
+	s.LiveFibers += t.LiveFibers
+	s.ParkedRunners += t.ParkedRunners
 }
 
 // runCtx is one experiment run's identity: the sink its trials report

@@ -7,9 +7,9 @@ import (
 
 // TestStatAttributionUnderOverlap runs two experiments alone, then again
 // concurrently over one shared trial budget, and checks each experiment's
-// StatSink reads the same both ways: sim events, CQEs, messages, wire
-// bytes, and the arena demand counters all belong to exactly one
-// experiment, never to whichever run happened to share the machine.
+// StatSink reads the same both ways: sim events, CQEs, messages and wire
+// bytes all belong to exactly one experiment, never to whichever run
+// happened to share the machine.
 func TestStatAttributionUnderOverlap(t *testing.T) {
 	prev := SetParallelism(2)
 	defer SetParallelism(prev)
@@ -33,9 +33,7 @@ func TestStatAttributionUnderOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range overlapped {
-		want := deterministicStats(alone[r.ID])
-		got := deterministicStats(r.Stats)
-		if got != want {
+		if got, want := r.Stats, alone[r.ID]; got != want {
 			t.Errorf("%s: overlapped sink differs from solo run:\noverlapped: %+v\nsolo:       %+v", r.ID, got, want)
 		}
 	}
@@ -44,10 +42,10 @@ func TestStatAttributionUnderOverlap(t *testing.T) {
 // TestStatSinkAdd checks the trial-to-sink accumulation arithmetic.
 func TestStatSinkAdd(t *testing.T) {
 	var s StatSink
-	s.add(StatSink{SimEvents: 3, CQEs: 2, DeviceGets: 1, FabricBuilds: 1})
-	s.add(StatSink{SimEvents: 4, Messages: 5, WireBytes: 640, KernelGets: 2})
+	s.add(StatSink{SimEvents: 3, CQEs: 2, Drops: 1, LiveFibers: 1})
+	s.add(StatSink{SimEvents: 4, Messages: 5, WireBytes: 640, Dups: 2, ParkedRunners: 3})
 	want := StatSink{SimEvents: 7, CQEs: 2, Messages: 5, WireBytes: 640,
-		DeviceGets: 1, KernelGets: 2, FabricBuilds: 1}
+		Drops: 1, Dups: 2, LiveFibers: 1, ParkedRunners: 3}
 	if s != want {
 		t.Fatalf("sink = %+v, want %+v", s, want)
 	}

@@ -263,7 +263,10 @@ func decodeCheckpoint(img []byte) ([]Pair, error) {
 }
 
 // Checkpoint serializes the memtable into the replicated data region and
-// truncates the log — the off-critical-path sync of §5.1.
+// truncates the log. It runs inline on the caller's fiber: mutate calls it
+// on the Put or Delete whose Append meets txn.ErrLogFull (and after every
+// CheckpointEvery mutations when that is set), so that op waits for the
+// whole checkpoint. This store has no off-critical-path sync like §5.1's.
 func (db *DB) Checkpoint(f *sim.Fiber) error {
 	img := db.encodeCheckpoint()
 	if len(img) > db.cfg.DataSize {

@@ -26,7 +26,7 @@ func BenchmarkDeviceWriteSeq(b *testing.B) {
 		slot := i % benchSlots
 		if slot == 0 && i > 0 {
 			b.StopTimer()
-			d.Reset()
+			d = NewDevice(d.Name(), d.Size())
 			b.StartTimer()
 		}
 		if err := d.Write(slot*benchValue, data); err != nil {
@@ -47,7 +47,7 @@ func BenchmarkDeviceWriteScatter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i%benchSlots == 0 && i > 0 {
 			b.StopTimer()
-			d.Reset()
+			d = NewDevice(d.Name(), d.Size())
 			b.StartTimer()
 		}
 		if err := d.Write(order[i%benchSlots]*benchStride, data); err != nil {

@@ -10,7 +10,7 @@ import (
 // full-size images and a byte-exact dirty set, as Device was before page
 // tables and pre-images, plus what ResidentBytes must count: which pages a
 // store has reached in the current image, which pages hold a pre-image
-// page, and the most that have held one at once since the last reset.
+// page, and the most that have held one at once.
 type flatDevice struct {
 	current, durable  []byte
 	curPages, preHeld []bool
@@ -85,10 +85,6 @@ func (m *flatDevice) crash() {
 	m.crashes++
 }
 
-func (m *flatDevice) reset() {
-	*m = *newFlatDevice(len(m.current))
-}
-
 // residentBytes is the current pages plus every pre-image page the device
 // has allocated: a page it no longer needs waits on a spare list, so that
 // is the most held at once.
@@ -125,7 +121,7 @@ func decodeModelOp(b []byte) modelOp {
 	if b[5]&1 == 1 {
 		n = int(b[5] >> 1)
 	}
-	return modelOp{kind: b[0] % 8, off: at(b[1], b[2]), src: at(b[3], b[4]), n: n, val: b[6]}
+	return modelOp{kind: b[0] % 7, off: at(b[1], b[2]), src: at(b[3], b[4]), n: n, val: b[6]}
 }
 
 // modelScripts name straddling sequences the fuzzer would otherwise reach
@@ -167,13 +163,12 @@ var modelScripts = map[string][][modelOpSize]byte{
 		{3, 8, 0xFE, 4, 0xFE, 9, 0}, // 4 bytes, each side straddling a boundary
 		{2, 3, 0x40, 0, 0, 64, 0},
 	},
-	"copy from an absent page, then reset": {
+	"copy from an absent page, then view absent pages": {
 		{3, 4, 0xF0, 9, 0, 32, 0},
 		{4, 0, 0, 0, 0, 254, 0},
 		{1, 4, 0xF0, 0, 0, 32, 0},
-		{7, 0, 0, 0, 0, 0, 0},
-		{2, 4, 0xF0, 0, 0, 32, 0}, // assembled from absent pages
-		{2, 5, 0, 0, 0, 32, 0},    // in place, through the zero page
+		{2, 12, 0xF0, 0, 0, 32, 0}, // assembled from absent pages
+		{2, 9, 0, 0, 0, 32, 0},     // in place, through the zero page
 	},
 	"out of bounds at the partial last page": {
 		{0, 12, 0x70, 0, 0, 64, 1},
@@ -185,7 +180,7 @@ var modelScripts = map[string][][modelOpSize]byte{
 }
 
 // FuzzDeviceModel drives Device and flatDevice side by side through Write,
-// Read, Slice, Copy, Flush, Crash, ReadDurable and Reset, and after every
+// Read, Slice, Copy, Flush, Crash and ReadDurable, and after every
 // op compares the op's result and every observable: both images, the dirty
 // and resident footprints, and the counters.
 func FuzzDeviceModel(f *testing.F) {
@@ -244,12 +239,9 @@ func FuzzDeviceModel(f *testing.F) {
 			case 5:
 				d.Crash()
 				m.crash()
-			case 7:
-				d.Reset()
-				m.reset()
 			}
 			var be *BoundsError
-			if (err != nil && !errors.As(err, &be)) || (o.kind != 5 && o.kind != 7 && ok != (err == nil)) {
+			if (err != nil && !errors.As(err, &be)) || (o.kind != 5 && ok != (err == nil)) {
 				t.Fatalf("op %d %+v: err = %v, in bounds = %v", i/modelOpSize, o, err, ok)
 			}
 			if err := d.Read(0, img); err != nil || !bytes.Equal(img, m.current) {

@@ -135,7 +135,7 @@ func (d *Device) takePre(p, zlo, zhi int) *page {
 		return d.pre[p]
 	}
 	pg := d.spare[n-1]
-	d.spare[n-1] = nil // Reset drops pages through pre and spare[:len] only
+	d.spare[n-1] = nil
 	d.spare = d.spare[:n-1]
 	base := p * pageSize
 	clear(pg[zlo-base : zhi-base])
@@ -332,22 +332,6 @@ func (d *Device) DirtyBytes() int { return d.dirty.Total() }
 // ResidentBytes returns the bytes held in the allocated current, pre-image
 // and spare pages — the host memory the device's contents take.
 func (d *Device) ResidentBytes() int { return d.resident }
-
-// Reset returns the device to the state NewDevice would produce — an
-// all-zero image, no dirty ranges, zeroed stats — by dropping every
-// allocated page and keeping the page tables, so a trial that touched 1 MB
-// of a 16 MB device pays for 1 MB, not 16. It returns the bytes dropped
-// (ResidentBytes before the call).
-func (d *Device) Reset() int {
-	n := d.resident
-	clear(d.current)
-	clear(d.pre)
-	clear(d.spare)
-	d.spare = d.spare[:0]
-	d.dirty.Clear()
-	d.resident, d.writes, d.flushes, d.crashes = 0, 0, 0, 0
-	return n
-}
 
 // Stats reports operation counts.
 func (d *Device) Stats() (writes, flushes, crashes int64) {

@@ -394,6 +394,72 @@ func TestRangeSetModelProperty(t *testing.T) {
 	}
 }
 
+// TestRangeSetIntersectContainsProperty extends the bitmap-model property
+// to the read-side operations, over the scripted workloads (queried around
+// every endpoint they use) and random ones.
+func TestRangeSetIntersectContainsProperty(t *testing.T) {
+	type query struct{ Lo, Hi uint8 }
+	f := func(ops []rsOp, qs []query) bool {
+		var s RangeSet
+		model := make([]bool, 256)
+		for _, o := range ops {
+			applyRSOp(&s, model, o)
+		}
+		for _, q := range qs {
+			lo, hi := rsOp{Lo: q.Lo, Hi: q.Hi}.span()
+			covered, all := 0, true
+			for i := lo; i < hi; i++ {
+				if model[i] {
+					covered++
+				} else {
+					all = false
+				}
+			}
+			if s.Contains(lo, hi) != all {
+				return false
+			}
+			got := 0
+			prev := lo - 1
+			for _, r := range s.Intersect(lo, hi) {
+				if r.Lo <= prev || r.Hi <= r.Lo || r.Lo < lo || r.Hi > hi {
+					return false
+				}
+				prev = r.Hi
+				got += r.Hi - r.Lo
+				for i := r.Lo; i < r.Hi; i++ {
+					if !model[i] {
+						return false
+					}
+				}
+			}
+			if got != covered {
+				return false
+			}
+		}
+		return true
+	}
+	for name, ops := range rsScripts {
+		var pts []uint8
+		for _, o := range ops {
+			for _, p := range []uint8{o.Lo, o.Hi} {
+				pts = append(pts, p-1, p, p+1)
+			}
+		}
+		var qs []query
+		for _, a := range pts {
+			for _, b := range pts {
+				qs = append(qs, query{a, b})
+			}
+		}
+		if !f(ops, qs) {
+			t.Errorf("%s: Intersect/Contains diverged from model", name)
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzRangeSetModel decodes insert/remove ops from the input, three bytes
 // each, and compares the set with the boolean model after every op.
 func FuzzRangeSetModel(f *testing.F) {

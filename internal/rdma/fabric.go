@@ -73,9 +73,8 @@ type Fabric struct {
 	msgs        int64
 	// cqes counts completion-queue entries delivered across all of the
 	// fabric's CQs. Together with msgs/bytesOnWire these are the fabric's
-	// owned counters: they rewind on Reset, so a trial's fabric reports
-	// exactly that trial's work and an arena can attribute it to the
-	// experiment that ran the trial.
+	// owned counters: a trial's fabric reports exactly that trial's work,
+	// so an arena can attribute it to the experiment that ran the trial.
 	cqes int64
 
 	// bufs recycles payload scratch buffers. The fabric is single-threaded
@@ -83,25 +82,17 @@ type Fabric struct {
 	// has applied the message or the requester has consumed the response.
 	bufs *BufPool
 
-	// nicFree holds recycled NIC structs awaiting reuse by AddNIC after a
-	// Reset; their MR/QP/CQ map storage survives across trials.
-	nicFree []*NIC
-
-	// wireFree recycles in-flight wire-message structs (see wireMsg). Like
-	// nicFree it survives Reset: a pooled struct holds no trial state.
-	// Messages still in flight when a trial is cut short are dropped with
+	// wireFree recycles in-flight wire-message structs (see wireMsg).
+	// Messages still in flight when a run is cut short are dropped with
 	// the kernel's event queue and simply never return to the pool.
 	wireFree []*wireMsg
 
 	// Fault-injection state (see fault.go). faultRNG is forked from rng
 	// only when a plan is installed, so plan-free runs draw the exact RNG
-	// sequence they always did. All of it clears on Reset, including the
-	// scheduled NIC crash/restart timers — a plan armed for one trial must
-	// not fire into whatever runs on the kernel next.
-	faultLinks  []LinkFault
-	faultRNG    *sim.RNG
-	faultStats  FaultStats
-	faultTimers []*sim.Timer
+	// sequence they always did.
+	faultLinks []LinkFault
+	faultRNG   *sim.RNG
+	faultStats FaultStats
 }
 
 // bufClasses covers scratch buffers up to 1<<(bufClasses-1) = 32 MB;
@@ -109,8 +100,7 @@ type Fabric struct {
 const bufClasses = 26
 
 // BufPool recycles payload scratch buffers by power-of-two size class.
-// Every fabric owns one, and it survives Reset, so a pooled fabric keeps
-// its buffers across trials. Buffer contents are undefined — every user
+// Every fabric owns one. Buffer contents are undefined — every user
 // overwrites them fully — so reuse never changes behaviour.
 type BufPool struct {
 	classes [bufClasses][][]byte
@@ -206,66 +196,24 @@ func NewFabric(k *sim.Kernel, cfg Config) *Fabric {
 	}
 }
 
-// Reset returns the fabric to the state NewFabric(k, cfg) would produce
-// while keeping allocated capacity: the NIC table's storage, retired NIC
-// structs (with their MR/QP/CQ maps), and the scratch-buffer pool all
-// survive for the next trial. Behaviour after Reset is byte-identical
-// to a fresh fabric's — the RNG is re-forked from k exactly as NewFabric
-// does, and a recycled NIC is indistinguishable from a new one — so
-// fabric pooling can never move a virtual-time number.
-func (f *Fabric) Reset(k *sim.Kernel, cfg Config) {
-	for host, n := range f.nics {
-		n.recycle()
-		f.nicFree = append(f.nicFree, n)
-		delete(f.nics, host)
-	}
-	f.k = k
-	f.cfg = cfg.normalize()
-	f.rng = k.RNG().Fork()
-	f.msgs, f.bytesOnWire, f.cqes = 0, 0, 0
-	// A pooled fabric must not leak one trial's fault plan into the next:
-	// stale link rules would drop fresh traffic, a stale fault RNG would
-	// desynchronize the replayed stream, and an unfired NIC crash/restart
-	// timer would down a recycled NIC re-added under the same host name.
-	f.faultLinks = f.faultLinks[:0]
-	f.faultRNG = nil
-	f.faultStats = FaultStats{}
-	for i, t := range f.faultTimers {
-		t.Stop()
-		f.faultTimers[i] = nil
-	}
-	f.faultTimers = f.faultTimers[:0]
-}
-
 // Kernel returns the driving simulation kernel.
 func (f *Fabric) Kernel() *sim.Kernel { return f.k }
 
 // Config returns the fabric's timing configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// AddNIC attaches a NIC named host whose host memory is dev, reusing a
-// recycled NIC struct when Reset has retired one.
+// AddNIC attaches a NIC named host whose host memory is dev.
 func (f *Fabric) AddNIC(host string, dev *nvm.Device) (*NIC, error) {
 	if _, ok := f.nics[host]; ok {
 		return nil, fmt.Errorf("rdma: duplicate NIC %q", host)
 	}
-	var n *NIC
-	if l := len(f.nicFree); l > 0 {
-		n = f.nicFree[l-1]
-		f.nicFree[l-1] = nil
-		f.nicFree = f.nicFree[:l-1]
-		n.fabric = f
-		n.host = host
-		n.mem = dev
-	} else {
-		n = &NIC{
-			fabric: f,
-			host:   host,
-			mem:    dev,
-			mrs:    make(map[uint32]*MemoryRegion),
-			qps:    make(map[uint32]*QP),
-			cqs:    make(map[uint32]*CQ),
-		}
+	n := &NIC{
+		fabric: f,
+		host:   host,
+		mem:    dev,
+		mrs:    make(map[uint32]*MemoryRegion),
+		qps:    make(map[uint32]*QP),
+		cqs:    make(map[uint32]*CQ),
 	}
 	f.nics[host] = n
 	return n, nil
@@ -281,10 +229,9 @@ func (f *Fabric) xmitTime(size int) sim.Duration {
 	return sim.Duration(sec * 1e9)
 }
 
-// Stats reports fabric-wide transmission totals since creation or the
-// last Reset.
+// Stats reports fabric-wide transmission totals.
 func (f *Fabric) Stats() (messages, bytes int64) { return f.msgs, f.bytesOnWire }
 
 // CQEs reports the number of completion-queue entries delivered across
-// all of the fabric's CQs since creation or the last Reset.
+// all of the fabric's CQs.
 func (f *Fabric) CQEs() int64 { return f.cqes }

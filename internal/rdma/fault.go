@@ -57,16 +57,15 @@ func (lf *LinkFault) partitioned(now sim.Time) bool {
 }
 
 // FaultPlan is a deterministic fault-injection schedule for one fabric.
-// Install it once, before traffic flows, with Fabric.InstallFaultPlan;
-// Fabric.Reset clears it, so pooled fabrics never leak faults into the
-// next trial. The first Links rule matching a (from, to) pair wins, so
+// Install it once, before traffic flows, with Fabric.InstallFaultPlan.
+// The first Links rule matching a (from, to) pair wins, so
 // order specific rules before wildcards.
 type FaultPlan struct {
 	NICs  []NICFault
 	Links []LinkFault
 }
 
-// FaultStats counts fault-plan effects since the last Reset. All three are
+// FaultStats counts a fabric's fault-plan effects. All three are
 // virtual-time deterministic and usable as strict regression counters.
 type FaultStats struct {
 	// Drops counts messages lost for any reason: wire drop, partition
@@ -158,9 +157,7 @@ func (p *FaultPlan) Validate() error {
 // instants and link rules are consulted on every subsequent wire message.
 // The plan's RNG is forked from the fabric RNG here, so two runs with the
 // same seed and the same plan replay the same faults; a run with no plan
-// installed draws exactly the RNG sequence it always did. The scheduled
-// NIC events belong to the fabric: Fabric.Reset stops any that have not
-// fired, so a pooled fabric can never crash a later trial's NIC.
+// installed draws exactly the RNG sequence it always did.
 func (f *Fabric) InstallFaultPlan(p *FaultPlan) error {
 	if p == nil {
 		return nil
@@ -172,13 +169,11 @@ func (f *Fabric) InstallFaultPlan(p *FaultPlan) error {
 	f.faultRNG = f.rng.Fork()
 	for _, nf := range p.NICs {
 		nf := nf
-		t := &sim.Timer{}
-		f.k.AtFunc(nf.At, func() {
+		f.k.At(nf.At, func() {
 			if n := f.nics[nf.Host]; n != nil {
 				n.SetDown(nf.Down)
 			}
-		}, t)
-		f.faultTimers = append(f.faultTimers, t)
+		})
 	}
 	return nil
 }
@@ -195,6 +190,5 @@ func (f *Fabric) linkFault(from, to string) *LinkFault {
 	return nil
 }
 
-// FaultStats reports fault-plan effect counts since creation or the last
-// Reset.
+// FaultStats reports the fabric's fault-plan effect counts.
 func (f *Fabric) FaultStats() FaultStats { return f.faultStats }

@@ -333,124 +333,3 @@ func TestFaultStressAllOpsResolve(t *testing.T) {
 		}
 	}
 }
-
-// TestRecycleThenReuseIsClean pins the reset contract for pooled NIC/QP/CQ
-// structs: after dirtying every piece of per-QP state (FIFO clamps, wire
-// sequence numbers, pending windows, a down flag) and resetting the
-// fabric, an identical topology must report zeroed state, reuse the same
-// structs, and replay a workload byte-identically to the first run.
-func TestRecycleThenReuseIsClean(t *testing.T) {
-	workload := func(fab *Fabric, k *sim.Kernel) (string, [2]*QP) {
-		na, err := fab.AddNIC("a", nvm.NewDevice("a", memSize))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, err := fab.AddNIC("b", nvm.NewDevice("b", memSize))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mrb, err := nb.RegisterMR(0, memSize, AccessRemoteWrite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qa, _ := na.CreateQP(QPConfig{SendRingOff: ringOff, SendSlots: ringSlots, SendCQ: na.CreateCQ(), RecvCQ: na.CreateCQ()})
-		qb, _ := nb.CreateQP(QPConfig{SendRingOff: ringOff, SendSlots: ringSlots, SendCQ: nb.CreateCQ(), RecvCQ: nb.CreateCQ()})
-		qa.Connect(qb)
-		// Zeroed-state checks: any survivor here is a cross-trial leak.
-		for _, q := range []*QP{qa, qb} {
-			if q.lastArrival != 0 || q.wireTx != 0 || q.wireRx != 0 || q.epoch != 0 ||
-				q.head != 0 || q.tail != 0 || q.pending.Len() != 0 || q.inbox.Len() != 0 {
-				t.Fatalf("recycled QP not scrubbed: %s", q.DebugState())
-			}
-			if q.sendCQ.Total() != 0 || q.sendCQ.Depth() != 0 {
-				t.Fatal("recycled CQ kept counters or entries")
-			}
-		}
-		if na.Down() || nb.Down() {
-			t.Fatal("down flag survived recycle")
-		}
-		var tr strings.Builder
-		qa.SendCQ().SetDrainHandler(func(es []CQE) {
-			for _, e := range es {
-				fmt.Fprintf(&tr, "%d:%v@%v;", e.WRID, e.Status, e.At)
-			}
-		})
-		k.Spawn("client", func(f *sim.Fiber) {
-			for i := 0; i < 20; i++ {
-				_ = na.Memory().Write(bufA, []byte{byte(i)})
-				if _, err := qa.PostSend(WQE{
-					Opcode: OpWrite, Flags: FlagSignaled, WRID: uint64(i),
-					Local: bufA, Len: 1, Remote: bufB, Aux1: mrb.RKey,
-				}); err != nil {
-					t.Error(err)
-				}
-				f.Sleep(2 * sim.Microsecond)
-			}
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		// Dirty the engines beyond the clean end state: an op left on the
-		// wire (pending window non-empty, ack timer armed) and a down NIC.
-		if _, err := qa.PostSend(WQE{
-			Opcode: OpWrite, Flags: FlagSignaled, WRID: 99,
-			Local: bufA, Len: 1, Remote: bufB, Aux1: mrb.RKey,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		_ = k.RunUntil(k.Now().Add(200 * sim.Nanosecond))
-		nb.SetDown(true)
-		return tr.String(), [2]*QP{qa, qb}
-	}
-
-	k1 := sim.NewKernel(9)
-	fab := NewFabric(k1, DefaultConfig())
-	tr1, qps1 := workload(fab, k1)
-
-	k2 := sim.NewKernel(9)
-	fab.Reset(k2, DefaultConfig())
-	tr2, qps2 := workload(fab, k2)
-
-	if tr1 != tr2 {
-		t.Fatalf("recycled fabric diverged from first run:\n%s\nvs\n%s", tr1, tr2)
-	}
-	reused := 0
-	for _, q1 := range qps1 {
-		for _, q2 := range qps2 {
-			if q1 == q2 {
-				reused++
-			}
-		}
-	}
-	if reused != 2 {
-		t.Fatalf("want both QP structs reused via the free list, got %d", reused)
-	}
-
-	k3 := sim.NewKernel(9)
-	tr3, _ := workload(NewFabric(k3, DefaultConfig()), k3)
-	if tr1 != tr3 {
-		t.Fatalf("pooled run diverged from fresh fabric:\n%s\nvs\n%s", tr1, tr3)
-	}
-}
-
-// TestResetClearsFaultPlan: a pooled fabric must not leak one trial's
-// fault plan (rules, RNG, counters) into the next trial.
-func TestResetClearsFaultPlan(t *testing.T) {
-	k := sim.NewKernel(2)
-	fab := NewFabric(k, DefaultConfig())
-	mustInstall(t, fab, &FaultPlan{Links: []LinkFault{{DropProb: 1}}})
-	if fab.linkFault("a", "b") == nil {
-		t.Fatal("plan not installed")
-	}
-	k2 := sim.NewKernel(2)
-	fab.Reset(k2, DefaultConfig())
-	if fab.linkFault("a", "b") != nil {
-		t.Fatal("link rules survived Reset")
-	}
-	if fab.faultRNG != nil {
-		t.Fatal("fault RNG survived Reset")
-	}
-	if fab.FaultStats() != (FaultStats{}) {
-		t.Fatal("fault counters survived Reset")
-	}
-}

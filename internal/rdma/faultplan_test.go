@@ -85,69 +85,6 @@ func TestFaultPlanValidate(t *testing.T) {
 	}
 }
 
-// TestResetStopsPendingFaultTimers is the stale-fault-state regression
-// test: a fabric whose trial ended before its scheduled NIC crash fired
-// must not crash a NIC of whatever runs next. Before fault timers were
-// tracked, the orphaned kernel event looked the host up by name at fire
-// time and downed the *recycled* NIC the next trial re-added under the
-// same name.
-func TestResetStopsPendingFaultTimers(t *testing.T) {
-	k := sim.NewKernel(1)
-	fab := NewFabric(k, DefaultConfig())
-	if _, err := fab.AddNIC("a", nvm.NewDevice("a", memSize)); err != nil {
-		t.Fatal(err)
-	}
-	mustInstall(t, fab, &FaultPlan{NICs: []NICFault{
-		{Host: "a", At: sim.Time(100 * sim.Microsecond), Down: true},
-	}})
-	if err := k.RunUntil(sim.Time(50 * sim.Microsecond)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Trial over: recycle the fabric onto the same kernel — the schedule
-	// the arena reproduces when a pooled fabric is reused — and rebuild
-	// the "same" topology.
-	fab.Reset(k, DefaultConfig())
-	na, err := fab.AddNIC("a", nvm.NewDevice("a2", memSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RunUntil(sim.Time(300 * sim.Microsecond)); err != nil {
-		t.Fatal(err)
-	}
-	if na.Down() {
-		t.Fatal("stale fault timer from the previous trial crashed the recycled NIC")
-	}
-
-	// A restart timer is scrubbed too: a crash that fired plus a pending
-	// restart must not resurrect a NIC the next trial wants down.
-	mustInstall(t, fab, &FaultPlan{NICs: []NICFault{
-		{Host: "a", At: sim.Time(350 * sim.Microsecond), Down: true},
-		{Host: "a", At: sim.Time(500 * sim.Microsecond), Down: false},
-	}})
-	if err := k.RunUntil(sim.Time(400 * sim.Microsecond)); err != nil {
-		t.Fatal(err)
-	}
-	if !na.Down() {
-		t.Fatal("crash did not fire")
-	}
-	fab.Reset(k, DefaultConfig())
-	nb, err := fab.AddNIC("a", nvm.NewDevice("a3", memSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb.SetDown(true) // next trial crashes it on its own schedule
-	if err := k.RunUntil(sim.Time(600 * sim.Microsecond)); err != nil {
-		t.Fatal(err)
-	}
-	if !nb.Down() {
-		t.Fatal("stale restart timer from the previous trial revived the NIC")
-	}
-	if fab.FaultStats() != (FaultStats{}) {
-		t.Fatalf("fault counters survived Reset: %+v", fab.FaultStats())
-	}
-}
-
 // clamp01 maps arbitrary fuzz floats into a probability when asked to
 // build a valid field, and passes them through otherwise.
 func fuzzProb(raw float64, wantValid bool) float64 {

@@ -268,22 +268,6 @@ func (c *CQ) AwaitTotal(f *sim.Fiber, n int64, deadline sim.Time) error {
 	return err
 }
 
-// scrub returns the CQ to its zero operating state for reuse by CreateCQ.
-// Counters must clear — a stale total would satisfy a fresh trial's WAIT
-// thresholds instantly — and waiter callbacks must drop for GC.
-func (c *CQ) scrub() {
-	c.entries.Reset()
-	c.total, c.okTotal, c.waitConsumed = 0, 0, 0
-	c.drainHandler = nil
-	c.batch = c.batch[:0]
-	c.spare = c.spare[:0]
-	c.draining = false
-	for i := range c.waiters {
-		c.waiters[i] = cqWaiter{}
-	}
-	c.waiters = c.waiters[:0]
-}
-
 // Destroy removes the completion queue from service: handlers and parked
 // waiters are dropped, retained entries are cleared, the CQN is retired
 // (WAIT WQEs that still name it complete with a local error), and any
@@ -294,7 +278,12 @@ func (c *CQ) Destroy() {
 		return
 	}
 	c.dead = true
-	c.scrub()
+	c.entries.Reset()
+	c.total, c.okTotal, c.waitConsumed = 0, 0, 0
+	c.drainHandler = nil
+	c.batch, c.spare = nil, nil
+	c.draining = false
+	c.waiters = nil
 	delete(c.nic.cqs, c.cqn)
 }
 
@@ -316,13 +305,6 @@ type NIC struct {
 
 	wqesExecuted int64
 	bytesTx      int64
-
-	// qpFree/cqFree pool scrubbed QP/CQ structs across Fabric.Reset so a
-	// recycled NIC reuses its queue storage (rings, waiter slices) instead
-	// of reallocating per trial. See QP.scrub / CQ.scrub for the state
-	// that must clear to keep reuse byte-identical to fresh allocation.
-	qpFree []*QP
-	cqFree []*CQ
 }
 
 // Host returns the NIC's host name.
@@ -392,22 +374,11 @@ func (n *NIC) lookupMR(rkey uint32, addr, length uint64, need Access) (*MemoryRe
 	return mr, nil
 }
 
-// CreateCQ allocates a completion queue, reusing a scrubbed struct when
-// recycle has pooled one.
+// CreateCQ allocates a completion queue.
 func (n *NIC) CreateCQ() *CQ {
 	n.nextCQN++
-	var cq *CQ
-	if l := len(n.cqFree); l > 0 {
-		cq = n.cqFree[l-1]
-		n.cqFree[l-1] = nil
-		n.cqFree = n.cqFree[:l-1]
-	} else {
-		cq = &CQ{}
-	}
-	cq.nic = n
-	cq.cqn = n.nextCQN
-	cq.dead = false
-	n.cqs[cq.CQN()] = cq
+	cq := &CQ{nic: n, cqn: n.nextCQN}
+	n.cqs[cq.cqn] = cq
 	return cq
 }
 
@@ -439,23 +410,15 @@ func (n *NIC) CreateQP(cfg QPConfig) (*QP, error) {
 		return nil, fmt.Errorf("rdma %s: QP requires send and recv CQs", n.host)
 	}
 	n.nextQPN++
-	var qp *QP
-	if l := len(n.qpFree); l > 0 {
-		qp = n.qpFree[l-1]
-		n.qpFree[l-1] = nil
-		n.qpFree = n.qpFree[:l-1]
-	} else {
-		qp = &QP{}
+	qp := &QP{
+		nic:       n,
+		qpn:       n.nextQPN,
+		ringOff:   cfg.SendRingOff,
+		ringSlots: cfg.SendSlots,
+		sendCQ:    cfg.SendCQ,
+		recvCQ:    cfg.RecvCQ,
 	}
-	qp.nic = n
-	qp.qpn = n.nextQPN
-	qp.ringOff = cfg.SendRingOff
-	qp.ringSlots = cfg.SendSlots
-	qp.sendCQ = cfg.SendCQ
-	qp.recvCQ = cfg.RecvCQ
-	if qp.pumpFn == nil {
-		qp.initCallbacks() // cached callbacks survive scrub; build once
-	}
+	qp.initCallbacks()
 	n.qps[qp.qpn] = qp
 	return qp, nil
 }
@@ -469,38 +432,6 @@ func (n *NIC) Idle() bool { return len(n.qps) == 0 && len(n.cqs) == 0 }
 
 // Stats reports WQEs executed and payload bytes transmitted by this NIC.
 func (n *NIC) Stats() (wqes, bytesTx int64) { return n.wqesExecuted, n.bytesTx }
-
-// recycle strips the NIC for reuse under a new identity: registered
-// regions are dropped, queue pairs and completion queues are scrubbed
-// into per-NIC free lists for CreateQP/CreateCQ to reuse, counters and id
-// allocators rewind to zero, and the device reference is released. The
-// scrub is what makes reuse safe: stale per-QP state — above all the
-// lastArrival FIFO clamp, which would pin a fresh trial's first
-// deliveries to a past kernel's timestamps — and stale CQ counters must
-// never survive a reset. Free lists fill in QPN/CQN order (never map
-// iteration) so reuse order is deterministic. A recycled NIC re-issued by
-// AddNIC is indistinguishable from a freshly allocated one.
-func (n *NIC) recycle() {
-	clear(n.mrs)
-	for qpn := uint32(1); qpn <= n.nextQPN; qpn++ {
-		if q := n.qps[qpn]; q != nil {
-			q.scrub()
-			n.qpFree = append(n.qpFree, q)
-		}
-	}
-	clear(n.qps)
-	for cqn := uint32(1); cqn <= n.nextCQN; cqn++ {
-		if c := n.cqs[cqn]; c != nil {
-			c.scrub()
-			n.cqFree = append(n.cqFree, c)
-		}
-	}
-	clear(n.cqs)
-	n.mem = nil
-	n.down = false
-	n.nextKey, n.nextQPN, n.nextCQN = 0, 0, 0
-	n.wqesExecuted, n.bytesTx = 0, 0
-}
 
 // wireMsg is one in-flight wire message: either a request leg carrying an
 // inMsg to the responder's inbox or an ack leg carrying a response back to

@@ -418,7 +418,7 @@ func (q *QP) execWait(w WQE) {
 		_ = q.setOwned(seq+uint64(j), true)
 	}
 	q.nic.wqesExecuted++
-	q.advance(w, q.nic.fabric.cfg.WQEProc)
+	q.advance(q.nic.fabric.cfg.WQEProc)
 }
 
 // execute issues a non-WAIT WQE: it pays the engine occupancy (processing
@@ -432,13 +432,13 @@ func (q *QP) execute(w WQE) {
 	switch w.Opcode {
 	case OpNop:
 		q.completeLocal(w, StatusSuccess)
-		q.advance(w, cfg.WQEProc)
+		q.advance(cfg.WQEProc)
 
 	case OpMemcpy:
 		if w.Len > uint64(n.mem.Size()) {
 			// A malformed length fails before it is charged as copy time.
 			q.completeLocal(w, StatusLocalError)
-			q.advance(w, cfg.WQEProc)
+			q.advance(cfg.WQEProc)
 			return
 		}
 		st := StatusSuccess
@@ -447,19 +447,19 @@ func (q *QP) execute(w WQE) {
 		}
 		occ := cfg.WQEProc + sim.Duration(float64(w.Len)*8/cfg.MemCopyBps*1e9)
 		q.completeAfter(w, st, occ)
-		q.advance(w, occ)
+		q.advance(occ)
 
 	case OpSend, OpWrite, OpWriteImm:
 		if q.peer == nil || w.Len > uint64(n.mem.Size()) {
 			q.completeLocal(w, StatusLocalError)
-			q.advance(w, cfg.WQEProc)
+			q.advance(cfg.WQEProc)
 			return
 		}
 		payload := n.fabric.getBuf(int(w.Len))
 		if err := n.mem.Read(int(w.Local), payload); err != nil {
 			n.fabric.putBuf(payload)
 			q.completeLocal(w, StatusLocalError)
-			q.advance(w, cfg.WQEProc)
+			q.advance(cfg.WQEProc)
 			return
 		}
 		kind := inSend
@@ -506,7 +506,7 @@ func (q *QP) execute(w WQE) {
 
 	default:
 		q.completeLocal(w, StatusLocalError)
-		q.advance(w, cfg.WQEProc)
+		q.advance(cfg.WQEProc)
 	}
 }
 
@@ -524,7 +524,7 @@ func (q *QP) issueRemote(w WQE, msg inMsg, wireBytes int) {
 	}
 	msg.src, msg.srcEp, msg.srcSeq = q, q.epoch, seq
 	q.nic.sendRequest(q.peer, wireBytes, msg)
-	q.advance(w, q.nic.fabric.cfg.WQEProc+q.nic.fabric.xmitTime(wireBytes))
+	q.advance(q.nic.fabric.cfg.WQEProc + q.nic.fabric.xmitTime(wireBytes))
 }
 
 // completePending resolves one issued remote op with its response: a
@@ -667,12 +667,12 @@ func (q *QP) pushSendCompletion(w WQE, st Status, n int) {
 // finishSlot completes a slot with an error without executing it.
 func (q *QP) finishSlot(w WQE, st Status, n int) {
 	q.pushSendCompletion(w, st, n)
-	q.advance(w, q.nic.fabric.cfg.WQEProc)
+	q.advance(q.nic.fabric.cfg.WQEProc)
 }
 
 // advance releases ownership of the head slot, moves past it and schedules
 // the next pump after the occupancy delay.
-func (q *QP) advance(_ WQE, occupancy sim.Duration) {
+func (q *QP) advance(occupancy sim.Duration) {
 	_ = q.setOwned(q.head, false)
 	q.head++
 	q.pumpBusy = true
@@ -845,36 +845,6 @@ func (q *QP) applyInbound(m inMsg) (Status, []byte, sim.Duration) {
 
 func (q *QP) popRecv() RecvWQE {
 	return q.recvQueue.PopFront()
-}
-
-// scrub returns the QP to its zero operating state for reuse by CreateQP
-// after a Fabric.Reset. Everything timing-visible must clear: a stale
-// lastArrival would clamp a fresh trial's first deliveries to a past
-// kernel's timestamps, stale wire sequence numbers would make the dedup
-// discard fresh traffic, and stale ring cursors would misplace WQEs. The
-// cached callbacks survive — they close over the struct, not its state.
-// Queued inbox payloads are returned to the buffer pool so a trial cut
-// short by StopRun does not leak scratch buffers.
-func (q *QP) scrub() {
-	q.peer = nil
-	q.head, q.tail = 0, 0
-	q.recvQueue.Reset()
-	for q.inbox.Len() > 0 {
-		m := q.inbox.PopFront()
-		q.nic.fabric.putBuf(m.payload)
-	}
-	q.pending.Reset()
-	q.pumpScheduled, q.pumpBusy, q.inboxBusy, q.rnrWaiting = false, false, false, false
-	q.dead = false
-	q.lastArrival = 0
-	q.ackTimer = sim.Timer{} // old kernel's handle; never Stop it here
-	q.ackArmed = false
-	q.epoch = 0
-	q.opTx = 0
-	q.wireTx, q.wireRx = 0, 0
-	q.inSrc, q.inResp = nil, nil
-	q.inEp, q.inSeq = 0, 0
-	q.inSt = 0
 }
 
 // DebugState summarizes the QP's engine state for diagnostics.

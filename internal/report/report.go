@@ -17,8 +17,8 @@ import (
 // byte-identical for a given (seed, scale) at any -procs setting, so a
 // regenerated baseline differs from the committed one only where behaviour
 // changed. The CI regression gate (cmd/benchdiff) diffs them exactly.
-// Host-clock figures (wall time, the pools' fresh/reused splits) are not
-// recorded; host-clock evidence is `bash bench/run.sh`.
+// Host-clock figures (wall time) are not recorded; host-clock evidence is
+// `bash bench/run.sh`.
 type ExpStats struct {
 	ID     string `json:"id"`
 	Report string `json:"report"`
@@ -27,12 +27,6 @@ type ExpStats struct {
 	CQEs      int64 `json:"cqes"`
 	Messages  int64 `json:"messages"`
 	WireBytes int64 `json:"wire_bytes"`
-
-	DeviceGets        int64 `json:"device_gets"`
-	DevicePuts        int64 `json:"device_puts"`
-	DeviceBytesDemand int64 `json:"device_bytes_demand"`
-	KernelGets        int64 `json:"kernel_gets"`
-	FabricBuilds      int64 `json:"fabric_builds"`
 }
 
 // BenchReport is the -json output: enough to compare behaviour across

@@ -67,7 +67,7 @@ func TestCommittedBaselinesMatchSchema(t *testing.T) {
 func TestWriteLoadRoundTrip(t *testing.T) {
 	want := &BenchReport{
 		Seed: 7, Scale: "quick", Procs: 2,
-		Experiments: []ExpStats{{ID: "x", Report: "r\n", SimEvents: 3, KernelGets: 1}},
+		Experiments: []ExpStats{{ID: "x", Report: "r\n", SimEvents: 3, CQEs: 1}},
 	}
 	path := filepath.Join(t.TempDir(), "r.json")
 	if err := want.Write(path); err != nil {

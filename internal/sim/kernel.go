@@ -311,29 +311,6 @@ func (k *Kernel) RunUntil(t Time) error {
 	return err
 }
 
-// Reset returns the kernel to the state NewKernel(seed) would produce
-// while keeping its allocated capacity: the event free list, the event
-// queue's backing arrays and the same-instant ring survive, so a pooled
-// kernel's next trial allocates far less than a fresh one. Still-queued
-// events are cancelled into the free list and the RNG is re-seeded, so
-// simulation behaviour after Reset is byte-identical to a fresh kernel's —
-// event ordering depends only on (time, seq), and both restart from zero.
-//
-// Reset only applies between top-level runs: it reports false and leaves
-// the kernel untouched if called while running or with live fibers.
-func (k *Kernel) Reset(seed uint64) bool {
-	if k.depth != 0 || k.fibers != 0 {
-		return false
-	}
-	k.q.reset(k.release)
-	k.nowq.Reset()
-	k.now, k.seq = 0, 0
-	k.stopped, k.limit, k.limited = false, 0, false
-	k.executed, k.fiberStarts = 0, 0
-	k.rng = NewRNG(seed)
-	return true
-}
-
 // Pending reports the number of queued events (event queue and
 // same-instant ring).
 func (k *Kernel) Pending() int { return k.q.len() + k.nowq.Len() }

@@ -290,25 +290,3 @@ func (q *eventQueue) keepAhead(now Time) {
 	q.hb = hb
 	q.migrateFar()
 }
-
-// reset empties the queue through release, keeping every backing array,
-// and puts the horizon where a new queue's is: one window ahead of t = 0.
-func (q *eventQueue) reset(release func(*event)) {
-	cancel := func(s []heapEntry) {
-		for i := range s {
-			s[i].ev.index = -1
-			release(s[i].ev)
-			s[i] = heapEntry{}
-		}
-	}
-	cancel(q.near)
-	cancel(q.far)
-	q.near, q.far = q.near[:0], q.far[:0]
-	for slot := range q.wheel {
-		cancel(q.wheel[slot])
-		q.wheel[slot] = q.wheel[slot][:0]
-	}
-	q.occ = [len(q.occ)]uint64{}
-	q.wheelN = 0
-	q.hb = 1
-}

@@ -31,7 +31,6 @@ type machine interface {
 	Run() error
 	RunUntil(t Time) error
 	StopRun()
-	reset() bool
 }
 
 type realMachine struct {
@@ -67,7 +66,6 @@ func (m *realMachine) after(d Duration, fn func(), slot int) {
 }
 
 func (m *realMachine) stop(slot int) bool { return m.h[slot].Stop() }
-func (m *realMachine) reset() bool        { return m.Reset(1) }
 
 // refEvent is one pending event of the reference.
 type refEvent struct {
@@ -171,14 +169,6 @@ func (r *refKernel) RunUntil(t Time) error {
 	return err
 }
 
-func (r *refKernel) reset() bool {
-	if r.depth != 0 {
-		return false
-	}
-	*r = refKernel{}
-	return true
-}
-
 // A step's instant is a base plus adj: an absolute instant, an offset from
 // the clock, or the start of the window v windows ahead of the clock's —
 // the last two land events exactly on bucket and span boundaries wherever
@@ -212,7 +202,6 @@ const (
 	actStop     // stop handle slot
 	actNested   // RunUntil(at) from inside the callback
 	actStopRun  // StopRun
-	actReset    // Reset — refused while running
 	numActKinds = iota
 )
 
@@ -230,7 +219,6 @@ const (
 	opStop            // slot's handle.Stop()
 	opRunUntil        // RunUntil(at)
 	opRun             // Run()
-	opReset           // Reset
 )
 
 type step struct {
@@ -262,8 +250,6 @@ func play(m machine, script []step) []string {
 				log = append(log, fmt.Sprintf("  nested: %v, now %d", err, m.Now()))
 			case actStopRun:
 				m.StopRun()
-			case actReset:
-				log = append(log, fmt.Sprintf("  reset while running: %v", m.reset()))
 			}
 		}
 	}
@@ -282,8 +268,6 @@ func play(m machine, script []step) []string {
 			res = m.RunUntil(s.at.resolve(m.Now()))
 		case opRun:
 			res = m.Run()
-		case opReset:
-			res = m.reset()
 		}
 		log = append(log, fmt.Sprintf("step %d: %v, now %d, pending %d", i, res, m.Now(), m.Pending()))
 	}
@@ -359,13 +343,8 @@ func decodeScript(data []byte) []step {
 	for len(data) > 0 && len(script) < 400 {
 		b := next()
 		s := step{op: ops[b%16], slot: slot(b >> 4)}
-		if b%16 == 15 { // the rare ones share a code point
-			switch b >> 4 {
-			case 0:
-				s.op = opReset
-			case 1:
-				s.op = opRun
-			}
+		if b == 31 { // the rare one takes a code point of its own
+			s.op = opRun
 		}
 		if (s.op == opAt || s.op == opStop) && s.slot < 0 {
 			s.slot = 0 // these two need a handle
@@ -474,15 +453,6 @@ func TestEventQueueCorners(t *testing.T) {
 			sched(abs(1), -1), schedAct(abs(2), action{kind: actStopRun}), schedAct(abs(2), action{kind: actRing}),
 			sched(abs(bucket), -1), sched(abs(2*span), -1),
 			{op: opRun}, runUntil(abs(bucket)),
-		},
-		"Reset with all three containers and the ring occupied": {
-			sched(abs(1), 0), sched(abs(5*bucket), 1), sched(abs(2*span), 2), sched(abs(0), -1),
-			schedAct(abs(1), action{kind: actReset}),
-			runUntil(abs(1)),
-			sched(rel(0), -1), sched(abs(5*bucket), -1),
-			{op: opReset},
-			stop(0), stop(1), stop(2),
-			sched(abs(2*span), 2), sched(abs(5*bucket), 1), sched(abs(1), 0), sched(abs(0), -1),
 		},
 		"RunUntil of the current and of a past instant": {
 			sched(abs(0), 0), sched(abs(5), -1),

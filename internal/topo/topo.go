@@ -17,22 +17,20 @@ import (
 	"hyperloop/internal/sim"
 )
 
-// Alloc supplies a rack's kernel, fabric and devices, so a caller that
-// pools them across trials (the experiment arenas) keeps doing so.
+// Alloc supplies a rack's kernel and fabric, so a caller that totals their
+// counters (the experiment arenas, per trial) sees every one it built.
 type Alloc interface {
 	Kernel(seed uint64) *sim.Kernel
 	Fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric
-	Device(name string, size int) *nvm.Device
 }
 
-// fresh is the nil Alloc: everything newly allocated.
+// fresh is the nil Alloc: a new kernel and fabric, seen by no one.
 type fresh struct{}
 
 func (fresh) Kernel(seed uint64) *sim.Kernel { return sim.NewKernel(seed) }
 func (fresh) Fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric {
 	return rdma.NewFabric(k, cfg)
 }
-func (fresh) Device(name string, size int) *nvm.Device { return nvm.NewDevice(name, size) }
 
 // Spec describes a rack.
 type Spec struct {
@@ -55,7 +53,7 @@ type Spec struct {
 	// DevExtra is each NIC's device headroom past its group's mirror, for
 	// rings, metadata and staging buffers.
 	DevExtra int
-	// Alloc supplies kernel, fabric and devices; nil allocates fresh.
+	// Alloc supplies the kernel and fabric; nil builds them unobserved.
 	Alloc Alloc
 }
 
@@ -153,7 +151,7 @@ func colocate(k *sim.Kernel, cores, perCore int) (*cpusim.Scheduler, wakePenalty
 // Device returns a device sized for a NIC that will hold a mirror of the
 // given size — how callers make the spare NIC a failover swaps in.
 func (r *Rack) Device(name string, mirror int) *nvm.Device {
-	return r.spec.Alloc.Device(name, mirror+r.spec.DevExtra)
+	return nvm.NewDevice(name, mirror+r.spec.DevExtra)
 }
 
 // Env adds a group's client NIC and replica NICs to the fabric and returns

@@ -2,12 +2,10 @@ package topo
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"hyperloop/internal/hyperloop"
 	_ "hyperloop/internal/naive"
-	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
@@ -211,105 +209,6 @@ func TestRunRejectsStaleFaultHost(t *testing.T) {
 	}
 	if err := r.Run(sim.Millisecond, "", nil); err == nil {
 		t.Error("a crash scheduled for a NIC the rack does not have was accepted")
-	}
-}
-
-// poolAlloc is a pooling Alloc in the shape of the experiment arenas: one
-// kernel and one fabric reset between racks, devices from a nvm.DevicePool.
-type poolAlloc struct {
-	k       *sim.Kernel
-	fab     *rdma.Fabric
-	devs    nvm.DevicePool
-	out     []*nvm.Device
-	kernels int // kernels reused
-}
-
-func (a *poolAlloc) Kernel(seed uint64) *sim.Kernel {
-	if a.k != nil && a.k.Reset(seed) {
-		a.kernels++
-	} else {
-		a.k = sim.NewKernel(seed)
-	}
-	return a.k
-}
-
-func (a *poolAlloc) Fabric(k *sim.Kernel, cfg rdma.Config) *rdma.Fabric {
-	if a.fab == nil {
-		a.fab = rdma.NewFabric(k, cfg)
-	} else {
-		a.fab.Reset(k, cfg)
-	}
-	return a.fab
-}
-
-func (a *poolAlloc) Device(name string, size int) *nvm.Device {
-	d := a.devs.Get(name, size)
-	a.out = append(a.out, d)
-	return d
-}
-
-func (a *poolAlloc) release() {
-	for _, d := range a.out {
-		a.devs.Put(d)
-	}
-	a.out = a.out[:0]
-}
-
-// TestAllocPooledVsFresh: where kernel, fabric and devices come from must
-// not move an event. The same loaded rack runs 100 durable writes on the
-// CPU-driven datapath (RNG-hungry: tenant bursts, wake penalties, jitter)
-// with the nil Alloc, with a cold pool and with the pool warm, and the
-// trace — clock, executed events and wire totals after every write — must
-// be equal.
-func TestAllocPooledVsFresh(t *testing.T) {
-	type point struct {
-		now         sim.Time
-		executed    int64
-		msgs, bytes int64
-	}
-	trace := func(a Alloc) []point {
-		t.Helper()
-		r, err := Build(Spec{Seed: 42, Servers: 3, Cores: 4, TenantsPerCore: 10, DevExtra: 4 << 20, Alloc: a})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := r.Group(GroupSpec{Servers: FirstServers(3), Mirror: 256 << 10}, protocol.Named("naive"), protocol.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []point
-		err = r.Run(60*sim.Second, "writer", func(f *sim.Fiber) error {
-			for i := 0; i < 100; i++ {
-				if err := g.Write(f, (i%64)*1024, 1024, true); err != nil {
-					return fmt.Errorf("write %d: %w", i, err)
-				}
-				msgs, bytes := r.Fabric.Stats()
-				out = append(out, point{f.Now(), r.Kernel.Executed(), msgs, bytes})
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Close()
-		return out
-	}
-	fresh := trace(nil)
-	pool := &poolAlloc{}
-	for _, pass := range []string{"cold", "warm"} {
-		got := trace(pool)
-		pool.release()
-		if len(got) != len(fresh) {
-			t.Fatalf("%s pool: %d points, fresh %d", pass, len(got), len(fresh))
-		}
-		for i := range got {
-			if got[i] != fresh[i] {
-				t.Fatalf("%s pool diverges from fresh at write %d: %+v vs %+v", pass, i, got[i], fresh[i])
-			}
-		}
-	}
-	if s := pool.devs.Stats(); s.Reused == 0 || pool.kernels == 0 {
-		t.Fatalf("the warm pass reused nothing: devices %+v, kernels %d", s, pool.kernels)
 	}
 }
 
