@@ -222,10 +222,11 @@ stage_test() {
         ./internal/experiments ./internal/sim ./internal/rdma ./internal/cpusim \
         ./internal/txn ./internal/shard ./internal/topo \
         ./internal/protocol ./internal/hyperloop ./internal/naive ./internal/chain
-    # The event queue's differential scripts and the bitmask-vs-core-walk
-    # dispatch comparison are cheap and order-sensitive: three more rounds.
+    # The event queue's differential scripts, its wheel allocation gate and
+    # the bitmask-vs-core-walk dispatch comparison are cheap and
+    # order-sensitive: three more rounds.
     step "go test -race -count=3 (queue, dispatch)" go test -race -count=3 \
-        -run 'EventQueue|RunUntilZero|BitmaskDispatch' \
+        -run 'EventQueue|RunUntilZero|WheelSteadyStateAllocs|BitmaskDispatch' \
         ./internal/sim ./internal/cpusim
     # One iteration of each layer micro-benchmark, so they keep compiling
     # and running; their numbers are read by hand (DESIGN.md, nvm), and
@@ -234,7 +235,7 @@ stage_test() {
         ./internal/nvm ./internal/txn ./internal/shard ./internal/kvstore \
         ./internal/docstore
     step "queue and dispatch benchmarks run" go test -run '^$' \
-        -bench 'KernelHold|Dispatch' -benchtime 1x ./internal/sim ./internal/cpusim
+        -bench 'KernelHold|Dispatch' -benchtime 1x -benchmem ./internal/sim ./internal/cpusim
     step "coverage internal/nvm >=90" covercheck 90 ./internal/nvm
     step "coverage internal/ring >=90" covercheck 90 ./internal/ring
     step "coverage internal/experiments >=85" covercheck 85 ./internal/experiments

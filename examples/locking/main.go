@@ -4,6 +4,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -82,7 +83,9 @@ func run() error {
 				log.Printf("reader: %v", err)
 				return
 			}
-			data, err := w1.ReadData(0, 16)
+			// The view lasts only until RdUnlock yields: keep a copy.
+			data, err := w1.ViewData(0, 16)
+			data = bytes.Clone(data)
 			_ = w1.RdUnlock(f, replica)
 			if err != nil {
 				log.Printf("reader: %v", err)

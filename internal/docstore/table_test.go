@@ -127,7 +127,7 @@ func TestFindIDResultIsCallers(t *testing.T) {
 // warmUpdates inserts one document shaped like the benchmarks' (an _id
 // and one 900-byte field) and returns an Update of that field, after
 // driving it for 200 virtual ms: a dozen turns of the kernel's timing
-// wheel, whose slots grow on first use, and many log wraps.
+// wheel, so its event pool and heaps have peaked, and many log wraps.
 func warmUpdates(f *sim.Fiber, s *Store, fail func(error)) func() {
 	if err := s.Insert(f, "c", Doc{"_id": "d0", "field0": strings.Repeat("x", 900)}); err != nil {
 		fail(err)

@@ -130,7 +130,7 @@ func killTrial(ar *trialArena, seed uint64, faults *rdma.FaultPlan, span, kill, 
 		for i := 0; i < span; i++ {
 			st := rig.router.Shard(i).Store
 			want := []byte(fmt.Sprintf("p%d", i))
-			got, err := st.ReadData(0, len(want))
+			got, err := st.ViewData(0, len(want))
 			if err != nil {
 				return fmt.Errorf("shard %d read: %w", i, err)
 			}

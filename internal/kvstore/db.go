@@ -287,10 +287,12 @@ func (db *DB) Checkpoint(f *sim.Fiber) error {
 // checkpoint, repair the log tail, and replay pending records.
 func (db *DB) Recover(f *sim.Fiber) error {
 	db.mem = newSkiplist(sim.NewRNG(db.cfg.Seed))
-	img, err := db.st.ReadData(0, db.cfg.DataSize)
+	img, err := db.st.ViewData(0, db.cfg.DataSize)
 	if err != nil {
 		return err
 	}
+	// img is a view of the mirror; decodeCheckpoint copies every key and
+	// value out of it before RepairLog yields.
 	if pairs, err := decodeCheckpoint(img); err == nil {
 		for _, p := range pairs {
 			db.mem.put(p.Key, p.Value)

@@ -202,8 +202,8 @@ func TestAutomaticCheckpointOnFullLog(t *testing.T) {
 // warmPuts returns a Put cycling over ten keys with one 900-byte value,
 // after driving it through many log wraps, each of which checkpoints (a
 // full smallConfig log holds 17 such records), for 200 virtual ms: a dozen
-// turns of the kernel's timing wheel, whose slots grow on first use, so
-// every slot has held a checkpoint's burst of events.
+// turns of the kernel's timing wheel, so the kernel's event pool and heaps
+// have grown to a checkpoint's burst of events.
 func warmPuts(f *sim.Fiber, db *DB, fail func(error)) func() {
 	keys := make([][]byte, 10)
 	for i := range keys {

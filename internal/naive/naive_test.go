@@ -120,8 +120,8 @@ func TestNaiveWriteSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	e.run(t, sim.Second, func(f *sim.Fiber) {
-		// Past every window of the kernel's timing wheel, whose slots
-		// allocate on first use.
+		// Past every window of the kernel's timing wheel, so its event
+		// pool and heaps have peaked.
 		for f.Now() < sim.Time(40*sim.Millisecond) {
 			write(f)
 		}

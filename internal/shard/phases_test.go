@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -162,7 +163,7 @@ func TestTxnCrashProperty(t *testing.T) {
 					if want == "" {
 						want = string(make([]byte, 8)) // allocated by an aborted first touch
 					}
-					got, err := sh.Store.ReadData(sl.idx*cfg.SlotSize, len(want))
+					got, err := sh.Store.ViewData(sl.idx*cfg.SlotSize, len(want))
 					if err != nil || string(got) != want {
 						t.Errorf("%s: key %d durable = %q (%v), want %q", label, key, got, err, want)
 					}
@@ -223,48 +224,79 @@ func BenchmarkRouterTxn(b *testing.B) {
 	}
 }
 
-// TestRouterTxnSteadyStateAllocs: a span-2 transaction allocates nothing
-// once its keys have slots — the router keeps its participant lists and
-// its DistTxn, whose child fibers come from the kernel's pool, and every
-// store step below reuses the group's per-op state. A record larger than a
-// 4 KiB nvm page straddles one on every run and is read through the
-// device's one assembly buffer (AllocsPerRun truncates the mean, so a path
-// that allocates on only some runs must be taken on every one).
+// TestRouterTxnSteadyStateAllocs: once their keys have slots, a Put and a
+// transaction over 1, 2 or 4 shards allocate nothing — the router keeps its
+// participant lists and its DistTxn, whose child fibers come from the
+// kernel's pool, and every store step below reuses the group's per-op
+// state — and a Get allocates nothing and returns the last Put's bytes: it
+// is a view of the shard's mirror, checked before anything yields. A value
+// larger than a 4 KiB nvm page straddles one on every run and is read
+// through the device's one assembly buffer (AllocsPerRun truncates the
+// mean, so a path that allocates on only some runs must be taken on every
+// one).
 func TestRouterTxnSteadyStateAllocs(t *testing.T) {
 	big := sweepConfig(4)
-	big.SlotSize, big.SlotsPerShard, big.LogSize = 4608, 1, 12<<10
-	bigWrites := spanWrites(2)
-	for i := range bigWrites {
-		bigWrites[i].Data = make([]byte, 4200)
-	}
+	big.SlotSize, big.SlotsPerShard, big.LogSize = 4608, 1, 24<<10
 	for _, c := range []struct {
-		name   string
-		cfg    Config
-		writes []Write
+		name string
+		cfg  Config
+		size int
 	}{
-		{"small", sweepConfig(4), spanWrites(2)},
-		{"page-straddling", big, bigWrites},
+		{"small", sweepConfig(4), 48},
+		{"page-straddling", big, 4200},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := newRig(t, c.cfg, nil, 0)
+			put := bytes.Repeat([]byte{'p'}, c.size)
+			spans := map[int][]Write{}
+			for _, span := range []int{1, 2, 4} {
+				spans[span] = spanWrites(span)
+				for i := range spans[span] {
+					spans[span][i].Data = bytes.Repeat([]byte{byte('0' + span)}, c.size)
+				}
+			}
 			var err error
-			commit := func(f *sim.Fiber) {
-				if e := r.router.Txn(f, c.writes); e != nil && err == nil {
+			keep := func(e error) {
+				if e != nil && err == nil {
 					err = e
 				}
 			}
+			ops := []struct {
+				name string
+				do   func(f *sim.Fiber)
+			}{
+				{"span-1 Txn", func(f *sim.Fiber) { keep(r.router.Txn(f, spans[1])) }},
+				{"span-2 Txn", func(f *sim.Fiber) { keep(r.router.Txn(f, spans[2])) }},
+				{"span-4 Txn", func(f *sim.Fiber) { keep(r.router.Txn(f, spans[4])) }},
+				{"Put", func(f *sim.Fiber) { keep(r.router.Put(f, 0, put)) }}, // last: Get reads it back
+			}
 			r.run(t, func(f *sim.Fiber) {
-				// Past every window of the kernel's timing wheel, whose slots
-				// allocate on first use.
+				// Past every window of the kernel's timing wheel, so its event
+				// pool and heaps have peaked.
 				for f.Now() < sim.Time(40*sim.Millisecond) {
-					commit(f)
+					for _, op := range ops {
+						op.do(f)
+					}
 				}
-				allocs := testing.AllocsPerRun(100, func() { commit(f) })
+				for _, op := range ops {
+					if allocs := testing.AllocsPerRun(100, func() { op.do(f) }); allocs != 0 {
+						t.Errorf("Router %s: %v allocations, want 0", op.name, allocs)
+					}
+				}
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				stale := false
+				allocs := testing.AllocsPerRun(100, func() {
+					got, err := r.router.Get(0)
+					stale = stale || err != nil || !bytes.Equal(got, put)
+				})
+				if stale {
+					t.Error("Router.Get did not return the last Put's bytes")
 				}
 				if allocs != 0 {
-					t.Errorf("span-2 Router.Txn: %v allocations, want 0", allocs)
+					t.Errorf("Router.Get: %v allocations, want 0", allocs)
 				}
 			})
 		})

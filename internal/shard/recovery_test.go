@@ -45,7 +45,7 @@ func recoverAndAudit(t *testing.T, f *sim.Fiber, r *rig, span int, wantCommitted
 		if wantCommitted {
 			want = []byte(fmt.Sprintf("v%d", i))
 		}
-		got, err := r.router.Shard(i).Store.ReadData(0, len(want))
+		got, err := r.router.Shard(i).Store.ViewData(0, len(want))
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("shard %d data = %q (%v), want %q", i, got, err, want)
 		}
@@ -188,7 +188,7 @@ func TestInDoubtRecoveredThenRetriedCountedOnce(t *testing.T) {
 		}
 		want := map[int]string{0: "aa", 1: "bb"}
 		for i, w := range want {
-			got, err := r.router.Shard(i).Store.ReadData(0, len(w))
+			got, err := r.router.Shard(i).Store.ViewData(0, len(w))
 			if err != nil || string(got) != w {
 				t.Errorf("shard %d data = %q (%v), want %q", i, got, err, w)
 			}

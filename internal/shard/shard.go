@@ -347,7 +347,9 @@ func (r *Router) Put(f *sim.Fiber, key uint64, data []byte) error {
 }
 
 // Get returns key's current value from the owning shard's local mirror, or
-// nil if the key has never been written.
+// nil if the key has never been written. The value is a read-only view of
+// the mirror (txn.Store.ViewData), valid until the caller next yields to
+// the kernel or calls Get again; a caller that keeps it clones it.
 func (r *Router) Get(key uint64) ([]byte, error) {
 	r.stats.Gets++
 	sh := r.shards[r.ShardOf(key)]
@@ -356,7 +358,7 @@ func (r *Router) Get(key uint64) ([]byte, error) {
 		r.stats.Misses++
 		return nil, nil
 	}
-	return sh.Store.ReadData(sl.idx*r.cfg.SlotSize, sl.n)
+	return sh.Store.ViewData(sl.idx*r.cfg.SlotSize, sl.n)
 }
 
 // Txn atomically applies writes, which may span shards. Writes are grouped

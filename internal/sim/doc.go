@@ -9,6 +9,17 @@
 // and may run concurrently on separate goroutines — the property the
 // parallel experiment runner (internal/experiments) exploits.
 //
+// # Event queue
+//
+// Events fire in the strict (time, seq) order whatever container holds
+// them (queue.go). The nearest wait in a small 4-ary heap, the next
+// 16.8 ms in a timing wheel of 1 024 slots, the rest in a second heap. A
+// wheel slot is an intrusive doubly linked list through the pooled event
+// structs, so the wheel owns no arrays and a steady-state run allocates
+// nothing, and its events are sorted by the near heap they drain into
+// before any of them can fire. Timer-less callbacks at the current
+// instant skip the queue through a FIFO ring.
+//
 // # Fiber concurrency model
 //
 // Fibers let simulation logic block (Sleep, Await) in ordinary sequential

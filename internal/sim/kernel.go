@@ -38,12 +38,18 @@ func (t Time) String() string { return Duration(t).String() }
 // after 2^32 recycles of one struct — reachable in a long fuzzing or
 // soak run — at which point a stale Timer held across the wrap would
 // cancel an innocent event. 64 bits never wrap in practice.
+//
+// hi, next and prev serve the timing wheel alone: an event in a wheel slot
+// keeps its packed instant (packHi) in hi and is linked into the slot's
+// list through next and prev; elsewhere the three are stale and unread.
 type event struct {
-	fn    func()
-	seq   uint64
-	gen   uint64
-	index int32 // position in the container named by where; -1 when not queued
-	where int32 // inNear, inFar, or a wheel slot
+	fn         func()
+	seq        uint64
+	gen        uint64
+	hi         uint64
+	next, prev *event
+	index      int32 // position in the near or far heap, 0 in a wheel slot; -1 when not queued
+	where      int32 // inNear, inFar, or a wheel slot
 }
 
 // ringEv is a same-instant callback queued on the kernel's FIFO ring

@@ -154,7 +154,9 @@ func windowOf(hi uint64) int64 { return int64(unpackAt(hi)) >> bucketShift }
 //	near   a 4-ary heap of every event in a window below hb
 //	wheel  unsorted slots for the wheelBuckets windows hb, hb+1, ...;
 //	       window w lives in slot w & wheelMask, so a slot never mixes
-//	       windows
+//	       windows. A slot is an intrusive doubly linked list through the
+//	       pooled events (event.next/prev, with the packed instant in
+//	       event.hi), so the wheel owns no arrays and never allocates
 //	far    a 4-ary heap of everything at or beyond window hb+wheelBuckets
 //
 // Pops follow the strict total order (at, seq) exactly as one heap would:
@@ -162,13 +164,14 @@ func windowOf(hi uint64) int64 { return int64(unpackAt(hi)) >> bucketShift }
 // the near heap is non-empty its front is the queue's minimum, and when it
 // is empty the horizon moves just past the first occupied window, whose
 // slot drains into the near heap — which alone sorts. Which container an
-// event waits in is invisible to the simulation.
+// event waits in, and in what order a slot's list hands its events over,
+// is invisible to the simulation.
 type eventQueue struct {
 	near, far eventHeap
 	hb        int64 // horizon, as a window number
 	wheelN    int   // events in the wheel
 	occ       [wheelBuckets / 64]uint64
-	wheel     [wheelBuckets][]heapEntry
+	wheel     [wheelBuckets]*event // each slot's list head
 }
 
 func (q *eventQueue) len() int { return len(q.near) + q.wheelN + len(q.far) }
@@ -185,9 +188,13 @@ func (q *eventQueue) push(e heapEntry) {
 		q.far.push(e)
 	default:
 		slot := int(w & wheelMask)
-		e.ev.where = int32(slot)
-		e.ev.index = int32(len(q.wheel[slot]))
-		q.wheel[slot] = append(q.wheel[slot], e)
+		ev, head := e.ev, q.wheel[slot]
+		ev.where, ev.index, ev.hi = int32(slot), 0, e.hi
+		ev.prev, ev.next = nil, head
+		if head != nil {
+			head.prev = ev
+		}
+		q.wheel[slot] = ev
 		q.occ[slot>>6] |= 1 << (slot & 63)
 		q.wheelN++
 	}
@@ -201,16 +208,16 @@ func (q *eventQueue) remove(ev *event) {
 	case inFar:
 		q.far.remove(int(ev.index))
 	default:
-		b := q.wheel[slot]
-		i, n := int(ev.index), len(b)-1
-		if i != n {
-			b[i] = b[n]
-			b[i].ev.index = int32(i)
+		if ev.next != nil {
+			ev.next.prev = ev.prev
 		}
-		b[n] = heapEntry{}
-		q.wheel[slot] = b[:n]
-		if n == 0 {
-			q.occ[slot>>6] &^= 1 << (slot & 63)
+		if ev.prev != nil {
+			ev.prev.next = ev.next
+		} else {
+			q.wheel[slot] = ev.next
+			if ev.next == nil {
+				q.occ[slot>>6] &^= 1 << (slot & 63)
+			}
 		}
 		q.wheelN--
 	}
@@ -238,15 +245,13 @@ func (q *eventQueue) firstWindow() int64 {
 // drain moves window w's slot into the near heap.
 func (q *eventQueue) drain(w int64) {
 	slot := int(w & wheelMask)
-	b := q.wheel[slot]
-	for i, e := range b {
-		e.ev.where = inNear
-		q.near.push(e)
-		b[i] = heapEntry{}
+	for ev := q.wheel[slot]; ev != nil; ev = ev.next {
+		ev.where = inNear
+		q.near.push(heapEntry{hi: ev.hi, lo: ev.seq, ev: ev})
+		q.wheelN--
 	}
-	q.wheel[slot] = b[:0]
+	q.wheel[slot] = nil
 	q.occ[slot>>6] &^= 1 << (slot & 63)
-	q.wheelN -= len(b)
 }
 
 // migrateFar re-files the far events the span has come to cover.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -434,6 +435,18 @@ func TestEventQueueCorners(t *testing.T) {
 			runUntil(abs(10)), // fires slots 0 and 3
 			stop(0), stop(3), stop(1), stop(2), stop(1),
 		},
+		"Stop the head, a middle and the tail of one slot's list": {
+			// One window, pushed in the order 0, -, 1, -, 2, 3: its list runs
+			// 3 (head), 2, -, 1, -, 0 (tail).
+			sched(abs(3*bucket+5), 0), sched(abs(3*bucket+1), -1), sched(abs(3*bucket+4), 1),
+			sched(abs(3*bucket+2), -1), sched(abs(3*bucket+3), 2), sched(abs(3*bucket+6), 3),
+			stop(3), stop(2), // the head, then the new head
+			stop(1), stop(0), // a middle, then the tail
+			sched(abs(4*bucket+1), 3), stop(3), // the only event of its slot: the slot empties
+			sched(abs(5*bucket), -1), sched(abs(3*bucket+7), 0), stop(0), sched(abs(3*bucket), 1),
+			runUntil(abs(4 * bucket)),
+			sched(abs(4*bucket+1), 2), stop(2), stop(2),
+		},
 		"Stop from callbacks, across containers": {
 			sched(abs(2*bucket), 0), sched(abs(span/2), 1), sched(abs(5*span), 2),
 			schedAct(abs(3), action{kind: actStop, slot: 1}),
@@ -493,4 +506,72 @@ func FuzzEventQueueOrder(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkScript(t, decodeScript(data)) })
+}
+
+// TestWheelSteadyStateAllocs: the timing wheel owns no arrays — a slot is
+// a list through the pooled events — so a kernel that has reached its peak
+// residency allocates nothing more, however its events spread over the
+// slots. The hold model keeps 16 events resident and re-arms one shared
+// op timeout (a Stop inside a slot's list on every fire); every burstEvery
+// it parks a burst of events in one window 5 ms ahead. burstEvery is not a
+// divisor of the wheel's span, so the bursts walk across the slots, and a
+// wheel whose slots grew arrays would allocate for each slot a burst meets
+// for the first time. After the first rotation, which holds the first
+// burst, eight more must show no malloc at all.
+func TestWheelSteadyStateAllocs(t *testing.T) {
+	const (
+		span       = Duration(wheelBuckets << bucketShift) // one rotation, 16.8 ms
+		burstEvery = span * 37 / 100
+		burstSize  = 200
+	)
+	k := NewKernel(1)
+	rng := NewRNG(3)
+	delays := make([]Duration, 1<<10)
+	for i := range delays {
+		delays[i] = Duration(rng.Exp(40_000)) + 1 // mean 40 µs, never the ring
+	}
+	nop := func() {}
+	var timeout Timer
+	next := 0
+	var hold func()
+	hold = func() {
+		next = (next + 1) & (len(delays) - 1)
+		k.AfterFunc(delays[next], hold, nil)
+		k.AfterFunc(400*Microsecond, nop, &timeout)
+	}
+	for i := 0; i < 16; i++ {
+		k.AfterFunc(delays[i], hold, nil)
+	}
+	bursts := 0
+	var burst func()
+	burst = func() {
+		bursts++
+		w := k.Now().Add(5*Millisecond) >> bucketShift << bucketShift
+		for i := 0; i < burstSize; i++ {
+			k.AtFunc(w+Time(i), nop, nil)
+		}
+		k.AfterFunc(burstEvery, burst, nil)
+	}
+	k.AfterFunc(Millisecond, burst, nil)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := k.RunUntil(Time(span)); err != nil {
+		t.Fatal(err)
+	}
+	// Let a collection the first rotation may have started finish before
+	// counting: its runtime work is not the wheel's.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := k.RunUntil(Time(9 * span))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bursts < 20 {
+		t.Fatalf("only %d bursts in nine rotations, want one per burstEvery", bursts)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("rotations 2-9 of the hold model: %d mallocs, want 0", n)
+	}
 }

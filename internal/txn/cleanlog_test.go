@@ -108,7 +108,7 @@ func auditAfterOlder(t *testing.T, f *sim.Fiber, rig *twoPCRig, cl *CommitLog) {
 	t.Helper()
 	for i, st := range rig.stores[:2] {
 		want := []byte(fmt.Sprintf("older-%d", i))
-		if got, err := st.ReadData(64*i, len(want)); err != nil || !bytes.Equal(got, want) {
+		if got, err := st.ViewData(64*i, len(want)); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("store %d data = %q (%v), want %q", i, got, err, want)
 		}
 		if used, err := st.LogUsed(); err != nil || used != 0 {

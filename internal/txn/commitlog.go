@@ -241,7 +241,7 @@ func (l *CommitLog) Records() ([]CommitRecord, error) {
 		if sl.truncate {
 			continue
 		}
-		buf, err := l.s.ReadData(i*l.slotSize, l.slotSize)
+		buf, err := l.s.ViewData(i*l.slotSize, l.slotSize)
 		if err != nil {
 			return nil, err
 		}

@@ -62,7 +62,7 @@ func recoverAndAudit(t *testing.T, f *sim.Fiber, rig *twoPCRig, cl *CommitLog, s
 		if wantCommitted {
 			want = []byte(fmt.Sprintf("%s-%d", payload, i))
 		}
-		got, err := rig.stores[i].ReadData(64*i, len(want))
+		got, err := rig.stores[i].ViewData(64*i, len(want))
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s: store %d data = %q (%v), want %q", label, i, got, err, want)
 		}
@@ -139,7 +139,7 @@ func TestAppendReusesEncodeBuffer(t *testing.T) {
 				t.Errorf("execute %d = (%d, %v), want the one intact record", round, n, err)
 				return
 			}
-			if got, err := st.ReadData(0, len(payload)); err != nil || string(got) != payload {
+			if got, err := st.ViewData(0, len(payload)); err != nil || string(got) != payload {
 				t.Errorf("round %d: data = %q (%v), want %q", round, got, err, payload)
 			}
 		}

@@ -3,20 +3,20 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"hyperloop/internal/sim"
 	"hyperloop/internal/wal"
 )
 
-// ReadData returns a copy of [off, off+n) of the data region from the
-// client's mirror; the caller owns it.
-func (s *Store) ReadData(off, n int) ([]byte, error) {
+// ViewData returns [off, off+n) of the data region as a read-only view of
+// the client's mirror (Replicator.ViewLocal): it is valid until the caller
+// next yields to the kernel or reads this store again. A caller that keeps
+// the bytes clones them.
+func (s *Store) ViewData(off, n int) ([]byte, error) {
 	if !s.inData(off, n) {
 		return nil, fmt.Errorf("%w: data read out of range", ErrBadArgument)
 	}
-	v, err := s.r.ViewLocal(s.dataOff+off, n)
-	return slices.Clone(v), err
+	return s.r.ViewLocal(s.dataOff+off, n)
 }
 
 // logRecord pairs a decoded record with its position in the log ring.

@@ -218,7 +218,7 @@ func TestAppendFailureIsAtomic(t *testing.T) {
 		if got, err := st.ExecuteAndAdvance(f); err != nil || got != seq {
 			t.Errorf("executed seq %d (%v), want %d", got, err, seq)
 		}
-		if d, _ := st.ReadData(0, 7); string(d) == "PHANTOM" {
+		if d, _ := st.ViewData(0, 7); string(d) == "PHANTOM" {
 			t.Error("the failed append's record was executed")
 		}
 	})
@@ -252,10 +252,10 @@ func TestFailedPrepareLeavesNoPhantomRecord(t *testing.T) {
 				t.Errorf("next commit: %v", err)
 				return
 			}
-			if d, _ := st.ReadData(0, 7); string(d) == "ABORTED" {
+			if d, _ := st.ViewData(0, 7); string(d) == "ABORTED" {
 				t.Error("the next transaction's commit applied the aborted transaction's record")
 			}
-			if d, _ := st.ReadData(64, 4); string(d) != "next" {
+			if d, _ := st.ViewData(64, 4); string(d) != "next" {
 				t.Errorf("next transaction's data = %q", d)
 			}
 		})
@@ -295,7 +295,7 @@ func TestFailedPrepareLeavesNoPhantomRecord(t *testing.T) {
 // TestRangeChecksDoNotOverflow: an offset near MaxInt must not wrap the
 // range check and get a poisoned entry replicated into the log (after which
 // every ExecuteAll fails, forever), nor reach the mirror through
-// WriteData/ReadData.
+// WriteData/ViewData.
 func TestRangeChecksDoNotOverflow(t *testing.T) {
 	const n = 4
 	_, st, k := memStore(t)
@@ -307,8 +307,8 @@ func TestRangeChecksDoNotOverflow(t *testing.T) {
 			if err := st.WriteData(f, off, make([]byte, n)); !errors.Is(err, ErrBadArgument) {
 				t.Errorf("WriteData at %d: %v, want ErrBadArgument", off, err)
 			}
-			if _, err := st.ReadData(off, n); !errors.Is(err, ErrBadArgument) {
-				t.Errorf("ReadData at %d: %v, want ErrBadArgument", off, err)
+			if _, err := st.ViewData(off, n); !errors.Is(err, ErrBadArgument) {
+				t.Errorf("ViewData at %d: %v, want ErrBadArgument", off, err)
 			}
 		}
 		if used, _ := st.LogUsed(); used != 0 {
@@ -358,7 +358,7 @@ var (
 )
 
 func expectData(st *Store, off int, want []byte) error {
-	got, err := st.ReadData(off, len(want))
+	got, err := st.ViewData(off, len(want))
 	if err != nil {
 		return err
 	}
@@ -488,7 +488,7 @@ func crashSteps() []crashStep {
 		do:         func(f *sim.Fiber, st *Store) error { return st.WriteData(f, 0, newImage) },
 		clientKept: func(*Store) error { return nil },
 		audit: func(f *sim.Fiber, image *Store, acked bool) error {
-			got, err := image.ReadData(0, imageLen)
+			got, err := image.ViewData(0, imageLen)
 			if err != nil {
 				return err
 			}
@@ -1031,8 +1031,8 @@ func TestStoreStepSteadyStateAllocs(t *testing.T) {
 				}
 			}
 			rig.run(t, func(f *sim.Fiber) {
-				// Warm up past every window of the kernel's timing wheel, whose
-				// slots allocate on first use, and many trips round the log ring.
+				// Warm up past every window of the kernel's timing wheel, so its
+				// event pool and heaps have peaked, and many trips round the log ring.
 				for f.Now() < sim.Time(40*sim.Millisecond) {
 					step(f)
 				}

@@ -131,7 +131,7 @@ func TestTwoPCCommitAppliesEverywhere(t *testing.T) {
 		}
 		for i, st := range stores {
 			want := []byte(fmt.Sprintf("commit-%d", i))
-			got, err := st.ReadData(64*i, len(want))
+			got, err := st.ViewData(64*i, len(want))
 			if err != nil || !bytes.Equal(got, want) {
 				t.Errorf("store %d: data = %q (%v), want %q", i, got, err, want)
 			}
@@ -167,7 +167,7 @@ func TestTwoPCAbortReleasesLocksAndRollsBack(t *testing.T) {
 			if used, err := st.LogUsed(); err != nil || used != 0 {
 				t.Errorf("store %d: log used after abort = %d (%v), want 0", i, used, err)
 			}
-			got, err := st.ReadData(64*i, 5)
+			got, err := st.ViewData(64*i, 5)
 			if err != nil || !bytes.Equal(got, make([]byte, 5)) {
 				t.Errorf("store %d: data leaked through abort: %q (%v)", i, got, err)
 			}
@@ -224,7 +224,7 @@ func TestTwoPCCoordinatorCrashRecovery(t *testing.T) {
 			if used, err := st.LogUsed(); err != nil || used != 0 {
 				t.Errorf("store %d: log used after recovery = %d (%v)", i, used, err)
 			}
-			got, err := st.ReadData(64*i, 5)
+			got, err := st.ViewData(64*i, 5)
 			if err != nil || !bytes.Equal(got, make([]byte, 5)) {
 				t.Errorf("store %d: data applied despite abort: %q (%v)", i, got, err)
 			}
@@ -335,7 +335,7 @@ func TestTwoPCLoggedCommit(t *testing.T) {
 		}
 		for i, st := range rig.stores[:2] {
 			want := []byte(fmt.Sprintf("logged-%d", i))
-			got, err := st.ReadData(64*i, len(want))
+			got, err := st.ViewData(64*i, len(want))
 			if err != nil || !bytes.Equal(got, want) {
 				t.Errorf("store %d: data = %q (%v), want %q", i, got, err, want)
 			}
@@ -405,7 +405,7 @@ func TestTwoPCCrashMidCommitRollsForward(t *testing.T) {
 		}
 		for i, st := range rig.stores[:2] {
 			want := []byte(fmt.Sprintf("crash-%d", i))
-			got, err := st.ReadData(64*i, len(want))
+			got, err := st.ViewData(64*i, len(want))
 			if err != nil || !bytes.Equal(got, want) {
 				t.Errorf("store %d: data = %q (%v), want %q", i, got, err, want)
 			}
@@ -441,7 +441,7 @@ func TestTwoPCCrashBeforeCommitPointRollsBack(t *testing.T) {
 			if err != nil || !rolled {
 				t.Errorf("store %d: recover abort = (%v, %v)", i, rolled, err)
 			}
-			if got, err := st.ReadData(64*i, 4); err != nil || !bytes.Equal(got, make([]byte, 4)) {
+			if got, err := st.ViewData(64*i, 4); err != nil || !bytes.Equal(got, make([]byte, 4)) {
 				t.Errorf("store %d: aborted data visible: %q (%v)", i, got, err)
 			}
 		}
@@ -508,7 +508,7 @@ func TestTwoPCCommitRecordFullAborts(t *testing.T) {
 			if used, e := st.LogUsed(); e != nil || used != 0 {
 				t.Errorf("store %d: log used = %d (%v), want 0", i, used, e)
 			}
-			if got, e := st.ReadData(64*i, 4); e != nil || !bytes.Equal(got, make([]byte, 4)) {
+			if got, e := st.ViewData(64*i, 4); e != nil || !bytes.Equal(got, make([]byte, 4)) {
 				t.Errorf("store %d: aborted data visible: %q (%v)", i, got, e)
 			}
 		}
@@ -550,7 +550,7 @@ func TestStoreVisitPendingAndTruncate(t *testing.T) {
 			t.Errorf("log used after truncate = %d (%v), want 0", used, err)
 		}
 		// The truncated record must not apply.
-		if got, err := st.ReadData(0, 7); err != nil || !bytes.Equal(got, make([]byte, 7)) {
+		if got, err := st.ViewData(0, 7); err != nil || !bytes.Equal(got, make([]byte, 7)) {
 			t.Errorf("truncated data visible: %q (%v)", got, err)
 		}
 		if err := st.WrUnlock(f); err != nil {
@@ -608,10 +608,10 @@ func TestTwoPCCrashSweep(t *testing.T) {
 func TestStoreDataRangeChecks(t *testing.T) {
 	rig := newTwoPCRig(t, 1, nil, 0)
 	st := rig.stores[0]
-	if _, err := st.ReadData(-1, 8); !errors.Is(err, ErrBadArgument) {
+	if _, err := st.ViewData(-1, 8); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("negative read offset: %v", err)
 	}
-	if _, err := st.ReadData(testData, 8); !errors.Is(err, ErrBadArgument) {
+	if _, err := st.ViewData(testData, 8); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("read past data region: %v", err)
 	}
 	rig.run(t, func(f *sim.Fiber) {

@@ -96,11 +96,11 @@ func TestAppendExecuteReadBack(t *testing.T) {
 				if got != seq {
 					t.Errorf("executed seq = %d", got)
 				}
-				data, err := b.st.ReadData(0, 5)
+				data, err := b.st.ViewData(0, 5)
 				if err != nil || string(data) != "alpha" {
 					t.Errorf("data[0] = %q (%v)", data, err)
 				}
-				data, _ = b.st.ReadData(100, 4)
+				data, _ = b.st.ViewData(100, 4)
 				if string(data) != "beta" {
 					t.Errorf("data[100] = %q", data)
 				}
@@ -140,7 +140,7 @@ func TestLogWrapsAround(t *testing.T) {
 						return
 					}
 				}
-				got, _ := b.st.ReadData(0, 7)
+				got, _ := b.st.ViewData(0, 7)
 				if string(got) != "rec-049" {
 					t.Errorf("final record = %q", got)
 				}
@@ -343,7 +343,7 @@ func TestPendingSeqsAndRecover(t *testing.T) {
 					return
 				}
 				for i := 0; i < 3; i++ {
-					d, _ := b.st.ReadData(i*8, 8)
+					d, _ := b.st.ViewData(i*8, 8)
 					if string(d) != "12345678" {
 						t.Errorf("entry %d = %q", i, d)
 					}

@@ -15,7 +15,9 @@ import (
 // Re-exported sharding types so downstream code needs only this package.
 type (
 	// ShardRouter partitions a keyspace across independent replication
-	// groups; see internal/shard.
+	// groups; see internal/shard. Its Get returns a read-only view of the
+	// owning shard's mirror, valid until the caller next yields or calls
+	// Get again; a caller that keeps the value clones it.
 	ShardRouter = shard.Router
 	// ShardWrite is one key update inside a (possibly cross-shard)
 	// transaction.

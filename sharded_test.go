@@ -318,7 +318,7 @@ func TestShardedClusterCrashSubsets(t *testing.T) {
 				if tc.committed {
 					want = writes[i].Data
 				}
-				if got, err := st.ReadData(0, 2); err != nil || !bytes.Equal(got, want) {
+				if got, err := st.ViewData(0, 2); err != nil || !bytes.Equal(got, want) {
 					t.Errorf("%v: shard %d data = %q (%v), want %q", tc.step, i, got, err, want)
 				}
 				if locked, err := st.Locked(); err != nil || locked {
