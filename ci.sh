@@ -241,11 +241,11 @@ stage_test() {
     step "coverage internal/experiments >=85" covercheck 85 ./internal/experiments
     step "coverage internal/shard >=85" covercheck 85 ./internal/shard
     step "coverage internal/txn >=85" covercheck 85 ./internal/txn
-    step "coverage internal/protocol >=85" covercheck 85 ./internal/protocol
+    step "coverage internal/protocol >=90" covercheck 90 ./internal/protocol
     step "coverage internal/topo >=85" covercheck 85 ./internal/topo
     step "coverage internal/chain >=85" covercheck 85 ./internal/chain
     step "coverage internal/docstore >=80" covercheck 80 ./internal/docstore
-    step "coverage datapaths (hyperloop, naive) >=80" covercheck 80 \
+    step "coverage datapaths (hyperloop, naive) >=85" covercheck 85 \
         ./internal/hyperloop,./internal/naive \
         ./internal/hyperloop ./internal/naive ./internal/experiments
     # The committed baseline must decode against the -json schema

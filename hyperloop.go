@@ -173,7 +173,7 @@ func (c *Cluster) NewGroupOver(replicas []*rdma.NIC, mirrorSize int) (Protocol, 
 type Protocol = protocol.Protocol
 
 // ProtocolParams is the policy half of a protocol build: mirror size,
-// window depth, timeout/retry, quorum.
+// window depth, timeout/retry, wake penalty.
 type ProtocolParams = protocol.Params
 
 // Protocols returns the names of all registered replication protocols,

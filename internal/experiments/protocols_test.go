@@ -306,7 +306,10 @@ func TestProtocolCloseThenRebuild(t *testing.T) {
 // TestProtocolRejectsBadRanges feeds every primitive of every protocol
 // arguments outside the mirror — negative offsets and sizes included — and
 // requires the canonical ErrBadArgument before anything is consumed: no
-// window slot, no counter, and the group still works afterwards.
+// window slot, no counter, and the group still works afterwards. Then it
+// builds each protocol again with policy no group can run — no mirror, no
+// replicas, a window with no room for an op in flight — and requires the
+// same sentinel from Build.
 func TestProtocolRejectsBadRanges(t *testing.T) {
 	const mirror = 64 << 10 // confCluster's
 	for _, name := range protocol.Names() {
@@ -357,6 +360,27 @@ func TestProtocolRejectsBadRanges(t *testing.T) {
 				return nil
 			})
 			g.Close()
+
+			env := c.Members("")
+			none := protocol.Env{Fabric: env.Fabric, Client: env.Client}
+			for _, b := range []struct {
+				what string
+				env  protocol.Env
+				p    protocol.Params
+			}{
+				{"zero mirror", env, protocol.Params{}},
+				{"no replicas", none, protocol.Params{MirrorSize: mirror}},
+				{"Depth 1", env, protocol.Params{MirrorSize: mirror, Depth: 1}},
+				{"Depth 2", env, protocol.Params{MirrorSize: mirror, Depth: 2}},
+			} {
+				g, err := protocol.Build(name, b.env, b.p)
+				if err == nil {
+					g.Close()
+				}
+				if !errors.Is(err, protocol.ErrBadArgument) {
+					t.Errorf("Build with %s: got %v, want ErrBadArgument", b.what, err)
+				}
+			}
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/naive"
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -74,18 +75,17 @@ func TestShapeRobustToCalibration(t *testing.T) {
 			sched.AddStorms(32, 200*sim.Millisecond, 4*sim.Millisecond)
 			scheds = append(scheds, sched)
 		}
+		env := protocol.Env{Fabric: fab, Client: client, Replicas: reps, Scheds: scheds}
 		var write func(f *sim.Fiber, off int) error
 		if hyper {
-			g, err := hyperloop.Setup(fab, client, reps, hyperloop.DefaultConfig(mirror))
+			g, err := hyperloop.Setup(env, protocol.Params{MirrorSize: mirror})
 			if err != nil {
 				t.Fatal(err)
 			}
 			write = func(f *sim.Fiber, off int) error { return g.Write(f, off, size, true) }
 		} else {
-			ncfg := naive.DefaultConfig(mirror)
-			ncfg.WakePenalty = 3 * sim.Millisecond
-			ncfg.WakePenaltyProb = 0.015
-			g, err := naive.Setup(fab, client, reps, scheds, ncfg)
+			p := protocol.Params{MirrorSize: mirror, WakePenalty: 3 * sim.Millisecond, WakePenaltyProb: 0.015}
+			g, err := naive.Setup(env, p, naive.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

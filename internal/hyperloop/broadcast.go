@@ -14,13 +14,13 @@ import (
 // leafMember — the datapath a fan-out backup runs — and its hardware ack
 // chain SENDs the result straight back to the client. The client
 // completes the operation once a quorum of member acks has arrived (all
-// members by default; Config.AckQuorum lowers it).
+// members by default; SetupBroadcast's quorum argument lowers it).
 //
 // Compared to the chain this trades message cost (2G messages per
 // replicated write instead of hop-to-hop forwarding) and total order for
 // the minimum possible completion path: one client→member hop plus one
-// member→client hop, with no dependency between members. With
-// AckQuorum < G a minority of slow or dead members no longer delays or
+// member→client hop, with no dependency between members. With a
+// quorum < G a minority of slow or dead members no longer delays or
 // blocks completion — the availability gap the protocols experiment
 // measures. gCAS always waits for every member's ack, since its result
 // map needs all G original values.
@@ -36,8 +36,9 @@ import (
 type BroadcastGroup struct {
 	*protocol.Group
 
-	cfg   Config
-	hosts []*protocol.Host
+	params protocol.Params // checked: Depth is the window
+	quorum int             // member acks that complete a write/memcpy/flush
+	hosts  []*protocol.Host
 
 	client  *rdma.NIC
 	qpFan   []*rdma.QP // per-member data WRITE + metadata SEND
@@ -71,25 +72,25 @@ type bcastAckState struct {
 	seen []bool
 }
 
-// SetupBroadcast builds a broadcast group over the given member NICs.
-// The same Config as the chain group applies; AckQuorum selects the
-// completion quorum (0 = all members).
-func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Config) (*BroadcastGroup, error) {
-	if err := cfg.normalize(len(members)); err != nil {
+// SetupBroadcast builds a broadcast group over env's replicas with
+// policy p. quorum is the completion quorum (0 = all members).
+func SetupBroadcast(env protocol.Env, p protocol.Params, quorum int) (*BroadcastGroup, error) {
+	p, err := p.Check(len(env.Replicas))
+	if err == nil && (quorum < 0 || quorum > len(env.Replicas)) {
+		err = fmt.Errorf("%w: ack quorum %d outside [0,%d]", protocol.ErrBadArgument, quorum, len(env.Replicas))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("hyperloop: broadcast setup: %w", err)
+	}
+	g := &BroadcastGroup{params: p, quorum: quorum, client: env.Client, acks: make(map[uint64]*bcastAckState)}
+	g.Group = protocol.NewGroup(env, p, g)
+	if err := g.setupClient(len(env.Replicas)); err != nil {
 		return nil, err
 	}
-	if cfg.AckQuorum < 0 || cfg.AckQuorum > len(members) {
-		return nil, fmt.Errorf("%w: ack quorum %d outside [0,%d]", ErrBadArgument, cfg.AckQuorum, len(members))
-	}
-	g := &BroadcastGroup{cfg: cfg, client: client, acks: make(map[uint64]*bcastAckState)}
-	g.Group = newSurface(fab, client, len(members), cfg, g)
-	if err := g.setupClient(len(members)); err != nil {
-		return nil, err
-	}
-	for i, nic := range members {
-		h := protocol.NewHost(nic, cfg.MirrorSize)
+	for i, nic := range env.Replicas {
+		h := protocol.NewHost(nic, p.MirrorSize)
 		g.hosts = append(g.hosts, h)
-		m, err := setupLeafMember(h, cfg.Depth)
+		m, err := setupLeafMember(h, p.Depth)
 		if err != nil {
 			return nil, fmt.Errorf("member %d: %w", i, err)
 		}
@@ -99,7 +100,7 @@ func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg
 		g.qpFan[j].Connect(m.qpPrev)
 		m.qpAck.Connect(g.qpAckIn[j])
 	}
-	for seq := uint64(0); seq < uint64(cfg.Depth); seq++ {
+	for seq := uint64(0); seq < uint64(p.Depth); seq++ {
 		for j, m := range g.members {
 			if err := m.arm(seq); err != nil {
 				return nil, fmt.Errorf("arm member %d seq %d: %w", j, seq, err)
@@ -108,7 +109,7 @@ func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg
 		}
 	}
 	for _, m := range g.members {
-		reArmOn(m.qpAck.SendCQ(), g.Group, m.nic, cfg.Depth, m.arm)
+		reArmOn(m.qpAck.SendCQ(), g.Group, m.nic, p.Depth, m.arm)
 	}
 	for j := range g.members {
 		j := j
@@ -122,12 +123,12 @@ func SetupBroadcast(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg
 }
 
 func (g *BroadcastGroup) setupClient(n int) error {
-	h := protocol.NewHost(g.client, g.cfg.MirrorSize)
+	h := protocol.NewHost(g.client, g.params.MirrorSize)
 	g.hosts = append(g.hosts, h)
-	g.metaOff = h.Region("meta", g.cfg.Depth*n*fanBackupMetaLen)
-	g.ackOff = h.Region("ack", g.cfg.Depth*n*fanAckLen)
+	g.metaOff = h.Region("meta", g.params.Depth*n*fanBackupMetaLen)
+	g.ackOff = h.Region("ack", g.params.Depth*n*fanAckLen)
 	for j := 0; j < n; j++ {
-		g.qpFan = append(g.qpFan, h.QP(fmt.Sprintf("fan-ring-%d", j), 2*g.cfg.Depth, nil, nil))
+		g.qpFan = append(g.qpFan, h.QP(fmt.Sprintf("fan-ring-%d", j), 2*g.params.Depth, nil, nil))
 		g.qpAckIn = append(g.qpAckIn, h.QP(fmt.Sprintf("ackin-ring-%d", j), 1, nil, nil))
 	}
 	return h.Err()
@@ -135,12 +136,12 @@ func (g *BroadcastGroup) setupClient(n int) error {
 
 // clientAckAddr is member j's ack landing slot for op seq.
 func (g *BroadcastGroup) clientAckAddr(j int, seq uint64) uint64 {
-	return g.ackOff + (uint64(j)*uint64(g.cfg.Depth)+seq%uint64(g.cfg.Depth))*uint64(fanAckLen)
+	return g.ackOff + (uint64(j)*uint64(g.params.Depth)+seq%uint64(g.params.Depth))*uint64(fanAckLen)
 }
 
 func (g *BroadcastGroup) bmetaAddr(j int, seq uint64) uint64 {
 	n := uint64(len(g.members))
-	return g.metaOff + ((seq%uint64(g.cfg.Depth))*n+uint64(j))*uint64(fanBackupMetaLen)
+	return g.metaOff + ((seq%uint64(g.params.Depth))*n+uint64(j))*uint64(fanBackupMetaLen)
 }
 
 // postAckRecv posts the client-side receive for member j's op-seq ack.
@@ -176,7 +177,7 @@ func (g *BroadcastGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 		}
 	}
 
-	need := g.cfg.AckQuorum
+	need := g.quorum
 	if need == 0 || kind == kindCAS {
 		need = n // gCAS needs every member's original value
 	}
@@ -205,14 +206,14 @@ func (g *BroadcastGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 	}
 	if st.posted == 0 {
 		delete(g.acks, seq)
-		return fmt.Errorf("%w: no reachable members", ErrBadArgument)
+		return fmt.Errorf("%w: no reachable members", protocol.ErrBadArgument)
 	}
 	return nil
 }
 
 // onMemberAck resolves one member's ack for one operation.
 func (g *BroadcastGroup) onMemberAck(j int, e rdma.CQE) {
-	g.postAckRecv(j, e.WRID+uint64(g.cfg.Depth))
+	g.postAckRecv(j, e.WRID+uint64(g.params.Depth))
 	if e.Status != rdma.StatusSuccess {
 		return
 	}
@@ -238,12 +239,6 @@ func (g *BroadcastGroup) onMemberAck(j int, e rdma.CQE) {
 		g.Complete(seq, st.results)
 	}
 }
-
-// ReplicaNIC returns member i's NIC.
-func (g *BroadcastGroup) ReplicaNIC(i int) *rdma.NIC { return g.members[i].nic }
-
-// ClientNIC returns the client's NIC.
-func (g *BroadcastGroup) ClientNIC() *rdma.NIC { return g.client }
 
 // Teardown is the broadcast's half of Close (protocol.Strategy): every QP
 // and CQ the group created is destroyed so the NICs can host a new group.

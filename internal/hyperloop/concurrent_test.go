@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/sim"
 )
 
@@ -13,9 +14,7 @@ import (
 // that waits for requests from applications and issues them into the chain
 // concurrently").
 func TestConcurrentClientFibers(t *testing.T) {
-	cfg := DefaultConfig(testMirror)
-	cfg.Depth = 64
-	k, g := testGroup(t, 3, cfg)
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror, Depth: 64})
 	const fibers = 4
 	const opsPerFiber = 15
 	done := 0
@@ -81,9 +80,7 @@ func TestConcurrentClientFibers(t *testing.T) {
 // point of pre-posting a deep chain window.
 func TestThroughputScalesWithPipelining(t *testing.T) {
 	measure := func(window int) sim.Duration {
-		cfg := DefaultConfig(testMirror)
-		cfg.Depth = 64
-		k, g := testGroup(t, 3, cfg)
+		k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror, Depth: 64})
 		const ops = 100
 		var elapsed sim.Duration
 		runFiber(t, k, func(f *sim.Fiber) {

@@ -44,7 +44,9 @@
 //     client completes an op on a configurable quorum of NIC-generated
 //     acks ("bcast" waits for all, "bcast-maj" for a majority).
 //
-// The three share their parts: every NIC is carved through a
+// The three share their parts: each Setup takes (protocol.Env,
+// protocol.Params) and validates the policy with Params.Check (the
+// broadcast adds its quorum), every NIC is carved through a
 // protocol.Host (mirror at offset 0, then rings, staging and ack slots;
 // Teardown destroys the hosts), every member's L1/L2 block is one
 // encodeLocalBlock, the chain and fan-out client decode one groupAck, and

@@ -30,8 +30,8 @@ import (
 type FanoutGroup struct {
 	*protocol.Group
 
-	cfg   Config
-	hosts []*protocol.Host
+	params protocol.Params // checked: Depth is the window
+	hosts  []*protocol.Host
 
 	client  *rdma.NIC
 	qpHead  *rdma.QP // client ↔ primary: metadata out, group ACK in
@@ -72,26 +72,27 @@ func (g *FanoutGroup) metaLen() int {
 	return 2*rdma.DescLen + b*2*rdma.DescLen + b*fanBackupMetaLen + headerSize
 }
 
-// SetupFanout builds a fan-out group: members[0] is the primary, the rest
-// are backups. The same Config as the chain group applies.
-func SetupFanout(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Config) (*FanoutGroup, error) {
-	if err := cfg.normalize(len(members)); err != nil {
-		return nil, err
+// SetupFanout builds a fan-out group over env's replicas with policy p:
+// Replicas[0] is the primary, the rest are backups.
+func SetupFanout(env protocol.Env, p protocol.Params) (*FanoutGroup, error) {
+	p, err := p.Check(len(env.Replicas))
+	if err != nil {
+		return nil, fmt.Errorf("hyperloop: fan-out setup: %w", err)
 	}
-	g := &FanoutGroup{cfg: cfg, client: client}
-	g.Group = newSurface(fab, client, len(members), cfg, g)
-	g.backups = make([]*leafMember, len(members)-1) // metaLen needs the count
+	g := &FanoutGroup{params: p, client: env.Client}
+	g.Group = protocol.NewGroup(env, p, g)
+	g.backups = make([]*leafMember, len(env.Replicas)-1) // metaLen needs the count
 	g.metaBuf = make([]byte, g.metaLen())
 	if err := g.setupClient(); err != nil {
 		return nil, err
 	}
-	if err := g.setupPrimary(members[0]); err != nil {
+	if err := g.setupPrimary(env.Replicas[0]); err != nil {
 		return nil, fmt.Errorf("primary: %w", err)
 	}
 	for j := range g.backups {
-		h := protocol.NewHost(members[j+1], cfg.MirrorSize)
+		h := protocol.NewHost(env.Replicas[j+1], p.MirrorSize)
 		g.hosts = append(g.hosts, h)
-		b, err := setupLeafMember(h, cfg.Depth)
+		b, err := setupLeafMember(h, p.Depth)
 		if err != nil {
 			return nil, fmt.Errorf("backup %d: %w", j+1, err)
 		}
@@ -106,7 +107,7 @@ func SetupFanout(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Co
 		g.primary.qpFwd[j].Connect(b.qpPrev)
 		b.qpAck.Connect(g.primary.qpAckIn[j])
 	}
-	for seq := uint64(0); seq < uint64(cfg.Depth); seq++ {
+	for seq := uint64(0); seq < uint64(p.Depth); seq++ {
 		if err := g.armPrimary(seq); err != nil {
 			return nil, fmt.Errorf("arm primary seq %d: %w", seq, err)
 		}
@@ -117,37 +118,36 @@ func SetupFanout(fab *rdma.Fabric, client *rdma.NIC, members []*rdma.NIC, cfg Co
 		}
 		g.ack.qp.PostRecv(rdma.RecvWQE{})
 	}
-	p := g.primary
-	reArmOn(p.qpClient.SendCQ(), g.Group, p.nic, cfg.Depth, g.armPrimary)
+	reArmOn(g.primary.qpClient.SendCQ(), g.Group, g.primary.nic, p.Depth, g.armPrimary)
 	for _, b := range g.backups {
-		reArmOn(b.qpAck.SendCQ(), g.Group, b.nic, cfg.Depth, b.arm)
+		reArmOn(b.qpAck.SendCQ(), g.Group, b.nic, p.Depth, b.arm)
 	}
 	g.ack.qp.RecvCQ().SetDrainHandler(g.ack.onAcks)
 	return g, nil
 }
 
 func (g *FanoutGroup) setupClient() error {
-	h := protocol.NewHost(g.client, g.cfg.MirrorSize)
+	h := protocol.NewHost(g.client, g.params.MirrorSize)
 	g.hosts = append(g.hosts, h)
-	g.metaOff = h.Region("meta", g.cfg.Depth*g.metaLen())
-	g.ack.carve(h, g.Group, g.cfg.Depth)
-	g.qpHead = h.QP("head-ring", 2*g.cfg.Depth, nil, nil)
+	g.metaOff = h.Region("meta", g.params.Depth*g.metaLen())
+	g.ack.carve(h, g.Group, g.params.Depth)
+	g.qpHead = h.QP("head-ring", 2*g.params.Depth, nil, nil)
 	return h.Err()
 }
 
 func (g *FanoutGroup) setupPrimary(nic *rdma.NIC) error {
-	h := protocol.NewHost(nic, g.cfg.MirrorSize)
+	h := protocol.NewHost(nic, g.params.MirrorSize)
 	g.hosts = append(g.hosts, h)
 	p := &fanPrimary{nic: nic}
 	b := g.numBackups()
-	p.resultOff = h.Region("results", g.cfg.Depth*g.ack.slotLen())
-	p.stagingOff = h.Region("staging", g.cfg.Depth*max(b, 1)*fanBackupMetaLen)
+	p.resultOff = h.Region("results", g.params.Depth*g.ack.slotLen())
+	p.stagingOff = h.Region("staging", g.params.Depth*max(b, 1)*fanBackupMetaLen)
 	p.mirror = h.MirrorMR()
 	recvCQ, loopCQ := h.CQ(), h.CQ()
-	p.qpClient = h.QP("client-ring", (max(b, 1)+1)*g.cfg.Depth, nil, recvCQ)
-	p.qpLoop = h.QP("loop-ring", slotsPerOp*g.cfg.Depth, loopCQ, nil)
+	p.qpClient = h.QP("client-ring", (max(b, 1)+1)*g.params.Depth, nil, recvCQ)
+	p.qpLoop = h.QP("loop-ring", slotsPerOp*g.params.Depth, loopCQ, nil)
 	for j := 0; j < b; j++ {
-		p.qpFwd = append(p.qpFwd, h.QP(fmt.Sprintf("fwd-ring-%d", j), slotsPerOp*g.cfg.Depth, nil, nil))
+		p.qpFwd = append(p.qpFwd, h.QP(fmt.Sprintf("fwd-ring-%d", j), slotsPerOp*g.params.Depth, nil, nil))
 		p.qpAckIn = append(p.qpAckIn, h.QP(fmt.Sprintf("ackin-ring-%d", j), 1, nil, h.CQ()))
 	}
 	if err := h.Err(); err != nil {
@@ -156,4 +156,12 @@ func (g *FanoutGroup) setupPrimary(nic *rdma.NIC) error {
 	p.qpLoop.Connect(p.qpLoop)
 	g.primary = p
 	return nil
+}
+
+// Teardown is the fan-out's half of Close (protocol.Strategy): every QP
+// and CQ the group created is destroyed so the NICs can host a new group.
+func (g *FanoutGroup) Teardown() {
+	for _, h := range g.hosts {
+		h.Destroy()
+	}
 }

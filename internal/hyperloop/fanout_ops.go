@@ -3,12 +3,12 @@ package hyperloop
 import "hyperloop/internal/rdma"
 
 func (g *FanoutGroup) resultSlotAddr(seq uint64) uint64 {
-	return g.primary.resultOff + (seq%uint64(g.cfg.Depth))*uint64(g.ack.slotLen())
+	return g.primary.resultOff + (seq%uint64(g.params.Depth))*uint64(g.ack.slotLen())
 }
 
 func (g *FanoutGroup) stagingAddr(j int, seq uint64) uint64 {
 	b := max(g.numBackups(), 1)
-	slot := (seq % uint64(g.cfg.Depth)) * uint64(b)
+	slot := (seq % uint64(g.params.Depth)) * uint64(b)
 	return g.primary.stagingOff + (slot+uint64(j))*uint64(fanBackupMetaLen)
 }
 
@@ -163,7 +163,7 @@ func (g *FanoutGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 	}
 	putHeader(msg[pos:], seq, kind)
 
-	metaAddr := g.metaOff + (seq%uint64(g.cfg.Depth))*uint64(g.metaLen())
+	metaAddr := g.metaOff + (seq%uint64(g.params.Depth))*uint64(g.metaLen())
 	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
 		return err
 	}

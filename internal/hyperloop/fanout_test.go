@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
 
-func testFanout(t *testing.T, nMembers int, cfg Config) (*sim.Kernel, *FanoutGroup) {
+func testFanout(t *testing.T, nMembers int, p protocol.Params) (*sim.Kernel, *FanoutGroup) {
 	t.Helper()
 	k := sim.NewKernel(17)
 	fab := rdma.NewFabric(k, rdma.DefaultConfig())
@@ -28,28 +29,15 @@ func testFanout(t *testing.T, nMembers int, cfg Config) (*sim.Kernel, *FanoutGro
 		}
 		members = append(members, nic)
 	}
-	g, err := SetupFanout(fab, client, members, cfg)
+	g, err := SetupFanout(protocol.Env{Fabric: fab, Client: client, Replicas: members}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return k, g
 }
 
-func TestFanoutValidation(t *testing.T) {
-	k := sim.NewKernel(1)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	client, _ := fab.AddNIC("c", nvm.NewDevice("c", testDev))
-	if _, err := SetupFanout(fab, client, nil, DefaultConfig(1024)); !errors.Is(err, ErrBadArgument) {
-		t.Fatalf("err = %v", err)
-	}
-	m, _ := fab.AddNIC("m", nvm.NewDevice("m", testDev))
-	if _, err := SetupFanout(fab, client, []*rdma.NIC{m}, Config{}); !errors.Is(err, ErrBadArgument) {
-		t.Fatalf("zero mirror err = %v", err)
-	}
-}
-
 func TestFanoutWriteReplicatesToAll(t *testing.T) {
-	k, g := testFanout(t, 3, DefaultConfig(testMirror))
+	k, g := testFanout(t, 3, protocol.Params{MirrorSize: testMirror})
 	data := []byte("fan-out replicated payload")
 	runFiber(t, k, func(f *sim.Fiber) {
 		if err := g.WriteLocal(128, data); err != nil {
@@ -74,7 +62,7 @@ func TestFanoutWriteReplicatesToAll(t *testing.T) {
 }
 
 func TestFanoutDurableWriteSurvivesCrash(t *testing.T) {
-	k, g := testFanout(t, 3, DefaultConfig(testMirror))
+	k, g := testFanout(t, 3, protocol.Params{MirrorSize: testMirror})
 	data := []byte("durable fan-out")
 	runFiber(t, k, func(f *sim.Fiber) {
 		_ = g.WriteLocal(0, data)
@@ -94,7 +82,7 @@ func TestFanoutDurableWriteSurvivesCrash(t *testing.T) {
 }
 
 func TestFanoutCASWithResults(t *testing.T) {
-	k, g := testFanout(t, 3, DefaultConfig(testMirror))
+	k, g := testFanout(t, 3, protocol.Params{MirrorSize: testMirror})
 	runFiber(t, k, func(f *sim.Fiber) {
 		res, err := g.CAS(f, 512, 0, 9, []bool{true, true, true})
 		if err != nil {
@@ -125,7 +113,7 @@ func TestFanoutCASWithResults(t *testing.T) {
 }
 
 func TestFanoutCASSelective(t *testing.T) {
-	k, g := testFanout(t, 3, DefaultConfig(testMirror))
+	k, g := testFanout(t, 3, protocol.Params{MirrorSize: testMirror})
 	runFiber(t, k, func(f *sim.Fiber) {
 		if _, err := g.CAS(f, 256, 0, 5, []bool{true, false, true}); err != nil {
 			t.Errorf("cas: %v", err)
@@ -140,7 +128,7 @@ func TestFanoutCASSelective(t *testing.T) {
 }
 
 func TestFanoutMemcpyAndFlush(t *testing.T) {
-	k, g := testFanout(t, 2, DefaultConfig(testMirror))
+	k, g := testFanout(t, 2, protocol.Params{MirrorSize: testMirror})
 	rec := []byte("fanout log record")
 	runFiber(t, k, func(f *sim.Fiber) {
 		_ = g.WriteLocal(0, rec)
@@ -168,7 +156,7 @@ func TestFanoutMemcpyAndFlush(t *testing.T) {
 }
 
 func TestFanoutSingleMember(t *testing.T) {
-	k, g := testFanout(t, 1, DefaultConfig(testMirror))
+	k, g := testFanout(t, 1, protocol.Params{MirrorSize: testMirror})
 	runFiber(t, k, func(f *sim.Fiber) {
 		_ = g.WriteLocal(0, []byte("solo"))
 		if err := g.Write(f, 0, 4, true); err != nil {
@@ -182,16 +170,14 @@ func TestFanoutSingleMember(t *testing.T) {
 }
 
 func TestFanoutPipelinedWritesWrapRing(t *testing.T) {
-	cfg := DefaultConfig(testMirror)
-	cfg.Depth = 8
-	k, g := testFanout(t, 3, cfg)
+	k, g := testFanout(t, 3, protocol.Params{MirrorSize: testMirror, Depth: 8})
 	const ops = 40
 	runFiber(t, k, func(f *sim.Fiber) {
 		var sigs []*sim.Signal
 		for i := 0; i < ops; i++ {
 			_ = g.WriteLocal(i*256, []byte{byte(i + 1)})
 			sig, err := g.WriteAsync(i*256, 1, false)
-			if errors.Is(err, ErrTooManyInFlight) {
+			if errors.Is(err, protocol.ErrTooManyInFlight) {
 				if err := f.Await(sigs[0]); err != nil {
 					t.Errorf("await: %v", err)
 					return
@@ -236,13 +222,13 @@ func TestFanoutPrimaryCarriesTheLoad(t *testing.T) {
 		}
 		var write func(f *sim.Fiber) error
 		if fan {
-			g, err := SetupFanout(fab, client, members, DefaultConfig(testMirror))
+			g, err := SetupFanout(protocol.Env{Fabric: fab, Client: client, Replicas: members}, protocol.Params{MirrorSize: testMirror})
 			if err != nil {
 				t.Fatal(err)
 			}
 			write = func(f *sim.Fiber) error { return g.Write(f, 0, 4096, false) }
 		} else {
-			g, err := Setup(fab, client, members, DefaultConfig(testMirror))
+			g, err := Setup(protocol.Env{Fabric: fab, Client: client, Replicas: members}, protocol.Params{MirrorSize: testMirror})
 			if err != nil {
 				t.Fatal(err)
 			}

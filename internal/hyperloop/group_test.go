@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -17,7 +18,7 @@ const (
 )
 
 // testGroup spins up a kernel, fabric, client and nReplicas replicas.
-func testGroup(t *testing.T, nReplicas int, cfg Config) (*sim.Kernel, *Group) {
+func testGroup(t *testing.T, nReplicas int, p protocol.Params) (*sim.Kernel, *Group) {
 	t.Helper()
 	k := sim.NewKernel(42)
 	fab := rdma.NewFabric(k, rdma.DefaultConfig())
@@ -34,7 +35,7 @@ func testGroup(t *testing.T, nReplicas int, cfg Config) (*sim.Kernel, *Group) {
 		}
 		reps = append(reps, nic)
 	}
-	g, err := Setup(fab, client, reps, cfg)
+	g, err := Setup(protocol.Env{Fabric: fab, Client: client, Replicas: reps}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,37 +51,8 @@ func runFiber(t *testing.T, k *sim.Kernel, fn func(f *sim.Fiber)) {
 	}
 }
 
-func TestSetupValidation(t *testing.T) {
-	k := sim.NewKernel(1)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	client, _ := fab.AddNIC("c", nvm.NewDevice("c", testDev))
-	if _, err := Setup(fab, client, nil, DefaultConfig(testMirror)); !errors.Is(err, ErrBadArgument) {
-		t.Fatalf("no replicas: err = %v", err)
-	}
-	r1, _ := fab.AddNIC("r1", nvm.NewDevice("r1", testDev))
-	if _, err := Setup(fab, client, []*rdma.NIC{r1}, Config{MirrorSize: 0}); !errors.Is(err, ErrBadArgument) {
-		t.Fatalf("zero mirror: err = %v", err)
-	}
-}
-
-func TestDepthRoundedToPowerOfTwo(t *testing.T) {
-	k := sim.NewKernel(1)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	client, _ := fab.AddNIC("c", nvm.NewDevice("c", testDev))
-	r1, _ := fab.AddNIC("r1", nvm.NewDevice("r1", testDev))
-	cfg := DefaultConfig(1024)
-	cfg.Depth = 19
-	g, err := Setup(fab, client, []*rdma.NIC{r1}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := g.cfg.Depth; d&(d-1) != 0 {
-		t.Fatalf("depth %d not a power of two", d)
-	}
-}
-
 func TestGWriteReplicatesToAll(t *testing.T) {
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	data := []byte("chain-replicated payload 12345")
 	runFiber(t, k, func(f *sim.Fiber) {
 		if err := g.WriteLocal(100, data); err != nil {
@@ -107,7 +79,7 @@ func TestGWriteReplicatesToAll(t *testing.T) {
 }
 
 func TestGWriteLatencyIsMicroseconds(t *testing.T) {
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	var lat sim.Duration
 	runFiber(t, k, func(f *sim.Fiber) {
 		_ = g.WriteLocal(0, make([]byte, 1024))
@@ -123,7 +95,7 @@ func TestGWriteLatencyIsMicroseconds(t *testing.T) {
 }
 
 func TestDurableGWriteSurvivesCrash(t *testing.T) {
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	durableData := []byte("must survive power loss")
 	volatileData := []byte("may vanish on power loss")
 	runFiber(t, k, func(f *sim.Fiber) {
@@ -153,9 +125,7 @@ func TestDurableGWriteSurvivesCrash(t *testing.T) {
 }
 
 func TestManySequentialWritesWrapRing(t *testing.T) {
-	cfg := DefaultConfig(testMirror)
-	cfg.Depth = 8
-	k, g := testGroup(t, 3, cfg)
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror, Depth: 8})
 	const ops = 50 // several ring wraps at depth 8
 	runFiber(t, k, func(f *sim.Fiber) {
 		for i := 0; i < ops; i++ {
@@ -184,9 +154,7 @@ func TestManySequentialWritesWrapRing(t *testing.T) {
 }
 
 func TestPipelinedAsyncWrites(t *testing.T) {
-	cfg := DefaultConfig(testMirror)
-	cfg.Depth = 32
-	k, g := testGroup(t, 3, cfg)
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror, Depth: 32})
 	const window = 16
 	runFiber(t, k, func(f *sim.Fiber) {
 		sigs := make([]*sim.Signal, 0, window)
@@ -212,14 +180,12 @@ func TestPipelinedAsyncWrites(t *testing.T) {
 }
 
 func TestWindowLimitEnforced(t *testing.T) {
-	cfg := DefaultConfig(testMirror)
-	cfg.Depth = 4
-	k, g := testGroup(t, 1, cfg)
+	k, g := testGroup(t, 1, protocol.Params{MirrorSize: testMirror, Depth: 4})
 	runFiber(t, k, func(f *sim.Fiber) {
 		var last *sim.Signal
 		for i := 0; ; i++ {
 			sig, err := g.WriteAsync(0, 1, false)
-			if errors.Is(err, ErrTooManyInFlight) {
+			if errors.Is(err, protocol.ErrTooManyInFlight) {
 				if i < 2 {
 					t.Errorf("window closed after only %d ops", i)
 				}
@@ -242,7 +208,7 @@ func TestWindowLimitEnforced(t *testing.T) {
 }
 
 func TestGCASAcquiresLockOnAllReplicas(t *testing.T) {
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	const lockOff = 512
 	exec := []bool{true, true, true}
 	runFiber(t, k, func(f *sim.Fiber) {
@@ -280,7 +246,7 @@ func TestGCASAcquiresLockOnAllReplicas(t *testing.T) {
 
 func TestGCASSelectiveExecution(t *testing.T) {
 	// The undo path: execute only on replicas 0 and 2, skip 1.
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	const off = 1024
 	runFiber(t, k, func(f *sim.Fiber) {
 		if _, err := g.CAS(f, off, 0, 5, []bool{true, false, true}); err != nil {
@@ -296,16 +262,16 @@ func TestGCASSelectiveExecution(t *testing.T) {
 }
 
 func TestGCASExecMapValidation(t *testing.T) {
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	runFiber(t, k, func(f *sim.Fiber) {
-		if _, err := g.CAS(f, 0, 0, 1, []bool{true}); !errors.Is(err, ErrBadArgument) {
+		if _, err := g.CAS(f, 0, 0, 1, []bool{true}); !errors.Is(err, protocol.ErrBadArgument) {
 			t.Errorf("short exec map: err = %v", err)
 		}
 	})
 }
 
 func TestGMemcpyExecutesLogOnAllMembers(t *testing.T) {
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	record := []byte("log record: set X=42")
 	const logOff, dataOff = 0, 8192
 	runFiber(t, k, func(f *sim.Fiber) {
@@ -335,7 +301,7 @@ func TestGMemcpyExecutesLogOnAllMembers(t *testing.T) {
 }
 
 func TestGFlushMakesPriorWriteDurable(t *testing.T) {
-	k, g := testGroup(t, 2, DefaultConfig(testMirror))
+	k, g := testGroup(t, 2, protocol.Params{MirrorSize: testMirror})
 	data := []byte("write now, flush later")
 	runFiber(t, k, func(f *sim.Fiber) {
 		_ = g.WriteLocal(0, data)
@@ -359,7 +325,7 @@ func TestGFlushMakesPriorWriteDurable(t *testing.T) {
 }
 
 func TestReadHead(t *testing.T) {
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	data := []byte("read me back one-sided")
 	runFiber(t, k, func(f *sim.Fiber) {
 		_ = g.WriteLocal(0, data)
@@ -385,14 +351,12 @@ func TestReadHead(t *testing.T) {
 }
 
 func TestOpTimeoutOnDeadReplica(t *testing.T) {
-	cfg := DefaultConfig(testMirror)
-	cfg.OpTimeout = 500 * sim.Microsecond
-	k, g := testGroup(t, 3, cfg)
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror, OpTimeout: 500 * sim.Microsecond})
 	runFiber(t, k, func(f *sim.Fiber) {
 		g.ReplicaNIC(1).SetDown(true)
 		_ = g.WriteLocal(0, []byte{1})
 		err := g.Write(f, 0, 1, false)
-		if !errors.Is(err, ErrTimeout) {
+		if !errors.Is(err, protocol.ErrTimeout) {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
 		if g.InFlight() != 0 {
@@ -406,17 +370,16 @@ func TestRetryBoundedOnPermanentCrash(t *testing.T) {
 	// in bounded time — exactly MaxRetries re-issues, never a hang. (The
 	// pre-armed WQE chains die with the replica, so retries cannot succeed
 	// without group re-setup; what they must do is terminate.)
-	cfg := DefaultConfig(testMirror)
-	cfg.OpTimeout = 500 * sim.Microsecond
-	cfg.MaxRetries = 2
-	cfg.RetryBackoff = 100 * sim.Microsecond
-	k, g := testGroup(t, 3, cfg)
+	k, g := testGroup(t, 3, protocol.Params{
+		MirrorSize: testMirror, OpTimeout: 500 * sim.Microsecond,
+		MaxRetries: 2, RetryBackoff: 100 * sim.Microsecond,
+	})
 	runFiber(t, k, func(f *sim.Fiber) {
 		g.ReplicaNIC(1).SetDown(true)
 		_ = g.WriteLocal(0, []byte{1})
 		start := f.Now()
 		err := g.Write(f, 0, 1, false)
-		if !errors.Is(err, ErrTimeout) {
+		if !errors.Is(err, protocol.ErrTimeout) {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
 		if got := g.Retried(); got != 2 {
@@ -438,8 +401,7 @@ func TestRetryBoundedOnPermanentCrash(t *testing.T) {
 func TestCloseFailsInFlightOps(t *testing.T) {
 	// Close fires ErrClosed into every awaiting fiber; nothing hangs on an
 	// operation the torn-down datapath will never complete.
-	cfg := DefaultConfig(testMirror)
-	k, g := testGroup(t, 2, cfg)
+	k, g := testGroup(t, 2, protocol.Params{MirrorSize: testMirror})
 	runFiber(t, k, func(f *sim.Fiber) {
 		g.ReplicaNIC(0).SetDown(true) // freeze the chain so the op stays in flight
 		sig, err := g.WriteAsync(0, 64, false)
@@ -447,7 +409,7 @@ func TestCloseFailsInFlightOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Close()
-		if err := f.Await(sig); !errors.Is(err, ErrClosed) {
+		if err := f.Await(sig); !errors.Is(err, protocol.ErrClosed) {
 			t.Errorf("await = %v, want ErrClosed", err)
 		}
 		if g.InFlight() != 0 {
@@ -457,18 +419,18 @@ func TestCloseFailsInFlightOps(t *testing.T) {
 }
 
 func TestBadRangeRejected(t *testing.T) {
-	k, g := testGroup(t, 2, DefaultConfig(testMirror))
+	k, g := testGroup(t, 2, protocol.Params{MirrorSize: testMirror})
 	runFiber(t, k, func(f *sim.Fiber) {
-		if _, err := g.WriteAsync(testMirror-1, 2, false); !errors.Is(err, ErrBadArgument) {
+		if _, err := g.WriteAsync(testMirror-1, 2, false); !errors.Is(err, protocol.ErrBadArgument) {
 			t.Errorf("overflow write err = %v", err)
 		}
-		if _, err := g.MemcpyAsync(0, testMirror-1, 8, false); !errors.Is(err, ErrBadArgument) {
+		if _, err := g.MemcpyAsync(0, testMirror-1, 8, false); !errors.Is(err, protocol.ErrBadArgument) {
 			t.Errorf("overflow memcpy err = %v", err)
 		}
-		if err := g.WriteLocal(-1, []byte{1}); !errors.Is(err, ErrBadArgument) {
+		if err := g.WriteLocal(-1, []byte{1}); !errors.Is(err, protocol.ErrBadArgument) {
 			t.Errorf("negative local write err = %v", err)
 		}
-		if _, err := g.ViewLocal(testMirror, 1); !errors.Is(err, ErrBadArgument) {
+		if _, err := g.ViewLocal(testMirror, 1); !errors.Is(err, protocol.ErrBadArgument) {
 			t.Errorf("local read err = %v", err)
 		}
 	})
@@ -477,8 +439,7 @@ func TestBadRangeRejected(t *testing.T) {
 func TestGroupSizesOneThroughFive(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5} {
 		n := n
-		cfg := DefaultConfig(testMirror)
-		k, g := testGroup(t, n, cfg)
+		k, g := testGroup(t, n, protocol.Params{MirrorSize: testMirror})
 		data := []byte("size sweep payload")
 		runFiber(t, k, func(f *sim.Fiber) {
 			_ = g.WriteLocal(0, data)
@@ -510,7 +471,7 @@ func TestMirrorConsistencyProperty(t *testing.T) {
 		if len(steps) > 25 {
 			steps = steps[:25]
 		}
-		k, g := testGroup(t, 3, DefaultConfig(testMirror))
+		k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 		ok := true
 		runFiber(t, k, func(f *sim.Fiber) {
 			for _, s := range steps {
@@ -571,7 +532,7 @@ func TestMirrorConsistencyProperty(t *testing.T) {
 // replicas consistent with each other even though the client does not CAS
 // its own copy (locks live on replicas; see txn package).
 func TestReplicasAgreeAfterContendedCAS(t *testing.T) {
-	k, g := testGroup(t, 3, DefaultConfig(testMirror))
+	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
 	runFiber(t, k, func(f *sim.Fiber) {
 		for i := uint64(0); i < 10; i++ {
 			if _, err := g.CAS(f, 0, i, i+1, []bool{true, true, true}); err != nil {

@@ -16,7 +16,7 @@ type opParams = protocol.Op
 
 // stagingAddr returns replica r's staging slot address for seq.
 func (g *Group) stagingAddr(r *replica, seq uint64) uint64 {
-	return r.stagingOff + (seq%uint64(g.cfg.Depth))*uint64(r.stagingSlot)
+	return r.stagingOff + (seq%uint64(g.params.Depth))*uint64(r.stagingSlot)
 }
 
 // encodeLocalBlock builds the patched L1/L2 descriptors one member runs on
@@ -105,7 +105,7 @@ func (g *Group) Transmit(seq uint64, kind opKind, p opParams) error {
 	}
 	putHeader(msg[g.lay.groupSize*descBlockSize+g.lay.resultsLen():], seq, kind)
 
-	metaAddr := g.metaOff + (seq%uint64(g.cfg.Depth))*uint64(g.lay.metaLen(1))
+	metaAddr := g.metaOff + (seq%uint64(g.params.Depth))*uint64(g.lay.metaLen(1))
 	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
 		return err
 	}
@@ -182,11 +182,11 @@ func (a *groupAck) onAcks(batch []rdma.CQE) {
 // the lock-free read path (§5, "lock-free one-sided reads from exactly one
 // replica").
 func (g *Group) ReadHead(f *sim.Fiber, remoteOff, localOff, size int) error {
-	if localOff < 0 || size < 0 || localOff > g.cfg.MirrorSize-size {
-		return fmt.Errorf("%w: read buffer outside mirror", ErrBadArgument)
+	if localOff < 0 || size < 0 || localOff > g.params.MirrorSize-size {
+		return fmt.Errorf("%w: read buffer outside mirror", protocol.ErrBadArgument)
 	}
 	if g.Closed() {
-		return ErrClosed
+		return protocol.ErrClosed
 	}
 	g.nextWRID++
 	wrid := g.nextWRID | 1<<63 // disjoint from op sequence numbers

@@ -9,7 +9,7 @@ import (
 // re-arm) — never on the datapath.
 func (g *Group) arm(r *replica, seq uint64) error {
 	// The metadata receive is posted after the chain slots exist.
-	defer r.qpPrev.PostRecv(rdma.RecvWQE{WRID: seq, SGEs: r.recv[seq%uint64(g.cfg.Depth)]})
+	defer r.qpPrev.PostRecv(rdma.RecvWQE{WRID: seq, SGEs: r.recv[seq%uint64(g.params.Depth)]})
 
 	// Loopback chain: WAIT for the metadata receive, then run the two
 	// (to-be-patched) local operations. Placeholders are signaled NOPs so

@@ -15,6 +15,8 @@
 //
 // Group embeds the protocol.Group that drives it (so it is a
 // protocol.Protocol); ModeEvent is registered with the protocol registry
-// as "naive" at init. The other modes are selected
-// explicitly through Config by the experiments that compare them.
+// as "naive" at init. Setup takes the same Env and Params as every
+// datapath plus a Config, the replica-CPU cost model: the other modes are
+// selected through it (naive.Builder) by the experiments that compare
+// them.
 package naive

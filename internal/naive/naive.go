@@ -34,11 +34,12 @@ func (m Mode) String() string {
 	}
 }
 
-// Config parameterizes the baseline group.
+// Config is the baseline's replica-CPU cost model: how the replica
+// handlers pick up completions and what their work costs. The group's
+// policy (mirror, window, timeout/retry, wake penalty) is
+// protocol.Params, as for every datapath.
 type Config struct {
-	MirrorSize int
-	Depth      int
-	Mode       Mode
+	Mode Mode
 	// RecvHandlerCPU is CPU time to take the completion, read the CQ and
 	// parse the message.
 	RecvHandlerCPU sim.Duration
@@ -50,28 +51,11 @@ type Config struct {
 	// FlushBase/FlushPerLine model CPU-driven persistence (clwb+fence).
 	FlushBase    sim.Duration
 	FlushPerLine sim.Duration
-	// WakePenalty/WakePenaltyProb model per-tenant cgroup-share placement
-	// on wakeup (see cpusim.Proc.SetWakePenalty); zero values give the
-	// handler full CFS sleeper credit.
-	WakePenalty     sim.Duration
-	WakePenaltyProb float64
-	// OpTimeout aborts operations without an ACK (0 disables).
-	OpTimeout sim.Duration
-	// MaxRetries re-issues a blocking operation that failed with
-	// ErrTimeout up to this many extra times (0 disables). The replica
-	// handlers are stateless per message, so a re-issued write survives
-	// a transient replica crash; gCAS is never retried.
-	MaxRetries int
-	// RetryBackoff is the linear backoff between retries: attempt k
-	// sleeps k*RetryBackoff before re-issuing.
-	RetryBackoff sim.Duration
 }
 
-// DefaultConfig returns calibrated costs (DESIGN.md).
-func DefaultConfig(mirrorSize int) Config {
+// DefaultConfig returns calibrated costs (DESIGN.md), in event mode.
+func DefaultConfig() Config {
 	return Config{
-		MirrorSize:     mirrorSize,
-		Depth:          32,
 		Mode:           ModeEvent,
 		RecvHandlerCPU: 2 * sim.Microsecond,
 		PostCPU:        1 * sim.Microsecond,
@@ -80,15 +64,6 @@ func DefaultConfig(mirrorSize int) Config {
 		FlushPerLine:   1 * sim.Nanosecond,
 	}
 }
-
-// Errors returned by group operations. Each wraps the canonical
-// protocol sentinel, so errors.Is matches either form.
-var (
-	ErrTooManyInFlight = protocol.WrapErr("naive: operation window exceeded", protocol.ErrTooManyInFlight)
-	ErrTimeout         = protocol.WrapErr("naive: operation timed out", protocol.ErrTimeout)
-	ErrBadArgument     = protocol.WrapErr("naive: bad argument", protocol.ErrBadArgument)
-	ErrClosed          = protocol.WrapErr("naive: group closed", protocol.ErrClosed)
-)
 
 // The op encoding on the wire is the shared protocol one.
 type opKind = protocol.OpKind
@@ -169,14 +144,15 @@ type replica struct {
 }
 
 // Group is the Naive-RDMA replication chain. The embedded protocol.Group
-// is its protocol.Protocol surface (registered as "naive", in ModeEvent);
-// this type is that group's strategy and adds ReplicaHandlerCPU and the
-// NIC accessors.
+// is its protocol.Protocol surface (registered as "naive", in ModeEvent)
+// and its NIC accessors; this type is that group's strategy and adds
+// ReplicaHandlerCPU.
 type Group struct {
 	*protocol.Group
 
-	cfg   Config
-	hosts []*protocol.Host
+	params protocol.Params // checked: Depth is the window
+	cfg    Config
+	hosts  []*protocol.Host
 
 	client   *rdma.NIC
 	qpHead   *rdma.QP
@@ -193,37 +169,29 @@ type Group struct {
 
 func (g *Group) msgLen() int { return headerSize + 8*g.GroupSize() }
 
-// Setup builds a naive chain. scheds[i] is the CPU scheduler of the
-// machine hosting replicas[i]; the replica's handler becomes one more
+// Setup builds a naive chain over env's replicas with policy p and
+// replica cost model cfg. env.Scheds[i] is the CPU scheduler of the
+// machine hosting env.Replicas[i]; the replica's handler becomes one more
 // tenant process there.
-func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC,
-	scheds []*cpusim.Scheduler, cfg Config) (*Group, error) {
-	if len(replicas) == 0 || len(scheds) != len(replicas) {
-		return nil, fmt.Errorf("%w: need replicas with matching schedulers", ErrBadArgument)
+func Setup(env protocol.Env, p protocol.Params, cfg Config) (*Group, error) {
+	p, err := p.Check(len(env.Replicas))
+	if err == nil && len(env.Scheds) != len(env.Replicas) {
+		err = fmt.Errorf("%w: need one CPU scheduler per replica", protocol.ErrBadArgument)
 	}
-	if cfg.MirrorSize <= 0 {
-		return nil, fmt.Errorf("%w: mirror size must be positive", ErrBadArgument)
+	if err != nil {
+		return nil, fmt.Errorf("naive: setup: %w", err)
 	}
-	cfg.Depth = protocol.Window(cfg.Depth)
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeEvent
 	}
-	g := &Group{cfg: cfg, client: client, ackRes: make([]uint64, len(replicas))}
-	g.Group = protocol.NewGroup(protocol.GroupConfig{
-		Kernel: fab.Kernel(), Mirror: client.Memory(),
-		GroupSize: len(replicas), MirrorSize: cfg.MirrorSize, Depth: cfg.Depth,
-		OpTimeout: cfg.OpTimeout, MaxRetries: cfg.MaxRetries, RetryBackoff: cfg.RetryBackoff,
-		Errors: protocol.Errors{
-			TooManyInFlight: ErrTooManyInFlight, Timeout: ErrTimeout,
-			BadArgument: ErrBadArgument, Closed: ErrClosed,
-		},
-	}, g)
+	g := &Group{params: p, cfg: cfg, client: env.Client, ackRes: make([]uint64, len(env.Replicas))}
+	g.Group = protocol.NewGroup(env, p, g)
 	g.metaBuf = make([]byte, g.msgLen())
 	if err := g.setupClient(); err != nil {
 		return nil, err
 	}
-	for i, nic := range replicas {
-		r, err := g.setupReplica(i+1, nic, scheds[i])
+	for i, nic := range env.Replicas {
+		r, err := g.setupReplica(i+1, nic, env.Scheds[i])
 		if err != nil {
 			return nil, fmt.Errorf("replica %d: %w", i+1, err)
 		}
@@ -236,12 +204,12 @@ func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC,
 	g.replicas[len(g.replicas)-1].qpNext.Connect(g.qpAck)
 
 	for _, r := range g.replicas {
-		for i := 0; i < cfg.Depth; i++ {
+		for i := 0; i < p.Depth; i++ {
 			r.postRecv(uint64(i))
 		}
 		r.install()
 	}
-	for i := 0; i < cfg.Depth; i++ {
+	for i := 0; i < p.Depth; i++ {
 		g.qpAck.PostRecv(rdma.RecvWQE{})
 	}
 	g.qpAck.RecvCQ().SetDrainHandler(g.onAcks)
@@ -249,34 +217,34 @@ func Setup(fab *rdma.Fabric, client *rdma.NIC, replicas []*rdma.NIC,
 }
 
 func (g *Group) setupClient() error {
-	h := protocol.NewHost(g.client, g.cfg.MirrorSize)
+	h := protocol.NewHost(g.client, g.params.MirrorSize)
 	g.hosts = append(g.hosts, h)
-	g.metaOff = h.Region("meta", g.cfg.Depth*g.msgLen())
-	g.ackOff = h.Region("ack", g.cfg.Depth*g.msgLen())
-	g.ackMR = h.MR(g.ackOff, g.cfg.Depth*g.msgLen(), rdma.AccessRemoteWrite)
-	g.qpHead = h.QP("head-ring", 2*g.cfg.Depth, nil, nil)
+	g.metaOff = h.Region("meta", g.params.Depth*g.msgLen())
+	g.ackOff = h.Region("ack", g.params.Depth*g.msgLen())
+	g.ackMR = h.MR(g.ackOff, g.params.Depth*g.msgLen(), rdma.AccessRemoteWrite)
+	g.qpHead = h.QP("head-ring", 2*g.params.Depth, nil, nil)
 	g.qpAck = h.QP("ack-ring", 1, nil, nil)
 	return h.Err()
 }
 
 func (g *Group) setupReplica(index int, nic *rdma.NIC, sched *cpusim.Scheduler) (*replica, error) {
-	h := protocol.NewHost(nic, g.cfg.MirrorSize)
+	h := protocol.NewHost(nic, g.params.MirrorSize)
 	g.hosts = append(g.hosts, h)
 	r := &replica{index: index, nic: nic, g: g, stagingSlot: g.msgLen()} // isTail finalized in install
-	r.stagingOff = h.Region("staging", g.cfg.Depth*r.stagingSlot)
+	r.stagingOff = h.Region("staging", g.params.Depth*r.stagingSlot)
 	r.mirror = h.MirrorMR()
 	r.qpPrev = h.QP("prev-ring", 1, nil, nil)
-	r.qpNext = h.QP("next-ring", 2*g.cfg.Depth, nil, nil)
+	r.qpNext = h.QP("next-ring", 2*g.params.Depth, nil, nil)
 	if err := h.Err(); err != nil {
 		return nil, err
 	}
-	r.recv = make([][]rdma.SGE, g.cfg.Depth)
+	r.recv = make([][]rdma.SGE, g.params.Depth)
 	for i := range r.recv {
 		r.recv[i] = []rdma.SGE{{Addr: r.stagingAddr(uint64(i)), Len: uint64(g.msgLen())}}
 	}
 	r.proc = sched.NewProc(fmt.Sprintf("replica-%d", index))
-	if g.cfg.WakePenalty > 0 {
-		r.proc.SetWakePenalty(g.cfg.WakePenaltyProb, g.cfg.WakePenalty)
+	if g.params.WakePenalty > 0 {
+		r.proc.SetWakePenalty(g.params.WakePenaltyProb, g.params.WakePenalty)
 	}
 	switch g.cfg.Mode {
 	case ModePinned:
@@ -293,7 +261,7 @@ func (g *Group) setupReplica(index int, nic *rdma.NIC, sched *cpusim.Scheduler) 
 // again by the time the slot's next receive (posted by handle) completes.
 func (r *replica) install() {
 	r.isTail = r.index == len(r.g.replicas)
-	depth := uint64(r.g.cfg.Depth)
+	depth := uint64(r.g.params.Depth)
 	wrids := make([]uint64, depth)
 	work := make([]func(), depth)
 	for i := range work {
@@ -343,7 +311,7 @@ func (g *Group) flushCost(size int) sim.Duration {
 
 func (r *replica) stagingBuf(slot uint64) []byte {
 	g := r.g
-	addr := int(r.stagingOff) + int(slot%uint64(g.cfg.Depth))*r.stagingSlot
+	addr := int(r.stagingOff) + int(slot%uint64(g.params.Depth))*r.stagingSlot
 	if cap(r.scratch) < g.msgLen() {
 		r.scratch = make([]byte, g.msgLen())
 	}
@@ -353,7 +321,7 @@ func (r *replica) stagingBuf(slot uint64) []byte {
 }
 
 func (r *replica) stagingAddr(slot uint64) uint64 {
-	return r.stagingOff + (slot%uint64(r.g.cfg.Depth))*uint64(r.stagingSlot)
+	return r.stagingOff + (slot%uint64(r.g.params.Depth))*uint64(r.stagingSlot)
 }
 
 // handle runs on the replica CPU once scheduled: execute the operation
@@ -414,15 +382,15 @@ func (r *replica) handle(slot uint64) {
 			Local: r.stagingAddr(slot), Len: uint64(g.msgLen()),
 		})
 	}
-	r.postRecv(slot + uint64(g.cfg.Depth))
+	r.postRecv(slot + uint64(g.params.Depth))
 }
 
 func (r *replica) postRecv(slot uint64) {
-	r.qpPrev.PostRecv(rdma.RecvWQE{WRID: slot, SGEs: r.recv[slot%uint64(r.g.cfg.Depth)]})
+	r.qpPrev.PostRecv(rdma.RecvWQE{WRID: slot, SGEs: r.recv[slot%uint64(r.g.params.Depth)]})
 }
 
 func (g *Group) ackAddr(seq uint64) uint64 {
-	return g.ackOff + (seq%uint64(g.cfg.Depth))*uint64(g.msgLen())
+	return g.ackOff + (seq%uint64(g.params.Depth))*uint64(g.msgLen())
 }
 
 // onAcks handles a drained batch of tail ACK completions.

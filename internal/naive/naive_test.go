@@ -7,6 +7,7 @@ import (
 
 	"hyperloop/internal/cpusim"
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -16,13 +17,17 @@ const (
 	testDev    = 1 << 20
 )
 
+var testParams = protocol.Params{MirrorSize: testMirror}
+
 type env struct {
 	k      *sim.Kernel
 	g      *Group
 	scheds []*cpusim.Scheduler
 }
 
-func newEnv(t *testing.T, nReplicas, cores int, cfg Config) *env {
+// newEnv builds a naive chain over nReplicas replicas, each on its own
+// machine of cores CPUs, with policy p and the default costs in mode.
+func newEnv(t *testing.T, nReplicas, cores int, p protocol.Params, mode Mode) *env {
 	t.Helper()
 	k := sim.NewKernel(42)
 	fab := rdma.NewFabric(k, rdma.DefaultConfig())
@@ -45,7 +50,9 @@ func newEnv(t *testing.T, nReplicas, cores int, cfg Config) *env {
 		}
 		scheds = append(scheds, s)
 	}
-	g, err := Setup(fab, client, reps, scheds, cfg)
+	cfg := DefaultConfig()
+	cfg.Mode = mode
+	g, err := Setup(protocol.Env{Fabric: fab, Client: client, Replicas: reps, Scheds: scheds}, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,15 +64,6 @@ func (e *env) run(t *testing.T, horizon sim.Duration, fn func(f *sim.Fiber)) {
 	e.k.Spawn("test", fn)
 	if err := e.k.RunUntil(sim.Time(horizon)); err != nil {
 		t.Fatalf("kernel: %v", err)
-	}
-}
-
-func TestSetupValidation(t *testing.T) {
-	k := sim.NewKernel(1)
-	fab := rdma.NewFabric(k, rdma.DefaultConfig())
-	client, _ := fab.AddNIC("c", nvm.NewDevice("c", testDev))
-	if _, err := Setup(fab, client, nil, nil, DefaultConfig(testMirror)); !errors.Is(err, ErrBadArgument) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -91,7 +89,7 @@ func TestModeStrings(t *testing.T) {
 }
 
 func TestNaiveWriteReplicates(t *testing.T) {
-	e := newEnv(t, 3, 4, DefaultConfig(testMirror))
+	e := newEnv(t, 3, 4, testParams, ModeEvent)
 	data := []byte("naive chain payload")
 	e.run(t, sim.Second, func(f *sim.Fiber) {
 		_ = e.g.WriteLocal(64, data)
@@ -112,7 +110,7 @@ func TestNaiveWriteReplicates(t *testing.T) {
 // chain allocates nothing once warm — each replica's receive lists and
 // handler work items are built per slot at setup.
 func TestNaiveWriteSteadyStateAllocs(t *testing.T) {
-	e := newEnv(t, 3, 4, DefaultConfig(testMirror))
+	e := newEnv(t, 3, 4, testParams, ModeEvent)
 	var err error
 	write := func(f *sim.Fiber) {
 		if werr := e.g.Write(f, 64, 512, true); werr != nil && err == nil {
@@ -136,7 +134,7 @@ func TestNaiveWriteSteadyStateAllocs(t *testing.T) {
 }
 
 func TestNaiveDurableWriteSurvivesCrash(t *testing.T) {
-	e := newEnv(t, 2, 4, DefaultConfig(testMirror))
+	e := newEnv(t, 2, 4, testParams, ModeEvent)
 	data := []byte("durable naive")
 	e.run(t, sim.Second, func(f *sim.Fiber) {
 		_ = e.g.WriteLocal(0, data)
@@ -156,7 +154,7 @@ func TestNaiveDurableWriteSurvivesCrash(t *testing.T) {
 }
 
 func TestNaiveCASWithExecuteMap(t *testing.T) {
-	e := newEnv(t, 3, 4, DefaultConfig(testMirror))
+	e := newEnv(t, 3, 4, testParams, ModeEvent)
 	e.run(t, sim.Second, func(f *sim.Fiber) {
 		res, err := e.g.CAS(f, 256, 0, 5, []bool{true, false, true})
 		if err != nil {
@@ -176,7 +174,7 @@ func TestNaiveCASWithExecuteMap(t *testing.T) {
 }
 
 func TestNaiveMemcpyAndFlush(t *testing.T) {
-	e := newEnv(t, 2, 4, DefaultConfig(testMirror))
+	e := newEnv(t, 2, 4, testParams, ModeEvent)
 	rec := []byte("apply this record")
 	e.run(t, sim.Second, func(f *sim.Fiber) {
 		_ = e.g.WriteLocal(0, rec)
@@ -208,7 +206,7 @@ func TestNaiveMemcpyAndFlush(t *testing.T) {
 }
 
 func TestNaiveUsesReplicaCPU(t *testing.T) {
-	e := newEnv(t, 3, 4, DefaultConfig(testMirror))
+	e := newEnv(t, 3, 4, testParams, ModeEvent)
 	e.run(t, sim.Second, func(f *sim.Fiber) {
 		for i := 0; i < 20; i++ {
 			_ = e.g.WriteLocal(0, []byte{byte(i)})
@@ -230,8 +228,7 @@ func TestNaiveUsesReplicaCPU(t *testing.T) {
 
 func TestNaiveLatencyInflatesUnderLoad(t *testing.T) {
 	measure := func(hogs int) sim.Duration {
-		cfg := DefaultConfig(testMirror)
-		e := newEnv(t, 3, 2, cfg)
+		e := newEnv(t, 3, 2, testParams, ModeEvent)
 		for _, s := range e.scheds {
 			s.AddHogs(hogs)
 		}
@@ -264,9 +261,7 @@ func TestNaiveLatencyInflatesUnderLoad(t *testing.T) {
 
 func TestPinnedPollingAvoidsSchedulingDelay(t *testing.T) {
 	measure := func(mode Mode) sim.Duration {
-		cfg := DefaultConfig(testMirror)
-		cfg.Mode = mode
-		e := newEnv(t, 3, 2, cfg)
+		e := newEnv(t, 3, 2, testParams, mode)
 		for _, s := range e.scheds {
 			s.AddHogs(16)
 		}
@@ -296,15 +291,15 @@ func TestPinnedPollingAvoidsSchedulingDelay(t *testing.T) {
 }
 
 func TestNaiveWindowAndValidation(t *testing.T) {
-	cfg := DefaultConfig(testMirror)
-	cfg.Depth = 4
-	e := newEnv(t, 1, 2, cfg)
+	p := testParams
+	p.Depth = 4
+	e := newEnv(t, 1, 2, p, ModeEvent)
 	e.run(t, sim.Second, func(f *sim.Fiber) {
 		count := 0
 		var last *sim.Signal
 		for {
 			sig, err := e.g.WriteAsync(0, 1, false)
-			if errors.Is(err, ErrTooManyInFlight) {
+			if errors.Is(err, protocol.ErrTooManyInFlight) {
 				break
 			}
 			if err != nil {
@@ -324,20 +319,20 @@ func TestNaiveWindowAndValidation(t *testing.T) {
 		if _, err := e.g.WriteAsync(testMirror, 8, false); err == nil {
 			t.Error("out of range accepted")
 		}
-		if _, err := e.g.CAS(f, 0, 0, 1, []bool{true, true}); !errors.Is(err, ErrBadArgument) {
+		if _, err := e.g.CAS(f, 0, 0, 1, []bool{true, true}); !errors.Is(err, protocol.ErrBadArgument) {
 			t.Errorf("bad exec map err = %v", err)
 		}
 	})
 }
 
 func TestNaiveTimeout(t *testing.T) {
-	cfg := DefaultConfig(testMirror)
-	cfg.OpTimeout = 300 * sim.Microsecond
-	e := newEnv(t, 3, 4, cfg)
+	p := testParams
+	p.OpTimeout = 300 * sim.Microsecond
+	e := newEnv(t, 3, 4, p, ModeEvent)
 	e.run(t, sim.Second, func(f *sim.Fiber) {
 		e.g.ReplicaNIC(1).SetDown(true)
 		_ = e.g.WriteLocal(0, []byte{1})
-		if err := e.g.Write(f, 0, 1, false); !errors.Is(err, ErrTimeout) {
+		if err := e.g.Write(f, 0, 1, false); !errors.Is(err, protocol.ErrTimeout) {
 			t.Errorf("err = %v, want timeout", err)
 		}
 	})
@@ -347,11 +342,11 @@ func TestRetryRecoversFromTransientCrash(t *testing.T) {
 	// The replica handlers are stateless per message, so after a replica
 	// NIC restart a re-issued write goes through — the retry loop converts
 	// a transient crash into latency instead of an error.
-	cfg := DefaultConfig(testMirror)
-	cfg.OpTimeout = 300 * sim.Microsecond
-	cfg.MaxRetries = 3
-	cfg.RetryBackoff = 200 * sim.Microsecond
-	e := newEnv(t, 3, 4, cfg)
+	p := testParams
+	p.OpTimeout = 300 * sim.Microsecond
+	p.MaxRetries = 3
+	p.RetryBackoff = 200 * sim.Microsecond
+	e := newEnv(t, 3, 4, p, ModeEvent)
 	e.run(t, sim.Second, func(f *sim.Fiber) {
 		nic := e.g.ReplicaNIC(1)
 		nic.SetDown(true)
@@ -381,9 +376,7 @@ func TestContendedPollingWorseThanEvent(t *testing.T) {
 	// contention makes polling SLOWER on average than event-driven
 	// handlers, because pollers burn shared cores.
 	measure := func(mode Mode) sim.Duration {
-		cfg := DefaultConfig(testMirror)
-		cfg.Mode = mode
-		e := newEnv(t, 3, 2, cfg)
+		e := newEnv(t, 3, 2, testParams, mode)
 		for _, s := range e.scheds {
 			// Several other tenants' pollers contend for the two cores.
 			for i := 0; i < 6; i++ {

@@ -23,7 +23,7 @@ func (g *Group) Transmit(seq uint64, kind opKind, p protocol.Op) error {
 	msg := g.metaBuf
 	clear(msg)
 	h.encode(msg)
-	metaAddr := g.metaOff + (seq%uint64(g.cfg.Depth))*uint64(g.msgLen())
+	metaAddr := g.metaOff + (seq%uint64(g.params.Depth))*uint64(g.msgLen())
 	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
 		return err
 	}
@@ -41,12 +41,6 @@ func (g *Group) Transmit(seq uint64, kind opKind, p protocol.Op) error {
 	})
 	return err
 }
-
-// ReplicaNIC returns the i-th (0-based) replica's NIC.
-func (g *Group) ReplicaNIC(i int) *rdma.NIC { return g.replicas[i].nic }
-
-// ClientNIC returns the client's NIC.
-func (g *Group) ClientNIC() *rdma.NIC { return g.client }
 
 // ReplicaHandlerCPU sums the CPU time consumed by the replica handler
 // processes — the cost HyperLoop eliminates from the datapath.

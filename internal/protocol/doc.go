@@ -29,11 +29,11 @@
 //
 // Implementations register a Builder under a protocol name in their
 // package init; Build constructs one over an Env (the cluster resources)
-// and Params (mirror size, window depth, timeout/retry policy). Note the
-// registry is populated by importing the implementing packages — callers
-// that construct protocols by name must import internal/hyperloop and
-// internal/naive (the root hyperloop package and internal/experiments
-// both do).
+// and Params (mirror size, window depth, timeout/retry policy) — the same
+// two inputs every datapath's Setup takes. Note the registry is populated
+// by importing the implementing packages — callers that construct
+// protocols by name must import internal/hyperloop and internal/naive (the
+// root hyperloop package and internal/experiments both do).
 //
 // Group owns everything the primitives have in common: client mirror
 // access, argument validation, sequence numbers, the in-flight window,
@@ -45,7 +45,7 @@
 // defines a Protocol method of its own. Every strategy sets up each NIC
 // through a Host, which carves the mirror at offset 0 (so a NIC hosts one
 // group at a time), owns the QPs and CQs, and destroys them for Teardown;
-// Window is the one depth rule. Canonical sentinel errors live
-// here too; per-package errors wrap them via WrapErr so errors.Is matches
-// across protocols while each package keeps its historical error strings.
+// Params is the one policy type (Params.Check the one validation and
+// Window the one depth rule), and the canonical sentinel errors here are
+// the only ones a datapath returns.
 package protocol

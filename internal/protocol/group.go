@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
 
@@ -50,30 +51,6 @@ type Strategy interface {
 	Teardown()
 }
 
-// Errors are the owning package's sentinels (each wrapping the canonical
-// one via WrapErr), so a Group reports failures under the error strings
-// its protocol has always used.
-type Errors struct {
-	TooManyInFlight, Timeout, BadArgument, Closed error
-}
-
-// GroupConfig is everything a Group needs besides its strategy.
-type GroupConfig struct {
-	Kernel *sim.Kernel
-	Mirror *nvm.Device // the client's device; the mirror is [0, MirrorSize)
-	// GroupSize is the number of replicated members, which is also the
-	// length of a gCAS execute map.
-	GroupSize  int
-	MirrorSize int
-	// Depth is the number of pre-posted operation slots per member; the
-	// in-flight window is Depth-2.
-	Depth        int
-	OpTimeout    sim.Duration
-	MaxRetries   int
-	RetryBackoff sim.Duration
-	Errors       Errors
-}
-
 // Window returns the number of pre-posted operation slots a group runs
 // with when depth slots are asked for: 32 when depth is unset, otherwise
 // depth rounded up to a power of two. An ACK's imm carries only the low
@@ -110,7 +87,10 @@ type pending struct {
 // drives a Strategy for the rest. It schedules kernel events only when a
 // timeout is configured.
 type Group struct {
-	cfg      GroupConfig
+	env      Env
+	p        Params // checked: Depth is the window
+	k        *sim.Kernel
+	mirror   *nvm.Device // the client's device; the mirror is [0, p.MirrorSize)
 	strategy Strategy
 
 	nextSeq  uint64
@@ -123,17 +103,20 @@ type Group struct {
 	closed    bool
 }
 
-// NewGroup builds a group over an already set-up strategy. Concrete
-// protocol types embed the result, which is how they satisfy Protocol.
-func NewGroup(cfg GroupConfig, s Strategy) *Group {
-	return &Group{cfg: cfg, strategy: s, inflight: make(map[uint64]*pending),
-		slots: make([]*pending, max(cfg.Depth, 1))}
+// NewGroup builds the group a strategy s drives over env's client and
+// replicas (in member order) with policy p, which Check has already
+// validated. Concrete protocol types embed the result, which is how they
+// satisfy Protocol; s may finish setting up its queues afterwards.
+func NewGroup(env Env, p Params, s Strategy) *Group {
+	env.Replicas = slices.Clone(env.Replicas) // members are fixed at setup; failover rebuilds
+	return &Group{env: env, p: p, k: env.Fabric.Kernel(), mirror: env.Client.Memory(),
+		strategy: s, inflight: make(map[uint64]*pending), slots: make([]*pending, max(p.Depth, 1))}
 }
 
 // inMirror reports whether [off, off+size) lies inside the mirror; it
 // cannot overflow, and rejects negative offsets and sizes.
 func (g *Group) inMirror(off, size int) bool {
-	return off >= 0 && size >= 0 && off <= g.cfg.MirrorSize-size
+	return off >= 0 && size >= 0 && off <= g.p.MirrorSize-size
 }
 
 // check validates an operation's arguments before a sequence number is
@@ -142,12 +125,12 @@ func (g *Group) check(kind OpKind, op Op) error {
 	switch {
 	case kind == KindMemcpy:
 		if !g.inMirror(op.Src, op.Size) || !g.inMirror(op.Dst, op.Size) {
-			return fmt.Errorf("%w: memcpy %d→%d (+%d) outside mirror", g.cfg.Errors.BadArgument, op.Src, op.Dst, op.Size)
+			return fmt.Errorf("%w: memcpy %d→%d (+%d) outside mirror", ErrBadArgument, op.Src, op.Dst, op.Size)
 		}
 	case !g.inMirror(op.Off, op.Size):
-		return fmt.Errorf("%w: range [%d,+%d) outside mirror", g.cfg.Errors.BadArgument, op.Off, op.Size)
-	case kind == KindCAS && len(op.Exec) != g.cfg.GroupSize:
-		return fmt.Errorf("%w: execute map must have %d entries", g.cfg.Errors.BadArgument, g.cfg.GroupSize)
+		return fmt.Errorf("%w: range [%d,+%d) outside mirror", ErrBadArgument, op.Off, op.Size)
+	case kind == KindCAS && len(op.Exec) != len(g.env.Replicas):
+		return fmt.Errorf("%w: execute map must have %d entries", ErrBadArgument, len(g.env.Replicas))
 	}
 	return nil
 }
@@ -159,12 +142,12 @@ func (g *Group) check(kind OpKind, op Op) error {
 // deterministic event stream.
 func (g *Group) issue(kind OpKind, op Op) (*pending, error) {
 	if g.closed {
-		return nil, g.cfg.Errors.Closed
+		return nil, ErrClosed
 	}
 	// Two window slots stay reserved so the pre-armed chains for sequence
 	// seq+Depth are always re-armed before seq wraps onto their ring slots.
-	if len(g.inflight) >= g.cfg.Depth-2 {
-		return nil, g.cfg.Errors.TooManyInFlight
+	if len(g.inflight) >= g.p.Depth-2 {
+		return nil, ErrTooManyInFlight
 	}
 	if err := g.check(kind, op); err != nil {
 		return nil, err
@@ -176,7 +159,7 @@ func (g *Group) issue(kind OpKind, op Op) (*pending, error) {
 		p = &pending{}
 		p.expire = func() {
 			if g.resolve(p.seq) == p {
-				p.sig.Fire(g.cfg.Errors.Timeout)
+				p.sig.Fire(ErrTimeout)
 			}
 		}
 		g.slots[i] = p
@@ -184,10 +167,10 @@ func (g *Group) issue(kind OpKind, op Op) (*pending, error) {
 	p := g.slots[i]
 	p.seq, p.cas, p.sig = seq, kind == KindCAS, sim.Signal{}
 	g.inflight[seq] = p
-	if g.cfg.OpTimeout > 0 {
-		g.cfg.Kernel.AfterFunc(g.cfg.OpTimeout, p.expire, &p.timer)
+	if g.p.OpTimeout > 0 {
+		g.k.AfterFunc(g.p.OpTimeout, p.expire, &p.timer)
 	}
-	err := ApplyLocal(g.cfg.Mirror, kind, op)
+	err := ApplyLocal(g.mirror, kind, op)
 	if err == nil {
 		err = g.strategy.Transmit(seq, kind, op)
 	}
@@ -236,12 +219,12 @@ func (g *Group) await(f *sim.Fiber, kind OpKind, op Op) error {
 		if err == nil {
 			err = f.Await(&p.sig)
 		}
-		if err == nil || !errors.Is(err, g.cfg.Errors.Timeout) || attempt >= g.cfg.MaxRetries {
+		if err == nil || !errors.Is(err, ErrTimeout) || attempt >= g.p.MaxRetries {
 			return err
 		}
 		g.retries++
-		if g.cfg.RetryBackoff > 0 {
-			f.Sleep(g.cfg.RetryBackoff * sim.Duration(attempt+1))
+		if g.p.RetryBackoff > 0 {
+			f.Sleep(g.p.RetryBackoff * sim.Duration(attempt+1))
 		}
 	}
 }
@@ -258,9 +241,9 @@ func (g *Group) async(kind OpKind, op Op) (*sim.Signal, error) {
 // WriteLocal followed by Write to replicate the range.
 func (g *Group) WriteLocal(off int, data []byte) error {
 	if !g.inMirror(off, len(data)) {
-		return fmt.Errorf("%w: local write outside mirror", g.cfg.Errors.BadArgument)
+		return fmt.Errorf("%w: local write outside mirror", ErrBadArgument)
 	}
-	return g.cfg.Mirror.Write(off, data)
+	return g.mirror.Write(off, data)
 }
 
 // ViewLocal returns the client's mirror range (nvm.Device.Slice): read-only,
@@ -268,9 +251,9 @@ func (g *Group) WriteLocal(off int, data []byte) error {
 // crosses a device page, until the next ViewLocal.
 func (g *Group) ViewLocal(off, n int) ([]byte, error) {
 	if !g.inMirror(off, n) {
-		return nil, fmt.Errorf("%w: local read outside mirror", g.cfg.Errors.BadArgument)
+		return nil, fmt.Errorf("%w: local read outside mirror", ErrBadArgument)
 	}
-	return g.cfg.Mirror.Slice(off, n)
+	return g.mirror.Slice(off, n)
 }
 
 // WriteAsync replicates [off, off+size) of the mirror to every member
@@ -327,7 +310,14 @@ func (g *Group) Flush(f *sim.Fiber, off, size int) error {
 }
 
 // GroupSize returns the number of replicated members.
-func (g *Group) GroupSize() int { return g.cfg.GroupSize }
+func (g *Group) GroupSize() int { return len(g.env.Replicas) }
+
+// ReplicaNIC returns member i's NIC (0-based, in the order Env.Replicas
+// gave them), e.g. for fault injection or direct memory inspection.
+func (g *Group) ReplicaNIC(i int) *rdma.NIC { return g.env.Replicas[i] }
+
+// ClientNIC returns the client's NIC.
+func (g *Group) ClientNIC() *rdma.NIC { return g.env.Client }
 
 // InFlight returns operations awaiting their group ACK.
 func (g *Group) InFlight() int { return len(g.inflight) }
@@ -342,7 +332,7 @@ func (g *Group) Retried() int64 { return g.retries }
 // callbacks (chain re-arm) that can fire after teardown.
 func (g *Group) Closed() bool { return g.closed }
 
-// Close fails every in-flight operation with the closed sentinel — in
+// Close fails every in-flight operation with ErrClosed — in
 // issue order, so the order the waiting fibers resume in is a function of
 // the seed and not of map iteration — rejects further issues and has the
 // strategy destroy its QPs and CQs. Safe to call twice.
@@ -357,7 +347,7 @@ func (g *Group) Close() {
 	}
 	slices.Sort(seqs)
 	for _, seq := range seqs {
-		g.resolve(seq).sig.Fire(g.cfg.Errors.Closed)
+		g.resolve(seq).sig.Fire(ErrClosed)
 	}
 	g.strategy.Teardown()
 }

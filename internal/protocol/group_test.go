@@ -2,9 +2,11 @@ package protocol
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"hyperloop/internal/nvm"
+	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
 
@@ -13,13 +15,6 @@ const (
 	testDepth  = 8
 	testGroup  = 3
 )
-
-var testErrs = Errors{
-	TooManyInFlight: WrapErr("fake: window", ErrTooManyInFlight),
-	Timeout:         WrapErr("fake: timeout", ErrTimeout),
-	BadArgument:     WrapErr("fake: bad argument", ErrBadArgument),
-	Closed:          WrapErr("fake: closed", ErrClosed),
-}
 
 // fakePath is a datapath with no wires: it records what Group transmits
 // and acks only when the test says so.
@@ -52,12 +47,22 @@ func (p *fakePath) Teardown() { p.teardowns++ }
 func newFake(t *testing.T, timeout sim.Duration, retries int, backoff sim.Duration) (*sim.Kernel, *Group, *fakePath) {
 	t.Helper()
 	k := sim.NewKernel(1)
+	env := Env{Fabric: rdma.NewFabric(k, rdma.DefaultConfig())}
+	addNIC := func(name string, size int) *rdma.NIC {
+		nic, err := env.Fabric.AddNIC(name, nvm.NewDevice(name, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nic
+	}
+	env.Client = addNIC("client", testMirror+1024)
+	for i := 0; i < testGroup; i++ {
+		env.Replicas = append(env.Replicas, addNIC(fmt.Sprintf("r%d", i), testMirror))
+	}
 	p := &fakePath{k: k}
-	p.g = NewGroup(GroupConfig{
-		Kernel: k, Mirror: nvm.NewDevice("client", testMirror+1024),
-		GroupSize: testGroup, MirrorSize: testMirror, Depth: testDepth,
+	p.g = NewGroup(env, Params{
+		MirrorSize: testMirror, Depth: testDepth,
 		OpTimeout: timeout, MaxRetries: retries, RetryBackoff: backoff,
-		Errors: testErrs,
 	}, p)
 	return k, p.g, p
 }
@@ -78,8 +83,8 @@ func TestWindowIsDepthMinusTwo(t *testing.T) {
 			t.Fatalf("write %d inside the window: %v", i, err)
 		}
 	}
-	if _, err := g.WriteAsync(0, 8, false); !errors.Is(err, ErrTooManyInFlight) || err != testErrs.TooManyInFlight {
-		t.Fatalf("write past the window: got %v, want the package's window sentinel", err)
+	if _, err := g.WriteAsync(0, 8, false); err != ErrTooManyInFlight {
+		t.Fatalf("write past the window: got %v, want ErrTooManyInFlight", err)
 	}
 	if g.InFlight() != testDepth-2 {
 		t.Fatalf("InFlight = %d, want %d", g.InFlight(), testDepth-2)
@@ -115,8 +120,8 @@ func TestBadArgumentsConsumeNothing(t *testing.T) {
 		"local write negative": func() error { return g.WriteLocal(-1, make([]byte, 8)) },
 	}
 	for name, call := range cases {
-		if err := call(); !errors.Is(err, testErrs.BadArgument) {
-			t.Errorf("%s: got %v, want the package's bad-argument sentinel", name, err)
+		if err := call(); !errors.Is(err, ErrBadArgument) {
+			t.Errorf("%s: got %v, want ErrBadArgument", name, err)
 		}
 	}
 	if issued, _ := g.Stats(); g.InFlight() != 0 || issued != 0 || len(p.sent) != 0 {
@@ -143,7 +148,7 @@ func TestTransmitErrorAbortsAndFreesSlot(t *testing.T) {
 	}
 	// A local-apply failure takes the same exit; a device shorter than the
 	// mirror is the only way past validation to one.
-	g.cfg.Mirror = nvm.NewDevice("short", 16)
+	g.mirror = nvm.NewDevice("short", 16)
 	if _, err := g.MemcpyAsync(0, 64, 8, false); err == nil || g.InFlight() != 0 {
 		t.Fatalf("local apply failure: err %v, in flight %d", err, g.InFlight())
 	}
@@ -253,6 +258,42 @@ func TestLocalMirrorAccessAndApply(t *testing.T) {
 	if g.GroupSize() != testGroup {
 		t.Fatalf("GroupSize = %d", g.GroupSize())
 	}
+	if g.ClientNIC().Host() != "client" {
+		t.Fatalf("ClientNIC = %s", g.ClientNIC().Host())
+	}
+	for i := 0; i < testGroup; i++ {
+		if h := g.ReplicaNIC(i).Host(); h != fmt.Sprintf("r%d", i) {
+			t.Fatalf("ReplicaNIC(%d) = %s, want member order", i, h)
+		}
+	}
+}
+
+// TestParamsCheck pins the one policy validation every datapath's Setup
+// makes: a member, a non-empty mirror and a window (Depth rounded up by
+// Window) with room for an operation in flight.
+func TestParamsCheck(t *testing.T) {
+	ok := map[int]int{-1: 32, 0: 32, 3: 4, 19: 32, 64: 64} // Depth → window
+	for depth, want := range ok {
+		p, err := Params{MirrorSize: 64, Depth: depth, OpTimeout: sim.Millisecond}.Check(1)
+		if err != nil || p.Depth != want || p.MirrorSize != 64 || p.OpTimeout != sim.Millisecond {
+			t.Errorf("Depth %d: got %+v, %v; want window %d, the rest unchanged", depth, p, err, want)
+		}
+	}
+	bad := map[string]struct {
+		p       Params
+		members int
+	}{
+		"no members":    {Params{MirrorSize: 64}, 0},
+		"zero mirror":   {Params{}, 3},
+		"negative size": {Params{MirrorSize: -1}, 3},
+		"Depth 1":       {Params{MirrorSize: 64, Depth: 1}, 3},
+		"Depth 2":       {Params{MirrorSize: 64, Depth: 2}, 3},
+	}
+	for what, c := range bad {
+		if _, err := c.p.Check(c.members); !errors.Is(err, ErrBadArgument) {
+			t.Errorf("%s: err = %v, want ErrBadArgument", what, err)
+		}
+	}
 }
 
 func TestCloseFailsInFlightOnceAndRejects(t *testing.T) {
@@ -268,8 +309,8 @@ func TestCloseFailsInFlightOnceAndRejects(t *testing.T) {
 	g.Close()
 	g.Close()
 	for i, s := range sigs {
-		if !s.Fired() || s.Err() != testErrs.Closed {
-			t.Fatalf("in-flight op %d: fired %v err %v, want the package's closed sentinel", i, s.Fired(), s.Err())
+		if !s.Fired() || s.Err() != ErrClosed {
+			t.Fatalf("in-flight op %d: fired %v err %v, want ErrClosed", i, s.Fired(), s.Err())
 		}
 	}
 	if p.teardowns != 1 || !g.Closed() || g.InFlight() != 0 {
@@ -297,8 +338,8 @@ func TestCloseFailsInFlightInSeqOrder(t *testing.T) {
 	var resumed []int
 	for i := 0; i < ops; i++ {
 		k.Spawn("waiter", func(f *sim.Fiber) {
-			if err := g.Write(f, 0, 8, false); err != testErrs.Closed {
-				t.Errorf("waiter %d: %v, want the closed sentinel", i, err)
+			if err := g.Write(f, 0, 8, false); err != ErrClosed {
+				t.Errorf("waiter %d: %v, want ErrClosed", i, err)
 			}
 			resumed = append(resumed, i)
 		})
@@ -318,16 +359,13 @@ func TestCloseFailsInFlightInSeqOrder(t *testing.T) {
 }
 
 func TestIsOpErrorAndRegistry(t *testing.T) {
-	for _, err := range []error{testErrs.Timeout, testErrs.TooManyInFlight, testErrs.BadArgument, testErrs.Closed} {
+	for _, err := range []error{ErrTimeout, ErrTooManyInFlight, fmt.Errorf("x: %w", ErrBadArgument), ErrClosed} {
 		if !IsOpError(err) {
 			t.Errorf("IsOpError(%v) = false", err)
 		}
 	}
 	if IsOpError(errors.New("datapath broke")) {
 		t.Error("IsOpError accepts an arbitrary error")
-	}
-	if testErrs.Closed.Error() != "fake: closed" {
-		t.Errorf("wrapped sentinel prints %q", testErrs.Closed.Error())
 	}
 
 	_, g, _ := newFake(t, 0, 0, 0)

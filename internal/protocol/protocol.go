@@ -10,9 +10,10 @@ import (
 	"hyperloop/internal/sim"
 )
 
-// Canonical sentinel errors. Implementations wrap these (see WrapErr) so
-// cross-protocol code can match failure classes with errors.Is without
-// knowing which datapath produced them.
+// Canonical sentinel errors. Every datapath returns these (wrapped with
+// context by fmt.Errorf where useful), so cross-protocol code can match
+// failure classes with errors.Is without knowing which datapath produced
+// them.
 var (
 	// ErrTooManyInFlight: the operation window (Depth-2) is full.
 	ErrTooManyInFlight = errors.New("replication: operation window exceeded")
@@ -31,23 +32,6 @@ func IsOpError(err error) bool {
 	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrTooManyInFlight) ||
 		errors.Is(err, ErrBadArgument) || errors.Is(err, ErrClosed)
 }
-
-// wrappedErr is a sentinel with its own message but a canonical base, so
-// errors.Is(pkgErr, protocol.ErrX) holds while the package keeps its
-// historical error string.
-type wrappedErr struct {
-	msg  string
-	base error
-}
-
-func (e *wrappedErr) Error() string { return e.msg }
-func (e *wrappedErr) Unwrap() error { return e.base }
-
-// WrapErr builds a package-level sentinel: it prints msg, and unwraps to
-// base for errors.Is. Example:
-//
-//	var ErrTimeout = protocol.WrapErr("hyperloop: operation timed out", protocol.ErrTimeout)
-func WrapErr(msg string, base error) error { return &wrappedErr{msg: msg, base: base} }
 
 // Protocol is the group-primitive surface every replication strategy
 // provides. All offsets are relative to the mirrored region, which spans
@@ -92,8 +76,8 @@ type Protocol interface {
 	Stats() (issued, completed int64)
 	// Retried reports timed-out operations re-issued by blocking paths.
 	Retried() int64
-	// Close tears the datapath down: in-flight operations fail with the
-	// protocol's ErrClosed, further issues are rejected, and every QP/CQ
+	// Close tears the datapath down: in-flight operations fail with
+	// ErrClosed, further issues are rejected, and every QP/CQ
 	// the group created is destroyed at the rdma layer.
 	Close()
 }
@@ -109,14 +93,25 @@ type Env struct {
 	Scheds   []*cpusim.Scheduler
 }
 
-// Params is the policy half: mirror size, in-flight window, and the
-// timeout/retry policy shared by every protocol's blocking paths. Zero
-// values select each implementation's defaults (Depth 32, no timeout).
+// Params is the policy half, and the one policy type every datapath's
+// Setup takes. Zero values select the defaults (Depth 32, no timeout, no
+// retries); Check validates a Params and fixes its window.
 type Params struct {
-	MirrorSize   int
-	Depth        int
-	OpTimeout    sim.Duration
-	MaxRetries   int
+	// MirrorSize is the size of the replicated region, [0, MirrorSize) on
+	// every member including the client.
+	MirrorSize int
+	// Depth is the number of pre-posted operation slots per member; the
+	// in-flight window is Depth-2. Check rounds it up with Window.
+	Depth int
+	// OpTimeout fails an operation whose group ACK has not arrived in
+	// time with ErrTimeout (0 disables). Needed when members fail.
+	OpTimeout sim.Duration
+	// MaxRetries re-issues a blocking gWRITE/gMEMCPY/gFLUSH that timed
+	// out up to this many extra times, each under a fresh sequence
+	// number (0 disables); gCAS is never retried.
+	MaxRetries int
+	// RetryBackoff is the linear backoff between retries: attempt k
+	// sleeps k*RetryBackoff before re-issuing.
 	RetryBackoff sim.Duration
 
 	// WakePenalty/WakePenaltyProb model multi-tenant co-location for
@@ -126,6 +121,25 @@ type Params struct {
 	// replica handler and ignore both.
 	WakePenalty     sim.Duration
 	WakePenaltyProb float64
+}
+
+// Check validates p for a group of members replicas and returns it with
+// Depth replaced by the window the group runs with (Window). It is the
+// one policy check every datapath's Setup makes: the group needs a
+// member, a non-empty mirror and a window that leaves room for at least
+// one operation in flight.
+func (p Params) Check(members int) (Params, error) {
+	if members <= 0 {
+		return p, fmt.Errorf("%w: need at least one member", ErrBadArgument)
+	}
+	if p.MirrorSize <= 0 {
+		return p, fmt.Errorf("%w: mirror size must be positive", ErrBadArgument)
+	}
+	if w := Window(p.Depth); w > 2 {
+		p.Depth = w
+		return p, nil
+	}
+	return p, fmt.Errorf("%w: depth %d leaves no operation window", ErrBadArgument, p.Depth)
 }
 
 // Traits are static per-protocol properties that cross-protocol harnesses
