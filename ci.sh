@@ -155,6 +155,8 @@ stage_lint() {
 # surface (2PC lock ordering, abort rollback, recovery); protocol.Group is
 # the one issue path of every replication protocol.
 # chain.Manager.Repair is the one recovery path every failover runs.
+# rdma's WQE engine, WAIT gating and CQ delivery are what every
+# NIC-offloaded datapath runs on.
 # docstore's decoded-document table must agree with its slots on every
 # path that writes one.
 # The datapaths are measured over the conformance suite too: broadcast is
@@ -238,6 +240,7 @@ stage_test() {
         -bench 'KernelHold|Dispatch' -benchtime 1x -benchmem ./internal/sim ./internal/cpusim
     step "coverage internal/nvm >=90" covercheck 90 ./internal/nvm
     step "coverage internal/ring >=90" covercheck 90 ./internal/ring
+    step "coverage internal/rdma >=85" covercheck 85 ./internal/rdma
     step "coverage internal/experiments >=85" covercheck 85 ./internal/experiments
     step "coverage internal/shard >=85" covercheck 85 ./internal/shard
     step "coverage internal/txn >=85" covercheck 85 ./internal/txn

@@ -141,6 +141,44 @@ func TestProtocolConformance(t *testing.T) {
 	}
 }
 
+// TestProtocolFlushLeavesNoDirtyBytes: a burst of non-durable writes and a
+// full-mirror gFLUSH leave no dirty byte on any NIC of the group, client
+// included. The mirror is the only durable memory; every send ring,
+// staging buffer and ack slot is volatile and never dirty.
+func TestProtocolFlushLeavesNoDirtyBytes(t *testing.T) {
+	for _, name := range protocol.Names() {
+		t.Run(name, func(t *testing.T) {
+			c := confCluster(t, 1, name, protocol.Params{}, nil)
+			g := c.group
+			const mirror = 64 << 10 // confCluster's MirrorSize
+			payload := bytes.Repeat([]byte("dirty..."), 64)
+			drive(t, c, func(f *sim.Fiber) error {
+				for i := 0; i < 100; i++ {
+					off := i * len(payload) % (mirror - len(payload))
+					if err := g.WriteLocal(off, payload); err != nil {
+						return err
+					}
+					if err := g.Write(f, off, len(payload), false); err != nil {
+						return fmt.Errorf("Write %d: %w", i, err)
+					}
+				}
+				if err := g.Flush(f, 0, mirror); err != nil {
+					return fmt.Errorf("Flush: %w", err)
+				}
+				f.Sleep(2 * sim.Millisecond) // quorum protocols: let stragglers apply
+				return nil
+			})
+			env := c.Members("")
+			for _, nic := range append([]*rdma.NIC{env.Client}, env.Replicas...) {
+				if n := nic.Memory().DirtyBytes(); n != 0 {
+					t.Errorf("%s: %d dirty bytes after a full-mirror gFLUSH, want 0", nic.Host(), n)
+				}
+			}
+			g.Close()
+		})
+	}
+}
+
 // TestProtocolConformanceUnderFaults crashes a replica NIC mid-script with
 // timeouts armed and requires every operation to resolve — success or a
 // canonical op error — with no hangs, on every protocol.

@@ -47,8 +47,8 @@
 // The three share their parts: each Setup takes (protocol.Env,
 // protocol.Params) and validates the policy with Params.Check (the
 // broadcast adds its quorum), every NIC is carved through a
-// protocol.Host (mirror at offset 0, then rings, staging and ack slots;
-// Teardown destroys the hosts), every member's L1/L2 block is one
+// protocol.Host (the durable mirror at offset 0, then volatile rings,
+// staging and ack slots; Teardown destroys the hosts), every member's L1/L2 block is one
 // encodeLocalBlock, the chain and fan-out client decode one groupAck, and
 // every member re-arms its window through one reArmOn.
 package hyperloop

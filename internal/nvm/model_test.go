@@ -10,9 +10,11 @@ import (
 // full-size images and a byte-exact dirty set, as Device was before page
 // tables and pre-images, plus what ResidentBytes must count: which pages a
 // store has reached in the current image, which pages hold a pre-image
-// page, and the most that have held one at once.
+// page, and the most that have held one at once. Bytes from prefix on are
+// volatile: never dirty, zero in the durable image.
 type flatDevice struct {
 	current, durable  []byte
+	prefix            int
 	curPages, preHeld []bool
 	preHigh           int
 	dirty             RangeSet
@@ -23,7 +25,7 @@ type flatDevice struct {
 func newFlatDevice(size int) *flatDevice {
 	pages := (size + pageSize - 1) / pageSize
 	return &flatDevice{
-		current: make([]byte, size), durable: make([]byte, size),
+		current: make([]byte, size), durable: make([]byte, size), prefix: size,
 		curPages: make([]bool, pages), preHeld: make([]bool, pages),
 	}
 }
@@ -40,9 +42,11 @@ func markPages(pages []bool, lo, hi int) {
 
 // store is Write and Copy: src is copied with memmove semantics. A page
 // takes a pre-image page when the store makes dirty a byte whose durable
-// value is non-zero, unless the page holds one already.
+// value is non-zero, unless the page holds one already. Only the bytes
+// before the prefix boundary become dirty.
 func (m *flatDevice) store(off int, src []byte) {
-	for b := off; b < off+len(src); b++ {
+	end := min(off+len(src), m.prefix)
+	for b := off; b < end; b++ {
 		if !m.dirty.Contains(b, b+1) && m.durable[b] != 0 {
 			m.preHeld[b/pageSize] = true
 		}
@@ -57,7 +61,7 @@ func (m *flatDevice) store(off int, src []byte) {
 	copy(m.current[off:], src)
 	if len(src) > 0 {
 		markPages(m.curPages, off, off+len(src))
-		m.dirty.Insert(off, off+len(src))
+		m.dirty.Insert(off, end)
 		m.writes++
 	}
 }
@@ -68,18 +72,36 @@ func (m *flatDevice) flush(off, n int) int {
 		copy(m.durable[r.Lo:r.Hi], m.current[r.Lo:r.Hi])
 		flushed += r.Hi - r.Lo
 	}
-	m.dirty.Remove(off, off+n)
-	for p := range m.preHeld { // a page with no dirty byte needs no pre-image
-		m.preHeld[p] = m.preHeld[p] && len(m.dirty.Intersect(p*pageSize, (p+1)*pageSize)) > 0
-	}
+	m.dropDirt(off, off+n)
 	if flushed > 0 {
 		m.flushes++
 	}
 	return flushed
 }
 
+// dropDirt makes [lo, hi) clean; a page with no dirty byte left needs no
+// pre-image.
+func (m *flatDevice) dropDirt(lo, hi int) {
+	m.dirty.Remove(lo, hi)
+	for p := range m.preHeld {
+		m.preHeld[p] = m.preHeld[p] && len(m.dirty.Intersect(p*pageSize, (p+1)*pageSize)) > 0
+	}
+}
+
+// setPrefix moves the boundary: bytes it takes in are clean, their current
+// value durable; bytes it gives up lose their dirt and read zero durably.
+func (m *flatDevice) setPrefix(n int) {
+	n = min(max(n, 0), len(m.current))
+	if n > m.prefix {
+		copy(m.durable[m.prefix:n], m.current[m.prefix:n])
+	}
+	clear(m.durable[n:])
+	m.dropDirt(n, len(m.current))
+	m.prefix = n
+}
+
 func (m *flatDevice) crash() {
-	copy(m.current, m.durable)
+	copy(m.current, m.durable) // zero past the prefix
 	m.dirty.Clear()
 	clear(m.preHeld)
 	m.crashes++
@@ -121,12 +143,30 @@ func decodeModelOp(b []byte) modelOp {
 	if b[5]&1 == 1 {
 		n = int(b[5] >> 1)
 	}
-	return modelOp{kind: b[0] % 7, off: at(b[1], b[2]), src: at(b[3], b[4]), n: n, val: b[6]}
+	return modelOp{kind: b[0] % 8, off: at(b[1], b[2]), src: at(b[3], b[4]), n: n, val: b[6]}
 }
 
 // modelScripts name straddling sequences the fuzzer would otherwise reach
 // only by chance; each op is {kind, mark, delta, srcMark, srcDelta, len, val}.
 var modelScripts = map[string][][modelOpSize]byte{
+	"write across the boundary, flush all, crash": {
+		{7, 4, 0x40, 0, 0, 0, 0},  // durable prefix ends 64 bytes into page 1
+		{0, 4, 0, 0, 0, 16, 0xAA}, // 512 bytes from page 1's start
+		{0, 8, 0, 0, 0, 8, 0x55},  // 256 volatile bytes at page 2's start
+		{4, 0, 0, 0, 0, 254, 0},   // flush everything written
+		{5, 0, 0, 0, 0, 0, 0},     // the prefix stays, the rest zeroes
+		{6, 4, 0, 0, 0, 16, 0},
+	},
+	"shrink the prefix under dirty bytes, then grow it back": {
+		{0, 4, 0x80, 0, 0, 16, 0xAA}, // 512 bytes from 128 before page 1
+		{4, 0, 0, 0, 0, 254, 0},      // flush them
+		{0, 4, 0xC0, 0, 0, 8, 0x11},  // rewrite 256 from 64 before page 1: both pages take a pre-image
+		{7, 4, 0, 0, 0, 0, 0},        // prefix at page 1: its dirt and pre-image go
+		{3, 4, 0x20, 3, 0xF0, 8, 0},  // a copy from durable into volatile bytes
+		{7, 13, 0, 0, 0, 0, 0},       // grow past the end: clamped, the volatile bytes now durable
+		{5, 0, 0, 0, 0, 0, 0},
+		{6, 4, 0x80, 0, 0, 16, 0},
+	},
 	"write, partial flush, crash across a boundary": {
 		{0, 4, 0x80, 0, 0, 16, 0xAA}, // 512 bytes from 128 before page 1
 		{4, 4, 0, 0, 0, 129, 0},      // flush 64 bytes from page 1's start
@@ -180,9 +220,9 @@ var modelScripts = map[string][][modelOpSize]byte{
 }
 
 // FuzzDeviceModel drives Device and flatDevice side by side through Write,
-// Read, Slice, Copy, Flush, Crash and ReadDurable, and after every
-// op compares the op's result and every observable: both images, the dirty
-// and resident footprints, and the counters.
+// Read, Slice, Copy, Flush, Crash, ReadDurable and SetDurablePrefix, and
+// after every op compares the op's result and every observable: both
+// images, the dirty and resident footprints, and the counters.
 func FuzzDeviceModel(f *testing.F) {
 	for _, ops := range modelScripts {
 		var raw []byte
@@ -239,9 +279,12 @@ func FuzzDeviceModel(f *testing.F) {
 			case 5:
 				d.Crash()
 				m.crash()
+			case 7:
+				d.SetDurablePrefix(o.off)
+				m.setPrefix(o.off)
 			}
 			var be *BoundsError
-			if (err != nil && !errors.As(err, &be)) || (o.kind != 5 && ok != (err == nil)) {
+			if (err != nil && !errors.As(err, &be)) || (o.kind != 5 && o.kind != 7 && ok != (err == nil)) {
 				t.Fatalf("op %d %+v: err = %v, in bounds = %v", i/modelOpSize, o, err, ok)
 			}
 			if err := d.Read(0, img); err != nil || !bytes.Equal(img, m.current) {

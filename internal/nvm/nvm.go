@@ -13,6 +13,12 @@
 // a table of 4 KiB pages that exist only once the model stores into them,
 // so a device costs host memory in proportion to what it touches, not to
 // its size.
+//
+// A device may be non-volatile only in a prefix (SetDurablePrefix): the
+// bytes past it are ordinary host memory, which stores reach without any
+// bookkeeping, a flush never covers, and a crash zeroes. A device is
+// durable throughout until a prefix is declared. The device knows nothing
+// of what its bytes hold; the layout of a NIC's memory is protocol.Host's.
 package nvm
 
 import (
@@ -40,6 +46,7 @@ var zeroPage page
 type Device struct {
 	name     string
 	size     int
+	durable  int     // bytes [0, durable) are non-volatile, the rest volatile
 	current  []*page // latest view: durable bytes overlaid with cached writes
 	pre      []*page // pre-images of dirty bytes; a page here has one in current
 	spare    []*page // pre-image pages no page holds, reused before allocating
@@ -52,11 +59,21 @@ type Device struct {
 	crashes int64
 }
 
-// NewDevice returns a zeroed device of the given size in bytes. No page
-// exists until the model stores into it.
+// NewDevice returns a zeroed device of the given size in bytes, durable
+// throughout. No page exists until the model stores into it.
 func NewDevice(name string, size int) *Device {
 	pages := (size + pageSize - 1) / pageSize
-	return &Device{name: name, size: size, current: make([]*page, pages), pre: make([]*page, pages)}
+	return &Device{name: name, size: size, durable: size, current: make([]*page, pages), pre: make([]*page, pages)}
+}
+
+// SetDurablePrefix declares [0, n) the device's non-volatile memory and
+// the rest volatile; n is clamped to [0, Size()]. Dirty bytes past n are
+// dropped as they stand: the current image keeps them, but no flush will
+// commit them and a crash zeroes them. A volatile byte the prefix takes in
+// is clean, its current value durable.
+func (d *Device) SetDurablePrefix(n int) {
+	d.durable = min(max(n, 0), d.size)
+	d.clean(d.durable, d.size)
 }
 
 // get returns page p of table t, or the zero page when it is absent.
@@ -80,6 +97,17 @@ func (d *Device) touch(p int) *page {
 func (d *Device) readImage(off int, buf []byte) {
 	for n := 0; n < len(buf); {
 		n += copy(buf[n:], get(d.current, (off+n)/pageSize)[(off+n)%pageSize:])
+	}
+}
+
+// dirtied marks the durable part of a store over [lo, hi) dirty, saving
+// the pre-images it needs first; the caller then stores into current.
+// Bytes past the durable prefix are volatile and need neither.
+func (d *Device) dirtied(lo, hi int) {
+	if hi = min(hi, d.durable); lo < hi {
+		i, j := d.dirty.span(lo, hi)
+		d.save(i, j, lo, hi)
+		d.dirty.merge(i, j, lo, hi)
 	}
 }
 
@@ -188,13 +216,10 @@ func (d *Device) Write(off int, data []byte) error {
 	if err := d.check(off, len(data)); err != nil || len(data) == 0 {
 		return err
 	}
-	end := off + len(data)
-	i, j := d.dirty.span(off, end)
-	d.save(i, j, off, end)
+	d.dirtied(off, off+len(data))
 	for n := 0; n < len(data); {
 		n += copy(d.touch((off + n) / pageSize)[(off+n)%pageSize:], data[n:])
 	}
-	d.dirty.merge(i, j, off, end)
 	d.writes++
 	return nil
 }
@@ -209,8 +234,7 @@ func (d *Device) Copy(dst, src, n int) error {
 	if err := d.check(dst, n); err != nil || n == 0 {
 		return err
 	}
-	i, j := d.dirty.span(dst, dst+n)
-	d.save(i, j, dst, dst+n)
+	d.dirtied(dst, dst+n)
 	// Piece by piece, each inside one source and one destination page, back
 	// to front when dst lies past src, so no piece reads what one wrote.
 	for k := 0; k < n; {
@@ -224,7 +248,6 @@ func (d *Device) Copy(dst, src, n int) error {
 		copy(d.touch(t / pageSize)[t%pageSize:t%pageSize+c], get(d.current, s/pageSize)[s%pageSize:])
 		k += c
 	}
-	d.dirty.merge(i, j, dst, dst+n)
 	d.writes++
 	return nil
 }
@@ -240,12 +263,15 @@ func (d *Device) Read(off int, buf []byte) error {
 
 // ReadDurable copies only the durable image at off into buf; it shows what
 // a post-crash recovery would see: the current image with each dirty byte's
-// pre-image laid over it.
+// pre-image laid over it, and zeros past the durable prefix.
 func (d *Device) ReadDurable(off int, buf []byte) error {
 	if err := d.check(off, len(buf)); err != nil {
 		return err
 	}
 	d.readImage(off, buf)
+	if end := off + len(buf); end > d.durable {
+		clear(buf[max(d.durable, off)-off:])
+	}
 	i, j := d.dirty.overlap(off, off+len(buf))
 	for _, r := range d.dirty.rs[i:j] {
 		for a, b := max(r.Lo, off), min(r.Hi, off+len(buf)); a < b; {
@@ -275,14 +301,24 @@ func (d *Device) Slice(off, n int) ([]byte, error) {
 }
 
 // Flush commits all dirty bytes intersecting [off, off+n) to the durable
-// image and returns the number of bytes flushed. It copies nothing: a
-// flushed byte is clean, so its durable value is its current one. A page
-// the flush leaves with no dirty byte hands its pre-image page to spare.
+// image and returns the number of bytes flushed; bytes past the durable
+// prefix are never dirty, so it covers only the prefix.
 func (d *Device) Flush(off, n int) (int, error) {
 	if err := d.check(off, n); err != nil {
 		return 0, err
 	}
-	end := off + n
+	flushed := d.clean(off, off+n)
+	if flushed > 0 {
+		d.flushes++
+	}
+	return flushed, nil
+}
+
+// clean makes every dirty byte in [off, end) clean and returns how many
+// there were. It copies nothing: a clean byte's durable value is its
+// current one. A page it leaves with no dirty byte hands its pre-image
+// page to spare.
+func (d *Device) clean(off, end int) int {
 	flushed := 0
 	i, j := d.dirty.overlap(off, end)
 	for _, r := range d.dirty.rs[i:j] {
@@ -297,10 +333,7 @@ func (d *Device) Flush(off, n int) (int, error) {
 		}
 	}
 	d.dirty.cut(i, j, off, end)
-	if flushed > 0 {
-		d.flushes++
-	}
-	return flushed, nil
+	return flushed
 }
 
 // FlushAll commits every dirty byte.
@@ -311,7 +344,8 @@ func (d *Device) FlushAll() int {
 
 // Crash simulates power loss: all unflushed writes are discarded and the
 // current view reverts to the durable image. Only the dirty ranges differ
-// from it, so only they are restored, each from its pre-image.
+// from it, so only they are restored, each from its pre-image; the
+// volatile bytes past the durable prefix are zeroed in their pages.
 func (d *Device) Crash() {
 	for _, r := range d.dirty.rs {
 		for a := r.Lo; a < r.Hi; {
@@ -323,6 +357,11 @@ func (d *Device) Crash() {
 		d.release(p)
 	}
 	d.dirty.Clear()
+	for a := d.durable; a < d.size; a += pageSize - a%pageSize {
+		if pg := d.current[a/pageSize]; pg != nil {
+			clear(pg[a%pageSize:])
+		}
+	}
 	d.crashes++
 }
 
@@ -336,77 +375,6 @@ func (d *Device) ResidentBytes() int { return d.resident }
 // Stats reports operation counts.
 func (d *Device) Stats() (writes, flushes, crashes int64) {
 	return d.writes, d.flushes, d.crashes
-}
-
-// Region is a named sub-range of a device, carved by an Allocator.
-type Region struct {
-	Dev  *Device
-	Name string
-	Off  int
-	Len  int
-}
-
-// check is Device.check for region-relative [off, off+n), naming the region.
-func (r *Region) check(off, n int) error {
-	if off < 0 || n < 0 || off > r.Len-n { // off+n may overflow
-		return &BoundsError{Device: r.Dev.name + "/" + r.Name, Off: off, Len: n, Size: r.Len}
-	}
-	return nil
-}
-
-// Write stores data at region-relative offset off.
-func (r *Region) Write(off int, data []byte) error {
-	if err := r.check(off, len(data)); err != nil {
-		return err
-	}
-	return r.Dev.Write(r.Off+off, data)
-}
-
-// Read copies the current view at region-relative offset off into buf.
-func (r *Region) Read(off int, buf []byte) error {
-	if err := r.check(off, len(buf)); err != nil {
-		return err
-	}
-	return r.Dev.Read(r.Off+off, buf)
-}
-
-// Flush commits region-relative [off, off+n).
-func (r *Region) Flush(off, n int) (int, error) {
-	if err := r.check(off, n); err != nil {
-		return 0, err
-	}
-	return r.Dev.Flush(r.Off+off, n)
-}
-
-// Allocator carves non-overlapping regions out of a device.
-type Allocator struct {
-	dev  *Device
-	next int
-}
-
-// NewAllocator returns an allocator over dev starting at offset 0.
-func NewAllocator(dev *Device) *Allocator { return &Allocator{dev: dev} }
-
-// Alloc reserves n bytes (aligned to 64) and returns the region.
-func (a *Allocator) Alloc(name string, n int) (*Region, error) {
-	const align = 64
-	off := (a.next + align - 1) &^ (align - 1)
-	if n < 0 || off+n > a.dev.Size() {
-		return nil, fmt.Errorf("nvm %s: cannot allocate %q (%d bytes, %d free)",
-			a.dev.name, name, n, a.dev.Size()-off)
-	}
-	a.next = off + n
-	return &Region{Dev: a.dev, Name: name, Off: off, Len: n}, nil
-}
-
-// Remaining returns the unallocated byte count.
-func (a *Allocator) Remaining() int {
-	const align = 64
-	off := (a.next + align - 1) &^ (align - 1)
-	if off > a.dev.Size() {
-		return 0
-	}
-	return a.dev.Size() - off
 }
 
 // Range is a half-open interval [Lo, Hi).

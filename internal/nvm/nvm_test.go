@@ -123,108 +123,84 @@ func TestBoundsErrors(t *testing.T) {
 	if _, err := d.Slice(63, 2); !errors.As(err, &be) {
 		t.Fatalf("slice OOB err = %v", err)
 	}
+	// off+len wraps past math.MaxInt, so a check of the sum would pass.
+	if err := d.Write(math.MaxInt-3, make([]byte, 8)); !errors.As(err, &be) || be.Off != math.MaxInt-3 {
+		t.Fatalf("write at MaxInt-3 err = %v", err)
+	}
 	if be.Error() == "" {
 		t.Fatal("empty error message")
 	}
 }
 
-func TestRegionOffsets(t *testing.T) {
-	d := NewDevice("test", 4096)
-	a := NewAllocator(d)
-	r1, err := a.Alloc("log", 1000)
-	if err != nil {
+// TestDurablePrefix: past the declared prefix the device is volatile host
+// memory. A write across the boundary dirties only its durable part,
+// FlushAll commits that part alone, a crash keeps the prefix and zeroes
+// the rest, and ReadDurable reads the tail as zero all along. Declaring a
+// smaller prefix drops the dirt past it, and a stale pre-image with it.
+func TestDurablePrefix(t *testing.T) {
+	const size, prefix = 3 * pageSize, pageSize + 100
+	d := NewDevice("test", size)
+	d.SetDurablePrefix(prefix)
+	data := bytes.Repeat([]byte{0xAB}, 300)
+	if err := d.Write(prefix-100, data); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := a.Alloc("data", 1000)
-	if err != nil {
+	if got := d.DirtyBytes(); got != 100 {
+		t.Fatalf("dirty = %d after a write across the boundary, want the 100 durable bytes", got)
+	}
+	if err := d.Write(2*pageSize, data); err != nil { // wholly volatile
 		t.Fatal(err)
 	}
-	if r2.Off < r1.Off+r1.Len {
-		t.Fatalf("regions overlap: %+v %+v", r1, r2)
+	if w, _, _ := d.Stats(); w != 2 || d.DirtyBytes() != 100 {
+		t.Fatalf("writes %d dirty %d: a volatile store is counted but never dirty", w, d.DirtyBytes())
 	}
-	if r2.Off%64 != 0 {
-		t.Fatalf("region not aligned: %d", r2.Off)
-	}
-	if err := r1.Write(0, []byte("abc")); err != nil {
+	durable := make([]byte, 300)
+	if err := d.ReadDurable(prefix-100, durable); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.Write(0, []byte("xyz")); err != nil {
+	if !bytes.Equal(durable, make([]byte, 300)) {
+		t.Fatalf("durable view before the flush: %v", durable)
+	}
+	if n := d.FlushAll(); n != 100 {
+		t.Fatalf("FlushAll flushed %d bytes, want the 100 durable ones", n)
+	}
+	if err := d.ReadDurable(prefix-100, durable); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 3)
-	if err := r1.Read(0, buf); err != nil {
+	if want := append(bytes.Repeat([]byte{0xAB}, 100), make([]byte, 200)...); !bytes.Equal(durable, want) {
+		t.Fatalf("durable view after the flush: %v", durable)
+	}
+	d.Crash()
+	got := make([]byte, 300)
+	if err := d.Read(prefix-100, got); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf) != "abc" {
-		t.Fatalf("region read = %q", buf)
+	if !bytes.Equal(got, durable) {
+		t.Fatalf("after the crash: %v, want the prefix kept and the rest zeroed", got)
 	}
-	var be *BoundsError
-	if err := r1.Write(999, []byte("ab")); !errors.As(err, &be) {
-		t.Fatalf("region overflow err = %v", err)
+	if err := d.Read(2*pageSize, got); err != nil || !bytes.Equal(got, make([]byte, 300)) {
+		t.Fatalf("volatile page after the crash: %v (%v)", got, err)
 	}
-	if _, err := r1.Flush(0, 3); err != nil {
-		t.Fatal(err)
-	}
-}
 
-// TestRegionBoundsNearMaxInt: off+len wraps past math.MaxInt, so a check
-// of the sum would pass; the region must reject the access itself, under
-// its own name and with the offset the caller gave.
-func TestRegionBoundsNearMaxInt(t *testing.T) {
-	a := NewAllocator(NewDevice("test", 4096))
-	if _, err := a.Alloc("head", 100); err != nil {
+	// Rewrite flushed prefix bytes (they take a pre-image), then shrink the
+	// prefix below them: they become volatile, clean, and keep their value.
+	if err := d.Write(prefix-100, bytes.Repeat([]byte{0xCD}, 100)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := a.Alloc("log", 1000)
-	if err != nil {
-		t.Fatal(err)
+	d.SetDurablePrefix(pageSize)
+	if d.DirtyBytes() != 0 {
+		t.Fatalf("dirty = %d after shrinking the prefix, want 0", d.DirtyBytes())
 	}
-	const off = math.MaxInt - 3
-	buf := make([]byte, 8)
-	_, flushErr := r.Flush(off, len(buf))
-	for op, err := range map[string]error{
-		"Write": r.Write(off, buf),
-		"Read":  r.Read(off, buf),
-		"Flush": flushErr,
-	} {
-		var be *BoundsError
-		if !errors.As(err, &be) || be.Device != "test/log" || be.Off != off || be.Len != len(buf) || be.Size != r.Len {
-			t.Errorf("%s at MaxInt-3: err = %v, want the region's BoundsError", op, err)
-		}
+	if err := d.Read(prefix-100, got[:100]); err != nil || !bytes.Equal(got[:100], bytes.Repeat([]byte{0xCD}, 100)) {
+		t.Fatalf("shrinking the prefix changed the current image: %v (%v)", got[:100], err)
 	}
-}
-
-func TestAllocatorExhaustion(t *testing.T) {
-	d := NewDevice("test", 128)
-	a := NewAllocator(d)
-	if _, err := a.Alloc("big", 100); err != nil {
-		t.Fatal(err)
+	if n := d.FlushAll(); n != 0 {
+		t.Fatalf("FlushAll flushed %d volatile bytes", n)
 	}
-	if _, err := a.Alloc("more", 100); err == nil {
-		t.Fatal("expected out-of-space error")
-	}
-	if a.Remaining() > 128 {
-		t.Fatalf("remaining = %d", a.Remaining())
-	}
-}
-
-// TestAllocatorRejectsNegativeSize: a negative size would move the
-// allocator backwards, so the next region would overlap the previous one.
-func TestAllocatorRejectsNegativeSize(t *testing.T) {
-	a := NewAllocator(NewDevice("test", 4096))
-	r1, err := a.Alloc("a", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Alloc("neg", -512); err == nil {
-		t.Fatal("negative size accepted")
-	}
-	r2, err := a.Alloc("b", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Off < r1.Off+r1.Len {
-		t.Fatalf("regions overlap: %+v %+v", r1, r2)
+	d.SetDurablePrefix(-1) // clamped: nothing is durable
+	d.Crash()
+	if err := d.Read(pageSize-100, got); err != nil || !bytes.Equal(got, make([]byte, 300)) {
+		t.Fatalf("a crash with no durable prefix kept %v (%v)", got, err)
 	}
 }
 

@@ -43,8 +43,11 @@
 // Op), Teardown the QPs — and the strategy reports each group ACK through
 // Group.Complete. The concrete types embed *Group, so no protocol package
 // defines a Protocol method of its own. Every strategy sets up each NIC
-// through a Host, which carves the mirror at offset 0 (so a NIC hosts one
-// group at a time), owns the QPs and CQs, and destroys them for Teardown;
+// through a Host, the only owner of NIC memory layout: it carves the
+// mirror at offset 0 (so a NIC hosts one group at a time) and declares it
+// the device's only durable memory, carves the volatile rings, staging
+// and ack slots after it, owns the QPs and CQs, and destroys them for
+// Teardown;
 // Params is the one policy type (Params.Check the one validation and
 // Window the one depth rule), and the canonical sentinel errors here are
 // the only ones a datapath returns.

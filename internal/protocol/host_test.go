@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -46,7 +48,8 @@ func TestHostLayoutAndDestroy(t *testing.T) {
 			qp.SendCQ().CQN(), qp.RecvCQ().CQN(), gate.CQN(), qp.RingSlots())
 	}
 
-	// Counter-only CQs count completions and keep none.
+	// A CQ with no drain handler counts completions. The ring write is
+	// volatile: the mirror is the NIC's only durable memory.
 	qp.Connect(qp)
 	if _, err := qp.PostSend(rdma.WQE{Opcode: rdma.OpNop, Flags: rdma.FlagSignaled}); err != nil {
 		t.Fatal(err)
@@ -54,8 +57,11 @@ func TestHostLayoutAndDestroy(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if cq := qp.SendCQ(); cq.Total() != 1 || cq.Depth() != 0 {
-		t.Fatalf("send CQ total %d depth %d, want 1 and 0", cq.Total(), cq.Depth())
+	if cq := qp.SendCQ(); cq.Total() != 1 {
+		t.Fatalf("send CQ total %d, want 1", cq.Total())
+	}
+	if w, _, _ := nic.Memory().Stats(); w == 0 || nic.Memory().DirtyBytes() != 0 {
+		t.Fatalf("%d stores left %d dirty bytes past the mirror, want 0", w, nic.Memory().DirtyBytes())
 	}
 
 	if err := NewHost(nic, testMirror).Err(); err == nil || !strings.Contains(err.Error(), "offset 0") {
@@ -91,6 +97,64 @@ func TestHostErrorIsSticky(t *testing.T) {
 		t.Fatalf("err = %v (want %v), idle = %v", h.Err(), first, nic.Idle())
 	}
 	h.Destroy()
+}
+
+// TestHostRegionOffsets: regions follow the mirror 64-byte aligned and
+// never overlap, whatever their sizes.
+func TestHostRegionOffsets(t *testing.T) {
+	_, nic := testNIC(t, 1<<16)
+	h := NewHost(nic, 1000)
+	end := uint64(1000)
+	for i, size := range []int{1, 63, 64, 65, 0, 1000, 7} {
+		off := h.Region(fmt.Sprint("r", i), size)
+		if off%64 != 0 || off < end {
+			t.Fatalf("region %d (%d bytes) at %d: want 64-aligned at or after %d", i, size, off, end)
+		}
+		end = off + uint64(size)
+	}
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHostRegionExhaustion: a region past the end of the device fails,
+// naming the NIC and the region, and the failure is sticky.
+func TestHostRegionExhaustion(t *testing.T) {
+	_, nic := testNIC(t, 1024)
+	h := NewHost(nic, 512)
+	if off := h.Region("log", 512); off != 512 || h.Err() != nil {
+		t.Fatalf("region filling the device at %d: %v", off, h.Err())
+	}
+	h.Region("ack", 1)
+	err := h.Err()
+	if err == nil || !strings.Contains(err.Error(), `n: cannot carve region "ack"`) {
+		t.Fatalf("err = %v, want the NIC and region named", err)
+	}
+	if h.Region("meta", 0) != 0 || h.Err() != err {
+		t.Fatalf("a region after exhaustion: err = %v, want %v kept", h.Err(), err)
+	}
+}
+
+// TestHostRegionRejectsNegativeSize: a negative size would move the cursor
+// backwards, so the next region would overlap the previous one.
+func TestHostRegionRejectsNegativeSize(t *testing.T) {
+	_, nic := testNIC(t, 4096)
+	h := NewHost(nic, 1024)
+	h.Region("neg", -512)
+	if h.Err() == nil || h.next != 1024 {
+		t.Fatalf("negative size: err = %v, cursor %d, want an error and the cursor at 1024", h.Err(), h.next)
+	}
+}
+
+// TestHostRegionRejectsHugeSize: off+size wraps past math.MaxInt, so a
+// check of the sum would pass; the size must be rejected on its own.
+func TestHostRegionRejectsHugeSize(t *testing.T) {
+	_, nic := testNIC(t, 4096)
+	h := NewHost(nic, 100)
+	h.Region("huge", math.MaxInt-3)
+	if h.Err() == nil || h.next != 100 {
+		t.Fatalf("size MaxInt-3: err = %v, cursor %d, want an error and the cursor at 100", h.Err(), h.next)
+	}
 }
 
 func TestWindowRoundsUpToPowerOfTwo(t *testing.T) {

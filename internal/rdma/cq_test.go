@@ -19,57 +19,30 @@ func newTestCQ(t testing.TB) (*sim.Kernel, *CQ) {
 	return k, nic.CreateCQ()
 }
 
+// record installs a drain handler on cq that appends every completion to
+// the returned slice, oldest first.
+func record(cq *CQ) *[]CQE {
+	got := new([]CQE)
+	cq.SetDrainHandler(func(batch []CQE) { *got = append(*got, batch...) })
+	return got
+}
+
 func TestDrainHandlerConsumesEntries(t *testing.T) {
 	_, cq := newTestCQ(t)
-	var got []uint64
-	cq.SetDrainHandler(func(batch []CQE) {
-		for _, e := range batch {
-			got = append(got, e.WRID)
-		}
-	})
+	got := record(cq)
 	for i := uint64(0); i < 5; i++ {
 		cq.push(CQE{WRID: i})
 	}
-	if len(got) != 5 {
-		t.Fatalf("handler saw %d CQEs, want 5", len(got))
+	if len(*got) != 5 {
+		t.Fatalf("handler saw %d CQEs, want 5", len(*got))
 	}
-	for i, w := range got {
-		if w != uint64(i) {
-			t.Fatalf("got[%d] = %d, want %d (order broken)", i, w, i)
+	for i, e := range *got {
+		if e.WRID != uint64(i) {
+			t.Fatalf("got[%d] = %d, want %d (order broken)", i, e.WRID, i)
 		}
-	}
-	if cq.Depth() != 0 {
-		t.Fatalf("Depth = %d after drain, want 0 (entries must be consumed)", cq.Depth())
-	}
-	if cq.Poll(10) != nil {
-		t.Fatal("Poll returned entries on a drain-handler CQ")
 	}
 	if cq.Total() != 5 {
 		t.Fatalf("Total = %d, want 5", cq.Total())
-	}
-}
-
-func TestDrainHandlerMigratesBacklog(t *testing.T) {
-	_, cq := newTestCQ(t)
-	// Completions before any handler accumulate for Poll...
-	cq.push(CQE{WRID: 1})
-	cq.push(CQE{WRID: 2})
-	if cq.Depth() != 2 {
-		t.Fatalf("Depth = %d, want 2", cq.Depth())
-	}
-	// ...and the drain handler receives that backlog with the next push.
-	var got []uint64
-	cq.SetDrainHandler(func(batch []CQE) {
-		for _, e := range batch {
-			got = append(got, e.WRID)
-		}
-	})
-	cq.push(CQE{WRID: 3})
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v, want [1 2 3]", got)
-	}
-	if cq.Depth() != 0 {
-		t.Fatalf("Depth = %d, want 0", cq.Depth())
 	}
 }
 
@@ -104,33 +77,21 @@ func TestDrainHandlerReentrantPushFoldsIntoFollowUpBatch(t *testing.T) {
 	}
 }
 
-func TestPollReturnsRetainedEntriesInOrder(t *testing.T) {
-	_, cq := newTestCQ(t)
-	cq.push(CQE{WRID: 7})
-	cq.push(CQE{WRID: 8})
-	if cq.Depth() != 2 {
-		t.Fatalf("Depth = %d, want 2 (no drain handler: entries are retained)", cq.Depth())
-	}
-	got := cq.Poll(10)
-	if len(got) != 2 || got[0].WRID != 7 || got[1].WRID != 8 {
-		t.Fatalf("Poll = %v, want WRIDs [7 8]", got)
-	}
-	if cq.Depth() != 0 || cq.Poll(10) != nil {
-		t.Fatal("Poll did not consume the entries")
-	}
-}
-
+// TestDiscardCountsWithoutRetaining: a CQ with no drain handler counts
+// its completions and keeps none; a handler installed later sees only what
+// is pushed after it.
 func TestDiscardCountsWithoutRetaining(t *testing.T) {
 	_, cq := newTestCQ(t)
-	cq.Discard()
 	for i := 0; i < 100; i++ {
 		cq.push(CQE{WRID: uint64(i)})
 	}
 	if cq.Total() != 100 {
 		t.Fatalf("Total = %d, want 100", cq.Total())
 	}
-	if cq.Depth() != 0 || cq.Poll(10) != nil {
-		t.Fatal("Discard CQ retained entries")
+	got := record(cq)
+	cq.push(CQE{WRID: 100})
+	if len(*got) != 1 || (*got)[0].WRID != 100 || cq.Total() != 101 {
+		t.Fatalf("handler installed after 100 pushes saw %v (total %d), want only WRID 100", *got, cq.Total())
 	}
 }
 
@@ -184,17 +145,5 @@ func BenchmarkCQDrain(b *testing.B) {
 	}
 	if n != b.N {
 		b.Fatalf("drained %d, want %d", n, b.N)
-	}
-}
-
-func BenchmarkCQPoll(b *testing.B) {
-	_, cq := newTestCQ(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cq.push(CQE{WRID: uint64(i)})
-		if cq.Depth() >= 64 {
-			cq.Poll(64)
-		}
 	}
 }

@@ -1,11 +1,9 @@
 package rdma
 
 import (
-	"errors"
 	"fmt"
 
 	"hyperloop/internal/nvm"
-	"hyperloop/internal/ring"
 	"hyperloop/internal/sim"
 )
 
@@ -78,11 +76,12 @@ func (s Status) String() string {
 	}
 }
 
-// CQ is a completion queue. Completions accumulate for polling unless a
-// drain handler consumes them in batches (modelling an interrupt/event
-// channel); WAIT WQEs subscribe to the cumulative completion count with a
-// wake threshold, so a WAIT armed for N completions wakes once when the
-// N-th arrives instead of re-checking on every push.
+// CQ is a completion queue. It has one delivery mode: a drain handler
+// consumes completions in batches (modelling an interrupt/event channel);
+// a CQ with no handler counts its completions and keeps none. WAIT WQEs
+// subscribe to the cumulative completion count with a wake threshold, so
+// a WAIT armed for N completions wakes once when the N-th arrives instead
+// of re-checking on every push.
 //
 // Re-entrancy rules for the drain handler: it runs synchronously inside
 // the push — that is, inside the simulation event that produced the
@@ -96,8 +95,6 @@ func (s Status) String() string {
 type CQ struct {
 	nic *NIC
 	cqn uint32
-
-	entries ring.Ring[CQE] // unpolled completions (Poll mode)
 
 	total        int64 // cumulative completions ever pushed
 	okTotal      int64 // cumulative successful completions (WAIT fuel)
@@ -128,48 +125,13 @@ type cqWaiter struct {
 func (c *CQ) CQN() uint32 { return c.cqn }
 
 // SetDrainHandler installs a batched handler: each wake receives every
-// completion that is ready — the batch — and consumes them, so the CQ
-// retains nothing and Poll on the same CQ always returns empty. Any
+// completion that is ready — the batch — and consumes them. Any
 // completions pushed while the handler runs are delivered in a follow-up
 // batch of the same drain loop rather than nested calls (see the CQ
-// re-entrancy rules). Installing a drain handler also consumes whatever
-// entries had accumulated before installation, on the next push.
-//
-// The batch slice is owned by the CQ and recycled across wakes; handlers
-// must not retain it. Pass a non-nil handler (an empty func is the idiom
-// for counter-only CQs that exist solely for WAIT thresholds).
+// re-entrancy rules). Completions pushed before installation were only
+// counted. The batch slice is owned by the CQ and recycled across wakes;
+// handlers must not retain it.
 func (c *CQ) SetDrainHandler(h func([]CQE)) { c.drainHandler = h }
-
-// Discard marks the CQ counter-only: completions still advance Total —
-// and therefore WAIT thresholds and waiter wakes — but no entries are
-// retained for Poll. Use for CQs that exist purely as WAIT targets or
-// whose completions carry no information; without it every completion
-// accumulates in the queue for the life of the run.
-func (c *CQ) Discard() { c.SetDrainHandler(discardCQEs) }
-
-func discardCQEs([]CQE) {}
-
-// Poll removes and returns up to max pending completions, oldest first.
-// Allocation note: Poll builds a fresh slice; steady-state datapaths use
-// SetDrainHandler and never poll.
-func (c *CQ) Poll(max int) []CQE {
-	n := c.entries.Len()
-	if max <= 0 || n == 0 {
-		return nil
-	}
-	if max > n {
-		max = n
-	}
-	out := make([]CQE, max)
-	for i := range out {
-		out[i] = c.entries.PopFront()
-	}
-	return out
-}
-
-// Depth returns the number of unpolled completions. A CQ in drain-handler
-// mode consumes eagerly, so its depth is zero between events.
-func (c *CQ) Depth() int { return c.entries.Len() }
 
 // Total returns the cumulative number of completions ever delivered.
 func (c *CQ) Total() int64 { return c.total }
@@ -185,11 +147,6 @@ func (c *CQ) push(e CQE) {
 	}
 	c.nic.fabric.cqes++
 	if c.drainHandler != nil {
-		// Migrate anything queued before the drain handler was installed
-		// so the first wake drains the full backlog.
-		for c.entries.Len() > 0 {
-			c.batch = append(c.batch, c.entries.PopFront())
-		}
 		c.batch = append(c.batch, e)
 		if !c.draining {
 			c.draining = true
@@ -201,8 +158,6 @@ func (c *CQ) push(e CQE) {
 			}
 			c.draining = false
 		}
-	} else {
-		c.entries.PushBack(e)
 	}
 	c.wakeWaiters()
 }
@@ -246,30 +201,8 @@ func (c *CQ) subscribeOK(fn func(), minOK int64) {
 	c.waiters = append(c.waiters, cqWaiter{fn: fn, minTotal: minOK, onOK: true})
 }
 
-// ErrWaitDeadline is returned by AwaitTotal when the deadline passes
-// before the completion-count threshold is reached.
-var ErrWaitDeadline = errors.New("rdma: CQ wait deadline exceeded")
-
-// AwaitTotal parks f until the CQ's cumulative completion count reaches n,
-// or returns ErrWaitDeadline once the virtual deadline passes — a bounded
-// alternative to spinning on Total for callers that would otherwise hang
-// on a completion that never arrives. A deadline wake leaves a stale
-// one-shot waiter behind; it fires harmlessly into the already-resolved
-// signal if the threshold is ever reached later.
-func (c *CQ) AwaitTotal(f *sim.Fiber, n int64, deadline sim.Time) error {
-	if c.total >= n {
-		return nil
-	}
-	sig := sim.NewSignal()
-	c.subscribe(func() { sig.Fire(nil) }, n)
-	t := c.nic.fabric.k.At(deadline, func() { sig.Fire(ErrWaitDeadline) })
-	err := f.Await(sig)
-	t.Stop()
-	return err
-}
-
 // Destroy removes the completion queue from service: handlers and parked
-// waiters are dropped, retained entries are cleared, the CQN is retired
+// waiters are dropped, the CQN is retired
 // (WAIT WQEs that still name it complete with a local error), and any
 // straggler completion pushed through a retained pointer is discarded.
 // Owners destroy a CQ together with the QPs that complete into it.
@@ -278,7 +211,6 @@ func (c *CQ) Destroy() {
 		return
 	}
 	c.dead = true
-	c.entries.Reset()
 	c.total, c.okTotal, c.waitConsumed = 0, 0, 0
 	c.drainHandler = nil
 	c.batch, c.spare = nil, nil

@@ -271,8 +271,8 @@ func (q *QP) PostSend(w WQE) (uint64, error) {
 }
 
 // PostSendDeferred writes w at the ring tail *without* granting ownership:
-// the NIC will stall at this WQE until a WAIT enables it or GrantOwnership
-// is called. This is HyperLoop's modified-driver posting path (§4.1).
+// the NIC will stall at this WQE until a WAIT enables it. This is
+// HyperLoop's modified-driver posting path (§4.1).
 func (q *QP) PostSendDeferred(w WQE) (uint64, error) {
 	if q.dead {
 		return 0, ErrQPDestroyed
@@ -284,20 +284,6 @@ func (q *QP) PostSendDeferred(w WQE) (uint64, error) {
 	}
 	q.tail++
 	return seq, nil
-}
-
-// GrantOwnership sets the owned flag on slot seq and rings the doorbell —
-// the local (client-side) path for arming a previously deferred WQE after
-// patching its descriptor.
-func (q *QP) GrantOwnership(seq uint64) error {
-	if q.dead {
-		return ErrQPDestroyed
-	}
-	if err := q.setOwned(seq, true); err != nil {
-		return err
-	}
-	q.Doorbell()
-	return nil
 }
 
 func (q *QP) setOwned(seq uint64, owned bool) error {
@@ -315,18 +301,6 @@ func (q *QP) setOwned(seq uint64, owned bool) error {
 	return q.nic.mem.Write(addr, []byte{flags})
 }
 
-// PatchDescriptor overwrites the patchable descriptor fields of slot seq.
-// Local equivalent of what a remote peer does with RDMA; used by the client
-// to retarget its own pre-built WQEs.
-func (q *QP) PatchDescriptor(seq uint64, w WQE) error {
-	var desc [DescLen]byte
-	if err := w.EncodeDesc(desc[:]); err != nil {
-		return err
-	}
-	addr := DescAddr(q.ringOff, q.ringSlots, seq)
-	return q.nic.mem.Write(int(addr), desc[:])
-}
-
 // PostRecv posts a receive scatter list. If a sender was blocked on
 // receiver-not-ready, delivery resumes on the next simulation step — never
 // synchronously inside the caller, which could otherwise observe its own
@@ -341,9 +315,6 @@ func (q *QP) PostRecv(r RecvWQE) {
 		q.nic.fabric.k.AfterFunc(0, q.inboxFn, nil)
 	}
 }
-
-// RecvDepth returns the number of posted, unconsumed receives.
-func (q *QP) RecvDepth() int { return q.recvQueue.Len() }
 
 // Doorbell kicks the send engine.
 func (q *QP) Doorbell() {
@@ -845,11 +816,4 @@ func (q *QP) applyInbound(m inMsg) (Status, []byte, sim.Duration) {
 
 func (q *QP) popRecv() RecvWQE {
 	return q.recvQueue.PopFront()
-}
-
-// DebugState summarizes the QP's engine state for diagnostics.
-func (q *QP) DebugState() string {
-	return fmt.Sprintf("head=%d tail=%d pending=%d inbox=%d recvs=%d pumpBusy=%v pumpSched=%v rnr=%v inboxBusy=%v",
-		q.head, q.tail, q.pending.Len(), q.inbox.Len(), q.recvQueue.Len(),
-		q.pumpBusy, q.pumpScheduled, q.rnrWaiting, q.inboxBusy)
 }

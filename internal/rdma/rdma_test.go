@@ -140,6 +140,7 @@ func TestRDMAWriteDeliversData(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	sent := record(p.qa.SendCQ())
 	p.run(t)
 	got := make([]byte, len(data))
 	if err := p.nb.Memory().Read(bufB, got); err != nil {
@@ -148,7 +149,7 @@ func TestRDMAWriteDeliversData(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("remote memory = %q, want %q", got, data)
 	}
-	cqes := p.qa.SendCQ().Poll(10)
+	cqes := *sent
 	if len(cqes) != 1 || cqes[0].Status != StatusSuccess || cqes[0].WRID != 7 {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -209,6 +210,7 @@ func TestSendConsumesRecvAndScatters(t *testing.T) {
 	p := newTestPair(t)
 	// Scatter a 12-byte message across two SGEs on host b.
 	p.qb.PostRecv(RecvWQE{WRID: 9, SGEs: []SGE{{Addr: bufB, Len: 4}, {Addr: bufB + 100, Len: 100}}})
+	recvd := record(p.qb.RecvCQ())
 	msg := []byte("head|tail+++")
 	_ = p.na.Memory().Write(bufA, msg)
 	if _, err := p.qa.PostSend(WQE{
@@ -224,11 +226,11 @@ func TestSendConsumesRecvAndScatters(t *testing.T) {
 	if string(head) != "head" || string(tail) != "|tail+++" {
 		t.Fatalf("scatter wrong: %q %q", head, tail)
 	}
-	cqes := p.qb.RecvCQ().Poll(10)
+	cqes := *recvd
 	if len(cqes) != 1 || cqes[0].WRID != 9 || cqes[0].ByteLen != len(msg) {
 		t.Fatalf("recv cqes = %+v", cqes)
 	}
-	if p.qb.RecvDepth() != 0 {
+	if p.qb.recvQueue.Len() != 0 {
 		t.Fatal("recv not consumed")
 	}
 }
@@ -253,6 +255,7 @@ func TestSendRNRRetries(t *testing.T) {
 func TestWriteWithImmNotifiesReceiver(t *testing.T) {
 	p := newTestPair(t)
 	p.qb.PostRecv(RecvWQE{WRID: 5})
+	recvd := record(p.qb.RecvCQ())
 	data := []byte("ack payload")
 	_ = p.na.Memory().Write(bufA, data)
 	if _, err := p.qa.PostSend(WQE{
@@ -267,7 +270,7 @@ func TestWriteWithImmNotifiesReceiver(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("imm write payload missing")
 	}
-	cqes := p.qb.RecvCQ().Poll(1)
+	cqes := *recvd
 	if len(cqes) != 1 || cqes[0].Imm != 0xBEEF || cqes[0].WRID != 5 {
 		t.Fatalf("imm cqe = %+v", cqes)
 	}
@@ -367,6 +370,7 @@ func TestRemoteAccessViolationsError(t *testing.T) {
 	qa, _ := na.CreateQP(QPConfig{SendRingOff: ringOff, SendSlots: ringSlots, SendCQ: na.CreateCQ(), RecvCQ: na.CreateCQ()})
 	qb, _ := nb.CreateQP(QPConfig{SendRingOff: ringOff, SendSlots: ringSlots, SendCQ: nb.CreateCQ(), RecvCQ: nb.CreateCQ()})
 	qa.Connect(qb)
+	sent := record(qa.SendCQ())
 
 	cases := []WQE{
 		// Write to read-only MR.
@@ -385,8 +389,7 @@ func TestRemoteAccessViolationsError(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		cqes := qa.SendCQ().Poll(1)
-		if len(cqes) != 1 || cqes[0].Status != StatusRemoteAccessError {
+		if cqes := (*sent)[i:]; len(cqes) != 1 || cqes[0].Status != StatusRemoteAccessError {
 			t.Fatalf("case %d: cqes = %+v, want remote access error", i, cqes)
 		}
 	}
@@ -432,53 +435,86 @@ func TestWaitBlocksUntilCompletionThenEnables(t *testing.T) {
 	}
 }
 
+// TestDeferredWQEStallsQueue: a WQE posted without ownership stalls the
+// send queue, owned work behind it included, until a WAIT enables it. The
+// WAIT enables exactly the one WQE after it, so a second deferred WQE goes
+// on stalling the owned NOP behind it.
 func TestDeferredWQEStallsQueue(t *testing.T) {
 	p := newTestPair(t)
 	_ = p.na.Memory().Write(bufA, []byte{1, 2, 3, 4})
-	seq, err := p.qa.PostSendDeferred(WQE{
-		Opcode: OpWrite, Flags: FlagSignaled, Local: bufA, Len: 4, Remote: bufB, Aux1: p.mrb.RKey,
-	})
-	if err != nil {
+	if _, err := p.qa.PostSend(WQE{Opcode: OpWait, Imm: 1, Aux1: p.qa.RecvCQ().CQN(), Aux2: 1}); err != nil {
 		t.Fatal(err)
 	}
-	p.qa.Doorbell()
-	p.run(t)
-	if p.qa.SendCQ().Total() != 0 {
-		t.Fatal("deferred WQE executed without ownership")
+	for _, w := range []WQE{
+		{Opcode: OpWrite, Flags: FlagSignaled, WRID: 1, Local: bufA, Len: 4, Remote: bufB, Aux1: p.mrb.RKey},
+		{Opcode: OpNop, Flags: FlagSignaled, WRID: 2},
+	} {
+		if _, err := p.qa.PostSendDeferred(w); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.qa.GrantOwnership(seq); err != nil {
+	if _, err := p.qa.PostSend(WQE{Opcode: OpNop, Flags: FlagSignaled, WRID: 3}); err != nil {
+		t.Fatal(err)
+	}
+	sent := record(p.qa.SendCQ())
+	p.run(t)
+	if len(*sent) != 0 {
+		t.Fatalf("completions %v before the WAIT's trigger, want none", *sent)
+	}
+
+	// One SEND from b completes on a's recv CQ: the WAIT enables the WRITE.
+	p.qa.PostRecv(RecvWQE{WRID: 1})
+	if _, err := p.qb.PostSend(WQE{Opcode: OpSend}); err != nil {
 		t.Fatal(err)
 	}
 	p.run(t)
-	if p.qa.SendCQ().Total() != 1 {
-		t.Fatal("granted WQE did not execute")
+	if len(*sent) != 1 || (*sent)[0].WRID != 1 || (*sent)[0].Status != StatusSuccess {
+		t.Fatalf("completions %v, want the enabled WRITE alone", *sent)
+	}
+	got := make([]byte, 4)
+	_ = p.nb.Memory().Read(bufB, got)
+	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+		t.Fatalf("enabled WRITE delivered %v", got)
 	}
 }
 
-func TestPatchDescriptorRetargetsWQE(t *testing.T) {
+// TestRemoteDescriptorPatchRetargetsWQE is HyperLoop's remote work request
+// manipulation (§4.1): b pre-posts a WAIT and a deferred WRITE, a's SEND
+// scatters a new descriptor straight into that WRITE's ring slot, and the
+// receive completion fires the WAIT, which enables the patched WRITE.
+func TestRemoteDescriptorPatchRetargetsWQE(t *testing.T) {
 	p := newTestPair(t)
-	_ = p.na.Memory().Write(bufA+64, []byte("patched payload"))
-	seq, err := p.qa.PostSendDeferred(WQE{
-		Opcode: OpWrite, Flags: FlagSignaled, Local: bufA, Len: 4, Remote: bufB, Aux1: p.mrb.RKey,
+	_ = p.nb.Memory().Write(bufB+64, []byte("patched payload"))
+	if _, err := p.qb.PostSend(WQE{Opcode: OpWait, Imm: 1, Aux1: p.qb.RecvCQ().CQN(), Aux2: 1}); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := p.qb.PostSendDeferred(WQE{
+		Opcode: OpWrite, Flags: FlagSignaled, Local: bufB, Len: 4, Remote: bufA, Aux1: p.mra.RKey,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the descriptor before granting ownership.
-	if err := p.qa.PatchDescriptor(seq, WQE{
+	p.qb.PostRecv(RecvWQE{SGEs: []SGE{{Addr: DescAddr(ringOff, ringSlots, seq), Len: DescLen}}})
+
+	var desc [DescLen]byte
+	if err := (&WQE{
 		Opcode: OpWrite, Flags: FlagSignaled,
-		Local: bufA + 64, Len: 15, Remote: bufB + 64, Aux1: p.mrb.RKey,
-	}); err != nil {
+		Local: bufB + 64, Len: 15, Remote: bufA + 64, Aux1: p.mra.RKey,
+	}).EncodeDesc(desc[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.qa.GrantOwnership(seq); err != nil {
+	_ = p.na.Memory().Write(bufA, desc[:])
+	if _, err := p.qa.PostSend(WQE{Opcode: OpSend, Local: bufA, Len: DescLen}); err != nil {
 		t.Fatal(err)
 	}
 	p.run(t)
 	got := make([]byte, 15)
-	_ = p.nb.Memory().Read(bufB+64, got)
+	_ = p.na.Memory().Read(bufA+64, got)
 	if string(got) != "patched payload" {
 		t.Fatalf("patched WQE wrote %q", got)
+	}
+	if p.qb.SendCQ().Total() != 1 {
+		t.Fatalf("b's send CQ total %d, want the one patched WRITE", p.qb.SendCQ().Total())
 	}
 }
 
@@ -623,31 +659,6 @@ func TestMRRegistrationBounds(t *testing.T) {
 	}
 	if _, err := fab.AddNIC("x", nvm.NewDevice("y", 64)); err == nil {
 		t.Fatal("duplicate NIC accepted")
-	}
-}
-
-func TestCQPolling(t *testing.T) {
-	p := newTestPair(t)
-	for i := 0; i < 3; i++ {
-		if _, err := p.qa.PostSend(WQE{Opcode: OpNop, Flags: FlagSignaled, WRID: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.run(t)
-	cq := p.qa.SendCQ()
-	if cq.Depth() != 3 {
-		t.Fatalf("depth = %d", cq.Depth())
-	}
-	first := cq.Poll(2)
-	if len(first) != 2 || first[0].WRID != 0 || first[1].WRID != 1 {
-		t.Fatalf("poll = %+v", first)
-	}
-	rest := cq.Poll(10)
-	if len(rest) != 1 || rest[0].WRID != 2 {
-		t.Fatalf("poll rest = %+v", rest)
-	}
-	if cq.Poll(0) != nil || cq.Poll(5) != nil {
-		t.Fatal("poll on empty CQ returned entries")
 	}
 }
 

@@ -66,9 +66,8 @@ func (o Opcode) String() string {
 // WQE flags.
 const (
 	// FlagOwned hands the WQE to the NIC. A WQE posted without it stalls
-	// the send queue until ownership is granted — either by a local
-	// doorbell or by a WAIT WQE enabling it (HyperLoop's modified-driver
-	// behaviour).
+	// the send queue until a WAIT WQE enables it (HyperLoop's
+	// modified-driver behaviour).
 	FlagOwned uint8 = 1 << iota
 	// FlagSignaled requests a completion-queue entry when the WQE
 	// finishes.

@@ -517,7 +517,8 @@ func FuzzEventQueueOrder(f *testing.F) {
 // divisor of the wheel's span, so the bursts walk across the slots, and a
 // wheel whose slots grew arrays would allocate for each slot a burst meets
 // for the first time. After the first rotation, which holds the first
-// burst, eight more must show no malloc at all.
+// burst, eight more must show no malloc at all (see raceMallocs for the
+// one the race-enabled runtime may add).
 func TestWheelSteadyStateAllocs(t *testing.T) {
 	const (
 		span       = Duration(wheelBuckets << bucketShift) // one rotation, 16.8 ms
@@ -571,7 +572,7 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 	if bursts < 20 {
 		t.Fatalf("only %d bursts in nine rotations, want one per burstEvery", bursts)
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("rotations 2-9 of the hold model: %d mallocs, want 0", n)
+	if n := after.Mallocs - before.Mallocs; n > raceMallocs {
+		t.Errorf("rotations 2-9 of the hold model: %d mallocs, want at most %d", n, raceMallocs)
 	}
 }
