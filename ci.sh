@@ -247,7 +247,7 @@ stage_test() {
     step "coverage internal/protocol >=90" covercheck 90 ./internal/protocol
     step "coverage internal/topo >=85" covercheck 85 ./internal/topo
     step "coverage internal/chain >=85" covercheck 85 ./internal/chain
-    step "coverage internal/docstore >=80" covercheck 80 ./internal/docstore
+    step "coverage internal/docstore >=85" covercheck 85 ./internal/docstore
     step "coverage datapaths (hyperloop, naive) >=85" covercheck 85 \
         ./internal/hyperloop,./internal/naive \
         ./internal/hyperloop ./internal/naive ./internal/experiments
@@ -274,9 +274,10 @@ stage_test() {
 # flat two-image reference side by side, arbitrary
 # insert/remove sequences through RangeSet against a boolean model,
 # arbitrary fault schedules through FaultPlan.Validate (accepted plans
-# must then survive installation on a live fabric), and arbitrary
+# must then survive installation on a live fabric), arbitrary
 # schedule/stop/run scripts through the kernel against a sort-the-slice
-# reference.
+# reference, and arbitrary flat documents through docstore's encoder
+# against json.Marshal.
 stage_fuzz() {
     step "fuzz WQE decode" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzWQEDecode -fuzztime=10s
@@ -288,6 +289,8 @@ stage_fuzz() {
         -fuzz=FuzzFaultPlanValidate -fuzztime=10s
     step "fuzz event queue" go test ./internal/sim -run='^$' \
         -fuzz=FuzzEventQueueOrder -fuzztime=10s
+    step "fuzz flat encode" go test ./internal/docstore -run='^$' \
+        -fuzz=FuzzFlatEncode -fuzztime=10s
 }
 
 # ---------- bench ----------

@@ -7,19 +7,24 @@
 // Naive-RDMA) through the txn layer, mirroring the paper's front-end /
 // back-end split: the front end (this package, on the client) marshals
 // documents and drives the journal; the back ends are just NVM + NIC. The
-// front end keeps its documents decoded, so the JSON slots are the
-// replicated, recoverable image and not what reads and merges parse.
+// front end keeps its flat documents decoded, so the JSON slots are the
+// replicated, recoverable image and not what reads and merges parse: a read
+// returns the decoded entry itself, as a read-only view, and a write
+// encodes a flat document with the store's own encoder, whose bytes are
+// exactly json.Marshal's. Neither allocates in steady state.
 package docstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"maps"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"unicode/utf8"
 
 	"hyperloop/internal/sim"
@@ -45,7 +50,8 @@ var (
 	ErrBadArgument = errors.New("docstore: bad argument")
 )
 
-// Doc is a JSON document. Every document carries a string "_id".
+// Doc is a JSON document. Every document carries a string "_id". A Doc
+// the store returns is a read-only view (see FindID).
 type Doc = map[string]any
 
 // Config parameterizes a Store.
@@ -105,9 +111,10 @@ type Store struct {
 	// trades places with the entry it replaces.
 	docs  []Doc
 	spare Doc
-	img   bytes.Buffer  // the slot image being built: header, then payload
-	enc   *json.Encoder // writes payloads into img
-	entry [1]wal.Entry  // commit's journal record
+	img   []byte               // the slot image being built: header, then payload
+	keys  []string             // appendFlat's sorted keys
+	zero  [slotHeaderSize]byte // Delete's slot image
+	entry [1]wal.Entry         // commit's journal record
 }
 
 // Open builds a Store over a replication group.
@@ -136,9 +143,8 @@ func Open(r txn.Replicator, cfg Config) (*Store, error) {
 		refs:   make([]slotRef, slots),
 		docs:   make([]Doc, slots),
 		spare:  make(Doc),
+		img:    make([]byte, slotHeaderSize, cfg.SlotSize),
 	}
-	s.img.Write(make([]byte, slotHeaderSize))
-	s.enc = json.NewEncoder(&s.img)
 	return s, nil
 }
 
@@ -183,23 +189,117 @@ func (s *Store) allocSlot() (int, error) {
 func (s *Store) slotOff(i int) int { return i * s.cfg.SlotSize }
 
 // encodeDoc frames doc's JSON encoding (json.Marshal's bytes) for its
-// slot, in the store's image buffer: valid until the next call.
-func (s *Store) encodeDoc(coll string, doc Doc) ([]byte, error) {
-	s.img.Truncate(slotHeaderSize)
-	if err := s.enc.Encode(doc); err != nil {
-		return nil, fmt.Errorf("docstore: marshal: %w", err)
+// slot, in the store's image buffer: valid until the next call. It reports
+// whether doc is flat, which is when appendFlat encodes it.
+func (s *Store) encodeDoc(coll string, doc Doc) (img []byte, isFlat bool, err error) {
+	buf := s.img[:slotHeaderSize]
+	if isFlat = flat(doc); isFlat {
+		buf, err = s.appendFlat(buf, doc)
+	} else {
+		var js []byte
+		if js, err = json.Marshal(doc); err == nil {
+			buf = append(buf, js...)
+		}
 	}
-	buf := s.img.Bytes()
-	buf = buf[:len(buf)-1] // Encode's trailing newline
+	if err != nil {
+		return nil, false, fmt.Errorf("docstore: marshal: %w", err)
+	}
+	s.img = buf
 	payload := buf[slotHeaderSize:]
 	if len(buf) > s.cfg.SlotSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+		return nil, false, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
 	binary.LittleEndian.PutUint32(buf[0:], slotMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[8:], collHash(coll))
 	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(payload))
-	return buf, nil
+	return buf, isFlat, nil
+}
+
+// appendFlat appends json.Marshal's encoding of the flat document doc to
+// buf without encoding/json: keys in string order, strings escaped as
+// encoding/json escapes them (HTML escaping on), floats in its format, and
+// NaN and ±Inf rejected with its error.
+func (s *Store) appendFlat(buf []byte, doc Doc) ([]byte, error) {
+	keys := s.keys[:0]
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	s.keys = keys
+	buf = append(buf, '{')
+	for i, k := range keys {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(appendString(buf, k), ':')
+		switch v := doc[k].(type) {
+		case nil:
+			buf = append(buf, "null"...)
+		case bool:
+			buf = strconv.AppendBool(buf, v)
+		case string:
+			buf = appendString(buf, v)
+		case float64:
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				_, err := json.Marshal(v) // its error
+				return nil, err
+			}
+			format := byte('f')
+			if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+				format = 'e'
+			}
+			buf = strconv.AppendFloat(buf, v, format, -1, 64)
+			if n := len(buf); format == 'e' && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+				buf[n-2] = buf[n-1] // e-09 → e-9
+				buf = buf[:n-1]
+			}
+		}
+	}
+	return append(buf, '}'), nil
+}
+
+// appendString appends the JSON string encoding/json writes for the valid
+// UTF-8 string str: '"' and '\\' backslashed, control bytes as \b, \f,
+// \n, \r, \t or \u00XX, '<', '>' and '&' as \u00XX, and U+2028 and
+// U+2029 (UTF-8 E2 80 A8 and A9) as \u2028 and \u2029.
+func appendString(buf []byte, str string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(str); i++ {
+		b := str[i]
+		if b >= utf8.RuneSelf {
+			if b != 0xE2 || i+2 >= len(str) || str[i+1] != 0x80 || str[i+2]&^1 != 0xA8 {
+				continue
+			}
+		} else if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			continue
+		}
+		buf = append(buf, str[start:i]...)
+		switch b {
+		case '"', '\\':
+			buf = append(buf, '\\', b)
+		case '\b':
+			buf = append(buf, '\\', 'b')
+		case '\f':
+			buf = append(buf, '\\', 'f')
+		case '\n':
+			buf = append(buf, '\\', 'n')
+		case '\r':
+			buf = append(buf, '\\', 'r')
+		case '\t':
+			buf = append(buf, '\\', 't')
+		case 0xE2:
+			i += 2
+			buf = append(buf, '\\', 'u', '2', '0', '2', hex[str[i]&0xF])
+		default:
+			buf = append(buf, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+		}
+		start = i + 1
+	}
+	buf = append(buf, str[start:]...)
+	return append(buf, '"')
 }
 
 // decodeSlot parses one slot image; ok=false for a free slot or a slot
@@ -237,8 +337,8 @@ func decodeDoc(img []byte) (doc Doc, hash uint32, err error) {
 // flat reports whether doc can stand in for its slot in docs: every key
 // and string is valid UTF-8 and every value a string, a float64 (finite:
 // encoding rejects the others), a bool or nil. Such a map decodes from its
-// own encoding unchanged, and its values are immutable, so a shallow copy
-// is the caller's own.
+// own encoding unchanged, its values are immutable, and appendFlat encodes
+// it.
 func flat(doc Doc) bool {
 	for k, v := range doc {
 		str, _ := v.(string)
@@ -326,7 +426,7 @@ func (s *Store) Insert(f *sim.Fiber, coll string, doc Doc) error {
 	if err != nil {
 		return err
 	}
-	img, err := s.encodeDoc(coll, stored)
+	img, isFlat, err := s.encodeDoc(coll, stored)
 	if err != nil {
 		return err
 	}
@@ -334,14 +434,15 @@ func (s *Store) Insert(f *sim.Fiber, coll string, doc Doc) error {
 		return err
 	}
 	s.indexInsert(coll, id, slot)
-	if flat(stored) {
+	if isFlat {
 		s.docs[slot] = stored
 	}
 	s.stats.Inserts++
 	return nil
 }
 
-// Update merges fields into the document with the given id.
+// Update merges fields into the document with the given id. It never
+// changes "_id" or "_coll", the stamps the directory and Recover key on.
 func (s *Store) Update(f *sim.Fiber, coll, id string, fields Doc) error {
 	slot, ok := s.dir[coll][id]
 	if !ok {
@@ -360,19 +461,19 @@ func (s *Store) Update(f *sim.Fiber, coll, id string, fields Doc) error {
 		}
 	}
 	for k, v := range fields {
-		if k == "_id" {
+		if k == "_id" || k == "_coll" {
 			continue
 		}
 		doc[k] = v
 	}
-	img, err := s.encodeDoc(coll, doc)
+	img, isFlat, err := s.encodeDoc(coll, doc)
 	if err != nil {
 		return err
 	}
 	if err := s.commit(f, slot, img); err != nil {
 		return err
 	}
-	if !flat(doc) {
+	if !isFlat {
 		doc = nil
 	} else if spare {
 		s.spare = s.docs[slot] // the replaced entry is the next merge target
@@ -388,8 +489,7 @@ func (s *Store) Delete(f *sim.Fiber, coll, id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, coll, id)
 	}
-	zero := make([]byte, slotHeaderSize)
-	if err := s.commit(f, slot, zero); err != nil {
+	if err := s.commit(f, slot, s.zero[:]); err != nil {
 		return err
 	}
 	s.indexDelete(coll, id)
@@ -408,7 +508,10 @@ func (s *Store) loadSlotDoc(slot int) (Doc, error) {
 }
 
 // FindID returns the document with the given id (strong read from the
-// client's authoritative copy). The result is the caller's to modify.
+// client's authoritative copy). The result is a view, read-only and valid
+// until the caller yields or calls a mutating method, like
+// txn.Store.ViewData's: a flat document is returned as its table entry. A
+// caller that keeps the result clones it.
 func (s *Store) FindID(coll, id string) (Doc, error) {
 	slot, ok := s.dir[coll][id]
 	if !ok {
@@ -416,12 +519,13 @@ func (s *Store) FindID(coll, id string) (Doc, error) {
 	}
 	s.stats.Finds++
 	if doc := s.docs[slot]; doc != nil {
-		return maps.Clone(doc), nil
+		return doc, nil
 	}
 	return s.loadSlotDoc(slot)
 }
 
-// Scan returns up to max documents with id >= start, in id order.
+// Scan returns up to max documents with id >= start, in id order, as
+// FindID's views.
 func (s *Store) Scan(coll, start string, max int) ([]Doc, error) {
 	ids := s.sorted[coll]
 	pos := sort.SearchStrings(ids, start)

@@ -263,6 +263,36 @@ func TestRecoverRebuildsDirectory(t *testing.T) {
 	})
 }
 
+// TestUpdateKeepsCollection: Update never rewrites the "_coll" stamp, so
+// a document that asks to move cannot take its collection with it when
+// Recover names collections from their documents.
+func TestUpdateKeepsCollection(t *testing.T) {
+	k, s, g := testStore(t, smallConfig())
+	run(t, k, func(f *sim.Fiber) {
+		for _, id := range []string{"a", "b"} {
+			if err := s.Insert(f, "users", Doc{"_id": id}); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+		}
+		if err := s.Update(f, "users", "a", Doc{"_coll": "other", "v": "x"}); err != nil {
+			t.Errorf("update: %v", err)
+		}
+	})
+	g.ClientNIC().Memory().Crash()
+	run(t, k, func(f *sim.Fiber) {
+		if err := s.Recover(f); err != nil {
+			t.Errorf("recover: %v", err)
+		}
+	})
+	if s.Count("users") != 2 || s.Count("other") != 0 {
+		t.Fatalf("after recovery: %d in users, %d in other; want 2 and 0", s.Count("users"), s.Count("other"))
+	}
+	if doc, err := s.FindID("users", "a"); err != nil || doc["_coll"] != "users" || doc["v"] != "x" {
+		t.Fatalf("a after recovery = %v (%v)", doc, err)
+	}
+}
+
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(nil, Config{SlotSize: 4, DataSize: 100, LogSize: 100}); !errors.Is(err, ErrBadArgument) {
 		t.Fatalf("tiny slot err = %v", err)

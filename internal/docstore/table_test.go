@@ -98,28 +98,42 @@ func TestUpdateLockContendedInvalidatesTable(t *testing.T) {
 	})
 }
 
-// TestFindIDResultIsCallers: FindID hands out a copy of the table entry,
-// so what the caller does to it never reaches the store.
-func TestFindIDResultIsCallers(t *testing.T) {
+// TestFindIDReturnsView: FindID hands out the table entry itself, which
+// agrees with the slot. A caller that keeps a document clones it: the
+// clone outlives later Updates of that document and of others, which reuse
+// the entries they replace.
+func TestFindIDReturnsView(t *testing.T) {
 	k, s, _ := testStore(t, smallConfig())
 	run(t, k, func(f *sim.Fiber) {
-		if err := s.Insert(f, "c", Doc{"_id": "d", "v": "kept"}); err != nil {
-			t.Error(err)
-			return
+		for _, id := range []string{"d", "e"} {
+			if err := s.Insert(f, "c", Doc{"_id": id, "v": "kept"}); err != nil {
+				t.Error(err)
+				return
+			}
 		}
-		doc, err := s.FindID("c", "d")
+		view, err := s.FindID("c", "d")
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		doc["v"] = "changed"
-		doc["extra"] = true
-		delete(doc, "_id")
+		if reflect.ValueOf(view).UnsafePointer() != reflect.ValueOf(s.docs[s.dir["c"]["d"]]).UnsafePointer() {
+			t.Error("FindID returned a copy of the table entry")
+		}
 		if err := tableAgrees(s, "c"); err != nil {
 			t.Error(err)
 		}
-		if doc, _ := s.FindID("c", "d"); doc["v"] != "kept" || len(doc) != 3 {
-			t.Errorf("FindID after mutating its last result = %v", doc)
+		kept := maps.Clone(view)
+		for i, id := range []string{"d", "e", "d", "e"} {
+			if err := s.Update(f, "c", id, Doc{"v": fmt.Sprint(i), "n": float64(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if want := (Doc{"_id": "d", "_coll": "c", "v": "kept"}); !reflect.DeepEqual(kept, want) {
+			t.Errorf("clone of a view after later Updates = %v, want %v", kept, want)
+		}
+		if err := tableAgrees(s, "c"); err != nil {
+			t.Errorf("after the Updates: %v", err)
 		}
 	})
 }
@@ -147,26 +161,40 @@ func warmUpdates(f *sim.Fiber, s *Store, fail func(error)) func() {
 }
 
 // TestFindIDUpdateAllocs pins what a flat document costs once the store is
-// warm. FindID allocates exactly its result, a clone of the table entry
-// (2 allocations on Go 1.24: the map and its one slot group). Update
-// allocates only inside encoding/json's map encoder, which copies each key
-// and value out of the map and sorts the keys in a fresh slice: 7
-// allocations for the stored three-key document (_id, _coll, field0).
+// warm: nothing. FindID returns the table entry, Update merges into the
+// spare entry and encodes it with appendFlat into the store's image
+// buffer, and Delete commits the store's one zero header.
 func TestFindIDUpdateAllocs(t *testing.T) {
 	k, s, _ := testStore(t, smallConfig())
 	run(t, k, func(f *sim.Fiber) {
 		update := warmUpdates(f, s, func(err error) { t.Error(err) })
-		entry := s.docs[s.dir["c"]["d0"]]
-		if entry == nil {
+		if s.docs[s.dir["c"]["d0"]] == nil {
 			t.Error("flat document not in the table")
 			return
 		}
-		clone := testing.AllocsPerRun(100, func() { _ = maps.Clone(entry) })
-		if allocs := testing.AllocsPerRun(100, func() { _, _ = s.FindID("c", "d0") }); allocs != clone {
-			t.Errorf("FindID: %v allocations, want %v (its clone)", allocs, clone)
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = s.FindID("c", "d0") }); allocs != 0 {
+			t.Errorf("FindID: %v allocations, want 0", allocs)
 		}
-		if allocs := testing.AllocsPerRun(100, update); allocs > 7 {
-			t.Errorf("Update: %v allocations, want at most 7", allocs)
+		if allocs := testing.AllocsPerRun(100, update); allocs != 0 {
+			t.Errorf("Update: %v allocations, want 0", allocs)
+		}
+		ids := make([]string, 101) // AllocsPerRun's warm-up call and its 100 runs
+		for i := range ids {
+			ids[i] = fmt.Sprintf("e%d", i)
+			if err := s.Insert(f, "c", Doc{"_id": ids[i]}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		n := 0
+		del := func() {
+			if err := s.Delete(f, "c", ids[n]); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+		if allocs := testing.AllocsPerRun(100, del); allocs != 0 {
+			t.Errorf("Delete: %v allocations, want 0", allocs)
 		}
 	})
 }
