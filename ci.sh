@@ -10,8 +10,9 @@
 #           txn/shard hot paths, coverage floors, baseline-staleness and
 #           protocol-conformance suites
 #   fuzz    short fuzz runs over the WQE decoder, the device against its
-#           flat reference, the range set, fault plan validation and the
-#           event queue's pop order
+#           flat reference, the range set, fault plan validation, the
+#           event queue's pop order, docstore's flat encoder and kvstore's
+#           checkpoint stream
 #   bench   determinism goldens across a seed matrix (serial vs
 #           overlapped, every experiment and claim scenario plus a
 #           shards-only leg), the regression gate against the
@@ -158,7 +159,8 @@ stage_lint() {
 # rdma's WQE engine, WAIT gating and CQ delivery are what every
 # NIC-offloaded datapath runs on.
 # docstore's decoded-document table must agree with its slots on every
-# path that writes one.
+# path that writes one. kvstore's checkpoint stream and log replay are
+# what its recovery rebuilds the memtable from.
 # The datapaths are measured over the conformance suite too: broadcast is
 # driven only from internal/experiments.
 #
@@ -248,6 +250,7 @@ stage_test() {
     step "coverage internal/topo >=85" covercheck 85 ./internal/topo
     step "coverage internal/chain >=85" covercheck 85 ./internal/chain
     step "coverage internal/docstore >=85" covercheck 85 ./internal/docstore
+    step "coverage internal/kvstore >=85" covercheck 85 ./internal/kvstore
     step "coverage datapaths (hyperloop, naive) >=85" covercheck 85 \
         ./internal/hyperloop,./internal/naive \
         ./internal/hyperloop ./internal/naive ./internal/experiments
@@ -276,8 +279,9 @@ stage_test() {
 # arbitrary fault schedules through FaultPlan.Validate (accepted plans
 # must then survive installation on a live fabric), arbitrary
 # schedule/stop/run scripts through the kernel against a sort-the-slice
-# reference, and arbitrary flat documents through docstore's encoder
-# against json.Marshal.
+# reference, arbitrary flat documents through docstore's encoder
+# against json.Marshal, and arbitrary memtables through kvstore's
+# checkpoint stream, in arbitrary chunk sizes, against the image layout.
 stage_fuzz() {
     step "fuzz WQE decode" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzWQEDecode -fuzztime=10s
@@ -291,6 +295,8 @@ stage_fuzz() {
         -fuzz=FuzzEventQueueOrder -fuzztime=10s
     step "fuzz flat encode" go test ./internal/docstore -run='^$' \
         -fuzz=FuzzFlatEncode -fuzztime=10s
+    step "fuzz checkpoint stream" go test ./internal/kvstore -run='^$' \
+        -fuzz=FuzzCheckpointStream -fuzztime=10s
 }
 
 # ---------- bench ----------

@@ -2,9 +2,7 @@ package kvstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -225,8 +223,9 @@ func warmPuts(f *sim.Fiber, db *DB, fail func(error)) func() {
 
 // TestPutSteadyStateAllocs: over a chain group, a Put allocates nothing
 // once the key set exists and the log has wrapped — the checkpoint a full
-// log triggers included: the op record and the image are built in the
-// DB's buffers, from the memtable in place.
+// log triggers included: the op record is built in the DB's buffer, and
+// the image chunk by chunk in its one chunk buffer, from the memtable in
+// place.
 func TestPutSteadyStateAllocs(t *testing.T) {
 	k, db, _ := testDB(t, smallConfig())
 	run(t, k, func(f *sim.Fiber) {
@@ -407,53 +406,6 @@ func TestMutationsAreDurableOnReplicasImmediately(t *testing.T) {
 		}
 		if string(view["durable-key"]) != "durable-val" {
 			t.Fatalf("replica %d lost acknowledged write across power failure", i)
-		}
-	}
-}
-
-// TestCheckpointImageLayout holds encodeCheckpoint to the on-NVM layout —
-// a 16-byte header (magic, pair count, body length, body CRC) and then the
-// body of (klen u16, vlen u32, key, value) pairs, tombstones dropped — by
-// building the same image the long way round: body first, header after.
-func TestCheckpointImageLayout(t *testing.T) {
-	db := &DB{mem: newSkiplist(sim.NewRNG(1))}
-	live := map[string]string{"a": "1", "key-b": "", "c": string(bytes.Repeat([]byte{0xC3}, 1024))}
-	for k, v := range live {
-		db.mem.put([]byte(k), []byte(v))
-	}
-	db.mem.put([]byte("dead"), nil) // tombstone
-
-	keys := make([]string, 0, len(live))
-	for k := range live {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var body []byte
-	for _, k := range keys {
-		body = binary.LittleEndian.AppendUint16(body, uint16(len(k)))
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(live[k])))
-		body = append(append(body, k...), live[k]...)
-	}
-	want := binary.LittleEndian.AppendUint32(nil, ckptMagic)
-	want = binary.LittleEndian.AppendUint32(want, uint32(len(keys)))
-	want = binary.LittleEndian.AppendUint32(want, uint32(len(body)))
-	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
-	want = append(want, body...)
-
-	img := db.encodeCheckpoint()
-	if !bytes.Equal(img, want) {
-		t.Fatalf("checkpoint image differs from the header+body layout (%d vs %d bytes)", len(img), len(want))
-	}
-	pairs, err := decodeCheckpoint(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != len(keys) {
-		t.Fatalf("decoded %d pairs, want %d", len(pairs), len(keys))
-	}
-	for i, p := range pairs {
-		if string(p.Key) != keys[i] || string(p.Value) != live[keys[i]] {
-			t.Fatalf("pair %d = %q, want key %q", i, p.Key, keys[i])
 		}
 	}
 }

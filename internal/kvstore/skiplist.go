@@ -1,6 +1,8 @@
 // Package kvstore is a RocksDB-like embedded, replicated key-value store
 // (§5.1): an in-memory memtable (skiplist) in front of a replicated
 // write-ahead log on NVM, with periodic checkpoints that truncate the log.
+// A checkpoint is streamed from the memtable into the data region one txn
+// chunk at a time, so no image of it is ever built in memory.
 // All critical-path persistence goes through the group primitives
 // (txn.Store over either the HyperLoop or Naive-RDMA backend); replica
 // in-memory views are refreshed off the critical path and are therefore

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -55,7 +56,7 @@ func LoadView(mirror []byte, cfg Config) (map[string][]byte, error) {
 				return view, nil
 			}
 			if op == opPut {
-				view[string(key)] = append([]byte(nil), value...)
+				view[string(key)] = bytes.Clone(value)
 			} else {
 				delete(view, string(key))
 			}

@@ -525,7 +525,7 @@ func (s *Store) drain(f *sim.Fiber, token uint64) (int, error) {
 	}
 }
 
-// dataChunk is the largest gWRITE WriteData issues. A store-and-forward
+// dataChunk is the largest gWRITE WriteFrom issues. A store-and-forward
 // hop serialises 64 KiB in 9.4 µs at 56 Gb/s — about one small-op traversal
 // of a chain, so per-op overhead stays below wire time — and the largest
 // image the stores write (a ≈ 1 MiB checkpoint) is 17 chunks, inside the
@@ -533,21 +533,38 @@ func (s *Store) drain(f *sim.Fiber, token uint64) (int, error) {
 const dataChunk = 64 << 10
 
 // WriteData durably replicates raw bytes into the data region at off —
-// used by checkpointing stores that serialize state outside the log. An
-// image larger than dataChunk goes as one step of back-to-back chunks, so
-// the hops of a chain forward one chunk while receiving the next instead
-// of each storing and forwarding the whole image.
+// used by stores that keep fixed slots outside the log. It is WriteFrom
+// with data as the source.
 func (s *Store) WriteData(f *sim.Fiber, off int, data []byte) error {
-	if !s.inData(off, len(data)) {
+	return s.WriteFrom(f, off, len(data), func(pos, n int) []byte { return data[pos : pos+n] })
+}
+
+// WriteFrom durably replicates a size-byte image into the data region at
+// off, taking the image from its source chunk by chunk: chunk(pos, n) must
+// return the image's bytes [pos, pos+n), and is asked for them in order,
+// each chunk at most dataChunk bytes. A chunk is staged in the client's
+// mirror right before the gWRITE that replicates it, so the client never
+// holds more than one unposted chunk, and the source may build each one in
+// the same buffer. An image larger than dataChunk goes as one step of
+// back-to-back chunks, so the hops of a chain forward one chunk while
+// receiving the next instead of each storing and forwarding the whole
+// image. A full window makes the step wait for its oldest chunk between
+// two chunks: the caller yields there, so the state its source reads must
+// not change under it.
+func (s *Store) WriteFrom(f *sim.Fiber, off, size int, chunk func(pos, n int) []byte) error {
+	if !s.inData(off, size) {
 		return fmt.Errorf("%w: data write out of range", ErrBadArgument)
 	}
-	s.stage(s.dataOff+off, data)
 	p := s.dataOff + off
-	n := len(data)
-	for ; n > dataChunk; p, n = p+dataChunk, n-dataChunk {
-		s.postWrite(f, p, dataChunk)
+	pos := 0
+	for ; size-pos > dataChunk && s.stepErr == nil; pos += dataChunk {
+		s.stage(p+pos, chunk(pos, dataChunk))
+		s.postWrite(f, p+pos, dataChunk)
 	}
-	return s.finish(f, p, n)
+	if s.stepErr == nil {
+		s.stage(p+pos, chunk(pos, size-pos))
+	}
+	return s.finish(f, p+pos, size-pos)
 }
 
 // TruncateAll advances the log head to the tail without executing records
