@@ -9,10 +9,10 @@
 #           detector over the scheduler and the simulation/RDMA/protocol/
 #           txn/shard hot paths, coverage floors, baseline-staleness and
 #           protocol-conformance suites
-#   fuzz    short fuzz runs over the WQE decoder, the device against its
-#           flat reference, the range set, fault plan validation, the
-#           event queue's pop order, docstore's flat encoder and kvstore's
-#           checkpoint stream
+#   fuzz    short fuzz runs over the WQE decoder, the device (alone and
+#           three on one bank) against its flat reference, the range
+#           set, fault plan validation, the event queue's pop order,
+#           docstore's flat encoder and kvstore's checkpoint stream
 #   bench   determinism goldens across a seed matrix (serial vs
 #           overlapped, every experiment and claim scenario plus a
 #           shards-only leg), the regression gate against the
@@ -222,6 +222,9 @@ stage_test() {
     # protocol, hyperloop and naive join it because every trial of the
     # overlapped worker pool runs through protocol.Group and a datapath.
     # chain joins it: Repair is the one recovery path every failover runs.
+    # topo's TestRacksDoNotShareBanks builds and drives two racks on two
+    # goroutines: each rack's devices share one spare-page bank, and no
+    # bank is shared between racks.
     step "go test -race (hot paths)" go test -race -timeout 20m \
         ./internal/experiments ./internal/sim ./internal/rdma ./internal/cpusim \
         ./internal/txn ./internal/shard ./internal/topo \
@@ -274,7 +277,8 @@ stage_test() {
 
 # Short fuzz runs: arbitrary 64-byte WQE slots through a live send ring,
 # arbitrary page-straddling workloads through the page-table Device and a
-# flat two-image reference side by side, arbitrary
+# flat two-image reference side by side, the same over three devices
+# sharing one spare-page bank, each with a reference of its own, arbitrary
 # insert/remove sequences through RangeSet against a boolean model,
 # arbitrary fault schedules through FaultPlan.Validate (accepted plans
 # must then survive installation on a live fabric), arbitrary
@@ -287,6 +291,8 @@ stage_fuzz() {
         -fuzz=FuzzWQEDecode -fuzztime=10s
     step "fuzz device model" go test ./internal/nvm -run='^$' \
         -fuzz=FuzzDeviceModel -fuzztime=10s
+    step "fuzz bank model" go test ./internal/nvm -run='^$' \
+        -fuzz=FuzzBankModel -fuzztime=10s
     step "fuzz range set" go test ./internal/nvm -run='^$' \
         -fuzz=FuzzRangeSetModel -fuzztime=10s
     step "fuzz fault plan" go test ./internal/rdma -run='^$' \

@@ -186,22 +186,33 @@ func FuzzCheckpointStream(f *testing.F) {
 }
 
 // TestCheckpointClientPreImageBound: over a 3-replica chain, rewriting a
-// checkpoint of about 1 MiB leaves the client device holding pre-image
-// pages for no more than one chunk, since each chunk is staged only when
-// it is posted and the post flushes it. The image's current pages already
-// exist (the first checkpoint made them), so the device's ResidentBytes
-// may grow by one chunk of pre-image pages and a few more: a page either
-// side of the chunk, one for the log's head pointer and the send-ring
-// pages the second checkpoint reaches first (19 pages in all today; a
-// whole staged image took 259).
+// checkpoint of about 1 MiB leaves the client holding pre-image pages for
+// no more than one chunk, since each chunk is staged only when it is
+// posted and the post flushes it; the replicas, whose chunk is flushed by
+// its gFLUSH, hold one more chunk between them. Pre-image pages are the
+// rack's (nvm.Bank), so the rack is where they are counted. The image's
+// current pages already exist (the first checkpoint made them), so the
+// rack's device pages may grow by those two chunks of pre-image pages and
+// a few more: a page either side of each chunk, one for the log's head
+// pointer and the send-ring pages the second checkpoint reaches first (36
+// pages in all today). With a spare list per device the rack grew by 70
+// pages, 19 of them the client's; a whole staged image took 259 on the
+// client alone.
 func TestCheckpointClientPreImageBound(t *testing.T) {
 	const page = 4 << 10
 	cfg := Config{LogSize: 16 << 10, DataSize: 2 << 20, Seed: 3}
-	k, db, g := testDB(t, cfg)
+	r, g := testGroup(t, 5, 0, "chain", cfg)
+	db, err := Open(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fillTo(t, db.mem, 1<<20)
-	dev := g.ClientNIC().Memory()
+	pages := func() int {
+		p := r.DevicePages()
+		return p.Current + p.PreImage + p.Spare
+	}
 	var before int
-	run(t, k, func(f *sim.Fiber) {
+	run(t, r.Kernel, func(f *sim.Fiber) {
 		if err := db.Checkpoint(f); err != nil {
 			t.Errorf("first checkpoint: %v", err)
 			return
@@ -209,14 +220,55 @@ func TestCheckpointClientPreImageBound(t *testing.T) {
 		for n := nextLive(db.mem.head); n != nil; n = nextLive(n) {
 			n.value = bytes.Repeat([]byte{0xA5}, len(n.value)) // same size, new bytes
 		}
-		before = dev.ResidentBytes()
+		before = pages()
 		if err := db.Checkpoint(f); err != nil {
 			t.Errorf("second checkpoint: %v", err)
 		}
 	})
-	grown := dev.ResidentBytes() - before
-	if limit := chunk + 8*page; grown > limit {
-		t.Fatalf("a 1 MiB checkpoint grew the client device by %d KiB, want <= %d KiB (one chunk of pre-images)", grown>>10, limit>>10)
+	grown := (pages() - before) * page
+	if limit := 2*chunk + 8*page; grown > limit {
+		t.Fatalf("a 1 MiB checkpoint grew the rack's devices by %d KiB, want <= %d KiB (a chunk of pre-images on the client, one on the replicas)", grown>>10, limit>>10)
+	}
+}
+
+// TestLateFlushPreImagesShared: over the CPU-driven baseline a replica
+// makes a write durable only when its handler gets a CPU. Here each
+// server's one core also runs a CPU hog, so a handler waits up to a 4 ms
+// tick, and a replica holds most of a 1 MiB checkpoint dirty before it
+// flushes. The replicas hold it in turn, not at once: a replica forwards a
+// write only once it has flushed it. So over several checkpoints the
+// rack's pre-image and spare pages stay within one image and a few pages
+// (257 today); with a spare list per device each replica kept an image of
+// its own (788 pages).
+func TestLateFlushPreImagesShared(t *testing.T) {
+	const page, image = 4 << 10, 1 << 20
+	cfg := Config{LogSize: 16 << 10, DataSize: 2 << 20, Seed: 3}
+	r, g := testGroup(t, 5, 1, "naive", cfg)
+	for _, s := range r.Scheds {
+		s.AddHogs(1)
+	}
+	db, err := Open(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillTo(t, db.mem, image)
+	err = r.Run(sim.Second, "checkpoints", func(f *sim.Fiber) error {
+		for i := 0; i < 4; i++ {
+			for n := nextLive(db.mem.head); n != nil; n = nextLive(n) {
+				n.value = bytes.Repeat([]byte{byte(i + 1)}, len(n.value)) // same size, new bytes
+			}
+			if err := db.Checkpoint(f); err != nil {
+				return fmt.Errorf("checkpoint %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := r.DevicePages()
+	if held := (p.PreImage + p.Spare) * page; held < image || held > image+8*page {
+		t.Fatalf("the rack holds %d KiB of pre-image and spare pages, want one image, %d KiB, and at most 8 pages more", held>>10, image>>10)
 	}
 }
 

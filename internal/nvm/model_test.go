@@ -3,20 +3,20 @@ package nvm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
-// flatDevice is the reference FuzzDeviceModel holds Device to: two eager
-// full-size images and a byte-exact dirty set, as Device was before page
-// tables and pre-images, plus what ResidentBytes must count: which pages a
-// store has reached in the current image, which pages hold a pre-image
-// page, and the most that have held one at once. Bytes from prefix on are
+// flatDevice is the reference FuzzDeviceModel and FuzzBankModel hold
+// Device to: two eager full-size images and a byte-exact dirty set, as
+// Device was before page tables and pre-images, plus what ResidentBytes
+// must count: which pages a store has reached in the current image and
+// which pages hold a pre-image page now. Bytes from prefix on are
 // volatile: never dirty, zero in the durable image.
 type flatDevice struct {
 	current, durable  []byte
 	prefix            int
 	curPages, preHeld []bool
-	preHigh           int
 	dirty             RangeSet
 
 	writes, flushes, crashes int64
@@ -51,13 +51,6 @@ func (m *flatDevice) store(off int, src []byte) {
 			m.preHeld[b/pageSize] = true
 		}
 	}
-	held := 0
-	for _, h := range m.preHeld {
-		if h {
-			held++
-		}
-	}
-	m.preHigh = max(m.preHigh, held)
 	copy(m.current[off:], src)
 	if len(src) > 0 {
 		markPages(m.curPages, off, off+len(src))
@@ -107,24 +100,29 @@ func (m *flatDevice) crash() {
 	m.crashes++
 }
 
-// residentBytes is the current pages plus every pre-image page the device
-// has allocated: a page it no longer needs waits on a spare list, so that
-// is the most held at once.
-func (m *flatDevice) residentBytes() int {
-	n := m.preHigh * pageSize
-	for _, c := range m.curPages {
-		if c {
-			n += pageSize
+// count returns how many of pages are set.
+func count(pages []bool) int {
+	n := 0
+	for _, set := range pages {
+		if set {
+			n++
 		}
 	}
 	return n
 }
 
-// modelOp is one decoded FuzzDeviceModel step. Offsets land within 128
-// bytes of a quarter-page mark, so a page boundary is every fourth mark
-// and most multi-hundred-byte ranges straddle one.
+// residentBytes is the current pages plus the pre-image pages the device
+// holds now; a page it no longer needs is its bank's.
+func (m *flatDevice) residentBytes() int {
+	return (count(m.curPages) + count(m.preHeld)) * pageSize
+}
+
+// modelOp is one decoded model step. Offsets land within 128 bytes of a
+// quarter-page mark, so a page boundary is every fourth mark and most
+// multi-hundred-byte ranges straddle one. dev picks the device the step
+// drives, modulo the number of devices on the bank.
 type modelOp struct {
-	kind        byte
+	kind, dev   byte
 	off, src, n int
 	val         byte
 }
@@ -143,7 +141,7 @@ func decodeModelOp(b []byte) modelOp {
 	if b[5]&1 == 1 {
 		n = int(b[5] >> 1)
 	}
-	return modelOp{kind: b[0] % 8, off: at(b[1], b[2]), src: at(b[3], b[4]), n: n, val: b[6]}
+	return modelOp{kind: b[0] % 8, dev: b[0] / 8, off: at(b[1], b[2]), src: at(b[3], b[4]), n: n, val: b[6]}
 }
 
 // modelScripts name straddling sequences the fuzzer would otherwise reach
@@ -222,88 +220,171 @@ var modelScripts = map[string][][modelOpSize]byte{
 // FuzzDeviceModel drives Device and flatDevice side by side through Write,
 // Read, Slice, Copy, Flush, Crash, ReadDurable and SetDurablePrefix, and
 // after every op compares the op's result and every observable: both
-// images, the dirty and resident footprints, and the counters.
+// images, the dirty and resident footprints, the counters and the pages
+// its bank has made.
 func FuzzDeviceModel(f *testing.F) {
-	for _, ops := range modelScripts {
+	addModelScripts(f, modelScripts)
+	f.Fuzz(func(t *testing.T, raw []byte) { playModel(t, raw, 1) })
+}
+
+// bankScripts drive devices 0, 1 and 2 of one bank (the kind byte's high
+// bits, modelOp.dev) through hand-offs of a spare page between them.
+var bankScripts = map[string][][modelOpSize]byte{
+	"a foreign spare's stale bytes under zero pre-images": {
+		{0, 4, 0, 0, 0, 8, 0xAA},     // device 0: 256 bytes at page 1's start
+		{4, 0, 0, 0, 0, 254, 0},      // flush them
+		{0, 4, 0, 0, 0, 8, 0x11},     // rewrite them: page 1 takes a pre-image page
+		{4, 0, 0, 0, 0, 254, 0},      // flush: the page goes to the bank, its bytes stale
+		{8, 9, 0, 0, 0, 8, 0x55},     // device 1: 256 bytes a quarter into page 2
+		{12, 8, 0, 0, 0, 128, 0},     // flush page 2
+		{8, 8, 0x60, 0, 0, 2, 0x33},  // dirty over zeros at page 2's [96, 160): nothing recorded
+		{8, 8, 0x50, 0, 0, 66, 0x99}, // [80, 2192): takes device 0's page, stale at [0, 256)
+		{13, 0, 0, 0, 0, 0, 0},       // device 1 crashes: zeros must come back at [80, 1024)
+		{14, 8, 0, 0, 0, 8, 0},
+		{6, 4, 0, 0, 0, 8, 0}, // device 0 is untouched
+	},
+	"two devices hold pre-images at once, then one crashes": {
+		{0, 0, 0x10, 0, 0, 128, 0x21}, // device 0: 4 KiB across pages 0 and 1
+		{16, 4, 0, 0, 0, 128, 0x42},   // device 2: page 1
+		{4, 0, 0, 0, 0, 254, 0},       // flush device 0
+		{20, 4, 0, 0, 0, 128, 0},      // flush device 2
+		{0, 0, 0x10, 0, 0, 128, 0x63}, // device 0 rewrites: two pre-image pages
+		{16, 4, 0, 0, 0, 128, 0x84},   // device 2 rewrites: the bank makes a third
+		{4, 0, 0, 0, 0, 128, 0},       // device 0 flushes page 0: its page goes spare
+		{21, 0, 0, 0, 0, 0, 0},        // device 2 crashes: its page goes spare
+		{0, 8, 0, 0, 0, 64, 0x05},     // device 0 over zeros: no page taken
+		{0, 0, 0x20, 0, 0, 8, 0x66},   // over flushed bytes: takes device 2's page
+		{3, 9, 0, 0, 0x10, 16, 0},     // copies them over zeros
+		{5, 0, 0, 0, 0, 0, 0},         // device 0 crashes
+		{22, 4, 0, 0, 0, 128, 0},
+		{6, 0, 0, 0, 0, 128, 0},
+	},
+	"a prefix shrink hands a page over": {
+		{8, 4, 0x80, 0, 0, 16, 0xAA}, // device 1: 512 bytes from 128 before page 1
+		{12, 0, 0, 0, 0, 254, 0},     // flush them
+		{8, 4, 0xC0, 0, 0, 8, 0x11},  // rewrite 256 from 64 before page 1: both pages take a pre-image
+		{15, 4, 0, 0, 0, 0, 0},       // device 1's prefix at page 1: that page goes to the bank
+		{0, 4, 0x60, 0, 0, 8, 0x77},  // device 0: 256 bytes from 96 into page 1
+		{4, 4, 0, 0, 0, 16, 0},       // flush them
+		{0, 4, 0, 0, 0, 2, 0x79},     // dirty over zeros at page 1's [0, 64): nothing recorded
+		{0, 4, 0x40, 0, 0, 8, 0x78},  // [64, 320): zeros, then flushed bytes take device 1's page
+		{5, 0, 0, 0, 0, 0, 0},        // device 0 crashes: zeros must come back at [0, 96)
+		{13, 0, 0, 0, 0, 0, 0},
+		{6, 4, 0, 0, 0, 16, 0},
+		{14, 3, 0, 0, 0, 16, 0},
+	},
+}
+
+// FuzzBankModel plays one script over three devices on one bank, each
+// against its own flatDevice: every device must match its reference as in
+// FuzzDeviceModel, whichever device last used a spare page it takes, and
+// the bank must have made exactly as many pages as its devices held at
+// once at their most.
+func FuzzBankModel(f *testing.F) {
+	addModelScripts(f, bankScripts)
+	f.Fuzz(func(t *testing.T, raw []byte) { playModel(t, raw, 3) })
+}
+
+func addModelScripts(f *testing.F, scripts map[string][][modelOpSize]byte) {
+	for _, ops := range scripts {
 		var raw []byte
 		for _, o := range ops {
 			raw = append(raw, o[:]...)
 		}
 		f.Add(raw)
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		d, m := NewDevice("dev", modelSize), newFlatDevice(modelSize)
-		img := make([]byte, modelSize)
-		for i := 0; i+modelOpSize <= len(raw); i += modelOpSize {
-			o := decodeModelOp(raw[i:])
-			ok := m.inBounds(o.off, o.n)
-			var err error
-			switch o.kind {
-			case 0: // Write
-				data := make([]byte, o.n)
-				for j := range data { // a ramp, so a misplaced byte shows
-					data[j] = o.val + byte(j)
-				}
-				if err = d.Write(o.off, data); ok {
-					m.store(o.off, data)
-				}
-			case 1, 6: // Read, ReadDurable
-				buf := make([]byte, o.n)
-				want := m.current
-				if o.kind == 1 {
-					err = d.Read(o.off, buf)
-				} else {
-					err, want = d.ReadDurable(o.off, buf), m.durable
-				}
-				if ok && !bytes.Equal(buf, want[o.off:o.off+o.n]) {
-					t.Fatalf("op %d %+v: read diverged from the model", i/modelOpSize, o)
-				}
-			case 2: // Slice
-				var v []byte
-				v, err = d.Slice(o.off, o.n)
-				if ok && (!bytes.Equal(v, m.current[o.off:o.off+o.n]) || cap(v) != o.n) {
-					t.Fatalf("op %d %+v: view diverged from the model (cap %d)", i/modelOpSize, o, cap(v))
-				}
-			case 3: // Copy
-				ok = ok && m.inBounds(o.src, o.n)
-				if err = d.Copy(o.off, o.src, o.n); ok {
-					m.store(o.off, m.current[o.src:o.src+o.n])
-				}
-			case 4: // Flush
-				var got int
-				if got, err = d.Flush(o.off, o.n); ok {
-					if want := m.flush(o.off, o.n); got != want {
-						t.Fatalf("op %d %+v: flushed %d bytes, model %d", i/modelOpSize, o, got, want)
-					}
-				}
-			case 5:
-				d.Crash()
-				m.crash()
-			case 7:
-				d.SetDurablePrefix(o.off)
-				m.setPrefix(o.off)
+}
+
+// playModel drives n devices on one bank and their flat references through
+// the ops in raw, comparing after every op.
+func playModel(t *testing.T, raw []byte, n int) {
+	bank := new(Bank)
+	ds, ms := make([]*Device, n), make([]*flatDevice, n)
+	for i := range ds {
+		ds[i], ms[i] = bank.NewDevice(fmt.Sprintf("dev%d", i), modelSize), newFlatDevice(modelSize)
+	}
+	img := make([]byte, modelSize)
+	high := 0 // the most pre-image pages the references held at once
+	for i := 0; i+modelOpSize <= len(raw); i += modelOpSize {
+		o := decodeModelOp(raw[i:])
+		d, m := ds[int(o.dev)%n], ms[int(o.dev)%n]
+		ok := m.inBounds(o.off, o.n)
+		var err error
+		switch o.kind {
+		case 0: // Write
+			data := make([]byte, o.n)
+			for j := range data { // a ramp, so a misplaced byte shows
+				data[j] = o.val + byte(j)
 			}
-			var be *BoundsError
-			if (err != nil && !errors.As(err, &be)) || (o.kind != 5 && o.kind != 7 && ok != (err == nil)) {
-				t.Fatalf("op %d %+v: err = %v, in bounds = %v", i/modelOpSize, o, err, ok)
+			if err = d.Write(o.off, data); ok {
+				m.store(o.off, data)
 			}
+		case 1, 6: // Read, ReadDurable
+			buf := make([]byte, o.n)
+			want := m.current
+			if o.kind == 1 {
+				err = d.Read(o.off, buf)
+			} else {
+				err, want = d.ReadDurable(o.off, buf), m.durable
+			}
+			if ok && !bytes.Equal(buf, want[o.off:o.off+o.n]) {
+				t.Fatalf("op %d %+v: read diverged from the model", i/modelOpSize, o)
+			}
+		case 2: // Slice
+			var v []byte
+			v, err = d.Slice(o.off, o.n)
+			if ok && (!bytes.Equal(v, m.current[o.off:o.off+o.n]) || cap(v) != o.n) {
+				t.Fatalf("op %d %+v: view diverged from the model (cap %d)", i/modelOpSize, o, cap(v))
+			}
+		case 3: // Copy
+			ok = ok && m.inBounds(o.src, o.n)
+			if err = d.Copy(o.off, o.src, o.n); ok {
+				m.store(o.off, m.current[o.src:o.src+o.n])
+			}
+		case 4: // Flush
+			var got int
+			if got, err = d.Flush(o.off, o.n); ok {
+				if want := m.flush(o.off, o.n); got != want {
+					t.Fatalf("op %d %+v: flushed %d bytes, model %d", i/modelOpSize, o, got, want)
+				}
+			}
+		case 5:
+			d.Crash()
+			m.crash()
+		case 7:
+			d.SetDurablePrefix(o.off)
+			m.setPrefix(o.off)
+		}
+		var be *BoundsError
+		if (err != nil && !errors.As(err, &be)) || (o.kind != 5 && o.kind != 7 && ok != (err == nil)) {
+			t.Fatalf("op %d %+v: err = %v, in bounds = %v", i/modelOpSize, o, err, ok)
+		}
+		held := 0
+		for j, d := range ds {
+			m := ms[j]
 			if err := d.Read(0, img); err != nil || !bytes.Equal(img, m.current) {
-				t.Fatalf("op %d %+v: current image diverged (%v)", i/modelOpSize, o, err)
+				t.Fatalf("op %d %+v: device %d current image diverged (%v)", i/modelOpSize, o, j, err)
 			}
 			if err := d.ReadDurable(0, img); err != nil || !bytes.Equal(img, m.durable) {
-				t.Fatalf("op %d %+v: durable image diverged (%v)", i/modelOpSize, o, err)
+				t.Fatalf("op %d %+v: device %d durable image diverged (%v)", i/modelOpSize, o, j, err)
 			}
 			if d.DirtyBytes() != m.dirty.Total() || d.ResidentBytes() != m.residentBytes() {
-				t.Fatalf("op %d %+v: dirty %d resident %d, model %d %d", i/modelOpSize, o,
+				t.Fatalf("op %d %+v: device %d dirty %d resident %d, model %d %d", i/modelOpSize, o, j,
 					d.DirtyBytes(), d.ResidentBytes(), m.dirty.Total(), m.residentBytes())
 			}
 			if w, fl, c := d.Stats(); w != m.writes || fl != m.flushes || c != m.crashes {
-				t.Fatalf("op %d %+v: stats %d/%d/%d, model %d/%d/%d", i/modelOpSize, o,
+				t.Fatalf("op %d %+v: device %d stats %d/%d/%d, model %d/%d/%d", i/modelOpSize, o, j,
 					w, fl, c, m.writes, m.flushes, m.crashes)
 			}
-			if zeroPage != (page{}) {
-				t.Fatalf("op %d %+v: the shared zero page was written", i/modelOpSize, o)
-			}
+			held += count(m.preHeld)
 		}
-	})
+		high = max(high, held)
+		if bank.pages != high || bank.Spare() != high-held {
+			t.Fatalf("op %d %+v: bank made %d pages, %d spare; model high water %d, %d held",
+				i/modelOpSize, o, bank.pages, bank.Spare(), high, held)
+		}
+		if zeroPage != (page{}) {
+			t.Fatalf("op %d %+v: the shared zero page was written", i/modelOpSize, o)
+		}
+	}
 }

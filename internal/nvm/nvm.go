@@ -12,7 +12,10 @@
 // and tests can assert exactly which bytes survive a crash. The image is
 // a table of 4 KiB pages that exist only once the model stores into them,
 // so a device costs host memory in proportion to what it touches, not to
-// its size.
+// its size. A pre-image page a device no longer needs goes to its Bank,
+// which hands it to the next device on the bank that needs one: devices
+// built on one bank hold as many pre-image pages as they have dirty at
+// once, not the sum of each device's worst moment.
 //
 // A device may be non-volatile only in a prefix (SetDurablePrefix): the
 // bytes past it are ordinary host memory, which stores reach without any
@@ -35,22 +38,40 @@ type page [pageSize]byte
 // zeroPage is what every absent page reads as; nothing writes it.
 var zeroPage page
 
+// Bank is the spare list of pre-image pages that the devices built on it
+// share: a page a flush or crash frees on one device becomes the next
+// pre-image page any of them takes. It allocates a page only when no
+// spare one is left, so the pages it has made are the most its devices
+// held at once. A bank is used only from the single-threaded simulation
+// context its devices run in and needs no locking; devices driven from
+// different goroutines must be on different banks. The zero Bank is empty
+// and ready to use.
+type Bank struct {
+	spare []*page // pre-image pages no device page holds, reused before allocating
+	pages int     // pre-image pages made on the bank, held by a device or spare
+}
+
+// Spare returns the pre-image pages on the spare list.
+func (b *Bank) Spare() int { return len(b.spare) }
+
 // Device is one node's non-volatile memory. It is used only from
 // simulation (single-threaded) context and needs no locking.
 //
 // A page of pre holds the durable value of each dirty byte of that page;
 // its other bytes are stale and never read. A dirty byte whose page has no
-// pre-image page has durable value zero. A pre-image page is taken when a
-// store first makes a non-zero durable byte of its page dirty, and goes to
-// spare when a flush or crash leaves the page with no dirty byte.
+// pre-image page has durable value zero. A pre-image page is taken from the
+// bank when a store first makes a non-zero durable byte of its page dirty,
+// and goes back to the bank's spare list when a flush or crash leaves the
+// page with no dirty byte.
 type Device struct {
 	name     string
 	size     int
 	durable  int     // bytes [0, durable) are non-volatile, the rest volatile
 	current  []*page // latest view: durable bytes overlaid with cached writes
 	pre      []*page // pre-images of dirty bytes; a page here has one in current
-	spare    []*page // pre-image pages no page holds, reused before allocating
-	resident int     // bytes in the allocated current, pre-image and spare pages
+	bank     *Bank   // where pre-image pages come from and go back to
+	curPages int     // allocated pages of current
+	prePages int     // pages of pre held, taken from the bank
 	dirty    RangeSet
 	view     []byte // holds the last Slice that crossed a page boundary
 
@@ -60,10 +81,16 @@ type Device struct {
 }
 
 // NewDevice returns a zeroed device of the given size in bytes, durable
-// throughout. No page exists until the model stores into it.
-func NewDevice(name string, size int) *Device {
+// throughout, on a bank of its own. No page exists until the model stores
+// into it.
+func NewDevice(name string, size int) *Device { return new(Bank).NewDevice(name, size) }
+
+// NewDevice returns a zeroed device of the given size in bytes, durable
+// throughout, that takes its pre-image pages from b. No page exists until
+// the model stores into it.
+func (b *Bank) NewDevice(name string, size int) *Device {
 	pages := (size + pageSize - 1) / pageSize
-	return &Device{name: name, size: size, durable: size, current: make([]*page, pages), pre: make([]*page, pages)}
+	return &Device{name: name, size: size, durable: size, current: make([]*page, pages), pre: make([]*page, pages), bank: b}
 }
 
 // SetDurablePrefix declares [0, n) the device's non-volatile memory and
@@ -88,7 +115,7 @@ func get(t []*page, p int) *page {
 func (d *Device) touch(p int) *page {
 	if d.current[p] == nil {
 		d.current[p] = new(page)
-		d.resident += pageSize
+		d.curPages++
 	}
 	return d.current[p]
 }
@@ -149,22 +176,25 @@ func (d *Device) saveClean(lo, a, b int) {
 	}
 }
 
-// takePre gives page p a pre-image page, a spare one when there is one.
-// Every byte of page p that is dirty, or that the store in progress made
-// dirty in [zlo, zhi) without recording it, has durable value zero; a
-// spare page holds stale bytes, so exactly those are cleared. The rest of
-// it stays stale: clearing all 4 KiB on every reuse made
-// BenchmarkDeviceRewriteFlush, the kv log's wrap, ~15 % slower.
+// takePre gives page p a pre-image page, a spare one of the bank's when
+// there is one. Every byte of page p that is dirty, or that the store in
+// progress made dirty in [zlo, zhi) without recording it, has durable
+// value zero; a spare page holds stale bytes of whichever device used it
+// last, so exactly those are cleared. The rest of it stays stale: clearing
+// all 4 KiB on every reuse made BenchmarkDeviceRewriteFlush, the kv log's
+// wrap, ~15 % slower.
 func (d *Device) takePre(p, zlo, zhi int) *page {
-	n := len(d.spare)
+	d.prePages++
+	b := d.bank
+	n := len(b.spare)
 	if n == 0 {
+		b.pages++
 		d.pre[p] = new(page)
-		d.resident += pageSize
 		return d.pre[p]
 	}
-	pg := d.spare[n-1]
-	d.spare[n-1] = nil
-	d.spare = d.spare[:n-1]
+	pg := b.spare[n-1]
+	b.spare[n-1] = nil
+	b.spare = b.spare[:n-1]
 	base := p * pageSize
 	clear(pg[zlo-base : zhi-base])
 	i, j := d.dirty.overlap(base, base+pageSize)
@@ -175,11 +205,12 @@ func (d *Device) takePre(p, zlo, zhi int) *page {
 	return pg
 }
 
-// release hands page p's pre-image page, if any, to the spare list.
+// release hands page p's pre-image page, if any, to the bank's spare list.
 func (d *Device) release(p int) {
 	if pg := d.pre[p]; pg != nil {
-		d.spare = append(d.spare, pg)
+		d.bank.spare = append(d.bank.spare, pg)
 		d.pre[p] = nil
+		d.prePages--
 	}
 }
 
@@ -317,7 +348,7 @@ func (d *Device) Flush(off, n int) (int, error) {
 // clean makes every dirty byte in [off, end) clean and returns how many
 // there were. It copies nothing: a clean byte's durable value is its
 // current one. A page it leaves with no dirty byte hands its pre-image
-// page to spare.
+// page to the bank.
 func (d *Device) clean(off, end int) int {
 	flushed := 0
 	i, j := d.dirty.overlap(off, end)
@@ -368,9 +399,15 @@ func (d *Device) Crash() {
 // DirtyBytes returns the number of bytes written but not yet durable.
 func (d *Device) DirtyBytes() int { return d.dirty.Total() }
 
-// ResidentBytes returns the bytes held in the allocated current, pre-image
-// and spare pages — the host memory the device's contents take.
-func (d *Device) ResidentBytes() int { return d.resident }
+// ResidentBytes returns the bytes held in the device's allocated current
+// pages and in the pre-image pages it holds now. Spare pages are the
+// bank's, not the device's, so they are not counted here: a page one
+// device frees may be the next that another takes.
+func (d *Device) ResidentBytes() int { return (d.curPages + d.prePages) * pageSize }
+
+// Pages returns the device's allocated current pages and the pre-image
+// pages it holds now.
+func (d *Device) Pages() (current, preImage int) { return d.curPages, d.prePages }
 
 // Stats reports operation counts.
 func (d *Device) Stats() (writes, flushes, crashes int64) {

@@ -506,8 +506,9 @@ func TestWriteFlushSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Write+Flush cycle: %v allocs/op, want 0", n)
 	}
 	// Rewriting flushed non-zero bytes records their pre-images in a page
-	// that each flush leaves clean, so it goes spare and the next write
-	// takes it back: the kv log's wrap. Slots 2000 and 2001 fill one page.
+	// that each flush leaves clean, so it goes to the bank and the next
+	// write takes it back: the kv log's wrap. Slots 2000 and 2001 fill one
+	// page.
 	const at = 2000 * benchStride
 	rewrite := bytes.Repeat([]byte{0xA5}, benchValue)
 	if err := d.Write(at, rewrite); err != nil {
@@ -527,8 +528,11 @@ func TestWriteFlushSteadyStateAllocs(t *testing.T) {
 	if got, want := d.DirtyBytes(), (benchSlots-3)*benchValue; got != want {
 		t.Errorf("DirtyBytes = %d, want %d", got, want)
 	}
-	if got, want := d.ResidentBytes(), (benchSlots*benchStride/pageSize+1)*pageSize; got != want {
-		t.Errorf("ResidentBytes = %d, want %d (every current page, one spare pre-image)", got, want)
+	if got, want := d.ResidentBytes(), benchSlots*benchStride; got != want {
+		t.Errorf("ResidentBytes = %d, want %d (every current page, no pre-image held)", got, want)
+	}
+	if d.bank.pages != 1 || d.bank.Spare() != 1 {
+		t.Errorf("bank made %d pre-image pages, %d spare; want 1 page, spare", d.bank.pages, d.bank.Spare())
 	}
 	// A gMEMCPY and a view that each straddle a page boundary.
 	src, dst := 1001*benchStride+1536, 1003*benchStride+1536

@@ -77,10 +77,12 @@ type Rack struct {
 	Fabric *rdma.Fabric
 	Scheds []*cpusim.Scheduler
 
-	spec   Spec
-	wake   wakePenalty
-	placed []placedGroup
-	groups []protocol.Protocol
+	spec    Spec
+	wake    wakePenalty
+	placed  []placedGroup
+	groups  []protocol.Protocol
+	bank    *nvm.Bank // the spare pre-image pages every device of the rack shares
+	devices []*nvm.Device
 }
 
 // placedGroup remembers the NICs Env added for one group.
@@ -106,7 +108,7 @@ func Build(spec Spec) (*Rack, error) {
 	if err := fab.InstallFaultPlan(spec.Faults); err != nil {
 		return nil, err
 	}
-	r := &Rack{Kernel: k, Fabric: fab, spec: spec}
+	r := &Rack{Kernel: k, Fabric: fab, spec: spec, bank: new(nvm.Bank)}
 	if spec.Cores > 0 {
 		r.Scheds = make([]*cpusim.Scheduler, spec.Servers)
 		for s := range r.Scheds {
@@ -149,9 +151,33 @@ func colocate(k *sim.Kernel, cores, perCore int) (*cpusim.Scheduler, wakePenalty
 }
 
 // Device returns a device sized for a NIC that will hold a mirror of the
-// given size — how callers make the spare NIC a failover swaps in.
+// given size — how callers make the spare NIC a failover swaps in. Every
+// device of the rack is on the rack's bank: a pre-image page one device
+// frees is the next another takes, so the rack holds as many as its
+// devices have dirty at once. A rack runs on one goroutine, and no bank is
+// shared between racks.
 func (r *Rack) Device(name string, mirror int) *nvm.Device {
-	return nvm.NewDevice(name, mirror+r.spec.DevExtra)
+	d := r.bank.NewDevice(name, mirror+r.spec.DevExtra)
+	r.devices = append(r.devices, d)
+	return d
+}
+
+// DevicePages counts the 4 KiB pages that hold a rack's device contents.
+type DevicePages struct {
+	Current  int // the devices' allocated current-image pages
+	PreImage int // pre-image pages the devices hold for their dirty bytes
+	Spare    int // pre-image pages on the rack's spare list
+}
+
+// DevicePages returns the pages the rack's devices and its bank hold now.
+func (r *Rack) DevicePages() DevicePages {
+	p := DevicePages{Spare: r.bank.Spare()}
+	for _, d := range r.devices {
+		cur, pre := d.Pages()
+		p.Current += cur
+		p.PreImage += pre
+	}
+	return p
 }
 
 // Env adds a group's client NIC and replica NICs to the fabric and returns

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"hyperloop/internal/hyperloop"
@@ -245,5 +246,79 @@ func TestGroupOver(t *testing.T) {
 	}
 	if _, err := g2.WriteAsync(0, 64, false); err != nil {
 		t.Fatalf("a failed GroupOver closed the rack's groups: %v", err)
+	}
+}
+
+// TestRacksDoNotShareBanks builds and drives two racks on two goroutines,
+// as parallel trials do. Each rack's devices take their pre-image pages
+// from the rack's own bank, so the race detector sees no spare list
+// shared between them, and each rack counts the pages of its own devices
+// alone: the same as a rack built and driven by itself.
+func TestRacksDoNotShareBanks(t *testing.T) {
+	type result struct {
+		r     *Rack
+		pages DevicePages
+		err   error
+	}
+	drive := func() (res result) {
+		if res.r, res.err = Build(Spec{Seed: 3, Servers: 2, DevExtra: 1 << 20}); res.err != nil {
+			return res
+		}
+		r := res.r
+		defer r.Close()
+		const block = 16 << 10
+		g, err := r.Group(GroupSpec{Servers: FirstServers(2), Mirror: 4 * block}, chain, protocol.Params{})
+		if err != nil {
+			res.err = err
+			return res
+		}
+		// Each pass rewrites flushed bytes, so every member takes
+		// pre-image pages and each write's flush hands them back.
+		res.err = r.Run(sim.Second, "rewrite", func(f *sim.Fiber) error {
+			data := make([]byte, block)
+			for i := 0; i < 8; i++ {
+				for j := range data {
+					data[j] = byte(i + j + 1)
+				}
+				off := i % 3 * block
+				if err := g.WriteLocal(off, data); err != nil {
+					return err
+				}
+				if err := g.Write(f, off, block, true); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		res.pages = r.DevicePages()
+		return res
+	}
+	alone := drive()
+	if alone.err != nil {
+		t.Fatal(alone.err)
+	}
+	if p := alone.pages; p.PreImage+p.Spare == 0 {
+		t.Fatalf("the rewrites made no pre-image page (%+v): the test drives no bank", p)
+	}
+	var both [2]result
+	var wg sync.WaitGroup
+	for i := range both {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			both[i] = drive()
+		}()
+	}
+	wg.Wait()
+	for i, res := range both {
+		if res.err != nil {
+			t.Fatalf("rack %d: %v", i, res.err)
+		}
+		if res.pages != alone.pages {
+			t.Errorf("rack %d holds %+v, a rack driven alone %+v", i, res.pages, alone.pages)
+		}
+	}
+	if both[0].r.bank == both[1].r.bank {
+		t.Error("two racks share one bank")
 	}
 }
