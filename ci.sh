@@ -12,7 +12,8 @@
 #   fuzz    short fuzz runs over the WQE decoder, the device (alone and
 #           three on one bank) against its flat reference, the range
 #           set, fault plan validation, the event queue's pop order,
-#           docstore's flat encoder and kvstore's checkpoint stream
+#           docstore's flat encoder, kvstore's checkpoint stream and
+#           its copy-on-write snapshot under Puts
 #   bench   determinism goldens across a seed matrix (serial vs
 #           overlapped, every experiment and claim scenario plus a
 #           shards-only leg), the regression gate against the
@@ -284,8 +285,11 @@ stage_test() {
 # must then survive installation on a live fabric), arbitrary
 # schedule/stop/run scripts through the kernel against a sort-the-slice
 # reference, arbitrary flat documents through docstore's encoder
-# against json.Marshal, and arbitrary memtables through kvstore's
-# checkpoint stream, in arbitrary chunk sizes, against the image layout.
+# against json.Marshal, arbitrary memtables through kvstore's checkpoint
+# stream, in arbitrary chunk sizes, against the image layout, and
+# arbitrary Put/Delete/Checkpoint scripts over a store whose checkpoints
+# stream behind its Puts, each image completed against the model's state
+# at its snapshot.
 stage_fuzz() {
     step "fuzz WQE decode" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzWQEDecode -fuzztime=10s
@@ -303,6 +307,8 @@ stage_fuzz() {
         -fuzz=FuzzFlatEncode -fuzztime=10s
     step "fuzz checkpoint stream" go test ./internal/kvstore -run='^$' \
         -fuzz=FuzzCheckpointStream -fuzztime=10s
+    step "fuzz checkpoint snapshot" go test ./internal/kvstore -run='^$' \
+        -fuzz=FuzzCheckpointSnapshot -fuzztime=10s
 }
 
 # ---------- bench ----------

@@ -14,6 +14,13 @@ import (
 // chunk is the size of the gWRITEs txn.Store.WriteFrom streams an image in.
 const chunk = 64 << 10
 
+// nextLive returns the first live node after n.
+func nextLive(n *skipNode) *skipNode {
+	for n = n.next[0]; n != nil && n.value == nil; n = n.next[0] {
+	}
+	return n
+}
+
 // liveOf returns the memtable's live pairs, tombstones dropped.
 func liveOf(mem *skiplist) map[string][]byte {
 	live := make(map[string][]byte)
@@ -162,8 +169,8 @@ func FuzzCheckpointStream(f *testing.F) {
 
 		var c ckptStream
 		size := c.start(mem)
-		if size != len(want) {
-			t.Fatalf("stream sizes the image at %d bytes, the layout is %d", size, len(want))
+		if size != len(want) || ckptHeaderSize+mem.body != len(want) {
+			t.Fatalf("stream sizes the image at %d bytes and the memtable at %d, the layout is %d", size, ckptHeaderSize+mem.body, len(want))
 		}
 		var got []byte
 		for i := 0; len(got) < size; i++ {

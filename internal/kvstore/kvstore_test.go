@@ -222,16 +222,17 @@ func warmPuts(f *sim.Fiber, db *DB, fail func(error)) func() {
 }
 
 // TestPutSteadyStateAllocs: over a chain group, a Put allocates nothing
-// once the key set exists and the log has wrapped — the checkpoint a full
-// log triggers included: the op record is built in the DB's buffer, and
-// the image chunk by chunk in its one chunk buffer, from the memtable in
-// place.
+// once the key set exists and the log has wrapped — the checkpoint
+// streamed behind the Puts included: the op record is built in the DB's
+// buffer, the image piece by piece in its one chunk buffer, from a
+// snapshot of the memtable kept in its nodes, and each post's signal is
+// awaited once it has fired, so the group recycles it.
 func TestPutSteadyStateAllocs(t *testing.T) {
 	k, db, _ := testDB(t, smallConfig())
 	run(t, k, func(f *sim.Fiber) {
 		put := warmPuts(f, db, func(err error) { t.Error(err) })
 		const runs = 20
-		ckpts := db.Stats().Checkpoints
+		ckpts, inline := db.Stats().Checkpoints, db.inline
 		allocs := testing.AllocsPerRun(runs, func() {
 			for j := 0; j < 20; j++ {
 				put()
@@ -240,8 +241,11 @@ func TestPutSteadyStateAllocs(t *testing.T) {
 		if n := db.Stats().Checkpoints - ckpts; n < runs+1 {
 			t.Errorf("%d checkpoints in %d runs, want one in each", n, runs+1)
 		}
+		if n := db.inline - inline; n != 0 {
+			t.Errorf("%d checkpoints written inline, want every one streamed", n)
+		}
 		if allocs != 0 {
-			t.Errorf("20 Puts and a checkpoint: %v allocations, want 0", allocs)
+			t.Errorf("20 Puts and a streamed checkpoint: %v allocations, want 0", allocs)
 		}
 	})
 }
@@ -259,6 +263,41 @@ func BenchmarkPut(b *testing.B) {
 			put()
 		}
 		b.StopTimer()
+	})
+}
+
+// BenchmarkPutStream is one 1 KiB Put over a 3-replica chain into a store
+// sized like the repo benchmark's: a 256 KiB log, a 2 MiB data region and
+// 1 000 keys, so the ≈ 1 MiB checkpoint streams behind the Puts, a piece
+// per Put. It reports the Put's virtual cost (virt-us/op), how many
+// checkpoints complete per 1 000 Puts, and allocs/op; ns/op is the host
+// cost of a Put with the stream's share.
+func BenchmarkPutStream(b *testing.B) {
+	k, db, _ := testDB(b, benchConfig())
+	s := newKVSet()
+	b.ReportAllocs()
+	run(b, k, func(f *sim.Fiber) {
+		if err := s.load(f, db); err != nil {
+			b.Error(err)
+			return
+		}
+		rng := sim.NewRNG(3)
+		put := func(i int) {
+			if err := db.Put(f, s.keys[rng.Intn(len(s.keys))], s.vals[i%len(s.vals)]); err != nil {
+				b.Error(err)
+			}
+		}
+		for i := 0; i < 2000; i++ { // past the first checkpoints
+			put(i)
+		}
+		ckpts, t0 := db.Stats().Checkpoints, f.Now()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			put(i)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(f.Now().Sub(t0))/float64(sim.Microsecond)/float64(b.N), "virt-us/op")
+		b.ReportMetric(float64(db.Stats().Checkpoints-ckpts)*1000/float64(b.N), "ckpts/1kop")
 	})
 }
 

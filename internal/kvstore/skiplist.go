@@ -1,9 +1,10 @@
 // Package kvstore is a RocksDB-like embedded, replicated key-value store
 // (§5.1): an in-memory memtable (skiplist) in front of a replicated
-// write-ahead log on NVM, with periodic checkpoints that truncate the log.
-// A checkpoint is streamed from the memtable into the data region one txn
-// chunk at a time, so no image of it is ever built in memory.
-// All critical-path persistence goes through the group primitives
+// write-ahead log on NVM, with checkpoints that truncate the log. As in
+// §5.1 the checkpoint is synced off the critical path: it is streamed
+// from a copy-on-write snapshot of the memtable behind the foreground
+// Puts, one small piece per Put, and no image of it is ever built in
+// memory. All critical-path persistence goes through the group primitives
 // (txn.Store over either the HyperLoop or Naive-RDMA backend); replica
 // in-memory views are refreshed off the critical path and are therefore
 // eventually consistent, exactly as in the paper's port.
@@ -22,16 +23,30 @@ type skipNode struct {
 	key   []byte
 	value []byte // nil encodes a tombstone
 	next  []*skipNode
+	// The node's part in a snapshot (skiplist.snapshot): the snapshot
+	// current when it was inserted, and the one whose value old keeps.
+	born, stashed uint32
+	old           []byte
 }
 
 // skiplist is a deterministic (seeded) ordered map from byte keys to byte
 // values. It is the memtable of the store.
+//
+// It keeps one copy-on-write snapshot at a time, which the checkpoint
+// stream encodes while Puts go on. snapshot numbers it; until release, the
+// first overwrite of a node keeps the node's value as of the snapshot in
+// the node (old), and a node inserted meanwhile is absent from it. Nodes
+// are never unlinked (a delete is a tombstone), so the snapshot is the
+// nodes born before it, each with old if stashed, else its value: nothing
+// is copied and nothing is allocated.
 type skiplist struct {
-	head   *skipNode
-	rng    *sim.RNG
-	height int
-	size   int // live (non-tombstone) entries
-	bytes  int // approximate memory footprint
+	head     *skipNode
+	rng      *sim.RNG
+	height   int
+	size     int    // live (non-tombstone) entries
+	body     int    // checkpoint body bytes of the live entries
+	epoch    uint32 // the latest snapshot
+	snapping bool   // that snapshot is held
 }
 
 func newSkiplist(rng *sim.RNG) *skiplist {
@@ -73,13 +88,16 @@ func (s *skiplist) put(key, value []byte) {
 	}
 	n := s.findGreaterOrEqual(key, prev)
 	if n != nil && bytes.Equal(n.key, key) {
+		if s.snapping && n.stashed != s.epoch && n.born != s.epoch {
+			n.old, n.stashed = n.value, s.epoch
+		}
 		if n.value != nil {
 			s.size--
-			s.bytes -= len(n.value)
+			s.body -= pairHeaderSize + len(key) + len(n.value)
 		}
 		if value != nil {
 			s.size++
-			s.bytes += len(value)
+			s.body += pairHeaderSize + len(key) + len(value)
 		}
 		n.value = value
 		return
@@ -92,15 +110,44 @@ func (s *skiplist) put(key, value []byte) {
 		key:   append([]byte(nil), key...),
 		value: value,
 		next:  make([]*skipNode, h),
+		born:  s.epoch,
 	}
 	for level := 0; level < h; level++ {
 		node.next[level] = prev[level].next[level]
 		prev[level].next[level] = node
 	}
-	s.bytes += len(key) + len(value)
 	if value != nil {
 		s.size++
+		s.body += pairHeaderSize + len(key) + len(value)
 	}
+}
+
+// snapshot takes a new snapshot of the memtable and holds it until
+// release.
+func (s *skiplist) snapshot() {
+	s.epoch++
+	s.snapping = true
+}
+
+// release stops keeping the snapshot's values.
+func (s *skiplist) release() { s.snapping = false }
+
+// snapNext returns the first node after n that is live in the held
+// snapshot, and its value there.
+func (s *skiplist) snapNext(n *skipNode) (*skipNode, []byte) {
+	for n = n.next[0]; n != nil; n = n.next[0] {
+		v := n.value
+		switch {
+		case n.born == s.epoch:
+			continue // inserted after the snapshot
+		case n.stashed == s.epoch:
+			v = n.old
+		}
+		if v != nil {
+			return n, v
+		}
+	}
+	return nil, nil
 }
 
 // get returns the value for key; ok distinguishes found from missing, and

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"hyperloop/internal/txn"
@@ -13,7 +14,8 @@ import (
 // replica-side reader of §5.1: a backup process that wakes up off the
 // critical path, reads its own NVM (checkpoint + replicated log) and
 // serves eventually-consistent reads. Pass a replica NVM's current or
-// durable image.
+// durable image. An image read while a checkpoint was being rewritten
+// holds a torn one, and LoadView fails with ErrTorn: read again later.
 func LoadView(mirror []byte, cfg Config) (map[string][]byte, error) {
 	logOff := txn.CtrlSize
 	dataOff := txn.CtrlSize + cfg.LogSize
@@ -21,10 +23,12 @@ func LoadView(mirror []byte, cfg Config) (map[string][]byte, error) {
 		return nil, fmt.Errorf("kvstore: mirror image too small (%d bytes)", len(mirror))
 	}
 	view := make(map[string][]byte)
-	if pairs, err := decodeCheckpoint(mirror[dataOff : dataOff+cfg.DataSize]); err == nil {
-		for _, p := range pairs {
-			view[string(p.Key)] = p.Value
-		}
+	pairs, err := decodeCheckpoint(mirror[dataOff : dataOff+cfg.DataSize])
+	if err != nil && !errors.Is(err, errNoCheckpoint) {
+		return nil, fmt.Errorf("%w: %v", ErrTorn, err)
+	}
+	for _, p := range pairs {
+		view[string(p.Key)] = p.Value
 	}
 	head := int(binary.LittleEndian.Uint64(mirror[txn.HeadPtrOff:]))
 	tail := int(binary.LittleEndian.Uint64(mirror[txn.TailPtrOff:]))

@@ -269,13 +269,38 @@ func (s *Store) end(f *sim.Fiber, last func() error) error {
 			break
 		}
 	}
+	if werr := s.wait(f); werr != nil {
+		err = werr
+	}
+	return err
+}
+
+// wait ends the step without a last op of its own: it waits for every op
+// posted and returns the step's first error, readying the Store for the
+// next step.
+func (s *Store) wait(f *sim.Fiber) error {
 	for s.reap(f) {
 	}
-	if s.stepErr != nil {
-		err = s.stepErr
-	}
+	err := s.stepErr
 	s.sigs, s.reaped, s.stepErr = s.sigs[:0], 0, nil
 	return err
+}
+
+// postBehind posts a durable gWRITE of [off, off+size), staged already,
+// after the running step's ops, without adding it to the step: its signal
+// is returned instead, or nil when the step has failed or the op could not
+// be posted. A full window waits for the step's oldest op, as posted does.
+func (s *Store) postBehind(f *sim.Fiber, off, size int) *sim.Signal {
+	for s.stepErr == nil {
+		sig, err := s.r.WriteAsync(off, size, true)
+		if err == nil {
+			return sig
+		}
+		if !errors.Is(err, protocol.ErrTooManyInFlight) || !s.reap(f) {
+			break
+		}
+	}
+	return nil
 }
 
 // Head returns the log head offset.
@@ -320,23 +345,75 @@ func (s *Store) inData(off, n int) bool {
 // to take the old tail back; a caller that must know the rewind reached
 // every member — 2PC's rollback — writes it again and checks the error.
 func (s *Store) Append(f *sim.Fiber, entries []wal.Entry) (uint64, error) {
+	seq, _, err := s.appendThen(f, entries, nil, 0, 0)
+	return seq, err
+}
+
+// Behind a step the caller may post one more durable gWRITE that the step
+// does not wait for (postBehind): it goes out right after the step's last
+// op, crosses the group while the step waits, and every member applies it
+// after the step's ops and before the caller's next step's. The two forms
+// below return its signal, which the caller awaits itself — once it has
+// fired, if it wants never to wait — so the group can recycle it; the
+// signal is nil when the op was not posted. They fail like Append, and
+// then post nothing when the step failed before its last op was posted.
+// A step counts only its own ops against the group's window, so a caller
+// keeps few of these in flight.
+
+// AppendData is Append with the data-region bytes [off, off+n) posted
+// behind it: chunk(0, n) returns them, asked for once, right before their
+// post, and only when the Append's own ops are out.
+func (s *Store) AppendData(f *sim.Fiber, entries []wal.Entry, off, n int, chunk func(pos, n int) []byte) (uint64, *sim.Signal, error) {
+	if !s.inData(off, n) {
+		return 0, nil, fmt.Errorf("%w: data write out of range", ErrBadArgument)
+	}
+	stage := func() error { return s.r.WriteLocal(s.dataOff+off, chunk(0, n)) }
+	return s.appendThen(f, entries, stage, s.dataOff+off, n)
+}
+
+// AppendTruncate is Append with the log head's move to head posted behind
+// it — TruncateTo, not waited for. The client's head moves when the move
+// is posted, so the log before head is free to the next Append, whose ops
+// every member applies after the move; when the Append fails, or the move
+// was not posted, the client's head is put back.
+func (s *Store) AppendTruncate(f *sim.Fiber, entries []wal.Entry, head int) (uint64, *sim.Signal, error) {
+	old, err := s.Head()
+	if err != nil {
+		return 0, nil, err
+	}
+	stage := func() error {
+		binary.LittleEndian.PutUint64(s.ptrBuf[:], uint64(head))
+		return s.r.WriteLocal(ctrlHeadPtr, s.ptrBuf[:])
+	}
+	seq, sig, err := s.appendThen(f, entries, stage, ctrlHeadPtr, 8)
+	if sig == nil || err != nil {
+		s.restoreWord(ctrlHeadPtr, uint64(old)) // the move is not known to be anywhere
+	}
+	return seq, sig, err
+}
+
+// appendThen is Append, with a durable gWRITE of [at, at+n) posted behind
+// it when stage is not nil: stage puts that op's bytes in the client's
+// mirror, once, after the step's own ops are out. The tail pointer is then
+// posted too, and the step waits for it.
+func (s *Store) appendThen(f *sim.Fiber, entries []wal.Entry, stage func() error, at, n int) (uint64, *sim.Signal, error) {
 	for _, e := range entries {
 		if !s.inData(e.Off, len(e.Data)) {
-			return 0, fmt.Errorf("%w: entry outside data region", ErrBadArgument)
+			return 0, nil, fmt.Errorf("%w: entry outside data region", ErrBadArgument)
 		}
 	}
 	rec := wal.Record{Seq: s.nextSeq, Entries: entries}
 	size := rec.EncodedSize()
 	if size >= s.cfg.LogSize-wal.PadHeaderSize {
-		return 0, fmt.Errorf("%w: record of %d bytes exceeds log", ErrBadArgument, size)
+		return 0, nil, fmt.Errorf("%w: record of %d bytes exceeds log", ErrBadArgument, size)
 	}
 	head, err := s.Head()
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	oldTail, err := s.Tail()
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	tail := oldTail
 	free := s.cfg.LogSize - ((tail - head + s.cfg.LogSize) % s.cfg.LogSize) - 1
@@ -346,7 +423,7 @@ func (s *Store) Append(f *sim.Fiber, entries []wal.Entry) (uint64, error) {
 		need += s.cfg.LogSize - tail // the pad / wrap strip
 	}
 	if need > free {
-		return 0, ErrLogFull
+		return 0, nil, ErrLogFull
 	}
 	if needsWrap {
 		padLen := s.cfg.LogSize - tail
@@ -354,7 +431,7 @@ func (s *Store) Append(f *sim.Fiber, entries []wal.Entry) (uint64, error) {
 			pad := s.scratch(padLen)
 			clear(pad)
 			if err := wal.EncodePad(pad, padLen); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			s.stage(s.logOff+tail, pad)
 			s.postWrite(f, s.logOff+tail, wal.PadHeaderSize)
@@ -372,14 +449,24 @@ func (s *Store) Append(f *sim.Fiber, entries []wal.Entry) (uint64, error) {
 		newTail = 0
 	}
 	s.stagePtr(ctrlTailPtr, newTail)
-	if err := s.finish(f, ctrlTailPtr, 8); err != nil {
+	var sig *sim.Signal
+	if stage == nil {
+		err = s.finish(f, ctrlTailPtr, 8)
+	} else {
+		s.postWrite(f, ctrlTailPtr, 8)
+		if s.stepErr == nil && stage() == nil {
+			sig = s.postBehind(f, at, n)
+		}
+		err = s.wait(f)
+	}
+	if err != nil {
 		if t, terr := s.Tail(); terr != nil || t != oldTail {
 			_ = s.writePtr(f, ctrlTailPtr, oldTail) // best effort, see above
 		}
-		return 0, err
+		return 0, sig, err
 	}
 	s.nextSeq++
-	return rec.Seq, nil
+	return rec.Seq, sig, nil
 }
 
 // scratch returns the Store's reusable encode buffer at length n, contents
@@ -574,7 +661,14 @@ func (s *Store) TruncateAll(f *sim.Fiber) error {
 	if err != nil {
 		return err
 	}
-	return s.writePtr(f, ctrlHeadPtr, tail)
+	return s.TruncateTo(f, tail)
+}
+
+// TruncateTo advances the log head to head, a record boundary the caller
+// read from Tail earlier, without executing the records before it — the
+// truncation step after a checkpoint of the state at that tail.
+func (s *Store) TruncateTo(f *sim.Fiber, head int) error {
+	return s.writePtr(f, ctrlHeadPtr, head)
 }
 
 // Exported layout constants so external readers (replica-side view
