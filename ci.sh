@@ -204,10 +204,15 @@ bench_module() {
 }
 
 # The examples are the facade's only end-to-end users in the root module:
-# each must run to completion.
+# each must run to completion and print exactly its committed
+# examples/<name>/stdout.golden (the examples are deterministic). After an
+# intended change to what one prints, regenerate its file with
+#   go run ./examples/<name> >examples/<name>/stdout.golden
+# and review the diff.
 examples_run() {
     for ex in quickstart kvstore docstore locking failover; do
-        go run "./examples/$ex" >/dev/null
+        go run "./examples/$ex" >"$tmp/example-$ex.out"
+        diff -u "examples/$ex/stdout.golden" "$tmp/example-$ex.out"
     done
 }
 

@@ -23,7 +23,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg := kvstore.Config{LogSize: 64 * 1024, DataSize: 256 * 1024, CheckpointEvery: 10, Seed: 7}
+	cfg := kvstore.Config{LogSize: 64 * 1024, DataSize: 256 * 1024, Seed: 7}
 	group, err := cluster.NewGroup(kvstore.MirrorSizeFor(cfg))
 	if err != nil {
 		return err
@@ -34,12 +34,17 @@ func run() error {
 	}
 
 	return cluster.Run(func(f *hyperloop.Fiber) error {
-		// Write a working set; the store checkpoints every 10 mutations.
+		// Write a working set, checkpointing after every 10th Put.
 		for i := 0; i < 25; i++ {
 			key := fmt.Sprintf("user%04d", i%12)
 			val := fmt.Sprintf("profile-v%d", i)
 			if err := db.Put(f, []byte(key), []byte(val)); err != nil {
 				return err
+			}
+			if (i+1)%10 == 0 {
+				if err := db.Checkpoint(f); err != nil {
+					return err
+				}
 			}
 		}
 		if err := db.Delete(f, []byte("user0003")); err != nil {

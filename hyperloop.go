@@ -147,12 +147,12 @@ func (c *Cluster) NewGroup(mirrorSize int) (Protocol, error) {
 }
 
 // NewNaiveGroup builds the Naive-RDMA baseline group: the same chain, but
-// replica CPUs on the critical path in the given mode. Under
+// replica CPUs on the critical path in the given mode, with that mode's
+// handler costs (naive.InMode; NaivePinned is the Fig. 9 baseline). Under
 // MultiTenantLoad the handlers also carry the per-tenant wakeup-placement
 // penalty (DESIGN.md, "multi-tenant latency model").
 func (c *Cluster) NewNaiveGroup(mirrorSize int, mode NaiveMode) (Protocol, error) {
-	tune := func(cfg *naive.Config) { cfg.Mode = mode }
-	return c.rack.GroupOver(c.env, naive.Builder(tune), protocol.Params{MirrorSize: mirrorSize})
+	return c.rack.GroupOver(c.env, naive.Builder(naive.InMode(mode)), protocol.Params{MirrorSize: mirrorSize})
 }
 
 // Run spawns fn as a fiber, drives the simulation until fn returns (or the
@@ -180,10 +180,6 @@ type ProtocolParams = protocol.Params
 // sorted (chain, fanout, bcast, bcast-maj, naive, plus any registered by
 // downstream packages).
 func Protocols() []string { return protocol.Names() }
-
-// DescribeProtocol returns a protocol's one-line description ("" if
-// unknown).
-func DescribeProtocol(name string) string { return protocol.Describe(name) }
 
 // NewProtocolGroup builds the named replication protocol over the
 // cluster's servers with default policy.

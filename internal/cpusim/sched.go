@@ -285,9 +285,6 @@ func (s *Scheduler) ContextSwitches() int64 { return s.ctxSwitches }
 // the cheapest way to observe the batching in tests and benchmarks.
 func (s *Scheduler) Wakes() int64 { return s.wakes }
 
-// RunnableCount returns the number of queued (not running) processes.
-func (s *Scheduler) RunnableCount() int { return len(s.runq) }
-
 // Utilization returns the busy fraction of unpinned cores since creation;
 // pinned (polling) cores are reported separately as always-busy.
 func (s *Scheduler) Utilization() float64 {

@@ -32,10 +32,10 @@ import (
 	"hyperloop/internal/wal"
 )
 
-// Slot framing in the data region. The payload CRC makes one-sided
-// (lock-free) replica reads safe: a torn or concurrently-updated slot
-// fails the check and the reader retries — the FaRM-style integrity-check
-// read the paper's §5 refers to.
+// Slot framing in the data region. The payload CRC guards the two readers
+// of slot bytes the client did not just write: Recover skips a slot a
+// crash tore, and ReadReplica reports one as an error rather than
+// returning a half-written document.
 const (
 	slotMagic      = 0x484C4443    // "HLDC"
 	slotHeaderSize = 4 + 4 + 4 + 4 // magic, payload len, collection hash, payload crc
@@ -608,37 +608,4 @@ func (s *Store) Recover(f *sim.Fiber) error {
 		}
 	}
 	return nil
-}
-
-// ErrTornRead is returned when a lock-free replica read keeps observing a
-// torn slot (concurrent update) after exhausting its retries.
-var ErrTornRead = errors.New("docstore: torn lock-free read")
-
-// ReadReplicaLockFree serves the document from a replica's copy WITHOUT a
-// read lock, relying on the slot's integrity check to reject torn values
-// and retrying briefly — the FaRM-style read path §5 contrasts with read
-// locks. Higher read throughput, but only the replica being read
-// participates and no lock is taken.
-func (s *Store) ReadReplicaLockFree(f *sim.Fiber, replicaImg func(off, n int) ([]byte, error), coll, id string) (Doc, error) {
-	slot, ok := s.dir[coll][id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, coll, id)
-	}
-	off := s.st.DataOff() + s.slotOff(slot)
-	const retries = 8
-	for attempt := 0; attempt < retries; attempt++ {
-		img, err := replicaImg(off, s.cfg.SlotSize)
-		if err != nil {
-			return nil, err
-		}
-		doc, _, err := decodeDoc(img)
-		if err != nil {
-			// Torn or mid-update: back off one network RTT and retry.
-			f.Sleep(2 * sim.Microsecond)
-			continue
-		}
-		s.stats.ReplicaGets++
-		return doc, nil
-	}
-	return nil, ErrTornRead
 }

@@ -302,43 +302,17 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
-func TestLockFreeReplicaRead(t *testing.T) {
-	k, s, g := testStore(t, smallConfig())
-	run(t, k, func(f *sim.Fiber) {
-		if err := s.Insert(f, "c", Doc{"_id": "lf1", "v": "lock-free"}); err != nil {
-			t.Errorf("insert: %v", err)
-			return
-		}
-		mem := g.ReplicaNIC(1).Memory()
-		reader := func(off, n int) ([]byte, error) {
-			buf := make([]byte, n)
-			err := mem.Read(off, buf)
-			return buf, err
-		}
-		doc, err := s.ReadReplicaLockFree(f, reader, "c", "lf1")
-		if err != nil {
-			t.Errorf("lock-free read: %v", err)
-			return
-		}
-		if doc["v"] != "lock-free" {
-			t.Errorf("doc = %v", doc)
-		}
-		// No read lock must have been taken.
-		if n, _ := s.Txn().Readers(); n != 0 {
-			t.Errorf("readers = %d, want 0", n)
-		}
-	})
-}
-
-func TestLockFreeReadRejectsTornSlot(t *testing.T) {
+// TestReplicaReadRejectsTornSlot: a replica slot whose payload fails its
+// CRC comes back from ReadReplica as an error, not as a half-written
+// document, and the read lock is released all the same.
+func TestReplicaReadRejectsTornSlot(t *testing.T) {
 	k, s, g := testStore(t, smallConfig())
 	run(t, k, func(f *sim.Fiber) {
 		if err := s.Insert(f, "c", Doc{"_id": "torn", "v": "x"}); err != nil {
 			t.Errorf("insert: %v", err)
 			return
 		}
-		// Corrupt one payload byte on the replica (simulating a read that
-		// raced a partial update).
+		// Corrupt one payload byte on the replica (a slot a crash tore).
 		mem := g.ReplicaNIC(0).Memory()
 		off := s.Txn().DataOff() // slot 0
 		b := make([]byte, 1)
@@ -349,8 +323,11 @@ func TestLockFreeReadRejectsTornSlot(t *testing.T) {
 			err := mem.Read(off, buf)
 			return buf, err
 		}
-		if _, err := s.ReadReplicaLockFree(f, reader, "c", "torn"); !errors.Is(err, ErrTornRead) {
-			t.Errorf("torn read err = %v, want ErrTornRead", err)
+		if doc, err := s.ReadReplica(f, 0, reader, "c", "torn"); err == nil {
+			t.Errorf("torn read = %v, want an error", doc)
+		}
+		if n, _ := s.Txn().Readers(); n != 0 {
+			t.Errorf("reader count leaked: %d", n)
 		}
 	})
 }

@@ -56,15 +56,9 @@ func (b Backend) datapath() protocol.Builder {
 	case BackendHyperLoop:
 		return protocol.Named("chain")
 	case BackendNaivePolling:
-		return naive.Builder(func(c *naive.Config) { c.Mode = naive.ModePolling })
+		return naive.Builder(naive.InMode(naive.ModePolling))
 	case BackendNaivePinned:
-		// A dedicated tight polling loop forwards in ~1µs per op (poll +
-		// parse + post), unlike the interrupt-driven handler.
-		return naive.Builder(func(c *naive.Config) {
-			c.Mode = naive.ModePinned
-			c.RecvHandlerCPU = 600 * sim.Nanosecond
-			c.PostCPU = 200 * sim.Nanosecond
-		})
+		return naive.Builder(naive.InMode(naive.ModePinned))
 	default:
 		return protocol.Named("naive")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
-	"hyperloop/internal/sim"
 )
 
 // opKind is the shared wire encoding of the four primitives.
@@ -38,8 +37,7 @@ type replica struct {
 // Group is a HyperLoop replication group: one client (transaction
 // coordinator) chained through one or more replicas. The embedded
 // protocol.Group is its protocol.Protocol surface (registered as "chain")
-// and its NIC accessors; this type is that group's strategy and adds
-// ReadHead.
+// and its NIC accessors; this type is that group's strategy.
 type Group struct {
 	*protocol.Group
 
@@ -52,9 +50,6 @@ type Group struct {
 	ack      groupAck // tail → client
 	metaOff  uint64   // client-side metadata build buffers
 	replicas []*replica
-
-	reads    map[uint64]*sim.Signal // WRID → signal for one-sided reads
-	nextWRID uint64
 
 	metaBuf []byte // Transmit's metadata build scratch; copied into client memory per op
 }
@@ -72,7 +67,6 @@ func Setup(env protocol.Env, p protocol.Params) (*Group, error) {
 		params: p,
 		lay:    layout{groupSize: len(env.Replicas)},
 		client: env.Client,
-		reads:  make(map[uint64]*sim.Signal),
 	}
 	g.Group = protocol.NewGroup(env, p, g)
 	g.metaBuf = make([]byte, g.lay.metaLen(1))
@@ -101,7 +95,6 @@ func Setup(env protocol.Env, p protocol.Params) (*Group, error) {
 		g.ack.qp.PostRecv(rdma.RecvWQE{})
 	}
 	g.ack.qp.RecvCQ().SetDrainHandler(g.ack.onAcks)
-	g.qpHead.SendCQ().SetDrainHandler(g.onClientSendCQEs)
 	return g, nil
 }
 
@@ -146,38 +139,14 @@ func (g *Group) connect() {
 	g.replicas[len(g.replicas)-1].qpNext.Connect(g.ack.qp)
 }
 
-// Teardown is the chain's half of Close (protocol.Strategy): pending
-// one-sided reads fail with ErrClosed and every QP and CQ the group
-// created is destroyed at the rdma layer; re-arm timers become no-ops
-// because the group is closed. A successor set up over the same NICs
-// (failover) lays its rings out at the same device offsets, which is why
-// protocol.NewHost refuses a NIC until its previous group is closed.
+// Teardown is the chain's half of Close (protocol.Strategy): every QP and
+// CQ the group created is destroyed at the rdma layer; re-arm timers
+// become no-ops because the group is closed. A successor set up over the
+// same NICs (failover) lays its rings out at the same device offsets,
+// which is why protocol.NewHost refuses a NIC until its previous group is
+// closed.
 func (g *Group) Teardown() {
-	for wrid, sig := range g.reads {
-		delete(g.reads, wrid)
-		sig.Fire(protocol.ErrClosed)
-	}
 	for _, h := range g.hosts {
 		h.Destroy()
 	}
-}
-
-// onClientSendCQEs resolves one-sided READs issued by the client.
-func (g *Group) onClientSendCQEs(batch []rdma.CQE) {
-	for _, e := range batch {
-		g.onClientSendCQE(e)
-	}
-}
-
-func (g *Group) onClientSendCQE(e rdma.CQE) {
-	sig, ok := g.reads[e.WRID]
-	if !ok {
-		return
-	}
-	delete(g.reads, e.WRID)
-	if e.Status != rdma.StatusSuccess {
-		sig.Fire(fmt.Errorf("hyperloop: read failed: %v", e.Status))
-		return
-	}
-	sig.Fire(nil)
 }

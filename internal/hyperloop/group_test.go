@@ -324,32 +324,6 @@ func TestGFlushMakesPriorWriteDurable(t *testing.T) {
 	}
 }
 
-func TestReadHead(t *testing.T) {
-	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror})
-	data := []byte("read me back one-sided")
-	runFiber(t, k, func(f *sim.Fiber) {
-		_ = g.WriteLocal(0, data)
-		if err := g.Write(f, 0, len(data), false); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		// Scribble over the client copy, then fetch from the head replica.
-		_ = g.WriteLocal(2048, bytes.Repeat([]byte{0xFF}, len(data)))
-		if err := g.ReadHead(f, 0, 2048, len(data)); err != nil {
-			t.Errorf("read head: %v", err)
-			return
-		}
-		got, err := g.ViewLocal(2048, len(data))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !bytes.Equal(got, data) {
-			t.Errorf("read head = %q, want %q", got, data)
-		}
-	})
-}
-
 func TestOpTimeoutOnDeadReplica(t *testing.T) {
 	k, g := testGroup(t, 3, protocol.Params{MirrorSize: testMirror, OpTimeout: 500 * sim.Microsecond})
 	runFiber(t, k, func(f *sim.Fiber) {

@@ -2,12 +2,10 @@ package hyperloop
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"hyperloop/internal/nvm"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
-	"hyperloop/internal/sim"
 )
 
 // opParams carries one operation's arguments through metadata building —
@@ -175,30 +173,4 @@ func (a *groupAck) onAcks(batch []rdma.CQE) {
 		}
 		a.grp.Complete(binary.LittleEndian.Uint64(a.buf[len(a.res)*resultEntry:]), a.res)
 	}
-}
-
-// ReadHead performs a one-sided RDMA READ of the head replica's mirror
-// range [remoteOff, remoteOff+size) into the client's mirror at localOff —
-// the lock-free read path (§5, "lock-free one-sided reads from exactly one
-// replica").
-func (g *Group) ReadHead(f *sim.Fiber, remoteOff, localOff, size int) error {
-	if localOff < 0 || size < 0 || localOff > g.params.MirrorSize-size {
-		return fmt.Errorf("%w: read buffer outside mirror", protocol.ErrBadArgument)
-	}
-	if g.Closed() {
-		return protocol.ErrClosed
-	}
-	g.nextWRID++
-	wrid := g.nextWRID | 1<<63 // disjoint from op sequence numbers
-	sig := sim.NewSignal()
-	g.reads[wrid] = sig
-	if _, err := g.qpHead.PostSend(rdma.WQE{
-		Opcode: rdma.OpRead, Flags: rdma.FlagSignaled, WRID: wrid,
-		Local: uint64(localOff), Len: uint64(size),
-		Remote: uint64(remoteOff), Aux1: g.replicas[0].mirror.RKey,
-	}); err != nil {
-		delete(g.reads, wrid)
-		return err
-	}
-	return f.Await(sig)
 }

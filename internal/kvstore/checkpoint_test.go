@@ -282,12 +282,12 @@ func TestLateFlushPreImagesShared(t *testing.T) {
 // TestEmptyValueSurvivesRecover: a Put of an empty value — given as []byte{}
 // or as nil — is acknowledged as a Put, so Get finds it empty and it stays
 // found after a client crash and Recover, whether it comes back from the
-// log or from a checkpoint.
+// log or from a checkpoint. CheckpointEvery=N checkpoints after every Nth
+// Put (0: never).
 func TestEmptyValueSurvivesRecover(t *testing.T) {
 	for _, every := range []int{0, 2} {
 		t.Run(fmt.Sprintf("CheckpointEvery=%d", every), func(t *testing.T) {
 			cfg := smallConfig()
-			cfg.CheckpointEvery = every
 			k, db, g := testDB(t, cfg)
 			keys := []string{"empty", "nil", "later"}
 			check := func(when string) {
@@ -305,6 +305,11 @@ func TestEmptyValueSurvivesRecover(t *testing.T) {
 				for i, v := range [][]byte{{}, nil, {}} {
 					if err := db.Put(f, []byte(keys[i]), v); err != nil {
 						t.Errorf("put %s: %v", keys[i], err)
+					}
+					if every > 0 && (i+1)%every == 0 {
+						if err := db.Checkpoint(f); err != nil {
+							t.Errorf("checkpoint: %v", err)
+						}
 					}
 				}
 			})

@@ -43,9 +43,6 @@ type Config struct {
 	// must be at least txn.MirrorSizeFor(LogSize, DataSize).
 	LogSize  int
 	DataSize int
-	// CheckpointEvery triggers a checkpoint + log truncation after this
-	// many mutations (0 = only when the log fills).
-	CheckpointEvery int
 	// Seed makes the memtable deterministic.
 	Seed uint64
 }
@@ -53,10 +50,9 @@ type Config struct {
 // DefaultConfig sizes the store for the YCSB benchmarks.
 func DefaultConfig() Config {
 	return Config{
-		LogSize:         256 * 1024,
-		DataSize:        1 << 20,
-		CheckpointEvery: 0,
-		Seed:            1,
+		LogSize:  256 * 1024,
+		DataSize: 1 << 20,
+		Seed:     1,
 	}
 }
 
@@ -83,9 +79,8 @@ type DB struct {
 	mem   *skiplist
 	stats Stats
 
-	mutations int
-	opBuf     []byte // the op record; Append copies it into the log
-	recSize   int    // the latest op record's log footprint
+	opBuf   []byte // the op record; Append copies it into the log
+	recSize int    // the latest op record's log footprint
 
 	ckpt    ckptStream             // the running checkpoint's image, encoded as it is written
 	flying  [maxFlying]*sim.Signal // the stream's posts not yet reaped, oldest first
@@ -182,10 +177,6 @@ func (db *DB) mutate(f *sim.Fiber, op byte, key, value []byte) error {
 	} else {
 		db.mem.put(key, nil)
 		db.stats.Deletes++
-	}
-	db.mutations++
-	if db.cfg.CheckpointEvery > 0 && db.mutations >= db.cfg.CheckpointEvery {
-		return db.Checkpoint(f)
 	}
 	if db.ckpt.size == 0 && db.due() {
 		_ = db.begin() // an image too large for the data region fails the inline checkpoint
@@ -478,7 +469,6 @@ func (db *DB) begin() error {
 // done ends the stream with the log head at the snapshot's tail.
 func (db *DB) done() {
 	db.ckpt.size = 0
-	db.mutations = 0
 	db.stats.Checkpoints++
 }
 
@@ -495,9 +485,9 @@ func (db *DB) abandon() {
 // stream, or one it starts now, through txn.Store.WriteFrom, waits for the
 // stream's posts still in flight, and moves the log head to the snapshot's
 // tail. mutate calls it on the Put or Delete whose Append meets
-// txn.ErrLogFull, which a stream that keeps up never lets happen, and
-// after every CheckpointEvery mutations when that is set. Either way there
-// is one stream and one encoder.
+// txn.ErrLogFull, which a stream that keeps up never lets happen, and a
+// caller may call it at any point. Either way there is one stream and one
+// encoder.
 //
 // The write may yield between chunks (a full window waits for the oldest
 // one); the snapshot holds the image still meanwhile, and a DB has one

@@ -301,9 +301,10 @@ func BenchmarkPutStream(b *testing.B) {
 	})
 }
 
+// TestRecoveryAfterCrash: Recover rebuilds the memtable from a checkpoint
+// plus the log records written after it.
 func TestRecoveryAfterCrash(t *testing.T) {
 	cfg := smallConfig()
-	cfg.CheckpointEvery = 7
 	k, db, g := testDB(t, cfg)
 	want := make(map[string]string)
 	run(t, k, func(f *sim.Fiber) {
@@ -314,6 +315,12 @@ func TestRecoveryAfterCrash(t *testing.T) {
 				return
 			}
 			want[key] = val
+			if (i+1)%7 == 0 {
+				if err := db.Checkpoint(f); err != nil {
+					t.Errorf("checkpoint: %v", err)
+					return
+				}
+			}
 		}
 		if err := db.Delete(f, []byte("key03")); err != nil {
 			t.Errorf("delete: %v", err)
@@ -321,6 +328,14 @@ func TestRecoveryAfterCrash(t *testing.T) {
 		}
 		delete(want, "key03")
 	})
+	// Recovery must need both halves: the checkpoints and the log past
+	// the last one.
+	if n := db.Stats().Checkpoints; n != 3 {
+		t.Fatalf("checkpoints = %d, want 3", n)
+	}
+	if seqs, err := db.Store().PendingSeqs(); err != nil || len(seqs) == 0 {
+		t.Fatalf("pending log records = %v (%v), want some to replay", seqs, err)
+	}
 
 	// Power-fail the client; recovery must rebuild from durable state.
 	g.ClientNIC().Memory().Crash()

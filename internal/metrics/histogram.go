@@ -152,29 +152,6 @@ func (h *Histogram) PercentileDuration(p float64) time.Duration {
 	return time.Duration(h.Percentile(p))
 }
 
-// Merge adds all of other's observations into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.total == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.total == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.total += other.total
-	h.sum += other.sum
-}
-
-// Reset discards all observations.
-func (h *Histogram) Reset() {
-	*h = Histogram{min: math.MaxInt64}
-}
-
 // Summary bundles the statistics the paper's tables report.
 type Summary struct {
 	Count int64

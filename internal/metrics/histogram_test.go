@@ -85,40 +85,6 @@ func TestHistogramPercentileMonotonic(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b, c := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := int64(1); i <= 1000; i++ {
-		a.Record(i)
-		c.Record(i)
-	}
-	for i := int64(1001); i <= 2000; i++ {
-		b.Record(i)
-		c.Record(i)
-	}
-	a.Merge(b)
-	if a.Count() != c.Count() {
-		t.Fatalf("merged count = %d, want %d", a.Count(), c.Count())
-	}
-	if a.Min() != c.Min() || a.Max() != c.Max() {
-		t.Fatalf("merged min/max mismatch")
-	}
-	for _, p := range []float64{25, 50, 75, 99} {
-		if a.Percentile(p) != c.Percentile(p) {
-			t.Fatalf("merged p%v = %d, want %d", p, a.Percentile(p), c.Percentile(p))
-		}
-	}
-	a.Merge(nil) // must not panic
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Record(5)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("reset did not clear histogram")
-	}
-}
-
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Record(-5)
@@ -217,18 +183,5 @@ func TestRatio(t *testing.T) {
 	}
 	if Ratio(800*time.Microsecond, 100*time.Microsecond) != "8.0x" {
 		t.Fatalf("Ratio = %s", Ratio(800*time.Microsecond, 100*time.Microsecond))
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("counter reset failed")
 	}
 }

@@ -95,20 +95,3 @@ func Ratio(a, b time.Duration) string {
 	}
 	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
 }
-
-// Counter is a monotonically increasing event counter.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta.
-func (c *Counter) Add(delta int64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }

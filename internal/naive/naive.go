@@ -65,6 +65,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// InMode is the Builder tune for replica mode m. A pinned handler is a
+// dedicated tight polling loop that forwards in ~1µs per op (poll + parse
+// + post), unlike the interrupt-driven handler, so ModePinned also sets
+// those cheaper handler costs.
+func InMode(m Mode) func(*Config) {
+	return func(c *Config) {
+		c.Mode = m
+		if m == ModePinned {
+			c.RecvHandlerCPU = 600 * sim.Nanosecond
+			c.PostCPU = 200 * sim.Nanosecond
+		}
+	}
+}
+
 // The op encoding on the wire is the shared protocol one.
 type opKind = protocol.OpKind
 

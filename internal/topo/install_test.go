@@ -37,7 +37,7 @@ func (rec *recorder) wrap(b protocol.Builder) protocol.Builder {
 // tuned builder on a tenant rack receives the wake penalty in its Params
 // exactly as a registry build does.
 func TestInstallPoint(t *testing.T) {
-	polling := naive.Builder(func(c *naive.Config) { c.Mode = naive.ModePolling })
+	polling := naive.Builder(naive.InMode(naive.ModePolling))
 	for _, tenants := range []int{0, 2} {
 		r, err := topo.Build(topo.Spec{Seed: 1, Servers: 3, Cores: 1, TenantsPerCore: tenants, DevExtra: 1 << 20})
 		if err != nil {

@@ -207,13 +207,6 @@ func TestStoreIOFaults(t *testing.T) {
 		if err := st.WrUnlock(f); err != nil {
 			t.Fatal(err)
 		}
-
-		// TruncateAll: tail read failure.
-		m.fail = failOn("viewlocal", 1)
-		if err := st.TruncateAll(f); !errors.Is(err, errInjected) {
-			t.Errorf("truncate all: %v", err)
-		}
-		m.fail = nil
 	})
 }
 

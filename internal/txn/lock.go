@@ -44,14 +44,18 @@ func (s *Store) tryLock(f *sim.Fiber) (bool, error) {
 	return false, nil
 }
 
+// lockBackoff is the sleep between lock attempts: a reader's between CAS
+// retries, and the unit of a writer's backoff.
+const lockBackoff = 10 * sim.Microsecond
+
 // backoff is how long a writer stays away after its attempt-th (0-based)
 // failed acquisition: linear in the attempt, plus a stagger of up to one
-// LockBackoff derived from the lock token, so writers that collided at one
+// lockBackoff derived from the lock token, so writers that collided at one
 // instant do not collide at the next. No random draw: the schedule is a
 // function of the configuration alone.
 func (s *Store) backoff(attempt int) sim.Duration {
 	stagger := (s.cfg.LockToken*0x9E3779B97F4A7C15>>61 + uint64(attempt)) % 8
-	return s.cfg.LockBackoff*sim.Duration(attempt+1) + s.cfg.LockBackoff*sim.Duration(stagger)/8
+	return lockBackoff*sim.Duration(attempt+1) + lockBackoff*sim.Duration(stagger)/8
 }
 
 // WrLock acquires the exclusive group write lock: tryLock, retried after a
@@ -154,7 +158,7 @@ func (s *Store) adjustReaders(f *sim.Fiber, replica int, delta int) error {
 		if res[replica] == cur {
 			return nil
 		}
-		f.Sleep(s.cfg.LockBackoff)
+		f.Sleep(lockBackoff)
 	}
 	return ErrLockContended
 }

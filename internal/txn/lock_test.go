@@ -326,9 +326,9 @@ func TestBackoffBreaksSymmetry(t *testing.T) {
 		if diff := da - db; diff < sim.Microsecond && -diff < sim.Microsecond {
 			t.Errorf("attempt %d: tokens 1 and 2 back off %v and %v — closer than a lock round can tell apart", attempt, da, db)
 		}
-		base := a.cfg.LockBackoff * sim.Duration(attempt+1)
-		if da < base || da >= base+a.cfg.LockBackoff {
-			t.Errorf("attempt %d: backoff %v outside [%v, %v)", attempt, da, base, base+a.cfg.LockBackoff)
+		base := lockBackoff * sim.Duration(attempt+1)
+		if da < base || da >= base+lockBackoff {
+			t.Errorf("attempt %d: backoff %v outside [%v, %v)", attempt, da, base, base+lockBackoff)
 		}
 	}
 }

@@ -517,8 +517,8 @@ func TestTwoPCCommitRecordFullAborts(t *testing.T) {
 }
 
 // TestStoreVisitPendingAndTruncate rounds out the checkpoint-side store
-// surface: pending records are visitable without executing, TruncateAll
-// drops them, and MirrorSize reports the configured footprint.
+// surface: pending records are visitable without executing, TruncateTo
+// the tail drops them, and MirrorSize reports the configured footprint.
 func TestStoreVisitPendingAndTruncate(t *testing.T) {
 	rig := newTwoPCRig(t, 1, nil, 0)
 	st := rig.stores[0]
@@ -543,7 +543,11 @@ func TestStoreVisitPendingAndTruncate(t *testing.T) {
 		if err != nil || seen != 1 {
 			t.Fatalf("visit = %v, saw %d records, want 1", err, seen)
 		}
-		if err := st.TruncateAll(f); err != nil {
+		tail, err := st.Tail()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.TruncateTo(f, tail); err != nil {
 			t.Fatal(err)
 		}
 		if used, err := st.LogUsed(); err != nil || used != 0 {

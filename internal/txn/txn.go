@@ -77,8 +77,6 @@ type Config struct {
 	LockToken uint64
 	// LockRetries bounds lock acquisition attempts.
 	LockRetries int
-	// LockBackoff is the sleep between lock attempts.
-	LockBackoff sim.Duration
 }
 
 // Store manages a replicated write-ahead log plus database region. One
@@ -117,9 +115,6 @@ func New(r Replicator, cfg Config) (*Store, error) {
 	}
 	if cfg.LockRetries <= 0 {
 		cfg.LockRetries = 100
-	}
-	if cfg.LockBackoff <= 0 {
-		cfg.LockBackoff = 10 * sim.Microsecond
 	}
 	allExec := make([]bool, r.GroupSize())
 	for i := range allExec {
@@ -652,16 +647,6 @@ func (s *Store) WriteFrom(f *sim.Fiber, off, size int, chunk func(pos, n int) []
 		s.stage(p+pos, chunk(pos, size-pos))
 	}
 	return s.finish(f, p+pos, size-pos)
-}
-
-// TruncateAll advances the log head to the tail without executing records
-// — the truncation step after a checkpoint has captured their effects.
-func (s *Store) TruncateAll(f *sim.Fiber) error {
-	tail, err := s.Tail()
-	if err != nil {
-		return err
-	}
-	return s.TruncateTo(f, tail)
 }
 
 // TruncateTo advances the log head to head, a record boundary the caller

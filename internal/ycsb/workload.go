@@ -114,8 +114,6 @@ type RunnerConfig struct {
 	OpCount     int
 	ValueSize   int
 	Seed        uint64
-	// ThinkTime inserts idle time between operations (0 = closed loop).
-	ThinkTime sim.Duration
 }
 
 // Result aggregates a run's latency distributions.
@@ -202,9 +200,6 @@ func (r *Runner) Run(f *sim.Fiber, db DB) (*Result, error) {
 			res.Overall.RecordDuration(lat)
 			res.ByOp[op].RecordDuration(lat)
 			res.Ops++
-		}
-		if r.cfg.ThinkTime > 0 {
-			f.Sleep(r.cfg.ThinkTime)
 		}
 	}
 	return res, nil

@@ -274,32 +274,3 @@ func TestDistributionStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestRunnerThinkTime(t *testing.T) {
-	k := sim.NewKernel(12)
-	db := &fakeDB{}
-	r := NewRunner(RunnerConfig{
-		Workload:    WorkloadB,
-		RecordCount: 10,
-		OpCount:     100,
-		Seed:        4,
-		ThinkTime:   100 * sim.Microsecond,
-	})
-	var end sim.Time
-	k.Spawn("runner", func(f *sim.Fiber) {
-		if err := r.Load(f, db); err != nil {
-			t.Errorf("load: %v", err)
-			return
-		}
-		if _, err := r.Run(f, db); err != nil {
-			t.Errorf("run: %v", err)
-		}
-		end = f.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if end < sim.Time(100*100*sim.Microsecond) {
-		t.Fatalf("think time not applied: finished at %v", end)
-	}
-}

@@ -193,7 +193,7 @@ func TestFacadeConstructorGolden(t *testing.T) {
 		"NewGroup loaded=false":                         {796836, 80, 80, 4478, 759, 173810},
 		"NewNaiveGroup/event loaded=false":              {1663037, 80, 80, 2559, 759, 86770},
 		"NewNaiveGroup/polling loaded=false":            {12440078, 80, 80, 3762, 759, 86770},
-		"NewNaiveGroup/pinned loaded=false":             {1888037, 80, 80, 2079, 759, 86770},
+		"NewNaiveGroup/pinned loaded=false":             {976037, 80, 80, 2079, 759, 86770},
 		"NewGroupOver loaded=false":                     {796836, 80, 80, 4478, 759, 173810},
 		"NewProtocolGroup/bcast loaded=false":           {301457, 80, 80, 4992, 1077, 99510},
 		"NewProtocolGroup/bcast-maj loaded=false":       {299024, 80, 80, 4959, 1077, 99510},
@@ -204,7 +204,7 @@ func TestFacadeConstructorGolden(t *testing.T) {
 		"NewGroup loaded=true":                          {796836, 80, 80, 4613, 759, 173810},
 		"NewNaiveGroup/event loaded=true":               {119283731, 80, 80, 17389, 759, 86770},
 		"NewNaiveGroup/polling loaded=true":             {217161506, 80, 80, 34479, 759, 86770},
-		"NewNaiveGroup/pinned loaded=true":              {1888037, 80, 80, 2336, 759, 86770},
+		"NewNaiveGroup/pinned loaded=true":              {976037, 80, 80, 2232, 759, 86770},
 		"NewGroupOver loaded=true":                      {796836, 80, 80, 4613, 759, 173810},
 		"NewProtocolGroup/bcast loaded=true":            {301457, 80, 80, 5043, 1077, 99510},
 		"NewProtocolGroup/bcast-maj loaded=true":        {299024, 80, 80, 5008, 1077, 99510},
