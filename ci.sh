@@ -13,7 +13,8 @@
 #           three on one bank) against its flat reference, the range
 #           set, fault plan validation, the event queue's pop order,
 #           docstore's flat encoder, kvstore's checkpoint stream and
-#           its copy-on-write snapshot under Puts
+#           its copy-on-write snapshot under Puts, and the log ring's
+#           placement and walk
 #   bench   determinism goldens across a seed matrix (serial vs
 #           overlapped, every experiment and claim scenario plus a
 #           shards-only leg), the regression gate against the
@@ -161,7 +162,9 @@ stage_lint() {
 # NIC-offloaded datapath runs on.
 # docstore's decoded-document table must agree with its slots on every
 # path that writes one. kvstore's checkpoint stream and log replay are
-# what its recovery rebuilds the memtable from.
+# what its recovery rebuilds the memtable from. wal owns the log ring's
+# layout: every writer places records with it and every reader walks them
+# with it.
 # The datapaths are measured over the conformance suite too: broadcast is
 # driven only from internal/experiments.
 #
@@ -260,6 +263,7 @@ stage_test() {
     step "coverage internal/chain >=85" covercheck 85 ./internal/chain
     step "coverage internal/docstore >=85" covercheck 85 ./internal/docstore
     step "coverage internal/kvstore >=85" covercheck 85 ./internal/kvstore
+    step "coverage internal/wal >=95" covercheck 95 ./internal/wal
     step "coverage datapaths (hyperloop, naive) >=85" covercheck 85 \
         ./internal/hyperloop,./internal/naive \
         ./internal/hyperloop ./internal/naive ./internal/experiments
@@ -294,7 +298,10 @@ stage_test() {
 # stream, in arbitrary chunk sizes, against the image layout, and
 # arbitrary Put/Delete/Checkpoint scripts over a store whose checkpoints
 # stream behind its Puts, each image completed against the model's state
-# at its snapshot.
+# at its snapshot, and arbitrary ring bytes through the log walk (it stays
+# inside the ring, within one lap, and yields only records whose CRC
+# checks out) beside random placement and head-advance scripts that must
+# read back exactly their live records.
 stage_fuzz() {
     step "fuzz WQE decode" go test ./internal/rdma -run='^$' \
         -fuzz=FuzzWQEDecode -fuzztime=10s
@@ -314,6 +321,8 @@ stage_fuzz() {
         -fuzz=FuzzCheckpointStream -fuzztime=10s
     step "fuzz checkpoint snapshot" go test ./internal/kvstore -run='^$' \
         -fuzz=FuzzCheckpointSnapshot -fuzztime=10s
+    step "fuzz log walk" go test ./internal/wal -run='^$' \
+        -fuzz=FuzzLogWalk -fuzztime=10s
 }
 
 # ---------- bench ----------

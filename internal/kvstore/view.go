@@ -15,7 +15,11 @@ import (
 // critical path, reads its own NVM (checkpoint + replicated log) and
 // serves eventually-consistent reads. Pass a replica NVM's current or
 // durable image. An image read while a checkpoint was being rewritten
-// holds a torn one, and LoadView fails with ErrTorn: read again later.
+// holds a torn one, and LoadView fails with ErrTorn: read again later. A
+// log that is torn or malformed — a record whose CRC fails or whose
+// operation does not decode, a bad pad, a head or tail outside the ring —
+// is read up to the damage (wal.Walk): LoadView returns the checkpoint
+// plus the records before it, with no error.
 func LoadView(mirror []byte, cfg Config) (map[string][]byte, error) {
 	logOff := txn.CtrlSize
 	dataOff := txn.CtrlSize + cfg.LogSize
@@ -33,31 +37,13 @@ func LoadView(mirror []byte, cfg Config) (map[string][]byte, error) {
 	head := int(binary.LittleEndian.Uint64(mirror[txn.HeadPtrOff:]))
 	tail := int(binary.LittleEndian.Uint64(mirror[txn.TailPtrOff:]))
 	log := mirror[logOff : logOff+cfg.LogSize]
-	p := head
-	for p != tail {
-		if p < 0 || p > cfg.LogSize {
-			return view, fmt.Errorf("kvstore: log pointer out of range")
-		}
-		if cfg.LogSize-p < wal.PadHeaderSize {
-			p = 0
-			continue
-		}
-		if padLen, ok := wal.IsPad(log[p:]); ok {
-			p += padLen
-			if p >= cfg.LogSize || cfg.LogSize-p < wal.PadHeaderSize {
-				p = 0
-			}
-			continue
-		}
-		rec, err := wal.Decode(log[p:], nil)
-		if err != nil {
-			// Torn tail: the valid prefix is the eventually-consistent view.
-			return view, nil
-		}
+	fetch := func(pos, n int) ([]byte, error) { return log[pos : pos+n], nil }
+	// The walk's error only says where the valid prefix ends.
+	_, _ = wal.Walk(cfg.LogSize, head, tail, fetch, nil, func(_ int, rec wal.DecodedRecord, img []byte) bool {
 		for _, e := range rec.Entries {
-			op, key, value, derr := decodeOp(rec.Data(log[p:], e))
-			if derr != nil {
-				return view, nil
+			op, key, value, err := decodeOp(rec.Data(img, e))
+			if err != nil {
+				return false
 			}
 			if op == opPut {
 				view[string(key)] = bytes.Clone(value)
@@ -65,10 +51,7 @@ func LoadView(mirror []byte, cfg Config) (map[string][]byte, error) {
 				delete(view, string(key))
 			}
 		}
-		p += rec.Size
-		if cfg.LogSize-p < wal.PadHeaderSize {
-			p = 0
-		}
-	}
+		return true
+	})
 	return view, nil
 }

@@ -69,8 +69,8 @@ func FuzzWQEDecode(f *testing.F) {
 
 		// The send ring itself is plain registered memory at [0, ringBytes)
 		// — that writability is the paper's §4.1 surface. An op that writes
-		// local memory overlapping the ring (MEMCPY's destination, READ/CAS
-		// reply payloads) can therefore mint new owned WQEs in later slots,
+		// local memory overlapping the ring (MEMCPY's destination, a CAS
+		// reply payload) can therefore mint new owned WQEs in later slots,
 		// which the engine then legitimately executes: more than one
 		// completion is correct behaviour there, so the single-slot oracle
 		// only applies to non-self-modifying ops.
@@ -81,8 +81,6 @@ func FuzzWQEDecode(f *testing.F) {
 			switch w.Opcode {
 			case OpMemcpy:
 				selfModifying = selfRing(w.Remote, w.Len)
-			case OpRead:
-				selfModifying = selfRing(w.Local, w.Len)
 			case OpCAS:
 				selfModifying = selfRing(w.Local, 8)
 			}
@@ -105,8 +103,9 @@ func FuzzWQEDecode(f *testing.F) {
 				t.Fatalf("un-owned/zero-opcode slot executed: wqes=%d cqes=%d", wqes, len(cqes))
 			}
 
-		case w.Opcode == OpRecv || w.Opcode > OpFlush:
-			// Invalid opcode on a send ring: error completion, always.
+		case w.Opcode == OpRecv || w.Opcode == OpWriteImm+1 || w.Opcode > OpFlush:
+			// Invalid opcode on a send ring (OpWriteImm+1 is the retired
+			// READ's value): error completion, always.
 			if wqes != 1 || len(cqes) != 1 || cqes[0].Status != StatusLocalError {
 				t.Fatalf("invalid opcode %d: wqes=%d cqes=%v", w.Opcode, wqes, cqes)
 			}
@@ -137,7 +136,7 @@ func FuzzWQEDecode(f *testing.F) {
 			}
 		}
 		// Remaining opcodes (SEND may retry RNR forever, WAIT may park,
-		// READ/CAS/FLUSH/MEMCPY race the horizon) assert only the global
+		// CAS/FLUSH/MEMCPY race the horizon) assert only the global
 		// invariants above: no panic, bounded completions, bounded memory.
 	})
 }

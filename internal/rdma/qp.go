@@ -38,7 +38,6 @@ const (
 	inSend inKind = iota + 1
 	inWrite
 	inWriteImm
-	inRead
 	inFlush
 	inCAS
 )
@@ -449,14 +448,6 @@ func (q *QP) execute(w WQE) {
 			imm:     w.Imm,
 		}, len(payload))
 
-	case OpRead:
-		q.issueRemote(w, inMsg{
-			kind:   inRead,
-			addr:   w.Remote,
-			length: w.Len,
-			rkey:   w.Aux1,
-		}, 0)
-
 	case OpFlush:
 		q.issueRemote(w, inMsg{
 			kind:   inFlush,
@@ -483,7 +474,7 @@ func (q *QP) execute(w WQE) {
 
 // issueRemote transmits msg to the peer, registers the pending completion,
 // and advances the ring after the engine occupancy. Response
-// post-processing (READ/CAS results landing in requester memory) is
+// post-processing (a CAS result landing in requester memory) is
 // dispatched from the stored WQE in completePending, so issuing an op
 // allocates nothing.
 func (q *QP) issueRemote(w WQE, msg inMsg, wireBytes int) {
@@ -499,22 +490,15 @@ func (q *QP) issueRemote(w WQE, msg inMsg, wireBytes int) {
 }
 
 // completePending resolves one issued remote op with its response: a
-// READ/CAS response payload (a pooled scratch buffer owned by handleAck)
-// is copied into requester memory first, then the send completion is
+// CAS response payload (a pooled scratch buffer owned by handleAck) is
+// copied into requester memory first, then the send completion is
 // pushed with the resulting status.
 func (q *QP) completePending(op pendingOp, st Status, payload []byte) {
-	if st == StatusSuccess {
-		switch op.wqe.Opcode {
-		case OpRead:
-			if err := q.nic.mem.Write(int(op.wqe.Local), payload); err != nil {
-				st = StatusLocalError
-			}
-		case OpCAS:
-			if len(payload) != 8 {
-				st = StatusLocalError
-			} else if err := q.nic.mem.Write(int(op.wqe.Local), payload); err != nil {
-				st = StatusLocalError
-			}
+	if st == StatusSuccess && op.wqe.Opcode == OpCAS {
+		if len(payload) != 8 {
+			st = StatusLocalError
+		} else if err := q.nic.mem.Write(int(op.wqe.Local), payload); err != nil {
+			st = StatusLocalError
 		}
 	}
 	q.pushSendCompletion(op.wqe, st, len(payload))
@@ -597,7 +581,7 @@ func (q *QP) handleAck(ep uint64, seq uint64, st Status, payload []byte) {
 	}
 	op := q.pending.PopFront()
 	q.completePending(op, st, payload)
-	// Response payloads (READ/CAS results) are consumed by completePending;
+	// Response payloads (CAS results) are consumed by completePending;
 	// recycle the scratch buffer.
 	q.nic.fabric.putBuf(payload)
 	q.rearmOrStopAckTimer()
@@ -760,17 +744,6 @@ func (q *QP) applyInbound(m inMsg) (Status, []byte, sim.Duration) {
 			Imm: m.imm, ByteLen: len(m.payload),
 		})
 		return StatusSuccess, nil, 0
-
-	case inRead:
-		if _, err := n.lookupMR(m.rkey, m.addr, m.length, AccessRemoteRead); err != nil {
-			return StatusRemoteAccessError, nil, 0
-		}
-		buf := n.fabric.getBuf(int(m.length))
-		if err := n.mem.Read(int(m.addr), buf); err != nil {
-			n.fabric.putBuf(buf)
-			return StatusRemoteAccessError, nil, 0
-		}
-		return StatusSuccess, buf, 0
 
 	case inFlush:
 		mr, err := n.lookupMR(m.rkey, m.addr, m.length, AccessRemoteRead)

@@ -115,7 +115,7 @@ func TestSlotAddrWraps(t *testing.T) {
 }
 
 func TestOpcodeStatusStrings(t *testing.T) {
-	ops := []Opcode{OpNop, OpSend, OpRecv, OpWrite, OpWriteImm, OpRead, OpCAS, OpWait, OpMemcpy, OpFlush, Opcode(99)}
+	ops := []Opcode{OpNop, OpSend, OpRecv, OpWrite, OpWriteImm, OpCAS, OpWait, OpMemcpy, OpFlush, Opcode(99)}
 	for _, o := range ops {
 		if o.String() == "" {
 			t.Fatalf("empty opcode string for %d", uint8(o))
@@ -185,24 +185,6 @@ func TestRDMAWriteIsNotDurableUntilFlush(t *testing.T) {
 	_ = p.nb.Memory().ReadDurable(bufB, durable)
 	if !bytes.Equal(durable, data) {
 		t.Fatal("flush did not persist RDMA WRITE data")
-	}
-}
-
-func TestRDMAReadFetchesRemote(t *testing.T) {
-	p := newTestPair(t)
-	data := []byte("remote bytes to fetch")
-	_ = p.nb.Memory().Write(bufB, data)
-	if _, err := p.qa.PostSend(WQE{
-		Opcode: OpRead, Flags: FlagSignaled,
-		Local: bufA, Len: uint64(len(data)), Remote: bufB, Aux1: p.mrb.RKey,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p.run(t)
-	got := make([]byte, len(data))
-	_ = p.na.Memory().Read(bufA, got)
-	if !bytes.Equal(got, data) {
-		t.Fatalf("read back %q, want %q", got, data)
 	}
 }
 
@@ -362,8 +344,12 @@ func TestRemoteAccessViolationsError(t *testing.T) {
 	fab := NewFabric(k, DefaultConfig())
 	na, _ := fab.AddNIC("a", nvm.NewDevice("a", memSize))
 	nb, _ := fab.AddNIC("b", nvm.NewDevice("b", memSize))
-	// Register only a narrow, read-only window on b.
+	// Register only narrow windows on b: one read-only, one write-only.
 	mrb, err := nb.RegisterMR(bufB, 128, AccessRemoteRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mrw, err := nb.RegisterMR(bufB+256, 128, AccessRemoteWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +361,10 @@ func TestRemoteAccessViolationsError(t *testing.T) {
 	cases := []WQE{
 		// Write to read-only MR.
 		{Opcode: OpWrite, Flags: FlagSignaled, Local: bufA, Len: 8, Remote: bufB, Aux1: mrb.RKey},
-		// Read outside the window.
-		{Opcode: OpRead, Flags: FlagSignaled, Local: bufA, Len: 8, Remote: bufB + 1000, Aux1: mrb.RKey},
+		// Write outside the writable window.
+		{Opcode: OpWrite, Flags: FlagSignaled, Local: bufA, Len: 8, Remote: bufB + 1000, Aux1: mrw.RKey},
 		// Unknown rkey.
-		{Opcode: OpRead, Flags: FlagSignaled, Local: bufA, Len: 8, Remote: bufB, Aux1: 999},
+		{Opcode: OpWrite, Flags: FlagSignaled, Local: bufA, Len: 8, Remote: bufB + 256, Aux1: 999},
 		// CAS without atomic rights.
 		{Opcode: OpCAS, Flags: FlagSignaled, Local: bufA, Remote: bufB, Aux1: mrb.RKey},
 	}

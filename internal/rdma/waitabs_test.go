@@ -88,7 +88,7 @@ func TestRandomProgramsNeverCorrupt(t *testing.T) {
 
 		posted := 0
 		for i := 0; i < 40; i++ {
-			op := []Opcode{OpWrite, OpRead, OpSend, OpCAS, OpNop, OpFlush}[rng.Intn(6)]
+			op := []Opcode{OpWrite, OpSend, OpCAS, OpNop, OpFlush}[rng.Intn(5)]
 			addr := uint64(rng.Intn(memSize))
 			length := uint64(rng.Intn(512))
 			w := WQE{

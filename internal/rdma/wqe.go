@@ -28,7 +28,7 @@ const (
 	OpRecv // only used in completion reporting; recv WQEs are posted via PostRecv
 	OpWrite
 	OpWriteImm
-	OpRead
+	_ // 6 was READ: no op takes the value, so ring bytes keep their meaning
 	OpCAS
 	OpWait
 	OpMemcpy
@@ -48,8 +48,6 @@ func (o Opcode) String() string {
 		return "WRITE"
 	case OpWriteImm:
 		return "WRITE_WITH_IMM"
-	case OpRead:
-		return "READ"
 	case OpCAS:
 		return "CAS"
 	case OpWait:
@@ -89,7 +87,7 @@ const (
 	wqeOffOpcode  = 0
 	wqeOffFlags   = 1
 	wqeOffImm     = 4  // imm data / WAIT completions-to-consume
-	wqeOffLocal   = 8  // local address (source for SEND/WRITE/MEMCPY, dest for READ/CAS result)
+	wqeOffLocal   = 8  // local address (source for SEND/WRITE/MEMCPY, dest for the CAS result)
 	wqeOffLen     = 16 // byte length
 	wqeOffRemote  = 24 // remote address (dest for WRITE/MEMCPY-dst/CAS target)
 	wqeOffCompare = 32 // CAS compare value

@@ -19,68 +19,35 @@ func (s *Store) ViewData(off, n int) ([]byte, error) {
 	return s.r.ViewLocal(s.dataOff+off, n)
 }
 
-// logRecord pairs a decoded record with its position in the log ring.
-type logRecord struct {
-	pos int
-	rec wal.DecodedRecord
-}
-
-// scanLog walks valid records from head to tail on the client's current
-// view, skipping pads and wraps. It returns the valid prefix and, if the
-// walk hit a torn/corrupt record before reaching tail, the position where
-// validity ended.
-func (s *Store) scanLog() (recs []logRecord, validEnd int, torn bool, err error) {
+// walkLog walks the pending records on the client's current view
+// (wal.Walk): visit gets each one in log order, its bytes valid until the
+// next read of the mirror. It returns where the valid prefix ends and
+// whether the walk stopped there at a torn or malformed record or pad
+// before the tail.
+func (s *Store) walkLog(visit func(pos int, rec wal.DecodedRecord, img []byte) bool) (validEnd int, torn bool, err error) {
 	head, err := s.Head()
 	if err != nil {
-		return nil, 0, false, err
+		return 0, false, err
 	}
 	tail, err := s.Tail()
 	if err != nil {
-		return nil, 0, false, err
+		return 0, false, err
 	}
-	p := head
-	for p != tail {
-		if s.wrapAt(p) {
-			p = 0
-			continue
-		}
-		strip, err := s.r.ViewLocal(s.logOff+p, min(wal.PadHeaderSize, s.cfg.LogSize-p))
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if padLen, ok := wal.IsPad(strip); ok {
-			p += padLen
-			if p >= s.cfg.LogSize || s.wrapAt(p) {
-				p = 0
-			}
-			continue
-		}
-		img, err := s.recordImage(p)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		rec, derr := wal.Decode(img, nil)
-		if derr != nil {
-			return recs, p, true, nil
-		}
-		recs = append(recs, logRecord{pos: p, rec: rec})
-		p += rec.Size
-		if s.wrapAt(p) {
-			p = 0
-		}
+	validEnd, err = wal.Walk(s.cfg.LogSize, head, tail, s.viewLog, nil, visit)
+	if errors.Is(err, wal.ErrCorrupt) {
+		return validEnd, true, nil
 	}
-	return recs, p, false, nil
+	return validEnd, false, err
 }
 
 // PendingSeqs returns the sequence numbers of valid, unexecuted records.
 func (s *Store) PendingSeqs() ([]uint64, error) {
-	recs, _, _, err := s.scanLog()
-	if err != nil {
+	seqs := []uint64{}
+	if _, _, err := s.walkLog(func(_ int, rec wal.DecodedRecord, _ []byte) bool {
+		seqs = append(seqs, rec.Seq)
+		return true
+	}); err != nil {
 		return nil, err
-	}
-	seqs := make([]uint64, len(recs))
-	for i, lr := range recs {
-		seqs[i] = lr.rec.Seq
 	}
 	return seqs, nil
 }
@@ -91,23 +58,24 @@ func (s *Store) PendingSeqs() ([]uint64, error) {
 // on the whole group. It returns the number of valid pending records and
 // whether a repair was needed. The caller typically runs ExecuteAll next.
 func (s *Store) RepairLog(f *sim.Fiber) (valid int, repaired bool, err error) {
-	recs, validEnd, torn, err := s.scanLog()
+	next := s.nextSeq
+	validEnd, torn, err := s.walkLog(func(_ int, rec wal.DecodedRecord, _ []byte) bool {
+		valid++
+		next = max(next, rec.Seq+1)
+		return true
+	})
 	if err != nil {
 		return 0, false, err
 	}
 	if torn {
 		if err := s.writePtr(f, ctrlTailPtr, validEnd); err != nil {
-			return len(recs), false, fmt.Errorf("%w: %v", ErrRecovered, err)
+			return valid, false, fmt.Errorf("%w: %v", ErrRecovered, err)
 		}
 		repaired = true
 	}
 	// Restore the client's next sequence past anything still in the log.
-	for _, lr := range recs {
-		if lr.rec.Seq >= s.nextSeq {
-			s.nextSeq = lr.rec.Seq + 1
-		}
-	}
-	return len(recs), repaired, nil
+	s.nextSeq = next
+	return valid, repaired, nil
 }
 
 // Recover repairs the log and re-executes every pending record — the full
@@ -124,25 +92,17 @@ func (s *Store) Recover(f *sim.Fiber) (int, error) {
 // materializing entry data (copies). Used by stores that replay the log
 // into in-memory structures during recovery.
 func (s *Store) VisitPending(fn func(seq uint64, entries []wal.Entry) error) error {
-	recs, _, _, err := s.scanLog()
-	if err != nil {
-		return err
+	var ferr error
+	_, _, err := s.walkLog(func(_ int, rec wal.DecodedRecord, img []byte) bool {
+		entries := make([]wal.Entry, len(rec.Entries))
+		for i, e := range rec.Entries {
+			entries[i] = wal.Entry{Off: e.Off, Data: append([]byte(nil), rec.Data(img, e)...)}
+		}
+		ferr = fn(rec.Seq, entries)
+		return ferr == nil
+	})
+	if ferr != nil {
+		return ferr
 	}
-	for _, lr := range recs {
-		img, err := s.r.ViewLocal(s.logOff+lr.pos, lr.rec.Size)
-		if err != nil {
-			return err
-		}
-		entries := make([]wal.Entry, len(lr.rec.Entries))
-		for i, e := range lr.rec.Entries {
-			entries[i] = wal.Entry{
-				Off:  e.Off,
-				Data: append([]byte(nil), lr.rec.Data(img, e)...),
-			}
-		}
-		if err := fn(lr.rec.Seq, entries); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }

@@ -893,7 +893,8 @@ func TestStepRespectsWindow(t *testing.T) {
 			size := (&wal.Record{Entries: []wal.Entry{{Data: payload}}}).EncodedSize()
 			for wrapped := false; !wrapped; {
 				tail, _ := rig.st.Tail()
-				wrapped = tail+size > testLog && testLog-tail >= wal.PadHeaderSize
+				_, pad, _, _ := wal.Place(testLog, tail, tail, size)
+				wrapped = pad > 0
 				if _, err := rig.st.Append(f, []wal.Entry{{Off: 0, Data: payload}}); err != nil {
 					t.Errorf("append at tail %d: %v", tail, err)
 					return

@@ -107,7 +107,7 @@ type Store struct {
 // The mirror must be at least ctrl+LogSize+DataSize bytes (the caller
 // configured the group's MirrorSize accordingly).
 func New(r Replicator, cfg Config) (*Store, error) {
-	if cfg.LogSize <= 2*wal.PadHeaderSize || cfg.DataSize <= 0 {
+	if cfg.LogSize <= 0 || cfg.DataSize <= 0 {
 		return nil, fmt.Errorf("%w: log and data sizes must be positive", ErrBadArgument)
 	}
 	if cfg.LockToken == 0 {
@@ -317,10 +317,6 @@ func (s *Store) LogUsed() (int, error) {
 	return (tail - head + s.cfg.LogSize) % s.cfg.LogSize, nil
 }
 
-// wrapAt reports whether position p is inside the implicit-wrap strip at
-// the end of the ring (too small to hold even a pad marker).
-func (s *Store) wrapAt(p int) bool { return s.cfg.LogSize-p < wal.PadHeaderSize }
-
 // inData reports whether [off, off+n) lies inside the data region; it
 // cannot overflow, and rejects negative offsets and sizes.
 func (s *Store) inData(off, n int) bool {
@@ -399,9 +395,6 @@ func (s *Store) appendThen(f *sim.Fiber, entries []wal.Entry, stage func() error
 	}
 	rec := wal.Record{Seq: s.nextSeq, Entries: entries}
 	size := rec.EncodedSize()
-	if size >= s.cfg.LogSize-wal.PadHeaderSize {
-		return 0, nil, fmt.Errorf("%w: record of %d bytes exceeds log", ErrBadArgument, size)
-	}
 	head, err := s.Head()
 	if err != nil {
 		return 0, nil, err
@@ -410,39 +403,25 @@ func (s *Store) appendThen(f *sim.Fiber, entries []wal.Entry, stage func() error
 	if err != nil {
 		return 0, nil, err
 	}
-	tail := oldTail
-	free := s.cfg.LogSize - ((tail - head + s.cfg.LogSize) % s.cfg.LogSize) - 1
-	needsWrap := tail+size > s.cfg.LogSize
-	need := size
-	if needsWrap {
-		need += s.cfg.LogSize - tail // the pad / wrap strip
-	}
-	if need > free {
+	pos, padLen, newTail, err := wal.Place(s.cfg.LogSize, head, oldTail, size)
+	switch {
+	case errors.Is(err, wal.ErrFull):
 		return 0, nil, ErrLogFull
+	case err != nil:
+		return 0, nil, fmt.Errorf("%w: record of %d bytes exceeds log", ErrBadArgument, size)
 	}
-	if needsWrap {
-		padLen := s.cfg.LogSize - tail
-		if padLen >= wal.PadHeaderSize {
-			pad := s.scratch(padLen)
-			clear(pad)
-			if err := wal.EncodePad(pad, padLen); err != nil {
-				return 0, nil, err
-			}
-			s.stage(s.logOff+tail, pad)
-			s.postWrite(f, s.logOff+tail, wal.PadHeaderSize)
-		}
-		tail = 0
+	if padLen > 0 {
+		pad := s.scratch(padLen)
+		n := wal.EncodePad(pad)
+		s.stage(s.logOff+oldTail, pad)
+		s.postWrite(f, s.logOff+oldTail, n)
 	}
 	buf := s.scratch(size)
 	if _, err := rec.Encode(buf); err != nil && s.stepErr == nil {
 		s.stepErr = err
 	}
-	s.stage(s.logOff+tail, buf)
-	s.postWrite(f, s.logOff+tail, size)
-	newTail := tail + size
-	if s.wrapAt(newTail) {
-		newTail = 0
-	}
+	s.stage(s.logOff+pos, buf)
+	s.postWrite(f, s.logOff+pos, size)
 	s.stagePtr(ctrlTailPtr, newTail)
 	var sig *sim.Signal
 	if stage == nil {
@@ -473,19 +452,10 @@ func (s *Store) scratch(n int) []byte {
 	return s.encBuf[:n]
 }
 
-// recordImage returns the log bytes wal.Decode needs for the record at ring
-// position p: the record alone when its framing says where it ends, the
-// rest of the ring otherwise. Reading a record therefore costs its own
-// size, however large the log is.
-func (s *Store) recordImage(p int) ([]byte, error) {
-	n, err := wal.Extent(s.cfg.LogSize-p, func(pos, n int) ([]byte, error) {
-		return s.r.ViewLocal(s.logOff+p+pos, n)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s.r.ViewLocal(s.logOff+p, n)
-}
+// viewLog is wal.Walk's fetch over the client's mirror of the log ring:
+// each read is a view, so reading a record costs its own size, however
+// large the log is.
+func (s *Store) viewLog(pos, n int) ([]byte, error) { return s.r.ViewLocal(s.logOff+pos, n) }
 
 // ExecuteAndAdvance processes the record at the log head: one gMEMCPY +
 // gFLUSH per entry moves the data from the log region into the database
@@ -506,50 +476,28 @@ func (s *Store) executeHead(f *sim.Fiber, token uint64) (seq uint64, released bo
 	if err != nil {
 		return 0, false, err
 	}
-	head := oldHead
 	tail, err := s.Tail()
 	if err != nil {
 		return 0, false, err
 	}
-	for {
-		if head == tail {
-			return 0, false, ErrLogEmpty
-		}
-		if s.wrapAt(head) {
-			head = 0
-			continue
-		}
-		strip, err := s.r.ViewLocal(s.logOff+head, min(wal.PadHeaderSize, s.cfg.LogSize-head))
-		if err != nil {
-			return 0, false, err
-		}
-		if padLen, ok := wal.IsPad(strip); ok {
-			head += padLen
-			if s.wrapAt(head) || head >= s.cfg.LogSize {
-				head = 0
-			}
-			continue
-		}
-		break
-	}
-	img, err := s.recordImage(head)
-	if err != nil {
-		return 0, false, err
-	}
-	rec, err := wal.Decode(img, s.entries)
-	if err != nil {
+	at := 0
+	var rec wal.DecodedRecord // Size 0: the walk met no record
+	newHead, err := wal.Walk(s.cfg.LogSize, oldHead, tail, s.viewLog, s.entries, func(pos int, r wal.DecodedRecord, _ []byte) bool {
+		at, rec = pos, r
+		return false
+	})
+	switch {
+	case err != nil:
 		return 0, false, fmt.Errorf("execute: %w", err)
+	case rec.Size == 0:
+		return 0, false, ErrLogEmpty
 	}
 	s.entries = rec.Entries
 	for _, e := range rec.Entries {
 		if e.Len == 0 {
 			continue
 		}
-		s.postMemcpy(f, s.logOff+head+e.DataPos, s.dataOff+e.Off, e.Len)
-	}
-	newHead := head + rec.Size
-	if s.wrapAt(newHead) {
-		newHead = 0
+		s.postMemcpy(f, s.logOff+at+e.DataPos, s.dataOff+e.Off, e.Len)
 	}
 	s.stagePtr(ctrlHeadPtr, newHead)
 	if released = token != 0 && newHead == tail; released {

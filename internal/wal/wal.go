@@ -1,11 +1,20 @@
-// Package wal defines the write-ahead-log record format used by the
-// replicated transaction layer (§5, "Log Replication"): each record is a
-// redo log structured as a list of modifications, where each entry is a
-// (data, len, offset) tuple meaning "copy data of length len to offset in
-// the database". Records carry a CRC so recovery can reject torn writes.
+// Package wal is the write-ahead log of the replicated transaction layer
+// (§5, "Log Replication"), and the only owner of its layout. Each record
+// is a redo log structured as a list of modifications, where each entry is
+// a (data, len, offset) tuple meaning "copy data of length len to offset
+// in the database". Records carry a CRC so recovery can reject torn
+// writes.
 //
-// The package is pure data structure: encoding, decoding, and scanning a
-// circular log region. Replication of the bytes is the txn package's job.
+// The records live in a circular log region, the ring. Its live records
+// are [head, tail) in ring order. A record that does not fit before the
+// ring's end goes at 0; the bytes it skips are a pad marker when they can
+// hold one, and otherwise the wrap strip, which readers skip unmarked. One
+// byte of the ring is always kept free, so a full ring never reads as an
+// empty one. Writers ask Place where a record goes, readers walk the ring
+// with Walk; no other package computes a wrap or reads a pad.
+//
+// The package is pure data structure. Replication of the bytes is the txn
+// package's job.
 package wal
 
 import (
@@ -30,6 +39,7 @@ const (
 var (
 	ErrCorrupt  = errors.New("wal: corrupt record")
 	ErrTooSmall = errors.New("wal: buffer too small")
+	ErrFull     = errors.New("wal: ring full")
 )
 
 // Entry is one modification: Data is copied to database offset Off.
@@ -135,15 +145,15 @@ func Decode(buf []byte, entries []DecodedEntry) (DecodedRecord, error) {
 	return d, nil
 }
 
-// Extent returns how many bytes of a log image Decode needs to parse the
+// extent returns how many bytes of a log image Decode needs to parse the
 // record at its start. The image is limit bytes long and is reached only
 // through fetch, which returns bytes [pos, pos+n) of it, so a caller whose
 // image is expensive to copy (the rest of a log ring) pays for the record's
 // header and entry headers, not for the image. When the framing does not
-// lead to a record end inside the image, Extent returns limit: Decode then
+// lead to a record end inside the image, extent returns limit: Decode then
 // sees the whole image and reports the damage as it always has. The only
 // errors are fetch's.
-func Extent(limit int, fetch func(pos, n int) ([]byte, error)) (int, error) {
+func extent(limit int, fetch func(pos, n int) ([]byte, error)) (int, error) {
 	if limit < recHeaderSize+recTrailerSize {
 		return limit, nil
 	}
@@ -172,58 +182,132 @@ func Extent(limit int, fetch func(pos, n int) ([]byte, error)) (int, error) {
 	return p + recTrailerSize, nil
 }
 
-// EncodePad writes a pad marker filling length bytes (the unusable tail of
-// the region before a wrap). length must be at least padHeaderSize.
-func EncodePad(buf []byte, length int) error {
-	if length < padHeaderSize || len(buf) < length {
-		return ErrTooSmall
+// Place returns where a record of n bytes goes in a ring of size bytes
+// whose live records are [head, tail): at, and next, the tail after it.
+// When the record does not fit before the ring's end it goes at 0, and pad
+// is the length of the pad marker to write at tail first (EncodePad), or 0
+// when the skipped bytes are the wrap strip. Place fails with ErrTooSmall
+// when no such ring can ever hold the record, and with ErrFull when this
+// one cannot hold it until its head moves.
+func Place(size, head, tail, n int) (at, pad, next int, err error) {
+	if n >= size-padHeaderSize {
+		return 0, 0, 0, ErrTooSmall
 	}
+	at, need := tail, n
+	if tail+n > size {
+		at, need = 0, n+size-tail
+		if size-tail >= padHeaderSize {
+			pad = size - tail
+		}
+	}
+	if next = wrapped(size, at+n); next == 0 {
+		need += size - at - n // the wrap strip behind the record
+	}
+	if used := (tail - head + size) % size; need > size-used-1 {
+		return 0, 0, 0, ErrFull
+	}
+	return at, pad, next, nil
+}
+
+// wrapped returns ring position p, or 0 when p is in the wrap strip.
+func wrapped(size, p int) int {
+	if size-p < padHeaderSize {
+		return 0
+	}
+	return p
+}
+
+// EncodePad fills buf, the bytes Place said a pad takes, with a pad marker
+// and returns how many leading bytes of it a reader looks at: the ones the
+// log must hold. The rest of buf is zeroed.
+func EncodePad(buf []byte) int {
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf[0:], magicPad)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(length))
-	return nil
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(buf)))
+	return padHeaderSize
 }
 
-// PadHeaderSize is the minimum size of a pad marker.
-const PadHeaderSize = padHeaderSize
-
-// IsPad reports whether a pad marker starts at buf, and its length.
-func IsPad(buf []byte) (int, bool) {
-	if len(buf) < padHeaderSize {
-		return 0, false
+// Walk reads the records of a ring of size bytes from head to tail, in
+// order, through fetch alone: fetch(pos, n) returns ring bytes
+// [pos, pos+n). Walk asks it only for bytes inside the ring, and only for
+// the headers and the records it reads, so a caller whose ring is
+// expensive to copy pays for the records, not for the ring. visit gets
+// each record's ring position, its decoding (entries built in entries[:0])
+// and its bytes, which last until fetch is next called; returning false
+// stops the walk behind that record. tail may equal size: the walk then
+// runs to the ring's end, a whole lap when head is 0.
+//
+// Walk returns where it stopped: tail; or the position after the record
+// visit stopped at (0 when that is the wrap strip); or the start of the
+// damage, with an error wrapping ErrCorrupt. Damage is a head or tail
+// outside the ring, a tail inside the wrap strip, a pad shorter than its
+// marker or running past the ring's end, a record that Decode rejects, and
+// a record or pad running past tail. What Walk visited before it is the
+// valid prefix. An error from fetch is returned as it is.
+func Walk(size, head, tail int, fetch func(pos, n int) ([]byte, error), entries []DecodedEntry,
+	visit func(pos int, rec DecodedRecord, img []byte) bool) (int, error) {
+	if head < 0 || head >= size || tail < 0 || tail > size {
+		return head, fmt.Errorf("%w: head %d, tail %d outside a %d-byte ring", ErrCorrupt, head, tail, size)
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != magicPad {
-		return 0, false
+	left := tail - head // the bytes from p to tail
+	if left < 0 {
+		left += size
 	}
-	return int(binary.LittleEndian.Uint32(buf[4:])), true
+	for p := head; left > 0; {
+		if strip := size - p; strip < padHeaderSize {
+			if strip > left {
+				return p, fmt.Errorf("%w: tail %d inside the wrap strip", ErrCorrupt, tail)
+			}
+			p, left = 0, left-strip
+			continue
+		}
+		hdr, err := fetch(p, padHeaderSize)
+		if err != nil {
+			return p, err
+		}
+		if binary.LittleEndian.Uint32(hdr) == magicPad {
+			n := int(binary.LittleEndian.Uint32(hdr[4:]))
+			if n < padHeaderSize || n > size-p || n > left {
+				return p, fmt.Errorf("%w: pad of %d bytes at %d", ErrCorrupt, n, p)
+			}
+			p, left = p+n, left-n
+			continue
+		}
+		n, err := extent(min(size-p, left), func(pos, n int) ([]byte, error) { return fetch(p+pos, n) })
+		if err != nil {
+			return p, err
+		}
+		img, err := fetch(p, n)
+		if err != nil {
+			return p, err
+		}
+		rec, err := Decode(img, entries)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				err = fmt.Errorf("%w: %d-byte record at %d: %v", ErrCorrupt, n, p, err)
+			}
+			return p, err
+		}
+		if !visit(p, rec, img) {
+			return wrapped(size, p+rec.Size), nil
+		}
+		p, left = p+rec.Size, left-rec.Size
+	}
+	return tail, nil
 }
 
-// Scan walks the log image from head to tail (both byte offsets within
-// img, head possibly behind tail after wrap is NOT supported here — the
-// caller passes logical positions via the ring view) and returns all valid
-// records in order. Scanning stops at the first corrupt record, which is
-// how recovery rejects torn tails.
+// Scan returns the valid records of the ring img from head to tail, in
+// order, with their positions (Walk). Scanning stops at the first damage,
+// which is how recovery rejects torn tails: the records before it are
+// returned with Walk's error.
 func Scan(img []byte, head, tail int) ([]DecodedRecord, []int, error) {
 	var recs []DecodedRecord
 	var positions []int
-	p := head
-	for p != tail {
-		if p > len(img) || p < 0 {
-			return recs, positions, fmt.Errorf("%w: scan out of bounds", ErrCorrupt)
-		}
-		if padLen, ok := IsPad(img[p:]); ok {
-			p += padLen
-			if p >= len(img) {
-				p = 0
-			}
-			continue
-		}
-		d, err := Decode(img[p:], nil)
-		if err != nil {
-			return recs, positions, err
-		}
-		recs = append(recs, d)
-		positions = append(positions, p)
-		p += d.Size
-	}
-	return recs, positions, nil
+	fetch := func(pos, n int) ([]byte, error) { return img[pos : pos+n], nil }
+	_, err := Walk(len(img), head, tail, fetch, nil, func(pos int, rec DecodedRecord, _ []byte) bool {
+		recs = append(recs, rec)
+		positions = append(positions, pos)
+		return true
+	})
+	return recs, positions, err
 }

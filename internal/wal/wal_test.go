@@ -79,20 +79,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// ringFetch is Walk's fetch over a ring held in one slice.
+func ringFetch(ring []byte) func(pos, n int) ([]byte, error) {
+	return func(pos, n int) ([]byte, error) { return ring[pos : pos+n], nil }
+}
+
 func TestPadMarkers(t *testing.T) {
-	buf := make([]byte, 64)
-	if err := EncodePad(buf, 64); err != nil {
-		t.Fatal(err)
+	buf := bytes.Repeat([]byte{0xEE}, 64)
+	if n := EncodePad(buf); n != padHeaderSize {
+		t.Fatalf("EncodePad = %d, want the %d-byte marker", n, padHeaderSize)
 	}
-	n, ok := IsPad(buf)
-	if !ok || n != 64 {
-		t.Fatalf("pad = %d,%v", n, ok)
+	// A ring of one pad and nothing else: the walk skips it whole.
+	end, err := Walk(len(buf), 0, len(buf), ringFetch(buf), nil, func(int, DecodedRecord, []byte) bool {
+		t.Fatal("a pad walked as a record")
+		return false
+	})
+	if err != nil || end != len(buf) {
+		t.Fatalf("walk over a pad = %d, %v", end, err)
 	}
-	if err := EncodePad(buf, 2); !errors.Is(err, ErrTooSmall) {
-		t.Fatalf("tiny pad err = %v", err)
-	}
-	if _, ok := IsPad(buf[:2]); ok {
-		t.Fatal("short buffer recognized as pad")
+	if !bytes.Equal(buf[padHeaderSize:], make([]byte, len(buf)-padHeaderSize)) {
+		t.Fatal("pad body not zeroed")
 	}
 }
 
@@ -109,9 +115,7 @@ func TestScanWalksRecordsAndPads(t *testing.T) {
 		p += n
 		seqs = append(seqs, uint64(i+1))
 		if i == 2 { // insert a pad mid-stream
-			if err := EncodePad(img[p:], 32); err != nil {
-				t.Fatal(err)
-			}
+			EncodePad(img[p : p+32])
 			p += 32
 		}
 	}
@@ -203,8 +207,8 @@ func TestCorruptionDetectionProperty(t *testing.T) {
 	}
 }
 
-// TestExtentAgreesWithDecode is Extent's contract: Decode gives the same
-// verdict on the image cut at Extent as on the whole image — for intact
+// TestExtentAgreesWithDecode is extent's contract: Decode gives the same
+// verdict on the image cut at extent as on the whole image — for intact
 // records followed by other log bytes, for every single-bit flip of one,
 // and for images too short to hold a record — and an intact record is sized
 // from its headers alone.
@@ -218,7 +222,7 @@ func TestExtentAgreesWithDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	agree := func(img []byte) (fetched int, ok bool) {
-		n, err := Extent(len(img), func(pos, n int) ([]byte, error) {
+		n, err := extent(len(img), func(pos, n int) ([]byte, error) {
 			fetched += n
 			return img[pos : pos+n], nil
 		})
@@ -251,7 +255,7 @@ func TestExtentAgreesWithDecode(t *testing.T) {
 	boom := errors.New("boom")
 	for failAt := 0; failAt < 2; failAt++ {
 		calls := 0
-		_, err := Extent(len(good), func(pos, n int) ([]byte, error) {
+		_, err := extent(len(good), func(pos, n int) ([]byte, error) {
 			if calls++; calls > failAt {
 				return nil, boom
 			}
