@@ -258,13 +258,13 @@ stage_test() {
     step "coverage internal/experiments >=85" covercheck 85 ./internal/experiments
     step "coverage internal/shard >=85" covercheck 85 ./internal/shard
     step "coverage internal/txn >=85" covercheck 85 ./internal/txn
-    step "coverage internal/protocol >=90" covercheck 90 ./internal/protocol
+    step "coverage internal/protocol >=93" covercheck 93 ./internal/protocol
     step "coverage internal/topo >=85" covercheck 85 ./internal/topo
     step "coverage internal/chain >=85" covercheck 85 ./internal/chain
     step "coverage internal/docstore >=85" covercheck 85 ./internal/docstore
     step "coverage internal/kvstore >=85" covercheck 85 ./internal/kvstore
     step "coverage internal/wal >=95" covercheck 95 ./internal/wal
-    step "coverage datapaths (hyperloop, naive) >=85" covercheck 85 \
+    step "coverage datapaths (hyperloop, naive) >=88" covercheck 88 \
         ./internal/hyperloop,./internal/naive \
         ./internal/hyperloop ./internal/naive ./internal/experiments
     # The committed baseline must decode against the -json schema

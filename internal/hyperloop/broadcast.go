@@ -36,32 +36,30 @@ import (
 type BroadcastGroup struct {
 	*protocol.Group
 
-	params protocol.Params // checked: Depth is the window
-	quorum int             // member acks that complete a write/memcpy/flush
-	hosts  []*protocol.Host
+	quorum int // member acks that complete a write/memcpy/flush
 
-	client  *rdma.NIC
-	qpFan   []*rdma.QP // per-member data WRITE + metadata SEND
-	qpAckIn []*rdma.QP // per-member ack receive side
-	ackOff  uint64     // client ack slots: per member, per depth slot
-	metaOff uint64     // per-member per-op metadata staging
-
+	qpFan   []*rdma.QP     // per-member data WRITE + metadata SEND
+	qpAckIn []*rdma.QP     // per-member ack receive side
+	ackRecv [][][]rdma.SGE // qpAckIn[j]'s scatter lists by seq % Depth
+	ackOff  uint64         // client ack slots: per member, per depth slot
+	metaOff uint64         // per-member per-op metadata staging
 	members []*leafMember
+	acks    []bcastAckState // by seq % Depth
 
-	acks map[uint64]*bcastAckState
-
-	ackBuf []byte // ack decode scratch, reused across ACKs
+	ackBuf [fanAckLen]byte // ack decode scratch, reused across ACKs
 	// bmeta is Transmit's per-member metadata build scratch; every byte is
 	// rewritten for each member and copied into client memory.
 	bmeta [fanBackupMetaLen]byte
 }
 
-// bcastAckState accumulates member acks for one in-flight operation.
-// The entry outlives a timeout (late acks still land) and is dropped
-// once every member that was posted to has acked; with a dead member it
-// leaks until Close — bounded by the operation window, and exactly the
-// state a lease-based membership view would reap.
+// bcastAckState accumulates member acks for the operation a window slot
+// last carried. It outlives a timeout (late acks still land) and is
+// retired once every member that was posted to has acked; with a dead
+// member or a lost message it stays live until the slot's next operation
+// takes it over, so at most Depth are ever live.
 type bcastAckState struct {
+	seq     uint64
+	live    bool
 	need    int // acks required to complete
 	posted  int // members the op was actually sent to
 	got     int
@@ -73,7 +71,8 @@ type bcastAckState struct {
 }
 
 // SetupBroadcast builds a broadcast group over env's replicas with
-// policy p. quorum is the completion quorum (0 = all members).
+// policy p. quorum is the completion quorum (0 = all members). A Setup
+// that fails closes the group, so the NICs it claimed can host another.
 func SetupBroadcast(env protocol.Env, p protocol.Params, quorum int) (*BroadcastGroup, error) {
 	p, err := p.Check(len(env.Replicas))
 	if err == nil && (quorum < 0 || quorum > len(env.Replicas)) {
@@ -82,17 +81,28 @@ func SetupBroadcast(env protocol.Env, p protocol.Params, quorum int) (*Broadcast
 	if err != nil {
 		return nil, fmt.Errorf("hyperloop: broadcast setup: %w", err)
 	}
-	g := &BroadcastGroup{params: p, quorum: quorum, client: env.Client, acks: make(map[uint64]*bcastAckState)}
+	g := &BroadcastGroup{quorum: quorum}
 	g.Group = protocol.NewGroup(env, p, g)
-	if err := g.setupClient(len(env.Replicas)); err != nil {
+	if err := g.setup(env); err != nil {
+		g.Close()
 		return nil, err
 	}
+	return g, nil
+}
+
+func (g *BroadcastGroup) setup(env protocol.Env) error {
+	depth, n := g.Params().Depth, len(env.Replicas)
+	g.acks = make([]bcastAckState, depth)
+	for i := range g.acks {
+		g.acks[i].results, g.acks[i].seen = make([]uint64, n), make([]bool, n)
+	}
+	if err := g.setupClient(n); err != nil {
+		return err
+	}
 	for i, nic := range env.Replicas {
-		h := protocol.NewHost(nic, p.MirrorSize)
-		g.hosts = append(g.hosts, h)
-		m, err := setupLeafMember(h, p.Depth)
+		m, err := setupLeafMember(g.Host(nic), depth)
 		if err != nil {
-			return nil, fmt.Errorf("member %d: %w", i, err)
+			return fmt.Errorf("member %d: %w", i, err)
 		}
 		g.members = append(g.members, m)
 	}
@@ -100,59 +110,60 @@ func SetupBroadcast(env protocol.Env, p protocol.Params, quorum int) (*Broadcast
 		g.qpFan[j].Connect(m.qpPrev)
 		m.qpAck.Connect(g.qpAckIn[j])
 	}
-	for seq := uint64(0); seq < uint64(p.Depth); seq++ {
+	for seq := uint64(0); seq < uint64(depth); seq++ {
 		for j, m := range g.members {
 			if err := m.arm(seq); err != nil {
-				return nil, fmt.Errorf("arm member %d seq %d: %w", j, seq, err)
+				return fmt.Errorf("arm member %d seq %d: %w", j, seq, err)
 			}
 			g.postAckRecv(j, seq)
 		}
 	}
 	for _, m := range g.members {
-		reArmOn(m.qpAck.SendCQ(), g.Group, m.nic, p.Depth, m.arm)
+		reArmOn(m.qpAck.SendCQ(), g.Group, m.nic, depth, m.arm)
 	}
 	for j := range g.members {
-		j := j
 		g.qpAckIn[j].RecvCQ().SetDrainHandler(func(batch []rdma.CQE) {
 			for _, e := range batch {
 				g.onMemberAck(j, e)
 			}
 		})
 	}
-	return g, nil
+	return nil
 }
 
 func (g *BroadcastGroup) setupClient(n int) error {
-	h := protocol.NewHost(g.client, g.params.MirrorSize)
-	g.hosts = append(g.hosts, h)
-	g.metaOff = h.Region("meta", g.params.Depth*n*fanBackupMetaLen)
-	g.ackOff = h.Region("ack", g.params.Depth*n*fanAckLen)
+	depth := g.Params().Depth
+	h := g.Host(g.ClientNIC())
+	g.metaOff = h.Region("meta", depth*n*fanBackupMetaLen)
+	g.ackOff = h.Region("ack", depth*n*fanAckLen)
 	for j := 0; j < n; j++ {
-		g.qpFan = append(g.qpFan, h.QP(fmt.Sprintf("fan-ring-%d", j), 2*g.params.Depth, nil, nil))
+		g.qpFan = append(g.qpFan, h.QP(fmt.Sprintf("fan-ring-%d", j), 2*depth, nil, nil))
 		g.qpAckIn = append(g.qpAckIn, h.QP(fmt.Sprintf("ackin-ring-%d", j), 1, nil, nil))
+		// Member j's ack lands as [hdr][result] in its slot.
+		g.ackRecv = append(g.ackRecv, perSlot(depth, func(seq uint64) []rdma.SGE {
+			return []rdma.SGE{
+				{Addr: g.clientAckAddr(j, seq), Len: headerSize},
+				{Addr: g.clientAckAddr(j, seq) + headerSize, Len: resultEntry},
+			}
+		}))
 	}
 	return h.Err()
 }
 
 // clientAckAddr is member j's ack landing slot for op seq.
 func (g *BroadcastGroup) clientAckAddr(j int, seq uint64) uint64 {
-	return g.ackOff + (uint64(j)*uint64(g.params.Depth)+seq%uint64(g.params.Depth))*uint64(fanAckLen)
+	depth := uint64(g.Params().Depth)
+	return g.ackOff + (uint64(j)*depth+seq%depth)*uint64(fanAckLen)
 }
 
 func (g *BroadcastGroup) bmetaAddr(j int, seq uint64) uint64 {
 	n := uint64(len(g.members))
-	return g.metaOff + ((seq%uint64(g.params.Depth))*n+uint64(j))*uint64(fanBackupMetaLen)
+	return g.metaOff + ((seq%uint64(g.Params().Depth))*n+uint64(j))*uint64(fanBackupMetaLen)
 }
 
 // postAckRecv posts the client-side receive for member j's op-seq ack.
 func (g *BroadcastGroup) postAckRecv(j int, seq uint64) {
-	g.qpAckIn[j].PostRecv(rdma.RecvWQE{
-		WRID: seq,
-		SGEs: []rdma.SGE{
-			{Addr: g.clientAckAddr(j, seq), Len: headerSize},
-			{Addr: g.clientAckAddr(j, seq) + headerSize, Len: resultEntry},
-		},
-	})
+	g.qpAckIn[j].PostRecv(rdma.RecvWQE{WRID: seq, SGEs: g.ackRecv[j][seq%uint64(g.Params().Depth)]})
 }
 
 // Transmit is the broadcast's half of an issue (protocol.Strategy): per
@@ -172,40 +183,28 @@ func (g *BroadcastGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 			return err
 		}
 		putHeader(bmeta[2*rdma.DescLen:], seq, kind)
-		if err := g.client.Memory().Write(int(g.bmetaAddr(j, seq)), bmeta); err != nil {
+		if err := g.ClientNIC().Memory().Write(int(g.bmetaAddr(j, seq)), bmeta); err != nil {
 			return err
 		}
 	}
 
-	need := g.quorum
-	if need == 0 || kind == kindCAS {
-		need = n // gCAS needs every member's original value
+	st := &g.acks[seq%uint64(len(g.acks))]
+	st.seq, st.live, st.need, st.posted, st.got = seq, true, g.quorum, 0, 0
+	if st.need == 0 || kind == kindCAS {
+		st.need = n // gCAS needs every member's original value
 	}
-	st := &bcastAckState{need: need, results: make([]uint64, n), seen: make([]bool, n)}
-	g.acks[seq] = st
+	clear(st.results)
+	clear(st.seen)
 	for j, m := range g.members {
 		if m.nic.Down() {
 			continue
 		}
-		if kind == kindWrite {
-			if _, err := g.qpFan[j].PostSend(rdma.WQE{
-				Opcode: rdma.OpWrite, WRID: seq,
-				Local: uint64(p.Off), Len: uint64(p.Size),
-				Remote: uint64(p.Off), Aux1: m.mirror.RKey,
-			}); err != nil {
-				continue
-			}
+		if postToHead(g.qpFan[j], seq, kind, p, m.mirror.RKey, g.bmetaAddr(j, seq), fanBackupMetaLen) == nil {
+			st.posted++
 		}
-		if _, err := g.qpFan[j].PostSend(rdma.WQE{
-			Opcode: rdma.OpSend, WRID: seq,
-			Local: g.bmetaAddr(j, seq), Len: uint64(fanBackupMetaLen),
-		}); err != nil {
-			continue
-		}
-		st.posted++
 	}
 	if st.posted == 0 {
-		delete(g.acks, seq)
+		st.live = false
 		return fmt.Errorf("%w: no reachable members", protocol.ErrBadArgument)
 	}
 	return nil
@@ -213,37 +212,26 @@ func (g *BroadcastGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 
 // onMemberAck resolves one member's ack for one operation.
 func (g *BroadcastGroup) onMemberAck(j int, e rdma.CQE) {
-	g.postAckRecv(j, e.WRID+uint64(g.params.Depth))
+	g.postAckRecv(j, e.WRID+uint64(g.Params().Depth))
 	if e.Status != rdma.StatusSuccess {
 		return
 	}
-	if cap(g.ackBuf) < fanAckLen {
-		g.ackBuf = make([]byte, fanAckLen)
-	}
-	buf := g.ackBuf[:fanAckLen]
-	if err := g.client.Memory().Read(int(g.clientAckAddr(j, e.WRID)), buf); err != nil {
+	buf := g.ackBuf[:]
+	if err := g.ClientNIC().Memory().Read(int(g.clientAckAddr(j, e.WRID)), buf); err != nil {
 		return
 	}
 	seq := binary.LittleEndian.Uint64(buf)
-	st, ok := g.acks[seq]
-	if !ok || st.seen[j] {
+	st := &g.acks[seq%uint64(len(g.acks))]
+	if !st.live || st.seq != seq || st.seen[j] {
 		return
 	}
 	st.seen[j] = true
 	st.results[j] = binary.LittleEndian.Uint64(buf[headerSize:])
 	st.got++
 	if st.got >= st.posted {
-		delete(g.acks, seq)
+		st.live = false
 	}
 	if st.got == st.need {
 		g.Complete(seq, st.results)
-	}
-}
-
-// Teardown is the broadcast's half of Close (protocol.Strategy): every QP
-// and CQ the group created is destroyed so the NICs can host a new group.
-func (g *BroadcastGroup) Teardown() {
-	for _, h := range g.hosts {
-		h.Destroy()
 	}
 }

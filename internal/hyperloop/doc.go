@@ -30,7 +30,7 @@
 // # Topologies
 //
 // The package provides three NIC-offloaded replication topologies. Each
-// is a protocol.Strategy (Transmit, Teardown) embedding the
+// is a protocol.Strategy (Transmit) embedding the
 // protocol.Group that drives it, and is registered with the protocol
 // registry at init:
 //
@@ -46,9 +46,13 @@
 //
 // The three share their parts: each Setup takes (protocol.Env,
 // protocol.Params) and validates the policy with Params.Check (the
-// broadcast adds its quorum), every NIC is carved through a
-// protocol.Host (the durable mirror at offset 0, then volatile rings,
-// staging and ack slots; Teardown destroys the hosts), every member's L1/L2 block is one
-// encodeLocalBlock, the chain and fan-out client decode one groupAck, and
-// every member re-arms its window through one reArmOn.
+// broadcast adds its quorum), every NIC is carved through the embedded
+// group's Host (the durable mirror at offset 0, then volatile rings,
+// staging and ack slots; Close destroys them, also when Setup fails),
+// every member — chain replica, fan-out primary, leafMember — embeds one
+// member core whose armLoop posts the loopback block and whose receive
+// scatter lists are built per window slot at setup, every member's L1/L2
+// block is one encodeLocalBlock, the chain, fan-out and broadcast clients
+// post through one postToHead, the chain and fan-out client decode one
+// groupAck, and every member re-arms its window through one reArmOn.
 package hyperloop

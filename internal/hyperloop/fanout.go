@@ -30,10 +30,6 @@ import (
 type FanoutGroup struct {
 	*protocol.Group
 
-	params protocol.Params // checked: Depth is the window
-	hosts  []*protocol.Host
-
-	client  *rdma.NIC
 	qpHead  *rdma.QP // client ↔ primary: metadata out, group ACK in
 	ack     groupAck
 	metaOff uint64
@@ -44,15 +40,14 @@ type FanoutGroup struct {
 	metaBuf []byte // Transmit's metadata build scratch; copied into client memory per op
 }
 
-// fanPrimary holds the coordinator's NIC resources.
+// fanPrimary holds the coordinator's NIC resources: the member core,
+// whose qpPrev is the client's QP (metadata in, group ACK out), plus one
+// forward and one ack-in QP per backup.
 type fanPrimary struct {
-	nic    *rdma.NIC
-	mirror *rdma.MemoryRegion
-
-	qpClient *rdma.QP   // from client (metadata in, group ACK out); its recv CQ gates L1/L2
-	qpLoop   *rdma.QP   // its send CQ gates the forward chains
-	qpFwd    []*rdma.QP // one per backup
-	qpAckIn  []*rdma.QP // one per backup, ack receive side; its recv CQ gates the group ACK
+	member
+	qpFwd   []*rdma.QP     // one per backup
+	qpAckIn []*rdma.QP     // one per backup, ack receive side; its recv CQ gates the group ACK
+	ackRecv [][][]rdma.SGE // qpAckIn[j]'s scatter lists by seq % Depth
 
 	resultOff  uint64 // per-op result blocks, laid out as the client's ACK slots
 	stagingOff uint64 // per-op per-backup forwarded metadata
@@ -73,95 +68,115 @@ func (g *FanoutGroup) metaLen() int {
 }
 
 // SetupFanout builds a fan-out group over env's replicas with policy p:
-// Replicas[0] is the primary, the rest are backups.
+// Replicas[0] is the primary, the rest are backups. A Setup that fails
+// closes the group, so the NICs it claimed can host another.
 func SetupFanout(env protocol.Env, p protocol.Params) (*FanoutGroup, error) {
 	p, err := p.Check(len(env.Replicas))
 	if err != nil {
 		return nil, fmt.Errorf("hyperloop: fan-out setup: %w", err)
 	}
-	g := &FanoutGroup{params: p, client: env.Client}
+	g := &FanoutGroup{}
 	g.Group = protocol.NewGroup(env, p, g)
+	if err := g.setup(env); err != nil {
+		g.Close()
+		return nil, err
+	}
+	return g, nil
+}
+
+func (g *FanoutGroup) setup(env protocol.Env) error {
+	depth := g.Params().Depth
 	g.backups = make([]*leafMember, len(env.Replicas)-1) // metaLen needs the count
 	g.metaBuf = make([]byte, g.metaLen())
 	if err := g.setupClient(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := g.setupPrimary(env.Replicas[0]); err != nil {
-		return nil, fmt.Errorf("primary: %w", err)
+		return fmt.Errorf("primary: %w", err)
 	}
 	for j := range g.backups {
-		h := protocol.NewHost(env.Replicas[j+1], p.MirrorSize)
-		g.hosts = append(g.hosts, h)
-		b, err := setupLeafMember(h, p.Depth)
+		b, err := setupLeafMember(g.Host(env.Replicas[j+1]), depth)
 		if err != nil {
-			return nil, fmt.Errorf("backup %d: %w", j+1, err)
+			return fmt.Errorf("backup %d: %w", j+1, err)
 		}
 		g.backups[j] = b
 	}
 	// Wire: client ↔ primary; primary fwd_j ↔ backup j prev; backup ack ↔
 	// primary ackIn_j. The ACK WRITE_IMM travels primary→client on the same
 	// QP pair, so ACK receives are posted on qpHead itself.
-	g.qpHead.Connect(g.primary.qpClient)
+	g.qpHead.Connect(g.primary.qpPrev)
 	g.ack.qp = g.qpHead
 	for j, b := range g.backups {
 		g.primary.qpFwd[j].Connect(b.qpPrev)
 		b.qpAck.Connect(g.primary.qpAckIn[j])
 	}
-	for seq := uint64(0); seq < uint64(p.Depth); seq++ {
+	for seq := uint64(0); seq < uint64(depth); seq++ {
 		if err := g.armPrimary(seq); err != nil {
-			return nil, fmt.Errorf("arm primary seq %d: %w", seq, err)
+			return fmt.Errorf("arm primary seq %d: %w", seq, err)
 		}
 		for j, b := range g.backups {
 			if err := b.arm(seq); err != nil {
-				return nil, fmt.Errorf("arm backup %d seq %d: %w", j+1, seq, err)
+				return fmt.Errorf("arm backup %d seq %d: %w", j+1, seq, err)
 			}
 		}
 		g.ack.qp.PostRecv(rdma.RecvWQE{})
 	}
-	reArmOn(g.primary.qpClient.SendCQ(), g.Group, g.primary.nic, p.Depth, g.armPrimary)
+	reArmOn(g.primary.qpPrev.SendCQ(), g.Group, g.primary.nic, depth, g.armPrimary)
 	for _, b := range g.backups {
-		reArmOn(b.qpAck.SendCQ(), g.Group, b.nic, p.Depth, b.arm)
+		reArmOn(b.qpAck.SendCQ(), g.Group, b.nic, depth, b.arm)
 	}
 	g.ack.qp.RecvCQ().SetDrainHandler(g.ack.onAcks)
-	return g, nil
+	return nil
 }
 
 func (g *FanoutGroup) setupClient() error {
-	h := protocol.NewHost(g.client, g.params.MirrorSize)
-	g.hosts = append(g.hosts, h)
-	g.metaOff = h.Region("meta", g.params.Depth*g.metaLen())
-	g.ack.carve(h, g.Group, g.params.Depth)
-	g.qpHead = h.QP("head-ring", 2*g.params.Depth, nil, nil)
+	depth := g.Params().Depth
+	h := g.Host(g.ClientNIC())
+	g.metaOff = h.Region("meta", depth*g.metaLen())
+	g.ack.carve(h, g.Group, depth)
+	g.qpHead = h.QP("head-ring", 2*depth, nil, nil)
 	return h.Err()
 }
 
 func (g *FanoutGroup) setupPrimary(nic *rdma.NIC) error {
-	h := protocol.NewHost(nic, g.params.MirrorSize)
-	g.hosts = append(g.hosts, h)
-	p := &fanPrimary{nic: nic}
+	depth := g.Params().Depth
+	h := g.Host(nic)
+	p := &fanPrimary{member: member{nic: nic}}
 	b := g.numBackups()
-	p.resultOff = h.Region("results", g.params.Depth*g.ack.slotLen())
-	p.stagingOff = h.Region("staging", g.params.Depth*max(b, 1)*fanBackupMetaLen)
+	p.resultOff = h.Region("results", depth*g.ack.slotLen())
+	p.stagingOff = h.Region("staging", depth*max(b, 1)*fanBackupMetaLen)
 	p.mirror = h.MirrorMR()
 	recvCQ, loopCQ := h.CQ(), h.CQ()
-	p.qpClient = h.QP("client-ring", (max(b, 1)+1)*g.params.Depth, nil, recvCQ)
-	p.qpLoop = h.QP("loop-ring", slotsPerOp*g.params.Depth, loopCQ, nil)
+	p.qpPrev = h.QP("client-ring", (max(b, 1)+1)*depth, nil, recvCQ)
+	p.qpLoop = h.QP("loop-ring", slotsPerOp*depth, loopCQ, nil)
 	for j := 0; j < b; j++ {
-		p.qpFwd = append(p.qpFwd, h.QP(fmt.Sprintf("fwd-ring-%d", j), slotsPerOp*g.params.Depth, nil, nil))
+		p.qpFwd = append(p.qpFwd, h.QP(fmt.Sprintf("fwd-ring-%d", j), slotsPerOp*depth, nil, nil))
 		p.qpAckIn = append(p.qpAckIn, h.QP(fmt.Sprintf("ackin-ring-%d", j), 1, nil, h.CQ()))
 	}
-	if err := h.Err(); err != nil {
+	g.primary = p
+	// Metadata receive: descriptor blocks scatter into the pre-posted WQE
+	// slots; each backup's peeled metadata into its staging slot; the
+	// header into the result block.
+	if err := p.finish(h, depth, func(seq uint64) []rdma.SGE {
+		sges := appendSlotSGEs(make([]rdma.SGE, 0, 2+3*b+1), p.qpLoop, seq)
+		for _, qp := range p.qpFwd {
+			sges = appendSlotSGEs(sges, qp, seq)
+		}
+		for j := 0; j < b; j++ {
+			sges = append(sges, rdma.SGE{Addr: g.stagingAddr(j, seq), Len: uint64(fanBackupMetaLen)})
+		}
+		return append(sges, rdma.SGE{Addr: g.hdrAddr(seq), Len: headerSize})
+	}); err != nil {
 		return err
 	}
-	p.qpLoop.Connect(p.qpLoop)
-	g.primary = p
-	return nil
-}
-
-// Teardown is the fan-out's half of Close (protocol.Strategy): every QP
-// and CQ the group created is destroyed so the NICs can host a new group.
-func (g *FanoutGroup) Teardown() {
-	for _, h := range g.hosts {
-		h.Destroy()
+	// Ack receives from each backup: header + that backup's result field.
+	for j := 0; j < b; j++ {
+		p.ackRecv = append(p.ackRecv, perSlot(depth, func(seq uint64) []rdma.SGE {
+			return []rdma.SGE{
+				{Addr: g.hdrAddr(seq), Len: headerSize},
+				{Addr: g.resultSlotAddr(seq) + uint64((j+1)*resultEntry), Len: resultEntry},
+			}
+		}))
 	}
+	return nil
 }

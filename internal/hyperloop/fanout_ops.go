@@ -3,53 +3,27 @@ package hyperloop
 import "hyperloop/internal/rdma"
 
 func (g *FanoutGroup) resultSlotAddr(seq uint64) uint64 {
-	return g.primary.resultOff + (seq%uint64(g.params.Depth))*uint64(g.ack.slotLen())
+	return g.primary.resultOff + (seq%uint64(g.Params().Depth))*uint64(g.ack.slotLen())
 }
 
 func (g *FanoutGroup) stagingAddr(j int, seq uint64) uint64 {
 	b := max(g.numBackups(), 1)
-	slot := (seq % uint64(g.params.Depth)) * uint64(b)
+	slot := (seq % uint64(g.Params().Depth)) * uint64(b)
 	return g.primary.stagingOff + (slot+uint64(j))*uint64(fanBackupMetaLen)
+}
+
+// hdrAddr is where op seq's header lands in the primary's result block,
+// behind one result per member: the client's ACK slot layout.
+func (g *FanoutGroup) hdrAddr(seq uint64) uint64 {
+	return g.resultSlotAddr(seq) + uint64((1+g.numBackups())*resultEntry)
 }
 
 // armPrimary pre-posts the primary's chains and receives for op seq.
 func (g *FanoutGroup) armPrimary(seq uint64) error {
 	p := g.primary
 	b := g.numBackups()
-
-	// Metadata receive: descriptor blocks scatter into the pre-posted WQE
-	// slots; each backup's peeled metadata into its staging slot; the
-	// header into the result block.
-	loopRing, loopSlots := p.qpLoop.RingOff(), p.qpLoop.RingSlots()
-	sges := []rdma.SGE{
-		{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotA(seq)), Len: rdma.DescLen},
-		{Addr: rdma.DescAddr(loopRing, loopSlots, chainSlotB(seq)), Len: rdma.DescLen},
-	}
-	for j := 0; j < b; j++ {
-		ring, slots := p.qpFwd[j].RingOff(), p.qpFwd[j].RingSlots()
-		sges = append(sges,
-			rdma.SGE{Addr: rdma.DescAddr(ring, slots, chainSlotA(seq)), Len: rdma.DescLen},
-			rdma.SGE{Addr: rdma.DescAddr(ring, slots, chainSlotB(seq)), Len: rdma.DescLen},
-		)
-	}
-	for j := 0; j < b; j++ {
-		sges = append(sges, rdma.SGE{Addr: g.stagingAddr(j, seq), Len: uint64(fanBackupMetaLen)})
-	}
-	hdrAddr := g.resultSlotAddr(seq) + uint64((1+b)*resultEntry)
-	sges = append(sges, rdma.SGE{Addr: hdrAddr, Len: headerSize})
-
-	// Loopback chain.
-	if _, err := p.qpLoop.PostSend(rdma.WQE{
-		Opcode: rdma.OpWait, Imm: 1, Aux1: p.qpClient.RecvCQ().CQN(), Aux2: 2, WRID: seq,
-	}); err != nil {
+	if err := p.armLoop(seq); err != nil {
 		return err
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := p.qpLoop.PostSendDeferred(rdma.WQE{
-			Opcode: rdma.OpNop, Flags: rdma.FlagSignaled, WRID: seq,
-		}); err != nil {
-			return err
-		}
 	}
 
 	// Per-backup forwarding chains, gated on the loopback completions via
@@ -68,20 +42,11 @@ func (g *FanoutGroup) armPrimary(seq uint64) error {
 		}
 	}
 
-	// The metadata receive is posted only after every chain slot exists,
-	// so a racing (RNR-delayed) delivery cannot scatter into slots that
-	// are about to be overwritten by placeholders.
-	p.qpClient.PostRecv(rdma.RecvWQE{WRID: seq, SGEs: sges})
-
-	// Ack receives from each backup: header + that backup's result field.
-	for j := 0; j < b; j++ {
-		p.qpAckIn[j].PostRecv(rdma.RecvWQE{
-			WRID: seq,
-			SGEs: []rdma.SGE{
-				{Addr: hdrAddr, Len: headerSize},
-				{Addr: g.resultSlotAddr(seq) + uint64((j+1)*resultEntry), Len: resultEntry},
-			},
-		})
+	// The metadata receive, then each backup's ack receive.
+	p.postRecv(seq)
+	slot := seq % uint64(g.Params().Depth)
+	for j, qp := range p.qpAckIn {
+		qp.PostRecv(rdma.RecvWQE{WRID: seq, SGEs: p.ackRecv[j][slot]})
 	}
 
 	// Group-ACK chain on the client QP: one absolute WAIT per backup (op
@@ -89,7 +54,7 @@ func (g *FanoutGroup) armPrimary(seq uint64) error {
 	// WRITE_WITH_IMM carrying the result block. With no backups the ACK
 	// gates directly on the primary's local completions.
 	if b == 0 {
-		if _, err := p.qpClient.PostSend(rdma.WQE{
+		if _, err := p.qpPrev.PostSend(rdma.WQE{
 			Opcode: rdma.OpWait, Flags: rdma.FlagWaitAbs,
 			Compare: 2 * (seq + 1), Aux1: p.qpLoop.SendCQ().CQN(), WRID: seq,
 		}); err != nil {
@@ -97,14 +62,14 @@ func (g *FanoutGroup) armPrimary(seq uint64) error {
 		}
 	}
 	for j := 0; j < b; j++ {
-		if _, err := p.qpClient.PostSend(rdma.WQE{
+		if _, err := p.qpPrev.PostSend(rdma.WQE{
 			Opcode: rdma.OpWait, Flags: rdma.FlagWaitAbs,
 			Compare: seq + 1, Aux1: p.qpAckIn[j].RecvCQ().CQN(), WRID: seq,
 		}); err != nil {
 			return err
 		}
 	}
-	_, err := p.qpClient.PostSend(rdma.WQE{
+	_, err := p.qpPrev.PostSend(rdma.WQE{
 		Opcode: rdma.OpWriteImm, Flags: rdma.FlagSignaled, WRID: seq, Imm: uint32(seq),
 		Local: g.resultSlotAddr(seq), Len: uint64(g.ack.slotLen()),
 		Remote: g.ack.addr(seq), Aux1: g.ack.mr.RKey,
@@ -163,8 +128,8 @@ func (g *FanoutGroup) Transmit(seq uint64, kind opKind, p opParams) error {
 	}
 	putHeader(msg[pos:], seq, kind)
 
-	metaAddr := g.metaOff + (seq%uint64(g.params.Depth))*uint64(g.metaLen())
-	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
+	metaAddr := g.metaOff + (seq%uint64(g.Params().Depth))*uint64(g.metaLen())
+	if err := g.ClientNIC().Memory().Write(int(metaAddr), msg); err != nil {
 		return err
 	}
 	return postToHead(g.qpHead, seq, kind, p, g.primary.mirror.RKey, metaAddr, g.metaLen())

@@ -14,7 +14,7 @@ type opParams = protocol.Op
 
 // stagingAddr returns replica r's staging slot address for seq.
 func (g *Group) stagingAddr(r *replica, seq uint64) uint64 {
-	return r.stagingOff + (seq%uint64(g.params.Depth))*uint64(r.stagingSlot)
+	return r.stagingOff + (seq%uint64(g.Params().Depth))*uint64(r.stagingSlot)
 }
 
 // encodeLocalBlock builds the patched L1/L2 descriptors one member runs on
@@ -103,17 +103,18 @@ func (g *Group) Transmit(seq uint64, kind opKind, p opParams) error {
 	}
 	putHeader(msg[g.lay.groupSize*descBlockSize+g.lay.resultsLen():], seq, kind)
 
-	metaAddr := g.metaOff + (seq%uint64(g.params.Depth))*uint64(g.lay.metaLen(1))
-	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
+	metaAddr := g.metaOff + (seq%uint64(g.Params().Depth))*uint64(g.lay.metaLen(1))
+	if err := g.ClientNIC().Memory().Write(int(metaAddr), msg); err != nil {
 		return err
 	}
 	return postToHead(g.qpHead, seq, kind, p, g.replicas[0].mirror.RKey, metaAddr, g.lay.metaLen(1))
 }
 
 // postToHead transmits one staged operation to the first member of a
-// chain or fan-out group: the data WRITE (gWRITE only), then the metadata
-// SEND. Reliable-connection FIFO guarantees the data lands before the
-// receive completion that triggers the member's chain.
+// chain or fan-out group, or to one broadcast member: the data WRITE
+// (gWRITE only), then the metadata SEND. Reliable-connection FIFO
+// guarantees the data lands before the receive completion that triggers
+// the member's chain.
 func postToHead(qp *rdma.QP, seq uint64, kind opKind, p opParams, mirrorRKey uint32, metaAddr uint64, metaLen int) error {
 	if kind == kindWrite {
 		if _, err := qp.PostSend(rdma.WQE{

@@ -158,17 +158,14 @@ type replica struct {
 }
 
 // Group is the Naive-RDMA replication chain. The embedded protocol.Group
-// is its protocol.Protocol surface (registered as "naive", in ModeEvent)
-// and its NIC accessors; this type is that group's strategy and adds
-// ReplicaHandlerCPU.
+// is its protocol.Protocol surface (registered as "naive", in ModeEvent),
+// its policy and its NIC accessors; this type is that group's strategy
+// and adds ReplicaHandlerCPU.
 type Group struct {
 	*protocol.Group
 
-	params protocol.Params // checked: Depth is the window
-	cfg    Config
-	hosts  []*protocol.Host
+	cfg Config
 
-	client   *rdma.NIC
 	qpHead   *rdma.QP
 	qpAck    *rdma.QP
 	ackMR    *rdma.MemoryRegion
@@ -198,16 +195,25 @@ func Setup(env protocol.Env, p protocol.Params, cfg Config) (*Group, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeEvent
 	}
-	g := &Group{params: p, cfg: cfg, client: env.Client, ackRes: make([]uint64, len(env.Replicas))}
+	g := &Group{cfg: cfg, ackRes: make([]uint64, len(env.Replicas))}
 	g.Group = protocol.NewGroup(env, p, g)
+	if err := g.setup(env); err != nil {
+		g.Close()
+		return nil, err
+	}
+	return g, nil
+}
+
+func (g *Group) setup(env protocol.Env) error {
+	depth := g.Params().Depth
 	g.metaBuf = make([]byte, g.msgLen())
 	if err := g.setupClient(); err != nil {
-		return nil, err
+		return err
 	}
 	for i, nic := range env.Replicas {
 		r, err := g.setupReplica(i+1, nic, env.Scheds[i])
 		if err != nil {
-			return nil, fmt.Errorf("replica %d: %w", i+1, err)
+			return fmt.Errorf("replica %d: %w", i+1, err)
 		}
 		g.replicas = append(g.replicas, r)
 	}
@@ -218,47 +224,47 @@ func Setup(env protocol.Env, p protocol.Params, cfg Config) (*Group, error) {
 	g.replicas[len(g.replicas)-1].qpNext.Connect(g.qpAck)
 
 	for _, r := range g.replicas {
-		for i := 0; i < p.Depth; i++ {
+		for i := 0; i < depth; i++ {
 			r.postRecv(uint64(i))
 		}
 		r.install()
 	}
-	for i := 0; i < p.Depth; i++ {
+	for i := 0; i < depth; i++ {
 		g.qpAck.PostRecv(rdma.RecvWQE{})
 	}
 	g.qpAck.RecvCQ().SetDrainHandler(g.onAcks)
-	return g, nil
+	return nil
 }
 
 func (g *Group) setupClient() error {
-	h := protocol.NewHost(g.client, g.params.MirrorSize)
-	g.hosts = append(g.hosts, h)
-	g.metaOff = h.Region("meta", g.params.Depth*g.msgLen())
-	g.ackOff = h.Region("ack", g.params.Depth*g.msgLen())
-	g.ackMR = h.MR(g.ackOff, g.params.Depth*g.msgLen(), rdma.AccessRemoteWrite)
-	g.qpHead = h.QP("head-ring", 2*g.params.Depth, nil, nil)
+	depth := g.Params().Depth
+	h := g.Host(g.ClientNIC())
+	g.metaOff = h.Region("meta", depth*g.msgLen())
+	g.ackOff = h.Region("ack", depth*g.msgLen())
+	g.ackMR = h.MR(g.ackOff, depth*g.msgLen(), rdma.AccessRemoteWrite)
+	g.qpHead = h.QP("head-ring", 2*depth, nil, nil)
 	g.qpAck = h.QP("ack-ring", 1, nil, nil)
 	return h.Err()
 }
 
 func (g *Group) setupReplica(index int, nic *rdma.NIC, sched *cpusim.Scheduler) (*replica, error) {
-	h := protocol.NewHost(nic, g.params.MirrorSize)
-	g.hosts = append(g.hosts, h)
+	p := g.Params()
+	h := g.Host(nic)
 	r := &replica{index: index, nic: nic, g: g, stagingSlot: g.msgLen()} // isTail finalized in install
-	r.stagingOff = h.Region("staging", g.params.Depth*r.stagingSlot)
+	r.stagingOff = h.Region("staging", p.Depth*r.stagingSlot)
 	r.mirror = h.MirrorMR()
 	r.qpPrev = h.QP("prev-ring", 1, nil, nil)
-	r.qpNext = h.QP("next-ring", 2*g.params.Depth, nil, nil)
+	r.qpNext = h.QP("next-ring", 2*p.Depth, nil, nil)
 	if err := h.Err(); err != nil {
 		return nil, err
 	}
-	r.recv = make([][]rdma.SGE, g.params.Depth)
+	r.recv = make([][]rdma.SGE, p.Depth)
 	for i := range r.recv {
 		r.recv[i] = []rdma.SGE{{Addr: r.stagingAddr(uint64(i)), Len: uint64(g.msgLen())}}
 	}
 	r.proc = sched.NewProc(fmt.Sprintf("replica-%d", index))
-	if g.params.WakePenalty > 0 {
-		r.proc.SetWakePenalty(g.params.WakePenaltyProb, g.params.WakePenalty)
+	if p.WakePenalty > 0 {
+		r.proc.SetWakePenalty(p.WakePenaltyProb, p.WakePenalty)
 	}
 	switch g.cfg.Mode {
 	case ModePinned:
@@ -275,7 +281,7 @@ func (g *Group) setupReplica(index int, nic *rdma.NIC, sched *cpusim.Scheduler) 
 // again by the time the slot's next receive (posted by handle) completes.
 func (r *replica) install() {
 	r.isTail = r.index == len(r.g.replicas)
-	depth := uint64(r.g.params.Depth)
+	depth := uint64(r.g.Params().Depth)
 	wrids := make([]uint64, depth)
 	work := make([]func(), depth)
 	for i := range work {
@@ -325,7 +331,7 @@ func (g *Group) flushCost(size int) sim.Duration {
 
 func (r *replica) stagingBuf(slot uint64) []byte {
 	g := r.g
-	addr := int(r.stagingOff) + int(slot%uint64(g.params.Depth))*r.stagingSlot
+	addr := int(r.stagingOff) + int(slot%uint64(g.Params().Depth))*r.stagingSlot
 	if cap(r.scratch) < g.msgLen() {
 		r.scratch = make([]byte, g.msgLen())
 	}
@@ -335,7 +341,7 @@ func (r *replica) stagingBuf(slot uint64) []byte {
 }
 
 func (r *replica) stagingAddr(slot uint64) uint64 {
-	return r.stagingOff + (slot%uint64(r.g.params.Depth))*uint64(r.stagingSlot)
+	return r.stagingOff + (slot%uint64(r.g.Params().Depth))*uint64(r.stagingSlot)
 }
 
 // handle runs on the replica CPU once scheduled: execute the operation
@@ -396,15 +402,15 @@ func (r *replica) handle(slot uint64) {
 			Local: r.stagingAddr(slot), Len: uint64(g.msgLen()),
 		})
 	}
-	r.postRecv(slot + uint64(g.params.Depth))
+	r.postRecv(slot + uint64(g.Params().Depth))
 }
 
 func (r *replica) postRecv(slot uint64) {
-	r.qpPrev.PostRecv(rdma.RecvWQE{WRID: slot, SGEs: r.recv[slot%uint64(r.g.params.Depth)]})
+	r.qpPrev.PostRecv(rdma.RecvWQE{WRID: slot, SGEs: r.recv[slot%uint64(r.g.Params().Depth)]})
 }
 
 func (g *Group) ackAddr(seq uint64) uint64 {
-	return g.ackOff + (seq%uint64(g.params.Depth))*uint64(g.msgLen())
+	return g.ackOff + (seq%uint64(g.Params().Depth))*uint64(g.msgLen())
 }
 
 // onAcks handles a drained batch of tail ACK completions.
@@ -421,20 +427,11 @@ func (g *Group) onAck(e rdma.CQE) {
 		g.ackBuf = make([]byte, g.msgLen())
 	}
 	buf := g.ackBuf[:g.msgLen()]
-	if err := g.client.Memory().Read(slotAddr, buf); err != nil {
+	if err := g.ClientNIC().Memory().Read(slotAddr, buf); err != nil {
 		return
 	}
 	for j := range g.ackRes {
 		g.ackRes[j] = binary.LittleEndian.Uint64(buf[headerSize+j*8:])
 	}
 	g.Complete(decodeHeader(buf).seq, g.ackRes)
-}
-
-// Teardown is the baseline's half of Close (protocol.Strategy): every QP
-// and CQ the group created is destroyed. The replica handler processes
-// stay registered with their schedulers but receive no further work.
-func (g *Group) Teardown() {
-	for _, h := range g.hosts {
-		h.Destroy()
-	}
 }

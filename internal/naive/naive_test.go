@@ -405,3 +405,52 @@ func TestContendedPollingWorseThanEvent(t *testing.T) {
 		t.Fatalf("contended polling (%v) should be slower than event mode (%v)", polling, event)
 	}
 }
+
+// TestFailedSetupReleasesNICs: a Setup whose third replica's device holds
+// the mirror but not the rings fails, and closes what it carved on the
+// client and the first two replicas, so a Setup over those three NICs
+// succeeds and replicates.
+func TestFailedSetupReleasesNICs(t *testing.T) {
+	k := sim.NewKernel(42)
+	env := protocol.Env{Fabric: rdma.NewFabric(k, rdma.DefaultConfig())}
+	add := func(host string, size int) *rdma.NIC {
+		nic, err := env.Fabric.AddNIC(host, nvm.NewDevice(host, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nic
+	}
+	env.Client = add("client", testDev)
+	for i, size := range []int{testDev, testDev, testMirror + 64} {
+		env.Replicas = append(env.Replicas, add(string(rune('a'+i)), size))
+		s, err := cpusim.New(k, cpusim.DefaultConfig(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Scheds = append(env.Scheds, s)
+	}
+	if _, err := Setup(env, testParams, DefaultConfig()); err == nil {
+		t.Fatal("Setup over a too-small device succeeded")
+	}
+	for _, nic := range append([]*rdma.NIC{env.Client}, env.Replicas...) {
+		if !nic.Idle() {
+			t.Fatalf("failed Setup left %s claimed", nic.Host())
+		}
+	}
+	env.Replicas, env.Scheds = env.Replicas[:2], env.Scheds[:2]
+	g, err := Setup(env, testParams, DefaultConfig())
+	if err != nil {
+		t.Fatalf("Setup after a failed one: %v", err)
+	}
+	k.Spawn("test", func(f *sim.Fiber) {
+		if err := g.Write(f, 0, 64, true); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := k.RunUntil(sim.Time(sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, completed := g.Stats(); completed != 1 {
+		t.Fatalf("completed %d writes, want 1", completed)
+	}
+}

@@ -23,8 +23,8 @@ func (g *Group) Transmit(seq uint64, kind opKind, p protocol.Op) error {
 	msg := g.metaBuf
 	clear(msg)
 	h.encode(msg)
-	metaAddr := g.metaOff + (seq%uint64(g.params.Depth))*uint64(g.msgLen())
-	if err := g.client.Memory().Write(int(metaAddr), msg); err != nil {
+	metaAddr := g.metaOff + (seq%uint64(g.Params().Depth))*uint64(g.msgLen())
+	if err := g.ClientNIC().Memory().Write(int(metaAddr), msg); err != nil {
 		return err
 	}
 	if kind == kindWrite {

@@ -38,17 +38,17 @@
 // Group owns everything the primitives have in common: client mirror
 // access, argument validation, sequence numbers, the in-flight window,
 // per-op timeout timers, the retry loop, ApplyLocal (mirroring an op on
-// the client's own copy, §4.1), the counters and fail-all-then-tear-down
-// Close. It drives a Strategy of two methods — Transmit one (seq, kind,
-// Op), Teardown the QPs — and the strategy reports each group ACK through
-// Group.Complete. The concrete types embed *Group, so no protocol package
-// defines a Protocol method of its own. Every strategy sets up each NIC
-// through a Host, the only owner of NIC memory layout: it carves the
-// mirror at offset 0 (so a NIC hosts one group at a time) and declares it
-// the device's only durable memory, carves the volatile rings, staging
-// and ack slots after it, owns the QPs and CQs, and destroys them for
-// Teardown;
-// Params is the one policy type (Params.Check the one validation and
+// the client's own copy, §4.1), the counters, the policy (Params) and the
+// NICs' Hosts, and fail-all-then-tear-down Close. It drives a Strategy of
+// one method — Transmit one (seq, kind, Op) — and the strategy reports
+// each group ACK through Group.Complete. The concrete types embed *Group,
+// so no protocol package defines a Protocol method of its own. Every
+// strategy sets up each NIC through Group.Host, which records a Host, the
+// only owner of NIC memory layout: it carves the mirror at offset 0 (so a
+// NIC hosts one group at a time) and declares it the device's only
+// durable memory, carves the volatile rings, staging and ack slots after
+// it and owns the QPs and CQs; Close — also the end of a Setup that
+// fails — destroys them all. Params is the one policy type (Params.Check the one validation and
 // Window the one depth rule), and the canonical sentinel errors here are
 // the only ones a datapath returns.
 package protocol

@@ -45,10 +45,6 @@ type Strategy interface {
 	// op to the client's mirror; an error makes Group abort seq. When the
 	// group's ack for seq arrives the strategy calls Group.Complete.
 	Transmit(seq uint64, kind OpKind, op Op) error
-	// Teardown destroys every QP and CQ the strategy created, by calling
-	// Destroy on each of its Hosts. Group.Close calls it exactly once,
-	// after failing the in-flight operations.
-	Teardown()
 }
 
 // Window returns the number of pre-posted operation slots a group runs
@@ -83,15 +79,16 @@ type pending struct {
 // Group is the one implementation of Protocol. It owns everything the
 // four primitives have in common — client mirror access, argument
 // validation, sequence numbers, the in-flight window, per-op timeout
-// timers, the retry loop, the local apply, the counters and Close — and
-// drives a Strategy for the rest. It schedules kernel events only when a
-// timeout is configured.
+// timers, the retry loop, the local apply, the counters, the Hosts its
+// NICs are carved through and Close — and drives a Strategy for the rest.
+// It schedules kernel events only when a timeout is configured.
 type Group struct {
 	env      Env
 	p        Params // checked: Depth is the window
 	k        *sim.Kernel
 	mirror   *nvm.Device // the client's device; the mirror is [0, p.MirrorSize)
 	strategy Strategy
+	hosts    []*Host // every NIC share the strategy carved, in Host order
 
 	nextSeq  uint64
 	inflight map[uint64]*pending
@@ -111,6 +108,14 @@ func NewGroup(env Env, p Params, s Strategy) *Group {
 	env.Replicas = slices.Clone(env.Replicas) // members are fixed at setup; failover rebuilds
 	return &Group{env: env, p: p, k: env.Fabric.Kernel(), mirror: env.Client.Memory(),
 		strategy: s, inflight: make(map[uint64]*pending), slots: make([]*pending, max(p.Depth, 1))}
+}
+
+// Host claims nic for the group: NewHost with the group's mirror size,
+// recorded so that Close destroys what the strategy carves from it.
+func (g *Group) Host(nic *rdma.NIC) *Host {
+	h := NewHost(nic, g.p.MirrorSize)
+	g.hosts = append(g.hosts, h)
+	return h
 }
 
 // inMirror reports whether [off, off+size) lies inside the mirror; it
@@ -309,6 +314,9 @@ func (g *Group) Flush(f *sim.Fiber, off, size int) error {
 	return g.await(f, KindFlush, Op{Off: off, Size: size})
 }
 
+// Params returns the group's checked policy: Depth is the window.
+func (g *Group) Params() Params { return g.p }
+
 // GroupSize returns the number of replicated members.
 func (g *Group) GroupSize() int { return len(g.env.Replicas) }
 
@@ -334,8 +342,10 @@ func (g *Group) Closed() bool { return g.closed }
 
 // Close fails every in-flight operation with ErrClosed — in
 // issue order, so the order the waiting fibers resume in is a function of
-// the seed and not of map iteration — rejects further issues and has the
-// strategy destroy its QPs and CQs. Safe to call twice.
+// the seed and not of map iteration — rejects further issues and destroys
+// every QP and CQ of every Host the group carved, which returns the NICs
+// to service for the next group. A Setup that fails closes its group too.
+// Safe to call twice.
 func (g *Group) Close() {
 	if g.closed {
 		return
@@ -349,7 +359,9 @@ func (g *Group) Close() {
 	for _, seq := range seqs {
 		g.resolve(seq).sig.Fire(ErrClosed)
 	}
-	g.strategy.Teardown()
+	for _, h := range g.hosts {
+		h.Destroy()
+	}
 }
 
 // ApplyLocal mirrors an operation on the client's own copy, exactly as

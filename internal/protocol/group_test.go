@@ -19,13 +19,12 @@ const (
 // fakePath is a datapath with no wires: it records what Group transmits
 // and acks only when the test says so.
 type fakePath struct {
-	g         *Group
-	sent      []uint64 // seqs handed to Transmit, in order
-	kinds     []OpKind
-	fail      error // returned by the next Transmit
-	autoAck   bool  // ack every op one microsecond after it is transmitted
-	k         *sim.Kernel
-	teardowns int
+	g       *Group
+	sent    []uint64 // seqs handed to Transmit, in order
+	kinds   []OpKind
+	fail    error // returned by the next Transmit
+	autoAck bool  // ack every op one microsecond after it is transmitted
+	k       *sim.Kernel
 }
 
 func (p *fakePath) Transmit(seq uint64, kind OpKind, op Op) error {
@@ -41,8 +40,6 @@ func (p *fakePath) Transmit(seq uint64, kind OpKind, op Op) error {
 	}
 	return nil
 }
-
-func (p *fakePath) Teardown() { p.teardowns++ }
 
 func newFake(t *testing.T, timeout sim.Duration, retries int, backoff sim.Duration) (*sim.Kernel, *Group, *fakePath) {
 	t.Helper()
@@ -298,6 +295,12 @@ func TestParamsCheck(t *testing.T) {
 
 func TestCloseFailsInFlightOnceAndRejects(t *testing.T) {
 	_, g, p := newFake(t, 100*sim.Microsecond, 0, 0)
+	// Close destroys what the group's Hosts carved, on every NIC.
+	for _, nic := range append([]*rdma.NIC{g.ClientNIC()}, g.env.Replicas...) {
+		if h := g.Host(nic); h.CQ() == nil || nic.Idle() {
+			t.Fatalf("%s: carving failed: %v", nic.Host(), h.Err())
+		}
+	}
 	var sigs []*sim.Signal
 	for i := 0; i < 3; i++ {
 		s, err := g.WriteAsync(0, 8, false)
@@ -313,8 +316,13 @@ func TestCloseFailsInFlightOnceAndRejects(t *testing.T) {
 			t.Fatalf("in-flight op %d: fired %v err %v, want ErrClosed", i, s.Fired(), s.Err())
 		}
 	}
-	if p.teardowns != 1 || !g.Closed() || g.InFlight() != 0 {
-		t.Fatalf("teardowns %d, closed %v, in flight %d", p.teardowns, g.Closed(), g.InFlight())
+	if !g.Closed() || g.InFlight() != 0 {
+		t.Fatalf("closed %v, in flight %d", g.Closed(), g.InFlight())
+	}
+	for _, nic := range append([]*rdma.NIC{g.ClientNIC()}, g.env.Replicas...) {
+		if !nic.Idle() {
+			t.Fatalf("%s still hosts the closed group's queues", nic.Host())
+		}
 	}
 	if p.k.Pending() != 0 {
 		t.Fatalf("Close left %d timeout timers armed", p.k.Pending())
@@ -381,8 +389,8 @@ func TestIsOpErrorAndRegistry(t *testing.T) {
 	if AcksNeeded("fake-for-test", 5) != 3 || AcksNeeded("no-such-protocol", 5) != 5 || !TraitsOf("fake-for-test").CPUDriven {
 		t.Fatal("traits lookup")
 	}
-	if Describe("fake-for-test") == "" || len(Names()) != 1 {
-		t.Fatalf("Describe/Names: %q %v", Describe("fake-for-test"), Names())
+	if len(Names()) != 1 {
+		t.Fatalf("Names: %v", Names())
 	}
 	mustPanic(t, "duplicate Register", func() { Register("fake-for-test", "", nil) })
 	mustPanic(t, "SetTraits on unknown", func() { SetTraits("no-such-protocol", Traits{}) })

@@ -188,7 +188,6 @@ func AcksNeeded(name string, g int) int {
 type Builder func(Env, Params) (Protocol, error)
 
 type regEntry struct {
-	desc   string
 	build  Builder
 	traits Traits
 }
@@ -196,12 +195,14 @@ type regEntry struct {
 var registry = map[string]regEntry{}
 
 // Register installs a protocol under name; implementations call it from
-// package init. Registering a duplicate name panics — it is a wiring bug.
+// package init. desc is a one-line description that documents the call
+// site; it is not stored. Registering a duplicate name panics — it is a
+// wiring bug.
 func Register(name, desc string, b Builder) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("protocol: duplicate registration of %q", name))
 	}
-	registry[name] = regEntry{desc: desc, build: b}
+	registry[name] = regEntry{build: b}
 }
 
 // Names returns all registered protocol names, sorted.
@@ -213,9 +214,6 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Describe returns a protocol's one-line description ("" if unknown).
-func Describe(name string) string { return registry[name].desc }
 
 // Build constructs the named protocol over env with params.
 func Build(name string, env Env, p Params) (Protocol, error) {
