@@ -246,10 +246,14 @@ stage_test() {
         ./internal/sim ./internal/cpusim
     # One iteration of each layer micro-benchmark, so they keep compiling
     # and running; their numbers are read by hand (DESIGN.md, nvm), and
-    # -benchmem puts each one's allocs/op in the log.
+    # -benchmem puts each one's allocs/op in the log. rdma's CQ drain and
+    # the root module's one-gWRITE and event-rate benchmarks are the ones
+    # a datapath speed-up is judged by.
     step "layer benchmarks run" go test -run '^$' -bench . -benchtime 1x -benchmem \
         ./internal/nvm ./internal/txn ./internal/shard ./internal/kvstore \
-        ./internal/docstore
+        ./internal/docstore ./internal/rdma
+    step "root benchmarks run" go test -run '^$' \
+        -bench 'GWritePrimitive|SimulatorEventRate' -benchtime 1x -benchmem .
     step "queue and dispatch benchmarks run" go test -run '^$' \
         -bench 'KernelHold|Dispatch' -benchtime 1x -benchmem ./internal/sim ./internal/cpusim
     step "coverage internal/nvm >=90" covercheck 90 ./internal/nvm

@@ -328,6 +328,8 @@ func (p *Proc) Submit(cpu sim.Duration, fn func()) {
 
 // SetRefill installs an auto-refill source: when the queue drains the
 // process immediately gains another chunk of CPU work (a hog or poller).
+// SetRefill(nil) ends it: the process runs what it has queued — a chunk
+// already drawn included — and then sleeps until work is submitted.
 func (p *Proc) SetRefill(chunk func() sim.Duration) {
 	p.refill = chunk
 	p.s.wake(p)

@@ -191,6 +191,38 @@ func TestHogsSaturateUtilization(t *testing.T) {
 	}
 }
 
+// TestSetRefillNilEndsRefill: a poller whose refill is removed runs the
+// chunk it has drawn and sleeps; submitted work still wakes it.
+func TestSetRefillNilEndsRefill(t *testing.T) {
+	const chunk = 50 * sim.Microsecond
+	k := sim.NewKernel(1)
+	s := mustNew(t, k, DefaultConfig(2))
+	p := s.NewProc("poller")
+	p.SetRefill(func() sim.Duration { return chunk })
+	if err := k.RunUntil(sim.Time(5 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	polled := p.TotalCPU()
+	if polled < 4*sim.Millisecond {
+		t.Fatalf("poller ran %v of the first 5ms, want nearly all of it", polled)
+	}
+	p.SetRefill(nil)
+	if err := k.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if extra := p.TotalCPU() - polled; extra > chunk {
+		t.Fatalf("poller ran %v after SetRefill(nil), want at most its drawn %v chunk", extra, chunk)
+	}
+	ended := p.TotalCPU()
+	p.Submit(10*sim.Microsecond, nil)
+	if err := k.RunUntil(sim.Time(15 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.TotalCPU() - ended; got != 10*sim.Microsecond {
+		t.Fatalf("submitted 10µs after the refill ended, ran %v", got)
+	}
+}
+
 func TestIdleUtilizationNearZero(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := mustNew(t, k, DefaultConfig(4))

@@ -204,6 +204,16 @@ func Setup(env protocol.Env, p protocol.Params, cfg Config) (*Group, error) {
 	return g, nil
 }
 
+// Close tears the group down as protocol.Group.Close does and ends each
+// replica's busy-poll loop (ModePolling): a closed group leaves no poller
+// burning its machine's cores. A poll chunk already queued still runs.
+func (g *Group) Close() {
+	g.Group.Close()
+	for _, r := range g.replicas {
+		r.proc.SetRefill(nil)
+	}
+}
+
 func (g *Group) setup(env protocol.Env) error {
 	depth := g.Params().Depth
 	g.metaBuf = make([]byte, g.msgLen())

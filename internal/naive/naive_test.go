@@ -259,6 +259,24 @@ func TestNaiveLatencyInflatesUnderLoad(t *testing.T) {
 	}
 }
 
+// TestClosedPollingGroupStopsPolling: closing a polling group ends its
+// replicas' busy-poll loops. A 1-replica group on a 2-core machine, closed
+// before it ever ran, may finish the one poll chunk it had queued, and
+// then leaves the machine idle.
+func TestClosedPollingGroupStopsPolling(t *testing.T) {
+	e := newEnv(t, 1, 2, testParams, ModePolling)
+	e.g.Close()
+	if err := e.k.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if cpu := e.g.ReplicaHandlerCPU(); cpu > 50*sim.Microsecond {
+		t.Errorf("replica handler CPU %v after Close, want at most the one 50µs chunk it had queued", cpu)
+	}
+	if u := e.scheds[0].Utilization(); u >= 0.05 {
+		t.Errorf("scheduler utilization %.3f after Close, want < 0.05", u)
+	}
+}
+
 func TestPinnedPollingAvoidsSchedulingDelay(t *testing.T) {
 	measure := func(mode Mode) sim.Duration {
 		e := newEnv(t, 3, 2, testParams, mode)

@@ -58,7 +58,7 @@ func FuzzWQEDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		sent := record(p.qa.SendCQ())
-		p.qa.tail = 1
+		p.qa.tail, p.qa.queued = 1, 1
 		p.qa.Doorbell()
 		if err := p.k.RunUntil(sim.Time(100 * sim.Millisecond)); err != nil {
 			t.Fatalf("run: %v", err)

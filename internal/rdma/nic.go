@@ -365,22 +365,40 @@ func (n *NIC) Idle() bool { return len(n.qps) == 0 && len(n.cqs) == 0 }
 // Stats reports WQEs executed and payload bytes transmitted by this NIC.
 func (n *NIC) Stats() (wqes, bytesTx int64) { return n.wqesExecuted, n.bytesTx }
 
-// wireMsg is one in-flight wire message: either a request leg carrying an
-// inMsg to the responder's inbox or an ack leg carrying a response back to
-// the requester. Structs are pooled on the fabric and each carries its own
+// wireMsg is one wire message: either a request leg carrying an inMsg to
+// the responder's inbox or an ack leg carrying a response back to the
+// requester. Structs are pooled on the fabric and each carries its own
 // cached fire closure, so a message on the wire costs one kernel event and
-// zero allocations.
+// zero allocations. A message moves by reference, and exactly one party
+// owns it at each step:
+//
+//   - the issuing QP takes it from the pool and fills it once (issueRemote,
+//     sendAck);
+//   - on the wire, its delivery event (fire) owns it;
+//   - a delivered request leg is queued in the responder's inbox, which
+//     owns it until processInbox has applied it and returns it and its
+//     payload to the pool;
+//   - a delivered ack leg returns to the pool at once, and handleAck
+//     returns its payload;
+//   - a lost message — sender down, dropped on the link, receiver down or
+//     destroyed at arrival, suppressed as a duplicate, or still queued in
+//     an inbox when its QP is destroyed — returns with its payload.
+//
+// An injected duplicate is a second struct that shares the original's
+// payload (dup is set); the receiver's psn dedup always discards one of
+// the pair, and the duplicate returns its struct but never the buffer, so
+// every payload goes back to the pool exactly once.
 type wireMsg struct {
-	f       *Fabric
-	to      *QP
-	psn     uint64
-	isAck   bool
-	msg     inMsg // request leg
-	ep      uint64
-	seq     uint64
-	st      Status
-	payload []byte // ack leg
-	fireFn  func()
+	f      *Fabric
+	to     *QP
+	psn    uint64
+	isAck  bool
+	dup    bool  // shares the original's payload; never returns it
+	msg    inMsg // request leg; msg.payload is the ack leg's response too
+	ep     uint64
+	seq    uint64
+	st     Status
+	fireFn func()
 }
 
 // fire is the delivery event for one wire message. The receiver-side
@@ -388,48 +406,38 @@ type wireMsg struct {
 // in flight loses it (the silent-drop contract is backed by the sender's
 // ack timeout, so the loss surfaces as an error CQE instead of an eternal
 // hang), and a duplicate of an already-delivered psn is discarded exactly
-// as RC transport dedup would discard a retransmission. The struct is
-// recycled before the payload is handed on, so re-entrant sends inside the
-// handler can reuse it.
+// as RC transport dedup would discard a retransmission. An ack's struct
+// is recycled before its payload is handed on, so re-entrant sends inside
+// the handler can reuse it.
 func (wm *wireMsg) fire() {
 	f, to := wm.f, wm.to
 	if to.nic.down || to.dead {
 		// A destroyed QP loses in-flight messages exactly like a dead NIC;
 		// the sender's ack timeout bounds the loss.
 		f.faultStats.Drops++
-		f.putWire(wm)
+		f.release(wm)
 		return
 	}
 	if wm.psn < to.wireRx {
 		f.faultStats.DupsSuppressed++
-		f.putWire(wm)
+		f.release(wm)
 		return
 	}
 	to.wireRx = wm.psn + 1
 	if wm.isAck {
-		ep, seq, st, payload := wm.ep, wm.seq, wm.st, wm.payload
+		ep, seq, st, payload := wm.ep, wm.seq, wm.st, wm.msg.payload
 		f.putWire(wm)
 		to.handleAck(ep, seq, st, payload)
 		return
 	}
-	m := wm.msg
-	f.putWire(wm)
-	to.enqueueInbox(m)
-}
-
-// sendRequest transmits a request leg to the responder's inbox.
-func (n *NIC) sendRequest(to *QP, size int, msg inMsg) {
-	wm := n.fabric.getWire()
-	wm.isAck = false
-	wm.msg = msg
-	n.send(to, size, wm)
+	to.enqueueInbox(wm)
 }
 
 // sendAck transmits an ack/response leg back to the requester.
 func (n *NIC) sendAck(to *QP, size int, ep, seq uint64, st Status, payload []byte) {
 	wm := n.fabric.getWire()
 	wm.isAck = true
-	wm.ep, wm.seq, wm.st, wm.payload = ep, seq, st, payload
+	wm.ep, wm.seq, wm.st, wm.msg.payload = ep, seq, st, payload
 	n.send(to, size, wm)
 }
 
@@ -447,7 +455,7 @@ func (n *NIC) send(to *QP, size int, wm *wireMsg) {
 		// A dead NIC transmits nothing; its own pending window flushes via
 		// the ack timeout.
 		f.faultStats.Drops++
-		f.putWire(wm)
+		f.release(wm)
 		return
 	}
 	var d sim.Duration
@@ -461,7 +469,7 @@ func (n *NIC) send(to *QP, size int, wm *wireMsg) {
 		if lf := f.linkFault(n.host, to.nic.host); lf != nil {
 			if lf.partitioned(f.k.Now()) || (lf.DropProb > 0 && f.faultRNG.Bernoulli(lf.DropProb)) {
 				f.faultStats.Drops++
-				f.putWire(wm)
+				f.release(wm)
 				return // lost on the wire; transmit costs already paid
 			}
 			d += lf.ExtraDelay
@@ -483,8 +491,8 @@ func (n *NIC) send(to *QP, size int, wm *wireMsg) {
 		// wire sequence number; the receiver's psn dedup discards one.
 		f.faultStats.Dups++
 		wm2 := f.getWire()
-		wm2.to, wm2.psn, wm2.isAck = to, psn, wm.isAck
-		wm2.msg, wm2.ep, wm2.seq, wm2.st, wm2.payload = wm.msg, wm.ep, wm.seq, wm.st, wm.payload
+		wm2.to, wm2.psn, wm2.isAck, wm2.dup = to, psn, wm.isAck, true
+		wm2.msg, wm2.ep, wm2.seq, wm2.st = wm.msg, wm.ep, wm.seq, wm.st
 		f.k.AtFunc(at, wm.fireFn, nil)
 		f.k.AtFunc(at, wm2.fireFn, nil)
 		return

@@ -42,9 +42,12 @@ const (
 	inCAS
 )
 
-// inMsg is a transport message queued at the responder QP. Messages are
-// processed strictly in arrival order; an RNR (no posted receive) blocks
-// the queue and retries, preserving reliable-connection ordering.
+// inMsg is what a request leg carries to the responder QP: the issuing
+// WQE's operands, its payload and the reply routing. It lives inside the
+// pooled wireMsg that carries it and is applied in place (see wireMsg for
+// who owns it when). Messages are processed strictly in arrival order; an
+// RNR (no posted receive) blocks the queue and retries, preserving
+// reliable-connection ordering.
 type inMsg struct {
 	kind    inKind
 	payload []byte
@@ -69,11 +72,16 @@ type inMsg struct {
 // position in the QP's request stream — replies echo it, so a reply
 // arriving for a later op proves every earlier pending op's request (or
 // ack) was lost and fails them immediately instead of waiting out the
-// timeout (see handleAck).
+// timeout (see handleAck). The rest is what completion reads of the
+// issuing WQE: its CQE fields, and local for a CAS result.
 type pendingOp struct {
-	wqe WQE
-	at  sim.Time
-	seq uint64
+	at    sim.Time
+	seq   uint64
+	wrid  uint64
+	local uint64
+	imm   uint32
+	op    Opcode
+	flags uint8
 }
 
 // QP is a reliable-connected queue pair. Its send queue is a ring of
@@ -89,14 +97,20 @@ type QP struct {
 	recvCQ    *CQ
 	peer      *QP
 
-	head uint64 // next slot sequence to execute
-	tail uint64 // next slot sequence to post
+	// The ring's ends are slot indices, so the engine never takes a
+	// sequence modulo the ring size. queued is tail - head around the
+	// ring; posts numbers the next post (the sequence PostSend returns,
+	// whose slot is SlotAddr's).
+	head   int // slot the engine executes next
+	tail   int // slot the next post fills
+	queued int
+	posts  uint64
 
 	// FIFO queues are ring buffers: reliable-connection ordering pops
 	// strictly from the front, and a slice-shift pop would cost O(depth)
 	// per message on deep windows.
 	recvQueue ring.Ring[RecvWQE]
-	inbox     ring.Ring[inMsg]
+	inbox     ring.Ring[*wireMsg]
 	pending   ring.Ring[pendingOp]
 
 	pumpScheduled bool
@@ -140,6 +154,10 @@ type QP struct {
 	inSt   Status
 	inResp []byte
 
+	// wqe is the slot at the head, decoded in place by pump; the engine
+	// reads it through *WQE and never copies it.
+	wqe WQE
+
 	// The due completion of a local op with a duration (completeAfter).
 	localW      WQE
 	localSt     Status
@@ -161,7 +179,7 @@ func (q *QP) initCallbacks() {
 		q.processInbox()
 	}
 	q.ackFn = q.ackExpire
-	q.localDoneFn = func() { q.pushSendCompletion(q.localW, q.localSt, int(q.localW.Len)) }
+	q.localDoneFn = func() { q.completeLocal(&q.localW, q.localSt) }
 }
 
 // QPN returns the queue pair number.
@@ -213,16 +231,16 @@ func (q *QP) Destroy() {
 		return
 	}
 	q.dead = true
-	for seq := q.head; seq != q.tail; seq++ {
-		_ = q.setOwned(seq, false)
+	for i, slot := 0, q.head; i < q.queued; i++ {
+		_ = q.setOwned(slot, false)
+		slot = q.next(slot)
 	}
 	q.stopAckTimer()
 	q.epoch++ // straggler replies to abandoned pendings are discarded
 	q.pending.Reset()
 	q.recvQueue.Reset()
 	for q.inbox.Len() > 0 {
-		m := q.inbox.PopFront()
-		q.nic.fabric.putBuf(m.payload)
+		q.nic.fabric.release(q.inbox.PopFront())
 	}
 	if p := q.peer; p != nil {
 		q.peer = nil
@@ -239,19 +257,36 @@ func (q *QP) Dead() bool { return q.dead }
 // ErrSendQueueFull is returned when posting would overrun un-executed WQEs.
 var ErrSendQueueFull = fmt.Errorf("rdma: send queue full")
 
-func (q *QP) writeSlot(seq uint64, w WQE) error {
-	if q.tailDistance() >= q.ringSlots {
-		return ErrSendQueueFull
+// post writes w into the tail slot and moves the tail past it, returning
+// the post's sequence number.
+func (q *QP) post(w *WQE) (uint64, error) {
+	if q.queued >= q.ringSlots {
+		return 0, ErrSendQueueFull
 	}
 	var buf [WQESize]byte
 	if err := w.Encode(buf[:]); err != nil {
-		return err
+		return 0, err
 	}
-	addr := SlotAddr(q.ringOff, q.ringSlots, seq)
-	return q.nic.mem.Write(int(addr), buf[:])
+	if err := q.nic.mem.Write(q.slotAddr(q.tail), buf[:]); err != nil {
+		return 0, err
+	}
+	seq := q.posts
+	q.posts++
+	q.tail = q.next(q.tail)
+	q.queued++
+	return seq, nil
 }
 
-func (q *QP) tailDistance() int { return int(q.tail - q.head) }
+// slotAddr returns the host-memory address of ring slot slot.
+func (q *QP) slotAddr(slot int) int { return int(q.ringOff) + slot*WQESize }
+
+// next returns the ring slot after slot.
+func (q *QP) next(slot int) int {
+	if slot++; slot == q.ringSlots {
+		return 0
+	}
+	return slot
+}
 
 // PostSend writes w at the ring tail with ownership granted and rings the
 // doorbell. This is the conventional verbs path.
@@ -260,11 +295,10 @@ func (q *QP) PostSend(w WQE) (uint64, error) {
 		return 0, ErrQPDestroyed
 	}
 	w.Flags |= FlagOwned
-	seq := q.tail
-	if err := q.writeSlot(seq, w); err != nil {
+	seq, err := q.post(&w)
+	if err != nil {
 		return 0, err
 	}
-	q.tail++
 	q.Doorbell()
 	return seq, nil
 }
@@ -277,16 +311,11 @@ func (q *QP) PostSendDeferred(w WQE) (uint64, error) {
 		return 0, ErrQPDestroyed
 	}
 	w.Flags &^= FlagOwned
-	seq := q.tail
-	if err := q.writeSlot(seq, w); err != nil {
-		return 0, err
-	}
-	q.tail++
-	return seq, nil
+	return q.post(&w)
 }
 
-func (q *QP) setOwned(seq uint64, owned bool) error {
-	addr := int(SlotAddr(q.ringOff, q.ringSlots, seq)) + wqeOffFlags
+func (q *QP) setOwned(slot int, owned bool) error {
+	addr := q.slotAddr(slot) + wqeOffFlags
 	b, err := q.nic.mem.Slice(addr, 1)
 	if err != nil {
 		return err
@@ -331,15 +360,12 @@ func (q *QP) pump() {
 	if q.dead || q.pumpBusy || q.nic.down {
 		return
 	}
-	slotAddr := int(SlotAddr(q.ringOff, q.ringSlots, q.head))
-	buf, err := q.nic.mem.Slice(slotAddr, WQESize)
-	if err != nil {
-		return
-	}
-	w, err := DecodeWQE(buf)
-	if err != nil || w.Flags&FlagOwned == 0 || w.Opcode == 0 {
+	buf, err := q.nic.mem.Slice(q.slotAddr(q.head), WQESize)
+	if err != nil || buf[wqeOffFlags]&FlagOwned == 0 || buf[wqeOffOpcode] == 0 {
 		return // stall until doorbell / enable
 	}
+	w := &q.wqe
+	w.decode(buf)
 	if w.Opcode == OpWait {
 		q.execWait(w)
 		return
@@ -350,7 +376,7 @@ func (q *QP) pump() {
 // execWait implements the CORE-Direct WAIT verb: block this send queue
 // until the target CQ has Imm unconsumed completions, then enable the
 // following Aux2 WQEs and advance.
-func (q *QP) execWait(w WQE) {
+func (q *QP) execWait(w *WQE) {
 	cq := q.nic.CQ(w.Aux1)
 	if cq == nil {
 		q.finishSlot(w, StatusLocalError, 0)
@@ -383,9 +409,10 @@ func (q *QP) execWait(w WQE) {
 		}
 		cq.waitConsumed += need
 	}
-	seq := q.head
+	slot := q.head
 	for j := uint32(1); j <= w.Aux2; j++ {
-		_ = q.setOwned(seq+uint64(j), true)
+		slot = q.next(slot)
+		_ = q.setOwned(slot, true)
 	}
 	q.nic.wqesExecuted++
 	q.advance(q.nic.fabric.cfg.WQEProc)
@@ -394,7 +421,7 @@ func (q *QP) execWait(w WQE) {
 // execute issues a non-WAIT WQE: it pays the engine occupancy (processing
 // plus wire serialization for remote ops), advances the ring, and arranges
 // completion when the ACK/response returns.
-func (q *QP) execute(w WQE) {
+func (q *QP) execute(w *WQE) {
 	n := q.nic
 	cfg := n.fabric.cfg
 	n.wqesExecuted++
@@ -439,32 +466,13 @@ func (q *QP) execute(w WQE) {
 		case OpWriteImm:
 			kind = inWriteImm
 		}
-		q.issueRemote(w, inMsg{
-			kind:    kind,
-			payload: payload,
-			addr:    w.Remote,
-			length:  w.Len,
-			rkey:    w.Aux1,
-			imm:     w.Imm,
-		}, len(payload))
+		q.issueRemote(w, kind, payload, len(payload))
 
 	case OpFlush:
-		q.issueRemote(w, inMsg{
-			kind:   inFlush,
-			addr:   w.Remote,
-			length: w.Len,
-			rkey:   w.Aux1,
-		}, 0)
+		q.issueRemote(w, inFlush, nil, 0)
 
 	case OpCAS:
-		q.issueRemote(w, inMsg{
-			kind:    inCAS,
-			addr:    w.Remote,
-			length:  8,
-			rkey:    w.Aux1,
-			compare: w.Compare,
-			swap:    w.Swap,
-		}, 16)
+		q.issueRemote(w, inCAS, nil, 16)
 
 	default:
 		q.completeLocal(w, StatusLocalError)
@@ -472,36 +480,47 @@ func (q *QP) execute(w WQE) {
 	}
 }
 
-// issueRemote transmits msg to the peer, registers the pending completion,
-// and advances the ring after the engine occupancy. Response
-// post-processing (a CAS result landing in requester memory) is
-// dispatched from the stored WQE in completePending, so issuing an op
-// allocates nothing.
-func (q *QP) issueRemote(w WQE, msg inMsg, wireBytes int) {
+// issueRemote registers w's pending completion, writes the request leg —
+// w's operands, payload and the reply routing — once, straight into a
+// pooled wire message, transmits it to the peer, and advances the ring
+// after the engine occupancy. Response post-processing (a CAS result
+// landing in requester memory) is dispatched from the pending op in
+// completePending, so issuing an op allocates nothing.
+func (q *QP) issueRemote(w *WQE, kind inKind, payload []byte, wireBytes int) {
+	f := q.nic.fabric
 	seq := q.opTx
 	q.opTx++
-	q.pending.PushBack(pendingOp{wqe: w, at: q.nic.fabric.k.Now(), seq: seq})
+	q.pending.PushBack(pendingOp{
+		at: f.k.Now(), seq: seq,
+		wrid: w.WRID, local: w.Local, imm: w.Imm, op: w.Opcode, flags: w.Flags,
+	})
 	if !q.ackArmed {
 		q.armAckTimer()
 	}
-	msg.src, msg.srcEp, msg.srcSeq = q, q.epoch, seq
-	q.nic.sendRequest(q.peer, wireBytes, msg)
-	q.advance(q.nic.fabric.cfg.WQEProc + q.nic.fabric.xmitTime(wireBytes))
+	wm := f.getWire()
+	wm.isAck = false
+	m := &wm.msg
+	m.kind, m.payload = kind, payload
+	m.addr, m.length, m.rkey, m.imm = w.Remote, w.Len, w.Aux1, w.Imm
+	m.compare, m.swap = w.Compare, w.Swap
+	m.src, m.srcEp, m.srcSeq = q, q.epoch, seq
+	q.nic.send(q.peer, wireBytes, wm)
+	q.advance(f.cfg.WQEProc + f.xmitTime(wireBytes))
 }
 
 // completePending resolves one issued remote op with its response: a
 // CAS response payload (a pooled scratch buffer owned by handleAck) is
 // copied into requester memory first, then the send completion is
 // pushed with the resulting status.
-func (q *QP) completePending(op pendingOp, st Status, payload []byte) {
-	if st == StatusSuccess && op.wqe.Opcode == OpCAS {
+func (q *QP) completePending(op *pendingOp, st Status, payload []byte) {
+	if st == StatusSuccess && op.op == OpCAS {
 		if len(payload) != 8 {
 			st = StatusLocalError
-		} else if err := q.nic.mem.Write(int(op.wqe.Local), payload); err != nil {
+		} else if err := q.nic.mem.Write(int(op.local), payload); err != nil {
 			st = StatusLocalError
 		}
 	}
-	q.pushSendCompletion(op.wqe, st, len(payload))
+	q.pushSendCompletion(op.flags, op.wrid, op.op, op.imm, st, len(payload))
 }
 
 // armAckTimer (re)schedules the transport deadline for the oldest pending
@@ -548,7 +567,7 @@ func (q *QP) flushPending(first Status) {
 	st := first
 	for q.pending.Len() > 0 {
 		op := q.pending.PopFront()
-		q.completePending(op, st, nil)
+		q.completePending(&op, st, nil)
 		st = StatusFlushed
 	}
 }
@@ -571,7 +590,7 @@ func (q *QP) handleAck(ep uint64, seq uint64, st Status, payload []byte) {
 	// their full timeout.
 	for q.pending.Len() > 0 && q.pending.Front().seq < seq {
 		op := q.pending.PopFront()
-		q.completePending(op, StatusTimeout, nil)
+		q.completePending(&op, StatusTimeout, nil)
 	}
 	if q.pending.Len() == 0 || q.pending.Front().seq != seq {
 		// The op this reply answers was already resolved; drop it.
@@ -580,7 +599,7 @@ func (q *QP) handleAck(ep uint64, seq uint64, st Status, payload []byte) {
 		return
 	}
 	op := q.pending.PopFront()
-	q.completePending(op, st, payload)
+	q.completePending(&op, st, payload)
 	// Response payloads (CAS results) are consumed by completePending;
 	// recycle the scratch buffer.
 	q.nic.fabric.putBuf(payload)
@@ -597,31 +616,33 @@ func (q *QP) rearmOrStopAckTimer() {
 }
 
 // completeLocal pushes a send completion immediately (local-only ops).
-func (q *QP) completeLocal(w WQE, st Status) {
-	q.pushSendCompletion(w, st, int(w.Len))
+func (q *QP) completeLocal(w *WQE, st Status) {
+	q.pushSendCompletion(w.Flags, w.WRID, w.Opcode, w.Imm, st, int(w.Len))
 }
 
 // completeAfter pushes a send completion after a delay (local ops with
 // duration, e.g. MEMCPY). At most one is due at a time: the engine runs
 // the next WQE only once this one's occupancy — the same delay, scheduled
 // after it — has passed.
-func (q *QP) completeAfter(w WQE, st Status, d sim.Duration) {
-	q.localW, q.localSt = w, st
+func (q *QP) completeAfter(w *WQE, st Status, d sim.Duration) {
+	q.localW, q.localSt = *w, st
 	q.nic.fabric.k.AfterFunc(d, q.localDoneFn, nil)
 }
 
-func (q *QP) pushSendCompletion(w WQE, st Status, n int) {
-	if w.Flags&FlagSignaled == 0 && st == StatusSuccess {
+// pushSendCompletion reports a finished send WQE, given its flags and CQE
+// fields; a successful unsignaled one completes silently.
+func (q *QP) pushSendCompletion(flags uint8, wrid uint64, op Opcode, imm uint32, st Status, n int) {
+	if flags&FlagSignaled == 0 && st == StatusSuccess {
 		return
 	}
 	q.sendCQ.push(CQE{
-		QPN: q.qpn, WRID: w.WRID, Op: w.Opcode, Status: st, Imm: w.Imm, ByteLen: n,
+		QPN: q.qpn, WRID: wrid, Op: op, Status: st, Imm: imm, ByteLen: n,
 	})
 }
 
 // finishSlot completes a slot with an error without executing it.
-func (q *QP) finishSlot(w WQE, st Status, n int) {
-	q.pushSendCompletion(w, st, n)
+func (q *QP) finishSlot(w *WQE, st Status, n int) {
+	q.pushSendCompletion(w.Flags, w.WRID, w.Opcode, w.Imm, st, n)
 	q.advance(q.nic.fabric.cfg.WQEProc)
 }
 
@@ -629,14 +650,16 @@ func (q *QP) finishSlot(w WQE, st Status, n int) {
 // the next pump after the occupancy delay.
 func (q *QP) advance(occupancy sim.Duration) {
 	_ = q.setOwned(q.head, false)
-	q.head++
+	q.head = q.next(q.head)
+	q.queued--
 	q.pumpBusy = true
 	q.nic.fabric.k.AfterFunc(occupancy, q.pumpResumeFn, nil)
 }
 
-// enqueueInbox receives a transport message at the responder.
-func (q *QP) enqueueInbox(m inMsg) {
-	q.inbox.PushBack(m)
+// enqueueInbox queues a delivered request leg at the responder, which now
+// owns it (see wireMsg).
+func (q *QP) enqueueInbox(wm *wireMsg) {
+	q.inbox.PushBack(wm)
 	if !q.inboxBusy && !q.rnrWaiting {
 		q.processInbox()
 	}
@@ -650,7 +673,8 @@ func (q *QP) processInbox() {
 		// A down NIC leaves its inbox queued; SetDown(false) re-kicks it.
 		return
 	}
-	m := q.inbox.Front()
+	wm := q.inbox.Front()
+	m := &wm.msg
 	if (m.kind == inSend || m.kind == inWriteImm) && q.recvQueue.Len() == 0 {
 		if !q.rnrWaiting {
 			q.rnrWaiting = true
@@ -664,10 +688,10 @@ func (q *QP) processInbox() {
 	occ := cfg.WQEProc
 	st, resp, extra := q.applyInbound(m)
 	occ += extra
-	// The request payload has been applied to memory; recycle it before the
-	// occupancy delay so back-to-back messages reuse the same buffer.
-	q.nic.fabric.putBuf(m.payload)
 	q.inSrc, q.inEp, q.inSeq, q.inSt, q.inResp = m.src, m.srcEp, m.srcSeq, st, resp
+	// The request has been applied to memory; recycle it and its payload
+	// before the occupancy delay so back-to-back messages reuse them.
+	q.nic.fabric.release(wm)
 	q.nic.fabric.k.AfterFunc(occ, q.inboxDoneFn, nil)
 }
 
@@ -686,7 +710,7 @@ func (q *QP) finishInbox() {
 
 // applyInbound performs the memory effect of an inbound message and
 // returns the reply status/payload plus any extra processing delay.
-func (q *QP) applyInbound(m inMsg) (Status, []byte, sim.Duration) {
+func (q *QP) applyInbound(m *inMsg) (Status, []byte, sim.Duration) {
 	n := q.nic
 	switch m.kind {
 	case inWrite:

@@ -138,28 +138,37 @@ func (w *WQE) Encode(buf []byte) error {
 
 // DecodeWQE parses a WQESize-byte slot.
 func DecodeWQE(buf []byte) (WQE, error) {
+	var w WQE
 	if len(buf) < WQESize {
-		return WQE{}, fmt.Errorf("rdma: wqe buffer too small (%d bytes)", len(buf))
+		return w, fmt.Errorf("rdma: wqe buffer too small (%d bytes)", len(buf))
 	}
-	return WQE{
-		Opcode:  Opcode(buf[wqeOffOpcode]),
-		Flags:   buf[wqeOffFlags],
-		Imm:     binary.LittleEndian.Uint32(buf[wqeOffImm:]),
-		Local:   binary.LittleEndian.Uint64(buf[wqeOffLocal:]),
-		Len:     binary.LittleEndian.Uint64(buf[wqeOffLen:]),
-		Remote:  binary.LittleEndian.Uint64(buf[wqeOffRemote:]),
-		Compare: binary.LittleEndian.Uint64(buf[wqeOffCompare:]),
-		Swap:    binary.LittleEndian.Uint64(buf[wqeOffSwap:]),
-		Aux1:    binary.LittleEndian.Uint32(buf[wqeOffAux1:]),
-		Aux2:    binary.LittleEndian.Uint32(buf[wqeOffAux2:]),
-		WRID:    binary.LittleEndian.Uint64(buf[wqeOffWRID:]),
-	}, nil
+	w.decode(buf)
+	return w, nil
+}
+
+// decode overwrites every field of w from a slot of at least WQESize
+// bytes. The send engine decodes each slot in place, into the one WQE its
+// QP owns.
+func (w *WQE) decode(buf []byte) {
+	_ = buf[WQESize-1]
+	w.Opcode = Opcode(buf[wqeOffOpcode])
+	w.Flags = buf[wqeOffFlags]
+	w.Imm = binary.LittleEndian.Uint32(buf[wqeOffImm:])
+	w.Local = binary.LittleEndian.Uint64(buf[wqeOffLocal:])
+	w.Len = binary.LittleEndian.Uint64(buf[wqeOffLen:])
+	w.Remote = binary.LittleEndian.Uint64(buf[wqeOffRemote:])
+	w.Compare = binary.LittleEndian.Uint64(buf[wqeOffCompare:])
+	w.Swap = binary.LittleEndian.Uint64(buf[wqeOffSwap:])
+	w.Aux1 = binary.LittleEndian.Uint32(buf[wqeOffAux1:])
+	w.Aux2 = binary.LittleEndian.Uint32(buf[wqeOffAux2:])
+	w.WRID = binary.LittleEndian.Uint64(buf[wqeOffWRID:])
 }
 
 // SlotAddr returns the host-memory address of slot seq in a ring that
 // starts at ringOff with ringSlots slots. Sequence numbers map onto the
 // ring modulo its size, so both ends of a HyperLoop group can compute the
-// same slot address for operation seq.
+// same slot address for operation seq. It is setup-time address math: the
+// send engine keeps its ring ends as slot indices and takes no modulo.
 func SlotAddr(ringOff uint64, ringSlots int, seq uint64) uint64 {
 	return ringOff + (seq%uint64(ringSlots))*WQESize
 }
