@@ -185,21 +185,23 @@ covercheck() {
 # bench/ is its own Go module (BENCHMARK.json's benchmark), so the root
 # ./... patterns do not reach it.
 #
-# 2026-09-26: TestSmoke is skipped because of one assertion,
-#   "bench_test.go:80: shard-2pc: app.self_virt_us_per_op = -30.323764999999998, the stores model no CPU cost".
-# bench/tap.go computes an op's self time as op − Σ group calls; since the
-# phase-parallel 2PC the group calls of one Router.Txn overlap, the sum
-# exceeds the op and the value goes negative (-18.06 once a store step was
-# one blocking call, so fewer calls overlapped; -16.71 since 2026-10-02,
-# PR 19: the lock round's calls overlap too, the separate unlock call and
-# the blocking truncate are gone). Every other TestSmoke assertion holds —
+# TestSmoke is skipped because three of its assertions fail, each
+# "the stores model no CPU cost": app.self_virt_us_per_op is 2.46 on
+# kv-chain, 284.05 on kv-naive-tenants and -16.71 on shard-2pc. bench/tap.go
+# takes an op's self time as the op minus the sum of its blocking group
+# calls, which is wrong two ways:
+#   - a span-2/4 Router.Txn issues overlapping group calls, so the sum
+#     exceeds the op and shard-2pc's value goes negative;
+#   - a kvstore Put that carries a checkpoint piece posts AppendData /
+#     AppendTruncate and makes no blocking call, so the tap charges that
+#     replication time to the app (kv-chain, kv-naive-tenants).
+# Every other TestSmoke assertion holds, and `bash bench/run.sh` is
+# unaffected:
 #   $ (cd bench && go test -run '^TestSmoke$' ./...)
-#   --- FAIL: TestSmoke
-#       bench_test.go:80: shard-2pc: app.self_virt_us_per_op = -16.705965000000003, the stores model no CPU cost
-# is the whole output — and `bash bench/run.sh` is unaffected. bench/ is frozen
-# for PRs that claim a gain; ROADMAP.md (tracing item, 4) has the
-# [benchmark] follow-up: self time from the covered interval, then drop
-# this -skip.
+# shows exactly those three failures. bench/ is frozen for PRs that claim
+# a gain; ROADMAP.md's op-ledger item ("One op ledger in protocol.Group")
+# is the mend: self time from the union of the op's group-call intervals,
+# then drop this -skip.
 bench_module() {
     cd bench
     go vet ./...
@@ -336,21 +338,20 @@ build_tools() {
     go build -o "$tmp/benchdiff" ./cmd/benchdiff
 }
 
-# Determinism golden for one experiment selection at one seed: the bench
-# output — every experiment's report and every scenario's findings — is
-# virtual-time numbers, so it must be byte-identical serial (-procs 1) vs
-# overlapped once the wall-time-only lines ("regenerated in") are
-# stripped. The overlapped side is pinned to -procs 4, not
-# -procs 0: on a one-core runner 0 resolves to a budget of 1, which is the
-# serial schedule, and the gate would compare serial with serial. Results
-# are identical at any setting; oversubscription only costs wall time.
+# Determinism golden for one experiment selection at one seed: every
+# report — each experiment's tables and each scenario's checks — is
+# virtual-time numbers, so the serial (-procs 1) and overlapped -json
+# reports must match exactly on every field but procs, cell values
+# included; the text is a pure function of them (internal/report). The
+# overlapped side is pinned to -procs 4, not -procs 0: on a one-core runner
+# 0 resolves to a budget of 1, which is the serial schedule, and the gate
+# would compare serial with serial. Results are identical at any setting;
+# oversubscription only costs wall time.
 determinism() {
     exp=$1 seed=$2
-    "$tmp/bench" -exp "$exp" -scale quick -seed "$seed" -procs 1 |
-        grep -v 'regenerated in' >"$tmp/serial.norm"
-    "$tmp/bench" -exp "$exp" -scale quick -seed "$seed" -procs 4 |
-        grep -v 'regenerated in' >"$tmp/overlap.norm"
-    diff -u "$tmp/serial.norm" "$tmp/overlap.norm"
+    "$tmp/bench" -exp "$exp" -scale quick -seed "$seed" -procs 1 -json "$tmp/serial.json" >/dev/null
+    "$tmp/bench" -exp "$exp" -scale quick -seed "$seed" -procs 4 -json "$tmp/overlap.json" >/dev/null
+    "$tmp/benchdiff" "$tmp/serial.json" "$tmp/overlap.json"
 }
 
 # Regression gate: an overlapped quick run (-procs 4, for the reason given

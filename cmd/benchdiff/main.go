@@ -6,16 +6,23 @@
 //	benchdiff [-only exp] BENCH_baseline.json current.json
 //
 // Every field the report carries is the simulation's virtual-time
-// behaviour, and all of it but procs must match exactly: seed, scale, the
-// experiment id sequence, each experiment's rendered report text (every
-// latency and throughput number is virtual time, so the text is
-// deterministic), and the counters sim_events, cqes, messages and
-// wire_bytes. Any mismatch is a behaviour change: benchdiff prints the
-// first divergence per experiment and exits 1. If the change is
-// intentional, regenerate the baseline (see ci.sh -update-baseline).
-// Procs is not compared: the committed baseline is a serial run, CI's is
-// overlapped, and both must read the same. Host-clock evidence comes from
-// `bash bench/run.sh` medians (BENCHMARK.json).
+// behaviour (the schema is stated in internal/report), and all of it but
+// procs must match exactly:
+//   - seed and scale;
+//   - the experiment id sequence;
+//   - per experiment: title, claim, each check (name, pass, observed),
+//     notes, the counters sim_events, cqes, messages, wire_bytes, drops
+//     and dups, and each table's title, columns and every raw cell value.
+//
+// Cells are compared as values, not as rendered text, so a change below
+// display precision (12 301 ns → 12 302 ns, both "12.3µs") is a mismatch.
+// Any mismatch is a behaviour change: benchdiff names the experiment and
+// the first divergent field — for a cell its table, row and column — and
+// the first line where the two rendered reports differ, then exits 1. If
+// the change is intentional, regenerate the baseline (see ci.sh
+// -update-baseline). Procs is not compared: the committed baseline is a
+// serial run, CI's is overlapped, and both must read the same. Host-clock
+// evidence comes from `bash bench/run.sh` medians (BENCHMARK.json).
 //
 // -only <experiment> restricts the comparison to one experiment id — for
 // iterating on a single experiment locally without re-running the full
@@ -27,12 +34,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 
 	"hyperloop/internal/report"
 )
 
-// firstLineDiff locates the first differing line of two texts.
+// firstLineDiff locates the first differing line of two texts; line 0
+// means the texts are equal.
 func firstLineDiff(a, b string) (int, string, string) {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) || i < len(bl); i++ {
@@ -55,11 +64,79 @@ func filterOnly(r *report.BenchReport, id, path string) (*report.BenchReport, er
 	for _, e := range r.Experiments {
 		if e.ID == id {
 			out := *r
-			out.Experiments = []report.ExpStats{e}
+			out.Experiments = []*report.Report{e}
 			return &out, nil
 		}
 	}
 	return nil, fmt.Errorf("%s: no experiment %q in report", path, id)
+}
+
+// field is one named value of the baseline and the current report.
+type field struct {
+	name   string
+	vb, vc any
+}
+
+// firstField names the first of fields whose values differ, or returns "".
+func firstField(fields ...field) string {
+	for _, f := range fields {
+		if !reflect.DeepEqual(f.vb, f.vc) {
+			return fmt.Sprintf("%s: baseline %+v, current %+v", f.name, f.vb, f.vc)
+		}
+	}
+	return ""
+}
+
+// firstDiff names the first field in which two entries of one experiment
+// differ — a cell by its table, row and column — or returns "".
+func firstDiff(b, c *report.Report) string {
+	for i, tb := range b.Tables {
+		if i >= len(c.Tables) || len(tb.Rows) != len(c.Tables[i].Rows) || !reflect.DeepEqual(tb.Columns, c.Tables[i].Columns) {
+			break // a change of shape: the text diff locates it
+		}
+		for r, row := range tb.Rows {
+			for j, col := range tb.Columns {
+				if vc := c.Tables[i].Rows[r][j]; row[j] != vc {
+					return fmt.Sprintf("table %d %q, row %d (%v), column %q: baseline %v, current %v",
+						i+1, tb.Title, r+1, row[0], col.Name, row[j], vc)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(b.Tables, c.Tables) {
+		return "tables: their number, titles, columns or row counts differ"
+	}
+	return firstField(field{"title", b.Title, c.Title}, field{"claim", b.Claim, c.Claim},
+		field{"checks", b.Checks, c.Checks}, field{"notes", b.Notes, c.Notes}, field{"counters", b.Counters, c.Counters})
+}
+
+// compare returns every strict mismatch between a baseline and a current
+// report: the run's identity, else at most one per experiment.
+func compare(base, cur *report.BenchReport) []string {
+	ids := func(r *report.BenchReport) (ids []string) {
+		for _, e := range r.Experiments {
+			ids = append(ids, e.ID)
+		}
+		return ids
+	}
+	if d := firstField(field{"seed", base.Seed, cur.Seed}, field{"scale", base.Scale, cur.Scale},
+		field{"experiment set", ids(base), ids(cur)}); d != "" {
+		return []string{d}
+	}
+	var bad []string
+	for i, b := range base.Experiments {
+		c := cur.Experiments[i]
+		d := firstDiff(b, c)
+		if d == "" {
+			continue
+		}
+		text := "the rendered reports are identical: the change is below display precision or in a field the text omits"
+		if line, lb, lc := firstLineDiff(b.String(), c.String()); line > 0 {
+			text = fmt.Sprintf("the rendered reports diverge at line %d:\n    baseline: %s\n    current:  %s", line, lb, lc)
+		}
+		bad = append(bad, fmt.Sprintf("%s: %s\n  %s", b.ID, d, text))
+	}
+	return bad
 }
 
 func run(args []string) error {
@@ -87,47 +164,8 @@ func run(args []string) error {
 			return err
 		}
 	}
-	args = []string{fs.Arg(0), fs.Arg(1)}
-
-	var bad []string
-	strict := func(ok bool, format string, a ...any) {
-		if !ok {
-			bad = append(bad, fmt.Sprintf(format, a...))
-		}
-	}
-	strict(base.Seed == cur.Seed, "seed: baseline %d, current %d", base.Seed, cur.Seed)
-	strict(base.Scale == cur.Scale, "scale: baseline %q, current %q", base.Scale, cur.Scale)
-
-	var baseIDs, curIDs []string
-	for _, e := range base.Experiments {
-		baseIDs = append(baseIDs, e.ID)
-	}
-	for _, e := range cur.Experiments {
-		curIDs = append(curIDs, e.ID)
-	}
-	if strings.Join(baseIDs, " ") != strings.Join(curIDs, " ") {
-		strict(false, "experiment set: baseline [%s], current [%s]",
-			strings.Join(baseIDs, " "), strings.Join(curIDs, " "))
-	} else {
-		for i := range base.Experiments {
-			b, c := base.Experiments[i], cur.Experiments[i]
-			if b.Report != c.Report {
-				line, lb, lc := firstLineDiff(b.Report, c.Report)
-				strict(false, "%s: report diverges at line %d:\n  baseline: %s\n  current:  %s",
-					b.ID, line, lb, lc)
-			}
-			cmp := func(name string, vb, vc int64) {
-				strict(vb == vc, "%s: %s: baseline %d, current %d", b.ID, name, vb, vc)
-			}
-			cmp("sim_events", b.SimEvents, c.SimEvents)
-			cmp("cqes", b.CQEs, c.CQEs)
-			cmp("messages", b.Messages, c.Messages)
-			cmp("wire_bytes", b.WireBytes, c.WireBytes)
-		}
-	}
-
-	if len(bad) > 0 {
-		fmt.Printf("benchdiff: %d strict mismatch(es) between %s and %s:\n", len(bad), args[0], args[1])
+	if bad := compare(base, cur); len(bad) > 0 {
+		fmt.Printf("benchdiff: %d strict mismatch(es) between %s and %s:\n", len(bad), fs.Arg(0), fs.Arg(1))
 		for _, m := range bad {
 			fmt.Println("  " + m)
 		}

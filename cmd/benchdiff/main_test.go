@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"hyperloop/internal/report"
 )
@@ -18,13 +19,21 @@ func writeReport(t *testing.T, dir, name string, r report.BenchReport) string {
 	return path
 }
 
+// entry is one experiment's report with a one-row latency table.
+func entry(id string, p50 time.Duration, simEvents int64) *report.Report {
+	tbl := report.NewTable("gWRITE latency", report.Bytes("size"), report.Dur("p50"))
+	tbl.AddRow(1024, p50)
+	return &report.Report{
+		ID: id, Title: "gWRITE latency vs message size",
+		Tables:   []*report.Table{tbl},
+		Counters: report.Counters{SimEvents: simEvents, CQEs: 50, Messages: 60, WireBytes: 4096},
+	}
+}
+
 func sample() report.BenchReport {
 	return report.BenchReport{
 		Seed: 1, Scale: "quick", Procs: 1,
-		Experiments: []report.ExpStats{{
-			ID: "fig8a", Report: "== fig8a ==\np50 1.2us\n",
-			SimEvents: 1000, CQEs: 50, Messages: 60, WireBytes: 4096,
-		}},
+		Experiments: []*report.Report{entry("fig8a", 12301*time.Nanosecond, 1000)},
 	}
 }
 
@@ -52,14 +61,32 @@ func TestAdvisoryOnlyChangesPass(t *testing.T) {
 	}
 }
 
-func TestReportTextMismatchFails(t *testing.T) {
+// TestBelowPrecisionChangeFails: cells are compared as values, so 12 301 ns
+// → 12 302 ns fails the gate though both render "12.3µs".
+func TestBelowPrecisionChangeFails(t *testing.T) {
+	base, cur := sample(), sample()
+	cur.Experiments[0] = entry("fig8a", 12302*time.Nanosecond, 1000)
+	if base.Experiments[0].String() != cur.Experiments[0].String() {
+		t.Fatal("the two p50s render differently; the test needs a change below display precision")
+	}
 	dir := t.TempDir()
-	a := writeReport(t, dir, "a.json", sample())
-	cur := sample()
-	cur.Experiments[0].Report = "== fig8a ==\np50 1.3us\n"
-	b := writeReport(t, dir, "b.json", cur)
-	if err := run([]string{a, b}); err == nil {
-		t.Fatal("changed report text accepted")
+	if err := run([]string{writeReport(t, dir, "a.json", base), writeReport(t, dir, "b.json", cur)}); err == nil {
+		t.Fatal("a cell change below display precision accepted")
+	}
+}
+
+// TestMismatchNamesCell: a changed cell is reported by experiment, table,
+// row and column, with the first line where the rendered reports differ.
+func TestMismatchNamesCell(t *testing.T) {
+	base, cur := sample(), sample()
+	cur.Experiments[0] = entry("fig8a", 13500*time.Nanosecond, 1000)
+	bad := compare(&base, &cur)
+	for _, want := range []string{`fig8a: table 1 "gWRITE latency", row 1 (1024), column "p50": ` +
+		"baseline 12.301µs, current 13.5µs", "diverge at line 7:\n    baseline: 1K    12.3µs\n    current:  1K    13.5µs",
+	} {
+		if len(bad) != 1 || !strings.Contains(bad[0], want) {
+			t.Errorf("mismatches %q, want one that names %q", bad, want)
+		}
 	}
 }
 
@@ -67,7 +94,7 @@ func TestStrictCounterMismatchFails(t *testing.T) {
 	dir := t.TempDir()
 	a := writeReport(t, dir, "a.json", sample())
 	cur := sample()
-	cur.Experiments[0].SimEvents++
+	cur.Experiments[0].Counters.SimEvents++
 	b := writeReport(t, dir, "b.json", cur)
 	if err := run([]string{a, b}); err == nil {
 		t.Fatal("changed sim_events accepted")
@@ -99,11 +126,7 @@ func TestSeedMismatchFails(t *testing.T) {
 // multiSample is a two-experiment baseline for the -only filter tests.
 func multiSample() report.BenchReport {
 	r := sample()
-	second := r.Experiments[0]
-	second.ID = "shards"
-	second.Report = "== shards ==\np99 9.9us\n"
-	second.SimEvents = 2000
-	r.Experiments = append(r.Experiments, second)
+	r.Experiments = append(r.Experiments, entry("shards", 9900*time.Nanosecond, 2000))
 	return r
 }
 
@@ -113,15 +136,13 @@ func TestOnlyFilterComparesSingleExperiment(t *testing.T) {
 	// Current run regenerated just the shards experiment: the other
 	// experiment's counters diverge wildly but must be ignored.
 	cur := multiSample()
-	cur.Experiments[0].SimEvents = 1
-	cur.Experiments[0].Report = "garbage"
-	cur.Experiments = cur.Experiments[:2]
+	cur.Experiments[0] = entry("fig8a", time.Second, 1)
 	b := writeReport(t, dir, "b.json", cur)
 	if err := run([]string{"-only", "shards", a, b}); err != nil {
 		t.Fatalf("-only shards compared unrelated experiments: %v", err)
 	}
 	// The filtered experiment itself still gates strictly.
-	cur.Experiments[1].SimEvents++
+	cur.Experiments[1].Counters.SimEvents++
 	b = writeReport(t, dir, "b.json", cur)
 	if err := run([]string{"-only", "shards", a, b}); err == nil {
 		t.Fatal("-only missed a strict mismatch in the selected experiment")

@@ -116,8 +116,8 @@ func TestCountersDeterministic(t *testing.T) {
 }
 
 // TestBaselineScenariosMatchFindings: the scenario entries of the committed
-// BENCH_baseline.json carry exactly the committed hypotheses/<id>/FINDINGS.md
-// text, so the two artifacts cannot drift apart.
+// BENCH_baseline.json render exactly the committed
+// hypotheses/<id>/FINDINGS.md text, so the two artifacts cannot drift apart.
 func TestBaselineScenariosMatchFindings(t *testing.T) {
 	rep, err := report.Load(filepath.Join("..", "..", "BENCH_baseline.json"))
 	if err != nil {
@@ -125,12 +125,12 @@ func TestBaselineScenariosMatchFindings(t *testing.T) {
 	}
 	var ids []string
 	for _, e := range rep.Experiments {
-		if !strings.HasPrefix(e.Report, "# Hypothesis: ") {
+		if e.Claim == "" {
 			continue
 		}
 		ids = append(ids, e.ID)
 		md, err := os.ReadFile(filepath.Join("..", "..", "hypotheses", e.ID, "FINDINGS.md"))
-		if err != nil || string(md) != e.Report {
+		if err != nil || string(md) != e.String() {
 			t.Errorf("%s: baseline report differs from the committed FINDINGS.md (%v) — regenerate with ./ci.sh -update-baseline", e.ID, err)
 		}
 	}
@@ -155,18 +155,18 @@ func TestRunSingleScenarioJSONAndFindings(t *testing.T) {
 		t.Fatalf("report = %+v, want one multi-failure entry at seed 7", rep)
 	}
 	e := rep.Experiments[0]
-	if e.SimEvents <= 0 || e.CQEs <= 0 || e.Messages <= 0 || e.WireBytes <= 0 {
-		t.Fatalf("counters not populated: %+v", e)
+	if c := e.Counters; c.SimEvents <= 0 || c.CQEs <= 0 || c.Messages <= 0 || c.WireBytes <= 0 {
+		t.Fatalf("counters not populated: %+v", c)
 	}
-	if !strings.Contains(e.Report, "Verdict: VALIDATED") {
-		t.Fatalf("findings not embedded in -json entry:\n%s", e.Report)
+	if e.Claim == "" || len(e.Checks) == 0 || !e.Passed() {
+		t.Fatalf("claim and checks not in the -json entry: %+v", e)
 	}
 	md, err := os.ReadFile(filepath.Join(fdir, "multi-failure", "FINDINGS.md"))
 	if err != nil {
 		t.Fatalf("findings artifact: %v", err)
 	}
-	if string(md) != e.Report {
-		t.Fatal("FINDINGS.md differs from the -json report text")
+	if string(md) != e.String() {
+		t.Fatal("FINDINGS.md differs from the rendered -json entry")
 	}
 }
 
@@ -193,7 +193,7 @@ func TestRefutedClaimFailsRun(t *testing.T) {
 		t.Fatalf("run = %v, want %v", err, errRefuted)
 	}
 	rep, lerr := report.Load(path)
-	if lerr != nil || len(rep.Experiments) != 1 || !strings.Contains(rep.Experiments[0].Report, "Verdict: REFUTED") {
+	if lerr != nil || len(rep.Experiments) != 1 || rep.Experiments[0].Passed() {
 		t.Fatalf("JSON not written with the refuted report: %v %+v", lerr, rep)
 	}
 	md, ferr := os.ReadFile(filepath.Join(fdir, "multi-failure", "FINDINGS.md"))

@@ -48,7 +48,7 @@ func run(args []string) error {
 		scale    = fs.String("scale", "quick", "run size: quick | full (paper-grade sample counts)")
 		list     = fs.Bool("list", false, "list experiments and scenarios and exit")
 		procs    = fs.Int("procs", 0, "concurrent trials across all experiments (0 = GOMAXPROCS); results are identical at any setting")
-		jsonP    = fs.String("json", "", "write machine-readable counters to this file ('-' = stdout)")
+		jsonP    = fs.String("json", "", "write the reports as JSON (schema: internal/report) to this file ('-' = stdout)")
 		findings = fs.String("findings", "", "write each scenario's FINDINGS.md under <dir>/<id>/")
 		prof     = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	)
@@ -101,16 +101,8 @@ func run(args []string) error {
 	bench := report.BenchReport{Seed: *seed, Scale: *scale, Procs: experiments.Parallelism()}
 	refuted := 0
 	for _, r := range results {
-		s := r.Stats
+		bench.Experiments = append(bench.Experiments, r.Report)
 		text := r.Report.String()
-		bench.Experiments = append(bench.Experiments, report.ExpStats{
-			ID:        r.ID,
-			Report:    text,
-			SimEvents: s.SimEvents,
-			CQEs:      s.CQEs,
-			Messages:  s.Messages,
-			WireBytes: s.WireBytes,
-		})
 		fmt.Println(text)
 		fmt.Printf("(%s regenerated in %v wall time)\n\n", r.ID, r.Wall.Round(time.Millisecond))
 		if !r.Report.Passed() {
@@ -132,7 +124,7 @@ func run(args []string) error {
 			return err
 		}
 		if *jsonP != "-" {
-			fmt.Printf("(counters written to %s)\n", *jsonP)
+			fmt.Printf("(reports written to %s)\n", *jsonP)
 		}
 	}
 	if refuted > 0 {

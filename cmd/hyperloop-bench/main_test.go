@@ -78,14 +78,14 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("experiments = %+v, want one abl-flush entry", rep.Experiments)
 	}
 	e := rep.Experiments[0]
-	if e.SimEvents <= 0 {
-		t.Fatalf("stats not populated: %+v", e)
+	if e.Counters.SimEvents <= 0 {
+		t.Fatalf("stats not populated: %+v", e.Counters)
 	}
-	if e.CQEs <= 0 || e.Messages <= 0 || e.WireBytes <= 0 {
-		t.Fatalf("fabric counters not attributed: %+v", e)
+	if e.Counters.CQEs <= 0 || e.Counters.Messages <= 0 || e.Counters.WireBytes <= 0 {
+		t.Fatalf("fabric counters not attributed: %+v", e.Counters)
 	}
-	if e.Report == "" {
-		t.Fatal("rendered report missing from -json entry")
+	if len(e.Tables) == 0 || len(e.Tables[0].Rows) == 0 {
+		t.Fatal("tables missing from -json entry")
 	}
 }
 
@@ -115,12 +115,12 @@ func TestBaselineMatchesSchema(t *testing.T) {
 	validated := 0
 	for _, e := range rep.Experiments {
 		// table3 renders a static workload table; it schedules no trials.
-		if e.Report == "" || (e.SimEvents == 0 && e.ID != "table3") {
-			t.Fatalf("experiment %s has empty stats: %+v", e.ID, e)
+		if len(e.Tables) == 0 || (e.Counters.SimEvents == 0 && e.ID != "table3") {
+			t.Fatalf("experiment %s has empty stats: %+v", e.ID, e.Counters)
 		}
-		if strings.HasPrefix(e.Report, "# Hypothesis: ") {
-			if !strings.Contains(e.Report, "Verdict: VALIDATED") {
-				t.Fatalf("scenario %s is not validated in the baseline:\n%s", e.ID, e.Report)
+		if e.Claim != "" {
+			if !e.Passed() {
+				t.Fatalf("scenario %s is not validated in the baseline:\n%s", e.ID, e)
 			}
 			validated++
 		}

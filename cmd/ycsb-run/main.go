@@ -17,14 +17,14 @@ import (
 	root "hyperloop"
 	"hyperloop/internal/docstore"
 	"hyperloop/internal/kvstore"
-	"hyperloop/internal/metrics"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
 	"hyperloop/internal/ycsb"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if _, err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ycsb-run:", err)
 		os.Exit(1)
 	}
@@ -81,9 +81,10 @@ func shardProtocol(backend string) string {
 	}
 }
 
-// run executes one workload and prints the latency table to out; split
-// from main so tests can drive flag combinations and inspect the output.
-func run(args []string, out io.Writer) error {
+// run executes one workload, prints the latency table to out and returns
+// it; split from main so tests can drive flag combinations and read the
+// table's cells.
+func run(args []string, out io.Writer) (*report.Table, error) {
 	fs := flag.NewFlagSet("ycsb-run", flag.ContinueOnError)
 	var (
 		dbKind   = fs.String("db", "kv", "store under test: kv | doc")
@@ -98,29 +99,29 @@ func run(args []string, out io.Writer) error {
 		shards   = fs.Int("shards", 1, "partition the keyspace across N independent replication groups (>1 routes ops through the shard router's own key-value store: -db must be kv, and of the naive backends only naive-event exists)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (flags must precede it; a boolean flag takes its value as -load=false)", fs.Arg(0))
+		return nil, fmt.Errorf("unexpected argument %q (flags must precede it; a boolean flag takes its value as -load=false)", fs.Arg(0))
 	}
 	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
+		return nil, fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}
 	if *replicas < 1 {
-		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
+		return nil, fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
 	}
 	if *shards > 1 {
 		if *dbKind != "kv" {
-			return fmt.Errorf("-db %s is not available with -shards %d: the shard router has its own key-value store", *dbKind, *shards)
+			return nil, fmt.Errorf("-db %s is not available with -shards %d: the shard router has its own key-value store", *dbKind, *shards)
 		}
 		if *backend == "naive-polling" || *backend == "naive-pinned" {
-			return fmt.Errorf("-backend %s is not available with -shards %d: sharded groups come from the protocol registry, whose naive datapath is naive-event", *backend, *shards)
+			return nil, fmt.Errorf("-backend %s is not available with -shards %d: sharded groups come from the protocol registry, whose naive datapath is naive-event", *backend, *shards)
 		}
 	}
 
 	w, err := ycsb.ByName(*workload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	var (
@@ -144,7 +145,7 @@ func run(args []string, out io.Writer) error {
 			},
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer sc.Close()
 		db = shardDB{r: sc.Router()}
@@ -158,7 +159,7 @@ func run(args []string, out io.Writer) error {
 			DeviceSize:      64 << 20,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		runSim = cluster.Run
 		storeID = *dbKind
@@ -167,26 +168,26 @@ func run(args []string, out io.Writer) error {
 			kcfg := kvstore.DefaultConfig()
 			group, err := makeGroup(cluster, *backend, kvstore.MirrorSizeFor(kcfg))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			kv, err := kvstore.Open(group, kcfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			db = ycsb.KV(kv)
 		case "doc":
 			dcfg := docstore.DefaultConfig()
 			group, err := makeGroup(cluster, *backend, docstore.MirrorSizeFor(dcfg))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			st, err := docstore.Open(group, dcfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			db = ycsb.Doc(st)
 		default:
-			return fmt.Errorf("unknown -db %q (kv|doc)", *dbKind)
+			return nil, fmt.Errorf("unknown -db %q (kv|doc)", *dbKind)
 		}
 	}
 
@@ -207,13 +208,13 @@ func run(args []string, out io.Writer) error {
 		return rerr
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	tbl := metrics.NewTable(
+	tbl := report.NewTable(
 		fmt.Sprintf("YCSB-%s on %s store, %s backend (%d records, %d ops)",
 			w.Name, storeID, *backend, *records, *ops),
-		"operation", "count", "avg", "p95", "p99", "max")
+		report.Text("operation"), report.Count("count"), report.Dur("avg"), report.Dur("p95"), report.Dur("p99"), report.Dur("max"))
 	for _, op := range []ycsb.OpType{ycsb.OpRead, ycsb.OpUpdate, ycsb.OpInsert, ycsb.OpModify, ycsb.OpScan} {
 		h := result.ByOp[op]
 		if h.Count() == 0 {
@@ -228,7 +229,7 @@ func run(args []string, out io.Writer) error {
 	if result.Errors > 0 {
 		fmt.Fprintf(out, "errors: %d\n", result.Errors)
 	}
-	return nil
+	return tbl, nil
 }
 
 func makeGroup(c *root.Cluster, backend string, mirror int) (txn.Replicator, error) {

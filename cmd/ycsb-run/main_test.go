@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"hyperloop/internal/report"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -31,7 +33,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.args, io.Discard)
+			_, err := run(tc.args, io.Discard)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
 			}
@@ -46,28 +48,31 @@ func smokeArgs(extra ...string) []string {
 
 func TestRunKVSmoke(t *testing.T) {
 	var out strings.Builder
-	if err := run(smokeArgs("-db", "kv", "-workload", "A"), &out); err != nil {
+	tbl, err := run(smokeArgs("-db", "kv", "-workload", "A"), &out)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	assertTableShape(t, out.String(), "YCSB-A on kv store, hyperloop backend (40 records, 120 ops)")
+	assertTableShape(t, tbl, out.String(), "YCSB-A on kv store, hyperloop backend (40 records, 120 ops)")
 }
 
 func TestRunShardedSmoke(t *testing.T) {
 	var out strings.Builder
-	if err := run(smokeArgs("-shards", "8", "-workload", "A"), &out); err != nil {
+	tbl, err := run(smokeArgs("-shards", "8", "-workload", "A"), &out)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	assertTableShape(t, out.String(), "YCSB-A on sharded×8 store, hyperloop backend (40 records, 120 ops)")
+	assertTableShape(t, tbl, out.String(), "YCSB-A on sharded×8 store, hyperloop backend (40 records, 120 ops)")
 }
 
 func TestRunShardedTxnPath(t *testing.T) {
 	// Workload F's read-modify-writes go through the cross-shard 2PC path.
 	var out strings.Builder
-	if err := run(smokeArgs("-shards", "4", "-workload", "F", "-backend", "naive-event"), &out); err != nil {
+	tbl, err := run(smokeArgs("-shards", "4", "-workload", "F", "-backend", "naive-event"), &out)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	got := out.String()
-	assertTableShape(t, got, "YCSB-F on sharded×4 store, naive-event backend (40 records, 120 ops)")
+	assertTableShape(t, tbl, got, "YCSB-F on sharded×4 store, naive-event backend (40 records, 120 ops)")
 	if !strings.Contains(got, "modify") {
 		t.Errorf("no read-modify-write rows in sharded txn run:\n%s", got)
 	}
@@ -78,35 +83,27 @@ func TestRunShardedTxnPath(t *testing.T) {
 
 func TestRunDocSmoke(t *testing.T) {
 	var out strings.Builder
-	if err := run(smokeArgs("-db", "doc", "-workload", "B", "-backend", "naive-event"), &out); err != nil {
+	tbl, err := run(smokeArgs("-db", "doc", "-workload", "B", "-backend", "naive-event"), &out)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	assertTableShape(t, out.String(), "YCSB-B on doc store, naive-event backend (40 records, 120 ops)")
+	assertTableShape(t, tbl, out.String(), "YCSB-B on doc store, naive-event backend (40 records, 120 ops)")
 }
 
-// assertTableShape checks the golden output shape: the title line, the
-// column header, at least one per-op row, and the trailing overall row
-// whose count covers every operation.
-func assertTableShape(t *testing.T, got, title string) {
+// assertTableShape checks the run's table and its printed form: the title
+// and column header printed, at least one per-op row, and the trailing
+// overall row whose count covers every operation.
+func assertTableShape(t *testing.T, tbl *report.Table, got, title string) {
 	t.Helper()
-	if !strings.Contains(got, title) {
-		t.Errorf("output missing title %q:\n%s", title, got)
+	if tbl.Title != title || !strings.Contains(got, title) {
+		t.Errorf("table %q, want %q:\n%s", tbl.Title, title, got)
 	}
 	if !strings.Contains(got, "operation") || !strings.Contains(got, "p99") {
 		t.Errorf("output missing column header:\n%s", got)
 	}
-	lines := strings.Split(strings.TrimSpace(got), "\n")
-	var overall string
-	for _, l := range lines {
-		if strings.HasPrefix(l, "overall") {
-			overall = l
-		}
-	}
-	if overall == "" {
-		t.Fatalf("output missing overall row:\n%s", got)
-	}
-	if !strings.Contains(overall, "120") {
-		t.Errorf("overall row %q does not report the 120 ops", overall)
+	last := len(tbl.Rows) - 1
+	if last < 1 || tbl.Cell(last, "operation") != "overall" || tbl.Cell(last, "count") != int64(120) {
+		t.Errorf("rows %v: want per-op rows, then an overall row counting the 120 ops", tbl.Rows)
 	}
 	if strings.Contains(got, "errors:") {
 		t.Errorf("workload reported errors:\n%s", got)
@@ -117,10 +114,10 @@ func TestRunDeterministicAcrossRepeats(t *testing.T) {
 	// The whole run is virtual-time simulation: identical flags must give
 	// byte-identical output.
 	var a, b strings.Builder
-	if err := run(smokeArgs("-db", "kv", "-workload", "F", "-seed", "7"), &a); err != nil {
+	if _, err := run(smokeArgs("-db", "kv", "-workload", "F", "-seed", "7"), &a); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if err := run(smokeArgs("-db", "kv", "-workload", "F", "-seed", "7"), &b); err != nil {
+	if _, err := run(smokeArgs("-db", "kv", "-workload", "F", "-seed", "7"), &b); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	if a.String() != b.String() {

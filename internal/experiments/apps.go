@@ -8,6 +8,7 @@ import (
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/naive"
 	"hyperloop/internal/protocol"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
 	"hyperloop/internal/ycsb"
@@ -195,7 +196,7 @@ func fig2Trial(ar *trialArena, seed uint64, nSets, cores, recordCount, opCount i
 // Fig2a regenerates Figure 2(a): document-store latency and normalized
 // context switches vs replica-sets per server (CPU contention from
 // co-located tenants alone — no artificial stress).
-func fig2a(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func fig2a(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	setCounts := []int{3, 9, 15, 21, 27}
 	if scale == Quick {
 		setCounts = []int{3, 9, 15}
@@ -218,16 +219,17 @@ func fig2a(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	for _, p := range points {
 		maxCtx = max(maxCtx, p.ctx)
 	}
-	tbl := metrics.NewTable("Figure 2(a): latency vs replica-sets (naive replication)",
-		"replica-sets", "avg", "p95", "p99", "ctx-switches", "normalized")
+	tbl := report.NewTable("Figure 2(a): latency vs replica-sets (naive replication)",
+		report.Count("replica-sets"), report.Dur("avg"), report.Dur("p95"), report.Dur("p99"),
+		report.Count("ctx-switches"), report.Float("normalized", 2))
 	for j, p := range points {
 		tbl.AddRow(setCounts[j], p.h.MeanDuration(), p.h.PercentileDuration(95), p.h.PercentileDuration(99), p.ctx,
-			fmt.Sprintf("%.2f", float64(p.ctx)/float64(max(maxCtx, 1))))
+			float64(p.ctx)/float64(max(maxCtx, 1)))
 	}
 	first, last := points[0].h.MeanDuration(), points[len(points)-1].h.MeanDuration()
-	return &Report{
+	return &report.Report{
 		ID: "fig2a", Title: "CPU contention vs replica-sets (Fig. 2a)",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes: []string{fmt.Sprintf(
 			"avg latency grows %.1fx from %d to %d replica-sets; context switches grow with co-location (paper: monotone growth)",
 			float64(last)/float64(max(first, 1)), setCounts[0], setCounts[len(setCounts)-1])},
@@ -236,7 +238,7 @@ func fig2a(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 
 // Fig2b regenerates Figure 2(b): latency vs cores per machine at a fixed
 // replica-set count.
-func fig2b(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func fig2b(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	coreCounts := []int{2, 4, 8, 16}
 	nSets := scale.pick(9, 18)
 	recordCount := scale.pick(20, 40)
@@ -252,16 +254,16 @@ func fig2b(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable(fmt.Sprintf("Figure 2(b): latency vs cores (%d replica-sets)", nSets),
-		"cores", "avg", "p95", "p99", "ctx-switches")
+	tbl := report.NewTable(fmt.Sprintf("Figure 2(b): latency vs cores (%d replica-sets)", nSets),
+		report.Count("cores"), report.Dur("avg"), report.Dur("p95"), report.Dur("p99"), report.Count("ctx-switches"))
 	for j, p := range points {
 		tbl.AddRow(coreCounts[j], p.h.MeanDuration(), p.h.PercentileDuration(95),
 			p.h.PercentileDuration(99), p.ctx)
 	}
 	first, last := points[0].h.MeanDuration(), points[len(points)-1].h.MeanDuration()
-	return &Report{
+	return &report.Report{
 		ID: "fig2b", Title: "More cores relieve contention (Fig. 2b)",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes: []string{fmt.Sprintf(
 			"avg latency falls %.1fx from 2 to 16 cores (paper: monotone decrease)",
 			float64(first)/float64(max(last, 1)))},
@@ -286,7 +288,7 @@ func runYCSB(c *cluster, db ycsb.DB, rcfg ycsb.RunnerConfig) (*ycsb.Result, erro
 // Fig11 regenerates Figure 11: replicated RocksDB-like store under
 // YCSB-A updates — Naive-Event vs Naive-Polling vs HyperLoop, with
 // multi-tenant co-location.
-func fig11(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func fig11(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	kcfg := kvstore.DefaultConfig()
 	mirror := kvstore.MirrorSizeFor(kcfg)
 	rcfg := ycsb.RunnerConfig{
@@ -315,28 +317,28 @@ func fig11(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable("Figure 11: replicated KV store, YCSB-A update latency",
-		"impl", "avg", "p95", "p99")
+	tbl := report.NewTable("Figure 11: replicated KV store, YCSB-A update latency",
+		report.Text("impl"), report.Dur("avg"), report.Dur("p95"), report.Dur("p99"))
 	var tails = make(map[Backend]sim.Duration)
 	for j, b := range backends {
 		h := hists[j]
 		tails[b] = h.PercentileDuration(99)
 		tbl.AddRow(b.String(), h.MeanDuration(), h.PercentileDuration(95), h.PercentileDuration(99))
 	}
-	return &Report{
+	return &report.Report{
 		ID: "fig11", Title: "KV store update latency across backends (Fig. 11)",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes: []string{
 			fmt.Sprintf("hyperloop p99 is %s lower than naive-event and %s lower than naive-polling (paper: 5.7x and 24.2x)",
-				metrics.Ratio(tails[BackendNaiveEvent], tails[BackendHyperLoop]),
-				metrics.Ratio(tails[BackendNaivePolling], tails[BackendHyperLoop])),
+				report.Over(tails[BackendNaiveEvent], tails[BackendHyperLoop]).Format(1),
+				report.Over(tails[BackendNaivePolling], tails[BackendHyperLoop]).Format(1)),
 		},
 	}, nil
 }
 
 // Fig12 regenerates Figure 12: document store latency across YCSB
 // workloads A, B, D, E and F — native (CPU-driven polling) vs HyperLoop.
-func fig12(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func fig12(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	dcfg := docstore.DefaultConfig()
 	mirror := docstore.MirrorSizeFor(dcfg)
 	recordCount := scale.pick(40, 150)
@@ -369,10 +371,9 @@ func fig12(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	native := metrics.NewTable("Figure 12(a): native (CPU-polling) replication",
-		"workload", "avg", "p95", "p99")
-	hyper := metrics.NewTable("Figure 12(b): HyperLoop replication",
-		"workload", "avg", "p95", "p99")
+	latency := []report.Column{report.Text("workload"), report.Dur("avg"), report.Dur("p95"), report.Dur("p99")}
+	native := report.NewTable("Figure 12(a): native (CPU-polling) replication", latency...)
+	hyper := report.NewTable("Figure 12(b): HyperLoop replication", latency...)
 	var avgReduction, gapReduction float64
 	var writeWorkloads int
 	for wi, w := range workloads {
@@ -400,9 +401,9 @@ func fig12(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		avgReduction /= float64(writeWorkloads)
 		gapReduction /= float64(writeWorkloads)
 	}
-	return &Report{
+	return &report.Report{
 		ID: "fig12", Title: "Document store latency across YCSB workloads (Fig. 12)",
-		Tables: []*metrics.Table{native, hyper},
+		Tables: []*report.Table{native, hyper},
 		Notes: []string{
 			fmt.Sprintf("insert/update average latency reduced by %.0f%% (paper: up to 79%%)", 100*avgReduction),
 			fmt.Sprintf("avg-to-p99 gap reduced by %.0f%% (paper: up to 81%%)", 100*gapReduction),
@@ -411,17 +412,15 @@ func fig12(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 }
 
 // Table3 prints the YCSB workload definitions used throughout §6.2.
-func table3(*runCtx, uint64, Scale) (*Report, error) {
-	tbl := metrics.NewTable("Table 3: YCSB workload operation mix (%)",
-		"workload", "read", "update", "insert", "modify", "scan", "distribution")
+func table3(*runCtx, uint64, Scale) (*report.Report, error) {
+	tbl := report.NewTable("Table 3: YCSB workload operation mix (%)",
+		report.Text("workload"), report.Float("read", 0), report.Float("update", 0), report.Float("insert", 0),
+		report.Float("modify", 0), report.Float("scan", 0), report.Text("distribution"))
 	for _, w := range ycsb.Workloads() {
-		tbl.AddRow(w.Name,
-			fmt.Sprintf("%.0f", 100*w.Read), fmt.Sprintf("%.0f", 100*w.Update),
-			fmt.Sprintf("%.0f", 100*w.Insert), fmt.Sprintf("%.0f", 100*w.Modify),
-			fmt.Sprintf("%.0f", 100*w.Scan), w.Dist.String())
+		tbl.AddRow(w.Name, 100*w.Read, 100*w.Update, 100*w.Insert, 100*w.Modify, 100*w.Scan, w.Dist.String())
 	}
-	return &Report{
+	return &report.Report{
 		ID: "table3", Title: "YCSB workloads (Table 3)",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 	}, nil
 }

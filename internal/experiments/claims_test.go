@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
+	"hyperloop/internal/report"
 	"hyperloop/internal/topo"
 )
 
@@ -43,15 +43,15 @@ func TestScalePick(t *testing.T) {
 }
 
 func TestFindingsRendering(t *testing.T) {
-	r := &Report{
+	r := &report.Report{
 		ID:       "demo",
 		Claim:    "the sky is blue",
 		Notes:    []string{"observed at noon"},
-		counters: StatSink{SimEvents: 10, CQEs: 2, Messages: 3, WireBytes: 4, Drops: 5, Dups: 6},
+		Counters: report.Counters{SimEvents: 10, CQEs: 2, Messages: 3, WireBytes: 4, Drops: 5, Dups: 6},
 	}
-	r.Tables = append(r.Tables, metrics.NewTable("colors", "what", "color"))
+	r.Tables = append(r.Tables, report.NewTable("colors", report.Text("what"), report.Text("color")))
 	r.Tables[0].AddRow("sky", "blue")
-	r.check("spectrometer agrees", true, "peak at 470nm")
+	r.Check("spectrometer agrees", true, "peak at 470nm")
 	if !r.Passed() {
 		t.Fatal("all-pass result not Passed")
 	}
@@ -65,11 +65,11 @@ func TestFindingsRendering(t *testing.T) {
 			t.Errorf("findings missing %q:\n%s", want, out)
 		}
 	}
-	r.check("barometer disagrees", false, "sky reads green")
+	r.Check("barometer disagrees", false, "sky reads green")
 	if r.Passed() {
 		t.Fatal("failed check left result Passed")
 	}
-	out = r.findings()
+	out = r.String()
 	if !strings.Contains(out, "Verdict: REFUTED") || !strings.Contains(out, "1/2 checks") {
 		t.Errorf("refuted findings wrong verdict:\n%s", out)
 	}
@@ -107,11 +107,11 @@ func TestScenariosPassQuick(t *testing.T) {
 			if len(r.Checks) == 0 {
 				t.Fatal("scenario made no checks")
 			}
-			if s.SimEvents == 0 || s.Messages == 0 || r.counters != s {
-				t.Fatalf("counters not collected: report %+v, run %+v", r.counters, s)
+			if s.SimEvents == 0 || s.Messages == 0 || r.Counters != s.Counters {
+				t.Fatalf("counters not collected: report %+v, run %+v", r.Counters, s)
 			}
 			if t.Failed() {
-				t.Logf("findings:\n%s", r.findings())
+				t.Logf("findings:\n%s", r)
 			}
 		})
 	}
@@ -129,17 +129,17 @@ func TestScenarioDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.counters != b.counters {
-		t.Fatalf("counters differ across identical runs:\n%+v\n%+v", a.counters, b.counters)
+	if a.Counters != b.Counters {
+		t.Fatalf("counters differ across identical runs:\n%+v\n%+v", a.Counters, b.Counters)
 	}
-	if a.findings() != b.findings() {
+	if a.String() != b.String() {
 		t.Fatal("findings differ across identical runs")
 	}
 	c, err := Run("multi-failure", 43, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.counters == a.counters {
+	if c.Counters == a.Counters {
 		t.Fatal("different seeds produced identical counters — seed not wired through")
 	}
 }

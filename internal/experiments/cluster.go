@@ -161,36 +161,6 @@ func (c *cluster) runPipelined(ops, window int, issue func(i int) (*sim.Signal, 
 	return elapsed, err
 }
 
-// Report is one experiment's regenerated output. A claim scenario's report
-// also carries the claim it defends and the checks that decide it.
-type Report struct {
-	ID     string
-	Title  string
-	Claim  string
-	Checks []Check
-	Tables []*metrics.Table
-	Notes  []string
-
-	// counters are the run's attributed totals, which findings print;
-	// runWith fills them in once the run's trials have ended.
-	counters StatSink
-}
-
-// String renders the report; a scenario's is its FINDINGS.md text.
-func (r *Report) String() string {
-	if r.Claim != "" {
-		return r.findings()
-	}
-	out := fmt.Sprintf("== %s: %s ==\n", r.ID, r.Title)
-	for _, t := range r.Tables {
-		out += "\n" + t.String()
-	}
-	for _, n := range r.Notes {
-		out += "\nNote: " + n + "\n"
-	}
-	return out
-}
-
 // Scale selects run sizes: Quick for tests/benches, Full for paper-grade
 // sample counts.
 type Scale int

@@ -7,6 +7,7 @@ import (
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 )
 
@@ -40,8 +41,8 @@ var failoverParams = protocol.Params{
 // the report shows the recovery timeline, the write-latency cost of the
 // outage, and the unavailability window (last good write before the crash
 // to first good write after recovery).
-func failover(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
-	reps, err := trials(rc, 1, func(_ int, ar *trialArena) (*Report, error) {
+func failover(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
+	reps, err := trials(rc, 1, func(_ int, ar *trialArena) (*report.Report, error) {
 		return failoverTrial(ar, seed, scale.pick(600, 6000))
 	})
 	if err != nil {
@@ -50,7 +51,7 @@ func failover(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	return reps[0], nil
 }
 
-func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
+func failoverTrial(ar *trialArena, seed uint64, ops int) (*report.Report, error) {
 	spec := testbed(ar, seed, 3, false)
 	spec.Faults = &rdma.FaultPlan{
 		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(failoverCrashAt), Down: true}},
@@ -103,27 +104,28 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 		return nil, fmt.Errorf("failover: unavailability window %v exceeds the %v bound", window, failoverMaxPause)
 	}
 
-	timeline := metrics.NewTable("Recovery timeline (virtual time)", "event", "t")
-	timeline.AddRow("NIC crash injected (server-1)", fd(failoverCrashAt))
-	timeline.AddRow(fmt.Sprintf("failure suspected, writes paused (%d beats @ %s)", failoverMissed, fd(failoverBeat)), ft(w.repair.Suspected))
-	timeline.AddRow("catch-up transfer complete (spare)", ft(w.repair.CaughtUp))
-	timeline.AddRow("datapath re-established, writes resumed", ft(w.repair.Resumed))
-	timeline.AddRow("last good write before outage", ft(w.lastOKBefore))
-	timeline.AddRow("first good write after recovery", ft(w.firstOKAfter))
-	timeline.AddRow("unavailability window", fd(window))
+	timeline := report.NewTable("Recovery timeline (virtual time)", report.Text("event"), report.Dur("t"))
+	timeline.AddRow("NIC crash injected (server-1)", failoverCrashAt)
+	timeline.AddRow(fmt.Sprintf("failure suspected, writes paused (%d beats @ %s)", failoverMissed, fd(failoverBeat)), at(w.repair.Suspected))
+	timeline.AddRow("catch-up transfer complete (spare)", at(w.repair.CaughtUp))
+	timeline.AddRow("datapath re-established, writes resumed", at(w.repair.Resumed))
+	timeline.AddRow("last good write before outage", at(w.lastOKBefore))
+	timeline.AddRow("first good write after recovery", at(w.firstOKAfter))
+	timeline.AddRow("unavailability window", window)
 
-	lat := metrics.NewTable("1KB durable gWRITE latency around the outage", "phase", "ops", "avg", "p99")
-	lat.AddRow("pre-crash", pre.Count(), fd(pre.MeanDuration()), fd(pre.PercentileDuration(0.99)))
-	lat.AddRow("post-recovery", post.Count(), fd(post.MeanDuration()), fd(post.PercentileDuration(0.99)))
+	lat := report.NewTable("1KB durable gWRITE latency around the outage",
+		report.Text("phase"), report.Count("ops"), report.Dur("avg"), report.Dur("p99"))
+	lat.AddRow("pre-crash", pre.Count(), pre.MeanDuration(), pre.PercentileDuration(0.99))
+	lat.AddRow("post-recovery", post.Count(), post.MeanDuration(), post.PercentileDuration(0.99))
 
-	tl := metrics.NewTable(fmt.Sprintf("Write timeline (%s buckets)", fd(failoverBucket)),
-		"t", "writes ok", "timeouts", "max latency")
+	tl := report.NewTable(fmt.Sprintf("Write timeline (%s buckets)", fd(failoverBucket)),
+		report.Dur("t"), report.Count("writes ok"), report.Count("timeouts"), report.Dur("max latency"))
 	for b := 0; b < failoverBuckets; b++ {
-		maxs := "-"
+		var maxLat any // missing in a bucket without a good write
 		if okBucket[b] > 0 {
-			maxs = fd(maxBucket[b])
+			maxLat = maxBucket[b]
 		}
-		tl.AddRow(fd(sim.Duration(b)*failoverBucket), okBucket[b], toBucket[b], maxs)
+		tl.AddRow(sim.Duration(b)*failoverBucket, okBucket[b], toBucket[b], maxLat)
 	}
 
 	retried := c.group.Retried()
@@ -131,9 +133,9 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*Report, error) {
 		retried += w.group.Retried()
 	}
 	fs := c.Fabric.FaultStats()
-	return &Report{
+	return &report.Report{
 		ID: "failover", Title: "Failover: mid-chain crash, suspicion, catch-up, resume (§5)",
-		Tables: []*metrics.Table{timeline, lat, tl},
+		Tables: []*report.Table{timeline, lat, tl},
 		Notes: []string{
 			fmt.Sprintf("unavailability window %s = detection (%d×%s heartbeats) + catch-up + re-setup; bound %s",
 				fd(window), failoverMissed, fd(failoverBeat), fd(failoverMaxPause)),

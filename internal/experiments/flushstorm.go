@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"fmt"
 
-	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
 )
@@ -132,9 +132,9 @@ func stormTrial(ar *trialArena, seed uint64, name string, ops int) (stormAudit, 
 	return a, nil
 }
 
-func flushStorm(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
+func flushStorm(rc *runCtx, seed uint64, sc Scale) (*report.Report, error) {
 	ops := sc.pick(240, 1600)
-	rep := &Report{ID: "flush-storm", Claim: "An acknowledged gFLUSH is a durability contract that crash storms cannot " +
+	rep := &report.Report{ID: "flush-storm", Claim: "An acknowledged gFLUSH is a durability contract that crash storms cannot " +
 		"break: after a rolling storm of single-member NIC failures, every " +
 		"acked flush's bytes survive a power-loss crash of all member devices " +
 		"on at least AcksNeeded members; the majority-quorum broadcast " +
@@ -156,12 +156,13 @@ func flushStorm(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 	// bcast sorts before bcast-maj in protocol.Names(), so its failure
 	// count is available when the quorum variant's checks run.
 	allAckFailed := int64(-1)
-	table := metrics.NewTable("gFLUSH durability through a rolling NIC crash storm",
-		"protocol", "acked flushes", "failed ops", "min durable copies", "quorum needed", "drops")
+	table := report.NewTable("gFLUSH durability through a rolling NIC crash storm",
+		report.Text("protocol"), report.Count("acked flushes"), report.Count("failed ops"),
+		report.Count("min durable copies"), report.Count("quorum needed"), report.Count("drops"))
 	for j, name := range names {
 		a := audits[j]
 		table.AddRow(name, a.acked, a.failed, a.minCopies, a.need, a.drops)
-		rep.check(fmt.Sprintf("%s: acked flushes survive power loss on ≥%d members", name, a.need),
+		rep.Check(fmt.Sprintf("%s: acked flushes survive power loss on ≥%d members", name, a.need),
 			a.acked > 0 && a.underQuorum == 0,
 			"%d acked flushes, %d below the %d-copy quorum, weakest op durable on %d", a.acked, a.underQuorum, a.need, a.minCopies)
 		if name == "bcast" {
@@ -173,14 +174,14 @@ func flushStorm(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 			// so an op can still time out when the storm shrinks the live
 			// quorum to exactly the needed size and the laggard is in it.
 			// The quorum's guarantee is masking, not immunity.
-			rep.check(fmt.Sprintf("%s: majority quorum masks outage failures the all-ack twin takes", name),
+			rep.Check(fmt.Sprintf("%s: majority quorum masks outage failures the all-ack twin takes", name),
 				allAckFailed >= 0 && a.failed < allAckFailed,
 				"%d failed ops vs %d for all-ack bcast through %d outage windows", a.failed, allAckFailed, fsCycles)
 		} else {
-			rep.check(fmt.Sprintf("%s: all-ack completion must fail while a member is down", name),
+			rep.Check(fmt.Sprintf("%s: all-ack completion must fail while a member is down", name),
 				a.failed > 0, "%d failed ops across %d outage windows", a.failed, fsCycles)
 		}
-		rep.check(fmt.Sprintf("%s: nothing left in flight", name),
+		rep.Check(fmt.Sprintf("%s: nothing left in flight", name),
 			a.inflight == 0, "InFlight() = %d after the driver finished", a.inflight)
 	}
 	rep.Tables = append(rep.Tables, table)

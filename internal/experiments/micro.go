@@ -7,6 +7,7 @@ import (
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/naive"
 	"hyperloop/internal/protocol"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/txn"
 	"hyperloop/internal/wal"
@@ -51,17 +52,17 @@ func memcpyIssue(c *cluster, f *sim.Fiber, size, i int) error {
 // Fig8a regenerates Figure 8(a): average and 99th-percentile gWRITE
 // latency vs message size, HyperLoop vs Naive-RDMA, group size 3, under
 // multi-tenant load on the replicas.
-func fig8a(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func fig8a(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	return fig8(rc, seed, scale, "fig8a", "gWRITE latency vs message size (Fig. 8a)", writeIssue)
 }
 
 // Fig8b regenerates Figure 8(b): the same sweep for gMEMCPY.
-func fig8b(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func fig8b(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	return fig8(rc, seed, scale, "fig8b", "gMEMCPY latency vs message size (Fig. 8b)", memcpyIssue)
 }
 
 func fig8(rc *runCtx, seed uint64, scale Scale, id, title string,
-	issue func(c *cluster, f *sim.Fiber, size, i int) error) (*Report, error) {
+	issue func(c *cluster, f *sim.Fiber, size, i int) error) (*report.Report, error) {
 	ops := scale.pick(300, 10000)
 	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
 	// One trial per (backend, size), backend-major.
@@ -72,8 +73,9 @@ func fig8(rc *runCtx, seed uint64, scale Scale, id, title string,
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable(title,
-		"size", "naive avg", "naive p99", "hyperloop avg", "hyperloop p99", "p99 speedup")
+	tbl := report.NewTable(title,
+		report.Bytes("size"), report.Dur("naive avg"), report.Dur("naive p99"),
+		report.Dur("hyperloop avg"), report.Dur("hyperloop p99"), report.Ratio("p99 speedup", 1))
 	var worst string
 	var worstRatio float64
 	for si, size := range messageSizes {
@@ -81,16 +83,16 @@ func fig8(rc *runCtx, seed uint64, scale Scale, id, title string,
 		ratio := float64(n.Percentile(99)) / float64(max(h.Percentile(99), 1))
 		if ratio > worstRatio {
 			worstRatio = ratio
-			worst = metrics.FormatBytes(size)
+			worst = report.FormatBytes(int64(size))
 		}
-		tbl.AddRow(metrics.FormatBytes(size),
+		tbl.AddRow(size,
 			n.MeanDuration(), n.PercentileDuration(99),
 			h.MeanDuration(), h.PercentileDuration(99),
-			metrics.Ratio(n.PercentileDuration(99), h.PercentileDuration(99)))
+			report.Over(n.PercentileDuration(99), h.PercentileDuration(99)))
 	}
-	return &Report{
+	return &report.Report{
 		ID: id, Title: title,
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes: []string{fmt.Sprintf(
 			"largest p99 reduction %.0fx at %s (paper reports up to ~800x for gWRITE, ~848x for gMEMCPY)",
 			worstRatio, worst)},
@@ -99,7 +101,7 @@ func fig8(rc *runCtx, seed uint64, scale Scale, id, title string,
 
 // Table2 regenerates Table 2: gCAS latency statistics (avg/p95/p99) for
 // Naive-RDMA vs HyperLoop.
-func table2(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func table2(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	ops := scale.pick(500, 10000)
 	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
 	hists, err := trials(rc, len(backends), func(j int, ar *trialArena) (*metrics.Histogram, error) {
@@ -117,15 +119,16 @@ func table2(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		return nil, err
 	}
 	nh, hh := hists[0], hists[1]
-	tbl := metrics.NewTable("Table 2: gCAS latency", "impl", "average", "p95", "p99")
+	tbl := report.NewTable("Table 2: gCAS latency",
+		report.Text("impl"), report.Dur("average"), report.Dur("p95"), report.Dur("p99"))
 	tbl.AddRow("Naive-RDMA", nh.MeanDuration(), nh.PercentileDuration(95), nh.PercentileDuration(99))
 	tbl.AddRow("HyperLoop", hh.MeanDuration(), hh.PercentileDuration(95), hh.PercentileDuration(99))
-	return &Report{
+	return &report.Report{
 		ID: "table2", Title: "gCAS latency (Table 2)",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes: []string{
 			"paper: naive 539µs/3928µs/11886µs vs hyperloop 10µs/13µs/14µs",
-			fmt.Sprintf("measured p99 ratio: %s", metrics.Ratio(nh.PercentileDuration(99), hh.PercentileDuration(99))),
+			fmt.Sprintf("measured p99 ratio: %s", report.Over(nh.PercentileDuration(99), hh.PercentileDuration(99)).Format(1)),
 		},
 	}, nil
 }
@@ -133,7 +136,7 @@ func table2(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 // Fig9 regenerates Figure 9: gWRITE throughput and critical-path CPU
 // consumption vs message size. Total transfer per point is scaled down
 // from the paper's 1 GB (see EXPERIMENTS.md).
-func fig9(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func fig9(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	sizes := []int{1024, 2048, 4096, 8192, 16384, 32768, 65536}
 	totalBytes := scale.pick(2<<20, 64<<20)
 	const window = 16
@@ -170,17 +173,16 @@ func fig9(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable("Figure 9: gWRITE throughput and replica CPU",
-		"size", "naive Kops/s", "naive CPU%", "hyperloop Kops/s", "hyperloop CPU%")
+	tbl := report.NewTable("Figure 9: gWRITE throughput and replica CPU",
+		report.Bytes("size"), report.Float("naive Kops/s", 1), report.Percent("naive CPU%", 0),
+		report.Float("hyperloop Kops/s", 1), report.Percent("hyperloop CPU%", 0))
 	for si, size := range sizes {
 		np, hp := points[si*len(backends)], points[si*len(backends)+1]
-		tbl.AddRow(metrics.FormatBytes(size),
-			fmt.Sprintf("%.1f", np.kops), fmt.Sprintf("%.0f%%", np.cpu),
-			fmt.Sprintf("%.1f", hp.kops), fmt.Sprintf("%.0f%%", hp.cpu))
+		tbl.AddRow(size, np.kops, np.cpu, hp.kops, hp.cpu)
 	}
-	return &Report{
+	return &report.Report{
 		ID: "fig9", Title: "gWRITE throughput + critical-path CPU (Fig. 9)",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes: []string{
 			"paper: comparable throughput; naive burns ~a full core per replica, hyperloop ~0%",
 			fmt.Sprintf("total transfer per point scaled to %d MB (paper: 1 GB)", totalBytes>>20),
@@ -190,7 +192,7 @@ func fig9(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 
 // Fig10 regenerates Figure 10: p99 gWRITE latency vs message size for
 // group sizes 3, 5 and 7, per backend.
-func fig10(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func fig10(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	ops := scale.pick(200, 10000)
 	groupSizes := []int{3, 5, 7}
 	sizes := messageSizes
@@ -208,11 +210,11 @@ func fig10(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		return hists[(bi*len(groupSizes)+gi)*len(sizes)+si]
 	}
 
-	var tables []*metrics.Table
+	var tables []*report.Table
 	growth := make(map[Backend]float64)
 	for bi, backend := range backends {
-		tbl := metrics.NewTable(fmt.Sprintf("Figure 10: p99 gWRITE latency, %v", backend),
-			"size", "G=3", "G=5", "G=7", "G7/G3")
+		tbl := report.NewTable(fmt.Sprintf("Figure 10: p99 gWRITE latency, %v", backend),
+			report.Bytes("size"), report.Dur("G=3"), report.Dur("G=5"), report.Dur("G=7"), report.Ratio("G7/G3", 2))
 		var maxGrowth float64
 		for si, size := range sizes {
 			p3 := at(bi, 0, si).PercentileDuration(99)
@@ -222,12 +224,12 @@ func fig10(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 			if g > maxGrowth {
 				maxGrowth = g
 			}
-			tbl.AddRow(metrics.FormatBytes(size), p3, p5, p7, fmt.Sprintf("%.2fx", g))
+			tbl.AddRow(size, p3, p5, p7, report.Over(p7, max(p3, 1)))
 		}
 		growth[backend] = maxGrowth
 		tables = append(tables, tbl)
 	}
-	return &Report{
+	return &report.Report{
 		ID: "fig10", Title: "p99 gWRITE latency vs group size (Fig. 10)",
 		Tables: tables,
 		Notes: []string{
@@ -241,7 +243,7 @@ func fig10(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 // scheduling: with idle replica CPUs the naive baseline is competitive,
 // showing the paper's point that the CPU *scheduling*, not raw CPU speed,
 // causes the tail.
-func ablationNoLoad(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func ablationNoLoad(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	ops := scale.pick(300, 5000)
 	backends := []Backend{BackendNaiveEvent, BackendHyperLoop}
 	loads := []bool{false, true}
@@ -257,8 +259,8 @@ func ablationNoLoad(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable("Ablation: co-located load on replica CPUs (1KB gWRITE)",
-		"impl", "load", "avg", "p99")
+	tbl := report.NewTable("Ablation: co-located load on replica CPUs (1KB gWRITE)",
+		report.Text("impl"), report.Text("load"), report.Dur("avg"), report.Dur("p99"))
 	for bi, backend := range backends {
 		for li, loaded := range loads {
 			h := hists[bi*len(loads)+li]
@@ -269,15 +271,15 @@ func ablationNoLoad(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 			tbl.AddRow(backend.String(), label, h.MeanDuration(), h.PercentileDuration(99))
 		}
 	}
-	return &Report{
+	return &report.Report{
 		ID: "abl-load", Title: "Ablation: scheduling delay is the root cause",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes:  []string{"naive is µs-scale when idle; only co-located load separates the designs"},
 	}, nil
 }
 
 // AblationFlush quantifies the durability (gFLUSH interleaving) cost.
-func ablationFlush(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func ablationFlush(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	ops := scale.pick(300, 5000)
 	durable := []bool{false, true}
 	hists, err := trials(rc, len(durable), func(j int, ar *trialArena) (*metrics.Histogram, error) {
@@ -293,20 +295,20 @@ func ablationFlush(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		return nil, err
 	}
 	vol, dur := hists[0], hists[1]
-	tbl := metrics.NewTable("Ablation: interleaved gFLUSH cost (4KB gWRITE, G=3)",
-		"mode", "avg", "p99")
+	tbl := report.NewTable("Ablation: interleaved gFLUSH cost (4KB gWRITE, G=3)",
+		report.Text("mode"), report.Dur("avg"), report.Dur("p99"))
 	tbl.AddRow("volatile (no flush)", vol.MeanDuration(), vol.PercentileDuration(99))
 	tbl.AddRow("durable (gFLUSH interleaved)", dur.MeanDuration(), dur.PercentileDuration(99))
-	return &Report{
+	return &report.Report{
 		ID: "abl-flush", Title: "Ablation: durability cost",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes:  []string{"durable writes pay per-hop NVM cache flushes before forwarding"},
 	}, nil
 }
 
 // AblationDepth sweeps the pre-armed window depth against pipelined
 // throughput — the design choice behind HyperLoop's pre-posted chains.
-func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	ops := scale.pick(400, 4000)
 	depths := []int{4, 8, 16, 32, 64}
 	kops, err := trials(rc, len(depths), func(j int, ar *trialArena) (float64, error) {
@@ -326,14 +328,14 @@ func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable("Ablation: pre-armed window depth vs pipelined gWRITE throughput (1KB)",
-		"depth", "Kops/s")
+	tbl := report.NewTable("Ablation: pre-armed window depth vs pipelined gWRITE throughput (1KB)",
+		report.Count("depth"), report.Float("Kops/s", 1))
 	for j, depth := range depths {
-		tbl.AddRow(depth, fmt.Sprintf("%.1f", kops[j]))
+		tbl.AddRow(depth, kops[j])
 	}
-	return &Report{
+	return &report.Report{
 		ID: "abl-depth", Title: "Ablation: chain window depth",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes:  []string{"deeper pre-armed windows admit more pipelining until the wire saturates"},
 	}, nil
 }
@@ -342,7 +344,7 @@ func ablationDepth(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 // extension: latency is comparable, but fan-out concentrates transmission
 // (and active write QPs) on the primary while the chain load-balances —
 // the trade-off §7 discusses.
-func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	ops := scale.pick(300, 5000)
 	const size = 1024
 	type res struct {
@@ -378,15 +380,14 @@ func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		return nil, err
 	}
 	chain, fan := results[0], results[1]
-	tbl := metrics.NewTable("Ablation: chain vs fan-out topology (1KB durable gWRITE, G=3)",
-		"topology", "avg", "p99", "head/primary TX", "max member TX")
-	tbl.AddRow("chain", chain.h.MeanDuration(), chain.h.PercentileDuration(99),
-		metrics.FormatBytes(int(chain.primaryTx)), metrics.FormatBytes(int(chain.maxTx)))
-	tbl.AddRow("fan-out", fan.h.MeanDuration(), fan.h.PercentileDuration(99),
-		metrics.FormatBytes(int(fan.primaryTx)), metrics.FormatBytes(int(fan.maxTx)))
-	return &Report{
+	tbl := report.NewTable("Ablation: chain vs fan-out topology (1KB durable gWRITE, G=3)",
+		report.Text("topology"), report.Dur("avg"), report.Dur("p99"),
+		report.Bytes("head/primary TX"), report.Bytes("max member TX"))
+	tbl.AddRow("chain", chain.h.MeanDuration(), chain.h.PercentileDuration(99), chain.primaryTx, chain.maxTx)
+	tbl.AddRow("fan-out", fan.h.MeanDuration(), fan.h.PercentileDuration(99), fan.primaryTx, fan.maxTx)
+	return &report.Report{
 		ID: "abl-fanout", Title: "Ablation: replication topology (§7)",
-		Tables: []*metrics.Table{tbl},
+		Tables: []*report.Table{tbl},
 		Notes: []string{
 			"fan-out shortens the dependency chain but concentrates transmission on the primary;",
 			"chain replication keeps at most one active write QP per member (§7's load-balance argument)",
@@ -402,9 +403,9 @@ func ablationFanout(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 //
 // All three modes deliberately share one cluster and one txn store (the
 // spectrum is measured on the same state), so the experiment is one trial.
-func ablationConsistency(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func ablationConsistency(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	ops := scale.pick(300, 5000)
-	tables, err := trials(rc, 1, func(_ int, ar *trialArena) (*metrics.Table, error) {
+	tables, err := trials(rc, 1, func(_ int, ar *trialArena) (*report.Table, error) {
 		c, err := backendCluster(ar, seed, BackendHyperLoop, 3, microMirror, false)
 		if err != nil {
 			return nil, err
@@ -446,8 +447,8 @@ func ablationConsistency(rc *runCtx, seed uint64, scale Scale) (*Report, error) 
 				return c.group.Write(f, (i%64)*1024, 256, false)
 			}},
 		}
-		tbl := metrics.NewTable("Ablation: consistency spectrum on HyperLoop primitives (§7)",
-			"mode", "avg", "p99")
+		tbl := report.NewTable("Ablation: consistency spectrum on HyperLoop primitives (§7)",
+			report.Text("mode"), report.Dur("avg"), report.Dur("p99"))
 		for _, m := range modes {
 			h, err := c.runLatency(ops, m.op)
 			if err != nil {
@@ -460,7 +461,7 @@ func ablationConsistency(rc *runCtx, seed uint64, scale Scale) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Report{
+	return &report.Report{
 		ID: "abl-consistency", Title: "Ablation: weaker consistency models (§7)",
 		Tables: tables,
 		Notes: []string{

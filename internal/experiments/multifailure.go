@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
 )
@@ -21,9 +21,9 @@ const (
 	mfTimeout      = 100 * sim.Microsecond
 )
 
-func multiFailure(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
+func multiFailure(rc *runCtx, seed uint64, sc Scale) (*report.Report, error) {
 	ops := sc.pick(400, 2500)
-	rep := &Report{ID: "multi-failure", Claim: "Concurrent failures never hang a blocking client: when the client NIC " +
+	rep := &report.Report{ID: "multi-failure", Claim: "Concurrent failures never hang a blocking client: when the client NIC " +
 		"and a replica NIC crash within the same in-flight window, every op " +
 		"still resolves within its timeout and nothing is left in flight. " +
 		"After both NICs restart, protocols whose armed state lives on the " +
@@ -83,14 +83,15 @@ func multiFailure(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		return nil, err
 	}
 
-	table := metrics.NewTable("Op outcomes around a concurrent client+replica crash (1KB gWRITE)",
-		"protocol", "ok before", "failed during", "ok after", "drops", "in flight at end")
+	table := report.NewTable("Op outcomes around a concurrent client+replica crash (1KB gWRITE)",
+		report.Text("protocol"), report.Count("ok before"), report.Count("failed during"),
+		report.Count("ok after"), report.Count("drops"), report.Count("in flight at end"))
 	for j, name := range names {
 		o := outs[j]
 		table.AddRow(name, o.okBefore, o.failedDuring, o.okAfter, o.drops, o.inflight)
-		rep.check(fmt.Sprintf("%s: healthy before the crashes", name),
+		rep.Check(fmt.Sprintf("%s: healthy before the crashes", name),
 			o.okBefore > 0, "%d ops completed before t=%s", o.okBefore, fd(mfClientDownAt))
-		rep.check(fmt.Sprintf("%s: every op resolves during the outage", name),
+		rep.Check(fmt.Sprintf("%s: every op resolves during the outage", name),
 			o.failedDuring > 0, "%d ops failed (none hung) while both NICs were down", o.failedDuring)
 		if name == "chain" {
 			// The chain head's pre-armed forwarding chains died with the
@@ -98,14 +99,14 @@ func multiFailure(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 			// is the failover protocol's job (see partition-failover), so
 			// spontaneous resumption here would mean the model leaks state
 			// across a crash.
-			rep.check(fmt.Sprintf("%s: head crash requires reconfiguration to resume", name),
+			rep.Check(fmt.Sprintf("%s: head crash requires reconfiguration to resume", name),
 				o.okAfter == 0, "%d ops completed after t=%s without repair (%d residual failures)",
 				o.okAfter, fd(mfServerUpAt), o.failedAfter)
 		} else {
-			rep.check(fmt.Sprintf("%s: datapath carries writes after both restarts", name),
+			rep.Check(fmt.Sprintf("%s: datapath carries writes after both restarts", name),
 				o.okAfter > 0, "%d ops completed after t=%s (%d residual failures)", o.okAfter, fd(mfServerUpAt), o.failedAfter)
 		}
-		rep.check(fmt.Sprintf("%s: nothing left in flight", name),
+		rep.Check(fmt.Sprintf("%s: nothing left in flight", name),
 			o.inflight == 0, "InFlight() = %d after the driver finished", o.inflight)
 	}
 	rep.Tables = append(rep.Tables, table)

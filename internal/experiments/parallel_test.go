@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,8 +134,8 @@ func TestSerialParallelIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
 			}
-			if s, p := serial.String(), parallel.String(); s != p {
-				t.Errorf("report differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("report differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 			}
 		})
 	}

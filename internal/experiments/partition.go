@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"hyperloop/internal/metrics"
 	"hyperloop/internal/rdma"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
 )
@@ -26,8 +26,8 @@ const (
 	pfResumeBound = 2 * sim.Millisecond
 )
 
-func partitionFailover(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
-	rep := &Report{ID: "partition-failover", Claim: "A network partition that outlives failover recovery extends client " +
+func partitionFailover(rc *runCtx, seed uint64, sc Scale) (*report.Report, error) {
+	rep := &report.Report{ID: "partition-failover", Claim: "A network partition that outlives failover recovery extends client " +
 		"unavailability to the partition's heal time, not the recovery time: " +
 		"detection, catch-up, and datapath re-setup all complete during the " +
 		"partition because none of them needs the partitioned wire — but a " +
@@ -36,7 +36,7 @@ func partitionFailover(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		"after RC retry exhaustion), so writes resume only once the partition " +
 		"heals and the datapath is re-established over the healed link."}
 	// The whole scenario is one deployment, so one trial.
-	if _, err := trials(rc, 1, func(_ int, ar *trialArena) (*Report, error) {
+	if _, err := trials(rc, 1, func(_ int, ar *trialArena) (*report.Report, error) {
 		return rep, partitionTrial(ar, rep, seed, sc.pick(300, 2000))
 	}); err != nil {
 		return nil, err
@@ -44,7 +44,7 @@ func partitionFailover(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-func partitionTrial(ar *trialArena, rep *Report, seed uint64, ops int) error {
+func partitionTrial(ar *trialArena, rep *report.Report, seed uint64, ops int) error {
 	d, err := deploy(ar, topo.Spec{Seed: seed, Faults: &rdma.FaultPlan{
 		NICs: []rdma.NICFault{{Host: "server-1", At: sim.Time(failoverCrashAt), Down: true}},
 		// Sever client↔head in both directions for the whole recovery.
@@ -97,34 +97,34 @@ func partitionTrial(ar *trialArena, rep *Report, seed uint64, ops int) error {
 	resetups, tLastResetup := w.rearms, w.lastRearm
 	window := firstOKAfter.Sub(w.lastOKBefore)
 
-	timeline := metrics.NewTable("Recovery vs partition timeline (virtual time)", "event", "t")
-	timeline.AddRow("NIC crash injected (server-1)", fd(failoverCrashAt))
-	timeline.AddRow("client↔server-0 partition opens", fd(pfPartFrom))
-	timeline.AddRow(fmt.Sprintf("failure suspected, writes paused (%d beats @ %s)", failoverMissed, fd(failoverBeat)), ft(w.repair.Suspected))
-	timeline.AddRow("failover recovery done, datapath armed, writes resumed", ft(tResetup))
-	timeline.AddRow("partition heals", fd(pfPartTo))
-	timeline.AddRow(fmt.Sprintf("final datapath re-establishment (%d total)", resetups), ft(tLastResetup))
-	timeline.AddRow("last good write before outage", ft(w.lastOKBefore))
-	timeline.AddRow("first good write after outage", ft(firstOKAfter))
-	timeline.AddRow("unavailability window", fd(window))
+	timeline := report.NewTable("Recovery vs partition timeline (virtual time)", report.Text("event"), report.Dur("t"))
+	timeline.AddRow("NIC crash injected (server-1)", failoverCrashAt)
+	timeline.AddRow("client↔server-0 partition opens", pfPartFrom)
+	timeline.AddRow(fmt.Sprintf("failure suspected, writes paused (%d beats @ %s)", failoverMissed, fd(failoverBeat)), at(w.repair.Suspected))
+	timeline.AddRow("failover recovery done, datapath armed, writes resumed", at(tResetup))
+	timeline.AddRow("partition heals", pfPartTo)
+	timeline.AddRow(fmt.Sprintf("final datapath re-establishment (%d total)", resetups), at(tLastResetup))
+	timeline.AddRow("last good write before outage", at(w.lastOKBefore))
+	timeline.AddRow("first good write after outage", at(firstOKAfter))
+	timeline.AddRow("unavailability window", window)
 	rep.Tables = append(rep.Tables, timeline)
 
-	rep.check("recovery completes during the partition",
+	rep.Check("recovery completes during the partition",
 		tResetup > 0 && tResetup < sim.Time(pfPartTo),
-		"failover recovery re-armed the datapath at %s, partition heals at %s", ft(tResetup), fd(pfPartTo))
-	rep.check("writes stay down until the partition heals",
+		"failover recovery re-armed the datapath at %s, partition heals at %s", fd(at(tResetup)), fd(pfPartTo))
+	rep.Check("writes stay down until the partition heals",
 		firstOKAfter >= sim.Time(pfPartTo),
-		"first good write at %s, heal at %s, %d timed-out attempts in between", ft(firstOKAfter), fd(pfPartTo), w.timeouts)
-	rep.check("a partitioned datapath is broken, not paused",
+		"first good write at %s, heal at %s, %d timed-out attempts in between", fd(at(firstOKAfter)), fd(pfPartTo), w.timeouts)
+	rep.Check("a partitioned datapath is broken, not paused",
 		resetups >= 2 && tLastResetup > tResetup,
 		"%d datapath establishments: every one armed while the wire dropped messages was poisoned by the loss", resetups)
-	rep.check("writes resume promptly once the wire heals",
+	rep.Check("writes resume promptly once the wire heals",
 		firstOKAfter.Sub(sim.Time(pfPartTo)) < pfResumeBound,
 		"first good write %s after the heal (bound %s)", fd(firstOKAfter.Sub(sim.Time(pfPartTo))), fd(pfResumeBound))
-	rep.check("the partition, not recovery, sets the unavailability window",
+	rep.Check("the partition, not recovery, sets the unavailability window",
 		window > pfMinGap && window < pfMaxGap,
 		"window %s (plain failover recovers in ~1.5ms; bound %s)", fd(window), fd(pfMaxGap))
-	rep.check("the partition dropped live traffic",
+	rep.Check("the partition dropped live traffic",
 		fs.Drops > 0, "%d messages dropped", fs.Drops)
 
 	rep.Notes = append(rep.Notes,

@@ -6,6 +6,7 @@ import (
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 )
 
@@ -32,7 +33,7 @@ const (
 //     with client-side timeouts armed and no recovery protocol running.
 //     Quorum completion ("bcast-maj") keeps completing writes; every
 //     all-member datapath stalls until the horizon.
-func protocolsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func protocolsExp(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	names := protocol.Names()
 	ops := scale.pick(200, 2000)
 
@@ -78,29 +79,29 @@ func protocolsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 		return nil, err
 	}
 
-	cost := metrics.NewTable(
+	cost := report.NewTable(
 		fmt.Sprintf("Fault-free cost: %dB durable gWRITE, G=3 (client counters exclude the local copy)", protoWriteSize),
-		"protocol", "avg", "p99", "msgs/op", "wire KB/op")
+		report.Text("protocol"), report.Dur("avg"), report.Dur("p99"), report.Float("msgs/op", 1), report.Float("wire KB/op", 1))
 	for j, n := range names {
-		cost.AddRow(n, costs[j].h.MeanDuration(), costs[j].h.PercentileDuration(99),
-			fmt.Sprintf("%.1f", costs[j].msgsOp),
-			fmt.Sprintf("%.1f", costs[j].bytesOp/1024))
+		cost.AddRow(n, costs[j].h.MeanDuration(), costs[j].h.PercentileDuration(99), costs[j].msgsOp, costs[j].bytesOp/1024)
 	}
 
-	avail := metrics.NewTable(
+	unavail := report.Dur("unavailability")
+	unavail.Missing = "permanent (needs failover)"
+	avail := report.NewTable(
 		fmt.Sprintf("Availability: server-1 NIC crash at %s, no recovery protocol (%s horizon)", fd(protoCrashAt), fd(protoHorizon)),
-		"protocol", "ok before", "failed", "ok after", "unavailability")
+		report.Text("protocol"), report.Count("ok before"), report.Count("failed"), report.Count("ok after"), unavail)
 	for j, n := range names {
-		w := "permanent (needs failover)"
+		var window any // missing: the group never recovers
 		if avails[j].window > 0 {
-			w = fd(avails[j].window)
+			window = avails[j].window
 		}
-		avail.AddRow(n, avails[j].okBefore, avails[j].failed, avails[j].okAfter, w)
+		avail.AddRow(n, avails[j].okBefore, avails[j].failed, avails[j].okAfter, window)
 	}
 
-	return &Report{
+	return &report.Report{
 		ID: "protocols", Title: "Replication protocol comparison: latency, message cost, availability",
-		Tables: []*metrics.Table{cost, avail},
+		Tables: []*report.Table{cost, avail},
 		Notes: []string{
 			"chain forwards hop-by-hop (write+meta per hop, one ACK back); bcast pays ~2G client-side messages but the shortest completion path",
 			"bcast-maj completes on a majority of member acks, so one dead replica costs only the in-flight timeouts; every all-member protocol blocks until failover replaces the member (see the failover experiment)",

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 
-	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
+	"hyperloop/internal/report"
 	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
@@ -176,8 +176,8 @@ func killTrial(ar *trialArena, seed uint64, faults *rdma.FaultPlan, span, kill, 
 	return o, err
 }
 
-func recovery2PC(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
-	rep := &Report{ID: "2pc-recovery", Claim: "A durable coordinator commit record makes 2PC crash recovery unambiguous: " +
+func recovery2PC(rc *runCtx, seed uint64, sc Scale) (*report.Report, error) {
+	rep := &report.Report{ID: "2pc-recovery", Claim: "A durable coordinator commit record makes 2PC crash recovery unambiguous: " +
 		"whatever protocol step the coordinator dies at, recovery rolls " +
 		"record-bearing transactions forward and record-less ones back, so " +
 		"post-recovery visibility is all-or-nothing on every shard and every " +
@@ -214,8 +214,9 @@ func recovery2PC(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		return nil, err
 	}
 
-	table := metrics.NewTable("coordinator crash-point sweep, recovery by the commit-record rule",
-		"leg", "span", "kill points", "rolled back", "rolled forward", "lock leaks", "retry commits")
+	table := report.NewTable("coordinator crash-point sweep, recovery by the commit-record rule",
+		report.Text("leg"), report.Count("span"), report.Count("kill points"), report.Count("rolled back"),
+		report.Count("rolled forward"), report.Count("lock leaks"), report.Count("retry commits"))
 	j := 0
 	for _, leg := range r2Legs {
 		for _, span := range spans {
@@ -243,17 +244,17 @@ func recovery2PC(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 
 			// Every pre-commit-point kill must roll back, every later one
 			// roll forward; both sides all-or-nothing.
-			rep.check(fmt.Sprintf("%s span %d: post-recovery visibility is all-or-nothing at every kill point", leg.name, span),
+			rep.Check(fmt.Sprintf("%s span %d: post-recovery visibility is all-or-nothing at every kill point", leg.name, span),
 				mixedVisibility == 0,
 				"%d of %d kill points violated all-or-nothing or landed on the wrong side of the commit point", mixedVisibility, totalSteps)
-			rep.check(fmt.Sprintf("%s span %d: no group lock leaks and the commit log drains", leg.name, span),
+			rep.Check(fmt.Sprintf("%s span %d: no group lock leaks and the commit log drains", leg.name, span),
 				lockLeaks == 0 && logResidue == 0,
 				"%d leaked locks, %d kill points with live commit records after recovery", lockLeaks, logResidue)
-			rep.check(fmt.Sprintf("%s span %d: the retried transaction commits exactly once per attempt", leg.name, span),
+			rep.Check(fmt.Sprintf("%s span %d: the retried transaction commits exactly once per attempt", leg.name, span),
 				retryCommits == totalSteps,
 				"%d of %d recovered deployments committed %d retried transaction(s) cleanly", retryCommits, totalSteps, afterTxns)
 			wantFwd := (totalSteps - commitPoint + 1) * span
-			rep.check(fmt.Sprintf("%s span %d: recovery rolled forward exactly the record-bearing shards", leg.name, span),
+			rep.Check(fmt.Sprintf("%s span %d: recovery rolled forward exactly the record-bearing shards", leg.name, span),
 				rolledForward <= wantFwd && rolledForward > 0,
 				"%d shards rolled forward across %d post-commit-point kills (≤%d: shards already unlocked before the crash are skipped)",
 				rolledForward, totalSteps-commitPoint+1, wantFwd)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"slices"
+
+	"hyperloop/internal/report"
 )
 
 // runFn is an experiment entry point. rc identifies the run: the trials
@@ -10,7 +12,7 @@ import (
 // when the two-level scheduler dispatched the run, trials also draw slots
 // from rc's shared cross-experiment budget. A refuted claim is not an
 // error: it is a Report whose checks failed.
-type runFn func(rc *runCtx, seed uint64, scale Scale) (*Report, error)
+type runFn func(rc *runCtx, seed uint64, scale Scale) (*report.Report, error)
 
 // entry is one registered id: its entry point and its description for
 // listings.
@@ -85,7 +87,7 @@ func Describe(name string) string {
 
 // runWith executes the named experiment for the run rc. Every trial has
 // ended when the entry returns, so the report's counters are complete.
-func runWith(rc *runCtx, name string, seed uint64, scale Scale) (*Report, error) {
+func runWith(rc *runCtx, name string, seed uint64, scale Scale) (*report.Report, error) {
 	e, ok := lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
@@ -94,21 +96,22 @@ func runWith(rc *runCtx, name string, seed uint64, scale Scale) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
-	rep.counters = rc.stats()
+	rep.Counters = rc.stats().Counters
 	return rep, nil
 }
 
 // Run executes the named experiment.
-func Run(name string, seed uint64, scale Scale) (*Report, error) {
+func Run(name string, seed uint64, scale Scale) (*report.Report, error) {
 	r, _, err := RunStats(name, seed, scale)
 	return r, err
 }
 
 // RunStats executes the named experiment and returns, alongside the
-// report, the simulation counters attributed to exactly this run's
-// trials. The deterministic fields (see StatSink) are identical at any
-// -procs setting and whether or not other experiments ran concurrently.
-func RunStats(name string, seed uint64, scale Scale) (*Report, StatSink, error) {
+// report (whose Counters it carries), the run's whole StatSink, leak
+// counters included. The deterministic fields (see StatSink) are identical
+// at any -procs setting and whether or not other experiments ran
+// concurrently.
+func RunStats(name string, seed uint64, scale Scale) (*report.Report, StatSink, error) {
 	rc := &runCtx{}
 	rep, err := runWith(rc, name, seed, scale)
 	return rep, rc.stats(), err

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
 	"hyperloop/internal/rdma"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
 )
@@ -14,9 +14,9 @@ import (
 // every link in both directions.
 var lossRates = []float64{0, 0.01, 0.025, 0.05}
 
-func retryVsLoss(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
+func retryVsLoss(rc *runCtx, seed uint64, sc Scale) (*report.Report, error) {
 	ops := sc.pick(150, 1200)
-	rep := &Report{ID: "retry-vs-loss", Claim: "Client-level timeout/retry absorbs transient wire loss on every protocol: " +
+	rep := &report.Report{ID: "retry-vs-loss", Claim: "Client-level timeout/retry absorbs transient wire loss on every protocol: " +
 		"a loss-free run never retries or fails an op, injected loss induces " +
 		"retries, and the retry+failure burden does not shrink as loss grows."}
 	names := protocol.Names()
@@ -66,26 +66,27 @@ func retryVsLoss(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		return nil, err
 	}
 
-	table := metrics.NewTable("Retry cost vs injected wire loss (1KB durable gWRITE)",
-		"protocol", "loss", "ok", "failed", "retried", "drops")
+	table := report.NewTable("Retry cost vs injected wire loss (1KB durable gWRITE)",
+		report.Text("protocol"), report.Percent("loss", 1), report.Count("ok"), report.Count("failed"),
+		report.Count("retried"), report.Count("drops"))
 	for n, name := range names {
 		burden := make([]int64, 0, len(lossRates))
 		for l, loss := range lossRates {
 			p := points[n*len(lossRates)+l]
-			table.AddRow(name, fmt.Sprintf("%.1f%%", loss*100), p.ok, p.failed, p.retried, p.drops)
+			table.AddRow(name, loss*100, p.ok, p.failed, p.retried, p.drops)
 			burden = append(burden, p.retried+p.failed)
 			if p.inflight != 0 {
-				rep.check(fmt.Sprintf("%s: ops quiesce at %.1f%% loss", name, loss*100),
+				rep.Check(fmt.Sprintf("%s: ops quiesce at %.1f%% loss", name, loss*100),
 					false, "%d ops still in flight after the driver finished", p.inflight)
 			}
 		}
 		// Three checks per protocol: clean baseline, loss bites, and the
 		// burden trends upward (compared half-vs-half so one lucky point
 		// cannot flip the verdict).
-		rep.check(fmt.Sprintf("%s: loss-free run is retry-free", name),
+		rep.Check(fmt.Sprintf("%s: loss-free run is retry-free", name),
 			burden[0] == 0, "retried+failed = %d at 0%% loss", burden[0])
 		last := burden[len(burden)-1]
-		rep.check(fmt.Sprintf("%s: %.1f%% loss induces retries", name, lossRates[len(lossRates)-1]*100),
+		rep.Check(fmt.Sprintf("%s: %.1f%% loss induces retries", name, lossRates[len(lossRates)-1]*100),
 			last > 0, "retried+failed = %d", last)
 		half := len(burden) / 2
 		var lo, hi int64
@@ -96,7 +97,7 @@ func retryVsLoss(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 				hi += b
 			}
 		}
-		rep.check(fmt.Sprintf("%s: burden grows with loss", name),
+		rep.Check(fmt.Sprintf("%s: burden grows with loss", name),
 			hi >= lo, "upper-half burden %d vs lower-half %d", hi, lo)
 	}
 	rep.Tables = append(rep.Tables, table)

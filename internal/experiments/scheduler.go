@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"hyperloop/internal/report"
 )
 
 // Result is one experiment's outcome from RunAll: its report plus the
@@ -13,7 +15,7 @@ import (
 // not exclusive CPU time.
 type Result struct {
 	ID     string
-	Report *Report
+	Report *report.Report
 	Stats  StatSink
 	Wall   time.Duration
 }

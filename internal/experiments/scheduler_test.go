@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,7 +13,8 @@ import (
 // report byte or attributed counter. RunAll over every experiment at
 // -procs 1 (serial experiments, serial trials), -procs 2 (overlapped,
 // minimal budget), and -procs 0 (overlapped, GOMAXPROCS budget) must
-// agree on every report and every deterministic StatSink field.
+// agree on every report, cell values included, and every deterministic
+// StatSink field.
 func TestOverlappedVsSerialIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment three times")
@@ -49,7 +51,7 @@ func TestOverlappedVsSerialIdentical(t *testing.T) {
 			if r.ID != serial[i].ID {
 				t.Fatalf("procs=%d: result %d is %s, want %s", p, i, r.ID, serial[i].ID)
 			}
-			if got, want := r.Report.String(), serial[i].Report.String(); got != want {
+			if got, want := r.Report, serial[i].Report; !reflect.DeepEqual(got, want) {
 				t.Errorf("procs=%d %s: report differs from serial run:\n--- overlapped ---\n%s\n--- serial ---\n%s",
 					p, r.ID, got, want)
 			}

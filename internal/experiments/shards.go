@@ -6,6 +6,7 @@ import (
 
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
+	"hyperloop/internal/report"
 	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
@@ -223,7 +224,7 @@ func shardTxnTrial(ar *trialArena, seed uint64, nShards, txns int) (txnRes, erro
 //     argument); the naive datapath contends for the rack's scarce cores,
 //     so packing the hot tenant (affinity) shields cold tenants' p99.
 //  2. Cross-shard transactions: 2PC latency vs span over the same rack.
-func shardsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
+func shardsExp(rc *runCtx, seed uint64, scale Scale) (*report.Report, error) {
 	nShards := scale.pick(100, 256)
 	ops := scale.pick(1600, 12800)
 	txns := scale.pick(40, 320)
@@ -263,33 +264,34 @@ func shardsExp(rc *runCtx, seed uint64, scale Scale) (*Report, error) {
 	}
 	txnRun := runs[len(legs)].txn
 
-	iso := metrics.NewTable(
+	iso := report.NewTable(
 		fmt.Sprintf("Tenant isolation: %d groups × %d replicas on %d servers (%d cores each), zipf(%.2f) skew over %d tenants",
 			nShards, shardReplicas, shardServers, shardCores, shardZipfTheta, shardTenants),
-		"datapath", "placement", "tenant", "ops", "ops/ms", "p50", "p99")
+		report.Text("datapath"), report.Text("placement"), report.Count("tenant"), report.Count("ops"),
+		report.Float("ops/ms", 1), report.Dur("p50"), report.Dur("p99"))
 	for i, l := range legs {
 		r := runs[i].tenant
 		for t := 0; t < shardTenants; t++ {
-			rate := "-"
+			var rate any // missing for a tenant that finished no op
 			if ms := float64(r.done[t]) / float64(sim.Millisecond); ms > 0 {
-				rate = fmt.Sprintf("%.1f", float64(r.ops[t])/ms)
+				rate = float64(r.ops[t]) / ms
 			}
 			iso.AddRow(l.proto, l.pol.String(), t, r.ops[t], rate,
 				r.hist[t].PercentileDuration(50), r.hist[t].PercentileDuration(99))
 		}
 	}
 
-	tp := metrics.NewTable(
+	tp := report.NewTable(
 		fmt.Sprintf("Cross-shard transactions: 2PC over chain groups, %d txns per span", txns),
-		"span", "txns", "avg", "p99")
+		report.Count("span"), report.Count("txns"), report.Dur("avg"), report.Dur("p99"))
 	for si, span := range txnRun.spans {
 		tp.AddRow(span, txnRun.hist[si].Count(),
 			txnRun.hist[si].MeanDuration(), txnRun.hist[si].PercentileDuration(99))
 	}
 
-	return &Report{
+	return &report.Report{
 		ID: "shards", Title: "Sharded scale-out: placement, tenant skew, cross-shard 2PC",
-		Tables: []*metrics.Table{iso, tp},
+		Tables: []*report.Table{iso, tp},
 		Notes: []string{
 			fmt.Sprintf("cross-shard commits: %d of %d spanned >1 group; every participant takes its lock (no-wait), then appends, then executes with the unlock riding behind, each round on all chains at the same time",
 				txnRun.stats.CrossShard, txnRun.stats.Commits),

@@ -1,6 +1,10 @@
 package experiments
 
-import "sync"
+import (
+	"sync"
+
+	"hyperloop/internal/report"
+)
 
 // StatSink accumulates the simulation counters attributed to exactly one
 // experiment run. Attribution is local, not global: every trial builds
@@ -10,15 +14,9 @@ import "sync"
 // each sink reads the same as it would had its experiment run alone, at
 // any parallelism (TestStatAttributionUnderOverlap).
 type StatSink struct {
-	// SimEvents counts simulation events executed by the run's trial
-	// kernels; CQEs, Messages and WireBytes are the trial fabrics' totals,
-	// Drops and Dups their injected faults' (rdma.Fabric.FaultStats).
-	SimEvents int64
-	CQEs      int64
-	Messages  int64
-	WireBytes int64
-	Drops     int64
-	Dups      int64
+	// Counters are the trial kernels' events and the trial fabrics'
+	// totals; Drops and Dups come from rdma.Fabric.FaultStats.
+	report.Counters
 
 	// LiveFibers and ParkedRunners count the fibers still alive and the
 	// runner goroutines still parked on the trial kernels when their

@@ -3,6 +3,8 @@ package experiments
 import (
 	"sync"
 	"testing"
+
+	"hyperloop/internal/report"
 )
 
 // TestStatAttributionUnderOverlap runs two experiments alone, then again
@@ -42,10 +44,10 @@ func TestStatAttributionUnderOverlap(t *testing.T) {
 // TestStatSinkAdd checks the trial-to-sink accumulation arithmetic.
 func TestStatSinkAdd(t *testing.T) {
 	var s StatSink
-	s.add(StatSink{SimEvents: 3, CQEs: 2, Drops: 1, LiveFibers: 1})
-	s.add(StatSink{SimEvents: 4, Messages: 5, WireBytes: 640, Dups: 2, ParkedRunners: 3})
-	want := StatSink{SimEvents: 7, CQEs: 2, Messages: 5, WireBytes: 640,
-		Drops: 1, Dups: 2, LiveFibers: 1, ParkedRunners: 3}
+	s.add(StatSink{Counters: report.Counters{SimEvents: 3, CQEs: 2, Drops: 1}, LiveFibers: 1})
+	s.add(StatSink{Counters: report.Counters{SimEvents: 4, Messages: 5, WireBytes: 640, Dups: 2}, ParkedRunners: 3})
+	want := StatSink{Counters: report.Counters{SimEvents: 7, CQEs: 2, Messages: 5, WireBytes: 640,
+		Drops: 1, Dups: 2}, LiveFibers: 1, ParkedRunners: 3}
 	if s != want {
 		t.Fatalf("sink = %+v, want %+v", s, want)
 	}
@@ -57,7 +59,7 @@ func TestRunCtxNilSafe(t *testing.T) {
 	var rc *runCtx
 	rc.acquire()
 	rc.release()
-	rc.addTrial(StatSink{SimEvents: 1})
+	rc.addTrial(StatSink{Counters: report.Counters{SimEvents: 1}})
 	if s := rc.stats(); s != (StatSink{}) {
 		t.Fatalf("nil runCtx stats = %+v, want zero", s)
 	}
@@ -72,7 +74,7 @@ func TestRunCtxConcurrentAddTrial(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rc.addTrial(StatSink{SimEvents: 1, CQEs: 2})
+			rc.addTrial(StatSink{Counters: report.Counters{SimEvents: 1, CQEs: 2}})
 		}()
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/protocol"
+	"hyperloop/internal/report"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/topo"
 )
@@ -19,13 +20,13 @@ const (
 	tiNoiseIdle  = 2700 * sim.Microsecond
 )
 
-func tenantInterference(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
+func tenantInterference(rc *runCtx, seed uint64, sc Scale) (*report.Report, error) {
 	ops := sc.pick(60, 400)
 	loads := []int{0, 10}
 	if sc == Full {
 		loads = []int{0, 2, 10}
 	}
-	rep := &Report{ID: "tenant-interference", Claim: "NIC offload makes replication immune to co-located tenant load: " +
+	rep := &report.Report{ID: "tenant-interference", Claim: "NIC offload makes replication immune to co-located tenant load: " +
 		"saturating the replica CPUs with bursty multi-tenant noise leaves " +
 		"every NIC-driven protocol's write latency unchanged, while the " +
 		"CPU-driven baseline's tail inflates by multiples (§2.2)."}
@@ -54,8 +55,8 @@ func tenantInterference(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 		return nil, err
 	}
 
-	table := metrics.NewTable("1KB durable gWRITE latency vs co-located tenant load",
-		"protocol", "tenants/core", "avg", "p99", "p99 vs idle")
+	table := report.NewTable("1KB durable gWRITE latency vs co-located tenant load",
+		report.Text("protocol"), report.Count("tenants/core"), report.Dur("avg"), report.Dur("p99"), report.Ratio("p99 vs idle", 1))
 	for n, name := range names {
 		var idleP99, loadedP99 sim.Duration
 		for l, perCore := range loads {
@@ -65,18 +66,14 @@ func tenantInterference(rc *runCtx, seed uint64, sc Scale) (*Report, error) {
 				idleP99 = p99
 			}
 			loadedP99 = p99
-			ratio := "1.0x"
-			if perCore > 0 && idleP99 > 0 {
-				ratio = fmt.Sprintf("%.1fx", float64(p99)/float64(idleP99))
-			}
-			table.AddRow(name, perCore, fd(sim.Duration(int64(h.Mean()))), fd(p99), ratio)
+			table.AddRow(name, perCore, sim.Duration(int64(h.Mean())), p99, report.Over(p99, idleP99))
 		}
 		ratio := float64(loadedP99) / float64(idleP99)
 		if protocol.TraitsOf(name).CPUDriven {
-			rep.check(fmt.Sprintf("%s: CPU-driven tail inflates under tenant load", name),
+			rep.Check(fmt.Sprintf("%s: CPU-driven tail inflates under tenant load", name),
 				ratio >= 3, "p99 %s loaded vs %s idle (%.1fx)", fd(loadedP99), fd(idleP99), ratio)
 		} else {
-			rep.check(fmt.Sprintf("%s: NIC-offloaded latency unmoved by tenant load", name),
+			rep.Check(fmt.Sprintf("%s: NIC-offloaded latency unmoved by tenant load", name),
 				ratio <= 1.02, "p99 %s loaded vs %s idle (%.2fx)", fd(loadedP99), fd(idleP99), ratio)
 		}
 	}

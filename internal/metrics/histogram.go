@@ -1,5 +1,5 @@
-// Package metrics provides latency histograms, counters and table
-// formatting for the benchmark harness.
+// Package metrics provides latency histograms and counters for the
+// benchmark harness; reports and their tables are internal/report's.
 //
 // The Histogram is HDR-style: values are bucketed with bounded relative
 // error (sub-buckets within power-of-two ranges), so recording is O(1),

@@ -139,49 +139,3 @@ func TestSummary(t *testing.T) {
 		t.Fatalf("summary string: %s", s.String())
 	}
 }
-
-func TestTableRendering(t *testing.T) {
-	tbl := NewTable("Table 2: gCAS", "impl", "avg", "p99")
-	tbl.AddRow("naive", 539*time.Microsecond, 11886*time.Microsecond)
-	tbl.AddRow("hyperloop", 10*time.Microsecond, 14*time.Microsecond)
-	out := tbl.String()
-	for _, want := range []string{"Table 2", "impl", "naive", "hyperloop", "11.9ms"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{1500 * time.Nanosecond, "1.50µs"},
-		{14 * time.Microsecond, "14.0µs"},
-		{539 * time.Microsecond, "539.0µs"},
-		{2500 * time.Microsecond, "2.50ms"},
-		{118 * time.Millisecond, "118.0ms"},
-		{2 * time.Second, "2.00s"},
-	}
-	for _, c := range cases {
-		if got := FormatDuration(c.d); got != c.want {
-			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
-		}
-	}
-}
-
-func TestFormatBytes(t *testing.T) {
-	if FormatBytes(128) != "128B" || FormatBytes(2048) != "2K" || FormatBytes(1<<21) != "2M" {
-		t.Fatal("FormatBytes wrong")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(100, 0) != "inf" {
-		t.Fatal("Ratio div by zero")
-	}
-	if Ratio(800*time.Microsecond, 100*time.Microsecond) != "8.0x" {
-		t.Fatalf("Ratio = %s", Ratio(800*time.Microsecond, 100*time.Microsecond))
-	}
-}
