@@ -95,7 +95,7 @@ func run(args []string, out io.Writer) (*report.Table, error) {
 		valSize  = fs.Int("value", 1024, "value size in bytes")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		replicas = fs.Int("replicas", 3, "replica chain length")
-		load     = fs.Bool("load", true, "apply multi-tenant CPU load on replicas (ignored when -shards > 1)")
+		load     = fs.Bool("load", true, "apply multi-tenant CPU load on replicas (not available with -shards > 1)")
 		shards   = fs.Int("shards", 1, "partition the keyspace across N independent replication groups (>1 routes ops through the shard router's own key-value store: -db must be kv, and of the naive backends only naive-event exists)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -116,6 +116,11 @@ func run(args []string, out io.Writer) (*report.Table, error) {
 		}
 		if *backend == "naive-polling" || *backend == "naive-pinned" {
 			return nil, fmt.Errorf("-backend %s is not available with -shards %d: sharded groups come from the protocol registry, whose naive datapath is naive-event", *backend, *shards)
+		}
+		var loadSet bool // -load defaults to true, so only an explicit one is rejected
+		fs.Visit(func(f *flag.Flag) { loadSet = loadSet || f.Name == "load" })
+		if loadSet {
+			return nil, fmt.Errorf("-load is not available with -shards %d: a sharded cluster carries no tenant load", *shards)
 		}
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,6 +31,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"sharded doc", []string{"-shards", "4", "-db", "doc"}, "-db doc is not available with -shards 4"},
 		{"sharded polling", []string{"-shards", "4", "-backend", "naive-polling"}, "-backend naive-polling is not available with -shards 4"},
 		{"sharded pinned", []string{"-shards", "2", "-backend", "naive-pinned"}, "-backend naive-pinned is not available with -shards 2"},
+		{"sharded load", []string{"-shards", "2", "-load"}, "-load is not available with -shards 2"},
+		{"sharded no load", []string{"-load=false", "-shards", "4"}, "-load is not available with -shards 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,9 +44,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// smokeArgs keeps the simulated runs small enough for the test suite.
+// smokeArgs keeps the simulated runs small enough for the test suite: an
+// unsharded run also drops the tenant load, which a sharded one never has.
 func smokeArgs(extra ...string) []string {
-	return append([]string{"-records", "40", "-ops", "120", "-value", "128", "-load=false"}, extra...)
+	args := []string{"-records", "40", "-ops", "120", "-value", "128"}
+	if !slices.Contains(extra, "-shards") {
+		args = append(args, "-load=false")
+	}
+	return append(args, extra...)
 }
 
 func TestRunKVSmoke(t *testing.T) {

@@ -69,8 +69,6 @@ type ClusterConfig struct {
 	Seed uint64
 	// Replicas is the chain length (default 3).
 	Replicas int
-	// CoresPerServer sizes each storage server's CPU (default 16).
-	CoresPerServer int
 	// DeviceSize is each machine's NVM capacity (default 16 MiB).
 	DeviceSize int
 	// MultiTenantLoad co-locates ~10 bursty tenant processes per core
@@ -91,19 +89,20 @@ type Cluster struct {
 // runHorizon bounds Cluster.Run and ShardedCluster.Run in virtual time.
 const runHorizon = 3600 * sim.Second
 
+// serverCores sizes every storage server's CPU, in Cluster and
+// ShardedCluster alike.
+const serverCores = 16
+
 // NewCluster builds the deployment.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
 	}
-	if cfg.CoresPerServer <= 0 {
-		cfg.CoresPerServer = 16
-	}
 	if cfg.DeviceSize <= 0 {
 		cfg.DeviceSize = 16 << 20
 	}
 	spec := topo.Spec{
-		Seed: cfg.Seed, Servers: cfg.Replicas, Cores: cfg.CoresPerServer,
+		Seed: cfg.Seed, Servers: cfg.Replicas, Cores: serverCores,
 		DevExtra: cfg.DeviceSize, // the machines exist before any mirror is sized
 	}
 	if cfg.MultiTenantLoad {
@@ -173,7 +172,7 @@ func (c *Cluster) NewGroupOver(replicas []*rdma.NIC, mirrorSize int) (Protocol, 
 type Protocol = protocol.Protocol
 
 // ProtocolParams is the policy half of a protocol build: mirror size,
-// window depth, timeout/retry, wake penalty.
+// window depth, timeout/retry.
 type ProtocolParams = protocol.Params
 
 // Protocols returns the names of all registered replication protocols,
@@ -188,8 +187,8 @@ func (c *Cluster) NewProtocolGroup(name string, mirrorSize int) (Protocol, error
 }
 
 // NewProtocolGroupWithParams builds the named protocol with full policy
-// control. Under MultiTenantLoad a CPU-driven protocol carries the same
-// wake penalty NewNaiveGroup applies.
+// control. Under MultiTenantLoad a CPU-driven protocol's replica handlers
+// pay their servers' wake penalty, as NewNaiveGroup's do.
 func (c *Cluster) NewProtocolGroupWithParams(name string, p protocol.Params) (Protocol, error) {
 	return c.rack.GroupOver(c.env, protocol.Named(name), p)
 }

@@ -55,7 +55,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeNaiveGroupAndLoad(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Seed: 2, Replicas: 2, MultiTenantLoad: true, CoresPerServer: 4})
+	c, err := NewCluster(ClusterConfig{Seed: 2, Replicas: 2, MultiTenantLoad: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,16 +38,13 @@ type Config struct {
 	// suspected (the paper's "configurable number of consecutive missing
 	// heartbeats").
 	MissedThreshold int
-	// CatchUpBandwidthBps bounds state-transfer speed during catch-up.
-	CatchUpBandwidthBps float64
 }
 
 // DefaultConfig returns production-ish settings scaled to the simulation.
 func DefaultConfig() Config {
 	return Config{
-		HeartbeatEvery:      5 * sim.Millisecond,
-		MissedThreshold:     3,
-		CatchUpBandwidthBps: 56e9,
+		HeartbeatEvery:  5 * sim.Millisecond,
+		MissedThreshold: 3,
 	}
 }
 
@@ -80,9 +77,6 @@ func New(k *sim.Kernel, nics []*rdma.NIC, cfg Config) (*Manager, error) {
 	}
 	if cfg.MissedThreshold <= 0 {
 		cfg.MissedThreshold = DefaultConfig().MissedThreshold
-	}
-	if cfg.CatchUpBandwidthBps <= 0 {
-		cfg.CatchUpBandwidthBps = DefaultConfig().CatchUpBandwidthBps
 	}
 	m := &Manager{k: k, cfg: cfg}
 	for _, nic := range nics {
@@ -157,7 +151,7 @@ func (m *Manager) nics() []*rdma.NIC {
 
 // catchUp copies the first mirrorSize bytes of a healthy member's durable
 // state onto the replacement device and flushes it, charging transfer time
-// at the configured bandwidth. It returns the source member used.
+// at the fabric's link bandwidth. It returns the source member used.
 func (m *Manager) catchUp(f *sim.Fiber, to *rdma.NIC, mirrorSize int) (int, error) {
 	src := m.healthy()
 	if src < 0 {
@@ -168,7 +162,7 @@ func (m *Manager) catchUp(f *sim.Fiber, to *rdma.NIC, mirrorSize int) (int, erro
 		return src, err
 	}
 	// Transfer time: full image over the wire.
-	sec := float64(mirrorSize) * 8 / m.cfg.CatchUpBandwidthBps
+	sec := float64(mirrorSize) * 8 / to.Fabric().Config().BandwidthBps
 	f.Sleep(sim.Duration(sec * 1e9))
 	// The transfer window is exactly when a second failure can strike.
 	// Re-check both ends before installing the image: a source that died

@@ -116,14 +116,16 @@ func TestRecoveryAfterSuspicionClears(t *testing.T) {
 }
 
 // repairRig is a 3-member chain plus a spare on bare NICs: member 1 goes
-// down at 1ms and is suspected at 15ms (three missed 5ms beats). The
-// catch-up bandwidth is slowed so a 64 KiB transfer spans [15ms, ~80ms),
-// a window a test can kill either end of the transfer in.
+// down at 1ms and is suspected at 15ms (three missed 5ms beats), when the
+// 64 KiB catch-up starts. midTransfer is halfway through it, at the
+// fabric's link rate: an instant a test can kill either end of the
+// transfer at.
 type repairRig struct {
-	k     *sim.Kernel
-	nics  []*rdma.NIC // members m0..m2, then the spare m3
-	spare *rdma.NIC
-	m     *Manager
+	k           *sim.Kernel
+	nics        []*rdma.NIC // members m0..m2, then the spare m3
+	spare       *rdma.NIC
+	m           *Manager
+	midTransfer sim.Time
 }
 
 const rigMirror = 64 * 1024
@@ -131,16 +133,16 @@ const rigMirror = 64 * 1024
 func newRepairRig(t *testing.T) *repairRig {
 	t.Helper()
 	k, nics := buildNICs(t, 1, 4)
-	cfg := DefaultConfig()
-	cfg.CatchUpBandwidthBps = 8e6
-	m, err := New(k, nics[:3], cfg)
+	m, err := New(k, nics[:3], DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = nics[0].Memory().Write(0, []byte("source image"))
 	nics[0].Memory().FlushAll()
 	k.At(sim.Time(sim.Millisecond), func() { nics[1].SetDown(true) })
-	return &repairRig{k: k, nics: nics, spare: nics[3], m: m}
+	transfer := sim.Duration(rigMirror * 8 / nics[0].Fabric().Config().BandwidthBps * 1e9)
+	mid := sim.Time(15 * sim.Millisecond).Add(transfer / 2)
+	return &repairRig{k: k, nics: nics, spare: nics[3], m: m, midTransfer: mid}
 }
 
 func (r *repairRig) run(t *testing.T) {
@@ -212,7 +214,7 @@ func TestRepairErrors(t *testing.T) {
 			r := newRepairRig(t)
 			if tc.kill != nil {
 				nic := tc.kill(r)
-				r.k.At(sim.Time(40*sim.Millisecond), func() { nic.SetDown(true) })
+				r.k.At(r.midTransfer, func() { nic.SetDown(true) })
 			}
 			rebuilds := 0
 			rep := r.m.Repair(r.spare, rigMirror, func(*sim.Fiber, []*rdma.NIC) error {

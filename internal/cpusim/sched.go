@@ -237,6 +237,9 @@ type Scheduler struct {
 	dispatchPend bool
 	dispatchFn   func()   // cached dispatch callback
 	done         []func() // finishSlice's reusable callback scratch
+
+	wakePenalty     sim.Duration // see SetWakePenalty
+	wakePenaltyProb float64
 }
 
 // New creates a scheduler driven by kernel k.
@@ -265,6 +268,22 @@ func New(k *sim.Kernel, cfg Config) (*Scheduler, error) {
 		s.dispatch()
 	}
 	return s, nil
+}
+
+// SetWakePenalty records the wake penalty of this server: the one a
+// latency-sensitive process pays, per Proc.SetWakePenalty, for the tenants
+// it shares the server with. The scheduler applies it to no process
+// itself; a process that should pay it takes it with
+// p.SetWakePenalty(s.WakePenalty()). A multi-tenant rack server records
+// one (topo's colocate states its values); an idle one records none.
+func (s *Scheduler) SetWakePenalty(prob float64, max sim.Duration) {
+	s.wakePenaltyProb, s.wakePenalty = prob, max
+}
+
+// WakePenalty returns the penalty SetWakePenalty recorded, in the
+// argument order of Proc.SetWakePenalty (zero if none was).
+func (s *Scheduler) WakePenalty() (prob float64, max sim.Duration) {
+	return s.wakePenaltyProb, s.wakePenalty
 }
 
 // NewProc registers a schedulable process.

@@ -115,8 +115,8 @@ func failoverTrial(ar *trialArena, seed uint64, ops int) (*report.Report, error)
 
 	lat := report.NewTable("1KB durable gWRITE latency around the outage",
 		report.Text("phase"), report.Count("ops"), report.Dur("avg"), report.Dur("p99"))
-	lat.AddRow("pre-crash", pre.Count(), pre.MeanDuration(), pre.PercentileDuration(0.99))
-	lat.AddRow("post-recovery", post.Count(), post.MeanDuration(), post.PercentileDuration(0.99))
+	lat.AddRow("pre-crash", pre.Count(), pre.MeanDuration(), pre.PercentileDuration(99))
+	lat.AddRow("post-recovery", post.Count(), post.MeanDuration(), post.PercentileDuration(99))
 
 	tl := report.NewTable(fmt.Sprintf("Write timeline (%s buckets)", fd(failoverBucket)),
 		report.Dur("t"), report.Count("writes ok"), report.Count("timeouts"), report.Dur("max latency"))

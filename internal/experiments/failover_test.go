@@ -36,3 +36,16 @@ func TestFailedRepairReportedAsItself(t *testing.T) {
 			w.rearms, w.mon.Paused(), w.timeouts)
 	}
 }
+
+// TestFailoverP99IsATail reads the latency table's p99 cells: each must be
+// at least its phase's mean. The healthy chain's wire jitter spreads the
+// writes on both sides of the mean, so a p99 below it is not the 99th
+// percentile of the phase.
+func TestFailoverP99IsATail(t *testing.T) {
+	lat := runQuick(t, "failover").Tables[1]
+	for row := range lat.Rows {
+		if p99, avg := dur(lat, row, "p99"), dur(lat, row, "avg"); p99 < avg {
+			t.Errorf("%v: p99 %v below the mean %v", lat.Cell(row, "phase"), p99, avg)
+		}
+	}
+}

@@ -73,6 +73,7 @@ func TestShapeRobustToCalibration(t *testing.T) {
 			sched.AddHogs(8)
 			sched.AddNoise(160, 300*sim.Microsecond, 2700*sim.Microsecond)
 			sched.AddStorms(32, 200*sim.Millisecond, 4*sim.Millisecond)
+			sched.SetWakePenalty(0.015, 3*sim.Millisecond)
 			scheds = append(scheds, sched)
 		}
 		env := protocol.Env{Fabric: fab, Client: client, Replicas: reps, Scheds: scheds}
@@ -84,8 +85,7 @@ func TestShapeRobustToCalibration(t *testing.T) {
 			}
 			write = func(f *sim.Fiber, off int) error { return g.Write(f, off, size, true) }
 		} else {
-			p := protocol.Params{MirrorSize: mirror, WakePenalty: 3 * sim.Millisecond, WakePenaltyProb: 0.015}
-			g, err := naive.Setup(env, p, naive.DefaultConfig())
+			g, err := naive.Setup(env, protocol.Params{MirrorSize: mirror}, naive.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,8 +36,9 @@ func (m Mode) String() string {
 
 // Config is the baseline's replica-CPU cost model: how the replica
 // handlers pick up completions and what their work costs. The group's
-// policy (mirror, window, timeout/retry, wake penalty) is
-// protocol.Params, as for every datapath.
+// policy (mirror, window, timeout/retry) is protocol.Params, as for every
+// datapath; the wake penalty a handler pays for co-located tenants is its
+// server's (cpusim.Scheduler.WakePenalty).
 type Config struct {
 	Mode Mode
 	// RecvHandlerCPU is CPU time to take the completion, read the CQ and
@@ -273,9 +274,7 @@ func (g *Group) setupReplica(index int, nic *rdma.NIC, sched *cpusim.Scheduler) 
 		r.recv[i] = []rdma.SGE{{Addr: r.stagingAddr(uint64(i)), Len: uint64(g.msgLen())}}
 	}
 	r.proc = sched.NewProc(fmt.Sprintf("replica-%d", index))
-	if p.WakePenalty > 0 {
-		r.proc.SetWakePenalty(p.WakePenaltyProb, p.WakePenalty)
-	}
+	r.proc.SetWakePenalty(sched.WakePenalty()) // the tenants of its server
 	switch g.cfg.Mode {
 	case ModePinned:
 		r.proc.Pin()

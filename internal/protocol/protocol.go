@@ -113,14 +113,6 @@ type Params struct {
 	// RetryBackoff is the linear backoff between retries: attempt k
 	// sleeps k*RetryBackoff before re-issuing.
 	RetryBackoff sim.Duration
-
-	// WakePenalty/WakePenaltyProb model multi-tenant co-location for
-	// CPU-driven protocols: with probability WakePenaltyProb a replica
-	// handler wake pays up to WakePenalty of extra scheduling delay (the
-	// paper's §2.2 tail mechanism). NIC-offloaded protocols have no
-	// replica handler and ignore both.
-	WakePenalty     sim.Duration
-	WakePenaltyProb float64
 }
 
 // Check validates p for a group of members replicas and returns it with

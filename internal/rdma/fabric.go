@@ -30,17 +30,18 @@ type Config struct {
 	// RNRRetryDelay is the back-off before retrying a SEND that found no
 	// posted receive (receiver-not-ready).
 	RNRRetryDelay sim.Duration
-	// AckTimeout bounds how long an issued remote operation may wait for
-	// its transport ACK/response. When the oldest pending op on a QP
-	// exceeds it, the QP flushes its pending window with error completions
-	// (StatusTimeout for the expired head, StatusFlushed behind it)
-	// instead of hanging the requester forever. The deadline timer is
-	// stopped whenever an ACK arrives in time, and a stopped timer never
-	// executes a kernel event, so in healthy runs the timeout is invisible
-	// to event counts, RNG draws, and event ordering. Zero selects the
-	// calibrated default; negative disables the timeout.
-	AckTimeout sim.Duration
 }
+
+// ackTimeout bounds how long an issued remote operation may wait for its
+// transport ACK/response. When the oldest pending op on a QP exceeds it,
+// the QP flushes its pending window with error completions (StatusTimeout
+// for the expired head, StatusFlushed behind it) instead of hanging the
+// requester forever. The deadline timer is stopped whenever an ACK
+// arrives in time, and a stopped timer never executes a kernel event, so
+// in healthy runs the timeout is invisible to event counts, RNG draws and
+// event ordering. It stands in for the InfiniBand transport's
+// retry-count × local-ACK-timeout.
+const ackTimeout = 5 * sim.Millisecond
 
 // DefaultConfig returns the calibrated configuration.
 func DefaultConfig() Config {
@@ -54,7 +55,6 @@ func DefaultConfig() Config {
 		CacheFlushPerLine: 1 * sim.Nanosecond,
 		MemCopyBps:        8 * 8e9, // ~8 GB/s
 		RNRRetryDelay:     10 * sim.Microsecond,
-		AckTimeout:        5 * sim.Millisecond,
 	}
 }
 
@@ -185,11 +185,6 @@ func (c Config) normalize() Config {
 	}
 	if c.RNRRetryDelay <= 0 {
 		c.RNRRetryDelay = DefaultConfig().RNRRetryDelay
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = DefaultConfig().AckTimeout
-	} else if c.AckTimeout < 0 {
-		c.AckTimeout = 0 // explicit opt-out: ops may hang forever
 	}
 	return c
 }

@@ -9,12 +9,12 @@ import (
 	"hyperloop/internal/sim"
 )
 
-// newFaultPair is newTestPair with a caller-chosen seed and config, for
-// fault tests that want tight ack timeouts or specific RNG streams.
-func newFaultPair(t *testing.T, seed uint64, cfg Config) *testPair {
+// newFaultPair is newTestPair with a caller-chosen seed, for fault tests
+// that want specific RNG streams.
+func newFaultPair(t *testing.T, seed uint64) *testPair {
 	t.Helper()
 	k := sim.NewKernel(seed)
-	fab := NewFabric(k, cfg)
+	fab := NewFabric(k, DefaultConfig())
 	na, err := fab.AddNIC("a", nvm.NewDevice("a", memSize))
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +90,7 @@ func TestSetDownMidOperationUnblocksClient(t *testing.T) {
 // and checks that ops before, during, and after the window complete with
 // the expected statuses — and that the restart revives the datapath.
 func TestScheduledCrashAndRestart(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AckTimeout = 100 * sim.Microsecond
-	p := newFaultPair(t, 3, cfg)
+	p := newFaultPair(t, 3)
 	mustInstall(t, p.fab, &FaultPlan{NICs: []NICFault{
 		{Host: "b", At: sim.Time(100 * sim.Microsecond), Down: true},
 		{Host: "b", At: sim.Time(400 * sim.Microsecond), Down: false},
@@ -136,9 +134,7 @@ func TestScheduledCrashAndRestart(t *testing.T) {
 // the bounded CQ wait: ops before and after the window succeed, ops inside
 // it surface StatusTimeout.
 func TestLinkPartitionWindow(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AckTimeout = 100 * sim.Microsecond
-	p := newFaultPair(t, 5, cfg)
+	p := newFaultPair(t, 5)
 	mustInstall(t, p.fab, &FaultPlan{Links: []LinkFault{{
 		From:           "a",
 		PartitionFrom:  sim.Time(10 * sim.Microsecond),
@@ -170,8 +166,7 @@ func TestLinkPartitionWindow(t *testing.T) {
 		f.Sleep(50*sim.Microsecond - sim.Duration(f.Now()))
 		postWrite(t, p, 2) // t=50µs: inside the window
 		expect("inside", StatusTimeout)
-		f.Sleep(250*sim.Microsecond - sim.Duration(f.Now()))
-		postWrite(t, p, 3) // t=250µs: after the window
+		postWrite(t, p, 3) // t=50µs+ackTimeout: after the window
 		expect("after", StatusSuccess)
 		done = true
 	})
@@ -229,9 +224,7 @@ func TestDuplicateDeliveriesSuppressed(t *testing.T) {
 // returns the full completion trace plus fault counters.
 func faultTrace(t *testing.T, seed uint64) (string, FaultStats) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.AckTimeout = 200 * sim.Microsecond
-	p := newFaultPair(t, seed, cfg)
+	p := newFaultPair(t, seed)
 	mustInstall(t, p.fab, &FaultPlan{
 		NICs: []NICFault{
 			{Host: "b", At: sim.Time(40 * sim.Microsecond), Down: true},
@@ -285,9 +278,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 // blocked and no pending op stranded.
 func TestFaultStressAllOpsResolve(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 42} {
-		cfg := DefaultConfig()
-		cfg.AckTimeout = 200 * sim.Microsecond
-		p := newFaultPair(t, seed, cfg)
+		p := newFaultPair(t, seed)
 		mustInstall(t, p.fab, &FaultPlan{Links: []LinkFault{
 			{From: "a", To: "b", DropProb: 0.3, DupProb: 0.2, ExtraDelay: 2 * sim.Microsecond},
 			{From: "b", To: "a", DropProb: 0.3, DupProb: 0.2},

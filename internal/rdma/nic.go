@@ -53,7 +53,7 @@ const (
 	StatusLocalError
 	StatusFlushed // QP torn down / host down
 	// StatusTimeout reports that the operation's transport ACK did not
-	// arrive within Config.AckTimeout — the peer crashed or the wire lost
+	// arrive within the ack timeout — the peer crashed or the wire lost
 	// the message. The rest of the pending window flushes as StatusFlushed.
 	StatusTimeout
 )
@@ -395,7 +395,6 @@ type wireMsg struct {
 	isAck  bool
 	dup    bool  // shares the original's payload; never returns it
 	msg    inMsg // request leg; msg.payload is the ack leg's response too
-	ep     uint64
 	seq    uint64
 	st     Status
 	fireFn func()
@@ -425,19 +424,19 @@ func (wm *wireMsg) fire() {
 	}
 	to.wireRx = wm.psn + 1
 	if wm.isAck {
-		ep, seq, st, payload := wm.ep, wm.seq, wm.st, wm.msg.payload
+		seq, st, payload := wm.seq, wm.st, wm.msg.payload
 		f.putWire(wm)
-		to.handleAck(ep, seq, st, payload)
+		to.handleAck(seq, st, payload)
 		return
 	}
 	to.enqueueInbox(wm)
 }
 
 // sendAck transmits an ack/response leg back to the requester.
-func (n *NIC) sendAck(to *QP, size int, ep, seq uint64, st Status, payload []byte) {
+func (n *NIC) sendAck(to *QP, size int, seq uint64, st Status, payload []byte) {
 	wm := n.fabric.getWire()
 	wm.isAck = true
-	wm.ep, wm.seq, wm.st, wm.msg.payload = ep, seq, st, payload
+	wm.seq, wm.st, wm.msg.payload = seq, st, payload
 	n.send(to, size, wm)
 }
 
@@ -492,7 +491,7 @@ func (n *NIC) send(to *QP, size int, wm *wireMsg) {
 		f.faultStats.Dups++
 		wm2 := f.getWire()
 		wm2.to, wm2.psn, wm2.isAck, wm2.dup = to, psn, wm.isAck, true
-		wm2.msg, wm2.ep, wm2.seq, wm2.st = wm.msg, wm.ep, wm.seq, wm.st
+		wm2.msg, wm2.seq, wm2.st = wm.msg, wm.seq, wm.st
 		f.k.AtFunc(at, wm.fireFn, nil)
 		f.k.AtFunc(at, wm2.fireFn, nil)
 		return

@@ -58,22 +58,22 @@ type inMsg struct {
 	compare uint64
 	swap    uint64
 
-	// Reply routing: the requester QP, its epoch at issue time, and the op
-	// sequence the response must echo. Plain fields instead of a reply
-	// closure keep the datapath allocation-free (see finishInbox).
+	// Reply routing: the requester QP and the op sequence the response
+	// must echo. Plain fields instead of a reply closure keep the datapath
+	// allocation-free (see finishInbox).
 	src    *QP
-	srcEp  uint64
 	srcSeq uint64
 }
 
 // pendingOp tracks an issued remote operation awaiting its ACK/response.
 // at is the issue instant; the ack-timeout deadline for the QP is always
-// the oldest pending op's at plus Config.AckTimeout. seq is the op's
-// position in the QP's request stream — replies echo it, so a reply
-// arriving for a later op proves every earlier pending op's request (or
-// ack) was lost and fails them immediately instead of waiting out the
-// timeout (see handleAck). The rest is what completion reads of the
-// issuing WQE: its CQE fields, and local for a CAS result.
+// the oldest pending op's at plus ackTimeout. seq is the op's position in
+// the QP's request stream — replies echo it, so a reply arriving for a
+// later op proves every earlier pending op's request (or ack) was lost and
+// fails them immediately instead of waiting out the timeout, and a reply
+// for an op older than every pending one is a straggler (see handleAck).
+// The rest is what completion reads of the issuing WQE: its CQE fields,
+// and local for a CAS result.
 type pendingOp struct {
 	at    sim.Time
 	seq   uint64
@@ -124,14 +124,13 @@ type QP struct {
 	// Ack-timeout machinery: ackTimer tracks the transport deadline of the
 	// oldest pending op (armed on issue, stopped/re-armed as ACKs arrive,
 	// so it never fires — and never executes a kernel event — on a healthy
-	// QP). epoch invalidates in-flight replies when the pending window is
-	// flushed: a straggler ACK from before the flush must not complete an
-	// op issued after it. wireTx/wireRx number delivered wire messages per
-	// direction so injected duplicates are suppressed exactly once.
+	// QP). opTx numbers issued ops and is never reset, so an op sequence
+	// names one op for the QP's whole life. wireTx/wireRx number delivered
+	// wire messages per direction so injected duplicates are suppressed
+	// exactly once.
 	ackTimer sim.Timer
 	ackArmed bool
 	ackFn    func()
-	epoch    uint64
 	opTx     uint64
 	wireTx   uint64
 	wireRx   uint64
@@ -149,7 +148,6 @@ type QP struct {
 	rnrRetryFn   func()
 
 	inSrc  *QP // requester awaiting the in-flight inbound message's reply
-	inEp   uint64
 	inSeq  uint64
 	inSt   Status
 	inResp []byte
@@ -236,7 +234,6 @@ func (q *QP) Destroy() {
 		slot = q.next(slot)
 	}
 	q.stopAckTimer()
-	q.epoch++ // straggler replies to abandoned pendings are discarded
 	q.pending.Reset()
 	q.recvQueue.Reset()
 	for q.inbox.Len() > 0 {
@@ -503,7 +500,7 @@ func (q *QP) issueRemote(w *WQE, kind inKind, payload []byte, wireBytes int) {
 	m.kind, m.payload = kind, payload
 	m.addr, m.length, m.rkey, m.imm = w.Remote, w.Len, w.Aux1, w.Imm
 	m.compare, m.swap = w.Compare, w.Swap
-	m.src, m.srcEp, m.srcSeq = q, q.epoch, seq
+	m.src, m.srcSeq = q, seq
 	q.nic.send(q.peer, wireBytes, wm)
 	q.advance(f.cfg.WQEProc + f.xmitTime(wireBytes))
 }
@@ -528,12 +525,11 @@ func (q *QP) completePending(op *pendingOp, st Status, payload []byte) {
 // and consumes no RNG, so on a healthy QP the ack timeout is invisible to
 // event counts and ordering.
 func (q *QP) armAckTimer() {
-	d := q.nic.fabric.cfg.AckTimeout
-	if d <= 0 || q.pending.Len() == 0 {
+	if q.pending.Len() == 0 {
 		return
 	}
 	q.ackArmed = true
-	q.nic.fabric.k.AtFunc(q.pending.Front().at.Add(d), q.ackFn, &q.ackTimer)
+	q.nic.fabric.k.AtFunc(q.pending.Front().at.Add(ackTimeout), q.ackFn, &q.ackTimer)
 }
 
 func (q *QP) stopAckTimer() {
@@ -543,7 +539,7 @@ func (q *QP) stopAckTimer() {
 	}
 }
 
-// ackExpire fires when the oldest pending op outlived AckTimeout without
+// ackExpire fires when the oldest pending op outlived ackTimeout without
 // a response: the peer crashed or the wire lost the request or its ACK.
 func (q *QP) ackExpire() {
 	q.ackArmed = false
@@ -554,8 +550,8 @@ func (q *QP) ackExpire() {
 // first (StatusTimeout on an ack deadline), the rest with StatusFlushed,
 // mirroring how a real RC QP enters the error state and flushes its send
 // queue. Error completions are pushed even for unsignaled WQEs, so no
-// requester fiber is left waiting. The epoch advances so straggler
-// replies to the flushed ops are discarded on arrival. The QP itself
+// requester fiber is left waiting. Straggler replies to the flushed ops
+// are discarded on arrival (see handleAck). The QP itself
 // stays usable (the simulation models transparent QP recovery): new ops
 // issue normally and start a fresh pending window.
 func (q *QP) flushPending(first Status) {
@@ -563,7 +559,6 @@ func (q *QP) flushPending(first Status) {
 	if q.pending.Len() == 0 {
 		return
 	}
-	q.epoch++
 	st := first
 	for q.pending.Len() > 0 {
 		op := q.pending.PopFront()
@@ -572,14 +567,15 @@ func (q *QP) flushPending(first Status) {
 	}
 }
 
-func (q *QP) handleAck(ep uint64, seq uint64, st Status, payload []byte) {
+func (q *QP) handleAck(seq uint64, st Status, payload []byte) {
 	if q.dead {
 		return
 	}
-	if ep != q.epoch || q.pending.Len() == 0 {
-		// Straggler response: the pending window was flushed (ack timeout)
-		// after this reply was sent, or the QP was reset. Drop it, but
-		// still recycle the scratch buffer it carried.
+	if q.pending.Len() == 0 || seq < q.pending.Front().seq {
+		// Straggler response: its op was already resolved, by a flush of
+		// the pending window (ack timeout) after this reply was sent. Op
+		// sequences are never reused, so it matches no pending op. Drop
+		// it, but still recycle the scratch buffer it carried.
 		q.nic.fabric.putBuf(payload)
 		return
 	}
@@ -688,7 +684,7 @@ func (q *QP) processInbox() {
 	occ := cfg.WQEProc
 	st, resp, extra := q.applyInbound(m)
 	occ += extra
-	q.inSrc, q.inEp, q.inSeq, q.inSt, q.inResp = m.src, m.srcEp, m.srcSeq, st, resp
+	q.inSrc, q.inSeq, q.inSt, q.inResp = m.src, m.srcSeq, st, resp
 	// The request has been applied to memory; recycle it and its payload
 	// before the occupancy delay so back-to-back messages reuse them.
 	q.nic.fabric.release(wm)
@@ -699,11 +695,11 @@ func (q *QP) processInbox() {
 // delay: it sends the reply (if any) and resumes inbox processing.
 func (q *QP) finishInbox() {
 	q.inboxBusy = false
-	src, ep, seq, st, resp := q.inSrc, q.inEp, q.inSeq, q.inSt, q.inResp
+	src, seq, st, resp := q.inSrc, q.inSeq, q.inSt, q.inResp
 	q.inSrc, q.inResp = nil, nil
 	if src != nil {
 		// Responses travel the reverse direction with the same FIFO clamp.
-		q.nic.sendAck(src, len(resp), ep, seq, st, resp)
+		q.nic.sendAck(src, len(resp), seq, st, resp)
 	}
 	q.processInbox()
 }

@@ -619,7 +619,7 @@ func TestDownNICDropsTraffic(t *testing.T) {
 	if got[0].Status != StatusTimeout {
 		t.Fatalf("want TIMEOUT completion, got %v", got[0].Status)
 	}
-	if deadline := sim.Time(0).Add(p.fab.Config().AckTimeout); got[0].At < deadline {
+	if deadline := sim.Time(0).Add(ackTimeout); got[0].At < deadline {
 		t.Fatalf("completion at %v, before the ack deadline %v", got[0].At, deadline)
 	}
 	if !p.nb.Down() {

@@ -87,11 +87,8 @@ func checkPools(t *testing.T, f *Fabric, s poolStock) {
 // pool, and every payload it carried, comes back exactly once on each
 // path a message can end on.
 func TestWireMessagesReturnOnce(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AckTimeout = 200 * sim.Microsecond
-
 	t.Run("drops and duplicates", func(t *testing.T) {
-		p := newFaultPair(t, 7, cfg)
+		p := newFaultPair(t, 7)
 		stock := stockPools(p.fab, 256)
 		mustInstall(t, p.fab, &FaultPlan{Links: []LinkFault{
 			{From: "a", To: "b", DropProb: 0.3, DupProb: 0.3},
@@ -130,7 +127,7 @@ func TestWireMessagesReturnOnce(t *testing.T) {
 	})
 
 	t.Run("receiver down in flight", func(t *testing.T) {
-		p := newFaultPair(t, 1, cfg)
+		p := newFaultPair(t, 1)
 		stock := stockPools(p.fab, 256)
 		mustInstall(t, p.fab, &FaultPlan{NICs: []NICFault{
 			{Host: "b", At: sim.Time(20 * sim.Microsecond), Down: true},
@@ -185,7 +182,7 @@ func TestWireMessagesReturnOnce(t *testing.T) {
 	}
 
 	t.Run("QP destroyed with its inbox queued", func(t *testing.T) {
-		p := newFaultPair(t, 1, cfg)
+		p := newFaultPair(t, 1)
 		stock := stockPools(p.fab, 256)
 		queueSends(t, p, 8)
 		p.qb.Destroy()
@@ -194,7 +191,7 @@ func TestWireMessagesReturnOnce(t *testing.T) {
 	})
 
 	t.Run("NIC down and up with its inbox queued", func(t *testing.T) {
-		p := newFaultPair(t, 1, cfg)
+		p := newFaultPair(t, 1)
 		stock := stockPools(p.fab, 256)
 		var ok int
 		p.qa.SendCQ().SetDrainHandler(func(es []CQE) {
@@ -229,9 +226,7 @@ func TestWireMessagesReturnOnce(t *testing.T) {
 // drop. It counts mallocs rather than using testing.AllocsPerRun, whose
 // integer mean hides less than one allocation per run.
 func TestDroppedMessagesReturnPayloads(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AckTimeout = 200 * sim.Microsecond
-	p := newFaultPair(t, 1, cfg)
+	p := newFaultPair(t, 1)
 	mustInstall(t, p.fab, &FaultPlan{Links: []LinkFault{{From: "a", To: "b", DropProb: 0.25}}})
 	// Each completion posts the next 1 KiB write, until target.
 	var posted, target int

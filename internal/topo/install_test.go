@@ -12,11 +12,11 @@ import (
 )
 
 // recorder wraps a builder so a test sees every group it built and the
-// Params each build received.
+// Env each build received.
 type recorder struct {
 	groups []protocol.Protocol
 	hosts  []string // each build's client NIC, in build order
-	params []protocol.Params
+	envs   []protocol.Env
 }
 
 func (rec *recorder) wrap(b protocol.Builder) protocol.Builder {
@@ -25,7 +25,7 @@ func (rec *recorder) wrap(b protocol.Builder) protocol.Builder {
 		if err == nil {
 			rec.groups = append(rec.groups, g)
 			rec.hosts = append(rec.hosts, env.Client.Host())
-			rec.params = append(rec.params, p)
+			rec.envs = append(rec.envs, env)
 		}
 		return g, err
 	}
@@ -33,9 +33,9 @@ func (rec *recorder) wrap(b protocol.Builder) protocol.Builder {
 
 // TestInstallPoint: the rack is where every group is built, so it is
 // where a hook sees them all. Close must reach a registry-named group, a
-// tuned builder's, one built by GroupOver and the shard router's; and a
-// tuned builder on a tenant rack receives the wake penalty in its Params
-// exactly as a registry build does.
+// tuned builder's, one built by GroupOver and the shard router's; and
+// every build on a tenant rack, a tuned builder's as a registry one's,
+// gets replica schedulers that carry the wake penalty.
 func TestInstallPoint(t *testing.T) {
 	polling := naive.Builder(naive.InMode(naive.ModePolling))
 	for _, tenants := range []int{0, 2} {
@@ -67,9 +67,11 @@ func TestInstallPoint(t *testing.T) {
 		if want := 3 + 1 + cfg.Shards; len(rec.groups) != want {
 			t.Fatalf("built %d groups, want %d", len(rec.groups), want)
 		}
-		for i, p := range rec.params {
-			if loaded := tenants > 0; (p.WakePenalty > 0) != loaded || (p.WakePenaltyProb > 0) != loaded {
-				t.Errorf("tenants=%d: build %d (%s) got wake penalty %v p=%v", tenants, i, rec.hosts[i], p.WakePenalty, p.WakePenaltyProb)
+		for i, env := range rec.envs {
+			for j, s := range env.Scheds {
+				if prob, max := s.WakePenalty(); (max > 0) != (tenants > 0) || (prob > 0) != (tenants > 0) {
+					t.Errorf("tenants=%d: build %d (%s) replica %d got wake penalty %v p=%v", tenants, i, rec.hosts[i], j, max, prob)
+				}
 			}
 		}
 		for i, g := range rec.groups {

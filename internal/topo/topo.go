@@ -44,9 +44,10 @@ type Spec struct {
 	// runs.
 	Cores int
 	// TenantsPerCore co-locates that many bursty tenant processes per core,
-	// plus hogs and batch-daemon storms, on every server, and gives
-	// CPU-driven groups the per-tenant wake penalty (see colocate). The
-	// paper's environment is 10.
+	// plus hogs and batch-daemon storms, on every server, and records the
+	// per-tenant wake penalty on each server's scheduler (see colocate),
+	// which CPU-driven groups' replica handlers pay. The paper's
+	// environment is 10.
 	TenantsPerCore int
 	// Faults is installed on the fabric before any scheduler exists.
 	Faults *rdma.FaultPlan
@@ -78,7 +79,6 @@ type Rack struct {
 	Scheds []*cpusim.Scheduler
 
 	spec    Spec
-	wake    wakePenalty
 	placed  []placedGroup
 	groups  []protocol.Protocol
 	bank    *nvm.Bank // the spare pre-image pages every device of the rack shares
@@ -112,21 +112,14 @@ func Build(spec Spec) (*Rack, error) {
 	if spec.Cores > 0 {
 		r.Scheds = make([]*cpusim.Scheduler, spec.Servers)
 		for s := range r.Scheds {
-			sched, wake, err := colocate(k, spec.Cores, spec.TenantsPerCore)
+			sched, err := colocate(k, spec.Cores, spec.TenantsPerCore)
 			if err != nil {
 				return nil, err
 			}
-			r.Scheds[s], r.wake = sched, wake
+			r.Scheds[s] = sched
 		}
 	}
 	return r, nil
-}
-
-// wakePenalty is the scheduling penalty a replica handler's wake-ups pay on
-// a server it shares with tenants.
-type wakePenalty struct {
-	max  sim.Duration
-	prob float64
 }
 
 // colocate builds one server's CPU and puts perCore tenants on every core.
@@ -134,20 +127,21 @@ type wakePenalty struct {
 // constants and the multi-tenant latency model"), all four mechanisms:
 // tick-granularity non-preemption comes with cpusim.DefaultConfig; bursty
 // tenants (~300 µs bursts, ~2.7 ms idle) plus one stress hog per two cores;
-// 2×cores batch daemons bursting ~4 ms every ~200 ms; and the returned
-// penalty — with p = 0.015 a handler woken on this server enters up to 3 ms
-// behind the run-queue head — which GroupOver hands every builder, so
-// CPU-driven protocols pay it. perCore = 0 is an idle server with no
-// penalty.
-func colocate(k *sim.Kernel, cores, perCore int) (*cpusim.Scheduler, wakePenalty, error) {
+// 2×cores batch daemons bursting ~4 ms every ~200 ms; and the wake penalty
+// it records on the scheduler — with p = 0.015 a handler woken on this
+// server enters up to 3 ms behind the run-queue head — which a CPU-driven
+// datapath's replica handlers take from their server's scheduler. perCore
+// = 0 is an idle server with no penalty.
+func colocate(k *sim.Kernel, cores, perCore int) (*cpusim.Scheduler, error) {
 	sched, err := cpusim.New(k, cpusim.DefaultConfig(cores))
 	if err != nil || perCore <= 0 {
-		return sched, wakePenalty{}, err
+		return sched, err
 	}
 	sched.AddHogs(cores / 2)
 	sched.AddNoise(perCore*cores, 300*sim.Microsecond, 2700*sim.Microsecond)
 	sched.AddStorms(2*cores, 200*sim.Millisecond, 4*sim.Millisecond)
-	return sched, wakePenalty{max: 3 * sim.Millisecond, prob: 0.015}, nil
+	sched.SetWakePenalty(0.015, 3*sim.Millisecond)
+	return sched, nil
 }
 
 // Device returns a device sized for a NIC that will hold a mirror of the
@@ -247,13 +241,8 @@ func (r *Rack) Group(g GroupSpec, b protocol.Builder, p protocol.Params) (protoc
 
 // GroupOver is the one place a group is built: over NICs the rack already
 // has (a placed group's, after failover swapped a member, or another group
-// on the same machines), with the tenant wake penalty filled into p under
-// load — so every CPU-driven group pays it, whatever its builder — and the
-// group recorded for Close.
+// on the same machines), with the group recorded for Close.
 func (r *Rack) GroupOver(env protocol.Env, b protocol.Builder, p protocol.Params) (protocol.Protocol, error) {
-	if r.wake.prob > 0 {
-		p.WakePenalty, p.WakePenaltyProb = r.wake.max, r.wake.prob
-	}
 	g, err := b(env, p)
 	if err != nil {
 		return nil, err

@@ -56,8 +56,8 @@ func TestNoCoresNoSchedulers(t *testing.T) {
 }
 
 // TestGroupWiring checks what Group hands the protocol builder: NIC names,
-// device sizes, each replica's server scheduler, the mirror size, and the
-// wake penalty exactly when the rack carries tenants.
+// device sizes, each replica's server scheduler, the mirror size, and a
+// wake penalty on those schedulers exactly when the rack carries tenants.
 func TestGroupWiring(t *testing.T) {
 	for _, tenants := range []int{0, 10} {
 		r, err := Build(Spec{Seed: 1, Servers: 4, Cores: 2, TenantsPerCore: tenants, DevExtra: 1 << 20})
@@ -86,8 +86,10 @@ func TestGroupWiring(t *testing.T) {
 		if p.MirrorSize != 8192 || p.Depth != 8 {
 			t.Errorf("params %+v", p)
 		}
-		if wantPenalty := tenants > 0; (p.WakePenalty > 0) != wantPenalty || (p.WakePenaltyProb > 0) != wantPenalty {
-			t.Errorf("tenants=%d: wake penalty %v p=%v", tenants, p.WakePenalty, p.WakePenaltyProb)
+		for j, s := range env.Scheds {
+			if prob, max := s.WakePenalty(); (max > 0) != (tenants > 0) || (prob > 0) != (tenants > 0) {
+				t.Errorf("tenants=%d: replica %d wake penalty %v p=%v", tenants, j, max, prob)
+			}
 		}
 		if m := r.Members("kv"); m.Client != env.Client || len(m.Replicas) != 2 || m.Replicas[1] != env.Replicas[1] {
 			t.Error("Members did not return the placed NICs")

@@ -48,6 +48,12 @@ func (s *Store) tryLock(f *sim.Fiber) (bool, error) {
 // retries, and the unit of a writer's backoff.
 const lockBackoff = 10 * sim.Microsecond
 
+// lockRetries bounds the attempts of one lock acquisition — a writer's
+// WrLock, a reader's count update, a 2PC coordinator's lock rounds —
+// before it gives up with ErrLockContended. A writer's linear backoff
+// keeps it trying for about 50 ms of virtual time.
+const lockRetries = 100
+
 // backoff is how long a writer stays away after its attempt-th (0-based)
 // failed acquisition: linear in the attempt, plus a stagger of up to one
 // lockBackoff derived from the lock token, so writers that collided at one
@@ -59,9 +65,9 @@ func (s *Store) backoff(attempt int) sim.Duration {
 }
 
 // WrLock acquires the exclusive group write lock: tryLock, retried after a
-// backoff up to LockRetries times.
+// backoff up to lockRetries times.
 func (s *Store) WrLock(f *sim.Fiber) error {
-	for attempt := 0; attempt < s.cfg.LockRetries; attempt++ {
+	for attempt := 0; attempt < lockRetries; attempt++ {
 		if ok, err := s.tryLock(f); ok || err != nil {
 			return err
 		}
@@ -141,7 +147,7 @@ func (s *Store) adjustReaders(f *sim.Fiber, replica int, delta int) error {
 	}
 	exec := make([]bool, g)
 	exec[replica] = true
-	for attempt := 0; attempt < s.cfg.LockRetries; attempt++ {
+	for attempt := 0; attempt < lockRetries; attempt++ {
 		b, err := s.r.ViewLocal(ctrlRdLock, 8)
 		if err != nil {
 			return err

@@ -261,7 +261,7 @@ func TestNoWaitLockingUnderContention(t *testing.T) {
 func TestNoWaitLockingGivesUpHoldingNothing(t *testing.T) {
 	rig := newTwoPCRig(t, 2, nil, 0)
 	open := func(g int, token uint64) *Store {
-		st, err := New(rig.groups[g], Config{LogSize: testLog, DataSize: testData, LockToken: token, LockRetries: 6})
+		st, err := New(rig.groups[g], Config{LogSize: testLog, DataSize: testData, LockToken: token})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,11 +293,12 @@ func TestNoWaitLockingGivesUpHoldingNothing(t *testing.T) {
 				}
 			}
 		}
-		// Six rounds: a grant and a release on the free store, an attempt
-		// and its (empty) undo on the held one, and not one gWRITE.
+		// lockRetries rounds, each a grant and a release on the free store,
+		// an attempt and its (empty) undo on the held one, and not one
+		// gWRITE.
 		for g := range issued {
-			if now, _ := rig.groups[g].Stats(); now-issued[g] != 12 {
-				t.Errorf("group %d saw %d ops, want 12 gCAS", g, now-issued[g])
+			if now, _ := rig.groups[g].Stats(); now-issued[g] != 2*lockRetries {
+				t.Errorf("group %d saw %d ops, want %d gCAS", g, now-issued[g], 2*lockRetries)
 			}
 		}
 		if err := squatter.WrUnlock(f); err != nil {

@@ -51,7 +51,7 @@ import (
 // coordinator asks for all its locks in one round of single attempts; if
 // any store is contended it gives back every lock that round was granted,
 // backs off holding nothing and asks for the whole set again, up to
-// LockRetries times. It never waits while it holds a lock, so no cycle of
+// lockRetries times. It never waits while it holds a lock, so no cycle of
 // waiters can form, whatever order coordinators list their participants
 // in — and a loser aborts before it has appended anything.
 
@@ -308,11 +308,11 @@ func (t *DistTxn) prepare(f *sim.Fiber) error {
 // while holding another: a round of single attempts on all stores at once;
 // if any store was contended, every lock the round was granted is given
 // back (one more round) and the coordinator backs off holding nothing
-// before it asks for the whole set again, LockRetries times at most
-// (participant 0's configuration).
+// before it asks for the whole set again, lockRetries times at most
+// (with participant 0's backoff schedule).
 func (t *DistTxn) lockAll(f *sim.Fiber) error {
 	first := t.parts[0].Store
-	for attempt := 0; attempt < first.cfg.LockRetries; attempt++ {
+	for attempt := 0; attempt < lockRetries; attempt++ {
 		if err := t.fanOut(f, (*DistTxn).lockOne); err != nil || t.halt != nil {
 			return err
 		}

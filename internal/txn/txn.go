@@ -75,8 +75,6 @@ type Config struct {
 	DataSize int
 	// LockToken identifies this writer in the group lock word.
 	LockToken uint64
-	// LockRetries bounds lock acquisition attempts.
-	LockRetries int
 }
 
 // Store manages a replicated write-ahead log plus database region. One
@@ -112,9 +110,6 @@ func New(r Replicator, cfg Config) (*Store, error) {
 	}
 	if cfg.LockToken == 0 {
 		cfg.LockToken = 1
-	}
-	if cfg.LockRetries <= 0 {
-		cfg.LockRetries = 100
 	}
 	allExec := make([]bool, r.GroupSize())
 	for i := range allExec {

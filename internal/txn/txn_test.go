@@ -225,7 +225,7 @@ func TestWrLockContention(t *testing.T) {
 	// Two writers with distinct tokens share one group: the second must
 	// back off while the first holds the lock, and acquire afterwards.
 	b := newBackends(t, 3)[0]
-	st2, err := New(b.st.r, Config{LogSize: testLog, DataSize: testData, LockToken: 2, LockRetries: 200})
+	st2, err := New(b.st.r, Config{LogSize: testLog, DataSize: testData, LockToken: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

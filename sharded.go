@@ -28,8 +28,6 @@ type (
 	ShardRecoverStats = shard.RecoverStats
 	// ShardPolicy maps keys to shards (hash or range).
 	ShardPolicy = shard.Policy
-	// ShardPlacement maps shard replicas to rack servers.
-	ShardPlacement = shard.PlacementPolicy
 	// ShardRoutingConfig sizes a router's key→shard mapping and per-shard
 	// stores.
 	ShardRoutingConfig = shard.Config
@@ -47,12 +45,10 @@ type (
 // coordinator mid-protocol; see txn.ErrCoordinatorCrash.
 var ErrTxnCoordinatorCrash = txn.ErrCoordinatorCrash
 
-// Shard routing and placement policies, and 2PC coordinator steps.
+// Shard routing policies and 2PC coordinator steps.
 const (
-	ShardHash           = shard.Hash
-	ShardRange          = shard.Range
-	PlaceRoundRobin     = shard.RoundRobin
-	PlaceTenantAffinity = shard.TenantAffinity
+	ShardHash  = shard.Hash
+	ShardRange = shard.Range
 
 	TxnStepLock        = txn.StepLock
 	TxnStepAppend      = txn.StepAppend
@@ -62,10 +58,12 @@ const (
 )
 
 // ShardedClusterConfig sizes a sharded deployment: Shards independent
-// replication groups placed across Servers machines. Every shard gets its
-// own client NIC and per-replica NICs/devices (mirrors must start at
-// device offset 0, so groups never share a device); servers contribute
-// their CPU schedulers, hosting many NICs each, SR-IOV style.
+// replication groups placed round-robin across max(ReplicasPerShard, 4)
+// servers (serverCores cores each). Every shard gets its own client NIC and
+// per-replica NICs/devices, each with 1 MiB of headroom past the mirror
+// for rings and staging buffers (mirrors must start at device offset 0,
+// so groups never share a device); servers contribute their CPU
+// schedulers, hosting many NICs each, SR-IOV style.
 type ShardedClusterConfig struct {
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed uint64
@@ -73,29 +71,15 @@ type ShardedClusterConfig struct {
 	Shards int
 	// ReplicasPerShard is each group's chain length (default 3).
 	ReplicasPerShard int
-	// Servers is the rack size replicas are placed across (default
-	// max(ReplicasPerShard, 4)).
-	Servers int
-	// CoresPerServer sizes each server's CPU (default 16).
-	CoresPerServer int
 	// Protocol names the registered replication protocol each group runs
 	// (default "chain").
 	Protocol string
-	// Placement spreads replicas over servers (default PlaceRoundRobin).
-	// PlaceTenantAffinity uses TenantOf to pack a tenant's shards.
-	Placement ShardPlacement
-	// TenantOf maps a shard to its owning tenant; only consulted by
-	// PlaceTenantAffinity.
-	TenantOf func(shard int) int
 	// Routing configures the router's key→shard mapping and per-shard
 	// store sizes; Routing.Shards is overwritten with Shards.
 	Routing shard.Config
 	// Deprecated: CommitLog is ignored. Every cluster has a coordinator
 	// group holding the router's 2PC commit log.
 	CommitLog bool
-	// DeviceExtra is per-NIC device headroom past the mirror for rings and
-	// staging buffers (default 1 MiB).
-	DeviceExtra int
 }
 
 // ShardedCluster is a built sharded deployment: a topo.Rack and the router
@@ -116,27 +100,17 @@ func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
 	if cfg.ReplicasPerShard <= 0 {
 		cfg.ReplicasPerShard = 3
 	}
-	if cfg.Servers <= 0 {
-		cfg.Servers = max(cfg.ReplicasPerShard, 4)
-	}
-	if cfg.CoresPerServer <= 0 {
-		cfg.CoresPerServer = 16
-	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = "chain"
 	}
-	if cfg.DeviceExtra <= 0 {
-		cfg.DeviceExtra = 1 << 20
-	}
 	cfg.Routing.Shards = cfg.Shards
+	servers := max(cfg.ReplicasPerShard, 4)
 
-	rack, err := topo.Build(topo.Spec{
-		Seed: cfg.Seed, Servers: cfg.Servers, Cores: cfg.CoresPerServer, DevExtra: cfg.DeviceExtra,
-	})
+	rack, err := topo.Build(topo.Spec{Seed: cfg.Seed, Servers: servers, Cores: serverCores, DevExtra: 1 << 20})
 	if err != nil {
 		return nil, err
 	}
-	place, err := shard.Place(cfg.Placement, cfg.Shards, cfg.ReplicasPerShard, cfg.Servers, cfg.TenantOf)
+	place, err := shard.Place(shard.RoundRobin, cfg.Shards, cfg.ReplicasPerShard, servers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,6 @@ func TestShardedFacadeFlow(t *testing.T) {
 		Seed:             7,
 		Shards:           8,
 		ReplicasPerShard: 2,
-		Servers:          4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,16 +136,12 @@ func TestShardedFacadeFlow(t *testing.T) {
 	}
 }
 
-func TestShardedClusterNaiveAffinity(t *testing.T) {
+func TestShardedClusterNaive(t *testing.T) {
 	c, err := NewShardedCluster(ShardedClusterConfig{
 		Seed:             3,
 		Shards:           6,
 		ReplicasPerShard: 2,
-		Servers:          6,
-		CoresPerServer:   2,
 		Protocol:         "naive",
-		Placement:        PlaceTenantAffinity,
-		TenantOf:         func(s int) int { return s / 2 },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,18 +162,6 @@ func TestShardedClusterBadConfig(t *testing.T) {
 	if _, err := NewShardedCluster(ShardedClusterConfig{Protocol: "no-such-protocol"}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
-	if _, err := NewShardedCluster(ShardedClusterConfig{
-		Placement: PlaceTenantAffinity, // no TenantOf
-	}); err == nil {
-		t.Fatal("affinity without TenantOf accepted")
-	}
-	// A negative tenant used to place a replica on server -1 and panic
-	// indexing the schedulers.
-	if _, err := NewShardedCluster(ShardedClusterConfig{
-		Placement: PlaceTenantAffinity, TenantOf: func(s int) int { return s - 1 },
-	}); err == nil {
-		t.Fatal("negative tenant accepted")
-	}
 }
 
 func TestShardedClusterCommitLog(t *testing.T) {
@@ -186,7 +169,6 @@ func TestShardedClusterCommitLog(t *testing.T) {
 		Seed:             3,
 		Shards:           4,
 		ReplicasPerShard: 2,
-		Servers:          2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +261,7 @@ func TestShardedClusterCrashSubsets(t *testing.T) {
 	for _, tc := range cases {
 		stopChainGroups = nil
 		c, err := NewShardedCluster(ShardedClusterConfig{
-			Seed: 5, Shards: shards, ReplicasPerShard: 2, Servers: 2,
+			Seed: 5, Shards: shards, ReplicasPerShard: 2,
 			Protocol: stopChain,
 			Routing:  ShardRoutingConfig{Policy: ShardRange, Keys: shards},
 		})

@@ -201,22 +201,22 @@ func TestFacadeConstructorGolden(t *testing.T) {
 		"NewProtocolGroup/fanout loaded=false":          {658326, 80, 80, 5577, 1079, 139250},
 		"NewProtocolGroup/naive loaded=false":           {1663037, 80, 80, 2559, 759, 86770},
 		"NewProtocolGroup/test-stop-chain loaded=false": {796836, 80, 80, 4478, 759, 173810},
-		"NewGroup loaded=true":                          {796836, 80, 80, 4613, 759, 173810},
-		"NewNaiveGroup/event loaded=true":               {119283731, 80, 80, 17389, 759, 86770},
-		"NewNaiveGroup/polling loaded=true":             {217161506, 80, 80, 34479, 759, 86770},
-		"NewNaiveGroup/pinned loaded=true":              {976037, 80, 80, 2232, 759, 86770},
-		"NewGroupOver loaded=true":                      {796836, 80, 80, 4613, 759, 173810},
-		"NewProtocolGroup/bcast loaded=true":            {301457, 80, 80, 5043, 1077, 99510},
-		"NewProtocolGroup/bcast-maj loaded=true":        {299024, 80, 80, 5008, 1077, 99510},
-		"NewProtocolGroup/chain loaded=true":            {796836, 80, 80, 4613, 759, 173810},
-		"NewProtocolGroup/fanout loaded=true":           {658326, 80, 80, 5692, 1079, 139250},
-		"NewProtocolGroup/naive loaded=true":            {119283731, 80, 80, 17389, 759, 86770},
-		"NewProtocolGroup/test-stop-chain loaded=true":  {796836, 80, 80, 4613, 759, 173810},
+		"NewGroup loaded=true":                          {796836, 80, 80, 4909, 759, 173810},
+		"NewNaiveGroup/event loaded=true":               {35360337, 80, 80, 21030, 759, 86770},
+		"NewNaiveGroup/polling loaded=true":             {339527079, 80, 80, 191076, 759, 86770},
+		"NewNaiveGroup/pinned loaded=true":              {976037, 80, 80, 2602, 759, 86770},
+		"NewGroupOver loaded=true":                      {796836, 80, 80, 4909, 759, 173810},
+		"NewProtocolGroup/bcast loaded=true":            {301457, 80, 80, 5165, 1077, 99510},
+		"NewProtocolGroup/bcast-maj loaded=true":        {299024, 80, 80, 5130, 1077, 99510},
+		"NewProtocolGroup/chain loaded=true":            {796836, 80, 80, 4909, 759, 173810},
+		"NewProtocolGroup/fanout loaded=true":           {658326, 80, 80, 5942, 1079, 139250},
+		"NewProtocolGroup/naive loaded=true":            {35360337, 80, 80, 21030, 759, 86770},
+		"NewProtocolGroup/test-stop-chain loaded=true":  {796836, 80, 80, 4909, 759, 173810},
 	}
 	for _, loaded := range []bool{false, true} {
 		for _, ct := range ctors {
 			key := fmt.Sprintf("%s loaded=%v", ct.name, loaded)
-			c, err := NewCluster(ClusterConfig{Seed: 1, CoresPerServer: 4, MultiTenantLoad: loaded})
+			c, err := NewCluster(ClusterConfig{Seed: 1, MultiTenantLoad: loaded})
 			if err != nil {
 				t.Fatal(err)
 			}
